@@ -248,6 +248,51 @@ func BenchmarkRealIncPivBaseline(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
+// Data-movement microbenchmarks: the copies around a factorization, in
+// MB/s of matrix moved, on the benchmark's two LU shapes (BCL, b=64)
+// over the grids of 1, 2 and 4 workers.
+
+func benchLayoutShapes(b *testing.B, op func(b *testing.B, a *mat.Dense, g layout.Grid)) {
+	for _, s := range [][2]int{{2048, 2048}, {8192, 256}} {
+		a := RandomMatrix(s[0], s[1], 1)
+		for _, w := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%dx%d/W%d", s[0], s[1], w), func(b *testing.B) {
+				b.SetBytes(int64(8 * s[0] * s[1]))
+				op(b, a, layout.NewGrid(w))
+			})
+		}
+	}
+}
+
+func BenchmarkLayoutPack(b *testing.B) {
+	benchLayoutShapes(b, func(b *testing.B, a *mat.Dense, g layout.Grid) {
+		for i := 0; i < b.N; i++ {
+			layout.New(layout.BCL, a, 64, g)
+		}
+	})
+}
+
+func BenchmarkExtractLU(b *testing.B) {
+	benchLayoutShapes(b, func(b *testing.B, a *mat.Dense, g layout.Grid) {
+		l := layout.New(layout.BCL, a, 64, g)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			core.ExtractLU(l)
+		}
+	})
+}
+
+func BenchmarkLayoutEncode(b *testing.B) {
+	benchLayoutShapes(b, func(b *testing.B, a *mat.Dense, g layout.Grid) {
+		l := layout.New(layout.BCL, a, 64, g)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			layout.Encode(l)
+		}
+	})
+}
+
+// ---------------------------------------------------------------------
 // Kernel microbenchmarks.
 
 func viewOf(a *mat.Dense) kernel.View {

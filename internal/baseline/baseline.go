@@ -48,7 +48,7 @@ func FactorGEPP(a *mat.Dense, opt GEPPOptions) (*core.Factorization, error) {
 		opt.Workers = 1
 	}
 	grid := layout.NewGrid(opt.Workers)
-	l := layout.NewColMajor(a, opt.Block, grid)
+	l := layout.New(layout.CM, a, opt.Block, grid)
 	gg := dag.BuildGEPP(l, dag.GEPPOptions{Lookahead: opt.Lookahead})
 	if err := gg.Validate(); err != nil {
 		return nil, fmt.Errorf("baseline: invalid GEPP graph: %w", err)
@@ -115,7 +115,7 @@ func SolveIncPiv(a *mat.Dense, b []float64, opt IncPivOptions) ([]float64, *IncP
 		aug.Set(i, n, v)
 	}
 	grid := layout.NewGrid(opt.Workers)
-	l := layout.NewTwoLevel(aug, opt.Block, grid)
+	l := layout.New(layout.TwoLevel, aug, opt.Block, grid)
 	ig := dag.BuildIncPiv(l)
 	if err := ig.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("baseline: invalid incpiv graph: %w", err)

@@ -40,7 +40,7 @@ const (
 // tile contiguous — the natural pack format) on a single-worker grid,
 // since wire bytes carry no ownership.
 func wireLayout(d *mat.Dense) layout.Layout {
-	return layout.NewTwoLevel(d, wireBlock, layout.NewGrid(1))
+	return layout.New(layout.TwoLevel, d, wireBlock, layout.NewGrid(1))
 }
 
 // EncodeFactorization serializes a kept factorization: exactly one of
@@ -49,29 +49,24 @@ func EncodeFactorization(lu *core.Factorization, chol *core.CholeskyFactorizatio
 	if (lu != nil) == (chol != nil) {
 		return nil, fmt.Errorf("cluster: need exactly one of LU or Cholesky to encode")
 	}
-	le := binary.LittleEndian
-	out := make([]byte, wireHdrLen)
-	copy(out, wireMagic)
-	out[4] = wireVersion
-	if chol != nil {
-		out[5] = wireKindCh
-		return append(out, layout.Encode(wireLayout(chol.L))...), nil
+	hdr := func(kind byte, size int) []byte {
+		return append(append(make([]byte, 0, wireHdrLen+size), wireMagic...), wireVersion, kind)
 	}
-	out[5] = wireKindLU
-	var plen [4]byte
-	le.PutUint32(plen[:], uint32(len(lu.Perm)))
-	out = append(out, plen[:]...)
-	var pe [4]byte
+	if chol != nil {
+		l := wireLayout(chol.L)
+		return append(hdr(wireKindCh, layout.EncodedLen(l)), layout.Encode(l)...), nil
+	}
+	ll, ul := wireLayout(lu.L), wireLayout(lu.U)
+	out := hdr(wireKindLU, 4+4*len(lu.Perm)+layout.EncodedLen(ll)+layout.EncodedLen(ul))
+	le := binary.LittleEndian
+	out = le.AppendUint32(out, uint32(len(lu.Perm)))
 	for _, p := range lu.Perm {
 		if p < 0 || int64(p) > int64(^uint32(0)) {
 			return nil, fmt.Errorf("cluster: permutation entry %d out of wire range", p)
 		}
-		le.PutUint32(pe[:], uint32(p))
-		out = append(out, pe[:]...)
+		out = le.AppendUint32(out, uint32(p))
 	}
-	out = append(out, layout.Encode(wireLayout(lu.L))...)
-	out = append(out, layout.Encode(wireLayout(lu.U))...)
-	return out, nil
+	return append(append(out, layout.Encode(ll)...), layout.Encode(ul)...), nil
 }
 
 // DecodeFactorization inverts EncodeFactorization. The returned

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,7 +20,7 @@ func randDense(r, c int, seed int64) *mat.Dense {
 		d.Data[i] = rng.NormFloat64()
 	}
 	if len(d.Data) > 4 {
-		d.Data[0] = math.Copysign(0, -1)  // -0
+		d.Data[0] = math.Copysign(0, -1) // -0
 		d.Data[1] = math.SmallestNonzeroFloat64
 		d.Data[2] = math.Inf(1)
 		d.Data[3] = math.NaN()
@@ -93,6 +95,64 @@ func TestWireCholeskyRoundTrip(t *testing.T) {
 	}
 }
 
+// oracleFactorBytes spells the encoding of one dense factor out
+// element by element — the HSDL header for two-level tiles of
+// wireBlock on a 1x1 grid, then tile row by tile row, each tile column
+// by column — with no help from the layout package.
+func oracleFactorBytes(d *mat.Dense) []byte {
+	le := binary.LittleEndian
+	out := []byte("HSDL\x01\x02")
+	for _, v := range []int{d.Rows, d.Cols, wireBlock, 1, 1} {
+		out = le.AppendUint32(out, uint32(v))
+	}
+	for i0 := 0; i0 < d.Rows; i0 += wireBlock {
+		for j0 := 0; j0 < d.Cols; j0 += wireBlock {
+			for j := j0; j < min(j0+wireBlock, d.Cols); j++ {
+				for i := i0; i < min(i0+wireBlock, d.Rows); i++ {
+					out = le.AppendUint64(out, math.Float64bits(d.At(i, j)))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestWireBytesMatchOracle: the bulk encoder changed no byte on the
+// wire, for square, tall, wide and beyond-the-parallel-cutoff factors.
+func TestWireBytesMatchOracle(t *testing.T) {
+	le := binary.LittleEndian
+	for _, s := range [][2]int{{1, 1}, {7, 7}, {128, 128}, {200, 130}, {130, 200}, {600, 520}} {
+		m, n := s[0], s[1]
+		r := min(m, n)
+		lu := &core.Factorization{
+			Perm: rand.New(rand.NewSource(int64(m))).Perm(m),
+			L:    randDense(m, r, int64(m)),
+			U:    randDense(r, n, int64(n)+1),
+		}
+		want := le.AppendUint32([]byte("HSDW\x01\x01"), uint32(m))
+		for _, p := range lu.Perm {
+			want = le.AppendUint32(want, uint32(p))
+		}
+		want = append(append(want, oracleFactorBytes(lu.L)...), oracleFactorBytes(lu.U)...)
+		got, err := EncodeFactorization(lu, nil)
+		if err != nil {
+			t.Fatalf("%dx%d: %v", m, n, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%dx%d: LU wire bytes differ from the element-wise encoder", m, n)
+		}
+
+		ch := &core.CholeskyFactorization{L: randDense(m, m, int64(m)+2)}
+		want = append([]byte("HSDW\x01\x02"), oracleFactorBytes(ch.L)...)
+		if got, err = EncodeFactorization(nil, ch); err != nil {
+			t.Fatalf("%dx%d: %v", m, m, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%dx%d: Cholesky wire bytes differ from the element-wise encoder", m, m)
+		}
+	}
+}
+
 // TestWireRejectsInvalidInput: encode refuses ambiguous arguments,
 // decode refuses malformed bytes without panicking.
 func TestWireRejectsInvalidInput(t *testing.T) {
@@ -113,21 +173,34 @@ func TestWireRejectsInvalidInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
-		"empty":        nil,
-		"short":        good[:3],
-		"header only":  good[:wireHdrLen],
-		"perm only":    good[:wireHdrLen+4],
-		"truncated L":  good[:len(good)/2],
-		"truncated U":  good[:len(good)-1],
-		"trailing":     append(append([]byte(nil), good...), 0),
-		"bad magic":    append([]byte("NOPE"), good[4:]...),
-		"bad version":  append(append([]byte(nil), good[:4]...), append([]byte{99}, good[5:]...)...),
-		"bad kind":     append(append([]byte(nil), good[:5]...), append([]byte{7}, good[6:]...)...),
+		"empty":       nil,
+		"short":       good[:3],
+		"header only": good[:wireHdrLen],
+		"perm only":   good[:wireHdrLen+4],
+		"truncated L": good[:len(good)/2],
+		"truncated U": good[:len(good)-1],
+		"trailing":    append(append([]byte(nil), good...), 0),
+		"bad magic":   append([]byte("NOPE"), good[4:]...),
+		"bad version": append(append([]byte(nil), good[:4]...), append([]byte{99}, good[5:]...)...),
+		"bad kind":    append(append([]byte(nil), good[:5]...), append([]byte{7}, good[6:]...)...),
 		"perm len lie": func() []byte {
 			b := append([]byte(nil), good...)
 			b[wireHdrLen] = 200 // claims 200 perm entries
 			return b
 		}(),
+	}
+	// Factor headers whose m*n byte count overflows (see
+	// layout.TestSerializeRejectsGarbage): the L factor starts right
+	// after the three permutation entries.
+	lDims := wireHdrLen + 4 + 4*3 + 6
+	for name, mn := range map[string][2]uint32{
+		"L dims wrap negative": {0xFFFFFFFF, 0xFFFFFFFF},
+		"L dims wrap to zero":  {1 << 31, 1 << 30},
+	} {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b[lDims:], mn[0])
+		binary.LittleEndian.PutUint32(b[lDims+4:], mn[1])
+		cases[name] = b
 	}
 	for name, data := range cases {
 		if _, _, err := DecodeFactorization(data); err == nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/dag"
+	"repro/internal/kernel"
 	"repro/internal/layout"
 	"repro/internal/mat"
 	"repro/internal/rt"
@@ -98,14 +99,11 @@ func (j *CholeskyJob) Policy() sched.Policy { return j.Opt.policy() }
 // Finish assembles the CholeskyFactorization after the graph has
 // executed to completion with the given runtime result.
 func (j *CholeskyJob) Finish(res rt.Result) *CholeskyFactorization {
-	d := j.cg.Layout.ToDense()
-	n := d.Rows
+	n, _, b := j.cg.Layout.Dims()
 	lf := mat.New(n, n)
-	for c := 0; c < n; c++ {
-		for i := c; i < n; i++ {
-			lf.Set(i, c, d.At(i, c))
-		}
-	}
+	layout.WalkColumns(j.cg.Layout, func(bi, bj int, blk kernel.View) {
+		splitBlock(lf, nil, blk, bi*b, bj*b, 0)
+	})
 	out := &CholeskyFactorization{L: lf}
 	out.Makespan = res.Makespan
 	out.Counters = res.Counters

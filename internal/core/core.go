@@ -276,28 +276,45 @@ func (j *FactorJob) Finish(res rt.Result) *Factorization {
 }
 
 // ExtractLU reads the packed factors out of a factored layout: L is the
-// unit lower trapezoid, U the upper trapezoid.
+// unit lower trapezoid, U the upper trapezoid. Each block's column runs
+// go straight from the layout into the factor they belong to.
 func ExtractLU(l layout.Layout) (*mat.Dense, *mat.Dense) {
-	d := l.ToDense()
-	m, n := d.Rows, d.Cols
+	m, n, b := l.Dims()
+	lf, uf := luFactors(m, n)
+	layout.WalkColumns(l, func(i, j int, blk kernel.View) {
+		splitBlock(lf, uf, blk, i*b, j*b, 1)
+	})
+	return lf, uf
+}
+
+// luFactors allocates the pair splitBlock fills for an m x n LU: a zero
+// L with its unit diagonal set, and a zero U.
+func luFactors(m, n int) (lf, uf *mat.Dense) {
 	r := min(m, n)
-	lf := mat.New(m, r)
-	uf := mat.New(r, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			v := d.At(i, j)
-			if i > j && j < r {
-				lf.Set(i, j, v)
-			}
-			if i <= j && i < r {
-				uf.Set(i, j, v)
-			}
-		}
-	}
+	lf, uf = mat.New(m, r), mat.New(r, n)
 	for i := 0; i < r; i++ {
-		lf.Set(i, i, 1)
+		lf.Data[i*lf.Stride+i] = 1
 	}
 	return lf, uf
+}
+
+// splitBlock files blk, whose element (0,0) is element (r0,c0) of a
+// packed factored matrix, into the triangular factors one column run at
+// a time: in global column c, rows above c+below go to up, the rest to
+// lo. LU passes below = 1 (the diagonal is U's); Cholesky below = 0 and
+// a nil up, dropping the never-factored strict upper triangle.
+func splitBlock(lo, up *mat.Dense, blk kernel.View, r0, c0, below int) {
+	for jj := 0; jj < blk.Cols; jj++ {
+		c := c0 + jj
+		cut := min(max(c+below-r0, 0), blk.Rows)
+		run := blk.Data[jj*blk.Stride : jj*blk.Stride+blk.Rows]
+		if up != nil && cut > 0 {
+			copy(up.Data[c*up.Stride+r0:], run[:cut])
+		}
+		if cut < blk.Rows {
+			copy(lo.Data[c*lo.Stride+r0+cut:], run[cut:])
+		}
+	}
 }
 
 // Residual returns the normalized backward error
@@ -403,22 +420,8 @@ func ReferenceLU(a *mat.Dense) (*Factorization, error) {
 	for k, p := range pivots {
 		perm[k], perm[p] = perm[p], perm[k]
 	}
-	lf := mat.New(m, r)
-	uf := mat.New(r, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			x := work.At(i, j)
-			if i > j && j < r {
-				lf.Set(i, j, x)
-			}
-			if i <= j && i < r {
-				uf.Set(i, j, x)
-			}
-		}
-	}
-	for i := 0; i < r; i++ {
-		lf.Set(i, i, 1)
-	}
+	lf, uf := luFactors(m, n)
+	splitBlock(lf, uf, v, 0, 0, 1)
 	return &Factorization{Perm: perm, L: lf, U: uf}, nil
 }
 

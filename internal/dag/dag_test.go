@@ -109,7 +109,7 @@ func TestCALUWideAndTallShapes(t *testing.T) {
 func TestGEPPGraphValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	src := mat.Random(64, 64, rng)
-	l := layout.NewColMajor(src, 8, layout.NewGrid(4))
+	l := layout.New(layout.CM, src, 8, layout.NewGrid(4))
 	for _, la := range []bool{false, true} {
 		gg := BuildGEPP(l, GEPPOptions{Lookahead: la})
 		if err := gg.Validate(); err != nil {
@@ -121,7 +121,7 @@ func TestGEPPGraphValid(t *testing.T) {
 func TestGEPPNoLookaheadSerializesSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	src := mat.Random(32, 32, rng)
-	l := layout.NewColMajor(src, 8, layout.NewGrid(2))
+	l := layout.New(layout.CM, src, 8, layout.NewGrid(2))
 	gg := BuildGEPP(l, GEPPOptions{Lookahead: false})
 	// The panel of step 1 must have in-degree = number of step-0 S tasks.
 	var panel1 *Task
@@ -141,7 +141,7 @@ func TestGEPPNoLookaheadSerializesSteps(t *testing.T) {
 func TestIncPivGraphValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src := mat.Random(64, 64, rng)
-	l := layout.NewTwoLevel(src, 8, layout.NewGrid(4))
+	l := layout.New(layout.TwoLevel, src, 8, layout.NewGrid(4))
 	ig := BuildIncPiv(l)
 	if err := ig.Validate(); err != nil {
 		t.Fatal(err)
@@ -158,8 +158,8 @@ func TestIncPivShorterCriticalPathThanGEPP(t *testing.T) {
 	// no-lookahead GEPP on the same matrix.
 	rng := rand.New(rand.NewSource(4))
 	src := mat.Random(128, 128, rng)
-	cm := layout.NewColMajor(src, 16, layout.NewGrid(4))
-	tl := layout.NewTwoLevel(src, 16, layout.NewGrid(4))
+	cm := layout.New(layout.CM, src, 16, layout.NewGrid(4))
+	tl := layout.New(layout.TwoLevel, src, 16, layout.NewGrid(4))
 	gepp := BuildGEPP(cm, GEPPOptions{}).CriticalPathFlops()
 	incpiv := BuildIncPiv(tl).CriticalPathFlops()
 	if incpiv >= gepp {

@@ -22,39 +22,6 @@ type BlockCyclic struct {
 	sub []*mat.Dense
 }
 
-// NewBlockCyclic copies src into a block cyclic layout with block size
-// b over grid g.
-func NewBlockCyclic(src *mat.Dense, b int, g Grid) *BlockCyclic {
-	if b <= 0 {
-		panic("layout: block size must be positive")
-	}
-	l := &BlockCyclic{m: src.Rows, n: src.Cols, b: b, grid: g}
-	mb, nb := l.Blocks()
-	l.sub = make([]*mat.Dense, g.Workers())
-	for w := range l.sub {
-		wr, wc := w%g.PR, w/g.PR
-		rows, cols := 0, 0
-		for i := wr; i < mb; i += g.PR {
-			rows += blockSpan(i, b, l.m)
-		}
-		for j := wc; j < nb; j += g.PC {
-			cols += blockSpan(j, b, l.n)
-		}
-		l.sub[w] = mat.New(rows, cols)
-	}
-	for i := 0; i < mb; i++ {
-		for j := 0; j < nb; j++ {
-			dst := l.Block(i, j)
-			for jj := 0; jj < dst.Cols; jj++ {
-				for ii := 0; ii < dst.Rows; ii++ {
-					dst.Data[jj*dst.Stride+ii] = src.At(i*b+ii, j*b+jj)
-				}
-			}
-		}
-	}
-	return l
-}
-
 // Kind reports BCL.
 func (l *BlockCyclic) Kind() Kind { return BCL }
 
@@ -107,19 +74,9 @@ func (l *BlockCyclic) GroupedBlock(i, j, width int) kernel.View {
 	if width < 1 || width > l.GroupWidth(i, j, width) {
 		panic(fmt.Sprintf("layout: invalid group width %d at block (%d,%d)", width, i, j))
 	}
-	w := l.grid.Owner(i, j)
-	s := l.sub[w]
-	li, lj := i/l.grid.PR, j/l.grid.PC
-	cols := 0
-	for k := 0; k < width; k++ {
-		cols += blockSpan(j+k*l.grid.PC, l.b, l.n)
-	}
-	return kernel.View{
-		Rows:   blockSpan(i, l.b, l.m),
-		Cols:   cols,
-		Stride: s.Stride,
-		Data:   s.Data[lj*l.b*s.Stride+li*l.b:],
-	}
+	v := l.Block(i, j)
+	v.Cols = (width-1)*l.b + blockSpan(j+(width-1)*l.grid.PC, l.b, l.n)
+	return v
 }
 
 // ToDense materializes the matrix as column major.
@@ -144,17 +101,7 @@ func (l *BlockCyclic) GroupedRows(i, j, width int) kernel.View {
 	if width < 1 || width > l.RowGroupWidth(i, j, width) {
 		panic(fmt.Sprintf("layout: invalid row group width %d at block (%d,%d)", width, i, j))
 	}
-	w := l.grid.Owner(i, j)
-	s := l.sub[w]
-	li, lj := i/l.grid.PR, j/l.grid.PC
-	rows := 0
-	for k := 0; k < width; k++ {
-		rows += blockSpan(i+k*l.grid.PR, l.b, l.m)
-	}
-	return kernel.View{
-		Rows:   rows,
-		Cols:   blockSpan(j, l.b, l.n),
-		Stride: s.Stride,
-		Data:   s.Data[lj*l.b*s.Stride+li*l.b:],
-	}
+	v := l.Block(i, j)
+	v.Rows = (width-1)*l.b + blockSpan(i+(width-1)*l.grid.PR, l.b, l.m)
+	return v
 }

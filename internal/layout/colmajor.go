@@ -15,14 +15,6 @@ type ColMajor struct {
 	a       *mat.Dense
 }
 
-// NewColMajor copies src into a column-major layout with block size b.
-func NewColMajor(src *mat.Dense, b int, g Grid) *ColMajor {
-	if b <= 0 {
-		panic("layout: block size must be positive")
-	}
-	return &ColMajor{m: src.Rows, n: src.Cols, b: b, grid: g, a: src.Clone()}
-}
-
 // Kind reports CM.
 func (l *ColMajor) Kind() Kind { return CM }
 
@@ -40,16 +32,7 @@ func (l *ColMajor) Grid() Grid { return l.grid }
 func (l *ColMajor) Owner(i, j int) int { return l.grid.Owner(i, j) }
 
 // Block returns the view of block (i,j) with the full-matrix stride.
-func (l *ColMajor) Block(i, j int) kernel.View {
-	r := blockSpan(i, l.b, l.m)
-	c := blockSpan(j, l.b, l.n)
-	return kernel.View{
-		Rows:   r,
-		Cols:   c,
-		Stride: l.a.Stride,
-		Data:   l.a.Data[j*l.b*l.a.Stride+i*l.b:],
-	}
-}
+func (l *ColMajor) Block(i, j int) kernel.View { return denseBlock(l.a, i, j, l.b) }
 
 // SwapRows exchanges global rows r1, r2 within block column jb.
 func (l *ColMajor) SwapRows(jb, r1, r2 int) {
@@ -74,17 +57,9 @@ func (l *ColMajor) GroupWidth(i, j, maxGroup int) int {
 
 // GroupedBlock returns one view covering block (i,j..j+width-1).
 func (l *ColMajor) GroupedBlock(i, j, width int) kernel.View {
-	r := blockSpan(i, l.b, l.m)
-	cols := 0
-	for w := 0; w < width; w++ {
-		cols += blockSpan(j+w, l.b, l.n)
-	}
-	return kernel.View{
-		Rows:   r,
-		Cols:   cols,
-		Stride: l.a.Stride,
-		Data:   l.a.Data[j*l.b*l.a.Stride+i*l.b:],
-	}
+	v := l.Block(i, j)
+	v.Cols = min(width*l.b, l.n-j*l.b)
+	return v
 }
 
 // ToDense returns a copy of the matrix contents.
@@ -104,14 +79,7 @@ func (l *ColMajor) RowGroupWidth(i, j, maxGroup int) int {
 
 // GroupedRows returns one view covering blocks (i..i+width-1, j).
 func (l *ColMajor) GroupedRows(i, j, width int) kernel.View {
-	rows := 0
-	for w := 0; w < width; w++ {
-		rows += blockSpan(i+w, l.b, l.m)
-	}
-	return kernel.View{
-		Rows:   rows,
-		Cols:   blockSpan(j, l.b, l.n),
-		Stride: l.a.Stride,
-		Data:   l.a.Data[j*l.b*l.a.Stride+i*l.b:],
-	}
+	v := l.Block(i, j)
+	v.Rows = min(width*l.b, l.m-i*l.b)
+	return v
 }

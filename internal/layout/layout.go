@@ -136,17 +136,24 @@ func blockSpan(i, b, ext int) int {
 // numBlocks returns ceil(ext/b).
 func numBlocks(ext, b int) int { return (ext + b - 1) / b }
 
+// ownedSpan returns how many of a dimension's ext elements lie in the
+// blocks p, p+period, p+2*period, …; only the last block is ragged.
+func ownedSpan(ext, b, p, period int) int {
+	full := ext / b
+	span := full / period * b
+	if r := full % period; p < r {
+		span += b
+	} else if p == r {
+		span += ext % b
+	}
+	return span
+}
+
 // New creates a layout of the given kind holding a copy of src.
 func New(kind Kind, src *mat.Dense, b int, g Grid) Layout {
-	switch kind {
-	case CM:
-		return NewColMajor(src, b, g)
-	case BCL:
-		return NewBlockCyclic(src, b, g)
-	case TwoLevel:
-		return NewTwoLevel(src, b, g)
-	}
-	panic(fmt.Sprintf("layout: unknown kind %d", int(kind)))
+	return build(kind, src.Rows, src.Cols, b, g, func(i, j int, blk kernel.View) {
+		kernel.Copy(blk, denseBlock(src, i, j, b))
+	})
 }
 
 // swapViaBlocks implements SwapRows generically on top of Block.
@@ -164,22 +171,4 @@ func swapViaBlocks(l Layout, jb, r1, r2 int) {
 		p2 := j*v2.Stride + o2
 		v1.Data[p1], v2.Data[p2] = v2.Data[p2], v1.Data[p1]
 	}
-}
-
-// toDenseViaBlocks implements ToDense generically on top of Block.
-func toDenseViaBlocks(l Layout) *mat.Dense {
-	m, n, b := l.Dims()
-	mb, nb := l.Blocks()
-	out := mat.New(m, n)
-	for i := 0; i < mb; i++ {
-		for j := 0; j < nb; j++ {
-			v := l.Block(i, j)
-			for jj := 0; jj < v.Cols; jj++ {
-				for ii := 0; ii < v.Rows; ii++ {
-					out.Set(i*b+ii, j*b+jj, v.Data[jj*v.Stride+ii])
-				}
-			}
-		}
-	}
-	return out
 }

@@ -132,7 +132,7 @@ func TestBCLGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	src := mat.Random(16, 24, rng)
 	g := NewGrid(4) // 2x2
-	l := NewBlockCyclic(src, 4, g)
+	l := New(BCL, src, 4, g)
 	// Worker of block (0,0) owns block columns 0,2,4 (PC=2).
 	if w := l.GroupWidth(0, 0, 3); w != 3 {
 		t.Fatalf("group width = %d want 3", w)
@@ -157,7 +157,7 @@ func TestBCLGrouping(t *testing.T) {
 func TestBCLGroupWidthStopsAtEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src := mat.Random(8, 12, rng) // 3 block columns with b=4
-	l := NewBlockCyclic(src, 4, NewGrid(4))
+	l := New(BCL, src, 4, NewGrid(4))
 	// Owner of (0,1) owns block columns 1 only (PC=2 -> next would be 3 >= nb).
 	if w := l.GroupWidth(0, 1, 3); w != 1 {
 		t.Fatalf("edge group width = %d want 1", w)
@@ -166,7 +166,7 @@ func TestBCLGroupWidthStopsAtEdge(t *testing.T) {
 
 func TestTwoLevelCannotGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	l := NewTwoLevel(mat.Random(8, 16, rng), 4, NewGrid(2))
+	l := New(TwoLevel, mat.Random(8, 16, rng), 4, NewGrid(2))
 	if w := l.GroupWidth(0, 0, 3); w != 1 {
 		t.Fatalf("2l-BL group width = %d want 1", w)
 	}
@@ -180,7 +180,7 @@ func TestTwoLevelCannotGroup(t *testing.T) {
 
 func TestTwoLevelTilesContiguous(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	l := NewTwoLevel(mat.Random(8, 8, rng), 4, NewGrid(2))
+	l := New(TwoLevel, mat.Random(8, 8, rng), 4, NewGrid(2))
 	v := l.Block(1, 1)
 	if v.Stride != v.Rows {
 		t.Fatalf("tile stride %d != rows %d: not contiguous", v.Stride, v.Rows)
@@ -193,7 +193,7 @@ func TestTwoLevelTilesContiguous(t *testing.T) {
 func TestCMGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	src := mat.Random(8, 16, rng)
-	l := NewColMajor(src, 4, NewGrid(2))
+	l := New(CM, src, 4, NewGrid(2))
 	if w := l.GroupWidth(0, 1, 3); w != 3 {
 		t.Fatalf("CM group width = %d want 3", w)
 	}
@@ -278,7 +278,7 @@ func TestBCLRowGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	src := mat.Random(24, 16, rng)
 	g := NewGrid(4) // 2x2: PR=2
-	l := NewBlockCyclic(src, 4, g)
+	l := New(BCL, src, 4, g)
 	// Worker of block (0,0) owns block rows 0,2,4 (PR=2).
 	if w := l.RowGroupWidth(0, 0, 3); w != 3 {
 		t.Fatalf("row group width = %d want 3", w)
@@ -303,7 +303,7 @@ func TestBCLRowGrouping(t *testing.T) {
 func TestCMRowGroupingFullColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	src := mat.Random(20, 8, rng)
-	l := NewColMajor(src, 4, NewGrid(2))
+	l := New(CM, src, 4, NewGrid(2))
 	// CM can fuse the whole column: 5 block rows.
 	if w := l.RowGroupWidth(0, 1, 100); w != 5 {
 		t.Fatalf("CM row group width = %d want 5", w)
@@ -319,7 +319,7 @@ func TestCMRowGroupingFullColumn(t *testing.T) {
 
 func TestTwoLevelCannotGroupRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	l := NewTwoLevel(mat.Random(16, 8, rng), 4, NewGrid(2))
+	l := New(TwoLevel, mat.Random(16, 8, rng), 4, NewGrid(2))
 	if w := l.RowGroupWidth(0, 0, 3); w != 1 {
 		t.Fatalf("2l-BL row group width = %d want 1", w)
 	}
@@ -334,7 +334,7 @@ func TestTwoLevelCannotGroupRows(t *testing.T) {
 func TestBCLGroupedRowsRagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	src := mat.Random(18, 8, rng) // last block row has 2 rows (b=4)
-	l := NewBlockCyclic(src, 4, NewGrid(1))
+	l := New(BCL, src, 4, NewGrid(1))
 	// Single worker owns everything; rows 3 and 4 are consecutive owned.
 	v := l.GroupedRows(3, 0, 2)
 	if v.Rows != 6 { // 4 + 2 ragged

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/mat"
+	"repro/internal/kernel"
 )
 
 // Serialization: a layout travels as a fixed header followed by its
@@ -31,7 +31,7 @@ const (
 	serializeHdrLen  = 4 + 1 + 1 + 5*4
 
 	// maxSerializedGrid bounds PR*PC on decode: a crafted header must
-	// not make NewBlockCyclic allocate per-worker submatrices for
+	// not make build allocate per-worker submatrices for
 	// millions of phantom workers.
 	maxSerializedGrid = 1 << 16
 )
@@ -42,12 +42,18 @@ func EncodedLen(l Layout) int {
 	return serializeHdrLen + 8*m*n
 }
 
+// blockOffset is the byte offset of block (i,j) in an encoded m x n
+// layout: past the full block rows above it and the blocks to its left.
+func blockOffset(i, j, m, n, b int) int {
+	return serializeHdrLen + 8*(i*b*n+blockSpan(i, b, m)*j*b)
+}
+
 // Encode serializes l — kind, dims, grid and every block's values —
 // into a self-delimiting byte string. Decode inverts it exactly.
 func Encode(l Layout) []byte {
 	m, n, b := l.Dims()
 	g := l.Grid()
-	out := make([]byte, serializeHdrLen, EncodedLen(l))
+	out := make([]byte, EncodedLen(l))
 	copy(out, serializeMagic)
 	out[4] = serializeVersion
 	out[5] = byte(l.Kind())
@@ -57,20 +63,15 @@ func Encode(l Layout) []byte {
 	le.PutUint32(out[14:], uint32(b))
 	le.PutUint32(out[18:], uint32(g.PR))
 	le.PutUint32(out[22:], uint32(g.PC))
-	mb, nb := l.Blocks()
-	var buf [8]byte
-	for i := 0; i < mb; i++ {
-		for j := 0; j < nb; j++ {
-			v := l.Block(i, j)
-			for jj := 0; jj < v.Cols; jj++ {
-				col := v.Data[jj*v.Stride : jj*v.Stride+v.Rows]
-				for _, x := range col {
-					le.PutUint64(buf[:], math.Float64bits(x))
-					out = append(out, buf[:]...)
-				}
+	WalkColumns(l, func(i, j int, v kernel.View) {
+		p := out[blockOffset(i, j, m, n, b):]
+		for jj := 0; jj < v.Cols; jj++ {
+			for _, x := range v.Data[jj*v.Stride : jj*v.Stride+v.Rows] {
+				le.PutUint64(p, math.Float64bits(x))
+				p = p[8:]
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -95,8 +96,7 @@ func Decode(data []byte) (Layout, int, error) {
 		return nil, 0, fmt.Errorf("layout: unknown layout kind %d", data[5])
 	}
 	le := binary.LittleEndian
-	m := int(le.Uint32(data[6:]))
-	n := int(le.Uint32(data[10:]))
+	um, un := uint64(le.Uint32(data[6:])), uint64(le.Uint32(data[10:]))
 	b := int(le.Uint32(data[14:]))
 	pr := int(le.Uint32(data[18:]))
 	pc := int(le.Uint32(data[22:]))
@@ -106,24 +106,21 @@ func Decode(data []byte) (Layout, int, error) {
 	if pr < 1 || pc < 1 || pr*pc > maxSerializedGrid {
 		return nil, 0, fmt.Errorf("layout: implausible %dx%d worker grid", pr, pc)
 	}
-	need := int64(serializeHdrLen) + 8*int64(m)*int64(n)
-	if int64(len(data)) < need {
-		return nil, 0, fmt.Errorf("layout: truncated payload: have %d bytes, need %d for %dx%d", len(data), need, m, n)
+	// The dims are wire input: bound m*n by division against the bytes
+	// actually present before anything multiplies or allocates.
+	if have := uint64(len(data)-serializeHdrLen) / 8; um != 0 && un > have/um {
+		return nil, 0, fmt.Errorf("layout: truncated payload: have %d bytes, too few for %dx%d", len(data), um, un)
 	}
-	l := New(kind, mat.New(m, n), b, Grid{PR: pr, PC: pc})
-	mb, nb := l.Blocks()
-	p := serializeHdrLen
-	for i := 0; i < mb; i++ {
-		for j := 0; j < nb; j++ {
-			v := l.Block(i, j)
-			for jj := 0; jj < v.Cols; jj++ {
-				col := v.Data[jj*v.Stride : jj*v.Stride+v.Rows]
-				for ii := range col {
-					col[ii] = math.Float64frombits(le.Uint64(data[p:]))
-					p += 8
-				}
+	m, n := int(um), int(un)
+	l := build(kind, m, n, b, Grid{PR: pr, PC: pc}, func(i, j int, v kernel.View) {
+		src := data[blockOffset(i, j, m, n, b):]
+		for jj := 0; jj < v.Cols; jj++ {
+			run := v.Data[jj*v.Stride : jj*v.Stride+v.Rows]
+			for k := range run {
+				run[k] = math.Float64frombits(le.Uint64(src))
+				src = src[8:]
 			}
 		}
-	}
-	return l, int(need), nil
+	})
+	return l, serializeHdrLen + 8*m*n, nil
 }

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -161,6 +162,18 @@ func TestSerializeRejectsGarbage(t *testing.T) {
 	hugeGrid := append([]byte{}, good...)
 	hugeGrid[18], hugeGrid[19] = 0xff, 0xff // PR = 65535, PC = 2
 	cases["huge grid"] = hugeGrid
+	// Dims whose byte count overflows: 8*m*n wraps negative for
+	// m = n = 2^32-1 and to exactly zero for 2^31 x 2^30, so a length
+	// check on the product passes and the allocation panics.
+	dims := func(m, n uint32) []byte {
+		d := append([]byte{}, good...)
+		binary.LittleEndian.PutUint32(d[6:], m)
+		binary.LittleEndian.PutUint32(d[10:], n)
+		return d
+	}
+	cases["dims wrap negative"] = dims(0xFFFFFFFF, 0xFFFFFFFF)
+	cases["dims wrap to zero"] = dims(1<<31, 1<<30)
+	cases["one dim huge"] = dims(0xFFFFFFFF, 1)
 
 	for name, data := range cases {
 		if _, _, err := Decode(data); err == nil {

@@ -19,41 +19,9 @@ import (
 type TwoLevelBlock struct {
 	m, n, b int
 	grid    Grid
-	mb, nb  int
-	// data holds all tiles back to back; off[i+j*mb] is the start of
-	// tile (i,j), whose stride equals its row count.
+	// data holds all tiles back to back, tile column by tile column;
+	// a tile's stride equals its row count.
 	data []float64
-	off  []int
-}
-
-// NewTwoLevel copies src into a two-level block layout with tile size b.
-func NewTwoLevel(src *mat.Dense, b int, g Grid) *TwoLevelBlock {
-	if b <= 0 {
-		panic("layout: block size must be positive")
-	}
-	l := &TwoLevelBlock{m: src.Rows, n: src.Cols, b: b, grid: g}
-	l.mb, l.nb = numBlocks(l.m, b), numBlocks(l.n, b)
-	l.off = make([]int, l.mb*l.nb+1)
-	total := 0
-	for j := 0; j < l.nb; j++ {
-		for i := 0; i < l.mb; i++ {
-			l.off[i+j*l.mb] = total
-			total += blockSpan(i, b, l.m) * blockSpan(j, b, l.n)
-		}
-	}
-	l.off[l.mb*l.nb] = total
-	l.data = make([]float64, total)
-	for i := 0; i < l.mb; i++ {
-		for j := 0; j < l.nb; j++ {
-			dst := l.Block(i, j)
-			for jj := 0; jj < dst.Cols; jj++ {
-				for ii := 0; ii < dst.Rows; ii++ {
-					dst.Data[jj*dst.Stride+ii] = src.At(i*b+ii, j*b+jj)
-				}
-			}
-		}
-	}
-	return l
 }
 
 // Kind reports TwoLevel.
@@ -63,7 +31,7 @@ func (l *TwoLevelBlock) Kind() Kind { return TwoLevel }
 func (l *TwoLevelBlock) Dims() (int, int, int) { return l.m, l.n, l.b }
 
 // Blocks returns the block grid extents.
-func (l *TwoLevelBlock) Blocks() (int, int) { return l.mb, l.nb }
+func (l *TwoLevelBlock) Blocks() (int, int) { return numBlocks(l.m, l.b), numBlocks(l.n, l.b) }
 
 // Grid returns the worker grid.
 func (l *TwoLevelBlock) Grid() Grid { return l.grid }
@@ -72,10 +40,12 @@ func (l *TwoLevelBlock) Grid() Grid { return l.grid }
 func (l *TwoLevelBlock) Owner(i, j int) int { return l.grid.Owner(i, j) }
 
 // Block returns the contiguous tile (i,j); its stride is its row count.
+// Only the last tile row and column are ragged, so the j tile columns
+// before it hold m*b elements each and the i tiles above it b*c each.
 func (l *TwoLevelBlock) Block(i, j int) kernel.View {
 	r := blockSpan(i, l.b, l.m)
 	c := blockSpan(j, l.b, l.n)
-	start := l.off[i+j*l.mb]
+	start := j*l.b*l.m + i*l.b*c
 	return kernel.View{Rows: r, Cols: c, Stride: r, Data: l.data[start : start+r*c]}
 }
 

@@ -47,6 +47,28 @@ func FromColMajor(r, c, stride int, data []float64) *Dense {
 	return &Dense{Rows: r, Cols: c, Stride: stride, Data: data}
 }
 
+// FromRowMajor returns the r x c matrix whose rows lie end to end in
+// data, transposed tile by tile so the strided side of the copy stays
+// in a cache-resident tile instead of missing once per element.
+func FromRowMajor(r, c int, data []float64) *Dense {
+	if len(data) != r*c {
+		panic(fmt.Sprintf("mat: %d row-major values for %dx%d", len(data), r, c))
+	}
+	const tile = 32
+	a := New(r, c)
+	for j0 := 0; j0 < c; j0 += tile {
+		for i0 := 0; i0 < r; i0 += tile {
+			for j := j0; j < min(j0+tile, c); j++ {
+				col := a.Data[j*a.Stride:]
+				for i := i0; i < min(i0+tile, r); i++ {
+					col[i] = data[i*c+j]
+				}
+			}
+		}
+	}
+	return a
+}
+
 // At returns element (i,j).
 func (a *Dense) At(i, j int) float64 {
 	a.checkIdx(i, j)

@@ -239,3 +239,26 @@ func TestZero(t *testing.T) {
 		t.Fatal("zero cleared outside view (statistically impossible)")
 	}
 }
+
+// TestFromRowMajor pins the tiled transpose against At on shapes on
+// both sides of the tile size, ragged in both dimensions.
+func TestFromRowMajor(t *testing.T) {
+	for _, s := range [][2]int{{0, 0}, {1, 1}, {1, 5}, {5, 1}, {3, 7}, {32, 32}, {33, 31}, {70, 100}, {100, 70}} {
+		r, c := s[0], s[1]
+		data := make([]float64, r*c)
+		for k := range data {
+			data[k] = float64(k) + 0.5
+		}
+		a := FromRowMajor(r, c, data)
+		if a.Rows != r || a.Cols != c {
+			t.Fatalf("%dx%d came back %dx%d", r, c, a.Rows, a.Cols)
+		}
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				if a.At(i, j) != data[i*c+j] {
+					t.Fatalf("%dx%d: (%d,%d) = %v, want %v", r, c, i, j, a.At(i, j), data[i*c+j])
+				}
+			}
+		}
+	}
+}

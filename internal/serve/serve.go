@@ -216,17 +216,13 @@ func (s *Server) options(req *factorRequest) (core.Options, error) {
 // generated-matrix flavour for /v1/cholesky.
 func (s *Server) matrix(req *factorRequest, spd bool) (*mat.Dense, error) {
 	if len(req.Data) > 0 {
-		if req.Rows <= 0 || req.Cols <= 0 || len(req.Data) != req.Rows*req.Cols {
+		// rows and cols are request input: compare by division, their
+		// product can wrap around to len(req.Data).
+		if n := len(req.Data); req.Rows <= 0 || req.Cols <= 0 || n%req.Cols != 0 || n/req.Cols != req.Rows {
 			return nil, fmt.Errorf("data needs rows*cols = %d*%d entries, got %d",
 				req.Rows, req.Cols, len(req.Data))
 		}
-		a := mat.New(req.Rows, req.Cols)
-		for i := 0; i < req.Rows; i++ {
-			for j := 0; j < req.Cols; j++ {
-				a.Set(i, j, req.Data[i*req.Cols+j])
-			}
-		}
-		return a, nil
+		return mat.FromRowMajor(req.Rows, req.Cols, req.Data), nil
 	}
 	if req.N <= 0 {
 		return nil, fmt.Errorf("need either n > 0 or rows/cols/data")
@@ -368,7 +364,7 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, chol bool)
 	}
 	a, err := s.matrix(&req, chol)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		bodyError(w, err)
 		return
 	}
 	var job *engine.Job

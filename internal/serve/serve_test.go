@@ -515,6 +515,25 @@ func TestServeSolveHugeNRHSRejected(t *testing.T) {
 	}
 }
 
+// TestServeFactorHugeDimsRejected: rows*cols that wraps around to
+// len(data) must be a 400 on both factor endpoints, not a panic in the
+// handler: 4611686018427387905 * 4 = 2^64 + 4.
+func TestServeFactorHugeDimsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, path := range []string{"/v1/factor", "/v1/cholesky"} {
+		for _, body := range []string{
+			`{"rows":4611686018427387905,"cols":4,"data":[1,2,3,4]}`,
+			`{"rows":4,"cols":4611686018427387905,"data":[1,2,3,4]}`,
+			`{"rows":2,"cols":3,"data":[1,2,3,4]}`,
+		} {
+			resp, out := postJSON(t, ts.URL+path, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: %d %v, want 400", path, body, resp.StatusCode, out)
+			}
+		}
+	}
+}
+
 // TestServeHealthAndReadiness: /healthz is always 200 while serving;
 // /readyz flips to 503 once the shard drains.
 func TestServeHealthAndReadiness(t *testing.T) {

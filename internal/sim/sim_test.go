@@ -208,7 +208,7 @@ func TestPhantomLayoutStructureMatchesReal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	src := mat.Random(40, 56, rng)
 	g := layout.NewGrid(6)
-	real := layout.NewBlockCyclic(src, 8, g)
+	real := layout.New(layout.BCL, src, 8, g)
 	ph := NewPhantomLayout(layout.BCL, 40, 56, 8, g)
 	mbR, nbR := real.Blocks()
 	mbP, nbP := ph.Blocks()
@@ -244,7 +244,7 @@ func TestSimGraphMatchesRealGraphStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	src := mat.Random(48, 48, rng)
 	g := layout.NewGrid(4)
-	realG := dag.BuildCALU(layout.NewBlockCyclic(src, 8, g), dag.CALUOptions{NstaticCols: 4, Group: 3})
+	realG := dag.BuildCALU(layout.New(layout.BCL, src, 8, g), dag.CALUOptions{NstaticCols: 4, Group: 3})
 	simG := dag.BuildCALU(NewPhantomLayout(layout.BCL, 48, 48, 8, g), dag.CALUOptions{NstaticCols: 4, Group: 3, SimOnly: true})
 	if len(realG.Tasks) != len(simG.Tasks) {
 		t.Fatalf("task counts differ: %d vs %d", len(realG.Tasks), len(simG.Tasks))
