@@ -472,10 +472,7 @@ func dispatchBenchGraph(width, depth int) *dag.Graph {
 
 // BenchmarkDispatch measures tasks/second of the real runtime on
 // graphs of no-op tasks — the paper's dequeue-overhead quantity finally
-// separated from kernel time. The `locked` variants run the same
-// policies under the seed runtime's single global mutex: their
-// tasks/sec flatline (or degrade) beyond a couple of workers, while
-// the concurrent runtime's throughput grows with the worker count.
+// separated from kernel time — per policy at 1/4/8 workers.
 func BenchmarkDispatch(b *testing.B) {
 	const width, depth = 256, 40
 	policies := []struct {
@@ -487,24 +484,19 @@ func BenchmarkDispatch(b *testing.B) {
 		{"hybrid", func() sched.Policy { return sched.NewHybrid() }},
 		{"worksteal", func() sched.Policy { return sched.NewWorkStealing(9) }},
 	}
-	for _, mode := range []string{"concurrent", "locked"} {
-		for _, pol := range policies {
-			for _, workers := range []int{1, 4, 8} {
-				b.Run(fmt.Sprintf("%s/%s/w%d", mode, pol.name, workers), func(b *testing.B) {
-					g := dispatchBenchGraph(width, depth)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						_, err := rt.Run(g, pol.mk(), rt.Options{
-							Workers: workers, GlobalLock: mode == "locked",
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
+	for _, pol := range policies {
+		for _, workers := range []int{1, 4, 8} {
+			b.Run(fmt.Sprintf("%s/w%d", pol.name, workers), func(b *testing.B) {
+				g := dispatchBenchGraph(width, depth)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := rt.Run(g, pol.mk(), rt.Options{Workers: workers}); err != nil {
+						b.Fatal(err)
 					}
-					tasks := float64(width*depth) * float64(b.N)
-					b.ReportMetric(tasks/b.Elapsed().Seconds(), "tasks/s")
-				})
-			}
+				}
+				tasks := float64(width*depth) * float64(b.N)
+				b.ReportMetric(tasks/b.Elapsed().Seconds(), "tasks/s")
+			})
 		}
 	}
 }
@@ -646,75 +638,66 @@ func reportClassLatencies(b *testing.B, small, large []time.Duration) {
 	emit("large", large)
 }
 
-// BenchmarkEngineMixedTraffic is the A/B behind the two-lane admission:
-// a burst of tiny factors sandwiched between two big ones, pushed
-// through the FIFO queue (big job at the head blocks the burst; every
-// tiny job pays its own reservation) and through traffic shaping
-// (express lane fuses the burst into one composite, big lane bounded to
-// BigShare), across several inter-job dynamic ratios. The metric that
-// must move is the small-class p99.
+// BenchmarkEngineMixedTraffic drives the two-lane admission with the
+// mix it was built for: a burst of tiny factors sandwiched between two
+// big ones (the express lane fuses the burst into one composite, the
+// big lane is bounded to BigShare), across several inter-job dynamic
+// ratios. The metric to watch is the small-class p99.
 func BenchmarkEngineMixedTraffic(b *testing.B) {
 	small := make([]*mat.Dense, 12)
 	for i := range small {
 		small[i] = RandomMatrix(64, 64, int64(200+i))
 	}
 	large := []*mat.Dense{RandomMatrix(448, 448, 300), RandomMatrix(512, 512, 301)}
-	for _, mode := range []struct {
-		name string
-		fifo bool
-	}{{"fifo", true}, {"twolane", false}} {
-		for _, dratio := range []float64{0, 0.25, 0.5} {
-			b.Run(fmt.Sprintf("%s/dratio%03.0f", mode.name, dratio*100), func(b *testing.B) {
-				eng, err := engine.New(engine.Options{
-					Workers: 4, MaxInflight: 32, DynamicRatio: dratio, FIFO: mode.fifo,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer eng.Close()
-				var mu sync.Mutex
-				var latSmall, latLarge []time.Duration
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					submit := func(a *mat.Dense, bucket *[]time.Duration) {
-						j, err := eng.SubmitFactor(a, engineJobOptions())
-						if err != nil {
+	for _, dratio := range []float64{0, 0.25, 0.5} {
+		b.Run(fmt.Sprintf("dratio%03.0f", dratio*100), func(b *testing.B) {
+			eng, err := engine.New(engine.Options{Workers: 4, MaxInflight: 32, DynamicRatio: dratio})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			var mu sync.Mutex
+			var latSmall, latLarge []time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				submit := func(a *mat.Dense, bucket *[]time.Duration) {
+					j, err := eng.SubmitFactor(a, engineJobOptions())
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := j.Wait(); err != nil {
 							b.Error(err)
 							return
 						}
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							if err := j.Wait(); err != nil {
-								b.Error(err)
-								return
-							}
-							// Latency from the engine's own clock (admission to
-							// last task), not the waiter's wake-up time: with
-							// the pool saturating every core, waiter goroutines
-							// are descheduled for the length of whatever big
-							// kernel is running and would charge that to jobs
-							// that completed long before.
-							mu.Lock()
-							*bucket = append(*bucket, j.QueueWait()+j.Span())
-							mu.Unlock()
-						}()
-					}
-					// Big job first so a FIFO queue head-of-line-blocks the
-					// small burst behind it — the pathology the express lane
-					// removes.
-					submit(large[0], &latLarge)
-					for _, a := range small {
-						submit(a, &latSmall)
-					}
-					submit(large[1], &latLarge)
-					wg.Wait()
+						// Latency from the engine's own clock (admission to
+						// last task), not the waiter's wake-up time: with
+						// the pool saturating every core, waiter goroutines
+						// are descheduled for the length of whatever big
+						// kernel is running and would charge that to jobs
+						// that completed long before.
+						mu.Lock()
+						*bucket = append(*bucket, j.QueueWait()+j.Span())
+						mu.Unlock()
+					}()
 				}
-				b.StopTimer()
-				reportClassLatencies(b, latSmall, latLarge)
-			})
-		}
+				// Big job first: in arrival order it would
+				// head-of-line-block the small burst behind it — the
+				// pathology the express lane removes.
+				submit(large[0], &latLarge)
+				for _, a := range small {
+					submit(a, &latSmall)
+				}
+				submit(large[1], &latLarge)
+				wg.Wait()
+			}
+			b.StopTimer()
+			reportClassLatencies(b, latSmall, latLarge)
+		})
 	}
 }
 

@@ -380,4 +380,3 @@ func walkStmtCalls(stmt ast.Stmt, visit func(*ast.CallExpr)) {
 		return true
 	})
 }
-

@@ -55,7 +55,6 @@ func FactorCholesky(a *mat.Dense, opt Options) (*CholeskyFactorization, error) {
 	}
 	res, err := rt.Run(job.Graph(), job.Policy(), rt.Options{
 		Workers: job.Opt.Workers, Trace: job.Opt.Trace, Noise: job.Opt.Noise,
-		GlobalLock: job.Opt.globalLock,
 	})
 	if err != nil {
 		return nil, err

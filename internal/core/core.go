@@ -23,13 +23,15 @@ import (
 type Scheduler int
 
 const (
+	// ScheduleHybrid (the default) is the paper's hybrid static/dynamic
+	// strategy; the dynamic share is Options.DynamicRatio. At ratio 0
+	// every block column is static, so the zero Options schedule exactly
+	// like ScheduleStatic.
+	ScheduleHybrid Scheduler = iota
 	// ScheduleStatic is fully static owner-computes scheduling.
-	ScheduleStatic Scheduler = iota
+	ScheduleStatic
 	// ScheduleDynamic is fully dynamic shared-queue scheduling.
 	ScheduleDynamic
-	// ScheduleHybrid is the paper's hybrid static/dynamic strategy; the
-	// dynamic share is Options.DynamicRatio.
-	ScheduleHybrid
 	// ScheduleWorkStealing is randomized work stealing (section 8
 	// comparison).
 	ScheduleWorkStealing
@@ -116,12 +118,6 @@ type Options struct {
 	// ErrDeadlineInfeasible instead of queued. Zero means no deadline.
 	// Ignored by one-shot calls.
 	Deadline time.Duration
-
-	// globalLock (tests only) runs the scheduler under the serialized
-	// single-mutex dispatcher instead of the concurrent runtime: the A/B
-	// reference the scheduler-equivalence tests compare bit-for-bit
-	// against.
-	globalLock bool
 }
 
 func (o *Options) fill() {
@@ -214,7 +210,6 @@ func Factor(a *mat.Dense, opt Options) (*Factorization, error) {
 	}
 	res, err := rt.Run(job.Graph(), job.Policy(), rt.Options{
 		Workers: job.Opt.Workers, Trace: job.Opt.Trace, Noise: job.Opt.Noise,
-		GlobalLock: job.Opt.globalLock,
 	})
 	if err != nil {
 		return nil, err

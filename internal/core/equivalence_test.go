@@ -5,9 +5,50 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/layout"
 	"repro/internal/mat"
+	"repro/internal/rt"
+	"repro/internal/sched"
 )
+
+// runSerial drains g with one worker under the static policy: every
+// task lands in worker 0's queue, so the execution is one strictly
+// serial priority order, whatever worker count the graph's owners (and
+// its tournament bracket) were laid out for. It is the independent
+// execution the bit-identity suites compare every policy x worker
+// count against.
+func runSerial(t *testing.T, g *dag.Graph) rt.Result {
+	t.Helper()
+	res, err := rt.Run(g, sched.NewStatic(), rt.Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("serial reference run: %v", err)
+	}
+	return res
+}
+
+// serialFactor factors a on the graph built for opt.Workers owners,
+// drained by runSerial.
+func serialFactor(t *testing.T, a *mat.Dense, opt Options) *Factorization {
+	t.Helper()
+	job, err := PrepareFactor(a, opt)
+	if err != nil {
+		t.Fatalf("serial reference: %v", err)
+	}
+	return job.Finish(runSerial(t, job.Graph()))
+}
+
+// serialSolve is serialFactor's twin for a factorization's PrepareSolve
+// (LU or Cholesky): the solve graph built for opt.Workers owners,
+// drained by runSerial.
+func serialSolve(t *testing.T, prepare func(*mat.Dense, Options) (*SolveJob, error), b *mat.Dense, opt Options) *mat.Dense {
+	t.Helper()
+	sj, err := prepare(b, opt)
+	if err != nil {
+		t.Fatalf("serial reference: %v", err)
+	}
+	return sj.Finish(runSerial(t, sj.Graph())).X
+}
 
 // sameFactorization fails the test unless f and ref have bit-identical
 // pivot sequences and factors.
@@ -32,18 +73,17 @@ func sameFactorization(t *testing.T, tag string, f, ref *Factorization) {
 	}
 }
 
-// TestFactorBitIdenticalAcrossPoliciesAndDispatchers is the end-to-end
-// guarantee the concurrent runtime must preserve. For a fixed worker
-// count the task graph — including the tournament-pivoting tree, whose
-// bracket follows the worker grid — is fixed, so its dataflow
-// determines the arithmetic completely: every scheduling policy, and
-// both the serialized global-lock dispatcher (the seed runtime's
-// behaviour) and the concurrent lock-free runtime, must produce
-// BIT-identical pivot sequences and factors. Any scheduling-dependent
+// TestFactorBitIdenticalAcrossPolicies is the end-to-end guarantee the
+// concurrent runtime must preserve. For a fixed worker count the task
+// graph — including the tournament-pivoting tree, whose bracket
+// follows the worker grid — is fixed, so its dataflow determines the
+// arithmetic completely: every scheduling policy at every worker count
+// must produce pivot sequences and factors BIT-identical to the same
+// graph drained serially by one worker. Any scheduling-dependent
 // arithmetic — a lost update, a task run before its dependencies, a
 // double execution — shows up here as a bit difference. Run under
 // -race to also certify the dispatch paths.
-func TestFactorBitIdenticalAcrossPoliciesAndDispatchers(t *testing.T) {
+func TestFactorBitIdenticalAcrossPolicies(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sizes := [][2]int{{96, 96}, {120, 72}}
 	if testing.Short() {
@@ -53,15 +93,9 @@ func TestFactorBitIdenticalAcrossPoliciesAndDispatchers(t *testing.T) {
 		m, n := sz[0], sz[1]
 		a := mat.Random(m, n, rng)
 		for _, workers := range []int{1, 2, 4, 8} {
-			// Reference: the same graph under the serialized global-lock
-			// dispatcher — the old serial execution order.
-			ref, err := Factor(a, Options{
-				Block: 8, Workers: workers, Scheduler: ScheduleHybrid,
-				DynamicRatio: 0.3, globalLock: true,
+			ref := serialFactor(t, a, Options{
+				Block: 8, Workers: workers, Scheduler: ScheduleHybrid, DynamicRatio: 0.3,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if r := Residual(a, ref); r > 1e-12 {
 				t.Fatalf("%dx%d workers=%d: reference residual %g too large", m, n, workers, r)
 			}
@@ -91,13 +125,9 @@ func TestFactorBitIdenticalAcrossLayoutsUnderConcurrency(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	a := mat.Random(80, 80, rng)
 	for _, lay := range []layout.Kind{layout.BCL, layout.CM, layout.TwoLevel} {
-		ref, err := Factor(a, Options{
-			Layout: lay, Block: 8, Workers: 8, Scheduler: ScheduleHybrid,
-			DynamicRatio: 0.25, globalLock: true,
+		ref := serialFactor(t, a, Options{
+			Layout: lay, Block: 8, Workers: 8, Scheduler: ScheduleHybrid, DynamicRatio: 0.25,
 		})
-		if err != nil {
-			t.Fatalf("%v: %v", lay, err)
-		}
 		f, err := Factor(a, Options{
 			Layout: lay, Block: 8, Workers: 8, Scheduler: ScheduleHybrid, DynamicRatio: 0.25,
 		})
@@ -105,5 +135,32 @@ func TestFactorBitIdenticalAcrossLayoutsUnderConcurrency(t *testing.T) {
 			t.Fatalf("%v workers=8: %v", lay, err)
 		}
 		sameFactorization(t, lay.String(), f, ref)
+	}
+}
+
+// TestDefaultSchedulerIsHybrid pins the documented default: the zero
+// Scheduler is ScheduleHybrid, and at DynamicRatio 0 hybrid marks every
+// block column static, so zero Options must schedule exactly like
+// ScheduleStatic — identical pivots/L/U and identical Counters (every
+// pop an owner-queue pop, none shared, none migrated).
+func TestDefaultSchedulerIsHybrid(t *testing.T) {
+	if s := (Options{}).Scheduler; s != ScheduleHybrid {
+		t.Fatalf("zero Scheduler is %v, want %v", s, ScheduleHybrid)
+	}
+	a := mat.Random(96, 96, rand.New(rand.NewSource(53)))
+	def, err := Factor(a, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Factor(a, Options{Workers: 4, Scheduler: ScheduleStatic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFactorization(t, "default vs static", def, st)
+	if def.Counters != st.Counters {
+		t.Fatalf("counters differ: default %+v, static %+v", def.Counters, st.Counters)
+	}
+	if want := int64(def.Stats.Total); def.Counters.DequeueStatic != want {
+		t.Fatalf("default run popped %d of %d tasks from owner queues", def.Counters.DequeueStatic, want)
 	}
 }

@@ -17,9 +17,10 @@ import (
 // solve jobs into one composite forest (dag.Fuse) must produce
 // BIT-identical results to running each job alone, because fusion adds
 // no edges between members — their dataflow, which fixes the
-// arithmetic completely, is untouched. Checked across all four
-// scheduling policies and both dispatchers (concurrent and the
-// serialized global-lock path); run under -race to certify the
+// arithmetic completely, is untouched. The references are each job
+// alone, drained serially by one worker (runSerial); the fused forest
+// is checked under all four scheduling policies on four workers and
+// once drained serially itself. Run under -race to certify the
 // dispatch paths too. Per-member OnDone callbacks must each fire
 // exactly once.
 func TestFusedCompositeBitIdentical(t *testing.T) {
@@ -33,22 +34,10 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 	// follows the worker grid, so references use the same Workers as the
 	// fused members; given that, scheduling cannot change the bits.
 	ref := Options{Block: 8, Workers: 2, Scheduler: ScheduleHybrid, DynamicRatio: 0.25}
-	refSmall, err := Factor(aSmall, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refWide, err := Factor(aWide, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refX1, err := refSmall.SolveMany(bOne, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refXm, err := refSmall.SolveMany(bMany, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refSmall := serialFactor(t, aSmall, ref)
+	refWide := serialFactor(t, aWide, ref)
+	refX1 := serialSolve(t, refSmall.PrepareSolve, bOne, ref)
+	refXm := serialSolve(t, refSmall.PrepareSolve, bMany, ref)
 
 	sameX := func(tag string, got, want *mat.Dense) {
 		t.Helper()
@@ -60,57 +49,62 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 		}
 	}
 
-	for _, gl := range []bool{false, true} {
-		for _, s := range []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid, ScheduleWorkStealing} {
-			tag := fmt.Sprintf("%s/globalLock=%v", s, gl)
-			// Fused graphs are as single-use as their members: prepare
-			// fresh jobs every round.
-			opt := Options{
-				Block: 8, Workers: 2, Scheduler: s, DynamicRatio: 0.25,
-				Seed: 7, globalLock: gl,
-			}
-			fj1, err := PrepareFactor(aSmall, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
-			}
-			fj2, err := PrepareFactor(aWide, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
-			}
-			sj1, err := refSmall.PrepareSolve(bOne, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
-			}
-			sj2, err := refSmall.PrepareSolve(bMany, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
-			}
-
-			var fired [4]atomic.Int32
-			fused := dag.Fuse(
-				dag.FusePart{G: fj1.Graph(), Label: "factor-48", OnDone: func() { fired[0].Add(1) }},
-				dag.FusePart{G: sj1.Graph(), Label: "solve-48x1", OnDone: func() { fired[1].Add(1) }},
-				dag.FusePart{G: fj2.Graph(), Label: "factor-64x40", OnDone: func() { fired[2].Add(1) }},
-				dag.FusePart{G: sj2.Graph(), Label: "solve-48x3", OnDone: func() { fired[3].Add(1) }},
-			)
-			if err := fused.Validate(); err != nil {
-				t.Fatalf("%s: fused graph invalid: %v", tag, err)
-			}
-			res, err := rt.Run(fused.Graph, opt.policy(), rt.Options{
-				Workers: 4, GlobalLock: gl,
-			})
-			if err != nil {
-				t.Fatalf("%s: fused run: %v", tag, err)
-			}
-			for i := range fired {
-				if n := fired[i].Load(); n != 1 {
-					t.Fatalf("%s: member %d OnDone fired %d times, want 1", tag, i, n)
-				}
-			}
-			sameFactorization(t, tag+"/factor-48", fj1.Finish(res), refSmall)
-			sameFactorization(t, tag+"/factor-64x40", fj2.Finish(res), refWide)
-			sameX(tag+"/solve-48x1", sj1.Finish(res).X, refX1)
-			sameX(tag+"/solve-48x3", sj2.Finish(res).X, refXm)
+	// One round drains the fused forest serially (the policy is moot
+	// there); then every policy runs it on four workers.
+	type round struct {
+		s      Scheduler
+		serial bool
+	}
+	rounds := []round{{ScheduleStatic, true}}
+	for _, s := range []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid, ScheduleWorkStealing} {
+		rounds = append(rounds, round{s, false})
+	}
+	for _, r := range rounds {
+		tag := fmt.Sprintf("%s/serial=%v", r.s, r.serial)
+		// Fused graphs are as single-use as their members: prepare
+		// fresh jobs every round.
+		opt := Options{Block: 8, Workers: 2, Scheduler: r.s, DynamicRatio: 0.25, Seed: 7}
+		fj1, err := PrepareFactor(aSmall, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
 		}
+		fj2, err := PrepareFactor(aWide, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		sj1, err := refSmall.PrepareSolve(bOne, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		sj2, err := refSmall.PrepareSolve(bMany, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+
+		var fired [4]atomic.Int32
+		fused := dag.Fuse(
+			dag.FusePart{G: fj1.Graph(), Label: "factor-48", OnDone: func() { fired[0].Add(1) }},
+			dag.FusePart{G: sj1.Graph(), Label: "solve-48x1", OnDone: func() { fired[1].Add(1) }},
+			dag.FusePart{G: fj2.Graph(), Label: "factor-64x40", OnDone: func() { fired[2].Add(1) }},
+			dag.FusePart{G: sj2.Graph(), Label: "solve-48x3", OnDone: func() { fired[3].Add(1) }},
+		)
+		if err := fused.Validate(); err != nil {
+			t.Fatalf("%s: fused graph invalid: %v", tag, err)
+		}
+		var res rt.Result
+		if r.serial {
+			res = runSerial(t, fused.Graph)
+		} else if res, err = rt.Run(fused.Graph, opt.policy(), rt.Options{Workers: 4}); err != nil {
+			t.Fatalf("%s: fused run: %v", tag, err)
+		}
+		for i := range fired {
+			if n := fired[i].Load(); n != 1 {
+				t.Fatalf("%s: member %d OnDone fired %d times, want 1", tag, i, n)
+			}
+		}
+		sameFactorization(t, tag+"/factor-48", fj1.Finish(res), refSmall)
+		sameFactorization(t, tag+"/factor-64x40", fj2.Finish(res), refWide)
+		sameX(tag+"/solve-48x1", sj1.Finish(res).X, refX1)
+		sameX(tag+"/solve-48x3", sj2.Finish(res).X, refXm)
 	}
 }

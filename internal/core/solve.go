@@ -148,8 +148,8 @@ func (f *Factorization) PrepareSolve(b *mat.Dense, opt Options) (*SolveJob, erro
 // through the blocked two-sweep solve graph, executed one-shot under
 // opt's scheduler/layout-independent knobs (Block, Workers, Scheduler,
 // DynamicRatio). B is not modified. The graph's dataflow fixes the
-// arithmetic, so the result is bit-identical across schedulers, worker
-// counts and dispatchers.
+// arithmetic, so the result is bit-identical across schedulers and
+// worker counts.
 func (f *Factorization) SolveMany(b *mat.Dense, opt Options) (*mat.Dense, error) {
 	job, err := f.PrepareSolve(b, opt)
 	if err != nil {
@@ -189,7 +189,6 @@ func (f *CholeskyFactorization) SolveMany(b *mat.Dense, opt Options) (*mat.Dense
 func runSolve(j *SolveJob) (*mat.Dense, error) {
 	res, err := rt.Run(j.Graph(), j.Policy(), rt.Options{
 		Workers: j.Opt.Workers, Trace: j.Opt.Trace, Noise: j.Opt.Noise,
-		GlobalLock: j.Opt.globalLock,
 	})
 	if err != nil {
 		return nil, err

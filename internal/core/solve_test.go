@@ -50,11 +50,11 @@ func sameMatrix(t *testing.T, tag string, got, want *mat.Dense) {
 
 // TestSolveBlockedMatchesScalarLU is the solve-equivalence suite: the
 // blocked multi-RHS solve graph against the scalar substitution oracle,
-// across every scheduling policy, 1/4/8 workers and both dispatchers
-// (the concurrent runtime and the serialized global-lock A/B
-// reference). The graph's dataflow fixes the arithmetic, so every
-// configuration must produce BIT-identical solutions; all must satisfy
-// the backward-error bound against A.
+// across every scheduling policy and 1/4/8 workers, each compared with
+// the same solve graph drained serially by one worker (runSerial). The
+// graph's dataflow fixes the arithmetic, so every configuration must
+// produce BIT-identical solutions; all must satisfy the backward-error
+// bound against A.
 func TestSolveBlockedMatchesScalarLU(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	const n, nrhs = 96, 7
@@ -71,24 +71,24 @@ func TestSolveBlockedMatchesScalarLU(t *testing.T) {
 
 	var ref *mat.Dense
 	for _, workers := range []int{1, 4, 8} {
+		serial := serialSolve(t, f.PrepareSolve, b, Options{Block: 16, Workers: workers})
+		if ref == nil {
+			ref = serial
+		} else {
+			sameMatrix(t, fmt.Sprintf("serial/w%d", workers), serial, ref)
+		}
 		for _, s := range allSchedulers {
-			for _, gl := range []bool{false, true} {
-				x, err := f.SolveMany(b, Options{
-					Block: 16, Workers: workers, Scheduler: s,
-					DynamicRatio: 0.3, Seed: int64(workers), globalLock: gl,
-				})
-				tag := fmt.Sprintf("%v/w%d/gl=%v", s, workers, gl)
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if ref == nil {
-					ref = x
-				} else {
-					sameMatrix(t, tag, x, ref)
-				}
-				if r := solveManyResidual(a, x, b); r > 1e-10 {
-					t.Fatalf("%v/w%d/gl=%v: residual %g", s, workers, gl, r)
-				}
+			x, err := f.SolveMany(b, Options{
+				Block: 16, Workers: workers, Scheduler: s,
+				DynamicRatio: 0.3, Seed: int64(workers),
+			})
+			tag := fmt.Sprintf("%v/w%d", s, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			sameMatrix(t, tag, x, ref)
+			if r := solveManyResidual(a, x, b); r > 1e-10 {
+				t.Fatalf("%s: residual %g", tag, r)
 			}
 		}
 	}
@@ -129,24 +129,24 @@ func TestSolveBlockedMatchesScalarCholesky(t *testing.T) {
 
 	var ref *mat.Dense
 	for _, workers := range []int{1, 4, 8} {
+		serial := serialSolve(t, f.PrepareSolve, b, Options{Block: 16, Workers: workers})
+		if ref == nil {
+			ref = serial
+		} else {
+			sameMatrix(t, fmt.Sprintf("serial/w%d", workers), serial, ref)
+		}
 		for _, s := range allSchedulers {
-			for _, gl := range []bool{false, true} {
-				x, err := f.SolveMany(b, Options{
-					Block: 16, Workers: workers, Scheduler: s,
-					DynamicRatio: 0.3, Seed: int64(workers), globalLock: gl,
-				})
-				tag := fmt.Sprintf("%v/w%d/gl=%v", s, workers, gl)
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if ref == nil {
-					ref = x
-				} else {
-					sameMatrix(t, tag, x, ref)
-				}
-				if r := solveManyResidual(a, x, b); r > 1e-10 {
-					t.Fatalf("%v/w%d/gl=%v: residual %g", s, workers, gl, r)
-				}
+			x, err := f.SolveMany(b, Options{
+				Block: 16, Workers: workers, Scheduler: s,
+				DynamicRatio: 0.3, Seed: int64(workers),
+			})
+			tag := fmt.Sprintf("%v/w%d", s, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			sameMatrix(t, tag, x, ref)
+			if r := solveManyResidual(a, x, b); r > 1e-10 {
+				t.Fatalf("%s: residual %g", tag, r)
 			}
 		}
 	}

@@ -68,8 +68,8 @@ func (f *FusedGraph) PartOf(id int32) int {
 // themselves are never armed or mutated; no edges are added between
 // members (their dataflow stays exactly what their builders emitted),
 // which is why the fused result is bit-identical to running each member
-// alone — under every scheduling policy, worker count and dispatcher,
-// the same property every single graph already has. Member owners are
+// alone — under every scheduling policy and worker count, the same
+// property every single graph already has. Member owners are
 // offset by the preceding members' worker widths so the forest's
 // owner-computes distribution interleaves members across a shared pool
 // instead of stacking every member's block row 0 on worker 0.

@@ -1,14 +1,14 @@
 package engine
 
-// Traffic-shaped admission: the machinery that turned the engine's
-// strict FIFO queue into two-lane, class-aware, SLO-aware scheduling.
+// Traffic-shaped admission: two-lane, class-aware, SLO-aware
+// scheduling of the engine's queue.
 //
 // Under a realistic mix — many tiny factors and solves plus a few huge
-// factorizations — FIFO admission has two pathologies the paper's
-// non-uniform-load analysis (Beaumont & Marchal) predicts: tiny jobs
-// each pay a whole-worker static reservation, and one huge job at the
-// queue head blocks everyone behind it. Admission therefore routes by
-// job *class*, not arrival order:
+// factorizations — arrival-order admission has two pathologies the
+// paper's non-uniform-load analysis (Beaumont & Marchal) predicts: tiny
+// jobs each pay a whole-worker static reservation, and one huge job at
+// the queue head blocks everyone behind it. Admission therefore routes
+// by job *class*, not arrival order:
 //
 //   - small jobs enter an express lane; when a worker picks the lane
 //     up it fuses every waiting (fusable) small job into one composite

@@ -145,44 +145,37 @@ func TestEngineFusesSmallBurst(t *testing.T) {
 }
 
 // TestEngineExpressOvertakesBigLane queues a big job and then a small
-// job behind a gated job on a one-worker pool: with traffic shaping
-// the small job must complete before the earlier-arrived big job; in
-// FIFO baseline mode arrival order must win instead.
+// job behind a gated job on a one-worker pool: the small job must
+// start before the earlier-arrived big job.
 func TestEngineExpressOvertakesBigLane(t *testing.T) {
-	run := func(t *testing.T, fifo bool) (smallFirst bool) {
-		e, err := New(Options{Workers: 1, FIFO: fifo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		gated, release := gate(t, e)
-		waitGated(t, e)
-		big, err := e.SubmitFactor(randMatrix(t, 256, 4), core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		small, err := e.SubmitFactor(randMatrix(t, 64, 5), core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		release()
-		if err := gated.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if err := big.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if err := small.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		// The pool is serial, so start order is the service order.
-		return small.started.Before(big.started)
+	e, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !run(t, false) {
-		t.Error("two-lane: small job did not overtake the earlier big job on a serial pool")
+	defer e.Close()
+	gated, release := gate(t, e)
+	waitGated(t, e)
+	big, err := e.SubmitFactor(randMatrix(t, 256, 4), core.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if run(t, true) {
-		t.Error("FIFO baseline: arrival order was not preserved")
+	small, err := e.SubmitFactor(randMatrix(t, 64, 5), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := gated.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := big.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := small.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// The pool is serial, so start order is the service order.
+	if !small.started.Before(big.started) {
+		t.Error("small job did not overtake the earlier big job on a serial pool")
 	}
 }
 

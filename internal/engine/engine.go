@@ -30,8 +30,7 @@
 // Within each lane, jobs with deadlines are served in laxity order and
 // infeasible deadlines are shed at submission with
 // ErrDeadlineInfeasible; floaters lend preferentially to the running
-// job closest to missing its deadline. Options.FIFO restores the
-// strict single-queue arrival order as an A/B baseline.
+// job closest to missing its deadline.
 //
 // A job whose requested share is not available starts anyway with what
 // the pool can guarantee (at least one worker), so service is
@@ -100,10 +99,6 @@ type Options struct {
 	// lifted — the pool stays work-conserving for pure-big workloads.
 	// Default 0.75.
 	BigShare float64
-	// FIFO disables traffic shaping: one arrival-ordered queue, no
-	// fusion, no deadline shedding — the A/B baseline the mixed-traffic
-	// benchmark compares the two-lane path against.
-	FIFO bool
 }
 
 func (o *Options) fill() error {
@@ -654,25 +649,20 @@ func (e *Engine) admit(ctx context.Context, j *Job, wait bool) (*Job, error) {
 	e.seq++
 	j.class = classify(j, e.opt.SmallJobFlops)
 	j.startBy = noDeadline
-	if e.opt.FIFO {
-		// Baseline mode: one arrival-ordered lane, deadlines ignored.
-		j.lane = laneBig
+	if d := j.reqOpt.Deadline; d != 0 {
+		est := e.estServiceLocked(j)
+		if d < 0 || est > d {
+			e.mu.Unlock()
+			e.shedCount.Add(1)
+			return nil, fmt.Errorf("engine: estimated service %v exceeds deadline %v: %w", est, d, ErrDeadlineInfeasible)
+		}
+		j.deadlineAbs = now.Add(d)
+		j.startBy = j.deadlineAbs.Add(-est).UnixNano()
+	}
+	if j.class == core.ClassSmall {
+		j.lane = laneSmall
 	} else {
-		if d := j.reqOpt.Deadline; d != 0 {
-			est := e.estServiceLocked(j)
-			if d < 0 || est > d {
-				e.mu.Unlock()
-				e.shedCount.Add(1)
-				return nil, fmt.Errorf("engine: estimated service %v exceeds deadline %v: %w", est, d, ErrDeadlineInfeasible)
-			}
-			j.deadlineAbs = now.Add(d)
-			j.startBy = j.deadlineAbs.Add(-est).UnixNano()
-		}
-		if j.class == core.ClassSmall {
-			j.lane = laneSmall
-		} else {
-			j.lane = laneBig
-		}
+		j.lane = laneBig
 	}
 	e.inflight++
 	if j.lane == laneSmall {
@@ -857,11 +847,8 @@ func (e *Engine) startableLocked() ([]*Job, int) {
 
 // expiredLocked pops lane heads whose absolute deadline has already
 // passed: starting them could only burn a reservation on work that
-// will miss its SLO, so they are shed instead (never in FIFO mode).
+// will miss its SLO, so they are shed instead.
 func (e *Engine) expiredLocked() []*Job {
-	if e.opt.FIFO {
-		return nil
-	}
 	var exp []*Job
 	now := time.Now()
 	for _, q := range []*laneQueue{&e.small, &e.big} {

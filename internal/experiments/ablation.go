@@ -93,6 +93,7 @@ func runAblation(scale float64, seed int64) (*Table, error) {
 
 	t.Notes = "Grouping and the DFS-ordered hybrid queue are the load-bearing choices; work\n" +
 		"stealing loses the critical path (section 8's argument); look-ahead alone does\n" +
-		"not rescue the sequential-panel baseline."
+		"not rescue the sequential-panel baseline. The work-stealing row simulates the\n" +
+		"policy the real runtime runs: a readied task goes on the readying worker's deque."
 	return t, nil
 }

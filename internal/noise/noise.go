@@ -9,6 +9,7 @@ package noise
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -167,13 +168,22 @@ func (s Scaled) Reset(seed int64) { s.Inner.Reset(seed) }
 // RealAdapter converts a Generator into the callback signature of the
 // real runtime (internal/rt): it samples the generator with the given
 // characteristic task duration and returns wall-clock delays. Used for
-// failure injection in real-mode tests.
+// failure injection in real-mode tests. The runtime calls the callback
+// from every worker goroutine, and generators are single-owner (lazily
+// grown per-core streams), so one mutex serializes the calls; each
+// worker advances its own virtual clock by one task per call.
 func RealAdapter(g Generator, taskDur time.Duration) func(worker int) time.Duration {
-	t := 0.0
 	d := taskDur.Seconds()
+	var mu sync.Mutex
+	var clock []float64 // per-worker virtual seconds, guarded by mu
 	return func(worker int) time.Duration {
-		extra := g.Delay(worker, t, d)
-		t += d
+		mu.Lock()
+		defer mu.Unlock()
+		for len(clock) <= worker {
+			clock = append(clock, 0)
+		}
+		extra := g.Delay(worker, clock[worker], d)
+		clock[worker] += d
 		return time.Duration(extra * float64(time.Second))
 	}
 }

@@ -2,6 +2,7 @@ package noise
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -106,5 +107,36 @@ func TestRealAdapter(t *testing.T) {
 	// Period 1ms, burst 1ms, task 1ms: roughly one burst per call.
 	if total < 50*time.Millisecond || total > 150*time.Millisecond {
 		t.Fatalf("adapter total %v far from ~100ms", total)
+	}
+}
+
+// TestRealAdapterConcurrentWorkers: the real runtime calls one adapter
+// from every worker goroutine, so it must be race-free (run under
+// -race), and each worker must see its own per-core stream on its own
+// clock — the same delays it would get calling the generator alone.
+func TestRealAdapterConcurrentWorkers(t *testing.T) {
+	const workers, calls = 4, 500
+	const dur = 2 * time.Millisecond
+	fn := RealAdapter(NewPoisson(200, 1e-3, 13), dur)
+	got := make([][]time.Duration, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				got[w] = append(got[w], fn(w))
+			}
+		}(w)
+	}
+	wg.Wait()
+	ref := NewPoisson(200, 1e-3, 13)
+	for w := 0; w < workers; w++ {
+		for i := 0; i < calls; i++ {
+			want := time.Duration(ref.Delay(w, float64(i)*dur.Seconds(), dur.Seconds()) * float64(time.Second))
+			if got[w][i] != want {
+				t.Fatalf("worker %d call %d: delay %v, want %v", w, i, got[w][i], want)
+			}
+		}
 	}
 }

@@ -91,8 +91,7 @@ func (k *waker) wakeAny(self int) bool {
 	return false
 }
 
-// wakeAll deposits a permit for every worker (termination, failure, or
-// an opaque policy behind the global-lock adapter).
+// wakeAll deposits a permit for every worker (termination or failure).
 func (k *waker) wakeAll() {
 	for w := range k.sem {
 		k.permit(w)

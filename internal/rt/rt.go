@@ -1,13 +1,13 @@
 // Package rt executes a task dependency graph with real goroutine
 // workers, performing the actual factorization arithmetic on the
 // layout's storage. Dispatch is contention-free: workers pull from a
-// sched.ConcurrentPolicy (per-worker queues, lock-free deques),
-// dependency resolution is atomic on the graph itself (dag.
-// ResolveSuccessors), progress tracking is two atomic counters, idle
-// workers spin briefly and then park on an eventcount instead of a
-// broadcast condvar, and trace spans are buffered per worker and merged
-// once at the end. The discrete-event simulator in internal/sim drives
-// the same policies through their serial adapters, so the scheduling
+// sched.Policy (per-worker queues, lock-free deques), dependency
+// resolution is atomic on the graph itself (dag.ResolveSuccessors),
+// progress tracking is two atomic counters, idle workers spin briefly
+// and then park on an eventcount instead of a broadcast condvar, and
+// trace spans are buffered per worker and merged once at the end. The
+// discrete-event simulator in internal/sim drives the same policy
+// objects from its single-threaded event loop, so the scheduling
 // decisions under study stay deterministic there while rt runs them at
 // full hardware concurrency; rt is the correctness-bearing mode
 // (numerics verified end to end) and the mode the examples and the
@@ -65,11 +65,6 @@ type Options struct {
 	// failure-injection hook used to emulate transient OS interference
 	// (the paper's delta_i) in real mode.
 	Noise func(worker int) time.Duration
-	// GlobalLock forces the policy to run under one mutex — the seed
-	// runtime's serialized dispatcher, kept as an A/B baseline so
-	// BenchmarkDispatch can measure what the global lock used to cost.
-	// Never set it in production paths.
-	GlobalLock bool
 }
 
 // Result reports a real execution.
@@ -95,7 +90,7 @@ const spinCount = 64
 // on distinct slots.
 type Executor struct {
 	g     *dag.Graph
-	cp    sched.ConcurrentPolicy
+	pol   sched.Policy
 	n     int64
 	slots int
 	opt   Options
@@ -138,11 +133,12 @@ type Executor struct {
 	waitErr  error
 }
 
-// NewExecutor prepares an execution of g under the given policy. The
-// graph's dependency counters are armed and the roots are seeded; the
-// run starts making progress as soon as the first worker attaches. A
-// structurally stuck graph (a bug in the DAG builder) is reported
-// here.
+// NewExecutor prepares an execution of g under the given policy, which
+// it resets and then owns until Wait returns (one policy object serves
+// one run at a time). The graph's dependency counters are armed and
+// the roots are seeded; the run starts making progress as soon as the
+// first worker attaches. A structurally stuck graph (a bug in the DAG
+// builder) is reported here.
 func NewExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*Executor, error) {
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("rt: need at least one worker, got %d", opt.Workers)
@@ -152,6 +148,7 @@ func NewExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*Executor, error)
 	}
 	e := &Executor{
 		g:      g,
+		pol:    pol,
 		n:      int64(len(g.Tasks)),
 		slots:  opt.Workers + opt.Helpers,
 		opt:    opt,
@@ -170,12 +167,7 @@ func NewExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*Executor, error)
 	if !opt.ExternalWorkspace {
 		e.ws = kernel.Reserve(e.slots)
 	}
-	if opt.GlobalLock {
-		e.cp = sched.NewLocked(pol)
-	} else {
-		e.cp = sched.Concurrent(pol)
-	}
-	e.cp.Reset(g, e.slots)
+	e.pol.Reset(g, e.slots)
 
 	roots := g.ResetDeps()
 	if len(roots) == 0 {
@@ -185,7 +177,7 @@ func NewExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*Executor, error)
 	e.wk.init(e.slots)
 	e.outstanding.Store(int64(len(roots)))
 	for _, t := range roots {
-		e.cp.Ready(sched.SeedWorker, t)
+		e.pol.Ready(sched.SeedWorker, t)
 	}
 	if opt.Trace != nil {
 		e.spans = make([][]trace.Span, e.slots)
@@ -205,10 +197,10 @@ func (e *Executor) done() bool {
 // deepest shared backlog keeps a helper busy longest. Zero once the
 // run is over.
 func (e *Executor) SharedBacklog() int {
-	if e.cp == nil || e.Done() {
+	if e.Done() {
 		return 0
 	}
-	return e.cp.SharedBacklog()
+	return e.pol.SharedBacklog()
 }
 
 // Done reports whether the run has completed (successfully or not).
@@ -342,7 +334,7 @@ func (e *Executor) Wait() (Result, error) {
 			e.waitErr = *errp
 			return
 		}
-		e.result = Result{Makespan: e.makespan, Counters: e.cp.Counters()}
+		e.result = Result{Makespan: e.makespan, Counters: e.pol.Counters()}
 	})
 	return e.result, e.waitErr
 }
@@ -422,18 +414,13 @@ func (e *Executor) loop(w int, park bool, local []trace.Span) ([]trace.Span, boo
 		if len(scratch) > 0 {
 			e.outstanding.Add(int64(len(scratch)))
 			for _, s := range scratch {
-				switch hint := e.cp.Ready(w, s); hint {
-				case sched.AnyWorker:
-					if !e.wk.wakeAny(w) && e.opt.Lend != nil {
-						// Every reserved worker is busy and a globally
-						// poppable task just appeared: ask the owner of
-						// this executor for a lending worker.
-						e.opt.Lend()
-					}
-				case sched.AllWorkers:
-					e.wk.wakeAll()
-				default:
-					e.wk.wakeOwner(hint, w)
+				if owner := e.pol.Ready(w, s); owner != sched.AnyWorker {
+					e.wk.wakeOwner(owner, w)
+				} else if !e.wk.wakeAny(w) && e.opt.Lend != nil {
+					// Every reserved worker is busy and a globally
+					// poppable task just appeared: ask the owner of
+					// this executor for a lending worker.
+					e.opt.Lend()
 				}
 			}
 		}
@@ -466,7 +453,7 @@ func (e *Executor) next(w int, park bool) *dag.Task {
 		if e.done() {
 			return nil
 		}
-		if t := e.cp.Next(w); t != nil {
+		if t := e.pol.Next(w); t != nil {
 			return t
 		}
 		if spins < spinCount {
@@ -486,7 +473,7 @@ func (e *Executor) next(w int, park bool) *dag.Task {
 			e.wk.cancel(w)
 			return nil
 		}
-		if t := e.cp.Next(w); t != nil {
+		if t := e.pol.Next(w); t != nil {
 			e.wk.cancel(w)
 			return t
 		}

@@ -132,24 +132,6 @@ func TestRunChainAcrossOwnersPinned(t *testing.T) {
 	}
 }
 
-// TestRunGlobalLockBaseline keeps the A/B dispatcher honest: the
-// serialized adapter must still execute graphs correctly.
-func TestRunGlobalLockBaseline(t *testing.T) {
-	var bad atomic.Bool
-	g, done := layeredGraph(16, 8, true, &bad)
-	if _, err := Run(g, sched.NewHybrid(), Options{Workers: 4, GlobalLock: true}); err != nil {
-		t.Fatal(err)
-	}
-	if bad.Load() {
-		t.Fatal("dependency order violated under the global-lock adapter")
-	}
-	for i, f := range done {
-		if !f.Load() {
-			t.Fatalf("task %d never ran", i)
-		}
-	}
-}
-
 // TestRunDetectsStuckGraphMidRun: a graph that makes progress and THEN
 // wedges (a successor claims a dependency nobody provides) must be
 // diagnosed by the atomic outstanding-counter check, not hang.

@@ -1,24 +1,25 @@
 // Package sched implements the scheduling policies of the paper's
-// design space (Table 1): fully static owner-computes scheduling, fully
-// dynamic shared-queue scheduling, the paper's hybrid static/dynamic
-// strategy (Algorithms 1 and 2), and — for the related-work comparison
-// of section 8 — classic randomized work stealing.
+// design space (Table 1, Algorithm 1). That design space is one rule —
+// the tasks of the first Nstatic block columns are pinned to their
+// owner's queue, the rest go to one shared queue in DFS order — with
+// fully static owner-computes scheduling (Nstatic = N) and fully
+// dynamic shared-queue scheduling (Nstatic = 0) as its two endpoints
+// and the paper's hybrid strategy in between. QueuePolicy (queues.go)
+// says that rule once, parametrised only by which tasks it pins;
+// WorkStealing (worksteal.go, deque.go) is the classic randomized
+// alternative of the section 8 related-work comparison.
 //
-// Every policy is split into a pure priority-queue core (this file) and
-// two drivers:
-//
-//   - A serial adapter (serial.go) implementing Policy. It performs no
-//     synchronization and must be driven from a single goroutine; the
-//     discrete-event simulator (internal/sim) uses it, which keeps the
-//     simulator's scheduling decisions deterministic and byte-for-byte
-//     reproducible — the property the paper's figures depend on.
-//   - A concurrent driver (concurrent.go, deque.go) implementing
-//     ConcurrentPolicy. Owner queues are per-worker with their own
-//     locks, the shared dynamic heap has its own mutex, work stealing
-//     uses lock-free Chase-Lev deques with per-worker RNGs, and
-//     instrumentation is kept in per-worker padded slots. The real
-//     goroutine runtime (internal/rt) derives one with Concurrent so
-//     that dispatch never funnels through a global lock.
+// There is one implementation per policy and one interface, Policy.
+// Every implementation is safe for concurrent workers: owner queues are
+// per-worker with their own locks, the shared heap has its own mutex,
+// work stealing uses lock-free Chase-Lev deques with per-worker RNGs,
+// and instrumentation is kept in per-worker padded slots. The real
+// goroutine runtime (internal/rt) calls them at full hardware
+// concurrency; the discrete-event simulator (internal/sim) calls the
+// same objects from its single-threaded event loop, where uncontended
+// locks and atomics decide nothing, so its scheduling decisions are
+// deterministic and byte-for-byte reproducible — the property the
+// paper's figures depend on.
 package sched
 
 import (
@@ -46,10 +47,24 @@ func (c *Counters) add(o Counters) {
 	c.Mismatches += o.Mismatches
 }
 
-// Policy dispenses ready tasks to workers. Implementations perform no
-// synchronization of their own and must be driven from one goroutine at
-// a time: they are the deterministic serial form used by the simulator.
-// The concurrent runtime derives a thread-safe driver with Concurrent.
+// SeedWorker is the worker argument for Policy.Ready calls made before
+// the workers start (initial root seeding), when no worker identity
+// exists yet.
+const SeedWorker = -1
+
+// AnyWorker is the wake hint Policy.Ready returns for a task every
+// worker can pop (shared queue or stealable deque): waking any one
+// parked worker suffices. A task pinned to one worker's queue returns
+// that worker's index instead and must wake exactly that worker —
+// waking an arbitrary parked worker would let the signal be absorbed
+// by someone who cannot pop the task, deadlocking the run once
+// everyone parks.
+const AnyWorker = -1
+
+// Policy dispenses ready tasks to workers. Ready and Next may be called
+// from any worker goroutine concurrently; Reset and Counters must not
+// overlap with them (the runtime calls Reset before starting workers
+// and Counters after they have all exited).
 type Policy interface {
 	// Name identifies the policy in reports ("static", "dynamic", ...).
 	Name() string
@@ -57,52 +72,13 @@ type Policy interface {
 	// workers, discarding all queued state.
 	Reset(g *dag.Graph, workers int)
 	// Ready enqueues a task whose dependencies are all satisfied.
-	Ready(t *dag.Task)
+	// worker is the enqueuing worker, or SeedWorker when called before
+	// the workers start. The return value tells the runtime whom to
+	// wake: a worker index when the task is pinned to that worker's
+	// queue, else AnyWorker.
+	Ready(worker int, t *dag.Task) int
 	// Next pops the best ready task for the given worker, or nil if the
 	// policy has nothing this worker may run right now.
-	Next(worker int) *dag.Task
-	// ReadyCount reports how many tasks are currently queued; the
-	// simulator uses it to distinguish idle-waiting from deadlock.
-	ReadyCount() int
-	// Counters returns the instrumentation accumulated since Reset.
-	Counters() Counters
-}
-
-// SeedWorker is the worker argument for ConcurrentPolicy.Ready calls
-// made before the workers start (initial root seeding), when no worker
-// identity exists yet.
-const SeedWorker = -1
-
-// Wake hints returned by ConcurrentPolicy.Ready. A task pinned to one
-// worker's queue must wake exactly that worker — waking an arbitrary
-// parked worker would let the signal be absorbed by someone who cannot
-// pop the task, deadlocking the run once everyone parks.
-const (
-	// AnyWorker: the task is poppable by every worker (shared queue or
-	// stealable deque); waking any one parked worker suffices.
-	AnyWorker = -1
-	// AllWorkers: the task's affinity is unknown (opaque policy behind
-	// the global-lock adapter); the runtime must wake everyone, like
-	// the seed runtime's cond.Broadcast did.
-	AllWorkers = -2
-)
-
-// ConcurrentPolicy is the thread-safe driver interface used by the real
-// runtime. Ready and Next may be called from any worker goroutine
-// concurrently; Reset and Counters must not overlap with them (the
-// runtime calls Reset before starting workers and Counters after they
-// have all exited).
-type ConcurrentPolicy interface {
-	// Name identifies the policy in reports.
-	Name() string
-	// Reset prepares the policy for a fresh execution of g.
-	Reset(g *dag.Graph, workers int)
-	// Ready enqueues a ready task. worker is the enqueuing worker, or
-	// SeedWorker when called before the workers start. The return value
-	// tells the runtime whom to wake: a worker index when the task is
-	// pinned to that worker's queue, else AnyWorker or AllWorkers.
-	Ready(worker int, t *dag.Task) int
-	// Next pops the best ready task for the given worker, or nil.
 	Next(worker int) *dag.Task
 	// SharedBacklog estimates how many queued tasks are globally
 	// poppable — visible to a borrowed lending slot, not pinned to one
@@ -114,9 +90,6 @@ type ConcurrentPolicy interface {
 	// Counters returns the instrumentation accumulated since Reset.
 	Counters() Counters
 }
-
-// ---------------------------------------------------------------------
-// Priority-queue core shared by the serial and concurrent drivers.
 
 // taskHeap is a priority queue ordered by Task.Prio (ascending), which
 // encodes left-to-right column order with panel tasks first — the

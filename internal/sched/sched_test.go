@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dag"
@@ -11,11 +13,20 @@ func mkTask(id int32, owner int, static bool, prio int64) *dag.Task {
 	return &dag.Task{ID: id, Owner: owner, Static: static, Prio: prio}
 }
 
+func allPolicies() []Policy {
+	return []Policy{NewStatic(), NewDynamic(), NewHybrid(), NewWorkStealing(3)}
+}
+
 func TestStaticPinsToOwner(t *testing.T) {
 	p := NewStatic()
 	p.Reset(&dag.Graph{}, 2)
-	p.Ready(mkTask(1, 0, true, 10))
-	p.Ready(mkTask(2, 1, true, 5))
+	// Static pins whatever the Static mark says.
+	if w := p.Ready(SeedWorker, mkTask(1, 0, false, 10)); w != 0 {
+		t.Fatalf("wake hint %d want owner 0", w)
+	}
+	if w := p.Ready(SeedWorker, mkTask(2, 1, true, 5)); w != 1 {
+		t.Fatalf("wake hint %d want owner 1", w)
+	}
 	if got := p.Next(0); got == nil || got.ID != 1 {
 		t.Fatalf("worker 0 got %v", got)
 	}
@@ -25,18 +36,25 @@ func TestStaticPinsToOwner(t *testing.T) {
 	if got := p.Next(1); got == nil || got.ID != 2 {
 		t.Fatalf("worker 1 got %v", got)
 	}
+	if c := p.Counters(); c != (Counters{DequeueStatic: 2}) {
+		t.Fatalf("counters %+v", c)
+	}
+	if p.SharedBacklog() != 0 {
+		t.Fatal("static policy exposed shared work")
+	}
 }
 
-func TestStaticPriorityOrder(t *testing.T) {
-	p := NewStatic()
-	p.Reset(&dag.Graph{}, 1)
-	p.Ready(mkTask(1, 0, true, 30))
-	p.Ready(mkTask(2, 0, true, 10))
-	p.Ready(mkTask(3, 0, true, 20))
-	want := []int32{2, 3, 1}
-	for _, w := range want {
-		if got := p.Next(0); got.ID != w {
-			t.Fatalf("got %d want %d", got.ID, w)
+func TestPriorityThenIDOrder(t *testing.T) {
+	for _, p := range []Policy{NewStatic(), NewDynamic()} {
+		p.Reset(&dag.Graph{}, 1)
+		p.Ready(SeedWorker, mkTask(1, 0, true, 30))
+		p.Ready(SeedWorker, mkTask(4, 0, true, 10))
+		p.Ready(SeedWorker, mkTask(3, 0, true, 20))
+		p.Ready(SeedWorker, mkTask(2, 0, true, 10)) // ties on Prio break by ID
+		for _, want := range []int32{2, 4, 3, 1} {
+			if got := p.Next(0); got.ID != want {
+				t.Fatalf("%s: got %d want %d", p.Name(), got.ID, want)
+			}
 		}
 	}
 }
@@ -44,33 +62,37 @@ func TestStaticPriorityOrder(t *testing.T) {
 func TestDynamicAnyWorkerLowestPrioFirst(t *testing.T) {
 	p := NewDynamic()
 	p.Reset(&dag.Graph{}, 4)
-	p.Ready(mkTask(1, 3, false, 50))
-	p.Ready(mkTask(2, 2, false, 5))
+	// Dynamic shares whatever the Static mark says.
+	if w := p.Ready(SeedWorker, mkTask(1, 3, true, 50)); w != AnyWorker {
+		t.Fatalf("wake hint %d want AnyWorker", w)
+	}
+	p.Ready(SeedWorker, mkTask(2, 2, false, 5))
+	if n := p.SharedBacklog(); n != 2 {
+		t.Fatalf("shared backlog %d want 2", n)
+	}
 	if got := p.Next(0); got.ID != 2 {
 		t.Fatalf("got %d want 2 (DFS order)", got.ID)
 	}
 	if got := p.Next(3); got.ID != 1 {
 		t.Fatalf("got %d want 1", got.ID)
 	}
-	c := p.Counters()
-	if c.DequeueDynamic != 2 {
-		t.Fatalf("dynamic dequeues = %d want 2", c.DequeueDynamic)
-	}
-	if c.Mismatches != 1 { // task 1 popped by worker 0, owner 3? no: task2 owner2 by w0 (mismatch), task1 owner3 by w3 (match)
-		t.Fatalf("mismatches = %d want 1", c.Mismatches)
+	// Task 2 (owner 2) ran on worker 0: a mismatch. Task 1 (owner 3) ran
+	// at home.
+	if c := p.Counters(); c != (Counters{DequeueDynamic: 2, Mismatches: 1}) {
+		t.Fatalf("counters %+v", c)
 	}
 }
 
 func TestHybridPrefersOwnStaticQueue(t *testing.T) {
 	p := NewHybrid()
 	p.Reset(&dag.Graph{}, 2)
-	p.Ready(mkTask(1, 0, true, 100)) // static, low priority value order but static wins
-	p.Ready(mkTask(2, 0, false, 1))  // dynamic, better priority
-	if got := p.Next(0); got.ID != 1 {
-		t.Fatalf("hybrid must drain own static queue first, got %d", got.ID)
+	p.Ready(SeedWorker, mkTask(1, 0, true, 100)) // static: wins despite the worse priority
+	p.Ready(SeedWorker, mkTask(2, 0, false, 1))  // dynamic, better priority
+	if got := p.Next(0); got == nil || got.ID != 1 {
+		t.Fatalf("hybrid must drain own static queue first, got %v", got)
 	}
-	if got := p.Next(0); got.ID != 2 {
-		t.Fatalf("then fall back to dynamic, got %d", got.ID)
+	if got := p.Next(0); got == nil || got.ID != 2 {
+		t.Fatalf("then fall back to dynamic, got %v", got)
 	}
 }
 
@@ -79,40 +101,21 @@ func TestHybridIdleWorkerTakesDynamic(t *testing.T) {
 	// up dynamic work instead of idling.
 	p := NewHybrid()
 	p.Reset(&dag.Graph{}, 2)
-	p.Ready(mkTask(1, 1, true, 10))  // static task for worker 1
-	p.Ready(mkTask(2, 1, false, 20)) // dynamic task
+	p.Ready(SeedWorker, mkTask(1, 1, true, 10))  // static task for worker 1
+	p.Ready(SeedWorker, mkTask(2, 1, false, 20)) // dynamic task
 	if got := p.Next(0); got == nil || got.ID != 2 {
 		t.Fatalf("worker 0 should pull dynamic task, got %v", got)
 	}
-	c := p.Counters()
-	if c.DequeueDynamic != 1 || c.Mismatches != 1 {
+	if c := p.Counters(); c != (Counters{DequeueDynamic: 1, Mismatches: 1}) {
 		t.Fatalf("counters %+v", c)
-	}
-}
-
-func TestHybridReadyCount(t *testing.T) {
-	p := NewHybrid()
-	p.Reset(&dag.Graph{}, 2)
-	if p.ReadyCount() != 0 {
-		t.Fatal("fresh policy not empty")
-	}
-	p.Ready(mkTask(1, 0, true, 1))
-	p.Ready(mkTask(2, 0, false, 2))
-	if p.ReadyCount() != 2 {
-		t.Fatalf("ready = %d want 2", p.ReadyCount())
-	}
-	p.Next(0)
-	p.Next(0)
-	if p.ReadyCount() != 0 {
-		t.Fatalf("ready = %d want 0", p.ReadyCount())
 	}
 }
 
 func TestWorkStealingOwnDequeLIFO(t *testing.T) {
 	p := NewWorkStealing(1)
 	p.Reset(&dag.Graph{}, 2)
-	p.Ready(mkTask(1, 0, true, 1))
-	p.Ready(mkTask(2, 0, true, 2))
+	p.Ready(SeedWorker, mkTask(1, 0, true, 1))
+	p.Ready(SeedWorker, mkTask(2, 0, true, 2))
 	if got := p.Next(0); got.ID != 2 {
 		t.Fatalf("own deque must be LIFO, got %d", got.ID)
 	}
@@ -121,15 +124,29 @@ func TestWorkStealingOwnDequeLIFO(t *testing.T) {
 func TestWorkStealingStealsFIFO(t *testing.T) {
 	p := NewWorkStealing(1)
 	p.Reset(&dag.Graph{}, 2)
-	p.Ready(mkTask(1, 1, true, 1))
-	p.Ready(mkTask(2, 1, true, 2))
+	p.Ready(SeedWorker, mkTask(1, 1, true, 1))
+	p.Ready(SeedWorker, mkTask(2, 1, true, 2))
 	got := p.Next(0) // steal from worker 1
 	if got == nil || got.ID != 1 {
 		t.Fatalf("steal must be FIFO from victim, got %v", got)
 	}
-	c := p.Counters()
-	if c.Steals != 1 {
-		t.Fatalf("steals = %d want 1", c.Steals)
+	if c := p.Counters(); c != (Counters{Steals: 1, Mismatches: 1}) {
+		t.Fatalf("counters %+v", c)
+	}
+}
+
+func TestWorkStealingReadyGoesToReadyingWorker(t *testing.T) {
+	// Cilk enqueue semantics: a task readied by worker 0 sits on worker
+	// 0's deque whoever owns its data, and popping it there is a
+	// mismatch against its data home.
+	p := NewWorkStealing(1)
+	p.Reset(&dag.Graph{}, 2)
+	p.Ready(0, mkTask(1, 1, true, 1))
+	if got := p.Next(0); got == nil || got.ID != 1 {
+		t.Fatalf("worker 0 got %v from its own deque", got)
+	}
+	if c := p.Counters(); c != (Counters{DequeueStatic: 1, Mismatches: 1}) {
+		t.Fatalf("counters %+v", c)
 	}
 }
 
@@ -141,25 +158,221 @@ func TestWorkStealingExhausted(t *testing.T) {
 	}
 }
 
-func TestAllPoliciesDrainEverything(t *testing.T) {
-	policies := []Policy{NewStatic(), NewDynamic(), NewHybrid(), NewWorkStealing(3)}
-	for _, p := range policies {
-		p.Reset(&dag.Graph{}, 3)
-		for i := int32(0); i < 30; i++ {
-			p.Ready(mkTask(i, int(i)%3, i%2 == 0, int64(i)))
+// TestWorkStealingDeterministicPerWorker: the per-worker RNGs must be
+// derived from the seed alone, so two policies with the same seed make
+// identical victim choices for the same worker.
+func TestWorkStealingDeterministicPerWorker(t *testing.T) {
+	seq := func() []int {
+		p := NewWorkStealing(42)
+		p.Reset(&dag.Graph{}, 4)
+		var ids []int
+		// Ten tasks on worker 3's deque; workers 0-2 steal in a fixed
+		// interleaving. Victim scan order is driven by each worker's own
+		// RNG.
+		for i := 0; i < 10; i++ {
+			p.Ready(SeedWorker, &dag.Task{ID: int32(i), Owner: 3, Prio: int64(i)})
 		}
-		got := 0
-		for w := 0; got < 30; w = (w + 1) % 3 {
-			if t2 := p.Next(w); t2 != nil {
-				got++
-			} else if p.ReadyCount() == 0 {
-				break
+		for i := 0; i < 10; i++ {
+			if tk := p.Next(i % 3); tk != nil {
+				ids = append(ids, int(tk.ID))
 			}
 		}
-		if got != 30 {
-			t.Errorf("%s drained %d/30", p.Name(), got)
+		return ids
+	}
+	a, b := seq(), seq()
+	if len(a) != len(b) {
+		t.Fatalf("runs differ in length: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("victim selection not deterministic at step %d: %d vs %d", i, a[i], b[i])
 		}
 	}
+}
+
+// TestAllPoliciesDrainEverything drives every policy the way the
+// simulator does — one goroutine, workers polled round-robin — and
+// checks every task comes out exactly once.
+func TestAllPoliciesDrainEverything(t *testing.T) {
+	for _, p := range allPolicies() {
+		p.Reset(&dag.Graph{}, 3)
+		for i := int32(0); i < 30; i++ {
+			p.Ready(SeedWorker, mkTask(i, int(i)%3, i%2 == 0, int64(i)))
+		}
+		seen := make(map[int32]int)
+		for w, misses := 0, 0; misses < 3; w = (w + 1) % 3 {
+			if tk := p.Next(w); tk != nil {
+				seen[tk.ID]++
+				misses = 0
+			} else {
+				misses++
+			}
+		}
+		for i := int32(0); i < 30; i++ {
+			if seen[i] != 1 {
+				t.Errorf("%s: task %d popped %d times", p.Name(), i, seen[i])
+			}
+		}
+	}
+}
+
+// drainConcurrently hammers a policy from `workers` goroutines until
+// every task has been popped, and returns a per-task pop count (each
+// must be exactly 1).
+func drainConcurrently(t *testing.T, p Policy, workers, tasks int, seedAll bool) []int32 {
+	t.Helper()
+	g := &dag.Graph{Name: "drain"}
+	all := make([]*dag.Task, tasks)
+	for i := range all {
+		all[i] = &dag.Task{ID: int32(i), Owner: i % workers, Static: i%2 == 0, Prio: int64(i)}
+		g.Tasks = append(g.Tasks, all[i])
+	}
+	p.Reset(g, workers)
+	popped := make([]int32, tasks)
+	var total atomic.Int64
+
+	half := tasks / 2
+	if seedAll {
+		half = tasks
+	}
+	for _, tk := range all[:half] {
+		p.Ready(SeedWorker, tk)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker enqueues a share of the second half mid-drain,
+			// exercising concurrent Ready against concurrent Next.
+			lo := half + w*(tasks-half)/workers
+			hi := half + (w+1)*(tasks-half)/workers
+			next := lo
+			for total.Load() < int64(tasks) {
+				if next < hi {
+					p.Ready(w, all[next])
+					next++
+				}
+				if tk := p.Next(w); tk != nil {
+					atomic.AddInt32(&popped[tk.ID], 1)
+					total.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return popped
+}
+
+func TestPoliciesDrainExactlyOnceConcurrently(t *testing.T) {
+	for _, seedAll := range []bool{true, false} {
+		for _, p := range allPolicies() {
+			popped := drainConcurrently(t, p, 4, 2000, seedAll)
+			for id, n := range popped {
+				if n != 1 {
+					t.Fatalf("%s seedAll=%v: task %d popped %d times", p.Name(), seedAll, id, n)
+				}
+			}
+		}
+	}
+}
+
+func TestCountersMatchWork(t *testing.T) {
+	p := NewDynamic()
+	drainConcurrently(t, p, 4, 500, true)
+	if c := p.Counters(); c.DequeueDynamic != 500 || c.DequeueStatic != 0 {
+		t.Fatalf("dynamic counters %+v want 500 shared pops", c)
+	}
+	h := NewHybrid()
+	drainConcurrently(t, h, 4, 500, false)
+	if c := h.Counters(); c.DequeueStatic != 250 || c.DequeueDynamic != 250 {
+		t.Fatalf("hybrid counters %+v want 250 owner + 250 shared pops", c)
+	}
+	ws := NewWorkStealing(3)
+	drainConcurrently(t, ws, 4, 500, true)
+	if c := ws.Counters(); c.DequeueStatic+c.Steals != 500 {
+		t.Fatalf("worksteal pops %d + steals %d != 500", c.DequeueStatic, c.Steals)
+	}
+}
+
+// TestLendingSlots certifies the contract the resident engine's
+// lending relies on: a policy Reset with more slots than the graph's
+// owner range (extra "helper" slots borrowed by foreign workers) must
+// (a) never pin an owner task to a helper slot — owners lie in
+// [0, graph workers), so a departing helper strands no work — and
+// (b) expose globally poppable work (shared heap, stealable deques) to
+// helper slots.
+func TestLendingSlots(t *testing.T) {
+	const owners, slots, tasks = 2, 5, 24
+	mk := func() []*dag.Task {
+		all := make([]*dag.Task, tasks)
+		for i := range all {
+			all[i] = &dag.Task{ID: int32(i), Owner: i % owners, Static: i%2 == 0, Prio: int64(i)}
+		}
+		return all
+	}
+
+	t.Run("static-pins-only-to-owners", func(t *testing.T) {
+		p := NewStatic()
+		p.Reset(&dag.Graph{Workers: owners}, slots)
+		for _, tk := range mk() {
+			if w := p.Ready(SeedWorker, tk); w >= owners {
+				t.Fatalf("task %d pinned to helper slot %d", tk.ID, w)
+			}
+		}
+		for h := owners; h < slots; h++ {
+			if tk := p.Next(h); tk != nil {
+				t.Fatalf("helper slot %d popped owner-pinned task %d", h, tk.ID)
+			}
+		}
+	})
+
+	t.Run("hybrid-helpers-see-dynamic-only", func(t *testing.T) {
+		p := NewHybrid()
+		p.Reset(&dag.Graph{Workers: owners}, slots)
+		dyn := 0
+		for _, tk := range mk() {
+			if w := p.Ready(SeedWorker, tk); w == AnyWorker {
+				dyn++
+			} else if w >= owners {
+				t.Fatalf("static task %d pinned to helper slot %d", tk.ID, w)
+			}
+		}
+		if n := p.SharedBacklog(); n != dyn {
+			t.Fatalf("shared backlog %d want %d", n, dyn)
+		}
+		got := 0
+		for h := owners; h < slots; h++ {
+			for p.Next(h) != nil {
+				got++
+			}
+		}
+		if got != dyn {
+			t.Fatalf("helper slots drained %d of %d dynamic tasks", got, dyn)
+		}
+	})
+
+	t.Run("worksteal-helpers-push-and-get-stolen", func(t *testing.T) {
+		p := NewWorkStealing(7)
+		p.Reset(&dag.Graph{Workers: owners}, slots)
+		all := mk()
+		// A helper readies tasks onto its own deque (Chase-Lev bottoms
+		// are single-producer); owners must be able to steal them after
+		// the helper leaves.
+		for _, tk := range all {
+			p.Ready(slots-1, tk)
+		}
+		got := 0
+		for w := 0; w < owners; w++ {
+			for p.Next(w) != nil {
+				got++
+			}
+		}
+		if got != tasks {
+			t.Fatalf("owners stole %d of %d tasks left on a helper deque", got, tasks)
+		}
+	})
 }
 
 func TestPolicyNames(t *testing.T) {

@@ -21,8 +21,8 @@ type Config struct {
 	// Layout tells the cost model which storage scheme the graph's
 	// tasks operate on.
 	Layout layout.Kind
-	// Policy is the scheduling strategy; the same objects the real
-	// runtime uses.
+	// Policy is the scheduling strategy: the same objects the real
+	// runtime uses, driven here from one goroutine.
 	Policy sched.Policy
 	// Trace, if non-nil, records the virtual-time execution timeline.
 	Trace *trace.Trace
@@ -94,11 +94,12 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 
 	n := len(g.Tasks)
 	// The dependency state lives on the graph (dag.ResetDeps); the
-	// simulator drives it serially from its event loop, which keeps
-	// every policy decision deterministic and byte-for-byte identical
-	// across runs.
+	// simulator drives it and the policy serially from its event loop
+	// (the policy's locks are never contended, its wake hints unused),
+	// which keeps every policy decision deterministic and byte-for-byte
+	// identical across runs.
 	for _, t := range g.ResetDeps() {
-		pol.Ready(t)
+		pol.Ready(sched.SeedWorker, t)
 	}
 	var readyScratch []*dag.Task
 
@@ -205,7 +206,7 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 		idleSince[e.worker] = now
 		readyScratch = g.ResolveSuccessors(e.task, readyScratch[:0])
 		for _, t := range readyScratch {
-			pol.Ready(t)
+			pol.Ready(e.worker, t)
 		}
 		dispatch()
 	}
