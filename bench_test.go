@@ -8,6 +8,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -566,7 +567,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 				var wg sync.WaitGroup
 				for _, a := range batch {
 					start := time.Now()
-					j, err := eng.SubmitFactor(a, engineJobOptions())
+					j, err := eng.Submit(context.Background(), engine.FactorWork(a), engineJobOptions())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -662,7 +663,7 @@ func BenchmarkEngineMixedTraffic(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup
 				submit := func(a *mat.Dense, bucket *[]time.Duration) {
-					j, err := eng.SubmitFactor(a, engineJobOptions())
+					j, err := eng.Submit(context.Background(), engine.FactorWork(a), engineJobOptions())
 					if err != nil {
 						b.Error(err)
 						return
@@ -814,7 +815,7 @@ func BenchmarkEngineSolveThroughput(b *testing.B) {
 		var wg sync.WaitGroup
 		for _, bm := range rhs {
 			start := time.Now()
-			j, err := eng.SubmitSolveMany(f, bm, opt)
+			j, err := eng.Submit(context.Background(), engine.SolveWork(f, bm), opt)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,17 +1,14 @@
-// Baseline support: record the suite's current findings, then fail
-// future runs only on findings that are not in the record. This is how
-// a new analyzer lands in CI before its burn-down finishes, and how the
-// lint gate compares a branch against main (-diff) without a checked-in
-// baseline file.
+// Baseline support for -diff: the findings at a git ref become an
+// in-memory multiset, and the run fails only on findings that are not
+// in it. This is how a new analyzer lands in CI before its burn-down
+// finishes, without a checked-in baseline file.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -22,22 +19,9 @@ import (
 // Line and column are deliberately excluded — unrelated edits move
 // findings around and must not churn the baseline.
 type baselineKey struct {
-	File     string `json:"file"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// baselineEntry is one line of the on-disk baseline: a key plus a
-// multiset count, so two identical findings in one file stay two.
-type baselineEntry struct {
-	baselineKey
-	Count int `json:"count"`
-}
-
-// baselineFile is the hsdlint.baseline.json wire shape.
-type baselineFile struct {
-	Version  int             `json:"version"`
-	Findings []baselineEntry `json:"findings"`
+	File     string
+	Analyzer string
+	Message  string
 }
 
 // keyOf builds the baseline key for a finding, relativising the file
@@ -52,7 +36,8 @@ func keyOf(f analysis.Finding, root string) baselineKey {
 	return baselineKey{File: filepath.ToSlash(file), Analyzer: f.Analyzer, Message: f.Message}
 }
 
-// toBaseline folds findings into a multiset of keys.
+// toBaseline folds findings into a multiset of keys, so two identical
+// findings in one file stay two.
 func toBaseline(findings []analysis.Finding, root string) map[baselineKey]int {
 	base := make(map[baselineKey]int, len(findings))
 	for _, f := range findings {
@@ -61,53 +46,8 @@ func toBaseline(findings []analysis.Finding, root string) map[baselineKey]int {
 	return base
 }
 
-// saveBaseline writes the findings as a sorted baseline file.
-func saveBaseline(path string, findings []analysis.Finding, root string) error {
-	base := toBaseline(findings, root)
-	out := baselineFile{Version: 1, Findings: make([]baselineEntry, 0, len(base))}
-	for k, n := range base {
-		out.Findings = append(out.Findings, baselineEntry{baselineKey: k, Count: n})
-	}
-	sort.Slice(out.Findings, func(i, j int) bool {
-		a, b := out.Findings[i], out.Findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
-	raw, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// loadBaseline reads a baseline file back into a multiset.
-func loadBaseline(path string) (map[baselineKey]int, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("hsdlint: reading baseline: %w", err)
-	}
-	var in baselineFile
-	if err := json.Unmarshal(raw, &in); err != nil {
-		return nil, fmt.Errorf("hsdlint: parsing baseline %s: %w", path, err)
-	}
-	base := make(map[baselineKey]int, len(in.Findings))
-	for _, e := range in.Findings {
-		n := e.Count
-		if n < 1 {
-			n = 1
-		}
-		base[e.baselineKey] += n
-	}
-	return base, nil
-}
-
 // subtractBaseline splits findings into fresh ones and a count of known
-// ones. Each baseline entry absorbs at most Count findings — the
+// ones. Each baseline entry absorbs at most its count of findings — the
 // multiset semantics — so a regression that duplicates a known finding
 // still fails the gate.
 func subtractBaseline(findings []analysis.Finding, base map[baselineKey]int, root string) ([]analysis.Finding, int) {
@@ -141,16 +81,12 @@ func moduleRoot(dir string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-// refBaseline computes the baseline implied by a git ref: check the ref
-// out into a throwaway worktree, run the *current* analyzers over it,
-// and key the findings against the worktree root. Corpus-directory
-// arguments are paths into this tree and are ignored; only package
-// patterns carry over.
-func refBaseline(ref string, args []string) (map[baselineKey]int, error) {
-	root, err := moduleRoot(".")
-	if err != nil {
-		return nil, err
-	}
+// refBaseline computes the baseline implied by a git ref of the module
+// at root: check the ref out into a throwaway worktree, run the
+// *current* analyzers over it, and key the findings against the
+// worktree root. Corpus-directory arguments are paths into this tree
+// and are ignored; only package patterns carry over.
+func refBaseline(ref, root string, args []string) (map[baselineKey]int, error) {
 	tmp, err := os.MkdirTemp("", "hsdlint-diff-*")
 	if err != nil {
 		return nil, err

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	hsdlint [-json] [-list] [-baseline file] [-write-baseline file] [-diff ref] [patterns...]
+//	hsdlint [-json] [-list] [-diff ref] [patterns...]
 //
 // Patterns are go package patterns (default "./..."), resolved in the
 // current directory. An argument naming a testdata directory (which go
@@ -15,13 +15,10 @@
 // files instead — that is how the golden tests and ad-hoc corpus runs
 // invoke the driver.
 //
-// Baseline mode lets a new analyzer land before its burn-down is done:
-// -write-baseline records today's findings to a file (conventionally
-// hsdlint.baseline.json); -baseline suppresses exactly those recorded
-// findings and fails only on new ones. -diff <ref> does the same
-// without a file: it runs the current analyzers over a throwaway git
-// worktree of <ref> and uses those findings as the baseline, so CI can
-// gate a branch on "no findings beyond main".
+// -diff <ref> lets a new analyzer land before its burn-down is done: it
+// runs the current analyzers over a throwaway git worktree of <ref>,
+// suppresses exactly the findings also present there and fails only on
+// new ones, so CI can gate a branch on "no findings beyond main".
 //
 // -list prints each analyzer with a flow-sensitive tag: flow-sensitive
 // analyzers run on the CFG/dataflow engine, the rest match syntax.
@@ -50,8 +47,6 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("hsdlint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	baselinePath := fs.String("baseline", "", "suppress findings recorded in this baseline file; fail only on new ones")
-	writeBaseline := fs.String("write-baseline", "", "run the suite and record the findings to this file, then exit 0")
 	diffRef := fs.String("diff", "", "suppress findings also present at this git ref; fail only on new ones")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -60,10 +55,6 @@ func run(args []string) int {
 		listAnalyzers(os.Stdout)
 		return 0
 	}
-	if *baselinePath != "" && *diffRef != "" {
-		fmt.Fprintln(os.Stderr, "hsdlint: -baseline and -diff are mutually exclusive")
-		return 2
-	}
 
 	findings, err := lint(fs.Args())
 	if err != nil {
@@ -71,33 +62,14 @@ func run(args []string) int {
 		return 2
 	}
 
-	if *writeBaseline != "" {
-		root, err := moduleRoot(".")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		if err := saveBaseline(*writeBaseline, findings, root); err != nil {
-			fmt.Fprintln(os.Stderr, "hsdlint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "hsdlint: recorded %d finding(s) in %s\n", len(findings), *writeBaseline)
-		return 0
-	}
-
 	known := 0
-	if *baselinePath != "" || *diffRef != "" {
-		var base map[baselineKey]int
-		if *diffRef != "" {
-			base, err = refBaseline(*diffRef, fs.Args())
-		} else {
-			base, err = loadBaseline(*baselinePath)
-		}
+	if *diffRef != "" {
+		root, err := moduleRoot(".")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		root, err := moduleRoot(".")
+		base, err := refBaseline(*diffRef, root, fs.Args())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2

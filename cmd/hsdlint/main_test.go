@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -92,36 +91,6 @@ func TestListShowsFlowTags(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip: recording a corpus's findings and replaying
-// them as a baseline suppresses every one of them — the multiset
-// subtraction is exact.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := filepath.Join(corpusRoot, "lockorder")
-	findings, err := lint([]string{dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) == 0 {
-		t.Fatal("lockorder corpus produced no findings")
-	}
-	root, err := moduleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "hsdlint.baseline.json")
-	if err := saveBaseline(path, findings, root); err != nil {
-		t.Fatal(err)
-	}
-	base, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, known := subtractBaseline(findings, base, root)
-	if len(fresh) != 0 || known != len(findings) {
-		t.Fatalf("round trip: %d fresh, %d known, want 0 fresh and %d known", len(fresh), known, len(findings))
-	}
-}
-
 // TestBaselineFailsOnNewFindings: a baseline missing one entry lets
 // exactly that finding through, and an entry's count absorbs only its
 // recorded number of duplicates.
@@ -145,33 +114,6 @@ func TestBaselineFailsOnNewFindings(t *testing.T) {
 	}
 	if fresh[0].Message != findings[0].Message {
 		t.Fatalf("wrong finding survived: %s", fresh[0])
-	}
-}
-
-// TestWriteBaselineFlagExitsZero: -write-baseline records findings and
-// exits clean even on a corpus full of violations, and a follow-up run
-// with -baseline is clean too.
-func TestWriteBaselineFlagExitsZero(t *testing.T) {
-	dir := filepath.Join(corpusRoot, "goloop")
-	path := filepath.Join(t.TempDir(), "hsdlint.baseline.json")
-	if got := run([]string{"-write-baseline", path, dir}); got != 0 {
-		t.Fatalf("run(-write-baseline) exit = %d, want 0", got)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("baseline file not written: %v", err)
-	}
-	if got := run([]string{"-baseline", path, dir}); got != 0 {
-		t.Fatalf("run(-baseline) exit = %d, want 0 with all findings known", got)
-	}
-	if got := run([]string{dir}); got != 1 {
-		t.Fatalf("run without baseline exit = %d, want 1", got)
-	}
-}
-
-// TestBaselineDiffFlagsExclusive pins the usage error.
-func TestBaselineDiffFlagsExclusive(t *testing.T) {
-	if got := run([]string{"-baseline", "x.json", "-diff", "HEAD"}); got != 2 {
-		t.Fatalf("run(-baseline -diff) exit = %d, want 2", got)
 	}
 }
 

@@ -33,18 +33,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/serve"
 )
 
 // parseShards turns "s1=http://host:port,s2=..." into ShardInfos.
@@ -98,38 +95,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("hsdrouter: %d shards, replicas=%d, listening on %s", len(infos), *replicas, *addr)
-
-	select {
-	case err := <-errc:
-		rt.Close()
-		log.Fatalf("hsdrouter: %v", err)
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately
-	log.Printf("hsdrouter: signal received, draining inflight requests (up to %s)", *shutdown)
-	sctx, cancel := context.WithTimeout(context.Background(), *shutdown)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		log.Printf("hsdrouter: shutdown: %v", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("hsdrouter: serve: %v", err)
-	}
-	rt.Close()
+	serve.ListenAndServe(context.Background(), "hsdrouter", *addr, rt.Handler(), *shutdown, rt.Close)
 	log.Printf("hsdrouter: bye")
 }

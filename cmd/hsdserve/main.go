@@ -36,14 +36,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/engine"
@@ -81,41 +77,7 @@ func main() {
 	s := serve.New(eng, serve.Options{
 		Keep: *keep, MaxBody: *maxBody, MemBudget: *memBudget, TTL: *ttl,
 	})
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		// Generous body/response windows: factor payloads can be large
-		// and jobs queue behind the admission bound, but no connection
-		// may sit on a goroutine forever.
-		ReadTimeout:  5 * time.Minute,
-		WriteTimeout: 5 * time.Minute,
-		IdleTimeout:  2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("hsdserve: engine up (%+v), listening on %s", eng.Stats(), *addr)
-
-	select {
-	case err := <-errc:
-		eng.Close()
-		log.Fatalf("hsdserve: %v", err)
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately
-	log.Printf("hsdserve: signal received, draining inflight requests (up to %s)", *shutdown)
-	sctx, cancel := context.WithTimeout(context.Background(), *shutdown)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		log.Printf("hsdserve: shutdown: %v", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("hsdserve: serve: %v", err)
-	}
-	eng.Close()
+	serve.ListenAndServe(context.Background(), "hsdserve", *addr, s.Handler(), *shutdown, eng.Close)
 	log.Printf("hsdserve: engine closed, bye")
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -73,19 +74,22 @@ func runEngine(work []workload, pool int, dratio float64) time.Duration {
 	check(err)
 	defer eng.Close()
 
+	ctx := context.Background()
 	start := time.Now()
 	jobs := make([]*repro.EngineJob, len(work))
 	for i, w := range work {
-		j, err := eng.SubmitFactor(w.a, w.opt) // blocks at the admission bound
+		j, err := eng.Submit(ctx, repro.FactorWork(w.a), w.opt) // blocks at the admission bound
 		check(err)
 		jobs[i] = j
 	}
 	for i, j := range jobs {
 		check(j.Wait())
-		sj, err := eng.SubmitSolve(j.Factorization(), work[i].b, work[i].opt)
+		b := work[i].b
+		bm := &repro.Matrix{Rows: len(b), Cols: 1, Stride: len(b), Data: b}
+		sj, err := eng.Submit(ctx, repro.SolveWork(j.Factorization(), bm), work[i].opt)
 		check(err)
 		check(sj.Wait())
-		if r := repro.SolveResidual(work[i].a, sj.Solution(), work[i].b); r > 1e-9 {
+		if r := repro.SolveResidual(work[i].a, sj.SolutionMatrix().Col(0), b); r > 1e-9 {
 			check(fmt.Errorf("job %d residual %g", i, r))
 		}
 	}

@@ -661,10 +661,11 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	io.Copy(w, resp.Body)
 }
 
-// handleFactor places a factor job: the router assigns the key, hashes
-// it to an owner set, factors on the first placeable owner, then fans
-// the serialized factorization out to the rest of the set.
-func (rt *Router) handleFactor(w http.ResponseWriter, r *http.Request, chol bool) {
+// handleFactor places a factor job: the router assigns the key (prefix
+// plus sequence number), hashes it to an owner set, factors on the first
+// placeable owner's path endpoint, then fans the serialized
+// factorization out to the rest of the set.
+func (rt *Router) handleFactor(w http.ResponseWriter, r *http.Request, prefix, path string) {
 	body, ok := rt.readPost(w, r, "application/json")
 	if !ok {
 		return
@@ -677,10 +678,6 @@ func (rt *Router) handleFactor(w http.ResponseWriter, r *http.Request, chol bool
 	if _, has := raw["id"]; has {
 		httpError(w, http.StatusBadRequest, "id is router-assigned; do not supply one")
 		return
-	}
-	prefix, path := "f", "/v1/factor"
-	if chol {
-		prefix, path = "c", "/v1/cholesky"
 	}
 	key := fmt.Sprintf("%s-%d", prefix, rt.seq.Add(1))
 	raw["id"] = key
@@ -735,11 +732,11 @@ func (rt *Router) handleFactor(w http.ResponseWriter, r *http.Request, chol bool
 	ownerSetDown(w, "no live owner for key "+key)
 }
 
-// handleSolve routes a solve to any shard holding the key, rotating the
-// starting replica for read scaling and failing over past dead or
-// evicted holders. Unknown keys are 404; keys whose every holder is
-// gone get the typed ownerSetDown 503.
-func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request, chol bool) {
+// handleSolve routes a solve to the path endpoint of any shard holding
+// the key, rotating the starting replica for read scaling and failing
+// over past dead or evicted holders. Unknown keys are 404; keys whose
+// every holder is gone get the typed ownerSetDown 503.
+func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request, path string) {
 	body, ok := rt.readPost(w, r, "application/json")
 	if !ok {
 		return
@@ -754,10 +751,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request, chol bool)
 	if req.ID == "" {
 		httpError(w, http.StatusBadRequest, "missing factorization id")
 		return
-	}
-	path := "/v1/solve"
-	if chol {
-		path = "/v1/cholesky/solve"
 	}
 	holders := rt.holders(req.ID)
 	if holders == nil {
@@ -978,10 +971,13 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // Handler returns the router's HTTP surface.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/factor", func(w http.ResponseWriter, r *http.Request) { rt.handleFactor(w, r, false) })
-	mux.HandleFunc("/v1/cholesky", func(w http.ResponseWriter, r *http.Request) { rt.handleFactor(w, r, true) })
-	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) { rt.handleSolve(w, r, false) })
-	mux.HandleFunc("/v1/cholesky/solve", func(w http.ResponseWriter, r *http.Request) { rt.handleSolve(w, r, true) })
+	// A kind is its key prefix plus the shard path its requests go to.
+	for _, k := range []struct{ prefix, path string }{{"f", "/v1/factor"}, {"c", "/v1/cholesky"}} {
+		mux.HandleFunc(k.path, func(w http.ResponseWriter, r *http.Request) { rt.handleFactor(w, r, k.prefix, k.path) })
+	}
+	for _, path := range []string{"/v1/solve", "/v1/cholesky/solve"} {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { rt.handleSolve(w, r, path) })
+	}
 	mux.HandleFunc("/v1/stats", rt.handleStats)
 	mux.HandleFunc("/v1/admin/join", rt.handleJoin)
 	mux.HandleFunc("/v1/admin/drain", rt.handleDrain)

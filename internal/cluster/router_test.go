@@ -110,7 +110,7 @@ func TestClusterKillOwnerSolveFromReplica(t *testing.T) {
 // TestClusterOwnerSetDown: with replicas=1 the key lives on exactly one
 // shard; killing it turns solves into the typed ownerSetDown 503, while
 // an id the router never placed stays a plain 404, and client-supplied
-// factor ids are rejected.
+// factor ids and oversized generated matrices are rejected.
 func TestClusterOwnerSetDown(t *testing.T) {
 	c, err := harness.Start(harness.Options{Shards: 2, Replicas: 1})
 	if err != nil {
@@ -121,6 +121,16 @@ func TestClusterOwnerSetDown(t *testing.T) {
 	code, out := postJSON(t, c.URL()+"/v1/factor", `{"id":"f-9","n":8,"seed":1,"workers":1}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("client-supplied id: %d %v, want 400", code, out)
+	}
+	// A generated matrix over the shards' body cap is the shard's 400,
+	// relayed — not a handler panic or an 80 GB allocation behind the
+	// router.
+	for _, path := range []string{"/v1/factor", "/v1/cholesky"} {
+		for _, n := range []string{"4000000000", "100000"} {
+			if code, out := postJSON(t, c.URL()+path, `{"n":`+n+`}`); code != http.StatusBadRequest {
+				t.Errorf("%s n=%s via router: %d %v, want 400", path, n, code, out)
+			}
+		}
 	}
 
 	const n = 16

@@ -9,7 +9,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/mat"
 	"repro/internal/rt"
-	"repro/internal/sched"
 )
 
 // CholeskyFactorization is the result of FactorCholesky: A = L*L^T.
@@ -53,23 +52,7 @@ func FactorCholesky(a *mat.Dense, opt Options) (*CholeskyFactorization, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := rt.Run(job.Graph(), job.Policy(), rt.Options{
-		Workers: job.Opt.Workers, Trace: job.Opt.Trace, Noise: job.Opt.Noise,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return job.Finish(res), nil
-}
-
-// CholeskyJob is a prepared Cholesky factorization, mirroring
-// FactorJob: the layout is allocated and the tiled Cholesky graph is
-// built, but nothing has executed yet. The resident engine drives it
-// through an rt.Executor; FactorCholesky runs it one-shot. Single-use.
-type CholeskyJob struct {
-	// Opt is the fully defaulted option set the job was built with.
-	Opt Options
-	cg  *dag.CholeskyGraph
+	return job.Run()
 }
 
 // PrepareCholesky builds the tiled Cholesky graph for factoring a
@@ -86,28 +69,18 @@ func PrepareCholesky(a *mat.Dense, opt Options) (*CholeskyJob, error) {
 	if err := cg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid Cholesky graph: %w", err)
 	}
-	return &CholeskyJob{Opt: opt, cg: cg}, nil
-}
-
-// Graph returns the task graph to execute.
-func (j *CholeskyJob) Graph() *dag.Graph { return j.cg.Graph }
-
-// Policy returns a fresh scheduling policy instance for this job.
-func (j *CholeskyJob) Policy() sched.Policy { return j.Opt.policy() }
-
-// Finish assembles the CholeskyFactorization after the graph has
-// executed to completion with the given runtime result.
-func (j *CholeskyJob) Finish(res rt.Result) *CholeskyFactorization {
-	n, _, b := j.cg.Layout.Dims()
-	lf := mat.New(n, n)
-	layout.WalkColumns(j.cg.Layout, func(bi, bj int, blk kernel.View) {
-		splitBlock(lf, nil, blk, bi*b, bj*b, 0)
-	})
-	out := &CholeskyFactorization{L: lf}
-	out.Makespan = res.Makespan
-	out.Counters = res.Counters
-	out.Stats = j.cg.ComputeStats()
-	return out
+	return &CholeskyJob{Opt: opt, graph: cg.Graph, finish: func(res rt.Result) *CholeskyFactorization {
+		n, _, b := cg.Layout.Dims()
+		lf := mat.New(n, n)
+		layout.WalkColumns(cg.Layout, func(bi, bj int, blk kernel.View) {
+			splitBlock(lf, nil, blk, bi*b, bj*b, 0)
+		})
+		out := &CholeskyFactorization{L: lf}
+		out.Makespan = res.Makespan
+		out.Counters = res.Counters
+		out.Stats = cg.ComputeStats()
+		return out
+	}}, nil
 }
 
 // CholeskyResidual returns ||A - L*L^T||_max / (||A||_max * n), reading

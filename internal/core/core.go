@@ -208,25 +208,53 @@ func Factor(a *mat.Dense, opt Options) (*Factorization, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := rt.Run(job.Graph(), job.Policy(), rt.Options{
-		Workers: job.Opt.Workers, Trace: job.Opt.Trace, Noise: job.Opt.Noise,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return job.Finish(res), nil
+	return job.Run()
 }
 
-// FactorJob is a prepared factorization: the layout is allocated and
-// the CALU task graph is built, but nothing has executed yet. It
-// decouples graph construction from graph execution so a caller that
-// owns its workers — the resident engine — can drive the graph through
-// an rt.Executor instead of the spawn-per-call rt.Run. A FactorJob is
+// Prepared is a job of any kind — CALU, Cholesky, blocked solve — whose
+// layout is allocated and task graph built, but of which nothing has
+// executed yet; R is the kind's result type. It decouples graph
+// construction from graph execution so a caller that owns its workers —
+// the resident engine — can drive the graph through an rt.Executor
+// instead of the spawn-per-call rt.Run that Run wraps. A Prepared is
 // single-use: its task closures mutate the layout in place.
-type FactorJob struct {
+type Prepared[R any] struct {
 	// Opt is the fully defaulted option set the job was built with.
-	Opt Options
-	cg  *dag.CALUGraph
+	Opt    Options
+	graph  *dag.Graph
+	finish func(rt.Result) R
+}
+
+// The three job kinds, built by PrepareFactor, PrepareCholesky and the
+// factorizations' PrepareSolve.
+type (
+	FactorJob   = Prepared[*Factorization]
+	CholeskyJob = Prepared[*CholeskyFactorization]
+	SolveJob    = Prepared[*Solution]
+)
+
+// Graph returns the task graph to execute.
+func (p *Prepared[R]) Graph() *dag.Graph { return p.graph }
+
+// Policy returns a fresh scheduling policy instance for this job.
+func (p *Prepared[R]) Policy() sched.Policy { return p.Opt.policy() }
+
+// Finish assembles the result after the graph has executed to
+// completion with the given runtime result.
+func (p *Prepared[R]) Finish(res rt.Result) R { return p.finish(res) }
+
+// Run executes the graph one-shot on Opt.Workers freshly spawned
+// workers and assembles the result: the one place the package meets the
+// runtime.
+func (p *Prepared[R]) Run() (R, error) {
+	res, err := rt.Run(p.graph, p.Policy(), rt.Options{
+		Workers: p.Opt.Workers, Trace: p.Opt.Trace, Noise: p.Opt.Noise,
+	})
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return p.finish(res), nil
 }
 
 // PrepareFactor builds the CALU graph for factoring a (which is not
@@ -246,28 +274,20 @@ func PrepareFactor(a *mat.Dense, opt Options) (*FactorJob, error) {
 	if err := cg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid CALU graph: %w", err)
 	}
-	return &FactorJob{Opt: opt, cg: cg}, nil
-}
-
-// Graph returns the task graph to execute.
-func (j *FactorJob) Graph() *dag.Graph { return j.cg.Graph }
-
-// Policy returns a fresh scheduling policy instance for this job.
-func (j *FactorJob) Policy() sched.Policy { return j.Opt.policy() }
-
-// Finish assembles the Factorization after the graph has executed to
-// completion with the given runtime result.
-func (j *FactorJob) Finish(res rt.Result) *Factorization {
-	perm := j.cg.FinishPermutation()
-	lf, uf := ExtractLU(j.cg.Layout)
-	return &Factorization{
-		Perm:     perm,
-		L:        lf,
-		U:        uf,
-		Makespan: res.Makespan,
-		Counters: res.Counters,
-		Stats:    j.cg.ComputeStats(),
-	}
+	return &FactorJob{Opt: opt, graph: cg.Graph, finish: func(res rt.Result) *Factorization {
+		// FinishPermutation applies the deferred left swaps, so it must
+		// run before the factors are read out.
+		perm := cg.FinishPermutation()
+		lf, uf := ExtractLU(cg.Layout)
+		return &Factorization{
+			Perm:     perm,
+			L:        lf,
+			U:        uf,
+			Makespan: res.Makespan,
+			Counters: res.Counters,
+			Stats:    cg.ComputeStats(),
+		}
+	}}, nil
 }
 
 // ExtractLU reads the packed factors out of a factored layout: L is the

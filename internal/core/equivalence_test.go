@@ -164,3 +164,50 @@ func TestDefaultSchedulerIsHybrid(t *testing.T) {
 		t.Fatalf("default run popped %d of %d tasks from owner queues", def.Counters.DequeueStatic, want)
 	}
 }
+
+// runAndHandDrive prepares the same job twice (a Prepared is
+// single-use), executes one twin with Run and the other by hand —
+// Graph/Policy through rt.Run, then Finish, the way the engine and the
+// benchmark drive a job — and returns both results.
+func runAndHandDrive[R any](t *testing.T, prepare func() (*Prepared[R], error)) (run, hand R) {
+	t.Helper()
+	p, err := prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run, err = p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	q, err := prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run(q.Graph(), q.Policy(), rt.Options{Workers: q.Opt.Workers})
+	if err != nil {
+		t.Fatalf("hand-driven run: %v", err)
+	}
+	return run, q.Finish(res)
+}
+
+// TestPreparedRunMatchesHandDriven pins Prepared's contract for all
+// three kinds: Run is nothing but Graph/Policy/Finish driven through
+// rt.Run, so the two agree bit for bit.
+func TestPreparedRunMatchesHandDriven(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	a := mat.Random(96, 96, rng)
+	spd := RandomSPD(96, 19)
+	b := mat.Random(96, 3, rng)
+	opt := Options{Block: 16, Workers: 3, Scheduler: ScheduleHybrid, DynamicRatio: 0.25}
+
+	f, fHand := runAndHandDrive(t, func() (*FactorJob, error) { return PrepareFactor(a, opt) })
+	sameFactorization(t, "lu", fHand, f)
+
+	c, cHand := runAndHandDrive(t, func() (*CholeskyJob, error) { return PrepareCholesky(spd, opt) })
+	sameBits(t, "cholesky L", cHand.L, c.L)
+
+	x, xHand := runAndHandDrive(t, func() (*SolveJob, error) { return f.PrepareSolve(b, opt) })
+	sameBits(t, "solve X", xHand.X, x.X)
+	if x.Stats.Total == 0 || x.Makespan <= 0 {
+		t.Errorf("Run dropped the run metadata: %+v", x)
+	}
+}

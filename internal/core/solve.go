@@ -56,34 +56,6 @@ type Solution struct {
 	Stats dag.Stats
 }
 
-// SolveJob is a prepared blocked triangular solve: the RHS has been
-// permuted/copied into the in-place solution buffer and the two-sweep
-// solve graph is built, but nothing has executed yet. It mirrors
-// FactorJob so the resident engine can drive solves through an
-// rt.Executor at the job's granted share. A SolveJob is single-use.
-type SolveJob struct {
-	// Opt is the fully defaulted option set the job was built with.
-	Opt Options
-	sg  *dag.SolveGraph
-}
-
-// Graph returns the task graph to execute.
-func (j *SolveJob) Graph() *dag.Graph { return j.sg.Graph }
-
-// Policy returns a fresh scheduling policy instance for this job.
-func (j *SolveJob) Policy() sched.Policy { return j.Opt.policy() }
-
-// Finish assembles the Solution after the graph has executed to
-// completion with the given runtime result.
-func (j *SolveJob) Finish(res rt.Result) *Solution {
-	return &Solution{
-		X:        j.sg.X,
-		Makespan: res.Makespan,
-		Counters: res.Counters,
-		Stats:    j.sg.ComputeStats(),
-	}
-}
-
 // prepareSolve builds a solve job over explicit lower/upper triangles:
 // x0 is the already permuted/copied RHS block that will be solved in
 // place.
@@ -99,7 +71,14 @@ func prepareSolve(lower, upper, x0 *mat.Dense, unitLower bool, opt Options) (*So
 	if err := sg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid solve graph: %w", err)
 	}
-	return &SolveJob{Opt: opt, sg: sg}, nil
+	return &SolveJob{Opt: opt, graph: sg.Graph, finish: func(res rt.Result) *Solution {
+		return &Solution{
+			X:        sg.X,
+			Makespan: res.Makespan,
+			Counters: res.Counters,
+			Stats:    sg.ComputeStats(),
+		}
+	}}, nil
 }
 
 // checkRHS validates an n-row right-hand-side block.
@@ -151,11 +130,7 @@ func (f *Factorization) PrepareSolve(b *mat.Dense, opt Options) (*SolveJob, erro
 // arithmetic, so the result is bit-identical across schedulers and
 // worker counts.
 func (f *Factorization) SolveMany(b *mat.Dense, opt Options) (*mat.Dense, error) {
-	job, err := f.PrepareSolve(b, opt)
-	if err != nil {
-		return nil, err
-	}
-	return runSolve(job)
+	return runSolve(f.PrepareSolve(b, opt))
 }
 
 // PrepareSolve is the Cholesky counterpart of Factorization.
@@ -178,20 +153,17 @@ func (f *CholeskyFactorization) PrepareSolve(b *mat.Dense, opt Options) (*SolveJ
 // SolveMany solves A X = B for a block of right-hand sides using the
 // Cholesky factors, through the same blocked solve graph as LU.
 func (f *CholeskyFactorization) SolveMany(b *mat.Dense, opt Options) (*mat.Dense, error) {
-	job, err := f.PrepareSolve(b, opt)
-	if err != nil {
-		return nil, err
-	}
-	return runSolve(job)
+	return runSolve(f.PrepareSolve(b, opt))
 }
 
 // runSolve executes a prepared solve job one-shot and returns X.
-func runSolve(j *SolveJob) (*mat.Dense, error) {
-	res, err := rt.Run(j.Graph(), j.Policy(), rt.Options{
-		Workers: j.Opt.Workers, Trace: j.Opt.Trace, Noise: j.Opt.Noise,
-	})
+func runSolve(j *SolveJob, err error) (*mat.Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	return j.Finish(res).X, nil
+	sol, err := j.Run()
+	if err != nil {
+		return nil, err
+	}
+	return sol.X, nil
 }

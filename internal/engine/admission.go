@@ -76,27 +76,6 @@ const (
 // after every deadline job, among themselves by arrival.
 const noDeadline = int64(math.MaxInt64)
 
-// estimateFlops is the admission cost model: the leading-order flop
-// count of the job, used to classify small vs large, to order lanes by
-// laxity and to decide deadline feasibility. It deliberately ignores
-// lower-order terms — admission needs relative magnitudes, not exact
-// counts.
-func estimateFlops(j *Job) float64 {
-	switch j.kind {
-	case factorJob:
-		m, n := float64(j.a.Rows), float64(j.a.Cols)
-		r := math.Min(m, n)
-		// LU of m x n: r^2 * (max(m,n) - r/3); 2/3 n^3 when square.
-		return r * r * (math.Max(m, n) - r/3)
-	case choleskyJob:
-		n := float64(j.a.Rows)
-		return n * n * n / 3
-	default: // solveJob: forward + backward sweep, n^2*nrhs each.
-		n, nrhs := float64(j.bmat.Rows), float64(j.bmat.Cols)
-		return 2 * n * n * nrhs
-	}
-}
-
 // laneQueue is one admission lane: a priority queue ordered by startBy
 // (the laxity key: absolute deadline minus estimated service time, i.e.
 // the latest moment the job may start and still meet its SLO) with
@@ -178,7 +157,7 @@ func (q *laneQueue) drain() []*Job {
 
 // classify resolves the job's lane class: an explicit Class request
 // wins, otherwise the flop estimate against the engine's threshold
-// decides. estFlops must be set.
+// decides.
 func classify(j *Job, smallFlops float64) core.JobClass {
 	switch j.reqOpt.Class {
 	case core.ClassSmall:
@@ -186,7 +165,7 @@ func classify(j *Job, smallFlops float64) core.JobClass {
 	case core.ClassLarge:
 		return core.ClassLarge
 	default:
-		if j.estFlops <= smallFlops {
+		if j.work.flops <= smallFlops {
 			return core.ClassSmall
 		}
 		return core.ClassLarge
@@ -213,18 +192,10 @@ const ratePrior = 1.0
 // dominates recent traffic corrupt the other's deadline feasibility
 // and laxity ordering, so each class keeps its own estimate.
 const (
-	rateGemm = iota // factorJob, choleskyJob
-	rateMem         // solveJob
+	rateGemm = iota // FactorWork, CholeskyWork
+	rateMem         // SolveWork
 	numRateClasses
 )
-
-// rateClassOf maps a job kind to its service-rate class.
-func rateClassOf(k jobKind) int {
-	if k == solveJob {
-		return rateMem
-	}
-	return rateGemm
-}
 
 // classFlops splits the job's estimated flops by rate class: a solo
 // job's flops all land in its kind's class, a fused composite sums its
@@ -233,11 +204,11 @@ func classFlops(j *Job) [numRateClasses]float64 {
 	var fl [numRateClasses]float64
 	if len(j.members) > 0 {
 		for _, m := range j.members {
-			fl[rateClassOf(m.kind)] += m.estFlops
+			fl[m.work.rate] += m.work.flops
 		}
 		return fl
 	}
-	fl[rateClassOf(j.kind)] = j.estFlops
+	fl[j.work.rate] = j.work.flops
 	return fl
 }
 

@@ -267,7 +267,7 @@ func TestEngineSubmitCtxCancelsQueued(t *testing.T) {
 	waitGated(t, e)
 
 	ctx, cancel := context.WithCancelCause(context.Background())
-	queued, err := e.SubmitFactorCtx(ctx, randMatrix(t, 128, 2), core.Options{})
+	queued, err := e.Submit(ctx, FactorWork(randMatrix(t, 128, 2)), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestEngineSubmitCtxUnblocksAdmission(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.SubmitFactorCtx(ctx, randMatrix(t, 64, 2), core.Options{})
+		_, err := e.Submit(ctx, FactorWork(randMatrix(t, 64, 2)), core.Options{})
 		errc <- err
 	}()
 	// Let the submitter reach the capacity wait, then cancel it.
@@ -356,7 +356,7 @@ func TestEngineFusedMixedKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := e.SubmitSolve(fac, b, core.Options{})
+	js, err := e.Submit(bg, SolveWork(fac, col(b)), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +374,8 @@ func TestEngineFusedMixedKinds(t *testing.T) {
 		t.Error("fused factor differs from one-shot factor")
 	}
 	for i, want := range wantX.Col(0) {
-		if js.Solution()[i] != want {
-			t.Fatalf("fused solve x[%d] = %v, want %v", i, js.Solution()[i], want)
+		if js.SolutionMatrix().Col(0)[i] != want {
+			t.Fatalf("fused solve x[%d] = %v, want %v", i, js.SolutionMatrix().Col(0)[i], want)
 		}
 	}
 	if s := e.Stats(); s.FusedJobs < 2 {

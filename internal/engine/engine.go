@@ -64,7 +64,7 @@ import (
 var (
 	// ErrClosed is returned by submissions after Close.
 	ErrClosed = errors.New("engine: closed")
-	// ErrSaturated is returned by TrySubmit* when the admission queue
+	// ErrSaturated is returned by TrySubmit when the admission queue
 	// is at MaxInflight.
 	ErrSaturated = errors.New("engine: admission queue full")
 )
@@ -74,7 +74,7 @@ type Options struct {
 	// Workers is the resident pool size (default runtime.NumCPU()).
 	Workers int
 	// MaxInflight bounds admitted jobs (queued + running); further
-	// submissions block (Submit*) or fail (TrySubmit*). Default
+	// submissions block (Submit) or fail (TrySubmit). Default
 	// 4*Workers.
 	MaxInflight int
 	// DynamicRatio is the inter-job dratio: the fraction of the pool
@@ -152,7 +152,7 @@ type Stats struct {
 }
 
 // Engine is the resident factorization service. Create with New, feed
-// with Submit*/TrySubmit*, and Close when done.
+// with Submit/TrySubmit, and Close when done.
 type Engine struct {
 	opt Options
 	ws  *kernel.Reservation
@@ -299,14 +299,6 @@ func (e *Engine) Stats() Stats {
 // ---------------------------------------------------------------------
 // Jobs.
 
-type jobKind uint8
-
-const (
-	factorJob jobKind = iota
-	choleskyJob
-	solveJob
-)
-
 // Solvable is a completed factorization the engine can schedule a
 // blocked triangular-solve graph for: *core.Factorization and
 // *core.CholeskyFactorization both qualify.
@@ -314,34 +306,132 @@ type Solvable interface {
 	PrepareSolve(b *mat.Dense, opt core.Options) (*core.SolveJob, error)
 }
 
-// Job is the handle of one submitted Factor, CholeskyFactor or Solve.
-// Wait (or Done) observes completion; the result accessors are valid
-// afterwards. Every kind of job executes as a task graph on the pool:
-// solves are no longer a single inline task but a blocked two-sweep
-// triangular-solve DAG scheduled at the job's granted share, lending
+// Work is one submittable job of any kind: what admission needs to know
+// about it before it runs (a flop estimate, a service-rate class, a
+// default share) and how to build its task graph once a share has been
+// granted. FactorWork, CholeskyWork and SolveWork build the three kinds;
+// a further kind is one more constructor, not an engine change.
+type Work struct {
+	// label names the job in fused-composite traces.
+	label string
+	// flops is the admission cost model: the leading-order flop count,
+	// used to classify small vs large, to order lanes by laxity and to
+	// decide deadline feasibility. It deliberately ignores lower-order
+	// terms — admission needs relative magnitudes, not exact counts.
+	flops float64
+	// rate is the service-rate class (rateGemm, rateMem) the flops are
+	// charged at.
+	rate int
+	// wide is the unset-Workers share request: the whole pool for a
+	// factorization, one worker for a solve — a solve is O(n²·nrhs)
+	// against the factorization's O(n³), so a service that doesn't ask
+	// for a wider share should not have tiny solves reserving the whole
+	// pool. An explicitly requested share is honoured for every kind,
+	// and even a one-worker solve still publishes shared work for the
+	// pool's floaters to lend into.
+	wide bool
+	// prepare builds the task graph, policy and result finisher at the
+	// granted share (core.Options.Workers).
+	prepare func(core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error)
+	// err is the constructor's input check, reported by Submit before
+	// the job takes an admission slot.
+	err error
+}
+
+// prepared adapts a core.Prepare* result to Work.prepare.
+func prepared[R any](p *core.Prepared[R], err error) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return p.Graph(), p.Policy(), func(res rt.Result) any { return p.Finish(res) }, nil
+}
+
+// empty reports a matrix input no kind can work on.
+func empty(a *mat.Dense) bool { return a == nil || a.Rows == 0 || a.Cols == 0 }
+
+// FactorWork is a CALU factorization of a (not modified). The job's
+// Result is a *core.Factorization, bit-identical to a one-shot
+// core.Factor at Workers=Granted.
+func FactorWork(a *mat.Dense) Work {
+	if empty(a) {
+		return Work{err: errors.New("engine: factor needs a non-empty matrix")}
+	}
+	m, n := float64(a.Rows), float64(a.Cols)
+	r := math.Min(m, n)
+	return Work{
+		label: fmt.Sprintf("lu %dx%d", a.Rows, a.Cols),
+		// LU of m x n: r^2 * (max(m,n) - r/3); 2/3 n^3 when square.
+		flops: r * r * (math.Max(m, n) - r/3),
+		rate:  rateGemm,
+		wide:  true,
+		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
+			return prepared(core.PrepareFactor(a, opt))
+		},
+	}
+}
+
+// CholeskyWork is a tiled Cholesky factorization of the symmetric
+// positive definite matrix a (only the lower triangle is read; a is not
+// modified). Cholesky jobs ride the pool exactly like CALU jobs; the
+// Result is a *core.CholeskyFactorization, bit-identical to a one-shot
+// core.FactorCholesky at Workers=Granted.
+func CholeskyWork(a *mat.Dense) Work {
+	if empty(a) {
+		return Work{err: errors.New("engine: factor needs a non-empty matrix")}
+	}
+	n := float64(a.Rows)
+	return Work{
+		label: fmt.Sprintf("chol %d", a.Rows),
+		flops: n * n * n / 3,
+		rate:  rateGemm,
+		wide:  true,
+		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
+			return prepared(core.PrepareCholesky(a, opt))
+		},
+	}
+}
+
+// SolveWork is a solve of f (a completed LU or Cholesky factorization)
+// against the n x nrhs block b (not modified). It executes as a blocked
+// triangular-solve graph on the pool at the job's granted share
+// (opt.Workers requests the share; opt.Scheduler/Block/DynamicRatio
+// shape the graph), so big solves parallelize and lend exactly like
+// factorizations. The Result is a *core.Solution.
+func SolveWork(f Solvable, b *mat.Dense) Work {
+	if f == nil {
+		return Work{err: errors.New("engine: solve needs a completed factorization")}
+	}
+	if empty(b) {
+		return Work{err: errors.New("engine: solve needs a non-empty right-hand side")}
+	}
+	n, nrhs := float64(b.Rows), float64(b.Cols)
+	return Work{
+		label: fmt.Sprintf("solve %dx%d", b.Rows, b.Cols),
+		// Forward + backward sweep, n^2*nrhs each.
+		flops: 2 * n * n * nrhs,
+		rate:  rateMem,
+		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
+			return prepared(f.PrepareSolve(b, opt))
+		},
+	}
+}
+
+// Job is the handle of one submitted Work. Wait (or Done) observes
+// completion; Result is valid afterwards. Every kind of job executes as
+// a task graph on the pool at the job's granted share, lending
 // included. Small jobs may execute as members of a fused composite
 // forest sharing one reservation with their batch mates; the handle
 // behaves identically either way.
 type Job struct {
-	kind jobKind
-
-	// Factor inputs.
-	a      *mat.Dense
+	work   Work
 	reqOpt core.Options
-	// Solve inputs: the source factorization and the RHS block. single
-	// marks a one-column convenience submission whose result is also
-	// exposed as a flat slice.
-	src    Solvable
-	bmat   *mat.Dense
-	single bool
 
 	// Admission state; all guarded by Engine.mu unless noted.
-	class    core.JobClass // resolved class (never ClassAuto)
-	lane     lane
-	role     jobRole
-	state    jobState
-	seq      uint64
-	estFlops float64
+	class core.JobClass // resolved class (never ClassAuto)
+	lane  lane
+	role  jobRole
+	state jobState
+	seq   uint64
 	// deadlineAbs is the absolute SLO deadline (zero = none); startBy
 	// its laxity key (deadline minus estimated service, UnixNano), or
 	// noDeadline.
@@ -356,7 +446,7 @@ type Job struct {
 	ex *rt.Executor
 	// finish assembles the job's result from the runtime result; set by
 	// prepare together with the graph.
-	finish  func(rt.Result)
+	finish  func(rt.Result) any
 	granted int
 	// nextSeat hands reserved seats [1,granted) to claiming workers
 	// (seat 0 belongs to the starter); guarded by Engine.mu.
@@ -376,29 +466,21 @@ type Job struct {
 	queued, started time.Time
 	queueWait, span time.Duration
 
-	done chan struct{}
-	fac  *core.Factorization
-	cfac *core.CholeskyFactorization
-	xmat *mat.Dense
-	x    []float64
-	err  error
+	done   chan struct{}
+	result any
+	err    error
 }
 
-// req is the requested static share. For factorizations an unset
-// request means "as much as the pool can guarantee"; for solves it
-// means one worker — a solve is O(n²·nrhs) against the factorization's
-// O(n³), so a service that doesn't ask for a wider share should not
-// have tiny solves reserving the whole pool. An explicitly requested
-// share is honoured for every kind, and even a one-worker solve still
-// publishes shared work for the pool's floaters to lend into.
+// req is the requested static share; an unset request falls back to
+// the kind's default (Work.wide).
 func (j *Job) req(pool int) int {
-	if j.reqOpt.Workers <= 0 {
-		if j.kind == solveJob {
-			return 1
-		}
+	if j.reqOpt.Workers > 0 {
+		return j.reqOpt.Workers
+	}
+	if j.work.wide {
 		return pool
 	}
-	return j.reqOpt.Workers
+	return 1
 }
 
 // reqExpress is the express-lane share request: an explicit Workers is
@@ -412,18 +494,6 @@ func reqExpress(j *Job) int {
 	return 1
 }
 
-// label names the job in fused-composite traces.
-func (j *Job) label() string {
-	switch j.kind {
-	case factorJob:
-		return fmt.Sprintf("lu %dx%d", j.a.Rows, j.a.Cols)
-	case choleskyJob:
-		return fmt.Sprintf("chol %d", j.a.Rows)
-	default:
-		return fmt.Sprintf("solve %dx%d", j.bmat.Rows, j.bmat.Cols)
-	}
-}
-
 // Done returns a channel closed when the job has completed.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
@@ -433,20 +503,25 @@ func (j *Job) Wait() error {
 	return j.err
 }
 
-// Factorization returns the result of a completed Factor job.
-func (j *Job) Factorization() *core.Factorization { return j.fac }
+// Result returns the completed job's result, of its kind's type:
+// *core.Factorization, *core.CholeskyFactorization or *core.Solution.
+// Nil until Wait has returned nil.
+func (j *Job) Result() any { return j.result }
 
-// CholeskyFactorization returns the result of a completed
-// CholeskyFactor job.
-func (j *Job) CholeskyFactorization() *core.CholeskyFactorization { return j.cfac }
+// Factorization is Result for a FactorWork job (nil for any other).
+func (j *Job) Factorization() *core.Factorization {
+	f, _ := j.result.(*core.Factorization)
+	return f
+}
 
-// Solution returns the result of a completed single-RHS Solve job as a
-// flat vector (the first column of SolutionMatrix).
-func (j *Job) Solution() []float64 { return j.x }
-
-// SolutionMatrix returns the n x nrhs solution block of a completed
-// Solve job.
-func (j *Job) SolutionMatrix() *mat.Dense { return j.xmat }
+// SolutionMatrix is the n x nrhs solution block of a completed
+// SolveWork job (nil for any other).
+func (j *Job) SolutionMatrix() *mat.Dense {
+	if s, ok := j.result.(*core.Solution); ok {
+		return s.X
+	}
+	return nil
+}
 
 // Granted is the static worker share the job's task graph was built
 // for (valid once the job has started; final after Wait). The result
@@ -465,155 +540,43 @@ func (j *Job) Class() core.JobClass { return j.class }
 func (j *Job) QueueWait() time.Duration { return j.queueWait }
 func (j *Job) Span() time.Duration      { return j.span }
 
-// SubmitFactor admits a factorization of a (not modified) under opt,
-// blocking while the admission queue is full. opt.Workers is the
-// requested static share; the engine may grant less under load (at
-// least 1), recorded in Job.Granted.
-func (e *Engine) SubmitFactor(a *mat.Dense, opt core.Options) (*Job, error) {
-	return e.SubmitFactorCtx(context.Background(), a, opt) //hsd:allow ctxflow ctx-free compat API is the documented non-cancellable form
-}
-
-// SubmitFactorCtx is SubmitFactor bound to a context: cancellation
+// Submit admits w under opt, blocking while the admission queue is
+// full. opt.Workers is the requested static share; the engine may grant
+// less under load (at least 1), recorded in Job.Granted. Cancelling ctx
 // unblocks a submission waiting for admission capacity, and withdraws
 // the job if it is still queued when the context fires (the job then
-// fails with the context's cause instead of executing).
-func (e *Engine) SubmitFactorCtx(ctx context.Context, a *mat.Dense, opt core.Options) (*Job, error) {
-	if a == nil || a.Rows == 0 || a.Cols == 0 {
-		return nil, errors.New("engine: factor needs a non-empty matrix")
-	}
-	return e.admit(ctx, &Job{kind: factorJob, a: a, reqOpt: opt, done: make(chan struct{})}, true)
+// fails with the context's cause instead of executing); a job already
+// started runs to completion.
+func (e *Engine) Submit(ctx context.Context, w Work, opt core.Options) (*Job, error) {
+	return e.admit(ctx, w, opt, true)
 }
 
-// TrySubmitFactor is SubmitFactor with ErrSaturated instead of
-// blocking when the admission queue is full.
-func (e *Engine) TrySubmitFactor(a *mat.Dense, opt core.Options) (*Job, error) {
-	if a == nil || a.Rows == 0 || a.Cols == 0 {
-		return nil, errors.New("engine: factor needs a non-empty matrix")
-	}
-	return e.admit(context.Background(), &Job{kind: factorJob, a: a, reqOpt: opt, done: make(chan struct{})}, false) //hsd:allow ctxflow non-blocking Try form never waits, nothing to cancel
+// TrySubmit is Submit with ErrSaturated instead of blocking when the
+// admission queue is full.
+func (e *Engine) TrySubmit(ctx context.Context, w Work, opt core.Options) (*Job, error) {
+	return e.admit(ctx, w, opt, false)
 }
 
-// SubmitCholeskyFactor admits a tiled Cholesky factorization of the
-// symmetric positive definite matrix a (only the lower triangle is
-// read; a is not modified) under opt, blocking while the admission
-// queue is full. Cholesky jobs ride the pool exactly like CALU jobs:
-// granted static share, dynamic lending, bit-identical to a one-shot
-// core.FactorCholesky at Workers=Granted.
-func (e *Engine) SubmitCholeskyFactor(a *mat.Dense, opt core.Options) (*Job, error) {
-	return e.SubmitCholeskyFactorCtx(context.Background(), a, opt) //hsd:allow ctxflow ctx-free compat API is the documented non-cancellable form
+// SubmitFactor is Submit of FactorWork(a) without a context: with
+// SubmitSolveMany, Job.Factorization and Job.SolutionMatrix, the
+// shorthand the benchmark module compiles against.
+func (e *Engine) SubmitFactor(a *mat.Dense, opt core.Options) (*Job, error) {
+	return e.Submit(context.Background(), FactorWork(a), opt) //hsd:allow ctxflow ctx-free shorthand pinned by bench/, non-cancellable by contract
 }
 
-// SubmitCholeskyFactorCtx is SubmitCholeskyFactor bound to a context;
-// see SubmitFactorCtx for the cancellation semantics.
-func (e *Engine) SubmitCholeskyFactorCtx(ctx context.Context, a *mat.Dense, opt core.Options) (*Job, error) {
-	if a == nil || a.Rows == 0 || a.Cols == 0 {
-		return nil, errors.New("engine: factor needs a non-empty matrix")
-	}
-	return e.admit(ctx, &Job{kind: choleskyJob, a: a, reqOpt: opt, done: make(chan struct{})}, true)
-}
-
-// TrySubmitCholeskyFactor is SubmitCholeskyFactor with ErrSaturated
-// instead of blocking when the admission queue is full.
-func (e *Engine) TrySubmitCholeskyFactor(a *mat.Dense, opt core.Options) (*Job, error) {
-	if a == nil || a.Rows == 0 || a.Cols == 0 {
-		return nil, errors.New("engine: factor needs a non-empty matrix")
-	}
-	return e.admit(context.Background(), &Job{kind: choleskyJob, a: a, reqOpt: opt, done: make(chan struct{})}, false) //hsd:allow ctxflow non-blocking Try form never waits, nothing to cancel
-}
-
-// solveJobOf wraps a solve submission. The single-RHS convenience form
-// aliases b as a one-column block and mirrors the solution back as a
-// flat vector.
-func solveJobOf(f Solvable, b []float64, opt core.Options) (*Job, error) {
-	if f == nil {
-		return nil, errors.New("engine: solve needs a completed factorization")
-	}
-	if len(b) == 0 {
-		return nil, errors.New("engine: solve needs a non-empty right-hand side")
-	}
-	bm := mat.FromColMajor(len(b), 1, len(b), b)
-	return &Job{kind: solveJob, src: f, bmat: bm, single: true, reqOpt: opt, done: make(chan struct{})}, nil
-}
-
-// solveManyJobOf wraps a multi-RHS solve submission.
-func solveManyJobOf(f Solvable, b *mat.Dense, opt core.Options) (*Job, error) {
-	if f == nil {
-		return nil, errors.New("engine: solve needs a completed factorization")
-	}
-	if b == nil || b.Rows == 0 || b.Cols == 0 {
-		return nil, errors.New("engine: solve needs a non-empty right-hand side")
-	}
-	return &Job{kind: solveJob, src: f, bmat: b, reqOpt: opt, done: make(chan struct{})}, nil
-}
-
-// SubmitSolve admits a single-RHS solve of f (a completed LU or
-// Cholesky factorization) against rhs b, blocking while the admission
-// queue is full. The solve executes as a blocked triangular-solve
-// graph on the pool at the job's granted share (opt.Workers requests
-// the share; opt.Scheduler/Block/DynamicRatio shape the graph), so big
-// solves parallelize and lend exactly like factorizations.
-func (e *Engine) SubmitSolve(f Solvable, b []float64, opt core.Options) (*Job, error) {
-	return e.SubmitSolveCtx(context.Background(), f, b, opt) //hsd:allow ctxflow ctx-free compat API is the documented non-cancellable form
-}
-
-// SubmitSolveCtx is SubmitSolve bound to a context; see
-// SubmitFactorCtx for the cancellation semantics.
-func (e *Engine) SubmitSolveCtx(ctx context.Context, f Solvable, b []float64, opt core.Options) (*Job, error) {
-	j, err := solveJobOf(f, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	return e.admit(ctx, j, true)
-}
-
-// TrySubmitSolve is SubmitSolve with ErrSaturated instead of blocking.
-func (e *Engine) TrySubmitSolve(f Solvable, b []float64, opt core.Options) (*Job, error) {
-	j, err := solveJobOf(f, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	return e.admit(context.Background(), j, false) //hsd:allow ctxflow non-blocking Try form never waits, nothing to cancel
-}
-
-// SubmitSolveMany admits a multi-RHS solve of f against the n x nrhs
-// block b (not modified), blocking while the admission queue is full.
+// SubmitSolveMany is Submit of SolveWork(f, b) without a context.
 func (e *Engine) SubmitSolveMany(f Solvable, b *mat.Dense, opt core.Options) (*Job, error) {
-	return e.SubmitSolveManyCtx(context.Background(), f, b, opt) //hsd:allow ctxflow ctx-free compat API is the documented non-cancellable form
-}
-
-// SubmitSolveManyCtx is SubmitSolveMany bound to a context; see
-// SubmitFactorCtx for the cancellation semantics.
-func (e *Engine) SubmitSolveManyCtx(ctx context.Context, f Solvable, b *mat.Dense, opt core.Options) (*Job, error) {
-	j, err := solveManyJobOf(f, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	return e.admit(ctx, j, true)
-}
-
-// TrySubmitSolveMany is SubmitSolveMany with ErrSaturated instead of
-// blocking.
-func (e *Engine) TrySubmitSolveMany(f Solvable, b *mat.Dense, opt core.Options) (*Job, error) {
-	j, err := solveManyJobOf(f, b, opt)
-	if err != nil {
-		return nil, err
-	}
-	return e.admit(context.Background(), j, false) //hsd:allow ctxflow non-blocking Try form never waits, nothing to cancel
-}
-
-// SubmitCholeskySolve is SubmitSolve for a Cholesky factorization,
-// named for symmetry with SubmitCholeskyFactor (Cholesky
-// factorizations are Solvable, so the generic Submit/TrySubmit solve
-// entry points accept them directly).
-func (e *Engine) SubmitCholeskySolve(f *core.CholeskyFactorization, b []float64, opt core.Options) (*Job, error) {
-	return e.SubmitSolve(f, b, opt)
+	return e.Submit(context.Background(), SolveWork(f, b), opt) //hsd:allow ctxflow ctx-free shorthand pinned by bench/, non-cancellable by contract
 }
 
 // admit classifies, routes and enqueues the job: the traffic-shaping
 // decision point. ctx cancellation unblocks the capacity wait and,
 // once queued, withdraws the job (cancelQueued).
-func (e *Engine) admit(ctx context.Context, j *Job, wait bool) (*Job, error) {
-	j.estFlops = estimateFlops(j)
+func (e *Engine) admit(ctx context.Context, w Work, opt core.Options, wait bool) (*Job, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
+	j := &Job{work: w, reqOpt: opt, done: make(chan struct{})}
 	if wait && ctx.Done() != nil {
 		// Wake the capacity wait when the submitter gives up; Broadcast
 		// because several submissions may share one context.
@@ -970,34 +933,8 @@ func (j *Job) prepare(opt core.Options) (g *dag.Graph, pol sched.Policy, err err
 			err = fmt.Errorf("engine: prepare %v", r)
 		}
 	}()
-	switch j.kind {
-	case factorJob:
-		fj, err := core.PrepareFactor(j.a, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		j.finish = func(res rt.Result) { j.fac = fj.Finish(res) }
-		return fj.Graph(), fj.Policy(), nil
-	case choleskyJob:
-		cj, err := core.PrepareCholesky(j.a, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		j.finish = func(res rt.Result) { j.cfac = cj.Finish(res) }
-		return cj.Graph(), cj.Policy(), nil
-	default:
-		sj, err := j.src.PrepareSolve(j.bmat, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		j.finish = func(res rt.Result) {
-			j.xmat = sj.Finish(res).X
-			if j.single {
-				j.x = j.xmat.Col(0)
-			}
-		}
-		return sj.Graph(), sj.Policy(), nil
-	}
+	g, pol, j.finish, err = j.work.prepare(opt)
+	return g, pol, err
 }
 
 // startBatch dispatches what startableLocked popped: a shed batch, a
@@ -1050,7 +987,6 @@ func (e *Engine) startFused(batch []*Job, granted int) {
 	parts := make([]dag.FusePart, 0, len(batch))
 	members := make([]*Job, 0, len(batch))
 	minStart := noDeadline
-	totalFlops := 0.0
 	for _, m := range batch {
 		m.role = roleMember
 		m.started = now
@@ -1074,12 +1010,11 @@ func (e *Engine) startFused(batch []*Job, granted int) {
 		}
 		m.granted = w
 		mm := m
-		parts = append(parts, dag.FusePart{G: g, Label: mm.label(), OnDone: func() { e.finishFusedMember(mm) }})
+		parts = append(parts, dag.FusePart{G: g, Label: mm.work.label, OnDone: func() { e.finishFusedMember(mm) }})
 		members = append(members, m)
 		if m.startBy < minStart {
 			minStart = m.startBy
 		}
-		totalFlops += m.estFlops
 	}
 	if len(parts) == 0 {
 		// Every member died in prepare; give the reservation back.
@@ -1102,17 +1037,16 @@ func (e *Engine) startFused(batch []*Job, granted int) {
 	e.fusionBatches.Add(1)
 	e.fusedJobs.Add(int64(len(members)))
 	comp := &Job{
-		role:     roleComposite,
-		lane:     laneSmall,
-		class:    core.ClassSmall,
-		granted:  granted,
-		members:  members,
-		startBy:  minStart,
-		estFlops: totalFlops,
-		queued:   now,
-		started:  now,
-		done:     make(chan struct{}),
-		finish:   func(rt.Result) {},
+		role:    roleComposite,
+		lane:    laneSmall,
+		class:   core.ClassSmall,
+		granted: granted,
+		members: members,
+		startBy: minStart,
+		queued:  now,
+		started: now,
+		done:    make(chan struct{}),
+		finish:  func(rt.Result) any { return nil },
 	}
 	// The forest always runs under the hybrid policy: the members'
 	// graphs already carry their own static/dynamic split (shaped by
@@ -1131,7 +1065,7 @@ func (e *Engine) finishFusedMember(m *Job) {
 	// Members assemble from their own graph layout; the composite's
 	// runtime counters are not attributable per member, so Makespan and
 	// Counters stay zero on fused results.
-	m.finish(rt.Result{})
+	m.result = m.finish(rt.Result{})
 	e.completeJob(m, false)
 }
 
@@ -1192,7 +1126,7 @@ func (e *Engine) driveJob(j *Job, seat int) {
 	if err != nil {
 		j.err = err
 	} else {
-		j.finish(res)
+		j.result = j.finish(res)
 	}
 	e.completeJob(j, true)
 }

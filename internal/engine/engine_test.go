@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -15,6 +16,11 @@ import (
 )
 
 const tol = 1e-9
+
+var bg = context.Background()
+
+// col wraps a vector as the one-column block SolveWork takes.
+func col(b []float64) *mat.Dense { return mat.FromColMajor(len(b), 1, len(b), b) }
 
 var allSchedulers = []core.Scheduler{
 	core.ScheduleStatic, core.ScheduleDynamic, core.ScheduleHybrid, core.ScheduleWorkStealing,
@@ -242,14 +248,14 @@ func TestEngineSolve(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%5) - 2
 	}
-	sj, err := e.SubmitSolve(fj.Factorization(), b, core.Options{Block: 8, Workers: 2})
+	sj, err := e.Submit(bg, SolveWork(fj.Factorization(), col(b)), core.Options{Block: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sj.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if r := core.SolveResidual(a, sj.Solution(), b); r > tol {
+	if r := core.SolveResidual(a, sj.SolutionMatrix().Col(0), b); r > tol {
 		t.Fatalf("solve residual %g", r)
 	}
 }
@@ -274,11 +280,11 @@ func TestEngineAdmissionBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := e.TrySubmitFactor(a, core.Options{Block: 8, Workers: 1})
+	queued, err := e.TrySubmit(bg, FactorWork(a), core.Options{Block: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.TrySubmitFactor(a, core.Options{Block: 8, Workers: 1}); !errors.Is(err, ErrSaturated) {
+	if _, err := e.TrySubmit(bg, FactorWork(a), core.Options{Block: 8, Workers: 1}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("expected ErrSaturated at MaxInflight, got %v", err)
 	}
 	close(gate)
@@ -289,7 +295,7 @@ func TestEngineAdmissionBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Capacity freed: submission works again.
-	j, err := e.TrySubmitFactor(a, core.Options{Block: 8, Workers: 1})
+	j, err := e.TrySubmit(bg, FactorWork(a), core.Options{Block: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +532,7 @@ func TestEngineStress(t *testing.T) {
 				for i := range b {
 					b[i] = rng.NormFloat64()
 				}
-				sj, err := e.SubmitSolve(j.Factorization(), b, opt)
+				sj, err := e.Submit(bg, SolveWork(j.Factorization(), col(b)), opt)
 				if err != nil {
 					t.Errorf("solve submit: %v", err)
 					return
@@ -535,7 +541,7 @@ func TestEngineStress(t *testing.T) {
 					t.Errorf("solve: %v", err)
 					return
 				}
-				if r := core.SolveResidual(a, sj.Solution(), b); r > tol {
+				if r := core.SolveResidual(a, sj.SolutionMatrix().Col(0), b); r > tol {
 					t.Errorf("solve residual %g", r)
 					return
 				}
@@ -688,9 +694,9 @@ func TestEngineSolveUsesMultipleWorkers(t *testing.T) {
 }
 
 // TestEngineCholesky routes a Cholesky factorization and its solves
-// through the pool: SubmitCholeskyFactor must match a one-shot
-// core.FactorCholesky bit-for-bit at the granted share, and
-// SubmitCholeskySolve must hit the usual residual bound.
+// through the pool: CholeskyWork must match a one-shot
+// core.FactorCholesky bit-for-bit at the granted share, and a SolveWork
+// over its result must hit the usual residual bound.
 func TestEngineCholesky(t *testing.T) {
 	e, err := New(Options{Workers: 4, DynamicRatio: 0.25})
 	if err != nil {
@@ -700,14 +706,14 @@ func TestEngineCholesky(t *testing.T) {
 
 	a := core.RandomSPD(96, 9)
 	opt := core.Options{Block: 16, Workers: 2, Scheduler: core.ScheduleHybrid, DynamicRatio: 0.25}
-	cj, err := e.SubmitCholeskyFactor(a, opt)
+	cj, err := e.Submit(bg, CholeskyWork(a), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cj.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	cf := cj.CholeskyFactorization()
+	cf, _ := cj.Result().(*core.CholeskyFactorization)
 	if cf == nil {
 		t.Fatal("no cholesky result")
 	}
@@ -730,14 +736,14 @@ func TestEngineCholesky(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%7) - 3
 	}
-	sj, err := e.SubmitCholeskySolve(cf, b, core.Options{Block: 16, Workers: 2})
+	sj, err := e.Submit(bg, SolveWork(cf, col(b)), core.Options{Block: 16, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sj.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if r := core.SolveResidual(a, sj.Solution(), b); r > tol {
+	if r := core.SolveResidual(a, sj.SolutionMatrix().Col(0), b); r > tol {
 		t.Fatalf("cholesky solve residual %g", r)
 	}
 }
@@ -767,7 +773,7 @@ func TestEngineSolveDegradedReportsPrefix(t *testing.T) {
 		f.U.Set(j, j, 0)
 	}
 	b := make([]float64, 64)
-	sj, err := e.SubmitSolve(f, b, core.Options{Block: 16, Workers: 1})
+	sj, err := e.Submit(bg, SolveWork(f, col(b)), core.Options{Block: 16, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestPerClassRatesIndependent(t *testing.T) {
 	e := newRateEngine()
 	// Factors completing at 10 flops/ns, well above the 1.0 prior.
 	for i := 0; i < 20; i++ {
-		e.observeRateLocked(&Job{kind: factorJob, estFlops: 1e9}, 100*time.Millisecond)
+		e.observeRateLocked(&Job{work: Work{rate: rateGemm, flops: 1e9}}, 100*time.Millisecond)
 	}
 	if e.rates[rateGemm] <= 2*ratePrior {
 		t.Fatalf("gemm rate %v did not move toward the observed 10 flops/ns", e.rates[rateGemm])
@@ -30,15 +30,15 @@ func TestPerClassRatesIndependent(t *testing.T) {
 	}
 	// Solves completing at 0.1 flops/ns.
 	for i := 0; i < 20; i++ {
-		e.observeRateLocked(&Job{kind: solveJob, estFlops: 1e8}, time.Second)
+		e.observeRateLocked(&Job{work: Work{rate: rateMem, flops: 1e8}}, time.Second)
 	}
 	if e.rates[rateMem] >= ratePrior {
 		t.Fatalf("solve rate %v did not move toward the observed 0.1 flops/ns", e.rates[rateMem])
 	}
 	// Same flop count now estimates ~100x longer as a solve than as a
 	// factor — the class split admission decisions depend on.
-	estF := e.estServiceLocked(&Job{kind: factorJob, estFlops: 1e9})
-	estS := e.estServiceLocked(&Job{kind: solveJob, estFlops: 1e9})
+	estF := e.estServiceLocked(&Job{work: Work{rate: rateGemm, flops: 1e9}})
+	estS := e.estServiceLocked(&Job{work: Work{rate: rateMem, flops: 1e9}})
 	if estS < 10*estF {
 		t.Fatalf("per-class estimates barely differ: factor %v solve %v", estF, estS)
 	}
@@ -54,11 +54,10 @@ func TestCompositeSplitsFlopsByClass(t *testing.T) {
 	comp := &Job{
 		role: roleComposite,
 		members: []*Job{
-			{kind: factorJob, estFlops: 1e9},
-			{kind: choleskyJob, estFlops: 1e9},
-			{kind: solveJob, estFlops: 1e8},
+			{work: Work{rate: rateGemm, flops: 1e9}},
+			{work: Work{rate: rateGemm, flops: 1e9}},
+			{work: Work{rate: rateMem, flops: 1e8}},
 		},
-		estFlops: 2.1e9,
 	}
 	fl := classFlops(comp)
 	if fl[rateGemm] != 2e9 || fl[rateMem] != 1e8 {
@@ -90,9 +89,9 @@ func TestCompositeSplitsFlopsByClass(t *testing.T) {
 // jobs must leave the estimates untouched.
 func TestObserveRateIgnoresDegenerate(t *testing.T) {
 	e := newRateEngine()
-	e.observeRateLocked(&Job{kind: factorJob, estFlops: 1e9}, 0)
-	e.observeRateLocked(&Job{kind: factorJob, estFlops: 1e9}, -time.Second)
-	e.observeRateLocked(&Job{kind: solveJob, estFlops: 0}, time.Second)
+	e.observeRateLocked(&Job{work: Work{rate: rateGemm, flops: 1e9}}, 0)
+	e.observeRateLocked(&Job{work: Work{rate: rateGemm, flops: 1e9}}, -time.Second)
+	e.observeRateLocked(&Job{work: Work{rate: rateMem, flops: 0}}, time.Second)
 	for c, r := range e.rates {
 		if r != ratePrior {
 			t.Errorf("class %d rate %v mutated by degenerate observations", c, r)

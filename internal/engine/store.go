@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mat"
 )
 
 // Kept is one resident factorization in a Store: exactly one of LU or
@@ -15,6 +16,14 @@ import (
 type Kept struct {
 	LU   *core.Factorization
 	Chol *core.CholeskyFactorization
+}
+
+// KeptOf wraps a factorization job's Result; any other result (a
+// solution, nil) yields the invalid zero Kept.
+func KeptOf(result any) Kept {
+	lu, _ := result.(*core.Factorization)
+	chol, _ := result.(*core.CholeskyFactorization)
+	return Kept{LU: lu, Chol: chol}
 }
 
 // Valid reports whether exactly one factorization is set.
@@ -35,6 +44,15 @@ func (k Kept) Solvable() Solvable {
 		return k.LU
 	}
 	return k.Chol
+}
+
+// Residual returns the normalized backward error of the factorization
+// against the matrix a it was computed from (an O(n^3) check).
+func (k Kept) Residual(a *mat.Dense) float64 {
+	if k.LU != nil {
+		return core.Residual(a, k.LU)
+	}
+	return core.CholeskyResidual(a, k.Chol)
 }
 
 // SizeBytes estimates the resident cost of the factors (the dominant
@@ -140,16 +158,7 @@ func (s *Store) expireLocked(now time.Time) {
 // every store must leave a live id, even when one factorization alone
 // exceeds the byte budget.
 func (s *Store) insertLocked(id string, k Kept, now time.Time) {
-	if old, ok := s.entries[id]; ok { // overwrite: replace in place
-		s.bytes -= old.bytes
-		delete(s.entries, id)
-		for i, v := range s.order {
-			if v == id {
-				s.order = append(s.order[:i:i], s.order[i+1:]...)
-				break
-			}
-		}
-	}
+	s.removeLocked(id) // overwrite: the new entry takes the MRU position
 	e := &storeEntry{k: k, bytes: k.SizeBytes(), last: now}
 	s.entries[id] = e
 	s.bytes += e.bytes

@@ -212,9 +212,30 @@ func (s *Server) options(req *factorRequest) (core.Options, error) {
 	return opt, nil
 }
 
-// matrix materializes the request's input matrix. spd selects the
-// generated-matrix flavour for /v1/cholesky.
-func (s *Server) matrix(req *factorRequest, spd bool) (*mat.Dense, error) {
+// factorKind is everything that distinguishes one factorization
+// endpoint from another.
+type factorKind struct {
+	// prefix starts the generated ids of stored results.
+	prefix string
+	// random generates the n x n test matrix of a request without data.
+	random func(n int, seed int64) *mat.Dense
+	// work wraps the input matrix as the engine job.
+	work func(*mat.Dense) engine.Work
+}
+
+var (
+	luKind = factorKind{"f", func(n int, seed int64) *mat.Dense {
+		return mat.Random(n, n, rand.New(rand.NewSource(seed)))
+	}, engine.FactorWork}
+	cholKind = factorKind{"c", core.RandomSPD, engine.CholeskyWork}
+)
+
+// isCholesky is the stored-factorization screen of /v1/cholesky/solve.
+func isCholesky(k engine.Kept) bool { return k.Chol != nil }
+
+// matrix materializes the request's input matrix, generated by random
+// when the request carries no data.
+func (s *Server) matrix(req *factorRequest, random func(n int, seed int64) *mat.Dense) (*mat.Dense, error) {
 	if len(req.Data) > 0 {
 		// rows and cols are request input: compare by division, their
 		// product can wrap around to len(req.Data).
@@ -227,10 +248,14 @@ func (s *Server) matrix(req *factorRequest, spd bool) (*mat.Dense, error) {
 	if req.N <= 0 {
 		return nil, fmt.Errorf("need either n > 0 or rows/cols/data")
 	}
-	if spd {
-		return core.RandomSPD(req.N, req.Seed), nil
+	// The body cap bounds explicit data; hold a generated matrix to the
+	// same bytes, or 17 bytes of JSON buy an n*n*8 allocation (and an
+	// O(n^3) generator) on the handler goroutine, outside admission.
+	// Compared by division: n*n*8 can wrap.
+	if n := int64(req.N); n > s.maxBody/8/n {
+		return nil, fmt.Errorf("generated n=%d needs n*n*8 bytes, over the %d-byte request cap", req.N, s.maxBody)
 	}
-	return mat.Random(req.N, req.N, rand.New(rand.NewSource(req.Seed))), nil
+	return random(req.N, req.Seed), nil
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -346,9 +371,9 @@ func solveError(w http.ResponseWriter, err error) {
 	httpError(w, http.StatusUnprocessableEntity, "solve failed: %v", err)
 }
 
-// handleFactor serves /v1/factor (chol=false) and /v1/cholesky
-// (chol=true).
-func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, chol bool) {
+// handleFactor serves one factorization endpoint: decode, build the
+// matrix, run the kind's work on the engine, keep the result.
+func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, kind factorKind) {
 	var req factorRequest
 	if !s.decodePost(w, r, &req) {
 		return
@@ -362,17 +387,14 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, chol bool)
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	a, err := s.matrix(&req, chol)
+	a, err := s.matrix(&req, kind.random)
 	if err != nil {
 		bodyError(w, err)
 		return
 	}
-	var job *engine.Job
-	if chol {
-		job, err = s.eng.TrySubmitCholeskyFactor(a, opt)
-	} else {
-		job, err = s.eng.TrySubmitFactor(a, opt)
-	}
+	// The request context rides along so a queued job is withdrawn when
+	// its client disconnects.
+	job, err := s.eng.TrySubmit(r.Context(), kind.work(a), opt)
 	if err != nil {
 		submitError(w, err)
 		return
@@ -381,26 +403,12 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, chol bool)
 		httpError(w, http.StatusUnprocessableEntity, "factorization failed: %v", err)
 		return
 	}
-	var k engine.Kept
-	var res float64
-	if chol {
-		k = engine.Kept{Chol: job.CholeskyFactorization()}
-		if req.Residual {
-			res = core.CholeskyResidual(a, k.Chol)
-		}
-	} else {
-		k = engine.Kept{LU: job.Factorization()}
-		if req.Residual {
-			res = core.Residual(a, k.LU)
-		}
-	}
+	k := engine.KeptOf(job.Result())
 	id := req.ID
 	if id != "" {
 		s.store.PutAs(id, k)
-	} else if chol {
-		id = s.store.Put("c", k)
 	} else {
-		id = s.store.Put("f", k)
+		id = s.store.Put(kind.prefix, k)
 	}
 	rep := factorReply{
 		ID:          id,
@@ -410,14 +418,15 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, chol bool)
 		SpanMs:      job.Span().Seconds() * 1e3,
 	}
 	if req.Residual {
+		res := k.Residual(a)
 		rep.Residual = &res
 	}
 	reply(w, rep)
 }
 
-// handleSolve serves /v1/solve (any stored id) and /v1/cholesky/solve
-// (cholesky ids only).
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, wantChol bool) {
+// handleSolve serves one solve endpoint over the stored factorizations
+// it accepts; want names them in the 400 for any other.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, want string, accepts func(engine.Kept) bool) {
 	var req solveRequest
 	if !s.decodePost(w, r, &req) {
 		return
@@ -431,8 +440,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, wantChol bo
 		httpError(w, http.StatusNotFound, "no factorization %q (evicted or never existed)", req.ID)
 		return
 	}
-	if wantChol && k.Chol == nil {
-		httpError(w, http.StatusBadRequest, "%q is not a cholesky factorization", req.ID)
+	if !accepts(k) {
+		httpError(w, http.StatusBadRequest, "%q is not a %s factorization", req.ID, want)
 		return
 	}
 	n := k.N()
@@ -458,7 +467,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, wantChol bo
 	}
 	bm := mat.New(n, nrhs)
 	copy(bm.Data, req.B)
-	job, err := s.eng.TrySubmitSolveMany(k.Solvable(), bm, opt)
+	job, err := s.eng.TrySubmit(r.Context(), engine.SolveWork(k.Solvable(), bm), opt)
 	if err != nil {
 		submitError(w, err)
 		return
@@ -616,10 +625,11 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // live server agree on 405 behaviour.
 func (s *Server) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/factor", func(w http.ResponseWriter, r *http.Request) { s.handleFactor(w, r, false) })
-	mux.HandleFunc("/v1/cholesky", func(w http.ResponseWriter, r *http.Request) { s.handleFactor(w, r, true) })
-	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) { s.handleSolve(w, r, false) })
-	mux.HandleFunc("/v1/cholesky/solve", func(w http.ResponseWriter, r *http.Request) { s.handleSolve(w, r, true) })
+	mux.HandleFunc("/v1/factor", func(w http.ResponseWriter, r *http.Request) { s.handleFactor(w, r, luKind) })
+	mux.HandleFunc("/v1/cholesky", func(w http.ResponseWriter, r *http.Request) { s.handleFactor(w, r, cholKind) })
+	// /v1/solve serves whatever the store holds: a stored Kept is Valid.
+	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) { s.handleSolve(w, r, "stored", engine.Kept.Valid) })
+	mux.HandleFunc("/v1/cholesky/solve", func(w http.ResponseWriter, r *http.Request) { s.handleSolve(w, r, "cholesky", isCholesky) })
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/admin/export", s.handleExport)
 	mux.HandleFunc("/v1/admin/import", s.handleImport)

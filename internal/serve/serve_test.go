@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -301,7 +302,8 @@ func TestServeBodyTooLarge(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: %d %v, want 413", resp.StatusCode, out)
 	}
-	resp, out = postJSON(t, ts.URL+"/v1/factor", `{"n":8,"workers":1}`)
+	// n=4 generates 4*4*8 = 128 bytes: exactly at the cap, still served.
+	resp, out = postJSON(t, ts.URL+"/v1/factor", `{"n":4,"workers":1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("small body after 413: %d %v", resp.StatusCode, out)
 	}
@@ -424,7 +426,7 @@ func TestServeSaturation429(t *testing.T) {
 	// Occupy the single admission slot with a job gated on a channel.
 	release := make(chan struct{})
 	var once sync.Once
-	gate, err := eng.SubmitFactor(mat.Random(96, 96, rand.New(rand.NewSource(1))), core.Options{
+	gate, err := eng.Submit(context.Background(), engine.FactorWork(mat.Random(96, 96, rand.New(rand.NewSource(1)))), core.Options{
 		Workers: 1,
 		Noise:   func(int) time.Duration { once.Do(func() { <-release }); return 0 },
 	})
@@ -442,6 +444,118 @@ func TestServeSaturation429(t *testing.T) {
 	resp, out = postJSON(t, ts.URL+"/v1/factor", `{"n":8,"seed":1,"workers":1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("factor after release: %d %v", resp.StatusCode, out)
+	}
+}
+
+// TestServeClientGoneCancelsQueuedJob: the handlers submit under the
+// request context, so a factor or solve whose client disconnects while
+// its job still waits in a lane is withdrawn — it never starts, and its
+// admission slot is free again. (A running job still runs to the end.)
+func TestServeClientGoneCancelsQueuedJob(t *testing.T) {
+	eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, Options{Keep: 8})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); eng.Close() })
+	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":8,"seed":1,"workers":1}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("factor: %d %v", resp.StatusCode, out)
+	}
+	id := out["id"].(string)
+	await := func(what string, ok func(engine.Stats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(eng.Stats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, eng.Stats())
+			}
+		}
+	}
+
+	// Hold the only worker with a job gated on a channel.
+	release := make(chan struct{})
+	var once sync.Once
+	gate, err := eng.Submit(context.Background(), engine.FactorWork(mat.Random(96, 96, rand.New(rand.NewSource(1)))), core.Options{
+		Workers: 1,
+		Noise:   func(int) time.Duration { once.Do(func() { <-release }); return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	await("the gate job to start", func(st engine.Stats) bool { return st.Active == 1 })
+
+	for i, c := range []struct{ path, body string }{
+		{"/v1/factor", `{"n":8,"seed":2,"workers":1}`},
+		{"/v1/solve", fmt.Sprintf(`{"id":%q,"b":[1,1,1,1,1,1,1,1]}`, id)},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+c.path, strings.NewReader(c.body))
+			if err != nil {
+				errc <- err
+				return
+			}
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			errc <- err
+		}()
+		await(c.path+" to queue", func(st engine.Stats) bool { return st.Pending == 1 })
+		cancel() // the client goes away
+		if err := <-errc; err == nil {
+			t.Fatalf("%s: cancelled request got a reply", c.path)
+		}
+		await(c.path+" to be withdrawn", func(st engine.Stats) bool { return st.Cancelled == int64(i+1) })
+		if st := eng.Stats(); st.Pending != 0 || st.JobsDone != 1 {
+			t.Fatalf("%s: withdrawn job left state behind: %+v", c.path, st)
+		}
+	}
+
+	// Both slots were given back: MaxInflight is 2 and the gate holds
+	// one, so exactly one more submission fits.
+	again, err := eng.TrySubmit(context.Background(), engine.FactorWork(mat.Random(8, 8, rand.New(rand.NewSource(3)))), core.Options{})
+	if err != nil {
+		t.Fatalf("admission slot not freed: %v", err)
+	}
+	close(release)
+	if err := gate.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := again.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// Only the first factor, the gate and the last job ever ran; the
+	// withdrawn factor stored nothing.
+	if st := eng.Stats(); st.JobsDone != 3 || st.JobsFailed != 2 {
+		t.Errorf("JobsDone %d JobsFailed %d, want 3 and 2", st.JobsDone, st.JobsFailed)
+	}
+	if n := s.Store().Len(); n != 1 {
+		t.Errorf("store holds %d factorizations, want 1", n)
+	}
+}
+
+// TestServeGeneratedMatrixBounded: a generated matrix is held to the
+// same bytes as an explicit one — n*n*8 over MaxBody is a 400 on both
+// factor endpoints, with no allocation attempted (n = 4e9 used to panic
+// the handler in mat.New, n = 1e5 to ask for 80 GB), while sizes under
+// the cap still factor.
+func TestServeGeneratedMatrixBounded(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, path := range []string{"/v1/factor", "/v1/cholesky"} {
+		for _, n := range []string{"4000000000", "100000", "5793"} { // 5793^2*8 is just over 256 MiB
+			resp, out := postJSON(t, ts.URL+path, `{"n":`+n+`}`)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s n=%s: %d %v, want 400", path, n, resp.StatusCode, out)
+			}
+		}
+	}
+	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":512,"workers":1}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("n=512 under the default cap: %d %v", resp.StatusCode, out)
 	}
 }
 

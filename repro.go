@@ -29,7 +29,7 @@
 //
 //	eng, err := repro.NewEngine(repro.EngineOptions{Workers: 8, DynamicRatio: 0.25})
 //	defer eng.Close()
-//	job, err := eng.SubmitFactor(a, repro.Options{Workers: 2})
+//	job, err := eng.Submit(ctx, repro.FactorWork(a), repro.Options{Workers: 2})
 //	err = job.Wait()
 //	f := job.Factorization()
 //
@@ -41,15 +41,17 @@
 // Multi-RHS solves put GEMM — not GEMV — on the flop path:
 //
 //	X, err := f.SolveMany(B, repro.Options{Workers: 4})        // one-shot
-//	job, err := eng.SubmitSolveMany(f, B, repro.Options{Workers: 4})
+//	job, err := eng.Submit(ctx, repro.SolveWork(f, B), repro.Options{Workers: 4})
 //
 // Engine admission is traffic-shaped: small jobs ride an express lane
 // and are fused into one composite DAG sharing a single reservation,
 // big jobs are bounded to a share of the pool, and jobs may carry a
 // deadline (Options.Deadline) — lanes are laxity-ordered and
 // infeasible submissions are shed with ErrEngineDeadlineInfeasible
-// before queueing. SubmitFactorCtx and friends bind admission to a
-// context so queued work can be cancelled.
+// before queueing. Every job kind goes through the same two calls,
+// Submit (blocks at the admission bound) and TrySubmit
+// (ErrEngineSaturated instead); their context cancels work that is still
+// queued.
 //
 // See DESIGN.md for the system inventory; README.md and CHANGES.md
 // carry the measured-performance record.
@@ -205,8 +207,25 @@ func RandomSPD(n int, seed int64) *Matrix { return core.RandomSPD(n, seed) }
 // hybrid static/dynamic split applied across jobs (each job gets a
 // static reservation of workers; the pool's dynamic share lends itself
 // to whichever job has spare parallel work). Create with NewEngine,
-// feed with SubmitFactor/SubmitSolve, Close when done.
+// feed with Submit/TrySubmit, Close when done.
 type Engine = engine.Engine
+
+// EngineWork is one submittable engine job of any kind, built by
+// FactorWork, CholeskyWork or SolveWork.
+type EngineWork = engine.Work
+
+// FactorWork is a CALU factorization of a; the job's Result is a
+// *Factorization.
+func FactorWork(a *Matrix) EngineWork { return engine.FactorWork(a) }
+
+// CholeskyWork is a tiled Cholesky factorization of the symmetric
+// positive definite a; the job's Result is a *CholeskyFactorization.
+func CholeskyWork(a *Matrix) EngineWork { return engine.CholeskyWork(a) }
+
+// SolveWork is a blocked solve of f against the n x nrhs block b (one
+// column for a single right-hand side); the job's Result is a
+// *Solution.
+func SolveWork(f Solvable, b *Matrix) EngineWork { return engine.SolveWork(f, b) }
 
 // EngineOptions configures NewEngine: pool size, admission bound and
 // the inter-job DynamicRatio (0 = fully static partitioning, 1 = fully
@@ -214,8 +233,8 @@ type Engine = engine.Engine
 type EngineOptions = engine.Options
 
 // EngineJob is the handle of one submitted engine job; Wait for
-// completion, then read Factorization, CholeskyFactorization, Solution
-// or SolutionMatrix.
+// completion, then read Result (of the work's result type) or its typed
+// shorthands Factorization and SolutionMatrix.
 type EngineJob = engine.Job
 
 // Solvable is a completed factorization the engine can schedule a

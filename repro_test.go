@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,7 @@ func TestPublicEngine(t *testing.T) {
 	}
 	defer eng.Close()
 	a := RandomMatrix(128, 128, 9)
-	job, err := eng.SubmitFactor(a, Options{
+	job, err := eng.Submit(context.Background(), FactorWork(a), Options{
 		Block: 32, Workers: 2, Scheduler: ScheduleHybrid, DynamicRatio: 0.1,
 	})
 	if err != nil {
@@ -57,14 +58,15 @@ func TestPublicEngine(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i % 7)
 	}
-	sj, err := eng.SubmitSolve(f, b, Options{Block: 32, Workers: 2})
+	bm := &Matrix{Rows: len(b), Cols: 1, Stride: len(b), Data: b}
+	sj, err := eng.Submit(context.Background(), SolveWork(f, bm), Options{Block: 32, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sj.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if r := SolveResidual(a, sj.Solution(), b); r > 1e-10 {
+	if r := SolveResidual(a, sj.SolutionMatrix().Col(0), b); r > 1e-10 {
 		t.Fatalf("solve residual %g", r)
 	}
 	if st := eng.Stats(); st.JobsDone != 2 || st.JobsFailed != 0 {
