@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"runtime"
 	"sort"
@@ -283,6 +284,26 @@ func BenchmarkExtractLU(b *testing.B) {
 	})
 }
 
+// BenchmarkLayoutSwaps times one U task's row interchanges: the 64
+// swaps of a b=64 panel step applied to one 2048-row BCL block column.
+func BenchmarkLayoutSwaps(b *testing.B) {
+	l := layout.New(layout.BCL, RandomMatrix(2048, 64, 1), 64, layout.NewGrid(1))
+	rng := rand.New(rand.NewSource(2))
+	swaps := make([][2]int, 64)
+	for t := range swaps {
+		swaps[t] = [2]int{t, t + rng.Intn(2048-t)}
+	}
+	bytes := int64(len(swaps)) * 64 * 2 * 8
+	b.SetBytes(bytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		layout.ApplySwaps(l, 0, swaps)
+	}
+	// Recorded in GB/s of row elements exchanged: the one entry of the
+	// kernel JSON that is not a flop rate.
+	recordBenchGFLOPS(b, float64(bytes)*float64(b.N)/b.Elapsed().Seconds()/1e9)
+}
+
 func BenchmarkLayoutEncode(b *testing.B) {
 	benchLayoutShapes(b, func(b *testing.B, a *mat.Dense, g layout.Grid) {
 		l := layout.New(layout.BCL, a, 64, g)
@@ -380,6 +401,82 @@ func BenchmarkKernelTrsmLowerNonUnitNaive256(b *testing.B) {
 func BenchmarkKernelTrsmUpper256(b *testing.B) { benchTrsmDiag(b, 256, kernel.TrsmUpperLeft) }
 func BenchmarkKernelTrsmUpperNaive256(b *testing.B) {
 	benchTrsmDiag(b, 256, kernel.TrsmUpperLeftNaive)
+}
+
+// benchTri is an n x n matrix usable as either triangle of a solve: a
+// dominant diagonal keeps repeated solves finite.
+func benchTri(n int) *mat.Dense {
+	t := RandomMatrix(n, n, 4)
+	for i := 0; i < n; i++ {
+		t.Set(i, i, float64(n)+t.At(i, i))
+	}
+	return t
+}
+
+// benchSolve times solve on a fresh copy of x per iteration (the copy
+// is a few percent of the solve and the same on both sides of any
+// comparison) and reports flops-per-iteration based GFLOPS.
+func benchSolve(b *testing.B, flops float64, x *mat.Dense, solve func(x kernel.View)) {
+	b.Helper()
+	work := x.Clone()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		work.CopyFrom(x)
+		solve(viewOf(work))
+	}
+	gf := flops * float64(b.N) / b.Elapsed().Seconds() / 1e9
+	b.ReportMetric(gf, "GFLOPS")
+	recordBenchGFLOPS(b, gf)
+}
+
+// BenchmarkKernelTrsmTask times the two triangular solves of a CALU
+// step at b=64 on the operand extents the tasks see: task U's
+// L_KK^{-1} A_KJ (unit lower, from the left, on 64 x 64 and 64 x 192)
+// and task L's A_IK U_KK^{-1} (upper, from the right, on 64 x 64 and a
+// grouped 192 x 64).
+func BenchmarkKernelTrsmTask(b *testing.B) {
+	tri := benchTri(64)
+	for _, ext := range []int{64, 192} {
+		flops := 64.0 * 64 * float64(ext)
+		b.Run(fmt.Sprintf("U/64x%d", ext), func(b *testing.B) {
+			benchSolve(b, flops, RandomMatrix(64, ext, 5), func(x kernel.View) { kernel.TrsmLowerLeftUnit(viewOf(tri), x) })
+		})
+		b.Run(fmt.Sprintf("L/%dx64", ext), func(b *testing.B) {
+			benchSolve(b, flops, RandomMatrix(ext, 64, 5), func(x kernel.View) { kernel.TrsmUpperRight(viewOf(tri), x) })
+		})
+	}
+}
+
+// BenchmarkKernelRank1SubShort drives the vector helpers of the panel
+// layer over every length 1..31 through a public entry: the unblocked
+// backward solve on a 32 x 32 triangle updates bj[:k] for k = 31..1.
+// Short lengths run mostly in the helpers' scalar tails, so a tail
+// that pays an SSE/AVX transition per element shows here at once.
+func BenchmarkKernelRank1SubShort(b *testing.B) {
+	tri := benchTri(32)
+	benchSolve(b, 32.0*32*64, RandomMatrix(32, 64, 5), func(x kernel.View) { kernel.TrsmUpperLeftNaive(viewOf(tri), x) })
+}
+
+// BenchmarkKernelUpdateTask times one S task of the b=64, k=3 trailing
+// update (C 192x64 -= A 192x64 * B 64x64) on the path a task takes when
+// both operands were already packed by an earlier task of its row run
+// and of its block column: no packing, only the macro-kernel.
+func BenchmarkKernelUpdateTask(b *testing.B) {
+	a, bb, c := RandomMatrix(192, 64, 1), RandomMatrix(64, 64, 2), RandomMatrix(192, 64, 3)
+	// One use beyond the loop keeps both panels alive to the end; the
+	// first call packs them.
+	pa := kernel.NewSharedAPanel(kernel.PanelKey{Epoch: kernel.NewEpoch()}, b.N+2)
+	pb := kernel.NewSharedBPanel(kernel.PanelKey{Epoch: kernel.NewEpoch()}, b.N+2)
+	defer pa.ForceFree()
+	defer pb.ForceFree()
+	kernel.GemmShared(viewOf(c), viewOf(a), viewOf(bb), pa, pb)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kernel.GemmShared(viewOf(c), viewOf(a), viewOf(bb), pa, pb)
+	}
+	gf := 2 * 192.0 * 64 * 64 * float64(b.N) / b.Elapsed().Seconds() / 1e9
+	b.ReportMetric(gf, "GFLOPS")
+	recordBenchGFLOPS(b, gf)
 }
 
 func BenchmarkKernelRecursiveLU(b *testing.B) {

@@ -1,6 +1,7 @@
 // -benchjson: machine-readable kernel throughput. `go test -bench=...
 // -benchjson BENCH_kernel.json` writes a {benchmark name: GFLOPS} JSON
-// object for the kernel benchmarks that report a GFLOPS metric, so CI
+// object for the kernel benchmarks that report a GFLOPS metric (and
+// BenchmarkLayoutSwaps' GB/s, which has no flops to count), so CI
 // can archive per-shape throughput as an artifact and PRs can diff it
 // against a recorded baseline instead of eyeballing ns/op logs.
 package repro

@@ -67,7 +67,7 @@ func ViaGated() int {
 }
 
 // GateAfterValidation runs profile-free validation before the gate,
-// like SharedBPanel.Gemm's nil fast path: clean.
+// like an argument check ahead of the gate: clean.
 func GateAfterValidation(n int) int {
 	if n < 0 {
 		panic("bad n")

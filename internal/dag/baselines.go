@@ -108,9 +108,7 @@ func BuildGEPP(l layout.Layout, opt GEPPOptions) *GEPPGraph {
 			})
 			if isCM {
 				t.Run = func() {
-					for _, sw := range gg.StepSwaps[kk] {
-						cm.SwapRows(jc, sw[0], sw[1])
-					}
+					layout.ApplySwaps(cm, jc, gg.StepSwaps[kk])
 					full := cm.Block(0, 0)
 					lv := kernel.View{Rows: pivCount, Cols: pivCount, Stride: full.Stride, Data: full.Data[base*full.Stride+base:]}
 					blk := cm.Block(kk, jc)
@@ -185,16 +183,12 @@ func (gg *GEPPGraph) FinishPermutation() []int {
 	for i := range perm {
 		perm[i] = i
 	}
-	for k, swaps := range gg.StepSwaps {
+	for _, swaps := range gg.StepSwaps {
 		for _, sw := range swaps {
 			perm[sw[0]], perm[sw[1]] = perm[sw[1]], perm[sw[0]]
 		}
-		for j := 0; j < k; j++ {
-			for _, sw := range swaps {
-				gg.Layout.SwapRows(j, sw[0], sw[1])
-			}
-		}
 	}
+	layout.ApplyLeftSwaps(gg.Layout, gg.StepSwaps)
 	return perm
 }
 

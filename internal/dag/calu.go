@@ -84,10 +84,12 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 	isStatic := func(col int) bool { return col < opt.NstaticCols }
 	span := func(i, ext int) int { return blockSpanOf(i, bsz, ext) }
 
-	// Epoch namespace for this build's shared packed-B panels: every S
-	// task of one (step, block column) pair multiplies by the same U
-	// block, so they share one packed copy of it through a refcounted
-	// handle instead of each packing privately.
+	// Epoch namespace for this build's shared packed panels: the S tasks
+	// of one step form a (row run) x (block column) grid in which every
+	// task of a column multiplies by the same U block and every task of
+	// a row run by the same L blocks, so each operand is packed once —
+	// by whichever task gets there first — behind a refcounted handle
+	// with the exact consumer count, instead of once per task.
 	var ep uint64
 	if !opt.SimOnly {
 		ep = kernel.NewEpoch()
@@ -137,10 +139,11 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 				Prio:   priority(k, k, PLeaf),
 			})
 			if !opt.SimOnly {
-				i0c, i1c, r0c, r1c, sc := i0, i1, r0, r1, s
+				i0c, i1c, r0c, r1c, slot := i0, i1, r0, r1, s
 				t.Run = func() {
-					vals := mat.New(r1c-r0c, bw)
-					ids := make([]int, r1c-r0c)
+					sc := leafScratchPool.Get().(*leafScratch)
+					defer leafScratchPool.Put(sc)
+					vals, ids := sc.take(r1c-r0c, bw)
 					off := 0
 					for i := i0c; i < i1c; i++ {
 						blk := l.Block(i, kk)
@@ -160,7 +163,7 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 						panic(fmt.Sprintf("dag: TSLU leaf (step %d rows %d..%d): %v", kk, r0c, r1c, err))
 					}
 					cg.mu.Lock()
-					cg.cands[kk][sc] = cand
+					cg.cands[kk][slot] = cand
 					cg.mu.Unlock()
 				}
 			}
@@ -239,9 +242,7 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 				cg.mu.Unlock()
 				swaps := piv.Swaps(winners, base)
 				cg.StepSwaps[kk] = swaps
-				for _, sw := range swaps {
-					l.SwapRows(kk, sw[0], sw[1])
-				}
+				layout.ApplySwaps(l, kk, swaps)
 				// A zero diagonal here means the whole panel was rank
 				// deficient — no pivot candidate anywhere could fill the
 				// column — which is exactly when reference GEPP fails too.
@@ -297,9 +298,7 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 			if !opt.SimOnly {
 				jc := j
 				t.Run = func() {
-					for _, sw := range cg.StepSwaps[kk] {
-						l.SwapRows(jc, sw[0], sw[1])
-					}
+					layout.ApplySwaps(l, jc, cg.StepSwaps[kk])
 					diag := l.Block(kk, kk)
 					lkk := kernel.View{Rows: pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data}
 					blk := l.Block(kk, jc)
@@ -330,16 +329,22 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 		// progress independent, so the critical path is unaffected).
 		updCur := make(map[[2]int]*Task)
 		rowRuns := groupRows(l, k, mb, group)
+		// One packed copy of each row run's L blocks for its nb-k-1 S
+		// tasks, one of each U_KJ for its len(rowRuns) S tasks; a handle
+		// is nil (that operand packed privately) with a single consumer.
+		aPanels := make([]*kernel.SharedPanel, len(rowRuns))
+		if !opt.SimOnly {
+			for r, run := range rowRuns {
+				aPanels[r] = b.panel(kernel.NewSharedAPanel(kernel.PanelKey{Epoch: ep, Col: run[0], Step: k}, nb-k-1))
+			}
+		}
 		for j := k + 1; j < nb; j++ {
 			cj := span(j, n)
-			// One shared packed copy of U_KJ for every S task in this
-			// (step, column) pair; nil (plain Gemm per task) when there is
-			// only one consumer or caching is off/over budget.
-			var ph *kernel.SharedBPanel
+			var pb *kernel.SharedPanel
 			if !opt.SimOnly {
-				ph = b.panel(kernel.PanelKey{Epoch: ep, Col: j, Step: k}, len(rowRuns))
+				pb = b.panel(kernel.NewSharedBPanel(kernel.PanelKey{Epoch: ep, Col: j, Step: k}, len(rowRuns)))
 			}
-			for _, run := range rowRuns {
+			for r, run := range rowRuns {
 				i0 := run[0]
 				rows := runRows(l, i0, run[1])
 				totalRows := 0
@@ -356,14 +361,14 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 					Prio:   priority(j, k, S),
 				})
 				if !opt.SimOnly {
-					i0c, jc, wc := i0, j, run[1]
+					i0c, jc, wc, pa := i0, j, run[1], aPanels[r]
 					t.Run = func() {
 						lv := l.GroupedRows(i0c, kk, wc)
 						a := kernel.View{Rows: lv.Rows, Cols: pivCount, Stride: lv.Stride, Data: lv.Data}
 						ublk := l.Block(kk, jc)
 						bt := kernel.View{Rows: pivCount, Cols: ublk.Cols, Stride: ublk.Stride, Data: ublk.Data}
 						cv := l.GroupedRows(i0c, jc, wc)
-						ph.Gemm(cv, a, bt)
+						kernel.GemmShared(cv, a, bt, pa, pb)
 					}
 				}
 				b.edge(uTasks[j], t)
@@ -389,17 +394,38 @@ func (cg *CALUGraph) FinishPermutation() []int {
 	for i := range perm {
 		perm[i] = i
 	}
-	for k, swaps := range cg.StepSwaps {
+	for _, swaps := range cg.StepSwaps {
 		piv.ApplySwapsToPerm(perm, swaps)
-		// Deferred left application: step k's swaps touch block columns
-		// 0..k-1, which hold finished columns of L.
-		for j := 0; j < k; j++ {
-			for _, sw := range swaps {
-				cg.Layout.SwapRows(j, sw[0], sw[1])
-			}
-		}
 	}
+	// Deferred left application: step k's swaps touch block columns
+	// 0..k-1, which hold finished columns of L.
+	layout.ApplyLeftSwaps(cg.Layout, cg.StepSwaps)
 	return perm
+}
+
+// leafScratch is the staging area of one tournament leaf: the chunk's
+// panel rows gathered into a dense matrix, and their global row ids.
+// piv.Select copies what it keeps, so the buffers go back to the pool
+// when the leaf returns; a fresh pair per leaf was a panel-sized
+// allocation per step.
+type leafScratch struct {
+	vals mat.Dense
+	ids  []int
+}
+
+var leafScratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
+
+// take returns an r x c matrix and r ids backed by the scratch, grown if
+// needed. Contents are stale: the caller overwrites every element.
+func (s *leafScratch) take(r, c int) (*mat.Dense, []int) {
+	if cap(s.vals.Data) < r*c {
+		s.vals.Data = make([]float64, r*c)
+	}
+	if cap(s.ids) < r {
+		s.ids = make([]int, r)
+	}
+	s.vals = mat.Dense{Rows: r, Cols: c, Stride: max(r, 1), Data: s.vals.Data[:r*c]}
+	return &s.vals, s.ids[:r]
 }
 
 // blockSpanOf mirrors layout's internal block span helper.

@@ -143,11 +143,11 @@ type Graph struct {
 	// Name describes the algorithm for traces and error messages.
 	Name string
 	// Panels lists the shared packed-B panel handles the graph's Run
-	// closures consume (kernel.SharedBPanel). Each handle frees its
+	// closures consume (kernel.SharedPanel). Each handle frees its
 	// buffer when its last consumer finishes; ReleasePanels reclaims the
 	// ones stranded by an aborted execution, and ResetDeps re-arms them
 	// alongside the dependency counters.
-	Panels []*kernel.SharedBPanel
+	Panels []*kernel.SharedPanel
 }
 
 // ReleasePanels force-frees every shared panel buffer still held by the
@@ -219,12 +219,11 @@ func (b *builder) add(t *Task) *Task {
 	return t
 }
 
-// panel registers a shared packed-B panel handle with the graph so the
-// runtime can reclaim it after an aborted run. Nil handles (uses < 2,
-// or caching disabled) are skipped; the closures treat them as plain
-// Gemm calls.
-func (b *builder) panel(key kernel.PanelKey, uses int) *kernel.SharedBPanel {
-	p := kernel.NewSharedBPanel(key, uses)
+// panel registers a shared packed-operand handle with the graph so the
+// runtime can re-arm it and reclaim it after an aborted run, and
+// returns it. Nil handles (fewer than two consumers) are skipped; the
+// closures pass them on and kernel.GemmShared packs privately.
+func (b *builder) panel(p *kernel.SharedPanel) *kernel.SharedPanel {
 	if p != nil {
 		b.g.Panels = append(b.g.Panels, p)
 	}

@@ -115,7 +115,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 		}
 		b.edge(prevW[k], diag)
 		prevW[k] = diag
-		ph := b.panel(kernel.PanelKey{Epoch: ep, Col: k, Step: 0}, nb-k-1)
+		ph := b.panel(kernel.NewSharedBPanel(kernel.PanelKey{Epoch: ep, Col: k, Step: 0}, nb-k-1))
 		for i := k + 1; i < nb; i++ {
 			ic := i
 			ri := span(i)
@@ -128,7 +128,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 				Prio:   priority(i, k, RUpd),
 			})
 			upd.Run = func() {
-				ph.Gemm(xblk(ic), tri(lower, ic, kk), xblk(kk))
+				kernel.GemmShared(xblk(ic), tri(lower, ic, kk), xblk(kk), nil, ph)
 			}
 			b.edge(diag, upd)
 			b.edge(prevW[i], upd)
@@ -157,7 +157,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 		}
 		b.edge(prevW[k], diag)
 		prevW[k] = diag
-		ph := b.panel(kernel.PanelKey{Epoch: ep, Col: k, Step: 1}, k)
+		ph := b.panel(kernel.NewSharedBPanel(kernel.PanelKey{Epoch: ep, Col: k, Step: 1}, k))
 		for i := k - 1; i >= 0; i-- {
 			ic := i
 			ri := span(i)
@@ -170,7 +170,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 				Prio:   priority(nb+(nb-1-i), pos, RUpd),
 			})
 			upd.Run = func() {
-				ph.Gemm(xblk(ic), tri(upper, ic, kk), xblk(kk))
+				kernel.GemmShared(xblk(ic), tri(upper, ic, kk), xblk(kk), nil, ph)
 			}
 			b.edge(diag, upd)
 			b.edge(prevW[i], upd)

@@ -11,23 +11,7 @@ import "fmt"
 // register-tiled small path (smallgemm.go). All paths are
 // exact-arithmetic equivalents up to floating-point reassociation;
 // GemmNaive is retained as the correctness oracle.
-func Gemm(c, a, b View) {
-	ensureTuned()
-	m, n, k := c.Rows, c.Cols, a.Cols
-	if a.Rows != m || b.Rows != k || b.Cols != n {
-		panic(fmt.Sprintf("kernel: gemm shape mismatch C %dx%d, A %dx%d, B %dx%d",
-			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if useNaiveKernels {
-		gemmNaive(c, a, b)
-		return
-	}
-	if !packedWorthwhile(m, n, k) {
-		gemmSmall(c, a, b, false)
-		return
-	}
-	gemmPacked(c, a, b, false)
-}
+func Gemm(c, a, b View) { GemmShared(c, a, b, nil, nil) }
 
 // GemmNT computes C -= A * Bᵀ with A m x k, B n x k, C m x n — the
 // symmetric-update kernel of tiled Cholesky (SYRK/GEMM applied to the
@@ -48,14 +32,17 @@ func GemmNT(c, a, b View) {
 		gemmSmall(c, a, b, true)
 		return
 	}
-	gemmPacked(c, a, b, true)
+	gemmPacked(c, a, b, true, nil, nil)
 }
 
 // gemmPacked is the three-level blocked driver: jc/pc/ic loops carve
 // C -= A*B (or A*Bᵀ when bTrans) into mc x nc tiles updated through
 // packed kc-deep slivers, and the macro-kernel walks register tiles
-// over the packed buffers.
-func gemmPacked(c, a, b View, bTrans bool) {
+// over the packed buffers. An operand with a packed shared panel (pa,
+// pb — panelcache.go) is streamed from it; a nil panel means the
+// operand is packed into the private workspace here. The loop nest and
+// the packed bytes are the same either way.
+func gemmPacked(c, a, b View, bTrans bool, pa, pb *SharedPanel) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	ws := getWorkspace()
 	defer putWorkspace(ws)
@@ -63,43 +50,52 @@ func gemmPacked(c, a, b View, bTrans bool) {
 		ncLen := min(nc, n-jc)
 		for pc := 0; pc < k; pc += kc {
 			kcLen := min(kc, k-pc)
-			packB(ws.bp, b, pc, jc, kcLen, ncLen, bTrans, nr)
+			bp := ws.bp
+			if pb != nil {
+				bp = pb.seg(jc, pc)
+			} else {
+				packB(bp, b, pc, jc, kcLen, ncLen, bTrans, nr)
+			}
 			for ic := 0; ic < m; ic += mc {
 				mcLen := min(mc, m-ic)
-				packA(ws.ap, a, ic, pc, mcLen, kcLen, mr)
-				macroKernel(c, ws.ap, ws.bp, ic, jc, mcLen, ncLen, kcLen)
+				ap := ws.ap
+				if pa != nil {
+					ap = pa.seg(ic, pc)
+				} else {
+					packA(ap, a, ic, pc, mcLen, kcLen, mr)
+				}
+				macroKernel(c, ws, ap, bp, ic, jc, mcLen, ncLen, kcLen)
 			}
 		}
 	}
 }
 
 // macroKernel sweeps mr x nr register tiles over one packed (A, B)
-// block pair, subtracting each micro-kernel result into C. Edge tiles
-// are computed at full padded width and masked at write-back. The
-// packed buffers are passed explicitly so the shared-panel path
-// (panelcache.go) can stream B from a cached buffer.
-func macroKernel(c View, ap, bp []float64, ic, jc, mcLen, ncLen, kcLen int) {
-	var acc [maxMR * maxNR]float64
+// block pair. Full tiles are updated in place by the micro-kernel's
+// fused write-back; edge tiles are staged through the workspace's dense
+// scratch tile (ldc = mr) so the kernel never branches on shape —
+// padded packed lanes produce results that are simply not copied back.
+// The packed buffers are passed explicitly so the shared-panel path
+// (panelcache.go) can stream either operand from a cached buffer.
+func macroKernel(c View, ws *workspace, ap, bp []float64, ic, jc, mcLen, ncLen, kcLen int) {
 	for jr := 0; jr < ncLen; jr += nr {
 		nrLen := min(nr, ncLen-jr)
 		bpPanel := bp[(jr/nr)*kcLen*nr:]
 		for ir := 0; ir < mcLen; ir += mr {
 			mrLen := min(mr, mcLen-ir)
 			apPanel := ap[(ir/mr)*kcLen*mr:]
-			microKernel(kcLen, apPanel, bpPanel, acc[:])
-			storeTile(c, ic+ir, jc+jr, mrLen, nrLen, acc[:])
-		}
-	}
-}
-
-// storeTile applies C(i0:i0+mrLen, j0:j0+nrLen) -= acc, where acc is a
-// full mr x nr tile in column-major order.
-func storeTile(c View, i0, j0, mrLen, nrLen int, acc []float64) {
-	for j := 0; j < nrLen; j++ {
-		cj := c.Data[(j0+j)*c.Stride+i0 : (j0+j)*c.Stride+i0+mrLen]
-		aj := acc[j*mr : j*mr+mrLen]
-		for i := range cj {
-			cj[i] -= aj[i]
+			off := (jc+jr)*c.Stride + ic + ir
+			if mrLen == mr && nrLen == nr {
+				microKernel(kcLen, apPanel, bpPanel, c.Data[off:], c.Stride)
+				continue
+			}
+			for j := 0; j < nrLen; j++ {
+				copy(ws.tile[j*mr:j*mr+mrLen], c.Data[off+j*c.Stride:])
+			}
+			microKernel(kcLen, apPanel, bpPanel, ws.tile[:], mr)
+			for j := 0; j < nrLen; j++ {
+				copy(c.Data[off+j*c.Stride:], ws.tile[j*mr:j*mr+mrLen])
+			}
 		}
 	}
 }

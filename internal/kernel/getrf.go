@@ -270,13 +270,13 @@ func panelUpdate(c, a, b View) {
 
 // panelMacro sweeps pmr x pnr register tiles of C over one packed
 // (A, B) block pair. Interior tiles go straight to the panel kernel;
-// edge tiles are staged through a dense scratch tile (ldc = pmr) so the
-// kernel never branches on shape — padded packed lanes contribute
-// exact zero updates and are masked at write-back.
+// edge tiles are staged through the workspace's dense scratch tile
+// (ldc = pmr) so the kernel never branches on shape — padded packed
+// lanes contribute exact zero updates and are masked at write-back.
 //
 //hsd:bitident
 func panelMacro(c View, ws *workspace, ic, jc, mcLen, ncLen, w int) {
-	var scratch [maxMR * maxNR]float64
+	scratch := &ws.tile
 	for jr := 0; jr < ncLen; jr += pnr {
 		nrLen := min(pnr, ncLen-jr)
 		bp := ws.bp[(jr/pnr)*w*pnr:]

@@ -1,11 +1,12 @@
 package kernel
 
-// micro4x4 is the portable register-tile micro-kernel: a 4x4 block of
-// C accumulated in sixteen scalar variables over kk packed k-steps.
-// ap/bp are one packed A row panel and one packed B column panel (see
-// pack.go). The result lands in acc[j*mr+i]; the caller subtracts it
-// into C.
-func micro4x4(kk int, ap, bp, acc []float64) {
+// micro4x4 is the portable register-tile micro-kernel: the 4x4 product
+// of one packed A row panel and one packed B column panel (see pack.go)
+// is accumulated in sixteen scalar variables over kk packed k-steps and
+// then subtracted from the tile of C at c (column-major, leading
+// dimension ldc) — the write-back contract every registered kernel
+// follows (tuning.go, microKernel).
+func micro4x4(kk int, ap, bp, c []float64, ldc int) {
 	var c00, c10, c20, c30 float64
 	var c01, c11, c21, c31 float64
 	var c02, c12, c22, c32 float64
@@ -33,8 +34,12 @@ func micro4x4(kk int, ap, bp, acc []float64) {
 		c23 += a2 * b3
 		c33 += a3 * b3
 	}
-	acc[0], acc[1], acc[2], acc[3] = c00, c10, c20, c30
-	acc[4], acc[5], acc[6], acc[7] = c01, c11, c21, c31
-	acc[8], acc[9], acc[10], acc[11] = c02, c12, c22, c32
-	acc[12], acc[13], acc[14], acc[15] = c03, c13, c23, c33
+	t := c[0:4:4]
+	t[0], t[1], t[2], t[3] = t[0]-c00, t[1]-c10, t[2]-c20, t[3]-c30
+	t = c[ldc : ldc+4 : ldc+4]
+	t[0], t[1], t[2], t[3] = t[0]-c01, t[1]-c11, t[2]-c21, t[3]-c31
+	t = c[2*ldc : 2*ldc+4 : 2*ldc+4]
+	t[0], t[1], t[2], t[3] = t[0]-c02, t[1]-c12, t[2]-c22, t[3]-c32
+	t = c[3*ldc : 3*ldc+4 : 3*ldc+4]
+	t[0], t[1], t[2], t[3] = t[0]-c03, t[1]-c13, t[2]-c23, t[3]-c33
 }

@@ -13,6 +13,10 @@ package kernel
 // Scalar Go code cannot reach either shape (the compiler has no
 // auto-vectorizer and at most ~2 flops/cycle).
 //
+// Both end by subtracting the accumulators from the C tile in
+// registers (load, VSUBPD, store), so the product never round-trips
+// through a scratch tile and a scalar write-back loop.
+//
 // Selection: if the CPU lacks AVX2, FMA or OS AVX state support, the
 // portable 4x4 kernel stays active and the packed formats shrink with
 // it. Otherwise init installs 8x4 as the static default (the pre-tuner
@@ -20,10 +24,10 @@ package kernel
 // kernels for the autotuner to bench against each other (tuner.go).
 
 //go:noescape
-func microKernel8x4FMA(kk int, ap, bp, acc *float64)
+func microKernel8x4FMA(kk int, ap, bp, c *float64, ldc int)
 
 //go:noescape
-func microKernel8x6FMA(kk int, ap, bp, acc *float64)
+func microKernel8x6FMA(kk int, ap, bp, c *float64, ldc int)
 
 // cpuSupportsAVX2FMA reports AVX2+FMA with OS-enabled YMM state
 // (CPUID leaves 1 and 7 plus XGETBV), implemented in assembly to avoid
@@ -41,24 +45,21 @@ func init() {
 }
 
 // microAVX2 adapts the 8x4 assembly kernel to the microKernel
-// signature.
-func microAVX2(kk int, ap, bp, acc []float64) {
+// signature. The last-element touch turns a tile that does not fit its
+// slice into a bounds panic instead of a stray store.
+func microAVX2(kk int, ap, bp, c []float64, ldc int) {
 	if kk == 0 {
-		for i := range acc[:32] {
-			acc[i] = 0
-		}
 		return
 	}
-	microKernel8x4FMA(kk, &ap[0], &bp[0], &acc[0])
+	_ = c[3*ldc+7]
+	microKernel8x4FMA(kk, &ap[0], &bp[0], &c[0], ldc)
 }
 
 // microAVX2x6 adapts the 8x6 assembly kernel.
-func microAVX2x6(kk int, ap, bp, acc []float64) {
+func microAVX2x6(kk int, ap, bp, c []float64, ldc int) {
 	if kk == 0 {
-		for i := range acc[:48] {
-			acc[i] = 0
-		}
 		return
 	}
-	microKernel8x6FMA(kk, &ap[0], &bp[0], &acc[0])
+	_ = c[5*ldc+7]
+	microKernel8x6FMA(kk, &ap[0], &bp[0], &c[0], ldc)
 }

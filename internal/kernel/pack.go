@@ -22,6 +22,18 @@ func packA(dst []float64, a View, ic, pc, mcLen, kcLen, tmr int) {
 	idx := 0
 	for p := 0; p < mcLen; p += tmr {
 		rows := min(tmr, mcLen-p)
+		if rows == 8 && tmr == 8 {
+			// The full panel of every vector kernel: eight moves beat a
+			// memmove call per column.
+			for l := 0; l < kcLen; l++ {
+				off := (pc+l)*a.Stride + ic + p
+				s := a.Data[off : off+8 : off+8]
+				d := dst[idx : idx+8 : idx+8]
+				d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+				idx += 8
+			}
+			continue
+		}
 		for l := 0; l < kcLen; l++ {
 			col := a.Data[(pc+l)*a.Stride+ic+p:]
 			d := dst[idx : idx+tmr]

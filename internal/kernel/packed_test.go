@@ -56,7 +56,7 @@ func TestGemmPackedMatchesNaiveProperty(t *testing.T) {
 		b := randView(rng, k, n)
 		c1 := randView(rng, m, n)
 		c2 := cloneView(c1)
-		gemmPacked(c1, a, b, false)
+		gemmPacked(c1, a, b, false, nil, nil)
 		gemmNaive(c2, a, b)
 		return maxAbsDiffBacking(c1, c2) <= gemmTol(c2)
 	}
@@ -76,7 +76,7 @@ func TestGemmNTPackedMatchesNaiveProperty(t *testing.T) {
 		b := randView(rng, n, k)
 		c1 := randView(rng, m, n)
 		c2 := cloneView(c1)
-		gemmPacked(c1, a, b, true)
+		gemmPacked(c1, a, b, true, nil, nil)
 		gemmNTNaive(c2, a, b)
 		return maxAbsDiffBacking(c1, c2) <= gemmTol(c2)
 	}
@@ -99,7 +99,7 @@ func TestGemmPackedEdgeSizes(t *testing.T) {
 				b := randView(rng, k, n)
 				c1 := randView(rng, m, n)
 				c2 := cloneView(c1)
-				gemmPacked(c1, a, b, false)
+				gemmPacked(c1, a, b, false, nil, nil)
 				gemmNaive(c2, a, b)
 				if maxAbsDiffBacking(c1, c2) > gemmTol(c2) {
 					t.Fatalf("packed gemm wrong at m=%d n=%d k=%d", m, n, k)
@@ -114,7 +114,7 @@ func TestGemmPackedEdgeSizes(t *testing.T) {
 		b := randView(rng, k, n)
 		c1 := randView(rng, m, n)
 		c2 := cloneView(c1)
-		gemmPacked(c1, a, b, false)
+		gemmPacked(c1, a, b, false, nil, nil)
 		gemmNaive(c2, a, b)
 		if maxAbsDiffBacking(c1, c2) > gemmTol(c2) {
 			t.Fatalf("packed gemm wrong at m=%d n=%d k=%d", m, n, k)
@@ -257,7 +257,7 @@ func TestGemmPropagatesNonFinite(t *testing.T) {
 			b.Set(3, j, 0) // Inf * 0 must surface as NaN in every column
 		}
 		if packed {
-			gemmPacked(c, a, b, false)
+			gemmPacked(c, a, b, false, nil, nil)
 		} else {
 			gemmNaive(c, a, b)
 		}
@@ -306,7 +306,7 @@ func TestGemmPackedConcurrent(t *testing.T) {
 				b := randView(rng, k, n)
 				c1 := randView(rng, m, n)
 				c2 := cloneView(c1)
-				gemmPacked(c1, a, b, false)
+				gemmPacked(c1, a, b, false, nil, nil)
 				gemmNaive(c2, a, b)
 				if d := maxAbsDiffBacking(c1, c2); d > errs[w] {
 					errs[w] = d

@@ -7,33 +7,45 @@ import (
 	"sync/atomic"
 )
 
-// The shared packed-B-panel cache. Every trailing-update task of a
-// factorization step consumes the same U block column (and every
-// right-hand-side update of a solve sweep the same X block row): under
-// the plain Gemm path each of those tasks re-packs the identical B
-// operand into its private workspace. A SharedBPanel lets the DAG
-// builder hand all consumers of one B operand a single refcounted
-// packed buffer: the first task to run packs it (pack-once-then-stream,
-// the discipline the HiGHS hybrid factorization demonstrates), later
-// tasks stream it directly, and the last use frees it.
+// The shared packed-panel cache. The trailing-update tasks of one
+// factorization step form a grid: every task of a block column
+// multiplies by the same U block (and every right-hand-side update of a
+// solve sweep by the same X block row), every task of a row run by the
+// same L blocks. Under the plain Gemm path each task re-packs both
+// operands into its private workspace. A SharedPanel lets the DAG
+// builder hand all consumers of one operand a single refcounted packed
+// buffer: the first task to run packs it (pack-once-then-stream, the
+// discipline the HiGHS hybrid factorization demonstrates), later tasks
+// stream it directly, and the last use frees it. The same type serves
+// both operand sides; GemmShared takes one optional handle per side.
 //
-// Budget: cached panels are accounted against a byte budget that scales
-// with the pool-wide kernel.Reserve sum (pcSetSlots, called by
-// Reserve/Release), so a resident engine with more workers may cache
-// more panels. When the budget is exhausted — or HSD_PANEL_CACHE=off —
-// a panel falls back to the private packing path, which is bit-identical
-// (same packed bytes, same loop order, same micro-kernel), so hit and
-// miss paths cannot diverge numerically.
+// Budget: cached panels of both sides are accounted against one byte
+// budget that scales with the pool-wide kernel.Reserve sum (pcSetSlots,
+// called by Reserve/Release), so a resident engine with more workers
+// may cache more panels. When the budget is exhausted — or
+// HSD_PANEL_CACHE=off — a panel falls back to the private packing path,
+// which is bit-identical (same packed bytes, same loop order, same
+// micro-kernel), so hit and miss paths cannot diverge numerically.
+//
+// Buffers: a freed panel buffer goes onto a free list keyed by its
+// length and the next panel of that length takes it back — a
+// factorization packs hundreds of panels of a handful of sizes, and a
+// fresh make per panel would allocate (and zero) the whole packed
+// volume on every run. Live and parked bytes together never exceed the
+// budget: parked buffers are dropped to make room for a live panel and
+// when the budget shrinks.
 //
 // Lifecycle: the builder knows the exact consumer count, so the
 // refcount is exact and the normal path frees the buffer on the last
-// Gemm. Aborted runs (a task panicked, the executor stopped scheduling)
-// leave the count above zero; the executor calls Graph.ReleasePanels →
-// ForceFree after the workers drain, so no budget leaks.
+// GemmShared. Aborted runs (a task panicked, the executor stopped
+// scheduling) leave the count above zero; the executor calls
+// Graph.ReleasePanels → ForceFree after the workers drain, so no budget
+// leaks.
 
-// PanelKey identifies one packed B operand: the factorization epoch
-// (one per built graph, so concurrent factorizations never collide),
-// the consuming block column, and the k-step whose update reads it.
+// PanelKey identifies one packed operand: the factorization epoch (one
+// per built graph, so concurrent factorizations never collide), the
+// k-step whose update reads it, and the block column (B side) or
+// leading block row (A side) that consumes it.
 type PanelKey struct {
 	Epoch uint64
 	Col   int
@@ -56,18 +68,33 @@ const (
 	panelCachePerSlot = 1 << 20
 )
 
-// panelCacheOff pins every SharedBPanel to the private path (A/B
+// panelCacheOff pins every SharedPanel to the private path (A/B
 // comparisons, pathological memory pressure).
 var panelCacheOff = os.Getenv("HSD_PANEL_CACHE") == "off"
+
+// panelSide says which GEMM operand a SharedPanel holds.
+type panelSide uint8
+
+const (
+	sideB panelSide = iota // kc x nc blocks as nr-column panels (packB)
+	sideA                  // mc x kc blocks as mr-row panels (packA)
+)
+
+// Cache events, counted per side.
+const (
+	evPack   = iota // first-consumer packings
+	evHit           // later consumers streaming a cached panel
+	evMiss          // private-path fallbacks (denied or disabled)
+	evDenied        // budget denials
+)
 
 var (
 	pcMu     sync.Mutex
 	pcBudget int64 = panelCacheBase
-	pcUsed   int64
-	pcPacks  int64 // first-consumer packings
-	pcHits   int64 // later consumers streaming a cached panel
-	pcMisses int64 // private-path fallbacks (denied or disabled)
-	pcDenied int64 // budget denials
+	pcUsed   int64 // bytes of live panels
+	pcParked int64 // bytes on pcFree
+	pcFree   = map[int][][]float64{}
+	pcCount  [2][4]int64 // [panelSide][event]
 )
 
 // pcSetSlots recomputes the byte budget from the pool-wide workspace
@@ -79,61 +106,146 @@ func pcSetSlots(slots int) {
 	} else {
 		pcBudget = panelCacheBase + int64(slots)*panelCachePerSlot
 	}
+	pcTrimLocked()
+	pcMu.Unlock()
+}
+
+// pcEvent counts one cache event.
+func pcEvent(side panelSide, ev int) {
+	pcMu.Lock()
+	pcCount[side][ev]++
+	pcMu.Unlock()
+}
+
+// pcTrimLocked drops parked buffers until live + parked bytes fit the
+// budget (or nothing is parked); pcMu must be held.
+func pcTrimLocked() {
+	for n, list := range pcFree {
+		for len(list) > 0 && pcUsed+pcParked > pcBudget {
+			list[len(list)-1] = nil
+			list = list[:len(list)-1]
+			pcParked -= int64(n) * 8
+		}
+		if len(list) == 0 {
+			delete(pcFree, n)
+		} else {
+			pcFree[n] = list
+		}
+	}
+}
+
+// pcTake charges an n-double buffer to the budget and returns it — a
+// parked one of that length if there is one, else a new one — or nil
+// when the budget denies it. Either way the caller must overwrite all
+// of it: parked buffers hold stale panels.
+//
+// A panels stop at three quarters of the budget. Under the column-major
+// task order a step's A panels stay live until its last block column is
+// updated — for the static section, most of the factorization — while a
+// B panel is done as soon as its own column is; without the reserve the
+// long-lived side would fill the budget and starve the side that turns
+// over, whose panels each spare a whole column of tasks the packing.
+func pcTake(side panelSide, n int) []float64 {
+	bytes := int64(n) * 8
+	pcMu.Lock()
+	limit := pcBudget
+	if side == sideA {
+		limit = pcBudget / 4 * 3
+	}
+	if pcUsed+bytes > limit {
+		pcMu.Unlock()
+		return nil
+	}
+	pcUsed += bytes
+	if list := pcFree[n]; len(list) > 0 {
+		buf := list[len(list)-1]
+		list[len(list)-1] = nil
+		pcFree[n] = list[:len(list)-1]
+		pcParked -= bytes
+		pcMu.Unlock()
+		return buf
+	}
+	pcTrimLocked()
+	pcMu.Unlock()
+	return make([]float64, n)
+}
+
+// pcGive returns a live buffer: its bytes leave the live count and the
+// buffer is parked for the next panel of its length.
+func pcGive(buf []float64) {
+	bytes := int64(len(buf)) * 8
+	pcMu.Lock()
+	pcUsed -= bytes
+	if pcUsed+pcParked+bytes <= pcBudget {
+		pcFree[len(buf)] = append(pcFree[len(buf)], buf)
+		pcParked += bytes
+	}
 	pcMu.Unlock()
 }
 
 // PanelCacheStats is a snapshot of the cache counters, for tests,
-// benchmarks and debugging.
+// benchmarks and debugging. Packs/Hits/Misses/Denied count B panels
+// only, as they did before A panels existed, so hit shares computed
+// from them stay comparable; the A-panel events are the A* fields.
+// UsedBytes is the live bytes of both sides.
 type PanelCacheStats struct {
-	Packs, Hits, Misses, Denied int64
-	UsedBytes, BudgetBytes      int64
+	Packs, Hits, Misses, Denied     int64
+	APacks, AHits, AMisses, ADenied int64
+	UsedBytes, BudgetBytes          int64
 }
 
 // ReadPanelCacheStats returns the current counters.
 func ReadPanelCacheStats() PanelCacheStats {
 	pcMu.Lock()
 	defer pcMu.Unlock()
+	b, a := pcCount[sideB], pcCount[sideA]
 	return PanelCacheStats{
-		Packs: pcPacks, Hits: pcHits, Misses: pcMisses, Denied: pcDenied,
+		Packs: b[evPack], Hits: b[evHit], Misses: b[evMiss], Denied: b[evDenied],
+		APacks: a[evPack], AHits: a[evHit], AMisses: a[evMiss], ADenied: a[evDenied],
 		UsedBytes: pcUsed, BudgetBytes: pcBudget,
 	}
 }
 
-// panelSeg locates one (jc, pc) packed block inside the shared buffer,
-// mirroring gemmPacked's loop order exactly.
-type panelSeg struct {
-	jc, pc, off int
-}
-
-// SharedBPanel is one refcounted packed B operand shared by the update
-// tasks of a factorization or solve step. Built by the DAG builder with
-// the exact consumer count; each consumer calls Gemm exactly once,
-// which decrements the count, and the last call frees the buffer. A nil
-// *SharedBPanel is valid and degrades to the plain kernel.Gemm path.
-type SharedBPanel struct {
+// SharedPanel is one refcounted packed GEMM operand shared by the
+// update tasks of a factorization or solve step. Built by the DAG
+// builder with the exact consumer count; each consumer passes it to
+// GemmShared exactly once, which decrements the count, and the last
+// call frees the buffer. A nil *SharedPanel is valid and means "pack
+// this operand privately".
+type SharedPanel struct {
 	// Key identifies the panel for debugging and traces.
 	Key PanelKey
 
+	side     panelSide
 	initUses int64
 	uses     atomic.Int64
 
 	mu     sync.Mutex // guards the fields below
-	packed bool
-	denied bool // budget denial is sticky until Reset
-	buf    []float64
-	segs   []panelSeg
-	bytes  int64
-	k, n   int
+	denied bool       // budget denial is sticky until Reset
+	buf    []float64  // non-nil while packed
+	ext, k int        // operand extent (rows of A, columns of B) and depth
 }
 
-// NewSharedBPanel creates a panel expected to be consumed by `uses`
-// Gemm calls. With fewer than two consumers there is nothing to share
-// and nil is returned (the nil receiver runs the plain path).
-func NewSharedBPanel(key PanelKey, uses int) *SharedBPanel {
+// NewSharedAPanel creates a handle for a left operand (the L blocks of
+// one row run) expected to be consumed by `uses` GemmShared calls.
+func NewSharedAPanel(key PanelKey, uses int) *SharedPanel {
+	return newSharedPanel(sideA, key, uses)
+}
+
+// NewSharedBPanel creates a handle for a right operand (one U block, or
+// one solved X block row) expected to be consumed by `uses` GemmShared
+// calls.
+func NewSharedBPanel(key PanelKey, uses int) *SharedPanel {
+	return newSharedPanel(sideB, key, uses)
+}
+
+// With fewer than two consumers there is nothing to share and nil is
+// returned (a nil handle packs privately).
+func newSharedPanel(side panelSide, key PanelKey, uses int) *SharedPanel {
 	if uses < 2 {
 		return nil
 	}
-	p := &SharedBPanel{Key: key, initUses: int64(uses)}
+	p := &SharedPanel{Key: key, side: side, initUses: int64(uses)}
 	p.uses.Store(p.initUses)
 	return p
 }
@@ -141,11 +253,11 @@ func NewSharedBPanel(key PanelKey, uses int) *SharedBPanel {
 // Reset re-arms the panel for another execution of its graph: any
 // cached buffer is returned to the budget, denial is forgotten and the
 // refcount is restored. Must not run concurrently with consumers.
-func (p *SharedBPanel) Reset() {
+func (p *SharedPanel) Reset() {
 	if p == nil {
 		return
 	}
-	p.freeBuf()
+	p.ForceFree()
 	p.mu.Lock()
 	p.denied = false
 	p.mu.Unlock()
@@ -156,29 +268,40 @@ func (p *SharedBPanel) Reset() {
 // count — executor teardown for aborted runs, where some consumers
 // never executed. Idempotent; the normal last-use free makes it a
 // no-op on clean runs.
-func (p *SharedBPanel) ForceFree() {
+func (p *SharedPanel) ForceFree() {
 	if p == nil {
 		return
 	}
-	p.freeBuf()
+	p.mu.Lock()
+	if p.buf != nil {
+		pcGive(p.buf)
+		p.buf = nil
+	}
+	p.mu.Unlock()
 }
 
-// Gemm computes C -= A * B like kernel.Gemm, streaming the shared
-// packed B on a hit and falling back to the private packed path
-// otherwise. Every path dispatches exactly as kernel.Gemm does, so the
-// result is bit-identical whether or not the panel was cached.
-func (p *SharedBPanel) Gemm(c, a, b View) {
-	if p == nil {
-		Gemm(c, a, b)
-		return
+// release consumes one use; the last one frees the cached buffer.
+func (p *SharedPanel) release() {
+	if p != nil && p.uses.Add(-1) == 0 {
+		p.ForceFree()
 	}
+}
+
+// GemmShared computes C -= A * B like Gemm — which is GemmShared with
+// no handles — streaming each operand whose handle holds (or can take)
+// a cached packed copy and packing the other privately. Every path
+// dispatches exactly as Gemm does and the packed bytes are the same
+// either way, so the result is bit-identical whatever was cached. Each
+// non-nil handle loses one use.
+func GemmShared(c, a, b View, pa, pb *SharedPanel) {
 	ensureTuned()
 	m, n, k := c.Rows, c.Cols, a.Cols
 	if a.Rows != m || b.Rows != k || b.Cols != n {
 		panic(fmt.Sprintf("kernel: gemm shape mismatch C %dx%d, A %dx%d, B %dx%d",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	defer p.release()
+	defer pa.release()
+	defer pb.release()
 	if useNaiveKernels {
 		gemmNaive(c, a, b)
 		return
@@ -187,106 +310,74 @@ func (p *SharedBPanel) Gemm(c, a, b View) {
 		gemmSmall(c, a, b, false)
 		return
 	}
-	if p.ensurePacked(b) {
-		gemmPackedSharedB(c, a, p)
-		return
+	if !pa.ensurePacked(a) {
+		pa = nil
 	}
-	gemmPacked(c, a, b, false)
+	if !pb.ensurePacked(b) {
+		pb = nil
+	}
+	gemmPacked(c, a, b, false, pa, pb)
 }
 
-// release consumes one use; the last one frees the cached buffer.
-func (p *SharedBPanel) release() {
-	if p.uses.Add(-1) == 0 {
-		p.freeBuf()
+// geom returns the cache block and register tile along the operand's
+// extent: mc/mr for A, nc/nr for B.
+func (p *SharedPanel) geom() (blk, tile int) {
+	if p.side == sideA {
+		return mc, mr
 	}
+	return nc, nr
 }
 
-func (p *SharedBPanel) freeBuf() {
-	p.mu.Lock()
-	if p.packed {
-		p.packed = false
-		p.buf, p.segs = nil, nil
-		pcMu.Lock()
-		pcUsed -= p.bytes
-		pcMu.Unlock()
-		p.bytes = 0
-	}
-	p.mu.Unlock()
+// seg returns the packed block of extent offset e0 (a multiple of the
+// side's cache block) and depth offset pc. Blocks are stored extent-
+// major, each padded to whole register tiles.
+func (p *SharedPanel) seg(e0, pc int) []float64 {
+	blk, tile := p.geom()
+	return p.buf[e0/blk*roundUp(blk, tile)*p.k+roundUp(min(blk, p.ext-e0), tile)*pc:]
 }
 
-// ensurePacked returns true with the shared buffer ready (packing it on
-// the first call), or false when the byte budget denies the panel —
-// the caller then packs privately. Concurrent consumers serialize here:
-// the first packs while the rest wait, then all stream the same bytes.
-func (p *SharedBPanel) ensurePacked(b View) bool {
+// ensurePacked returns true with the shared buffer ready (packing v
+// into it on the first call), or false when there is no handle or the
+// byte budget denies the panel — the caller then packs privately.
+// Concurrent consumers serialize here: the first packs while the rest
+// wait, then all stream the same bytes.
+func (p *SharedPanel) ensurePacked(v View) bool {
+	if p == nil {
+		return false
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.packed {
-		pcMu.Lock()
-		pcHits++
-		pcMu.Unlock()
+	if p.buf != nil {
+		pcEvent(p.side, evHit)
 		return true
 	}
 	if p.denied {
-		pcMu.Lock()
-		pcMisses++
-		pcMu.Unlock()
+		pcEvent(p.side, evMiss)
 		return false
 	}
-	k, n := b.Rows, b.Cols
-	var segs []panelSeg
-	total := 0
-	for jc := 0; jc < n; jc += nc {
-		ncLen := min(nc, n-jc)
-		padded := (ncLen + nr - 1) / nr * nr
-		for pc := 0; pc < k; pc += kc {
-			kcLen := min(kc, k-pc)
-			segs = append(segs, panelSeg{jc: jc, pc: pc, off: total})
-			total += padded * kcLen
-		}
+	ext, k := v.Cols, v.Rows
+	if p.side == sideA {
+		ext, k = v.Rows, v.Cols
 	}
-	bytes := int64(total) * 8
-	pcMu.Lock()
-	if pcUsed+bytes > pcBudget {
-		pcDenied++
-		pcMisses++
-		pcMu.Unlock()
+	blk, tile := p.geom()
+	buf := pcTake(p.side, (ext/blk*roundUp(blk, tile)+roundUp(ext%blk, tile))*k)
+	if buf == nil {
 		p.denied = true
+		pcEvent(p.side, evDenied)
+		pcEvent(p.side, evMiss)
 		return false
 	}
-	pcUsed += bytes
-	pcPacks++
-	pcMu.Unlock()
-	buf := make([]float64, total)
-	for _, s := range segs {
-		packB(buf[s.off:], b, s.pc, s.jc, min(kc, k-s.pc), min(nc, n-s.jc), false, nr)
-	}
-	p.buf, p.segs, p.bytes = buf, segs, bytes
-	p.k, p.n = k, n
-	p.packed = true
-	return true
-}
-
-// gemmPackedSharedB is gemmPacked with the B packing elided: the same
-// jc/pc/ic loop nest and the same macro-kernel, but the B panel comes
-// from the shared buffer. A is still packed privately per caller — the
-// A operand differs across the sharing tasks, only B is common.
-func gemmPackedSharedB(c, a View, p *SharedBPanel) {
-	m := c.Rows
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	si := 0
-	for jc := 0; jc < p.n; jc += nc {
-		ncLen := min(nc, p.n-jc)
-		for pc := 0; pc < p.k; pc += kc {
-			kcLen := min(kc, p.k-pc)
-			bp := p.buf[p.segs[si].off:]
-			si++
-			for ic := 0; ic < m; ic += mc {
-				mcLen := min(mc, m-ic)
-				packA(ws.ap, a, ic, pc, mcLen, kcLen, mr)
-				macroKernel(c, ws.ap, bp, ic, jc, mcLen, ncLen, kcLen)
+	pcEvent(p.side, evPack)
+	p.buf, p.ext, p.k = buf, ext, k
+	for e0 := 0; e0 < ext; e0 += blk {
+		eLen := min(blk, ext-e0)
+		for pc := 0; pc < k; pc += kc {
+			if p.side == sideA {
+				packA(p.seg(e0, pc), v, e0, pc, eLen, min(kc, k-pc), mr)
+			} else {
+				packB(p.seg(e0, pc), v, pc, e0, min(kc, k-pc), eLen, false, nr)
 			}
 		}
 	}
+	return true
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func TestSharedBPanelHitBitIdentical(t *testing.T) {
 			t.Fatal("NewSharedBPanel returned nil for uses >= 2")
 		}
 		for i := range sc.cs {
-			p.Gemm(sc.cs[i], sc.as[i], sc.b)
+			GemmShared(sc.cs[i], sc.as[i], sc.b, nil, p)
 		}
 		for i := range sc.cs {
 			if d := maxAbsDiffBacking(sc.cs[i], want[i]); d != 0 {
@@ -100,7 +101,7 @@ func TestSharedBPanelDeniedFallsBack(t *testing.T) {
 	before := pcState()
 	p := NewSharedBPanel(PanelKey{Epoch: NewEpoch(), Col: 2}, 3)
 	for i := range sc.cs {
-		p.Gemm(sc.cs[i], sc.as[i], sc.b)
+		GemmShared(sc.cs[i], sc.as[i], sc.b, nil, p)
 	}
 	for i := range sc.cs {
 		if d := maxAbsDiffBacking(sc.cs[i], want[i]); d != 0 {
@@ -134,7 +135,7 @@ func TestSharedBPanelConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p.Gemm(sc.cs[i], sc.as[i], sc.b)
+			GemmShared(sc.cs[i], sc.as[i], sc.b, nil, p)
 		}(i)
 	}
 	wg.Wait()
@@ -157,11 +158,11 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 	before := pcState()
 	p := NewSharedBPanel(PanelKey{Epoch: NewEpoch(), Col: 4}, 2)
 
-	p.Gemm(cloneView(sc.cs[0]), sc.as[0], sc.b)
+	GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, nil, p)
 	if s := pcState(); s.UsedBytes <= before.UsedBytes {
 		t.Fatal("first consumer did not charge the budget")
 	}
-	p.Gemm(cloneView(sc.cs[1]), sc.as[1], sc.b)
+	GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, nil, p)
 	if s := pcState(); s.UsedBytes != before.UsedBytes {
 		t.Fatalf("last consumer did not free: used %d -> %d", before.UsedBytes, s.UsedBytes)
 	}
@@ -174,8 +175,8 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 	p.Reset()
 	want := sc.want()
 	got := []View{cloneView(sc.cs[0]), cloneView(sc.cs[1])}
-	p.Gemm(got[0], sc.as[0], sc.b)
-	p.Gemm(got[1], sc.as[1], sc.b)
+	GemmShared(got[0], sc.as[0], sc.b, nil, p)
+	GemmShared(got[1], sc.as[1], sc.b, nil, p)
 	for i := range got {
 		if d := maxAbsDiffBacking(got[i], want[i]); d != 0 {
 			t.Fatalf("post-Reset consumer %d diverges: max |diff| = %g", i, d)
@@ -188,7 +189,7 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 	// Abort path: one consumer runs, the second never does; ForceFree
 	// must reclaim.
 	p.Reset()
-	p.Gemm(cloneView(sc.cs[0]), sc.as[0], sc.b)
+	GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, nil, p)
 	if s := pcState(); s.UsedBytes <= before.UsedBytes {
 		t.Fatal("aborted run did not hold a buffer before ForceFree")
 	}
@@ -210,8 +211,8 @@ func TestSharedBPanelNilDegrades(t *testing.T) {
 	b := randView(rng, 48, 48)
 	c1 := randView(rng, 48, 48)
 	c2 := cloneView(c1)
-	var p *SharedBPanel
-	p.Gemm(c1, a, b)
+	var p *SharedPanel
+	GemmShared(c1, a, b, nil, p)
 	Gemm(c2, a, b)
 	if d := maxAbsDiffBacking(c1, c2); d != 0 {
 		t.Fatalf("nil panel path diverges from Gemm: %g", d)
@@ -228,8 +229,8 @@ func TestSharedBPanelSmallShapesBypass(t *testing.T) {
 	sc := newSharedGemmCase(rng, 8, 8, 8, 2)
 	want := sc.want()
 	p := NewSharedBPanel(PanelKey{Epoch: NewEpoch(), Col: 5}, 2)
-	p.Gemm(sc.cs[0], sc.as[0], sc.b)
-	p.Gemm(sc.cs[1], sc.as[1], sc.b)
+	GemmShared(sc.cs[0], sc.as[0], sc.b, nil, p)
+	GemmShared(sc.cs[1], sc.as[1], sc.b, nil, p)
 	for i := range sc.cs {
 		if d := maxAbsDiffBacking(sc.cs[i], want[i]); d != 0 {
 			t.Fatalf("small-shape consumer %d diverges: %g", i, d)
@@ -238,5 +239,224 @@ func TestSharedBPanelSmallShapesBypass(t *testing.T) {
 	after := pcState()
 	if after.Packs != before.Packs || after.Hits != before.Hits {
 		t.Error("sub-crossover shapes must not engage the panel cache")
+	}
+}
+
+// updateGrid is one factorization step's trailing update in miniature:
+// rows x cols tasks, task (r, j) computing C[r][j] -= A[r] * B[j], so
+// every A is shared along a row and every B along a column — the shape
+// BuildCALU creates.
+type updateGrid struct {
+	as, bs []View
+	cs     [][]View
+}
+
+func newUpdateGrid(rng *rand.Rand, rows, cols, m, n, k int) updateGrid {
+	g := updateGrid{cs: make([][]View, rows)}
+	for j := 0; j < cols; j++ {
+		g.bs = append(g.bs, randView(rng, k, n))
+	}
+	for r := 0; r < rows; r++ {
+		g.as = append(g.as, randView(rng, m, k))
+		for j := 0; j < cols; j++ {
+			g.cs[r] = append(g.cs[r], randView(rng, m, n))
+		}
+	}
+	return g
+}
+
+func (g updateGrid) clone() updateGrid {
+	out := updateGrid{as: g.as, bs: g.bs, cs: make([][]View, len(g.cs))}
+	for r := range g.cs {
+		for _, c := range g.cs[r] {
+			out.cs[r] = append(out.cs[r], cloneView(c))
+		}
+	}
+	return out
+}
+
+// run executes every task of the grid through GemmShared with one A
+// handle per row and one B handle per column, `workers` tasks at a
+// time, and returns the handles.
+func (g updateGrid) run(workers int) (pa, pb []*SharedPanel) {
+	ep := NewEpoch()
+	for r := range g.as {
+		pa = append(pa, NewSharedAPanel(PanelKey{Epoch: ep, Col: r}, len(g.bs)))
+	}
+	for j := range g.bs {
+		pb = append(pb, NewSharedBPanel(PanelKey{Epoch: ep, Col: j}, len(g.as)))
+	}
+	var wg sync.WaitGroup
+	tasks := make(chan [2]int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range tasks {
+				GemmShared(g.cs[t[0]][t[1]], g.as[t[0]], g.bs[t[1]], pa[t[0]], pb[t[1]])
+			}
+		}()
+	}
+	for r := range g.as {
+		for j := range g.bs {
+			tasks <- [2]int{r, j}
+		}
+	}
+	close(tasks)
+	wg.Wait()
+	return pa, pb
+}
+
+func (g updateGrid) same(t *testing.T, what string, want updateGrid) {
+	t.Helper()
+	for r := range g.cs {
+		for j := range g.cs[r] {
+			sameBits(t, fmt.Sprintf("%s: task (%d,%d)", what, r, j), g.cs[r][j], want.cs[r][j])
+		}
+	}
+}
+
+// TestSharedPanelsHitDeniedOffBitIdentical: the same update grid run
+// with both operands cached, with a budget that denies every panel and
+// with the cache switched off must produce the bits of plain Gemm calls
+// — under every registered kernel, the portable one included, with
+// four tasks in flight. On the clean run every handle's count reaches
+// exactly zero: the last consumer, not a ForceFree, returns the bytes.
+func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
+	const rows, cols = 3, 5
+	for _, p := range kernelProfiles() {
+		p := p
+		t.Run(p.Kernel, func(t *testing.T) {
+			withProfile(t, p, func() {
+				rng := rand.New(rand.NewSource(41))
+				// m spans several mc blocks, n two nc blocks, k three kc blocks, all
+				// with ragged edges.
+				src := newUpdateGrid(rng, rows, cols, 9*p.MR+3, 5*p.NR+1, 2*p.KC+5)
+				want := src.clone()
+				for r := range want.as {
+					for j := range want.bs {
+						Gemm(want.cs[r][j], want.as[r], want.bs[j])
+					}
+				}
+
+				before := pcState()
+				hit := src.clone()
+				pa, pb := hit.run(4)
+				hit.same(t, "cached", want)
+				after := pcState()
+				if got := after.APacks - before.APacks; got != rows {
+					t.Errorf("A packs = %d, want one per row (%d)", got, rows)
+				}
+				if got := after.AHits - before.AHits; got != rows*(cols-1) {
+					t.Errorf("A hits = %d, want %d", got, rows*(cols-1))
+				}
+				if got := after.Packs - before.Packs; got != cols {
+					t.Errorf("B packs = %d, want one per column (%d)", got, cols)
+				}
+				if got := after.Hits - before.Hits; got != cols*(rows-1) {
+					t.Errorf("B hits = %d, want %d", got, cols*(rows-1))
+				}
+				if after.UsedBytes != before.UsedBytes {
+					t.Errorf("clean run left %d bytes live before any ForceFree", after.UsedBytes-before.UsedBytes)
+				}
+				for _, h := range append(pa, pb...) {
+					if n := h.uses.Load(); n != 0 {
+						t.Errorf("handle %+v ends with %d uses, want exactly 0", h.Key, n)
+					}
+				}
+
+				setPanelBudget(t, 64)
+				before = pcState()
+				denied := src.clone()
+				denied.run(4)
+				denied.same(t, "denied", want)
+				after = pcState()
+				if got := after.ADenied - before.ADenied; got != rows {
+					t.Errorf("A denials = %d, want one per row (%d)", got, rows)
+				}
+				if got := after.AMisses - before.AMisses; got != rows*cols {
+					t.Errorf("A misses = %d, want one per task (%d)", got, rows*cols)
+				}
+
+				// HSD_PANEL_CACHE=off is a zero budget from process start.
+				setPanelBudget(t, 0)
+				off := src.clone()
+				off.run(4)
+				off.same(t, "off", want)
+				if s := pcState(); s.UsedBytes != before.UsedBytes {
+					t.Errorf("disabled cache holds %d bytes", s.UsedBytes-before.UsedBytes)
+				}
+			})
+		})
+	}
+}
+
+// TestSharedAPanelReserveKeepsBHits: A panels live as long as their
+// step, B panels as long as their column, so A stops at three quarters
+// of the budget and a B panel still finds room behind a wall of them.
+func TestSharedAPanelReserveKeepsBHits(t *testing.T) {
+	ensureTuned()
+	rng := rand.New(rand.NewSource(43))
+	a, b, c := randView(rng, 96, 64), randView(rng, 64, 96), randView(rng, 96, 96)
+	aBytes := int64((96+mr-1)/mr*mr*64) * 8
+	setPanelBudget(t, 4*aBytes)
+	before := pcState()
+	var held []*SharedPanel
+	defer func() {
+		for _, p := range held {
+			p.ForceFree()
+		}
+	}()
+	for i := 0; i < 4; i++ {
+		p := NewSharedAPanel(PanelKey{Epoch: NewEpoch(), Col: i}, 2)
+		held = append(held, p)
+		GemmShared(cloneView(c), a, b, p, nil)
+	}
+	after := pcState()
+	if got := after.APacks - before.APacks; got != 3 {
+		t.Fatalf("A panels admitted = %d of 4, want 3 (three quarters of the budget)", got)
+	}
+	if got := after.ADenied - before.ADenied; got != 1 {
+		t.Fatalf("A denials = %d, want 1", got)
+	}
+	pb := NewSharedBPanel(PanelKey{Epoch: NewEpoch()}, 2)
+	held = append(held, pb)
+	GemmShared(cloneView(c), a, b, nil, pb)
+	if got := pcState().Packs - before.Packs; got != 1 {
+		t.Fatalf("B panel behind the A panels: packs = %d, want 1 (reserve not honoured)", got)
+	}
+}
+
+// TestPanelBuffersRecycled: a freed panel buffer is handed to the next
+// panel of its length instead of being reallocated, parked bytes count
+// against the budget together with live ones, and a shrinking budget
+// drops them.
+func TestPanelBuffersRecycled(t *testing.T) {
+	ensureTuned()
+	rng := rand.New(rand.NewSource(47))
+	sc := newSharedGemmCase(rng, 64, 64, 64, 2)
+	pack := func() *float64 {
+		p := NewSharedBPanel(PanelKey{Epoch: NewEpoch()}, 2)
+		GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, nil, p)
+		first := &p.buf[0]
+		GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, nil, p) // last use parks it
+		return first
+	}
+	if b1, b2 := pack(), pack(); b1 != b2 {
+		t.Error("second panel of the same length did not reuse the parked buffer")
+	}
+	pcMu.Lock()
+	used, parked, budget := pcUsed, pcParked, pcBudget
+	pcMu.Unlock()
+	if parked == 0 || used+parked > budget {
+		t.Errorf("used %d + parked %d vs budget %d: parked buffers must exist and fit", used, parked, budget)
+	}
+	setPanelBudget(t, 0)
+	pcMu.Lock()
+	pcTrimLocked()
+	parked, lists := pcParked, len(pcFree)
+	pcMu.Unlock()
+	if parked != 0 || lists != 0 {
+		t.Errorf("zero budget keeps %d parked bytes in %d lists", parked, lists)
 	}
 }

@@ -81,8 +81,10 @@ loop:
 // func rank1SubAVX2(n int, c, l *float64, u float64)
 //
 // c[i] -= l[i]*u for i in 0..n-1, multiply and subtract rounded
-// separately (VMULPD+VSUBPD / MULSD+SUBSD — bit-identical to the
-// portable loop). Unrolled 8-wide; scalar SSE2 tail.
+// separately (VMULPD+VSUBPD / VMULSD+VSUBSD — bit-identical to the
+// portable loop). Unrolled 8-wide; the scalar tail is VEX-encoded too:
+// it runs with the broadcast's upper YMM halves dirty, where every
+// legacy-SSE instruction would pay an SSE/AVX transition.
 TEXT ·rank1SubAVX2(SB), NOSPLIT, $0-32
 	MOVQ         n+0(FP), CX
 	MOVQ         c+8(FP), DX
@@ -125,15 +127,15 @@ tail1:
 	TESTQ CX, CX
 	JZ    done
 scalar:
-	MOVSD (SI), X0
-	MULSD X3, X0
-	MOVSD (DX), X1
-	SUBSD X0, X1
-	MOVSD X1, (DX)
-	ADDQ  $8, SI
-	ADDQ  $8, DX
-	DECQ  CX
-	JNZ   scalar
+	VMOVSD (SI), X0
+	VMULSD X3, X0, X0
+	VMOVSD (DX), X1
+	VSUBSD X0, X1, X1
+	VMOVSD X1, (DX)
+	ADDQ   $8, SI
+	ADDQ   $8, DX
+	DECQ   CX
+	JNZ    scalar
 
 done:
 	VZEROUPPER
@@ -141,7 +143,8 @@ done:
 
 // func scaleVecAVX2(n int, c *float64, alpha float64)
 //
-// c[i] *= alpha for i in 0..n-1 (the micro-panel's L-column scaling).
+// c[i] *= alpha for i in 0..n-1 (the micro-panel's L-column scaling);
+// VEX-encoded scalar tail for the same reason as rank1SubAVX2's.
 TEXT ·scaleVecAVX2(SB), NOSPLIT, $0-24
 	MOVQ         n+0(FP), CX
 	MOVQ         c+8(FP), DX
@@ -175,12 +178,12 @@ stail1:
 	TESTQ CX, CX
 	JZ    sdone
 sscalar:
-	MOVSD (DX), X0
-	MULSD X3, X0
-	MOVSD X0, (DX)
-	ADDQ  $8, DX
-	DECQ  CX
-	JNZ   sscalar
+	VMOVSD (DX), X0
+	VMULSD X3, X0, X0
+	VMOVSD X0, (DX)
+	ADDQ   $8, DX
+	DECQ   CX
+	JNZ    sscalar
 
 sdone:
 	VZEROUPPER

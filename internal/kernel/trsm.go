@@ -7,22 +7,34 @@ import "fmt"
 // off-diagonal mass becomes rank-trsmBlock GEMM updates that ride the
 // packed path. The naive variants are retained both as the diagonal
 // micro-solvers and as the property-test oracles.
+//
+// The diagonal systems are vectorized without moving a bit. Where the
+// inner loop runs down a long enough vector — the right-side solves,
+// whose vectors are B's rows-long columns, and the non-unit left ones —
+// it is the panel layer's rank1Sub/scaleVec (getrf.go), which round the
+// multiply and the subtract separately, like the scalar loops they
+// replaced. The unit-lower forward solve, task U's kernel, has vectors
+// shorter than its triangle and gets a tile kernel of its own
+// (trsmLowerLeftUnitDiag). Every element sees exactly the scalar loops'
+// operation sequence (they are kept as oracles in trsm_test.go); only
+// the sign and payload of a NaN may differ, never where it lands.
 
 // TrsmLowerLeftUnit solves L*X = B in place (B <- L^{-1} B), where L is
 // unit lower triangular n x n and B is n x m. This is the "task U"
 // kernel: U_KJ = L_KK^{-1} A_KJ.
 func TrsmLowerLeftUnit(l, b View) {
+	ensureTuned()
 	n, m := b.Rows, b.Cols
 	if l.Rows != n || l.Cols != n {
 		panic(fmt.Sprintf("kernel: trsmL shape mismatch L %dx%d, B %dx%d", l.Rows, l.Cols, n, m))
 	}
-	if useNaiveKernels || n <= trsmBlock {
+	if useNaiveKernels {
 		trsmLowerLeftUnitNaive(l, b)
 		return
 	}
 	for k0 := 0; k0 < n; k0 += trsmBlock {
 		k1 := min(k0+trsmBlock, n)
-		trsmLowerLeftUnitNaive(l.Sub(k0, k1, k0, k1), b.Sub(k0, k1, 0, m))
+		trsmLowerLeftUnitDiag(l.Sub(k0, k1, k0, k1), b.Sub(k0, k1, 0, m))
 		if k1 < n {
 			// B2 -= L21 * X1.
 			Gemm(b.Sub(k1, n, 0, m), l.Sub(k1, n, k0, k1), b.Sub(k0, k1, 0, m))
@@ -55,6 +67,90 @@ func trsmLowerLeftUnitNaive(l, b View) {
 			lk := l.Data[k*l.Stride:]
 			for i := k + 1; i < n; i++ {
 				bj[i] -= lk[i] * bkj
+			}
+		}
+	}
+}
+
+// trsmLowerUnitTile solves rows kprev..kprev+7 of a trsmTileCols-wide
+// strip of right-hand sides, given the rows above already solved:
+//
+//	row_i -= lp[k*8+i] * xp[k*4 .. k*4+3]      for k < kprev, in order
+//	row_i -= lp[(kprev+t)*8+i] * row_t         for t = 0..6, i > t
+//
+// with row_i the tile's row i (column-major at c, leading dimension
+// ldc), every multiply and subtract rounded separately. The solved
+// rows are appended to xp. Nil where no vector kernel exists
+// (trsmkernel_amd64.go installs the AVX2 one).
+var trsmLowerUnitTile func(kprev int, lp, xp, c []float64, ldc int)
+
+// The tile kernel's fixed shape, and the scratch one diagonal system
+// needs (workspace.go): the triangle packed per 8-row block, one strip
+// of solved rows, one staged edge strip.
+const (
+	trsmTileRows = 8
+	trsmTileCols = 4
+)
+
+type trsmScratch struct {
+	lp   [trsmBlock * (trsmBlock + trsmTileRows) / 2]float64
+	xp   [trsmBlock * trsmTileCols]float64
+	edge [trsmBlock * trsmTileCols]float64
+}
+
+// trsmLowerLeftUnitDiag solves one diagonal system (n <= trsmBlock) of
+// the blocked forward solve. The plain loops run down each column of B
+// with vectors shorter than the triangle and a dependency chain from
+// one step to the next; the tile kernel instead takes the triangle
+// packed in 8-row blocks and sweeps each 4-column strip of B top to
+// bottom, a block of rows at a time. Every element still sees the plain
+// loops' multiply/subtract sequence in the same k order, so the bits
+// are theirs. Ragged strips and row blocks are staged through a zero-
+// padded scratch strip.
+//
+//hsd:bitident
+func trsmLowerLeftUnitDiag(l, b View) {
+	n, m := b.Rows, b.Cols
+	if trsmLowerUnitTile == nil || n <= trsmTileRows || n > trsmBlock || m < trsmTileCols {
+		trsmLowerLeftUnitNaive(l, b)
+		return
+	}
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	// lp: per row block r0, columns 0..r0+7 of L's rows r0..r0+7, eight
+	// row entries per column, zero from row n down (entries on and above
+	// the diagonal are never read).
+	lp, xp, edge := ws.trsm.lp[:], ws.trsm.xp[:], ws.trsm.edge[:]
+	var lpOff [trsmBlock / trsmTileRows]int
+	off := 0
+	for r0 := 0; r0 < n; r0 += trsmTileRows {
+		lpOff[r0/trsmTileRows] = off
+		for k := 0; k < r0+trsmTileRows; k++ {
+			col := lp[off : off+trsmTileRows]
+			clear(col)
+			if k < n {
+				copy(col[:min(trsmTileRows, n-r0)], l.Data[k*l.Stride+r0:])
+			}
+			off += trsmTileRows
+		}
+	}
+	for j0 := 0; j0 < m; j0 += trsmTileCols {
+		c, ldc := b.Data[j0*b.Stride:], b.Stride
+		cols := min(trsmTileCols, m-j0)
+		staged := cols < trsmTileCols || n%trsmTileRows != 0
+		if staged {
+			clear(edge)
+			for j := 0; j < cols; j++ {
+				copy(edge[j*trsmBlock:j*trsmBlock+n], c[j*ldc:])
+			}
+			c, ldc = edge, trsmBlock
+		}
+		for r0 := 0; r0 < n; r0 += trsmTileRows {
+			trsmLowerUnitTile(r0, lp[lpOff[r0/trsmTileRows]:], xp, c[r0:], ldc)
+		}
+		if staged {
+			for j := 0; j < cols; j++ {
+				copy(b.Data[(j0+j)*b.Stride:(j0+j)*b.Stride+n], edge[j*trsmBlock:])
 			}
 		}
 	}
@@ -103,10 +199,7 @@ func trsmLowerLeftNaive(l, b View) {
 			}
 			bkj := bj[k] / lkk
 			bj[k] = bkj
-			lk := l.Data[k*l.Stride:]
-			for i := k + 1; i < n; i++ {
-				bj[i] -= lk[i] * bkj
-			}
+			rank1Sub(bj[k+1:], l.Data[k*l.Stride+k+1:k*l.Stride+n], bkj)
 		}
 	}
 }
@@ -154,10 +247,7 @@ func trsmUpperLeftNaive(u, b View) {
 			}
 			bkj := bj[k] / ukk
 			bj[k] = bkj
-			uk := u.Data[k*u.Stride:]
-			for i := 0; i < k; i++ {
-				bj[i] -= uk[i] * bkj
-			}
+			rank1Sub(bj[:k], u.Data[k*u.Stride:k*u.Stride+k], bkj)
 		}
 	}
 }
@@ -199,17 +289,13 @@ func trsmUpperRightNaive(u, b View) {
 		bj := b.Data[j*b.Stride : j*b.Stride+m]
 		// b_j -= sum_{k<j} b_k * u_kj
 		for k := 0; k < j; k++ {
-			bk := b.Data[k*b.Stride : k*b.Stride+m]
-			axpy(bj, bk, -u.Data[j*u.Stride+k])
+			rank1Sub(bj, b.Data[k*b.Stride:k*b.Stride+m], u.Data[j*u.Stride+k])
 		}
 		ujj := u.Data[j*u.Stride+j]
 		if ujj == 0 {
 			panic("kernel: trsmU singular diagonal")
 		}
-		inv := 1 / ujj
-		for i := range bj {
-			bj[i] *= inv
-		}
+		scaleVec(bj, 1/ujj)
 	}
 }
 
@@ -249,16 +335,12 @@ func trsmRightLowerTransNaive(l, b View) {
 	for j := 0; j < n; j++ {
 		bj := b.Data[j*b.Stride : j*b.Stride+m]
 		for k := 0; k < j; k++ {
-			bk := b.Data[k*b.Stride : k*b.Stride+m]
-			axpy(bj, bk, -l.Data[k*l.Stride+j]) // L[j,k]
+			rank1Sub(bj, b.Data[k*b.Stride:k*b.Stride+m], l.Data[k*l.Stride+j]) // L[j,k]
 		}
 		ljj := l.Data[j*l.Stride+j]
 		if ljj == 0 {
 			panic("kernel: trsmRLT singular diagonal")
 		}
-		inv := 1 / ljj
-		for i := range bj {
-			bj[i] *= inv
-		}
+		scaleVec(bj, 1/ljj)
 	}
 }

@@ -331,7 +331,7 @@ func benchProfile(p Profile) float64 {
 	bestScore := 0.0
 	for rep := 0; rep < 3; rep++ {
 		start := time.Now()
-		gemmPacked(cv, av, bv, false)
+		gemmPacked(cv, av, bv, false, nil, nil)
 		el := time.Since(start)
 		if rep == 0 {
 			continue // warm-up
@@ -349,6 +349,9 @@ func roundDown(v, m int) int {
 	}
 	return v - v%m
 }
+
+// roundUp returns the smallest multiple of m that is >= v.
+func roundUp(v, m int) int { return (v + m - 1) / m * m }
 
 func clamp(v, lo, hi int) int {
 	if v < lo {

@@ -60,9 +60,11 @@ var (
 	nr = 4
 )
 
-// microKernel computes acc[j*mr+i] = sum_l ap[l*mr+i]*bp[l*nr+j] for a
-// full register tile over kk packed k-steps. It must not touch C; the
-// macro-kernel subtracts acc into C afterwards, masking edge tiles.
+// microKernel applies c[j*ldc+i] -= sum_l ap[l*mr+i]*bp[l*nr+j] to one
+// full mr x nr tile of C: the products are accumulated in registers over
+// kk packed k-steps and the write-back is one subtraction per element,
+// fused into the kernel. It always writes a full tile; the macro-kernel
+// stages edge tiles through a dense scratch tile.
 //
 //hsd:profile-state
 var microKernel = micro4x4
@@ -167,7 +169,7 @@ type Profile struct {
 type microImpl struct {
 	name   string
 	mr, nr int
-	fn     func(kk int, ap, bp, acc []float64)
+	fn     func(kk int, ap, bp, c []float64, ldc int)
 }
 
 // microImpls is the kernel registry; platform inits append their

@@ -7,14 +7,19 @@ import (
 
 // workspace holds the packing buffers of one in-flight packed GEMM:
 // ap receives the mc x kc block of A as mr-row panels, bp the kc x nc
-// block of B as nr-column panels. Buffers are recycled through an
-// explicit free list — not a sync.Pool, whose contents a GC cycle may
-// drop — so a Reserve'd buffer set genuinely persists for the whole
-// factorization. The rt workers call kernels concurrently and a
-// megabyte-scale allocation per GEMM call would dominate small updates.
+// block of B as nr-column panels. tile stages one edge register tile of
+// C, and trsm is the forward solve's tile-kernel scratch: as locals
+// both would escape through the kernels' function values and cost an
+// allocation per call. Buffers are recycled through an explicit free
+// list — not a sync.Pool, whose contents a GC cycle may drop — so a
+// Reserve'd buffer set genuinely persists for the whole factorization.
+// The rt workers call kernels concurrently and a megabyte-scale
+// allocation per GEMM call would dominate small updates.
 type workspace struct {
-	ap []float64
-	bp []float64
+	ap   []float64
+	bp   []float64
+	tile [maxMR * maxNR]float64
+	trsm trsmScratch
 }
 
 var (
