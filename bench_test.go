@@ -739,8 +739,8 @@ func reportClassLatencies(b *testing.B, small, large []time.Duration) {
 // BenchmarkEngineMixedTraffic drives the two-lane admission with the
 // mix it was built for: a burst of tiny factors sandwiched between two
 // big ones (the express lane fuses the burst into one composite, the
-// big lane is bounded to BigShare), across several inter-job dynamic
-// ratios. The metric to watch is the small-class p99.
+// big lane is bounded to three quarters of the pool), across several
+// inter-job dynamic ratios. The metric to watch is the small-class p99.
 func BenchmarkEngineMixedTraffic(b *testing.B) {
 	small := make([]*mat.Dense, 12)
 	for i := range small {

@@ -10,9 +10,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/layout"
 )
 
 func main() {
@@ -32,28 +33,12 @@ func main() {
 		DynamicRatio: *dratio,
 		Seed:         *seed,
 	}
-	switch strings.ToLower(*layoutName) {
-	case "cm":
-		opt.Layout = repro.LayoutColMajor
-	case "bcl":
-		opt.Layout = repro.LayoutBlockCyclic
-	case "2l", "2l-bl", "twolevel":
-		opt.Layout = repro.LayoutTwoLevel
-	default:
-		fmt.Fprintf(os.Stderr, "hsdfactor: unknown layout %q\n", *layoutName)
-		os.Exit(2)
+	var err error
+	if opt.Layout, err = layout.ParseKind(*layoutName); err == nil {
+		opt.Scheduler, err = core.ParseScheduler(*schedName)
 	}
-	switch strings.ToLower(*schedName) {
-	case "static":
-		opt.Scheduler = repro.ScheduleStatic
-	case "dynamic":
-		opt.Scheduler = repro.ScheduleDynamic
-	case "hybrid":
-		opt.Scheduler = repro.ScheduleHybrid
-	case "worksteal", "ws":
-		opt.Scheduler = repro.ScheduleWorkStealing
-	default:
-		fmt.Fprintf(os.Stderr, "hsdfactor: unknown scheduler %q\n", *schedName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hsdfactor: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -9,10 +9,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"repro/internal/core"
 	"repro/internal/layout"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -39,50 +38,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hsdtrace: unknown machine %q\n", *machineName)
 		os.Exit(2)
 	}
-	var kind layout.Kind
-	switch strings.ToLower(*layoutName) {
-	case "cm":
-		kind = layout.CM
-	case "bcl":
-		kind = layout.BCL
-	case "2l", "2l-bl":
-		kind = layout.TwoLevel
-	default:
-		fmt.Fprintf(os.Stderr, "hsdtrace: unknown layout %q\n", *layoutName)
+	// The options of the core.Factor call this run simulates: Nstatic,
+	// the group size and the policy all come from them.
+	opt := core.Options{DynamicRatio: *dratio, Seed: *seed}
+	var err error
+	if opt.Layout, err = layout.ParseKind(*layoutName); err == nil {
+		opt.Scheduler, err = core.ParseScheduler(*schedName)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hsdtrace: %v\n", err)
 		os.Exit(2)
 	}
 	nb := (*n + *b - 1) / *b
-	var pol sched.Policy
-	ns := nb
-	switch strings.ToLower(*schedName) {
-	case "static":
-		pol = sched.NewStatic()
-	case "dynamic":
-		pol = sched.NewDynamic()
-		ns = 0
-	case "hybrid":
-		pol = sched.NewHybrid()
-		ns = nb - int(float64(nb)**dratio+0.5)
-	case "worksteal", "ws":
-		pol = sched.NewWorkStealing(*seed)
-	default:
-		fmt.Fprintf(os.Stderr, "hsdtrace: unknown scheduler %q\n", *schedName)
-		os.Exit(2)
-	}
-	group := 1
-	if kind == layout.BCL {
-		group = 3
-	}
 	tr := trace.New(*workers)
-	res, err := sim.FactorSim(*n, *n, *b, ns, group, sim.Config{
-		Machine: m, Workers: *workers, Layout: kind, Policy: pol, Trace: tr, Seed: *seed,
+	res, err := sim.FactorSim(*n, *n, *b, opt.NstaticCols(nb), opt.GroupSize(), sim.Config{
+		Machine: m, Workers: *workers, Layout: opt.Layout, Policy: opt.Policy(), Trace: tr, Seed: *seed,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hsdtrace: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("%s %s/%s n=%d b=%d workers=%d: %.4fs, %.1f Gflop/s, idle %.1f%%\n",
-		m.Name, kind, *schedName, *n, *b, *workers,
+		m.Name, opt.Layout, *schedName, *n, *b, *workers,
 		res.Makespan, res.Gflops, 100*tr.IdleFraction())
 	fmt.Printf("90%% of workers permanently idle after %.0f%% of the makespan\n",
 		100*tr.PermanentIdlePoint(0.9))

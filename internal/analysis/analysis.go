@@ -15,8 +15,6 @@
 //   - pairing: kernel.Reserve acquisitions need Release reachable on
 //     every exit path, and arming a panel-carrying graph (ResetDeps)
 //     needs ReleasePanels.
-//   - handlerguard: HTTP handlers must enforce method + Content-Type
-//     before decoding a request body.
 //
 // On top of those syntax-driven checks sits a function-level CFG
 // (cfg.go) and a forward-dataflow worklist solver (dataflow.go), and
@@ -140,7 +138,6 @@ func All() []*Analyzer {
 		BitIdent,
 		AtomicField,
 		Pairing,
-		HandlerGuard,
 		LockOrder,
 		GoLoop,
 		CtxFlow,

@@ -1,0 +1,128 @@
+package cluster
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"mime"
+	"net/http"
+)
+
+// The request guards. Get, PostJSON and PostBytes wrap every route of
+// both HTTP tiers — the shard's (internal/serve) and the router's — so
+// the method, Content-Type and size checks happen in one place, before
+// any body byte is read, and answer alike on both. A guarded handler
+// receives the decoded request or the capped bytes as a parameter: a
+// function that reads r.Body itself does not fit a route table.
+
+const (
+	mediaJSON  = "application/json"
+	mediaBytes = "application/octet-stream"
+)
+
+// Get guards a body-less route: GET only.
+func Get(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if admit(w, r, http.MethodGet, "") {
+			h(w, r)
+		}
+	}
+}
+
+// PostJSON guards a route whose body is one JSON value of type T: POST
+// only, a JSON Content-Type when one is sent, the body capped at
+// maxBody, and nothing but whitespace after the value — a second
+// document or stray bytes are a malformed request, not something to
+// ignore. The value is decoded off the wire, not buffered first.
+func PostJSON[T any](maxBody int64, h func(http.ResponseWriter, *http.Request, *T)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !admit(w, r, http.MethodPost, mediaJSON) {
+			return
+		}
+		var v T
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+		if err := dec.Decode(&v); err != nil {
+			bodyError(w, err)
+			return
+		}
+		// Token (not More) is the complete trailing check: More reports
+		// false for a stray closing bracket, while Token returns io.EOF
+		// only when nothing but whitespace follows the value.
+		switch _, err := dec.Token(); {
+		case err == nil:
+			HTTPError(w, http.StatusBadRequest, "bad request: trailing data after JSON body")
+		case !errors.Is(err, io.EOF):
+			bodyError(w, err)
+		default:
+			h(w, r, &v)
+		}
+	}
+}
+
+// PostBytes guards a route that takes its body whole: POST only, the
+// given media type, at most maxBody bytes. The router's data plane uses
+// it to forward a JSON request as the bytes that arrived.
+func PostBytes(mediaType string, maxBody int64, h func(http.ResponseWriter, *http.Request, []byte)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !admit(w, r, http.MethodPost, mediaType) {
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		if err != nil {
+			bodyError(w, err)
+			return
+		}
+		h(w, r, body)
+	}
+}
+
+// admit checks what must hold before any body byte is read: the method
+// (405 with Allow otherwise) and, for a route with a body, the media
+// type (415 otherwise). A JSON route accepts a request that names no
+// Content-Type — curl -d and most scripts send none worth checking —
+// while a binary route requires its type exactly.
+func admit(w http.ResponseWriter, r *http.Request, method, mediaType string) bool {
+	if r.Method != method {
+		w.Header().Set("Allow", method)
+		HTTPError(w, http.StatusMethodNotAllowed, "method %s not allowed, use %s", r.Method, method)
+		return false
+	}
+	ct := r.Header.Get("Content-Type")
+	if mediaType == "" || (ct == "" && mediaType == mediaJSON) {
+		return true
+	}
+	if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != mediaType {
+		HTTPError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q, use %s", ct, mediaType)
+		return false
+	}
+	return true
+}
+
+// bodyError maps a request-body read or decode error to its reply: an
+// oversized body is 413 carrying the limit, anything else the caller's
+// 400. It is this package's error-to-status table; hsdlint's errstatus
+// analyzer keeps any new errors.Is/As → 4xx/5xx mapping in here.
+//
+//hsd:statusmap
+func bodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		HTTPError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return
+	}
+	HTTPError(w, http.StatusBadRequest, "bad request: %v", err)
+}
+
+// HTTPError writes the one error shape both tiers reply with:
+// {"error": "..."} under the given status.
+func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// WriteJSON writes v as the JSON reply under the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", mediaJSON)
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -109,8 +110,9 @@ func TestClusterKillOwnerSolveFromReplica(t *testing.T) {
 
 // TestClusterOwnerSetDown: with replicas=1 the key lives on exactly one
 // shard; killing it turns solves into the typed ownerSetDown 503, while
-// an id the router never placed stays a plain 404, and client-supplied
-// factor ids and oversized generated matrices are rejected.
+// an id the router never placed stays a plain 404, a key drained away
+// with its last holder is the 503 again, and client-supplied factor ids
+// and oversized generated matrices are rejected.
 func TestClusterOwnerSetDown(t *testing.T) {
 	c, err := harness.Start(harness.Options{Shards: 2, Replicas: 1})
 	if err != nil {
@@ -154,6 +156,25 @@ func TestClusterOwnerSetDown(t *testing.T) {
 	code, _ = solveVia(t, c.URL(), "f-404", n)
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown id: %d, want 404", code)
+	}
+
+	// A key whose last holder was drained away is still a placed key:
+	// the same typed 503, not the 404 of an id nobody ever factored.
+	lone, err := harness.Start(harness.Options{Shards: 1, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lone.Close()
+	id = factorVia(t, lone.URL(), n, 3)
+	if err := lone.Router.Drain("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if hs := lone.Router.Holders(id); len(hs) != 0 {
+		t.Fatalf("holders %v after draining the only shard, want none", hs)
+	}
+	code, out = solveVia(t, lone.URL(), id, n)
+	if code != http.StatusServiceUnavailable || out["ownerSetDown"] != true {
+		t.Fatalf("solve of a drained-away key: %d %v, want the typed 503", code, out)
 	}
 }
 
@@ -494,4 +515,168 @@ func TestClusterJoinDoesNotResurrectEvictedShard(t *testing.T) {
 	if !members["a"] || !members["c"] {
 		t.Fatalf("live shards missing from the installed ring: members %v", rt.Stats().RingMembers)
 	}
+}
+
+// newShardServer boots one serve shard behind wrap(its handler).
+func newShardServer(t *testing.T, wrap func(http.Handler) http.Handler) (*serve.Server, *httptest.Server) {
+	t.Helper()
+	eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 16, DynamicRatio: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(eng, serve.Options{Keep: 32})
+	ts := httptest.NewServer(wrap(srv.Handler()))
+	t.Cleanup(func() { ts.Close(); eng.Close() })
+	return srv, ts
+}
+
+// TestClusterFactorForwardsClientBytes: the router forwards a factor
+// request as the bytes that arrived (the key rides as ?id=), so what the
+// owner stores is bit-identical to the same body posted to a lone shard
+// — sent here without a Content-Type, which both tiers accept — the
+// placement record is the ring's owner set in ring order, and a body the
+// router cannot parse is the shard's 400, relayed.
+func TestClusterFactorForwardsClientBytes(t *testing.T) {
+	c, err := harness.Start(harness.Options{Shards: 3, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	loneSrv, lone := newShardServer(t, func(h http.Handler) http.Handler { return h })
+
+	const body = `{"rows":3,"cols":3,"data":[0.1,2.5e-3,7,1e100,0.30000000000000004,-4,5,6.02214076e23,1],"workers":1}`
+	post := func(url string) string {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, url+"/v1/factor", strings.NewReader(body)) // no Content-Type
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("factor via %s: %d %v %v", url, resp.StatusCode, out, err)
+		}
+		return out["id"].(string)
+	}
+	id, refID := post(c.URL()), post(lone.URL)
+
+	ref := cluster.NewRing(0)
+	for _, name := range c.Names() {
+		ref.Add(name)
+	}
+	holders := c.Router.Holders(id)
+	if want := ref.Owners(id, 2); fmt.Sprint(holders) != fmt.Sprint(want) {
+		t.Fatalf("holders %v, want the ring's owners %v, primary first", holders, want)
+	}
+	want, _ := loneSrv.Store().Get(refID)
+	for _, h := range holders {
+		got, ok := c.Shard(h).Server.Store().Get(id)
+		if !ok {
+			t.Fatalf("holder %s does not hold %s", h, id)
+		}
+		if fmt.Sprint(got.LU.Perm, got.LU.L.Data, got.LU.U.Data) != fmt.Sprint(want.LU.Perm, want.LU.L.Data, want.LU.U.Data) {
+			t.Fatalf("factorization stored on %s differs from the direct one", h)
+		}
+	}
+
+	code, out := postJSON(t, c.URL()+"/v1/factor", `{"n":`)
+	if code != http.StatusBadRequest || !strings.HasPrefix(fmt.Sprint(out["error"]), "bad request") {
+		t.Fatalf("unparseable body via router: %d %v, want the shard's 400", code, out)
+	}
+}
+
+// TestClusterFactorFailoverBackfillsPrimary: when the primary owner
+// sheds a factor (429) the job runs on the next owner, and the primary —
+// still alive — is back-filled by the same key copy a migration uses:
+// the placement record comes out in ring order, primary first.
+func TestClusterFactorFailoverBackfillsPrimary(t *testing.T) {
+	ref := cluster.NewRing(0)
+	ref.Add("a")
+	ref.Add("b")
+	owners := ref.Owners("f-1", 2)
+
+	stores := map[string]*serve.Server{}
+	var infos []cluster.ShardInfo
+	for _, name := range []string{"a", "b"} {
+		srv, ts := newShardServer(t, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if name == owners[0] && r.URL.Path == "/v1/factor" {
+					cluster.HTTPError(w, http.StatusTooManyRequests, "saturated")
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+		stores[name] = srv
+		infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
+	}
+	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: infos, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	id := factorVia(t, front.URL, 8, 1)
+	if got := rt.Holders(id); id != "f-1" || fmt.Sprint(got) != fmt.Sprint(owners) {
+		t.Fatalf("key %s holders %v, want f-1 on %v", id, got, owners)
+	}
+	for _, name := range owners {
+		if _, ok := stores[name].Store().Get(id); !ok {
+			t.Fatalf("owner %s does not hold %s after the failover", name, id)
+		}
+	}
+	if st := rt.Stats(); st.Failovers != 1 || st.Replications != 1 {
+		t.Fatalf("failovers %d replications %d, want 1 and 1", st.Failovers, st.Replications)
+	}
+}
+
+// TestClusterHungShardIsBounded: a shard that accepts connections and
+// never answers costs the router's own requests a bounded wait. The
+// /v1/stats fan-out returns without the hung shard's block, and a Join
+// of a hung shard fails instead of holding the admin lock — a Drain
+// issued afterwards gets its turn.
+func TestClusterHungShardIsBounded(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	defer hung.Close()
+	defer close(release)
+	_, good := newShardServer(t, func(h http.Handler) http.Handler { return h })
+
+	rt, err := cluster.NewRouter(cluster.RouterOptions{
+		Shards:   []cluster.ShardInfo{{Name: "good", URL: good.URL}, {Name: "hung", URL: hung.URL}},
+		Replicas: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	const bound = 10 * time.Second
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(bound):
+			t.Fatalf("%s still blocked on the hung shard after %s", what, bound)
+		}
+	}
+	within("Stats", func() {
+		st := rt.Stats()
+		if st.Shards["good"].Stats == nil || st.Shards["hung"].Stats != nil {
+			t.Errorf("stats blocks: good %s, hung %s; want only the good shard's", st.Shards["good"].Stats, st.Shards["hung"].Stats)
+		}
+	})
+	within("Join then Drain", func() {
+		if err := rt.Join(cluster.ShardInfo{Name: "late", URL: hung.URL}); err == nil {
+			t.Error("join of a shard that never answers /readyz succeeded")
+		}
+		if err := rt.Drain("late"); err == nil || !strings.Contains(err.Error(), "unknown shard") {
+			t.Errorf("drain after the failed join: %v, want unknown shard", err)
+		}
+	})
 }

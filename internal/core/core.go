@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/dag"
@@ -50,6 +51,23 @@ func (s Scheduler) String() string {
 		return "worksteal"
 	}
 	return fmt.Sprintf("Scheduler(%d)", int(s))
+}
+
+// ParseScheduler resolves a scheduler name as commands and HTTP requests
+// spell it: "hybrid" (also the empty name), "static", "dynamic", or
+// "worksteal" / "ws", in any case.
+func ParseScheduler(name string) (Scheduler, error) {
+	switch strings.ToLower(name) {
+	case "", "hybrid":
+		return ScheduleHybrid, nil
+	case "static":
+		return ScheduleStatic, nil
+	case "dynamic":
+		return ScheduleDynamic, nil
+	case "worksteal", "ws":
+		return ScheduleWorkStealing, nil
+	}
+	return 0, fmt.Errorf("unknown scheduler %q (use static, dynamic, hybrid or worksteal)", name)
 }
 
 // JobClass labels a job for the resident engine's two-lane admission
@@ -127,26 +145,32 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	if o.Group <= 0 {
-		// The paper's k=3 grouping exploits BCL's contiguity. For CM the
-		// natural task granularity of Algorithm 2's dynamic section is a
-		// whole column ("do task S ... for all I"), which CM's vertical
-		// contiguity expresses as an unbounded row group. 2l-BL cannot
-		// group at all (section 4.2).
-		switch o.Layout {
-		case layout.BCL:
-			o.Group = 3
-		case layout.CM:
-			o.Group = 1 << 16
-		default:
-			o.Group = 1
-		}
+	o.Group = o.GroupSize()
+}
+
+// GroupSize is the k the static section's grouped updates run with:
+// Group when set, otherwise the paper's choice for the layout. Its k=3
+// grouping exploits BCL's contiguity. For CM the natural task
+// granularity of Algorithm 2's dynamic section is a whole column ("do
+// task S ... for all I"), which CM's vertical contiguity expresses as an
+// unbounded row group. 2l-BL cannot group at all (section 4.2).
+func (o Options) GroupSize() int {
+	switch {
+	case o.Group > 0:
+		return o.Group
+	case o.Layout == layout.BCL:
+		return 3
+	case o.Layout == layout.CM:
+		return 1 << 16
 	}
+	return 1
 }
 
 // NstaticCols converts the scheduler + dratio into the number of block
 // columns scheduled statically, Nstatic = N*(1-dratio) (Algorithm 1,
-// line 2).
+// line 2). With GroupSize and Policy it is everything a caller that
+// drives a CALU graph itself — the simulator's — needs to run what
+// Factor would.
 func (o Options) NstaticCols(nb int) int {
 	switch o.Scheduler {
 	case ScheduleDynamic:
@@ -165,7 +189,9 @@ func (o Options) NstaticCols(nb int) int {
 	}
 }
 
-func (o Options) policy() sched.Policy {
+// Policy returns a fresh instance of the scheduling policy the options
+// select.
+func (o Options) Policy() sched.Policy {
 	switch o.Scheduler {
 	case ScheduleStatic:
 		return sched.NewStatic()
@@ -237,7 +263,7 @@ type (
 func (p *Prepared[R]) Graph() *dag.Graph { return p.graph }
 
 // Policy returns a fresh scheduling policy instance for this job.
-func (p *Prepared[R]) Policy() sched.Policy { return p.Opt.policy() }
+func (p *Prepared[R]) Policy() sched.Policy { return p.Opt.Policy() }
 
 // Finish assembles the result after the graph has executed to
 // completion with the given runtime result.

@@ -311,12 +311,42 @@ func TestNstaticCols(t *testing.T) {
 		{ScheduleHybrid, 0, 10, 10},
 		{ScheduleHybrid, 1, 10, 0},
 		{ScheduleWorkStealing, 0.9, 10, 10},
+		{ScheduleHybrid, 0.1, 5, 5}, // round(4.5), not 5 - round(0.5)
 	}
 	for _, c := range cases {
 		o := Options{Scheduler: c.sched, DynamicRatio: c.d}
 		if got := o.NstaticCols(c.nb); got != c.want {
 			t.Errorf("%v d=%g: Nstatic=%d want %d", c.sched, c.d, got, c.want)
 		}
+	}
+}
+
+// TestParseSchedulerAndGroupSize: every name a command or request may
+// spell resolves to its scheduler and round-trips through String, and
+// the group size is the paper's per layout unless set.
+func TestParseSchedulerAndGroupSize(t *testing.T) {
+	for name, want := range map[string]Scheduler{
+		"": ScheduleHybrid, "hybrid": ScheduleHybrid, "Static": ScheduleStatic,
+		"dynamic": ScheduleDynamic, "worksteal": ScheduleWorkStealing, "ws": ScheduleWorkStealing,
+	} {
+		got, err := ParseScheduler(name)
+		if err != nil || got != want {
+			t.Errorf("ParseScheduler(%q) = %v, %v; want %v", name, got, err, want)
+		}
+		if back, err := ParseScheduler(want.String()); err != nil || back != want {
+			t.Errorf("ParseScheduler(%v.String()) = %v, %v", want, back, err)
+		}
+	}
+	if _, err := ParseScheduler("fifo"); err == nil {
+		t.Error("ParseScheduler accepted an unknown name")
+	}
+	for kind, want := range map[layout.Kind]int{layout.BCL: 3, layout.CM: 1 << 16, layout.TwoLevel: 1} {
+		if got := (Options{Layout: kind}).GroupSize(); got != want {
+			t.Errorf("%v: GroupSize %d, want %d", kind, got, want)
+		}
+	}
+	if got := (Options{Layout: layout.CM, Group: 2}).GroupSize(); got != 2 {
+		t.Errorf("explicit Group ignored: GroupSize %d", got)
 	}
 }
 

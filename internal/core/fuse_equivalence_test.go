@@ -94,7 +94,7 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 		var res rt.Result
 		if r.serial {
 			res = runSerial(t, fused.Graph)
-		} else if res, err = rt.Run(fused.Graph, opt.policy(), rt.Options{Workers: 4}); err != nil {
+		} else if res, err = rt.Run(fused.Graph, opt.Policy(), rt.Options{Workers: 4}); err != nil {
 			t.Fatalf("%s: fused run: %v", tag, err)
 		}
 		for i := range fired {

@@ -45,7 +45,7 @@ type lane uint8
 
 const (
 	laneSmall lane = iota // express lane: fused composite DAGs
-	laneBig               // bounded lane: at most BigShare of the pool
+	laneBig               // bounded lane: at most bigShare of the pool
 )
 
 // jobState tracks a job through admission; guarded by Engine.mu.
@@ -155,17 +155,34 @@ func (q *laneQueue) drain() []*Job {
 	}
 }
 
+// The admission constants: fixed rather than Options, because no caller
+// has a second value for any of them.
+const (
+	// smallJobFlops is the classification threshold: a job whose
+	// estimated flop count is at or below it is ClassSmall when the
+	// submission left Class auto (a ~96x96 LU classifies small, a
+	// 128x128 LU large).
+	smallJobFlops = 1e6
+	// fuseLimit caps how many waiting express-lane jobs one worker
+	// fuses into a single composite forest.
+	fuseLimit = 8
+	// bigShare bounds the big lane: while express traffic is waiting,
+	// big-lane jobs may hold at most this share of the reservable
+	// (non-floater) pool. With an empty express lane the bound is
+	// lifted — the pool stays work-conserving for pure-big workloads.
+	bigShare = 0.75
+)
+
 // classify resolves the job's lane class: an explicit Class request
-// wins, otherwise the flop estimate against the engine's threshold
-// decides.
-func classify(j *Job, smallFlops float64) core.JobClass {
+// wins, otherwise the flop estimate against smallJobFlops decides.
+func classify(j *Job) core.JobClass {
 	switch j.reqOpt.Class {
 	case core.ClassSmall:
 		return core.ClassSmall
 	case core.ClassLarge:
 		return core.ClassLarge
 	default:
-		if j.work.flops <= smallFlops {
+		if j.work.flops <= smallJobFlops {
 			return core.ClassSmall
 		}
 		return core.ClassLarge

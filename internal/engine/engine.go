@@ -24,8 +24,8 @@
 // small or large by a flop cost model and routed to two lanes. Small
 // jobs take an express lane and are fused — a waiting burst becomes one
 // composite forest (dag.Fuse) sharing a single reservation — while big
-// jobs take a lane whose reservations are bounded to Options.BigShare
-// of the static pool whenever express traffic is waiting, so one huge
+// jobs take a lane whose reservations are bounded to bigShare of the
+// static pool whenever express traffic is waiting, so one huge
 // factorization cannot head-of-line-block a stream of tiny solves.
 // Within each lane, jobs with deadlines are served in laxity order and
 // infeasible deadlines are shed at submission with
@@ -85,20 +85,6 @@ type Options struct {
 	// Values in between reproduce the paper's hybrid sweet spot at the
 	// job level.
 	DynamicRatio float64
-	// SmallJobFlops is the classification threshold: a job whose
-	// estimated flop count is at or below it is ClassSmall when the
-	// submission left Class auto. Default 1e6 (a ~96x96 LU classifies
-	// small, a 128x128 LU large).
-	SmallJobFlops float64
-	// FuseLimit caps how many waiting express-lane jobs one worker
-	// fuses into a single composite forest. Default 8.
-	FuseLimit int
-	// BigShare bounds the big lane: while express traffic is waiting,
-	// big-lane jobs may hold at most BigShare of the reservable
-	// (non-floater) pool. With an empty express lane the bound is
-	// lifted — the pool stays work-conserving for pure-big workloads.
-	// Default 0.75.
-	BigShare float64
 }
 
 func (o *Options) fill() error {
@@ -110,18 +96,6 @@ func (o *Options) fill() error {
 	}
 	if o.DynamicRatio < 0 || o.DynamicRatio > 1 || math.IsNaN(o.DynamicRatio) {
 		return fmt.Errorf("engine: DynamicRatio %v outside [0,1]", o.DynamicRatio)
-	}
-	if o.SmallJobFlops <= 0 {
-		o.SmallJobFlops = 1e6
-	}
-	if o.FuseLimit <= 0 {
-		o.FuseLimit = 8
-	}
-	if o.BigShare == 0 {
-		o.BigShare = 0.75
-	}
-	if o.BigShare < 0 || o.BigShare > 1 || math.IsNaN(o.BigShare) {
-		return fmt.Errorf("engine: BigShare %v outside (0,1]", o.BigShare)
 	}
 	return nil
 }
@@ -610,7 +584,7 @@ func (e *Engine) admit(ctx context.Context, w Work, opt core.Options, wait bool)
 	j.queued = now
 	j.seq = e.seq
 	e.seq++
-	j.class = classify(j, e.opt.SmallJobFlops)
+	j.class = classify(j)
 	j.startBy = noDeadline
 	if d := j.reqOpt.Deadline; d != 0 {
 		est := e.estServiceLocked(j)
@@ -764,14 +738,14 @@ func (e *Engine) startableLocked() ([]*Job, int) {
 		return exp, grantShed
 	}
 	// Express lane: one worker takes every fusable waiting small job
-	// (up to FuseLimit) as a single composite sharing one reservation.
+	// (up to fuseLimit) as a single composite sharing one reservation.
 	if head := e.small.peek(); head != nil && e.grantLocked(1) > 0 {
 		head = e.small.pop()
 		head.state = jsStarted
 		batch := []*Job{head}
 		req := reqExpress(head)
 		if head.fusable() {
-			for len(batch) < e.opt.FuseLimit {
+			for len(batch) < fuseLimit {
 				next := e.small.peek()
 				if next == nil || !next.fusable() {
 					break
@@ -791,7 +765,7 @@ func (e *Engine) startableLocked() ([]*Job, int) {
 		}
 		return batch, g
 	}
-	// Big lane, bounded to BigShare of the reservable pool while
+	// Big lane, bounded to bigShare of the reservable pool while
 	// express traffic waits.
 	if head := e.big.peek(); head != nil {
 		g := e.grantBigLocked(head.req(e.opt.Workers))
@@ -853,7 +827,7 @@ func (e *Engine) grantLocked(req int) int {
 
 // grantBigLocked is grantLocked with the big lane's bound applied:
 // while express traffic is waiting, big-lane jobs may together hold at
-// most BigShare of the reservable pool, so a stream of small jobs is
+// most bigShare of the reservable pool, so a stream of small jobs is
 // never head-of-line-blocked behind wide factorizations. With an empty
 // express lane the bound is lifted (work conservation).
 func (e *Engine) grantBigLocked(req int) int {
@@ -861,7 +835,7 @@ func (e *Engine) grantBigLocked(req int) int {
 	if g == 0 || e.small.depth == 0 {
 		return g
 	}
-	bigCap := int(math.Round(e.opt.BigShare * float64(e.opt.Workers-e.floaters())))
+	bigCap := int(math.Round(bigShare * float64(e.opt.Workers-e.floaters())))
 	if bigCap < 1 {
 		bigCap = 1
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/layout"
 	"repro/internal/sched"
@@ -29,7 +30,7 @@ func runAblation(scale float64, seed int64) (*Table, error) {
 		Title:   fmt.Sprintf("AMD 48-core model, n=%d, b=%d (effective Gflop/s)", n, b),
 		Columns: []string{"variant", "Gflop/s", "vs reference"},
 	}
-	ref, err := simCALU(m, workers, n, b, layout.BCL, "hybrid", 0.10, seed)
+	ref, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, DynamicRatio: 0.10, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -41,20 +42,14 @@ func runAblation(scale float64, seed int64) (*Table, error) {
 	add("CALU hybrid(10%), BCL, k=3 (reference)", ref.Makespan)
 
 	// --- grouping off: k=1.
-	ungrouped, err := sim.FactorSim(n, n, b, nstaticFor(nb, 0.10), 1, sim.Config{
-		Machine: m, Workers: workers, Layout: layout.BCL,
-		Policy: sched.NewHybrid(), Seed: seed,
-	})
+	ungrouped, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, DynamicRatio: 0.10, Group: 1, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
 	add("grouping disabled (k=1)", ungrouped.Makespan)
 
 	// --- work stealing instead of the hybrid policy (section 8).
-	ws, err := sim.FactorSim(n, n, b, nb, 3, sim.Config{
-		Machine: m, Workers: workers, Layout: layout.BCL,
-		Policy: sched.NewWorkStealing(seed), Seed: seed,
-	})
+	ws, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, Scheduler: core.ScheduleWorkStealing, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +58,7 @@ func runAblation(scale float64, seed int64) (*Table, error) {
 	// --- wider tournament fan-out: one leaf per block row.
 	wide, err := sim.Run(dag.BuildCALU(
 		sim.NewPhantomLayout(layout.BCL, n, n, b, layout.NewGrid(workers)),
-		dag.CALUOptions{NstaticCols: nstaticFor(nb, 0.10), Group: 3, Chunks: workers, SimOnly: true},
+		dag.CALUOptions{NstaticCols: core.Options{DynamicRatio: 0.10}.NstaticCols(nb), Group: 3, Chunks: workers, SimOnly: true},
 	).Graph, sim.Config{
 		Machine: m, Workers: workers, Layout: layout.BCL,
 		Policy: sched.NewHybrid(), Seed: seed,

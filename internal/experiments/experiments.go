@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/layout"
 	"repro/internal/sched"
@@ -142,62 +143,15 @@ func blockFor(n int) int {
 	return 100
 }
 
-// policyFor instantiates a fresh policy by name.
-func policyFor(name string, seed int64) sched.Policy {
-	switch name {
-	case "static":
-		return sched.NewStatic()
-	case "dynamic":
-		return sched.NewDynamic()
-	case "worksteal":
-		return sched.NewWorkStealing(seed)
-	default:
-		return sched.NewHybrid()
-	}
-}
-
-// nstaticFor converts a dynamic ratio into the static column count.
-func nstaticFor(nb int, dratio float64) int {
-	ns := int(math.Round(float64(nb) * (1 - dratio)))
-	if ns < 0 {
-		ns = 0
-	}
-	if ns > nb {
-		ns = nb
-	}
-	return ns
-}
-
-// groupFor returns the paper's grouping parameter per layout: k=3 for
-// BCL; for CM the dynamic task granularity of Algorithm 2 is one whole
-// column ("do task S ... for all I"), which CM's contiguity expresses
-// as an unbounded row group; 2l-BL cannot group at all.
-func groupFor(kind layout.Kind) int {
-	switch kind {
-	case layout.BCL:
-		return 3
-	case layout.CM:
-		return 1 << 16
-	default:
-		return 1
-	}
-}
-
-// simCALU runs one simulated CALU factorization.
-func simCALU(m sim.Machine, workers, n, b int, kind layout.Kind, policy string, dratio float64, seed int64) (sim.Result, error) {
+// simCALU simulates the CALU factorization core.Factor would run under
+// opt: the static column count (Nstatic = N*(1-dratio)), the group size
+// and the policy are the ones core derives from the options, so the
+// simulator and the real runtime cannot disagree on the paper's rule.
+func simCALU(m sim.Machine, workers, n, b int, opt core.Options) (sim.Result, error) {
 	nb := (n + b - 1) / b
-	var ns int
-	switch policy {
-	case "static", "worksteal":
-		ns = nb
-	case "dynamic":
-		ns = 0
-	default:
-		ns = nstaticFor(nb, dratio)
-	}
-	return sim.FactorSim(n, n, b, ns, groupFor(kind), sim.Config{
-		Machine: m, Workers: workers, Layout: kind,
-		Policy: policyFor(policy, seed), Seed: seed,
+	return sim.FactorSim(n, n, b, opt.NstaticCols(nb), opt.GroupSize(), sim.Config{
+		Machine: m, Workers: workers, Layout: opt.Layout,
+		Policy: opt.Policy(), Trace: opt.Trace, Seed: opt.Seed,
 	})
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/sim"
 )
@@ -34,11 +35,11 @@ func libraryComparison(m sim.Machine, workers int, scale float64, seed int64, no
 	for _, n0 := range []int{2500, 4000, 5000, 10000} {
 		b := blockFor(n0)
 		n := scaleN(n0, scale, b)
-		bcl, err := simCALU(m, workers, n, b, layout.BCL, "hybrid", 0.10, seed)
+		bcl, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, DynamicRatio: 0.10, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
-		tl, err := simCALU(m, workers, n, b, layout.TwoLevel, "hybrid", 0.10, seed)
+		tl, err := simCALU(m, workers, n, b, core.Options{Layout: layout.TwoLevel, DynamicRatio: 0.10, Seed: seed})
 		if err != nil {
 			return nil, err
 		}

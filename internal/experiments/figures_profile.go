@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -12,7 +13,7 @@ func init() {
 	register("fig1", "Profile of CALU with static scheduling, 16 cores of the AMD machine",
 		func(scale float64, seed int64) (*Table, error) {
 			return profileExperiment(profileConfig{
-				policy: "static", dratio: 0, kind: layout.TwoLevel,
+				policy: core.ScheduleStatic, dratio: 0, kind: layout.TwoLevel,
 				n: 2500, workers: 16, scale: scale, seed: seed,
 				note: "Paper: even the statically optimized code shows pockets of idle time (white " +
 					"space) with no regular pattern - transient performance variation that static " +
@@ -22,7 +23,7 @@ func init() {
 	register("fig4", "First steps of a 5000x5000 factorization under static(20% dynamic)",
 		func(scale float64, seed int64) (*Table, error) {
 			return profileExperiment(profileConfig{
-				policy: "hybrid", dratio: 0.20, kind: layout.BCL,
+				policy: core.ScheduleHybrid, dratio: 0.20, kind: layout.BCL,
 				n: 5000, workers: 16, scale: scale, seed: seed, firstSteps: true,
 				note: "Paper: threads that finish the panel factorization early execute tasks from " +
 					"the dynamic section instead of idling - almost no idle time remains.",
@@ -31,7 +32,7 @@ func init() {
 	register("fig14", "Profile of CALU dynamic with column-major layout, AMD machine",
 		func(scale float64, seed int64) (*Table, error) {
 			return profileExperiment(profileConfig{
-				policy: "dynamic", dratio: 1, kind: layout.CM,
+				policy: core.ScheduleDynamic, dratio: 1, kind: layout.CM,
 				n: 2500, workers: 16, scale: scale, seed: seed,
 				note: "Paper: 90% of threads become idle after only ~60% of the total factorization " +
 					"time, versus 80-90% for the other variants.",
@@ -40,7 +41,7 @@ func init() {
 	register("fig15", "Profile of CALU static(10% dynamic) with 2l-BL, AMD machine, 16 cores",
 		func(scale float64, seed int64) (*Table, error) {
 			return profileExperiment(profileConfig{
-				policy: "hybrid", dratio: 0.10, kind: layout.TwoLevel,
+				policy: core.ScheduleHybrid, dratio: 0.10, kind: layout.TwoLevel,
 				n: 2500, workers: 16, scale: scale, seed: seed,
 				note: "Paper: a small percentage of dynamic work keeps the cores busy and reduces " +
 					"the idle time drastically compared with Figure 1.",
@@ -49,7 +50,7 @@ func init() {
 }
 
 type profileConfig struct {
-	policy     string
+	policy     core.Scheduler
 	dratio     float64
 	kind       layout.Kind
 	n, workers int
@@ -66,19 +67,8 @@ func profileExperiment(cfg profileConfig) (*Table, error) {
 	n := scaleN(cfg.n, cfg.scale, b)
 	m := sim.AMDOpteron48()
 	tr := trace.New(cfg.workers)
-	nb := (n + b - 1) / b
-	var ns int
-	switch cfg.policy {
-	case "static":
-		ns = nb
-	case "dynamic":
-		ns = 0
-	default:
-		ns = nstaticFor(nb, cfg.dratio)
-	}
-	res, err := sim.FactorSim(n, n, b, ns, groupFor(cfg.kind), sim.Config{
-		Machine: m, Workers: cfg.workers, Layout: cfg.kind,
-		Policy: policyFor(cfg.policy, cfg.seed), Trace: tr, Seed: cfg.seed,
+	res, err := simCALU(m, cfg.workers, n, b, core.Options{
+		Layout: cfg.kind, Scheduler: cfg.policy, DynamicRatio: cfg.dratio, Trace: tr, Seed: cfg.seed,
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/sim"
 )
@@ -64,15 +65,15 @@ func init() {
 
 var sweepRatios = []struct {
 	name   string
-	policy string
+	policy core.Scheduler
 	dratio float64
 }{
-	{"static", "static", 0},
-	{"static(10% dyn)", "hybrid", 0.10},
-	{"static(25% dyn)", "hybrid", 0.25},
-	{"static(50% dyn)", "hybrid", 0.50},
-	{"static(75% dyn)", "hybrid", 0.75},
-	{"dynamic", "dynamic", 1},
+	{"static", core.ScheduleStatic, 0},
+	{"static(10% dyn)", core.ScheduleHybrid, 0.10},
+	{"static(25% dyn)", core.ScheduleHybrid, 0.25},
+	{"static(50% dyn)", core.ScheduleHybrid, 0.50},
+	{"static(75% dyn)", core.ScheduleHybrid, 0.75},
+	{"dynamic", core.ScheduleDynamic, 1},
 }
 
 // dratioSweep generates Figures 6, 7, 9 and 10: Gflop/s as the dynamic
@@ -90,7 +91,7 @@ func dratioSweep(m sim.Machine, workers int, sizes []int, kind layout.Kind, scal
 		n := scaleN(n0, scale, b)
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, s := range sweepRatios {
-			res, err := simCALU(m, workers, n, b, kind, s.policy, s.dratio, seed)
+			res, err := simCALU(m, workers, n, b, core.Options{Layout: kind, Scheduler: s.policy, DynamicRatio: s.dratio, Seed: seed})
 			if err != nil {
 				return nil, err
 			}
@@ -116,19 +117,19 @@ func improvement(kind layout.Kind, scale float64, seed int64, note string) (*Tab
 		for _, n0 := range []int{2500, 4000, 5000, 10000} {
 			b := blockFor(n0)
 			n := scaleN(n0, scale, b)
-			st, err := simCALU(m, workers, n, b, kind, "static", 0, seed)
+			st, err := simCALU(m, workers, n, b, core.Options{Layout: kind, Scheduler: core.ScheduleStatic, Seed: seed})
 			if err != nil {
 				return nil, err
 			}
-			dy, err := simCALU(m, workers, n, b, kind, "dynamic", 1, seed)
+			dy, err := simCALU(m, workers, n, b, core.Options{Layout: kind, Scheduler: core.ScheduleDynamic, DynamicRatio: 1, Seed: seed})
 			if err != nil {
 				return nil, err
 			}
-			h10, err := simCALU(m, workers, n, b, kind, "hybrid", 0.10, seed)
+			h10, err := simCALU(m, workers, n, b, core.Options{Layout: kind, DynamicRatio: 0.10, Seed: seed})
 			if err != nil {
 				return nil, err
 			}
-			h20, err := simCALU(m, workers, n, b, kind, "hybrid", 0.20, seed)
+			h20, err := simCALU(m, workers, n, b, core.Options{Layout: kind, DynamicRatio: 0.20, Seed: seed})
 			if err != nil {
 				return nil, err
 			}
@@ -149,16 +150,16 @@ func layoutSummary(m sim.Machine, workers int, scale float64, seed int64, note s
 	combos := []struct {
 		label  string
 		kind   layout.Kind
-		policy string
+		policy core.Scheduler
 		dratio float64
 	}{
-		{"BCL static", layout.BCL, "static", 0},
-		{"BCL h10", layout.BCL, "hybrid", 0.10},
-		{"BCL dynamic", layout.BCL, "dynamic", 1},
-		{"2l-BL static", layout.TwoLevel, "static", 0},
-		{"2l-BL h10", layout.TwoLevel, "hybrid", 0.10},
-		{"2l-BL dynamic", layout.TwoLevel, "dynamic", 1},
-		{"CM dynamic", layout.CM, "dynamic", 1},
+		{"BCL static", layout.BCL, core.ScheduleStatic, 0},
+		{"BCL h10", layout.BCL, core.ScheduleHybrid, 0.10},
+		{"BCL dynamic", layout.BCL, core.ScheduleDynamic, 1},
+		{"2l-BL static", layout.TwoLevel, core.ScheduleStatic, 0},
+		{"2l-BL h10", layout.TwoLevel, core.ScheduleHybrid, 0.10},
+		{"2l-BL dynamic", layout.TwoLevel, core.ScheduleDynamic, 1},
+		{"CM dynamic", layout.CM, core.ScheduleDynamic, 1},
 	}
 	t := &Table{
 		Title:   fmt.Sprintf("%s, %d workers: layout x scheduling (Gflop/s)", m.Name, workers),
@@ -174,7 +175,7 @@ func layoutSummary(m sim.Machine, workers int, scale float64, seed int64, note s
 		n := scaleN(n0, scale, b)
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, c := range combos {
-			res, err := simCALU(m, workers, n, b, c.kind, c.policy, c.dratio, seed)
+			res, err := simCALU(m, workers, n, b, core.Options{Layout: c.kind, Scheduler: c.policy, DynamicRatio: c.dratio, Seed: seed})
 			if err != nil {
 				return nil, err
 			}

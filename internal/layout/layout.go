@@ -20,6 +20,7 @@ package layout
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/kernel"
 	"repro/internal/mat"
@@ -48,6 +49,21 @@ func (k Kind) String() string {
 		return "2l-BL"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// ParseKind resolves a layout name as commands and HTTP requests spell
+// it: "cm", "bcl" (also the empty name), or "2l" / "2l-bl" / "twolevel",
+// in any case.
+func ParseKind(name string) (Kind, error) {
+	switch strings.ToLower(name) {
+	case "cm":
+		return CM, nil
+	case "", "bcl":
+		return BCL, nil
+	case "2l", "2l-bl", "twolevel":
+		return TwoLevel, nil
+	}
+	return 0, fmt.Errorf("unknown layout %q (use cm, bcl or 2l)", name)
 }
 
 // Grid is a 2D process/thread grid. Workers are numbered 0..PR*PC-1 and

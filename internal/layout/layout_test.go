@@ -32,6 +32,24 @@ func TestNewGrid(t *testing.T) {
 	}
 }
 
+// TestParseKind: every name a command or request may spell resolves to
+// its layout, and each kind's own abbreviation parses back to it.
+func TestParseKind(t *testing.T) {
+	for name, want := range map[string]Kind{
+		"": BCL, "bcl": BCL, "CM": CM, "2l": TwoLevel, "2l-bl": TwoLevel, "twolevel": TwoLevel,
+	} {
+		if got, err := ParseKind(name); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+		if back, err := ParseKind(want.String()); err != nil || back != want {
+			t.Errorf("ParseKind(%v.String()) = %v, %v", want, back, err)
+		}
+	}
+	if _, err := ParseKind("rowmajor"); err == nil {
+		t.Error("ParseKind accepted an unknown name")
+	}
+}
+
 func TestOwnerCyclic(t *testing.T) {
 	g := Grid{PR: 2, PC: 3}
 	seen := map[int]bool{}

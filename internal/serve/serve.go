@@ -14,18 +14,18 @@
 //   - health — /healthz (process up) and /readyz (engine open and not
 //     draining), which probes and load balancers key off.
 //
-// Mutating endpoints are POST-only (405 otherwise), require a matching
-// Content-Type when one is sent (415), cap bodies (413) and reject
-// trailing data after the JSON value (400).
+// Every route is built from the request guards the router shares
+// (cluster.Get, PostJSON, PostBytes): wrong method 405, wrong
+// Content-Type 415, oversized body 413, trailing data after the JSON
+// value 400 — all before a handler runs. Handlers receive the decoded
+// request (or the capped bytes) as a parameter and never read r.Body.
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"mime"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -148,21 +148,14 @@ type solveReply struct {
 	SpanMs      float64   `json:"spanMs"`
 }
 
-func schedulerOptions(name string, opt *core.Options) error {
-	switch strings.ToLower(name) {
-	case "", "hybrid":
-		opt.Scheduler = core.ScheduleHybrid
-		if opt.DynamicRatio == 0 {
-			opt.DynamicRatio = 0.1
-		}
-	case "static":
-		opt.Scheduler = core.ScheduleStatic
-	case "dynamic":
-		opt.Scheduler = core.ScheduleDynamic
-	case "worksteal":
-		opt.Scheduler = core.ScheduleWorkStealing
-	default:
-		return fmt.Errorf("unknown scheduler %q", name)
+// schedulerOptions resolves the request's scheduler name; a hybrid job
+// that names no ratio gets the paper's usual 10% dynamic.
+func schedulerOptions(name string, opt *core.Options) (err error) {
+	if opt.Scheduler, err = core.ParseScheduler(name); err != nil {
+		return err
+	}
+	if opt.Scheduler == core.ScheduleHybrid && opt.DynamicRatio == 0 {
+		opt.DynamicRatio = 0.1
 	}
 	return nil
 }
@@ -193,15 +186,9 @@ func (s *Server) options(req *factorRequest) (core.Options, error) {
 		DynamicRatio: req.DynamicRatio,
 		Seed:         req.Seed,
 	}
-	switch strings.ToLower(req.Layout) {
-	case "", "bcl":
-		opt.Layout = layout.BCL
-	case "cm":
-		opt.Layout = layout.CM
-	case "2l", "2l-bl", "twolevel":
-		opt.Layout = layout.TwoLevel
-	default:
-		return opt, fmt.Errorf("unknown layout %q", req.Layout)
+	var err error
+	if opt.Layout, err = layout.ParseKind(req.Layout); err != nil {
+		return opt, err
 	}
 	if err := schedulerOptions(req.Scheduler, &opt); err != nil {
 		return opt, err
@@ -258,75 +245,11 @@ func (s *Server) matrix(req *factorRequest, random func(n int, seed int64) *mat.
 	return random(req.N, req.Seed), nil
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func reply(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
 // drainError is the 503 every job-creating endpoint returns once the
 // shard is draining: the router reads it as "fail over".
 func drainError(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
-	httpError(w, http.StatusServiceUnavailable, "shard draining, no new jobs")
-}
-
-// decodePost guards a mutating endpoint: POST only (405 otherwise), a
-// JSON Content-Type when one is sent (415 otherwise — a body that is
-// not JSON was almost certainly not meant for this API), the body
-// capped at maxBody (413) and exactly one JSON value in it — trailing
-// garbage after the value (a second JSON document, stray bytes) is a
-// malformed request, not something to silently ignore.
-func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed, use POST", r.Method)
-		return false
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil || mt != "application/json" {
-			httpError(w, http.StatusUnsupportedMediaType,
-				"unsupported Content-Type %q, use application/json", ct)
-			return false
-		}
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(v); err != nil {
-		bodyError(w, err)
-		return false
-	}
-	// Token (not More) is the complete trailing check: More reports
-	// false for a stray closing bracket, while Token returns io.EOF
-	// only when nothing but whitespace follows the value.
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		//hsd:allow errstatus io.EOF is the success condition here, not an error being mapped
-		httpError(w, http.StatusBadRequest, "bad request: trailing data after JSON body")
-		return false
-	}
-	return true
-}
-
-// bodyError maps a request-body read or decode error to its HTTP
-// reply: an oversized body is 413 carrying the limit, anything else is
-// the caller's 400. Part of the package's error-to-status table
-// (//hsd:statusmap): hsdlint's errstatus analyzer keeps every
-// errors.Is/As → 4xx/5xx mapping inside table functions like this one.
-//
-//hsd:statusmap
-func bodyError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes", tooBig.Limit)
-		return
-	}
-	httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	cluster.HTTPError(w, http.StatusServiceUnavailable, "shard draining, no new jobs")
 }
 
 // submitError maps an engine submission error to an HTTP reply: a shed
@@ -340,12 +263,12 @@ func submitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, engine.ErrDeadlineInfeasible):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, engine.ErrSaturated):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "engine saturated, retry later")
+		cluster.HTTPError(w, http.StatusTooManyRequests, "engine saturated, retry later")
 	default:
-		httpError(w, http.StatusBadRequest, "%v", err)
+		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 	}
 }
 
@@ -358,9 +281,7 @@ func submitError(w http.ResponseWriter, err error) {
 func solveError(w http.ResponseWriter, err error) {
 	var se *core.SingularSolveError
 	if errors.As(err, &se) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		json.NewEncoder(w).Encode(map[string]any{
+		cluster.WriteJSON(w, http.StatusUnprocessableEntity, map[string]any{
 			"error":          err.Error(),
 			"solvablePrefix": se.Prefix,
 			"n":              se.N,
@@ -368,28 +289,34 @@ func solveError(w http.ResponseWriter, err error) {
 		})
 		return
 	}
-	httpError(w, http.StatusUnprocessableEntity, "solve failed: %v", err)
+	cluster.HTTPError(w, http.StatusUnprocessableEntity, "solve failed: %v", err)
 }
 
-// handleFactor serves one factorization endpoint: decode, build the
-// matrix, run the kind's work on the engine, keep the result.
-func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, kind factorKind) {
-	var req factorRequest
-	if !s.decodePost(w, r, &req) {
-		return
-	}
+// handleFactor serves one factorization endpoint: build the matrix, run
+// the kind's work on the engine, keep the result. The router names the
+// key it assigned as ?id= and forwards the client's body untouched, so
+// a body that carries an id as well is refused here; a direct request
+// may name its id in the body.
+func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, req *factorRequest, kind factorKind) {
 	if s.draining.Load() {
 		drainError(w)
 		return
 	}
-	opt, err := s.options(&req)
+	if id := r.URL.Query().Get("id"); id != "" {
+		if req.ID != "" {
+			cluster.HTTPError(w, http.StatusBadRequest, "id is router-assigned; do not supply one")
+			return
+		}
+		req.ID = id
+	}
+	opt, err := s.options(req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	a, err := s.matrix(&req, kind.random)
+	a, err := s.matrix(req, kind.random)
 	if err != nil {
-		bodyError(w, err)
+		cluster.HTTPError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
 	// The request context rides along so a queued job is withdrawn when
@@ -400,7 +327,7 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, kind facto
 		return
 	}
 	if err := job.Wait(); err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "factorization failed: %v", err)
+		cluster.HTTPError(w, http.StatusUnprocessableEntity, "factorization failed: %v", err)
 		return
 	}
 	k := engine.KeptOf(job.Result())
@@ -421,27 +348,23 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, kind facto
 		res := k.Residual(a)
 		rep.Residual = &res
 	}
-	reply(w, rep)
+	cluster.WriteJSON(w, http.StatusOK, rep)
 }
 
 // handleSolve serves one solve endpoint over the stored factorizations
 // it accepts; want names them in the 400 for any other.
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, want string, accepts func(engine.Kept) bool) {
-	var req solveRequest
-	if !s.decodePost(w, r, &req) {
-		return
-	}
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveRequest, want string, accepts func(engine.Kept) bool) {
 	if s.draining.Load() {
 		drainError(w)
 		return
 	}
 	k, ok := s.store.Get(req.ID)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no factorization %q (evicted or never existed)", req.ID)
+		cluster.HTTPError(w, http.StatusNotFound, "no factorization %q (evicted or never existed)", req.ID)
 		return
 	}
 	if !accepts(k) {
-		httpError(w, http.StatusBadRequest, "%q is not a %s factorization", req.ID, want)
+		cluster.HTTPError(w, http.StatusBadRequest, "%q is not a %s factorization", req.ID, want)
 		return
 	}
 	n := k.N()
@@ -453,16 +376,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, want string
 	// the n*nrhs product far from integer overflow for any body that
 	// fits the request size cap.
 	if nrhs > len(req.B) || len(req.B) != n*nrhs {
-		httpError(w, http.StatusBadRequest, "rhs needs n*nrhs = %d*%d entries, got %d", n, nrhs, len(req.B))
+		cluster.HTTPError(w, http.StatusBadRequest, "rhs needs n*nrhs = %d*%d entries, got %d", n, nrhs, len(req.B))
 		return
 	}
 	opt := core.Options{Block: req.Block, Workers: req.Workers, DynamicRatio: req.DynamicRatio}
 	if err := schedulerOptions(req.Scheduler, &opt); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if err := classOptions(req.Class, req.DeadlineMs, &opt); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	bm := mat.New(n, nrhs)
@@ -479,7 +402,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, want string
 	// The solution block is tightly strided (mat.New), so its backing
 	// array IS the column-major flat reply — no copy on the hot path.
 	x := job.SolutionMatrix()
-	reply(w, solveReply{
+	cluster.WriteJSON(w, http.StatusOK, solveReply{
 		ID: req.ID, X: x.Data, NRHS: nrhs,
 		Class:       job.Class().String(),
 		Granted:     job.Granted(),
@@ -488,14 +411,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, want string
 	})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed, use GET", r.Method)
-		return
-	}
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.store.Stats()
-	reply(w, map[string]any{
+	cluster.WriteJSON(w, http.StatusOK, map[string]any{
 		"engine":   s.eng.Stats(),
 		"draining": s.draining.Load(),
 		"store": map[string]any{
@@ -512,29 +430,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz answers as long as the process serves requests at all.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed, use GET", r.Method)
-		return
-	}
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, "ok\n")
 }
 
 // handleReadyz reports readiness for new work: the engine is open and
 // the shard is not draining.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed, use GET", r.Method)
-		return
-	}
+func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case s.draining.Load():
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "draining")
 	case s.eng.Stats().Closed:
-		httpError(w, http.StatusServiceUnavailable, "engine closed")
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "engine closed")
 	default:
 		w.WriteHeader(http.StatusOK)
 		io.WriteString(w, "ready\n")
@@ -545,24 +453,19 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // serialized factorization (the unit of replication and migration);
 // without, it lists resident ids as JSON.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed, use GET", r.Method)
-		return
-	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		reply(w, map[string]any{"ids": s.store.IDs()})
+		cluster.WriteJSON(w, http.StatusOK, map[string]any{"ids": s.store.IDs()})
 		return
 	}
 	k, ok := s.store.Get(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no factorization %q (evicted or never existed)", id)
+		cluster.HTTPError(w, http.StatusNotFound, "no factorization %q (evicted or never existed)", id)
 		return
 	}
 	wire, err := cluster.EncodeFactorization(k.LU, k.Chol)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode %q: %v", id, err)
+		cluster.HTTPError(w, http.StatusInternalServerError, "encode %q: %v", id, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -573,68 +476,58 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 // handleImport serves /v1/admin/import?id=...: the body is the wire
 // encoding of a factorization, stored under the given id. This is how
 // replicas and migration targets receive kept state.
-func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed, use POST", r.Method)
-		return
-	}
-	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if err != nil || mt != "application/octet-stream" {
-		httpError(w, http.StatusUnsupportedMediaType,
-			"unsupported Content-Type, use application/octet-stream")
-		return
-	}
+func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, body []byte) {
 	if s.draining.Load() {
 		drainError(w)
 		return
 	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		httpError(w, http.StatusBadRequest, "missing id query parameter")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		bodyError(w, err)
+		cluster.HTTPError(w, http.StatusBadRequest, "missing id query parameter")
 		return
 	}
 	lu, chol, err := cluster.DecodeFactorization(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad factorization payload: %v", err)
+		cluster.HTTPError(w, http.StatusBadRequest, "bad factorization payload: %v", err)
 		return
 	}
 	s.store.PutAs(id, engine.Kept{LU: lu, Chol: chol})
-	reply(w, map[string]string{"imported": id})
+	cluster.WriteJSON(w, http.StatusOK, map[string]string{"imported": id})
 }
 
 // handleDrain serves /v1/admin/drain: the shard stops accepting new
 // jobs (factor, solve and import all 503), finishes what is inflight,
 // and reports not-ready. Idempotent.
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	var req struct{}
-	if !s.decodePost(w, r, &req) {
-		return
-	}
+func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request, _ *struct{}) {
 	s.draining.Store(true)
-	reply(w, map[string]bool{"draining": true})
+	cluster.WriteJSON(w, http.StatusOK, map[string]bool{"draining": true})
 }
 
-// Handler builds the route table. Method checks live in the handlers
-// (not in method-qualified patterns) so direct handler tests and the
-// live server agree on 405 behaviour.
+// Handler builds the route table: every route behind one of the request
+// guards, so the method, Content-Type, size and single-value checks are
+// not the handlers' to forget.
 func (s *Server) Handler() *http.ServeMux {
+	factor := func(kind factorKind) http.HandlerFunc {
+		return cluster.PostJSON(s.maxBody, func(w http.ResponseWriter, r *http.Request, req *factorRequest) {
+			s.handleFactor(w, r, req, kind)
+		})
+	}
+	solve := func(want string, accepts func(engine.Kept) bool) http.HandlerFunc {
+		return cluster.PostJSON(s.maxBody, func(w http.ResponseWriter, r *http.Request, req *solveRequest) {
+			s.handleSolve(w, r, req, want, accepts)
+		})
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/factor", func(w http.ResponseWriter, r *http.Request) { s.handleFactor(w, r, luKind) })
-	mux.HandleFunc("/v1/cholesky", func(w http.ResponseWriter, r *http.Request) { s.handleFactor(w, r, cholKind) })
+	mux.HandleFunc("/v1/factor", factor(luKind))
+	mux.HandleFunc("/v1/cholesky", factor(cholKind))
 	// /v1/solve serves whatever the store holds: a stored Kept is Valid.
-	mux.HandleFunc("/v1/solve", func(w http.ResponseWriter, r *http.Request) { s.handleSolve(w, r, "stored", engine.Kept.Valid) })
-	mux.HandleFunc("/v1/cholesky/solve", func(w http.ResponseWriter, r *http.Request) { s.handleSolve(w, r, "cholesky", isCholesky) })
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/admin/export", s.handleExport)
-	mux.HandleFunc("/v1/admin/import", s.handleImport)
-	mux.HandleFunc("/v1/admin/drain", s.handleDrain)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
+	mux.HandleFunc("/v1/solve", solve("stored", engine.Kept.Valid))
+	mux.HandleFunc("/v1/cholesky/solve", solve("cholesky", isCholesky))
+	mux.HandleFunc("/v1/stats", cluster.Get(s.handleStats))
+	mux.HandleFunc("/v1/admin/export", cluster.Get(s.handleExport))
+	mux.HandleFunc("/v1/admin/import", cluster.PostBytes("application/octet-stream", s.maxBody, s.handleImport))
+	mux.HandleFunc("/v1/admin/drain", cluster.PostJSON(s.maxBody, s.handleDrain))
+	mux.HandleFunc("/healthz", cluster.Get(s.handleHealthz))
+	mux.HandleFunc("/readyz", cluster.Get(s.handleReadyz))
 	return mux
 }

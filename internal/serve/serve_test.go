@@ -816,8 +816,9 @@ func TestServeExportImportRoundTrip(t *testing.T) {
 }
 
 // TestServeExplicitFactorID: a factor request carrying an id keeps the
-// factorization under exactly that id — the router's placement
-// contract.
+// factorization under exactly that id. A direct client names it in the
+// body; the router names it as ?id= beside the client's untouched body,
+// and a body that names one too is refused — the id is the router's.
 func TestServeExplicitFactorID(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"id":"f-77","n":8,"seed":1,"workers":1}`)
@@ -833,5 +834,17 @@ func TestServeExplicitFactorID(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/solve", `{"id":"f-77","b":[1,1,1,1,1,1,1,1]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve by explicit id: %d", resp.StatusCode)
+	}
+
+	resp, out = postJSON(t, ts.URL+"/v1/cholesky?id=c-78", `{"n":8,"seed":1,"workers":1}`)
+	if resp.StatusCode != http.StatusOK || out["id"] != "c-78" {
+		t.Fatalf("factor with ?id=: %d %v", resp.StatusCode, out)
+	}
+	if _, ok := s.Store().Get("c-78"); !ok {
+		t.Fatal("query-parameter id not resident")
+	}
+	resp, out = postJSON(t, ts.URL+"/v1/factor?id=f-79", `{"id":"f-80","n":8,"seed":1,"workers":1}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), "router-assigned") {
+		t.Fatalf("id in both query and body: %d %v, want 400", resp.StatusCode, out)
 	}
 }
