@@ -26,8 +26,12 @@ type Scheduler int
 const (
 	// ScheduleHybrid (the default) is the paper's hybrid static/dynamic
 	// strategy; the dynamic share is Options.DynamicRatio. At ratio 0
-	// every block column is static, so the zero Options schedule exactly
-	// like ScheduleStatic.
+	// every block column is static (Nstatic = nb), so the zero Options
+	// pop nothing from the shared queue and produce factors
+	// bit-identical to ScheduleStatic's. They do not idle like it: a
+	// hybrid worker that would otherwise sleep runs a lagging owner's
+	// pinned tasks (sched.Policy.Help), which Counters reports as Steals
+	// and Mismatches instead of owner-queue pops.
 	ScheduleHybrid Scheduler = iota
 	// ScheduleStatic is fully static owner-computes scheduling.
 	ScheduleStatic

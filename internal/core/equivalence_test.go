@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/layout"
@@ -140,12 +143,17 @@ func TestFactorBitIdenticalAcrossLayoutsUnderConcurrency(t *testing.T) {
 
 // TestDefaultSchedulerIsHybrid pins the documented default: the zero
 // Scheduler is ScheduleHybrid, and at DynamicRatio 0 hybrid marks every
-// block column static, so zero Options must schedule exactly like
-// ScheduleStatic — identical pivots/L/U and identical Counters (every
-// pop an owner-queue pop, none shared, none migrated).
+// block column static. What zero Options share with ScheduleStatic is
+// therefore Nstatic = nb, no pop from the shared queue and bit-identical
+// pivots/L/U; what they do not share is idle time — a hybrid worker
+// about to sleep helps a lagging owner, and each such task is counted
+// as a steal and a migration instead of an owner-queue pop.
 func TestDefaultSchedulerIsHybrid(t *testing.T) {
 	if s := (Options{}).Scheduler; s != ScheduleHybrid {
 		t.Fatalf("zero Scheduler is %v, want %v", s, ScheduleHybrid)
+	}
+	if ns := (Options{}).NstaticCols(12); ns != 12 {
+		t.Fatalf("zero Options make %d of 12 block columns static", ns)
 	}
 	a := mat.Random(96, 96, rand.New(rand.NewSource(53)))
 	def, err := Factor(a, Options{Workers: 4})
@@ -157,11 +165,64 @@ func TestDefaultSchedulerIsHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameFactorization(t, "default vs static", def, st)
-	if def.Counters != st.Counters {
-		t.Fatalf("counters differ: default %+v, static %+v", def.Counters, st.Counters)
+	total := int64(def.Stats.Total)
+	if st.Counters != (sched.Counters{DequeueStatic: total}) {
+		t.Fatalf("static counters %+v, want %d owner-queue pops and nothing else", st.Counters, total)
 	}
-	if want := int64(def.Stats.Total); def.Counters.DequeueStatic != want {
-		t.Fatalf("default run popped %d of %d tasks from owner queues", def.Counters.DequeueStatic, want)
+	c := def.Counters
+	if c.DequeueDynamic != 0 || c.DequeueStatic+c.Steals != total || c.Mismatches != c.Steals {
+		t.Fatalf("default counters %+v: want no shared pops, owner pops + helps = %d tasks, every migration a help", c, total)
+	}
+}
+
+// delayWorker0 is an Options.Noise that holds worker 0 up for d after
+// every task it runs: sustained imbalance, the paper's delta_i.
+func delayWorker0(d time.Duration) func(int) time.Duration {
+	return func(worker int) time.Duration {
+		if worker == 0 {
+			return d
+		}
+		return 0
+	}
+}
+
+// TestNoisyHybridHelpBitIdentical is the numerics contract of the help
+// tier: with worker 0 delayed after every task (the paper's delta_i,
+// sustained), the other workers drain their queues and take over its
+// pinned backlog, and since the graph's dataflow fixes the arithmetic
+// the pivots and factors stay bit-identical to the quiet static run on
+// the same graph. Helps need a second processor to happen at all, so
+// the Steals assertion is skipped on one.
+func TestNoisyHybridHelpBitIdentical(t *testing.T) {
+	a := mat.Random(96, 96, rand.New(rand.NewSource(71)))
+	noise := delayWorker0(100 * time.Microsecond)
+	for _, lay := range []layout.Kind{layout.BCL, layout.CM, layout.TwoLevel} {
+		for _, workers := range []int{2, 4} {
+			st, err := Factor(a, Options{Layout: lay, Block: 8, Workers: workers, Scheduler: ScheduleStatic})
+			if err != nil {
+				t.Fatalf("%v workers=%d static: %v", lay, workers, err)
+			}
+			for _, dratio := range []float64{0, 0.1} {
+				tag := fmt.Sprintf("%v/%dw/dratio=%g", lay, workers, dratio)
+				// Whether a sleeper reaches the backlog in time is up to
+				// the OS scheduler; every attempt must be bit-identical,
+				// and one of a few must have been helped.
+				var c sched.Counters
+				for attempt := 0; attempt < 5 && c.Steals == 0; attempt++ {
+					f, err := Factor(a, Options{
+						Layout: lay, Block: 8, Workers: workers, DynamicRatio: dratio, Noise: noise,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					sameFactorization(t, tag, f, st)
+					c = f.Counters
+				}
+				if c.Steals == 0 && runtime.GOMAXPROCS(0) > 1 {
+					t.Errorf("%s: no task of the delayed worker was helped: %+v", tag, c)
+				}
+			}
+		}
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/mat"
@@ -50,17 +52,21 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 	}
 
 	// One round drains the fused forest serially (the policy is moot
-	// there); then every policy runs it on four workers.
+	// there); then every policy runs it on four workers; the last round
+	// is hybrid with worker 0 delayed after every task, so the members'
+	// pinned tasks — all owned by workers 0 and 1 — are also run through
+	// the help tier by the two workers that own nothing.
 	type round struct {
-		s      Scheduler
-		serial bool
+		s             Scheduler
+		serial, noisy bool
 	}
-	rounds := []round{{ScheduleStatic, true}}
+	rounds := []round{{s: ScheduleStatic, serial: true}}
 	for _, s := range []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid, ScheduleWorkStealing} {
-		rounds = append(rounds, round{s, false})
+		rounds = append(rounds, round{s: s})
 	}
+	rounds = append(rounds, round{s: ScheduleHybrid, noisy: true})
 	for _, r := range rounds {
-		tag := fmt.Sprintf("%s/serial=%v", r.s, r.serial)
+		tag := fmt.Sprintf("%s/serial=%v/noisy=%v", r.s, r.serial, r.noisy)
 		// Fused graphs are as single-use as their members: prepare
 		// fresh jobs every round.
 		opt := Options{Block: 8, Workers: 2, Scheduler: r.s, DynamicRatio: 0.25, Seed: 7}
@@ -91,11 +97,18 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 		if err := fused.Validate(); err != nil {
 			t.Fatalf("%s: fused graph invalid: %v", tag, err)
 		}
+		ropt := rt.Options{Workers: 4}
+		if r.noisy {
+			ropt.Noise = delayWorker0(200 * time.Microsecond)
+		}
 		var res rt.Result
 		if r.serial {
 			res = runSerial(t, fused.Graph)
-		} else if res, err = rt.Run(fused.Graph, opt.Policy(), rt.Options{Workers: 4}); err != nil {
+		} else if res, err = rt.Run(fused.Graph, opt.Policy(), ropt); err != nil {
 			t.Fatalf("%s: fused run: %v", tag, err)
+		}
+		if r.noisy && res.Counters.Steals == 0 && runtime.GOMAXPROCS(0) > 1 {
+			t.Errorf("%s: no pinned task was helped: %+v", tag, res.Counters)
 		}
 		for i := range fired {
 			if n := fired[i].Load(); n != 1 {

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/kernel"
@@ -141,8 +142,8 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 			if !opt.SimOnly {
 				i0c, i1c, r0c, r1c, slot := i0, i1, r0, r1, s
 				t.Run = func() {
-					sc := leafScratchPool.Get().(*leafScratch)
-					defer leafScratchPool.Put(sc)
+					sc := getLeafScratch()
+					defer putLeafScratch(sc)
 					vals, ids := sc.take(r1c-r0c, bw)
 					off := 0
 					for i := i0c; i < i1c; i++ {
@@ -405,15 +406,45 @@ func (cg *CALUGraph) FinishPermutation() []int {
 
 // leafScratch is the staging area of one tournament leaf: the chunk's
 // panel rows gathered into a dense matrix, and their global row ids.
-// piv.Select copies what it keeps, so the buffers go back to the pool
-// when the leaf returns; a fresh pair per leaf was a panel-sized
+// piv.Select copies what it keeps, so the buffers go back to the free
+// list when the leaf returns; a fresh pair per leaf was a panel-sized
 // allocation per step.
 type leafScratch struct {
 	vals mat.Dense
 	ids  []int
 }
 
-var leafScratchPool = sync.Pool{New: func() any { return new(leafScratch) }}
+// The free list is explicit and global for the reason
+// kernel/workspace.go gives for pack buffers: a sync.Pool is emptied by
+// a GC cycle and caches per P, so a leaf that runs on a different
+// worker than the panel's last one (any dynamic or helped leaf)
+// re-allocated the whole panel staging. The bound keeps one scratch per
+// leaf that can be running at once.
+var (
+	leafMu      sync.Mutex
+	leafFree    []*leafScratch
+	leafFreeCap = runtime.NumCPU()
+)
+
+func getLeafScratch() *leafScratch {
+	leafMu.Lock()
+	defer leafMu.Unlock()
+	if n := len(leafFree); n > 0 {
+		sc := leafFree[n-1]
+		leafFree[n-1] = nil
+		leafFree = leafFree[:n-1]
+		return sc
+	}
+	return new(leafScratch)
+}
+
+func putLeafScratch(sc *leafScratch) {
+	leafMu.Lock()
+	if len(leafFree) < leafFreeCap {
+		leafFree = append(leafFree, sc)
+	}
+	leafMu.Unlock()
+}
 
 // take returns an r x c matrix and r ids backed by the scratch, grown if
 // needed. Contents are stale: the caller overwrites every element.

@@ -28,7 +28,7 @@ func runOK(t *testing.T, id string) *Table {
 func TestIDsCoverEveryPaperArtifact(t *testing.T) {
 	want := []string{"fig1", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"table1", "thm1", "exascale", "ablation"}
+		"table1", "thm1", "exascale", "ablation", "help"}
 	have := map[string]bool{}
 	for _, id := range IDs() {
 		have[id] = true
@@ -199,6 +199,21 @@ func TestAblationRuns(t *testing.T) {
 	// Grouping must matter on BCL (reference beats k=1).
 	if !strings.HasPrefix(tbl.Rows[1][2], "-") {
 		t.Errorf("ungrouped variant should be slower: %v", tbl.Rows[1])
+	}
+}
+
+func TestHelpAblationFillsIdleTime(t *testing.T) {
+	tbl := runOK(t, "help")
+	if len(tbl.Rows) != 8 {
+		t.Fatalf("help ablation has %d rows, want 2 machines x 2 sizes x noise on/off", len(tbl.Rows))
+	}
+	for _, row := range tbl.Rows {
+		if strings.HasPrefix(row[6], "0 of") {
+			t.Errorf("no task helped: %v", row)
+		}
+		if atofOr(t, row[4]) < atofOr(t, row[3]) {
+			t.Errorf("help made the owners-first simulation slower: %v", row)
+		}
 	}
 }
 

@@ -8,11 +8,12 @@ import "sync/atomic"
 // because the permit persists until consumed, a wake that races ahead
 // of the park is never lost — no ticket or sequence protocol needed.
 //
-// Wakes are targeted: a task pinned to worker w's queue wakes exactly
-// w (waking anyone else would let the signal be absorbed by a worker
-// that cannot pop the task, and the run would deadlock once everyone
-// parks); a task poppable by anyone wakes one currently parked worker,
-// found by scanning the parked flags. The flag/queue ordering makes
+// Wakes are targeted: a task pinned to worker w's queue always wakes w
+// (waking only someone else would let the signal be absorbed by a
+// worker that need not pop the task, and the run would deadlock once
+// everyone parks) and, when w is busy, one sleeper that may help it
+// (wakePinned); a task poppable by anyone wakes one currently parked
+// worker, found by scanning the parked flags. The flag/queue ordering makes
 // the scan safe: a parker publishes parked[w]=true before its final
 // queue re-check, and a waker publishes the task before scanning the
 // flags, so (with sequentially consistent atomics) either the waker
@@ -60,12 +61,32 @@ func (k *waker) permit(w int) {
 	}
 }
 
-// wakeOwner wakes the specific worker a pinned task belongs to. Waking
-// the depositor itself is skipped: it is awake by definition and will
-// pop its own queue on its next dispatch iteration.
-func (k *waker) wakeOwner(owner, self int) {
-	if owner != self {
-		k.permit(owner)
+// wakeOwner wakes the specific worker a pinned task belongs to and
+// reports whether that worker was parked. Waking the depositor itself
+// is skipped: it is awake by definition and will pop its own queue on
+// its next dispatch iteration.
+func (k *waker) wakeOwner(owner, self int) bool {
+	if owner == self {
+		return false
+	}
+	parked := k.parked[owner].Load()
+	k.permit(owner)
+	return parked
+}
+
+// wakePinned is the wake for a task published to owner's queue. The
+// owner is always signalled: it is the one worker certain to pop the
+// task, so liveness rests on that permit alone. An owner that was not
+// parked is busy — its queue is a backlog building behind whatever it
+// is running — so one parked worker is woken as well, to take the task
+// through the policy's Help tier; without that wake a sleeper never
+// learns a backlog exists. The helper wake is an optimisation layered
+// on the same flag/queue ordering as wakeAny: the task is in the queue
+// before the flags are scanned, so a worker between prepare and park
+// either is seen here or sees the task on its re-check.
+func (k *waker) wakePinned(owner, self int) {
+	if !k.wakeOwner(owner, self) {
+		k.wakeAny(self)
 	}
 }
 

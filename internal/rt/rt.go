@@ -415,7 +415,7 @@ func (e *Executor) loop(w int, park bool, local []trace.Span) ([]trace.Span, boo
 			e.outstanding.Add(int64(len(scratch)))
 			for _, s := range scratch {
 				if owner := e.pol.Ready(w, s); owner != sched.AnyWorker {
-					e.wk.wakeOwner(owner, w)
+					e.wk.wakePinned(owner, w)
 				} else if !e.wk.wakeAny(w) && e.opt.Lend != nil {
 					// Every reserved worker is busy and a globally
 					// poppable task just appeared: ask the owner of
@@ -464,16 +464,30 @@ func (e *Executor) next(w int, park bool) *dag.Task {
 		if !park {
 			return nil
 		}
+		// Nothing this worker may pop and the alternative is sleeping:
+		// take another owner's backlog (the policy's third tier). Help
+		// is asked only here, after the spin phase, so a balanced run
+		// never pays the migration; lending slots returned above and
+		// never see pinned work.
+		if t := e.pol.Help(w); t != nil {
+			return t
+		}
 		// Publish the parked flag, then re-check: a waker publishes its
 		// task before scanning the flags, so either it sees us parked
 		// and deposits a permit, or this re-check sees its task — a
-		// wake between our failed Next and the park cannot be lost.
+		// wake between our failed Next and the park cannot be lost. The
+		// re-check covers everything a wake can be for: our own queue,
+		// the shared heap, and another owner's backlog.
 		e.wk.prepare(w)
 		if e.done() {
 			e.wk.cancel(w)
 			return nil
 		}
-		if t := e.pol.Next(w); t != nil {
+		t := e.pol.Next(w)
+		if t == nil {
+			t = e.pol.Help(w)
+		}
+		if t != nil {
 			e.wk.cancel(w)
 			return t
 		}

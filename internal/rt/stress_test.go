@@ -1,9 +1,14 @@
 package rt
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/sched"
@@ -183,5 +188,217 @@ func TestRunExecutesEachTaskOnce(t *testing.T) {
 				t.Fatalf("%s: task %d ran %d times", pol.Name(), i, n)
 			}
 		}
+	}
+}
+
+// pinnedChains builds `chains` independent chains of `depth` tasks per
+// owner, every task pinned (Static) to its chain's owner, and returns
+// the graph with a per-task execution counter. A chain's successor is
+// published by whoever ran its predecessor, so a delayed owner's queue
+// always holds the heads of its other chains: a standing backlog.
+func pinnedChains(owners, chains, depth int) (*dag.Graph, []atomic.Int32) {
+	g := &dag.Graph{Name: "pinned-chains", Workers: owners}
+	ran := make([]atomic.Int32, owners*chains*depth)
+	for c := 0; c < owners*chains; c++ {
+		for d := 0; d < depth; d++ {
+			id := int32(c*depth + d)
+			tk := &dag.Task{ID: id, Kind: dag.S, Owner: c % owners, Static: true, Prio: int64(d*owners*chains + c)}
+			tk.Run = func() { ran[id].Add(1) }
+			if d > 0 {
+				g.Tasks[id-1].Outs = append(g.Tasks[id-1].Outs, id)
+				tk.NumDeps = 1
+			}
+			g.Tasks = append(g.Tasks, tk)
+		}
+	}
+	return g, ran
+}
+
+// noisyOwner is an Options.Noise that delays worker 0 by d after every
+// task and counts the tasks each slot ran.
+func noisyOwner(d time.Duration, onSlot []atomic.Int32) func(int) time.Duration {
+	return func(w int) time.Duration {
+		onSlot[w].Add(1)
+		if w == 0 {
+			return d
+		}
+		return 0
+	}
+}
+
+// TestHelpStressNoisyOwner is the help tier's stress test: an all-pinned
+// graph under the hybrid policy with worker 0 delayed after every task,
+// and a lending slot borrowed beside the reserved workers. Every run
+// must complete with each task executed exactly once, none of them on
+// the lending slot, and counters that add up. That sleepers took over
+// part of worker 0's backlog is required of the 200 runs together, not
+// of each: these runs last a few milliseconds, and whether a sleeper
+// gets a processor within one is up to the OS — and impossible under
+// GOMAXPROCS=1, where the delayed worker holds the only one, so there
+// only liveness is checked. Run it under -race.
+func TestHelpStressNoisyOwner(t *testing.T) {
+	const chains, depth, delay = 3, 4, 200 * time.Microsecond
+	iters := 200
+	if testing.Short() {
+		iters = 40
+	}
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, workers := range []int{2, 4, 8} {
+			t.Run(fmt.Sprintf("procs=%d/workers=%d", procs, workers), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				var steals int64
+				for it := 0; it < iters; it++ {
+					g, ran := pinnedChains(workers, chains, depth)
+					onSlot := make([]atomic.Int32, workers+1)
+					e, err := NewExecutor(g, sched.NewHybrid(), Options{
+						Workers: workers, Helpers: 1, ExternalWorkspace: true,
+						Noise: noisyOwner(delay, onSlot),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							e.Drive(w)
+						}(w)
+					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						// Paced, not polled: a goroutine that only yields
+						// between attempts never lets its processor go
+						// idle, and an idle processor is what takes a
+						// sleeper off the one worker 0 is holding.
+						for !e.Done() {
+							e.Assist(workers)
+							time.Sleep(delay / 4)
+						}
+					}()
+					wg.Wait()
+					res, err := e.Wait()
+					if err != nil {
+						t.Fatalf("iteration %d: %v", it, err)
+					}
+					for id := range ran {
+						if n := ran[id].Load(); n != 1 {
+							t.Fatalf("iteration %d: task %d ran %d times", it, id, n)
+						}
+					}
+					if n := onSlot[workers].Load(); n != 0 {
+						t.Fatalf("iteration %d: lending slot ran %d owner-pinned tasks", it, n)
+					}
+					c := res.Counters
+					if c.DequeueStatic+c.Steals != int64(len(ran)) || c.DequeueDynamic != 0 || c.Mismatches != c.Steals {
+						t.Fatalf("iteration %d: counters %+v do not add up to %d pinned tasks", it, c, len(ran))
+					}
+					steals += c.Steals
+				}
+				if procs > 1 && steals == 0 {
+					t.Errorf("no task was helped in %d runs", iters)
+				}
+			})
+		}
+	}
+}
+
+// TestHelpShortensNoisyRun is the point of the tier, on a run long
+// enough (worker 0's share alone is 20 ms of injected delay) for a
+// sleeper to get a processor whatever the OS does in between: the other
+// workers finish their own chains, take over worker 0's backlog — which
+// costs them no delay — and the run ends before worker 0 could have
+// worked off its share alone. The time bound is asserted with a
+// processor per worker only: with fewer, a worker that is not running
+// is a lagging owner like any other and the helpers also serve each
+// other.
+func TestHelpShortensNoisyRun(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		t.Skip("helping needs a processor the delayed worker is not holding")
+	}
+	const chains, depth, delay = 4, 5, time.Millisecond
+	share := chains * depth * delay
+	for _, workers := range []int{2, 4, 8} {
+		g, ran := pinnedChains(workers, chains, depth)
+		onSlot := make([]atomic.Int32, workers)
+		res, err := Run(g, sched.NewHybrid(), Options{Workers: workers, Noise: noisyOwner(delay, onSlot)})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for id := range ran {
+			if n := ran[id].Load(); n != 1 {
+				t.Fatalf("workers=%d: task %d ran %d times", workers, id, n)
+			}
+		}
+		if res.Counters.Steals == 0 || (workers <= procs && res.Makespan >= share) {
+			t.Errorf("workers=%d: %d helps, makespan %v against %v for worker 0's share alone (it ran %d of %d)",
+				workers, res.Counters.Steals, res.Makespan, share, onSlot[0].Load(), chains*depth)
+		}
+	}
+}
+
+// helpSpy reports every Help call of a policy after it returned.
+type helpSpy struct {
+	sched.Policy
+	helped chan *dag.Task
+}
+
+func (s helpSpy) Help(w int) *dag.Task {
+	t := s.Policy.Help(w)
+	s.helped <- t
+	return t
+}
+
+// TestHelpWakePinnedReachesSleeper pins the extra wake by a test and
+// not by luck. Worker 1 is parked for certain — its second empty Help
+// is the re-check after prepare, and nothing follows it but the park —
+// when worker 0, played by the test, publishes tasks pinned to itself.
+// Waking only the owner, which was the whole rule before the help tier,
+// leaves the sleeper without a permit: it would sleep through any
+// backlog and record zero helps. wakePinned deposits one, and the
+// sleeper comes back with the most critical queued task.
+func TestHelpWakePinnedReachesSleeper(t *testing.T) {
+	g := &dag.Graph{Name: "backlog", Workers: 2}
+	root := &dag.Task{ID: 0, Kind: dag.S, Static: true}
+	g.Tasks = append(g.Tasks, root)
+	for i := int32(1); i <= 2; i++ {
+		root.Outs = append(root.Outs, i)
+		g.Tasks = append(g.Tasks, &dag.Task{ID: i, Kind: dag.S, Static: true, NumDeps: 1, Prio: int64(i)})
+	}
+	spy := helpSpy{Policy: sched.NewHybrid(), helped: make(chan *dag.Task, 4)}
+	e, err := NewExecutor(g, spy, Options{Workers: 2, ExternalWorkspace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.pol.Next(0); got != root {
+		t.Fatalf("worker 0 popped %v, want the root", got)
+	}
+	got := make(chan *dag.Task, 1)
+	go func() { got <- e.next(1, true) }()
+	for i := 0; i < 2; i++ {
+		if tk := <-spy.helped; tk != nil {
+			t.Fatalf("worker 1 helped itself to %v with nothing queued", tk)
+		}
+	}
+
+	ready := e.g.ResolveSuccessors(root, nil)
+	e.outstanding.Add(int64(len(ready)))
+	owner := e.pol.Ready(0, ready[1])
+	if e.wk.wakeOwner(owner, 0) || len(e.wk.sem[1]) != 0 || !e.wk.parked[1].Load() {
+		t.Fatal("waking the busy owner alone reached the parked worker")
+	}
+
+	e.wk.wakePinned(e.pol.Ready(0, ready[0]), 0)
+	if tk := <-got; tk != ready[0] {
+		t.Fatalf("woken worker came back with %v, want task %d", tk, ready[0].ID)
+	}
+	if c := e.pol.Counters(); c.Steals != 1 || c.Mismatches != 1 {
+		t.Fatalf("counters %+v want one help", c)
+	}
+	e.fail(errors.New("test over"))
+	if _, err := e.Wait(); err == nil {
+		t.Fatal("abandoned run reported success")
 	}
 }

@@ -23,7 +23,8 @@ const (
 // ownerSlot is one worker's owner queue plus its instrumentation,
 // padded so neighbouring workers' slots do not share a cache line. The
 // mutex guards only the heap: any worker may Ready into any owner
-// queue, but only the owning worker pops it and only the owning worker
+// queue, the owning worker pops it (and, under the hybrid rule, a
+// worker with nothing else to do — Help), and only the owning worker
 // touches the counters.
 type ownerSlot struct {
 	mu sync.Mutex
@@ -45,6 +46,16 @@ func (s *ownerSlot) pop() *dag.Task {
 	return t
 }
 
+// head returns the queue's most critical task without removing it.
+func (s *ownerSlot) head() *dag.Task {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.h) == 0 {
+		return nil
+	}
+	return s.h[0]
+}
+
 // QueuePolicy is the paper's scheduling rule (Algorithms 1 and 2):
 // pinned tasks sit in their owner's queue in look-ahead order, the
 // rest in one shared queue in DFS order (left to right, which keeps
@@ -52,7 +63,10 @@ func (s *ownerSlot) pop() *dag.Task {
 // queue — ensuring progress on the critical path and touching no
 // shared lock while it has pinned work — and falls back to the shared
 // queue when it would otherwise idle (Algorithm 1, lines 8-10 and
-// 23-25).
+// 23-25). The hybrid rule has one more fallback below the paper's two
+// (Help): a worker that found both empty and is about to sleep takes
+// the most critical task pinned to another owner, so a persistently
+// slow owner's backlog does not idle the rest of the machine.
 //
 // No two workers contend on a lock unless the rule shares a queue
 // between them: each owner queue has its own mutex, and the shared
@@ -130,6 +144,39 @@ func (p *QueuePolicy) Next(worker int) *dag.Task {
 		if t.Owner != worker {
 			s.c.Mismatches++
 		}
+	}
+	return t
+}
+
+// Help implements Policy, for the hybrid rule only: the worker takes
+// the head of the owner queue whose head is most critical. The static
+// endpoint stays the paper's pure owner-computes baseline, with Figure
+// 1's idle time; the dynamic endpoint pins nothing to help with. A
+// queue drained between the scan and the pop yields nil: the caller
+// asks again before it parks.
+func (p *QueuePolicy) Help(worker int) *dag.Task {
+	if p.pin != pinMarked {
+		return nil
+	}
+	victim := -1
+	var best *dag.Task
+	for v := range p.slots {
+		if v == worker {
+			continue
+		}
+		if t := p.slots[v].head(); t != nil && (best == nil || before(t, best)) {
+			victim, best = v, t
+		}
+	}
+	if victim < 0 {
+		return nil
+	}
+	t := p.slots[victim].pop()
+	if t != nil {
+		// Another owner's task is off its data home by definition.
+		c := &p.slots[worker].c
+		c.Steals++
+		c.Mismatches++
 	}
 	return t
 }

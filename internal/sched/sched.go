@@ -32,7 +32,8 @@ import (
 // and DequeueDynamic count pops from owner queues and from the shared
 // queue (the paper's dequeue-overhead source); Mismatches counts tasks
 // executed by a worker other than their data home (the locality-loss
-// source); Steals counts successful work-stealing attempts.
+// source); Steals counts tasks taken from another worker's queue: a
+// successful work-stealing attempt, or a Help under the hybrid rule.
 type Counters struct {
 	DequeueStatic  int64
 	DequeueDynamic int64
@@ -61,10 +62,10 @@ const SeedWorker = -1
 // everyone parks.
 const AnyWorker = -1
 
-// Policy dispenses ready tasks to workers. Ready and Next may be called
-// from any worker goroutine concurrently; Reset and Counters must not
-// overlap with them (the runtime calls Reset before starting workers
-// and Counters after they have all exited).
+// Policy dispenses ready tasks to workers. Ready, Next and Help may be
+// called from any worker goroutine concurrently; Reset and Counters
+// must not overlap with them (the runtime calls Reset before starting
+// workers and Counters after they have all exited).
 type Policy interface {
 	// Name identifies the policy in reports ("static", "dynamic", ...).
 	Name() string
@@ -80,6 +81,13 @@ type Policy interface {
 	// Next pops the best ready task for the given worker, or nil if the
 	// policy has nothing this worker may run right now.
 	Next(worker int) *dag.Task
+	// Help is the fallback below Next, for a worker that would
+	// otherwise sleep: it takes a ready task pinned to another worker's
+	// queue, or returns nil where the policy has no such tier or
+	// nothing is queued. Callers try it only after Next has come up
+	// empty and they are about to park — on a balanced run it must
+	// cost nothing — and never for a borrowed lending slot.
+	Help(worker int) *dag.Task
 	// SharedBacklog estimates how many queued tasks are globally
 	// poppable — visible to a borrowed lending slot, not pinned to one
 	// owner. It is a point-in-time hint for the engine's lend
@@ -91,18 +99,22 @@ type Policy interface {
 	Counters() Counters
 }
 
-// taskHeap is a priority queue ordered by Task.Prio (ascending), which
-// encodes left-to-right column order with panel tasks first — the
-// static section's look-ahead order and Algorithm 2's DFS order.
+// before is the dispatch order: Task.Prio ascending, which encodes
+// left-to-right column order with panel tasks first — the static
+// section's look-ahead order and Algorithm 2's DFS order — with ties
+// broken by ID.
+func before(a, b *dag.Task) bool {
+	if a.Prio != b.Prio {
+		return a.Prio < b.Prio
+	}
+	return a.ID < b.ID
+}
+
+// taskHeap is a priority queue in dispatch order.
 type taskHeap []*dag.Task
 
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(i, j int) bool {
-	if h[i].Prio != h[j].Prio {
-		return h[i].Prio < h[j].Prio
-	}
-	return h[i].ID < h[j].ID
-}
+func (h taskHeap) Len() int            { return len(h) }
+func (h taskHeap) Less(i, j int) bool  { return before(h[i], h[j]) }
 func (h taskHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *taskHeap) Push(x interface{}) { *h = append(*h, x.(*dag.Task)) }
 func (h *taskHeap) Pop() interface{} {

@@ -111,6 +111,56 @@ func TestHybridIdleWorkerTakesDynamic(t *testing.T) {
 	}
 }
 
+// TestHybridHelpTakesMostCritical pins the third tier: a hybrid worker
+// with nothing of its own takes the most critical head among the other
+// owners' queues, never its own queue, and each help is counted as a
+// steal and a migration.
+func TestHybridHelpTakesMostCritical(t *testing.T) {
+	p := NewHybrid()
+	p.Reset(&dag.Graph{}, 3)
+	p.Ready(SeedWorker, mkTask(1, 1, true, 20))
+	p.Ready(SeedWorker, mkTask(2, 2, true, 30))
+	p.Ready(SeedWorker, mkTask(3, 2, true, 10))
+	p.Ready(SeedWorker, mkTask(4, 0, true, 5))
+	if got := p.Next(0); got == nil || got.ID != 4 {
+		t.Fatalf("own queue first, got %v", got)
+	}
+	if got := p.Next(0); got != nil {
+		t.Fatalf("Next must not reach into another owner's queue, got %v", got)
+	}
+	for _, want := range []int32{3, 1, 2} {
+		if got := p.Help(0); got == nil || got.ID != want {
+			t.Fatalf("Help got %v want task %d", got, want)
+		}
+	}
+	if got := p.Help(0); got != nil {
+		t.Fatalf("Help on drained queues returned %v", got)
+	}
+	p.Ready(SeedWorker, mkTask(5, 0, true, 1))
+	if got := p.Help(0); got != nil {
+		t.Fatalf("Help popped the worker's own queue: %v", got)
+	}
+	if c := p.Counters(); c != (Counters{DequeueStatic: 1, Steals: 3, Mismatches: 3}) {
+		t.Fatalf("counters %+v", c)
+	}
+}
+
+// TestHelpOnlyUnderHybrid: static stays the pure owner-computes
+// baseline, dynamic pins nothing, and work stealing already steals in
+// Next — none of them has a tier below Next.
+func TestHelpOnlyUnderHybrid(t *testing.T) {
+	for _, p := range []Policy{NewStatic(), NewDynamic(), NewWorkStealing(3)} {
+		p.Reset(&dag.Graph{}, 2)
+		p.Ready(SeedWorker, mkTask(1, 1, true, 1))
+		if got := p.Help(0); got != nil {
+			t.Fatalf("%s: Help returned %v", p.Name(), got)
+		}
+		if c := p.Counters(); c != (Counters{}) {
+			t.Fatalf("%s: Help moved the counters: %+v", p.Name(), c)
+		}
+	}
+}
+
 func TestWorkStealingOwnDequeLIFO(t *testing.T) {
 	p := NewWorkStealing(1)
 	p.Reset(&dag.Graph{}, 2)
@@ -218,8 +268,9 @@ func TestAllPoliciesDrainEverything(t *testing.T) {
 
 // drainConcurrently hammers a policy from `workers` goroutines until
 // every task has been popped, and returns a per-task pop count (each
-// must be exactly 1).
-func drainConcurrently(t *testing.T, p Policy, workers, tasks int, seedAll bool) []int32 {
+// must be exactly 1). With help, a worker whose Next came up empty asks
+// Help before trying again, the way the runtime does before it parks.
+func drainConcurrently(t *testing.T, p Policy, workers, tasks int, seedAll, help bool) []int32 {
 	t.Helper()
 	g := &dag.Graph{Name: "drain"}
 	all := make([]*dag.Task, tasks)
@@ -254,7 +305,11 @@ func drainConcurrently(t *testing.T, p Policy, workers, tasks int, seedAll bool)
 					p.Ready(w, all[next])
 					next++
 				}
-				if tk := p.Next(w); tk != nil {
+				tk := p.Next(w)
+				if tk == nil && help {
+					tk = p.Help(w)
+				}
+				if tk != nil {
 					atomic.AddInt32(&popped[tk.ID], 1)
 					total.Add(1)
 				}
@@ -267,32 +322,65 @@ func drainConcurrently(t *testing.T, p Policy, workers, tasks int, seedAll bool)
 
 func TestPoliciesDrainExactlyOnceConcurrently(t *testing.T) {
 	for _, seedAll := range []bool{true, false} {
-		for _, p := range allPolicies() {
-			popped := drainConcurrently(t, p, 4, 2000, seedAll)
-			for id, n := range popped {
-				if n != 1 {
-					t.Fatalf("%s seedAll=%v: task %d popped %d times", p.Name(), seedAll, id, n)
+		for _, help := range []bool{false, true} {
+			for _, p := range allPolicies() {
+				popped := drainConcurrently(t, p, 4, 2000, seedAll, help)
+				for id, n := range popped {
+					if n != 1 {
+						t.Fatalf("%s seedAll=%v help=%v: task %d popped %d times", p.Name(), seedAll, help, id, n)
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestCountersMatchWork: every task is counted by exactly one of the
+// three ways it can leave a queue. The endpoint policies and work
+// stealing read the same whether or not Help is driven; under hybrid
+// the helps come out of the owner-queue pops, never out of the shared
+// ones.
 func TestCountersMatchWork(t *testing.T) {
-	p := NewDynamic()
-	drainConcurrently(t, p, 4, 500, true)
-	if c := p.Counters(); c.DequeueDynamic != 500 || c.DequeueStatic != 0 {
-		t.Fatalf("dynamic counters %+v want 500 shared pops", c)
+	for _, help := range []bool{false, true} {
+		p := NewDynamic()
+		drainConcurrently(t, p, 4, 500, true, help)
+		if c := p.Counters(); c.DequeueDynamic != 500 || c.DequeueStatic != 0 || c.Steals != 0 {
+			t.Fatalf("help=%v: dynamic counters %+v want 500 shared pops", help, c)
+		}
+		st := NewStatic()
+		drainConcurrently(t, st, 4, 500, true, help)
+		if c := st.Counters(); c != (Counters{DequeueStatic: 500}) {
+			t.Fatalf("help=%v: static counters %+v want 500 owner pops", help, c)
+		}
+		ws := NewWorkStealing(3)
+		drainConcurrently(t, ws, 4, 500, true, help)
+		if c := ws.Counters(); c.DequeueStatic+c.Steals != 500 {
+			t.Fatalf("help=%v: worksteal pops %d + steals %d != 500", help, c.DequeueStatic, c.Steals)
+		}
 	}
 	h := NewHybrid()
-	drainConcurrently(t, h, 4, 500, false)
-	if c := h.Counters(); c.DequeueStatic != 250 || c.DequeueDynamic != 250 {
+	drainConcurrently(t, h, 4, 500, false, false)
+	if c := h.Counters(); c.DequeueStatic != 250 || c.DequeueDynamic != 250 || c.Steals != 0 {
 		t.Fatalf("hybrid counters %+v want 250 owner + 250 shared pops", c)
 	}
-	ws := NewWorkStealing(3)
-	drainConcurrently(t, ws, 4, 500, true)
-	if c := ws.Counters(); c.DequeueStatic+c.Steals != 500 {
-		t.Fatalf("worksteal pops %d + steals %d != 500", c.DequeueStatic, c.Steals)
+	h = NewHybrid()
+	drainConcurrently(t, h, 4, 500, false, true)
+	c := h.Counters()
+	if c.DequeueStatic+c.DequeueDynamic+c.Steals != 500 || c.DequeueDynamic != 250 || c.Mismatches < c.Steals {
+		t.Fatalf("hybrid+help counters %+v want owner + shared + helped pops = 500, 250 of them shared", c)
+	}
+	// One worker drains alone: the other owners' queues can only leave
+	// through Help.
+	h.Reset(&dag.Graph{}, 4)
+	for i := int32(0); i < 40; i++ {
+		h.Ready(SeedWorker, mkTask(i, int(i)%4, true, int64(i)))
+	}
+	for h.Next(3) != nil {
+	}
+	for h.Help(3) != nil {
+	}
+	if c := h.Counters(); c != (Counters{DequeueStatic: 10, Steals: 30, Mismatches: 30}) {
+		t.Fatalf("lone hybrid worker counters %+v want 10 own pops and 30 helps", c)
 	}
 }
 

@@ -93,6 +93,10 @@ func (p *WorkStealing) Next(worker int) *dag.Task {
 	return nil
 }
 
+// Help implements Policy: Next already steals, so there is no tier
+// below it.
+func (p *WorkStealing) Help(worker int) *dag.Task { return nil }
+
 // SharedBacklog implements Policy: every deque is stealable, so the
 // backlog is the (racy but monotonicity-free) sum of their sizes.
 func (p *WorkStealing) SharedBacklog() int {

@@ -24,6 +24,12 @@ type Config struct {
 	// Policy is the scheduling strategy: the same objects the real
 	// runtime uses, driven here from one goroutine.
 	Policy sched.Policy
+	// Help lets a worker that is still idle after every idle worker has
+	// had its Next ask the policy's Help tier at once. That is the eager
+	// form of what internal/rt does only when a worker is about to park,
+	// and it is what the help ablation measures; every paper figure runs
+	// with it off.
+	Help bool
 	// Trace, if non-nil, records the virtual-time execution timeline.
 	Trace *trace.Trace
 	// Seed re-seeds the machine's noise generator so repeated runs are
@@ -117,6 +123,7 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 	// dispatch assigns as many ready tasks as possible at virtual time
 	// `now`, in worker order (deterministic).
 	dispatch := func() {
+		help := false
 		for {
 			progress := false
 			order := make([]int, 0, p)
@@ -127,7 +134,12 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 			}
 			sort.Ints(order)
 			for _, w := range order {
-				t := pol.Next(w)
+				var t *dag.Task
+				if help {
+					t = pol.Help(w)
+				} else {
+					t = pol.Next(w)
+				}
 				if t == nil {
 					continue
 				}
@@ -188,9 +200,12 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 				idle[w] = false
 				heap.Push(&events, event{at: end, worker: w, task: t})
 			}
-			if !progress {
+			if !progress && (help || !cfg.Help) {
 				return
 			}
+			// A pass of Next that started nothing is followed by one of
+			// Help: an idle owner always gets to pop its own queue first.
+			help = !progress
 		}
 	}
 

@@ -127,6 +127,36 @@ func TestDynamicPaysOverheadStaticDoesNot(t *testing.T) {
 	}
 }
 
+// TestHelpFillsIdleTime: Config.Help is off unless asked for, and when
+// asked for it turns hybrid idle time into helped (migrated) tasks; the
+// static policy has no such tier whatever the flag says.
+func TestHelpFillsIdleTime(t *testing.T) {
+	run := func(pol sched.Policy, nstatic int, help bool) Result {
+		cfg := quietConfig(layout.BCL, pol, 24)
+		cfg.Help = help
+		res, err := FactorSim(2000, 2000, 100, nstatic, 3, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain, helped := run(sched.NewHybrid(), 18, false), run(sched.NewHybrid(), 18, true)
+	if plain.Counters.Steals != 0 {
+		t.Fatalf("hybrid helped %d tasks with Help off", plain.Counters.Steals)
+	}
+	hc, pc := helped.Counters, plain.Counters
+	if hc.Steals == 0 || hc.DequeueStatic+hc.Steals != pc.DequeueStatic || hc.DequeueDynamic != pc.DequeueDynamic {
+		t.Fatalf("helped counters %+v against %+v: helps must come out of the owner-queue pops", hc, pc)
+	}
+	if helped.IdleTime >= plain.IdleTime || helped.OverheadTime <= plain.OverheadTime {
+		t.Fatalf("help must trade idle time (%g -> %g) for migration (%g -> %g)",
+			plain.IdleTime, helped.IdleTime, plain.OverheadTime, helped.OverheadTime)
+	}
+	if st := run(sched.NewStatic(), 20, true); st.Counters.Steals != 0 || st.Counters.Mismatches != 0 {
+		t.Fatalf("static run helped: %+v", st.Counters)
+	}
+}
+
 // The headline result: on the NUMA machine, hybrid with a small dynamic
 // share beats both pure strategies (paper section 5.1, Figures 7/8).
 func TestHybridBeatsBothOnNUMA(t *testing.T) {
