@@ -47,12 +47,12 @@ func TestBadPatternExitsTwo(t *testing.T) {
 // file, line and analyzer, so future tooling can diff findings across
 // PRs.
 func TestJSONFindings(t *testing.T) {
-	findings, err := lint([]string{filepath.Join(corpusRoot, "tunegate")})
+	findings, err := lint([]string{filepath.Join(corpusRoot, "bitident")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(findings) == 0 {
-		t.Fatal("tunegate corpus produced no findings")
+		t.Fatal("bitident corpus produced no findings")
 	}
 	raw, err := json.Marshal(findings[0])
 	if err != nil {

@@ -2,11 +2,8 @@
 // static analyzers that machine-check the invariants this codebase's
 // correctness story rests on — invariants that are documented in
 // comments and enforced by convention, which PR history shows is not
-// enough (the shared-panel work had to re-add a missed ensureTuned
-// gate by hand). Each analyzer encodes one contract:
+// enough. Each analyzer encodes one contract:
 //
-//   - tunegate: exported kernel entry points must pass the ensureTuned
-//     gate before touching tuning-profile state (//hsd:profile-state).
 //   - bitident: the Getf2/panel bit-identity region (//hsd:bitident)
 //     must stay free of math.FMA, float ==/!= and dot-product-style
 //     fused accumulation.
@@ -134,7 +131,6 @@ type Analyzer struct {
 // All returns the full suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		TuneGate,
 		BitIdent,
 		AtomicField,
 		Pairing,
@@ -240,7 +236,7 @@ func directiveBody(text, name string) (string, bool) {
 
 // hasDirective reports whether the comment group contains the given
 // //hsd:* directive (marker pragmas such as hsd:bitident and
-// hsd:profile-state).
+// hsd:statusmap).
 func hasDirective(cg *ast.CommentGroup, name string) bool {
 	if cg == nil {
 		return false

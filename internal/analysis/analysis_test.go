@@ -114,8 +114,8 @@ func TestModuleLoadClean(t *testing.T) {
 
 // TestFindingString pins the driver's output contract.
 func TestFindingString(t *testing.T) {
-	f := Finding{File: "a/b.go", Line: 7, Col: 3, Analyzer: "tunegate", Message: "boom"}
-	if got, wantStr := f.String(), "a/b.go:7: [tunegate] boom"; got != wantStr {
+	f := Finding{File: "a/b.go", Line: 7, Col: 3, Analyzer: "bitident", Message: "boom"}
+	if got, wantStr := f.String(), "a/b.go:7: [bitident] boom"; got != wantStr {
 		t.Fatalf("String() = %q, want %q", got, wantStr)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // while any ranked lock of a *higher* rank may be held inverts the
 // hierarchy and is reported, with the full acquisition chain when the
 // inner acquisition happens in a callee (summaries are interprocedural
-// within a package, walked to fixpoint like tunegate's exposure).
+// within a package, walked to fixpoint).
 // Re-acquiring a lock that may already be held is reported too (plain
 // Mutex self-deadlock); a repeated RLock is tolerated.
 //

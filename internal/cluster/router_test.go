@@ -108,6 +108,49 @@ func TestClusterKillOwnerSolveFromReplica(t *testing.T) {
 	}
 }
 
+// TestClusterBlockGridBounded: the shards' block-grid bound holds
+// through the router — a factor, Cholesky or solve request whose block
+// grid exceeds serve.MaxBlocks is the shard's 400 naming the limit,
+// relayed without failing over and without any engine job, while a
+// small block under the bound still answers 200.
+func TestClusterBlockGridBounded(t *testing.T) {
+	c, err := harness.Start(harness.Options{Shards: 2, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 256
+	id := factorVia(t, c.URL(), n, 5)
+	jobs := func() (sum int64) {
+		for _, name := range c.Names() {
+			st := c.Shard(name).Engine.Stats()
+			sum += st.JobsDone + st.JobsFailed
+		}
+		return sum
+	}
+	before := jobs()
+	limit := fmt.Sprintf("%d-block limit", serve.MaxBlocks)
+	for _, req := range []struct{ path, body string }{
+		{"/v1/factor", `{"n":512,"block":1}`},
+		{"/v1/cholesky", `{"n":512,"block":1}`},
+		{"/v1/solve", fmt.Sprintf(`{"id":%q,"block":1,"b":[%s]}`, id, ones(n))},
+	} {
+		code, out := postJSON(t, c.URL()+req.path, req.body)
+		if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), limit) {
+			t.Errorf("%s %.40s via router: %d %v, want 400 naming the %s", req.path, req.body, code, out, limit)
+		}
+	}
+	if got := jobs(); got != before {
+		t.Fatalf("refused requests reached an engine: jobs %d -> %d", before, got)
+	}
+	if code, out := postJSON(t, c.URL()+"/v1/factor", `{"n":64,"block":2,"workers":1}`); code != http.StatusOK {
+		t.Errorf("small block under the bound: %d %v", code, out)
+	}
+	if code, out := postJSON(t, c.URL()+"/v1/solve", fmt.Sprintf(`{"id":%q,"block":4,"b":[%s]}`, id, ones(n))); code != http.StatusOK {
+		t.Errorf("small-block solve under the bound: %d %v", code, out)
+	}
+}
+
 // TestClusterOwnerSetDown: with replicas=1 the key lives on exactly one
 // shard; killing it turns solves into the typed ownerSetDown 503, while
 // an id the router never placed stays a plain 404, a key drained away

@@ -108,7 +108,8 @@ func (c JobClass) String() string {
 type Options struct {
 	// Layout is the storage scheme (default BCL).
 	Layout layout.Kind
-	// Block is the block/tile size b (default 32; the paper uses 100).
+	// Block is the block/tile size b (default DefaultBlock; the paper
+	// uses 100).
 	Block int
 	// Workers is the parallelism degree (default 1).
 	Workers int
@@ -142,9 +143,12 @@ type Options struct {
 	Deadline time.Duration
 }
 
+// DefaultBlock is the block size of Options with Block <= 0.
+const DefaultBlock = 32
+
 func (o *Options) fill() {
 	if o.Block <= 0 {
-		o.Block = 32
+		o.Block = DefaultBlock
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1

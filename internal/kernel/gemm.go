@@ -18,7 +18,6 @@ func Gemm(c, a, b View) { GemmShared(c, a, b, nil, nil) }
 // lower triangle blockwise). It shares the packed path with Gemm; only
 // the B packing reads transposed.
 func GemmNT(c, a, b View) {
-	ensureTuned()
 	m, n, k := c.Rows, c.Cols, a.Cols
 	if a.Rows != m || b.Rows != n || b.Cols != k {
 		panic(fmt.Sprintf("kernel: gemmNT shape mismatch C %dx%d, A %dx%d, B %dx%d",

@@ -56,7 +56,6 @@ func (e *SingularError) Error() string {
 //
 //hsd:bitident
 func Getrf(a View, piv []int) error {
-	ensureTuned()
 	m, n := a.Rows, a.Cols
 	steps := min(m, n)
 	if len(piv) < steps {
@@ -249,8 +248,8 @@ func rank1SubGeneric(c, l []float64, u float64) {
 // the blocked factorization bit-identical to Getf2. A and B are packed
 // into the GEMM workspace formats so the register-tiled panel kernel
 // streams pmr x pnr tiles of C with unit stride. The panel tile is
-// fixed per platform (see tuning.go) — the tuner moves only the GEMM
-// tile, so the bit-identity contract never depends on the profile.
+// fixed per platform (see tuning.go) and independent of the GEMM tile,
+// so the bit-identity contract never depends on the profile.
 //
 //hsd:bitident
 func panelUpdate(c, a, b View) {

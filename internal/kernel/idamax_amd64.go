@@ -18,12 +18,6 @@ func maxAbsAVX2(n int, x *float64) float64
 //go:noescape
 func findAbsAVX2(n int, x *float64, target float64) int
 
-func init() {
-	if cpuSupportsAVX2FMA() {
-		idamaxRange = idamaxRangeAVX2
-	}
-}
-
 // idamaxRangeAVX2 mirrors idamaxRangeGeneric's semantics — index of the
 // first maximum |col[i]| over [k, m), NaNs losing all comparisons —
 // with the interior of both passes vectorized. Short ranges fall back

@@ -11,8 +11,9 @@
 // The compute hot path — Gemm, GemmNT and the blocked triangular
 // solves — is a cache-blocked, packed, register-tiled implementation
 // in the Goto/BLIS style (gemm.go, pack.go, microkernel*.go), with an
-// AVX2+FMA micro-kernel on amd64. Every tuned kernel keeps its naive
-// loop-nest twin (GemmNaive, TrsmLowerLeftUnitNaive, ...) as the
+// AVX2+FMA micro-kernel on amd64 and cache blocking derived once from
+// the machine's cache sizes (tuning.go). Every tuned kernel keeps its
+// naive loop-nest twin (GemmNaive, TrsmLowerLeftUnitNaive, ...) as the
 // correctness oracle: the property tests pin the packed path against
 // the naive one, and internal/sim models the performance of tuned BLAS
 // independently of either.
@@ -107,7 +108,6 @@ func Getf2(a View, piv []int) error {
 // singular pivot column as a *SingularError carrying the established
 // prefix length; piv[0:K] is valid on return.
 func RecursiveLU(a View, piv []int) error {
-	ensureTuned()
 	m, n := a.Rows, a.Cols
 	steps := min(m, n)
 	if steps <= panelCrossover {
@@ -199,7 +199,6 @@ func LaswpInverse(v View, piv []int, k0, k1 int) {
 //
 //hsd:bitident
 func GetrfNoPiv(a View) error {
-	ensureTuned()
 	m, n := a.Rows, a.Cols
 	steps := min(m, n)
 	if useNaiveKernels || !panelBlockedWorthwhile(m, steps) {

@@ -1,30 +1,14 @@
 package kernel
 
-// The AVX2+FMA micro-kernels compute 8-row register tiles:
+// The AVX2+FMA micro-kernel computes an 8x6 register tile: twelve
+// 256-bit accumulators over six C columns, two packed-A vector loads and
+// six B broadcasts per k-step — 12 FMAs, 96 flops, per iteration — using
+// all sixteen YMM registers. Scalar Go code cannot reach that shape (the
+// compiler has no auto-vectorizer and at most ~2 flops/cycle).
 //
-//   - 8x4: eight 256-bit accumulators (two YMM registers per C column),
-//     two packed-A vector loads and four B broadcasts per k-step —
-//     8 FMAs, i.e. 64 flops, per iteration.
-//   - 8x6: twelve accumulators over six C columns — 12 FMAs, 96 flops,
-//     per iteration, with a better FMA-to-load ratio (12:8 vs 8:6) that
-//     keeps both FMA ports fed on cores where the 8x4 tile stalls on
-//     broadcast traffic. It uses all sixteen YMM registers.
-//
-// Scalar Go code cannot reach either shape (the compiler has no
-// auto-vectorizer and at most ~2 flops/cycle).
-//
-// Both end by subtracting the accumulators from the C tile in
-// registers (load, VSUBPD, store), so the product never round-trips
-// through a scratch tile and a scalar write-back loop.
-//
-// Selection: if the CPU lacks AVX2, FMA or OS AVX state support, the
-// portable 4x4 kernel stays active and the packed formats shrink with
-// it. Otherwise init installs 8x4 as the static default (the pre-tuner
-// behaviour, and what HSD_TUNE=off pins) and registers both vector
-// kernels for the autotuner to bench against each other (tuner.go).
-
-//go:noescape
-func microKernel8x4FMA(kk int, ap, bp, c *float64, ldc int)
+// It ends by subtracting the accumulators from the C tile in registers
+// (load, VSUBPD, store), so the product never round-trips through a
+// scratch tile and a scalar write-back loop.
 
 //go:noescape
 func microKernel8x6FMA(kk int, ap, bp, c *float64, ldc int)
@@ -34,28 +18,29 @@ func microKernel8x6FMA(kk int, ap, bp, c *float64, ldc int)
 // depending on x/sys/cpu.
 func cpuSupportsAVX2FMA() bool
 
-func init() {
-	if cpuSupportsAVX2FMA() {
-		mr, nr = 8, 4
-		microKernel = microAVX2
-		microImpls["avx2-8x4"] = microImpl{name: "avx2-8x4", mr: 8, nr: 4, fn: microAVX2}
-		microImpls["avx2-8x6"] = microImpl{name: "avx2-8x6", mr: 8, nr: 6, fn: microAVX2x6}
-		defaultKernelName = "avx2-8x4"
-	}
-}
-
-// microAVX2 adapts the 8x4 assembly kernel to the microKernel
-// signature. The last-element touch turns a tile that does not fit its
-// slice into a bounds panic instead of a stray store.
-func microAVX2(kk int, ap, bp, c []float64, ldc int) {
-	if kk == 0 {
+// registerPlatformKernels installs the AVX2 kernels when the CPU and OS
+// support them: the 8x6 GEMM micro-kernel (which the machine profile
+// then uses), the 8x4 panel kernel with its vector rank-1 update and
+// column scaling, the TRSM tile and the pivot search. Without AVX2, FMA
+// or OS AVX state the portable kernels stay, and the packed formats
+// shrink with them.
+func registerPlatformKernels() {
+	if !cpuSupportsAVX2FMA() {
 		return
 	}
-	_ = c[3*ldc+7]
-	microKernel8x4FMA(kk, &ap[0], &bp[0], &c[0], ldc)
+	microImpls["avx2-8x6"] = microImpl{name: "avx2-8x6", mr: 8, nr: 6, fn: microAVX2x6}
+	platformKernel = "avx2-8x6"
+	pmr, pnr = 8, 4
+	panelKernel = panelAVX2
+	rank1Sub = rank1SubVec
+	scaleVec = scaleVecVec
+	trsmLowerUnitTile = trsmTileAVX2
+	idamaxRange = idamaxRangeAVX2
 }
 
-// microAVX2x6 adapts the 8x6 assembly kernel.
+// microAVX2x6 adapts the 8x6 assembly kernel to the microKernel
+// signature. The last-element touch turns a tile that does not fit its
+// slice into a bounds panic instead of a stray store.
 func microAVX2x6(kk int, ap, bp, c []float64, ldc int) {
 	if kk == 0 {
 		return

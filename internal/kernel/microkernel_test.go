@@ -51,10 +51,7 @@ func sameBits(t *testing.T, what string, got, want View) {
 func kernelProfiles() []Profile {
 	var out []Profile
 	for name, impl := range microImpls {
-		p := defaultProfile()
-		p.Kernel, p.MR, p.NR = name, impl.mr, impl.nr
-		p.KC, p.MC, p.NC = 24, 4*impl.mr, 5*impl.nr
-		out = append(out, p)
+		out = append(out, Profile{Kernel: name, MR: impl.mr, NR: impl.nr, KC: 24, MC: 4 * impl.mr, NC: 5 * impl.nr})
 	}
 	return out
 }

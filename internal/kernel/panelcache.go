@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -22,10 +21,10 @@ import (
 // Budget: cached panels of both sides are accounted against one byte
 // budget that scales with the pool-wide kernel.Reserve sum (pcSetSlots,
 // called by Reserve/Release), so a resident engine with more workers
-// may cache more panels. When the budget is exhausted — or
-// HSD_PANEL_CACHE=off — a panel falls back to the private packing path,
-// which is bit-identical (same packed bytes, same loop order, same
-// micro-kernel), so hit and miss paths cannot diverge numerically.
+// may cache more panels. When the budget is exhausted a panel falls
+// back to the private packing path, which is bit-identical (same packed
+// bytes, same loop order, same micro-kernel), so hit and miss paths
+// cannot diverge numerically.
 //
 // Buffers: a freed panel buffer goes onto a free list keyed by its
 // length and the next panel of that length takes it back — a
@@ -68,10 +67,6 @@ const (
 	panelCachePerSlot = 1 << 20
 )
 
-// panelCacheOff pins every SharedPanel to the private path (A/B
-// comparisons, pathological memory pressure).
-var panelCacheOff = os.Getenv("HSD_PANEL_CACHE") == "off"
-
 // panelSide says which GEMM operand a SharedPanel holds.
 type panelSide uint8
 
@@ -101,11 +96,7 @@ var (
 // reservation sum; Reserve and Release call it outside wsMu.
 func pcSetSlots(slots int) {
 	pcMu.Lock()
-	if panelCacheOff {
-		pcBudget = 0
-	} else {
-		pcBudget = panelCacheBase + int64(slots)*panelCachePerSlot
-	}
+	pcBudget = panelCacheBase + int64(slots)*panelCachePerSlot
 	pcTrimLocked()
 	pcMu.Unlock()
 }
@@ -294,7 +285,6 @@ func (p *SharedPanel) release() {
 // either way, so the result is bit-identical whatever was cached. Each
 // non-nil handle loses one use.
 func GemmShared(c, a, b View, pa, pb *SharedPanel) {
-	ensureTuned()
 	m, n, k := c.Rows, c.Cols, a.Cols
 	if a.Rows != m || b.Rows != k || b.Cols != n {
 		panic(fmt.Sprintf("kernel: gemm shape mismatch C %dx%d, A %dx%d, B %dx%d",

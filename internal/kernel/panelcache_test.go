@@ -57,7 +57,6 @@ func (sc sharedGemmCase) want() []View {
 // same packed bytes, same loop order, same micro-kernel — so cache hit
 // and miss cannot diverge numerically.
 func TestSharedBPanelHitBitIdentical(t *testing.T) {
-	ensureTuned()
 	rng := rand.New(rand.NewSource(21))
 	for _, shape := range [][4]int{{64, 64, 64, 3}, {150, 117, 93, 4}, {40, 700, 520, 2}} {
 		m, n, k, uses := shape[0], shape[1], shape[2], shape[3]
@@ -93,7 +92,6 @@ func TestSharedBPanelHitBitIdentical(t *testing.T) {
 // panel, every consumer takes the private path and the results are
 // still exact; the denial is counted once and is sticky until Reset.
 func TestSharedBPanelDeniedFallsBack(t *testing.T) {
-	ensureTuned()
 	setPanelBudget(t, 64) // bytes; any real panel exceeds this
 	rng := rand.New(rand.NewSource(22))
 	sc := newSharedGemmCase(rng, 96, 96, 96, 3)
@@ -124,7 +122,6 @@ func TestSharedBPanelDeniedFallsBack(t *testing.T) {
 // all consumers run at once, the first to arrive packs while the rest
 // block, and every result must equal the serial plain-Gemm oracle.
 func TestSharedBPanelConcurrent(t *testing.T) {
-	ensureTuned()
 	rng := rand.New(rand.NewSource(23))
 	const uses = 8
 	sc := newSharedGemmCase(rng, 120, 96, 80, uses)
@@ -152,7 +149,6 @@ func TestSharedBPanelConcurrent(t *testing.T) {
 // TestSharedBPanelLifecycle covers the refcount free, ForceFree
 // idempotence and Reset re-arming.
 func TestSharedBPanelLifecycle(t *testing.T) {
-	ensureTuned()
 	rng := rand.New(rand.NewSource(24))
 	sc := newSharedGemmCase(rng, 64, 64, 64, 2)
 	before := pcState()
@@ -202,7 +198,6 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 // TestSharedBPanelNilDegrades: fewer than two consumers yields nil, and
 // the nil receiver is the plain Gemm path.
 func TestSharedBPanelNilDegrades(t *testing.T) {
-	ensureTuned()
 	if p := NewSharedBPanel(PanelKey{}, 1); p != nil {
 		t.Fatal("one consumer should not allocate a shared panel")
 	}
@@ -223,7 +218,6 @@ func TestSharedBPanelNilDegrades(t *testing.T) {
 // must dispatch exactly like Gemm (small path), still bit-identical,
 // without touching the cache.
 func TestSharedBPanelSmallShapesBypass(t *testing.T) {
-	ensureTuned()
 	rng := rand.New(rand.NewSource(26))
 	before := pcState()
 	sc := newSharedGemmCase(rng, 8, 8, 8, 2)
@@ -318,7 +312,7 @@ func (g updateGrid) same(t *testing.T, what string, want updateGrid) {
 
 // TestSharedPanelsHitDeniedOffBitIdentical: the same update grid run
 // with both operands cached, with a budget that denies every panel and
-// with the cache switched off must produce the bits of plain Gemm calls
+// with a zero budget must produce the bits of plain Gemm calls
 // — under every registered kernel, the portable one included, with
 // four tasks in flight. On the clean run every handle's count reaches
 // exactly zero: the last consumer, not a ForceFree, returns the bytes.
@@ -378,7 +372,7 @@ func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
 					t.Errorf("A misses = %d, want one per task (%d)", got, rows*cols)
 				}
 
-				// HSD_PANEL_CACHE=off is a zero budget from process start.
+				// A zero budget admits nothing, not even a parked buffer.
 				setPanelBudget(t, 0)
 				off := src.clone()
 				off.run(4)
@@ -395,7 +389,6 @@ func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
 // step, B panels as long as their column, so A stops at three quarters
 // of the budget and a B panel still finds room behind a wall of them.
 func TestSharedAPanelReserveKeepsBHits(t *testing.T) {
-	ensureTuned()
 	rng := rand.New(rand.NewSource(43))
 	a, b, c := randView(rng, 96, 64), randView(rng, 64, 96), randView(rng, 96, 96)
 	aBytes := int64((96+mr-1)/mr*mr*64) * 8
@@ -432,7 +425,6 @@ func TestSharedAPanelReserveKeepsBHits(t *testing.T) {
 // against the budget together with live ones, and a shrinking budget
 // drops them.
 func TestPanelBuffersRecycled(t *testing.T) {
-	ensureTuned()
 	rng := rand.New(rand.NewSource(47))
 	sc := newSharedGemmCase(rng, 64, 64, 64, 2)
 	pack := func() *float64 {

@@ -6,9 +6,9 @@ package kernel
 // accumulate), so the blocked GETRF stays bit-identical to scalar
 // Getf2. ap/bp are one packed A row panel and one packed B column panel
 // in the GEMM packing formats (pack.go); c is the tile origin inside a
-// column-major matrix with leading dimension ldc. Platform inits swap
-// in wider implementations together with pmr/pnr
-// (panelkernel_amd64.go); the GEMM autotuner never touches this tile.
+// column-major matrix with leading dimension ldc. The platform
+// registration swaps in wider implementations together with pmr/pnr
+// (microkernel_amd64.go); the GEMM profile never touches this tile.
 var panelKernel = panelKernelGeneric
 
 // panelKernelGeneric is the portable pmr x pnr implementation: one

@@ -18,15 +18,6 @@ func rank1SubAVX2(n int, c, l *float64, u float64)
 //go:noescape
 func scaleVecAVX2(n int, c *float64, alpha float64)
 
-func init() {
-	if cpuSupportsAVX2FMA() {
-		pmr, pnr = 8, 4
-		panelKernel = panelAVX2
-		rank1Sub = rank1SubVec
-		scaleVec = scaleVecVec
-	}
-}
-
 // rank1SubVec adapts the assembly rank-1 column update. The vector
 // body and its scalar tail both round multiply and subtract
 // separately, matching the portable loop bit for bit.

@@ -23,7 +23,6 @@ import "fmt"
 // unit lower triangular n x n and B is n x m. This is the "task U"
 // kernel: U_KJ = L_KK^{-1} A_KJ.
 func TrsmLowerLeftUnit(l, b View) {
-	ensureTuned()
 	n, m := b.Rows, b.Cols
 	if l.Rows != n || l.Cols != n {
 		panic(fmt.Sprintf("kernel: trsmL shape mismatch L %dx%d, B %dx%d", l.Rows, l.Cols, n, m))

@@ -11,12 +11,6 @@ package kernel
 //go:noescape
 func trsmLowerUnitTile8x4(kprev int, lp, xp, c *float64, ldc int)
 
-func init() {
-	if cpuSupportsAVX2FMA() {
-		trsmLowerUnitTile = trsmTileAVX2
-	}
-}
-
 // trsmTileAVX2 adapts the assembly kernel to the trsmLowerUnitTile
 // signature; the touches turn an undersized slice into a bounds panic.
 func trsmTileAVX2(kprev int, lp, xp, c []float64, ldc int) {

@@ -79,8 +79,8 @@ func getWorkspace() *workspace {
 func putWorkspace(w *workspace) {
 	wsMu.Lock()
 	// A buffer sized under an earlier (smaller) profile must not
-	// survive a retune: drop it and let the next checkout allocate at
-	// the current size.
+	// survive a test's profile swap: drop it and let the next checkout
+	// allocate at the current size.
 	if len(w.ap) >= wsApLen() && len(w.bp) >= wsBpLen() && len(wsFree) < wsCapLocked() {
 		wsFree = append(wsFree, w)
 	}
@@ -111,7 +111,6 @@ type Reservation struct {
 // Release). The shared packed-panel cache's byte budget scales with the
 // reserved sum (panelcache.go), so a wider pool may cache more panels.
 func Reserve(n int) *Reservation {
-	ensureTuned()
 	if n < 1 {
 		return &Reservation{}
 	}

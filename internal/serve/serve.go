@@ -43,6 +43,31 @@ import (
 // without bound).
 const DefaultMaxBody = 256 << 20
 
+// MaxBlocks bounds the block grid of one job: a factor request's matrix,
+// or the stored factorization a solve runs over, cut at the request's
+// block size. It is not an option. A CALU graph's edges grow with the
+// cube of its blocks per side (n = 256 at block 1 builds 11.2 M edges
+// and allocates 694 MB) and a solve graph's tasks with their square, so
+// without a bound a 20-byte body naming block 1 buys gigabytes. 1<<15
+// admits every generated matrix the default body cap allows at the
+// default block: n = 5 792 at b = 32 is a 181 x 181 grid.
+const MaxBlocks = 1 << 15
+
+// checkBlockGrid refuses a rows x cols job (both >= 1) at block b
+// (<= 0 is core.DefaultBlock) whose grid holds more than MaxBlocks
+// blocks.
+func checkBlockGrid(rows, cols, b int) error {
+	if b <= 0 {
+		b = core.DefaultBlock
+	}
+	mb, nb := (rows-1)/b+1, (cols-1)/b+1
+	if mb > MaxBlocks/nb {
+		return fmt.Errorf("block %d cuts the %dx%d matrix into a %dx%d block grid, over the %d-block limit",
+			b, rows, cols, mb, nb, MaxBlocks)
+	}
+	return nil
+}
+
 // Options configures a Server around an engine.
 type Options struct {
 	// Keep is the resident-factorization count bound (clamped >= 1).
@@ -221,7 +246,8 @@ var (
 func isCholesky(k engine.Kept) bool { return k.Chol != nil }
 
 // matrix materializes the request's input matrix, generated by random
-// when the request carries no data.
+// when the request carries no data. Its shape is checked against the
+// body cap and MaxBlocks before anything is allocated.
 func (s *Server) matrix(req *factorRequest, random func(n int, seed int64) *mat.Dense) (*mat.Dense, error) {
 	if len(req.Data) > 0 {
 		// rows and cols are request input: compare by division, their
@@ -229,6 +255,9 @@ func (s *Server) matrix(req *factorRequest, random func(n int, seed int64) *mat.
 		if n := len(req.Data); req.Rows <= 0 || req.Cols <= 0 || n%req.Cols != 0 || n/req.Cols != req.Rows {
 			return nil, fmt.Errorf("data needs rows*cols = %d*%d entries, got %d",
 				req.Rows, req.Cols, len(req.Data))
+		}
+		if err := checkBlockGrid(req.Rows, req.Cols, req.Block); err != nil {
+			return nil, err
 		}
 		return mat.FromRowMajor(req.Rows, req.Cols, req.Data), nil
 	}
@@ -241,6 +270,9 @@ func (s *Server) matrix(req *factorRequest, random func(n int, seed int64) *mat.
 	// Compared by division: n*n*8 can wrap.
 	if n := int64(req.N); n > s.maxBody/8/n {
 		return nil, fmt.Errorf("generated n=%d needs n*n*8 bytes, over the %d-byte request cap", req.N, s.maxBody)
+	}
+	if err := checkBlockGrid(req.N, req.N, req.Block); err != nil {
+		return nil, err
 	}
 	return random(req.N, req.Seed), nil
 }
@@ -368,6 +400,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveR
 		return
 	}
 	n := k.N()
+	if err := checkBlockGrid(n, n, req.Block); err != nil {
+		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	nrhs := req.NRHS
 	if nrhs <= 0 {
 		nrhs = 1

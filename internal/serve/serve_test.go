@@ -559,6 +559,53 @@ func TestServeGeneratedMatrixBounded(t *testing.T) {
 	}
 }
 
+// TestServeBlockGridBounded: a factor or solve whose block grid exceeds
+// MaxBlocks is a 400 naming the limit before any job is submitted — a
+// 20-byte body naming block 1 used to buy a cubically growing graph —
+// while small blocks under the bound still run, and the largest
+// generated matrix the default cap admits passes at the default block.
+func TestServeBlockGridBounded(t *testing.T) {
+	if err := checkBlockGrid(5792, 5792, 0); err != nil {
+		t.Fatalf("default block at the default cap's largest n: %v", err)
+	}
+	if err := checkBlockGrid(1<<30, 1, 1<<62); err != nil {
+		t.Fatalf("huge block: %v", err)
+	}
+	s, ts := newTestServer(t, Options{})
+	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":256,"workers":1}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("factor n=256 at the default block: %d %v", resp.StatusCode, out)
+	}
+	id := out["id"].(string)
+	ones := strings.Repeat("1,", 255) + "1"
+	jobs := func() int64 { st := s.eng.Stats(); return st.JobsDone + st.JobsFailed }
+	before := jobs()
+	limit := fmt.Sprintf("%d-block limit", MaxBlocks)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/factor", `{"n":512,"block":1}`},
+		{"/v1/cholesky", `{"n":512,"block":1}`},
+		{"/v1/factor", `{"rows":182,"cols":182,"block":1,"data":[` + strings.Repeat("1,", 182*182-1) + `1]}`},
+		{"/v1/solve", fmt.Sprintf(`{"id":%q,"block":1,"b":[%s]}`, id, ones)},
+	} {
+		resp, out := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), limit) {
+			t.Errorf("%s %.40s: %d %v, want 400 naming the %s", c.path, c.body, resp.StatusCode, out, limit)
+		}
+	}
+	if got := jobs(); got != before {
+		t.Fatalf("refused requests reached the engine: jobs %d -> %d", before, got)
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/factor", `{"n":64,"block":2,"workers":1}`},
+		{"/v1/cholesky", `{"n":64,"block":2,"workers":1}`},
+		{"/v1/solve", fmt.Sprintf(`{"id":%q,"block":4,"b":[%s]}`, id, ones)},
+	} {
+		if resp, out := postJSON(t, ts.URL+c.path, c.body); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s %s under the bound: %d %v", c.path, c.body, resp.StatusCode, out)
+		}
+	}
+}
+
 // TestServeClassAndStats: replies echo the resolved job class and
 // /v1/stats exposes per-class digests plus the store snapshot.
 func TestServeClassAndStats(t *testing.T) {
