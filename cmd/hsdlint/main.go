@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	hsdlint [-json] [-list] [-diff ref] [patterns...]
+//	hsdlint [-json] [-list] [patterns...]
 //
 // Patterns are go package patterns (default "./..."), resolved in the
 // current directory. An argument naming a testdata directory (which go
@@ -15,16 +15,9 @@
 // files instead — that is how the golden tests and ad-hoc corpus runs
 // invoke the driver.
 //
-// -diff <ref> lets a new analyzer land before its burn-down is done: it
-// runs the current analyzers over a throwaway git worktree of <ref>,
-// suppresses exactly the findings also present there and fails only on
-// new ones, so CI can gate a branch on "no findings beyond main".
+// -list prints each analyzer's name and the contract it checks.
 //
-// -list prints each analyzer with a flow-sensitive tag: flow-sensitive
-// analyzers run on the CFG/dataflow engine, the rest match syntax.
-//
-// Exit codes: 0 clean (or only known findings), 1 new findings,
-// 2 usage or load error.
+// Exit codes: 0 clean, 1 findings, 2 usage or load error.
 package main
 
 import (
@@ -47,7 +40,6 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("hsdlint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	diffRef := fs.String("diff", "", "suppress findings also present at this git ref; fail only on new ones")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -60,21 +52,6 @@ func run(args []string) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
-	}
-
-	known := 0
-	if *diffRef != "" {
-		root, err := moduleRoot(".")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		base, err := refBaseline(*diffRef, root, fs.Args())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		findings, known = subtractBaseline(findings, base, root)
 	}
 
 	if *jsonOut {
@@ -92,24 +69,16 @@ func run(args []string) int {
 			fmt.Println(f.String())
 		}
 	}
-	if known > 0 {
-		fmt.Fprintf(os.Stderr, "hsdlint: %d known finding(s) suppressed by baseline\n", known)
-	}
 	if len(findings) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// listAnalyzers prints the suite, tagging each analyzer with whether it
-// runs on the CFG/dataflow engine or matches syntax shapes.
+// listAnalyzers prints the suite, one analyzer per line.
 func listAnalyzers(w io.Writer) {
 	for _, a := range analysis.All() {
-		flow := "no"
-		if a.Flow {
-			flow = "yes"
-		}
-		fmt.Fprintf(w, "%-14s flow-sensitive: %-3s  %s\n", a.Name, flow, a.Doc)
+		fmt.Fprintf(w, "%-14s %s\n", a.Name, a.Doc)
 	}
 }
 

@@ -2,33 +2,21 @@
 // static analyzers that machine-check the invariants this codebase's
 // correctness story rests on — invariants that are documented in
 // comments and enforced by convention, which PR history shows is not
-// enough. Each analyzer encodes one contract:
+// enough. Each analyzer encodes one contract that no runtime test
+// catches on its own:
 //
 //   - bitident: the Getf2/panel bit-identity region (//hsd:bitident)
 //     must stay free of math.FMA, float ==/!= and dot-product-style
 //     fused accumulation.
 //   - atomicfield: a field or package variable accessed through
 //     sync/atomic anywhere must never be read or written plainly.
-//   - pairing: kernel.Reserve acquisitions need Release reachable on
-//     every exit path, and arming a panel-carrying graph (ResetDeps)
-//     needs ReleasePanels.
-//
-// On top of those syntax-driven checks sits a function-level CFG
-// (cfg.go) and a forward-dataflow worklist solver (dataflow.go), and
-// four flow-sensitive analyzers for the concurrency and serving tier:
-//
 //   - lockorder: mutexes ranked with //hsd:lockrank must be acquired
 //     in declared order on every path, including one call deep
-//     (per-package acquisition summaries carry the chain).
-//   - goloop: every go statement needs visible termination evidence —
-//     a ctx.Done()/stop-channel select, a WaitGroup join, a joined
-//     channel send, or ranging over a channel.
-//   - ctxflow: a function with a ctx parameter must thread it (or a
-//     context derived from it); fresh context.Background()/TODO() in
-//     call position is confined to package main.
-//   - errstatus: errors are tested with errors.Is/As (never == or a
-//     type assertion), and in packages with an //hsd:statusmap table
-//     function, error-to-HTTP-status mappings live only there.
+//     (per-package acquisition summaries carry the chain). It runs on
+//     a function-level CFG (cfg.go) and a forward-dataflow worklist
+//     solver (dataflow.go).
+//   - errstatus: errors are tested with errors.Is/As, never with ==
+//     or a type assertion, which miss wrapped errors.
 //
 // The suite runs on stdlib tooling only (go/ast, go/parser, go/types;
 // package loading drives `go list`), keeping the module at zero
@@ -121,10 +109,6 @@ func (r *Reporter) Reportf(pos token.Pos, format string, args ...any) {
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Flow marks analyzers built on the CFG/dataflow engine: their
-	// findings depend on statement order and branch structure, not just
-	// on syntax shapes.
-	Flow bool
 	Run  func(prog *Program, r *Reporter)
 }
 
@@ -133,10 +117,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		BitIdent,
 		AtomicField,
-		Pairing,
 		LockOrder,
-		GoLoop,
-		CtxFlow,
 		ErrStatus,
 	}
 }
@@ -235,8 +216,7 @@ func directiveBody(text, name string) (string, bool) {
 }
 
 // hasDirective reports whether the comment group contains the given
-// //hsd:* directive (marker pragmas such as hsd:bitident and
-// hsd:statusmap).
+// //hsd:* directive (marker pragmas such as hsd:bitident).
 func hasDirective(cg *ast.CommentGroup, name string) bool {
 	if cg == nil {
 		return false
@@ -309,29 +289,4 @@ func funcObj(info *types.Info, call *ast.CallExpr) *types.Func {
 func isFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
-}
-
-// namedOrPointee unwraps one level of pointer and returns the named
-// type, or nil.
-func namedOrPointee(t types.Type) *types.Named {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
-// hasMethod reports whether named (or its pointer type) has a method
-// with the given name, including promoted methods.
-func hasMethod(t types.Type, name string) bool {
-	if t == nil {
-		return false
-	}
-	ms := types.NewMethodSet(types.NewPointer(t))
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
-			return true
-		}
-	}
-	return false
 }

@@ -7,8 +7,7 @@ import (
 
 // This file is the control-flow half of the analysis engine: a
 // function-level CFG built from syntax alone (no SSA, no third-party
-// packages), precise enough for the flow-sensitive analyzers —
-// lockorder's may-hold sets, ctxflow's derivation tracking — and cheap
+// packages), precise enough for lockorder's may-hold sets and cheap
 // enough to build for every function in the module on every lint run.
 //
 // Shape: basic blocks of straight-line statements connected by

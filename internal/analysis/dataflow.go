@@ -7,8 +7,8 @@ import "go/ast"
 // flow block-to-block; within a block the transfer function folds one
 // statement at a time, so analyzers observe every evaluation point.
 //
-// The solver is deliberately small: the analyzers' lattices (may-hold
-// lock sets, ctx-derivation sets) are finite powersets over objects
+// The solver is deliberately small: its lattices (lockorder's may-hold
+// lock sets) are finite powersets over objects
 // that appear in one function, so termination follows from
 // monotonicity. A generous iteration cap turns a non-monotone transfer
 // function (an analyzer bug) into a loud panic instead of a hang.

@@ -2,45 +2,24 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 )
 
-// ErrStatus polices how typed errors are tested and where they are
-// turned into HTTP statuses. Two rules:
-//
-//  1. Errors are tested with errors.Is / errors.As, never with ==/!=
-//     against a sentinel or a direct type assertion. Wrapped errors
-//     (%w) silently break both of the latter; this codebase wraps.
-//     (err == nil stays idiomatic and is not touched.)
-//  2. In packages that declare a status-mapping table — a function
-//     annotated //hsd:statusmap — every branch that inspects an error
-//     with errors.Is/As and then writes a 4xx/5xx must live inside such
-//     a function. Scattered inline mappings are how the serve and
-//     cluster tiers drift apart on which error means 429 vs 503.
+// ErrStatus polices how typed errors are tested: with errors.Is /
+// errors.As, never with ==/!= against a sentinel or a direct type
+// assertion. Wrapped errors (%w) silently break both of the latter;
+// this codebase wraps. (err == nil stays idiomatic and is not touched.)
 var ErrStatus = &Analyzer{
 	Name: "errstatus",
-	Doc:  "test errors with errors.Is/As, and map errors to HTTP statuses only in //hsd:statusmap functions",
+	Doc:  "test errors with errors.Is/As, not ==/!= or a type assertion",
 	Run:  runErrStatus,
 }
 
-const statusMapDirective = "hsd:statusmap"
-
 func runErrStatus(prog *Program, r *Reporter) {
 	for _, pkg := range prog.Packages {
-		// Does this package declare a status-mapping table?
-		hasTable := false
-		pkg.eachFuncDecl(func(fd *ast.FuncDecl) {
-			if hasDirective(fd.Doc, statusMapDirective) {
-				hasTable = true
-			}
-		})
 		pkg.eachFuncDecl(func(fd *ast.FuncDecl) {
 			checkErrComparisons(pkg, fd, r)
-			if hasTable && !hasDirective(fd.Doc, statusMapDirective) {
-				checkInlineStatusMapping(pkg, fd, r)
-			}
 		})
 	}
 }
@@ -73,107 +52,6 @@ func checkErrComparisons(pkg *Package, fd *ast.FuncDecl, r *Reporter) {
 		}
 		return true
 	})
-}
-
-// checkInlineStatusMapping flags errors.Is/As-guarded branches that
-// write a 4xx/5xx outside the package's statusmap function(s).
-func checkInlineStatusMapping(pkg *Package, fd *ast.FuncDecl, r *Reporter) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		if !condTestsError(pkg.Info, ifs.Cond) {
-			return true
-		}
-		if pos, code, found := findsStatusWrite(pkg.Info, ifs.Body); found {
-			r.Reportf(pos, "inline error-to-status mapping (%d) outside the //%s table: route it through the package's status-mapping function", code, statusMapDirective)
-		}
-		return true
-	})
-}
-
-// condTestsError reports whether cond contains an errors.Is / errors.As
-// call.
-func condTestsError(info *types.Info, cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if f := funcObj(info, call); f != nil && f.Pkg() != nil && f.Pkg().Path() == "errors" &&
-			(f.Name() == "Is" || f.Name() == "As") {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// findsStatusWrite looks inside a guarded block for an HTTP error
-// status being written: w.WriteHeader(4xx/5xx), http.Error(w, _, 4xx),
-// or any call passing both a ResponseWriter and a constant in 400..599.
-func findsStatusWrite(info *types.Info, body *ast.BlockStmt) (token.Pos, int, bool) {
-	var pos token.Pos
-	var code int
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		c, okc := statusConstArg(info, call)
-		if !okc {
-			return true
-		}
-		recv, name := recvOf(call)
-		isWriteHeader := recv != nil && name == "WriteHeader" && isResponseWriter(info.TypeOf(recv))
-		hasRW := false
-		for _, arg := range call.Args {
-			if isResponseWriter(info.TypeOf(arg)) {
-				hasRW = true
-			}
-		}
-		if isWriteHeader || hasRW {
-			pos, code, found = call.Pos(), c, true
-			return false
-		}
-		return true
-	})
-	return pos, code, found
-}
-
-// statusConstArg returns the first constant integer argument in
-// [400, 600), if any.
-func statusConstArg(info *types.Info, call *ast.CallExpr) (int, bool) {
-	for _, arg := range call.Args {
-		tv, ok := info.Types[arg]
-		if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-			continue
-		}
-		v, exact := constant.Int64Val(tv.Value)
-		if exact && v >= 400 && v < 600 {
-			return int(v), true
-		}
-	}
-	return 0, false
-}
-
-// isResponseWriter matches net/http.ResponseWriter.
-func isResponseWriter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "ResponseWriter" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
 }
 
 // isErrorIface reports whether t is exactly the predeclared error

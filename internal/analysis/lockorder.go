@@ -30,7 +30,6 @@ import (
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "ranked locks (//hsd:lockrank) must be acquired in declared order",
-	Flow: true,
 	Run:  runLockOrder,
 }
 

@@ -6,10 +6,7 @@ import (
 )
 
 // Shared pass plumbing: the per-package function index and the
-// per-program CFG cache every analyzer draws from, so five analyzers
-// walking the same package don't re-discover its declarations five
-// times and two flow-sensitive analyzers don't build the same CFG
-// twice.
+// per-program CFG cache the analyzers draw from.
 
 // FuncDecls returns the package's function and method declarations
 // (with bodies) keyed by their defining object, built once per package.
@@ -55,31 +52,6 @@ func (pkg *Package) eachFuncDecl(visit func(fd *ast.FuncDecl)) {
 			}
 		}
 	}
-}
-
-// calleeSignature resolves a call expression's static callee signature,
-// covering named functions, methods, and function-typed values.
-func calleeSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
-	if tv, ok := info.Types[call.Fun]; ok {
-		if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-			return sig
-		}
-	}
-	return nil
-}
-
-// isNamedType reports whether t (after unwrapping one pointer) is the
-// named type pkgPath.name.
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
 // recvOf returns the receiver expression of a method-style call

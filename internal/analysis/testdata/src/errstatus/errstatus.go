@@ -1,12 +1,9 @@
 // Package errstatus is the errstatus analyzer corpus: error testing
-// discipline and the status-mapping table. Lines with trailing "want"
-// comments expect a finding whose message matches the pattern.
+// discipline. Lines with trailing "want" comments expect a finding
+// whose message matches the pattern.
 package errstatus
 
-import (
-	"errors"
-	"net/http"
-)
+import "errors"
 
 // ErrGone is a sentinel; code paths wrap it, so == misses it.
 var ErrGone = errors.New("gone")
@@ -71,55 +68,4 @@ func TypeSwitchIsIdiomatic(err error) int {
 // comparison on purpose.
 func Suppressed(err error) bool {
 	return err == ErrGone //hsd:allow errstatus corpus twin: identity check is intended
-}
-
-// statusOf is this package's error-to-status table: the one place
-// errors become HTTP statuses.
-//
-//hsd:statusmap
-func statusOf(w http.ResponseWriter, err error) {
-	var ce *codeError
-	if errors.As(err, &ce) {
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		return
-	}
-	if errors.Is(err, ErrGone) {
-		w.WriteHeader(http.StatusGone)
-		return
-	}
-	w.WriteHeader(http.StatusInternalServerError)
-}
-
-// InlineMapping maps an error to a status outside the table.
-func InlineMapping(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrGone) {
-		w.WriteHeader(http.StatusGone) // want `inline error-to-status mapping \(410\) outside the //hsd:statusmap table`
-		return
-	}
-	statusOf(w, err)
-}
-
-// InlineHelperMapping routes the status through a helper that takes the
-// ResponseWriter: still an inline mapping.
-func InlineHelperMapping(w http.ResponseWriter, err error) {
-	var ce *codeError
-	if errors.As(err, &ce) {
-		reply(w, http.StatusBadRequest, "bad") // want `inline error-to-status mapping \(400\) outside the //hsd:statusmap table`
-		return
-	}
-	statusOf(w, err)
-}
-
-func reply(w http.ResponseWriter, status int, msg string) {
-	w.WriteHeader(status)
-	w.Write([]byte(msg))
-}
-
-// SuccessPathsUntouched: writing 2xx in an error-free branch is fine,
-// and error branches that don't write a status are fine too.
-func SuccessPathsUntouched(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrGone) {
-		return
-	}
-	w.WriteHeader(http.StatusOK)
 }

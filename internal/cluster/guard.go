@@ -101,10 +101,8 @@ func admit(w http.ResponseWriter, r *http.Request, method, mediaType string) boo
 
 // bodyError maps a request-body read or decode error to its reply: an
 // oversized body is 413 carrying the limit, anything else the caller's
-// 400. It is this package's error-to-status table; hsdlint's errstatus
-// analyzer keeps any new errors.Is/As → 4xx/5xx mapping in here.
-//
-//hsd:statusmap
+// 400. Every guarded route reports body errors through it, so both
+// tiers give each body error the same status.
 func bodyError(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {

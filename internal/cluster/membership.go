@@ -109,7 +109,6 @@ const probeTimeout = 2 * time.Second
 // up to 1 MiB of the body. It touches no shard state; callers decide what
 // a failure means.
 func (rt *Router) boundedGet(target string) (int, []byte, error) {
-	//hsd:allow ctxflow the router's own requests carry their own deadline; no caller ctx exists
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)

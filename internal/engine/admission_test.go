@@ -264,6 +264,7 @@ func TestEngineSubmitCtxCancelsQueued(t *testing.T) {
 	}
 	defer e.Close()
 	gated, release := gate(t, e)
+	defer release() // before Close, so a failure below cannot hang it
 	waitGated(t, e)
 
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -273,6 +274,11 @@ func TestEngineSubmitCtxCancelsQueued(t *testing.T) {
 	}
 	cause := errors.New("client went away")
 	cancel(cause)
+	select {
+	case <-queued.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled queued job still waiting: Submit dropped its context")
+	}
 	if err := queued.Wait(); !errors.Is(err, cause) {
 		t.Fatalf("cancelled job err %v, want cause %v", err, cause)
 	}
@@ -302,6 +308,7 @@ func TestEngineSubmitCtxUnblocksAdmission(t *testing.T) {
 	}
 	defer e.Close()
 	gated, release := gate(t, e)
+	defer release() // before Close, so a failure below cannot hang it
 	waitGated(t, e)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)

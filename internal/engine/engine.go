@@ -535,12 +535,12 @@ func (e *Engine) TrySubmit(ctx context.Context, w Work, opt core.Options) (*Job,
 // SubmitSolveMany, Job.Factorization and Job.SolutionMatrix, the
 // shorthand the benchmark module compiles against.
 func (e *Engine) SubmitFactor(a *mat.Dense, opt core.Options) (*Job, error) {
-	return e.Submit(context.Background(), FactorWork(a), opt) //hsd:allow ctxflow ctx-free shorthand pinned by bench/, non-cancellable by contract
+	return e.Submit(context.Background(), FactorWork(a), opt)
 }
 
 // SubmitSolveMany is Submit of SolveWork(f, b) without a context.
 func (e *Engine) SubmitSolveMany(f Solvable, b *mat.Dense, opt core.Options) (*Job, error) {
-	return e.Submit(context.Background(), SolveWork(f, b), opt) //hsd:allow ctxflow ctx-free shorthand pinned by bench/, non-cancellable by contract
+	return e.Submit(context.Background(), SolveWork(f, b), opt)
 }
 
 // admit classifies, routes and enqueues the job: the traffic-shaping

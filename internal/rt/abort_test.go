@@ -9,10 +9,10 @@ import (
 	"repro/internal/sched"
 )
 
-// TestAbortReleasesSharedPanels pins the release-on-abort contract the
-// pairing analyzer assumes: when a task panics mid-run, shared packed-B
-// panels whose later consumers never execute must still return their
-// bytes to the cache budget. The executor's Wait calls
+// TestAbortReleasesSharedPanels pins the release-on-abort contract:
+// when a task panics mid-run, shared packed-B panels whose later
+// consumers never execute must still return their bytes to the cache
+// budget. The executor's Wait calls
 // Graph.ReleasePanels after the workers drain, so a panicking job may
 // strand a panel's refcount above zero but never its buffer.
 //

@@ -289,8 +289,6 @@ func drainError(w http.ResponseWriter) {
 // retrying with a looser deadline can succeed), saturation is 429 so
 // load balancers back off, anything else is the caller's fault. Part of
 // the package's error-to-status table.
-//
-//hsd:statusmap
 func submitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, engine.ErrDeadlineInfeasible):
@@ -308,8 +306,6 @@ func submitError(w http.ResponseWriter, err error) {
 // system gets the typed 422 carrying how much of the system is still
 // solvable, anything else a plain 422. Part of the package's
 // error-to-status table.
-//
-//hsd:statusmap
 func solveError(w http.ResponseWriter, err error) {
 	var se *core.SingularSolveError
 	if errors.As(err, &se) {
