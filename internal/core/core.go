@@ -232,8 +232,9 @@ type Factorization struct {
 //
 // Singular inputs degrade the same way ReferenceLU does: an exactly
 // singular tournament chunk (duplicated or zero rows confined to one
-// chunk of a panel) is absorbed by piv.Select's prefix fallback and the
-// factorization completes normally, while a matrix whose panel is rank
+// chunk of a panel) is absorbed by the prefix fallback of the
+// tournament's selection (piv.SelectInPlace) and the factorization
+// completes normally, while a matrix whose panel is rank
 // deficient as a whole — one plain GEPP would also abort on, such as an
 // exactly zero column — returns an error rather than panicking (the
 // runtime converts numerical-failure panics in tasks into errors).

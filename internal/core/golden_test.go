@@ -78,6 +78,21 @@ var goldenLU = []struct {
 	{257, 300, 48, layout.TwoLevel, 2, 0xf460f78ca0ea9efa, 0x4b272da053c8d03d, 0xc67a27ffe6ea7370},
 	{257, 300, 48, layout.TwoLevel, 3, 0xf460f78ca0ea9efa, 0x4b272da053c8d03d, 0xc67a27ffe6ea7370},
 	{257, 300, 48, layout.TwoLevel, 4, 0x269a152fda46bec2, 0x163665eddd664f90, 0xdeb63f57688e2cab},
+	// A tall shape whose tournament leaves stage many-block storage runs:
+	// 24 block rows, one leaf per panel at W <= 2 (a 1 x W grid), whose
+	// chunk CM and BCL copy as one run; at W = 4 CM still copies each
+	// leaf as one run, BCL and 2l-BL block by block. Recorded at the
+	// commit before the leaves factored their staging in place and
+	// staged by storage runs.
+	{1536, 128, 64, layout.CM, 1, 0x9672f42d06d5f4ad, 0xdce49a33f092578e, 0x74338050f2a4186a},
+	{1536, 128, 64, layout.CM, 2, 0x9672f42d06d5f4ad, 0xdce49a33f092578e, 0x74338050f2a4186a},
+	{1536, 128, 64, layout.CM, 4, 0xb8daa534f6cafeb5, 0x7b2d04f1fa83cede, 0x6492133ed57c779a},
+	{1536, 128, 64, layout.BCL, 1, 0x9672f42d06d5f4ad, 0xdce49a33f092578e, 0x74338050f2a4186a},
+	{1536, 128, 64, layout.BCL, 2, 0x9672f42d06d5f4ad, 0xdce49a33f092578e, 0x74338050f2a4186a},
+	{1536, 128, 64, layout.BCL, 4, 0xb8daa534f6cafeb5, 0x7b2d04f1fa83cede, 0x6492133ed57c779a},
+	{1536, 128, 64, layout.TwoLevel, 1, 0x9672f42d06d5f4ad, 0xdce49a33f092578e, 0x74338050f2a4186a},
+	{1536, 128, 64, layout.TwoLevel, 2, 0x9672f42d06d5f4ad, 0xdce49a33f092578e, 0x74338050f2a4186a},
+	{1536, 128, 64, layout.TwoLevel, 4, 0xb8daa534f6cafeb5, 0x7b2d04f1fa83cede, 0x6492133ed57c779a},
 }
 
 func hashWord(h hash.Hash64, u uint64) {

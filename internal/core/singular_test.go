@@ -30,7 +30,7 @@ func factorAll(t *testing.T, a *mat.Dense, opt Options, check func(s Scheduler, 
 // first tournament chunk of the first panel is exactly singular (a
 // zero-row region leaves it rank 4 over an 8-wide panel), which used to
 // abort the whole factorization even though plain GEPP handles the
-// matrix fine. With piv.Select's prefix fallback the tournament fields
+// matrix fine. With the selection's prefix fallback the tournament fields
 // padded contestants and the factorization completes with a normal
 // residual.
 func TestFactorSingularChunkRecovers(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/layout"
-	"repro/internal/mat"
 	"repro/internal/piv"
 )
 
@@ -84,6 +83,7 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 
 	isStatic := func(col int) bool { return col < opt.NstaticCols }
 	span := func(i, ext int) int { return blockSpanOf(i, bsz, ext) }
+	rowStep := rowGroupStep(l)
 
 	// Epoch namespace for this build's shared packed panels: the S tasks
 	// of one step form a (row run) x (block column) grid in which every
@@ -144,22 +144,37 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 				t.Run = func() {
 					sc := getLeafScratch()
 					defer putLeafScratch(sc)
-					vals, ids := sc.take(r1c-r0c, bw)
+					work, ids := sc.take(r1c-r0c, bw)
+					// Stage the chunk one storage run at a time — the
+					// vertically contiguous block rows the S tasks group —
+					// so CM and a one-row BCL grid copy it as one run.
 					off := 0
-					for i := i0c; i < i1c; i++ {
-						blk := l.Block(i, kk)
-						dst := kernel.View{Rows: blk.Rows, Cols: bw, Stride: vals.Stride, Data: vals.Data[off:]}
-						kernel.Copy(dst, kernel.View{Rows: blk.Rows, Cols: bw, Stride: blk.Stride, Data: blk.Data})
-						for r := 0; r < blk.Rows; r++ {
-							ids[off+r] = i*bsz + r
+					for i := i0c; i < i1c; {
+						w := 1
+						if rowStep == 1 {
+							w = l.RowGroupWidth(i, kk, i1c-i)
 						}
-						off += blk.Rows
+						run := l.GroupedRows(i, kk, w)
+						kernel.Copy(work.Sub(off, off+run.Rows, 0, bw), run)
+						off += run.Rows
+						i += w
 					}
-					// Select degrades gracefully on an exactly singular chunk
-					// (prefix fallback), so an error here is a real defect,
-					// not a property of the input; the runtime converts the
-					// panic into a Factor error.
-					cand, err := piv.Select(vals, ids, bw)
+					for x := range ids {
+						ids[x] = r0c + x
+					}
+					// GEPP destroys the staging, so the winners' originals
+					// come from the panel blocks. Nothing writes them before
+					// this leaf returns: step k-1's S tasks precede it, and
+					// step k's Final follows the tree's root.
+					orig := func(x int) kernel.View {
+						g := r0c + x
+						return l.Block(g/bsz, kk).Sub(g%bsz, g%bsz+1, 0, bw)
+					}
+					// The selection degrades gracefully on an exactly
+					// singular chunk (prefix fallback), so an error here is a
+					// real defect, not a property of the input; the runtime
+					// converts the panic into a Factor error.
+					cand, err := piv.SelectInPlace(work, ids, bw, orig, &sc.sel)
 					if err != nil {
 						panic(fmt.Sprintf("dag: TSLU leaf (step %d rows %d..%d): %v", kk, r0c, r1c, err))
 					}
@@ -404,14 +419,16 @@ func (cg *CALUGraph) FinishPermutation() []int {
 	return perm
 }
 
-// leafScratch is the staging area of one tournament leaf: the chunk's
-// panel rows gathered into a dense matrix, and their global row ids.
-// piv.Select copies what it keeps, so the buffers go back to the free
-// list when the leaf returns; a fresh pair per leaf was a panel-sized
-// allocation per step.
+// leafScratch is the working set of one tournament leaf: the chunk's
+// panel rows staged into a dense buffer that GEPP then factors in
+// place, their global row ids, and the selection's pivot and
+// permutation buffers. The candidate owns copies of what it keeps, so
+// the scratch goes back to the free list when the leaf returns; a fresh
+// set per leaf was a panel-sized allocation per step.
 type leafScratch struct {
-	vals mat.Dense
+	vals []float64
 	ids  []int
+	sel  piv.Scratch
 }
 
 // The free list is explicit and global for the reason
@@ -446,17 +463,16 @@ func putLeafScratch(sc *leafScratch) {
 	leafMu.Unlock()
 }
 
-// take returns an r x c matrix and r ids backed by the scratch, grown if
+// take returns an r x c view and r ids backed by the scratch, grown if
 // needed. Contents are stale: the caller overwrites every element.
-func (s *leafScratch) take(r, c int) (*mat.Dense, []int) {
-	if cap(s.vals.Data) < r*c {
-		s.vals.Data = make([]float64, r*c)
+func (s *leafScratch) take(r, c int) (kernel.View, []int) {
+	if cap(s.vals) < r*c {
+		s.vals = make([]float64, r*c)
 	}
 	if cap(s.ids) < r {
 		s.ids = make([]int, r)
 	}
-	s.vals = mat.Dense{Rows: r, Cols: c, Stride: max(r, 1), Data: s.vals.Data[:r*c]}
-	return &s.vals, s.ids[:r]
+	return kernel.View{Rows: r, Cols: c, Stride: max(r, 1), Data: s.vals[:r*c]}, s.ids[:r]
 }
 
 // blockSpanOf mirrors layout's internal block span helper.

@@ -117,18 +117,22 @@ func trsmLowerLeftUnitDiag(l, b View) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	// lp: per row block r0, columns 0..r0+7 of L's rows r0..r0+7, eight
-	// row entries per column, zero from row n down (entries on and above
-	// the diagonal are never read).
+	// row entries per column. Only the strictly lower entries are copied
+	// — rows max(r0, k+1) up to n of column k — and the rest stay zero:
+	// the kernel never reads them, and a caller may be rewriting them
+	// concurrently (the incremental-pivoting baseline's TSTRF updates
+	// the diagonal tile's U while GESSM solves with its unit L).
 	lp, xp, edge := ws.trsm.lp[:], ws.trsm.xp[:], ws.trsm.edge[:]
 	var lpOff [trsmBlock / trsmTileRows]int
 	off := 0
 	for r0 := 0; r0 < n; r0 += trsmTileRows {
 		lpOff[r0/trsmTileRows] = off
+		r1 := min(r0+trsmTileRows, n)
 		for k := 0; k < r0+trsmTileRows; k++ {
 			col := lp[off : off+trsmTileRows]
 			clear(col)
-			if k < n {
-				copy(col[:min(trsmTileRows, n-r0)], l.Data[k*l.Stride+r0:])
+			if i0 := max(r0, k+1); i0 < r1 {
+				copy(col[i0-r0:r1-r0], l.Data[k*l.Stride+i0:])
 			}
 			off += trsmTileRows
 		}

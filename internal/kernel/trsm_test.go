@@ -3,6 +3,7 @@ package kernel
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -171,6 +172,117 @@ func TestTrsmVectorNonFinite(t *testing.T) {
 					tc.oracle(tri, want)
 					sameBitsOrNaN(t, tc.name, got, want)
 				}
+			}
+		}
+	}
+}
+
+// triangle builds an n x n triangular operand whose read part holds
+// small random values (so a 100-wide solve stays finite) on a diagonal
+// kept away from zero; the rest is random too, for the caller to poison.
+func triangle(rng *rand.Rand, n int) View {
+	tri := randView(rng, n, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			tri.Data[j*tri.Stride+i] /= float64(n)
+		}
+		tri.Data[j*tri.Stride+j] += 1
+	}
+	return tri
+}
+
+// TestTrsmLeavesOtherTriangleUnread: every public triangular solve, on
+// both its tile-kernel and blocked sizes, gives the same bits when the
+// triangle it must not read — for the unit solve the diagonal too — is
+// NaN. A kernel or packer that loads it, even to multiply by zero,
+// propagates the NaN.
+func TestTrsmLeavesOtherTriangleUnread(t *testing.T) {
+	upper := func(i, j int) bool { return i < j }
+	lower := func(i, j int) bool { return i > j }
+	cases := []struct {
+		name   string
+		left   bool
+		solve  func(tri, b View)
+		unread func(i, j int) bool
+	}{
+		{"TrsmLowerLeftUnit", true, TrsmLowerLeftUnit, func(i, j int) bool { return i <= j }},
+		{"TrsmLowerLeft", true, TrsmLowerLeft, upper},
+		{"TrsmUpperLeft", true, TrsmUpperLeft, lower},
+		{"TrsmUpperRight", false, TrsmUpperRight, lower},
+		{"TrsmRightLowerTrans", false, TrsmRightLowerTrans, upper},
+	}
+	rng := rand.New(rand.NewSource(37))
+	for _, tc := range cases {
+		for _, n := range []int{8, 32, 64, 100} {
+			tri := triangle(rng, n)
+			poisoned := cloneView(tri)
+			for j := 0; j < n; j++ {
+				for i := 0; i < n; i++ {
+					if tc.unread(i, j) {
+						poisoned.Data[j*poisoned.Stride+i] = math.NaN()
+					}
+				}
+			}
+			rows, cols := n, 37
+			if !tc.left {
+				rows, cols = 37, n
+			}
+			want := randView(rng, rows, cols)
+			got := cloneView(want)
+			tc.solve(tri, want)
+			tc.solve(poisoned, got)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%s n=%d: backing[%d] = %g with the unread triangle poisoned, %g without", tc.name, n, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTrsmLowerLeftUnitUpperWrittenConcurrently: the incremental-
+// pivoting baseline's TSTRF rewrites a diagonal tile's U while GESSM
+// solves with the same tile's unit L. Under -race, any load of the
+// diagonal or the upper triangle is a reported race; without it, a load
+// shows up as a NaN in the solution.
+func TestTrsmLowerLeftUnitUpperWrittenConcurrently(t *testing.T) {
+	const n, m = 64, 40
+	rng := rand.New(rand.NewSource(41))
+	l := triangle(rng, n)
+	b := randView(rng, n, m)
+	want := cloneView(b)
+	TrsmLowerLeftUnit(l, want)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for sweep := 0; ; sweep++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := float64(sweep)
+			if sweep%2 == 1 {
+				v = math.NaN()
+			}
+			for j := 0; j < n; j++ {
+				for i := 0; i <= j; i++ {
+					l.Data[j*l.Stride+i] = v
+				}
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	for it := 0; it < 50; it++ {
+		got := cloneView(b)
+		TrsmLowerLeftUnit(l, got)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("solve %d: backing[%d] = %g while the upper triangle changed, %g before", it, i, got.Data[i], want.Data[i])
 			}
 		}
 	}

@@ -26,26 +26,47 @@ type Candidate struct {
 
 // Select runs GEPP on vals (a copy is factored; vals is left untouched)
 // and returns the candidate holding the top min(b, rows) pivot rows.
-// ids[i] is the global row index of vals row i.
+// ids[i] is the global row index of vals row i. It is SelectInPlace on
+// a clone, for callers that keep their values.
+func Select(vals *mat.Dense, ids []int, b int) (Candidate, error) {
+	return SelectInPlace(view(vals.Clone()), ids, b, denseRows(vals), new(Scratch))
+}
+
+// Scratch holds the reusable buffers of SelectInPlace: the GEPP pivot
+// sequence and the local row permutation. The zero value is ready to
+// use; the buffers grow to the tallest chunk seen.
+type Scratch struct {
+	pivots, perm []int
+}
+
+// RowSource returns row i of a selection buffer as it was before
+// SelectInPlace factored it: row 0 of the returned view holds the
+// original values, one per column.
+type RowSource func(i int) kernel.View
+
+// SelectInPlace is the tournament's one GEPP-and-pick routine. GEPP runs
+// directly on work, which is left holding the factors — its values are
+// destroyed — and the winners' original values are read from orig. The
+// returned candidate owns its values; ids, work and sc may be reused as
+// soon as it returns.
 //
 // A structurally singular chunk — a duplicated or zero row region whose
 // GEPP hits an exactly zero pivot column — can still contribute rows:
-// Select falls back to the pivot-row prefix GEPP established before
-// failing and pads it with the remaining candidate rows in order, so
-// the tournament always fields min(b, rows) contestants. Later combine
-// rounds then outvote the padding with better rows from other chunks,
-// which is what lets one singular chunk degrade gracefully instead of
-// killing the whole factorization. An error is returned only for
-// failures other than exact singularity.
-func Select(vals *mat.Dense, ids []int, b int) (Candidate, error) {
-	r, c := vals.Rows, vals.Cols
+// the selection falls back to the pivot-row prefix GEPP established
+// before failing and pads it with the remaining candidate rows in
+// order, so the tournament always fields min(b, rows) contestants.
+// Later combine rounds then outvote the padding with better rows from
+// other chunks, which is what lets one singular chunk degrade
+// gracefully instead of killing the whole factorization. An error is
+// returned only for failures other than exact singularity.
+func SelectInPlace(work kernel.View, ids []int, b int, orig RowSource, sc *Scratch) (Candidate, error) {
+	r, c := work.Rows, work.Cols
 	if len(ids) != r {
 		panic(fmt.Sprintf("piv: ids length %d != rows %d", len(ids), r))
 	}
 	steps := min(r, c)
-	work := vals.Clone()
-	pivots := make([]int, steps)
-	err := kernel.RecursiveLU(kernel.View{Rows: r, Cols: c, Stride: work.Stride, Data: work.Data}, pivots)
+	pivots := grow(&sc.pivots, steps)
+	err := kernel.RecursiveLU(work, pivots)
 	established := steps
 	if err != nil {
 		var se *kernel.SingularError
@@ -57,7 +78,7 @@ func Select(vals *mat.Dense, ids []int, b int) (Candidate, error) {
 	// Replay the established swap sequence on the local index
 	// permutation; rows beyond the prefix keep their relative order and
 	// become the padding.
-	p := make([]int, r)
+	p := grow(&sc.perm, r)
 	for i := range p {
 		p[i] = i
 	}
@@ -69,15 +90,17 @@ func Select(vals *mat.Dense, ids []int, b int) (Candidate, error) {
 	for t := 0; t < take; t++ {
 		src := p[t]
 		out.IDs[t] = ids[src]
+		row := orig(src)
 		for j := 0; j < c; j++ {
-			out.Vals.Set(t, j, vals.At(src, j))
+			out.Vals.Data[j*out.Vals.Stride+t] = row.Data[j*row.Stride]
 		}
 	}
 	return out, nil
 }
 
 // Combine plays one reduction-tree game: the rows of both candidates
-// are stacked and GEPP picks the top min(b, total) of them.
+// are stacked into a buffer Combine owns, and GEPP on that buffer picks
+// the top min(b, total) of them, originals read from a and b.
 func Combine(a, b Candidate, bsize int) (Candidate, error) {
 	if a.Vals == nil {
 		return b, nil
@@ -95,7 +118,32 @@ func Combine(a, b Candidate, bsize int) (Candidate, error) {
 	ids := make([]int, 0, ra+rb)
 	ids = append(ids, a.IDs...)
 	ids = append(ids, b.IDs...)
-	return Select(stack, ids, bsize)
+	rowsA, rowsB := denseRows(a.Vals), denseRows(b.Vals)
+	orig := func(i int) kernel.View {
+		if i < ra {
+			return rowsA(i)
+		}
+		return rowsB(i - ra)
+	}
+	return SelectInPlace(view(stack), ids, bsize, orig, new(Scratch))
+}
+
+func view(d *mat.Dense) kernel.View {
+	return kernel.View{Rows: d.Rows, Cols: d.Cols, Stride: d.Stride, Data: d.Data}
+}
+
+// denseRows is the RowSource of a matrix nobody factors.
+func denseRows(d *mat.Dense) RowSource {
+	return func(i int) kernel.View { return view(d).Sub(i, i+1, 0, d.Cols) }
+}
+
+// grow returns (*s)[:n], reallocating the backing array when it is
+// too short. The contents are stale.
+func grow(s *[]int, n int) []int {
+	if cap(*s) < n {
+		*s = make([]int, n)
+	}
+	return (*s)[:n]
 }
 
 // Tournament reduces a slice of candidates with a binary tree (the

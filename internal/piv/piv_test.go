@@ -1,11 +1,15 @@
 package piv
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernel"
 	"repro/internal/mat"
 )
 
@@ -346,5 +350,182 @@ func TestTournamentSurvivesSingularChunk(t *testing.T) {
 	}
 	if c2, err := Select(block, ids(0, b), b); err != nil || len(c2.IDs) != b {
 		t.Fatalf("winning pivot block not full rank: %v %v", c2.IDs, err)
+	}
+}
+
+// oracleSelect and oracleCombine are the clone-based selection the
+// in-place routine replaced, kept verbatim: factor a fresh copy, read
+// the winners back from the input element by element.
+func oracleSelect(vals *mat.Dense, ids []int, b int) (Candidate, error) {
+	r, c := vals.Rows, vals.Cols
+	if len(ids) != r {
+		panic(fmt.Sprintf("piv: ids length %d != rows %d", len(ids), r))
+	}
+	steps := min(r, c)
+	work := vals.Clone()
+	pivots := make([]int, steps)
+	err := kernel.RecursiveLU(kernel.View{Rows: r, Cols: c, Stride: work.Stride, Data: work.Data}, pivots)
+	established := steps
+	if err != nil {
+		var se *kernel.SingularError
+		if !errors.As(err, &se) {
+			return Candidate{}, fmt.Errorf("piv: candidate selection failed: %w", err)
+		}
+		established = se.K
+	}
+	p := make([]int, r)
+	for i := range p {
+		p[i] = i
+	}
+	for k, q := range pivots[:established] {
+		p[k], p[q] = p[q], p[k]
+	}
+	take := min(b, r)
+	out := Candidate{Vals: mat.New(take, c), IDs: make([]int, take)}
+	for t := 0; t < take; t++ {
+		src := p[t]
+		out.IDs[t] = ids[src]
+		for j := 0; j < c; j++ {
+			out.Vals.Set(t, j, vals.At(src, j))
+		}
+	}
+	return out, nil
+}
+
+func oracleCombine(a, b Candidate, bsize int) (Candidate, error) {
+	ra, rb := a.Vals.Rows, b.Vals.Rows
+	stack := mat.New(ra+rb, a.Vals.Cols)
+	stack.Slice(0, ra, 0, stack.Cols).CopyFrom(a.Vals)
+	stack.Slice(ra, ra+rb, 0, stack.Cols).CopyFrom(b.Vals)
+	ids := make([]int, 0, ra+rb)
+	ids = append(ids, a.IDs...)
+	ids = append(ids, b.IDs...)
+	return oracleSelect(stack, ids, bsize)
+}
+
+// sameCandidate requires equal ids and bit-identical values.
+func sameCandidate(t *testing.T, what string, got, want Candidate) {
+	t.Helper()
+	if len(got.IDs) != len(want.IDs) || got.Vals.Rows != want.Vals.Rows || got.Vals.Cols != want.Vals.Cols {
+		t.Fatalf("%s: %d ids, %dx%d values; oracle %d ids, %dx%d", what, len(got.IDs), got.Vals.Rows, got.Vals.Cols, len(want.IDs), want.Vals.Rows, want.Vals.Cols)
+	}
+	for i := range want.IDs {
+		if got.IDs[i] != want.IDs[i] {
+			t.Fatalf("%s: ids %v, oracle %v", what, got.IDs, want.IDs)
+		}
+	}
+	for j := 0; j < want.Vals.Cols; j++ {
+		for i := 0; i < want.Vals.Rows; i++ {
+			if g, w := got.Vals.At(i, j), want.Vals.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: value (%d,%d) = %x, oracle %x", what, i, j, math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// duplicatedChunk builds an r x c chunk cycling through `distinct`
+// random rows. With distinct < c <= 64 (one unblocked GEPP leaf) each
+// copy of a pivot row is eliminated to exactly zero, so GEPP meets an
+// exactly zero pivot column at `distinct`.
+func duplicatedChunk(r, c, distinct int, rng *rand.Rand) *mat.Dense {
+	base := mat.Random(distinct, c, rng)
+	out := mat.New(r, c)
+	for i := 0; i < r; i++ {
+		out.Slice(i, i+1, 0, c).CopyFrom(base.Slice(i%distinct, i%distinct+1, 0, c))
+	}
+	return out
+}
+
+// TestSelectionMatchesCloneOracle: SelectInPlace (one Scratch reused
+// across every chunk, so its buffers are stale and resized), Select and
+// Combine field exactly the oracle's candidates — same ids, same value
+// bits — on healthy, ragged, short and exactly singular chunks.
+func TestSelectionMatchesCloneOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	chunks := []struct {
+		name     string
+		vals     *mat.Dense
+		b        int
+		singular bool
+	}{
+		{"random 64x64", mat.Random(64, 64, rng), 64, false},
+		{"random 2048x64", mat.Random(2048, 64, rng), 64, false},
+		{"ragged 333x40", mat.Random(333, 40, rng), 40, false},
+		{"short 10x16", mat.Random(10, 16, rng), 16, false},
+		{"zero row region 96x32", deficientChunk(96, 32, 7, rng), 32, true},
+		{"duplicated rows 120x16", duplicatedChunk(120, 16, 5, rng), 16, true},
+	}
+	var sc Scratch
+	for _, ch := range chunks {
+		r, c := ch.vals.Rows, ch.vals.Cols
+		if ch.singular {
+			var se *kernel.SingularError
+			err := kernel.RecursiveLU(view(ch.vals.Clone()), make([]int, min(r, c)))
+			if !errors.As(err, &se) {
+				t.Fatalf("%s: GEPP returned %v, want an exact singularity", ch.name, err)
+			}
+		}
+		rowIDs := ids(1000, 1000+r)
+		want, err := oracleSelect(ch.vals, rowIDs, ch.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Select(ch.vals, rowIDs, ch.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCandidate(t, ch.name+" Select", got, want)
+		got, err = SelectInPlace(view(ch.vals.Clone()), rowIDs, ch.b, denseRows(ch.vals), &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCandidate(t, ch.name+" SelectInPlace", got, want)
+
+		// One combine game between the two halves' winners.
+		h := r / 2
+		lo, err := oracleSelect(ch.vals.Slice(0, h, 0, c), rowIDs[:h], ch.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi, err := oracleSelect(ch.vals.Slice(h, r, 0, c), rowIDs[h:], ch.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = oracleCombine(lo, hi, ch.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = Combine(lo, hi, ch.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCandidate(t, ch.name+" Combine", got, want)
+	}
+}
+
+// TestSelectInPlaceAllocatesOnlyTheCandidate: a leaf-shaped selection on
+// an 8192 x 64 chunk, with warm scratch, allocates its b x b candidate
+// and nothing chunk-sized — well under an eighth of the chunk's bytes,
+// which a reintroduced clone of the chunk alone would exceed eightfold.
+func TestSelectInPlaceAllocatesOnlyTheCandidate(t *testing.T) {
+	const r, c = 8192, 64
+	chunk := mat.Random(r, c, rand.New(rand.NewSource(9)))
+	work := mat.New(r, c)
+	rowIDs := ids(0, r)
+	var sc Scratch
+	selectOnce := func() {
+		work.CopyFrom(chunk)
+		if _, err := SelectInPlace(view(work), rowIDs, c, denseRows(chunk), &sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	selectOnce() // grow the scratch and the kernels' workspaces
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	selectOnce()
+	runtime.ReadMemStats(&after)
+	limit := uint64(r*c*8) / 8
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("one selection allocated %d bytes, limit %d (1/8 of the chunk)", got, limit)
 	}
 }
