@@ -72,8 +72,8 @@ func PrepareCholesky(a *mat.Dense, opt Options) (*CholeskyJob, error) {
 	return &CholeskyJob{Opt: opt, graph: cg.Graph, finish: func(res rt.Result) *CholeskyFactorization {
 		n, _, b := cg.Layout.Dims()
 		lf := mat.New(n, n)
-		layout.WalkColumns(cg.Layout, func(bi, bj int, blk kernel.View) {
-			splitBlock(lf, nil, blk, bi*b, bj*b, 0)
+		layout.WalkColumns(cg.Layout, func(bi, bj int, run kernel.View) {
+			splitBlock(lf, nil, run, bi*b, bj*b, 0)
 		})
 		out := &CholeskyFactorization{L: lf}
 		out.Makespan = res.Makespan

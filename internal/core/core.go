@@ -326,13 +326,13 @@ func PrepareFactor(a *mat.Dense, opt Options) (*FactorJob, error) {
 }
 
 // ExtractLU reads the packed factors out of a factored layout: L is the
-// unit lower trapezoid, U the upper trapezoid. Each block's column runs
-// go straight from the layout into the factor they belong to.
+// unit lower trapezoid, U the upper trapezoid. Each storage run's
+// columns go straight from the layout into the factor they belong to.
 func ExtractLU(l layout.Layout) (*mat.Dense, *mat.Dense) {
 	m, n, b := l.Dims()
 	lf, uf := luFactors(m, n)
-	layout.WalkColumns(l, func(i, j int, blk kernel.View) {
-		splitBlock(lf, uf, blk, i*b, j*b, 1)
+	layout.WalkColumns(l, func(i, j int, run kernel.View) {
+		splitBlock(lf, uf, run, i*b, j*b, 1)
 	})
 	return lf, uf
 }

@@ -91,12 +91,30 @@ var extractKinds = []layout.Kind{layout.CM, layout.BCL, layout.TwoLevel}
 // 1x2, 2x2 and 2x3.
 var extractWorkers = []int{1, 2, 4, 6}
 
+// extractProcs are the GOMAXPROCS values every case runs under: one,
+// so an above-cutoff walk runs serially as on a one-CPU host, and four,
+// so it really forks whatever machine the test is on.
+var extractProcs = []int{1, 4}
+
+// forEachExtractCase calls f for every layout kind x worker count x
+// extractProcs.
+func forEachExtractCase(f func(kind layout.Kind, w, procs int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, kind := range extractKinds {
+		for _, w := range extractWorkers {
+			for _, procs := range extractProcs {
+				runtime.GOMAXPROCS(procs)
+				f(kind, w, procs)
+			}
+		}
+	}
+}
+
 // TestExtractLUMatchesOracle: the straight-from-the-layout split is
 // bit-identical to densify-then-file over kinds x ragged shapes x
 // grids on both sides of the parallel cutoff, and the triangles it
 // does not own stay exactly zero around a unit diagonal.
 func TestExtractLUMatchesOracle(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	shapes := []struct{ m, n, b int }{
 		{1, 1, 1}, {1, 1, 8}, {7, 13, 4}, {13, 7, 4}, {5, 9, 8}, {64, 64, 16}, {30, 20, 7},
 		{600, 450, 64}, {450, 600, 37}, {40, 7000, 64}, {7000, 40, 33},
@@ -104,32 +122,30 @@ func TestExtractLUMatchesOracle(t *testing.T) {
 	for si, s := range shapes {
 		a := hostile(s.m, s.n, int64(si+1))
 		wantL, wantU := oracleExtractLU(a)
-		for _, kind := range extractKinds {
-			for _, w := range extractWorkers {
-				tag := fmt.Sprintf("%v %dx%d b=%d W=%d", kind, s.m, s.n, s.b, w)
-				lf, uf := ExtractLU(layout.New(kind, a, s.b, layout.NewGrid(w)))
-				sameBits(t, tag+" L", lf, wantL)
-				sameBits(t, tag+" U", uf, wantU)
-				for j := 0; j < lf.Cols; j++ {
-					for i := 0; i <= j; i++ {
-						want := uint64(0)
-						if i == j {
-							want = math.Float64bits(1)
-						}
-						if got := math.Float64bits(lf.At(i, j)); got != want {
-							t.Fatalf("%s: L(%d,%d) = %x, want %x", tag, i, j, got, want)
-						}
+		forEachExtractCase(func(kind layout.Kind, w, procs int) {
+			tag := fmt.Sprintf("%v %dx%d b=%d W=%d P=%d", kind, s.m, s.n, s.b, w, procs)
+			lf, uf := ExtractLU(layout.New(kind, a, s.b, layout.NewGrid(w)))
+			sameBits(t, tag+" L", lf, wantL)
+			sameBits(t, tag+" U", uf, wantU)
+			for j := 0; j < lf.Cols; j++ {
+				for i := 0; i <= j; i++ {
+					want := uint64(0)
+					if i == j {
+						want = math.Float64bits(1)
 					}
-				}
-				for j := 0; j < uf.Cols; j++ {
-					for i := j + 1; i < uf.Rows; i++ {
-						if got := math.Float64bits(uf.At(i, j)); got != 0 {
-							t.Fatalf("%s: U(%d,%d) = %x, want +0", tag, i, j, got)
-						}
+					if got := math.Float64bits(lf.At(i, j)); got != want {
+						t.Fatalf("%s: L(%d,%d) = %x, want %x", tag, i, j, got, want)
 					}
 				}
 			}
-		}
+			for j := 0; j < uf.Cols; j++ {
+				for i := j + 1; i < uf.Rows; i++ {
+					if got := math.Float64bits(uf.At(i, j)); got != 0 {
+						t.Fatalf("%s: U(%d,%d) = %x, want +0", tag, i, j, got)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -151,19 +167,16 @@ func TestReferenceLUSplitMatchesOracle(t *testing.T) {
 // the input — so hostile payloads reach the split untouched by
 // arithmetic; the never-factored strict upper triangle stays +0.
 func TestCholeskyFinishMatchesOracle(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for si, s := range [][2]int{{1, 1}, {1, 8}, {13, 4}, {5, 8}, {64, 16}, {30, 7}, {600, 64}, {530, 37}} {
 		a := hostile(s[0], s[0], int64(si+1))
 		want := oracleCholeskyL(a)
-		for _, kind := range extractKinds {
-			for _, w := range extractWorkers {
-				job, err := PrepareCholesky(a, Options{Layout: kind, Block: s[1], Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := job.Finish(rt.Result{}).L
-				sameBits(t, fmt.Sprintf("%v n=%d b=%d W=%d", kind, s[0], s[1], w), got, want)
+		forEachExtractCase(func(kind layout.Kind, w, procs int) {
+			job, err := PrepareCholesky(a, Options{Layout: kind, Block: s[1], Workers: w})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			got := job.Finish(rt.Result{}).L
+			sameBits(t, fmt.Sprintf("%v n=%d b=%d W=%d P=%d", kind, s[0], s[1], w, procs), got, want)
+		})
 	}
 }

@@ -83,7 +83,6 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 
 	isStatic := func(col int) bool { return col < opt.NstaticCols }
 	span := func(i, ext int) int { return blockSpanOf(i, bsz, ext) }
-	rowStep := rowGroupStep(l)
 
 	// Epoch namespace for this build's shared packed panels: the S tasks
 	// of one step form a (row run) x (block column) grid in which every
@@ -145,20 +144,12 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 					sc := getLeafScratch()
 					defer putLeafScratch(sc)
 					work, ids := sc.take(r1c-r0c, bw)
-					// Stage the chunk one storage run at a time — the
-					// vertically contiguous block rows the S tasks group —
-					// so CM and a one-row BCL grid copy it as one run.
-					off := 0
-					for i := i0c; i < i1c; {
-						w := 1
-						if rowStep == 1 {
-							w = l.RowGroupWidth(i, kk, i1c-i)
-						}
-						run := l.GroupedRows(i, kk, w)
+					// Stage the chunk one storage run at a time, so CM and
+					// a one-row BCL grid copy it as one run.
+					layout.WalkRuns(l, kk, i0c, i1c, func(i int, run kernel.View) {
+						off := i*bsz - r0c
 						kernel.Copy(work.Sub(off, off+run.Rows, 0, bw), run)
-						off += run.Rows
-						i += w
-					}
+					})
 					for x := range ids {
 						ids[x] = r0c + x
 					}

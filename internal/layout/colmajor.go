@@ -32,7 +32,9 @@ func (l *ColMajor) Grid() Grid { return l.grid }
 func (l *ColMajor) Owner(i, j int) int { return l.grid.Owner(i, j) }
 
 // Block returns the view of block (i,j) with the full-matrix stride.
-func (l *ColMajor) Block(i, j int) kernel.View { return denseBlock(l.a, i, j, l.b) }
+func (l *ColMajor) Block(i, j int) kernel.View {
+	return denseView(l.a, i*l.b, j*l.b, blockSpan(i, l.b, l.m), blockSpan(j, l.b, l.n))
+}
 
 // SwapRows exchanges global rows r1, r2 within block column jb.
 func (l *ColMajor) SwapRows(jb, r1, r2 int) {

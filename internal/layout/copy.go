@@ -11,7 +11,8 @@ import (
 
 // Every matrix copy in or out of a layout — pack, ToDense, core's
 // factor extraction, Encode, Decode — is one walk over the layout's
-// blocks moving whole column runs (kernel.Copy), never single elements.
+// storage runs (WalkRuns) moving whole column pieces (kernel.Copy),
+// never single elements.
 
 // parallelCutoff is the matrix size in elements above which a walk
 // forks. A constant, not an option: up to n = 512 (the engine's small
@@ -43,11 +44,31 @@ func fork(parts, elems int, part func(p int)) {
 	wg.Wait()
 }
 
+// WalkRuns calls visit once per storage run of block rows [i0, i1) of
+// block column j, top to bottom, with the run's first block row and a
+// view as tall as the run. A run is the block rows GroupedRows stacks,
+// taken only where they are also adjacent in the matrix: under CM and
+// under BCL on a one-row grid the whole range is one run; under 2l-BL,
+// and under BCL with PR > 1, every block is its own run. Every block
+// row of a run but the last is b tall, so run row r is global row i*b+r.
+func WalkRuns(l Layout, j, i0, i1 int, visit func(i int, run kernel.View)) {
+	adjacent := l.Kind() == CM || l.Kind() == BCL && l.Grid().PR == 1
+	for i := i0; i < i1; {
+		w := 1
+		if adjacent {
+			w = l.RowGroupWidth(i, j, i1-i)
+		}
+		visit(i, l.GroupedRows(i, j, w))
+		i += w
+	}
+}
+
 // build allocates a layout of the given kind and shape and fills it by
 // owner: part w first-touches worker w's storage (its own sub[w] for
-// BCL), then calls put — which writes exactly its block — on every
-// block w owns, so a static section starts on memory its owner brought in.
-func build(kind Kind, m, n, b int, g Grid, put func(i, j int, blk kernel.View)) Layout {
+// BCL), then calls put — which writes exactly its run — on every run of
+// the blocks w owns, so a static section starts on memory its owner
+// brought in.
+func build(kind Kind, m, n, b int, g Grid, put func(i, j int, run kernel.View)) Layout {
 	if b <= 0 {
 		panic("layout: block size must be positive")
 	}
@@ -66,11 +87,22 @@ func build(kind Kind, m, n, b int, g Grid, put func(i, j int, blk kernel.View)) 
 	default:
 		panic(fmt.Sprintf("layout: unknown kind %d", int(kind)))
 	}
+	// Part w fills the block columns j ≡ w/rp (mod cp) and, in them, the
+	// block rows i ≡ w (mod rp): exactly worker w's blocks. CM's single
+	// array has no owner to honour, so it is dealt by whole columns.
 	mb, nb := l.Blocks()
+	rp, cp := g.PR, g.PC
+	if kind == CM {
+		rp, cp = 1, g.Workers()
+	}
 	fork(g.Workers(), m*n, func(w int) {
 		own(w)
-		for j := w / g.PR; j < nb; j += g.PC {
-			for i := w % g.PR; i < mb; i += g.PR {
+		for j := w / rp; j < nb; j += cp {
+			if rp == 1 { // the whole column is w's
+				WalkRuns(l, j, 0, mb, func(i int, run kernel.View) { put(i, j, run) })
+				continue
+			}
+			for i := w % rp; i < mb; i += rp {
 				put(i, j, l.Block(i, j))
 			}
 		}
@@ -78,38 +110,33 @@ func build(kind Kind, m, n, b int, g Grid, put func(i, j int, blk kernel.View)) 
 	return l
 }
 
-// WalkColumns calls visit once per block of l. Above the parallel cutoff
-// the block columns split into one contiguous range per grid worker,
-// visited concurrently: visit must touch only what belongs to its block.
-func WalkColumns(l Layout, visit func(i, j int, blk kernel.View)) {
+// WalkColumns calls visit once per storage run of l (see WalkRuns), with
+// the run's first block. Above the parallel cutoff the block columns
+// split into one contiguous range per grid worker, visited concurrently:
+// visit must touch only what belongs to its run.
+func WalkColumns(l Layout, visit func(i, j int, run kernel.View)) {
 	m, n, _ := l.Dims()
 	mb, nb := l.Blocks()
 	parts := min(l.Grid().Workers(), nb)
 	fork(parts, m*n, func(p int) {
 		for j := p * nb / parts; j < (p+1)*nb/parts; j++ {
-			for i := 0; i < mb; i++ {
-				visit(i, j, l.Block(i, j))
-			}
+			WalkRuns(l, j, 0, mb, func(i int, run kernel.View) { visit(i, j, run) })
 		}
 	})
 }
 
-// denseBlock is the view of block (i,j) of d under block size b.
-func denseBlock(d *mat.Dense, i, j, b int) kernel.View {
-	return kernel.View{
-		Rows:   blockSpan(i, b, d.Rows),
-		Cols:   blockSpan(j, b, d.Cols),
-		Stride: d.Stride,
-		Data:   d.Data[j*b*d.Stride+i*b:],
-	}
+// denseView is the rows x cols view of d whose element (0,0) is d's
+// element (r0, c0).
+func denseView(d *mat.Dense, r0, c0, rows, cols int) kernel.View {
+	return kernel.View{Rows: rows, Cols: cols, Stride: d.Stride, Data: d.Data[c0*d.Stride+r0:]}
 }
 
-// toDenseViaBlocks implements ToDense generically on top of Block.
+// toDenseViaBlocks implements ToDense generically on top of WalkColumns.
 func toDenseViaBlocks(l Layout) *mat.Dense {
 	m, n, b := l.Dims()
 	out := mat.New(m, n)
-	WalkColumns(l, func(i, j int, blk kernel.View) {
-		kernel.Copy(denseBlock(out, i, j, b), blk)
+	WalkColumns(l, func(i, j int, run kernel.View) {
+		kernel.Copy(denseView(out, i*b, j*b, run.Rows, run.Cols), run)
 	})
 	return out
 }

@@ -7,8 +7,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/mat"
 )
 
@@ -130,17 +132,26 @@ var bulkCases = []struct{ m, n, b int }{
 
 var bulkGrids = []Grid{{1, 1}, {1, 2}, {2, 2}, {2, 3}}
 
-// forEachBulkCase runs f over kinds x shapes x grids with four
-// processors, so the above-cutoff cases really run concurrently (and
-// under -race) whatever machine the test is on.
+// bulkProcs are the GOMAXPROCS values every bulk case runs under: one,
+// so an above-cutoff walk runs serially as on a one-CPU host, and four,
+// so it really runs concurrently (and under -race) whatever machine the
+// test is on.
+var bulkProcs = []int{1, 4}
+
+// forEachBulkCase runs f over kinds x shapes x grids x bulkProcs.
 func forEachBulkCase(t *testing.T, f func(t *testing.T, kind Kind, src *mat.Dense, b int, g Grid)) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, kind := range allKinds {
 		for ci, c := range bulkCases {
 			src := hostile(c.m, c.n, int64(ci+1))
 			for _, g := range bulkGrids {
 				t.Run(fmt.Sprintf("%v/%dx%d_b%d/%dx%d", kind, c.m, c.n, c.b, g.PR, g.PC), func(t *testing.T) {
-					f(t, kind, src, c.b, g)
+					for _, procs := range bulkProcs {
+						t.Run(fmt.Sprintf("P%d", procs), func(t *testing.T) {
+							runtime.GOMAXPROCS(procs)
+							f(t, kind, src, c.b, g)
+						})
+					}
 				})
 			}
 		}
@@ -202,6 +213,61 @@ func TestBulkEncodeDecodeMatchOracle(t *testing.T) {
 			t.Fatalf("decoded %v on %+v", got.Kind(), got.Grid())
 		}
 		oraclePack(t, got, src)
+	})
+}
+
+// walkVisit is one view a copy walk handed its visitor.
+type walkVisit struct {
+	i, j int
+	run  kernel.View
+}
+
+// TestWalksVisitStorageRuns pins the grain of the copy walks, which the
+// oracles cannot see: build (the walk under New and Decode) and
+// WalkColumns visit one view per block column under CM and on a one-row
+// BCL grid and one per block otherwise, and their views, cut back into
+// blocks, are exactly the layout's blocks, each once.
+func TestWalksVisitStorageRuns(t *testing.T) {
+	forEachBulkCase(t, func(t *testing.T, kind Kind, src *mat.Dense, b int, g Grid) {
+		var mu sync.Mutex
+		walks := map[string][]walkVisit{}
+		record := func(walk string) func(i, j int, run kernel.View) {
+			return func(i, j int, run kernel.View) {
+				mu.Lock()
+				walks[walk] = append(walks[walk], walkVisit{i, j, run})
+				mu.Unlock()
+			}
+		}
+		l := build(kind, src.Rows, src.Cols, b, g, record("build"))
+		WalkColumns(l, record("WalkColumns"))
+		mb, nb := l.Blocks()
+		want := mb * nb
+		if kind == CM || kind == BCL && g.PR == 1 {
+			want = nb
+		}
+		for _, walk := range []string{"build", "WalkColumns"} {
+			visits := walks[walk]
+			if len(visits) != want {
+				t.Fatalf("%s visited %d views, want %d", walk, len(visits), want)
+			}
+			seen := map[[2]int]bool{}
+			for _, x := range visits {
+				eachBlock(x.run, x.i, b, func(i int, blk kernel.View) {
+					at := [2]int{i, x.j}
+					if seen[at] {
+						t.Fatalf("%s visited block %v twice", walk, at)
+					}
+					seen[at] = true
+					w := l.Block(i, x.j)
+					if blk.Rows != w.Rows || blk.Cols != w.Cols || blk.Stride != w.Stride || &blk.Data[0] != &w.Data[0] {
+						t.Fatalf("%s: block %v of the run at (%d,%d) is not the layout's block", walk, at, x.i, x.j)
+					}
+				})
+			}
+			if len(seen) != mb*nb {
+				t.Fatalf("%s covered %d of %d blocks", walk, len(seen), mb*nb)
+			}
+		}
 	})
 }
 

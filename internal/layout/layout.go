@@ -167,8 +167,8 @@ func ownedSpan(ext, b, p, period int) int {
 
 // New creates a layout of the given kind holding a copy of src.
 func New(kind Kind, src *mat.Dense, b int, g Grid) Layout {
-	return build(kind, src.Rows, src.Cols, b, g, func(i, j int, blk kernel.View) {
-		kernel.Copy(blk, denseBlock(src, i, j, b))
+	return build(kind, src.Rows, src.Cols, b, g, func(i, j int, run kernel.View) {
+		kernel.Copy(run, denseView(src, i*b, j*b, run.Rows, run.Cols))
 	})
 }
 

@@ -63,16 +63,26 @@ func Encode(l Layout) []byte {
 	le.PutUint32(out[14:], uint32(b))
 	le.PutUint32(out[18:], uint32(g.PR))
 	le.PutUint32(out[22:], uint32(g.PC))
-	WalkColumns(l, func(i, j int, v kernel.View) {
-		p := out[blockOffset(i, j, m, n, b):]
-		for jj := 0; jj < v.Cols; jj++ {
-			for _, x := range v.Data[jj*v.Stride : jj*v.Stride+v.Rows] {
-				le.PutUint64(p, math.Float64bits(x))
-				p = p[8:]
+	WalkColumns(l, func(i, j int, run kernel.View) {
+		eachBlock(run, i, b, func(i int, v kernel.View) {
+			p := out[blockOffset(i, j, m, n, b):]
+			for jj := 0; jj < v.Cols; jj++ {
+				for _, x := range v.Data[jj*v.Stride : jj*v.Stride+v.Rows] {
+					le.PutUint64(p, math.Float64bits(x))
+					p = p[8:]
+				}
 			}
-		}
+		})
 	})
 	return out
+}
+
+// eachBlock calls f on every block of run, a storage run whose first
+// block row is i: the wire keeps block order whatever the walk's grain.
+func eachBlock(run kernel.View, i, b int, f func(i int, blk kernel.View)) {
+	for r := 0; r < run.Rows; r += b {
+		f(i+r/b, run.Sub(r, min(r+b, run.Rows), 0, run.Cols))
+	}
 }
 
 // Decode reconstructs a layout from data produced by Encode and
@@ -112,15 +122,17 @@ func Decode(data []byte) (Layout, int, error) {
 		return nil, 0, fmt.Errorf("layout: truncated payload: have %d bytes, too few for %dx%d", len(data), um, un)
 	}
 	m, n := int(um), int(un)
-	l := build(kind, m, n, b, Grid{PR: pr, PC: pc}, func(i, j int, v kernel.View) {
-		src := data[blockOffset(i, j, m, n, b):]
-		for jj := 0; jj < v.Cols; jj++ {
-			run := v.Data[jj*v.Stride : jj*v.Stride+v.Rows]
-			for k := range run {
-				run[k] = math.Float64frombits(le.Uint64(src))
-				src = src[8:]
+	l := build(kind, m, n, b, Grid{PR: pr, PC: pc}, func(i, j int, run kernel.View) {
+		eachBlock(run, i, b, func(i int, v kernel.View) {
+			src := data[blockOffset(i, j, m, n, b):]
+			for jj := 0; jj < v.Cols; jj++ {
+				col := v.Data[jj*v.Stride : jj*v.Stride+v.Rows]
+				for k := range col {
+					col[k] = math.Float64frombits(le.Uint64(src))
+					src = src[8:]
+				}
 			}
-		}
+		})
 	})
 	return l, serializeHdrLen + 8*m*n, nil
 }
