@@ -738,9 +738,11 @@ func reportClassLatencies(b *testing.B, small, large []time.Duration) {
 
 // BenchmarkEngineMixedTraffic drives the two-lane admission with the
 // mix it was built for: a burst of tiny factors sandwiched between two
-// big ones (the express lane fuses the burst into one composite, the
-// big lane is bounded to three quarters of the pool), across several
-// inter-job dynamic ratios. The metric to watch is the small-class p99.
+// big ones (the express lane starts each tiny factor on its own
+// one-worker executor, the big lane is bounded to three quarters of
+// the pool), across several inter-job dynamic ratios. The metric to
+// watch is the small-class p99; README's "Traffic shaping" section
+// records it.
 func BenchmarkEngineMixedTraffic(b *testing.B) {
 	small := make([]*mat.Dense, 12)
 	for i := range small {

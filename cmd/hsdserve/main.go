@@ -3,9 +3,9 @@
 // Solve requests with the two-level hybrid static/dynamic scheduling
 // of internal/engine (static per-job worker reservations, dynamic
 // lending across jobs). Admission is traffic-shaped: small jobs ride
-// an express lane and are fused into composite DAGs sharing one
-// reservation, big jobs are bounded to a share of the pool, and jobs
-// may carry a deadline — infeasible ones are shed before queueing.
+// an express lane with a one-worker default share, big jobs are
+// bounded to a share of the pool, and jobs may carry a deadline —
+// infeasible ones are shed before queueing.
 //
 //	hsdserve -addr :8080 -pool 8 -dratio 0.25 -maxinflight 32
 //

@@ -75,10 +75,10 @@ func ParseScheduler(name string) (Scheduler, error) {
 }
 
 // JobClass labels a job for the resident engine's two-lane admission
-// (engine package): small jobs ride an express lane that fuses waiting
-// jobs into one composite DAG sharing a single worker reservation, big
-// jobs are bounded to a configurable share of the pool so they cannot
-// head-of-line-block everyone. One-shot Factor/Solve calls ignore it.
+// (engine package): small jobs ride an express lane and default to a
+// one-worker share, big jobs are bounded to a fixed share of
+// the pool so they cannot head-of-line-block everyone. One-shot
+// Factor/Solve calls ignore it.
 type JobClass uint8
 
 const (

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,17 +13,15 @@ import (
 	"repro/internal/rt"
 )
 
-// TestFusedCompositeBitIdentical is the correctness contract behind
-// the engine's express lane: fusing a mixed batch of small factor and
-// solve jobs into one composite forest (dag.Fuse) must produce
-// BIT-identical results to running each job alone, because fusion adds
-// no edges between members — their dataflow, which fixes the
-// arithmetic completely, is untouched. The references are each job
-// alone, drained serially by one worker (runSerial); the fused forest
-// is checked under all four scheduling policies on four workers and
-// once drained serially itself. Run under -race to certify the
-// dispatch paths too. Per-member OnDone callbacks must each fire
-// exactly once.
+// TestFusedCompositeBitIdentical is the contract of dag.Fuse: fusing a
+// mixed batch of small factor and solve jobs into one composite forest
+// must produce BIT-identical results to running each job alone,
+// because fusion adds no edges between members — their dataflow, which
+// fixes the arithmetic completely, is untouched. The references are
+// each job alone, drained serially by one worker (runSerial); the
+// fused forest is checked under all four scheduling policies on four
+// workers and once drained serially itself. Run under -race to certify
+// the dispatch paths too.
 func TestFusedCompositeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	aSmall := mat.Random(48, 48, rng)
@@ -87,12 +84,11 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", tag, err)
 		}
 
-		var fired [4]atomic.Int32
 		fused := dag.Fuse(
-			dag.FusePart{G: fj1.Graph(), Label: "factor-48", OnDone: func() { fired[0].Add(1) }},
-			dag.FusePart{G: sj1.Graph(), Label: "solve-48x1", OnDone: func() { fired[1].Add(1) }},
-			dag.FusePart{G: fj2.Graph(), Label: "factor-64x40", OnDone: func() { fired[2].Add(1) }},
-			dag.FusePart{G: sj2.Graph(), Label: "solve-48x3", OnDone: func() { fired[3].Add(1) }},
+			dag.FusePart{G: fj1.Graph(), Label: "factor-48"},
+			dag.FusePart{G: sj1.Graph(), Label: "solve-48x1"},
+			dag.FusePart{G: fj2.Graph(), Label: "factor-64x40"},
+			dag.FusePart{G: sj2.Graph(), Label: "solve-48x3"},
 		)
 		if err := fused.Validate(); err != nil {
 			t.Fatalf("%s: fused graph invalid: %v", tag, err)
@@ -103,17 +99,12 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 		}
 		var res rt.Result
 		if r.serial {
-			res = runSerial(t, fused.Graph)
-		} else if res, err = rt.Run(fused.Graph, opt.Policy(), ropt); err != nil {
+			res = runSerial(t, fused)
+		} else if res, err = rt.Run(fused, opt.Policy(), ropt); err != nil {
 			t.Fatalf("%s: fused run: %v", tag, err)
 		}
 		if r.noisy && res.Counters.Steals == 0 && runtime.GOMAXPROCS(0) > 1 {
 			t.Errorf("%s: no pinned task was helped: %+v", tag, res.Counters)
-		}
-		for i := range fired {
-			if n := fired[i].Load(); n != 1 {
-				t.Fatalf("%s: member %d OnDone fired %d times, want 1", tag, i, n)
-			}
 		}
 		sameFactorization(t, tag+"/factor-48", fj1.Finish(res), refSmall)
 		sameFactorization(t, tag+"/factor-64x40", fj2.Finish(res), refWide)

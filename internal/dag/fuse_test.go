@@ -1,20 +1,14 @@
 package dag
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
-// chainGraph builds a synthetic linear chain of n tasks whose Run
-// closures append their (graph tag, index) to got — enough structure to
-// exercise fusion without real arithmetic.
-func chainGraph(tag string, n, workers int, got *[]string, labels []string) *Graph {
+// chainGraph builds a synthetic linear chain of n tasks, enough
+// structure to exercise fusion without real arithmetic.
+func chainGraph(tag string, n, workers int) *Graph {
 	b := newBuilder(tag, workers)
 	var prev *Task
 	for i := 0; i < n; i++ {
-		idx := i
 		t := b.add(&Task{Kind: S, K: i, I: i, Owner: i % workers, Prio: int64(i)})
-		t.Run = func() { *got = append(*got, labels[idx]) }
 		b.edge(prev, t)
 		prev = t
 	}
@@ -22,14 +16,11 @@ func chainGraph(tag string, n, workers int, got *[]string, labels []string) *Gra
 }
 
 // TestFuseStructure checks the composite forest: IDs re-based, edges
-// intact, owners offset per part, Validate clean, and part spans
-// recoverable through PartOf.
+// intact, owners offset per part, Validate clean, and the member graphs
+// left untouched.
 func TestFuseStructure(t *testing.T) {
-	var sink []string
-	la := []string{"a0", "a1", "a2"}
-	lb := []string{"b0", "b1"}
-	ga := chainGraph("A", 3, 2, &sink, la)
-	gb := chainGraph("B", 2, 1, &sink, lb)
+	ga := chainGraph("A", 3, 2)
+	gb := chainGraph("B", 2, 1)
 	fg := Fuse(
 		FusePart{G: ga, Label: "A"},
 		FusePart{G: gb, Label: "B"},
@@ -49,72 +40,11 @@ func TestFuseStructure(t *testing.T) {
 	if len(roots) != 2 || roots[0].ID != 0 || roots[1].ID != 3 {
 		t.Fatalf("fused roots %v, want IDs [0 3]", roots)
 	}
-	for id, want := range map[int32]int{0: 0, 2: 0, 3: 1, 4: 1} {
-		if got := fg.PartOf(id); got != want {
-			t.Fatalf("PartOf(%d) = %d, want %d", id, got, want)
-		}
-	}
-	if fg.PartOf(99) != -1 {
-		t.Fatal("PartOf(out of range) should be -1")
-	}
 	// The member graphs were cloned, not mutated.
 	if ga.Tasks[0].ID != 0 || gb.Tasks[0].ID != 0 {
 		t.Fatal("Fuse mutated the member graphs' task IDs")
 	}
 	if gb.Tasks[0].Owner != 0 {
 		t.Fatal("Fuse mutated the member graphs' owners")
-	}
-}
-
-// TestFuseOnDonePerRoot executes a fused forest serially (topological
-// drain through ResetDeps/ResolveSuccessors, the simulator's discipline)
-// and checks each member's OnDone fires exactly once, at the moment its
-// own last task — not the whole forest — completes.
-func TestFuseOnDonePerRoot(t *testing.T) {
-	var ran []string
-	la := []string{"a0", "a1", "a2"}
-	lb := []string{"b0", "b1"}
-	ga := chainGraph("A", 3, 1, &ran, la)
-	gb := chainGraph("B", 2, 1, &ran, lb)
-	var aDone, bDone atomic.Int32
-	var ranAtADone, ranAtBDone int
-	fg := Fuse(
-		FusePart{G: ga, Label: "A", OnDone: func() { aDone.Add(1); ranAtADone = len(ran) }},
-		FusePart{G: gb, Label: "B", OnDone: func() { bDone.Add(1); ranAtBDone = len(ran) }},
-	)
-	ready := fg.ResetDeps()
-	for len(ready) > 0 {
-		t0 := ready[0]
-		ready = ready[1:]
-		t0.Run()
-		ready = fg.ResolveSuccessors(t0, ready)
-	}
-	if len(ran) != 5 {
-		t.Fatalf("executed %d tasks, want 5", len(ran))
-	}
-	if aDone.Load() != 1 || bDone.Load() != 1 {
-		t.Fatalf("OnDone counts a=%d b=%d, want 1 and 1", aDone.Load(), bDone.Load())
-	}
-	// The FIFO drain interleaves the two chains, so each part's OnDone
-	// must have fired before the entire forest drained (the per-root,
-	// not per-forest, property).
-	if ranAtADone == 5 && ranAtBDone == 5 {
-		t.Fatal("both OnDone callbacks fired only at forest completion")
-	}
-	// And each fired with its own part fully executed.
-	countPrefix := func(upto int, prefix byte) int {
-		c := 0
-		for _, s := range ran[:upto] {
-			if s[0] == prefix {
-				c++
-			}
-		}
-		return c
-	}
-	if c := countPrefix(ranAtADone, 'a'); c != 3 {
-		t.Fatalf("OnDone(A) fired with %d/3 of A's tasks executed", c)
-	}
-	if c := countPrefix(ranAtBDone, 'b'); c != 2 {
-		t.Fatalf("OnDone(B) fired with %d/2 of B's tasks executed", c)
 	}
 }

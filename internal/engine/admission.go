@@ -10,11 +10,11 @@ package engine
 // the queue head blocks everyone behind it. Admission therefore routes
 // by job *class*, not arrival order:
 //
-//   - small jobs enter an express lane; when a worker picks the lane
-//     up it fuses every waiting (fusable) small job into one composite
-//     forest (dag.Fuse) that shares a single reservation;
+//   - small jobs enter an express lane and each runs on its own
+//     executor with a one-worker default share, so a burst of them
+//     runs side by side instead of each reserving a wide share;
 //   - big jobs enter a lane whose total reservation is bounded to a
-//     configurable share of the pool whenever small jobs are waiting,
+//     fixed share of the pool whenever small jobs are waiting,
 //     so they cannot head-of-line-block the express traffic;
 //   - within each lane jobs are ordered by laxity — the latest moment
 //     the job may start and still meet its deadline — so SLO traffic
@@ -44,7 +44,7 @@ var ErrDeadlineInfeasible = errors.New("engine: deadline infeasible, job shed")
 type lane uint8
 
 const (
-	laneSmall lane = iota // express lane: fused composite DAGs
+	laneSmall lane = iota // express lane: small jobs, one worker each by default
 	laneBig               // bounded lane: at most bigShare of the pool
 )
 
@@ -55,21 +55,6 @@ const (
 	jsQueued  jobState = iota // in a lane queue
 	jsStarted                 // popped by a worker (running or failing)
 	jsDone                    // completed, cancelled or shed
-)
-
-// jobRole distinguishes how a Job relates to reservations.
-type jobRole uint8
-
-const (
-	// roleSolo is a job with its own reservation (the pre-fusion
-	// universal case).
-	roleSolo jobRole = iota
-	// roleMember is a small job executing inside a fused composite: it
-	// holds an admission slot but no reservation of its own.
-	roleMember
-	// roleComposite is the engine-internal job driving a fused forest:
-	// it holds the shared reservation but no admission slot.
-	roleComposite
 )
 
 // noDeadline is the startBy key of jobs without a deadline: they sort
@@ -163,9 +148,6 @@ const (
 	// submission left Class auto (a ~96x96 LU classifies small, a
 	// 128x128 LU large).
 	smallJobFlops = 1e6
-	// fuseLimit caps how many waiting express-lane jobs one worker
-	// fuses into a single composite forest.
-	fuseLimit = 8
 	// bigShare bounds the big lane: while express traffic is waiting,
 	// big-lane jobs may hold at most this share of the reservable
 	// (non-floater) pool. With an empty express lane the bound is
@@ -189,13 +171,6 @@ func classify(j *Job) core.JobClass {
 	}
 }
 
-// fusable reports whether the job may join a fused composite: jobs
-// carrying per-executor hooks (Trace timelines sized for their own run,
-// Noise injection) must run on their own executor.
-func (j *Job) fusable() bool {
-	return j.reqOpt.Trace == nil && j.reqOpt.Noise == nil
-}
-
 // ratePrior is the service-rate estimate used before any job of a
 // class has completed: 1 flop/ns (one scalar GFLOP/s), deliberately
 // conservative so a cold engine sheds obviously-infeasible deadlines
@@ -214,72 +189,22 @@ const (
 	numRateClasses
 )
 
-// classFlops splits the job's estimated flops by rate class: a solo
-// job's flops all land in its kind's class, a fused composite sums its
-// members per class.
-func classFlops(j *Job) [numRateClasses]float64 {
-	var fl [numRateClasses]float64
-	if len(j.members) > 0 {
-		for _, m := range j.members {
-			fl[m.work.rate] += m.work.flops
-		}
-		return fl
-	}
-	fl[j.work.rate] = j.work.flops
-	return fl
-}
-
-// estServiceLocked estimates the job's service time from the per-class
-// observed flop rates (EWMA over completed jobs, Engine.mu held).
-// Composites add the classes' predicted times — their members run on
-// one shared reservation, so the sum is the right scale even when the
-// forest overlaps members internally.
+// estServiceLocked estimates the job's service time from its rate
+// class's observed flop rate (EWMA over completed jobs, Engine.mu
+// held).
 func (e *Engine) estServiceLocked(j *Job) time.Duration {
-	fl := classFlops(j)
-	var ns float64
-	for c, f := range fl {
-		if f > 0 {
-			ns += f / e.rates[c]
-		}
-	}
-	return time.Duration(ns)
+	return time.Duration(j.work.flops / e.rates[j.work.rate])
 }
 
-// observeRateLocked folds one completed job's achieved flop rates into
-// the per-class EWMA estimates (Engine.mu held). A composite's span
-// covers work from both classes; it is attributed to them in
-// proportion to the current model's predicted shares, so each class's
-// estimate is updated with a span consistent with what it was blamed
-// for at admission time.
+// observeRateLocked folds one completed job's achieved flop rate into
+// its rate class's EWMA estimate (Engine.mu held).
 func (e *Engine) observeRateLocked(j *Job, span time.Duration) {
-	if span <= 0 {
-		return
-	}
-	fl := classFlops(j)
-	var pred [numRateClasses]float64
-	var predTotal float64
-	for c, f := range fl {
-		if f > 0 {
-			pred[c] = f / e.rates[c]
-			predTotal += pred[c]
-		}
-	}
-	if predTotal <= 0 {
+	if span <= 0 || j.work.flops <= 0 {
 		return
 	}
 	const alpha = 0.25
-	ns := float64(span.Nanoseconds())
-	for c, f := range fl {
-		if f <= 0 {
-			continue
-		}
-		spanC := ns * pred[c] / predTotal
-		if spanC <= 0 {
-			continue
-		}
-		obs := f / spanC
-		e.rates[c] = (1-alpha)*e.rates[c] + alpha*obs
-	}
+	obs := j.work.flops / float64(span.Nanoseconds())
+	e.rates[j.work.rate] = (1-alpha)*e.rates[j.work.rate] + alpha*obs
 }
 
 // ---------------------------------------------------------------------

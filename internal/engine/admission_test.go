@@ -91,9 +91,10 @@ func TestEngineAutoClassification(t *testing.T) {
 }
 
 // TestEngineFusesSmallBurst queues a burst of small jobs behind a
-// gated job on a one-worker pool: when the worker frees up it must
-// take the whole burst as one fused composite, and every member's
-// result must be bit-identical to a one-shot run at the same width.
+// gated job on a one-worker pool. The express lane no longer fuses:
+// when the worker frees up every member of the burst must complete as
+// its own one-worker job, with a result bit-identical to a one-shot
+// run at that width.
 func TestEngineFusesSmallBurst(t *testing.T) {
 	e, err := New(Options{Workers: 1, MaxInflight: 16})
 	if err != nil {
@@ -122,25 +123,83 @@ func TestEngineFusesSmallBurst(t *testing.T) {
 		if err := j.Wait(); err != nil {
 			t.Fatalf("member %d: %v", i, err)
 		}
-		if j.Granted() != 1 {
-			t.Errorf("member %d granted %d, want member width 1", i, j.Granted())
+		if j.Class() != core.ClassSmall || j.Granted() != 1 {
+			t.Errorf("member %d: class %v granted %d, want small on one worker", i, j.Class(), j.Granted())
 		}
 		want, err := core.Factor(mats[i], core.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := j.Factorization()
-		if !mat.Equal(got.L, want.L, 0) || !mat.Equal(got.U, want.U, 0) {
-			t.Errorf("member %d: fused result differs from one-shot run", i)
-		}
+		sameFactorization(t, "express factor", j.Factorization(), want)
 	}
 	s := e.Stats()
-	if s.FusionBatches != 1 || s.FusedJobs != burst {
-		t.Errorf("fusion stats: %d batches carrying %d jobs, want 1 carrying %d",
-			s.FusionBatches, s.FusedJobs, burst)
+	if s.FusedJobs != 0 {
+		t.Errorf("FusedJobs %d, want 0", s.FusedJobs)
 	}
-	if s.JobsDone != burst+1 {
-		t.Errorf("JobsDone %d, want %d", s.JobsDone, burst+1)
+	if s.JobsDone != burst+1 || s.Small.Done != burst {
+		t.Errorf("JobsDone %d (small %d), want %d (small %d)", s.JobsDone, s.Small.Done, burst+1, burst)
+	}
+}
+
+// TestEngineFusedMixedKinds queues small factor and solve jobs in one
+// burst behind a gated job and checks each job's result against its
+// one-shot equivalent at one worker.
+func TestEngineFusedMixedKinds(t *testing.T) {
+	e, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	a := randMatrix(t, 64, 11)
+	fac, err := core.Factor(a.Clone(), core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const solves = 2
+	rhs := make([]*mat.Dense, solves)
+	for i := range rhs {
+		rhs[i] = mat.Random(64, 1+2*i, rand.New(rand.NewSource(int64(200+i))))
+	}
+
+	gated, release := gate(t, e)
+	waitGated(t, e)
+	jf, err := e.SubmitFactor(a.Clone(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js := make([]*Job, solves)
+	for i, b := range rhs {
+		js[i], err = e.Submit(bg, SolveWork(fac, b), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	if err := gated.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jf.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	sameFactorization(t, "express factor", jf.Factorization(), fac)
+	for i, j := range js {
+		if err := j.Wait(); err != nil {
+			t.Fatalf("solve %d: %v", i, err)
+		}
+		if j.Class() != core.ClassSmall || j.Granted() != 1 {
+			t.Errorf("solve %d: class %v granted %d, want small on one worker", i, j.Class(), j.Granted())
+		}
+		want, err := fac.SolveMany(rhs[i], core.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mat.Equal(j.SolutionMatrix(), want, 0) {
+			t.Errorf("solve %d: express solve differs from the one-shot solve", i)
+		}
+	}
+	if s := e.Stats(); s.JobsDone != solves+2 || s.FusedJobs != 0 {
+		t.Errorf("JobsDone %d FusedJobs %d, want %d and 0", s.JobsDone, s.FusedJobs, solves+2)
 	}
 }
 
@@ -330,62 +389,5 @@ func TestEngineSubmitCtxUnblocksAdmission(t *testing.T) {
 	release()
 	if err := gated.Wait(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEngineFusedMixedKinds fuses factor and solve jobs in one burst
-// and checks each member's result against its one-shot equivalent.
-func TestEngineFusedMixedKinds(t *testing.T) {
-	e, err := New(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	a := randMatrix(t, 64, 11)
-	fac, err := core.Factor(a.Clone(), core.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, 64)
-	for i := range b {
-		b[i] = float64(i + 1)
-	}
-	bm := mat.FromColMajor(len(b), 1, len(b), append([]float64(nil), b...))
-	wantX, err := fac.SolveMany(bm, core.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gated, release := gate(t, e)
-	waitGated(t, e)
-	jf, err := e.SubmitFactor(a.Clone(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := e.Submit(bg, SolveWork(fac, col(b)), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release()
-	if err := gated.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := jf.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := js.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if !mat.Equal(jf.Factorization().L, fac.L, 0) || !mat.Equal(jf.Factorization().U, fac.U, 0) {
-		t.Error("fused factor differs from one-shot factor")
-	}
-	for i, want := range wantX.Col(0) {
-		if js.SolutionMatrix().Col(0)[i] != want {
-			t.Fatalf("fused solve x[%d] = %v, want %v", i, js.SolutionMatrix().Col(0)[i], want)
-		}
-	}
-	if s := e.Stats(); s.FusedJobs < 2 {
-		t.Errorf("FusedJobs %d, want the factor and the solve fused together", s.FusedJobs)
 	}
 }

@@ -22,15 +22,14 @@
 //
 // Admission is traffic-shaped (see admission.go): jobs are classified
 // small or large by a flop cost model and routed to two lanes. Small
-// jobs take an express lane and are fused — a waiting burst becomes one
-// composite forest (dag.Fuse) sharing a single reservation — while big
-// jobs take a lane whose reservations are bounded to bigShare of the
-// static pool whenever express traffic is waiting, so one huge
-// factorization cannot head-of-line-block a stream of tiny solves.
-// Within each lane, jobs with deadlines are served in laxity order and
-// infeasible deadlines are shed at submission with
-// ErrDeadlineInfeasible; floaters lend preferentially to the running
-// job closest to missing its deadline.
+// jobs take an express lane and run on their own executor with a
+// one-worker default share, while big jobs take a lane whose
+// reservations are bounded to bigShare of the static pool whenever
+// express traffic is waiting, so one huge factorization cannot
+// head-of-line-block a stream of tiny solves. Within each lane, jobs
+// with deadlines are served in laxity order and infeasible deadlines
+// are shed at submission with ErrDeadlineInfeasible; floaters lend
+// preferentially to the running job closest to missing its deadline.
 //
 // A job whose requested share is not available starts anyway with what
 // the pool can guarantee (at least one worker), so service is
@@ -38,8 +37,7 @@
 // granted share is the parallelism the job's task graph is built for:
 // its result is bit-identical to a one-shot core.Factor at
 // Workers=Granted (the graph's dataflow fixes the arithmetic;
-// scheduling only reorders it) — and fusion keeps that property,
-// because dag.Fuse adds no edges between members.
+// scheduling only reorders it).
 package engine
 
 import (
@@ -105,21 +103,22 @@ type Stats struct {
 	// Workers is the resident pool size; Floaters its dynamic share.
 	Workers, Floaters int
 	// Pending counts queued jobs across both lanes (SmallQueued +
-	// BigQueued); Active counts live executors (fused composites count
-	// once, not per member); ReservedInUse is the sum of active static
-	// grants, BigReserved the big-lane slice of it; HelpersOut the
-	// floaters currently lent to a job.
+	// BigQueued); Active counts live executors, one per running job;
+	// ReservedInUse is the sum of active static grants, BigReserved the
+	// big-lane slice of it; HelpersOut the floaters currently lent to a
+	// job.
 	Pending, Active, ReservedInUse, BigReserved, HelpersOut int
 	// SmallQueued and BigQueued are the live lane depths.
 	SmallQueued, BigQueued int
 	// JobsDone/JobsFailed count completed jobs; Lends counts Assist
 	// attachments that executed at least one task for a foreign job.
 	JobsDone, JobsFailed, Lends int64
-	// FusionBatches counts composite forests launched; FusedJobs the
-	// member jobs they carried. Shed counts deadline-infeasible
-	// submissions rejected (at admission or at start); Cancelled counts
-	// queued jobs withdrawn by their submission context.
-	FusionBatches, FusedJobs, Shed, Cancelled int64
+	// FusedJobs is always 0: the engine runs every job on its own
+	// executor. The field stays for the benchmark module, which reads
+	// it. Shed counts deadline-infeasible submissions rejected (at
+	// admission or at start); Cancelled counts queued jobs withdrawn by
+	// their submission context.
+	FusedJobs, Shed, Cancelled int64
 	// Small and Large are the per-class latency digests.
 	Small, Large ClassStats
 	Closed       bool
@@ -134,11 +133,11 @@ type Engine struct {
 	mu    sync.Mutex
 	work  *sync.Cond // workers wait here for assignments
 	capa  *sync.Cond // submitters wait here for admission capacity
-	small laneQueue  // express lane (fused composites)
+	small laneQueue  // express lane
 	big   laneQueue  // bounded lane
 	run   []*Job     // started, executor live
-	// inflight = queued + started-but-unfinished user jobs (composites
-	// excluded, members included); bounded by MaxInflight.
+	// inflight = queued + started-but-unfinished jobs; bounded by
+	// MaxInflight.
 	inflight      int
 	reservedInUse int
 	bigReserved   int
@@ -157,13 +156,11 @@ type Engine struct {
 
 	wg sync.WaitGroup
 
-	jobsDone      atomic.Int64
-	jobsFailed    atomic.Int64
-	lends         atomic.Int64
-	fusionBatches atomic.Int64
-	fusedJobs     atomic.Int64
-	shedCount     atomic.Int64
-	cancelled     atomic.Int64
+	jobsDone   atomic.Int64
+	jobsFailed atomic.Int64
+	lends      atomic.Int64
+	shedCount  atomic.Int64
+	cancelled  atomic.Int64
 }
 
 // New starts a resident engine: the worker goroutines and the pool-wide
@@ -263,8 +260,6 @@ func (e *Engine) Stats() Stats {
 	s.JobsDone = e.jobsDone.Load()
 	s.JobsFailed = e.jobsFailed.Load()
 	s.Lends = e.lends.Load()
-	s.FusionBatches = e.fusionBatches.Load()
-	s.FusedJobs = e.fusedJobs.Load()
 	s.Shed = e.shedCount.Load()
 	s.Cancelled = e.cancelled.Load()
 	return s
@@ -286,8 +281,6 @@ type Solvable interface {
 // granted. FactorWork, CholeskyWork and SolveWork build the three kinds;
 // a further kind is one more constructor, not an engine change.
 type Work struct {
-	// label names the job in fused-composite traces.
-	label string
 	// flops is the admission cost model: the leading-order flop count,
 	// used to classify small vs large, to order lanes by laxity and to
 	// decide deadline feasibility. It deliberately ignores lower-order
@@ -296,13 +289,13 @@ type Work struct {
 	// rate is the service-rate class (rateGemm, rateMem) the flops are
 	// charged at.
 	rate int
-	// wide is the unset-Workers share request: the whole pool for a
-	// factorization, one worker for a solve — a solve is O(n²·nrhs)
-	// against the factorization's O(n³), so a service that doesn't ask
-	// for a wider share should not have tiny solves reserving the whole
-	// pool. An explicitly requested share is honoured for every kind,
-	// and even a one-worker solve still publishes shared work for the
-	// pool's floaters to lend into.
+	// wide is the unset-Workers share request of a large-class job: the
+	// whole pool for a factorization, one worker for a solve — a solve
+	// is O(n²·nrhs) against the factorization's O(n³), so a service that
+	// doesn't ask for a wider share should not have tiny solves
+	// reserving the whole pool. An explicitly requested share is
+	// honoured for every kind, and even a one-worker solve still
+	// publishes shared work for the pool's floaters to lend into.
 	wide bool
 	// prepare builds the task graph, policy and result finisher at the
 	// granted share (core.Options.Workers).
@@ -333,7 +326,6 @@ func FactorWork(a *mat.Dense) Work {
 	m, n := float64(a.Rows), float64(a.Cols)
 	r := math.Min(m, n)
 	return Work{
-		label: fmt.Sprintf("lu %dx%d", a.Rows, a.Cols),
 		// LU of m x n: r^2 * (max(m,n) - r/3); 2/3 n^3 when square.
 		flops: r * r * (math.Max(m, n) - r/3),
 		rate:  rateGemm,
@@ -355,7 +347,6 @@ func CholeskyWork(a *mat.Dense) Work {
 	}
 	n := float64(a.Rows)
 	return Work{
-		label: fmt.Sprintf("chol %d", a.Rows),
 		flops: n * n * n / 3,
 		rate:  rateGemm,
 		wide:  true,
@@ -380,7 +371,6 @@ func SolveWork(f Solvable, b *mat.Dense) Work {
 	}
 	n, nrhs := float64(b.Rows), float64(b.Cols)
 	return Work{
-		label: fmt.Sprintf("solve %dx%d", b.Rows, b.Cols),
 		// Forward + backward sweep, n^2*nrhs each.
 		flops: 2 * n * n * nrhs,
 		rate:  rateMem,
@@ -392,10 +382,8 @@ func SolveWork(f Solvable, b *mat.Dense) Work {
 
 // Job is the handle of one submitted Work. Wait (or Done) observes
 // completion; Result is valid afterwards. Every kind of job executes as
-// a task graph on the pool at the job's granted share, lending
-// included. Small jobs may execute as members of a fused composite
-// forest sharing one reservation with their batch mates; the handle
-// behaves identically either way.
+// a task graph on its own executor at the job's granted share, lending
+// included.
 type Job struct {
 	work   Work
 	reqOpt core.Options
@@ -403,7 +391,6 @@ type Job struct {
 	// Admission state; all guarded by Engine.mu unless noted.
 	class core.JobClass // resolved class (never ClassAuto)
 	lane  lane
-	role  jobRole
 	state jobState
 	seq   uint64
 	// deadlineAbs is the absolute SLO deadline (zero = none); startBy
@@ -411,8 +398,6 @@ type Job struct {
 	// noDeadline.
 	deadlineAbs time.Time
 	startBy     int64
-	// members are the fused user jobs of a roleComposite driver.
-	members []*Job
 	// stopCancel releases the submission context's cancellation hook.
 	stopCancel func() bool
 
@@ -433,8 +418,7 @@ type Job struct {
 	// and found nothing: the engine only sends floaters where the hint
 	// is up.
 	lendHint atomic.Bool
-	// finishing elects the single finalizer: the first driver back for
-	// solo/composite jobs, OnDone vs composite-failure for members.
+	// finishing elects the single finalizer: the first driver back.
 	finishing atomic.Bool
 
 	queued, started time.Time
@@ -445,25 +429,16 @@ type Job struct {
 	err    error
 }
 
-// req is the requested static share; an unset request falls back to
-// the kind's default (Work.wide).
+// req is the requested static share. An unset request is one worker
+// for a small-class job — small jobs get their throughput from running
+// side by side, not from a wide personal share — and the kind's
+// default (Work.wide) otherwise.
 func (j *Job) req(pool int) int {
 	if j.reqOpt.Workers > 0 {
 		return j.reqOpt.Workers
 	}
-	if j.work.wide {
+	if j.work.wide && j.class != core.ClassSmall {
 		return pool
-	}
-	return 1
-}
-
-// reqExpress is the express-lane share request: an explicit Workers is
-// honoured, unset defaults to one — a small job gets its throughput
-// from batch mates sharing the reservation, not from a wide personal
-// share.
-func reqExpress(j *Job) int {
-	if j.reqOpt.Workers > 0 {
-		return j.reqOpt.Workers
 	}
 	return 1
 }
@@ -499,10 +474,7 @@ func (j *Job) SolutionMatrix() *mat.Dense {
 
 // Granted is the static worker share the job's task graph was built
 // for (valid once the job has started; final after Wait). The result
-// is bit-identical to a one-shot core.Factor at Workers=Granted. For a
-// job that ran inside a fused composite this is the member graph's
-// width, while the composite's reservation is shared with its batch
-// mates.
+// is bit-identical to a one-shot core.Factor at Workers=Granted.
 func (j *Job) Granted() int { return j.granted }
 
 // Class is the job's resolved admission class (never ClassAuto); valid
@@ -651,23 +623,23 @@ func (e *Engine) cancelQueued(j *Job, cause error) {
 
 // worker is one resident pool goroutine. Assignments, in preference
 // order: claim an open reserved seat of a running job (finish what was
-// started), start lane work (an express batch, a big-lane head, or a
-// deadline-expired pop to shed), or float — lend itself to a running
+// started), start lane work (an express-lane head, a big-lane head, or
+// a deadline-expired pop to shed), or float — lend itself to a running
 // job that has signalled spare shared work.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
 		e.mu.Lock()
 		var j *Job
-		var batch []*Job
-		var seat, slot, grant int
+		var seat, slot int
+		var shed bool
 		mode := 0
 		for {
 			if j, seat = e.claimSeatLocked(); j != nil {
 				mode = 1
 				break
 			}
-			if batch, grant = e.startableLocked(); batch != nil {
+			if j, shed = e.startableLocked(); j != nil {
 				mode = 2
 				break
 			}
@@ -693,7 +665,13 @@ func (e *Engine) worker() {
 		case 1:
 			e.driveJob(j, seat)
 		case 2:
-			e.startBatch(batch, grant)
+			if shed {
+				j.err = fmt.Errorf("engine: deadline expired before start: %w", ErrDeadlineInfeasible)
+				e.shedCount.Add(1)
+				e.completeJob(j, false)
+			} else {
+				e.startJob(j)
+			}
 		case 3:
 			// Lower the hint BEFORE probing: a shared publish that
 			// lands mid-assist then wins the lendSignal CAS and sends a
@@ -725,81 +703,51 @@ func (e *Engine) claimSeatLocked() (*Job, int) {
 	return nil, 0
 }
 
-// grantShed marks a startableLocked batch that was popped only to be
-// shed: its jobs' deadlines expired while they waited.
-const grantShed = -1
-
-// startableLocked picks the next lane work, in order: deadline-expired
-// heads to shed, an express-lane batch (fused when several small jobs
-// wait), then the big-lane head under its share bound. On success the
-// batch's jobs have been popped and the grant charged to the pool.
-func (e *Engine) startableLocked() ([]*Job, int) {
+// startableLocked picks the next lane work, in order: a
+// deadline-expired head to shed, the express-lane head, then the
+// big-lane head under its share bound. On success the job has been
+// popped and, unless it is to be shed, its grant charged to the pool.
+func (e *Engine) startableLocked() (j *Job, shed bool) {
 	if exp := e.expiredLocked(); exp != nil {
-		return exp, grantShed
+		return exp, true
 	}
-	// Express lane: one worker takes every fusable waiting small job
-	// (up to fuseLimit) as a single composite sharing one reservation.
-	if head := e.small.peek(); head != nil && e.grantLocked(1) > 0 {
-		head = e.small.pop()
-		head.state = jsStarted
-		batch := []*Job{head}
-		req := reqExpress(head)
-		if head.fusable() {
-			for len(batch) < fuseLimit {
-				next := e.small.peek()
-				if next == nil || !next.fusable() {
-					break
-				}
-				e.small.pop()
-				next.state = jsStarted
-				batch = append(batch, next)
-				if r := reqExpress(next); r > req {
-					req = r
-				}
-			}
+	if head := e.small.peek(); head != nil {
+		if g := e.grantLocked(head.req(e.opt.Workers)); g > 0 {
+			e.small.pop()
+			head.state = jsStarted
+			head.granted = g
+			e.reservedInUse += g
+			return head, false
 		}
-		g := e.grantLocked(req) // >= 1: grantLocked(1) above saw a free worker
-		e.reservedInUse += g
-		if len(batch) == 1 {
-			batch[0].granted = g
-		}
-		return batch, g
 	}
 	// Big lane, bounded to bigShare of the reservable pool while
 	// express traffic waits.
 	if head := e.big.peek(); head != nil {
-		g := e.grantBigLocked(head.req(e.opt.Workers))
-		if g == 0 {
-			return nil, 0
+		if g := e.grantBigLocked(head.req(e.opt.Workers)); g > 0 {
+			e.big.pop()
+			head.state = jsStarted
+			head.granted = g
+			e.reservedInUse += g
+			e.bigReserved += g
+			return head, false
 		}
-		e.big.pop()
-		head.state = jsStarted
-		head.granted = g
-		e.reservedInUse += g
-		e.bigReserved += g
-		return []*Job{head}, g
 	}
-	return nil, 0
+	return nil, false
 }
 
-// expiredLocked pops lane heads whose absolute deadline has already
-// passed: starting them could only burn a reservation on work that
-// will miss its SLO, so they are shed instead.
-func (e *Engine) expiredLocked() []*Job {
-	var exp []*Job
+// expiredLocked pops a lane head whose absolute deadline has already
+// passed: starting it could only burn a reservation on work that will
+// miss its SLO, so it is shed instead.
+func (e *Engine) expiredLocked() *Job {
 	now := time.Now()
 	for _, q := range []*laneQueue{&e.small, &e.big} {
-		for {
-			h := q.peek()
-			if h == nil || h.deadlineAbs.IsZero() || now.Before(h.deadlineAbs) {
-				break
-			}
+		if h := q.peek(); h != nil && !h.deadlineAbs.IsZero() && !now.Before(h.deadlineAbs) {
 			q.pop()
 			h.state = jsStarted
-			exp = append(exp, h)
+			return h
 		}
 	}
-	return exp
+	return nil
 }
 
 // grantLocked sizes a job's static share: its request capped by the
@@ -911,30 +859,13 @@ func (j *Job) prepare(opt core.Options) (g *dag.Graph, pol sched.Policy, err err
 	return g, pol, err
 }
 
-// startBatch dispatches what startableLocked popped: a shed batch, a
-// solo job, or an express batch to fuse.
-func (e *Engine) startBatch(batch []*Job, grant int) {
-	if grant == grantShed {
-		for _, j := range batch {
-			j.err = fmt.Errorf("engine: deadline expired before start: %w", ErrDeadlineInfeasible)
-			e.shedCount.Add(1)
-			e.completeJob(j, false)
-		}
-		return
-	}
-	if len(batch) == 1 {
-		e.startJob(batch[0])
-		return
-	}
-	e.startFused(batch, grant)
-}
-
-// startJob runs a solo job: it builds the job's task graph and
+// startJob runs a popped job: it builds the job's task graph and
 // executor (outside the engine lock), publishes its open seats and
 // lending slots, and the starter becomes reserved driver 0. Factor,
-// Cholesky and solve jobs all take this path — a solve is a blocked
-// triangular-solve graph, not an inline call, so it executes at the
-// granted share and participates in lending like any factorization.
+// Cholesky and solve jobs of both classes all take this path — a solve
+// is a blocked triangular-solve graph, not an inline call, so it
+// executes at the granted share and participates in lending like any
+// factorization.
 func (e *Engine) startJob(j *Job) {
 	j.started = time.Now()
 	j.queueWait = j.started.Sub(j.queued)
@@ -949,102 +880,8 @@ func (e *Engine) startJob(j *Job) {
 	e.launch(j, g, pol, opt)
 }
 
-// startFused runs an express batch as one composite: every member's
-// graph is built at its own small width, dag.Fuse merges them into a
-// forest with owner interleaving and per-member completion callbacks,
-// and a single engine-internal composite job drives the forest on one
-// shared reservation. Members complete individually as their subgraphs
-// drain; a member whose prepare fails is failed alone and its batch
-// mates still run.
-func (e *Engine) startFused(batch []*Job, granted int) {
-	now := time.Now()
-	parts := make([]dag.FusePart, 0, len(batch))
-	members := make([]*Job, 0, len(batch))
-	minStart := noDeadline
-	for _, m := range batch {
-		m.role = roleMember
-		m.started = now
-		m.queueWait = now.Sub(m.queued)
-		opt := m.reqOpt
-		w := opt.Workers
-		if w <= 0 {
-			w = 1
-		}
-		if w > granted {
-			w = granted
-		}
-		opt.Workers = w
-		g, _, err := m.prepare(opt)
-		if err != nil {
-			m.err = err
-			if m.finishing.CompareAndSwap(false, true) {
-				e.completeJob(m, false)
-			}
-			continue
-		}
-		m.granted = w
-		mm := m
-		parts = append(parts, dag.FusePart{G: g, Label: mm.work.label, OnDone: func() { e.finishFusedMember(mm) }})
-		members = append(members, m)
-		if m.startBy < minStart {
-			minStart = m.startBy
-		}
-	}
-	if len(parts) == 0 {
-		// Every member died in prepare; give the reservation back.
-		e.mu.Lock()
-		e.reservedInUse -= granted
-		e.work.Broadcast()
-		e.mu.Unlock()
-		return
-	}
-	fused := dag.Fuse(parts...)
-	// Fold the interleaved owner space [0, sum of member widths) onto
-	// the granted seats. Policies map owners onto slots modulo the TOTAL
-	// slot count — reserved seats plus lending seats — so an owner left
-	// beyond granted would pin static tasks to a lending seat, which is
-	// only served when a floater happens to attach: the member would
-	// straggle behind whatever big job the floaters are busy with.
-	for _, t := range fused.Tasks {
-		t.Owner %= granted
-	}
-	e.fusionBatches.Add(1)
-	e.fusedJobs.Add(int64(len(members)))
-	comp := &Job{
-		role:    roleComposite,
-		lane:    laneSmall,
-		class:   core.ClassSmall,
-		granted: granted,
-		members: members,
-		startBy: minStart,
-		queued:  now,
-		started: now,
-		done:    make(chan struct{}),
-		finish:  func(rt.Result) any { return nil },
-	}
-	// The forest always runs under the hybrid policy: the members'
-	// graphs already carry their own static/dynamic split (shaped by
-	// each member's Scheduler choice), and hybrid's shared section is
-	// what the pool's floaters lend into.
-	e.launch(comp, fused.Graph, sched.NewHybrid(), core.Options{})
-}
-
-// finishFusedMember completes one member of a fused composite, called
-// from the worker goroutine that executed the member's last task. The
-// finishing CAS elects it against the composite-failure path.
-func (e *Engine) finishFusedMember(m *Job) {
-	if !m.finishing.CompareAndSwap(false, true) {
-		return
-	}
-	// Members assemble from their own graph layout; the composite's
-	// runtime counters are not attributable per member, so Makespan and
-	// Counters stay zero on fused results.
-	m.result = m.finish(rt.Result{})
-	e.completeJob(m, false)
-}
-
-// launch builds the executor for a prepared solo or composite job,
-// publishes its open seats and lending slots, and drives seat 0.
+// launch builds the executor for a prepared job, publishes its open
+// seats and lending slots, and drives seat 0.
 func (e *Engine) launch(j *Job, g *dag.Graph, pol sched.Policy, opt core.Options) {
 	helpers := e.floaters()
 	ex, err := rt.NewExecutor(g, pol, rt.Options{
@@ -1105,39 +942,17 @@ func (e *Engine) driveJob(j *Job, seat int) {
 	e.completeJob(j, true)
 }
 
-// completeJob releases the job's share of the pool, retires it from
-// the running set, records per-class stats and wakes submitters
-// waiting on admission capacity. Role-aware: solo jobs release both
-// their reservation and their admission slot, fused members only the
-// slot (the composite holds the shared reservation), composites only
-// the reservation — and a failed composite fails every member whose
-// completion callback never fired.
+// completeJob releases the job's reservation and admission slot,
+// retires it from the running set, records per-class stats and wakes
+// submitters waiting on admission capacity.
 func (e *Engine) completeJob(j *Job, running bool) {
-	var orphans []*Job
 	e.mu.Lock()
 	j.state = jsDone
-	switch j.role {
-	case roleSolo:
-		e.reservedInUse -= j.granted
-		if j.lane == laneBig {
-			e.bigReserved -= j.granted
-		}
-		e.inflight--
-	case roleMember:
-		e.inflight--
-	case roleComposite:
-		e.reservedInUse -= j.granted
-		if j.err != nil {
-			// The forest aborted: members that never reached their
-			// OnDone inherit the composite's error. The finishing CAS
-			// excludes members completing normally right now.
-			for _, m := range j.members {
-				if m.finishing.CompareAndSwap(false, true) {
-					orphans = append(orphans, m)
-				}
-			}
-		}
+	e.reservedInUse -= j.granted
+	if j.lane == laneBig {
+		e.bigReserved -= j.granted
 	}
+	e.inflight--
 	if running {
 		for i, r := range e.run {
 			if r == j {
@@ -1146,19 +961,15 @@ func (e *Engine) completeJob(j *Job, running bool) {
 			}
 		}
 	}
-	if j.role != roleComposite {
-		idx := classIdx(j.class)
-		if j.err != nil {
-			e.classFailed[idx]++
-		} else {
-			e.classDone[idx]++
-			e.ring(idx).add(float64(time.Since(j.queued).Microseconds()) / 1e3)
-		}
+	idx := classIdx(j.class)
+	if j.err != nil {
+		e.classFailed[idx]++
+	} else {
+		e.classDone[idx]++
+		e.ring(idx).add(float64(time.Since(j.queued).Microseconds()) / 1e3)
 	}
-	// Fold successful solo/composite spans into the per-class
-	// service-rate EWMAs; members overlap their batch mates, so their
-	// spans would skew it.
-	if j.err == nil && j.role != roleMember && !j.started.IsZero() {
+	// Fold successful spans into the job's service-rate EWMA.
+	if j.err == nil && !j.started.IsZero() {
 		e.observeRateLocked(j, time.Since(j.started))
 	}
 	stop := j.stopCancel
@@ -1170,19 +981,13 @@ func (e *Engine) completeJob(j *Job, running bool) {
 	if stop != nil {
 		stop()
 	}
-	if j.role != roleComposite {
-		if j.err != nil {
-			e.jobsFailed.Add(1)
-		} else {
-			e.jobsDone.Add(1)
-		}
+	if j.err != nil {
+		e.jobsFailed.Add(1)
+	} else {
+		e.jobsDone.Add(1)
 	}
 	if !j.started.IsZero() {
 		j.span = time.Since(j.started)
 	}
 	close(j.done)
-	for _, m := range orphans {
-		m.err = j.err
-		e.completeJob(m, false)
-	}
 }

@@ -44,11 +44,11 @@
 //	job, err := eng.Submit(ctx, repro.SolveWork(f, B), repro.Options{Workers: 4})
 //
 // Engine admission is traffic-shaped: small jobs ride an express lane
-// and are fused into one composite DAG sharing a single reservation,
-// big jobs are bounded to a share of the pool, and jobs may carry a
-// deadline (Options.Deadline) — lanes are laxity-ordered and
-// infeasible submissions are shed with ErrEngineDeadlineInfeasible
-// before queueing. Every job kind goes through the same two calls,
+// with a one-worker default share, big jobs are bounded to a share of
+// the pool, and jobs may carry a deadline (Options.Deadline) — lanes
+// are laxity-ordered and infeasible submissions are shed with
+// ErrEngineDeadlineInfeasible before queueing. Every job kind goes
+// through the same two calls,
 // Submit (blocks at the admission bound) and TrySubmit
 // (ErrEngineSaturated instead); their context cancels work that is still
 // queued.
@@ -247,9 +247,8 @@ type Solvable = engine.Solvable
 type EngineStats = engine.Stats
 
 // JobClass labels a job for the engine's two-lane admission: small
-// jobs ride an express lane and may be fused into one composite DAG
-// sharing a single worker reservation; large jobs queue in a lane
-// bounded to a share of the pool. Set on Options.Class; ClassAuto lets
+// jobs ride an express lane and default to a one-worker share; large
+// jobs queue in a lane bounded to a share of the pool. Set on Options.Class; ClassAuto lets
 // the engine classify by estimated flop count.
 type JobClass = core.JobClass
 
