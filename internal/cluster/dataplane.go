@@ -111,7 +111,7 @@ func (rt *Router) handleFactor(w http.ResponseWriter, body []byte, prefix, path 
 	rt.factors.Add(1)
 
 	start := time.Now()
-	s, resp := rt.try(owners, (*shardState).placeable, factorRetryable, path+"?id="+url.QueryEscape(key), body)
+	s, resp := rt.try(owners, rt.placeable, factorRetryable, path+"?id="+url.QueryEscape(key), body)
 	if resp == nil {
 		ownerSetDown(w, "no live owner for key "+key)
 		return
@@ -151,7 +151,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, body []byte, path string) {
 		first := int(rt.rotor.Add(1)) % n
 		holders = append(holders[first:n:n], holders[:first]...)
 	}
-	_, resp := rt.try(holders, (*shardState).routable, solveRetryable, path, body)
+	_, resp := rt.try(holders, rt.routable, solveRetryable, path, body)
 	if resp == nil {
 		ownerSetDown(w, "every shard holding "+req.ID+" is unreachable")
 		return
@@ -162,11 +162,11 @@ func (rt *Router) handleSolve(w http.ResponseWriter, body []byte, path string) {
 // observeRepLag folds one factor-to-replicated latency into the EWMA.
 func (rt *Router) observeRepLag(d time.Duration) {
 	ms := float64(d) / float64(time.Millisecond)
-	rt.lagMu.Lock()
+	rt.mu.Lock()
 	if rt.repLagMs == 0 {
 		rt.repLagMs = ms
 	} else {
 		rt.repLagMs = 0.7*rt.repLagMs + 0.3*ms
 	}
-	rt.lagMu.Unlock()
+	rt.mu.Unlock()
 }

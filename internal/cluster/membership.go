@@ -23,45 +23,43 @@ func (rt *Router) noteResult(s *shardState, err error) {
 	}
 }
 
-// noteTransportError counts a failure and evicts the shard from the
-// ring once FailAfter consecutive failures accumulate.
+// noteTransportError counts a failure; once FailAfter consecutive
+// failures accumulate, settle evicts the shard from the ring.
 func (rt *Router) noteTransportError(s *shardState) {
 	s.errs.Add(1)
-	s.mu.Lock()
-	s.consecFails++
-	trip := s.healthy && s.consecFails >= rt.opt.FailAfter
-	if trip {
-		s.healthy = false
-	}
-	s.mu.Unlock()
-	// Only ringMu here, never adminMu: transport errors surface inside
-	// Join/Drain migrations too, which already hold adminMu. A ring
-	// swap racing this eviction can resurrect the node's points, but
-	// routing re-checks shard health on every request, so a stale ring
-	// entry costs a skipped candidate, not a misroute.
-	if trip {
-		rt.ringMu.Lock()
-		rt.ring.Remove(s.name)
-		rt.ringMu.Unlock()
+	if s.consecFails.Add(1) >= int64(rt.opt.FailAfter) {
+		rt.settle(s)
 	}
 }
 
-// noteAlive resets the failure streak; a previously evicted shard
-// rejoins the ring (its kept state may be stale or gone — solve
-// failover covers the 404s until new placements repopulate it).
+// noteAlive resets the failure streak. Only a streak that had reached
+// FailAfter can have evicted the shard, so a healthy shard's success
+// ends here, lock-free; an evicted one rejoins the ring (its kept state
+// may be stale or gone — solve failover covers the 404s until new
+// placements repopulate it).
 func (rt *Router) noteAlive(s *shardState) {
-	s.mu.Lock()
-	s.consecFails = 0
-	rejoin := !s.healthy && !s.retired
-	if rejoin {
+	if s.consecFails.Swap(0) >= int64(rt.opt.FailAfter) {
+		rt.settle(s)
+	}
+}
+
+// settle makes s's health flag and ring membership agree with its
+// failure streak, re-read under mu so that racing successes and failures
+// settle to the last streak either wrote. It takes only mu, never
+// adminMu: transport errors surface inside Join/Drain migrations too,
+// which already hold adminMu. A retired shard never rejoins.
+func (rt *Router) settle(s *shardState) {
+	rt.mu.Lock()
+	up := s.consecFails.Load() < int64(rt.opt.FailAfter)
+	switch {
+	case !up && s.healthy:
+		s.healthy = false
+		rt.ring.Remove(s.name)
+	case up && !s.healthy && !s.retired:
 		s.healthy = true
-	}
-	s.mu.Unlock()
-	if rejoin {
-		rt.ringMu.Lock()
 		rt.ring.Add(s.name)
-		rt.ringMu.Unlock()
 	}
+	rt.mu.Unlock()
 }
 
 // probeLoop drives periodic health probes until Close.
@@ -84,9 +82,9 @@ func (rt *Router) probeLoop() {
 // instead of waiting out a probe interval.
 func (rt *Router) ProbeNow() {
 	for _, s := range rt.shardList() {
-		s.mu.Lock()
+		rt.mu.RLock()
 		retired := s.retired
-		s.mu.Unlock()
+		rt.mu.RUnlock()
 		if retired {
 			continue
 		}
@@ -165,7 +163,7 @@ func (rt *Router) migrateKey(key string, current, want []string) []string {
 		}
 		for _, name := range current {
 			s := rt.shard(name)
-			if s == nil || !s.routable() {
+			if s == nil || !rt.routable(s) {
 				continue
 			}
 			b, err := rt.exportFrom(s, key)
@@ -183,7 +181,7 @@ func (rt *Router) migrateKey(key string, current, want []string) []string {
 			continue
 		}
 		t := rt.shard(name)
-		if t == nil || !t.routable() || !fetch() {
+		if t == nil || !rt.routable(t) || !fetch() {
 			rt.repFail.Add(1)
 			continue
 		}
@@ -211,28 +209,27 @@ func (rt *Router) Join(si ShardInfo) error {
 	}
 	rt.adminMu.Lock()
 	defer rt.adminMu.Unlock()
-	rt.shardMu.Lock()
+	rt.mu.Lock()
 	if _, dup := rt.shards[si.Name]; dup {
-		rt.shardMu.Unlock()
+		rt.mu.Unlock()
 		return fmt.Errorf("cluster: shard %q already a member", si.Name)
 	}
-	s := &shardState{name: si.Name, url: si.URL, healthy: true}
-	rt.shards[si.Name] = s
-	rt.shardMu.Unlock()
+	rt.shards[si.Name] = &shardState{name: si.Name, url: si.URL, healthy: true}
+	rt.mu.Unlock()
 
 	if status, _, err := rt.boundedGet(si.URL + "/readyz"); err != nil || status != http.StatusOK {
-		rt.shardMu.Lock()
+		rt.mu.Lock()
 		delete(rt.shards, si.Name)
-		rt.shardMu.Unlock()
+		rt.mu.Unlock()
 		return fmt.Errorf("cluster: shard %q at %s is not ready", si.Name, si.URL)
 	}
 
 	// Migrate against the prospective ring, then swap it in: keys the
 	// new shard will own are resident before any request can route on
 	// the new topology.
-	rt.ringMu.RLock()
+	rt.mu.RLock()
 	next := rt.ring.Clone()
-	rt.ringMu.RUnlock()
+	rt.mu.RUnlock()
 	next.Add(si.Name)
 	rt.rebalanceLocked(next)
 
@@ -251,17 +248,14 @@ func (rt *Router) Drain(name string) error {
 	if s == nil {
 		return fmt.Errorf("cluster: unknown shard %q", name)
 	}
-	s.mu.Lock()
+	rt.mu.Lock()
 	if s.retired {
-		s.mu.Unlock()
+		rt.mu.Unlock()
 		return fmt.Errorf("cluster: shard %q already drained", name)
 	}
 	s.draining = true
-	s.mu.Unlock()
-
-	rt.ringMu.RLock()
 	next := rt.ring.Clone()
-	rt.ringMu.RUnlock()
+	rt.mu.Unlock()
 	next.Remove(name)
 	rt.rebalanceLocked(next)
 
@@ -276,16 +270,13 @@ func (rt *Router) Drain(name string) error {
 		resp.Body.Close()
 	}
 
-	s.mu.Lock()
+	// Retire it and drop it from every placement record.
+	rt.mu.Lock()
 	s.retired = true
-	s.mu.Unlock()
-
-	// Drop the retired shard from every placement record.
-	rt.placeMu.Lock()
 	for key, hs := range rt.placements {
 		rt.placements[key] = slices.DeleteFunc(hs, func(h string) bool { return h == name })
 	}
-	rt.placeMu.Unlock()
+	rt.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("cluster: shard %q state migrated but drain call failed: %w", name, err)
 	}
@@ -298,39 +289,34 @@ func (rt *Router) Drain(name string) error {
 // eviction, a rejoin — only landed on the ring being replaced: swapping
 // the stale clone in verbatim would resurrect an evicted shard's ring
 // points (or drop a rejoined shard's) until the next event fixed it up.
-// Reconcile under ringMu: re-read each shard's flags and apply them to
-// the prospective ring before it goes live. Flag writers (noteAlive,
-// noteTransportError) set the flag under shardState.mu strictly before
-// their own ringMu section, so every event is either visible to this
-// re-read or its ring edit lands on the installed ring — never neither.
+// So the flags are re-read and applied to the prospective ring in the
+// same mu section that swaps it in. settle writes a flag and edits the
+// ring in one mu section too, so every event is either visible to this
+// re-read or lands on the installed ring — never neither.
 func (rt *Router) installRing(next *Ring) {
-	shards := rt.shardList()
-	rt.ringMu.Lock()
-	for _, s := range shards {
-		s.mu.Lock()
-		healthy, retired, draining := s.healthy, s.retired, s.draining
-		s.mu.Unlock()
+	rt.mu.Lock()
+	for _, s := range rt.shards {
 		switch {
-		case !healthy || retired:
+		case !s.healthy || s.retired:
 			next.Remove(s.name)
-		case !draining:
+		case !s.draining:
 			next.Add(s.name)
 		}
 	}
 	rt.ring = next
-	rt.ringMu.Unlock()
+	rt.mu.Unlock()
 }
 
 // rebalanceLocked (adminMu held) rewrites every placement to the owner
 // set under the prospective ring, migrating factorizations to owners
 // that lack them.
 func (rt *Router) rebalanceLocked(next *Ring) {
-	rt.placeMu.Lock()
+	rt.mu.RLock()
 	snap := make(map[string][]string, len(rt.placements))
 	for k, hs := range rt.placements {
 		snap[k] = append([]string(nil), hs...)
 	}
-	rt.placeMu.Unlock()
+	rt.mu.RUnlock()
 	for key, current := range snap {
 		want := next.Owners(key, rt.opt.Replicas)
 		after := rt.migrateKey(key, current, want)

@@ -6,20 +6,20 @@ import "sort"
 // hold it (the placement table), and which of them may be sent work.
 
 func (rt *Router) ownerSet(key string) []string {
-	rt.ringMu.RLock()
-	defer rt.ringMu.RUnlock()
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
 	return rt.ring.Owners(key, rt.opt.Replicas)
 }
 
 func (rt *Router) shard(name string) *shardState {
-	rt.shardMu.RLock()
-	defer rt.shardMu.RUnlock()
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
 	return rt.shards[name]
 }
 
 func (rt *Router) shardList() []*shardState {
-	rt.shardMu.RLock()
-	defer rt.shardMu.RUnlock()
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
 	out := make([]*shardState, 0, len(rt.shards))
 	for _, s := range rt.shards {
 		out = append(out, s)
@@ -29,16 +29,16 @@ func (rt *Router) shardList() []*shardState {
 }
 
 // routable: may receive solves and admin traffic.
-func (s *shardState) routable() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (rt *Router) routable(s *shardState) bool {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
 	return s.healthy && !s.retired
 }
 
 // placeable: may receive new factor placements.
-func (s *shardState) placeable() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (rt *Router) placeable(s *shardState) bool {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
 	return s.healthy && !s.retired && !s.draining
 }
 
@@ -47,8 +47,8 @@ func (s *shardState) placeable() bool {
 // a drain emptied is still a placed key — its solves are "owner set
 // down", not "never heard of it".
 func (rt *Router) holders(key string) (hs []string, placed bool) {
-	rt.placeMu.Lock()
-	defer rt.placeMu.Unlock()
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
 	hs, placed = rt.placements[key]
 	return append([]string(nil), hs...), placed
 }
@@ -62,7 +62,7 @@ func (rt *Router) Holders(key string) []string {
 }
 
 func (rt *Router) setHolders(key string, hs []string) {
-	rt.placeMu.Lock()
-	defer rt.placeMu.Unlock()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.placements[key] = hs
 }

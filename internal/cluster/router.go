@@ -38,20 +38,20 @@ type RouterOptions struct {
 	Client *http.Client
 }
 
-// shardState is the router's view of one shard. Counter fields are
-// atomic so the data path never takes the flag mutex just to count.
+// shardState is the router's view of one shard. The counters are
+// atomic so the data path never takes a lock just to count; the flags
+// are guarded by Router.mu.
 type shardState struct {
 	name string
 	url  string
 
-	requests atomic.Int64 // proxied requests (data + admin)
-	errs     atomic.Int64 // transport-level failures
+	requests    atomic.Int64 // proxied requests (data + admin)
+	errs        atomic.Int64 // transport-level failures
+	consecFails atomic.Int64 // current failure streak; FailAfter evicts
 
-	mu          sync.Mutex //hsd:lockrank shardState.mu 40
-	healthy     bool
-	draining    bool // no new factor placements; still serves solves
-	retired     bool // drained out; never routed again
-	consecFails int
+	healthy  bool
+	draining bool // no new factor placements; still serves solves
+	retired  bool // drained out; never routed again
 }
 
 // Router is the cluster front door: it consistent-hashes factorization
@@ -64,25 +64,23 @@ type Router struct {
 	client *http.Client
 
 	// adminMu serializes migrating membership changes (join, drain) so
-	// their rebalances never interleave; probe-driven evict/rejoin
-	// touch only ringMu. The lock hierarchy below is machine-checked by
-	// hsdlint's lockorder analyzer from the //hsd:lockrank annotations
-	// (lower rank = acquired first):
-	// adminMu > shardMu > ringMu > shardState.mu > placeMu.
-	adminMu sync.Mutex //hsd:lockrank adminMu 10
+	// their rebalances never interleave. It is only ever taken with mu
+	// not held, and probe or transport eviction never takes it: those
+	// fire inside a migration, which holds adminMu.
+	adminMu sync.Mutex
 
-	shardMu sync.RWMutex //hsd:lockrank shardMu 20
-	shards  map[string]*shardState
-
-	ringMu sync.RWMutex //hsd:lockrank ringMu 30
+	// mu guards the shard map, every shard's flags, the ring, the
+	// placement table and the lag EWMA. No code takes another lock while
+	// holding it.
+	mu     sync.RWMutex
+	shards map[string]*shardState
 	ring   *Ring
-
 	// placements records which shards hold each key — written at factor
 	// time and rewritten by migrations. It is what lets a solve for a
 	// lost key answer "owner set down" (503) instead of "never heard of
 	// it" (404), and what drains and joins enumerate.
-	placeMu    sync.Mutex //hsd:lockrank placeMu 50
 	placements map[string][]string
+	repLagMs   float64 // EWMA of factor-reply-to-replicas-imported latency
 
 	seq       atomic.Int64
 	factors   atomic.Int64
@@ -91,9 +89,6 @@ type Router struct {
 	repOK     atomic.Int64
 	repFail   atomic.Int64
 	rotor     atomic.Int64
-
-	lagMu    sync.Mutex
-	repLagMs float64 // EWMA of factor-reply-to-replicas-imported latency
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -182,7 +177,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	for _, s := range rt.shardList() {
-		if s.placeable() {
+		if rt.placeable(s) {
 			w.WriteHeader(http.StatusOK)
 			io.WriteString(w, "ready\n")
 			return

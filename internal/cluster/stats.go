@@ -33,16 +33,12 @@ type routerStats struct {
 // Stats snapshots the router, fetching each routable shard's own stats
 // block live (each fetch bounded by probeTimeout).
 func (rt *Router) Stats() routerStats {
-	rt.ringMu.RLock()
+	rt.mu.RLock()
 	gen := rt.ring.Gen()
 	members := rt.ring.Nodes()
-	rt.ringMu.RUnlock()
-	rt.placeMu.Lock()
 	keys := len(rt.placements)
-	rt.placeMu.Unlock()
-	rt.lagMu.Lock()
 	lag := rt.repLagMs
-	rt.lagMu.Unlock()
+	rt.mu.RUnlock()
 
 	out := routerStats{
 		RingGen:             gen,
@@ -58,7 +54,7 @@ func (rt *Router) Stats() routerStats {
 		Shards:              map[string]routerShardStats{},
 	}
 	for _, s := range rt.shardList() {
-		s.mu.Lock()
+		rt.mu.RLock()
 		st := routerShardStats{
 			URL:             s.url,
 			Healthy:         s.healthy,
@@ -68,7 +64,7 @@ func (rt *Router) Stats() routerStats {
 			TransportErrors: s.errs.Load(),
 		}
 		alive := s.healthy && !s.retired
-		s.mu.Unlock()
+		rt.mu.RUnlock()
 		if alive {
 			s.requests.Add(1)
 			status, b, err := rt.boundedGet(s.url + "/v1/stats")

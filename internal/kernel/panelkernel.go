@@ -13,9 +13,9 @@ var panelKernel = panelKernelGeneric
 
 // panelKernelGeneric is the portable pmr x pnr implementation: one
 // columnful of the tile is updated per (l, j) step with the same
-// unrolled multiply/subtract loop the micro-panel factorization uses.
-//
-//hsd:bitident
+// multiply/subtract loop the micro-panel factorization uses. The
+// float64 conversion keeps the compiler from fusing the product into
+// the subtract (see rank1Sub).
 func panelKernelGeneric(w int, ap, bp, c []float64, ldc int) {
 	for l := 0; l < w; l++ {
 		al := ap[l*pmr : l*pmr+pmr]
@@ -24,7 +24,7 @@ func panelKernelGeneric(w int, ap, bp, c []float64, ldc int) {
 			u := bl[j]
 			cj := c[j*ldc : j*ldc+pmr]
 			for i := range cj {
-				cj[i] -= al[i] * u
+				cj[i] -= float64(al[i] * u)
 			}
 		}
 	}

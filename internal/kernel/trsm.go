@@ -53,8 +53,6 @@ func TrsmLowerLeftUnitNaive(l, b View) {
 // trsmLowerLeftUnitNaive is the micro-solver of the blocked forward
 // solve and of the micro-panel U-row solve inside Getrf, so it shares
 // the panel layer's rounding contract.
-//
-//hsd:bitident
 func trsmLowerLeftUnitNaive(l, b View) {
 	n, m := b.Rows, b.Cols
 	for j := 0; j < m; j++ {
@@ -65,7 +63,7 @@ func trsmLowerLeftUnitNaive(l, b View) {
 			bkj := bj[k]
 			lk := l.Data[k*l.Stride:]
 			for i := k + 1; i < n; i++ {
-				bj[i] -= lk[i] * bkj
+				bj[i] -= float64(lk[i] * bkj)
 			}
 		}
 	}
@@ -106,8 +104,6 @@ type trsmScratch struct {
 // loops' multiply/subtract sequence in the same k order, so the bits
 // are theirs. Ragged strips and row blocks are staged through a zero-
 // padded scratch strip.
-//
-//hsd:bitident
 func trsmLowerLeftUnitDiag(l, b View) {
 	n, m := b.Rows, b.Cols
 	if trsmLowerUnitTile == nil || n <= trsmTileRows || n > trsmBlock || m < trsmTileCols {

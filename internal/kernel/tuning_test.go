@@ -25,6 +25,24 @@ func withProfile(t *testing.T, p Profile, f func()) {
 	f()
 }
 
+// withPortablePanel installs the portable panel layer for the duration
+// of f — the generic panel kernel, rank-1 update, column scaling and
+// pivot search, no TRSM tile kernel, and the 4x4 panel tile — restoring
+// the registered set afterwards. Where the AVX2 set is registered, this
+// is how the Go loops every other target runs take part in the
+// bit-identity tests.
+func withPortablePanel(f func()) {
+	kern, r1, scale, imax, tile := panelKernel, rank1Sub, scaleVec, idamaxRange, trsmLowerUnitTile
+	mr, nr := pmr, pnr
+	defer func() {
+		panelKernel, rank1Sub, scaleVec, idamaxRange, trsmLowerUnitTile = kern, r1, scale, imax, tile
+		pmr, pnr = mr, nr
+	}()
+	panelKernel, rank1Sub, scaleVec, idamaxRange, trsmLowerUnitTile = panelKernelGeneric, rank1SubGeneric, scaleVecGeneric, idamaxRangeGeneric, nil
+	pmr, pnr = 4, 4
+	f()
+}
+
 // testProfiles is the grid the bit-identity and accuracy tests sweep,
 // keyed by subtest name: every registered micro-kernel at the machine's
 // blocking, at an odd small one, and at each blocking the retired
@@ -46,34 +64,39 @@ func testProfiles() map[string]Profile {
 // micro-kernel, any blocking — the blocked Getrf produces pivots and
 // values EXACTLY equal to scalar Getf2, because the panel tile (pmr x
 // pnr) and its separate multiply/subtract rounding never move with the
-// profile.
+// profile. The portable-panel case runs the same check on the portable
+// panel layer.
 func TestGetrfBitIdenticalAcrossProfiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src := randView(rng, 193, 61)
+	check := func(t *testing.T) {
+		blocked := cloneView(src)
+		scalar := cloneView(src)
+		pivB := make([]int, 61)
+		pivS := make([]int, 61)
+		if err := Getrf(blocked, pivB); err != nil {
+			t.Fatal(err)
+		}
+		if err := Getf2(scalar, pivS); err != nil {
+			t.Fatal(err)
+		}
+		for i := range pivB {
+			if pivB[i] != pivS[i] {
+				t.Fatalf("pivot %d: blocked %d scalar %d", i, pivB[i], pivS[i])
+			}
+		}
+		if d := maxAbsDiffBacking(blocked, scalar); d != 0 {
+			t.Fatalf("values diverge: max |diff| = %g (want exactly 0)", d)
+		}
+	}
 	for name, p := range testProfiles() {
 		t.Run(name, func(t *testing.T) {
-			withProfile(t, p, func() {
-				blocked := cloneView(src)
-				scalar := cloneView(src)
-				pivB := make([]int, 61)
-				pivS := make([]int, 61)
-				if err := Getrf(blocked, pivB); err != nil {
-					t.Fatal(err)
-				}
-				if err := Getf2(scalar, pivS); err != nil {
-					t.Fatal(err)
-				}
-				for i := range pivB {
-					if pivB[i] != pivS[i] {
-						t.Fatalf("pivot %d: blocked %d scalar %d", i, pivB[i], pivS[i])
-					}
-				}
-				if d := maxAbsDiffBacking(blocked, scalar); d != 0 {
-					t.Fatalf("values diverge: max |diff| = %g (want exactly 0)", d)
-				}
-			})
+			withProfile(t, p, func() { check(t) })
 		})
 	}
+	t.Run("portable-panel", func(t *testing.T) {
+		withPortablePanel(func() { check(t) })
+	})
 }
 
 // TestGemmAccurateAcrossProfiles sweeps the same profile grid over the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -444,6 +445,54 @@ func TestServeSaturation429(t *testing.T) {
 	resp, out = postJSON(t, ts.URL+"/v1/factor", `{"n":8,"seed":1,"workers":1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("factor after release: %d %v", resp.StatusCode, out)
+	}
+}
+
+// TestServeErrorStatusTable pins the package's error-to-status table:
+// every sentinel and typed error maps to its status, bare and wrapped
+// with %w, so a == or a type assertion in place of errors.Is/As fails
+// here on the wrapped row.
+func TestServeErrorStatusTable(t *testing.T) {
+	cases := []struct {
+		name       string
+		reply      func(http.ResponseWriter, error)
+		err        error
+		status     int
+		retryAfter bool
+		prefix     float64 // solvablePrefix, or -1 for none
+	}{
+		{"saturated", submitError, engine.ErrSaturated, http.StatusTooManyRequests, true, -1},
+		{"deadline", submitError, engine.ErrDeadlineInfeasible, http.StatusServiceUnavailable, true, -1},
+		{"bad-submit", submitError, errors.New("bad options"), http.StatusBadRequest, false, -1},
+		{"singular", solveError, &core.SingularSolveError{Prefix: 7, N: 10}, http.StatusUnprocessableEntity, false, 7},
+		{"solve-failed", solveError, errors.New("broken"), http.StatusUnprocessableEntity, false, -1},
+	}
+	for _, tc := range cases {
+		for _, wrapped := range []bool{false, true} {
+			err := tc.err
+			name := tc.name
+			if wrapped {
+				err = fmt.Errorf("x: %w", err)
+				name += "/wrapped"
+			}
+			t.Run(name, func(t *testing.T) {
+				rec := httptest.NewRecorder()
+				tc.reply(rec, err)
+				if rec.Code != tc.status {
+					t.Fatalf("status %d, want %d (%s)", rec.Code, tc.status, rec.Body)
+				}
+				if got := rec.Header().Get("Retry-After") != ""; got != tc.retryAfter {
+					t.Fatalf("Retry-After present %v, want %v", got, tc.retryAfter)
+				}
+				var out map[string]any
+				if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+					t.Fatalf("reply is not JSON: %v: %s", err, rec.Body)
+				}
+				if p, ok := out["solvablePrefix"].(float64); ok != (tc.prefix >= 0) || ok && p != tc.prefix {
+					t.Fatalf("solvablePrefix %v (present %v), want %v", p, ok, tc.prefix)
+				}
+			})
+		}
 	}
 }
 
