@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/engine"
@@ -995,4 +996,46 @@ func BenchmarkRouterSolveFanout(b *testing.B) {
 			}
 		}
 	})
+}
+
+// ---------------------------------------------------------------------
+// Request decode: the n = 512 /v1/factor body (a 4.7 MB JSON matrix)
+// decoded by encoding/json and by the request guards' decoder, whose
+// one-pass parse of the bulk member allocates only the numbers.
+
+// decodeRequest has the shape of a factor request, data its bulk member.
+type decodeRequest struct {
+	Rows  int       `json:"rows"`
+	Cols  int       `json:"cols"`
+	Block int       `json:"block"`
+	Data  []float64 `json:"data"`
+}
+
+func (r *decodeRequest) BulkMember() (string, *[]float64) { return "data", &r.Data }
+
+func BenchmarkServeDecodeFactor(b *testing.B) {
+	const n = 512
+	js, err := json.Marshal(mat.Random(n, n, rand.New(rand.NewSource(1))).Data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := fmt.Appendf(nil, `{"rows":%d,"cols":%d,"block":64,"data":%s}`, n, n, js)
+	for _, dec := range []struct {
+		name   string
+		decode func([]byte, *decodeRequest) error
+	}{
+		{"encoding-json", func(d []byte, v *decodeRequest) error { return json.Unmarshal(d, v) }},
+		{"guard", cluster.DecodeJSON[decodeRequest]},
+	} {
+		b.Run(dec.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				var req decodeRequest
+				if err := dec.decode(body, &req); err != nil || len(req.Data) != n*n {
+					b.Fatalf("decoded %d numbers, err %v", len(req.Data), err)
+				}
+			}
+		})
+	}
 }

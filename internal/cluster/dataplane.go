@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -124,15 +123,21 @@ func (rt *Router) handleFactor(w http.ResponseWriter, body []byte, prefix, path 
 	relay(w, resp)
 }
 
+// solveKey is the part of a solve request the router reads: the id. Its
+// right-hand side b is checked as JSON and dropped.
+type solveKey struct {
+	ID string `json:"id"`
+}
+
+func (*solveKey) BulkMember() (string, *[]float64) { return "b", nil }
+
 // handleSolve routes a solve to the path endpoint of any shard holding
 // the key, rotating the starting replica for read scaling and failing
 // over past dead or evicted holders. Unknown keys are 404; keys whose
 // every holder is gone get the typed ownerSetDown 503.
 func (rt *Router) handleSolve(w http.ResponseWriter, body []byte, path string) {
-	var req struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	var req solveKey
+	if err := DecodeJSON(body, &req); err != nil {
 		HTTPError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}

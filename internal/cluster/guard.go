@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,9 +13,12 @@ import (
 // The request guards. Get, PostJSON and PostBytes wrap every route of
 // both HTTP tiers — the shard's (internal/serve) and the router's — so
 // the method, Content-Type and size checks happen in one place, before
-// any body byte is read, and answer alike on both. A guarded handler
-// receives the decoded request or the capped bytes as a parameter: a
-// function that reads r.Body itself does not fit a route table.
+// any body byte is read, and answer alike on both. A body is read once,
+// into one buffer of its declared size; a JSON body is then decoded by
+// DecodeJSON, which parses a request's bulk number array in one pass. A
+// guarded handler receives the decoded request or the capped bytes as a
+// parameter: a function that reads r.Body itself does not fit a route
+// table.
 
 const (
 	mediaJSON  = "application/json"
@@ -34,47 +38,53 @@ func Get(h http.HandlerFunc) http.HandlerFunc {
 // only, a JSON Content-Type when one is sent, the body capped at
 // maxBody, and nothing but whitespace after the value — a second
 // document or stray bytes are a malformed request, not something to
-// ignore. The value is decoded off the wire, not buffered first.
+// ignore. The body is read whole (PostBytes), then decoded by
+// DecodeJSON.
 func PostJSON[T any](maxBody int64, h func(http.ResponseWriter, *http.Request, *T)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !admit(w, r, http.MethodPost, mediaJSON) {
-			return
-		}
+	return PostBytes(mediaJSON, maxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
 		var v T
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-		if err := dec.Decode(&v); err != nil {
+		if err := DecodeJSON(body, &v); err != nil {
 			bodyError(w, err)
 			return
 		}
-		// Token (not More) is the complete trailing check: More reports
-		// false for a stray closing bracket, while Token returns io.EOF
-		// only when nothing but whitespace follows the value.
-		switch _, err := dec.Token(); {
-		case err == nil:
-			HTTPError(w, http.StatusBadRequest, "bad request: trailing data after JSON body")
-		case !errors.Is(err, io.EOF):
-			bodyError(w, err)
-		default:
-			h(w, r, &v)
-		}
-	}
+		h(w, r, &v)
+	})
 }
 
 // PostBytes guards a route that takes its body whole: POST only, the
-// given media type, at most maxBody bytes. The router's data plane uses
-// it to forward a JSON request as the bytes that arrived.
+// given media type, at most maxBody bytes. A declared Content-Length
+// over maxBody is refused before any byte is read; one within it sizes
+// the buffer the body is read into. The router's data plane uses it to
+// forward a JSON request as the bytes that arrived.
 func PostBytes(mediaType string, maxBody int64, h func(http.ResponseWriter, *http.Request, []byte)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !admit(w, r, http.MethodPost, mediaType) {
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		if r.ContentLength > maxBody {
+			bodyError(w, &http.MaxBytesError{Limit: maxBody})
+			return
+		}
+		body, err := readSized(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength, maxBody)
 		if err != nil {
 			bodyError(w, err)
 			return
 		}
 		h(w, r, body)
 	}
+}
+
+// readSized reads r to its end. A declared length n with 0 < n <= max
+// sizes the one buffer the bytes go to; any other (unknown, or not to
+// be trusted with an allocation) leaves the buffer to grow as io.ReadAll
+// grows it.
+func readSized(r io.Reader, n, max int64) ([]byte, error) {
+	if n <= 0 || n > max {
+		return io.ReadAll(r)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // admit checks what must hold before any body byte is read: the method

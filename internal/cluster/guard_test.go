@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,7 +19,8 @@ import (
 // it — because both are built from the same guards (guard.go) and must
 // answer a malformed request the same way: wrong method 405 + Allow,
 // wrong Content-Type 415, a body one byte over the cap 413 naming the
-// limit, trailing data after the JSON value 400, every error body
+// limit, a Content-Length over the cap 413 before any buffer is sized
+// from it, trailing data after the JSON value 400, every error body
 // {"error": ...}.
 func TestGuardTable(t *testing.T) {
 	const maxBody = 256
@@ -62,16 +64,24 @@ func TestGuardTable(t *testing.T) {
 	}
 
 	for _, tier := range tiers {
-		// do sends one request and, for an error status, checks the body
-		// is the one error shape.
-		do := func(method, path, contentType, body string) *httptest.ResponseRecorder {
+		// do sends one request, its Content-Length the body's unless
+		// length says otherwise, and, for an error status, checks the
+		// body is the one error shape. It returns the bytes the handler
+		// allocated too, counted across every goroutine.
+		do := func(method, path, contentType, body string, length ...int64) (*httptest.ResponseRecorder, uint64) {
 			t.Helper()
 			req := httptest.NewRequest(method, path, strings.NewReader(body))
 			if contentType != "" {
 				req.Header.Set("Content-Type", contentType)
 			}
+			for _, n := range length {
+				req.ContentLength = n
+			}
 			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			tier.h.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
 			if rec.Code >= 400 {
 				var e struct {
 					Error string `json:"error"`
@@ -80,7 +90,7 @@ func TestGuardTable(t *testing.T) {
 					t.Errorf("%s %s %s: %d body %q is not {\"error\": ...}", tier.name, method, path, rec.Code, rec.Body)
 				}
 			}
-			return rec
+			return rec, after.TotalAlloc - before.TotalAlloc
 		}
 		guarded := func(code int) bool {
 			return code == http.StatusMethodNotAllowed || code == http.StatusUnsupportedMediaType ||
@@ -91,13 +101,13 @@ func TestGuardTable(t *testing.T) {
 				if method == r.method {
 					continue
 				}
-				rec := do(method, r.path, jsonType, "{}")
+				rec, _ := do(method, r.path, jsonType, "{}")
 				if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != r.method {
 					t.Errorf("%s %s %s: %d Allow %q, want 405 Allow %s", tier.name, method, r.path, rec.Code, rec.Header().Get("Allow"), r.method)
 				}
 			}
 			if r.method != "POST" {
-				if rec := do("GET", r.path, "", ""); guarded(rec.Code) {
+				if rec, _ := do("GET", r.path, "", ""); guarded(rec.Code) {
 					t.Errorf("%s GET %s: refused with %d", tier.name, r.path, rec.Code)
 				}
 				continue
@@ -110,7 +120,7 @@ func TestGuardTable(t *testing.T) {
 				"application/json; charset=utf-8": r.media == jsonType,
 				bytesType:                         r.media == bytesType,
 			} {
-				rec := do("POST", r.path, ct, "{}")
+				rec, _ := do("POST", r.path, ct, "{}")
 				if want && guarded(rec.Code) {
 					t.Errorf("%s POST %s Content-Type %q: refused with %d %s", tier.name, r.path, ct, rec.Code, rec.Body)
 				} else if !want && rec.Code != http.StatusUnsupportedMediaType {
@@ -119,12 +129,19 @@ func TestGuardTable(t *testing.T) {
 			}
 			// One byte over the cap, the JSON value spanning all of it.
 			over := `{"pad":"` + strings.Repeat("x", maxBody+1-len(`{"pad":""}`)) + `"}`
-			rec := do("POST", r.path, r.media, over)
+			rec, _ := do("POST", r.path, r.media, over)
 			if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), fmt.Sprint(maxBody)) {
 				t.Errorf("%s POST %s with %d bytes: %d %s, want 413 naming %d", tier.name, r.path, len(over), rec.Code, rec.Body, maxBody)
 			}
+			// A declared length over the cap is refused before any read:
+			// the header never sizes an allocation.
+			rec, alloc := do("POST", r.path, r.media, "{}", 1<<40)
+			if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), fmt.Sprint(maxBody)) || alloc >= 1<<20 {
+				t.Errorf("%s POST %s declaring 1<<40 bytes: %d %s after %d bytes allocated, want 413 naming %d under 1 MiB",
+					tier.name, r.path, rec.Code, rec.Body, alloc, maxBody)
+			}
 			if r.media == jsonType {
-				if rec := do("POST", r.path, jsonType, `{"n":4} []`); rec.Code != http.StatusBadRequest {
+				if rec, _ := do("POST", r.path, jsonType, `{"n":4} []`); rec.Code != http.StatusBadRequest {
 					t.Errorf("%s POST %s with trailing data: %d %s, want 400", tier.name, r.path, rec.Code, rec.Body)
 				}
 			}

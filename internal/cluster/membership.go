@@ -122,7 +122,8 @@ func (rt *Router) boundedGet(target string) (int, []byte, error) {
 	return resp.StatusCode, body, err
 }
 
-// exportFrom fetches the serialized factorization for key from a shard.
+// exportFrom fetches the serialized factorization for key from a shard,
+// into one buffer of the declared length when that is within MaxBody.
 func (rt *Router) exportFrom(s *shardState, key string) ([]byte, error) {
 	resp, err := rt.get(s, "/v1/admin/export?id="+url.QueryEscape(key))
 	if err != nil {
@@ -133,7 +134,7 @@ func (rt *Router) exportFrom(s *shardState, key string) ([]byte, error) {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("export %s from %s: status %d: %s", key, s.name, resp.StatusCode, bytes.TrimSpace(b))
 	}
-	return io.ReadAll(resp.Body)
+	return readSized(resp.Body, resp.ContentLength, rt.opt.MaxBody)
 }
 
 // importTo ships serialized factorization bytes to a shard under key.

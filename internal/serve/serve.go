@@ -17,8 +17,11 @@
 // Every route is built from the request guards the router shares
 // (cluster.Get, PostJSON, PostBytes): wrong method 405, wrong
 // Content-Type 415, oversized body 413, trailing data after the JSON
-// value 400 — all before a handler runs. Handlers receive the decoded
-// request (or the capped bytes) as a parameter and never read r.Body.
+// value 400 — all before a handler runs. A body is read once at its
+// declared size, and the matrix of a factor request (data) or the
+// right-hand side of a solve (b) is parsed in one pass (cluster.Bulk).
+// Handlers receive the decoded request (or the capped bytes) as a
+// parameter and never read r.Body.
 package serve
 
 import (
@@ -138,6 +141,9 @@ type factorRequest struct {
 	Residual bool `json:"residual"`
 }
 
+// BulkMember names data as the request's bulk (cluster.Bulk).
+func (r *factorRequest) BulkMember() (string, *[]float64) { return "data", &r.Data }
+
 type factorReply struct {
 	ID          string   `json:"id"`
 	Class       string   `json:"class"`
@@ -161,6 +167,9 @@ type solveRequest struct {
 	Class        string  `json:"class"`
 	DeadlineMs   float64 `json:"deadlineMs"`
 }
+
+// BulkMember names b as the request's bulk (cluster.Bulk).
+func (r *solveRequest) BulkMember() (string, *[]float64) { return "b", &r.B }
 
 type solveReply struct {
 	ID string `json:"id"`
@@ -420,8 +429,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveR
 		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	bm := mat.New(n, nrhs)
-	copy(bm.Data, req.B)
+	// B is column-major n x nrhs already, and the solve does not write it.
+	bm := mat.FromColMajor(n, nrhs, n, req.B)
 	job, err := s.eng.TrySubmit(r.Context(), engine.SolveWork(k.Solvable(), bm), opt)
 	if err != nil {
 		submitError(w, err)

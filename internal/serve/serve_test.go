@@ -7,14 +7,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mat"
@@ -188,9 +192,7 @@ func TestServeTrailingGarbageRejected(t *testing.T) {
 			t.Fatalf("%s with trailing data: %d (%v), want 400", path, resp.StatusCode, out)
 		}
 	}
-	// Stray closing brackets are the json.Decoder.More blind spot: More
-	// peeks '}'/']' and reports false, so only a Token/EOF check
-	// catches them.
+	// Stray closing brackets after the value are trailing data too.
 	for _, body := range []string{`{"n":8,"seed":1} }`, `{"n":8,"seed":1} ]`} {
 		resp, out := postJSON(t, ts.URL+"/v1/factor", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -201,6 +203,46 @@ func TestServeTrailingGarbageRejected(t *testing.T) {
 	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":8,"seed":1,"workers":1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean factor after rejects: %d %v", resp.StatusCode, out)
+	}
+}
+
+// TestServeFactorBodyParsedInOnePass pins the one-pass parse of a
+// factor request's matrix: the n = 512 body decodes to json.Unmarshal's
+// values, bit for bit, allocating at most 1.25x its 2 MiB of numbers.
+// A silent fallback to encoding/json keeps every value right and
+// allocates ~27 MB.
+func TestServeFactorBodyParsedInOnePass(t *testing.T) {
+	const n, calls = 512, 3
+	a := mat.Random(n, n, rand.New(rand.NewSource(1)))
+	js, err := json.Marshal(a.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Appendf(nil, `{"rows":%d,"cols":%d,"block":64,"data":%s}`, n, n, js)
+	var want, got factorRequest
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		got = factorRequest{}
+		if err := cluster.DecodeJSON(body, &got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per, limit := (after.TotalAlloc-before.TotalAlloc)/calls, uint64(n*n*8*5/4); per > limit {
+		t.Errorf("decoding the %d-byte body allocates %d bytes, over %d: the one-pass parse did not run", len(body), per, limit)
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("data[%d] = %v, json.Unmarshal gives %v", i, got.Data[i], want.Data[i])
+		}
+	}
+	got.Data, want.Data = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, json.Unmarshal gives %+v", got, want)
 	}
 }
 
