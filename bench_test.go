@@ -605,8 +605,8 @@ func BenchmarkDispatch(b *testing.B) {
 // through the shared worker pool versus the spawn-workers-per-call
 // baseline, at increasing numbers of inflight jobs.
 
-// engineBatch is one mixed 64..512 workload: the small/large imbalance
-// the engine's inter-job dynamic share exists to absorb.
+// engineBatch is one mixed 64..512 workload: small and large jobs side
+// by side on one pool.
 func engineBatch() []*mat.Dense {
 	sizes := []int{64, 96, 128, 192, 256, 384, 512, 128}
 	ms := make([]*mat.Dense, len(sizes))
@@ -639,17 +639,15 @@ func reportLatencies(b *testing.B, lat []time.Duration) {
 
 // BenchmarkEngineThroughput is the resident-versus-spawn A/B of the
 // engine's reason to exist: the same mixed workload pushed through one
-// long-lived pool (amortized workers and workspaces, two-level hybrid
-// scheduling) and through per-call rt.Run worker spawning, at 1..8
+// long-lived pool (amortized workers and workspaces, a static share
+// per job) and through per-call rt.Run worker spawning, at 1..8
 // inflight jobs. The engine side must at least match the baseline's
 // jobs/sec.
 func BenchmarkEngineThroughput(b *testing.B) {
 	batch := engineBatch()
 	for _, inflight := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("engine/inflight%d", inflight), func(b *testing.B) {
-			eng, err := engine.New(engine.Options{
-				Workers: 4, MaxInflight: inflight, DynamicRatio: 0.25,
-			})
+			eng, err := engine.New(engine.Options{Workers: 4, MaxInflight: inflight})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -741,65 +739,60 @@ func reportClassLatencies(b *testing.B, small, large []time.Duration) {
 // mix it was built for: a burst of tiny factors sandwiched between two
 // big ones (the express lane starts each tiny factor on its own
 // one-worker executor, the big lane is bounded to three quarters of
-// the pool), across several inter-job dynamic ratios. The metric to
-// watch is the small-class p99; README's "Traffic shaping" section
-// records it.
+// the pool). The metric to watch is the small-class p99; README's
+// "Traffic shaping" section records it.
 func BenchmarkEngineMixedTraffic(b *testing.B) {
 	small := make([]*mat.Dense, 12)
 	for i := range small {
 		small[i] = RandomMatrix(64, 64, int64(200+i))
 	}
 	large := []*mat.Dense{RandomMatrix(448, 448, 300), RandomMatrix(512, 512, 301)}
-	for _, dratio := range []float64{0, 0.25, 0.5} {
-		b.Run(fmt.Sprintf("dratio%03.0f", dratio*100), func(b *testing.B) {
-			eng, err := engine.New(engine.Options{Workers: 4, MaxInflight: 32, DynamicRatio: dratio})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			var mu sync.Mutex
-			var latSmall, latLarge []time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				submit := func(a *mat.Dense, bucket *[]time.Duration) {
-					j, err := eng.Submit(context.Background(), engine.FactorWork(a), engineJobOptions())
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						if err := j.Wait(); err != nil {
-							b.Error(err)
-							return
-						}
-						// Latency from the engine's own clock (admission to
-						// last task), not the waiter's wake-up time: with
-						// the pool saturating every core, waiter goroutines
-						// are descheduled for the length of whatever big
-						// kernel is running and would charge that to jobs
-						// that completed long before.
-						mu.Lock()
-						*bucket = append(*bucket, j.QueueWait()+j.Span())
-						mu.Unlock()
-					}()
-				}
-				// Big job first: in arrival order it would
-				// head-of-line-block the small burst behind it — the
-				// pathology the express lane removes.
-				submit(large[0], &latLarge)
-				for _, a := range small {
-					submit(a, &latSmall)
-				}
-				submit(large[1], &latLarge)
-				wg.Wait()
-			}
-			b.StopTimer()
-			reportClassLatencies(b, latSmall, latLarge)
-		})
+	eng, err := engine.New(engine.Options{Workers: 4, MaxInflight: 32})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer eng.Close()
+	var mu sync.Mutex
+	var latSmall, latLarge []time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		submit := func(a *mat.Dense, bucket *[]time.Duration) {
+			j, err := eng.Submit(context.Background(), engine.FactorWork(a), engineJobOptions())
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := j.Wait(); err != nil {
+					b.Error(err)
+					return
+				}
+				// Latency from the engine's own clock (admission to
+				// last task), not the waiter's wake-up time: with
+				// the pool saturating every core, waiter goroutines
+				// are descheduled for the length of whatever big
+				// kernel is running and would charge that to jobs
+				// that completed long before.
+				mu.Lock()
+				*bucket = append(*bucket, j.QueueWait()+j.Span())
+				mu.Unlock()
+			}()
+		}
+		// Big job first: in arrival order it would
+		// head-of-line-block the small burst behind it — the
+		// pathology the express lane removes.
+		submit(large[0], &latLarge)
+		for _, a := range small {
+			submit(a, &latSmall)
+		}
+		submit(large[1], &latLarge)
+		wg.Wait()
+	}
+	b.StopTimer()
+	reportClassLatencies(b, latSmall, latLarge)
 }
 
 // ---------------------------------------------------------------------
@@ -902,7 +895,7 @@ func BenchmarkEngineSolveThroughput(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = RandomMatrix(n, nrhs, int64(60+i))
 	}
-	eng, err := engine.New(engine.Options{Workers: 4, MaxInflight: 8, DynamicRatio: 0.25})
+	eng, err := engine.New(engine.Options{Workers: 4, MaxInflight: 8})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 // Command hsdserve exposes the resident factorization engine over
 // HTTP/JSON: one long-lived worker pool serving concurrent Factor and
-// Solve requests with the two-level hybrid static/dynamic scheduling
-// of internal/engine (static per-job worker reservations, dynamic
-// lending across jobs). Admission is traffic-shaped: small jobs ride
+// Solve requests on internal/engine (static per-job worker
+// reservations, the paper's hybrid static/dynamic scheduling inside
+// each job). Admission is traffic-shaped: small jobs ride
 // an express lane with a one-worker default share, big jobs are
 // bounded to a share of the pool, and jobs may carry a deadline —
 // infeasible ones are shed before queueing.
 //
-//	hsdserve -addr :8080 -pool 8 -dratio 0.25 -maxinflight 32
+//	hsdserve -addr :8080 -pool 8 -maxinflight 32
 //
 // Factor a random 512x512 test matrix with a 2-worker share and keep
 // the factorization resident for later solves:
@@ -49,7 +49,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pool := flag.Int("pool", 0, "resident worker pool size (0 = NumCPU)")
-	dratio := flag.Float64("dratio", 0.25, "inter-job dynamic ratio (0 fully static .. 1 fully dynamic)")
 	maxInflight := flag.Int("maxinflight", 0, "admission bound (0 = 4*pool)")
 	keep := flag.Int("keep", 64, "factorizations kept resident for /v1/solve (>= 1)")
 	maxBody := flag.Int64("maxbody", serve.DefaultMaxBody, "request body cap in bytes")
@@ -66,9 +65,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng, err := engine.New(engine.Options{
-		Workers: *pool, MaxInflight: *maxInflight, DynamicRatio: *dratio,
-	})
+	eng, err := engine.New(engine.Options{Workers: *pool, MaxInflight: *maxInflight})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hsdserve: %v\n", err)
 		os.Exit(2)

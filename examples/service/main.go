@@ -5,7 +5,7 @@
 // goroutines and workspaces). This is the traffic shape the engine
 // exists for; it prints jobs/sec for both modes and the speedup.
 //
-//	go run ./examples/service -jobs 48 -min 256 -max 1024 -pool 8 -dratio 0.25
+//	go run ./examples/service -jobs 48 -min 256 -max 1024 -pool 8
 package main
 
 import (
@@ -67,10 +67,8 @@ func check(err error) {
 }
 
 // runEngine pushes the whole batch through one resident engine.
-func runEngine(work []workload, pool int, dratio float64) time.Duration {
-	eng, err := repro.NewEngine(repro.EngineOptions{
-		Workers: pool, MaxInflight: 2 * pool, DynamicRatio: dratio,
-	})
+func runEngine(work []workload, pool int) time.Duration {
+	eng, err := repro.NewEngine(repro.EngineOptions{Workers: pool, MaxInflight: 2 * pool})
 	check(err)
 	defer eng.Close()
 
@@ -138,7 +136,6 @@ func main() {
 	maxN := flag.Int("max", 1024, "largest matrix dimension")
 	pool := flag.Int("pool", 4, "resident pool size / baseline concurrency")
 	share := flag.Int("share", 2, "static worker share requested per job")
-	dratio := flag.Float64("dratio", 0.25, "inter-job dynamic ratio")
 	seed := flag.Int64("seed", 42, "workload seed")
 	flag.Parse()
 
@@ -154,7 +151,7 @@ func main() {
 	fmt.Printf("spawn-per-call : %8.1f ms  %6.2f jobs/s\n",
 		spawn.Seconds()*1e3, float64(len(work))/spawn.Seconds())
 
-	resident := runEngine(work, *pool, *dratio)
+	resident := runEngine(work, *pool)
 	fmt.Printf("resident engine: %8.1f ms  %6.2f jobs/s  (%.2fx)\n",
 		resident.Seconds()*1e3, float64(len(work))/resident.Seconds(),
 		spawn.Seconds()/resident.Seconds())

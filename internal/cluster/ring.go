@@ -12,8 +12,7 @@
 // The split mirrors the paper's static-partition-plus-dynamic-remainder
 // idea one level up: the ring is the static partition of the key space
 // (cheap, deterministic, no coordination per request), while failover,
-// replica rotation and lending-style re-placement absorb the dynamic
-// remainder — shards that die, drain or join.
+// replica rotation and re-placement absorb the dynamic remainder — shards that die, drain or join.
 package cluster
 
 import (

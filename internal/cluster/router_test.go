@@ -69,7 +69,7 @@ func TestClusterKillOwnerSolveFromReplica(t *testing.T) {
 	}
 
 	// Single-process reference: same request against one lone server.
-	eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 8, DynamicRatio: 0.25})
+	eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestClusterFactorFailoverToReplica(t *testing.T) {
 // edited out of the *old* ring; the swap must not bring it back.
 func TestClusterJoinDoesNotResurrectEvictedShard(t *testing.T) {
 	newShard := func(name string) (*serve.Server, *engine.Engine) {
-		eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 16, DynamicRatio: 0.25})
+		eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 16})
 		if err != nil {
 			t.Fatalf("engine for %s: %v", name, err)
 		}
@@ -563,7 +563,7 @@ func TestClusterJoinDoesNotResurrectEvictedShard(t *testing.T) {
 // newShardServer boots one serve shard behind wrap(its handler).
 func newShardServer(t *testing.T, wrap func(http.Handler) http.Handler) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 16, DynamicRatio: 0.25})
+	eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,8 +135,7 @@ type Options struct {
 	Class JobClass
 	// Deadline, when positive, is the job's submit-relative SLO for the
 	// resident engine: admission orders queued jobs by laxity (deadline
-	// minus estimated service time), the dynamic share lends
-	// preferentially to the latest job, and a submission whose
+	// minus estimated service time), and a submission whose
 	// estimated service time already exceeds its deadline is shed with
 	// ErrDeadlineInfeasible instead of queued. Zero means no deadline.
 	// Ignored by one-shot calls.
@@ -294,9 +293,8 @@ func (p *Prepared[R]) Run() (R, error) {
 
 // PrepareFactor builds the CALU graph for factoring a (which is not
 // modified) under opt. The static distribution is built for
-// opt.Workers owners; executing the graph with additional lending
-// slots (rt.Options.Helpers) does not change the arithmetic, since the
-// graph's dataflow fixes it completely.
+// opt.Workers owners; which worker executes a task does not change the
+// arithmetic, since the graph's dataflow fixes it completely.
 func PrepareFactor(a *mat.Dense, opt Options) (*FactorJob, error) {
 	opt.fill()
 	grid := layout.NewGrid(opt.Workers)

@@ -149,9 +149,9 @@ const (
 	// 128x128 LU large).
 	smallJobFlops = 1e6
 	// bigShare bounds the big lane: while express traffic is waiting,
-	// big-lane jobs may hold at most this share of the reservable
-	// (non-floater) pool. With an empty express lane the bound is
-	// lifted — the pool stays work-conserving for pure-big workloads.
+	// big-lane jobs may hold at most this share of the pool. With an
+	// empty express lane the bound is lifted — the pool stays
+	// work-conserving for pure-big workloads.
 	bigShare = 0.75
 )
 

@@ -3,33 +3,22 @@
 // concurrently, instead of every call spawning and tearing down its own
 // workers (the one-shot rt.Run mode).
 //
-// The scheduling is the paper's hybrid static/dynamic split lifted to
-// the inter-job level. Within one factorization, Donfack et al. reserve
-// a static share of the block columns for locality and let a dynamic
-// share absorb load imbalance; across competing jobs the engine does
-// the same with workers. Each admitted job receives a static
-// reservation — a guaranteed share of the pool that attaches to the
-// job's rt.Executor and drives it to completion, preserving the
-// intra-job owner-computes locality — while the pool's dynamic share
-// (Options.DynamicRatio) floats: an idle floater lends itself to
-// whichever job has published globally poppable work (the shared
-// dynamic heap of the hybrid policy, stealable deques of work
-// stealing), absorbing inter-job imbalance exactly like the paper's
-// dynamic section absorbs intra-job imbalance. DynamicRatio 0 is the
-// fully static A/B end (jobs partition the pool, no lending) and 1 is
-// the fully dynamic end (every job pinned to a single guaranteed
-// worker, everyone else floating).
+// The pool is partitioned statically across jobs. Each admitted job
+// receives a reservation — a share of the pool whose workers attach to
+// the job's rt.Executor and drive it to completion — and the paper's
+// hybrid static/dynamic split runs inside the job, where the policy's
+// shared queue and help tier absorb load imbalance among the job's own
+// workers.
 //
 // Admission is traffic-shaped (see admission.go): jobs are classified
 // small or large by a flop cost model and routed to two lanes. Small
 // jobs take an express lane and run on their own executor with a
 // one-worker default share, while big jobs take a lane whose
-// reservations are bounded to bigShare of the static pool whenever
-// express traffic is waiting, so one huge factorization cannot
+// reservations are bounded to bigShare of the pool whenever express
+// traffic is waiting, so one huge factorization cannot
 // head-of-line-block a stream of tiny solves. Within each lane, jobs
 // with deadlines are served in laxity order and infeasible deadlines
-// are shed at submission with ErrDeadlineInfeasible; floaters lend
-// preferentially to the running job closest to missing its deadline.
+// are shed at submission with ErrDeadlineInfeasible.
 //
 // A job whose requested share is not available starts anyway with what
 // the pool can guarantee (at least one worker), so service is
@@ -46,7 +35,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,50 +63,41 @@ type Options struct {
 	// submissions block (Submit) or fail (TrySubmit). Default
 	// 4*Workers.
 	MaxInflight int
-	// DynamicRatio is the inter-job dratio: the fraction of the pool
-	// that lends itself dynamically across jobs instead of being
-	// reservable as static per-job shares. 0 partitions the pool fully
-	// statically (no lending — the A/B baseline); 1 pins each job to
-	// one guaranteed worker and floats everyone else (fully dynamic).
-	// Values in between reproduce the paper's hybrid sweet spot at the
-	// job level.
+	// DynamicRatio is ignored: every job runs on its static share of
+	// the pool. The field stays for the benchmark module, which sets
+	// it. A job's own dynamic share is core.Options.DynamicRatio.
 	DynamicRatio float64
 }
 
-func (o *Options) fill() error {
+func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 4 * o.Workers
 	}
-	if o.DynamicRatio < 0 || o.DynamicRatio > 1 || math.IsNaN(o.DynamicRatio) {
-		return fmt.Errorf("engine: DynamicRatio %v outside [0,1]", o.DynamicRatio)
-	}
-	return nil
 }
 
 // Stats is a point-in-time snapshot of the engine.
 type Stats struct {
-	// Workers is the resident pool size; Floaters its dynamic share.
-	Workers, Floaters int
+	// Workers is the resident pool size.
+	Workers int
 	// Pending counts queued jobs across both lanes (SmallQueued +
 	// BigQueued); Active counts live executors, one per running job;
-	// ReservedInUse is the sum of active static grants, BigReserved the
-	// big-lane slice of it; HelpersOut the floaters currently lent to a
-	// job.
-	Pending, Active, ReservedInUse, BigReserved, HelpersOut int
+	// ReservedInUse is the sum of active grants, BigReserved the
+	// big-lane slice of it.
+	Pending, Active, ReservedInUse, BigReserved int
 	// SmallQueued and BigQueued are the live lane depths.
 	SmallQueued, BigQueued int
-	// JobsDone/JobsFailed count completed jobs; Lends counts Assist
-	// attachments that executed at least one task for a foreign job.
-	JobsDone, JobsFailed, Lends int64
-	// FusedJobs is always 0: the engine runs every job on its own
-	// executor. The field stays for the benchmark module, which reads
-	// it. Shed counts deadline-infeasible submissions rejected (at
-	// admission or at start); Cancelled counts queued jobs withdrawn by
-	// their submission context.
-	FusedJobs, Shed, Cancelled int64
+	// JobsDone/JobsFailed count completed jobs.
+	JobsDone, JobsFailed int64
+	// Lends and FusedJobs are always 0: no worker runs another job's
+	// tasks, and every job runs on its own executor. The fields stay
+	// for the benchmark module, which reads them. Shed counts
+	// deadline-infeasible submissions rejected (at admission or at
+	// start); Cancelled counts queued jobs withdrawn by their
+	// submission context.
+	Lends, FusedJobs, Shed, Cancelled int64
 	// Small and Large are the per-class latency digests.
 	Small, Large ClassStats
 	Closed       bool
@@ -141,8 +120,6 @@ type Engine struct {
 	inflight      int
 	reservedInUse int
 	bigReserved   int
-	helpersOut    int
-	rotor         int
 	seq           uint64
 	// rates are the per-class EWMA service-rate estimates, flops per
 	// nanosecond, indexed by rate class (rateGemm, rateMem): factor
@@ -158,17 +135,15 @@ type Engine struct {
 
 	jobsDone   atomic.Int64
 	jobsFailed atomic.Int64
-	lends      atomic.Int64
 	shedCount  atomic.Int64
 	cancelled  atomic.Int64
 }
 
 // New starts a resident engine: the worker goroutines and the pool-wide
-// kernel workspace reservation live until Close.
+// kernel workspace reservation live until Close. The error is always
+// nil.
 func New(opt Options) (*Engine, error) {
-	if err := opt.fill(); err != nil {
-		return nil, err
-	}
+	opt.fill()
 	e := &Engine{opt: opt}
 	for c := range e.rates {
 		e.rates[c] = ratePrior
@@ -184,12 +159,6 @@ func New(opt Options) (*Engine, error) {
 		go e.worker()
 	}
 	return e, nil
-}
-
-// floaters is the pool's dynamic share: the number of workers that lend
-// themselves across jobs instead of being statically reservable.
-func (e *Engine) floaters() int {
-	return int(math.Round(float64(e.opt.Workers) * e.opt.DynamicRatio))
 }
 
 // classIdx maps a resolved job class to the per-class counter slot.
@@ -242,14 +211,12 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	s := Stats{
 		Workers:       e.opt.Workers,
-		Floaters:      e.floaters(),
 		Pending:       e.small.depth + e.big.depth,
 		SmallQueued:   e.small.depth,
 		BigQueued:     e.big.depth,
 		Active:        len(e.run),
 		ReservedInUse: e.reservedInUse,
 		BigReserved:   e.bigReserved,
-		HelpersOut:    e.helpersOut,
 		Closed:        e.closed,
 	}
 	s.Small = ClassStats{Done: e.classDone[0], Failed: e.classFailed[0], Queued: e.small.depth}
@@ -259,7 +226,6 @@ func (e *Engine) Stats() Stats {
 	e.mu.Unlock()
 	s.JobsDone = e.jobsDone.Load()
 	s.JobsFailed = e.jobsFailed.Load()
-	s.Lends = e.lends.Load()
 	s.Shed = e.shedCount.Load()
 	s.Cancelled = e.cancelled.Load()
 	return s
@@ -294,8 +260,7 @@ type Work struct {
 	// is O(n²·nrhs) against the factorization's O(n³), so a service that
 	// doesn't ask for a wider share should not have tiny solves
 	// reserving the whole pool. An explicitly requested share is
-	// honoured for every kind, and even a one-worker solve still
-	// publishes shared work for the pool's floaters to lend into.
+	// honoured for every kind.
 	wide bool
 	// prepare builds the task graph, policy and result finisher at the
 	// granted share (core.Options.Workers).
@@ -360,7 +325,7 @@ func CholeskyWork(a *mat.Dense) Work {
 // against the n x nrhs block b (not modified). It executes as a blocked
 // triangular-solve graph on the pool at the job's granted share
 // (opt.Workers requests the share; opt.Scheduler/Block/DynamicRatio
-// shape the graph), so big solves parallelize and lend exactly like
+// shape the graph), so big solves parallelize exactly like
 // factorizations. The Result is a *core.Solution.
 func SolveWork(f Solvable, b *mat.Dense) Work {
 	if f == nil {
@@ -382,8 +347,7 @@ func SolveWork(f Solvable, b *mat.Dense) Work {
 
 // Job is the handle of one submitted Work. Wait (or Done) observes
 // completion; Result is valid afterwards. Every kind of job executes as
-// a task graph on its own executor at the job's granted share, lending
-// included.
+// a task graph on its own executor at the job's granted share.
 type Job struct {
 	work   Work
 	reqOpt core.Options
@@ -407,17 +371,9 @@ type Job struct {
 	// prepare together with the graph.
 	finish  func(rt.Result) any
 	granted int
-	// nextSeat hands reserved seats [1,granted) to claiming workers
-	// (seat 0 belongs to the starter); guarded by Engine.mu.
+	// nextSeat hands seats [1,granted) to claiming workers (seat 0
+	// belongs to the starter); guarded by Engine.mu.
 	nextSeat int
-	// helperSlots holds the free lending-slot ids of this job's
-	// executor; possession of an id serializes Assist on that slot.
-	helperSlots chan int
-	// lendHint is set when the executor published shared work with all
-	// reserved workers busy, and cleared by a floater that attached
-	// and found nothing: the engine only sends floaters where the hint
-	// is up.
-	lendHint atomic.Bool
 	// finishing elects the single finalizer: the first driver back.
 	finishing atomic.Bool
 
@@ -622,16 +578,15 @@ func (e *Engine) cancelQueued(j *Job, cause error) {
 // The resident worker loop.
 
 // worker is one resident pool goroutine. Assignments, in preference
-// order: claim an open reserved seat of a running job (finish what was
-// started), start lane work (an express-lane head, a big-lane head, or
-// a deadline-expired pop to shed), or float — lend itself to a running
-// job that has signalled spare shared work.
+// order: claim an open seat of a running job (finish what was started),
+// or start lane work (an express-lane head, a big-lane head, or a
+// deadline-expired pop to shed).
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
 		e.mu.Lock()
 		var j *Job
-		var seat, slot int
+		var seat int
 		var shed bool
 		mode := 0
 		for {
@@ -641,11 +596,6 @@ func (e *Engine) worker() {
 			}
 			if j, shed = e.startableLocked(); j != nil {
 				mode = 2
-				break
-			}
-			if j, slot = e.assistableLocked(); j != nil {
-				mode = 3
-				e.helpersOut++
 				break
 			}
 			// Exit on inflight, not queue/run emptiness: a job between
@@ -672,26 +622,11 @@ func (e *Engine) worker() {
 			} else {
 				e.startJob(j)
 			}
-		case 3:
-			// Lower the hint BEFORE probing: a shared publish that
-			// lands mid-assist then wins the lendSignal CAS and sends a
-			// fresh signal, so no lend request is ever swallowed by the
-			// store. If the probe does find work, re-raise the hint —
-			// a queue deep enough to feed one floater likely has more.
-			j.lendHint.Store(false)
-			if j.ex.Assist(slot) {
-				e.lends.Add(1)
-				j.lendHint.Store(true)
-			}
-			j.helperSlots <- slot
-			e.mu.Lock()
-			e.helpersOut--
-			e.mu.Unlock()
 		}
 	}
 }
 
-// claimSeatLocked finds a running job with an unclaimed reserved seat.
+// claimSeatLocked finds a running job with an unclaimed seat.
 func (e *Engine) claimSeatLocked() (*Job, int) {
 	for _, j := range e.run {
 		if j.nextSeat < j.granted {
@@ -720,8 +655,8 @@ func (e *Engine) startableLocked() (j *Job, shed bool) {
 			return head, false
 		}
 	}
-	// Big lane, bounded to bigShare of the reservable pool while
-	// express traffic waits.
+	// Big lane, bounded to bigShare of the pool while express traffic
+	// waits.
 	if head := e.big.peek(); head != nil {
 		if g := e.grantBigLocked(head.req(e.opt.Workers)); g > 0 {
 			e.big.pop()
@@ -750,32 +685,15 @@ func (e *Engine) expiredLocked() *Job {
 	return nil
 }
 
-// grantLocked sizes a job's static share: its request capped by the
-// reservable share S = Workers - floaters, with a floor of one worker
-// (the per-job liveness guarantee — lending slots cannot serve
-// owner-pinned tasks, so every job keeps at least one reserved
-// driver), and never more seats than workers left unreserved.
+// grantLocked sizes a job's share: its request, capped by the workers
+// left unreserved. Zero means none is left and the job waits.
 func (e *Engine) grantLocked(req int) int {
-	free := e.opt.Workers - e.reservedInUse
-	if free < 1 {
-		return 0
-	}
-	g := req
-	if avail := e.opt.Workers - e.floaters() - e.reservedInUse; g > avail {
-		g = avail
-	}
-	if g < 1 {
-		g = 1
-	}
-	if g > free {
-		g = free
-	}
-	return g
+	return min(req, e.opt.Workers-e.reservedInUse)
 }
 
 // grantBigLocked is grantLocked with the big lane's bound applied:
 // while express traffic is waiting, big-lane jobs may together hold at
-// most bigShare of the reservable pool, so a stream of small jobs is
+// most bigShare of the pool, so a stream of small jobs is
 // never head-of-line-blocked behind wide factorizations. With an empty
 // express lane the bound is lifted (work conservation).
 func (e *Engine) grantBigLocked(req int) int {
@@ -783,7 +701,7 @@ func (e *Engine) grantBigLocked(req int) int {
 	if g == 0 || e.small.depth == 0 {
 		return g
 	}
-	bigCap := int(math.Round(bigShare * float64(e.opt.Workers-e.floaters())))
+	bigCap := int(math.Round(bigShare * float64(e.opt.Workers)))
 	if bigCap < 1 {
 		bigCap = 1
 	}
@@ -795,53 +713,6 @@ func (e *Engine) grantBigLocked(req int) int {
 		g = room
 	}
 	return g
-}
-
-// assistableLocked picks the running job a floater should lend itself
-// to, bounded by the pool's floater share. Among jobs whose lend hint
-// is up, the one with the least laxity (earliest startBy — closest to
-// missing its deadline) wins; ties break toward the job with the most
-// globally poppable work (SharedBacklog), then rotor order for
-// fairness among equals.
-func (e *Engine) assistableLocked() (*Job, int) {
-	d := e.floaters()
-	if d == 0 || e.helpersOut >= d || len(e.run) == 0 {
-		return nil, 0
-	}
-	n := len(e.run)
-	type cand struct {
-		j       *Job
-		backlog int
-	}
-	var cands []cand
-	for i := 0; i < n; i++ {
-		if j := e.run[(e.rotor+i)%n]; j.lendHint.Load() {
-			cands = append(cands, cand{j: j})
-		}
-	}
-	if len(cands) == 0 {
-		return nil, 0
-	}
-	if len(cands) > 1 {
-		for i := range cands {
-			cands[i].backlog = cands[i].j.ex.SharedBacklog()
-		}
-		sort.SliceStable(cands, func(a, b int) bool {
-			if cands[a].j.startBy != cands[b].j.startBy {
-				return cands[a].j.startBy < cands[b].j.startBy
-			}
-			return cands[a].backlog > cands[b].backlog
-		})
-	}
-	for _, c := range cands {
-		select {
-		case s := <-c.j.helperSlots:
-			e.rotor = (e.rotor + 1) % n
-			return c.j, s
-		default:
-		}
-	}
-	return nil, 0
 }
 
 // prepare builds the job's task graph, policy and result finisher (the
@@ -860,12 +731,11 @@ func (j *Job) prepare(opt core.Options) (g *dag.Graph, pol sched.Policy, err err
 }
 
 // startJob runs a popped job: it builds the job's task graph and
-// executor (outside the engine lock), publishes its open seats and
-// lending slots, and the starter becomes reserved driver 0. Factor,
-// Cholesky and solve jobs of both classes all take this path — a solve
-// is a blocked triangular-solve graph, not an inline call, so it
-// executes at the granted share and participates in lending like any
-// factorization.
+// executor (outside the engine lock), publishes its open seats, and the
+// starter becomes driver 0. Factor, Cholesky and solve jobs of both
+// classes all take this path — a solve is a blocked triangular-solve
+// graph, not an inline call, so it executes at the granted share like
+// any factorization.
 func (e *Engine) startJob(j *Job) {
 	j.started = time.Now()
 	j.queueWait = j.started.Sub(j.queued)
@@ -881,16 +751,13 @@ func (e *Engine) startJob(j *Job) {
 }
 
 // launch builds the executor for a prepared job, publishes its open
-// seats and lending slots, and drives seat 0.
+// seats and drives seat 0.
 func (e *Engine) launch(j *Job, g *dag.Graph, pol sched.Policy, opt core.Options) {
-	helpers := e.floaters()
 	ex, err := rt.NewExecutor(g, pol, rt.Options{
 		Workers:           j.granted,
-		Helpers:           helpers,
 		ExternalWorkspace: true,
 		Trace:             opt.Trace,
 		Noise:             opt.Noise,
-		Lend:              func() { e.lendSignal(j) },
 	})
 	if err != nil {
 		j.err = err
@@ -898,35 +765,17 @@ func (e *Engine) launch(j *Job, g *dag.Graph, pol sched.Policy, opt core.Options
 		return
 	}
 	j.ex = ex
-	j.helperSlots = make(chan int, helpers)
-	for s := 0; s < helpers; s++ {
-		j.helperSlots <- j.granted + s
-	}
-	// The seeded roots may already include shared work.
-	j.lendHint.Store(true)
 	j.nextSeat = 1 // seat 0 is ours
 	e.mu.Lock()
 	e.run = append(e.run, j)
-	// Open seats and lending slots are up for grabs; queued jobs may
-	// also now start on other workers.
+	// Open seats are up for grabs; queued jobs may also now start on
+	// other workers.
 	e.work.Broadcast()
 	e.mu.Unlock()
 	e.driveJob(j, 0)
 }
 
-// lendSignal is the executor's Lend hook: shared work was published
-// while every reserved worker of j was busy. Raise the job's hint and
-// poke one parked pool worker. The engine lock is taken so the signal
-// cannot slip between a parked worker's last scan and its wait.
-func (e *Engine) lendSignal(j *Job) {
-	if j.lendHint.CompareAndSwap(false, true) {
-		e.mu.Lock()
-		e.work.Signal()
-		e.mu.Unlock()
-	}
-}
-
-// driveJob attaches as reserved worker `seat` until the run completes;
+// driveJob attaches as worker `seat` until the run completes;
 // the first driver back finalizes the job.
 func (e *Engine) driveJob(j *Job, seat int) {
 	j.ex.Drive(seat)

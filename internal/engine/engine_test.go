@@ -56,9 +56,9 @@ func sameFactorization(t *testing.T, tag string, f, ref *core.Factorization) {
 // the same jobs run serially through the one-shot path at the granted
 // share (the graph's dataflow fixes the arithmetic; a shared resident
 // pool only reorders it). Run under -race to certify the engine's
-// attach/detach and lending paths.
+// attach/detach paths.
 func TestEngineConcurrentJobsBitIdentical(t *testing.T) {
-	e, err := New(Options{Workers: 4, MaxInflight: 16, DynamicRatio: 0.5})
+	e, err := New(Options{Workers: 4, MaxInflight: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestEngineConcurrentJobsBitIdentical(t *testing.T) {
 // other job has also executed one, a rendezvous that only completes if
 // the engine runs both at once.
 func TestEngineJobsOverlap(t *testing.T) {
-	e, err := New(Options{Workers: 4, MaxInflight: 8, DynamicRatio: 0.25})
+	e, err := New(Options{Workers: 4, MaxInflight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestEngineJobsOverlap(t *testing.T) {
 // through the engine under every scheduler: the jobs must complete
 // with normal residuals and match their serial reruns bit for bit.
 func TestEngineSingularFallback(t *testing.T) {
-	e, err := New(Options{Workers: 4, MaxInflight: 8, DynamicRatio: 0.5})
+	e, err := New(Options{Workers: 4, MaxInflight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,103 +305,47 @@ func TestEngineAdmissionBound(t *testing.T) {
 	}
 }
 
-// TestEngineStaticDynamicKnob pins the two A/B endpoints of the
-// inter-job split: at DynamicRatio 0 the pool partitions statically
-// and never lends; at 1 every job runs on exactly one guaranteed
-// worker plus lending, and with a shared-queue scheduler the floaters
-// demonstrably execute foreign tasks.
-func TestEngineStaticDynamicKnob(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	a := mat.Random(128, 128, rng)
-
-	est, err := New(Options{Workers: 4, MaxInflight: 8, DynamicRatio: 0})
+// TestEngineIgnoresDynamicRatio: the engine gives every job a static
+// share of the whole pool whatever Options.DynamicRatio says. A wide
+// factor on an idle pool is granted every worker, its result is
+// bit-identical to a one-shot core.Factor at that share, no worker
+// runs another job's tasks, and the trace holds one span per task.
+func TestEngineIgnoresDynamicRatio(t *testing.T) {
+	e, err := New(Options{Workers: 4, DynamicRatio: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jobs []*Job
-	for i := 0; i < 4; i++ {
-		j, err := est.SubmitFactor(a, core.Options{
-			Block: 16, Workers: 2, Scheduler: core.ScheduleDynamic,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	for _, j := range jobs {
-		if err := j.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if lends := est.Stats().Lends; lends != 0 {
-		t.Fatalf("fully static engine lent %d times", lends)
-	}
-	est.Close()
+	defer e.Close()
 
-	edy, err := New(Options{Workers: 4, MaxInflight: 8, DynamicRatio: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer edy.Close()
-	// One job with a single reserved driver and three floaters. The
-	// driver deterministically stalls (Noise hook) on its fourth task —
-	// after panel 0's Final has fanned the U tasks into the shared heap
-	// — until a floater has executed one, so lending must happen even
-	// on a single-CPU host where a fast driver would otherwise drain
-	// the whole graph before a floater ever runs.
-	var driverTasks int
-	floaterRan := make(chan struct{})
-	var floaterOnce sync.Once
-	timedOut := false
-	// The trace is sized for the REQUESTED worker count; floater spans
-	// land on lending slots beyond it, which the executor must grow the
-	// trace to hold rather than panic (regression: out-of-range merge).
-	tr := trace.New(4)
-	j, err := edy.SubmitFactor(a, core.Options{
-		Block: 16, Workers: 4, Scheduler: core.ScheduleDynamic, Trace: tr,
-		Noise: func(w int) time.Duration {
-			if w != 0 {
-				floaterOnce.Do(func() { close(floaterRan) })
-				return 0
-			}
-			driverTasks++
-			if driverTasks == 4 {
-				select {
-				case <-floaterRan:
-				case <-time.After(20 * time.Second):
-					timedOut = true
-				}
-			}
-			return 0
-		},
-	})
+	a := mat.Random(128, 128, rand.New(rand.NewSource(23)))
+	opt := core.Options{Block: 16, Scheduler: core.ScheduleHybrid, DynamicRatio: 0.25}
+	traced := opt
+	traced.Trace = trace.New(4)
+	j, err := e.Submit(bg, FactorWork(a), traced)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if timedOut {
-		t.Fatal("no floater executed a task while the reserved driver was stalled")
+	if g := j.Granted(); g != 4 {
+		t.Fatalf("wide factor on an idle 4-worker pool granted %d, want 4", g)
 	}
-	if j.Granted() != 1 {
-		t.Fatalf("fully dynamic engine granted %d reserved workers, want 1", j.Granted())
+	opt.Workers = 4
+	ref, err := core.Factor(a, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lends := edy.Stats().Lends; lends == 0 {
-		t.Fatal("fully dynamic engine never lent a worker to a shared-queue job")
+	sameFactorization(t, "idle pool", j.Factorization(), ref)
+	if lends := e.Stats().Lends; lends != 0 {
+		t.Fatalf("engine lent %d workers", lends)
 	}
-	spans, helperSpans := 0, 0
-	for w, s := range tr.Spans {
+	spans := 0
+	for _, s := range traced.Trace.Spans {
 		spans += len(s)
-		if w >= 1 { // slots beyond the single reserved driver
-			helperSpans += len(s)
-		}
 	}
 	if want := j.Factorization().Stats.Total; spans != want {
 		t.Fatalf("trace recorded %d spans want %d", spans, want)
-	}
-	if helperSpans == 0 {
-		t.Fatal("no spans on lending-slot timelines despite a forced lend")
 	}
 }
 
@@ -512,7 +456,7 @@ func TestEngineCloseDuringStartGap(t *testing.T) {
 // mixed-scheduler Factor and Solve traffic from several submitter
 // goroutines — the short-mode engine stress for the -race job.
 func TestEngineStress(t *testing.T) {
-	e, err := New(Options{Workers: 4, MaxInflight: 8, DynamicRatio: 0.5})
+	e, err := New(Options{Workers: 4, MaxInflight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +573,7 @@ func TestEngineSolveMultiRHS(t *testing.T) {
 // until a second worker has also executed a task, which can only
 // happen if the job truly runs on several of its granted seats.
 func TestEngineSolveUsesMultipleWorkers(t *testing.T) {
-	e, err := New(Options{Workers: 4, DynamicRatio: 0})
+	e, err := New(Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,7 +663,7 @@ func TestEngineSolveUsesMultipleWorkers(t *testing.T) {
 // core.FactorCholesky bit-for-bit at the granted share, and a SolveWork
 // over its result must hit the usual residual bound.
 func TestEngineCholesky(t *testing.T) {
-	e, err := New(Options{Workers: 4, DynamicRatio: 0.25})
+	e, err := New(Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

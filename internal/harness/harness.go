@@ -64,7 +64,7 @@ type Cluster struct {
 
 // newShard boots one serve.Server on a live listener.
 func (c *Cluster) newShard() (*Shard, error) {
-	eng, err := engine.New(engine.Options{Workers: c.opt.Workers, MaxInflight: 16, DynamicRatio: 0.25})
+	eng, err := engine.New(engine.Options{Workers: c.opt.Workers, MaxInflight: 16})
 	if err != nil {
 		return nil, err
 	}

@@ -93,10 +93,8 @@ func (k *waker) wakePinned(owner, self int) {
 // wakeAny wakes one parked worker (preferring one without a pending
 // permit, so consecutive calls fan out), or nobody if none is parked —
 // in which case every awake worker will find the shared task through
-// its normal dispatch loop. It reports whether a permit was deposited;
-// the runtime uses a false return (everyone busy) as the trigger for
-// asking the executor's owner to lend an outside worker.
-func (k *waker) wakeAny(self int) bool {
+// its normal dispatch loop.
+func (k *waker) wakeAny(self int) {
 	n := len(k.sem)
 	start := int(k.rotor.Add(1) % uint32(n))
 	for i := 0; i < n; i++ {
@@ -106,10 +104,9 @@ func (k *waker) wakeAny(self int) bool {
 		}
 		if len(k.sem[w]) == 0 {
 			k.permit(w)
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // wakeAll deposits a permit for every worker (termination or failure).

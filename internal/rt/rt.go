@@ -13,13 +13,12 @@
 // (numerics verified end to end) and the mode the examples and the
 // tuning CLI run in.
 //
-// An execution is an Executor: a drivable object that resident workers
-// attach to (Drive for a run's own reserved workers, Assist for
-// lending slots borrowed by another job's idle workers) and detach
-// from, rather than a function that owns its goroutines. Run is the
-// one-shot convenience that spawns a goroutine per worker and waits —
-// the spawn-per-call mode the resident engine (internal/engine)
-// amortizes away.
+// An execution is an Executor: a drivable object that workers attach
+// to (Drive, one goroutine per worker id) and detach from, rather
+// than a function that owns its goroutines. Run is the one-shot
+// convenience that spawns a goroutine per worker and waits — the
+// spawn-per-call mode the resident engine (internal/engine) amortizes
+// away.
 package rt
 
 import (
@@ -37,23 +36,10 @@ import (
 
 // Options configures a real execution.
 type Options struct {
-	// Workers is the reserved worker count; must be >= 1. Reserved
-	// workers drive the run to completion (they park when idle and are
-	// woken by readiness events).
+	// Workers is the worker count; must be >= 1. Workers drive the run
+	// to completion (they park when idle and are woken by readiness
+	// events).
 	Workers int
-	// Helpers is the number of extra lending slots beyond Workers. A
-	// helper slot is a worker identity a foreign worker may borrow to
-	// Assist the run: it pops only work the policy exposes to every
-	// worker (the shared dynamic heap, stealable deques) and detaches
-	// instead of parking when it finds none. The static distribution is
-	// built for Workers owners, so owner-pinned tasks never land on a
-	// helper slot and a departing helper strands no work.
-	Helpers int
-	// Lend, when non-nil, is called (from a worker, outside all locks)
-	// when a globally poppable task was published and every reserved
-	// worker was busy — the signal that the run could productively use
-	// an Assist. The engine uses it to wake pool floaters.
-	Lend func()
 	// ExternalWorkspace, when true, skips the per-run kernel workspace
 	// reservation: the caller (the resident engine) holds one
 	// pool-wide refcounted reservation for all its runs instead.
@@ -74,25 +60,19 @@ type Result struct {
 }
 
 // spinCount is how many failed dequeue attempts a worker tolerates
-// (yielding between attempts) before it parks (reserved workers) or
-// detaches (helpers). Spinning bridges the common short gaps between
-// task completions without paying the park/unpark futex round trip;
-// parking keeps long waits off the CPU.
+// (yielding between attempts) before it parks. Spinning bridges the
+// common short gaps between task completions without paying the
+// park/unpark futex round trip; parking keeps long waits off the CPU.
 const spinCount = 64
 
 // Executor is the shared state of one execution: a run workers attach
-// to and detach from. Local worker ids [0,Workers) are the reserved
-// slots (each must be driven by exactly one goroutine at a time, and
-// reserved drivers stay until the run completes); ids
-// [Workers,Workers+Helpers) are lending slots foreign workers borrow
-// transiently through Assist. The caller serializes ownership of each
-// slot; the Executor itself is safe for concurrent Drive/Assist calls
-// on distinct slots.
+// to and detach from. Worker ids are [0,Workers); each must be driven
+// by exactly one goroutine, which stays until the run completes. The
+// Executor is safe for concurrent Drive calls on distinct ids.
 type Executor struct {
 	g     *dag.Graph
 	pol   sched.Policy
 	n     int64
-	slots int
 	opt   Options
 	start time.Time
 
@@ -107,7 +87,7 @@ type Executor struct {
 	completed   atomic.Int64
 	failure     atomic.Pointer[error]
 
-	// attached counts workers currently inside Drive/Assist; Wait
+	// attached counts workers currently inside Drive; Wait
 	// drains it to zero before touching policy counters or spans.
 	// Guarded by attachMu (attach/detach are per-worker-per-run, not
 	// per-task, so the lock is off the hot path); attachCond signals
@@ -118,7 +98,7 @@ type Executor struct {
 
 	wk waker
 
-	// Per-slot span buffers: workers never touch the shared Trace
+	// Per-worker span buffers: workers never touch the shared Trace
 	// during the run, so the hot path has no shared-slice growth and no
 	// false sharing on neighbouring timelines.
 	spans [][]trace.Span
@@ -143,14 +123,10 @@ func NewExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*Executor, error)
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("rt: need at least one worker, got %d", opt.Workers)
 	}
-	if opt.Helpers < 0 {
-		opt.Helpers = 0
-	}
 	e := &Executor{
 		g:      g,
 		pol:    pol,
 		n:      int64(len(g.Tasks)),
-		slots:  opt.Workers + opt.Helpers,
 		opt:    opt,
 		doneCh: make(chan struct{}),
 	}
@@ -159,28 +135,28 @@ func NewExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*Executor, error)
 		close(e.doneCh)
 		return e, nil
 	}
-	// Reserve one packed-GEMM workspace per slot so no task pays the
+	// Reserve one packed-GEMM workspace per worker so no task pays the
 	// pack-buffer allocation mid-factorization (workers call kernels
 	// concurrently). Reservations are refcounted across overlapping
 	// runs; the engine instead holds one pool-wide reservation and sets
 	// ExternalWorkspace.
 	if !opt.ExternalWorkspace {
-		e.ws = kernel.Reserve(e.slots)
+		e.ws = kernel.Reserve(opt.Workers)
 	}
-	e.pol.Reset(g, e.slots)
+	e.pol.Reset(g, opt.Workers)
 
 	roots := g.ResetDeps()
 	if len(roots) == 0 {
 		e.ws.Release()
 		return nil, fmt.Errorf("rt: graph %q stuck with 0/%d tasks done", g.Name, e.n)
 	}
-	e.wk.init(e.slots)
+	e.wk.init(opt.Workers)
 	e.outstanding.Store(int64(len(roots)))
 	for _, t := range roots {
 		e.pol.Ready(sched.SeedWorker, t)
 	}
 	if opt.Trace != nil {
-		e.spans = make([][]trace.Span, e.slots)
+		e.spans = make([][]trace.Span, opt.Workers)
 	}
 	e.start = time.Now()
 	return e, nil
@@ -188,19 +164,6 @@ func NewExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*Executor, error)
 
 func (e *Executor) done() bool {
 	return e.failure.Load() != nil || e.completed.Load() == e.n
-}
-
-// SharedBacklog estimates how many of the run's queued tasks are
-// globally poppable — work a borrowed lending slot could execute right
-// now. The engine's lend arbitration uses it to weigh which running
-// job a floater should help: all else (laxity) equal, the job with the
-// deepest shared backlog keeps a helper busy longest. Zero once the
-// run is over.
-func (e *Executor) SharedBacklog() int {
-	if e.Done() {
-		return 0
-	}
-	return e.pol.SharedBacklog()
 }
 
 // Done reports whether the run has completed (successfully or not).
@@ -229,31 +192,16 @@ func (e *Executor) fail(err error) {
 	e.finish()
 }
 
-// Drive attaches the calling goroutine as reserved worker w and runs
-// the dispatch loop until the run completes. Exactly one goroutine may
-// drive each reserved slot.
+// Drive attaches the calling goroutine as worker w and runs the
+// dispatch loop until the run completes. Exactly one goroutine may
+// drive each worker id.
 func (e *Executor) Drive(w int) {
 	if e.n == 0 || !e.attach() {
 		return
 	}
-	local, _ := e.loop(w, true, e.takeSpans(w))
+	local := e.loop(w, e.takeSpans(w))
 	e.putSpans(w, local)
 	e.detach()
-}
-
-// Assist attaches the calling goroutine on lending slot `slot`
-// (in [Workers, Workers+Helpers)) and executes globally poppable work
-// until none is visible, then detaches. It reports whether it executed
-// at least one task. Slot ownership must be serialized by the caller;
-// a slot may be re-borrowed after Assist returns.
-func (e *Executor) Assist(slot int) bool {
-	if e.n == 0 || !e.attach() {
-		return false
-	}
-	local, did := e.loop(slot, false, e.takeSpans(slot))
-	e.putSpans(slot, local)
-	e.detach()
-	return did
 }
 
 // attach registers the caller in `attached`, or reports false if the
@@ -302,8 +250,8 @@ func (e *Executor) Wait() (Result, error) {
 	<-e.doneCh
 	// Counters and spans must not be read while a worker is still
 	// inside Next/Ready; block until the attached count drains (parked
-	// workers were woken by finish, helpers detach on their next done
-	// check, workers mid-task finish that task first).
+	// workers were woken by finish, workers mid-task finish that task
+	// first).
 	e.attachMu.Lock()
 	for e.attached != 0 {
 		e.attachCond.Wait()
@@ -323,9 +271,9 @@ func (e *Executor) Wait() (Result, error) {
 				if len(s) == 0 {
 					continue
 				}
-				// Lending slots lie beyond the worker count the caller
-				// sized the trace for; grow it so their spans land on
-				// their own timelines.
+				// The caller may have sized the trace for fewer workers
+				// than the run has; grow it so every worker's spans land
+				// on their own timeline.
 				e.opt.Trace.EnsureWorkers(w + 1)
 				e.opt.Trace.Merge(w, s)
 			}
@@ -344,7 +292,6 @@ func (e *Executor) Wait() (Result, error) {
 // worker and tears everything down afterwards. A structurally stuck
 // graph is reported as an error, as is a panicking task.
 func Run(g *dag.Graph, pol sched.Policy, opt Options) (Result, error) {
-	opt.Helpers = 0
 	e, err := NewExecutor(g, pol, opt)
 	if err != nil {
 		return Result{}, err
@@ -361,19 +308,15 @@ func Run(g *dag.Graph, pol sched.Policy, opt Options) (Result, error) {
 	return e.Wait()
 }
 
-// loop is one dispatch loop on slot w. park selects the idle behaviour:
-// reserved workers park and stay until the run is over, helpers return
-// as soon as no work is visible to them. It returns the slot's locally
-// buffered trace spans and whether it executed at least one task.
-func (e *Executor) loop(w int, park bool, local []trace.Span) ([]trace.Span, bool) {
-	did := false
+// loop is worker w's dispatch loop; it returns when the run is over,
+// with the worker's locally buffered trace spans.
+func (e *Executor) loop(w int, local []trace.Span) []trace.Span {
 	scratch := make([]*dag.Task, 0, 8)
 	for {
-		t := e.next(w, park)
+		t := e.next(w)
 		if t == nil {
-			return local, did
+			return local
 		}
-		did = true
 		// The hot loop only reads the clock when someone consumes the
 		// timestamps; on a no-op task graph two time.Since calls would
 		// otherwise dominate the dispatch cost BenchmarkDispatch exists
@@ -385,7 +328,7 @@ func (e *Executor) loop(w int, park bool, local []trace.Span) ([]trace.Span, boo
 		if t.Run != nil {
 			if err := runTask(t); err != nil {
 				e.fail(err)
-				return local, did
+				return local
 			}
 		}
 		var t1 float64
@@ -416,11 +359,8 @@ func (e *Executor) loop(w int, park bool, local []trace.Span) ([]trace.Span, boo
 			for _, s := range scratch {
 				if owner := e.pol.Ready(w, s); owner != sched.AnyWorker {
 					e.wk.wakePinned(owner, w)
-				} else if !e.wk.wakeAny(w) && e.opt.Lend != nil {
-					// Every reserved worker is busy and a globally
-					// poppable task just appeared: ask the owner of
-					// this executor for a lending worker.
-					e.opt.Lend()
+				} else {
+					e.wk.wakeAny(w)
 				}
 			}
 		}
@@ -428,7 +368,7 @@ func (e *Executor) loop(w int, park bool, local []trace.Span) ([]trace.Span, boo
 		left := e.outstanding.Add(-1)
 		if done == e.n {
 			e.finish()
-			return local, did
+			return local
 		}
 		if left == 0 {
 			// outstanding hit zero: nothing is queued or in flight
@@ -438,16 +378,14 @@ func (e *Executor) loop(w int, park bool, local []trace.Span) ([]trace.Span, boo
 			if final := e.completed.Load(); final != e.n {
 				e.fail(fmt.Errorf("rt: graph %q stuck with %d/%d tasks done", e.g.Name, final, e.n))
 			}
-			return local, did
+			return local
 		}
 	}
 }
 
-// next returns the slot's next task, spinning briefly and then parking
-// (reserved workers) or giving up (helpers) while the queues are
-// empty. It returns nil when the run is over or, for helpers, when no
-// work is visible to this slot.
-func (e *Executor) next(w int, park bool) *dag.Task {
+// next returns worker w's next task, spinning briefly and then parking
+// while the queues are empty. It returns nil when the run is over.
+func (e *Executor) next(w int) *dag.Task {
 	spins := 0
 	for {
 		if e.done() {
@@ -461,14 +399,10 @@ func (e *Executor) next(w int, park bool) *dag.Task {
 			runtime.Gosched()
 			continue
 		}
-		if !park {
-			return nil
-		}
 		// Nothing this worker may pop and the alternative is sleeping:
 		// take another owner's backlog (the policy's third tier). Help
 		// is asked only here, after the spin phase, so a balanced run
-		// never pays the migration; lending slots returned above and
-		// never see pinned work.
+		// never pays the migration.
 		if t := e.pol.Help(w); t != nil {
 			return t
 		}

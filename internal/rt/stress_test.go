@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,15 +226,14 @@ func noisyOwner(d time.Duration, onSlot []atomic.Int32) func(int) time.Duration 
 }
 
 // TestHelpStressNoisyOwner is the help tier's stress test: an all-pinned
-// graph under the hybrid policy with worker 0 delayed after every task,
-// and a lending slot borrowed beside the reserved workers. Every run
-// must complete with each task executed exactly once, none of them on
-// the lending slot, and counters that add up. That sleepers took over
-// part of worker 0's backlog is required of the 200 runs together, not
-// of each: these runs last a few milliseconds, and whether a sleeper
-// gets a processor within one is up to the OS — and impossible under
-// GOMAXPROCS=1, where the delayed worker holds the only one, so there
-// only liveness is checked. Run it under -race.
+// graph under the hybrid policy with worker 0 delayed after every task.
+// Every run must complete with each task executed exactly once and
+// counters that add up. That sleepers took over part of worker 0's
+// backlog is required of the 200 runs together, not of each: these
+// runs last a few milliseconds, and whether a sleeper gets a processor
+// within one is up to the OS — and impossible under GOMAXPROCS=1, where
+// the delayed worker holds the only one, so there only liveness is
+// checked. Run it under -race.
 func TestHelpStressNoisyOwner(t *testing.T) {
 	const chains, depth, delay = 3, 4, 200 * time.Microsecond
 	iters := 200
@@ -249,36 +247,11 @@ func TestHelpStressNoisyOwner(t *testing.T) {
 				var steals int64
 				for it := 0; it < iters; it++ {
 					g, ran := pinnedChains(workers, chains, depth)
-					onSlot := make([]atomic.Int32, workers+1)
-					e, err := NewExecutor(g, sched.NewHybrid(), Options{
-						Workers: workers, Helpers: 1, ExternalWorkspace: true,
+					onSlot := make([]atomic.Int32, workers)
+					res, err := Run(g, sched.NewHybrid(), Options{
+						Workers: workers, ExternalWorkspace: true,
 						Noise: noisyOwner(delay, onSlot),
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							e.Drive(w)
-						}(w)
-					}
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						// Paced, not polled: a goroutine that only yields
-						// between attempts never lets its processor go
-						// idle, and an idle processor is what takes a
-						// sleeper off the one worker 0 is holding.
-						for !e.Done() {
-							e.Assist(workers)
-							time.Sleep(delay / 4)
-						}
-					}()
-					wg.Wait()
-					res, err := e.Wait()
 					if err != nil {
 						t.Fatalf("iteration %d: %v", it, err)
 					}
@@ -286,9 +259,6 @@ func TestHelpStressNoisyOwner(t *testing.T) {
 						if n := ran[id].Load(); n != 1 {
 							t.Fatalf("iteration %d: task %d ran %d times", it, id, n)
 						}
-					}
-					if n := onSlot[workers].Load(); n != 0 {
-						t.Fatalf("iteration %d: lending slot ran %d owner-pinned tasks", it, n)
 					}
 					c := res.Counters
 					if c.DequeueStatic+c.Steals != int64(len(ran)) || c.DequeueDynamic != 0 || c.Mismatches != c.Steals {
@@ -376,7 +346,7 @@ func TestHelpWakePinnedReachesSleeper(t *testing.T) {
 		t.Fatalf("worker 0 popped %v, want the root", got)
 	}
 	got := make(chan *dag.Task, 1)
-	go func() { got <- e.next(1, true) }()
+	go func() { got <- e.next(1) }()
 	for i := 0; i < 2; i++ {
 		if tk := <-spy.helped; tk != nil {
 			t.Fatalf("worker 1 helped itself to %v with nothing queued", tk)

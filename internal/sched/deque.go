@@ -99,14 +99,3 @@ func (d *clDeque) steal() *dag.Task {
 	}
 	return t
 }
-
-// size reports a linearizable-enough estimate of the element count;
-// used only by tests and victim scans.
-func (d *clDeque) size() int64 {
-	b := d.bottom.Load()
-	top := d.top.Load()
-	if b < top {
-		return 0
-	}
-	return b - top
-}

@@ -43,13 +43,13 @@ func TestDequeGrowsPastInitialCapacity(t *testing.T) {
 		tasks[i] = &dag.Task{ID: int32(i)}
 		d.push(tasks[i])
 	}
-	if d.size() != n {
-		t.Fatalf("size = %d want %d", d.size(), n)
-	}
 	for i := n - 1; i >= 0; i-- {
 		if got := d.pop(); got != tasks[i] {
 			t.Fatalf("pop %d got %v", i, got)
 		}
+	}
+	if got := d.pop(); got != nil {
+		t.Fatalf("deque holds more than %d tasks: popped %v", n, got)
 	}
 }
 

@@ -181,15 +181,6 @@ func (p *QueuePolicy) Help(worker int) *dag.Task {
 	return t
 }
 
-// SharedBacklog implements Policy: only the shared heap is globally
-// poppable; owner-pinned queues are invisible to lending slots.
-func (p *QueuePolicy) SharedBacklog() int {
-	p.mu.Lock()
-	n := len(p.shared)
-	p.mu.Unlock()
-	return n
-}
-
 // Counters implements Policy.
 func (p *QueuePolicy) Counters() Counters {
 	var c Counters

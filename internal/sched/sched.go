@@ -86,15 +86,8 @@ type Policy interface {
 	// queue, or returns nil where the policy has no such tier or
 	// nothing is queued. Callers try it only after Next has come up
 	// empty and they are about to park — on a balanced run it must
-	// cost nothing — and never for a borrowed lending slot.
+	// cost nothing.
 	Help(worker int) *dag.Task
-	// SharedBacklog estimates how many queued tasks are globally
-	// poppable — visible to a borrowed lending slot, not pinned to one
-	// owner. It is a point-in-time hint for the engine's lend
-	// arbitration (which running job is worth a floater), may be
-	// slightly stale under concurrent Ready/Next traffic, and must be
-	// cheap: callers poll it while holding their own admission lock.
-	SharedBacklog() int
 	// Counters returns the instrumentation accumulated since Reset.
 	Counters() Counters
 }

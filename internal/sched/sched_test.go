@@ -39,9 +39,6 @@ func TestStaticPinsToOwner(t *testing.T) {
 	if c := p.Counters(); c != (Counters{DequeueStatic: 2}) {
 		t.Fatalf("counters %+v", c)
 	}
-	if p.SharedBacklog() != 0 {
-		t.Fatal("static policy exposed shared work")
-	}
 }
 
 func TestPriorityThenIDOrder(t *testing.T) {
@@ -67,9 +64,6 @@ func TestDynamicAnyWorkerLowestPrioFirst(t *testing.T) {
 		t.Fatalf("wake hint %d want AnyWorker", w)
 	}
 	p.Ready(SeedWorker, mkTask(2, 2, false, 5))
-	if n := p.SharedBacklog(); n != 2 {
-		t.Fatalf("shared backlog %d want 2", n)
-	}
 	if got := p.Next(0); got.ID != 2 {
 		t.Fatalf("got %d want 2 (DFS order)", got.ID)
 	}
@@ -382,85 +376,6 @@ func TestCountersMatchWork(t *testing.T) {
 	if c := h.Counters(); c != (Counters{DequeueStatic: 10, Steals: 30, Mismatches: 30}) {
 		t.Fatalf("lone hybrid worker counters %+v want 10 own pops and 30 helps", c)
 	}
-}
-
-// TestLendingSlots certifies the contract the resident engine's
-// lending relies on: a policy Reset with more slots than the graph's
-// owner range (extra "helper" slots borrowed by foreign workers) must
-// (a) never pin an owner task to a helper slot — owners lie in
-// [0, graph workers), so a departing helper strands no work — and
-// (b) expose globally poppable work (shared heap, stealable deques) to
-// helper slots.
-func TestLendingSlots(t *testing.T) {
-	const owners, slots, tasks = 2, 5, 24
-	mk := func() []*dag.Task {
-		all := make([]*dag.Task, tasks)
-		for i := range all {
-			all[i] = &dag.Task{ID: int32(i), Owner: i % owners, Static: i%2 == 0, Prio: int64(i)}
-		}
-		return all
-	}
-
-	t.Run("static-pins-only-to-owners", func(t *testing.T) {
-		p := NewStatic()
-		p.Reset(&dag.Graph{Workers: owners}, slots)
-		for _, tk := range mk() {
-			if w := p.Ready(SeedWorker, tk); w >= owners {
-				t.Fatalf("task %d pinned to helper slot %d", tk.ID, w)
-			}
-		}
-		for h := owners; h < slots; h++ {
-			if tk := p.Next(h); tk != nil {
-				t.Fatalf("helper slot %d popped owner-pinned task %d", h, tk.ID)
-			}
-		}
-	})
-
-	t.Run("hybrid-helpers-see-dynamic-only", func(t *testing.T) {
-		p := NewHybrid()
-		p.Reset(&dag.Graph{Workers: owners}, slots)
-		dyn := 0
-		for _, tk := range mk() {
-			if w := p.Ready(SeedWorker, tk); w == AnyWorker {
-				dyn++
-			} else if w >= owners {
-				t.Fatalf("static task %d pinned to helper slot %d", tk.ID, w)
-			}
-		}
-		if n := p.SharedBacklog(); n != dyn {
-			t.Fatalf("shared backlog %d want %d", n, dyn)
-		}
-		got := 0
-		for h := owners; h < slots; h++ {
-			for p.Next(h) != nil {
-				got++
-			}
-		}
-		if got != dyn {
-			t.Fatalf("helper slots drained %d of %d dynamic tasks", got, dyn)
-		}
-	})
-
-	t.Run("worksteal-helpers-push-and-get-stolen", func(t *testing.T) {
-		p := NewWorkStealing(7)
-		p.Reset(&dag.Graph{Workers: owners}, slots)
-		all := mk()
-		// A helper readies tasks onto its own deque (Chase-Lev bottoms
-		// are single-producer); owners must be able to steal them after
-		// the helper leaves.
-		for _, tk := range all {
-			p.Ready(slots-1, tk)
-		}
-		got := 0
-		for w := 0; w < owners; w++ {
-			for p.Next(w) != nil {
-				got++
-			}
-		}
-		if got != tasks {
-			t.Fatalf("owners stole %d of %d tasks left on a helper deque", got, tasks)
-		}
-	})
 }
 
 func TestPolicyNames(t *testing.T) {

@@ -97,16 +97,6 @@ func (p *WorkStealing) Next(worker int) *dag.Task {
 // below it.
 func (p *WorkStealing) Help(worker int) *dag.Task { return nil }
 
-// SharedBacklog implements Policy: every deque is stealable, so the
-// backlog is the (racy but monotonicity-free) sum of their sizes.
-func (p *WorkStealing) SharedBacklog() int {
-	var n int64
-	for _, d := range p.deques {
-		n += d.size()
-	}
-	return int(n)
-}
-
 // Counters implements Policy.
 func (p *WorkStealing) Counters() Counters {
 	var c Counters

@@ -27,7 +27,7 @@ import (
 // newTestServer spins up a small resident engine behind the real mux.
 func newTestServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
 	t.Helper()
-	eng, err := engine.New(engine.Options{Workers: 2, MaxInflight: 8, DynamicRatio: 0.5})
+	eng, err := engine.New(engine.Options{Workers: 2, MaxInflight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestServeDeadlineShed503(t *testing.T) {
 // TestServeSaturation429: admission at MaxInflight is 429 (back off),
 // distinct from the 503 shed.
 func TestServeSaturation429(t *testing.T) {
-	eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 1, DynamicRatio: 0.5})
+	eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

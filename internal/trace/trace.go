@@ -40,10 +40,9 @@ func (tr *Trace) Add(w int, id int32, label byte, start, end float64) {
 }
 
 // EnsureWorkers grows the trace to at least n timelines. The runtime
-// calls it before merging spans recorded on lending slots — borrowed
-// worker identities beyond the reserved count the trace was sized
-// for — so cross-job lending shows up as extra timelines instead of
-// an out-of-range panic.
+// calls it before merging each worker's spans, so a trace sized for
+// fewer workers than the run has gains timelines instead of an
+// out-of-range panic.
 func (tr *Trace) EnsureWorkers(n int) {
 	for tr.Workers < n {
 		tr.Spans = append(tr.Spans, nil)

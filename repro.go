@@ -23,11 +23,10 @@
 //	x, err := f.Solve(b)
 //
 // For many small-to-medium factorizations, prefer the resident engine,
-// which amortizes worker and workspace setup across jobs and applies
-// the hybrid static/dynamic split a second time — across competing
-// jobs:
+// which amortizes worker and workspace setup across jobs and gives each
+// job a static share of its pool:
 //
-//	eng, err := repro.NewEngine(repro.EngineOptions{Workers: 8, DynamicRatio: 0.25})
+//	eng, err := repro.NewEngine(repro.EngineOptions{Workers: 8})
 //	defer eng.Close()
 //	job, err := eng.Submit(ctx, repro.FactorWork(a), repro.Options{Workers: 2})
 //	err = job.Wait()
@@ -203,11 +202,9 @@ func CholeskyResidual(a *Matrix, f *CholeskyFactorization) float64 {
 func RandomSPD(n int, seed int64) *Matrix { return core.RandomSPD(n, seed) }
 
 // Engine is the resident factorization service: one long-lived worker
-// pool executing many Factor/Solve jobs concurrently, with the paper's
-// hybrid static/dynamic split applied across jobs (each job gets a
-// static reservation of workers; the pool's dynamic share lends itself
-// to whichever job has spare parallel work). Create with NewEngine,
-// feed with Submit/TrySubmit, Close when done.
+// pool executing many Factor/Solve jobs concurrently, each on a static
+// reservation of the pool's workers. Create with NewEngine, feed with
+// Submit/TrySubmit, Close when done.
 type Engine = engine.Engine
 
 // EngineWork is one submittable engine job of any kind, built by
@@ -227,9 +224,9 @@ func CholeskyWork(a *Matrix) EngineWork { return engine.CholeskyWork(a) }
 // *Solution.
 func SolveWork(f Solvable, b *Matrix) EngineWork { return engine.SolveWork(f, b) }
 
-// EngineOptions configures NewEngine: pool size, admission bound and
-// the inter-job DynamicRatio (0 = fully static partitioning, 1 = fully
-// dynamic lending).
+// EngineOptions configures NewEngine: pool size and admission bound.
+// Its DynamicRatio is ignored; a job's own dynamic share is
+// Options.DynamicRatio.
 type EngineOptions = engine.Options
 
 // EngineJob is the handle of one submitted engine job; Wait for

@@ -32,7 +32,7 @@ func TestPublicFactorAndSolve(t *testing.T) {
 }
 
 func TestPublicEngine(t *testing.T) {
-	eng, err := NewEngine(EngineOptions{Workers: 2, MaxInflight: 4, DynamicRatio: 0.5})
+	eng, err := NewEngine(EngineOptions{Workers: 2, MaxInflight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
