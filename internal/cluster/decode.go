@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"strconv"
 )
@@ -20,14 +21,21 @@ type Bulk interface {
 // DecodeJSON decodes data into v with the result and the error
 // json.Unmarshal gives. When *T is a Bulk and its member appears once
 // at the top level of data, under its exact, unescaped key, as an array
-// of plain JSON numbers, that array is parsed in one pass — each number
-// by strconv.ParseFloat, the call encoding/json makes, so the values are
-// bit-identical — into a slice sized by its commas, and json.Unmarshal
-// sees only the rest of the object, with the member's value replaced by
-// null. Anything else — the member missing, repeated or spelled in
-// another case, an escaped top-level key, an element that is not a
-// plain number, a number ParseFloat refuses, any error in the rest — is
-// decoded by json.Unmarshal on the whole of data.
+// of plain JSON numbers, that array is parsed in one pass into a slice
+// sized by its commas, and json.Unmarshal sees only the rest of the
+// object, with the member's value replaced by null. Each number is
+// converted in the same loop that scans it (scanNumber): the loop
+// gathers up to 19 significant digits and a power of ten, and the
+// Eisel–Lemire algorithm, ported from Go's strconv, rounds them to the
+// nearest float64. Eisel–Lemire is exact or declines; a number it
+// declines (one too close to a halfway point, a subnormal or
+// overflowing result, a power of ten outside its table) or one with
+// more digits goes to strconv.ParseFloat, the call encoding/json makes,
+// so the values are bit-identical. Anything else — the member missing,
+// repeated or spelled in another case, an escaped top-level key, an
+// element that is not a plain number, a number ParseFloat refuses, any
+// error in the rest — is decoded by json.Unmarshal on the whole of
+// data.
 func DecodeJSON[T any](data []byte, v *T) error {
 	// The rest decodes into a copy: a rest that fails midway must leave
 	// v as the fallback's json.Unmarshal expects to find it.
@@ -122,15 +130,11 @@ func parseNumbers(data []byte, i int, keep bool) (end int, nums []float64, ok bo
 		return c + 1, nums, true
 	}
 	for {
-		j := numberEnd(data, i)
+		f, j := scanNumber(data, i, keep)
 		if j < 0 {
 			return 0, nil, false
 		}
 		if keep {
-			f, err := strconv.ParseFloat(string(data[i:j]), 64)
-			if err != nil {
-				return 0, nil, false
-			}
 			nums = append(nums, f)
 		}
 		if i = skipSpace(data, j); i == c {
@@ -143,47 +147,109 @@ func parseNumbers(data []byte, i int, keep bool) (end int, nums []float64, ok bo
 	}
 }
 
-// numberEnd returns the index just past the JSON number that starts at
-// data[i], -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or -1 when
-// none does.
-func numberEnd(data []byte, i int) int {
-	if i < len(data) && data[i] == '-' {
+// scanNumber scans the JSON number that starts at data[i],
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns the index
+// just past it, or -1 when none does. With convert set it also returns
+// the number's value, converted in the same pass: the scan gathers the
+// decimal mantissa and its power of ten, and eiselLemire64 rounds them
+// to the nearest float64. A number with more than 19 significant
+// digits, or one eiselLemire64 declines, is converted by
+// strconv.ParseFloat instead, and end is -1 if that fails.
+func scanNumber(data []byte, i int, convert bool) (f float64, end int) {
+	start := i
+	neg := i < len(data) && data[i] == '-'
+	if neg {
 		i++
 	}
+	// man wraps once nd passes 19; such a number never reaches
+	// eiselLemire64.
+	var man uint64
+	nd, exp10 := 0, 0
 	switch {
 	case i < len(data) && data[i] == '0':
 		i++
 	case i < len(data) && '1' <= data[i] && data[i] <= '9':
-		i = digits(data, i+1)
+		j := i
+		i, man = digits(data, i, 0)
+		nd = i - j
 	default:
-		return -1
+		return 0, -1
 	}
 	if i < len(data) && data[i] == '.' {
-		j := digits(data, i+1)
-		if j == i+1 {
-			return -1
+		i++
+		j := i
+		if man == 0 {
+			// Leading zeros of the fraction are not significant.
+			for i < len(data) && data[i] == '0' {
+				i++
+			}
 		}
-		i = j
+		k := i
+		i, man = digits(data, i, man)
+		if i == j {
+			return 0, -1
+		}
+		nd += i - k
+		exp10 = j - i
 	}
 	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
 		i++
+		eneg := i < len(data) && data[i] == '-'
 		if i < len(data) && (data[i] == '+' || data[i] == '-') {
 			i++
 		}
-		j := digits(data, i)
-		if j == i {
-			return -1
+		j := i
+		var e uint64
+		if i, e = digits(data, i, 0); i == j {
+			return 0, -1
 		}
-		i = j
+		if i-j > 4 {
+			// Far outside the table, or zero-padded: either way,
+			// leave the number to strconv.ParseFloat.
+			e = 1 << 16
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += int(e)
 	}
-	return i
+	if !convert {
+		return 0, i
+	}
+	if nd <= 19 {
+		if f, ok := eiselLemire64(man, exp10, neg); ok {
+			return f, i
+		}
+	}
+	f, err := strconv.ParseFloat(string(data[start:i]), 64)
+	if err != nil {
+		return 0, -1
+	}
+	return f, i
 }
 
-func digits(data []byte, i int) int {
-	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
-		i++
+// digits scans the decimal digits at data[i:] and returns the index just
+// past them and man with them appended, modulo 2^64. While eight bytes
+// remain it tests and converts them as one uint64, a SWAR step in the
+// style of Lemire's fast_float.
+func digits(data []byte, i int, man uint64) (int, uint64) {
+	for ; i+8 <= len(data); i += 8 {
+		v := binary.LittleEndian.Uint64(data[i:])
+		// A byte is a digit iff neither it minus '0' nor it plus
+		// 0x46 ('9' + 0x46 = 0x7F) reaches its top bit.
+		if ((v-0x3030303030303030)|(v+0x4646464646464646))&0x8080808080808080 != 0 {
+			break
+		}
+		// Pairs, then quads, then all eight, each step a multiply.
+		v -= 0x3030303030303030
+		v = v*10 + v>>8
+		v = ((v&0x000000FF000000FF)*(100+1000000<<32) + (v>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		man = man*100000000 + v
 	}
-	return i
+	for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+		man = man*10 + uint64(data[i]-'0')
+	}
+	return i, man
 }
 
 func skipSpace(data []byte, i int) int {

@@ -3,11 +3,13 @@ package cluster_test
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/mat"
 )
 
 // bulkRequest has a member of every kind a request type carries, with
@@ -68,6 +70,26 @@ var decodeSeeds = []string{
 	`{"data":[1e]}`,
 	`{"data":[-]}`,
 	`{"data":[NaN]}`,
+	// Conversion edges: 16, 17, 19, 20 and 25 significant digits.
+	`{"data":[0.6046602879796196,-0.94050909314101,0.12345678901234567]}`,
+	`{"data":[1234567890123456789,0.1234567890123456789,-9999999999999999999]}`,
+	`{"data":[12345678901234567890,0.10000000000000000000,1234567890123456789012345e-30]}`,
+	// Exact halfway cases Eisel–Lemire declines: 2^53+1, 2^54+2,
+	// 2^52+1/2, 2^51+1/4, 2^50+1/8.
+	`{"data":[9007199254740993,18014398509481986,4503599627370496.5,2251799813685248.25,1125899906842624.125]}`,
+	`{"data":[9007199254740993e0,9.007199254740993e15,-9007199254740993]}`,
+	// Leading fraction zeros and signed zeros.
+	`{"data":[0.000123,0.0000000000000000000000000001,0.000,-0.0,-0.0e5,0e-999999999999999999]}`,
+	// The ends of the power table, 1e-30 and 1e22, and just past them.
+	`{"data":[1e-30,12345678901234567e-30,1e-31,12345678901234567e-31,1e22,1.5E+23,1e23,9999999999999999e22]}`,
+	// Subnormals, the normal range's ends, overflow.
+	`{"data":[4.9e-324,5e-324,2.225073858507201e-308,2.2250738585072014e-308,1.7976931348623157e308]}`,
+	`{"data":[1e309]}`,
+	`{"data":[1.7976931348623159e308]}`,
+	`{"data":[1e99999999999999999999]}`,
+	// Exponents of 2^64+1: one that wraps in a uint64 reads as ±1.
+	`{"data":[1e18446744073709551617]}`,
+	`{"data":[1e-18446744073709551617,1e0000000000000000000000001]}`,
 	`{"data":[[1]]}`,
 	`{"data":["1"]}`,
 	`{"data":"1"}`,
@@ -130,4 +152,22 @@ func FuzzDecodeJSON(f *testing.F) {
 			t.Fatalf("%q, member dropped: DecodeJSON gives %+v, %v; json.Unmarshal %+v, %v", body, gotID, gotErr, wantID, wantErr)
 		}
 	})
+}
+
+// BenchmarkDecodeJSONFactor times DecodeJSON on a factor request's
+// body: the json.Marshal form of an n = 512 mat.Random matrix.
+func BenchmarkDecodeJSONFactor(b *testing.B) {
+	const n = 512
+	body, err := json.Marshal(bulkRequest{N: n, Data: mat.Random(n, n, rand.New(rand.NewSource(1))).Data})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var req bulkRequest
+		if err := cluster.DecodeJSON(body, &req); err != nil || len(req.Data) != n*n {
+			b.Fatalf("decoded %d numbers, %v", len(req.Data), err)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -153,17 +154,9 @@ func TestWireBytesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestWireRejectsInvalidInput: encode refuses ambiguous arguments,
-// decode refuses malformed bytes without panicking.
-func TestWireRejectsInvalidInput(t *testing.T) {
-	if _, err := EncodeFactorization(nil, nil); err == nil {
-		t.Fatal("encoded neither kind")
-	}
-	both := &core.Factorization{L: mat.New(1, 1), U: mat.New(1, 1)}
-	if _, err := EncodeFactorization(both, &core.CholeskyFactorization{L: mat.New(1, 1)}); err == nil {
-		t.Fatal("encoded both kinds")
-	}
-
+// malformedWire are the malformed encodings TestWireRejectsInvalidInput
+// expects DecodeFactorization to refuse, cut from valid encodings.
+func malformedWire(t testing.TB) map[string][]byte {
 	good, err := EncodeFactorization(&core.Factorization{
 		Perm: []int{1, 0, 2},
 		L:    randDense(3, 3, 1),
@@ -202,14 +195,8 @@ func TestWireRejectsInvalidInput(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[lDims+4:], mn[1])
 		cases[name] = b
 	}
-	for name, data := range cases {
-		if _, _, err := DecodeFactorization(data); err == nil {
-			t.Errorf("%s: decode accepted malformed input", name)
-		}
-	}
-
 	// Perm length / L rows mismatch (well-formed pieces, inconsistent).
-	mis, err := EncodeFactorization(&core.Factorization{
+	cases["perm/L mismatch"], err = EncodeFactorization(&core.Factorization{
 		Perm: []int{0, 1},
 		L:    randDense(3, 3, 1),
 		U:    randDense(3, 3, 2),
@@ -217,7 +204,68 @@ func TestWireRejectsInvalidInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeFactorization(mis); err == nil {
-		t.Error("perm/L mismatch accepted")
+	return cases
+}
+
+// TestWireRejectsInvalidInput: encode refuses ambiguous arguments,
+// decode refuses malformed bytes without panicking.
+func TestWireRejectsInvalidInput(t *testing.T) {
+	if _, err := EncodeFactorization(nil, nil); err == nil {
+		t.Fatal("encoded neither kind")
 	}
+	both := &core.Factorization{L: mat.New(1, 1), U: mat.New(1, 1)}
+	if _, err := EncodeFactorization(both, &core.CholeskyFactorization{L: mat.New(1, 1)}); err == nil {
+		t.Fatal("encoded both kinds")
+	}
+	for name, data := range malformedWire(t) {
+		if _, _, err := DecodeFactorization(data); err == nil {
+			t.Errorf("%s: decode accepted malformed input", name)
+		}
+	}
+}
+
+// FuzzDecodeFactorization: for any bytes, DecodeFactorization returns an
+// error or a factorization that encodes and decodes again to the same
+// kind, permutation and factor shapes, and the same values bit for bit.
+// It never panics.
+func FuzzDecodeFactorization(f *testing.F) {
+	for _, data := range malformedWire(f) {
+		f.Add(data)
+	}
+	lu, err := EncodeFactorization(&core.Factorization{Perm: []int{2, 0, 1}, L: randDense(3, 2, 3), U: randDense(2, 4, 4)}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ch, err := EncodeFactorization(nil, &core.CholeskyFactorization{L: randDense(5, 5, 5)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lu)
+	f.Add(ch)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lu, ch, err := DecodeFactorization(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeFactorization(lu, ch)
+		if err != nil {
+			t.Fatalf("decoded factorization does not encode: %v", err)
+		}
+		lu2, ch2, err := DecodeFactorization(enc)
+		if err != nil {
+			t.Fatalf("re-encoded factorization does not decode: %v", err)
+		}
+		if (lu2 == nil) != (lu == nil) {
+			t.Fatal("the kind changed on re-encoding")
+		}
+		if ch != nil {
+			bitEqual(t, "chol L", ch.L, ch2.L)
+			return
+		}
+		if !slices.Equal(lu.Perm, lu2.Perm) {
+			t.Fatalf("perm %v re-decoded as %v", lu.Perm, lu2.Perm)
+		}
+		bitEqual(t, "L", lu.L, lu2.L)
+		bitEqual(t, "U", lu.U, lu2.U)
+	})
 }

@@ -30,9 +30,10 @@ const (
 	serializeVersion = 1
 	serializeHdrLen  = 4 + 1 + 1 + 5*4
 
-	// maxSerializedGrid bounds PR*PC on decode: a crafted header must
-	// not make build allocate per-worker submatrices for
-	// millions of phantom workers.
+	// maxSerializedGrid bounds PR*PC on decode, and the dims of an
+	// empty layout: a crafted header must not make build allocate
+	// per-worker submatrices for millions of phantom workers, or walk
+	// millions of phantom columns.
 	maxSerializedGrid = 1 << 16
 )
 
@@ -113,13 +114,21 @@ func Decode(data []byte) (Layout, int, error) {
 	if b < 1 {
 		return nil, 0, fmt.Errorf("layout: non-positive block size %d", b)
 	}
-	if pr < 1 || pc < 1 || pr*pc > maxSerializedGrid {
+	// Divide rather than multiply: PR*PC of two u32 fields can wrap
+	// negative and pass a bound.
+	if pr < 1 || pc < 1 || pr > maxSerializedGrid/pc {
 		return nil, 0, fmt.Errorf("layout: implausible %dx%d worker grid", pr, pc)
 	}
 	// The dims are wire input: bound m*n by division against the bytes
 	// actually present before anything multiplies or allocates.
 	if have := uint64(len(data)-serializeHdrLen) / 8; um != 0 && un > have/um {
 		return nil, 0, fmt.Errorf("layout: truncated payload: have %d bytes, too few for %dx%d", len(data), um, un)
+	}
+	// An empty layout has no payload to bound it, yet decoding and
+	// encoding it, and any loop over its columns (rows), still take a
+	// step for each.
+	if (um == 0 || un == 0) && um+un > maxSerializedGrid {
+		return nil, 0, fmt.Errorf("layout: implausible empty %dx%d layout", um, un)
 	}
 	m, n := int(um), int(un)
 	l := build(kind, m, n, b, Grid{PR: pr, PC: pc}, func(i, j int, run kernel.View) {

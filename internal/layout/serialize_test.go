@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -136,12 +137,9 @@ func TestSerializeConcatenated(t *testing.T) {
 	}
 }
 
-// TestSerializeRejectsGarbage: corrupt headers and truncated payloads
-// are errors, never panics or silently wrong layouts.
-func TestSerializeRejectsGarbage(t *testing.T) {
-	l := New(BCL, mat.Random(8, 8, rand.New(rand.NewSource(1))), 4, NewGrid(2))
-	good := Encode(l)
-
+// garbageEncodings are corrupt headers and truncated payloads cut from
+// good, a valid encoding of an 8x8 BCL layout with b = 4 on 2 workers.
+func garbageEncodings(good []byte) map[string][]byte {
 	cases := map[string][]byte{
 		"empty":     nil,
 		"short":     good[:10],
@@ -162,6 +160,11 @@ func TestSerializeRejectsGarbage(t *testing.T) {
 	hugeGrid := append([]byte{}, good...)
 	hugeGrid[18], hugeGrid[19] = 0xff, 0xff // PR = 65535, PC = 2
 	cases["huge grid"] = hugeGrid
+	// PR = PC = 2^32-1: their product wraps to a negative int.
+	wrapGrid := append([]byte{}, good...)
+	binary.LittleEndian.PutUint32(wrapGrid[18:], 0xFFFFFFFF)
+	binary.LittleEndian.PutUint32(wrapGrid[22:], 0xFFFFFFFF)
+	cases["grid wraps negative"] = wrapGrid
 	// Dims whose byte count overflows: 8*m*n wraps negative for
 	// m = n = 2^32-1 and to exactly zero for 2^31 x 2^30, so a length
 	// check on the product passes and the allocation panics.
@@ -174,10 +177,52 @@ func TestSerializeRejectsGarbage(t *testing.T) {
 	cases["dims wrap negative"] = dims(0xFFFFFFFF, 0xFFFFFFFF)
 	cases["dims wrap to zero"] = dims(1<<31, 1<<30)
 	cases["one dim huge"] = dims(0xFFFFFFFF, 1)
+	// No elements, so no payload, but 2^32-1 columns (rows) to walk,
+	// with blocks of 4 or of nearly 2^32.
+	cases["empty but wide"] = dims(0, 0xFFFFFFFF)
+	cases["empty but tall"] = dims(0xFFFFFFFF, 0)
+	wideBlock := dims(0, 0xFFFFFFFF)
+	binary.LittleEndian.PutUint32(wideBlock[14:], 0xFFFFFF00)
+	cases["empty but wide, one block"] = wideBlock
+	return cases
+}
 
-	for name, data := range cases {
+// TestSerializeRejectsGarbage: corrupt headers and truncated payloads
+// are errors, never panics or silently wrong layouts.
+func TestSerializeRejectsGarbage(t *testing.T) {
+	good := Encode(New(BCL, mat.Random(8, 8, rand.New(rand.NewSource(1))), 4, NewGrid(2)))
+	for name, data := range garbageEncodings(good) {
 		if _, _, err := Decode(data); err == nil {
 			t.Errorf("%s: Decode accepted corrupt input", name)
 		}
 	}
+}
+
+// FuzzLayoutDecode: for any bytes, Decode returns an error or a layout
+// that re-encodes to the bytes it consumed and decodes again to the
+// same kind, dims, grid and values, bit for bit. It never panics.
+func FuzzLayoutDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(13))
+	good := Encode(New(BCL, mat.Random(8, 8, rng), 4, NewGrid(2)))
+	for _, data := range garbageEncodings(good) {
+		f.Add(data)
+	}
+	for _, kind := range []Kind{CM, BCL, TwoLevel} {
+		f.Add(Encode(New(kind, mat.Random(5, 3, rng), 2, NewGrid(3))))
+	}
+	f.Add(append(Encode(New(TwoLevel, mat.Random(3, 4, rng), 8, NewGrid(1))), good...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, n, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
+		}
+		enc := Encode(l)
+		if !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("re-encoding gives %d bytes that differ from the %d consumed", len(enc), n)
+		}
+		roundTrip(t, l)
+	})
 }

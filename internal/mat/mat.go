@@ -121,14 +121,16 @@ func (a *Dense) CopyFrom(src *Dense) {
 	if a.Rows != src.Rows || a.Cols != src.Cols {
 		panic(fmt.Sprintf("mat: copy dimension mismatch %dx%d <- %dx%d", a.Rows, a.Cols, src.Rows, src.Cols))
 	}
-	for j := 0; j < a.Cols; j++ {
+	// A matrix with no rows may have no storage (New, FromColMajor), so its
+	// columns cannot be sliced.
+	for j := 0; a.Rows > 0 && j < a.Cols; j++ {
 		copy(a.Data[j*a.Stride:j*a.Stride+a.Rows], src.Data[j*src.Stride:j*src.Stride+a.Rows])
 	}
 }
 
 // Zero sets every element to 0.
 func (a *Dense) Zero() {
-	for j := 0; j < a.Cols; j++ {
+	for j := 0; a.Rows > 0 && j < a.Cols; j++ {
 		col := a.Data[j*a.Stride : j*a.Stride+a.Rows]
 		for i := range col {
 			col[i] = 0

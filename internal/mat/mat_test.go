@@ -87,6 +87,16 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestNoRowsCloneAndZero: a matrix with no rows and several columns
+// has no storage to slice a column from; Clone and Zero still work.
+func TestNoRowsCloneAndZero(t *testing.T) {
+	a := New(0, 3)
+	if b := a.Clone(); b.Rows != 0 || b.Cols != 3 {
+		t.Fatalf("clone of 0x3 is %dx%d", b.Rows, b.Cols)
+	}
+	a.Zero()
+}
+
 func TestEyeAndPermute(t *testing.T) {
 	e := Eye(4)
 	perm := []int{2, 0, 3, 1}
