@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"strconv"
 )
@@ -153,18 +152,19 @@ func parseNumbers(data []byte, i int, keep bool) (end int, nums []float64, ok bo
 // the number's value, converted in the same pass: the scan gathers the
 // decimal mantissa and its power of ten, and eiselLemire64 rounds them
 // to the nearest float64. A number with more than 19 significant
-// digits, or one eiselLemire64 declines, is converted by
-// strconv.ParseFloat instead, and end is -1 if that fails.
+// digits or more than four exponent digits, or one eiselLemire64
+// declines, is converted by strconv.ParseFloat instead, and end is -1
+// if that fails.
 func scanNumber(data []byte, i int, convert bool) (f float64, end int) {
 	start := i
 	neg := i < len(data) && data[i] == '-'
 	if neg {
 		i++
 	}
-	// man wraps once nd passes 19; such a number never reaches
-	// eiselLemire64.
+	// man wraps once nd passes 19, and exp10 is not the exponent once
+	// longExp is set; such a number never reaches eiselLemire64.
 	var man uint64
-	nd, exp10 := 0, 0
+	nd, exp10, longExp := 0, 0, false
 	switch {
 	case i < len(data) && data[i] == '0':
 		i++
@@ -203,11 +203,11 @@ func scanNumber(data []byte, i int, convert bool) (f float64, end int) {
 		if i, e = digits(data, i, 0); i == j {
 			return 0, -1
 		}
-		if i-j > 4 {
-			// Far outside the table, or zero-padded: either way,
-			// leave the number to strconv.ParseFloat.
-			e = 1 << 16
-		}
+		// More than four digits are far outside the table or
+		// zero-padded, and e may have wrapped: leave the number to
+		// strconv.ParseFloat. Skipped fraction zeros can pull a large
+		// exponent back into the table, so exp10 cannot flag it.
+		longExp = i-j > 4
 		if eneg {
 			e = -e
 		}
@@ -216,7 +216,7 @@ func scanNumber(data []byte, i int, convert bool) (f float64, end int) {
 	if !convert {
 		return 0, i
 	}
-	if nd <= 19 {
+	if nd <= 19 && !longExp {
 		if f, ok := eiselLemire64(man, exp10, neg); ok {
 			return f, i
 		}
@@ -229,23 +229,8 @@ func scanNumber(data []byte, i int, convert bool) (f float64, end int) {
 }
 
 // digits scans the decimal digits at data[i:] and returns the index just
-// past them and man with them appended, modulo 2^64. While eight bytes
-// remain it tests and converts them as one uint64, a SWAR step in the
-// style of Lemire's fast_float.
+// past them and man with them appended, modulo 2^64.
 func digits(data []byte, i int, man uint64) (int, uint64) {
-	for ; i+8 <= len(data); i += 8 {
-		v := binary.LittleEndian.Uint64(data[i:])
-		// A byte is a digit iff neither it minus '0' nor it plus
-		// 0x46 ('9' + 0x46 = 0x7F) reaches its top bit.
-		if ((v-0x3030303030303030)|(v+0x4646464646464646))&0x8080808080808080 != 0 {
-			break
-		}
-		// Pairs, then quads, then all eight, each step a multiply.
-		v -= 0x3030303030303030
-		v = v*10 + v>>8
-		v = ((v&0x000000FF000000FF)*(100+1000000<<32) + (v>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
-		man = man*100000000 + v
-	}
 	for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
 		man = man*10 + uint64(data[i]-'0')
 	}

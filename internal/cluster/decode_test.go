@@ -90,6 +90,8 @@ var decodeSeeds = []string{
 	// Exponents of 2^64+1: one that wraps in a uint64 reads as ±1.
 	`{"data":[1e18446744073709551617]}`,
 	`{"data":[1e-18446744073709551617,1e0000000000000000000000001]}`,
+	// Zero-padded five-digit exponents, which go to strconv.ParseFloat.
+	`{"data":[1e00005,0.001e00003,-0.5e-00001]}`,
 	`{"data":[[1]]}`,
 	`{"data":["1"]}`,
 	`{"data":"1"}`,
@@ -152,6 +154,24 @@ func FuzzDecodeJSON(f *testing.F) {
 			t.Fatalf("%q, member dropped: DecodeJSON gives %+v, %v; json.Unmarshal %+v, %v", body, gotID, gotErr, wantID, wantErr)
 		}
 	})
+}
+
+// TestDecodeJSONFractionZerosAndLongExponent: skipped leading fraction
+// zeros can cancel an exponent of five or more digits back into the
+// power table's range (0.<65530 zeros>1e65536 is 1e5), so such a number
+// must go to strconv.ParseFloat. The bodies are too long for
+// decodeSeeds, where they would slow every fuzzing run.
+func TestDecodeJSONFractionZerosAndLongExponent(t *testing.T) {
+	zeros := strings.Repeat("0", 65530)
+	for _, e := range []string{"00000", "00005", "65536", "65541", "99999", "-00000", "-65536", "+65536"} {
+		body := []byte(`{"data":[0.` + zeros + `1e` + e + `,-0.` + zeros + `1e` + e + `]}`)
+		var want, got bulkRequest
+		wantErr, gotErr := json.Unmarshal(body, &want), cluster.DecodeJSON(body, &got)
+		if !sameError(gotErr, wantErr) || !sameRequest(got, want) {
+			t.Errorf("0.<%d zeros>1e%s: DecodeJSON gives %v, error %t; json.Unmarshal %v, error %t",
+				len(zeros), e, got.Data, gotErr != nil, want.Data, wantErr != nil)
+		}
+	}
 }
 
 // BenchmarkDecodeJSONFactor times DecodeJSON on a factor request's
