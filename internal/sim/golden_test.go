@@ -8,11 +8,14 @@ import (
 )
 
 // TestSimGolden pins the simulator's output under the three queue
-// policies on two machine/layout configurations. The constants were
-// recorded at the last commit where internal/sim drove purpose-built
-// serial policy adapters; the simulator now drives the runtime's own
-// policy objects from its event loop, and must still reproduce every
-// makespan, accounting bucket and counter bit for bit.
+// policies on three machine/layout configurations. The BCL and 2l-BL
+// constants were recorded at the last commit where internal/sim drove
+// purpose-built serial policy adapters; the simulator now drives the
+// runtime's own policy objects from its event loop, and must still
+// reproduce every makespan, accounting bucket and counter bit for bit.
+// The CM constants (the layout of fig14's dynamic-CM row and the GEPP
+// ablation) were recorded at the commit before the graph builders read a
+// layout.Shape instead of a layout.Layout.
 func TestSimGolden(t *testing.T) {
 	type config struct {
 		name     string
@@ -40,6 +43,14 @@ func TestSimGolden(t *testing.T) {
 				Counters: sched.Counters{DequeueDynamic: 2998, Mismatches: 2828}},
 			"hybrid": {Makespan: 0.05777670368474713, BusyTime: 0.7594359227301701, OverheadTime: 0.002193490000000426, NoiseTime: 0.003631900294717775, IdleTime: 0.15916594593106578,
 				Counters: sched.Counters{DequeueStatic: 2575, DequeueDynamic: 423, Mismatches: 391}},
+		}},
+		{"amd48/cm", AMDOpteron48(), 12, layout.CM, 1200, 100, 3, 7, map[string]Result{
+			"static": {Makespan: 0.08183043456080806, BusyTime: 0.37230318487157205, OverheadTime: 1.9500000000000054e-05, NoiseTime: 0.003403346971813391, IdleTime: 0.6062391828863112,
+				Counters: sched.Counters{DequeueStatic: 390}},
+			"dynamic": {Makespan: 0.09063747865440182, BusyTime: 0.4232620499175551, OverheadTime: 0.11998922285041094, NoiseTime: 0.003992181042132409, IdleTime: 0.5404062900427234,
+				Counters: sched.Counters{DequeueDynamic: 390, Mismatches: 359}},
+			"hybrid": {Makespan: 0.08375222685673063, BusyTime: 0.3754456957434621, OverheadTime: 0.018571149999999988, NoiseTime: 0.003701696461422043, IdleTime: 0.6073081800758835,
+				Counters: sched.Counters{DequeueStatic: 351, DequeueDynamic: 39, Mismatches: 39}},
 		}},
 	}
 	for _, c := range configs {
