@@ -25,35 +25,43 @@ type GEPPOptions struct {
 // cores (section 2) — followed by a parallel trailing update.
 type GEPPGraph struct {
 	*Graph
+	// Layout is the column-major storage being factored, read by the
+	// Run closures when they run (see CALUGraph.Layout).
 	Layout layout.Layout
 	// StepSwaps mirrors CALUGraph: global row interchanges per step.
 	StepSwaps [][][2]int
 	PivCount  []int
 }
 
-// BuildGEPP constructs the baseline graph. Real-mode execution requires
-// a column-major layout (MKL operates on CM); other layouts may still
-// be used for simulation-only graphs.
+// BuildGEPP constructs the baseline graph of l's shape (NewGEPP) and
+// binds it to l, which must be column major: the tasks run on views of
+// the whole matrix, as MKL does.
 func BuildGEPP(l layout.Layout, opt GEPPOptions) *GEPPGraph {
-	m, n, bsz := l.Dims()
-	mb, nb := l.Blocks()
-	workers := l.Grid().Workers()
+	if l.Kind() != layout.CM {
+		panic(fmt.Sprintf("dag: GEPP runs on column-major storage, not %s", l.Kind()))
+	}
+	gg := NewGEPP(layout.ShapeOf(l), opt)
+	gg.Layout = l
+	return gg
+}
+
+// NewGEPP constructs the baseline graph of a matrix of shape s. The
+// simulator runs it over any layout kind; the Run closures read
+// gg.Layout, which must then be column major.
+func NewGEPP(s layout.Shape, opt GEPPOptions) *GEPPGraph {
+	m, _, bsz := s.Dims()
+	mb, nb := s.Blocks()
 	steps := min(mb, nb)
-	b := newBuilder(fmt.Sprintf("GEPP(%s)", l.Kind()), workers)
+	b := newBuilder(fmt.Sprintf("GEPP(%s)", s.Kind()), s.Grid().Workers())
 	gg := &GEPPGraph{
 		Graph:     b.g,
-		Layout:    l,
 		StepSwaps: make([][][2]int, steps),
 		PivCount:  make([]int, steps),
 	}
-	cm, isCM := l.(*layout.ColMajor)
-	span := func(i, ext int) int { return blockSpanOf(i, bsz, ext) }
-
 	var updPrev map[[2]int]*Task
 	var allPrev []*Task
 	for k := 0; k < steps; k++ {
-		kk := k
-		bw := span(k, n)
+		_, bw := s.BlockDims(k, k)
 		base := k * bsz
 		rows := m - base
 		pivCount := min(bw, rows)
@@ -61,27 +69,25 @@ func BuildGEPP(l layout.Layout, opt GEPPOptions) *GEPPGraph {
 
 		panel := b.add(&Task{
 			Kind: Final, K: k,
-			Owner: l.Owner(k, k),
+			Owner: s.Owner(k, k),
 			Flops: 2 * float64(rows) * float64(bw) * float64(bw),
 			Bytes: 8 * float64(rows) * float64(bw),
 			Prio:  priority(k, k, Final),
 		})
-		if isCM {
-			panel.Run = func() {
-				full := cm.Block(0, 0) // whole matrix view (stride = m)
-				pv := kernel.View{Rows: rows, Cols: bw, Stride: full.Stride, Data: full.Data[base*full.Stride+base:]}
-				pivots := make([]int, pivCount)
-				if err := kernel.RecursiveLU(pv, pivots); err != nil {
-					panic(fmt.Sprintf("dag: GEPP panel %d: %v", kk, err))
-				}
-				swaps := make([][2]int, 0, pivCount)
-				for t, p := range pivots {
-					if p != t {
-						swaps = append(swaps, [2]int{base + t, base + p})
-					}
-				}
-				gg.StepSwaps[kk] = swaps
+		panel.Run = func() {
+			full := gg.Layout.Block(0, 0) // whole matrix view (stride = m)
+			pv := kernel.View{Rows: rows, Cols: bw, Stride: full.Stride, Data: full.Data[base*full.Stride+base:]}
+			pivots := make([]int, pivCount)
+			if err := kernel.RecursiveLU(pv, pivots); err != nil {
+				panic(fmt.Sprintf("dag: GEPP panel %d: %v", k, err))
 			}
+			swaps := make([][2]int, 0, pivCount)
+			for t, p := range pivots {
+				if p != t {
+					swaps = append(swaps, [2]int{base + t, base + p})
+				}
+			}
+			gg.StepSwaps[k] = swaps
 		}
 		if updPrev != nil {
 			if opt.Lookahead {
@@ -97,34 +103,32 @@ func BuildGEPP(l layout.Layout, opt GEPPOptions) *GEPPGraph {
 
 		uTasks := make(map[int]*Task, nb-k-1)
 		for j := k + 1; j < nb; j++ {
-			jc := j
-			cj := span(j, n)
+			_, cj := s.BlockDims(k, j)
 			t := b.add(&Task{
 				Kind: U, K: k, J: j,
-				Owner: l.Owner(k, j),
+				Owner: s.Owner(k, j),
 				Flops: float64(pivCount) * float64(pivCount) * float64(cj),
 				Bytes: 8 * (float64(rows)*float64(cj) + float64(pivCount)*float64(pivCount)),
 				Prio:  priority(j, k, U),
 			})
-			if isCM {
-				t.Run = func() {
-					layout.ApplySwaps(cm, jc, gg.StepSwaps[kk])
-					full := cm.Block(0, 0)
-					lv := kernel.View{Rows: pivCount, Cols: pivCount, Stride: full.Stride, Data: full.Data[base*full.Stride+base:]}
-					blk := cm.Block(kk, jc)
-					top := kernel.View{Rows: pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data}
-					kernel.TrsmLowerLeftUnit(lv, top)
-					if blk.Rows > pivCount {
-						low := kernel.View{Rows: blk.Rows - pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data[pivCount:]}
-						llow := kernel.View{Rows: blk.Rows - pivCount, Cols: pivCount, Stride: full.Stride, Data: full.Data[base*full.Stride+base+pivCount:]}
-						kernel.Gemm(low, llow, top)
-					}
+			t.Run = func() {
+				l := gg.Layout
+				layout.ApplySwaps(l, j, gg.StepSwaps[k])
+				full := l.Block(0, 0)
+				lv := kernel.View{Rows: pivCount, Cols: pivCount, Stride: full.Stride, Data: full.Data[base*full.Stride+base:]}
+				blk := l.Block(k, j)
+				top := kernel.View{Rows: pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data}
+				kernel.TrsmLowerLeftUnit(lv, top)
+				if blk.Rows > pivCount {
+					low := kernel.View{Rows: blk.Rows - pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data[pivCount:]}
+					llow := kernel.View{Rows: blk.Rows - pivCount, Cols: pivCount, Stride: full.Stride, Data: full.Data[base*full.Stride+base+pivCount:]}
+					kernel.Gemm(low, llow, top)
 				}
 			}
 			b.edge(panel, t)
 			if updPrev != nil && opt.Lookahead {
 				for i := k; i < mb; i++ {
-					b.edge(updPrev[[2]int{i, jc}], t)
+					b.edge(updPrev[[2]int{i, j}], t)
 				}
 			}
 			uTasks[j] = t
@@ -133,36 +137,29 @@ func BuildGEPP(l layout.Layout, opt GEPPOptions) *GEPPGraph {
 		updCur := make(map[[2]int]*Task)
 		var all []*Task
 		for i := k + 1; i < mb; i++ {
-			ic := i
-			ri := span(i, m)
 			for j := k + 1; j < nb; j++ {
-				jc := j
-				cj := span(j, n)
+				ri, cj := s.BlockDims(i, j)
 				t := b.add(&Task{
 					Kind: S, K: k, I: i, J: j,
-					Owner: l.Owner(i, j),
+					Owner: s.Owner(i, j),
 					Flops: 2 * float64(ri) * float64(pivCount) * float64(cj),
 					Bytes: 8 * (float64(ri)*float64(pivCount) + float64(pivCount)*float64(cj) + float64(ri)*float64(cj)),
 					Prio:  priority(j, k, S),
 				})
-				if isCM {
-					t.Run = func() {
-						full := cm.Block(0, 0)
-						lblk := cm.Block(ic, kk)
-						a := kernel.View{Rows: lblk.Rows, Cols: pivCount, Stride: lblk.Stride, Data: lblk.Data}
-						ublk := cm.Block(kk, jc)
-						bt := kernel.View{Rows: pivCount, Cols: ublk.Cols, Stride: ublk.Stride, Data: ublk.Data}
-						cv := cm.Block(ic, jc)
-						kernel.Gemm(cv, a, bt)
-						_ = full
-					}
+				t.Run = func() {
+					l := gg.Layout
+					lblk := l.Block(i, k)
+					a := kernel.View{Rows: lblk.Rows, Cols: pivCount, Stride: lblk.Stride, Data: lblk.Data}
+					ublk := l.Block(k, j)
+					bt := kernel.View{Rows: pivCount, Cols: ublk.Cols, Stride: ublk.Stride, Data: ublk.Data}
+					kernel.Gemm(l.Block(i, j), a, bt)
 				}
 				b.edge(uTasks[j], t)
 				// The panel computed L in place, so S depends on the panel
 				// transitively through U; the direct edge below keeps the
 				// write to block (i,j) ordered after step k-1's write.
 				if updPrev != nil && opt.Lookahead {
-					b.edge(updPrev[[2]int{ic, jc}], t)
+					b.edge(updPrev[[2]int{i, j}], t)
 				}
 				updCur[[2]int{i, j}] = t
 				all = append(all, t)
@@ -199,6 +196,8 @@ func (gg *GEPPGraph) FinishPermutation() []int {
 // a weaker pivoting strategy (the stability concern the paper cites).
 type IncPivGraph struct {
 	*Graph
+	// Layout is the storage being factored, read by the Run closures
+	// when they run (see CALUGraph.Layout).
 	Layout layout.Layout
 
 	mu sync.Mutex
@@ -223,79 +222,76 @@ type tstrfState struct {
 // charges this calibrated value.
 const IncPivFlopOverhead = 1.18
 
-// BuildIncPiv constructs the incremental-pivoting graph. Real-mode
-// execution requires the TwoLevel layout (PLASMA stores tiles).
+// BuildIncPiv constructs the incremental-pivoting graph of l's shape
+// (NewIncPiv) and binds it to l. The baseline runs it over 2l-BL, as
+// PLASMA stores tiles.
 func BuildIncPiv(l layout.Layout) *IncPivGraph {
-	m, n, bsz := l.Dims()
-	mb, nb := l.Blocks()
-	workers := l.Grid().Workers()
+	ig := NewIncPiv(layout.ShapeOf(l))
+	ig.Layout = l
+	return ig
+}
+
+// NewIncPiv constructs the incremental-pivoting graph of a matrix of
+// shape s. The Run closures read ig.Layout when they run.
+func NewIncPiv(s layout.Shape) *IncPivGraph {
+	mb, nb := s.Blocks()
 	steps := min(mb, nb)
-	b := newBuilder(fmt.Sprintf("IncPiv(%s)", l.Kind()), workers)
+	b := newBuilder(fmt.Sprintf("IncPiv(%s)", s.Kind()), s.Grid().Workers())
 	ig := &IncPivGraph{
 		Graph:   b.g,
-		Layout:  l,
 		ts:      map[int]*tstrfState{},
 		diagPiv: map[int][]int{},
 	}
-	_, isTL := l.(*layout.TwoLevelBlock)
-	span := func(i, ext int) int { return blockSpanOf(i, bsz, ext) }
 
 	// prev[(i,j)] is the last task that wrote tile (i,j).
 	prev := map[[2]int]*Task{}
 	for k := 0; k < steps; k++ {
-		kk := k
-		bw := span(k, n)
-		rk := span(k, m)
+		rk, bw := s.BlockDims(k, k)
 		pivCount := min(bw, rk)
 
 		getrf := b.add(&Task{
 			Kind: Final, K: k,
-			Owner: l.Owner(k, k),
+			Owner: s.Owner(k, k),
 			Flops: (2.0 / 3.0) * float64(bw) * float64(bw) * float64(bw),
 			Bytes: 8 * float64(rk) * float64(bw),
 			Prio:  priority(k, k, Final),
 		})
-		if isTL {
-			getrf.Run = func() {
-				tile := l.Block(kk, kk)
-				pv := make([]int, min(tile.Rows, tile.Cols))
-				if err := kernel.Getf2(tile, pv); err != nil {
-					panic(fmt.Sprintf("dag: incpiv GETRF %d: %v", kk, err))
-				}
-				ig.mu.Lock()
-				ig.diagPiv[kk] = pv
-				ig.mu.Unlock()
+		getrf.Run = func() {
+			tile := ig.Layout.Block(k, k)
+			pv := make([]int, min(tile.Rows, tile.Cols))
+			if err := kernel.Getf2(tile, pv); err != nil {
+				panic(fmt.Sprintf("dag: incpiv GETRF %d: %v", k, err))
 			}
+			ig.mu.Lock()
+			ig.diagPiv[k] = pv
+			ig.mu.Unlock()
 		}
 		b.edge(prev[[2]int{k, k}], getrf)
 
 		gessm := make(map[int]*Task, nb-k-1)
 		for j := k + 1; j < nb; j++ {
-			jc := j
-			cj := span(j, n)
+			_, cj := s.BlockDims(k, j)
 			t := b.add(&Task{
 				Kind: U, K: k, J: j,
-				Owner: l.Owner(k, j),
+				Owner: s.Owner(k, j),
 				Flops: float64(pivCount) * float64(pivCount) * float64(cj),
 				Bytes: 8 * (float64(rk)*float64(cj) + float64(pivCount)*float64(pivCount)),
 				Prio:  priority(j, k, U),
 			})
-			if isTL {
-				t.Run = func() {
-					diag := l.Block(kk, kk)
-					tile := l.Block(kk, jc)
-					ig.mu.Lock()
-					pv := ig.diagPiv[kk]
-					ig.mu.Unlock()
-					kernel.Laswp(tile, pv, 0, len(pv))
-					lv := kernel.View{Rows: pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data}
-					top := kernel.View{Rows: pivCount, Cols: tile.Cols, Stride: tile.Stride, Data: tile.Data}
-					kernel.TrsmLowerLeftUnit(lv, top)
-					if tile.Rows > pivCount {
-						low := kernel.View{Rows: tile.Rows - pivCount, Cols: tile.Cols, Stride: tile.Stride, Data: tile.Data[pivCount:]}
-						llow := kernel.View{Rows: tile.Rows - pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data[pivCount:]}
-						kernel.Gemm(low, llow, top)
-					}
+			t.Run = func() {
+				diag := ig.Layout.Block(k, k)
+				tile := ig.Layout.Block(k, j)
+				ig.mu.Lock()
+				pv := ig.diagPiv[k]
+				ig.mu.Unlock()
+				kernel.Laswp(tile, pv, 0, len(pv))
+				lv := kernel.View{Rows: pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data}
+				top := kernel.View{Rows: pivCount, Cols: tile.Cols, Stride: tile.Stride, Data: tile.Data}
+				kernel.TrsmLowerLeftUnit(lv, top)
+				if tile.Rows > pivCount {
+					low := kernel.View{Rows: tile.Rows - pivCount, Cols: tile.Cols, Stride: tile.Stride, Data: tile.Data[pivCount:]}
+					llow := kernel.View{Rows: tile.Rows - pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data[pivCount:]}
+					kernel.Gemm(low, llow, top)
 				}
 			}
 			b.edge(getrf, t)
@@ -310,35 +306,29 @@ func BuildIncPiv(l layout.Layout) *IncPivGraph {
 			rowU[j] = gessm[j]
 		}
 		for i := k + 1; i < mb; i++ {
-			ic := i
-			ri := span(i, m)
+			ri, _ := s.BlockDims(i, k)
 			tstrf := b.add(&Task{
 				Kind: L, K: k, I: i,
-				Owner: l.Owner(i, k),
+				Owner: s.Owner(i, k),
 				Flops: float64(ri) * float64(bw) * float64(bw) * IncPivFlopOverhead,
 				Bytes: 8 * (float64(ri) + float64(bw)) * float64(bw),
 				Prio:  priority(k, k, L),
 			})
-			if isTL {
-				tstrf.Run = func() { ig.runTSTRF(kk, ic, bw) }
-			}
+			tstrf.Run = func() { ig.runTSTRF(k, i, bw) }
 			b.edge(prevDiagWriter, tstrf)
 			b.edge(prev[[2]int{i, k}], tstrf)
 			prevDiagWriter = tstrf
 
 			for j := k + 1; j < nb; j++ {
-				jc := j
-				cj := span(j, n)
+				_, cj := s.BlockDims(i, j)
 				ssssm := b.add(&Task{
 					Kind: S, K: k, I: i, J: j,
-					Owner: l.Owner(i, j),
+					Owner: s.Owner(i, j),
 					Flops: 2 * float64(ri) * float64(pivCount) * float64(cj) * IncPivFlopOverhead,
 					Bytes: 8 * (float64(ri)*float64(pivCount) + float64(pivCount)*float64(cj) + 2*float64(ri)*float64(cj)),
 					Prio:  priority(j, k, S),
 				})
-				if isTL {
-					ssssm.Run = func() { ig.runSSSSM(kk, ic, jc) }
-				}
+				ssssm.Run = func() { ig.runSSSSM(k, i, j) }
 				b.edge(tstrf, ssssm)
 				b.edge(rowU[j], ssssm)
 				b.edge(prev[[2]int{i, j}], ssssm)

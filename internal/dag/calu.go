@@ -17,28 +17,27 @@ type CALUOptions struct {
 	// scheduled statically (the paper's Nstatic = N*(1-dratio)). Zero
 	// means fully dynamic; >= N means fully static.
 	NstaticCols int
-	// Group is the maximum number of owned block columns fused into one
-	// S task (the paper's k, with k=3 in the experiments); values <= 1
-	// disable grouping. Grouping is only applied where the layout
-	// reports physical contiguity, so it is inert for 2l-BL.
+	// Group is the maximum number of owned block rows of one block
+	// column fused into one S task (the paper's k, with k=3 in the
+	// experiments); values <= 1 disable grouping. Grouping is only
+	// applied where the shape reports the rows contiguous in storage
+	// (layout.Shape.RowGroupWidth), so it is inert for 2l-BL.
 	Group int
 	// Chunks caps the number of tournament-tree leaves per panel; the
 	// default (0) uses the grid's row count, mirroring the static
 	// distribution where the owners of panel blocks run the P tasks.
 	Chunks int
-	// SimOnly skips the Run closures and pivot-state buffers, producing
-	// a structure-and-cost-only graph for the simulator; such graphs can
-	// model paper-scale matrices without allocating their data.
-	SimOnly bool
 }
 
 // CALUGraph couples the task graph with the pivoting state the tasks
-// fill in as they execute. Run closures mutate the layout in place, so
-// a CALUGraph must be executed at most once in real mode; simulation
-// does not touch the state and can replay the graph freely.
+// fill in as they execute. Run closures mutate Layout in place, so a
+// CALUGraph must be executed at most once on the runtime; the simulator
+// never calls Run and can replay the graph freely.
 type CALUGraph struct {
 	*Graph
-	// Layout is the matrix storage being factored.
+	// Layout is the matrix storage being factored, read by the Run
+	// closures when they run: nil in a graph built by NewCALU for
+	// simulation, set by BuildCALU.
 	Layout layout.Layout
 	// StepSwaps[k] is the row-interchange sequence of panel step k,
 	// recorded by the Final task; needed to assemble the global
@@ -53,36 +52,39 @@ type CALUGraph struct {
 	cands [][]piv.Candidate
 }
 
-// BuildCALU constructs the CALU task dependency graph over the given
-// layout. The graph realizes Algorithm 1 (hybrid static/dynamic CALU)
-// as data: the runtime's scheduling policy decides the execution order
-// within the dependency and static-ownership constraints.
+// BuildCALU constructs the CALU task dependency graph of l's shape and
+// binds it to l, ready for the runtime.
 func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
-	m, n, bsz := l.Dims()
-	mb, nb := l.Blocks()
-	grid := l.Grid()
-	workers := grid.Workers()
+	cg := NewCALU(layout.ShapeOf(l), opt)
+	cg.Layout = l
+	return cg
+}
+
+// NewCALU constructs the CALU task dependency graph of a matrix of shape
+// s. The graph realizes Algorithm 1 (hybrid static/dynamic CALU) as
+// data: the scheduling policy decides the execution order within the
+// dependency and static-ownership constraints. The simulator runs it as
+// built; the runtime needs Layout set to storage of shape s first.
+func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
+	m, _, bsz := s.Dims()
+	mb, nb := s.Blocks()
+	grid := s.Grid()
 	steps := min(mb, nb)
 	chunksMax := opt.Chunks
 	if chunksMax <= 0 {
 		chunksMax = grid.PR
 	}
-	group := opt.Group
-	if group < 1 {
-		group = 1
-	}
+	group := max(opt.Group, 1)
 
-	b := newBuilder(fmt.Sprintf("CALU(%s,Nstatic=%d,k=%d)", l.Kind(), opt.NstaticCols, group), workers)
+	b := newBuilder(fmt.Sprintf("CALU(%s,Nstatic=%d,k=%d)", s.Kind(), opt.NstaticCols, group), grid.Workers())
 	cg := &CALUGraph{
 		Graph:     b.g,
-		Layout:    l,
 		StepSwaps: make([][][2]int, steps),
 		PivCount:  make([]int, steps),
 		cands:     make([][]piv.Candidate, steps),
 	}
 
 	isStatic := func(col int) bool { return col < opt.NstaticCols }
-	span := func(i, ext int) int { return blockSpanOf(i, bsz, ext) }
 
 	// Epoch namespace for this build's shared packed panels: the S tasks
 	// of one step form a (row run) x (block column) grid in which every
@@ -90,89 +92,74 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 	// a row run by the same L blocks, so each operand is packed once —
 	// by whichever task gets there first — behind a refcounted handle
 	// with the exact consumer count, instead of once per task.
-	var ep uint64
-	if !opt.SimOnly {
-		ep = kernel.NewEpoch()
-	}
+	ep := kernel.NewEpoch()
 
 	// updPrev maps (blockRow, blockCol) -> the step-(K-1) S task that
 	// last wrote the block; nil map at step 0.
 	var updPrev map[[2]int]*Task
 
 	for k := 0; k < steps; k++ {
-		bw := span(k, n)      // panel width
-		base := k * bsz       // first global row of the panel
-		rowsBelow := m - base // panel height
-		pivCount := min(bw, rowsBelow)
+		rk, bw := s.BlockDims(k, k) // diagonal block height, panel width
+		base := k * bsz             // first global row of the panel
+		pivCount := min(bw, m-base)
 		cg.PivCount[k] = pivCount
-		kk := k // capture
 
 		// ---- Tournament tree: leaves over contiguous runs of block rows.
-		nchunks := min(chunksMax, mb-k)
-		chunkBlocks := splitBlocks(k, mb, nchunks)
-		leafTasks := make([]*Task, len(chunkBlocks))
-		if !opt.SimOnly {
-			cg.cands[k] = make([]piv.Candidate, 0, 2*len(chunkBlocks))
-		}
-		nextSlot := 0
+		chunkBlocks := splitBlocks(k, mb, min(chunksMax, mb-k))
+		cg.cands[k] = make([]piv.Candidate, 0, 2*len(chunkBlocks))
 		newSlot := func() int {
-			s := nextSlot
-			nextSlot++
-			if !opt.SimOnly {
-				cg.cands[kk] = append(cg.cands[kk], piv.Candidate{})
-			}
-			return s
+			cg.cands[k] = append(cg.cands[k], piv.Candidate{})
+			return len(cg.cands[k]) - 1
 		}
+		leafTasks := make([]*Task, len(chunkBlocks))
 		leafSlots := make([]int, len(chunkBlocks))
 		for c, blkRange := range chunkBlocks {
 			i0, i1 := blkRange[0], blkRange[1]
 			r0, r1 := i0*bsz, min(i1*bsz, m)
-			s := newSlot()
-			leafSlots[c] = s
+			slot := newSlot()
+			leafSlots[c] = slot
 			// GEPP on an r x b chunk costs ~ r*b^2 - b^3/3 flops.
 			t := b.add(&Task{
 				Kind: PLeaf, K: k, I: c,
-				Owner:  l.Owner(i0, k),
+				Owner:  s.Owner(i0, k),
 				Static: isStatic(k),
 				Flops:  float64(r1-r0)*float64(bw)*float64(bw) - float64(bw)*float64(bw)*float64(bw)/3,
 				Bytes:  16 * float64(r1-r0) * float64(bw),
 				Prio:   priority(k, k, PLeaf),
 			})
-			if !opt.SimOnly {
-				i0c, i1c, r0c, r1c, slot := i0, i1, r0, r1, s
-				t.Run = func() {
-					sc := getLeafScratch()
-					defer putLeafScratch(sc)
-					work, ids := sc.take(r1c-r0c, bw)
-					// Stage the chunk one storage run at a time, so CM and
-					// a one-row BCL grid copy it as one run.
-					layout.WalkRuns(l, kk, i0c, i1c, func(i int, run kernel.View) {
-						off := i*bsz - r0c
-						kernel.Copy(work.Sub(off, off+run.Rows, 0, bw), run)
-					})
-					for x := range ids {
-						ids[x] = r0c + x
-					}
-					// GEPP destroys the staging, so the winners' originals
-					// come from the panel blocks. Nothing writes them before
-					// this leaf returns: step k-1's S tasks precede it, and
-					// step k's Final follows the tree's root.
-					orig := func(x int) kernel.View {
-						g := r0c + x
-						return l.Block(g/bsz, kk).Sub(g%bsz, g%bsz+1, 0, bw)
-					}
-					// The selection degrades gracefully on an exactly
-					// singular chunk (prefix fallback), so an error here is a
-					// real defect, not a property of the input; the runtime
-					// converts the panic into a Factor error.
-					cand, err := piv.SelectInPlace(work, ids, bw, orig, &sc.sel)
-					if err != nil {
-						panic(fmt.Sprintf("dag: TSLU leaf (step %d rows %d..%d): %v", kk, r0c, r1c, err))
-					}
-					cg.mu.Lock()
-					cg.cands[kk][slot] = cand
-					cg.mu.Unlock()
+			t.Run = func() {
+				l := cg.Layout
+				sc := getLeafScratch()
+				defer putLeafScratch(sc)
+				work, ids := sc.take(r1-r0, bw)
+				// Stage the chunk one storage run at a time, so CM and
+				// a one-row BCL grid copy it as one run.
+				layout.WalkRuns(l, k, i0, i1, func(i int, run kernel.View) {
+					off := i*bsz - r0
+					kernel.Copy(work.Sub(off, off+run.Rows, 0, bw), run)
+				})
+				for x := range ids {
+					ids[x] = r0 + x
 				}
+				// GEPP destroys the staging, so the winners' originals
+				// come from the panel blocks. Nothing writes them before
+				// this leaf returns: step k-1's S tasks precede it, and
+				// step k's Final follows the tree's root.
+				orig := func(x int) kernel.View {
+					g := r0 + x
+					return l.Block(g/bsz, k).Sub(g%bsz, g%bsz+1, 0, bw)
+				}
+				// The selection degrades gracefully on an exactly
+				// singular chunk (prefix fallback), so an error here is a
+				// real defect, not a property of the input; the runtime
+				// converts the panic into a Factor error.
+				cand, err := piv.SelectInPlace(work, ids, bw, orig, &sc.sel)
+				if err != nil {
+					panic(fmt.Sprintf("dag: TSLU leaf (step %d rows %d..%d): %v", k, r0, r1, err))
+				}
+				cg.mu.Lock()
+				cg.cands[k][slot] = cand
+				cg.mu.Unlock()
 			}
 			leafTasks[c] = t
 			// A leaf reads the panel blocks of its chunk, which were last
@@ -197,7 +184,7 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 					nextSlots = append(nextSlots, curSlots[i])
 					continue
 				}
-				s := newSlot()
+				sa, sb, out := curSlots[i], curSlots[i+1], newSlot()
 				// GEPP on the stacked 2b x b candidates: ~ (5/3) b^3 flops.
 				t := b.add(&Task{
 					Kind: PCombine, K: k, I: lvl*1024 + i/2,
@@ -207,25 +194,22 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 					Bytes:  32 * float64(bw) * float64(bw),
 					Prio:   priority(k, k, PCombine),
 				})
-				if !opt.SimOnly {
-					sa, sb, sc := curSlots[i], curSlots[i+1], s
-					t.Run = func() {
-						cg.mu.Lock()
-						ca, cb := cg.cands[kk][sa], cg.cands[kk][sb]
-						cg.mu.Unlock()
-						out, err := piv.Combine(ca, cb, bw)
-						if err != nil {
-							panic(fmt.Sprintf("dag: TSLU combine step %d: %v", kk, err))
-						}
-						cg.mu.Lock()
-						cg.cands[kk][sc] = out
-						cg.mu.Unlock()
+				t.Run = func() {
+					cg.mu.Lock()
+					ca, cb := cg.cands[k][sa], cg.cands[k][sb]
+					cg.mu.Unlock()
+					c, err := piv.Combine(ca, cb, bw)
+					if err != nil {
+						panic(fmt.Sprintf("dag: TSLU combine step %d: %v", k, err))
 					}
+					cg.mu.Lock()
+					cg.cands[k][out] = c
+					cg.mu.Unlock()
 				}
 				b.edge(curTasks[i], t)
 				b.edge(curTasks[i+1], t)
 				nextTasks = append(nextTasks, t)
-				nextSlots = append(nextSlots, s)
+				nextSlots = append(nextSlots, out)
 			}
 			curTasks, curSlots = nextTasks, nextSlots
 		}
@@ -235,30 +219,28 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 		// the pivot block (plus any ragged rows inside the diagonal block).
 		fin := b.add(&Task{
 			Kind: Final, K: k,
-			Owner:  l.Owner(k, k),
+			Owner:  s.Owner(k, k),
 			Static: isStatic(k),
 			Flops:  (2.0 / 3.0) * float64(bw) * float64(bw) * float64(bw),
-			Bytes:  8 * float64(span(k, m)) * float64(bw),
+			Bytes:  8 * float64(rk) * float64(bw),
 			Prio:   priority(k, k, Final),
 		})
-		if !opt.SimOnly {
-			rs := rootSlot
-			fin.Run = func() {
-				cg.mu.Lock()
-				winners := cg.cands[kk][rs].IDs
-				cg.mu.Unlock()
-				swaps := piv.Swaps(winners, base)
-				cg.StepSwaps[kk] = swaps
-				layout.ApplySwaps(l, kk, swaps)
-				// A zero diagonal here means the whole panel was rank
-				// deficient — no pivot candidate anywhere could fill the
-				// column — which is exactly when reference GEPP fails too.
-				// The panic becomes a Factor error, matching ReferenceLU's
-				// graceful error return.
-				diag := l.Block(kk, kk)
-				if err := kernel.GetrfNoPiv(kernel.View{Rows: diag.Rows, Cols: bw, Stride: diag.Stride, Data: diag.Data}); err != nil {
-					panic(fmt.Sprintf("dag: pivot block factorization step %d: %v", kk, err))
-				}
+		fin.Run = func() {
+			l := cg.Layout
+			cg.mu.Lock()
+			winners := cg.cands[k][rootSlot].IDs
+			cg.mu.Unlock()
+			swaps := piv.Swaps(winners, base)
+			cg.StepSwaps[k] = swaps
+			layout.ApplySwaps(l, k, swaps)
+			// A zero diagonal here means the whole panel was rank
+			// deficient — no pivot candidate anywhere could fill the
+			// column — which is exactly when reference GEPP fails too.
+			// The panic becomes a Factor error, matching ReferenceLU's
+			// graceful error return.
+			diag := l.Block(k, k)
+			if err := kernel.GetrfNoPiv(kernel.View{Rows: diag.Rows, Cols: bw, Stride: diag.Stride, Data: diag.Data}); err != nil {
+				panic(fmt.Sprintf("dag: pivot block factorization step %d: %v", k, err))
 			}
 		}
 		b.edge(rootTask, fin)
@@ -266,23 +248,20 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 		// ---- L tasks, one per block row below the diagonal.
 		lTasks := make(map[int]*Task, mb-k-1)
 		for i := k + 1; i < mb; i++ {
-			ri := span(i, m)
+			ri, _ := s.BlockDims(i, k)
 			t := b.add(&Task{
 				Kind: L, K: k, I: i,
-				Owner:  l.Owner(i, k),
+				Owner:  s.Owner(i, k),
 				Static: isStatic(k),
 				Flops:  float64(ri) * float64(bw) * float64(bw),
 				Bytes:  8 * (float64(ri)*float64(bw) + float64(bw)*float64(bw)),
 				Prio:   priority(k, k, L),
 			})
-			if !opt.SimOnly {
-				ic := i
-				t.Run = func() {
-					diag := l.Block(kk, kk)
-					ukk := kernel.View{Rows: bw, Cols: bw, Stride: diag.Stride, Data: diag.Data}
-					blk := l.Block(ic, kk)
-					kernel.TrsmUpperRight(ukk, kernel.View{Rows: blk.Rows, Cols: bw, Stride: blk.Stride, Data: blk.Data})
-				}
+			t.Run = func() {
+				diag := cg.Layout.Block(k, k)
+				ukk := kernel.View{Rows: bw, Cols: bw, Stride: diag.Stride, Data: diag.Data}
+				blk := cg.Layout.Block(i, k)
+				kernel.TrsmUpperRight(ukk, kernel.View{Rows: blk.Rows, Cols: bw, Stride: blk.Stride, Data: blk.Data})
 			}
 			b.edge(fin, t)
 			lTasks[i] = t
@@ -293,31 +272,29 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 		// living inside the diagonal block row.
 		uTasks := make(map[int]*Task, nb-k-1)
 		for j := k + 1; j < nb; j++ {
-			cj := span(j, n)
+			_, cj := s.BlockDims(k, j)
 			t := b.add(&Task{
 				Kind: U, K: k, J: j,
-				Owner:  l.Owner(k, j),
+				Owner:  s.Owner(k, j),
 				Static: isStatic(j),
 				Flops:  float64(pivCount) * float64(pivCount) * float64(cj),
-				Bytes:  8 * (float64(span(k, m))*float64(cj) + float64(pivCount)*float64(pivCount)),
+				Bytes:  8 * (float64(rk)*float64(cj) + float64(pivCount)*float64(pivCount)),
 				Prio:   priority(j, k, U),
 			})
-			if !opt.SimOnly {
-				jc := j
-				t.Run = func() {
-					layout.ApplySwaps(l, jc, cg.StepSwaps[kk])
-					diag := l.Block(kk, kk)
-					lkk := kernel.View{Rows: pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data}
-					blk := l.Block(kk, jc)
-					top := kernel.View{Rows: pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data}
-					kernel.TrsmLowerLeftUnit(lkk, top)
-					if blk.Rows > pivCount {
-						// Ragged diagonal block row: its extra rows hold L
-						// entries and must be updated like a trailing block.
-						low := kernel.View{Rows: blk.Rows - pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data[pivCount:]}
-						llow := kernel.View{Rows: blk.Rows - pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data[pivCount:]}
-						kernel.Gemm(low, llow, top)
-					}
+			t.Run = func() {
+				l := cg.Layout
+				layout.ApplySwaps(l, j, cg.StepSwaps[k])
+				diag := l.Block(k, k)
+				lkk := kernel.View{Rows: pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data}
+				blk := l.Block(k, j)
+				top := kernel.View{Rows: pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data}
+				kernel.TrsmLowerLeftUnit(lkk, top)
+				if blk.Rows > pivCount {
+					// Ragged diagonal block row: its extra rows hold L
+					// entries and must be updated like a trailing block.
+					low := kernel.View{Rows: blk.Rows - pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data[pivCount:]}
+					llow := kernel.View{Rows: blk.Rows - pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data[pivCount:]}
+					kernel.Gemm(low, llow, top)
 				}
 			}
 			b.edge(fin, t)
@@ -335,48 +312,42 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 		// grouping, section 3 — fusing along columns keeps every column's
 		// progress independent, so the critical path is unaffected).
 		updCur := make(map[[2]int]*Task)
-		rowRuns := groupRows(l, k, mb, group)
+		rowRuns := groupRows(s, k, mb, group)
 		// One packed copy of each row run's L blocks for its nb-k-1 S
 		// tasks, one of each U_KJ for its len(rowRuns) S tasks; a handle
 		// is nil (that operand packed privately) with a single consumer.
 		aPanels := make([]*kernel.SharedPanel, len(rowRuns))
-		if !opt.SimOnly {
-			for r, run := range rowRuns {
-				aPanels[r] = b.panel(kernel.NewSharedAPanel(kernel.PanelKey{Epoch: ep, Col: run[0], Step: k}, nb-k-1))
-			}
+		for r, run := range rowRuns {
+			aPanels[r] = b.panel(kernel.NewSharedAPanel(kernel.PanelKey{Epoch: ep, Col: run[0], Step: k}, nb-k-1))
 		}
 		for j := k + 1; j < nb; j++ {
-			cj := span(j, n)
-			var pb *kernel.SharedPanel
-			if !opt.SimOnly {
-				pb = b.panel(kernel.NewSharedBPanel(kernel.PanelKey{Epoch: ep, Col: j, Step: k}, len(rowRuns)))
-			}
+			_, cj := s.BlockDims(k, j)
+			pb := b.panel(kernel.NewSharedBPanel(kernel.PanelKey{Epoch: ep, Col: j, Step: k}, len(rowRuns)))
 			for r, run := range rowRuns {
-				i0 := run[0]
-				rows := runRows(l, i0, run[1])
+				i0, w := run[0], run[1]
+				rows := runRows(s, i0, w)
 				totalRows := 0
 				for _, i := range rows {
-					totalRows += span(i, m)
+					ri, _ := s.BlockDims(i, j)
+					totalRows += ri
 				}
 				t := b.add(&Task{
 					Kind: S, K: k, I: i0, J: j,
 					Group:  rows,
-					Owner:  l.Owner(i0, j),
+					Owner:  s.Owner(i0, j),
 					Static: isStatic(j),
 					Flops:  2 * float64(totalRows) * float64(pivCount) * float64(cj),
 					Bytes:  8 * (float64(totalRows)*float64(pivCount) + float64(pivCount)*float64(cj) + float64(totalRows)*float64(cj)),
 					Prio:   priority(j, k, S),
 				})
-				if !opt.SimOnly {
-					i0c, jc, wc, pa := i0, j, run[1], aPanels[r]
-					t.Run = func() {
-						lv := l.GroupedRows(i0c, kk, wc)
-						a := kernel.View{Rows: lv.Rows, Cols: pivCount, Stride: lv.Stride, Data: lv.Data}
-						ublk := l.Block(kk, jc)
-						bt := kernel.View{Rows: pivCount, Cols: ublk.Cols, Stride: ublk.Stride, Data: ublk.Data}
-						cv := l.GroupedRows(i0c, jc, wc)
-						kernel.GemmShared(cv, a, bt, pa, pb)
-					}
+				pa := aPanels[r]
+				t.Run = func() {
+					l := cg.Layout
+					lv := l.GroupedRows(i0, k, w)
+					a := kernel.View{Rows: lv.Rows, Cols: pivCount, Stride: lv.Stride, Data: lv.Data}
+					ublk := l.Block(k, j)
+					bt := kernel.View{Rows: pivCount, Cols: ublk.Cols, Stride: ublk.Stride, Data: ublk.Data}
+					kernel.GemmShared(l.GroupedRows(i0, j, w), a, bt, pa, pb)
 				}
 				b.edge(uTasks[j], t)
 				for _, i := range rows {
@@ -466,15 +437,6 @@ func (s *leafScratch) take(r, c int) (kernel.View, []int) {
 	return kernel.View{Rows: r, Cols: c, Stride: max(r, 1), Data: s.vals[:r*c]}, s.ids[:r]
 }
 
-// blockSpanOf mirrors layout's internal block span helper.
-func blockSpanOf(i, b, ext int) int {
-	s := ext - i*b
-	if s > b {
-		s = b
-	}
-	return s
-}
-
 // splitBlocks partitions block rows [k, mb) into nchunks contiguous,
 // non-empty runs, returned as half-open block-row ranges.
 func splitBlocks(k, mb, nchunks int) [][2]int {
@@ -497,23 +459,22 @@ func splitBlocks(k, mb, nchunks int) [][2]int {
 }
 
 // groupRows plans the S-task row grouping for step k: each run is
-// (startRow, width) where width > 1 only if the layout is vertically
-// contiguous across the run (owned block rows are adjacent in BCL and
-// CM storage, never in 2l-BL). Grouping is a property of the storage,
-// so the same runs apply under every scheduling strategy (section
-// 5.1.1); the union of runs covers every trailing block row exactly
-// once.
-func groupRows(l layout.Layout, k, mb, group int) [][2]int {
+// (startRow, width) where width > 1 only if the shape reports the run's
+// owned block rows contiguous in storage (adjacent in BCL and CM, never
+// in 2l-BL). Grouping is a property of the storage, so the same runs
+// apply under every scheduling strategy (section 5.1.1); the union of
+// runs covers every trailing block row exactly once.
+func groupRows(s layout.Shape, k, mb, group int) [][2]int {
 	covered := make([]bool, mb)
 	var runs [][2]int
-	step := rowGroupStep(l)
+	step := s.RowGroupStep()
 	for i := k + 1; i < mb; i++ {
 		if covered[i] {
 			continue
 		}
 		w := 1
 		if group > 1 {
-			maxW := l.RowGroupWidth(i, k, group)
+			maxW := s.RowGroupWidth(i, k, group)
 			for w < maxW {
 				next := i + w*step
 				if next >= mb || covered[next] {
@@ -530,21 +491,12 @@ func groupRows(l layout.Layout, k, mb, group int) [][2]int {
 	return runs
 }
 
-// rowGroupStep is the block-row stride between a worker's consecutive
-// owned rows: the grid's PR for cyclic layouts, 1 for column major.
-func rowGroupStep(l layout.Layout) int {
-	if l.Kind() == layout.CM {
-		return 1
-	}
-	return l.Grid().PR
-}
-
 // runRows expands a (start,width) run into the covered block rows.
-func runRows(l layout.Layout, i0, w int) []int {
+func runRows(s layout.Shape, i0, w int) []int {
 	if w == 1 {
 		return []int{i0}
 	}
-	step := rowGroupStep(l)
+	step := s.RowGroupStep()
 	rows := make([]int, w)
 	for i := range rows {
 		rows[i] = i0 + i*step

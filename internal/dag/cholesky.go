@@ -17,70 +17,73 @@ import (
 // the shared DFS queue.
 type CholeskyGraph struct {
 	*Graph
+	// Layout is the storage being factored, read by the Run closures
+	// when they run (see CALUGraph.Layout).
 	Layout layout.Layout
 }
 
-// BuildCholesky constructs the tiled Cholesky graph over the lower
-// triangle of the layout's matrix:
+// BuildCholesky constructs the tiled Cholesky graph of l's shape
+// (NewCholesky) and binds it to l, ready for the runtime.
+func BuildCholesky(l layout.Layout, opt CALUOptions) *CholeskyGraph {
+	cg := NewCholesky(layout.ShapeOf(l), opt)
+	cg.Layout = l
+	return cg
+}
+
+// NewCholesky constructs the tiled Cholesky graph over the lower
+// triangle of a square matrix of shape s:
 //
 //	POTRF(k):   A_kk = L_kk L_kk^T
 //	TRSM(i,k):  A_ik <- A_ik L_kk^{-T}           (i > k)
 //	UPD(i,j,k): A_ij <- A_ij - A_ik A_jk^T       (k < j <= i)
 //
 // Kind mapping for scheduling/cost purposes: POTRF -> Final,
-// TRSM -> L, UPD -> S.
-func BuildCholesky(l layout.Layout, opt CALUOptions) *CholeskyGraph {
-	m, n, bsz := l.Dims()
+// TRSM -> L, UPD -> S. The Run closures read cg.Layout when they run.
+func NewCholesky(s layout.Shape, opt CALUOptions) *CholeskyGraph {
+	m, n, _ := s.Dims()
 	if m != n {
 		panic(fmt.Sprintf("dag: cholesky needs a square matrix, got %dx%d", m, n))
 	}
-	mb, _ := l.Blocks()
-	workers := l.Grid().Workers()
-	b := newBuilder(fmt.Sprintf("Cholesky(%s,Nstatic=%d)", l.Kind(), opt.NstaticCols), workers)
-	cg := &CholeskyGraph{Graph: b.g, Layout: l}
+	mb, _ := s.Blocks()
+	b := newBuilder(fmt.Sprintf("Cholesky(%s,Nstatic=%d)", s.Kind(), opt.NstaticCols), s.Grid().Workers())
+	cg := &CholeskyGraph{Graph: b.g}
 
 	isStatic := func(col int) bool { return col < opt.NstaticCols }
-	span := func(i int) int { return blockSpanOf(i, bsz, n) }
+	span := func(i int) int { r, _ := s.BlockDims(i, i); return r }
 
 	// prev[(i,j)] is the last writer of tile (i,j) (lower triangle only).
 	prev := map[[2]int]*Task{}
 	for k := 0; k < mb; k++ {
-		kk := k
 		bk := span(k)
 
 		potrf := b.add(&Task{
 			Kind: Final, K: k,
-			Owner:  l.Owner(k, k),
+			Owner:  s.Owner(k, k),
 			Static: isStatic(k),
 			Flops:  float64(bk) * float64(bk) * float64(bk) / 3,
 			Bytes:  8 * float64(bk) * float64(bk),
 			Prio:   priority(k, k, Final),
 		})
-		if !opt.SimOnly {
-			potrf.Run = func() {
-				if err := kernel.Potf2(l.Block(kk, kk)); err != nil {
-					panic(fmt.Sprintf("dag: POTRF step %d: %v", kk, err))
-				}
+		potrf.Run = func() {
+			if err := kernel.Potf2(cg.Layout.Block(k, k)); err != nil {
+				panic(fmt.Sprintf("dag: POTRF step %d: %v", k, err))
 			}
 		}
 		b.edge(prev[[2]int{k, k}], potrf)
 
 		trsm := make(map[int]*Task, mb-k-1)
 		for i := k + 1; i < mb; i++ {
-			ic := i
 			ri := span(i)
 			t := b.add(&Task{
 				Kind: L, K: k, I: i,
-				Owner:  l.Owner(i, k),
+				Owner:  s.Owner(i, k),
 				Static: isStatic(k),
 				Flops:  float64(ri) * float64(bk) * float64(bk),
 				Bytes:  8 * (float64(ri)*float64(bk) + float64(bk)*float64(bk)),
 				Prio:   priority(k, k, L),
 			})
-			if !opt.SimOnly {
-				t.Run = func() {
-					kernel.TrsmRightLowerTrans(l.Block(kk, kk), l.Block(ic, kk))
-				}
+			t.Run = func() {
+				kernel.TrsmRightLowerTrans(cg.Layout.Block(k, k), cg.Layout.Block(i, k))
 			}
 			b.edge(potrf, t)
 			b.edge(prev[[2]int{i, k}], t)
@@ -89,23 +92,20 @@ func BuildCholesky(l layout.Layout, opt CALUOptions) *CholeskyGraph {
 		}
 
 		for j := k + 1; j < mb; j++ {
-			jc := j
 			cj := span(j)
 			for i := j; i < mb; i++ {
-				ic := i
 				ri := span(i)
 				t := b.add(&Task{
 					Kind: S, K: k, I: i, J: j,
-					Owner:  l.Owner(i, j),
+					Owner:  s.Owner(i, j),
 					Static: isStatic(j),
 					Flops:  2 * float64(ri) * float64(bk) * float64(cj),
 					Bytes:  8 * (float64(ri)*float64(bk) + float64(cj)*float64(bk) + float64(ri)*float64(cj)),
 					Prio:   priority(j, k, S),
 				})
-				if !opt.SimOnly {
-					t.Run = func() {
-						kernel.GemmNT(l.Block(ic, jc), l.Block(ic, kk), l.Block(jc, kk))
-					}
+				t.Run = func() {
+					l := cg.Layout
+					kernel.GemmNT(l.Block(i, j), l.Block(i, k), l.Block(j, k))
 				}
 				b.edge(trsm[i], t)
 				if i != j {

@@ -1,14 +1,17 @@
 // Package dag builds the task dependency graphs of the factorization
-// algorithms: CALU (the paper's algorithm, section 2/3), the MKL-style
-// GEPP baseline and the PLASMA-style incremental-pivoting baseline.
+// algorithms: CALU (the paper's algorithm, section 2/3), tiled
+// Cholesky, the MKL-style GEPP baseline and the PLASMA-style
+// incremental-pivoting baseline.
 //
-// A Graph is executed either by the real goroutine runtime
-// (internal/rt), which calls each task's Run closure to do actual
-// arithmetic on the layout's storage, or by the discrete-event
-// simulator (internal/sim), which ignores Run and charges the task's
-// Flops/Bytes to a machine model. Both consume the same dependency
-// structure and the same static/dynamic split, so the scheduling
-// behaviour under study is identical in the two modes.
+// Each algorithm has one builder (NewCALU, NewCholesky, NewGEPP,
+// NewIncPiv), which reads only a layout.Shape. Its graph is executed
+// either by the discrete-event simulator (internal/sim), which never
+// calls Run and charges each task's Flops/Bytes to a machine model, or
+// by the real goroutine runtime (internal/rt), which calls each task's
+// Run closure to do the arithmetic on the storage the graph's Layout
+// field names when the task runs (BuildCALU and its siblings build from
+// a layout's Shape and set that field). Both consume the same graph, so
+// the scheduling behaviour under study is identical in the two modes.
 package dag
 
 import (
@@ -113,8 +116,9 @@ type Task struct {
 	// which realizes both the look-ahead of the static section and the
 	// DFS traversal of Algorithm 2 in the dynamic section.
 	Prio int64
-	// Run performs the actual arithmetic (nil in baseline graphs built
-	// only for simulation).
+	// Run performs the task's arithmetic when the runtime executes it;
+	// the simulator never calls it. The factorization graphs' closures
+	// read their storage from the graph's Layout field at that time.
 	Run func()
 
 	// NumDeps is the static in-degree. It is immutable once the graph

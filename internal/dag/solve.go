@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
+	"repro/internal/layout"
 	"repro/internal/mat"
 )
 
@@ -73,7 +74,8 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 	b := newBuilder(fmt.Sprintf("Solve(n=%d,nrhs=%d,b=%d,Nstatic=%d)", n, nrhs, bsz, opt.NstaticCols), workers)
 	sg := &SolveGraph{Graph: b.g, X: x}
 
-	span := func(i int) int { return blockSpanOf(i, bsz, n) }
+	tiles := layout.NewShape(layout.CM, n, n, bsz, layout.NewGrid(1))
+	span := func(i int) int { r, _ := tiles.BlockDims(i, i); return r }
 	xblk := func(i int) kernel.View {
 		return kernel.View{Rows: span(i), Cols: nrhs, Stride: x.Stride, Data: x.Data[i*bsz:]}
 	}

@@ -58,9 +58,10 @@ func runAblation(scale float64, seed int64) (*Table, error) {
 	add("randomized work stealing", ws.Makespan)
 
 	// --- wider tournament fan-out: one leaf per block row.
-	wide, err := sim.Run(dag.BuildCALU(
-		sim.NewPhantomLayout(layout.BCL, n, n, b, layout.NewGrid(workers)),
-		dag.CALUOptions{NstaticCols: core.Options{DynamicRatio: 0.10}.NstaticCols(nb), Group: 3, Chunks: workers, SimOnly: true},
+	grid := layout.NewGrid(workers)
+	wide, err := sim.Run(dag.NewCALU(
+		layout.NewShape(layout.BCL, n, n, b, grid),
+		dag.CALUOptions{NstaticCols: core.Options{DynamicRatio: 0.10}.NstaticCols(nb), Group: 3, Chunks: workers},
 	).Graph, sim.Config{
 		Machine: m, Workers: workers, Layout: layout.BCL,
 		Policy: sched.NewHybrid(), Seed: seed,
@@ -71,15 +72,14 @@ func runAblation(scale float64, seed int64) (*Table, error) {
 	add(fmt.Sprintf("tournament fan-out %d leaves", workers), wide.Makespan)
 
 	// --- the baseline's missing look-ahead, isolated on the GEPP DAG.
-	ph := sim.NewPhantomLayout(layout.CM, n, n, b, layout.NewGrid(workers))
-	noLA, err := sim.Run(dag.BuildGEPP(ph, dag.GEPPOptions{}).Graph, sim.Config{
+	cm := layout.NewShape(layout.CM, n, n, b, grid)
+	noLA, err := sim.Run(dag.NewGEPP(cm, dag.GEPPOptions{}).Graph, sim.Config{
 		Machine: m, Workers: workers, Layout: layout.CM, Policy: sched.NewDynamic(), Seed: seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	ph2 := sim.NewPhantomLayout(layout.CM, n, n, b, layout.NewGrid(workers))
-	la, err := sim.Run(dag.BuildGEPP(ph2, dag.GEPPOptions{Lookahead: true}).Graph, sim.Config{
+	la, err := sim.Run(dag.NewGEPP(cm, dag.GEPPOptions{Lookahead: true}).Graph, sim.Config{
 		Machine: m, Workers: workers, Layout: layout.CM, Policy: sched.NewDynamic(), Seed: seed,
 	})
 	if err != nil {

@@ -162,8 +162,7 @@ func simCALU(m sim.Machine, workers, n, b int, opt core.Options) (sim.Result, er
 // identifies: the sequential panel factorization on the critical path
 // of a fork-join schedule.
 func simGEPP(m sim.Machine, workers, n, b int, seed int64) (sim.Result, error) {
-	ph := sim.NewPhantomLayout(layout.BCL, n, n, b, layout.NewGrid(workers))
-	g := dag.BuildGEPP(ph, dag.GEPPOptions{Lookahead: false})
+	g := dag.NewGEPP(layout.NewShape(layout.BCL, n, n, b, layout.NewGrid(workers)), dag.GEPPOptions{})
 	return sim.Run(g.Graph, sim.Config{
 		Machine: m, Workers: workers, Layout: layout.BCL,
 		Policy: sched.NewDynamic(), Seed: seed,
@@ -176,8 +175,7 @@ func simGEPP(m sim.Machine, workers, n, b int, seed int64) (sim.Result, error) {
 // migration costs; what it pays is the extra flops and lower kernel
 // efficiency of the incremental-pivoting updates.
 func simIncPiv(m sim.Machine, workers, n, b int, seed int64) (sim.Result, error) {
-	ph := sim.NewPhantomLayout(layout.TwoLevel, n, n, b, layout.NewGrid(workers))
-	g := dag.BuildIncPiv(ph)
+	g := dag.NewIncPiv(layout.NewShape(layout.TwoLevel, n, n, b, layout.NewGrid(workers)))
 	return sim.Run(g.Graph, sim.Config{
 		Machine: m, Workers: workers, Layout: layout.TwoLevel,
 		Policy: sched.NewStatic(), Seed: seed,

@@ -35,9 +35,9 @@ func runTheorem1(scale float64, seed int64) (*Table, error) {
 	}
 	// T_criticalPath of this graph under the machine's kernel model (the
 	// section 6 extension: the panel chain cannot be parallelized away).
-	tcp := sim.CriticalPathSeconds(dag.BuildCALU(
-		sim.NewPhantomLayout(layout.BCL, n, n, b, layout.NewGrid(workers)),
-		dag.CALUOptions{NstaticCols: nb, Group: 3, SimOnly: true},
+	tcp := sim.CriticalPathSeconds(dag.NewCALU(
+		layout.NewShape(layout.BCL, n, n, b, layout.NewGrid(workers)),
+		dag.CALUOptions{NstaticCols: nb, Group: 3},
 	).Graph, sim.AMDOpteron48(), layout.BCL)
 	intensities := []struct {
 		label string

@@ -47,52 +47,51 @@ func fork(parts, elems int, part func(p int)) {
 // WalkRuns calls visit once per storage run of block rows [i0, i1) of
 // block column j, top to bottom, with the run's first block row and a
 // view as tall as the run. A run is the block rows GroupedRows stacks,
-// taken only where they are also adjacent in the matrix: under CM and
-// under BCL on a one-row grid the whole range is one run; under 2l-BL,
-// and under BCL with PR > 1, every block is its own run. Every block
-// row of a run but the last is b tall, so run row r is global row i*b+r.
+// taken only where they are also adjacent in the matrix (RowGroupStep
+// 1): under CM and under BCL on a one-row grid the whole range is one
+// run; under 2l-BL, and under BCL with PR > 1, every block is its own
+// run. Every block row of a run but the last is b tall, so run row r is
+// global row i*b+r.
 func WalkRuns(l Layout, j, i0, i1 int, visit func(i int, run kernel.View)) {
-	adjacent := l.Kind() == CM || l.Kind() == BCL && l.Grid().PR == 1
+	s := ShapeOf(l)
+	adjacent := s.RowGroupStep() == 1
 	for i := i0; i < i1; {
 		w := 1
 		if adjacent {
-			w = l.RowGroupWidth(i, j, i1-i)
+			w = s.RowGroupWidth(i, j, i1-i)
 		}
 		visit(i, l.GroupedRows(i, j, w))
 		i += w
 	}
 }
 
-// build allocates a layout of the given kind and shape and fills it by
-// owner: part w first-touches worker w's storage (its own sub[w] for
-// BCL), then calls put — which writes exactly its run — on every run of
-// the blocks w owns, so a static section starts on memory its owner
-// brought in.
-func build(kind Kind, m, n, b int, g Grid, put func(i, j int, run kernel.View)) Layout {
-	if b <= 0 {
-		panic("layout: block size must be positive")
-	}
+// build allocates a layout of shape s and fills it by owner: part w
+// first-touches worker w's storage (its own sub[w] for BCL), then calls
+// put — which writes exactly its run — on every run of the blocks w
+// owns, so a static section starts on memory its owner brought in.
+func build(s Shape, put func(i, j int, run kernel.View)) Layout {
+	m, n, b, g := s.m, s.n, s.b, s.grid
 	var l Layout
 	own := func(int) {}
-	switch kind {
+	switch s.kind {
 	case CM:
-		l = &ColMajor{m: m, n: n, b: b, grid: g, a: mat.New(m, n)}
+		l = &ColMajor{Shape: s, a: mat.New(m, n)}
 	case BCL:
-		bc := &BlockCyclic{m: m, n: n, b: b, grid: g, sub: make([]*mat.Dense, g.Workers())}
+		bc := &BlockCyclic{Shape: s, sub: make([]*mat.Dense, g.Workers())}
 		l, own = bc, func(w int) {
 			bc.sub[w] = mat.New(ownedSpan(m, b, w%g.PR, g.PR), ownedSpan(n, b, w/g.PR, g.PC))
 		}
 	case TwoLevel:
-		l = &TwoLevelBlock{m: m, n: n, b: b, grid: g, data: make([]float64, m*n)}
+		l = &TwoLevelBlock{Shape: s, data: make([]float64, m*n)}
 	default:
-		panic(fmt.Sprintf("layout: unknown kind %d", int(kind)))
+		panic(fmt.Sprintf("layout: unknown kind %d", int(s.kind)))
 	}
 	// Part w fills the block columns j ≡ w/rp (mod cp) and, in them, the
 	// block rows i ≡ w (mod rp): exactly worker w's blocks. CM's single
 	// array has no owner to honour, so it is dealt by whole columns.
-	mb, nb := l.Blocks()
+	mb, nb := s.Blocks()
 	rp, cp := g.PR, g.PC
-	if kind == CM {
+	if s.kind == CM {
 		rp, cp = 1, g.Workers()
 	}
 	fork(g.Workers(), m*n, func(w int) {

@@ -26,7 +26,7 @@ func oraclePack(t *testing.T, l Layout, src *mat.Dense) {
 	for i := 0; i < mb; i++ {
 		for j := 0; j < nb; j++ {
 			v := l.Block(i, j)
-			if v.Rows != blockSpan(i, b, src.Rows) || v.Cols != blockSpan(j, b, src.Cols) {
+			if v.Rows != min(b, src.Rows-i*b) || v.Cols != min(b, src.Cols-j*b) {
 				t.Fatalf("block (%d,%d) is %dx%d", i, j, v.Rows, v.Cols)
 			}
 			for jj := 0; jj < v.Cols; jj++ {
@@ -238,7 +238,7 @@ func TestWalksVisitStorageRuns(t *testing.T) {
 				mu.Unlock()
 			}
 		}
-		l := build(kind, src.Rows, src.Cols, b, g, record("build"))
+		l := build(NewShape(kind, src.Rows, src.Cols, b, g), record("build"))
 		WalkColumns(l, record("WalkColumns"))
 		mb, nb := l.Blocks()
 		want := mb * nb
@@ -278,8 +278,8 @@ func TestOwnedSpan(t *testing.T) {
 			for period := 1; period <= 4; period++ {
 				for p := 0; p < period; p++ {
 					want := 0
-					for i := p; i < numBlocks(ext, b); i += period {
-						want += blockSpan(i, b, ext)
+					for i := p; i < (ext+b-1)/b; i += period {
+						want += min(b, ext-i*b)
 					}
 					if got := ownedSpan(ext, b, p, period); got != want {
 						t.Errorf("ownedSpan(%d,%d,%d,%d) = %d, want %d", ext, b, p, period, got, want)

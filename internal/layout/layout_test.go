@@ -51,16 +51,16 @@ func TestParseKind(t *testing.T) {
 }
 
 func TestOwnerCyclic(t *testing.T) {
-	g := Grid{PR: 2, PC: 3}
+	s := NewShape(BCL, 48, 72, 8, Grid{PR: 2, PC: 3})
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 6; j++ {
-			w := g.Owner(i, j)
+			w := s.Owner(i, j)
 			if w < 0 || w >= 6 {
 				t.Fatalf("owner out of range: %d", w)
 			}
 			seen[w] = true
-			if g.Owner(i+2, j) != w || g.Owner(i, j+3) != w {
+			if s.Owner(i+2, j) != w || s.Owner(i, j+3) != w {
 				t.Fatal("ownership not cyclic")
 			}
 		}
@@ -146,56 +146,6 @@ func TestSwapSameRowNoop(t *testing.T) {
 	}
 }
 
-func TestBCLGrouping(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	src := mat.Random(16, 24, rng)
-	g := NewGrid(4) // 2x2
-	l := New(BCL, src, 4, g)
-	// Worker of block (0,0) owns block columns 0,2,4 (PC=2).
-	if w := l.GroupWidth(0, 0, 3); w != 3 {
-		t.Fatalf("group width = %d want 3", w)
-	}
-	v := l.GroupedBlock(0, 0, 3)
-	if v.Rows != 4 || v.Cols != 12 {
-		t.Fatalf("grouped view %dx%d want 4x12", v.Rows, v.Cols)
-	}
-	// Columns of the grouped view must be block cols 0, 2, 4 in order.
-	for w := 0; w < 3; w++ {
-		for jj := 0; jj < 4; jj++ {
-			for ii := 0; ii < 4; ii++ {
-				want := src.At(ii, (2*w)*4+jj)
-				if got := v.At(ii, w*4+jj); got != want {
-					t.Fatalf("grouped view wrong at group %d (%d,%d): got %g want %g", w, ii, jj, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestBCLGroupWidthStopsAtEdge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	src := mat.Random(8, 12, rng) // 3 block columns with b=4
-	l := New(BCL, src, 4, NewGrid(4))
-	// Owner of (0,1) owns block columns 1 only (PC=2 -> next would be 3 >= nb).
-	if w := l.GroupWidth(0, 1, 3); w != 1 {
-		t.Fatalf("edge group width = %d want 1", w)
-	}
-}
-
-func TestTwoLevelCannotGroup(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	l := New(TwoLevel, mat.Random(8, 16, rng), 4, NewGrid(2))
-	if w := l.GroupWidth(0, 0, 3); w != 1 {
-		t.Fatalf("2l-BL group width = %d want 1", w)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for 2l-BL grouped width > 1")
-		}
-	}()
-	l.GroupedBlock(0, 0, 2)
-}
-
 func TestTwoLevelTilesContiguous(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	l := New(TwoLevel, mat.Random(8, 8, rng), 4, NewGrid(2))
@@ -205,22 +155,6 @@ func TestTwoLevelTilesContiguous(t *testing.T) {
 	}
 	if len(v.Data) < v.Rows*v.Cols {
 		t.Fatal("tile slice too short")
-	}
-}
-
-func TestCMGrouping(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	src := mat.Random(8, 16, rng)
-	l := New(CM, src, 4, NewGrid(2))
-	if w := l.GroupWidth(0, 1, 3); w != 3 {
-		t.Fatalf("CM group width = %d want 3", w)
-	}
-	v := l.GroupedBlock(1, 1, 3)
-	if v.Rows != 4 || v.Cols != 12 {
-		t.Fatalf("CM grouped view %dx%d", v.Rows, v.Cols)
-	}
-	if v.At(0, 0) != src.At(4, 4) {
-		t.Fatal("CM grouped view offset wrong")
 	}
 }
 

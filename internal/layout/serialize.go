@@ -43,17 +43,19 @@ func EncodedLen(l Layout) int {
 	return serializeHdrLen + 8*m*n
 }
 
-// blockOffset is the byte offset of block (i,j) in an encoded m x n
-// layout: past the full block rows above it and the blocks to its left.
-func blockOffset(i, j, m, n, b int) int {
-	return serializeHdrLen + 8*(i*b*n+blockSpan(i, b, m)*j*b)
+// blockOffset is the byte offset of block (i,j) in an encoded layout of
+// shape s: past the full block rows above it and the blocks to its left.
+func blockOffset(s Shape, i, j int) int {
+	r, _ := s.BlockDims(i, j)
+	return serializeHdrLen + 8*(i*s.b*s.n+r*j*s.b)
 }
 
 // Encode serializes l — kind, dims, grid and every block's values —
 // into a self-delimiting byte string. Decode inverts it exactly.
 func Encode(l Layout) []byte {
-	m, n, b := l.Dims()
-	g := l.Grid()
+	s := ShapeOf(l)
+	m, n, b := s.Dims()
+	g := s.Grid()
 	out := make([]byte, EncodedLen(l))
 	copy(out, serializeMagic)
 	out[4] = serializeVersion
@@ -66,7 +68,7 @@ func Encode(l Layout) []byte {
 	le.PutUint32(out[22:], uint32(g.PC))
 	WalkColumns(l, func(i, j int, run kernel.View) {
 		eachBlock(run, i, b, func(i int, v kernel.View) {
-			p := out[blockOffset(i, j, m, n, b):]
+			p := out[blockOffset(s, i, j):]
 			for jj := 0; jj < v.Cols; jj++ {
 				for _, x := range v.Data[jj*v.Stride : jj*v.Stride+v.Rows] {
 					le.PutUint64(p, math.Float64bits(x))
@@ -131,9 +133,10 @@ func Decode(data []byte) (Layout, int, error) {
 		return nil, 0, fmt.Errorf("layout: implausible empty %dx%d layout", um, un)
 	}
 	m, n := int(um), int(un)
-	l := build(kind, m, n, b, Grid{PR: pr, PC: pc}, func(i, j int, run kernel.View) {
+	s := NewShape(kind, m, n, b, Grid{PR: pr, PC: pc})
+	l := build(s, func(i, j int, run kernel.View) {
 		eachBlock(run, i, b, func(i int, v kernel.View) {
-			src := data[blockOffset(i, j, m, n, b):]
+			src := data[blockOffset(s, i, j):]
 			for jj := 0; jj < v.Cols; jj++ {
 				col := v.Data[jj*v.Stride : jj*v.Stride+v.Rows]
 				for k := range col {

@@ -24,8 +24,8 @@ type swapRef struct {
 // swap. Swaps of one column never read another column, so the
 // reordering cannot change a value.
 func ApplySwaps(l Layout, jb int, swaps [][2]int) {
-	_, n, b := l.Dims()
-	cols := blockSpan(jb, b, n)
+	_, _, b := l.Dims()
+	_, cols := l.BlockDims(0, jb)
 	var refs [swapChunk]swapRef
 	for len(swaps) > 0 {
 		chunk := swaps[:min(swapChunk, len(swaps))]

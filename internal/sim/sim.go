@@ -285,17 +285,16 @@ func CriticalPathSeconds(g *dag.Graph, m Machine, kind layout.Kind) float64 {
 	return best
 }
 
-// FactorSim builds a CALU graph for an (m x n) matrix with block size b
-// over the worker grid implied by cfg and simulates it, without any
-// numeric data: the matrix is shape-only, which is what makes
-// paper-scale sizes (n = 15000) simulable in milliseconds.
+// FactorSim builds the CALU graph of an (m x n) matrix with block size b
+// over the worker grid implied by cfg and simulates it. The graph is
+// built from a layout.Shape and no matrix is allocated, which is what
+// makes paper-scale sizes (n = 15000) simulable in milliseconds.
 func FactorSim(m, n, b int, nstaticCols, group int, cfg Config) (Result, error) {
 	p := cfg.Workers
 	if p <= 0 || p > cfg.Machine.Cores() {
 		p = cfg.Machine.Cores()
 		cfg.Workers = p
 	}
-	l := NewPhantomLayout(cfg.Layout, m, n, b, layout.NewGrid(p))
-	cg := dag.BuildCALU(l, dag.CALUOptions{NstaticCols: nstaticCols, Group: group})
-	return Run(cg.Graph, cfg)
+	s := layout.NewShape(cfg.Layout, m, n, b, layout.NewGrid(p))
+	return Run(dag.NewCALU(s, dag.CALUOptions{NstaticCols: nstaticCols, Group: group}).Graph, cfg)
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/layout"
-	"repro/internal/mat"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -231,64 +230,6 @@ func TestColumnMajorDynamicWorst(t *testing.T) {
 	}
 	if cm.Gflops >= bcl.Gflops {
 		t.Fatalf("CM dynamic %g should trail BCL dynamic %g", cm.Gflops, bcl.Gflops)
-	}
-}
-
-func TestPhantomLayoutStructureMatchesReal(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	src := mat.Random(40, 56, rng)
-	g := layout.NewGrid(6)
-	real := layout.New(layout.BCL, src, 8, g)
-	ph := NewPhantomLayout(layout.BCL, 40, 56, 8, g)
-	mbR, nbR := real.Blocks()
-	mbP, nbP := ph.Blocks()
-	if mbR != mbP || nbR != nbP {
-		t.Fatal("block counts differ")
-	}
-	for i := 0; i < mbR; i++ {
-		for j := 0; j < nbR; j++ {
-			if real.Owner(i, j) != ph.Owner(i, j) {
-				t.Fatalf("owner differs at (%d,%d)", i, j)
-			}
-			for _, mg := range []int{1, 2, 3} {
-				if real.GroupWidth(i, j, mg) != ph.GroupWidth(i, j, mg) {
-					t.Fatalf("group width differs at (%d,%d) max %d", i, j, mg)
-				}
-			}
-		}
-	}
-}
-
-func TestPhantomLayoutPanicsOnData(t *testing.T) {
-	ph := NewPhantomLayout(layout.BCL, 16, 16, 4, layout.NewGrid(2))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on Block access")
-		}
-	}()
-	ph.Block(0, 0)
-}
-
-func TestSimGraphMatchesRealGraphStructure(t *testing.T) {
-	// SimOnly graphs must have identical structure to real graphs.
-	rng := rand.New(rand.NewSource(2))
-	src := mat.Random(48, 48, rng)
-	g := layout.NewGrid(4)
-	realG := dag.BuildCALU(layout.New(layout.BCL, src, 8, g), dag.CALUOptions{NstaticCols: 4, Group: 3})
-	simG := dag.BuildCALU(NewPhantomLayout(layout.BCL, 48, 48, 8, g), dag.CALUOptions{NstaticCols: 4, Group: 3, SimOnly: true})
-	if len(realG.Tasks) != len(simG.Tasks) {
-		t.Fatalf("task counts differ: %d vs %d", len(realG.Tasks), len(simG.Tasks))
-	}
-	for i := range realG.Tasks {
-		a, b := realG.Tasks[i], simG.Tasks[i]
-		if a.Kind != b.Kind || a.K != b.K || a.I != b.I || a.J != b.J ||
-			a.Owner != b.Owner || a.Static != b.Static || a.Flops != b.Flops ||
-			a.NumDeps != b.NumDeps || len(a.Outs) != len(b.Outs) {
-			t.Fatalf("task %d differs: %+v vs %+v", i, a, b)
-		}
-		if b.Run != nil {
-			t.Fatal("SimOnly graph has Run closures")
-		}
 	}
 }
 
