@@ -317,15 +317,14 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 		// tasks, one of each U_KJ for its len(rowRuns) S tasks; a handle
 		// is nil (that operand packed privately) with a single consumer.
 		aPanels := make([]*kernel.SharedPanel, len(rowRuns))
-		for r, run := range rowRuns {
-			aPanels[r] = b.panel(kernel.NewSharedAPanel(kernel.PanelKey{Epoch: ep, Col: run[0], Step: k}, nb-k-1))
+		for r, rows := range rowRuns {
+			aPanels[r] = b.panel(kernel.NewSharedAPanel(kernel.PanelKey{Epoch: ep, Col: rows[0], Step: k}, nb-k-1))
 		}
 		for j := k + 1; j < nb; j++ {
 			_, cj := s.BlockDims(k, j)
 			pb := b.panel(kernel.NewSharedBPanel(kernel.PanelKey{Epoch: ep, Col: j, Step: k}, len(rowRuns)))
-			for r, run := range rowRuns {
-				i0, w := run[0], run[1]
-				rows := runRows(s, i0, w)
+			for r, rows := range rowRuns {
+				i0, w := rows[0], len(rows)
 				totalRows := 0
 				for _, i := range rows {
 					ri, _ := s.BlockDims(i, j)
@@ -458,48 +457,33 @@ func splitBlocks(k, mb, nchunks int) [][2]int {
 	return out
 }
 
-// groupRows plans the S-task row grouping for step k: each run is
-// (startRow, width) where width > 1 only if the shape reports the run's
-// owned block rows contiguous in storage (adjacent in BCL and CM, never
-// in 2l-BL). Grouping is a property of the storage, so the same runs
-// apply under every scheduling strategy (section 5.1.1); the union of
-// runs covers every trailing block row exactly once.
-func groupRows(s layout.Shape, k, mb, group int) [][2]int {
+// groupRows plans the S-task row grouping for step k: it splits the
+// trailing block rows into runs, each the block rows one S task stacks —
+// more than one only where the shape reports them contiguous in storage
+// (owned block rows are adjacent in BCL and CM storage, never in 2l-BL).
+// Grouping is a property of the storage, so the same runs apply under
+// every scheduling strategy (section 5.1.1); the union of runs covers
+// every trailing block row exactly once.
+func groupRows(s layout.Shape, k, mb, group int) [][]int {
 	covered := make([]bool, mb)
-	var runs [][2]int
 	step := s.RowGroupStep()
+	var runs [][]int
 	for i := k + 1; i < mb; i++ {
 		if covered[i] {
 			continue
 		}
-		w := 1
-		if group > 1 {
-			maxW := s.RowGroupWidth(i, k, group)
-			for w < maxW {
-				next := i + w*step
-				if next >= mb || covered[next] {
-					break
-				}
-				w++
+		run := []int{i}
+		for maxW := s.RowGroupWidth(i, k, group); len(run) < maxW; {
+			next := i + len(run)*step
+			if next >= mb || covered[next] {
+				break
 			}
+			run = append(run, next)
 		}
-		for x := 0; x < w; x++ {
-			covered[i+x*step] = true
+		for _, r := range run {
+			covered[r] = true
 		}
-		runs = append(runs, [2]int{i, w})
+		runs = append(runs, run)
 	}
 	return runs
-}
-
-// runRows expands a (start,width) run into the covered block rows.
-func runRows(s layout.Shape, i0, w int) []int {
-	if w == 1 {
-		return []int{i0}
-	}
-	step := s.RowGroupStep()
-	rows := make([]int, w)
-	for i := range rows {
-		rows[i] = i0 + i*step
-	}
-	return rows
 }

@@ -49,12 +49,11 @@ func NewCholesky(s layout.Shape, opt CALUOptions) *CholeskyGraph {
 	cg := &CholeskyGraph{Graph: b.g}
 
 	isStatic := func(col int) bool { return col < opt.NstaticCols }
-	span := func(i int) int { r, _ := s.BlockDims(i, i); return r }
 
 	// prev[(i,j)] is the last writer of tile (i,j) (lower triangle only).
 	prev := map[[2]int]*Task{}
 	for k := 0; k < mb; k++ {
-		bk := span(k)
+		bk, _ := s.BlockDims(k, k)
 
 		potrf := b.add(&Task{
 			Kind: Final, K: k,
@@ -73,7 +72,7 @@ func NewCholesky(s layout.Shape, opt CALUOptions) *CholeskyGraph {
 
 		trsm := make(map[int]*Task, mb-k-1)
 		for i := k + 1; i < mb; i++ {
-			ri := span(i)
+			ri, _ := s.BlockDims(i, k)
 			t := b.add(&Task{
 				Kind: L, K: k, I: i,
 				Owner:  s.Owner(i, k),
@@ -92,9 +91,8 @@ func NewCholesky(s layout.Shape, opt CALUOptions) *CholeskyGraph {
 		}
 
 		for j := k + 1; j < mb; j++ {
-			cj := span(j)
 			for i := j; i < mb; i++ {
-				ri := span(i)
+				ri, cj := s.BlockDims(i, j)
 				t := b.add(&Task{
 					Kind: S, K: k, I: i, J: j,
 					Owner:  s.Owner(i, j),
