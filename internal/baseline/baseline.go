@@ -11,8 +11,8 @@
 //     scheme (the stability caveat the paper cites).
 //
 // Both baselines execute for real on actual data (used by tests and
-// examples) and both expose simulation-only graph builders used by the
-// Figure 16/17 experiments.
+// examples); the Figure 16/17 experiments simulate the same graphs,
+// built from a layout.Shape by dag.NewGEPP and dag.NewIncPiv.
 package baseline
 
 import (

@@ -364,7 +364,7 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 // per-step swap sequences (perm[i] = original row now living at row i)
 // and applies the deferred swaps to the left part of L stored in the
 // layout (Algorithm 1, line 43: L <- Pi_N ... Pi_1 L). Must be called
-// after the graph has executed in real mode.
+// after the graph has executed on the runtime.
 func (cg *CALUGraph) FinishPermutation() []int {
 	m, _, _ := cg.Layout.Dims()
 	perm := make([]int, m)
