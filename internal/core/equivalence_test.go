@@ -120,6 +120,33 @@ func TestFactorBitIdenticalAcrossPolicies(t *testing.T) {
 	}
 }
 
+// TestTallPanelTreeIndependentOfWorkers: an 8256 x 128 matrix at b = 64
+// is taller than the tournament's default leaf height on every grid of
+// up to 4 workers, so each of them builds the same tree — 3 leaves at
+// step 0, 2 at step 1 — and every worker count and policy must give the
+// serial one-worker run's pivots and factors bit for bit, with a
+// backward error within 4x of plain GEPP's.
+func TestTallPanelTreeIndependentOfWorkers(t *testing.T) {
+	a := mat.Random(8256, 128, rand.New(rand.NewSource(43)))
+	ref := serialFactor(t, a, Options{Block: 64, Workers: 1})
+	gepp, err := ReferenceLU(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, bound := Residual(a, ref), 4*Residual(a, gepp); r > bound {
+		t.Fatalf("backward error %g, more than 4x reference GEPP's %g", r, bound/4)
+	}
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, s := range []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid} {
+			f, err := Factor(a, Options{Block: 64, Workers: workers, Scheduler: s, DynamicRatio: 0.5})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", s, workers, err)
+			}
+			sameFactorization(t, fmt.Sprintf("%s/%dw", s, workers), f, ref)
+		}
+	}
+}
+
 // TestFactorBitIdenticalAcrossLayoutsUnderConcurrency repeats the
 // equivalence check on the other storage schemes at one contended
 // configuration each, so layout-specific task closures are also covered

@@ -23,11 +23,20 @@ type CALUOptions struct {
 	// applied where the shape reports the rows contiguous in storage
 	// (layout.Shape.RowGroupWidth), so it is inert for 2l-BL.
 	Group int
-	// Chunks caps the number of tournament-tree leaves per panel; the
-	// default (0) uses the grid's row count, mirroring the static
-	// distribution where the owners of panel blocks run the P tasks.
+	// Chunks caps the number of tournament-tree leaves per panel. The
+	// default (0) gives step k's panel max(grid rows, ceil(panel rows /
+	// leafRows)) leaves: the grid's row count, mirroring the static
+	// distribution where the owners of panel blocks run the P tasks,
+	// unless the panel is so tall that a leaf would exceed leafRows.
 	Chunks int
 }
+
+// leafRows is the panel height one default tournament leaf covers at
+// most: 4096 rows of a 64-wide panel are 2 MB of leaf staging. A taller
+// panel gets more leaves than grid rows, so a tall-skinny matrix on a
+// one-row grid no longer factors each whole panel as one serial GEPP
+// while the other workers idle.
+const leafRows = 4096
 
 // CALUGraph couples the task graph with the pivoting state the tasks
 // fill in as they execute. Run closures mutate Layout in place, so a
@@ -65,15 +74,16 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 // data: the scheduling policy decides the execution order within the
 // dependency and static-ownership constraints. The simulator runs it as
 // built; the runtime needs Layout set to storage of shape s first.
+//
+// Each panel's tournament tree has opt.Chunks leaves over contiguous
+// runs of block rows, or by default one per grid row and at least one
+// per leafRows panel rows; a leaf belongs to the owner of its first
+// block, and the binary combine tree pairs leaves in order.
 func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 	m, _, bsz := s.Dims()
 	mb, nb := s.Blocks()
 	grid := s.Grid()
 	steps := min(mb, nb)
-	chunksMax := opt.Chunks
-	if chunksMax <= 0 {
-		chunksMax = grid.PR
-	}
 	group := max(opt.Group, 1)
 
 	b := newBuilder(fmt.Sprintf("CALU(%s,Nstatic=%d,k=%d)", s.Kind(), opt.NstaticCols, group), grid.Workers())
@@ -105,7 +115,11 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 		cg.PivCount[k] = pivCount
 
 		// ---- Tournament tree: leaves over contiguous runs of block rows.
-		chunkBlocks := splitBlocks(k, mb, min(chunksMax, mb-k))
+		chunks := opt.Chunks
+		if chunks <= 0 {
+			chunks = max(grid.PR, (m-base+leafRows-1)/leafRows)
+		}
+		chunkBlocks := splitBlocks(k, mb, min(chunks, mb-k))
 		cg.cands[k] = make([]piv.Candidate, 0, 2*len(chunkBlocks))
 		newSlot := func() int {
 			cg.cands[k] = append(cg.cands[k], piv.Candidate{})

@@ -206,6 +206,36 @@ func TestSplitBlocks(t *testing.T) {
 	}
 }
 
+// TestCALULeavesByPanelHeight: by default a panel gets one tournament
+// leaf per grid row and at least one per leafRows panel rows, and a set
+// Chunks overrides both.
+func TestCALULeavesByPanelHeight(t *testing.T) {
+	cases := []struct {
+		m, workers, chunks int
+		want               []int // leaves per step
+	}{
+		{leafRows + 8, 1, 0, []int{2, 1}},   // step 1's panel is exactly leafRows tall
+		{2*leafRows + 8, 2, 0, []int{3, 2}}, // a one-row grid: the height decides
+		{2*leafRows + 8, 4, 0, []int{3, 2}}, // 2 grid rows
+		{leafRows, 9, 0, []int{3, 3}},       // 3 grid rows outnumber the height's 1
+		{2*leafRows + 8, 1, 1, []int{1, 1}}, // Chunks overrides the height
+		{2*leafRows + 8, 4, 5, []int{5, 5}}, // and the grid
+	}
+	for _, c := range cases {
+		s := layout.NewShape(layout.BCL, c.m, 16, 8, layout.NewGrid(c.workers))
+		g := NewCALU(s, CALUOptions{Chunks: c.chunks})
+		got := make([]int, 2)
+		for _, task := range g.Tasks {
+			if task.Kind == PLeaf {
+				got[task.K]++
+			}
+		}
+		if got[0] != c.want[0] || got[1] != c.want[1] {
+			t.Errorf("m=%d W=%d Chunks=%d: leaves per step %v, want %v", c.m, c.workers, c.chunks, got, c.want)
+		}
+	}
+}
+
 // Property: for random shapes and splits, the CALU graph is always
 // acyclic, fully connected to sources, and its S-task flop total equals
 // the exact trailing-update flop count.

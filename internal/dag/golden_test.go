@@ -72,6 +72,10 @@ var goldenShapes = []struct {
 	{"CALU", layout.TwoLevel, "ragged", 2, 0xd597042bcbf82284},
 	{"CALU", layout.TwoLevel, "ragged", 4, 0x0928cd63f08ac808},
 	{"CALU", layout.TwoLevel, "ragged", 6, 0x8273a9e1cc695340},
+	{"CALU", layout.CM, "skinny", 1, 0xed273486f53c17ad},
+	{"CALU", layout.BCL, "skinny", 1, 0xed273486f53c17ad},
+	{"CALU", layout.BCL, "skinny", 2, 0x7dda04a087c4cfd7},
+	{"CALU", layout.BCL, "skinny", 4, 0xf19ea2e7ad555054},
 	{"Cholesky", layout.CM, "square", 1, 0x07e5c638dffa85ba},
 	{"Cholesky", layout.CM, "square", 4, 0xe1623b383019b906},
 	{"Cholesky", layout.BCL, "square", 2, 0xdc4acda225bb19d1},
@@ -98,6 +102,9 @@ var goldenDims = map[string][2]int{
 	"tall":   {160, 48},
 	"wide":   {48, 160},
 	"ragged": {83, 61},
+	// Taller than leafRows: step 0's panel gets two tournament leaves on
+	// a one-row grid, step 1's 4096 rows one.
+	"skinny": {4104, 16},
 }
 
 // graphHash is FNV-1a over the graph's worker count and panel-handle
@@ -143,7 +150,9 @@ func graphHash(g *Graph) uint64 {
 // TestGraphShapeGolden builds every goldenShapes configuration over a
 // real layout holding random data (the shape does not depend on it) and
 // compares its hash with the one recorded at the commit before the
-// builders read a layout.Shape instead of a layout.Layout.
+// builders read a layout.Shape instead of a layout.Layout; the skinny
+// rows were recorded when the default leaf count started to follow the
+// panel height.
 func TestGraphShapeGolden(t *testing.T) {
 	for _, c := range goldenShapes {
 		name := fmt.Sprintf("%s/%s/%s/W%d", c.algo, c.kind, c.shape, c.workers)

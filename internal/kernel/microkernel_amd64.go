@@ -21,9 +21,9 @@ func cpuSupportsAVX2FMA() bool
 // registerPlatformKernels installs the AVX2 kernels when the CPU and OS
 // support them: the 8x6 GEMM micro-kernel (which the machine profile
 // then uses), the 8x4 panel kernel with its vector rank-1 update and
-// column scaling, the TRSM tile and the pivot search. Without AVX2, FMA
-// or OS AVX state the portable kernels stay, and the packed formats
-// shrink with them.
+// column scaling, the TRSM tile and right-side column sweep, and the
+// pivot search. Without AVX2, FMA or OS AVX state the portable kernels
+// stay, and the packed formats shrink with them.
 func registerPlatformKernels() {
 	if !cpuSupportsAVX2FMA() {
 		return
@@ -35,6 +35,7 @@ func registerPlatformKernels() {
 	rank1Sub = rank1SubVec
 	scaleVec = scaleVecVec
 	trsmLowerUnitTile = trsmTileAVX2
+	trsmRightSweep = trsmRightSweepVec
 	idamaxRange = idamaxRangeAVX2
 }
 

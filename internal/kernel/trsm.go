@@ -8,16 +8,19 @@ import "fmt"
 // packed path. The naive variants are retained both as the diagonal
 // micro-solvers and as the property-test oracles.
 //
-// The diagonal systems are vectorized without moving a bit. Where the
-// inner loop runs down a long enough vector — the right-side solves,
-// whose vectors are B's rows-long columns, and the non-unit left ones —
-// it is the panel layer's rank1Sub/scaleVec (getrf.go), which round the
-// multiply and the subtract separately, like the scalar loops they
-// replaced. The unit-lower forward solve, task U's kernel, has vectors
-// shorter than its triangle and gets a tile kernel of its own
-// (trsmLowerLeftUnitDiag). Every element sees exactly the scalar loops'
-// operation sequence (they are kept as oracles in trsm_test.go); only
-// the sign and payload of a NaN may differ, never where it lands.
+// The diagonal systems are vectorized without moving a bit. The
+// non-unit left solves run down B's columns with the panel layer's
+// rank1Sub/scaleVec (getrf.go), which round the multiply and the
+// subtract separately, like the scalar loops they replaced. The two
+// right-side solves — task L's and the Cholesky panel's — share one
+// column sweep (trsmRightSweep) that keeps a block of rows of the
+// column being solved in registers while every solved column to its
+// left is subtracted in turn. The unit-lower forward solve, task U's
+// kernel, has vectors shorter than its triangle and gets a tile kernel
+// of its own (trsmLowerLeftUnitDiag). Every element sees exactly the
+// scalar loops' operation sequence (they are kept as oracles in
+// trsm_test.go); only the sign and payload of a NaN may differ, never
+// where it lands.
 
 // TrsmLowerLeftUnit solves L*X = B in place (B <- L^{-1} B), where L is
 // unit lower triangular n x n and B is n x m. This is the "task U"
@@ -273,28 +276,51 @@ func TrsmUpperRight(u, b View) {
 	}
 }
 
-// TrsmUpperRightNaive is the unblocked reference right solve.
-func TrsmUpperRightNaive(u, b View) {
-	m, n := b.Rows, b.Cols
-	if u.Rows != n || u.Cols != n {
-		panic(fmt.Sprintf("kernel: trsmU shape mismatch U %dx%d, B %dx%d", u.Rows, u.Cols, m, n))
-	}
-	trsmUpperRightNaive(u, b)
-}
-
+// trsmUpperRightNaive is the unblocked right solve: column j of B is
+// swept with U's column j above the diagonal, u_kj = u[j*ldu+k].
 func trsmUpperRightNaive(u, b View) {
 	m, n := b.Rows, b.Cols
 	for j := 0; j < n; j++ {
-		bj := b.Data[j*b.Stride : j*b.Stride+m]
-		// b_j -= sum_{k<j} b_k * u_kj
-		for k := 0; k < j; k++ {
-			rank1Sub(bj, b.Data[k*b.Stride:k*b.Stride+m], u.Data[j*u.Stride+k])
-		}
 		ujj := u.Data[j*u.Stride+j]
 		if ujj == 0 {
 			panic("kernel: trsmU singular diagonal")
 		}
-		scaleVec(bj, 1/ujj)
+		trsmRightSweep(m, j, u.Data[j*u.Stride:], 1, 1/ujj, b.Data, b.Stride)
+	}
+}
+
+// trsmRightSweep solves column j of a right-side triangular system
+// whose columns 0..j-1 are already solved:
+//
+//	b_j[i] = (b_j[i] - x_0[i]*c_0 - x_1[i]*c_1 - ... - x_{j-1}[i]*c_{j-1}) * inv
+//
+// for rows i < m, with x_k = b[k*ldb : k*ldb+m] and c_k = coef[k*cs]:
+// the k terms are subtracted in ascending order, every multiply and
+// subtract rounded separately, which is the scalar loop's sequence for
+// each element. The portable form keeps four rows in registers per
+// pass; trsmkernel_amd64.go installs an AVX2 sweep over 32 rows.
+var trsmRightSweep = trsmRightSweepGeneric
+
+func trsmRightSweepGeneric(m, j int, coef []float64, cs int, inv float64, b []float64, ldb int) {
+	bj := b[j*ldb : j*ldb+m]
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		s0, s1, s2, s3 := bj[i], bj[i+1], bj[i+2], bj[i+3]
+		for k := 0; k < j; k++ {
+			c, x := coef[k*cs], b[k*ldb+i:k*ldb+i+4]
+			s0 -= float64(x[0] * c)
+			s1 -= float64(x[1] * c)
+			s2 -= float64(x[2] * c)
+			s3 -= float64(x[3] * c)
+		}
+		bj[i], bj[i+1], bj[i+2], bj[i+3] = s0*inv, s1*inv, s2*inv, s3*inv
+	}
+	for ; i < m; i++ {
+		s := bj[i]
+		for k := 0; k < j; k++ {
+			s -= float64(b[k*ldb+i] * coef[k*cs])
+		}
+		bj[i] = s * inv
 	}
 }
 
@@ -320,26 +346,16 @@ func TrsmRightLowerTrans(l, b View) {
 	}
 }
 
-// TrsmRightLowerTransNaive is the unblocked reference solve.
-func TrsmRightLowerTransNaive(l, b View) {
-	m, n := b.Rows, b.Cols
-	if l.Rows != n || l.Cols != n {
-		panic(fmt.Sprintf("kernel: trsmRLT shape mismatch L %dx%d, B %dx%d", l.Rows, l.Cols, m, n))
-	}
-	trsmRightLowerTransNaive(l, b)
-}
-
+// trsmRightLowerTransNaive is the unblocked solve: column j of B is
+// swept with L's row j left of the diagonal, l_jk = l[k*ldl+j], read
+// with stride ldl.
 func trsmRightLowerTransNaive(l, b View) {
 	m, n := b.Rows, b.Cols
 	for j := 0; j < n; j++ {
-		bj := b.Data[j*b.Stride : j*b.Stride+m]
-		for k := 0; k < j; k++ {
-			rank1Sub(bj, b.Data[k*b.Stride:k*b.Stride+m], l.Data[k*l.Stride+j]) // L[j,k]
-		}
 		ljj := l.Data[j*l.Stride+j]
 		if ljj == 0 {
 			panic("kernel: trsmRLT singular diagonal")
 		}
-		scaleVec(bj, 1/ljj)
+		trsmRightSweep(m, j, l.Data[j:], l.Stride, 1/ljj, b.Data, b.Stride)
 	}
 }

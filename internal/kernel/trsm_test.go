@@ -96,29 +96,51 @@ type trsmCase struct {
 }
 
 func trsmCases() []trsmCase {
+	upperRight := func(u, b View) {
+		oracleTrsmRight(b, func(k, j int) float64 { return u.Data[j*u.Stride+k] })
+	}
+	rightLowerTrans := func(l, b View) {
+		oracleTrsmRight(b, func(k, j int) float64 { return l.Data[k*l.Stride+j] })
+	}
 	return []trsmCase{
 		{"LowerLeftUnit", true, trsmLowerLeftUnitNaive, oracleTrsmLowerLeftUnit},
 		{"LowerLeftUnitDiag", true, trsmLowerLeftUnitDiag, oracleTrsmLowerLeftUnit},
 		{"LowerLeft", true, trsmLowerLeftNaive, oracleTrsmLowerLeft},
 		{"UpperLeft", true, trsmUpperLeftNaive, oracleTrsmUpperLeft},
-		{"UpperRight", false, trsmUpperRightNaive, func(u, b View) {
-			oracleTrsmRight(b, func(k, j int) float64 { return u.Data[j*u.Stride+k] })
-		}},
-		{"RightLowerTrans", false, trsmRightLowerTransNaive, func(l, b View) {
-			oracleTrsmRight(b, func(k, j int) float64 { return l.Data[k*l.Stride+j] })
-		}},
+		{"UpperRight", false, trsmUpperRightNaive, upperRight},
+		{"RightLowerTrans", false, trsmRightLowerTransNaive, rightLowerTrans},
+		{"UpperRightPortable", false, withPortableSweep(trsmUpperRightNaive), upperRight},
+		{"RightLowerTransPortable", false, withPortableSweep(trsmRightLowerTransNaive), rightLowerTrans},
+	}
+}
+
+// withPortableSweep runs solve on the portable column sweep, the one
+// the platforms without a vector kernel use.
+func withPortableSweep(solve func(tri, b View)) func(tri, b View) {
+	return func(tri, b View) {
+		saved := trsmRightSweep
+		trsmRightSweep = trsmRightSweepGeneric
+		defer func() { trsmRightSweep = saved }()
+		solve(tri, b)
 	}
 }
 
 // TestTrsmVectorMatchesScalarOracles: every triangle size 0..40 — all
 // vector-body/4-tail/scalar-tail combinations of the helpers — against
 // every operand extent 0..40 on strided views, same bits as the scalar
-// loops.
+// loops. The right-side solves also get the extents on both sides of
+// their column sweep's 32-row blocks.
 func TestTrsmVectorMatchesScalarOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	extents := []int{0, 1, 3, 8, 17, 40, 67}
+	sweepExtents := append([]int{31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129, 192, 200}, extents...)
 	for _, tc := range trsmCases() {
+		others := extents
+		if !tc.left {
+			others = sweepExtents
+		}
 		for size := 0; size <= 40; size++ {
-			for _, other := range []int{0, 1, 3, 8, 17, 40, 67} {
+			for _, other := range others {
 				tri := randView(rng, size, size)
 				for d := 0; d < size; d++ {
 					tri.Data[d*tri.Stride+d] += 4 // keep the diagonal away from 0
@@ -213,27 +235,33 @@ func TestTrsmLeavesOtherTriangleUnread(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(37))
 	for _, tc := range cases {
+		others := []int{37}
+		if !tc.left {
+			others = append(others, 64, 192) // task L's 64-row block, and a taller one
+		}
 		for _, n := range []int{8, 32, 64, 100} {
-			tri := triangle(rng, n)
-			poisoned := cloneView(tri)
-			for j := 0; j < n; j++ {
-				for i := 0; i < n; i++ {
-					if tc.unread(i, j) {
-						poisoned.Data[j*poisoned.Stride+i] = math.NaN()
+			for _, other := range others {
+				tri := triangle(rng, n)
+				poisoned := cloneView(tri)
+				for j := 0; j < n; j++ {
+					for i := 0; i < n; i++ {
+						if tc.unread(i, j) {
+							poisoned.Data[j*poisoned.Stride+i] = math.NaN()
+						}
 					}
 				}
-			}
-			rows, cols := n, 37
-			if !tc.left {
-				rows, cols = 37, n
-			}
-			want := randView(rng, rows, cols)
-			got := cloneView(want)
-			tc.solve(tri, want)
-			tc.solve(poisoned, got)
-			for i := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("%s n=%d: backing[%d] = %g with the unread triangle poisoned, %g without", tc.name, n, i, got.Data[i], want.Data[i])
+				rows, cols := n, other
+				if !tc.left {
+					rows, cols = other, n
+				}
+				want := randView(rng, rows, cols)
+				got := cloneView(want)
+				tc.solve(tri, want)
+				tc.solve(poisoned, got)
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%s n=%d other=%d: backing[%d] = %g with the unread triangle poisoned, %g without", tc.name, n, other, i, got.Data[i], want.Data[i])
+					}
 				}
 			}
 		}

@@ -140,3 +140,154 @@ tri:
 	VMOVUPD Y15, 32(R11)
 	VZEROUPPER
 	RET
+
+// SWEEP8 subtracts x_k * c_k from the eight accumulators Y0..Y7 of a
+// 32-row block: R10 points at x_k's first row, Y8 holds c_k.
+#define SWEEP8 \
+	VMULPD (R10), Y8, Y9     \
+	VSUBPD Y9, Y0, Y0        \
+	VMULPD 32(R10), Y8, Y10  \
+	VSUBPD Y10, Y1, Y1       \
+	VMULPD 64(R10), Y8, Y11  \
+	VSUBPD Y11, Y2, Y2       \
+	VMULPD 96(R10), Y8, Y12  \
+	VSUBPD Y12, Y3, Y3       \
+	VMULPD 128(R10), Y8, Y9  \
+	VSUBPD Y9, Y4, Y4        \
+	VMULPD 160(R10), Y8, Y10 \
+	VSUBPD Y10, Y5, Y5       \
+	VMULPD 192(R10), Y8, Y11 \
+	VSUBPD Y11, Y6, Y6       \
+	VMULPD 224(R10), Y8, Y12 \
+	VSUBPD Y12, Y7, Y7
+
+// func trsmRightSweepAVX2(m, j int, coef *float64, cs int, inv float64, b *float64, ldb int)
+//
+// For rows i < m of column j of b (leading dimension ldb):
+//
+//	b[j*ldb+i] = (b[j*ldb+i] - b[0*ldb+i]*coef[0] - ... - b[(j-1)*ldb+i]*coef[(j-1)*cs]) * inv
+//
+// k ascending, each multiply and subtract rounded separately. Rows go
+// 32 at a time, held in Y0..Y7 through the whole k loop: eight
+// independent subtract chains, so the loop runs at the multiply and
+// subtract throughput rather than at one chain's latency. The ragged
+// rows go 4 at a time in Y0, then one at a time in X0, VEX-encoded like
+// every other tail in this package.
+TEXT ·trsmRightSweepAVX2(SB), NOSPLIT, $0-56
+	MOVQ         m+0(FP), BX
+	MOVQ         j+8(FP), DX
+	MOVQ         coef+16(FP), SI
+	MOVQ         cs+24(FP), R13
+	SHLQ         $3, R13        // coefficient stride in bytes
+	VBROADCASTSD inv+32(FP), Y15
+	MOVQ         b+40(FP), DI   // row i0 of column 0
+	MOVQ         ldb+48(FP), R8
+	SHLQ         $3, R8         // ldb in bytes
+	MOVQ         DX, R9
+	IMULQ        R8, R9
+	ADDQ         DI, R9         // row i0 of column j
+
+block32:
+	CMPQ    BX, $32
+	JL      block4
+	VMOVUPD (R9), Y0
+	VMOVUPD 32(R9), Y1
+	VMOVUPD 64(R9), Y2
+	VMOVUPD 96(R9), Y3
+	VMOVUPD 128(R9), Y4
+	VMOVUPD 160(R9), Y5
+	VMOVUPD 192(R9), Y6
+	VMOVUPD 224(R9), Y7
+	MOVQ    DI, R10
+	MOVQ    SI, R11
+	MOVQ    DX, R12
+	TESTQ   R12, R12
+	JZ      scale32
+
+k32:
+	VBROADCASTSD (R11), Y8
+	SWEEP8
+	ADDQ         R8, R10
+	ADDQ         R13, R11
+	DECQ         R12
+	JNZ          k32
+
+scale32:
+	VMULPD  Y15, Y0, Y0
+	VMULPD  Y15, Y1, Y1
+	VMULPD  Y15, Y2, Y2
+	VMULPD  Y15, Y3, Y3
+	VMULPD  Y15, Y4, Y4
+	VMULPD  Y15, Y5, Y5
+	VMULPD  Y15, Y6, Y6
+	VMULPD  Y15, Y7, Y7
+	VMOVUPD Y0, (R9)
+	VMOVUPD Y1, 32(R9)
+	VMOVUPD Y2, 64(R9)
+	VMOVUPD Y3, 96(R9)
+	VMOVUPD Y4, 128(R9)
+	VMOVUPD Y5, 160(R9)
+	VMOVUPD Y6, 192(R9)
+	VMOVUPD Y7, 224(R9)
+	ADDQ    $256, DI
+	ADDQ    $256, R9
+	SUBQ    $32, BX
+	JMP     block32
+
+block4:
+	CMPQ    BX, $4
+	JL      row1
+	VMOVUPD (R9), Y0
+	MOVQ    DI, R10
+	MOVQ    SI, R11
+	MOVQ    DX, R12
+	TESTQ   R12, R12
+	JZ      scale4
+
+k4:
+	VBROADCASTSD (R11), Y8
+	VMULPD       (R10), Y8, Y9
+	VSUBPD       Y9, Y0, Y0
+	ADDQ         R8, R10
+	ADDQ         R13, R11
+	DECQ         R12
+	JNZ          k4
+
+scale4:
+	VMULPD  Y15, Y0, Y0
+	VMOVUPD Y0, (R9)
+	ADDQ    $32, DI
+	ADDQ    $32, R9
+	SUBQ    $4, BX
+	JMP     block4
+
+row1:
+	TESTQ  BX, BX
+	JZ     done
+	VMOVSD (R9), X0
+	MOVQ   DI, R10
+	MOVQ   SI, R11
+	MOVQ   DX, R12
+	TESTQ  R12, R12
+	JZ     scale1
+
+k1:
+	VMOVSD (R11), X8
+	VMULSD (R10), X8, X9
+	VSUBSD X9, X0, X0
+	ADDQ   R8, R10
+	ADDQ   R13, R11
+	DECQ   R12
+	JNZ    k1
+
+scale1:
+	VMULSD X15, X0, X0
+	VMOVSD X0, (R9)
+	ADDQ   $8, DI
+	ADDQ   $8, R9
+	DECQ   BX
+	JMP    row1
+
+done:
+	VZEROUPPER
+	RET
