@@ -738,9 +738,9 @@ func reportClassLatencies(b *testing.B, small, large []time.Duration) {
 // BenchmarkEngineMixedTraffic drives the two-lane admission with the
 // mix it was built for: a burst of tiny factors sandwiched between two
 // big ones (the express lane starts each tiny factor on its own
-// one-worker executor, the big lane is bounded to three quarters of
-// the pool). The metric to watch is the small-class p99; README's
-// "Traffic shaping" section records it.
+// one-worker executor, and the second big factor starts only once the
+// express lane is empty). The metric to watch is the small-class p99;
+// README's "Traffic shaping" section records it.
 func BenchmarkEngineMixedTraffic(b *testing.B) {
 	small := make([]*mat.Dense, 12)
 	for i := range small {

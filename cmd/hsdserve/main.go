@@ -2,10 +2,10 @@
 // HTTP/JSON: one long-lived worker pool serving concurrent Factor and
 // Solve requests on internal/engine (static per-job worker
 // reservations, the paper's hybrid static/dynamic scheduling inside
-// each job). Admission is traffic-shaped: small jobs ride
-// an express lane with a one-worker default share, big jobs are
-// bounded to a share of the pool, and jobs may carry a deadline —
-// infeasible ones are shed before queueing.
+// each job). Admission is two first-in first-out lanes: small jobs ride
+// an express lane, served first, with a one-worker default share; big
+// jobs start when it is empty. A request's deadlineMs bounds its
+// context: a job still queued when it passes is withdrawn with a 503.
 //
 //	hsdserve -addr :8080 -pool 8 -maxinflight 32
 //

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,12 +13,21 @@ import (
 // Data plane: factor and solve requests reach the shards as the bytes
 // the client sent; the router reads a solve's id and never a matrix.
 
-// post sends body to a shard path; transport failures count against the
-// shard's health.
-func (rt *Router) post(s *shardState, path, ct string, body []byte) (*http.Response, error) {
+// post sends body to a shard path under ctx; transport failures count
+// against the shard's health, unless ctx ended: a client that gave up
+// says nothing about the shard.
+func (rt *Router) post(ctx context.Context, s *shardState, path, ct string, body []byte) (*http.Response, error) {
 	s.requests.Add(1)
-	resp, err := rt.client.Post(s.url+path, ct, bytes.NewReader(body))
-	rt.noteResult(s, err)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url+path, bytes.NewReader(body))
+	if err != nil {
+		rt.noteResult(s, err)
+		return nil, err
+	}
+	req.Header.Set("Content-Type", ct)
+	resp, err := rt.client.Do(req)
+	if err == nil || ctx.Err() == nil {
+		rt.noteResult(s, err)
+	}
 	return resp, err
 }
 
@@ -56,14 +66,18 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 // and its response. When every answer was retryable it returns the last
 // one — the client sees why the last candidate refused — and when no
 // candidate was eligible or reachable, a nil response. Every attempt
-// after the first counts as a failover. The caller closes the body.
-func (rt *Router) try(candidates []string, eligible func(*shardState) bool, retryable func(status int) bool, path string, body []byte) (*shardState, *http.Response) {
+// after the first counts as a failover. The attempts carry the client's
+// ctx; once it ends, try stops. The caller closes the body.
+func (rt *Router) try(ctx context.Context, candidates []string, eligible func(*shardState) bool, retryable func(status int) bool, path string, body []byte) (*shardState, *http.Response) {
 	var (
 		from *shardState
 		last *http.Response
 	)
 	tried := 0
 	for _, name := range candidates {
+		if ctx.Err() != nil {
+			break
+		}
 		s := rt.shard(name)
 		if s == nil || !eligible(s) {
 			continue
@@ -72,7 +86,7 @@ func (rt *Router) try(candidates []string, eligible func(*shardState) bool, retr
 			rt.failovers.Add(1)
 		}
 		tried++
-		resp, err := rt.post(s, path, mediaJSON, body)
+		resp, err := rt.post(ctx, s, path, mediaJSON, body)
 		if err != nil {
 			continue
 		}
@@ -103,14 +117,15 @@ func solveRetryable(status int) bool {
 // plus sequence number), hashes it to an owner set, factors on the first
 // placeable owner's path endpoint — the client's bytes, the key riding
 // along as ?id= — then copies the serialized factorization to the rest
-// of the set. A body that carries its own id is the shard's 400.
-func (rt *Router) handleFactor(w http.ResponseWriter, body []byte, prefix, path string) {
+// of the set. A body that carries its own id is the shard's 400. The
+// factor is forwarded under the client's ctx; the copies are not.
+func (rt *Router) handleFactor(ctx context.Context, w http.ResponseWriter, body []byte, prefix, path string) {
 	key := fmt.Sprintf("%s-%d", prefix, rt.seq.Add(1))
 	owners := rt.ownerSet(key)
 	rt.factors.Add(1)
 
 	start := time.Now()
-	s, resp := rt.try(owners, rt.placeable, factorRetryable, path+"?id="+url.QueryEscape(key), body)
+	s, resp := rt.try(ctx, owners, rt.placeable, factorRetryable, path+"?id="+url.QueryEscape(key), body)
 	if resp == nil {
 		ownerSetDown(w, "no live owner for key "+key)
 		return
@@ -133,9 +148,10 @@ func (*solveKey) BulkMember() (string, *[]float64) { return "b", nil }
 
 // handleSolve routes a solve to the path endpoint of any shard holding
 // the key, rotating the starting replica for read scaling and failing
-// over past dead or evicted holders. Unknown keys are 404; keys whose
-// every holder is gone get the typed ownerSetDown 503.
-func (rt *Router) handleSolve(w http.ResponseWriter, body []byte, path string) {
+// over past dead or evicted holders, under the client's ctx. Unknown
+// keys are 404; keys whose every holder is gone get the typed
+// ownerSetDown 503.
+func (rt *Router) handleSolve(ctx context.Context, w http.ResponseWriter, body []byte, path string) {
 	var req solveKey
 	if err := DecodeJSON(body, &req); err != nil {
 		HTTPError(w, http.StatusBadRequest, "invalid JSON: %v", err)
@@ -156,7 +172,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, body []byte, path string) {
 		first := int(rt.rotor.Add(1)) % n
 		holders = append(holders[first:n:n], holders[:first]...)
 	}
-	_, resp := rt.try(holders, rt.routable, solveRetryable, path, body)
+	_, resp := rt.try(ctx, holders, rt.routable, solveRetryable, path, body)
 	if resp == nil {
 		ownerSetDown(w, "every shard holding "+req.ID+" is unreachable")
 		return

@@ -139,7 +139,7 @@ func (rt *Router) exportFrom(s *shardState, key string) ([]byte, error) {
 
 // importTo ships serialized factorization bytes to a shard under key.
 func (rt *Router) importTo(s *shardState, key string, wire []byte) error {
-	resp, err := rt.post(s, "/v1/admin/import?id="+url.QueryEscape(key), mediaBytes, wire)
+	resp, err := rt.post(context.Background(), s, "/v1/admin/import?id="+url.QueryEscape(key), mediaBytes, wire)
 	if err != nil {
 		return err
 	}
@@ -265,7 +265,7 @@ func (rt *Router) Drain(name string) error {
 	// Shard-side drain: it finishes inflight work and refuses new jobs.
 	// A solve racing this gets the shard's 503 and fails over to a
 	// freshly migrated replica, so clients never see the retirement.
-	resp, err := rt.post(s, "/v1/admin/drain", mediaJSON, []byte("{}"))
+	resp, err := rt.post(context.Background(), s, "/v1/admin/drain", mediaJSON, []byte("{}"))
 	if err == nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()

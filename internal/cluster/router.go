@@ -192,13 +192,13 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// A kind is its key prefix plus the shard path its requests go to.
 	for _, k := range []struct{ prefix, path string }{{"f", "/v1/factor"}, {"c", "/v1/cholesky"}} {
-		mux.HandleFunc(k.path, PostBytes(mediaJSON, rt.opt.MaxBody, func(w http.ResponseWriter, _ *http.Request, body []byte) {
-			rt.handleFactor(w, body, k.prefix, k.path)
+		mux.HandleFunc(k.path, PostBytes(mediaJSON, rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
+			rt.handleFactor(r.Context(), w, body, k.prefix, k.path)
 		}))
 	}
 	for _, path := range []string{"/v1/solve", "/v1/cholesky/solve"} {
-		mux.HandleFunc(path, PostBytes(mediaJSON, rt.opt.MaxBody, func(w http.ResponseWriter, _ *http.Request, body []byte) {
-			rt.handleSolve(w, body, path)
+		mux.HandleFunc(path, PostBytes(mediaJSON, rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
+			rt.handleSolve(r.Context(), w, body, path)
 		}))
 	}
 	mux.HandleFunc("/v1/stats", Get(rt.handleStats))

@@ -1,8 +1,10 @@
 package cluster_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,8 +14,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/harness"
+	"repro/internal/mat"
 	"repro/internal/serve"
 )
 
@@ -722,4 +726,102 @@ func TestClusterHungShardIsBounded(t *testing.T) {
 			t.Errorf("drain after the failed join: %v, want unknown shard", err)
 		}
 	})
+}
+
+// TestClusterClientGoneCancelsShardJob: the router forwards under the
+// client's context, so a client that gives up at the router while the
+// shard's job is still queued withdraws that job. The cancellation is
+// not the shards' fault: both stay routable, with no transport error
+// and no failover counted.
+func TestClusterClientGoneCancelsShardJob(t *testing.T) {
+	c, err := harness.Start(harness.Options{Shards: 2, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 8
+	id := factorVia(t, c.URL(), n, 1)
+	names := c.Names()
+	// total sums an engine counter over the shards.
+	total := func(f func(engine.Stats) int64) (sum int64) {
+		for _, name := range names {
+			sum += f(c.Shard(name).Engine.Stats())
+		}
+		return sum
+	}
+	await := func(what string, f func(engine.Stats) int64, want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); total(f) != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %d, want %d", what, total(f), want)
+			}
+		}
+	}
+	active := func(st engine.Stats) int64 { return int64(st.Active) }
+	pending := func(st engine.Stats) int64 { return int64(st.Pending) }
+	cancelled := func(st engine.Stats) int64 { return st.Cancelled }
+
+	// Hold each shard's only worker with a job gated on a channel.
+	release := make(chan struct{})
+	var rel sync.Once
+	unblock := func() { rel.Do(func() { close(release) }) }
+	defer unblock() // before c.Close, which waits for the shards' handlers
+	gates := make([]*engine.Job, len(names))
+	for i, name := range names {
+		var once sync.Once
+		gates[i], err = c.Shard(name).Engine.Submit(context.Background(), engine.FactorWork(mat.Random(96, 96, rand.New(rand.NewSource(1)))), core.Options{
+			Workers: 1,
+			Noise:   func(int) time.Duration { once.Do(func() { <-release }); return 0 },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	await("the gate jobs to start", active, int64(len(names)))
+
+	for i, r := range []struct{ path, body string }{
+		{"/v1/factor", fmt.Sprintf(`{"n":%d,"seed":2,"workers":1}`, n)},
+		{"/v1/solve", fmt.Sprintf(`{"id":%q,"b":[%s]}`, id, ones(n))},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL()+r.path, strings.NewReader(r.body))
+			if err != nil {
+				errc <- err
+				return
+			}
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			errc <- err
+		}()
+		await(r.path+" to queue on a shard", pending, 1)
+		cancel() // the client gives up at the router
+		if err := <-errc; err == nil {
+			t.Fatalf("%s: cancelled request got a reply", r.path)
+		}
+		await(r.path+" to be withdrawn on the shard", cancelled, int64(i+1))
+	}
+
+	st := c.Router.Stats()
+	for _, name := range names {
+		if sh := st.Shards[name]; !sh.Healthy || sh.TransportErrors != 0 {
+			t.Errorf("shard %s after the cancellations: healthy %v, %d transport errors; want true and 0", name, sh.Healthy, sh.TransportErrors)
+		}
+	}
+	if st.Failovers != 0 || len(st.RingMembers) != len(names) {
+		t.Errorf("failovers %d, ring %v; want 0 and %v", st.Failovers, st.RingMembers, names)
+	}
+	unblock()
+	for _, g := range gates {
+		if err := g.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code, out := solveVia(t, c.URL(), id, n); code != http.StatusOK {
+		t.Fatalf("solve after the cancellations: %d %v", code, out)
+	}
 }

@@ -75,9 +75,9 @@ func ParseScheduler(name string) (Scheduler, error) {
 }
 
 // JobClass labels a job for the resident engine's two-lane admission
-// (engine package): small jobs ride an express lane and default to a
-// one-worker share, big jobs are bounded to a fixed share of
-// the pool so they cannot head-of-line-block everyone. One-shot
+// (engine package): small jobs ride an express lane that is served
+// first and default to a one-worker share; large jobs wait in a second
+// lane whose head starts only when the express lane is empty. One-shot
 // Factor/Solve calls ignore it.
 type JobClass uint8
 
@@ -87,7 +87,7 @@ const (
 	ClassAuto JobClass = iota
 	// ClassSmall forces the job into the small-job express lane.
 	ClassSmall
-	// ClassLarge forces the job into the bounded big-job lane.
+	// ClassLarge forces the job into the big-job lane.
 	ClassLarge
 )
 
@@ -133,13 +133,6 @@ type Options struct {
 	// ClassAuto classifies by estimated flop cost. Ignored by one-shot
 	// calls.
 	Class JobClass
-	// Deadline, when positive, is the job's submit-relative SLO for the
-	// resident engine: admission orders queued jobs by laxity (deadline
-	// minus estimated service time), and a submission whose
-	// estimated service time already exceeds its deadline is shed with
-	// ErrDeadlineInfeasible instead of queued. Zero means no deadline.
-	// Ignored by one-shot calls.
-	Deadline time.Duration
 }
 
 // DefaultBlock is the block size of Options with Block <= 0.

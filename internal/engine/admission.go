@@ -1,7 +1,7 @@
 package engine
 
-// Traffic-shaped admission: two-lane, class-aware, SLO-aware
-// scheduling of the engine's queue.
+// Admission: two first-in first-out lanes, the express lane served
+// first.
 //
 // Under a realistic mix — many tiny factors and solves plus a few huge
 // factorizations — arrival-order admission has two pathologies the
@@ -13,198 +13,105 @@ package engine
 //   - small jobs enter an express lane and each runs on its own
 //     executor with a one-worker default share, so a burst of them
 //     runs side by side instead of each reserving a wide share;
-//   - big jobs enter a lane whose total reservation is bounded to a
-//     fixed share of the pool whenever small jobs are waiting,
-//     so they cannot head-of-line-block the express traffic;
-//   - within each lane jobs are ordered by laxity — the latest moment
-//     the job may start and still meet its deadline — so SLO traffic
-//     outranks best-effort arrivals; and
-//   - a submission whose estimated service time already exceeds its
-//     deadline is shed with ErrDeadlineInfeasible before it consumes
-//     an admission slot or a reservation (the HTTP tier turns this
-//     into a cheap 503).
+//   - big jobs enter a second lane whose head starts only when the
+//     express lane is empty, so a queued wide factorization never
+//     takes a free worker from waiting express traffic.
+//
+// Within a lane jobs start in arrival order. A job's submission context
+// is its only stop signal: a deadline is the context's deadline, and a
+// job still queued when its context ends is withdrawn (cancelQueued).
 
 import (
-	"container/heap"
-	"errors"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/core"
-)
-
-// ErrDeadlineInfeasible is returned by submissions whose estimated
-// service time already exceeds their deadline: queueing them could only
-// burn workers on work that will miss its SLO, so they are shed before
-// consuming an admission slot or a reservation. Detect with errors.Is.
-var ErrDeadlineInfeasible = errors.New("engine: deadline infeasible, job shed")
-
-// lane identifies the admission lane a job was routed to.
-type lane uint8
-
-const (
-	laneSmall lane = iota // express lane: small jobs, one worker each by default
-	laneBig               // bounded lane: at most bigShare of the pool
 )
 
 // jobState tracks a job through admission; guarded by Engine.mu.
 type jobState uint8
 
 const (
-	jsQueued  jobState = iota // in a lane queue
+	jsQueued  jobState = iota // in a lane
 	jsStarted                 // popped by a worker (running or failing)
-	jsDone                    // completed, cancelled or shed
+	jsDone                    // completed or withdrawn
 )
 
-// noDeadline is the startBy key of jobs without a deadline: they sort
-// after every deadline job, among themselves by arrival.
-const noDeadline = int64(math.MaxInt64)
+// smallJobFlops is the classification threshold: a job whose estimated
+// flop count is at or below it is ClassSmall when the submission left
+// Class auto (a ~96x96 LU classifies small, a 128x128 LU large). It is
+// a constant rather than an option because no caller has a second
+// value.
+const smallJobFlops = 1e6
 
-// laneQueue is one admission lane: a priority queue ordered by startBy
-// (the laxity key: absolute deadline minus estimated service time, i.e.
-// the latest moment the job may start and still meet its SLO) with
-// arrival order breaking ties and ordering the no-deadline bulk.
-// Cancelled jobs are removed lazily at peek time; depth counts only
-// live entries. Guarded by Engine.mu.
-type laneQueue struct {
-	jobs  []*Job
-	depth int
-}
-
-func (q *laneQueue) Len() int { return len(q.jobs) }
-func (q *laneQueue) Less(i, j int) bool {
-	a, b := q.jobs[i], q.jobs[j]
-	if a.startBy != b.startBy {
-		return a.startBy < b.startBy
+// classify resolves the job's class: an explicit Class request wins,
+// otherwise the flop estimate against smallJobFlops decides.
+func classify(j *Job) core.JobClass {
+	switch j.reqOpt.Class {
+	case core.ClassSmall, core.ClassLarge:
+		return j.reqOpt.Class
 	}
-	return a.seq < b.seq
+	if j.work.flops <= smallJobFlops {
+		return core.ClassSmall
+	}
+	return core.ClassLarge
 }
-func (q *laneQueue) Swap(i, j int) { q.jobs[i], q.jobs[j] = q.jobs[j], q.jobs[i] }
-func (q *laneQueue) Push(x any)    { q.jobs = append(q.jobs, x.(*Job)) }
-func (q *laneQueue) Pop() any {
-	old := q.jobs
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	q.jobs = old[:n-1]
-	return j
+
+// lane is one class's admission queue and completion record, guarded by
+// Engine.mu. The queue is first in first out; a withdrawn job stays in
+// jobs until it reaches the head, and depth counts only live entries.
+type lane struct {
+	jobs         []*Job
+	depth        int
+	lat          latRing
+	done, failed int64
 }
 
 // push enqueues a live job.
-func (q *laneQueue) push(j *Job) {
-	heap.Push(q, j)
+func (q *lane) push(j *Job) {
+	q.jobs = append(q.jobs, j)
 	q.depth++
 }
 
-// peek returns the most urgent live job without removing it, dropping
-// lazily-cancelled entries on the way; nil when the lane is empty.
-func (q *laneQueue) peek() *Job {
+// peek returns the oldest live job without removing it, dropping
+// withdrawn entries on the way; nil when the lane is empty.
+func (q *lane) peek() *Job {
 	for len(q.jobs) > 0 {
 		if j := q.jobs[0]; j.state == jsQueued {
 			return j
 		}
-		heap.Pop(q)
+		q.jobs[0] = nil
+		q.jobs = q.jobs[1:]
 	}
 	return nil
 }
 
-// pop removes and returns the most urgent live job, or nil.
-func (q *laneQueue) pop() *Job {
+// pop removes and returns the oldest live job, or nil.
+func (q *lane) pop() *Job {
 	j := q.peek()
-	if j == nil {
-		return nil
+	if j != nil {
+		q.jobs[0] = nil
+		q.jobs = q.jobs[1:]
+		q.depth--
 	}
-	heap.Pop(q)
-	q.depth--
 	return j
 }
 
-// cancel marks a queued job dead (it stays in the heap until peek
-// drops it) and fixes the live count.
-func (q *laneQueue) cancel(j *Job) {
-	j.state = jsDone
-	q.depth--
-}
-
 // drain removes and returns every live job (Close).
-func (q *laneQueue) drain() []*Job {
+func (q *lane) drain() []*Job {
 	var live []*Job
-	for {
-		j := q.pop()
-		if j == nil {
-			return live
-		}
+	for j := q.pop(); j != nil; j = q.pop() {
 		j.state = jsDone
 		live = append(live, j)
 	}
+	return live
 }
 
-// The admission constants: fixed rather than Options, because no caller
-// has a second value for any of them.
-const (
-	// smallJobFlops is the classification threshold: a job whose
-	// estimated flop count is at or below it is ClassSmall when the
-	// submission left Class auto (a ~96x96 LU classifies small, a
-	// 128x128 LU large).
-	smallJobFlops = 1e6
-	// bigShare bounds the big lane: while express traffic is waiting,
-	// big-lane jobs may hold at most this share of the pool. With an
-	// empty express lane the bound is lifted — the pool stays
-	// work-conserving for pure-big workloads.
-	bigShare = 0.75
-)
-
-// classify resolves the job's lane class: an explicit Class request
-// wins, otherwise the flop estimate against smallJobFlops decides.
-func classify(j *Job) core.JobClass {
-	switch j.reqOpt.Class {
-	case core.ClassSmall:
-		return core.ClassSmall
-	case core.ClassLarge:
-		return core.ClassLarge
-	default:
-		if j.work.flops <= smallJobFlops {
-			return core.ClassSmall
-		}
-		return core.ClassLarge
-	}
-}
-
-// ratePrior is the service-rate estimate used before any job of a
-// class has completed: 1 flop/ns (one scalar GFLOP/s), deliberately
-// conservative so a cold engine sheds obviously-infeasible deadlines
-// without shedding plausible ones.
-const ratePrior = 1.0
-
-// Service-rate classes. Factorizations are GEMM-bound and run near the
-// micro-kernel's flop rate; triangular solves stream the factor once
-// per right-hand side and are memory-bound, typically an order of
-// magnitude slower per flop. One shared EWMA lets whichever kind
-// dominates recent traffic corrupt the other's deadline feasibility
-// and laxity ordering, so each class keeps its own estimate.
-const (
-	rateGemm = iota // FactorWork, CholeskyWork
-	rateMem         // SolveWork
-	numRateClasses
-)
-
-// estServiceLocked estimates the job's service time from its rate
-// class's observed flop rate (EWMA over completed jobs, Engine.mu
-// held).
-func (e *Engine) estServiceLocked(j *Job) time.Duration {
-	return time.Duration(j.work.flops / e.rates[j.work.rate])
-}
-
-// observeRateLocked folds one completed job's achieved flop rate into
-// its rate class's EWMA estimate (Engine.mu held).
-func (e *Engine) observeRateLocked(j *Job, span time.Duration) {
-	if span <= 0 || j.work.flops <= 0 {
-		return
-	}
-	const alpha = 0.25
-	obs := j.work.flops / float64(span.Nanoseconds())
-	e.rates[j.work.rate] = (1-alpha)*e.rates[j.work.rate] + alpha*obs
+// stats is the lane's slice of Stats.
+func (q *lane) stats() ClassStats {
+	s := ClassStats{Done: q.done, Failed: q.failed, Queued: q.depth}
+	s.P50Ms, s.P99Ms = q.lat.percentiles()
+	return s
 }
 
 // ---------------------------------------------------------------------
@@ -253,8 +160,8 @@ func (r *latRing) percentiles() (p50, p99 float64) {
 // submit-to-done latency percentiles over the last latWindow jobs.
 type ClassStats struct {
 	// Done and Failed count completed jobs of this class (failures
-	// include cancellations; admission-time sheds never become jobs and
-	// are counted in Stats.Shed instead).
+	// include withdrawn jobs; submissions refused at admission never
+	// become jobs).
 	Done, Failed int64
 	// Queued is the lane's current live depth.
 	Queued int

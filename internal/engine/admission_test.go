@@ -90,12 +90,11 @@ func TestEngineAutoClassification(t *testing.T) {
 	}
 }
 
-// TestEngineFusesSmallBurst queues a burst of small jobs behind a
-// gated job on a one-worker pool. The express lane no longer fuses:
-// when the worker frees up every member of the burst must complete as
-// its own one-worker job, with a result bit-identical to a one-shot
-// run at that width.
-func TestEngineFusesSmallBurst(t *testing.T) {
+// TestEngineSmallBurstRunsSolo queues a burst of small jobs behind a
+// gated job on a one-worker pool. When the worker frees up every member
+// of the burst must complete as its own one-worker job, with a result
+// bit-identical to a one-shot run at that width.
+func TestEngineSmallBurstRunsSolo(t *testing.T) {
 	e, err := New(Options{Workers: 1, MaxInflight: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +140,10 @@ func TestEngineFusesSmallBurst(t *testing.T) {
 	}
 }
 
-// TestEngineFusedMixedKinds queues small factor and solve jobs in one
+// TestEngineExpressMixedKinds queues small factor and solve jobs in one
 // burst behind a gated job and checks each job's result against its
 // one-shot equivalent at one worker.
-func TestEngineFusedMixedKinds(t *testing.T) {
+func TestEngineExpressMixedKinds(t *testing.T) {
 	e, err := New(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -238,77 +237,68 @@ func TestEngineExpressOvertakesBigLane(t *testing.T) {
 	}
 }
 
-// TestEngineLaxityOrdersLane checks SLO ordering inside a lane: of two
-// queued big jobs the one with a deadline must start first even though
-// it arrived second.
-func TestEngineLaxityOrdersLane(t *testing.T) {
-	e, err := New(Options{Workers: 1})
+// timerNotFired is a context whose deadline has passed but which is not
+// done yet, as a context is until its timer fires.
+type timerNotFired struct{ context.Context }
+
+func (timerNotFired) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestEngineSubmitCtxDeadline: a job's deadline is its submission
+// context's. A submission under an expired context returns
+// DeadlineExceeded without taking an admission slot, and a queued job
+// is withdrawn when its deadline passes; both count in Shed, not in
+// Cancelled.
+func TestEngineSubmitCtxDeadline(t *testing.T) {
+	e, err := New(Options{Workers: 1, MaxInflight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	gated, release := gate(t, e)
+	defer release() // before Close, so a failure below cannot hang it
 	waitGated(t, e)
-	relaxed, err := e.SubmitFactor(randMatrix(t, 256, 4), core.Options{})
+
+	expired, cancel := context.WithDeadline(bg, time.Now().Add(-time.Second))
+	defer cancel()
+	if j, err := e.Submit(expired, FactorWork(randMatrix(t, 64, 1)), core.Options{}); j != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Submit under an expired context = %v, %v; want no job and DeadlineExceeded", j, err)
+	}
+	// A deadline can pass before the context's timer has fired; admission
+	// must refuse the submission all the same.
+	if j, err := e.TrySubmit(timerNotFired{bg}, FactorWork(randMatrix(t, 64, 1)), core.Options{}); j != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("TrySubmit past an unfired deadline = %v, %v; want no job and DeadlineExceeded", j, err)
+	}
+	if s := e.Stats(); s.Shed != 2 || s.Pending != 0 || s.JobsFailed != 0 {
+		t.Fatalf("refused submissions: Shed %d Pending %d JobsFailed %d, want 2, 0, 0", s.Shed, s.Pending, s.JobsFailed)
+	}
+
+	// No slot was taken: the gate holds one of two, so this still fits.
+	ctx, cancelQueued := context.WithTimeout(bg, 20*time.Millisecond)
+	defer cancelQueued()
+	queued, err := e.TrySubmit(ctx, FactorWork(randMatrix(t, 64, 2)), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	urgent, err := e.SubmitFactor(randMatrix(t, 256, 5), core.Options{Deadline: time.Hour})
-	if err != nil {
-		t.Fatal(err)
+	select {
+	case <-queued.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued job still waiting after its deadline")
+	}
+	if err := queued.Wait(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("withdrawn job err %v, want DeadlineExceeded", err)
+	}
+	if queued.Factorization() != nil || queued.Span() != 0 {
+		t.Error("withdrawn job executed")
+	}
+	s := e.Stats()
+	if s.Shed != 3 || s.Cancelled != 0 {
+		t.Errorf("Shed %d Cancelled %d, want 3 and 0", s.Shed, s.Cancelled)
+	}
+	if s.Pending != 0 || s.JobsFailed != 1 || s.Small.Failed != 1 {
+		t.Errorf("Pending %d JobsFailed %d Small.Failed %d, want 0, 1, 1", s.Pending, s.JobsFailed, s.Small.Failed)
 	}
 	release()
 	if err := gated.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := relaxed.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := urgent.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// The pool is serial, so start order is the service order.
-	if !urgent.started.Before(relaxed.started) {
-		t.Errorf("deadline job started %v, after the no-deadline job at %v",
-			urgent.started, relaxed.started)
-	}
-}
-
-// TestEngineShedsInfeasibleDeadline submits work whose estimated
-// service time cannot fit its deadline: the submission must fail with
-// ErrDeadlineInfeasible without consuming an admission slot, a queue
-// entry or a reservation.
-func TestEngineShedsInfeasibleDeadline(t *testing.T) {
-	e, err := New(Options{Workers: 2, MaxInflight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	_, err = e.SubmitFactor(randMatrix(t, 256, 1), core.Options{Deadline: time.Nanosecond})
-	if !errors.Is(err, ErrDeadlineInfeasible) {
-		t.Fatalf("err %v, want ErrDeadlineInfeasible", err)
-	}
-	if _, err := e.SubmitFactor(randMatrix(t, 64, 2), core.Options{Deadline: -time.Second}); !errors.Is(err, ErrDeadlineInfeasible) {
-		t.Fatalf("negative deadline: err %v, want ErrDeadlineInfeasible", err)
-	}
-	s := e.Stats()
-	if s.Shed != 2 {
-		t.Errorf("Shed %d, want 2", s.Shed)
-	}
-	if s.Pending != 0 || s.ReservedInUse != 0 {
-		t.Errorf("shed submission left state behind: pending %d reserved %d", s.Pending, s.ReservedInUse)
-	}
-	if s.JobsFailed != 0 {
-		t.Errorf("sheds counted as failed jobs: %d", s.JobsFailed)
-	}
-	// The admission slot was not consumed: a MaxInflight=1 engine still
-	// accepts (and completes) a feasible job.
-	j, err := e.SubmitFactor(randMatrix(t, 64, 3), core.Options{Deadline: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
 }

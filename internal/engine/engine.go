@@ -10,15 +10,14 @@
 // shared queue and help tier absorb load imbalance among the job's own
 // workers.
 //
-// Admission is traffic-shaped (see admission.go): jobs are classified
-// small or large by a flop cost model and routed to two lanes. Small
-// jobs take an express lane and run on their own executor with a
-// one-worker default share, while big jobs take a lane whose
-// reservations are bounded to bigShare of the pool whenever express
-// traffic is waiting, so one huge factorization cannot
-// head-of-line-block a stream of tiny solves. Within each lane, jobs
-// with deadlines are served in laxity order and infeasible deadlines
-// are shed at submission with ErrDeadlineInfeasible.
+// Admission routes each job to one of two first-in first-out lanes
+// (see admission.go): jobs are classified small or large by a flop cost
+// model, small jobs take an express lane and run on their own executor
+// with a one-worker default share, and the big lane's head starts only
+// when the express lane is empty, so one huge factorization cannot
+// head-of-line-block a stream of tiny solves. The submission context is
+// a job's only stop signal: a job still queued when its context is
+// cancelled or its deadline passes is withdrawn.
 //
 // A job whose requested share is not available starts anyway with what
 // the pool can guarantee (at least one worker), so service is
@@ -84,19 +83,18 @@ type Stats struct {
 	Workers int
 	// Pending counts queued jobs across both lanes (SmallQueued +
 	// BigQueued); Active counts live executors, one per running job;
-	// ReservedInUse is the sum of active grants, BigReserved the
-	// big-lane slice of it.
-	Pending, Active, ReservedInUse, BigReserved int
+	// ReservedInUse is the sum of active grants.
+	Pending, Active, ReservedInUse int
 	// SmallQueued and BigQueued are the live lane depths.
 	SmallQueued, BigQueued int
 	// JobsDone/JobsFailed count completed jobs.
 	JobsDone, JobsFailed int64
 	// Lends and FusedJobs are always 0: no worker runs another job's
 	// tasks, and every job runs on its own executor. The fields stay
-	// for the benchmark module, which reads them. Shed counts
-	// deadline-infeasible submissions rejected (at admission or at
-	// start); Cancelled counts queued jobs withdrawn by their
-	// submission context.
+	// for the benchmark module, which reads them. Shed counts jobs
+	// whose context's deadline passed before they started, refused at
+	// submission or withdrawn from a lane; Cancelled counts queued jobs
+	// withdrawn because their context was cancelled.
 	Lends, FusedJobs, Shed, Cancelled int64
 	// Small and Large are the per-class latency digests.
 	Small, Large ClassStats
@@ -109,27 +107,18 @@ type Engine struct {
 	opt Options
 	ws  *kernel.Reservation
 
-	mu    sync.Mutex
-	work  *sync.Cond // workers wait here for assignments
-	capa  *sync.Cond // submitters wait here for admission capacity
-	small laneQueue  // express lane
-	big   laneQueue  // bounded lane
-	run   []*Job     // started, executor live
+	mu   sync.Mutex
+	work *sync.Cond // workers wait here for assignments
+	capa *sync.Cond // submitters wait here for admission capacity
+	// lanes are served in order: lanes[0] is the express lane (small
+	// jobs), lanes[1] the big lane.
+	lanes [2]lane
+	run   []*Job // started, executor live
 	// inflight = queued + started-but-unfinished jobs; bounded by
 	// MaxInflight.
 	inflight      int
 	reservedInUse int
-	bigReserved   int
-	seq           uint64
-	// rates are the per-class EWMA service-rate estimates, flops per
-	// nanosecond, indexed by rate class (rateGemm, rateMem): factor
-	// traffic runs at GEMM speed, solve traffic at memory speed, and
-	// mixing them in one estimate would skew both (admission.go).
-	rates              [numRateClasses]float64
-	latSmall, latLarge latRing
-	// classDone/classFailed are indexed by classIdx.
-	classDone, classFailed [2]int64
-	closed                 bool
+	closed        bool
 
 	wg sync.WaitGroup
 
@@ -145,9 +134,6 @@ type Engine struct {
 func New(opt Options) (*Engine, error) {
 	opt.fill()
 	e := &Engine{opt: opt}
-	for c := range e.rates {
-		e.rates[c] = ratePrior
-	}
 	e.work = sync.NewCond(&e.mu)
 	e.capa = sync.NewCond(&e.mu)
 	// One refcounted pool-wide reservation: at most Workers goroutines
@@ -161,19 +147,12 @@ func New(opt Options) (*Engine, error) {
 	return e, nil
 }
 
-// classIdx maps a resolved job class to the per-class counter slot.
-func classIdx(c core.JobClass) int {
-	if c == core.ClassSmall {
-		return 0
+// laneOf is the lane of j's resolved class.
+func (e *Engine) laneOf(j *Job) *lane {
+	if j.class == core.ClassSmall {
+		return &e.lanes[0]
 	}
-	return 1
-}
-
-func (e *Engine) ring(idx int) *latRing {
-	if idx == 0 {
-		return &e.latSmall
-	}
-	return &e.latLarge
+	return &e.lanes[1]
 }
 
 // Close rejects queued jobs, waits for running jobs and the workers to
@@ -185,12 +164,14 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	dropped := e.small.drain()
-	dropped = append(dropped, e.big.drain()...)
-	e.inflight -= len(dropped)
-	for _, j := range dropped {
-		e.classFailed[classIdx(j.class)]++
+	var dropped []*Job
+	for i := range e.lanes {
+		q := &e.lanes[i]
+		live := q.drain()
+		q.failed += int64(len(live))
+		dropped = append(dropped, live...)
 	}
+	e.inflight -= len(dropped)
 	e.work.Broadcast()
 	e.capa.Broadcast()
 	e.mu.Unlock()
@@ -211,18 +192,15 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	s := Stats{
 		Workers:       e.opt.Workers,
-		Pending:       e.small.depth + e.big.depth,
-		SmallQueued:   e.small.depth,
-		BigQueued:     e.big.depth,
+		Pending:       e.lanes[0].depth + e.lanes[1].depth,
+		SmallQueued:   e.lanes[0].depth,
+		BigQueued:     e.lanes[1].depth,
 		Active:        len(e.run),
 		ReservedInUse: e.reservedInUse,
-		BigReserved:   e.bigReserved,
+		Small:         e.lanes[0].stats(),
+		Large:         e.lanes[1].stats(),
 		Closed:        e.closed,
 	}
-	s.Small = ClassStats{Done: e.classDone[0], Failed: e.classFailed[0], Queued: e.small.depth}
-	s.Small.P50Ms, s.Small.P99Ms = e.latSmall.percentiles()
-	s.Large = ClassStats{Done: e.classDone[1], Failed: e.classFailed[1], Queued: e.big.depth}
-	s.Large.P50Ms, s.Large.P99Ms = e.latLarge.percentiles()
 	e.mu.Unlock()
 	s.JobsDone = e.jobsDone.Load()
 	s.JobsFailed = e.jobsFailed.Load()
@@ -242,19 +220,14 @@ type Solvable interface {
 }
 
 // Work is one submittable job of any kind: what admission needs to know
-// about it before it runs (a flop estimate, a service-rate class, a
-// default share) and how to build its task graph once a share has been
-// granted. FactorWork, CholeskyWork and SolveWork build the three kinds;
+// about it before it runs (a flop estimate and a default share) and how
+// to build its task graph once a share has been granted. FactorWork, CholeskyWork and SolveWork build the three kinds;
 // a further kind is one more constructor, not an engine change.
 type Work struct {
-	// flops is the admission cost model: the leading-order flop count,
-	// used to classify small vs large, to order lanes by laxity and to
-	// decide deadline feasibility. It deliberately ignores lower-order
-	// terms — admission needs relative magnitudes, not exact counts.
+	// flops is the admission cost model: the leading-order flop count
+	// that classifies the job small or large. It deliberately ignores
+	// lower-order terms — admission needs magnitudes, not exact counts.
 	flops float64
-	// rate is the service-rate class (rateGemm, rateMem) the flops are
-	// charged at.
-	rate int
 	// wide is the unset-Workers share request of a large-class job: the
 	// whole pool for a factorization, one worker for a solve — a solve
 	// is O(n²·nrhs) against the factorization's O(n³), so a service that
@@ -293,7 +266,6 @@ func FactorWork(a *mat.Dense) Work {
 	return Work{
 		// LU of m x n: r^2 * (max(m,n) - r/3); 2/3 n^3 when square.
 		flops: r * r * (math.Max(m, n) - r/3),
-		rate:  rateGemm,
 		wide:  true,
 		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
 			return prepared(core.PrepareFactor(a, opt))
@@ -313,7 +285,6 @@ func CholeskyWork(a *mat.Dense) Work {
 	n := float64(a.Rows)
 	return Work{
 		flops: n * n * n / 3,
-		rate:  rateGemm,
 		wide:  true,
 		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
 			return prepared(core.PrepareCholesky(a, opt))
@@ -338,7 +309,6 @@ func SolveWork(f Solvable, b *mat.Dense) Work {
 	return Work{
 		// Forward + backward sweep, n^2*nrhs each.
 		flops: 2 * n * n * nrhs,
-		rate:  rateMem,
 		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
 			return prepared(f.PrepareSolve(b, opt))
 		},
@@ -354,14 +324,7 @@ type Job struct {
 
 	// Admission state; all guarded by Engine.mu unless noted.
 	class core.JobClass // resolved class (never ClassAuto)
-	lane  lane
 	state jobState
-	seq   uint64
-	// deadlineAbs is the absolute SLO deadline (zero = none); startBy
-	// its laxity key (deadline minus estimated service, UnixNano), or
-	// noDeadline.
-	deadlineAbs time.Time
-	startBy     int64
 	// stopCancel releases the submission context's cancellation hook.
 	stopCancel func() bool
 
@@ -444,11 +407,13 @@ func (j *Job) Span() time.Duration      { return j.span }
 
 // Submit admits w under opt, blocking while the admission queue is
 // full. opt.Workers is the requested static share; the engine may grant
-// less under load (at least 1), recorded in Job.Granted. Cancelling ctx
+// less under load (at least 1), recorded in Job.Granted. ctx is the
+// job's only stop signal, its deadline the job's deadline: a context
+// that is done or past its deadline refuses the submission, ending it
 // unblocks a submission waiting for admission capacity, and withdraws
-// the job if it is still queued when the context fires (the job then
-// fails with the context's cause instead of executing); a job already
-// started runs to completion.
+// the job if it is still queued (the job then fails with the context's
+// cause instead of executing); a job already started runs to
+// completion.
 func (e *Engine) Submit(ctx context.Context, w Work, opt core.Options) (*Job, error) {
 	return e.admit(ctx, w, opt, true)
 }
@@ -471,9 +436,8 @@ func (e *Engine) SubmitSolveMany(f Solvable, b *mat.Dense, opt core.Options) (*J
 	return e.Submit(context.Background(), SolveWork(f, b), opt)
 }
 
-// admit classifies, routes and enqueues the job: the traffic-shaping
-// decision point. ctx cancellation unblocks the capacity wait and,
-// once queued, withdraws the job (cancelQueued).
+// admit classifies and enqueues the job. ctx ending unblocks the
+// capacity wait and, once queued, withdraws the job (cancelQueued).
 func (e *Engine) admit(ctx context.Context, w Work, opt core.Options, wait bool) (*Job, error) {
 	if w.err != nil {
 		return nil, w.err
@@ -495,8 +459,11 @@ func (e *Engine) admit(ctx context.Context, w Work, opt core.Options, wait bool)
 			e.mu.Unlock()
 			return nil, ErrClosed
 		}
-		if err := ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			e.mu.Unlock()
+			if err == context.DeadlineExceeded {
+				e.shedCount.Add(1)
+			}
 			return nil, err
 		}
 		if e.inflight < e.opt.MaxInflight {
@@ -508,68 +475,53 @@ func (e *Engine) admit(ctx context.Context, w Work, opt core.Options, wait bool)
 		}
 		e.capa.Wait()
 	}
-	now := time.Now()
-	j.queued = now
-	j.seq = e.seq
-	e.seq++
+	j.queued = time.Now()
 	j.class = classify(j)
-	j.startBy = noDeadline
-	if d := j.reqOpt.Deadline; d != 0 {
-		est := e.estServiceLocked(j)
-		if d < 0 || est > d {
-			e.mu.Unlock()
-			e.shedCount.Add(1)
-			return nil, fmt.Errorf("engine: estimated service %v exceeds deadline %v: %w", est, d, ErrDeadlineInfeasible)
-		}
-		j.deadlineAbs = now.Add(d)
-		j.startBy = j.deadlineAbs.Add(-est).UnixNano()
-	}
-	if j.class == core.ClassSmall {
-		j.lane = laneSmall
-	} else {
-		j.lane = laneBig
-	}
 	e.inflight++
-	if j.lane == laneSmall {
-		e.small.push(j)
-	} else {
-		e.big.push(j)
-	}
+	e.laneOf(j).push(j)
 	if ctx.Done() != nil {
 		// Registered under e.mu so a firing cancellation always observes
 		// the queued state (cancelQueued re-checks it under the lock).
-		j.stopCancel = context.AfterFunc(ctx, func() {
-			e.cancelQueued(j, context.Cause(ctx))
-		})
+		j.stopCancel = context.AfterFunc(ctx, func() { e.cancelQueued(ctx, j) })
 	}
 	e.work.Signal()
 	e.mu.Unlock()
 	return j, nil
 }
 
-// cancelQueued withdraws a job whose submission context fired while it
+// ctxErr is ctx.Err, except that a deadline already past reads as
+// exceeded before the context's timer has fired.
+func ctxErr(ctx context.Context) error {
+	err := ctx.Err()
+	if d, ok := ctx.Deadline(); ok && err == nil && !time.Now().Before(d) {
+		err = context.DeadlineExceeded
+	}
+	return err
+}
+
+// cancelQueued withdraws a job whose submission context ended while it
 // was still waiting in a lane: it is marked failed with the context's
-// cause and never executes. Jobs already started run to completion.
-func (e *Engine) cancelQueued(j *Job, cause error) {
+// cause and never executes, and counts as shed when the context's
+// deadline passed. Jobs already started run to completion.
+func (e *Engine) cancelQueued(ctx context.Context, j *Job) {
 	e.mu.Lock()
 	if j.state != jsQueued {
 		e.mu.Unlock()
 		return
 	}
-	if j.lane == laneSmall {
-		e.small.cancel(j)
-	} else {
-		e.big.cancel(j)
-	}
+	j.state = jsDone
+	q := e.laneOf(j)
+	q.depth--
+	q.failed++
 	e.inflight--
-	e.classFailed[classIdx(j.class)]++
 	e.capa.Signal()
 	e.mu.Unlock()
-	if cause == nil {
-		cause = context.Canceled
+	j.err = context.Cause(ctx)
+	if ctx.Err() == context.DeadlineExceeded {
+		e.shedCount.Add(1)
+	} else {
+		e.cancelled.Add(1)
 	}
-	j.err = cause
-	e.cancelled.Add(1)
 	e.jobsFailed.Add(1)
 	close(j.done)
 }
@@ -579,23 +531,20 @@ func (e *Engine) cancelQueued(j *Job, cause error) {
 
 // worker is one resident pool goroutine. Assignments, in preference
 // order: claim an open seat of a running job (finish what was started),
-// or start lane work (an express-lane head, a big-lane head, or a
-// deadline-expired pop to shed).
+// or start lane work (an express-lane head, else a big-lane head).
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
 		e.mu.Lock()
 		var j *Job
 		var seat int
-		var shed bool
-		mode := 0
+		start := false
 		for {
 			if j, seat = e.claimSeatLocked(); j != nil {
-				mode = 1
 				break
 			}
-			if j, shed = e.startableLocked(); j != nil {
-				mode = 2
+			if j = e.startableLocked(); j != nil {
+				start = true
 				break
 			}
 			// Exit on inflight, not queue/run emptiness: a job between
@@ -611,17 +560,10 @@ func (e *Engine) worker() {
 			e.work.Wait()
 		}
 		e.mu.Unlock()
-		switch mode {
-		case 1:
+		if start {
+			e.startJob(j)
+		} else {
 			e.driveJob(j, seat)
-		case 2:
-			if shed {
-				j.err = fmt.Errorf("engine: deadline expired before start: %w", ErrDeadlineInfeasible)
-				e.shedCount.Add(1)
-				e.completeJob(j, false)
-			} else {
-				e.startJob(j)
-			}
 		}
 	}
 }
@@ -638,81 +580,28 @@ func (e *Engine) claimSeatLocked() (*Job, int) {
 	return nil, 0
 }
 
-// startableLocked picks the next lane work, in order: a
-// deadline-expired head to shed, the express-lane head, then the
-// big-lane head under its share bound. On success the job has been
-// popped and, unless it is to be shed, its grant charged to the pool.
-func (e *Engine) startableLocked() (j *Job, shed bool) {
-	if exp := e.expiredLocked(); exp != nil {
-		return exp, true
-	}
-	if head := e.small.peek(); head != nil {
-		if g := e.grantLocked(head.req(e.opt.Workers)); g > 0 {
-			e.small.pop()
-			head.state = jsStarted
-			head.granted = g
-			e.reservedInUse += g
-			return head, false
+// startableLocked pops the head of the first non-empty lane, express
+// first, and charges its grant — its request, capped by the workers left
+// unreserved — to the pool. It returns nil when the lanes are empty or
+// no worker is free.
+func (e *Engine) startableLocked() *Job {
+	for i := range e.lanes {
+		q := &e.lanes[i]
+		head := q.peek()
+		if head == nil {
+			continue
 		}
-	}
-	// Big lane, bounded to bigShare of the pool while express traffic
-	// waits.
-	if head := e.big.peek(); head != nil {
-		if g := e.grantBigLocked(head.req(e.opt.Workers)); g > 0 {
-			e.big.pop()
-			head.state = jsStarted
-			head.granted = g
-			e.reservedInUse += g
-			e.bigReserved += g
-			return head, false
+		g := min(head.req(e.opt.Workers), e.opt.Workers-e.reservedInUse)
+		if g <= 0 {
+			return nil
 		}
-	}
-	return nil, false
-}
-
-// expiredLocked pops a lane head whose absolute deadline has already
-// passed: starting it could only burn a reservation on work that will
-// miss its SLO, so it is shed instead.
-func (e *Engine) expiredLocked() *Job {
-	now := time.Now()
-	for _, q := range []*laneQueue{&e.small, &e.big} {
-		if h := q.peek(); h != nil && !h.deadlineAbs.IsZero() && !now.Before(h.deadlineAbs) {
-			q.pop()
-			h.state = jsStarted
-			return h
-		}
+		q.pop()
+		head.state = jsStarted
+		head.granted = g
+		e.reservedInUse += g
+		return head
 	}
 	return nil
-}
-
-// grantLocked sizes a job's share: its request, capped by the workers
-// left unreserved. Zero means none is left and the job waits.
-func (e *Engine) grantLocked(req int) int {
-	return min(req, e.opt.Workers-e.reservedInUse)
-}
-
-// grantBigLocked is grantLocked with the big lane's bound applied:
-// while express traffic is waiting, big-lane jobs may together hold at
-// most bigShare of the pool, so a stream of small jobs is
-// never head-of-line-blocked behind wide factorizations. With an empty
-// express lane the bound is lifted (work conservation).
-func (e *Engine) grantBigLocked(req int) int {
-	g := e.grantLocked(req)
-	if g == 0 || e.small.depth == 0 {
-		return g
-	}
-	bigCap := int(math.Round(bigShare * float64(e.opt.Workers)))
-	if bigCap < 1 {
-		bigCap = 1
-	}
-	room := bigCap - e.bigReserved
-	if room < 1 {
-		return 0
-	}
-	if g > room {
-		g = room
-	}
-	return g
 }
 
 // prepare builds the job's task graph, policy and result finisher (the
@@ -798,9 +687,6 @@ func (e *Engine) completeJob(j *Job, running bool) {
 	e.mu.Lock()
 	j.state = jsDone
 	e.reservedInUse -= j.granted
-	if j.lane == laneBig {
-		e.bigReserved -= j.granted
-	}
 	e.inflight--
 	if running {
 		for i, r := range e.run {
@@ -810,16 +696,11 @@ func (e *Engine) completeJob(j *Job, running bool) {
 			}
 		}
 	}
-	idx := classIdx(j.class)
-	if j.err != nil {
-		e.classFailed[idx]++
+	if q := e.laneOf(j); j.err != nil {
+		q.failed++
 	} else {
-		e.classDone[idx]++
-		e.ring(idx).add(float64(time.Since(j.queued).Microseconds()) / 1e3)
-	}
-	// Fold successful spans into the job's service-rate EWMA.
-	if j.err == nil && !j.started.IsZero() {
-		e.observeRateLocked(j, time.Since(j.started))
+		q.done++
+		q.lat.add(float64(time.Since(j.queued).Microseconds()) / 1e3)
 	}
 	stop := j.stopCancel
 	e.work.Broadcast()

@@ -128,12 +128,12 @@ func reference(t *testing.T, k workKind, j *Job) (any, int) {
 	return want, tasks
 }
 
-// TestWorkKindsSoloAndFused drives every Work constructor through the
+// TestWorkKindsOnBothLanes drives every Work constructor through the
 // engine twice — on the big lane with a two-worker share, and queued
 // on the express lane behind a gated job — and requires Job.Result to
 // carry the kind's type and the bits of the same
 // core.Prepare*(...).Run() at Workers = Granted.
-func TestWorkKindsSoloAndFused(t *testing.T) {
+func TestWorkKindsOnBothLanes(t *testing.T) {
 	kinds := workKinds(t)
 	check := func(t *testing.T, j *Job, k workKind) {
 		t.Helper()
@@ -144,7 +144,7 @@ func TestWorkKindsSoloAndFused(t *testing.T) {
 		sameResult(t, k.name, j.Result(), want)
 	}
 
-	t.Run("solo", func(t *testing.T) {
+	t.Run("big", func(t *testing.T) {
 		e, err := New(Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)

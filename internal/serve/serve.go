@@ -4,9 +4,10 @@
 // completed factorizations, and exposes:
 //
 //   - the data plane — /v1/factor, /v1/cholesky, /v1/solve,
-//     /v1/cholesky/solve, /v1/stats — with the traffic-shaped admission
-//     semantics of internal/engine (429 saturation, 503 shed deadlines,
-//     422 degraded solves with the solvable prefix);
+//     /v1/cholesky/solve, /v1/stats — with the two-lane admission of
+//     internal/engine (429 saturation, 503 for a deadline that passes
+//     before the job starts, 422 degraded solves with the solvable
+//     prefix);
 //   - the cluster admin plane — /v1/admin/export and /v1/admin/import
 //     move serialized factorizations between shards for replication and
 //     drain migration, /v1/admin/drain flips the shard into draining
@@ -25,6 +26,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -134,8 +136,10 @@ type factorRequest struct {
 	// Class routes the job in the engine's two-lane admission: "auto"
 	// (default), "small" or "large".
 	Class string `json:"class"`
-	// DeadlineMs is the submit-relative SLO; jobs the engine estimates
-	// cannot meet it are shed with 503. 0 means no deadline.
+	// DeadlineMs bounds the request's context, counted from when the
+	// shard has read the request: a job still queued when it passes is
+	// withdrawn and the reply is 503. A job that has started runs to
+	// completion. 0 means no deadline.
 	DeadlineMs float64 `json:"deadlineMs"`
 	// Residual requests the O(n^3) backward-error check in the reply.
 	Residual bool `json:"residual"`
@@ -165,7 +169,7 @@ type solveRequest struct {
 	Scheduler    string  `json:"scheduler"`
 	DynamicRatio float64 `json:"dynamicRatio"`
 	Class        string  `json:"class"`
-	DeadlineMs   float64 `json:"deadlineMs"`
+	DeadlineMs   float64 `json:"deadlineMs"` // as factorRequest.DeadlineMs
 }
 
 // BulkMember names b as the request's bulk (cluster.Bulk).
@@ -194,7 +198,8 @@ func schedulerOptions(name string, opt *core.Options) (err error) {
 	return nil
 }
 
-// classOptions maps the request's traffic-shaping fields onto Options.
+// classOptions maps the request's class onto Options and checks its
+// deadline.
 func classOptions(class string, deadlineMs float64, opt *core.Options) error {
 	switch strings.ToLower(class) {
 	case "", "auto":
@@ -209,8 +214,16 @@ func classOptions(class string, deadlineMs float64, opt *core.Options) error {
 	if deadlineMs < 0 {
 		return fmt.Errorf("deadlineMs must be >= 0, got %g", deadlineMs)
 	}
-	opt.Deadline = time.Duration(deadlineMs * float64(time.Millisecond))
 	return nil
+}
+
+// deadline is the request's context, bounded by its deadlineMs when
+// that is set; the engine withdraws a job still queued when it ends.
+func deadline(r *http.Request, ms float64) (context.Context, context.CancelFunc) {
+	if ms == 0 {
+		return r.Context(), func() {}
+	}
+	return context.WithTimeout(r.Context(), time.Duration(ms*float64(time.Millisecond)))
 }
 
 func (s *Server) options(req *factorRequest) (core.Options, error) {
@@ -293,16 +306,17 @@ func drainError(w http.ResponseWriter) {
 	cluster.HTTPError(w, http.StatusServiceUnavailable, "shard draining, no new jobs")
 }
 
-// submitError maps an engine submission error to an HTTP reply: a shed
-// deadline is 503 (the request was refused for its SLO, not for load —
-// retrying with a looser deadline can succeed), saturation is 429 so
-// load balancers back off, anything else is the caller's fault. Part of
-// the package's error-to-status table.
+// submitError maps an engine submission error to an HTTP reply: a
+// deadline that passed before the job started is 503 (the request was
+// refused for its deadline, not for load — retrying with a looser
+// deadline can succeed), saturation is 429 so load balancers back off,
+// anything else is the caller's fault. Part of the package's
+// error-to-status table.
 func submitError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, engine.ErrDeadlineInfeasible):
+	case errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", "1")
-		cluster.HTTPError(w, http.StatusServiceUnavailable, "%v", err)
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "deadline passed before the job started: %v", err)
 	case errors.Is(err, engine.ErrSaturated):
 		w.Header().Set("Retry-After", "1")
 		cluster.HTTPError(w, http.StatusTooManyRequests, "engine saturated, retry later")
@@ -311,22 +325,26 @@ func submitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// solveError maps a failed solve job to its HTTP reply: a singular
-// system gets the typed 422 carrying how much of the system is still
-// solvable, anything else a plain 422. Part of the package's
-// error-to-status table.
-func solveError(w http.ResponseWriter, err error) {
+// jobError maps a job that failed after admission to its HTTP reply: a
+// job withdrawn because its deadline passed gets submitError's 503, a
+// singular system the typed 422 carrying how much of the system is
+// still solvable, anything else a plain 422 naming what failed. Part of
+// the package's error-to-status table.
+func jobError(w http.ResponseWriter, err error, what string) {
 	var se *core.SingularSolveError
-	if errors.As(err, &se) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		submitError(w, err)
+	case errors.As(err, &se):
 		cluster.WriteJSON(w, http.StatusUnprocessableEntity, map[string]any{
 			"error":          err.Error(),
 			"solvablePrefix": se.Prefix,
 			"n":              se.N,
 			"degradedSystem": true,
 		})
-		return
+	default:
+		cluster.HTTPError(w, http.StatusUnprocessableEntity, "%s failed: %v", what, err)
 	}
-	cluster.HTTPError(w, http.StatusUnprocessableEntity, "solve failed: %v", err)
 }
 
 // handleFactor serves one factorization endpoint: build the matrix, run
@@ -351,20 +369,22 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, req *facto
 		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	ctx, cancel := deadline(r, req.DeadlineMs)
+	defer cancel()
 	a, err := s.matrix(req, kind.random)
 	if err != nil {
 		cluster.HTTPError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
 	// The request context rides along so a queued job is withdrawn when
-	// its client disconnects.
-	job, err := s.eng.TrySubmit(r.Context(), kind.work(a), opt)
+	// its client disconnects or its deadline passes.
+	job, err := s.eng.TrySubmit(ctx, kind.work(a), opt)
 	if err != nil {
 		submitError(w, err)
 		return
 	}
 	if err := job.Wait(); err != nil {
-		cluster.HTTPError(w, http.StatusUnprocessableEntity, "factorization failed: %v", err)
+		jobError(w, err, "factorization")
 		return
 	}
 	k := engine.KeptOf(job.Result())
@@ -429,15 +449,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveR
 		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	ctx, cancel := deadline(r, req.DeadlineMs)
+	defer cancel()
 	// B is column-major n x nrhs already, and the solve does not write it.
 	bm := mat.FromColMajor(n, nrhs, n, req.B)
-	job, err := s.eng.TrySubmit(r.Context(), engine.SolveWork(k.Solvable(), bm), opt)
+	job, err := s.eng.TrySubmit(ctx, engine.SolveWork(k.Solvable(), bm), opt)
 	if err != nil {
 		submitError(w, err)
 		return
 	}
 	if err := job.Wait(); err != nil {
-		solveError(w, err)
+		jobError(w, err, "solve")
 		return
 	}
 	// The solution block is tightly strided (mat.New), so its backing

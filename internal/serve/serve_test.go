@@ -429,13 +429,14 @@ func TestServeStoreTTL(t *testing.T) {
 	}
 }
 
-// TestServeDeadlineShed503: a deadline the engine cannot meet is shed
-// with a cheap 503 + Retry-After, no worker consumed; a negative
-// deadline is the caller's fault (400).
+// TestServeDeadlineShed503: a deadline that has passed by the time the
+// job would be submitted is refused with a cheap 503 + Retry-After, no
+// worker consumed; a negative deadline is the caller's fault (400).
 func TestServeDeadlineShed503(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	// 512^3 * 2/3 flops against the cold-engine rate prior is tens of
-	// milliseconds; a 1-microsecond SLO is infeasible on any hardware.
+	// Generating the 512x512 matrix alone takes milliseconds; a
+	// 1-microsecond deadline has passed before the job is submitted on
+	// any hardware.
 	resp, out := postJSON(t, ts.URL+"/v1/factor",
 		`{"n":512,"seed":1,"workers":1,"deadlineMs":0.001}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -467,20 +468,13 @@ func TestServeSaturation429(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); eng.Close() })
 
 	// Occupy the single admission slot with a job gated on a channel.
-	release := make(chan struct{})
-	var once sync.Once
-	gate, err := eng.Submit(context.Background(), engine.FactorWork(mat.Random(96, 96, rand.New(rand.NewSource(1)))), core.Options{
-		Workers: 1,
-		Noise:   func(int) time.Duration { once.Do(func() { <-release }); return 0 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gate, release := gateWorker(t, eng)
+	defer release()
 	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":8,"seed":1,"workers":1}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated factor: %d %v, want 429", resp.StatusCode, out)
 	}
-	close(release)
+	release()
 	if err := gate.Wait(); err != nil {
 		t.Fatalf("gate job: %v", err)
 	}
@@ -495,6 +489,7 @@ func TestServeSaturation429(t *testing.T) {
 // with %w, so a == or a type assertion in place of errors.Is/As fails
 // here on the wrapped row.
 func TestServeErrorStatusTable(t *testing.T) {
+	solveError := func(w http.ResponseWriter, err error) { jobError(w, err, "solve") }
 	cases := []struct {
 		name       string
 		reply      func(http.ResponseWriter, error)
@@ -504,7 +499,8 @@ func TestServeErrorStatusTable(t *testing.T) {
 		prefix     float64 // solvablePrefix, or -1 for none
 	}{
 		{"saturated", submitError, engine.ErrSaturated, http.StatusTooManyRequests, true, -1},
-		{"deadline", submitError, engine.ErrDeadlineInfeasible, http.StatusServiceUnavailable, true, -1},
+		{"deadline", submitError, context.DeadlineExceeded, http.StatusServiceUnavailable, true, -1},
+		{"deadline-queued", solveError, context.DeadlineExceeded, http.StatusServiceUnavailable, true, -1},
 		{"bad-submit", submitError, errors.New("bad options"), http.StatusBadRequest, false, -1},
 		{"singular", solveError, &core.SingularSolveError{Prefix: 7, N: 10}, http.StatusUnprocessableEntity, false, 7},
 		{"solve-failed", solveError, errors.New("broken"), http.StatusUnprocessableEntity, false, -1},
@@ -557,23 +553,12 @@ func TestServeClientGoneCancelsQueuedJob(t *testing.T) {
 	id := out["id"].(string)
 	await := func(what string, ok func(engine.Stats) bool) {
 		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !ok(eng.Stats()); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s: %+v", what, eng.Stats())
-			}
-		}
+		awaitStats(t, eng, what, ok)
 	}
 
 	// Hold the only worker with a job gated on a channel.
-	release := make(chan struct{})
-	var once sync.Once
-	gate, err := eng.Submit(context.Background(), engine.FactorWork(mat.Random(96, 96, rand.New(rand.NewSource(1)))), core.Options{
-		Workers: 1,
-		Noise:   func(int) time.Duration { once.Do(func() { <-release }); return 0 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gate, release := gateWorker(t, eng)
+	defer release()
 	await("the gate job to start", func(st engine.Stats) bool { return st.Active == 1 })
 
 	for i, c := range []struct{ path, body string }{
@@ -612,7 +597,7 @@ func TestServeClientGoneCancelsQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("admission slot not freed: %v", err)
 	}
-	close(release)
+	release()
 	if err := gate.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -626,6 +611,91 @@ func TestServeClientGoneCancelsQueuedJob(t *testing.T) {
 	}
 	if n := s.Store().Len(); n != 1 {
 		t.Errorf("store holds %d factorizations, want 1", n)
+	}
+}
+
+// gateWorker submits a job whose first task blocks until release is
+// called, holding one worker (and one admission slot) of eng. release
+// may be called more than once.
+func gateWorker(t *testing.T, eng *engine.Engine) (*engine.Job, func()) {
+	t.Helper()
+	ch := make(chan struct{})
+	var once sync.Once
+	gate, err := eng.Submit(context.Background(), engine.FactorWork(mat.Random(96, 96, rand.New(rand.NewSource(1)))), core.Options{
+		Workers: 1,
+		Noise:   func(int) time.Duration { once.Do(func() { <-ch }); return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rel sync.Once
+	return gate, func() { rel.Do(func() { close(ch) }) }
+}
+
+// awaitStats polls eng until ok holds, failing after 10 s.
+func awaitStats(t *testing.T, eng *engine.Engine, what string, ok func(engine.Stats) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !ok(eng.Stats()); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %+v", what, eng.Stats())
+		}
+	}
+}
+
+// TestServeQueuedDeadline503: a job still queued when its request's
+// deadline passes is withdrawn then, not when a worker frees. With the
+// only worker held by a gated job, a factor and a solve carrying
+// deadlineMs each get 503 with Retry-After while the gate still holds;
+// Stats.Shed counts them, and the store does not change.
+func TestServeQueuedDeadline503(t *testing.T) {
+	eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, Options{Keep: 8})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); eng.Close() })
+	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":8,"seed":1,"workers":1}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("factor: %d %v", resp.StatusCode, out)
+	}
+	id := out["id"].(string)
+	stored := s.Store().Stats()
+
+	gate, release := gateWorker(t, eng)
+	defer release() // before ts.Close, which waits for the handlers
+	awaitStats(t, eng, "the gate job to start", func(st engine.Stats) bool { return st.Active == 1 })
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	for i, c := range []struct{ path, body string }{
+		{"/v1/factor", `{"n":8,"seed":2,"workers":1,"deadlineMs":50}`},
+		{"/v1/solve", fmt.Sprintf(`{"id":%q,"b":[1,1,1,1,1,1,1,1],"deadlineMs":50}`, id)},
+	} {
+		resp, err := client.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: no reply while the gate holds: %v", c.path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: %d (Retry-After %q) %s, want 503 with Retry-After",
+				c.path, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+		select {
+		case <-gate.Done():
+			t.Fatalf("%s: the gate job finished before the reply", c.path)
+		default:
+		}
+		if st := eng.Stats(); st.Shed != int64(i+1) || st.Cancelled != 0 || st.Pending != 0 {
+			t.Fatalf("%s: Shed %d Cancelled %d Pending %d, want %d, 0, 0", c.path, st.Shed, st.Cancelled, st.Pending, i+1)
+		}
+	}
+	if st := s.Store().Stats(); st != stored {
+		t.Errorf("store changed: %+v, was %+v", st, stored)
+	}
+	release()
+	if err := gate.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

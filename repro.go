@@ -42,15 +42,14 @@
 //	X, err := f.SolveMany(B, repro.Options{Workers: 4})        // one-shot
 //	job, err := eng.Submit(ctx, repro.SolveWork(f, B), repro.Options{Workers: 4})
 //
-// Engine admission is traffic-shaped: small jobs ride an express lane
-// with a one-worker default share, big jobs are bounded to a share of
-// the pool, and jobs may carry a deadline (Options.Deadline) — lanes
-// are laxity-ordered and infeasible submissions are shed with
-// ErrEngineDeadlineInfeasible before queueing. Every job kind goes
-// through the same two calls,
-// Submit (blocks at the admission bound) and TrySubmit
-// (ErrEngineSaturated instead); their context cancels work that is still
-// queued.
+// Engine admission is two first-in first-out lanes: small jobs ride
+// an express lane that is served first, with a one-worker default
+// share, and big jobs start from the second lane when the express lane
+// is empty. Every job kind goes through the same two calls, Submit
+// (blocks at the admission bound) and TrySubmit (ErrEngineSaturated
+// instead). Their context is the job's only stop signal: a deadline is
+// the context's deadline, and work still queued when the context ends
+// is withdrawn with the context's cause.
 //
 // See DESIGN.md for the system inventory; README.md and CHANGES.md
 // carry the measured-performance record.
@@ -244,9 +243,10 @@ type Solvable = engine.Solvable
 type EngineStats = engine.Stats
 
 // JobClass labels a job for the engine's two-lane admission: small
-// jobs ride an express lane and default to a one-worker share; large
-// jobs queue in a lane bounded to a share of the pool. Set on Options.Class; ClassAuto lets
-// the engine classify by estimated flop count.
+// jobs ride an express lane that is served first and default to a
+// one-worker share; large jobs queue in a second lane. Set on
+// Options.Class; ClassAuto lets the engine classify by estimated flop
+// count.
 type JobClass = core.JobClass
 
 // Job classes for Options.Class.
@@ -265,11 +265,6 @@ type EngineClassStats = engine.ClassStats
 var (
 	ErrEngineClosed    = engine.ErrClosed
 	ErrEngineSaturated = engine.ErrSaturated
-	// ErrEngineDeadlineInfeasible is returned (wrapped) by submissions
-	// whose Options.Deadline cannot be met even by the engine's own
-	// service-time estimate; such jobs are shed at admission without
-	// consuming a worker reservation. Detect with errors.Is.
-	ErrEngineDeadlineInfeasible = engine.ErrDeadlineInfeasible
 )
 
 // NewEngine starts a resident engine; its workers and kernel
