@@ -581,7 +581,6 @@ func BenchmarkDispatch(b *testing.B) {
 		{"static", func() sched.Policy { return sched.NewStatic() }},
 		{"dynamic", func() sched.Policy { return sched.NewDynamic() }},
 		{"hybrid", func() sched.Policy { return sched.NewHybrid() }},
-		{"worksteal", func() sched.Policy { return sched.NewWorkStealing(9) }},
 	}
 	for _, pol := range policies {
 		for _, workers := range []int{1, 4, 8} {

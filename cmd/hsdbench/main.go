@@ -23,7 +23,7 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment id (fig1..fig17, table1, thm1, exascale, ablation, help) or 'all'")
 	scale := flag.Float64("scale", 1.0, "matrix size multiplier relative to the paper")
-	seed := flag.Int64("seed", 42, "noise / victim-selection seed")
+	seed := flag.Int64("seed", 42, "noise seed")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 

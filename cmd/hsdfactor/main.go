@@ -21,7 +21,7 @@ func main() {
 	b := flag.Int("b", 64, "block size")
 	workers := flag.Int("workers", 4, "worker goroutines")
 	layoutName := flag.String("layout", "bcl", "layout: cm | bcl | 2l")
-	schedName := flag.String("sched", "hybrid", "scheduler: static | dynamic | hybrid | worksteal")
+	schedName := flag.String("sched", "hybrid", "scheduler: static | dynamic | hybrid")
 	dratio := flag.Float64("dratio", 0.1, "dynamic fraction for the hybrid scheduler")
 	seed := flag.Int64("seed", 1, "matrix seed")
 	solve := flag.Bool("solve", true, "also solve A x = b and report the residual")
@@ -31,7 +31,6 @@ func main() {
 		Block:        *b,
 		Workers:      *workers,
 		DynamicRatio: *dratio,
-		Seed:         *seed,
 	}
 	var err error
 	if opt.Layout, err = layout.ParseKind(*layoutName); err == nil {

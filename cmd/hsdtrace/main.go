@@ -22,7 +22,7 @@ func main() {
 	n := flag.Int("n", 2500, "matrix dimension")
 	b := flag.Int("b", 100, "block size")
 	layoutName := flag.String("layout", "2l", "layout: cm | bcl | 2l")
-	schedName := flag.String("sched", "static", "scheduler: static | dynamic | hybrid | worksteal")
+	schedName := flag.String("sched", "static", "scheduler: static | dynamic | hybrid")
 	dratio := flag.Float64("dratio", 0.1, "dynamic fraction for hybrid")
 	width := flag.Int("width", 160, "gantt width in characters")
 	seed := flag.Int64("seed", 42, "noise seed")
@@ -40,7 +40,7 @@ func main() {
 	}
 	// The options of the core.Factor call this run simulates: Nstatic,
 	// the group size and the policy all come from them.
-	opt := core.Options{DynamicRatio: *dratio, Seed: *seed}
+	opt := core.Options{DynamicRatio: *dratio}
 	var err error
 	if opt.Layout, err = layout.ParseKind(*layoutName); err == nil {
 		opt.Scheduler, err = core.ParseScheduler(*schedName)

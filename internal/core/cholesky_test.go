@@ -13,7 +13,7 @@ import (
 func TestCholeskyAllLayoutsAllSchedulers(t *testing.T) {
 	a := RandomSPD(96, 3)
 	for _, kind := range []layout.Kind{layout.CM, layout.BCL, layout.TwoLevel} {
-		for _, sch := range []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid, ScheduleWorkStealing} {
+		for _, sch := range []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid} {
 			f, err := FactorCholesky(a, Options{
 				Layout: kind, Block: 16, Workers: 4,
 				Scheduler: sch, DynamicRatio: 0.25,

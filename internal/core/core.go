@@ -37,9 +37,6 @@ const (
 	ScheduleStatic
 	// ScheduleDynamic is fully dynamic shared-queue scheduling.
 	ScheduleDynamic
-	// ScheduleWorkStealing is randomized work stealing (section 8
-	// comparison).
-	ScheduleWorkStealing
 )
 
 // String names the scheduler like the paper's figure legends.
@@ -51,15 +48,13 @@ func (s Scheduler) String() string {
 		return "dynamic"
 	case ScheduleHybrid:
 		return "hybrid"
-	case ScheduleWorkStealing:
-		return "worksteal"
 	}
 	return fmt.Sprintf("Scheduler(%d)", int(s))
 }
 
 // ParseScheduler resolves a scheduler name as commands and HTTP requests
-// spell it: "hybrid" (also the empty name), "static", "dynamic", or
-// "worksteal" / "ws", in any case.
+// spell it: "hybrid" (also the empty name), "static" or "dynamic", in
+// any case.
 func ParseScheduler(name string) (Scheduler, error) {
 	switch strings.ToLower(name) {
 	case "", "hybrid":
@@ -68,10 +63,8 @@ func ParseScheduler(name string) (Scheduler, error) {
 		return ScheduleStatic, nil
 	case "dynamic":
 		return ScheduleDynamic, nil
-	case "worksteal", "ws":
-		return ScheduleWorkStealing, nil
 	}
-	return 0, fmt.Errorf("unknown scheduler %q (use static, dynamic, hybrid or worksteal)", name)
+	return 0, fmt.Errorf("unknown scheduler %q (use static, dynamic or hybrid)", name)
 }
 
 // JobClass labels a job for the resident engine's two-lane admission
@@ -119,16 +112,11 @@ type Options struct {
 	// scheduled dynamically under ScheduleHybrid. 0.1 reproduces the
 	// paper's usual best configuration, "CALU static(10% dynamic)".
 	DynamicRatio float64
-	// Group is the k of the static section's grouped BLAS-3 updates;
-	// <= 0 selects the paper's k=3 for groupable layouts.
-	Group int
 	// Trace, if non-nil, records the execution timeline.
 	Trace *trace.Trace
 	// Noise, if non-nil, injects a busy-wait after each task (failure
 	// injection emulating OS interference).
 	Noise func(worker int) time.Duration
-	// Seed feeds the work-stealing victim selection.
-	Seed int64
 	// Class routes the job in the resident engine's two-lane admission;
 	// ClassAuto classifies by estimated flop cost. Ignored by one-shot
 	// calls.
@@ -145,22 +133,19 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	o.Group = o.GroupSize()
 }
 
-// GroupSize is the k the static section's grouped updates run with:
-// Group when set, otherwise the paper's choice for the layout. Its k=3
-// grouping exploits BCL's contiguity. For CM the natural task
+// GroupSize is the k the static section's grouped updates run with,
+// the paper's choice for the layout. Its k=3 grouping exploits BCL's
+// contiguity. For CM the natural task
 // granularity of Algorithm 2's dynamic section is a whole column ("do
 // task S ... for all I"), which CM's vertical contiguity expresses as an
 // unbounded row group. 2l-BL cannot group at all (section 4.2).
 func (o Options) GroupSize() int {
-	switch {
-	case o.Group > 0:
-		return o.Group
-	case o.Layout == layout.BCL:
+	switch o.Layout {
+	case layout.BCL:
 		return 3
-	case o.Layout == layout.CM:
+	case layout.CM:
 		return 1 << 16
 	}
 	return 1
@@ -175,7 +160,7 @@ func (o Options) NstaticCols(nb int) int {
 	switch o.Scheduler {
 	case ScheduleDynamic:
 		return 0
-	case ScheduleStatic, ScheduleWorkStealing:
+	case ScheduleStatic:
 		return nb
 	default:
 		ns := int(math.Round(float64(nb) * (1 - o.DynamicRatio)))
@@ -197,8 +182,6 @@ func (o Options) Policy() sched.Policy {
 		return sched.NewStatic()
 	case ScheduleDynamic:
 		return sched.NewDynamic()
-	case ScheduleWorkStealing:
-		return sched.NewWorkStealing(o.Seed)
 	default:
 		return sched.NewHybrid()
 	}
@@ -295,7 +278,7 @@ func PrepareFactor(a *mat.Dense, opt Options) (*FactorJob, error) {
 	_, nb := l.Blocks()
 	cg := dag.BuildCALU(l, dag.CALUOptions{
 		NstaticCols: opt.NstaticCols(nb),
-		Group:       opt.Group,
+		Group:       opt.GroupSize(),
 	})
 	if err := cg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid CALU graph: %w", err)

@@ -59,18 +59,6 @@ func TestFactorDesignSpace(t *testing.T) {
 	}
 }
 
-func TestFactorWorkStealing(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := mat.Random(64, 64, rng)
-	f, err := Factor(a, Options{Layout: layout.BCL, Block: 16, Workers: 4, Scheduler: ScheduleWorkStealing, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := Residual(a, f); r > tol {
-		t.Fatalf("worksteal residual %g", r)
-	}
-}
-
 func TestFactorDratioSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := mat.Random(80, 80, rng)
@@ -310,7 +298,6 @@ func TestNstaticCols(t *testing.T) {
 		{ScheduleHybrid, 0.2, 10, 8},
 		{ScheduleHybrid, 0, 10, 10},
 		{ScheduleHybrid, 1, 10, 0},
-		{ScheduleWorkStealing, 0.9, 10, 10},
 		{ScheduleHybrid, 0.1, 5, 5}, // round(4.5), not 5 - round(0.5)
 	}
 	for _, c := range cases {
@@ -322,12 +309,12 @@ func TestNstaticCols(t *testing.T) {
 }
 
 // TestParseSchedulerAndGroupSize: every name a command or request may
-// spell resolves to its scheduler and round-trips through String, and
-// the group size is the paper's per layout unless set.
+// spell resolves to its scheduler and round-trips through String, any
+// other name is an error, and the group size is the paper's per layout.
 func TestParseSchedulerAndGroupSize(t *testing.T) {
 	for name, want := range map[string]Scheduler{
 		"": ScheduleHybrid, "hybrid": ScheduleHybrid, "Static": ScheduleStatic,
-		"dynamic": ScheduleDynamic, "worksteal": ScheduleWorkStealing, "ws": ScheduleWorkStealing,
+		"dynamic": ScheduleDynamic,
 	} {
 		got, err := ParseScheduler(name)
 		if err != nil || got != want {
@@ -337,16 +324,15 @@ func TestParseSchedulerAndGroupSize(t *testing.T) {
 			t.Errorf("ParseScheduler(%v.String()) = %v, %v", want, back, err)
 		}
 	}
-	if _, err := ParseScheduler("fifo"); err == nil {
-		t.Error("ParseScheduler accepted an unknown name")
+	for _, name := range []string{"worksteal", "ws", "fifo"} {
+		if _, err := ParseScheduler(name); err == nil {
+			t.Errorf("ParseScheduler accepted %q", name)
+		}
 	}
 	for kind, want := range map[layout.Kind]int{layout.BCL: 3, layout.CM: 1 << 16, layout.TwoLevel: 1} {
 		if got := (Options{Layout: kind}).GroupSize(); got != want {
 			t.Errorf("%v: GroupSize %d, want %d", kind, got, want)
 		}
-	}
-	if got := (Options{Layout: layout.CM, Group: 2}).GroupSize(); got != 2 {
-		t.Errorf("explicit Group ignored: GroupSize %d", got)
 	}
 }
 
@@ -354,7 +340,7 @@ func TestParseSchedulerAndGroupSize(t *testing.T) {
 // random well-conditioned systems for random configurations.
 func TestFactorMatchesReferenceProperty(t *testing.T) {
 	kinds := []layout.Kind{layout.CM, layout.BCL, layout.TwoLevel}
-	scheds := []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid, ScheduleWorkStealing}
+	scheds := []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 24 + int(rng.Int31n(60))

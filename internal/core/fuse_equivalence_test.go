@@ -58,7 +58,7 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 		serial, noisy bool
 	}
 	rounds := []round{{s: ScheduleStatic, serial: true}}
-	for _, s := range []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid, ScheduleWorkStealing} {
+	for _, s := range []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid} {
 		rounds = append(rounds, round{s: s})
 	}
 	rounds = append(rounds, round{s: ScheduleHybrid, noisy: true})
@@ -66,7 +66,7 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 		tag := fmt.Sprintf("%s/serial=%v/noisy=%v", r.s, r.serial, r.noisy)
 		// Fused graphs are as single-use as their members: prepare
 		// fresh jobs every round.
-		opt := Options{Block: 8, Workers: 2, Scheduler: r.s, DynamicRatio: 0.25, Seed: 7}
+		opt := Options{Block: 8, Workers: 2, Scheduler: r.s, DynamicRatio: 0.25}
 		fj1, err := PrepareFactor(aSmall, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)

@@ -12,7 +12,7 @@ import (
 
 // allSchedulers enumerates every scheduling policy; the singular-input
 // semantics of Factor must not depend on how tasks are dispatched.
-var allSchedulers = []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid, ScheduleWorkStealing}
+var allSchedulers = []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid}
 
 // factorAll runs Factor under every scheduler and hands each result to
 // check.

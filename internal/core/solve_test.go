@@ -80,7 +80,7 @@ func TestSolveBlockedMatchesScalarLU(t *testing.T) {
 		for _, s := range allSchedulers {
 			x, err := f.SolveMany(b, Options{
 				Block: 16, Workers: workers, Scheduler: s,
-				DynamicRatio: 0.3, Seed: int64(workers),
+				DynamicRatio: 0.3,
 			})
 			tag := fmt.Sprintf("%v/w%d", s, workers)
 			if err != nil {
@@ -138,7 +138,7 @@ func TestSolveBlockedMatchesScalarCholesky(t *testing.T) {
 		for _, s := range allSchedulers {
 			x, err := f.SolveMany(b, Options{
 				Block: 16, Workers: workers, Scheduler: s,
-				DynamicRatio: 0.3, Seed: int64(workers),
+				DynamicRatio: 0.3,
 			})
 			tag := fmt.Sprintf("%v/w%d", s, workers)
 			if err != nil {
@@ -237,7 +237,7 @@ func TestSolvePropertyRagged(t *testing.T) {
 		}
 		oracle := scalarSolveMany(t, f, b)
 		x, err := f.SolveMany(b, Options{
-			Block: block, Workers: workers, Scheduler: s, DynamicRatio: 0.3, Seed: int64(c),
+			Block: block, Workers: workers, Scheduler: s, DynamicRatio: 0.3,
 		})
 		if err != nil {
 			t.Fatalf("case %d (n=%d nrhs=%d b=%d w=%d %v): %v", c, n, nrhs, block, workers, s, err)

@@ -24,7 +24,7 @@ var bg = context.Background()
 func col(b []float64) *mat.Dense { return mat.FromColMajor(len(b), 1, len(b), b) }
 
 var allSchedulers = []core.Scheduler{
-	core.ScheduleStatic, core.ScheduleDynamic, core.ScheduleHybrid, core.ScheduleWorkStealing,
+	core.ScheduleStatic, core.ScheduleDynamic, core.ScheduleHybrid,
 }
 
 // sameFactorization fails unless f and ref have bit-identical pivot
@@ -82,7 +82,7 @@ func TestEngineConcurrentJobsBitIdentical(t *testing.T) {
 				opt: core.Options{
 					Block: 8, Workers: workers,
 					Scheduler:    allSchedulers[(si+wi)%len(allSchedulers)],
-					DynamicRatio: 0.3, Seed: int64(si),
+					DynamicRatio: 0.3,
 				},
 			}
 			specs = append(specs, s)
@@ -478,7 +478,7 @@ func TestEngineStress(t *testing.T) {
 				opt := core.Options{
 					Block: 8, Workers: 1 + (s+k)%4,
 					Scheduler:    allSchedulers[(s+k)%len(allSchedulers)],
-					DynamicRatio: 0.25, Seed: int64(k),
+					DynamicRatio: 0.25,
 				}
 				j, err := e.SubmitFactor(a, opt)
 				if err != nil {

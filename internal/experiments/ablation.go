@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register("ablation", "Design-choice ablations: grouping, look-ahead, work stealing, chunk count",
+	register("ablation", "Design-choice ablations: grouping, look-ahead, chunk count",
 		runAblation)
 	register("help", "Help-tier ablation: idle workers take a lagging owner's pinned tasks, eagerly",
 		runHelpAblation)
@@ -19,9 +19,8 @@ func init() {
 
 // runAblation quantifies the individual design choices the paper
 // motivates but does not isolate: the k=3 grouped BLAS-3 updates
-// (section 3), the look-ahead in the baseline's panel (section 2), the
-// DFS-ordered shared queue versus randomized work stealing (section 8),
-// and the tournament fan-out.
+// (section 3), the look-ahead in the baseline's panel (section 2) and
+// the tournament fan-out.
 func runAblation(scale float64, seed int64) (*Table, error) {
 	m := sim.AMDOpteron48()
 	workers := 48
@@ -32,7 +31,8 @@ func runAblation(scale float64, seed int64) (*Table, error) {
 		Title:   fmt.Sprintf("AMD 48-core model, n=%d, b=%d (effective Gflop/s)", n, b),
 		Columns: []string{"variant", "Gflop/s", "vs reference"},
 	}
-	ref, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, DynamicRatio: 0.10, Seed: seed})
+	hybrid := core.Options{Layout: layout.BCL, DynamicRatio: 0.10}
+	ref, err := simCALU(m, workers, n, b, hybrid, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -44,24 +44,20 @@ func runAblation(scale float64, seed int64) (*Table, error) {
 	add("CALU hybrid(10%), BCL, k=3 (reference)", ref.Makespan)
 
 	// --- grouping off: k=1.
-	ungrouped, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, DynamicRatio: 0.10, Group: 1, Seed: seed})
+	ungrouped, err := sim.FactorSim(n, n, b, hybrid.NstaticCols(nb), 1, sim.Config{
+		Machine: m, Workers: workers, Layout: layout.BCL,
+		Policy: sched.NewHybrid(), Seed: seed,
+	})
 	if err != nil {
 		return nil, err
 	}
 	add("grouping disabled (k=1)", ungrouped.Makespan)
 
-	// --- work stealing instead of the hybrid policy (section 8).
-	ws, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, Scheduler: core.ScheduleWorkStealing, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	add("randomized work stealing", ws.Makespan)
-
 	// --- wider tournament fan-out: one leaf per block row.
 	grid := layout.NewGrid(workers)
 	wide, err := sim.Run(dag.NewCALU(
 		layout.NewShape(layout.BCL, n, n, b, grid),
-		dag.CALUOptions{NstaticCols: core.Options{DynamicRatio: 0.10}.NstaticCols(nb), Group: 3, Chunks: workers},
+		dag.CALUOptions{NstaticCols: hybrid.NstaticCols(nb), Group: 3, Chunks: workers},
 	).Graph, sim.Config{
 		Machine: m, Workers: workers, Layout: layout.BCL,
 		Policy: sched.NewHybrid(), Seed: seed,
@@ -88,10 +84,8 @@ func runAblation(scale float64, seed int64) (*Table, error) {
 	add("GEPP baseline, fork-join (no look-ahead)", noLA.Makespan)
 	add("GEPP baseline with look-ahead", la.Makespan)
 
-	t.Notes = "Grouping and the DFS-ordered hybrid queue are the load-bearing choices; work\n" +
-		"stealing loses the critical path (section 8's argument); look-ahead alone does\n" +
-		"not rescue the sequential-panel baseline. The work-stealing row simulates the\n" +
-		"policy the real runtime runs: a readied task goes on the readying worker's deque."
+	t.Notes = "Grouping pays once per-step update work dominates (the paper's n=5000);\n" +
+		"look-ahead alone does not rescue the sequential-panel baseline."
 	return t, nil
 }
 
@@ -122,7 +116,7 @@ func runHelpAblation(scale float64, seed int64) (*Table, error) {
 				if quiet {
 					m, noise = c.m.Quiet(), "off"
 				}
-				opt := core.Options{Layout: c.kind, DynamicRatio: 0.10, Seed: seed}
+				opt := core.Options{Layout: c.kind, DynamicRatio: 0.10}
 				var res [2]sim.Result
 				for i, help := range []bool{false, true} {
 					var err error

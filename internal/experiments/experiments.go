@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (section 5) plus the section 6 theorem validation
 // and the section 7 exascale projection. Each experiment returns a
-// Table whose rows mirror the series the paper plots; EXPERIMENTS.md
-// records the measured values next to the paper's.
+// Table whose rows mirror the series the paper plots; cmd/hsdbench
+// prints them, and TestExperimentsGolden pins every rendering.
 //
 // Hardware experiments run on the discrete-event machine models of
 // internal/sim (this container has 2 cores; the paper's machines had 16
@@ -144,14 +144,15 @@ func blockFor(n int) int {
 }
 
 // simCALU simulates the CALU factorization core.Factor would run under
-// opt: the static column count (Nstatic = N*(1-dratio)), the group size
-// and the policy are the ones core derives from the options, so the
-// simulator and the real runtime cannot disagree on the paper's rule.
-func simCALU(m sim.Machine, workers, n, b int, opt core.Options) (sim.Result, error) {
+// opt, with the machine's noise drawn from seed: the static column count
+// (Nstatic = N*(1-dratio)), the group size and the policy are the ones
+// core derives from the options, so the simulator and the real runtime
+// cannot disagree on the paper's rule.
+func simCALU(m sim.Machine, workers, n, b int, opt core.Options, seed int64) (sim.Result, error) {
 	nb := (n + b - 1) / b
 	return sim.FactorSim(n, n, b, opt.NstaticCols(nb), opt.GroupSize(), sim.Config{
 		Machine: m, Workers: workers, Layout: opt.Layout,
-		Policy: opt.Policy(), Trace: opt.Trace, Seed: opt.Seed,
+		Policy: opt.Policy(), Trace: opt.Trace, Seed: seed,
 	})
 }
 

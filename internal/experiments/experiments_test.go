@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,8 +11,16 @@ import (
 // generators the CLI runs at full scale.
 const testScale = 0.3
 
+// tables caches runOK's results: every experiment at testScale runs
+// once per test binary, for TestExperimentsGolden and the shape tests
+// alike.
+var tables = map[string]*Table{}
+
 func runOK(t *testing.T, id string) *Table {
 	t.Helper()
+	if tbl, ok := tables[id]; ok {
+		return tbl
+	}
 	tbl, err := Run(id, testScale, 42)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
@@ -22,7 +31,43 @@ func runOK(t *testing.T, id string) *Table {
 	if tbl.String() == "" {
 		t.Fatalf("%s: empty rendering", id)
 	}
+	tables[id] = tbl
 	return tbl
+}
+
+// TestExperimentsGolden pins every registered experiment's rendering,
+// as the FNV-1a hash of Run(id, testScale, 42).String(): a change that
+// must not move a reproduced number leaves every hash alone, and one
+// that means to move an experiment re-records that id's hash only.
+func TestExperimentsGolden(t *testing.T) {
+	want := map[string]uint64{
+		"fig1":     0x7c725c6c5babeb12,
+		"fig4":     0xe48000828f5d2d07,
+		"fig6":     0xfab168be71c870a5,
+		"fig7":     0xa28b797ee90ff1e,
+		"fig8":     0xa3be34a3f87e4946,
+		"fig9":     0x60169f9777085f67,
+		"fig10":    0xa62395c5f543bdab,
+		"fig11":    0xd858e1ef4add0c1a,
+		"fig12":    0x78a6768f3705d30a,
+		"fig13":    0x79bc774d12fff035,
+		"fig14":    0xc6b36c9016fc0fd1,
+		"fig15":    0xc81c6d57f6b4f75c,
+		"fig16":    0x998b7ffa820b75ed,
+		"fig17":    0x4db54e0124228866,
+		"table1":   0xd28f072af3a6f813,
+		"thm1":     0xfbdbeab8013cb70c,
+		"exascale": 0x84984aa2d480c662,
+		"ablation": 0x803b8e9ad82b91ef,
+		"help":     0x771cc397f756b682,
+	}
+	for _, id := range IDs() {
+		h := fnv.New64a()
+		h.Write([]byte(runOK(t, id).String()))
+		if got := h.Sum64(); got != want[id] {
+			t.Errorf("%s: output hash %#x, want %#x", id, got, want[id])
+		}
+	}
 }
 
 func TestIDsCoverEveryPaperArtifact(t *testing.T) {

@@ -35,11 +35,11 @@ func libraryComparison(m sim.Machine, workers int, scale float64, seed int64, no
 	for _, n0 := range []int{2500, 4000, 5000, 10000} {
 		b := blockFor(n0)
 		n := scaleN(n0, scale, b)
-		bcl, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, DynamicRatio: 0.10, Seed: seed})
+		bcl, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, DynamicRatio: 0.10}, seed)
 		if err != nil {
 			return nil, err
 		}
-		tl, err := simCALU(m, workers, n, b, core.Options{Layout: layout.TwoLevel, DynamicRatio: 0.10, Seed: seed})
+		tl, err := simCALU(m, workers, n, b, core.Options{Layout: layout.TwoLevel, DynamicRatio: 0.10}, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -68,8 +68,8 @@ func profileExperiment(cfg profileConfig) (*Table, error) {
 	m := sim.AMDOpteron48()
 	tr := trace.New(cfg.workers)
 	res, err := simCALU(m, cfg.workers, n, b, core.Options{
-		Layout: cfg.kind, Scheduler: cfg.policy, DynamicRatio: cfg.dratio, Trace: tr, Seed: cfg.seed,
-	})
+		Layout: cfg.kind, Scheduler: cfg.policy, DynamicRatio: cfg.dratio, Trace: tr,
+	}, cfg.seed)
 	if err != nil {
 		return nil, err
 	}

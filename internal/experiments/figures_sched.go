@@ -91,7 +91,7 @@ func dratioSweep(m sim.Machine, workers int, sizes []int, kind layout.Kind, scal
 		n := scaleN(n0, scale, b)
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, s := range sweepRatios {
-			res, err := simCALU(m, workers, n, b, core.Options{Layout: kind, Scheduler: s.policy, DynamicRatio: s.dratio, Seed: seed})
+			res, err := simCALU(m, workers, n, b, core.Options{Layout: kind, Scheduler: s.policy, DynamicRatio: s.dratio}, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -117,19 +117,19 @@ func improvement(kind layout.Kind, scale float64, seed int64, note string) (*Tab
 		for _, n0 := range []int{2500, 4000, 5000, 10000} {
 			b := blockFor(n0)
 			n := scaleN(n0, scale, b)
-			st, err := simCALU(m, workers, n, b, core.Options{Layout: kind, Scheduler: core.ScheduleStatic, Seed: seed})
+			st, err := simCALU(m, workers, n, b, core.Options{Layout: kind, Scheduler: core.ScheduleStatic}, seed)
 			if err != nil {
 				return nil, err
 			}
-			dy, err := simCALU(m, workers, n, b, core.Options{Layout: kind, Scheduler: core.ScheduleDynamic, DynamicRatio: 1, Seed: seed})
+			dy, err := simCALU(m, workers, n, b, core.Options{Layout: kind, Scheduler: core.ScheduleDynamic, DynamicRatio: 1}, seed)
 			if err != nil {
 				return nil, err
 			}
-			h10, err := simCALU(m, workers, n, b, core.Options{Layout: kind, DynamicRatio: 0.10, Seed: seed})
+			h10, err := simCALU(m, workers, n, b, core.Options{Layout: kind, DynamicRatio: 0.10}, seed)
 			if err != nil {
 				return nil, err
 			}
-			h20, err := simCALU(m, workers, n, b, core.Options{Layout: kind, DynamicRatio: 0.20, Seed: seed})
+			h20, err := simCALU(m, workers, n, b, core.Options{Layout: kind, DynamicRatio: 0.20}, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +175,7 @@ func layoutSummary(m sim.Machine, workers int, scale float64, seed int64, note s
 		n := scaleN(n0, scale, b)
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, c := range combos {
-			res, err := simCALU(m, workers, n, b, core.Options{Layout: c.kind, Scheduler: c.policy, DynamicRatio: c.dratio, Seed: seed})
+			res, err := simCALU(m, workers, n, b, core.Options{Layout: c.kind, Scheduler: c.policy, DynamicRatio: c.dratio}, seed)
 			if err != nil {
 				return nil, err
 			}

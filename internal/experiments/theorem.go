@@ -51,7 +51,7 @@ func runTheorem1(scale float64, seed int64) (*Table, error) {
 	for _, in := range intensities {
 		m := sim.AMDOpteron48().WithNoise(in.gen)
 		// (a) static run: measure per-core excess work.
-		st, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, Scheduler: core.ScheduleStatic, Seed: seed})
+		st, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, Scheduler: core.ScheduleStatic}, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +70,7 @@ func runTheorem1(scale float64, seed int64) (*Table, error) {
 		// (c) sweep the dynamic ratio for the best hybrid.
 		bestFs, bestMs := 1.0, st.Makespan
 		for _, dr := range []float64{0.05, 0.10, 0.15, 0.20, 0.30, 0.50, 0.75, 1.0} {
-			res, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, DynamicRatio: dr, Seed: seed})
+			res, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, DynamicRatio: dr}, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -107,7 +107,7 @@ func runExascale(scale float64, seed int64) (*Table, error) {
 	// Base the projection on a measured 48-core static run.
 	n := scaleN(5000, scale, 100)
 	b := 100
-	st, err := simCALU(sim.AMDOpteron48(), 48, n, b, core.Options{Layout: layout.BCL, Scheduler: core.ScheduleStatic, Seed: seed})
+	st, err := simCALU(sim.AMDOpteron48(), 48, n, b, core.Options{Layout: layout.BCL, Scheduler: core.ScheduleStatic}, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -98,73 +98,6 @@ func (p *Poisson) Delay(core int, start, dur float64) float64 {
 	return total
 }
 
-// Daemon models a periodic system daemon: every Period seconds the core
-// loses Burst seconds, with per-core phase offsets so daemons do not
-// fire in lockstep across the machine.
-type Daemon struct {
-	Period float64
-	Burst  float64
-	seed   int64
-	phase  []float64
-}
-
-// NewDaemon returns a seeded periodic-daemon generator.
-func NewDaemon(period, burst float64, seed int64) *Daemon {
-	d := &Daemon{Period: period, Burst: burst}
-	d.Reset(seed)
-	return d
-}
-
-// Reset implements Generator.
-func (d *Daemon) Reset(seed int64) {
-	d.seed = seed
-	d.phase = nil
-}
-
-func (d *Daemon) corePhase(core int) float64 {
-	for len(d.phase) <= core {
-		r := rand.New(rand.NewSource(d.seed + int64(len(d.phase))*104729 + 3))
-		d.phase = append(d.phase, r.Float64()*d.Period)
-	}
-	return d.phase[core]
-}
-
-// Delay implements Generator: counts the daemon firings inside
-// [start, start+dur) for this core's phase.
-func (d *Daemon) Delay(core int, start, dur float64) float64 {
-	if d.Period <= 0 || d.Burst <= 0 || dur <= 0 {
-		return 0
-	}
-	ph := d.corePhase(core)
-	// Firings at ph, ph+Period, ph+2*Period, ...
-	first := math.Ceil((start - ph) / d.Period)
-	if first < 0 {
-		first = 0
-	}
-	count := 0
-	for t := ph + first*d.Period; t < start+dur; t += d.Period {
-		if t >= start {
-			count++
-		}
-	}
-	return float64(count) * d.Burst
-}
-
-// Scaled wraps a generator and multiplies its delays, used for the
-// exascale noise-amplification projections of section 7.
-type Scaled struct {
-	Inner  Generator
-	Factor float64
-}
-
-// Delay implements Generator.
-func (s Scaled) Delay(core int, start, dur float64) float64 {
-	return s.Factor * s.Inner.Delay(core, start, dur)
-}
-
-// Reset implements Generator.
-func (s Scaled) Reset(seed int64) { s.Inner.Reset(seed) }
-
 // RealAdapter converts a Generator into the callback signature of the
 // real runtime (internal/rt): it samples the generator with the given
 // characteristic task duration and returns wall-clock delays. Used for

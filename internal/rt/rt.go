@@ -1,7 +1,7 @@
 // Package rt executes a task dependency graph with real goroutine
 // workers, performing the actual factorization arithmetic on the
-// layout's storage. Dispatch is contention-free: workers pull from a
-// sched.Policy (per-worker queues, lock-free deques), dependency
+// layout's storage. Workers pull from a sched.Policy (per-worker owner
+// queues, each with its own lock, and one shared heap), dependency
 // resolution is atomic on the graph itself (dag.ResolveSuccessors),
 // progress tracking is two atomic counters, idle workers spin briefly
 // and then park on an eventcount instead of a broadcast condvar, and

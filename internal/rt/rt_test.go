@@ -74,7 +74,7 @@ func TestRunChainRespectsOrder(t *testing.T) {
 }
 
 func TestRunDiamondAllPolicies(t *testing.T) {
-	policies := []sched.Policy{sched.NewStatic(), sched.NewDynamic(), sched.NewHybrid(), sched.NewWorkStealing(5)}
+	policies := []sched.Policy{sched.NewStatic(), sched.NewDynamic(), sched.NewHybrid()}
 	for _, p := range policies {
 		var counter int64
 		g := diamondGraph(40, &counter)

@@ -66,7 +66,7 @@ func layeredGraph(width, depth int, fan bool, bad *atomic.Bool) (*dag.Graph, []*
 // TestRunManyTinyTasksAllPolicies is the concurrent-runtime stress
 // test: thousands of no-op-weight tasks per policy across worker
 // counts, asserting every task ran exactly once and never before its
-// dependencies. Run it under -race to exercise the lock-free dispatch
+// dependencies. Run it under -race to exercise the concurrent dispatch
 // paths.
 func TestRunManyTinyTasksAllPolicies(t *testing.T) {
 	width, depth := 64, 30
@@ -77,7 +77,6 @@ func TestRunManyTinyTasksAllPolicies(t *testing.T) {
 		func() sched.Policy { return sched.NewStatic() },
 		func() sched.Policy { return sched.NewDynamic() },
 		func() sched.Policy { return sched.NewHybrid() },
-		func() sched.Policy { return sched.NewWorkStealing(11) },
 	}
 	for _, mk := range policies {
 		for _, workers := range []int{1, 2, 4, 8} {
@@ -160,7 +159,7 @@ func TestRunDetectsStuckGraphMidRun(t *testing.T) {
 // fan-out/fan-in graph across all policies.
 func TestRunExecutesEachTaskOnce(t *testing.T) {
 	policies := []sched.Policy{
-		sched.NewStatic(), sched.NewDynamic(), sched.NewHybrid(), sched.NewWorkStealing(23),
+		sched.NewStatic(), sched.NewDynamic(), sched.NewHybrid(),
 	}
 	for _, pol := range policies {
 		const width = 500

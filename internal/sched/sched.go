@@ -5,21 +5,18 @@
 // fully static owner-computes scheduling (Nstatic = N) and fully
 // dynamic shared-queue scheduling (Nstatic = 0) as its two endpoints
 // and the paper's hybrid strategy in between. QueuePolicy (queues.go)
-// says that rule once, parametrised only by which tasks it pins;
-// WorkStealing (worksteal.go, deque.go) is the classic randomized
-// alternative of the section 8 related-work comparison.
+// says that rule once, parametrised only by which tasks it pins.
 //
-// There is one implementation per policy and one interface, Policy.
-// Every implementation is safe for concurrent workers: owner queues are
+// The runtime and the simulator see it through one interface, Policy.
+// QueuePolicy is safe for concurrent workers: owner queues are
 // per-worker with their own locks, the shared heap has its own mutex,
-// work stealing uses lock-free Chase-Lev deques with per-worker RNGs,
 // and instrumentation is kept in per-worker padded slots. The real
-// goroutine runtime (internal/rt) calls them at full hardware
+// goroutine runtime (internal/rt) calls it at full hardware
 // concurrency; the discrete-event simulator (internal/sim) calls the
 // same objects from its single-threaded event loop, where uncontended
-// locks and atomics decide nothing, so its scheduling decisions are
-// deterministic and byte-for-byte reproducible — the property the
-// paper's figures depend on.
+// locks decide nothing, so its scheduling decisions are deterministic
+// and byte-for-byte reproducible — the property the paper's figures
+// depend on.
 package sched
 
 import (
@@ -32,8 +29,8 @@ import (
 // and DequeueDynamic count pops from owner queues and from the shared
 // queue (the paper's dequeue-overhead source); Mismatches counts tasks
 // executed by a worker other than their data home (the locality-loss
-// source); Steals counts tasks taken from another worker's queue: a
-// successful work-stealing attempt, or a Help under the hybrid rule.
+// source); Steals counts tasks a worker took from another owner's
+// queue through Help, the hybrid rule's tier below Next.
 type Counters struct {
 	DequeueStatic  int64
 	DequeueDynamic int64
@@ -54,12 +51,11 @@ func (c *Counters) add(o Counters) {
 const SeedWorker = -1
 
 // AnyWorker is the wake hint Policy.Ready returns for a task every
-// worker can pop (shared queue or stealable deque): waking any one
-// parked worker suffices. A task pinned to one worker's queue returns
-// that worker's index instead and must wake exactly that worker —
-// waking an arbitrary parked worker would let the signal be absorbed
-// by someone who cannot pop the task, deadlocking the run once
-// everyone parks.
+// worker can pop (the shared queue): waking any one parked worker
+// suffices. A task pinned to one worker's queue returns that worker's
+// index instead and must wake exactly that worker — waking an
+// arbitrary parked worker would let the signal be absorbed by someone
+// who cannot pop the task, deadlocking the run once everyone parks.
 const AnyWorker = -1
 
 // Policy dispenses ready tasks to workers. Ready, Next and Help may be

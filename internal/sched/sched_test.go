@@ -14,7 +14,7 @@ func mkTask(id int32, owner int, static bool, prio int64) *dag.Task {
 }
 
 func allPolicies() []Policy {
-	return []Policy{NewStatic(), NewDynamic(), NewHybrid(), NewWorkStealing(3)}
+	return []Policy{NewStatic(), NewDynamic(), NewHybrid()}
 }
 
 func TestStaticPinsToOwner(t *testing.T) {
@@ -140,10 +140,9 @@ func TestHybridHelpTakesMostCritical(t *testing.T) {
 }
 
 // TestHelpOnlyUnderHybrid: static stays the pure owner-computes
-// baseline, dynamic pins nothing, and work stealing already steals in
-// Next — none of them has a tier below Next.
+// baseline and dynamic pins nothing — neither has a tier below Next.
 func TestHelpOnlyUnderHybrid(t *testing.T) {
-	for _, p := range []Policy{NewStatic(), NewDynamic(), NewWorkStealing(3)} {
+	for _, p := range []Policy{NewStatic(), NewDynamic()} {
 		p.Reset(&dag.Graph{}, 2)
 		p.Ready(SeedWorker, mkTask(1, 1, true, 1))
 		if got := p.Help(0); got != nil {
@@ -151,85 +150,6 @@ func TestHelpOnlyUnderHybrid(t *testing.T) {
 		}
 		if c := p.Counters(); c != (Counters{}) {
 			t.Fatalf("%s: Help moved the counters: %+v", p.Name(), c)
-		}
-	}
-}
-
-func TestWorkStealingOwnDequeLIFO(t *testing.T) {
-	p := NewWorkStealing(1)
-	p.Reset(&dag.Graph{}, 2)
-	p.Ready(SeedWorker, mkTask(1, 0, true, 1))
-	p.Ready(SeedWorker, mkTask(2, 0, true, 2))
-	if got := p.Next(0); got.ID != 2 {
-		t.Fatalf("own deque must be LIFO, got %d", got.ID)
-	}
-}
-
-func TestWorkStealingStealsFIFO(t *testing.T) {
-	p := NewWorkStealing(1)
-	p.Reset(&dag.Graph{}, 2)
-	p.Ready(SeedWorker, mkTask(1, 1, true, 1))
-	p.Ready(SeedWorker, mkTask(2, 1, true, 2))
-	got := p.Next(0) // steal from worker 1
-	if got == nil || got.ID != 1 {
-		t.Fatalf("steal must be FIFO from victim, got %v", got)
-	}
-	if c := p.Counters(); c != (Counters{Steals: 1, Mismatches: 1}) {
-		t.Fatalf("counters %+v", c)
-	}
-}
-
-func TestWorkStealingReadyGoesToReadyingWorker(t *testing.T) {
-	// Cilk enqueue semantics: a task readied by worker 0 sits on worker
-	// 0's deque whoever owns its data, and popping it there is a
-	// mismatch against its data home.
-	p := NewWorkStealing(1)
-	p.Reset(&dag.Graph{}, 2)
-	p.Ready(0, mkTask(1, 1, true, 1))
-	if got := p.Next(0); got == nil || got.ID != 1 {
-		t.Fatalf("worker 0 got %v from its own deque", got)
-	}
-	if c := p.Counters(); c != (Counters{DequeueStatic: 1, Mismatches: 1}) {
-		t.Fatalf("counters %+v", c)
-	}
-}
-
-func TestWorkStealingExhausted(t *testing.T) {
-	p := NewWorkStealing(1)
-	p.Reset(&dag.Graph{}, 3)
-	if got := p.Next(1); got != nil {
-		t.Fatalf("empty policy returned %v", got)
-	}
-}
-
-// TestWorkStealingDeterministicPerWorker: the per-worker RNGs must be
-// derived from the seed alone, so two policies with the same seed make
-// identical victim choices for the same worker.
-func TestWorkStealingDeterministicPerWorker(t *testing.T) {
-	seq := func() []int {
-		p := NewWorkStealing(42)
-		p.Reset(&dag.Graph{}, 4)
-		var ids []int
-		// Ten tasks on worker 3's deque; workers 0-2 steal in a fixed
-		// interleaving. Victim scan order is driven by each worker's own
-		// RNG.
-		for i := 0; i < 10; i++ {
-			p.Ready(SeedWorker, &dag.Task{ID: int32(i), Owner: 3, Prio: int64(i)})
-		}
-		for i := 0; i < 10; i++ {
-			if tk := p.Next(i % 3); tk != nil {
-				ids = append(ids, int(tk.ID))
-			}
-		}
-		return ids
-	}
-	a, b := seq(), seq()
-	if len(a) != len(b) {
-		t.Fatalf("runs differ in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("victim selection not deterministic at step %d: %d vs %d", i, a[i], b[i])
 		}
 	}
 }
@@ -330,10 +250,9 @@ func TestPoliciesDrainExactlyOnceConcurrently(t *testing.T) {
 }
 
 // TestCountersMatchWork: every task is counted by exactly one of the
-// three ways it can leave a queue. The endpoint policies and work
-// stealing read the same whether or not Help is driven; under hybrid
-// the helps come out of the owner-queue pops, never out of the shared
-// ones.
+// three ways it can leave a queue. The endpoint policies read the same
+// whether or not Help is driven; under hybrid the helps come out of the
+// owner-queue pops, never out of the shared ones.
 func TestCountersMatchWork(t *testing.T) {
 	for _, help := range []bool{false, true} {
 		p := NewDynamic()
@@ -345,11 +264,6 @@ func TestCountersMatchWork(t *testing.T) {
 		drainConcurrently(t, st, 4, 500, true, help)
 		if c := st.Counters(); c != (Counters{DequeueStatic: 500}) {
 			t.Fatalf("help=%v: static counters %+v want 500 owner pops", help, c)
-		}
-		ws := NewWorkStealing(3)
-		drainConcurrently(t, ws, 4, 500, true, help)
-		if c := ws.Counters(); c.DequeueStatic+c.Steals != 500 {
-			t.Fatalf("help=%v: worksteal pops %d + steals %d != 500", help, c.DequeueStatic, c.Steals)
 		}
 	}
 	h := NewHybrid()
@@ -380,7 +294,7 @@ func TestCountersMatchWork(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	if NewStatic().Name() != "static" || NewDynamic().Name() != "dynamic" ||
-		NewHybrid().Name() != "hybrid" || NewWorkStealing(0).Name() != "worksteal" {
+		NewHybrid().Name() != "hybrid" {
 		t.Fatal("policy names must be stable for reports")
 	}
 }

@@ -231,7 +231,6 @@ func (s *Server) options(req *factorRequest) (core.Options, error) {
 		Block:        req.Block,
 		Workers:      req.Workers,
 		DynamicRatio: req.DynamicRatio,
-		Seed:         req.Seed,
 	}
 	var err error
 	if opt.Layout, err = layout.ParseKind(req.Layout); err != nil {

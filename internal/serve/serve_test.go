@@ -300,6 +300,43 @@ func TestServeSolveBadShapes(t *testing.T) {
 	}
 }
 
+// TestServeRemovedSchedulerRejected: "worksteal" and "ws" name no
+// scheduler, so both job routes answer them 400 naming the valid ones,
+// before any job is submitted or stored.
+func TestServeRemovedSchedulerRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":8,"seed":2,"workers":1}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("factor: %d %v", resp.StatusCode, out)
+	}
+	id := out["id"].(string)
+	jobs := func() int64 { st := s.eng.Stats(); return st.JobsDone + st.JobsFailed }
+	jobsBefore, storeBefore, idsBefore := jobs(), s.Store().Stats(), s.Store().IDs()
+	for _, name := range []string{"worksteal", "ws"} {
+		for route, body := range map[string]string{
+			"/v1/factor": fmt.Sprintf(`{"n":8,"seed":2,"workers":1,"scheduler":%q}`, name),
+			"/v1/solve":  fmt.Sprintf(`{"id":%q,"b":[1,2,3,4,5,6,7,8],"scheduler":%q}`, id, name),
+		} {
+			resp, out := postJSON(t, ts.URL+route, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s scheduler %q: %d %v, want 400", route, name, resp.StatusCode, out)
+			}
+			msg, _ := out["error"].(string)
+			for _, want := range []string{name, "static", "dynamic", "hybrid"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("%s scheduler %q: error %q does not name %q", route, name, msg, want)
+				}
+			}
+		}
+	}
+	if got := jobs(); got != jobsBefore {
+		t.Errorf("engine ran jobs for rejected requests: JobsDone+JobsFailed %d -> %d", jobsBefore, got)
+	}
+	if st, ids := s.Store().Stats(), s.Store().IDs(); st != storeBefore || !reflect.DeepEqual(ids, idsBefore) {
+		t.Errorf("store changed: %+v %v -> %+v %v", storeBefore, idsBefore, st, ids)
+	}
+}
+
 // TestServeContentTypeRejected: a POST with a non-JSON Content-Type is
 // 415; an absent Content-Type or application/json with parameters is
 // accepted.

@@ -84,31 +84,3 @@ func TestSimGolden(t *testing.T) {
 		}
 	}
 }
-
-// TestSimWorkStealingDeterministic: work stealing's victim choice is
-// random, but seeded per worker, and the event loop drives it from one
-// goroutine — the same seed must give the same run twice, a different
-// seed a different one.
-func TestSimWorkStealingDeterministic(t *testing.T) {
-	run := func(seed int64) Result {
-		res, err := FactorSim(2000, 2000, 100, 20, 3, Config{
-			Machine: AMDOpteron48(), Workers: 24, Layout: layout.BCL,
-			Policy: sched.NewWorkStealing(seed), Seed: 5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(11), run(11)
-	if a.Makespan != b.Makespan || a.BusyTime != b.BusyTime || a.OverheadTime != b.OverheadTime ||
-		a.IdleTime != b.IdleTime || a.Counters != b.Counters {
-		t.Fatalf("same seed diverged: %v %+v vs %v %+v", a.Makespan, a.Counters, b.Makespan, b.Counters)
-	}
-	if a.Counters.Steals == 0 {
-		t.Fatal("work stealing never stole")
-	}
-	if c := run(12); c.Makespan == a.Makespan && c.Counters == a.Counters {
-		t.Fatal("victim-selection seed has no effect on the run")
-	}
-}

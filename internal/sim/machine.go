@@ -7,8 +7,8 @@
 // what the machine model adds is their *cost*: per-kernel efficiency by
 // layout, NUMA migration penalties, serialized dynamic-queue dequeues,
 // and stochastic OS noise. Constants are calibrated once against the
-// percentages the paper reports (see EXPERIMENTS.md) and then held
-// fixed across every experiment.
+// percentages the paper's figures report (internal/experiments
+// regenerates them) and then held fixed across every experiment.
 package sim
 
 import (

@@ -301,18 +301,15 @@ func TestSimConservationProperty(t *testing.T) {
 		nb := (n + b - 1) / b
 		ns := int(rng.Int31n(int32(nb + 1)))
 		var pol sched.Policy
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			pol = sched.NewStatic()
 			ns = nb
 		case 1:
 			pol = sched.NewDynamic()
 			ns = 0
-		case 2:
-			pol = sched.NewHybrid()
 		default:
-			pol = sched.NewWorkStealing(seed)
-			ns = nb
+			pol = sched.NewHybrid()
 		}
 		res, err := FactorSim(n, n, b, ns, 1+int(rng.Int31n(3)), Config{
 			Machine: AMDOpteron48(), Workers: w, Layout: kind, Policy: pol, Seed: seed,

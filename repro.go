@@ -5,11 +5,11 @@
 // The library implements communication-avoiding LU factorization
 // (CALU) with tournament pivoting over three data layouts (column
 // major, block cyclic, two-level blocks), scheduled by fully static,
-// fully dynamic, hybrid static/dynamic (the paper's contribution) or
-// work-stealing policies; the MKL-style and PLASMA-style baselines the
-// paper compares against; a discrete-event simulator of the paper's two
-// evaluation machines; and the experiment harness that regenerates
-// every figure and table of the evaluation section.
+// fully dynamic or hybrid static/dynamic (the paper's contribution)
+// policies; the MKL-style and PLASMA-style baselines the paper compares
+// against; a discrete-event simulator of the paper's two evaluation
+// machines; and the experiment harness that regenerates every figure
+// and table of the evaluation section.
 //
 // Quick start:
 //
@@ -99,8 +99,6 @@ const (
 	ScheduleDynamic = core.ScheduleDynamic
 	// ScheduleHybrid is the paper's hybrid static/dynamic strategy.
 	ScheduleHybrid = core.ScheduleHybrid
-	// ScheduleWorkStealing is randomized work stealing (section 8).
-	ScheduleWorkStealing = core.ScheduleWorkStealing
 )
 
 // Options configures Factor. See core.Options for field documentation.
