@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -224,28 +223,35 @@ func BenchmarkRealCALUHybrid2lBL(b *testing.B) {
 	benchFactor(b, layout.TwoLevel, core.ScheduleHybrid, 0.1)
 }
 
-func BenchmarkRealGEPPBaseline(b *testing.B) {
-	const n = 512
-	a := RandomMatrix(n, n, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := baseline.FactorGEPP(a, baseline.GEPPOptions{Block: 64, Workers: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRealIncPivBaseline(b *testing.B) {
-	const n = 512
+// BenchmarkBaselines times the paper's Figs 16/17 comparison on the real
+// runtime: CALU (BCL, hybrid 10 % dynamic), the MKL-style GEPP baseline
+// and the PLASMA-style incremental-pivoting solve, at n = 1024, b = 64,
+// W = 1 and 2.
+func BenchmarkBaselines(b *testing.B) {
+	const n = 1024
 	a := RandomMatrix(n, n, 1)
 	rhs := make([]float64, n)
 	for i := range rhs {
 		rhs[i] = 1
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := baseline.SolveIncPiv(a, rhs, baseline.IncPivOptions{Block: 64, Workers: 2}); err != nil {
-			b.Fatal(err)
+	methods := []struct {
+		name string
+		run  func(opt Options) error
+	}{
+		{"CALU", func(opt Options) error { _, err := Factor(a, opt); return err }},
+		{"GEPP", func(opt Options) error { _, err := FactorGEPP(a, opt); return err }},
+		{"IncPiv", func(opt Options) error { _, err := SolveIncPiv(a, rhs, opt); return err }},
+	}
+	for _, m := range methods {
+		for _, w := range []int{1, 2} {
+			opt := Options{Layout: layout.BCL, Block: 64, Workers: w, Scheduler: core.ScheduleHybrid, DynamicRatio: 0.1}
+			b.Run(fmt.Sprintf("%s/W=%d", m.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := m.run(opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
@@ -466,8 +472,8 @@ func BenchmarkKernelUpdateTask(b *testing.B) {
 	a, bb, c := RandomMatrix(192, 64, 1), RandomMatrix(64, 64, 2), RandomMatrix(192, 64, 3)
 	// One use beyond the loop keeps both panels alive to the end; the
 	// first call packs them.
-	pa := kernel.NewSharedAPanel(kernel.PanelKey{Epoch: kernel.NewEpoch()}, b.N+2)
-	pb := kernel.NewSharedBPanel(kernel.PanelKey{Epoch: kernel.NewEpoch()}, b.N+2)
+	pa := kernel.NewSharedAPanel(b.N + 2)
+	pb := kernel.NewSharedBPanel(b.N + 2)
 	defer pa.ForceFree()
 	defer pb.ForceFree()
 	kernel.GemmShared(viewOf(c), viewOf(a), viewOf(bb), pa, pb)

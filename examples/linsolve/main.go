@@ -71,7 +71,7 @@ func main() {
 		repro.SolveResidual(a, xm.Col(nrhs-1), b), maxErr(xm.Col(0)), nrhs)
 
 	// 2. MKL-style blocked GEPP (sequential panel on the critical path).
-	g, err := repro.FactorGEPP(a, repro.GEPPOptions{Block: 64, Workers: 4})
+	g, err := repro.FactorGEPP(a, repro.Options{Block: 64, Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func main() {
 
 	// 3. PLASMA-style incremental pivoting (panel off the critical path,
 	// weaker pivoting).
-	x3, err := repro.SolveIncPiv(a, b, repro.IncPivOptions{Block: 64, Workers: 4})
+	x3, err := repro.SolveIncPiv(a, b, repro.Options{Block: 64, Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package baseline
+package core
 
 import (
 	"math"
@@ -6,31 +6,18 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/mat"
 )
 
 func TestFactorGEPPMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := mat.Random(96, 96, rng)
-	f, err := FactorGEPP(a, GEPPOptions{Block: 16, Workers: 4})
+	f, err := FactorGEPP(a, Options{Block: 16, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := core.Residual(a, f); r > 1e-10 {
+	if r := Residual(a, f); r > 1e-10 {
 		t.Fatalf("GEPP residual %g", r)
-	}
-}
-
-func TestFactorGEPPWithLookahead(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := mat.Random(80, 80, rng)
-	f, err := FactorGEPP(a, GEPPOptions{Block: 16, Workers: 4, Lookahead: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := core.Residual(a, f); r > 1e-10 {
-		t.Fatalf("lookahead GEPP residual %g", r)
 	}
 }
 
@@ -38,11 +25,11 @@ func TestFactorGEPPRectangular(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, s := range [][2]int{{100, 40}, {40, 100}, {50, 50}, {33, 57}} {
 		a := mat.Random(s[0], s[1], rng)
-		f, err := FactorGEPP(a, GEPPOptions{Block: 16, Workers: 2})
+		f, err := FactorGEPP(a, Options{Block: 16, Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if r := core.Residual(a, f); r > 1e-10 {
+		if r := Residual(a, f); r > 1e-10 {
 			t.Errorf("%v: residual %g", s, r)
 		}
 	}
@@ -53,11 +40,11 @@ func TestFactorGEPPExactlyMatchesSequentialPivoting(t *testing.T) {
 	// exactly the same pivots as the sequential reference.
 	rng := rand.New(rand.NewSource(4))
 	a := mat.Random(64, 64, rng)
-	ref, err := core.ReferenceLU(a)
+	ref, err := ReferenceLU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := FactorGEPP(a, GEPPOptions{Block: 16, Workers: 4})
+	f, err := FactorGEPP(a, Options{Block: 16, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +73,12 @@ func TestSolveIncPiv(t *testing.T) {
 			b[i] += col[i] * xTrue[j]
 		}
 	}
-	x, solver, err := SolveIncPiv(a, b, IncPivOptions{Block: 16, Workers: 4})
+	sol, err := SolveIncPiv(a, b, Options{Block: 16, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := core.SolveResidual(a, x, b); r > 1e-8 {
+	x := sol.X.Col(0)
+	if r := SolveResidual(a, x, b); r > 1e-8 {
 		t.Fatalf("incpiv solve residual %g", r)
 	}
 	maxErr := 0.0
@@ -100,7 +88,7 @@ func TestSolveIncPiv(t *testing.T) {
 	if maxErr > 1e-5 {
 		t.Fatalf("incpiv solution error %g", maxErr)
 	}
-	if solver.Stats.Total == 0 {
+	if sol.Stats.Total == 0 {
 		t.Fatal("no task stats recorded")
 	}
 }
@@ -113,21 +101,21 @@ func TestSolveIncPivRaggedTiles(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, _, err := SolveIncPiv(a, b, IncPivOptions{Block: 16, Workers: 3})
+	sol, err := SolveIncPiv(a, b, Options{Block: 16, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := core.SolveResidual(a, x, b); r > 1e-8 {
+	if r := SolveResidual(a, sol.X.Col(0), b); r > 1e-8 {
 		t.Fatalf("ragged incpiv residual %g", r)
 	}
 }
 
 func TestSolveIncPivRejectsBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	if _, _, err := SolveIncPiv(mat.Random(10, 8, rng), make([]float64, 10), IncPivOptions{}); err == nil {
+	if _, err := SolveIncPiv(mat.Random(10, 8, rng), make([]float64, 10), Options{}); err == nil {
 		t.Fatal("non-square A accepted")
 	}
-	if _, _, err := SolveIncPiv(mat.Random(8, 8, rng), make([]float64, 5), IncPivOptions{}); err == nil {
+	if _, err := SolveIncPiv(mat.Random(8, 8, rng), make([]float64, 5), Options{}); err == nil {
 		t.Fatal("short rhs accepted")
 	}
 }
@@ -135,11 +123,11 @@ func TestSolveIncPivRejectsBadInput(t *testing.T) {
 func TestGEPPDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := mat.Random(40, 40, rng)
-	f, err := FactorGEPP(a, GEPPOptions{})
+	f, err := FactorGEPP(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := core.Residual(a, f); r > 1e-10 {
+	if r := Residual(a, f); r > 1e-10 {
 		t.Fatalf("default options residual %g", r)
 	}
 }
@@ -157,21 +145,53 @@ func TestBaselinesSolveProperty(t *testing.T) {
 		}
 		blk := 8 + int(rng.Int31n(16))
 		w := 1 + int(rng.Int31n(4))
-		fac, err := FactorGEPP(a, GEPPOptions{Block: blk, Workers: w, Lookahead: seed%2 == 0})
+		fac, err := FactorGEPP(a, Options{Block: blk, Workers: w})
 		if err != nil {
 			return false
 		}
 		xg, err := fac.Solve(b)
-		if err != nil || core.SolveResidual(a, xg, b) > 1e-9 {
+		if err != nil || SolveResidual(a, xg, b) > 1e-9 {
 			return false
 		}
-		xi, _, err := SolveIncPiv(a, b, IncPivOptions{Block: blk, Workers: w})
-		if err != nil || core.SolveResidual(a, xi, b) > 1e-9 {
+		xi, err := SolveIncPiv(a, b, Options{Block: blk, Workers: w})
+		if err != nil || SolveResidual(a, xi.X.Col(0), b) > 1e-9 {
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The graphs' dataflow fixes the baselines' arithmetic completely:
+// GEPP's P, L and U and IncPiv's x are bit-identical across worker
+// counts and schedulers.
+func TestBaselinesBitIdenticalAcrossWorkersAndSchedulers(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a := mat.Random(150, 150, rng)
+	b := make([]float64, 150)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	var ref [4]uint64
+	for w := 1; w <= 4; w++ {
+		for _, sch := range []Scheduler{ScheduleStatic, ScheduleDynamic, ScheduleHybrid} {
+			opt := Options{Block: 32, Workers: w, Scheduler: sch, DynamicRatio: 0.25}
+			f, err := FactorGEPP(a, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, err := SolveIncPiv(a, b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [4]uint64{hashInts(f.Perm), hashDense(f.L), hashDense(f.U), hashDense(sol.X)}
+			if ref == [4]uint64{} {
+				ref = got
+			} else if got != ref {
+				t.Errorf("W=%d %s: GEPP perm/L/U and IncPiv x hash %016x, want %016x as at W=1 static", w, sch, got, ref)
+			}
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/layout"
 	"repro/internal/mat"
+	"repro/internal/piv"
 	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -283,20 +284,35 @@ func PrepareFactor(a *mat.Dense, opt Options) (*FactorJob, error) {
 	if err := cg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid CALU graph: %w", err)
 	}
-	return &FactorJob{Opt: opt, graph: cg.Graph, finish: func(res rt.Result) *Factorization {
-		// FinishPermutation applies the deferred left swaps, so it must
-		// run before the factors are read out.
-		perm := cg.FinishPermutation()
-		lf, uf := ExtractLU(cg.Layout)
+	return luJob(opt, cg.Graph, cg.Layout, cg.StepSwaps), nil
+}
+
+// luJob wraps a built LU graph over l as a job whose finish step
+// assembles the permutation from the per-step row interchanges swaps
+// (filled in by the panel tasks), applies the deferred left swaps
+// (Algorithm 1, line 43: L <- Pi_N ... Pi_1 L) and only then reads the
+// factors out. CALU and the GEPP baseline share it.
+func luJob(opt Options, g *dag.Graph, l layout.Layout, swaps [][][2]int) *FactorJob {
+	return &FactorJob{Opt: opt, graph: g, finish: func(res rt.Result) *Factorization {
+		m, _, _ := l.Dims()
+		perm := make([]int, m)
+		for i := range perm {
+			perm[i] = i
+		}
+		for _, s := range swaps {
+			piv.ApplySwapsToPerm(perm, s)
+		}
+		layout.ApplyLeftSwaps(l, swaps)
+		lf, uf := ExtractLU(l)
 		return &Factorization{
 			Perm:     perm,
 			L:        lf,
 			U:        uf,
 			Makespan: res.Makespan,
 			Counters: res.Counters,
-			Stats:    cg.ComputeStats(),
+			Stats:    g.ComputeStats(),
 		}
-	}}, nil
+	}}
 }
 
 // ExtractLU reads the packed factors out of a factored layout: L is the
@@ -433,7 +449,7 @@ func ReferenceLU(a *mat.Dense) (*Factorization, error) {
 	work := a.Clone()
 	r := min(m, n)
 	pivots := make([]int, r)
-	v := kernel.View{Rows: m, Cols: n, Stride: work.Stride, Data: work.Data}
+	v := viewOf(work)
 	if err := kernel.RecursiveLU(v, pivots); err != nil {
 		return nil, err
 	}

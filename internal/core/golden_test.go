@@ -119,10 +119,15 @@ func hashInts(p []int) uint64 {
 	return h.Sum64()
 }
 
-func TestFactorGoldenBits(t *testing.T) {
+// skipOffGoldenKernels skips where the golden hashes do not apply.
+func skipOffGoldenKernels(t *testing.T) {
 	if p, _ := kernel.ActiveProfile(); !strings.HasPrefix(p.Kernel, "avx2-") || p.KC < 64 {
 		t.Skipf("golden hashes are for the AVX2+FMA kernels with kc >= 64; active profile %s kc=%d", p.Kernel, p.KC)
 	}
+}
+
+func TestFactorGoldenBits(t *testing.T) {
+	skipOffGoldenKernels(t)
 	inputs := map[[2]int]*mat.Dense{}
 	for _, g := range goldenLU {
 		a := inputs[[2]int{g.m, g.n}]
@@ -137,6 +142,48 @@ func TestFactorGoldenBits(t *testing.T) {
 		if perm, l, u := hashInts(f.Perm), hashDense(f.L), hashDense(f.U); perm != g.perm || l != g.l || u != g.u {
 			t.Errorf("%dx%d b=%d %s w=%d: perm %016x L %016x U %016x, recorded %016x %016x %016x",
 				g.m, g.n, g.b, g.kind, g.workers, perm, l, u, g.perm, g.l, g.u)
+		}
+	}
+}
+
+// goldenGEPP pins the same hashes for FactorGEPP on the same inputs
+// (always column major; the default hybrid scheduler), recorded when
+// the baseline still ran through a package of its own on the dynamic
+// scheduler.
+var goldenGEPP = []struct {
+	m, n, b    int
+	workers    int
+	perm, l, u uint64
+}{
+	{200, 200, 32, 1, 0x49bbeb00e31c3905, 0x48148d9b0254d0ce, 0x60f39e83624bbb73},
+	{200, 200, 32, 2, 0x49bbeb00e31c3905, 0x48148d9b0254d0ce, 0x60f39e83624bbb73},
+	{200, 200, 32, 3, 0x49bbeb00e31c3905, 0x48148d9b0254d0ce, 0x60f39e83624bbb73},
+	{200, 200, 32, 4, 0x49bbeb00e31c3905, 0x48148d9b0254d0ce, 0x60f39e83624bbb73},
+	{333, 333, 40, 1, 0x7a10dada3142375a, 0xd8123086509c8ea5, 0xcd9a7ac9ca7b5a9a},
+	{333, 333, 40, 2, 0x7a10dada3142375a, 0xd8123086509c8ea5, 0xcd9a7ac9ca7b5a9a},
+	{333, 333, 40, 3, 0x7a10dada3142375a, 0xd8123086509c8ea5, 0xcd9a7ac9ca7b5a9a},
+	{333, 333, 40, 4, 0x7a10dada3142375a, 0xd8123086509c8ea5, 0xcd9a7ac9ca7b5a9a},
+	{640, 192, 64, 1, 0x74fecf36e572cc85, 0x9f7243115335dd71, 0x79c349b4a6562fd1},
+	{640, 192, 64, 2, 0x74fecf36e572cc85, 0x9f7243115335dd71, 0x79c349b4a6562fd1},
+	{640, 192, 64, 3, 0x74fecf36e572cc85, 0x9f7243115335dd71, 0x79c349b4a6562fd1},
+	{640, 192, 64, 4, 0x74fecf36e572cc85, 0x9f7243115335dd71, 0x79c349b4a6562fd1},
+	{257, 300, 48, 1, 0xf460f78ca0ea9efa, 0x07e1fea10907f911, 0x66c8fa7ef6339bc3},
+	{257, 300, 48, 2, 0xf460f78ca0ea9efa, 0x07e1fea10907f911, 0x66c8fa7ef6339bc3},
+	{257, 300, 48, 3, 0xf460f78ca0ea9efa, 0x07e1fea10907f911, 0x66c8fa7ef6339bc3},
+	{257, 300, 48, 4, 0xf460f78ca0ea9efa, 0x07e1fea10907f911, 0x66c8fa7ef6339bc3},
+}
+
+func TestGEPPGoldenBits(t *testing.T) {
+	skipOffGoldenKernels(t)
+	for _, g := range goldenGEPP {
+		a := mat.Random(g.m, g.n, rand.New(rand.NewSource(7)))
+		f, err := FactorGEPP(a, Options{Block: g.b, Workers: g.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm, l, u := hashInts(f.Perm), hashDense(f.L), hashDense(f.U); perm != g.perm || l != g.l || u != g.u {
+			t.Errorf("GEPP %dx%d b=%d w=%d: perm %016x L %016x U %016x, recorded %016x %016x %016x",
+				g.m, g.n, g.b, g.workers, perm, l, u, g.perm, g.l, g.u)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package dag
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/layout"
@@ -14,7 +13,7 @@ type GEPPOptions struct {
 	// updated. MKL 10.3-era dgetrf behaves like a fork-join code, so the
 	// paper's comparison point is Lookahead=false: panel K+1 waits for
 	// the whole step-K update (the structural bottleneck the paper
-	// beats). Lookahead=true is provided for ablation studies.
+	// beats). Lookahead=true serves the simulated ablation only.
 	Lookahead bool
 }
 
@@ -30,7 +29,6 @@ type GEPPGraph struct {
 	Layout layout.Layout
 	// StepSwaps mirrors CALUGraph: global row interchanges per step.
 	StepSwaps [][][2]int
-	PivCount  []int
 }
 
 // BuildGEPP constructs the baseline graph of l's shape (NewGEPP) and
@@ -56,7 +54,6 @@ func NewGEPP(s layout.Shape, opt GEPPOptions) *GEPPGraph {
 	gg := &GEPPGraph{
 		Graph:     b.g,
 		StepSwaps: make([][][2]int, steps),
-		PivCount:  make([]int, steps),
 	}
 	var updPrev map[[2]int]*Task
 	var allPrev []*Task
@@ -65,7 +62,6 @@ func NewGEPP(s layout.Shape, opt GEPPOptions) *GEPPGraph {
 		base := k * bsz
 		rows := m - base
 		pivCount := min(bw, rows)
-		gg.PivCount[k] = pivCount
 
 		panel := b.add(&Task{
 			Kind: Final, K: k,
@@ -171,24 +167,6 @@ func NewGEPP(s layout.Shape, opt GEPPOptions) *GEPPGraph {
 	return gg
 }
 
-// FinishPermutation mirrors CALUGraph.FinishPermutation for the GEPP
-// baseline: assembles the global permutation and applies the deferred
-// left swaps.
-func (gg *GEPPGraph) FinishPermutation() []int {
-	m, _, _ := gg.Layout.Dims()
-	perm := make([]int, m)
-	for i := range perm {
-		perm[i] = i
-	}
-	for _, swaps := range gg.StepSwaps {
-		for _, sw := range swaps {
-			perm[sw[0]], perm[sw[1]] = perm[sw[1]], perm[sw[0]]
-		}
-	}
-	layout.ApplyLeftSwaps(gg.Layout, gg.StepSwaps)
-	return perm
-}
-
 // IncPivGraph is the task graph of tiled LU with incremental pivoting,
 // the algorithm behind PLASMA's dgetrf_incpiv (section 5.3): pivoting
 // is confined to tile pairs, which removes the panel factorization from
@@ -200,20 +178,20 @@ type IncPivGraph struct {
 	// when they run (see CALUGraph.Layout).
 	Layout layout.Layout
 
-	mu sync.Mutex
-	// ts[k*mb+i] stores the TSTRF elimination of step k against block
-	// row i: the 2b x b unit-lower factors and the local pivot sequence,
-	// replayed by the SSSSM tasks.
-	ts map[int]*tstrfState
-	// diagPiv[k] is the pivot sequence of the diagonal GETRF.
-	diagPiv map[int][]int
+	// diagPiv[k] is the pivot sequence of step k's diagonal GETRF and
+	// ts[k*mb+i] the TSTRF elimination of step k against block row i.
+	// Each entry is written by one task and read only by that task's
+	// successors, so the graph's edges order every access.
+	diagPiv [][]int
+	ts      []tstrfState
 }
 
+// tstrfState is one TSTRF elimination, replayed by the SSSSM tasks of
+// its block row: the stacked factor of [U_kk ; A_ik], whose strict lower
+// part is the L they apply, and its pivots.
 type tstrfState struct {
-	lfac []float64 // (b1+b2) x b1 column-major L factors
-	rows int
-	cols int
-	piv  []int
+	lu  kernel.View
+	piv []int
 }
 
 // IncPivFlopOverhead is the extra-flop factor incremental pivoting pays
@@ -239,8 +217,8 @@ func NewIncPiv(s layout.Shape) *IncPivGraph {
 	b := newBuilder(fmt.Sprintf("IncPiv(%s)", s.Kind()), s.Grid().Workers())
 	ig := &IncPivGraph{
 		Graph:   b.g,
-		ts:      map[int]*tstrfState{},
-		diagPiv: map[int][]int{},
+		diagPiv: make([][]int, steps),
+		ts:      make([]tstrfState, steps*mb),
 	}
 
 	// prev[(i,j)] is the last task that wrote tile (i,j).
@@ -259,12 +237,10 @@ func NewIncPiv(s layout.Shape) *IncPivGraph {
 		getrf.Run = func() {
 			tile := ig.Layout.Block(k, k)
 			pv := make([]int, min(tile.Rows, tile.Cols))
-			if err := kernel.Getf2(tile, pv); err != nil {
+			if err := kernel.Getrf(tile, pv); err != nil {
 				panic(fmt.Sprintf("dag: incpiv GETRF %d: %v", k, err))
 			}
-			ig.mu.Lock()
 			ig.diagPiv[k] = pv
-			ig.mu.Unlock()
 		}
 		b.edge(prev[[2]int{k, k}], getrf)
 
@@ -281,9 +257,7 @@ func NewIncPiv(s layout.Shape) *IncPivGraph {
 			t.Run = func() {
 				diag := ig.Layout.Block(k, k)
 				tile := ig.Layout.Block(k, j)
-				ig.mu.Lock()
 				pv := ig.diagPiv[k]
-				ig.mu.Unlock()
 				kernel.Laswp(tile, pv, 0, len(pv))
 				lv := kernel.View{Rows: pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data}
 				top := kernel.View{Rows: pivCount, Cols: tile.Cols, Stride: tile.Stride, Data: tile.Data}
@@ -314,7 +288,8 @@ func NewIncPiv(s layout.Shape) *IncPivGraph {
 				Bytes: 8 * (float64(ri) + float64(bw)) * float64(bw),
 				Prio:  priority(k, k, L),
 			})
-			tstrf.Run = func() { ig.runTSTRF(k, i, bw) }
+			st := &ig.ts[k*mb+i]
+			tstrf.Run = func() { ig.runTSTRF(k, i, st) }
 			b.edge(prevDiagWriter, tstrf)
 			b.edge(prev[[2]int{i, k}], tstrf)
 			prevDiagWriter = tstrf
@@ -328,7 +303,7 @@ func NewIncPiv(s layout.Shape) *IncPivGraph {
 					Bytes: 8 * (float64(ri)*float64(pivCount) + float64(pivCount)*float64(cj) + 2*float64(ri)*float64(cj)),
 					Prio:  priority(j, k, S),
 				})
-				ssssm.Run = func() { ig.runSSSSM(k, i, j) }
+				ssssm.Run = func() { ig.runSSSSM(k, i, j, st) }
 				b.edge(tstrf, ssssm)
 				b.edge(rowU[j], ssssm)
 				b.edge(prev[[2]int{i, j}], ssssm)
@@ -346,100 +321,51 @@ func NewIncPiv(s layout.Shape) *IncPivGraph {
 }
 
 // runTSTRF factors the stacked pair [U_kk ; A_ik] with partial pivoting
-// across the 2b rows, storing the elimination so SSSSM can replay it.
-func (ig *IncPivGraph) runTSTRF(k, i, bw int) {
-	l := ig.Layout
-	diag := l.Block(k, k)
-	tile := l.Block(i, k)
-	r1 := min(diag.Rows, bw) // U rows in the diagonal tile
-	r2 := tile.Rows
-	// Stack the upper triangle of the diagonal tile over the full tile.
-	w := make([]float64, (r1+r2)*bw)
-	wv := kernel.View{Rows: r1 + r2, Cols: bw, Stride: r1 + r2, Data: w}
+// across its rows. The new U goes back into the diagonal tile's upper
+// triangle and the bottom rows' L into A_ik; the whole stacked factor
+// stays in st for the SSSSM replays. Only the upper triangle of the
+// diagonal tile is read or written: GESSM reads its lower triangle,
+// GETRF's L, at the same time.
+func (ig *IncPivGraph) runTSTRF(k, i int, st *tstrfState) {
+	diag := ig.Layout.Block(k, k)
+	tile := ig.Layout.Block(i, k)
+	// Step k is not the last block row, so the diagonal tile has at
+	// least bw rows.
+	bw, r := tile.Cols, tile.Cols+tile.Rows
+	w := kernel.View{Rows: r, Cols: bw, Stride: r, Data: make([]float64, r*bw)}
 	for j := 0; j < bw; j++ {
-		for ii := 0; ii < r1; ii++ {
-			if ii <= j {
-				wv.Set(ii, j, diag.At(ii, j))
-			}
-		}
-		for ii := 0; ii < r2; ii++ {
-			wv.Set(r1+ii, j, tile.At(ii, j))
-		}
+		copy(w.Data[j*r:j*r+j+1], diag.Data[j*diag.Stride:])
 	}
-	pv := make([]int, min(r1+r2, bw))
-	if err := kernel.Getf2(wv, pv); err != nil {
+	kernel.Copy(w.Sub(bw, r, 0, bw), tile)
+	pv := make([]int, bw)
+	if err := kernel.Getrf(w, pv); err != nil {
 		panic(fmt.Sprintf("dag: incpiv TSTRF (%d,%d): %v", k, i, err))
 	}
-	// Write back: new U into the diagonal tile's upper triangle, L rows
-	// of the bottom part into tile (i,k); keep the full L + pivots for
-	// the SSSSM replays.
-	st := &tstrfState{rows: r1 + r2, cols: bw, piv: pv, lfac: make([]float64, (r1+r2)*bw)}
 	for j := 0; j < bw; j++ {
-		for ii := 0; ii < r1+r2; ii++ {
-			v := wv.At(ii, j)
-			if ii <= j {
-				if ii < r1 {
-					diag.Set(ii, j, v) // updated U
-				}
+		copy(diag.Data[j*diag.Stride:j*diag.Stride+j+1], w.Data[j*r:])
+	}
+	kernel.Copy(tile, w.Sub(bw, r, 0, bw))
+	*st = tstrfState{lu: w, piv: pv}
+}
+
+// runSSSSM replays st, the TSTRF elimination of block row i at step k,
+// on the stacked pair [A_kj ; A_ij] in place: st's pivots swap rows
+// within and across the two tiles, then A_kj <- L11^{-1} A_kj and
+// A_ij -= L21 A_kj.
+func (ig *IncPivGraph) runSSSSM(k, i, j int, st *tstrfState) {
+	top := ig.Layout.Block(k, j)
+	bot := ig.Layout.Block(i, j)
+	bw, r := st.lu.Cols, st.lu.Rows
+	for c := 0; c < top.Cols; c++ {
+		tc, bc := top.Data[c*top.Stride:], bot.Data[c*bot.Stride:]
+		for t, p := range st.piv {
+			if p < bw {
+				tc[t], tc[p] = tc[p], tc[t]
 			} else {
-				st.lfac[j*(r1+r2)+ii] = v
-				if ii >= r1 {
-					tile.Set(ii-r1, j, v)
-				}
+				tc[t], bc[p-bw] = bc[p-bw], tc[t]
 			}
 		}
 	}
-	ig.mu.Lock()
-	ig.ts[tsKey(k, i)] = st
-	ig.mu.Unlock()
+	kernel.TrsmLowerLeftUnit(st.lu.Sub(0, bw, 0, bw), top)
+	kernel.Gemm(bot, st.lu.Sub(bw, r, 0, bw), top)
 }
-
-// runSSSSM replays the TSTRF elimination of (k,i) on the stacked pair
-// [A_kj ; A_ij].
-func (ig *IncPivGraph) runSSSSM(k, i, j int) {
-	l := ig.Layout
-	ig.mu.Lock()
-	st := ig.ts[tsKey(k, i)]
-	ig.mu.Unlock()
-	if st == nil {
-		panic(fmt.Sprintf("dag: SSSSM before TSTRF (%d,%d)", k, i))
-	}
-	top := l.Block(k, j)
-	bot := l.Block(i, j)
-	r1 := st.rows - bot.Rows
-	cols := top.Cols
-	z := make([]float64, st.rows*cols)
-	zv := kernel.View{Rows: st.rows, Cols: cols, Stride: st.rows, Data: z}
-	for c := 0; c < cols; c++ {
-		for r := 0; r < r1; r++ {
-			zv.Set(r, c, top.At(r, c))
-		}
-		for r := 0; r < bot.Rows; r++ {
-			zv.Set(r1+r, c, bot.At(r, c))
-		}
-	}
-	kernel.Laswp(zv, st.piv, 0, len(st.piv))
-	lv := kernel.View{Rows: st.rows, Cols: st.cols, Stride: st.rows, Data: st.lfac}
-	// Apply the unit-lower trapezoid eliminations column by column.
-	for c := 0; c < st.cols; c++ {
-		for r := c + 1; r < st.rows; r++ {
-			lrc := lv.At(r, c)
-			if lrc == 0 {
-				continue
-			}
-			for cc := 0; cc < cols; cc++ {
-				zv.Set(r, cc, zv.At(r, cc)-lrc*zv.At(c, cc))
-			}
-		}
-	}
-	for c := 0; c < cols; c++ {
-		for r := 0; r < r1; r++ {
-			top.Set(r, c, zv.At(r, c))
-		}
-		for r := 0; r < bot.Rows; r++ {
-			bot.Set(r, c, zv.At(r1+r, c))
-		}
-	}
-}
-
-func tsKey(k, i int) int { return k<<20 | i }

@@ -53,9 +53,6 @@ type CALUGraph struct {
 	// permutation and to apply the deferred left swaps (Algorithm 1,
 	// line 43).
 	StepSwaps [][][2]int
-	// PivCount[k] is the factored rank of panel k (= b except possibly
-	// at the ragged last step).
-	PivCount []int
 
 	mu    sync.Mutex // guards cands across the tournament tasks
 	cands [][]piv.Candidate
@@ -90,19 +87,10 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 	cg := &CALUGraph{
 		Graph:     b.g,
 		StepSwaps: make([][][2]int, steps),
-		PivCount:  make([]int, steps),
 		cands:     make([][]piv.Candidate, steps),
 	}
 
 	isStatic := func(col int) bool { return col < opt.NstaticCols }
-
-	// Epoch namespace for this build's shared packed panels: the S tasks
-	// of one step form a (row run) x (block column) grid in which every
-	// task of a column multiplies by the same U block and every task of
-	// a row run by the same L blocks, so each operand is packed once —
-	// by whichever task gets there first — behind a refcounted handle
-	// with the exact consumer count, instead of once per task.
-	ep := kernel.NewEpoch()
 
 	// updPrev maps (blockRow, blockCol) -> the step-(K-1) S task that
 	// last wrote the block; nil map at step 0.
@@ -112,7 +100,6 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 		rk, bw := s.BlockDims(k, k) // diagonal block height, panel width
 		base := k * bsz             // first global row of the panel
 		pivCount := min(bw, m-base)
-		cg.PivCount[k] = pivCount
 
 		// ---- Tournament tree: leaves over contiguous runs of block rows.
 		chunks := opt.Chunks
@@ -327,16 +314,21 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 		// progress independent, so the critical path is unaffected).
 		updCur := make(map[[2]int]*Task)
 		rowRuns := groupRows(s, k, mb, group)
-		// One packed copy of each row run's L blocks for its nb-k-1 S
-		// tasks, one of each U_KJ for its len(rowRuns) S tasks; a handle
-		// is nil (that operand packed privately) with a single consumer.
+		// The S tasks of one step form a (row run) x (block column) grid
+		// in which every task of a column multiplies by the same U block
+		// and every task of a row run by the same L blocks, so each
+		// operand is packed once — by whichever task gets there first —
+		// behind a refcounted handle with the exact consumer count: one
+		// packed copy of each row run's L blocks for its nb-k-1 S tasks,
+		// one of each U_KJ for its len(rowRuns) S tasks. A handle is nil
+		// (that operand packed privately) with a single consumer.
 		aPanels := make([]*kernel.SharedPanel, len(rowRuns))
-		for r, rows := range rowRuns {
-			aPanels[r] = b.panel(kernel.NewSharedAPanel(kernel.PanelKey{Epoch: ep, Col: rows[0], Step: k}, nb-k-1))
+		for r := range rowRuns {
+			aPanels[r] = b.panel(kernel.NewSharedAPanel(nb - k - 1))
 		}
 		for j := k + 1; j < nb; j++ {
 			_, cj := s.BlockDims(k, j)
-			pb := b.panel(kernel.NewSharedBPanel(kernel.PanelKey{Epoch: ep, Col: j, Step: k}, len(rowRuns)))
+			pb := b.panel(kernel.NewSharedBPanel(len(rowRuns)))
 			for r, rows := range rowRuns {
 				i0, w := rows[0], len(rows)
 				totalRows := 0
@@ -372,26 +364,6 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 		updPrev = updCur
 	}
 	return cg
-}
-
-// FinishPermutation assembles the global row permutation from the
-// per-step swap sequences (perm[i] = original row now living at row i)
-// and applies the deferred swaps to the left part of L stored in the
-// layout (Algorithm 1, line 43: L <- Pi_N ... Pi_1 L). Must be called
-// after the graph has executed on the runtime.
-func (cg *CALUGraph) FinishPermutation() []int {
-	m, _, _ := cg.Layout.Dims()
-	perm := make([]int, m)
-	for i := range perm {
-		perm[i] = i
-	}
-	for _, swaps := range cg.StepSwaps {
-		piv.ApplySwapsToPerm(perm, swaps)
-	}
-	// Deferred left application: step k's swaps touch block columns
-	// 0..k-1, which hold finished columns of L.
-	layout.ApplyLeftSwaps(cg.Layout, cg.StepSwaps)
-	return perm
 }
 
 // leafScratch is the working set of one tournament leaf: the chunk's

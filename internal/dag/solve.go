@@ -92,10 +92,8 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 
 	// Every RUpd of one sweep step multiplies by the same solved block
 	// X_k (final for the sweep once DSolve(k) ran), so the step's update
-	// tasks share one packed copy of it. Step 0/1 distinguishes the
-	// forward and backward sweeps of the same block row.
-	ep := kernel.NewEpoch()
-
+	// tasks share one packed copy of it.
+	//
 	// Forward sweep: X <- lower^{-1} X, block rows top to bottom.
 	for k := 0; k < nb; k++ {
 		kk := k
@@ -117,7 +115,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 		}
 		b.edge(prevW[k], diag)
 		prevW[k] = diag
-		ph := b.panel(kernel.NewSharedBPanel(kernel.PanelKey{Epoch: ep, Col: k, Step: 0}, nb-k-1))
+		ph := b.panel(kernel.NewSharedBPanel(nb - k - 1))
 		for i := k + 1; i < nb; i++ {
 			ic := i
 			ri := span(i)
@@ -159,7 +157,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 		}
 		b.edge(prevW[k], diag)
 		prevW[k] = diag
-		ph := b.panel(kernel.NewSharedBPanel(kernel.PanelKey{Epoch: ep, Col: k, Step: 1}, k))
+		ph := b.panel(kernel.NewSharedBPanel(k))
 		for i := k - 1; i >= 0; i-- {
 			ic := i
 			ri := span(i)

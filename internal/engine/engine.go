@@ -137,8 +137,8 @@ func New(opt Options) (*Engine, error) {
 	e.work = sync.NewCond(&e.mu)
 	e.capa = sync.NewCond(&e.mu)
 	// One refcounted pool-wide reservation: at most Workers goroutines
-	// ever call kernels at once, however many jobs are in flight, so
-	// per-job executors run with ExternalWorkspace.
+	// ever call kernels at once, however many jobs are in flight, and
+	// per-job executors reserve nothing of their own.
 	e.ws = kernel.Reserve(opt.Workers)
 	e.wg.Add(opt.Workers)
 	for w := 0; w < opt.Workers; w++ {
@@ -643,10 +643,9 @@ func (e *Engine) startJob(j *Job) {
 // seats and drives seat 0.
 func (e *Engine) launch(j *Job, g *dag.Graph, pol sched.Policy, opt core.Options) {
 	ex, err := rt.NewExecutor(g, pol, rt.Options{
-		Workers:           j.granted,
-		ExternalWorkspace: true,
-		Trace:             opt.Trace,
-		Noise:             opt.Noise,
+		Workers: j.granted,
+		Trace:   opt.Trace,
+		Noise:   opt.Noise,
 	})
 	if err != nil {
 		j.err = err

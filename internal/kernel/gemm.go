@@ -133,16 +133,7 @@ func gemmNaive(c, a, b View) {
 	}
 }
 
-// GemmNTNaive is the reference implementation of GemmNT.
-func GemmNTNaive(c, a, b View) {
-	m, n, k := c.Rows, c.Cols, a.Cols
-	if a.Rows != m || b.Rows != n || b.Cols != k {
-		panic(fmt.Sprintf("kernel: gemmNT shape mismatch C %dx%d, A %dx%d, B %dx%d",
-			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	gemmNTNaive(c, a, b)
-}
-
+// gemmNTNaive is the reference loop nest of GemmNT.
 func gemmNTNaive(c, a, b View) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	for j := 0; j < n; j++ {

@@ -179,15 +179,6 @@ func Laswp(v View, piv []int, k0, k1 int) {
 	}
 }
 
-// LaswpInverse applies the interchanges in reverse order, undoing Laswp.
-func LaswpInverse(v View, piv []int, k0, k1 int) {
-	for k := k1 - 1; k >= k0; k-- {
-		if piv[k] != k {
-			swapRows(v, k, piv[k])
-		}
-	}
-}
-
 // GetrfNoPiv factors the view without pivoting (used on the b x b
 // pivot block after tournament pivoting has moved the chosen rows into
 // place). Returns an error on a zero diagonal. Blocks wide enough to
@@ -238,19 +229,6 @@ func getrfNoPivUnblocked(a View, col0 int) error {
 		}
 	}
 	return nil
-}
-
-// IdamaxCol returns the index (>= i0) of the entry with the largest
-// absolute value in column j of v.
-func IdamaxCol(v View, j, i0 int) int {
-	col := v.Data[j*v.Stride:]
-	p, vmax := i0, math.Abs(col[i0])
-	for i := i0 + 1; i < v.Rows; i++ {
-		if x := math.Abs(col[i]); x > vmax {
-			p, vmax = i, x
-		}
-	}
-	return p
 }
 
 // Copy copies src into dst element-wise; shapes must match.

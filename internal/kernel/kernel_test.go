@@ -222,30 +222,6 @@ func TestGetrfNoPivZeroDiag(t *testing.T) {
 	}
 }
 
-func TestLaswpInverseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := mat.Random(10, 6, rng)
-	orig := a.Clone()
-	pivots := []int{3, 5, 2, 9, 4, 5}
-	Laswp(view(a), pivots, 0, len(pivots))
-	LaswpInverse(view(a), pivots, 0, len(pivots))
-	if mat.MaxAbsDiff(a, orig) != 0 {
-		t.Fatal("laswp inverse is not an inverse")
-	}
-}
-
-func TestIdamaxCol(t *testing.T) {
-	a := mat.New(5, 2)
-	a.Set(0, 1, -9)
-	a.Set(3, 1, 8)
-	if got := IdamaxCol(view(a), 1, 0); got != 0 {
-		t.Fatalf("idamax got %d want 0", got)
-	}
-	if got := IdamaxCol(view(a), 1, 1); got != 3 {
-		t.Fatalf("idamax from 1 got %d want 3", got)
-	}
-}
-
 func TestCopyAndNormMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := mat.Random(7, 7, rng)

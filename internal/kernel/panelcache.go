@@ -41,23 +41,6 @@ import (
 // Graph.ReleasePanels → ForceFree after the workers drain, so no budget
 // leaks.
 
-// PanelKey identifies one packed operand: the factorization epoch (one
-// per built graph, so concurrent factorizations never collide), the
-// k-step whose update reads it, and the block column (B side) or
-// leading block row (A side) that consumes it.
-type PanelKey struct {
-	Epoch uint64
-	Col   int
-	Step  int
-}
-
-// panelEpoch hands out factorization epochs for PanelKeys.
-var panelEpoch atomic.Uint64
-
-// NewEpoch allocates a fresh factorization epoch. DAG builders call it
-// once per graph so panels of concurrent factorizations are distinct.
-func NewEpoch() uint64 { return panelEpoch.Add(1) }
-
 const (
 	// panelCacheBase is the byte budget available with no reservations
 	// (one-shot runs before Reserve, tests).
@@ -204,9 +187,6 @@ func ReadPanelCacheStats() PanelCacheStats {
 // call frees the buffer. A nil *SharedPanel is valid and means "pack
 // this operand privately".
 type SharedPanel struct {
-	// Key identifies the panel for debugging and traces.
-	Key PanelKey
-
 	side     panelSide
 	initUses int64
 	uses     atomic.Int64
@@ -219,24 +199,24 @@ type SharedPanel struct {
 
 // NewSharedAPanel creates a handle for a left operand (the L blocks of
 // one row run) expected to be consumed by `uses` GemmShared calls.
-func NewSharedAPanel(key PanelKey, uses int) *SharedPanel {
-	return newSharedPanel(sideA, key, uses)
+func NewSharedAPanel(uses int) *SharedPanel {
+	return newSharedPanel(sideA, uses)
 }
 
 // NewSharedBPanel creates a handle for a right operand (one U block, or
 // one solved X block row) expected to be consumed by `uses` GemmShared
 // calls.
-func NewSharedBPanel(key PanelKey, uses int) *SharedPanel {
-	return newSharedPanel(sideB, key, uses)
+func NewSharedBPanel(uses int) *SharedPanel {
+	return newSharedPanel(sideB, uses)
 }
 
 // With fewer than two consumers there is nothing to share and nil is
 // returned (a nil handle packs privately).
-func newSharedPanel(side panelSide, key PanelKey, uses int) *SharedPanel {
+func newSharedPanel(side panelSide, uses int) *SharedPanel {
 	if uses < 2 {
 		return nil
 	}
-	p := &SharedPanel{Key: key, side: side, initUses: int64(uses)}
+	p := &SharedPanel{side: side, initUses: int64(uses)}
 	p.uses.Store(p.initUses)
 	return p
 }

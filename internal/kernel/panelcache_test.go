@@ -63,7 +63,7 @@ func TestSharedBPanelHitBitIdentical(t *testing.T) {
 		sc := newSharedGemmCase(rng, m, n, k, uses)
 		want := sc.want()
 		before := pcState()
-		p := NewSharedBPanel(PanelKey{Epoch: NewEpoch(), Col: 1}, uses)
+		p := NewSharedBPanel(uses)
 		if p == nil {
 			t.Fatal("NewSharedBPanel returned nil for uses >= 2")
 		}
@@ -97,7 +97,7 @@ func TestSharedBPanelDeniedFallsBack(t *testing.T) {
 	sc := newSharedGemmCase(rng, 96, 96, 96, 3)
 	want := sc.want()
 	before := pcState()
-	p := NewSharedBPanel(PanelKey{Epoch: NewEpoch(), Col: 2}, 3)
+	p := NewSharedBPanel(3)
 	for i := range sc.cs {
 		GemmShared(sc.cs[i], sc.as[i], sc.b, nil, p)
 	}
@@ -126,7 +126,7 @@ func TestSharedBPanelConcurrent(t *testing.T) {
 	const uses = 8
 	sc := newSharedGemmCase(rng, 120, 96, 80, uses)
 	want := sc.want()
-	p := NewSharedBPanel(PanelKey{Epoch: NewEpoch(), Col: 3}, uses)
+	p := NewSharedBPanel(uses)
 	var wg sync.WaitGroup
 	for i := 0; i < uses; i++ {
 		wg.Add(1)
@@ -152,7 +152,7 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	sc := newSharedGemmCase(rng, 64, 64, 64, 2)
 	before := pcState()
-	p := NewSharedBPanel(PanelKey{Epoch: NewEpoch(), Col: 4}, 2)
+	p := NewSharedBPanel(2)
 
 	GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, nil, p)
 	if s := pcState(); s.UsedBytes <= before.UsedBytes {
@@ -198,7 +198,7 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 // TestSharedBPanelNilDegrades: fewer than two consumers yields nil, and
 // the nil receiver is the plain Gemm path.
 func TestSharedBPanelNilDegrades(t *testing.T) {
-	if p := NewSharedBPanel(PanelKey{}, 1); p != nil {
+	if p := NewSharedBPanel(1); p != nil {
 		t.Fatal("one consumer should not allocate a shared panel")
 	}
 	rng := rand.New(rand.NewSource(25))
@@ -222,7 +222,7 @@ func TestSharedBPanelSmallShapesBypass(t *testing.T) {
 	before := pcState()
 	sc := newSharedGemmCase(rng, 8, 8, 8, 2)
 	want := sc.want()
-	p := NewSharedBPanel(PanelKey{Epoch: NewEpoch(), Col: 5}, 2)
+	p := NewSharedBPanel(2)
 	GemmShared(sc.cs[0], sc.as[0], sc.b, nil, p)
 	GemmShared(sc.cs[1], sc.as[1], sc.b, nil, p)
 	for i := range sc.cs {
@@ -273,12 +273,11 @@ func (g updateGrid) clone() updateGrid {
 // handle per row and one B handle per column, `workers` tasks at a
 // time, and returns the handles.
 func (g updateGrid) run(workers int) (pa, pb []*SharedPanel) {
-	ep := NewEpoch()
-	for r := range g.as {
-		pa = append(pa, NewSharedAPanel(PanelKey{Epoch: ep, Col: r}, len(g.bs)))
+	for range g.as {
+		pa = append(pa, NewSharedAPanel(len(g.bs)))
 	}
-	for j := range g.bs {
-		pb = append(pb, NewSharedBPanel(PanelKey{Epoch: ep, Col: j}, len(g.as)))
+	for range g.bs {
+		pb = append(pb, NewSharedBPanel(len(g.as)))
 	}
 	var wg sync.WaitGroup
 	tasks := make(chan [2]int)
@@ -353,9 +352,9 @@ func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
 				if after.UsedBytes != before.UsedBytes {
 					t.Errorf("clean run left %d bytes live before any ForceFree", after.UsedBytes-before.UsedBytes)
 				}
-				for _, h := range append(pa, pb...) {
+				for i, h := range append(pa, pb...) {
 					if n := h.uses.Load(); n != 0 {
-						t.Errorf("handle %+v ends with %d uses, want exactly 0", h.Key, n)
+						t.Errorf("handle %d ends with %d uses, want exactly 0", i, n)
 					}
 				}
 
@@ -401,7 +400,7 @@ func TestSharedAPanelReserveKeepsBHits(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 4; i++ {
-		p := NewSharedAPanel(PanelKey{Epoch: NewEpoch(), Col: i}, 2)
+		p := NewSharedAPanel(2)
 		held = append(held, p)
 		GemmShared(cloneView(c), a, b, p, nil)
 	}
@@ -412,7 +411,7 @@ func TestSharedAPanelReserveKeepsBHits(t *testing.T) {
 	if got := after.ADenied - before.ADenied; got != 1 {
 		t.Fatalf("A denials = %d, want 1", got)
 	}
-	pb := NewSharedBPanel(PanelKey{Epoch: NewEpoch()}, 2)
+	pb := NewSharedBPanel(2)
 	held = append(held, pb)
 	GemmShared(cloneView(c), a, b, nil, pb)
 	if got := pcState().Packs - before.Packs; got != 1 {
@@ -428,7 +427,7 @@ func TestPanelBuffersRecycled(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	sc := newSharedGemmCase(rng, 64, 64, 64, 2)
 	pack := func() *float64 {
-		p := NewSharedBPanel(PanelKey{Epoch: NewEpoch()}, 2)
+		p := NewSharedBPanel(2)
 		GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, nil, p)
 		first := &p.buf[0]
 		GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, nil, p) // last use parks it

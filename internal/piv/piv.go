@@ -216,34 +216,3 @@ func ApplySwapsToPerm(perm []int, swaps [][2]int) {
 		perm[s[0]], perm[s[1]] = perm[s[1]], perm[s[0]]
 	}
 }
-
-// ChunkRows partitions the panel rows base..m-1 into at most maxChunks
-// contiguous chunks of at least b rows each (a chunk must be able to
-// nominate b candidates, except when fewer rows remain in total).
-// Returns the half-open global row ranges.
-func ChunkRows(base, m, b, maxChunks int) [][2]int {
-	rows := m - base
-	if rows <= 0 {
-		return nil
-	}
-	nc := maxChunks
-	if nc < 1 {
-		nc = 1
-	}
-	if nc > (rows+b-1)/b {
-		nc = (rows + b - 1) / b
-	}
-	per := rows / nc
-	rem := rows % nc
-	out := make([][2]int, 0, nc)
-	start := base
-	for i := 0; i < nc; i++ {
-		sz := per
-		if i < rem {
-			sz++
-		}
-		out = append(out, [2]int{start, start + sz})
-		start += sz
-	}
-	return out
-}

@@ -180,37 +180,6 @@ func TestSwapsChained(t *testing.T) {
 	}
 }
 
-func TestChunkRows(t *testing.T) {
-	chunks := ChunkRows(4, 36, 4, 4)
-	if len(chunks) != 4 {
-		t.Fatalf("want 4 chunks got %v", chunks)
-	}
-	if chunks[0][0] != 4 || chunks[3][1] != 36 {
-		t.Fatalf("chunks must cover [4,36): %v", chunks)
-	}
-	total := 0
-	for _, c := range chunks {
-		total += c[1] - c[0]
-	}
-	if total != 32 {
-		t.Fatalf("chunks cover %d rows want 32", total)
-	}
-}
-
-func TestChunkRowsFewRows(t *testing.T) {
-	// Only 6 rows with b=4: at most ceil(6/4)=2 chunks even if 8 requested.
-	chunks := ChunkRows(0, 6, 4, 8)
-	if len(chunks) != 2 {
-		t.Fatalf("want 2 chunks got %v", chunks)
-	}
-}
-
-func TestChunkRowsEmpty(t *testing.T) {
-	if got := ChunkRows(10, 10, 4, 4); got != nil {
-		t.Fatalf("want nil for empty range, got %v", got)
-	}
-}
-
 // Property: tournament pivoting over random chunkings always yields a
 // set of b distinct rows whose pivot block is invertible enough that
 // the no-pivot LU of the reordered panel succeeds with bounded growth.
@@ -220,11 +189,12 @@ func TestTournamentPivotBlockInvertibleProperty(t *testing.T) {
 		b := 2 + int(rng.Int31n(4))
 		rows := b * (2 + int(rng.Int31n(6)))
 		panel := mat.Random(rows, b, rng)
-		nchunks := 1 + int(rng.Int31n(4))
-		chunks := ChunkRows(0, rows, b, nchunks)
+		// Contiguous chunks of at least b rows each.
+		nchunks := min(1+int(rng.Int31n(4)), rows/b)
 		var cands []Candidate
-		for _, ch := range chunks {
-			c, err := Select(panel.Slice(ch[0], ch[1], 0, b), ids(ch[0], ch[1]), b)
+		for ch := 0; ch < nchunks; ch++ {
+			r0, r1 := ch*rows/nchunks, (ch+1)*rows/nchunks
+			c, err := Select(panel.Slice(r0, r1, 0, b), ids(r0, r1), b)
 			if err != nil {
 				return false
 			}

@@ -32,7 +32,7 @@ func TestAbortReleasesSharedPanels(t *testing.T) {
 
 	base := kernel.ReadPanelCacheStats()
 
-	p := kernel.NewSharedBPanel(kernel.PanelKey{Epoch: kernel.NewEpoch(), Col: 0}, 2)
+	p := kernel.NewSharedBPanel(2)
 	if p == nil {
 		t.Fatal("NewSharedBPanel returned nil for uses=2")
 	}

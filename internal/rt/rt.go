@@ -40,10 +40,6 @@ type Options struct {
 	// to completion (they park when idle and are woken by readiness
 	// events).
 	Workers int
-	// ExternalWorkspace, when true, skips the per-run kernel workspace
-	// reservation: the caller (the resident engine) holds one
-	// pool-wide refcounted reservation for all its runs instead.
-	ExternalWorkspace bool
 	// Trace, when non-nil, receives one span per executed task.
 	Trace *trace.Trace
 	// Noise, when non-nil, is invoked after each task completion with
@@ -103,7 +99,6 @@ type Executor struct {
 	// false sharing on neighbouring timelines.
 	spans [][]trace.Span
 
-	ws       *kernel.Reservation
 	doneOnce sync.Once
 	doneCh   chan struct{}
 	makespan time.Duration
@@ -115,7 +110,8 @@ type Executor struct {
 
 // NewExecutor prepares an execution of g under the given policy, which
 // it resets and then owns until Wait returns (one policy object serves
-// one run at a time). The graph's dependency counters are armed and
+// one run at a time). It reserves no kernel workspace: Run does, and
+// the resident engine holds one pool-wide reservation for all its runs. The graph's dependency counters are armed and
 // the roots are seeded; the run starts making progress as soon as the
 // first worker attaches. A structurally stuck graph (a bug in the DAG
 // builder) is reported here.
@@ -135,19 +131,10 @@ func NewExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*Executor, error)
 		close(e.doneCh)
 		return e, nil
 	}
-	// Reserve one packed-GEMM workspace per worker so no task pays the
-	// pack-buffer allocation mid-factorization (workers call kernels
-	// concurrently). Reservations are refcounted across overlapping
-	// runs; the engine instead holds one pool-wide reservation and sets
-	// ExternalWorkspace.
-	if !opt.ExternalWorkspace {
-		e.ws = kernel.Reserve(opt.Workers)
-	}
 	e.pol.Reset(g, opt.Workers)
 
 	roots := g.ResetDeps()
 	if len(roots) == 0 {
-		e.ws.Release()
 		return nil, fmt.Errorf("rt: graph %q stuck with 0/%d tasks done", g.Name, e.n)
 	}
 	e.wk.init(opt.Workers)
@@ -258,7 +245,6 @@ func (e *Executor) Wait() (Result, error) {
 	}
 	e.attachMu.Unlock()
 	e.waitOnce.Do(func() {
-		e.ws.Release()
 		// Workers have drained, so any shared panel handle still packed
 		// belongs to a task that never ran (aborted run) — reclaim its
 		// cache budget. A no-op on the success path.
@@ -290,8 +276,18 @@ func (e *Executor) Wait() (Result, error) {
 // Run executes g to completion under the given policy and returns the
 // wall-clock makespan: the one-shot mode that spawns a goroutine per
 // worker and tears everything down afterwards. A structurally stuck
-// graph is reported as an error, as is a panicking task.
+// graph is reported as an error, as is a panicking task. Around the run
+// it reserves one packed-GEMM workspace per worker, so no task pays the
+// pack-buffer allocation mid-factorization (reservations are refcounted
+// across overlapping runs).
 func Run(g *dag.Graph, pol sched.Policy, opt Options) (Result, error) {
+	ws := kernel.Reserve(opt.Workers)
+	defer ws.Release()
+	return drive(g, pol, opt)
+}
+
+// drive is Run without the workspace reservation.
+func drive(g *dag.Graph, pol sched.Policy, opt Options) (Result, error) {
 	e, err := NewExecutor(g, pol, opt)
 	if err != nil {
 		return Result{}, err

@@ -247,9 +247,10 @@ func TestHelpStressNoisyOwner(t *testing.T) {
 				for it := 0; it < iters; it++ {
 					g, ran := pinnedChains(workers, chains, depth)
 					onSlot := make([]atomic.Int32, workers)
-					res, err := Run(g, sched.NewHybrid(), Options{
-						Workers: workers, ExternalWorkspace: true,
-						Noise: noisyOwner(delay, onSlot),
+					// drive: these graphs call no kernel, so a workspace
+					// reservation per iteration would only churn buffers.
+					res, err := drive(g, sched.NewHybrid(), Options{
+						Workers: workers, Noise: noisyOwner(delay, onSlot),
 					})
 					if err != nil {
 						t.Fatalf("iteration %d: %v", it, err)
@@ -337,7 +338,7 @@ func TestHelpWakePinnedReachesSleeper(t *testing.T) {
 		g.Tasks = append(g.Tasks, &dag.Task{ID: i, Kind: dag.S, Static: true, NumDeps: 1, Prio: int64(i)})
 	}
 	spy := helpSpy{Policy: sched.NewHybrid(), helped: make(chan *dag.Task, 4)}
-	e, err := NewExecutor(g, spy, Options{Workers: 2, ExternalWorkspace: true})
+	e, err := NewExecutor(g, spy, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

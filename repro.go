@@ -58,7 +58,6 @@ package repro
 import (
 	"math/rand"
 
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -135,22 +134,18 @@ type SingularSolveError = core.SingularSolveError
 // ReferenceLU is the sequential GEPP oracle.
 func ReferenceLU(a *Matrix) (*Factorization, error) { return core.ReferenceLU(a) }
 
-// GEPPOptions configures the MKL-style baseline.
-type GEPPOptions = baseline.GEPPOptions
-
-// FactorGEPP runs the MKL-style blocked LU baseline (sequential panel).
-func FactorGEPP(a *Matrix, opt GEPPOptions) (*Factorization, error) {
-	return baseline.FactorGEPP(a, opt)
-}
-
-// IncPivOptions configures the PLASMA-style baseline.
-type IncPivOptions = baseline.IncPivOptions
+// FactorGEPP runs the MKL-style blocked LU baseline (sequential panel,
+// column major; opt.Layout is ignored).
+func FactorGEPP(a *Matrix, opt Options) (*Factorization, error) { return core.FactorGEPP(a, opt) }
 
 // SolveIncPiv solves A x = b with the PLASMA-style incremental-pivoting
-// tiled LU baseline.
-func SolveIncPiv(a *Matrix, b []float64, opt IncPivOptions) ([]float64, error) {
-	x, _, err := baseline.SolveIncPiv(a, b, opt)
-	return x, err
+// tiled LU baseline (2l-BL tiles; opt.Layout is ignored).
+func SolveIncPiv(a *Matrix, b []float64, opt Options) ([]float64, error) {
+	sol, err := core.SolveIncPiv(a, b, opt)
+	if err != nil {
+		return nil, err
+	}
+	return sol.X.Col(0), nil
 }
 
 // Machine is a simulated platform model.

@@ -76,7 +76,7 @@ func TestPublicEngine(t *testing.T) {
 
 func TestPublicBaselines(t *testing.T) {
 	a := RandomMatrix(160, 160, 6)
-	g, err := FactorGEPP(a, GEPPOptions{Block: 32, Workers: 2})
+	g, err := FactorGEPP(a, Options{Block: 32, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPublicBaselines(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	x, err := SolveIncPiv(a, b, IncPivOptions{Block: 32, Workers: 2})
+	x, err := SolveIncPiv(a, b, Options{Block: 32, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
