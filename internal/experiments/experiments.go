@@ -13,6 +13,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -77,31 +78,31 @@ func (t *Table) String() string {
 
 // experiment is one registered generator.
 type experiment struct {
-	id    string
 	title string
 	run   func(scale float64, seed int64) (*Table, error)
 }
 
-var registry []experiment
+// order is the one order of the experiments, which IDs returns (and so
+// hsdbench -list and -exp all follow): the paper's figures, Table 1,
+// Theorem 1 and the section 7 projection, then the two ablations.
+var order = []string{"fig1", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
+	"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
+	"table1", "thm1", "exascale", "ablation", "help"}
+
+var registry = map[string]experiment{}
 
 func register(id, title string, run func(scale float64, seed int64) (*Table, error)) {
-	registry = append(registry, experiment{id: id, title: title, run: run})
+	registry[id] = experiment{title: title, run: run}
 }
 
 // IDs returns the experiment ids in paper order.
-func IDs() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.id
-	}
-	return out
-}
+func IDs() []string { return slices.Clone(order) }
 
 // Titles maps id to a human description.
 func Titles() map[string]string {
 	out := make(map[string]string, len(registry))
-	for _, e := range registry {
-		out[e.id] = e.title
+	for id, e := range registry {
+		out[id] = e.title
 	}
 	return out
 }
@@ -113,10 +114,8 @@ func Run(id string, scale float64, seed int64) (*Table, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	for _, e := range registry {
-		if e.id == id {
-			return e.run(scale, seed)
-		}
+	if e, ok := registry[id]; ok {
+		return e.run(scale, seed)
 	}
 	known := IDs()
 	sort.Strings(known)

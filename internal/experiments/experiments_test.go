@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,21 +71,23 @@ func TestExperimentsGolden(t *testing.T) {
 	}
 }
 
+// TestIDsCoverEveryPaperArtifact pins IDs to paper order, each id
+// registered once with a title.
 func TestIDsCoverEveryPaperArtifact(t *testing.T) {
 	want := []string{"fig1", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
 		"table1", "thm1", "exascale", "ablation", "help"}
-	have := map[string]bool{}
-	for _, id := range IDs() {
-		have[id] = true
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Fatalf("IDs() = %v, want %v", got, want)
+	}
+	titles := Titles()
+	if len(titles) != len(want) {
+		t.Fatalf("%d experiments registered, %d listed", len(titles), len(want))
 	}
 	for _, id := range want {
-		if !have[id] {
-			t.Errorf("missing experiment %s", id)
+		if titles[id] == "" {
+			t.Errorf("experiment %s not registered", id)
 		}
-	}
-	if len(Titles()) != len(IDs()) {
-		t.Error("titles out of sync with ids")
 	}
 }
 

@@ -2,15 +2,12 @@
 // work" — the paper's delta_i (section 6): OS daemons, interrupts and
 // other system events that steal cycles from a core at unpredictable
 // times. The generators are seeded so simulated experiments are exactly
-// reproducible, and an adapter injects the same distributions into real
-// goroutine runs for failure-injection tests.
+// reproducible.
 package noise
 
 import (
 	"math"
 	"math/rand"
-	"sync"
-	"time"
 )
 
 // Generator yields the extra delay a core suffers while executing a
@@ -96,27 +93,4 @@ func (p *Poisson) Delay(core int, start, dur float64) float64 {
 		total += r.ExpFloat64() * p.Mean
 	}
 	return total
-}
-
-// RealAdapter converts a Generator into the callback signature of the
-// real runtime (internal/rt): it samples the generator with the given
-// characteristic task duration and returns wall-clock delays. Used for
-// failure injection in real-mode tests. The runtime calls the callback
-// from every worker goroutine, and generators are single-owner (lazily
-// grown per-core streams), so one mutex serializes the calls; each
-// worker advances its own virtual clock by one task per call.
-func RealAdapter(g Generator, taskDur time.Duration) func(worker int) time.Duration {
-	d := taskDur.Seconds()
-	var mu sync.Mutex
-	var clock []float64 // per-worker virtual seconds, guarded by mu
-	return func(worker int) time.Duration {
-		mu.Lock()
-		defer mu.Unlock()
-		for len(clock) <= worker {
-			clock = append(clock, 0)
-		}
-		extra := g.Delay(worker, clock[worker], d)
-		clock[worker] += d
-		return time.Duration(extra * float64(time.Second))
-	}
 }

@@ -1,10 +1,6 @@
 package noise
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestNoneIsSilent(t *testing.T) {
 	var g None
@@ -66,49 +62,5 @@ func TestResetReproduces(t *testing.T) {
 	g.Reset(9)
 	if g.Delay(0, 0, 0.01) != first {
 		t.Fatal("reset did not restore the stream")
-	}
-}
-
-func TestRealAdapter(t *testing.T) {
-	fn := RealAdapter(NewPoisson(1000, 1e-3, 1), time.Millisecond)
-	var total time.Duration
-	for i := 0; i < 100; i++ {
-		total += fn(0)
-	}
-	// 1000 bursts/s of 1ms on average, task 1ms: roughly one burst per
-	// call.
-	if total < 50*time.Millisecond || total > 150*time.Millisecond {
-		t.Fatalf("adapter total %v far from ~100ms", total)
-	}
-}
-
-// TestRealAdapterConcurrentWorkers: the real runtime calls one adapter
-// from every worker goroutine, so it must be race-free (run under
-// -race), and each worker must see its own per-core stream on its own
-// clock — the same delays it would get calling the generator alone.
-func TestRealAdapterConcurrentWorkers(t *testing.T) {
-	const workers, calls = 4, 500
-	const dur = 2 * time.Millisecond
-	fn := RealAdapter(NewPoisson(200, 1e-3, 13), dur)
-	got := make([][]time.Duration, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < calls; i++ {
-				got[w] = append(got[w], fn(w))
-			}
-		}(w)
-	}
-	wg.Wait()
-	ref := NewPoisson(200, 1e-3, 13)
-	for w := 0; w < workers; w++ {
-		for i := 0; i < calls; i++ {
-			want := time.Duration(ref.Delay(w, float64(i)*dur.Seconds(), dur.Seconds()) * float64(time.Second))
-			if got[w][i] != want {
-				t.Fatalf("worker %d call %d: delay %v, want %v", w, i, got[w][i], want)
-			}
-		}
 	}
 }

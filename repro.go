@@ -7,49 +7,16 @@
 // major, block cyclic, two-level blocks), scheduled by fully static,
 // fully dynamic or hybrid static/dynamic (the paper's contribution)
 // policies; the MKL-style and PLASMA-style baselines the paper compares
-// against; a discrete-event simulator of the paper's two evaluation
-// machines; and the experiment harness that regenerates every figure
-// and table of the evaluation section.
+// against; tiled Cholesky under the same schedulers; a resident engine
+// that runs many jobs on one worker pool; and the experiment harness
+// that regenerates every figure and table of the evaluation section.
 //
-// Quick start:
-//
-//	a := repro.RandomMatrix(1024, 1024, 42)
-//	f, err := repro.Factor(a, repro.Options{
-//		Layout:       repro.LayoutBlockCyclic,
-//		Workers:      8,
-//		Scheduler:    repro.ScheduleHybrid,
-//		DynamicRatio: 0.1, // the paper's usual sweet spot
-//	})
-//	x, err := f.Solve(b)
-//
-// For many small-to-medium factorizations, prefer the resident engine,
-// which amortizes worker and workspace setup across jobs and gives each
-// job a static share of its pool:
-//
-//	eng, err := repro.NewEngine(repro.EngineOptions{Workers: 8})
-//	defer eng.Close()
-//	job, err := eng.Submit(ctx, repro.FactorWork(a), repro.Options{Workers: 2})
-//	err = job.Wait()
-//	f := job.Factorization()
-//
-// Solves are first-class pool citizens too: a solve executes as a
-// blocked two-sweep triangular-solve task graph (diagonal TRSM tasks
-// plus packed-GEMM right-hand-side updates) under the same hybrid
-// static/dynamic scheduling as the factorizations, so a solve-heavy
-// service parallelizes its solves instead of burning one worker each.
-// Multi-RHS solves put GEMM — not GEMV — on the flop path:
-//
-//	X, err := f.SolveMany(B, repro.Options{Workers: 4})        // one-shot
-//	job, err := eng.Submit(ctx, repro.SolveWork(f, B), repro.Options{Workers: 4})
-//
-// Engine admission is two first-in first-out lanes: small jobs ride
-// an express lane that is served first, with a one-worker default
-// share, and big jobs start from the second lane when the express lane
-// is empty. Every job kind goes through the same two calls, Submit
-// (blocks at the admission bound) and TrySubmit (ErrEngineSaturated
-// instead). Their context is the job's only stop signal: a deadline is
-// the context's deadline, and work still queued when the context ends
-// is withdrawn with the context's cause.
+// The examples are the tour, and go test checks their output:
+// Example (factor, check, solve), ExampleFactor (the three layouts),
+// Example_linsolve (CALU against the two baselines),
+// ExampleFactorization_SolveMany (blocked multi-RHS solves),
+// ExampleFactorCholesky, ExampleNewEngine (the resident pool),
+// ExampleExperimentIDs and ExampleRunExperiment.
 //
 // See DESIGN.md for the system inventory; README.md and CHANGES.md
 // carry the measured-performance record.
@@ -58,14 +25,11 @@ package repro
 import (
 	"math/rand"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/layout"
 	"repro/internal/mat"
-	"repro/internal/model"
-	"repro/internal/sim"
 )
 
 // Matrix is a dense column-major matrix.
@@ -121,16 +85,6 @@ func SolveResidual(a *Matrix, x, b []float64) float64 { return core.SolveResidua
 // block plus run metadata.
 type Solution = core.Solution
 
-// SolveJob is a prepared blocked triangular solve (see
-// Factorization.PrepareSolve / CholeskyFactorization.PrepareSolve),
-// the solve counterpart of a prepared factorization.
-type SolveJob = core.SolveJob
-
-// SingularSolveError reports a solve against a degraded factorization
-// (a zero diagonal in the triangular factor); it carries the
-// factored-prefix length, i.e. how much of the system is solvable.
-type SingularSolveError = core.SingularSolveError
-
 // ReferenceLU is the sequential GEPP oracle.
 func ReferenceLU(a *Matrix) (*Factorization, error) { return core.ReferenceLU(a) }
 
@@ -148,20 +102,9 @@ func SolveIncPiv(a *Matrix, b []float64, opt Options) ([]float64, error) {
 	return sol.X.Col(0), nil
 }
 
-// Machine is a simulated platform model.
-type Machine = sim.Machine
-
-// IntelXeon16 models the paper's 16-core Intel Xeon machine.
-func IntelXeon16() Machine { return sim.IntelXeon16() }
-
-// AMDOpteron48 models the paper's 48-core AMD Opteron NUMA machine.
-func AMDOpteron48() Machine { return sim.AMDOpteron48() }
-
-// TheoremParams are the inputs of the paper's Theorem 1 (section 6).
-type TheoremParams = model.Params
-
-// ExperimentIDs lists every reproducible experiment (fig1..fig17,
-// table1, thm1, exascale, ablation) in paper order.
+// ExperimentIDs lists every reproducible experiment in paper order:
+// fig1, fig4, fig6..fig17, table1, thm1, exascale, then the ablation
+// and help ablations.
 func ExperimentIDs() []string { return experiments.IDs() }
 
 // RunExperiment regenerates one experiment by id at the given scale
@@ -171,6 +114,7 @@ func RunExperiment(id string, scale float64, seed int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	tbl.ID = id
 	return tbl.String(), nil
 }
 
@@ -221,80 +165,14 @@ func SolveWork(f Solvable, b *Matrix) EngineWork { return engine.SolveWork(f, b)
 // Options.DynamicRatio.
 type EngineOptions = engine.Options
 
-// EngineJob is the handle of one submitted engine job; Wait for
-// completion, then read Result (of the work's result type) or its typed
-// shorthands Factorization and SolutionMatrix.
-type EngineJob = engine.Job
-
 // Solvable is a completed factorization the engine can schedule a
 // blocked solve graph for: *Factorization and *CholeskyFactorization
 // both qualify.
 type Solvable = engine.Solvable
 
-// EngineStats is a point-in-time snapshot of an engine's pool and job
-// counters.
-type EngineStats = engine.Stats
-
-// JobClass labels a job for the engine's two-lane admission: small
-// jobs ride an express lane that is served first and default to a
-// one-worker share; large jobs queue in a second lane. Set on
-// Options.Class; ClassAuto lets the engine classify by estimated flop
-// count.
-type JobClass = core.JobClass
-
-// Job classes for Options.Class.
-const (
-	ClassAuto  = core.ClassAuto
-	ClassSmall = core.ClassSmall
-	ClassLarge = core.ClassLarge
-)
-
-// EngineClassStats is the per-class slice of EngineStats: completion
-// counts, live queue depth and recent submit-to-done latency
-// percentiles.
-type EngineClassStats = engine.ClassStats
-
-// Engine submission errors.
-var (
-	ErrEngineClosed    = engine.ErrClosed
-	ErrEngineSaturated = engine.ErrSaturated
-)
+// ErrEngineClosed is Submit's error once the engine is closed.
+var ErrEngineClosed = engine.ErrClosed
 
 // NewEngine starts a resident engine; its workers and kernel
 // workspaces live until Close.
 func NewEngine(opt EngineOptions) (*Engine, error) { return engine.New(opt) }
-
-// ClusterRouter is the sharded serving tier's front door: it
-// consistent-hashes factorization keys across engine shards, factors
-// each key on its owner, replicates the serialized factorization for
-// solve read-scaling, and handles shard join, drain and failure. Serve
-// its Handler behind an HTTP listener (cmd/hsdrouter does exactly
-// that).
-type ClusterRouter = cluster.Router
-
-// ClusterShardInfo names one engine shard and where to reach it.
-type ClusterShardInfo = cluster.ShardInfo
-
-// ClusterRouterOptions configures NewClusterRouter: initial shards,
-// replication factor, ring virtual nodes, health probing and body
-// caps.
-type ClusterRouterOptions = cluster.RouterOptions
-
-// NewClusterRouter builds a cluster router over running hsdserve
-// shards.
-func NewClusterRouter(opt ClusterRouterOptions) (*ClusterRouter, error) {
-	return cluster.NewRouter(opt)
-}
-
-// EncodeFactorization serializes a factorization (exactly one of lu,
-// chol) into the cluster wire format: pivots plus packed factor blocks,
-// bit-exact, as shipped between shards for replication and migration.
-func EncodeFactorization(lu *Factorization, chol *CholeskyFactorization) ([]byte, error) {
-	return cluster.EncodeFactorization(lu, chol)
-}
-
-// DecodeFactorization inverts EncodeFactorization; the result carries
-// the factors and permutation only (run metadata does not travel).
-func DecodeFactorization(data []byte) (*Factorization, *CholeskyFactorization, error) {
-	return cluster.DecodeFactorization(data)
-}
