@@ -1,13 +1,14 @@
 // Command hsdrouter is the cluster front door over a set of hsdserve
 // engine shards: it consistent-hashes factorization keys onto shards
-// (virtual-node hash ring), factors each key on its owner, replicates
-// the serialized factorization to -replicas shards for solve
-// read-scaling, and routes solves to any replica with failover. Shard
-// lifecycle is handled live: health probes evict unreachable shards
-// from the ring (solves fail over to surviving replicas),
-// /v1/admin/join rebalances the ring and migrates reassigned keys to a
-// new shard, and /v1/admin/drain retires a shard after handing its
-// kept factorizations to the owners under the shrunken ring.
+// (a hash ring with 64 virtual nodes per shard), factors each key on
+// its owner, replicates the serialized factorization to -replicas
+// shards for solve read-scaling, and routes solves to any replica with
+// failover. Shard lifecycle is handled live: health probes evict
+// unreachable shards from the ring (solves fail over to surviving
+// replicas), /v1/admin/join rebalances the ring and migrates reassigned
+// keys to a new shard, and /v1/admin/drain retires a shard after
+// handing its kept factorizations to the owners under the shrunken
+// ring.
 //
 //	hsdrouter -addr :8090 \
 //	    -shards s1=http://10.0.0.1:8080,s2=http://10.0.0.2:8080,s3=http://10.0.0.3:8080 \
@@ -65,7 +66,6 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	shards := flag.String("shards", "", "comma-separated name=url shard list (required)")
 	replicas := flag.Int("replicas", 2, "shards holding each factorization (owner + replicas-1)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = default)")
 	probe := flag.Duration("probe", 2*time.Second, "health-probe interval (0 disables probing)")
 	failAfter := flag.Int("failafter", 3, "consecutive failures before a shard is evicted from the ring")
 	maxBody := flag.Int64("maxbody", 256<<20, "request body cap in bytes")
@@ -85,7 +85,6 @@ func main() {
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
 		Shards:        infos,
 		Replicas:      *replicas,
-		VNodes:        *vnodes,
 		ProbeInterval: *probe,
 		FailAfter:     *failAfter,
 		MaxBody:       *maxBody,

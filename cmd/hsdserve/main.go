@@ -2,10 +2,14 @@
 // HTTP/JSON: one long-lived worker pool serving concurrent Factor and
 // Solve requests on internal/engine (static per-job worker
 // reservations, the paper's hybrid static/dynamic scheduling inside
-// each job). Admission is two first-in first-out lanes: small jobs ride
-// an express lane, served first, with a one-worker default share; big
-// jobs start when it is empty. A request's deadlineMs bounds its
-// context: a job still queued when it passes is withdrawn with a 503.
+// each job). Every job runs the paper's recommended schedule — the BCL
+// layout, the hybrid scheduler with 10% of the block columns dynamic —
+// at the request's block and workers; a request that names scheduler,
+// layout, dynamicRatio or class is a 400. Admission is two first-in
+// first-out lanes, chosen by the job's flop count: small jobs ride an
+// express lane, served first, with a one-worker default share; big jobs
+// start when it is empty. A request's deadlineMs bounds its context: a
+// job still queued when it passes is withdrawn with a 503.
 //
 //	hsdserve -addr :8080 -pool 8 -maxinflight 32
 //
@@ -15,13 +19,14 @@
 //	curl -s localhost:8080/v1/factor -H 'Content-Type: application/json' \
 //	    -d '{"n":512,"seed":7,"workers":2}'
 //
-// Factor a caller-supplied matrix (row-major flat array) and solve,
-// single or many right-hand sides (column-major flat, nrhs columns):
+// Factor a caller-supplied matrix (row-major flat array), kept as f-2,
+// and solve against it, single or many right-hand sides (column-major
+// flat, nrhs columns):
 //
 //	curl -s localhost:8080/v1/factor -H 'Content-Type: application/json' \
 //	    -d '{"rows":2,"cols":2,"data":[4,3,6,3],"residual":true}'
 //	curl -s localhost:8080/v1/solve -H 'Content-Type: application/json' \
-//	    -d '{"id":"f-1","b":[10,12]}'
+//	    -d '{"id":"f-2","b":[10,12]}'
 //
 // Cholesky jobs ride the same pool via /v1/cholesky and
 // /v1/cholesky/solve; /v1/stats reports engine, class and store

@@ -1,11 +1,17 @@
 package repro
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/serve"
 )
 
 var (
@@ -18,6 +24,10 @@ var (
 	// exampleName matches an Example function name.
 	exampleName = regexp.MustCompile(`\bExample(?:_[a-z]\w*|[A-Z]\w*)?\b`)
 	exampleFunc = regexp.MustCompile(`(?m)^func (Example\w*)\(\)`)
+	// docCurl matches a curl that posts a JSON body to a job route,
+	// with the -d on the same line or the next: the route's path and
+	// the body.
+	docCurl = regexp.MustCompile(`curl -s \S*?(/v1/(?:factor|cholesky/solve|cholesky|solve))\s[^\n]*?(?:\\\n[^\n]*?)?-d '(\{[^']*\})'`)
 )
 
 // TestDocsReferencesExist checks that every cmd/, examples/ and
@@ -54,5 +64,46 @@ func TestDocsReferencesExist(t *testing.T) {
 				t.Errorf("%s mentions %s, which is not an Example in this package", doc, name)
 			}
 		}
+	}
+}
+
+// TestDocsCurlBodiesAccepted posts every curl body README.md and
+// cmd/hsdserve's doc comment send to a job route, in document order, to
+// a fresh in-process shard per document, so a walkthrough run top to
+// bottom works: each must answer 200. A body with a ... placeholder is
+// skipped.
+func TestDocsCurlBodiesAccepted(t *testing.T) {
+	for _, doc := range []string{"README.md", "cmd/hsdserve/main.go"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := engine.New(engine.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(serve.New(eng, serve.Options{Keep: 16}).Handler())
+		posted := 0
+		for _, m := range docCurl.FindAllStringSubmatch(string(text), -1) {
+			path, body := m[1], m[2]
+			if strings.Contains(body, "...") {
+				continue
+			}
+			posted++
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: %s %s: %d %s", doc, path, body, resp.StatusCode, reply)
+			}
+		}
+		if posted == 0 {
+			t.Errorf("%s: no curl body found", doc)
+		}
+		ts.Close()
+		eng.Close()
 	}
 }

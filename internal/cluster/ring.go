@@ -21,10 +21,10 @@ import (
 	"sort"
 )
 
-// defaultVNodes is the virtual-node count per shard: enough that a
-// three-shard ring splits the key space within a few percent of evenly
-// while keeping rebuilds trivially cheap.
-const defaultVNodes = 64
+// vnodes is the virtual-node count per shard: enough that a three-shard
+// ring splits the key space within a few percent of evenly while keeping
+// rebuilds trivially cheap.
+const vnodes = 64
 
 // ringPoint is one virtual node on the hash circle.
 type ringPoint struct {
@@ -32,29 +32,25 @@ type ringPoint struct {
 	node string
 }
 
-// Ring is a consistent-hash ring with virtual nodes. Membership is
-// deterministic in (vnodes, node names): two rings built with the same
-// inputs agree on every key's owner set, which is what lets tests — and
-// operators — recompute placements offline. Not safe for concurrent
-// use; the Router guards it.
+// Ring is a consistent-hash ring with vnodes virtual nodes per member.
+// Membership is deterministic in the node names: two rings built with
+// the same members agree on every key's owner set, which is what lets
+// tests — and operators — recompute placements offline. Not safe for
+// concurrent use; the Router guards it.
 type Ring struct {
-	vnodes int
 	gen    uint64
 	nodes  map[string]bool
 	points []ringPoint // sorted by hash
 }
 
-// NewRing returns an empty ring; vnodes <= 0 selects the default.
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	return &Ring{vnodes: vnodes, nodes: map[string]bool{}}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{nodes: map[string]bool{}}
 }
 
 // Clone returns an independent copy (same generation).
 func (r *Ring) Clone() *Ring {
-	c := &Ring{vnodes: r.vnodes, gen: r.gen, nodes: make(map[string]bool, len(r.nodes))}
+	c := &Ring{gen: r.gen, nodes: make(map[string]bool, len(r.nodes))}
 	for n := range r.nodes {
 		c.nodes[n] = true
 	}
@@ -85,7 +81,7 @@ func (r *Ring) Add(node string) bool {
 		return false
 	}
 	r.nodes[node] = true
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < vnodes; v++ {
 		r.points = append(r.points, ringPoint{hash: hashKey(fmt.Sprintf("%s#%d", node, v)), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool {

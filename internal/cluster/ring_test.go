@@ -17,7 +17,7 @@ func keys(n int) []string {
 // on every owner set — the property offline placement math relies on.
 func TestRingDeterminism(t *testing.T) {
 	build := func() *Ring {
-		r := NewRing(32)
+		r := NewRing()
 		r.Add("s2")
 		r.Add("s0")
 		r.Add("s1")
@@ -35,12 +35,15 @@ func TestRingDeterminism(t *testing.T) {
 // TestRingOwnerSets: owner sets are distinct nodes, capped at the
 // membership size, and the primary is stable across calls.
 func TestRingOwnerSets(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 3; i++ {
 		r.Add(fmt.Sprintf("s%d", i))
 	}
 	if got := r.Owners("k", 5); len(got) != 3 {
 		t.Fatalf("owner set %v, want all 3 members", got)
+	}
+	if len(r.points) != 3*vnodes {
+		t.Fatalf("%d ring points, want %d per member", len(r.points), vnodes)
 	}
 	for _, k := range keys(200) {
 		o := r.Owners(k, 2)
@@ -51,7 +54,7 @@ func TestRingOwnerSets(t *testing.T) {
 	if r.Owners("k", 0) != nil {
 		t.Fatal("n=0 should own nothing")
 	}
-	empty := NewRing(8)
+	empty := NewRing()
 	if empty.Owners("k", 2) != nil {
 		t.Fatal("empty ring should own nothing")
 	}
@@ -60,7 +63,7 @@ func TestRingOwnerSets(t *testing.T) {
 // TestRingBalance: with virtual nodes, no shard of three owns a wildly
 // disproportionate share of primaries.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing()
 	for i := 0; i < 3; i++ {
 		r.Add(fmt.Sprintf("s%d", i))
 	}
@@ -80,7 +83,7 @@ func TestRingBalance(t *testing.T) {
 // TestRingMinimalDisruption: adding a node only moves keys onto the new
 // node; removing one only moves keys that it owned.
 func TestRingMinimalDisruption(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing()
 	r.Add("s0")
 	r.Add("s1")
 	ks := keys(1000)
@@ -131,7 +134,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 // TestRingCloneIndependent: mutating a clone leaves the original ring
 // untouched.
 func TestRingCloneIndependent(t *testing.T) {
-	r := NewRing(16)
+	r := NewRing()
 	r.Add("s0")
 	r.Add("s1")
 	c := r.Clone()

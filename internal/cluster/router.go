@@ -23,8 +23,6 @@ type RouterOptions struct {
 	// Replicas is the owner-set size R: the factorization lives on the
 	// primary owner plus R-1 replicas. Default 2, clamped to >= 1.
 	Replicas int
-	// VNodes is the virtual-node count per shard (<= 0 = default).
-	VNodes int
 	// ProbeInterval drives the background health probe; 0 disables it —
 	// probes then run only through ProbeNow (harness/tests) and
 	// transport errors on the data path.
@@ -34,8 +32,6 @@ type RouterOptions struct {
 	FailAfter int
 	// MaxBody bounds client request bodies. Default 256 MiB.
 	MaxBody int64
-	// Client is the HTTP client used to reach shards; nil = a default.
-	Client *http.Client
 }
 
 // shardState is the router's view of one shard. The counters are
@@ -112,15 +108,12 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 	}
 	rt := &Router{
 		opt:        opt,
-		client:     opt.Client,
+		client:     &http.Client{},
 		shards:     map[string]*shardState{},
-		ring:       NewRing(opt.VNodes),
+		ring:       NewRing(),
 		placements: map[string][]string{},
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{}
 	}
 	for _, si := range opt.Shards {
 		if si.Name == "" || si.URL == "" {

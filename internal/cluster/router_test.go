@@ -114,9 +114,10 @@ func TestClusterKillOwnerSolveFromReplica(t *testing.T) {
 
 // TestClusterBlockGridBounded: the shards' block-grid bound holds
 // through the router — a factor, Cholesky or solve request whose block
-// grid exceeds serve.MaxBlocks is the shard's 400 naming the limit,
-// relayed without failing over and without any engine job, while a
-// small block under the bound still answers 200.
+// grid exceeds serve.MaxBlocks is the shard's 400 naming the limit, and
+// a factor naming a retired field (scheduler) the shard's 400 naming
+// it, each relayed without failing over and without any engine job,
+// while a small block under the bound still answers 200.
 func TestClusterBlockGridBounded(t *testing.T) {
 	c, err := harness.Start(harness.Options{Shards: 2, Replicas: 1})
 	if err != nil {
@@ -134,18 +135,22 @@ func TestClusterBlockGridBounded(t *testing.T) {
 	}
 	before := jobs()
 	limit := fmt.Sprintf("%d-block limit", serve.MaxBlocks)
-	for _, req := range []struct{ path, body string }{
-		{"/v1/factor", `{"n":512,"block":1}`},
-		{"/v1/cholesky", `{"n":512,"block":1}`},
-		{"/v1/solve", fmt.Sprintf(`{"id":%q,"block":1,"b":[%s]}`, id, ones(n))},
+	for _, req := range []struct{ path, body, want string }{
+		{"/v1/factor", `{"n":512,"block":1}`, limit},
+		{"/v1/cholesky", `{"n":512,"block":1}`, limit},
+		{"/v1/solve", fmt.Sprintf(`{"id":%q,"block":1,"b":[%s]}`, id, ones(n)), limit},
+		{"/v1/factor", `{"n":64,"scheduler":"static"}`, "scheduler"},
 	} {
 		code, out := postJSON(t, c.URL()+req.path, req.body)
-		if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), limit) {
-			t.Errorf("%s %.40s via router: %d %v, want 400 naming the %s", req.path, req.body, code, out, limit)
+		if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), req.want) {
+			t.Errorf("%s %.40s via router: %d %v, want 400 naming %s", req.path, req.body, code, out, req.want)
 		}
 	}
 	if got := jobs(); got != before {
 		t.Fatalf("refused requests reached an engine: jobs %d -> %d", before, got)
+	}
+	if f := c.Router.Stats().Failovers; f != 0 {
+		t.Errorf("router failed over %d times on a shard's 400", f)
 	}
 	if code, out := postJSON(t, c.URL()+"/v1/factor", `{"n":64,"block":2,"workers":1}`); code != http.StatusOK {
 		t.Errorf("small block under the bound: %d %v", code, out)
@@ -348,7 +353,7 @@ func TestClusterJoinMigratesReassignedKeys(t *testing.T) {
 
 	// Offline recomputation: the ring is deterministic in membership,
 	// so an independent build must agree with the router's placements.
-	ref := cluster.NewRing(0)
+	ref := cluster.NewRing()
 	ref.Add("s1")
 	ref.Add("s2")
 	ref.Add(sh.Name)
@@ -461,7 +466,7 @@ func TestClusterFactorFailoverToReplica(t *testing.T) {
 	// Discover where the next key would land without consuming its id:
 	// factor once, kill the primary of the NEXT key by prediction. The
 	// ring is deterministic, so "f-2"'s owners are knowable in advance.
-	ref := cluster.NewRing(0)
+	ref := cluster.NewRing()
 	for _, name := range c.Names() {
 		ref.Add(name)
 	}
@@ -608,7 +613,7 @@ func TestClusterFactorForwardsClientBytes(t *testing.T) {
 	}
 	id, refID := post(c.URL()), post(lone.URL)
 
-	ref := cluster.NewRing(0)
+	ref := cluster.NewRing()
 	for _, name := range c.Names() {
 		ref.Add(name)
 	}
@@ -638,7 +643,7 @@ func TestClusterFactorForwardsClientBytes(t *testing.T) {
 // still alive — is back-filled by the same key copy a migration uses:
 // the placement record comes out in ring order, primary first.
 func TestClusterFactorFailoverBackfillsPrimary(t *testing.T) {
-	ref := cluster.NewRing(0)
+	ref := cluster.NewRing()
 	ref.Add("a")
 	ref.Add("b")
 	owners := ref.Owners("f-1", 2)

@@ -53,9 +53,9 @@ func (s Scheduler) String() string {
 	return fmt.Sprintf("Scheduler(%d)", int(s))
 }
 
-// ParseScheduler resolves a scheduler name as commands and HTTP requests
-// spell it: "hybrid" (also the empty name), "static" or "dynamic", in
-// any case.
+// ParseScheduler resolves a scheduler name as command-line flags spell
+// it: "hybrid" (also the empty name), "static" or "dynamic", in any
+// case.
 func ParseScheduler(name string) (Scheduler, error) {
 	switch strings.ToLower(name) {
 	case "", "hybrid":
@@ -68,39 +68,9 @@ func ParseScheduler(name string) (Scheduler, error) {
 	return 0, fmt.Errorf("unknown scheduler %q (use static, dynamic or hybrid)", name)
 }
 
-// JobClass labels a job for the resident engine's two-lane admission
-// (engine package): small jobs ride an express lane that is served
-// first and default to a one-worker share; large jobs wait in a second
-// lane whose head starts only when the express lane is empty. One-shot
-// Factor/Solve calls ignore it.
-type JobClass uint8
-
-const (
-	// ClassAuto (the default) lets the engine classify the job by its
-	// estimated flop cost.
-	ClassAuto JobClass = iota
-	// ClassSmall forces the job into the small-job express lane.
-	ClassSmall
-	// ClassLarge forces the job into the big-job lane.
-	ClassLarge
-)
-
-// String names the class like the /v1/stats output.
-func (c JobClass) String() string {
-	switch c {
-	case ClassSmall:
-		return "small"
-	case ClassLarge:
-		return "large"
-	case ClassAuto:
-		return "auto"
-	}
-	return fmt.Sprintf("JobClass(%d)", int(c))
-}
-
 // Options configures a factorization.
 type Options struct {
-	// Layout is the storage scheme (default BCL).
+	// Layout is the storage scheme; the zero value is CM.
 	Layout layout.Kind
 	// Block is the block/tile size b (default DefaultBlock; the paper
 	// uses 100).
@@ -118,10 +88,6 @@ type Options struct {
 	// Noise, if non-nil, injects a busy-wait after each task (failure
 	// injection emulating OS interference).
 	Noise func(worker int) time.Duration
-	// Class routes the job in the resident engine's two-lane admission;
-	// ClassAuto classifies by estimated flop cost. Ignored by one-shot
-	// calls.
-	Class JobClass
 }
 
 // DefaultBlock is the block size of Options with Block <= 0.

@@ -24,8 +24,6 @@ package engine
 import (
 	"math"
 	"sort"
-
-	"repro/internal/core"
 )
 
 // jobState tracks a job through admission; guarded by Engine.mu.
@@ -37,24 +35,30 @@ const (
 	jsDone                    // completed or withdrawn
 )
 
+// Class is a job's admission class, decided by its flop estimate alone
+// (classOf). It indexes Engine.lanes.
+type Class uint8
+
+const (
+	ClassSmall Class = iota // rides the express lane
+	ClassLarge              // waits in the big lane
+)
+
+// String names the class as the shard replies spell it.
+func (c Class) String() string { return [...]string{"small", "large"}[c] }
+
 // smallJobFlops is the classification threshold: a job whose estimated
-// flop count is at or below it is ClassSmall when the submission left
-// Class auto (a ~96x96 LU classifies small, a 128x128 LU large). It is
-// a constant rather than an option because no caller has a second
-// value.
+// flop count is at or below it is ClassSmall (a 96x96 LU classifies
+// small, a 128x128 LU large). It is a constant rather than an option
+// because no caller has a second value.
 const smallJobFlops = 1e6
 
-// classify resolves the job's class: an explicit Class request wins,
-// otherwise the flop estimate against smallJobFlops decides.
-func classify(j *Job) core.JobClass {
-	switch j.reqOpt.Class {
-	case core.ClassSmall, core.ClassLarge:
-		return j.reqOpt.Class
+// classOf is the class of a job with the given flop estimate.
+func classOf(flops float64) Class {
+	if flops <= smallJobFlops {
+		return ClassSmall
 	}
-	if j.work.flops <= smallJobFlops {
-		return core.ClassSmall
-	}
-	return core.ClassLarge
+	return ClassLarge
 }
 
 // lane is one class's admission queue and completion record, guarded by

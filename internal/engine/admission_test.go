@@ -17,16 +17,16 @@ func randMatrix(t *testing.T, n int, seed int64) *mat.Dense {
 	return mat.Random(n, n, rand.New(rand.NewSource(seed)))
 }
 
-// gate submits a big-lane factorization whose first task blocks until
-// the returned release is closed: a deterministic way to pin the
-// pool's worker while further traffic queues up behind it. waitGated
-// confirms the gate holds the worker (it is live and will stay live).
+// gate submits a big-lane factorization (128x128, over smallJobFlops)
+// whose first task blocks until the returned release is closed: a
+// deterministic way to pin the pool's worker while further traffic
+// queues up behind it. waitGated confirms the gate holds the worker (it
+// is live and will stay live).
 func gate(t *testing.T, e *Engine) (*Job, func()) {
 	t.Helper()
 	release := make(chan struct{})
 	var once sync.Once
-	j, err := e.SubmitFactor(randMatrix(t, 96, 3), core.Options{
-		Class: core.ClassLarge,
+	j, err := e.SubmitFactor(randMatrix(t, 128, 3), core.Options{
 		Noise: func(int) time.Duration { once.Do(func() { <-release }); return 0 },
 	})
 	if err != nil {
@@ -49,9 +49,9 @@ func waitGated(t *testing.T, e *Engine) {
 	}
 }
 
-// TestEngineAutoClassification checks the flop cost model's routing: a
-// 64x64 LU (~1.7e5 flops) classifies small, a 256x256 (~1.1e7) large,
-// and explicit Class requests override the model.
+// TestEngineAutoClassification checks the flop cost model's routing on
+// both sides of smallJobFlops: 64x64 (~1.7e5 flops) and 96x96 (~5.9e5)
+// LUs classify small, 128x128 (~1.4e6) and 256x256 (~1.1e7) large.
 func TestEngineAutoClassification(t *testing.T) {
 	e, err := New(Options{Workers: 2})
 	if err != nil {
@@ -61,16 +61,15 @@ func TestEngineAutoClassification(t *testing.T) {
 
 	cases := []struct {
 		n    int
-		opt  core.Options
-		want core.JobClass
+		want Class
 	}{
-		{64, core.Options{}, core.ClassSmall},
-		{256, core.Options{}, core.ClassLarge},
-		{64, core.Options{Class: core.ClassLarge}, core.ClassLarge},
-		{256, core.Options{Class: core.ClassSmall}, core.ClassSmall},
+		{64, ClassSmall},
+		{96, ClassSmall},
+		{128, ClassLarge},
+		{256, ClassLarge},
 	}
 	for _, c := range cases {
-		j, err := e.SubmitFactor(randMatrix(t, c.n, 1), c.opt)
+		j, err := e.SubmitFactor(randMatrix(t, c.n, 1), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +77,7 @@ func TestEngineAutoClassification(t *testing.T) {
 			t.Fatalf("n=%d: %v", c.n, err)
 		}
 		if j.Class() != c.want {
-			t.Errorf("n=%d Class=%v: resolved %v, want %v", c.n, c.opt.Class, j.Class(), c.want)
+			t.Errorf("n=%d: class %v, want %v", c.n, j.Class(), c.want)
 		}
 	}
 	s := e.Stats()
@@ -122,7 +121,7 @@ func TestEngineSmallBurstRunsSolo(t *testing.T) {
 		if err := j.Wait(); err != nil {
 			t.Fatalf("member %d: %v", i, err)
 		}
-		if j.Class() != core.ClassSmall || j.Granted() != 1 {
+		if j.Class() != ClassSmall || j.Granted() != 1 {
 			t.Errorf("member %d: class %v granted %d, want small on one worker", i, j.Class(), j.Granted())
 		}
 		want, err := core.Factor(mats[i], core.Options{Workers: 1})
@@ -186,7 +185,7 @@ func TestEngineExpressMixedKinds(t *testing.T) {
 		if err := j.Wait(); err != nil {
 			t.Fatalf("solve %d: %v", i, err)
 		}
-		if j.Class() != core.ClassSmall || j.Granted() != 1 {
+		if j.Class() != ClassSmall || j.Granted() != 1 {
 			t.Errorf("solve %d: class %v granted %d, want small on one worker", i, j.Class(), j.Granted())
 		}
 		want, err := fac.SolveMany(rhs[i], core.Options{Workers: 1})

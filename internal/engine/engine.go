@@ -110,8 +110,8 @@ type Engine struct {
 	mu   sync.Mutex
 	work *sync.Cond // workers wait here for assignments
 	capa *sync.Cond // submitters wait here for admission capacity
-	// lanes are served in order: lanes[0] is the express lane (small
-	// jobs), lanes[1] the big lane.
+	// lanes are served in order and indexed by Class: lanes[ClassSmall]
+	// is the express lane, lanes[ClassLarge] the big lane.
 	lanes [2]lane
 	run   []*Job // started, executor live
 	// inflight = queued + started-but-unfinished jobs; bounded by
@@ -145,14 +145,6 @@ func New(opt Options) (*Engine, error) {
 		go e.worker()
 	}
 	return e, nil
-}
-
-// laneOf is the lane of j's resolved class.
-func (e *Engine) laneOf(j *Job) *lane {
-	if j.class == core.ClassSmall {
-		return &e.lanes[0]
-	}
-	return &e.lanes[1]
 }
 
 // Close rejects queued jobs, waits for running jobs and the workers to
@@ -321,9 +313,9 @@ func SolveWork(f Solvable, b *mat.Dense) Work {
 type Job struct {
 	work   Work
 	reqOpt core.Options
+	class  Class
 
 	// Admission state; all guarded by Engine.mu unless noted.
-	class core.JobClass // resolved class (never ClassAuto)
 	state jobState
 	// stopCancel releases the submission context's cancellation hook.
 	stopCancel func() bool
@@ -356,7 +348,7 @@ func (j *Job) req(pool int) int {
 	if j.reqOpt.Workers > 0 {
 		return j.reqOpt.Workers
 	}
-	if j.work.wide && j.class != core.ClassSmall {
+	if j.work.wide && j.class != ClassSmall {
 		return pool
 	}
 	return 1
@@ -396,9 +388,9 @@ func (j *Job) SolutionMatrix() *mat.Dense {
 // is bit-identical to a one-shot core.Factor at Workers=Granted.
 func (j *Job) Granted() int { return j.granted }
 
-// Class is the job's resolved admission class (never ClassAuto); valid
-// once the submission has returned.
-func (j *Job) Class() core.JobClass { return j.class }
+// Class is the job's admission class; valid once the submission has
+// returned.
+func (j *Job) Class() Class { return j.class }
 
 // QueueWait is the time the job spent admitted but not started; Span
 // is its start-to-completion service time.
@@ -442,7 +434,7 @@ func (e *Engine) admit(ctx context.Context, w Work, opt core.Options, wait bool)
 	if w.err != nil {
 		return nil, w.err
 	}
-	j := &Job{work: w, reqOpt: opt, done: make(chan struct{})}
+	j := &Job{work: w, reqOpt: opt, class: classOf(w.flops), done: make(chan struct{})}
 	if wait && ctx.Done() != nil {
 		// Wake the capacity wait when the submitter gives up; Broadcast
 		// because several submissions may share one context.
@@ -476,9 +468,8 @@ func (e *Engine) admit(ctx context.Context, w Work, opt core.Options, wait bool)
 		e.capa.Wait()
 	}
 	j.queued = time.Now()
-	j.class = classify(j)
 	e.inflight++
-	e.laneOf(j).push(j)
+	e.lanes[j.class].push(j)
 	if ctx.Done() != nil {
 		// Registered under e.mu so a firing cancellation always observes
 		// the queued state (cancelQueued re-checks it under the lock).
@@ -510,7 +501,7 @@ func (e *Engine) cancelQueued(ctx context.Context, j *Job) {
 		return
 	}
 	j.state = jsDone
-	q := e.laneOf(j)
+	q := &e.lanes[j.class]
 	q.depth--
 	q.failed++
 	e.inflight--
@@ -695,7 +686,7 @@ func (e *Engine) completeJob(j *Job, running bool) {
 			}
 		}
 	}
-	if q := e.laneOf(j); j.err != nil {
+	if q := &e.lanes[j.class]; j.err != nil {
 		q.failed++
 	} else {
 		q.done++

@@ -229,15 +229,6 @@ func (s *Store) Get(id string) (Kept, bool) {
 	return e.k, true
 }
 
-// Remove drops the entry under id, reporting whether it existed.
-func (s *Store) Remove(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[id]
-	s.removeLocked(id)
-	return ok
-}
-
 // IDs returns the resident ids in sorted order — the export listing a
 // drain or rebalance enumerates. TTL-expired entries are reaped first.
 func (s *Store) IDs() []string {

@@ -92,12 +92,6 @@ func TestStorePutAsImportsAndOverwrites(t *testing.T) {
 	if len(ids) != 1 || ids[0] != "f-remote-1" {
 		t.Fatalf("IDs %v", ids)
 	}
-	if !s.Remove("f-remote-1") || s.Remove("f-remote-1") {
-		t.Fatal("Remove semantics broken")
-	}
-	if st := s.Stats(); st.Count != 0 || st.Bytes != 0 {
-		t.Fatalf("after remove: %+v", st)
-	}
 }
 
 func TestStoreGeneratedIDsAndListing(t *testing.T) {

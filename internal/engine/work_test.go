@@ -63,17 +63,19 @@ type workKind struct {
 // workOpt is the submission options of the workKinds jobs.
 var workOpt = core.Options{Block: 16, Scheduler: core.ScheduleHybrid, DynamicRatio: 0.25}
 
-// workKinds is one job of each kind on a 64x64 problem; every one is
-// small-class under the flop cost model.
-func workKinds(t *testing.T) []workKind {
+// workKinds is one job of each kind on an n x n problem, the solve
+// with nrhs right-hand sides. At n = 64, nrhs = 3 every one is
+// small-class under the flop cost model; at n = 160, nrhs = 24 every
+// one is large-class.
+func workKinds(t *testing.T, n, nrhs int) []workKind {
 	t.Helper()
-	a := randMatrix(t, 64, 21)
-	spd := core.RandomSPD(64, 21)
+	a := randMatrix(t, n, 21)
+	spd := core.RandomSPD(n, 21)
 	lu, err := core.Factor(a, core.Options{Block: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := mat.Random(64, 3, rand.New(rand.NewSource(22)))
+	b := mat.Random(n, nrhs, rand.New(rand.NewSource(22)))
 	return []workKind{
 		{"lu", func() Work { return FactorWork(a) },
 			func(o core.Options) (any, int, error) { return runOnce(core.PrepareFactor(a, o)) }},
@@ -98,9 +100,7 @@ func expressBehindGate(t *testing.T, kinds []workKind) (*Engine, []*Job) {
 	waitGated(t, e)
 	jobs := make([]*Job, len(kinds))
 	for i, k := range kinds {
-		req := workOpt
-		req.Class = core.ClassSmall
-		if jobs[i], err = e.Submit(bg, k.work(), req); err != nil {
+		if jobs[i], err = e.Submit(bg, k.work(), workOpt); err != nil {
 			t.Fatalf("%s: %v", k.name, err)
 		}
 	}
@@ -129,16 +129,18 @@ func reference(t *testing.T, k workKind, j *Job) (any, int) {
 }
 
 // TestWorkKindsOnBothLanes drives every Work constructor through the
-// engine twice — on the big lane with a two-worker share, and queued
-// on the express lane behind a gated job — and requires Job.Result to
-// carry the kind's type and the bits of the same
+// engine twice — large inputs on the big lane with a two-worker share,
+// and small ones queued on the express lane behind a gated job — and
+// requires Job.Result to carry the kind's type and the bits of the same
 // core.Prepare*(...).Run() at Workers = Granted.
 func TestWorkKindsOnBothLanes(t *testing.T) {
-	kinds := workKinds(t)
-	check := func(t *testing.T, j *Job, k workKind) {
+	check := func(t *testing.T, j *Job, k workKind, class Class) {
 		t.Helper()
 		if err := j.Wait(); err != nil {
 			t.Fatalf("%s: %v", k.name, err)
+		}
+		if j.Class() != class {
+			t.Errorf("%s: class %v, want %v", k.name, j.Class(), class)
 		}
 		want, _ := reference(t, k, j)
 		sameResult(t, k.name, j.Result(), want)
@@ -150,22 +152,22 @@ func TestWorkKindsOnBothLanes(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		for _, k := range kinds {
+		for _, k := range workKinds(t, 160, 24) {
 			req := workOpt
 			req.Workers = 2
-			req.Class = core.ClassLarge
 			j, err := e.Submit(bg, k.work(), req)
 			if err != nil {
 				t.Fatalf("%s: %v", k.name, err)
 			}
-			check(t, j, k)
+			check(t, j, k, ClassLarge)
 		}
 	})
 
 	t.Run("express", func(t *testing.T) {
+		kinds := workKinds(t, 64, 3)
 		e, jobs := expressBehindGate(t, kinds)
 		for i, k := range kinds {
-			check(t, jobs[i], k)
+			check(t, jobs[i], k, ClassSmall)
 		}
 		if s := e.Stats(); s.FusedJobs != 0 {
 			t.Errorf("FusedJobs %d, want 0", s.FusedJobs)
@@ -177,7 +179,7 @@ func TestWorkKindsOnBothLanes(t *testing.T) {
 // own run's makespan and scheduler counters, like a large job's — one
 // dequeue or help per task of its graph.
 func TestEngineSmallJobsReportRuntime(t *testing.T) {
-	kinds := workKinds(t)
+	kinds := workKinds(t, 64, 3)
 	_, jobs := expressBehindGate(t, kinds)
 	for i, k := range kinds {
 		_, tasks := reference(t, k, jobs[i])

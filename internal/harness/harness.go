@@ -19,7 +19,9 @@ import (
 )
 
 // Options sizes the in-process cluster. Zero values pick CI-safe
-// defaults (small pools, manual probing).
+// defaults (small pools, manual probing). Every shard keeps up to 32
+// factorizations, and the router evicts a shard after two consecutive
+// failures.
 type Options struct {
 	// Shards is the initial shard count (default 3).
 	Shards int
@@ -28,11 +30,6 @@ type Options struct {
 	// Workers is each shard engine's pool size (default 1 — safe on a
 	// single-CPU CI runner).
 	Workers int
-	// Keep bounds each shard's resident factorizations (default 32).
-	Keep int
-	// FailAfter is the router's eviction threshold (default 2 — two
-	// ProbeNow calls retire a killed shard).
-	FailAfter int
 	// ProbeInterval enables background probing; 0 (default) leaves
 	// probing to explicit Router.ProbeNow calls, keeping tests
 	// deterministic.
@@ -72,7 +69,7 @@ func (c *Cluster) newShard() (*Shard, error) {
 	c.next++
 	name := fmt.Sprintf("s%d", c.next)
 	c.mu.Unlock()
-	srv := serve.New(eng, serve.Options{Keep: c.opt.Keep})
+	srv := serve.New(eng, serve.Options{Keep: 32})
 	sh := &Shard{Name: name, Server: srv, Engine: eng, HTTP: httptest.NewServer(srv.Handler())}
 	c.mu.Lock()
 	c.shards[name] = sh
@@ -91,12 +88,6 @@ func Start(opt Options) (*Cluster, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	if opt.Keep <= 0 {
-		opt.Keep = 32
-	}
-	if opt.FailAfter <= 0 {
-		opt.FailAfter = 2
-	}
 	c := &Cluster{opt: opt, shards: map[string]*Shard{}}
 	infos := make([]cluster.ShardInfo, 0, opt.Shards)
 	for i := 0; i < opt.Shards; i++ {
@@ -110,7 +101,7 @@ func Start(opt Options) (*Cluster, error) {
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
 		Shards:        infos,
 		Replicas:      opt.Replicas,
-		FailAfter:     opt.FailAfter,
+		FailAfter:     2, // two ProbeNow calls retire a killed shard
 		ProbeInterval: opt.ProbeInterval,
 	})
 	if err != nil {

@@ -56,9 +56,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind resolves a layout name as commands and HTTP requests spell
-// it: "cm", "bcl" (also the empty name), or "2l" / "2l-bl" / "twolevel",
-// in any case.
+// ParseKind resolves a layout name as command-line flags spell it:
+// "cm", "bcl" (also the empty name), or "2l" / "2l-bl" / "twolevel", in
+// any case.
 func ParseKind(name string) (Kind, error) {
 	switch strings.ToLower(name) {
 	case "cm":

@@ -32,7 +32,7 @@ func TestNewGrid(t *testing.T) {
 	}
 }
 
-// TestParseKind: every name a command or request may spell resolves to
+// TestParseKind: every name a command-line flag may spell resolves to
 // its layout, and each kind's own abbreviation parses back to it.
 func TestParseKind(t *testing.T) {
 	for name, want := range map[string]Kind{

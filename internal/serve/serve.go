@@ -27,12 +27,12 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -114,6 +114,44 @@ func (s *Server) Store() *engine.Store { return s.store }
 // Draining reports whether the shard has been told to drain.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
+// jobRequest is what a factor and a solve request share: the job's
+// worker share, block size and deadline. The schedule is not a request
+// field; the four fields that used to choose it are caught only so that
+// a request naming one is refused (options).
+type jobRequest struct {
+	Block   int `json:"block"`
+	Workers int `json:"workers"`
+	// DeadlineMs bounds the request's context, counted from when the
+	// shard has read the request: a job still queued when it passes is
+	// withdrawn and the reply is 503. A job that has started runs to
+	// completion. 0 means no deadline.
+	DeadlineMs float64 `json:"deadlineMs"`
+
+	Scheduler    json.RawMessage `json:"scheduler"`
+	Layout       json.RawMessage `json:"layout"`
+	DynamicRatio json.RawMessage `json:"dynamicRatio"`
+	Class        json.RawMessage `json:"class"`
+}
+
+// options checks the request's job fields and returns the core.Options
+// every job runs: the paper's recommended configuration — BCL, the
+// hybrid scheduler with 10% of the block columns dynamic — at the
+// request's block size and worker share. The engine classifies the job
+// by its flop count.
+func (r *jobRequest) options() (core.Options, error) {
+	names := []string{"scheduler", "layout", "dynamicRatio", "class"}
+	for i, set := range []json.RawMessage{r.Scheduler, r.Layout, r.DynamicRatio, r.Class} {
+		if set != nil {
+			return core.Options{}, fmt.Errorf("request field %s is retired: every job runs the BCL layout under the hybrid scheduler with 10%% dynamic, classed by its flop count", names[i])
+		}
+	}
+	if r.DeadlineMs < 0 {
+		return core.Options{}, fmt.Errorf("deadlineMs must be >= 0, got %g", r.DeadlineMs)
+	}
+	return core.Options{Layout: layout.BCL, Block: r.Block, Workers: r.Workers,
+		Scheduler: core.ScheduleHybrid, DynamicRatio: 0.1}, nil
+}
+
 type factorRequest struct {
 	// ID, when set, stores the factorization under an explicit id —
 	// the cluster router assigns cluster-wide keys this way. Empty
@@ -128,19 +166,7 @@ type factorRequest struct {
 	Cols int       `json:"cols"`
 	Data []float64 `json:"data"`
 
-	Block        int     `json:"block"`
-	Workers      int     `json:"workers"`
-	Scheduler    string  `json:"scheduler"`
-	Layout       string  `json:"layout"`
-	DynamicRatio float64 `json:"dynamicRatio"`
-	// Class routes the job in the engine's two-lane admission: "auto"
-	// (default), "small" or "large".
-	Class string `json:"class"`
-	// DeadlineMs bounds the request's context, counted from when the
-	// shard has read the request: a job still queued when it passes is
-	// withdrawn and the reply is 503. A job that has started runs to
-	// completion. 0 means no deadline.
-	DeadlineMs float64 `json:"deadlineMs"`
+	jobRequest
 	// Residual requests the O(n^3) backward-error check in the reply.
 	Residual bool `json:"residual"`
 }
@@ -164,12 +190,7 @@ type solveRequest struct {
 	B    []float64 `json:"b"`
 	NRHS int       `json:"nrhs"`
 
-	Block        int     `json:"block"`
-	Workers      int     `json:"workers"`
-	Scheduler    string  `json:"scheduler"`
-	DynamicRatio float64 `json:"dynamicRatio"`
-	Class        string  `json:"class"`
-	DeadlineMs   float64 `json:"deadlineMs"` // as factorRequest.DeadlineMs
+	jobRequest
 }
 
 // BulkMember names b as the request's bulk (cluster.Bulk).
@@ -186,37 +207,6 @@ type solveReply struct {
 	SpanMs      float64   `json:"spanMs"`
 }
 
-// schedulerOptions resolves the request's scheduler name; a hybrid job
-// that names no ratio gets the paper's usual 10% dynamic.
-func schedulerOptions(name string, opt *core.Options) (err error) {
-	if opt.Scheduler, err = core.ParseScheduler(name); err != nil {
-		return err
-	}
-	if opt.Scheduler == core.ScheduleHybrid && opt.DynamicRatio == 0 {
-		opt.DynamicRatio = 0.1
-	}
-	return nil
-}
-
-// classOptions maps the request's class onto Options and checks its
-// deadline.
-func classOptions(class string, deadlineMs float64, opt *core.Options) error {
-	switch strings.ToLower(class) {
-	case "", "auto":
-		opt.Class = core.ClassAuto
-	case "small":
-		opt.Class = core.ClassSmall
-	case "large", "big":
-		opt.Class = core.ClassLarge
-	default:
-		return fmt.Errorf("unknown class %q (use auto, small or large)", class)
-	}
-	if deadlineMs < 0 {
-		return fmt.Errorf("deadlineMs must be >= 0, got %g", deadlineMs)
-	}
-	return nil
-}
-
 // deadline is the request's context, bounded by its deadlineMs when
 // that is set; the engine withdraws a job still queued when it ends.
 func deadline(r *http.Request, ms float64) (context.Context, context.CancelFunc) {
@@ -224,25 +214,6 @@ func deadline(r *http.Request, ms float64) (context.Context, context.CancelFunc)
 		return r.Context(), func() {}
 	}
 	return context.WithTimeout(r.Context(), time.Duration(ms*float64(time.Millisecond)))
-}
-
-func (s *Server) options(req *factorRequest) (core.Options, error) {
-	opt := core.Options{
-		Block:        req.Block,
-		Workers:      req.Workers,
-		DynamicRatio: req.DynamicRatio,
-	}
-	var err error
-	if opt.Layout, err = layout.ParseKind(req.Layout); err != nil {
-		return opt, err
-	}
-	if err := schedulerOptions(req.Scheduler, &opt); err != nil {
-		return opt, err
-	}
-	if err := classOptions(req.Class, req.DeadlineMs, &opt); err != nil {
-		return opt, err
-	}
-	return opt, nil
 }
 
 // factorKind is everything that distinguishes one factorization
@@ -363,7 +334,7 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, req *facto
 		}
 		req.ID = id
 	}
-	opt, err := s.options(req)
+	opt, err := req.options()
 	if err != nil {
 		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -414,6 +385,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveR
 		drainError(w)
 		return
 	}
+	opt, err := req.options()
+	if err != nil {
+		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	k, ok := s.store.Get(req.ID)
 	if !ok {
 		cluster.HTTPError(w, http.StatusNotFound, "no factorization %q (evicted or never existed)", req.ID)
@@ -437,15 +413,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveR
 	// fits the request size cap.
 	if nrhs > len(req.B) || len(req.B) != n*nrhs {
 		cluster.HTTPError(w, http.StatusBadRequest, "rhs needs n*nrhs = %d*%d entries, got %d", n, nrhs, len(req.B))
-		return
-	}
-	opt := core.Options{Block: req.Block, Workers: req.Workers, DynamicRatio: req.DynamicRatio}
-	if err := schedulerOptions(req.Scheduler, &opt); err != nil {
-		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := classOptions(req.Class, req.DeadlineMs, &opt); err != nil {
-		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ctx, cancel := deadline(r, req.DeadlineMs)

@@ -300,32 +300,36 @@ func TestServeSolveBadShapes(t *testing.T) {
 	}
 }
 
-// TestServeRemovedSchedulerRejected: "worksteal" and "ws" name no
-// scheduler, so both job routes answer them 400 naming the valid ones,
-// before any job is submitted or stored.
-func TestServeRemovedSchedulerRejected(t *testing.T) {
+// TestServeRetiredFieldsRejected: scheduler, layout, dynamicRatio and
+// class are not request fields. Naming one on any job route, even with
+// the value every job runs, is a 400 that names it, before a job runs
+// or the store changes. TestClusterBlockGridBounded sends one through
+// the router.
+func TestServeRetiredFieldsRejected(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":8,"seed":2,"workers":1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("factor: %d %v", resp.StatusCode, out)
+	ids := map[string]string{}
+	for _, path := range []string{"/v1/factor", "/v1/cholesky"} {
+		resp, out := postJSON(t, ts.URL+path, `{"n":8,"seed":2,"workers":1}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %v", path, resp.StatusCode, out)
+		}
+		ids[path] = out["id"].(string)
 	}
-	id := out["id"].(string)
 	jobs := func() int64 { st := s.eng.Stats(); return st.JobsDone + st.JobsFailed }
 	jobsBefore, storeBefore, idsBefore := jobs(), s.Store().Stats(), s.Store().IDs()
-	for _, name := range []string{"worksteal", "ws"} {
-		for route, body := range map[string]string{
-			"/v1/factor": fmt.Sprintf(`{"n":8,"seed":2,"workers":1,"scheduler":%q}`, name),
-			"/v1/solve":  fmt.Sprintf(`{"id":%q,"b":[1,2,3,4,5,6,7,8],"scheduler":%q}`, id, name),
+	const b = `"b":[1,2,3,4,5,6,7,8]`
+	for path, body := range map[string]string{
+		"/v1/factor":         `{"n":8,"seed":2,%s}`,
+		"/v1/cholesky":       `{"n":8,"seed":2,%s}`,
+		"/v1/solve":          `{"id":"` + ids["/v1/factor"] + `",` + b + `,%s}`,
+		"/v1/cholesky/solve": `{"id":"` + ids["/v1/cholesky"] + `",` + b + `,%s}`,
+	} {
+		for field, value := range map[string]string{
+			"scheduler": `"hybrid"`, "layout": `"bcl"`, "dynamicRatio": `0.1`, "class": `"auto"`,
 		} {
-			resp, out := postJSON(t, ts.URL+route, body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("%s scheduler %q: %d %v, want 400", route, name, resp.StatusCode, out)
-			}
-			msg, _ := out["error"].(string)
-			for _, want := range []string{name, "static", "dynamic", "hybrid"} {
-				if !strings.Contains(msg, want) {
-					t.Errorf("%s scheduler %q: error %q does not name %q", route, name, msg, want)
-				}
+			resp, out := postJSON(t, ts.URL+path, fmt.Sprintf(body, fmt.Sprintf("%q:%s", field, value)))
+			if msg, _ := out["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, field) {
+				t.Errorf("%s naming %s: %d %v, want 400 naming it", path, field, resp.StatusCode, out)
 			}
 		}
 	}
@@ -804,8 +808,9 @@ func TestServeBlockGridBounded(t *testing.T) {
 	}
 }
 
-// TestServeClassAndStats: replies echo the resolved job class and
-// /v1/stats exposes per-class digests plus the store snapshot.
+// TestServeClassAndStats: replies echo the job class the engine's size
+// rule gives — a 16x16 LU small, a 128x128 large — and /v1/stats
+// exposes per-class digests plus the store snapshot.
 func TestServeClassAndStats(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":16,"seed":1,"workers":1}`)
@@ -815,16 +820,12 @@ func TestServeClassAndStats(t *testing.T) {
 	if out["class"] != "small" { // 16^3 flops is far under any threshold
 		t.Fatalf("tiny factor classified %v, want small", out["class"])
 	}
-	resp, out = postJSON(t, ts.URL+"/v1/factor", `{"n":16,"seed":1,"workers":1,"class":"large"}`)
+	resp, out = postJSON(t, ts.URL+"/v1/factor", `{"n":128,"seed":1,"workers":1}`)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("forced-large factor: %d %v", resp.StatusCode, out)
+		t.Fatalf("factor: %d %v", resp.StatusCode, out)
 	}
-	if out["class"] != "large" {
-		t.Fatalf("forced class echoed %v, want large", out["class"])
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/factor", `{"n":16,"class":"premium"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown class: %d, want 400", resp.StatusCode)
+	if out["class"] != "large" { // 2/3 128^3 flops is over the threshold
+		t.Fatalf("128x128 factor classified %v, want large", out["class"])
 	}
 
 	statsResp, err := http.Get(ts.URL + "/v1/stats")
