@@ -186,10 +186,6 @@ func BenchmarkExascaleProjection(b *testing.B) {
 	})
 }
 
-func BenchmarkAblation(b *testing.B) {
-	runExperimentBench(b, "ablation", nil)
-}
-
 // ---------------------------------------------------------------------
 // Real-arithmetic end-to-end benchmarks on this machine.
 

@@ -6,22 +6,24 @@
 //	hsdbench -exp fig7
 //	hsdbench -exp all -scale 0.5 -seed 7
 //
-// Every experiment id maps to one table or figure of the paper (see
-// DESIGN.md's experiment index). Scale 1.0 runs paper-sized matrices on
-// the simulated machines; smaller scales run proportionally smaller
-// problems for quick iteration.
+// Every experiment id but help maps to one table or figure of the paper;
+// help is the simulated ablation of the runtime's help tier. -list prints
+// the ids in paper order with their titles. Scale 1.0 runs paper-sized
+// matrices on the simulated machines; smaller scales run proportionally
+// smaller problems for quick iteration.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (fig1..fig17, table1, thm1, exascale, ablation, help) or 'all'")
+	exp := flag.String("exp", "", "experiment id ("+strings.Join(experiments.IDs(), ", ")+") or 'all'")
 	scale := flag.Float64("scale", 1.0, "matrix size multiplier relative to the paper")
 	seed := flag.Int64("seed", 42, "noise seed")
 	list := flag.Bool("list", false, "list experiment ids and exit")

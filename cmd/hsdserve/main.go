@@ -58,7 +58,6 @@ func main() {
 	keep := flag.Int("keep", 64, "factorizations kept resident for /v1/solve (>= 1)")
 	maxBody := flag.Int64("maxbody", serve.DefaultMaxBody, "request body cap in bytes")
 	memBudget := flag.Int64("membudget", 0, "resident factorization memory budget in bytes (0 = unbounded)")
-	ttl := flag.Duration("ttl", 0, "idle expiry of resident factorizations (0 = never)")
 	shutdown := flag.Duration("shutdown", 30*time.Second, "graceful-shutdown deadline for inflight requests")
 	flag.Parse()
 	if *keep < 1 {
@@ -77,7 +76,7 @@ func main() {
 	}
 
 	s := serve.New(eng, serve.Options{
-		Keep: *keep, MaxBody: *maxBody, MemBudget: *memBudget, TTL: *ttl,
+		Keep: *keep, MaxBody: *maxBody, MemBudget: *memBudget,
 	})
 	log.Printf("hsdserve: engine up (%+v), listening on %s", eng.Stats(), *addr)
 	serve.ListenAndServe(context.Background(), "hsdserve", *addr, s.Handler(), *shutdown, eng.Close)

@@ -24,6 +24,9 @@ var (
 	// exampleName matches an Example function name.
 	exampleName = regexp.MustCompile(`\bExample(?:_[a-z]\w*|[A-Z]\w*)?\b`)
 	exampleFunc = regexp.MustCompile(`(?m)^func (Example\w*)\(\)`)
+	// docExp matches an hsdbench experiment id, as in -exp fig7, also
+	// with the id on the next line.
+	docExp = regexp.MustCompile(`-exp\s+(\w+)`)
 	// docCurl matches a curl that posts a JSON body to a job route,
 	// with the -d on the same line or the next: the route's path and
 	// the body.
@@ -32,7 +35,9 @@ var (
 
 // TestDocsReferencesExist checks that every cmd/, examples/ and
 // internal/ path and every Example name README.md and DESIGN.md mention
-// exists, so a deleted tool or example cannot stay in the docs.
+// exists, and that every -exp id they and cmd/hsdbench's doc comment
+// give is all or a registered experiment, so a deleted tool, example or
+// experiment cannot stay in the docs.
 func TestDocsReferencesExist(t *testing.T) {
 	examples := map[string]bool{}
 	tests, err := filepath.Glob("*_test.go")
@@ -63,6 +68,26 @@ func TestDocsReferencesExist(t *testing.T) {
 			if !examples[name] {
 				t.Errorf("%s mentions %s, which is not an Example in this package", doc, name)
 			}
+		}
+	}
+	ids := map[string]bool{"all": true}
+	for _, id := range ExperimentIDs() {
+		ids[id] = true
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "cmd/hsdbench/main.go"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, m := range docExp.FindAllStringSubmatch(string(text), -1) {
+			found = true
+			if !ids[m[1]] {
+				t.Errorf("%s runs -exp %s, which is not an experiment id", doc, m[1])
+			}
+		}
+		if !found {
+			t.Errorf("%s: no -exp id found", doc)
 		}
 	}
 }

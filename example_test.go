@@ -281,7 +281,7 @@ func ExampleNewEngine() {
 func ExampleExperimentIDs() {
 	fmt.Println(strings.Join(repro.ExperimentIDs(), " "))
 	// Output:
-	// fig1 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 table1 thm1 exascale ablation help
+	// fig1 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 table1 thm1 exascale help
 }
 
 // Section 7's projection: from the measured 48-core run, the smallest

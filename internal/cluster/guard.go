@@ -128,9 +128,29 @@ func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// WriteJSON writes v as the JSON reply under the given status.
+// WriteJSON writes v as the JSON reply under the given status. A v that
+// does not encode (a NaN, say) is a 500 instead: the encoder marshals
+// all of v before its one Write, and the status goes out with that
+// Write, so no byte of the reply has been sent when encoding fails.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", mediaJSON)
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	sw := &statusWriter{w: w, status: status}
+	if err := json.NewEncoder(sw).Encode(v); err != nil && !sw.sent {
+		HTTPError(w, http.StatusInternalServerError, "encode reply: %v", err)
+	}
+}
+
+// statusWriter writes a reply body to w, sending status first.
+type statusWriter struct {
+	w      http.ResponseWriter
+	status int
+	sent   bool
+}
+
+func (sw *statusWriter) Write(p []byte) (int, error) {
+	if !sw.sent {
+		sw.sent = true
+		sw.w.WriteHeader(sw.status)
+	}
+	return sw.w.Write(p)
 }

@@ -25,7 +25,7 @@ import (
 func FactorGEPP(a *mat.Dense, opt Options) (*Factorization, error) {
 	opt.fill()
 	l := layout.New(layout.CM, a, opt.Block, layout.NewGrid(opt.Workers))
-	gg := dag.BuildGEPP(l, dag.GEPPOptions{})
+	gg := dag.BuildGEPP(l)
 	if err := gg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid GEPP graph: %w", err)
 	}

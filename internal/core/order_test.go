@@ -119,7 +119,7 @@ func TestRandomReadyOrdersMatchParallelRun(t *testing.T) {
 		}},
 		{"GEPP", func() (*dag.Graph, func(rt.Result) []float64) {
 			l := layout.New(layout.CM, a, opt.Block, layout.NewGrid(opt.Workers))
-			gg := dag.BuildGEPP(l, dag.GEPPOptions{})
+			gg := dag.BuildGEPP(l)
 			job := luJob(opt, gg.Graph, l, gg.StepSwaps)
 			return job.Graph(), func(res rt.Result) []float64 { return luValues(job.Finish(res)) }
 		}},

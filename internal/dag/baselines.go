@@ -7,21 +7,13 @@ import (
 	"repro/internal/layout"
 )
 
-// GEPPOptions configures the MKL-style baseline builder.
-type GEPPOptions struct {
-	// Lookahead permits panel K+1 to start as soon as its own column is
-	// updated. MKL 10.3-era dgetrf behaves like a fork-join code, so the
-	// paper's comparison point is Lookahead=false: panel K+1 waits for
-	// the whole step-K update (the structural bottleneck the paper
-	// beats). Lookahead=true serves the simulated ablation only.
-	Lookahead bool
-}
-
 // GEPPGraph is the task graph of the classic blocked LU with partial
 // pivoting ("MKL dgetrf" stand-in): a *sequential* panel factorization
 // per step — the panel is on the critical path and is not parallelized,
 // which is exactly why multithreaded LAPACK/MKL underperforms on many
-// cores (section 2) — followed by a parallel trailing update.
+// cores (section 2) — followed by a parallel trailing update. MKL
+// 10.3-era dgetrf behaves like a fork-join code, so panel K+1 waits for
+// the whole step-K update: the structural bottleneck the paper beats.
 type GEPPGraph struct {
 	*Graph
 	// Layout is the column-major storage being factored, read by the
@@ -34,11 +26,11 @@ type GEPPGraph struct {
 // BuildGEPP constructs the baseline graph of l's shape (NewGEPP) and
 // binds it to l, which must be column major: the tasks run on views of
 // the whole matrix, as MKL does.
-func BuildGEPP(l layout.Layout, opt GEPPOptions) *GEPPGraph {
+func BuildGEPP(l layout.Layout) *GEPPGraph {
 	if l.Kind() != layout.CM {
 		panic(fmt.Sprintf("dag: GEPP runs on column-major storage, not %s", l.Kind()))
 	}
-	gg := NewGEPP(layout.ShapeOf(l), opt)
+	gg := NewGEPP(layout.ShapeOf(l))
 	gg.Layout = l
 	return gg
 }
@@ -46,7 +38,7 @@ func BuildGEPP(l layout.Layout, opt GEPPOptions) *GEPPGraph {
 // NewGEPP constructs the baseline graph of a matrix of shape s. The
 // simulator runs it over any layout kind; the Run closures read
 // gg.Layout, which must then be column major.
-func NewGEPP(s layout.Shape, opt GEPPOptions) *GEPPGraph {
+func NewGEPP(s layout.Shape) *GEPPGraph {
 	m, _, bsz := s.Dims()
 	mb, nb := s.Blocks()
 	steps := min(mb, nb)
@@ -55,7 +47,6 @@ func NewGEPP(s layout.Shape, opt GEPPOptions) *GEPPGraph {
 		Graph:     b.g,
 		StepSwaps: make([][][2]int, steps),
 	}
-	var updPrev map[[2]int]*Task
 	var allPrev []*Task
 	for k := 0; k < steps; k++ {
 		_, bw := s.BlockDims(k, k)
@@ -85,19 +76,11 @@ func NewGEPP(s layout.Shape, opt GEPPOptions) *GEPPGraph {
 			}
 			gg.StepSwaps[k] = swaps
 		}
-		if updPrev != nil {
-			if opt.Lookahead {
-				for i := k; i < mb; i++ {
-					b.edge(updPrev[[2]int{i, k}], panel)
-				}
-			} else {
-				for _, t := range allPrev {
-					b.edge(t, panel)
-				}
-			}
+		for _, t := range allPrev {
+			b.edge(t, panel)
 		}
 
-		uTasks := make(map[int]*Task, nb-k-1)
+		uTasks := make([]*Task, nb)
 		for j := k + 1; j < nb; j++ {
 			_, cj := s.BlockDims(k, j)
 			t := b.add(&Task{
@@ -122,15 +105,9 @@ func NewGEPP(s layout.Shape, opt GEPPOptions) *GEPPGraph {
 				}
 			}
 			b.edge(panel, t)
-			if updPrev != nil && opt.Lookahead {
-				for i := k; i < mb; i++ {
-					b.edge(updPrev[[2]int{i, j}], t)
-				}
-			}
 			uTasks[j] = t
 		}
 
-		updCur := make(map[[2]int]*Task)
 		var all []*Task
 		for i := k + 1; i < mb; i++ {
 			for j := k + 1; j < nb; j++ {
@@ -150,18 +127,13 @@ func NewGEPP(s layout.Shape, opt GEPPOptions) *GEPPGraph {
 					bt := kernel.View{Rows: pivCount, Cols: ublk.Cols, Stride: ublk.Stride, Data: ublk.Data}
 					kernel.Gemm(l.Block(i, j), a, bt)
 				}
-				b.edge(uTasks[j], t)
 				// The panel computed L in place, so S depends on the panel
-				// transitively through U; the direct edge below keeps the
-				// write to block (i,j) ordered after step k-1's write.
-				if updPrev != nil && opt.Lookahead {
-					b.edge(updPrev[[2]int{i, j}], t)
-				}
-				updCur[[2]int{i, j}] = t
+				// transitively through U, and on step k-1's writes through
+				// the panel.
+				b.edge(uTasks[j], t)
 				all = append(all, t)
 			}
 		}
-		updPrev = updCur
 		allPrev = all
 	}
 	return gg

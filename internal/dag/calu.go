@@ -23,19 +23,13 @@ type CALUOptions struct {
 	// applied where the shape reports the rows contiguous in storage
 	// (layout.Shape.RowGroupWidth), so it is inert for 2l-BL.
 	Group int
-	// Chunks caps the number of tournament-tree leaves per panel. The
-	// default (0) gives step k's panel max(grid rows, ceil(panel rows /
-	// leafRows)) leaves: the grid's row count, mirroring the static
-	// distribution where the owners of panel blocks run the P tasks,
-	// unless the panel is so tall that a leaf would exceed leafRows.
-	Chunks int
 }
 
-// leafRows is the panel height one default tournament leaf covers at
-// most: 4096 rows of a 64-wide panel are 2 MB of leaf staging. A taller
-// panel gets more leaves than grid rows, so a tall-skinny matrix on a
-// one-row grid no longer factors each whole panel as one serial GEPP
-// while the other workers idle.
+// leafRows is the panel height one tournament leaf covers at most: 4096
+// rows of a 64-wide panel are 2 MB of leaf staging. A taller panel gets
+// more leaves than grid rows, so a tall-skinny matrix on a one-row grid
+// does not factor each whole panel as one serial GEPP while the other
+// workers idle.
 const leafRows = 4096
 
 // CALUGraph couples the task graph with the pivoting state the tasks
@@ -72,10 +66,12 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 // dependency and static-ownership constraints. The simulator runs it as
 // built; the runtime needs Layout set to storage of shape s first.
 //
-// Each panel's tournament tree has opt.Chunks leaves over contiguous
-// runs of block rows, or by default one per grid row and at least one
-// per leafRows panel rows; a leaf belongs to the owner of its first
-// block, and the binary combine tree pairs leaves in order.
+// Step k's tournament tree has max(grid rows, ceil(panel rows /
+// leafRows)) leaves over contiguous runs of block rows: one per grid
+// row, mirroring the static distribution where the owners of panel
+// blocks run the P tasks, unless the panel is so tall that a leaf would
+// exceed leafRows. A leaf belongs to the owner of its first block, and
+// the binary combine tree pairs leaves in order.
 func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 	m, _, bsz := s.Dims()
 	mb, nb := s.Blocks()
@@ -102,10 +98,7 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 		pivCount := min(bw, m-base)
 
 		// ---- Tournament tree: leaves over contiguous runs of block rows.
-		chunks := opt.Chunks
-		if chunks <= 0 {
-			chunks = max(grid.PR, (m-base+leafRows-1)/leafRows)
-		}
+		chunks := max(grid.PR, (m-base+leafRows-1)/leafRows)
 		chunkBlocks := splitBlocks(k, mb, min(chunks, mb-k))
 		cg.cands[k] = make([]piv.Candidate, 0, 2*len(chunkBlocks))
 		newSlot := func() int {

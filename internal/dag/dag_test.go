@@ -110,11 +110,8 @@ func TestGEPPGraphValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	src := mat.Random(64, 64, rng)
 	l := layout.New(layout.CM, src, 8, layout.NewGrid(4))
-	for _, la := range []bool{false, true} {
-		gg := BuildGEPP(l, GEPPOptions{Lookahead: la})
-		if err := gg.Validate(); err != nil {
-			t.Fatalf("lookahead=%v: %v", la, err)
-		}
+	if err := BuildGEPP(l).Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -122,7 +119,7 @@ func TestGEPPNoLookaheadSerializesSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	src := mat.Random(32, 32, rng)
 	l := layout.New(layout.CM, src, 8, layout.NewGrid(2))
-	gg := BuildGEPP(l, GEPPOptions{Lookahead: false})
+	gg := BuildGEPP(l)
 	// The panel of step 1 must have in-degree = number of step-0 S tasks.
 	var panel1 *Task
 	for _, task := range gg.Tasks {
@@ -160,7 +157,7 @@ func TestIncPivShorterCriticalPathThanGEPP(t *testing.T) {
 	src := mat.Random(128, 128, rng)
 	cm := layout.New(layout.CM, src, 16, layout.NewGrid(4))
 	tl := layout.New(layout.TwoLevel, src, 16, layout.NewGrid(4))
-	gepp := BuildGEPP(cm, GEPPOptions{}).CriticalPathFlops()
+	gepp := BuildGEPP(cm).CriticalPathFlops()
 	incpiv := BuildIncPiv(tl).CriticalPathFlops()
 	if incpiv >= gepp {
 		t.Fatalf("incpiv critical path %g not shorter than GEPP %g", incpiv, gepp)
@@ -206,24 +203,21 @@ func TestSplitBlocks(t *testing.T) {
 	}
 }
 
-// TestCALULeavesByPanelHeight: by default a panel gets one tournament
-// leaf per grid row and at least one per leafRows panel rows, and a set
-// Chunks overrides both.
+// TestCALULeavesByPanelHeight: a panel gets one tournament leaf per grid
+// row and at least one per leafRows panel rows.
 func TestCALULeavesByPanelHeight(t *testing.T) {
 	cases := []struct {
-		m, workers, chunks int
-		want               []int // leaves per step
+		m, workers int
+		want       []int // leaves per step
 	}{
-		{leafRows + 8, 1, 0, []int{2, 1}},   // step 1's panel is exactly leafRows tall
-		{2*leafRows + 8, 2, 0, []int{3, 2}}, // a one-row grid: the height decides
-		{2*leafRows + 8, 4, 0, []int{3, 2}}, // 2 grid rows
-		{leafRows, 9, 0, []int{3, 3}},       // 3 grid rows outnumber the height's 1
-		{2*leafRows + 8, 1, 1, []int{1, 1}}, // Chunks overrides the height
-		{2*leafRows + 8, 4, 5, []int{5, 5}}, // and the grid
+		{leafRows + 8, 1, []int{2, 1}},   // step 1's panel is exactly leafRows tall
+		{2*leafRows + 8, 2, []int{3, 2}}, // a one-row grid: the height decides
+		{2*leafRows + 8, 4, []int{3, 2}}, // 2 grid rows
+		{leafRows, 9, []int{3, 3}},       // 3 grid rows outnumber the height's 1
 	}
 	for _, c := range cases {
 		s := layout.NewShape(layout.BCL, c.m, 16, 8, layout.NewGrid(c.workers))
-		g := NewCALU(s, CALUOptions{Chunks: c.chunks})
+		g := NewCALU(s, CALUOptions{})
 		got := make([]int, 2)
 		for _, task := range g.Tasks {
 			if task.Kind == PLeaf {
@@ -231,7 +225,7 @@ func TestCALULeavesByPanelHeight(t *testing.T) {
 			}
 		}
 		if got[0] != c.want[0] || got[1] != c.want[1] {
-			t.Errorf("m=%d W=%d Chunks=%d: leaves per step %v, want %v", c.m, c.workers, c.chunks, got, c.want)
+			t.Errorf("m=%d W=%d: leaves per step %v, want %v", c.m, c.workers, got, c.want)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // change that moves no hash moves no task, edge, priority or simulated
 // number. CALU and Cholesky use Nstatic = nb/2, CALU k = 3.
 var goldenShapes = []struct {
-	algo    string // CALU, Cholesky, GEPP, GEPP-LA (look-ahead) or IncPiv
+	algo    string // CALU, Cholesky, GEPP or IncPiv
 	kind    layout.Kind
 	shape   string // a goldenDims key
 	workers int
@@ -86,10 +86,6 @@ var goldenShapes = []struct {
 	{"GEPP", layout.CM, "square", 4, 0x75c3bdc120312559},
 	{"GEPP", layout.CM, "ragged", 2, 0x7ca7c265c7023fa2},
 	{"GEPP", layout.CM, "tall", 6, 0x70aa7e128c9a63aa},
-	{"GEPP-LA", layout.CM, "square", 1, 0xeeae0f20742b0af0},
-	{"GEPP-LA", layout.CM, "square", 4, 0x3188ffd27929aea6},
-	{"GEPP-LA", layout.CM, "ragged", 2, 0xd793c630e5ec76e2},
-	{"GEPP-LA", layout.CM, "tall", 6, 0x180b5d7bb2082f3a},
 	{"IncPiv", layout.TwoLevel, "square", 1, 0xc93c2a44d6db4e32},
 	{"IncPiv", layout.TwoLevel, "square", 4, 0x54aec6b07406de0c},
 	{"IncPiv", layout.TwoLevel, "ragged", 2, 0x9096ef5ab99f7479},
@@ -167,9 +163,7 @@ func TestGraphShapeGolden(t *testing.T) {
 		case "Cholesky":
 			g = BuildCholesky(l, CALUOptions{NstaticCols: nb / 2}).Graph
 		case "GEPP":
-			g = BuildGEPP(l, GEPPOptions{}).Graph
-		case "GEPP-LA":
-			g = BuildGEPP(l, GEPPOptions{Lookahead: true}).Graph
+			g = BuildGEPP(l).Graph
 		case "IncPiv":
 			g = BuildIncPiv(l).Graph
 		default:

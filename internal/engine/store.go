@@ -2,9 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mat"
@@ -71,9 +70,6 @@ type StoreOptions struct {
 	Keep int
 	// MemBudget bounds the estimated resident bytes; 0 = unbounded.
 	MemBudget int64
-	// TTL expires entries idle longer than this, lazily at the next
-	// touch; 0 = never.
-	TTL time.Duration
 }
 
 // StoreStats is a point-in-time snapshot of a Store.
@@ -82,9 +78,7 @@ type StoreStats struct {
 	Bytes       int64
 	BudgetBytes int64
 	Keep        int
-	TTL         time.Duration
 	Evictions   int64 // entries dropped by the keep or byte bound
-	Expiries    int64 // entries dropped by the idle TTL
 	Imports     int64 // entries stored under an explicit id (PutAs)
 }
 
@@ -92,14 +86,13 @@ type StoreStats struct {
 type storeEntry struct {
 	k     Kept
 	bytes int64
-	last  time.Time // last store or lookup; drives TTL expiry
 }
 
 // Store is the engine-level keep-store for completed factorizations:
-// an LRU keyed by id, bounded by entry count and estimated bytes, with
-// optional idle-TTL expiry. The serving tier keeps one per shard;
-// replication imports entries under their cluster-wide id with PutAs
-// and exports them with Get/IDs. Safe for concurrent use.
+// an LRU keyed by id, bounded by entry count and estimated bytes. The
+// serving tier keeps one per shard; replication imports entries under
+// their cluster-wide id with PutAs and exports them with Get/IDs. Safe
+// for concurrent use.
 type Store struct {
 	opt StoreOptions
 
@@ -109,7 +102,6 @@ type Store struct {
 	order     []string // LRU order: front = least recently used
 	entries   map[string]*storeEntry
 	evictions int64
-	expiries  int64
 	imports   int64
 }
 
@@ -129,37 +121,17 @@ func (s *Store) removeLocked(id string) {
 	}
 	delete(s.entries, id)
 	s.bytes -= e.bytes
-	for i, v := range s.order {
-		if v == id {
-			s.order = append(s.order[:i:i], s.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// expireLocked lazily drops idle-expired entries. The LRU order is
-// also last-use order, so expired entries cluster at the front.
-func (s *Store) expireLocked(now time.Time) {
-	if s.opt.TTL <= 0 {
-		return
-	}
-	for len(s.order) > 0 {
-		e := s.entries[s.order[0]]
-		if now.Sub(e.last) <= s.opt.TTL {
-			return
-		}
-		s.removeLocked(s.order[0])
-		s.expiries++
-	}
+	i := slices.Index(s.order, id)
+	s.order = slices.Delete(s.order, i, i+1)
 }
 
 // insertLocked stores k under id at the most-recently-used position
 // and evicts past either bound — but never the entry just stored:
 // every store must leave a live id, even when one factorization alone
 // exceeds the byte budget.
-func (s *Store) insertLocked(id string, k Kept, now time.Time) {
+func (s *Store) insertLocked(id string, k Kept) {
 	s.removeLocked(id) // overwrite: the new entry takes the MRU position
-	e := &storeEntry{k: k, bytes: k.SizeBytes(), last: now}
+	e := &storeEntry{k: k, bytes: k.SizeBytes()}
 	s.entries[id] = e
 	s.bytes += e.bytes
 	s.order = append(s.order, id)
@@ -176,13 +148,11 @@ func (s *Store) Put(prefix string, k Kept) string {
 	if !k.Valid() {
 		panic("engine: Store.Put needs exactly one of LU or Chol")
 	}
-	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(now)
 	s.next++
 	id := fmt.Sprintf("%s-%d", prefix, s.next)
-	s.insertLocked(id, k, now)
+	s.insertLocked(id, k)
 	return id
 }
 
@@ -196,49 +166,32 @@ func (s *Store) PutAs(id string, k Kept) {
 	if id == "" {
 		panic("engine: Store.PutAs needs a non-empty id")
 	}
-	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(now)
-	s.insertLocked(id, k, now)
+	s.insertLocked(id, k)
 	s.imports++
 }
 
-// Get returns the entry under id, refreshing its recency. A TTL-expired
-// entry is reaped and reported missing.
+// Get returns the entry under id, refreshing its recency.
 func (s *Store) Get(id string) (Kept, bool) {
-	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[id]
 	if !ok {
 		return Kept{}, false
 	}
-	if s.opt.TTL > 0 && now.Sub(e.last) > s.opt.TTL {
-		s.removeLocked(id)
-		s.expiries++
-		return Kept{}, false
-	}
-	e.last = now
-	for i, v := range s.order { // bump to most-recently-used
-		if v == id {
-			s.order = append(append(s.order[:i:i], s.order[i+1:]...), id)
-			break
-		}
-	}
+	i := slices.Index(s.order, id) // bump to most-recently-used
+	s.order = append(slices.Delete(s.order, i, i+1), id)
 	return e.k, true
 }
 
 // IDs returns the resident ids in sorted order — the export listing a
-// drain or rebalance enumerates. TTL-expired entries are reaped first.
+// drain or rebalance enumerates.
 func (s *Store) IDs() []string {
-	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(now)
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
-	sort.Strings(ids)
+	ids := append([]string{}, s.order...)
+	slices.Sort(ids)
 	return ids
 }
 
@@ -247,20 +200,6 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-// SetLastUsed backdates (or forward-dates) an entry's recency stamp,
-// reporting whether the entry exists. Lazy TTL expiry is untestable
-// without real sleeps otherwise; admin tooling can also use it to pin
-// an entry hot. It does not reorder the LRU list.
-func (s *Store) SetLastUsed(id string, last time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if ok {
-		e.last = last
-	}
-	return ok
 }
 
 // Stats snapshots the store.
@@ -272,9 +211,7 @@ func (s *Store) Stats() StoreStats {
 		Bytes:       s.bytes,
 		BudgetBytes: s.opt.MemBudget,
 		Keep:        s.opt.Keep,
-		TTL:         s.opt.TTL,
 		Evictions:   s.evictions,
-		Expiries:    s.expiries,
 		Imports:     s.imports,
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mat"
@@ -57,23 +56,6 @@ func TestStoreMemBudgetNeverEvictsNewest(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Fatalf("store holds %d entries, want only the over-budget one", s.Len())
-	}
-}
-
-func TestStoreTTLLazyExpiry(t *testing.T) {
-	s := NewStore(StoreOptions{Keep: 8, TTL: time.Minute})
-	id := s.Put("f", keptLU(4))
-	if !s.SetLastUsed(id, time.Now().Add(-2*time.Minute)) {
-		t.Fatalf("%s missing before expiry", id)
-	}
-	if _, ok := s.Get(id); ok {
-		t.Fatalf("TTL-expired %s still served", id)
-	}
-	if st := s.Stats(); st.Count != 0 || st.Bytes != 0 || st.Expiries != 1 {
-		t.Fatalf("expired entry not reaped: %+v", st)
-	}
-	if s.SetLastUsed("nope", time.Now()) {
-		t.Fatal("SetLastUsed invented an entry")
 	}
 }
 
@@ -140,7 +122,7 @@ func TestStoreInvalidKeptPanics(t *testing.T) {
 }
 
 func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStore(StoreOptions{Keep: 8, MemBudget: 1 << 20, TTL: time.Hour})
+	s := NewStore(StoreOptions{Keep: 8, MemBudget: 1 << 20})
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {

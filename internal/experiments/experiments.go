@@ -84,10 +84,10 @@ type experiment struct {
 
 // order is the one order of the experiments, which IDs returns (and so
 // hsdbench -list and -exp all follow): the paper's figures, Table 1,
-// Theorem 1 and the section 7 projection, then the two ablations.
+// Theorem 1 and the section 7 projection, then the help-tier ablation.
 var order = []string{"fig1", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
 	"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-	"table1", "thm1", "exascale", "ablation", "help"}
+	"table1", "thm1", "exascale", "help"}
 
 var registry = map[string]experiment{}
 
@@ -162,7 +162,7 @@ func simCALU(m sim.Machine, workers, n, b int, opt core.Options, seed int64) (si
 // identifies: the sequential panel factorization on the critical path
 // of a fork-join schedule.
 func simGEPP(m sim.Machine, workers, n, b int, seed int64) (sim.Result, error) {
-	g := dag.NewGEPP(layout.NewShape(layout.BCL, n, n, b, layout.NewGrid(workers)), dag.GEPPOptions{})
+	g := dag.NewGEPP(layout.NewShape(layout.BCL, n, n, b, layout.NewGrid(workers)))
 	return sim.Run(g.Graph, sim.Config{
 		Machine: m, Workers: workers, Layout: layout.BCL,
 		Policy: sched.NewDynamic(), Seed: seed,

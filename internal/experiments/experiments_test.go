@@ -59,7 +59,6 @@ func TestExperimentsGolden(t *testing.T) {
 		"table1":   0xd28f072af3a6f813,
 		"thm1":     0xfbdbeab8013cb70c,
 		"exascale": 0x84984aa2d480c662,
-		"ablation": 0x803b8e9ad82b91ef,
 		"help":     0x771cc397f756b682,
 	}
 	for _, id := range IDs() {
@@ -76,7 +75,7 @@ func TestExperimentsGolden(t *testing.T) {
 func TestIDsCoverEveryPaperArtifact(t *testing.T) {
 	want := []string{"fig1", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"table1", "thm1", "exascale", "ablation", "help"}
+		"table1", "thm1", "exascale", "help"}
 	if got := IDs(); !slices.Equal(got, want) {
 		t.Fatalf("IDs() = %v, want %v", got, want)
 	}
@@ -232,21 +231,6 @@ func TestExascaleMonotone(t *testing.T) {
 			t.Errorf("min dynamic share not monotone: %v", tbl.Rows)
 		}
 		prev = v
-	}
-}
-
-func TestAblationRuns(t *testing.T) {
-	// Full scale: grouping pays off once per-step update work dominates.
-	tbl, err := Run("ablation", 1.0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) < 5 {
-		t.Fatalf("ablation too small: %d rows", len(tbl.Rows))
-	}
-	// Grouping must matter on BCL (reference beats k=1).
-	if !strings.HasPrefix(tbl.Rows[1][2], "-") {
-		t.Errorf("ungrouped variant should be slower: %v", tbl.Rows[1])
 	}
 }
 

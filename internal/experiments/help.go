@@ -4,89 +4,13 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dag"
 	"repro/internal/layout"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
 func init() {
-	register("ablation", "Design-choice ablations: grouping, look-ahead, chunk count",
-		runAblation)
 	register("help", "Help-tier ablation: idle workers take a lagging owner's pinned tasks, eagerly",
 		runHelpAblation)
-}
-
-// runAblation quantifies the individual design choices the paper
-// motivates but does not isolate: the k=3 grouped BLAS-3 updates
-// (section 3), the look-ahead in the baseline's panel (section 2) and
-// the tournament fan-out.
-func runAblation(scale float64, seed int64) (*Table, error) {
-	m := sim.AMDOpteron48()
-	workers := 48
-	n := scaleN(5000, scale, 100)
-	b := 100
-	nb := n / b
-	t := &Table{
-		Title:   fmt.Sprintf("AMD 48-core model, n=%d, b=%d (effective Gflop/s)", n, b),
-		Columns: []string{"variant", "Gflop/s", "vs reference"},
-	}
-	hybrid := core.Options{Layout: layout.BCL, DynamicRatio: 0.10}
-	ref, err := simCALU(m, workers, n, b, hybrid, seed)
-	if err != nil {
-		return nil, err
-	}
-	refG := effGflops(n, ref.Makespan)
-	add := func(label string, ms float64) {
-		g := effGflops(n, ms)
-		t.Rows = append(t.Rows, []string{label, gf(g), pct(g/refG - 1)})
-	}
-	add("CALU hybrid(10%), BCL, k=3 (reference)", ref.Makespan)
-
-	// --- grouping off: k=1.
-	ungrouped, err := sim.FactorSim(n, n, b, hybrid.NstaticCols(nb), 1, sim.Config{
-		Machine: m, Workers: workers, Layout: layout.BCL,
-		Policy: sched.NewHybrid(), Seed: seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	add("grouping disabled (k=1)", ungrouped.Makespan)
-
-	// --- wider tournament fan-out: one leaf per block row.
-	grid := layout.NewGrid(workers)
-	wide, err := sim.Run(dag.NewCALU(
-		layout.NewShape(layout.BCL, n, n, b, grid),
-		dag.CALUOptions{NstaticCols: hybrid.NstaticCols(nb), Group: 3, Chunks: workers},
-	).Graph, sim.Config{
-		Machine: m, Workers: workers, Layout: layout.BCL,
-		Policy: sched.NewHybrid(), Seed: seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	add(fmt.Sprintf("tournament fan-out %d leaves", workers), wide.Makespan)
-
-	// --- the baseline's missing look-ahead, isolated on the GEPP DAG.
-	cm := layout.NewShape(layout.CM, n, n, b, grid)
-	noLA, err := sim.Run(dag.NewGEPP(cm, dag.GEPPOptions{}).Graph, sim.Config{
-		Machine: m, Workers: workers, Layout: layout.CM, Policy: sched.NewDynamic(), Seed: seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	la, err := sim.Run(dag.NewGEPP(cm, dag.GEPPOptions{Lookahead: true}).Graph, sim.Config{
-		Machine: m, Workers: workers, Layout: layout.CM, Policy: sched.NewDynamic(), Seed: seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	add("GEPP baseline, fork-join (no look-ahead)", noLA.Makespan)
-	add("GEPP baseline with look-ahead", la.Makespan)
-
-	t.Notes = "Grouping pays once per-step update work dominates (the paper's n=5000);\n" +
-		"look-ahead alone does not rescue the sequential-panel baseline."
-	return t, nil
 }
 
 // runHelpAblation measures the third dispatch tier (sched.Policy.Help)

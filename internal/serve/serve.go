@@ -81,8 +81,6 @@ type Options struct {
 	MaxBody int64
 	// MemBudget bounds resident factorization bytes; 0 = unbounded.
 	MemBudget int64
-	// TTL expires idle resident factorizations; 0 = never.
-	TTL time.Duration
 }
 
 // Server wires one engine to the HTTP mux and owns its keep-store.
@@ -103,7 +101,7 @@ func New(eng *engine.Engine, opt Options) *Server {
 		eng:     eng,
 		maxBody: opt.MaxBody,
 		store: engine.NewStore(engine.StoreOptions{
-			Keep: opt.Keep, MemBudget: opt.MemBudget, TTL: opt.TTL,
+			Keep: opt.Keep, MemBudget: opt.MemBudget,
 		}),
 	}
 }
@@ -450,9 +448,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"bytes":       st.Bytes,
 			"budgetBytes": st.BudgetBytes,
 			"keep":        st.Keep,
-			"ttlMs":       st.TTL.Seconds() * 1e3,
 			"evictions":   st.Evictions,
-			"expiries":    st.Expiries,
 			"imports":     st.Imports,
 		},
 	})

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -278,6 +279,27 @@ func TestServeDegradedSolveReportsPrefix(t *testing.T) {
 	}
 }
 
+// TestServeUnencodableReply500: a reply JSON cannot encode is a 500
+// naming the encoding error, not a 200 with an empty body. Entries near
+// the float64 limit overflow the factors, so the requested residual is
+// not finite.
+func TestServeUnencodableReply500(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	rng := rand.New(rand.NewSource(1))
+	data := make([]string, 64*64)
+	for i := range data {
+		data[i] = strconv.FormatFloat((2*rng.Float64()-1)*1e308, 'g', -1, 64)
+	}
+	body := fmt.Sprintf(`{"rows":64,"cols":64,"data":[%s],"residual":true}`, strings.Join(data, ","))
+	resp, out := postJSON(t, ts.URL+"/v1/factor", body)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("factor with a non-finite residual: %d %v, want 500", resp.StatusCode, out)
+	}
+	if msg, _ := out["error"].(string); !strings.HasPrefix(msg, "encode reply: json: unsupported value") {
+		t.Fatalf("error %q, want the encoding error", msg)
+	}
+}
+
 // TestServeSolveBadShapes covers rhs-shape validation and unknown ids.
 func TestServeSolveBadShapes(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
@@ -446,27 +468,6 @@ func TestServeStoreMemBudget(t *testing.T) {
 	}
 	if _, ok := s.Store().Get(b); !ok {
 		t.Fatalf("just-stored %s was evicted", b)
-	}
-}
-
-// TestServeStoreTTL: an idle factorization past the TTL is gone at
-// next touch (lazy expiry; the entry is backdated instead of sleeping).
-func TestServeStoreTTL(t *testing.T) {
-	s, ts := newTestServer(t, Options{TTL: time.Minute})
-	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":8,"seed":1,"workers":1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("factor: %d %v", resp.StatusCode, out)
-	}
-	id := out["id"].(string)
-	if !s.Store().SetLastUsed(id, time.Now().Add(-2*time.Minute)) {
-		t.Fatalf("%s missing right after store", id)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(`{"id":%q,"b":[1,1,1,1,1,1,1,1]}`, id))
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("solve of TTL-expired %s: %d, want 404", id, resp.StatusCode)
-	}
-	if st := s.Store().Stats(); st.Count != 0 || st.Bytes != 0 {
-		t.Fatalf("expired entry not reaped: %+v", st)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // runtime's own policy objects from its event loop, and must still
 // reproduce every makespan, accounting bucket and counter bit for bit.
 // The CM constants (the layout of fig14's dynamic-CM row and the GEPP
-// ablation) were recorded at the commit before the graph builders read a
+// baseline) were recorded at the commit before the graph builders read a
 // layout.Shape instead of a layout.Layout.
 func TestSimGolden(t *testing.T) {
 	type config struct {

@@ -118,7 +118,6 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 	for w := range idle {
 		idle[w] = true
 	}
-	idleSince := make([]float64, p)
 
 	// dispatch assigns as many ready tasks as possible at virtual time
 	// `now`, in worker order (deterministic).
@@ -218,7 +217,6 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 		now = e.at
 		completed++
 		idle[e.worker] = true
-		idleSince[e.worker] = now
 		readyScratch = g.ResolveSuccessors(e.task, readyScratch[:0])
 		for _, t := range readyScratch {
 			pol.Ready(e.worker, t)

@@ -103,8 +103,8 @@ func SolveIncPiv(a *Matrix, b []float64, opt Options) ([]float64, error) {
 }
 
 // ExperimentIDs lists every reproducible experiment in paper order:
-// fig1, fig4, fig6..fig17, table1, thm1, exascale, then the ablation
-// and help ablations.
+// fig1, fig4, fig6..fig17, table1, thm1, exascale, then the help-tier
+// ablation.
 func ExperimentIDs() []string { return experiments.IDs() }
 
 // RunExperiment regenerates one experiment by id at the given scale
