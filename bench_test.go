@@ -602,9 +602,9 @@ func BenchmarkDispatch(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Resident engine throughput: Factor jobs/sec on a mixed-size workload
-// through the shared worker pool versus the spawn-workers-per-call
-// baseline, at increasing numbers of inflight jobs.
+// Engine throughput: Factor jobs/sec on a mixed-size workload through
+// the shared worker pool versus the one-shot per-call baseline, at
+// increasing numbers of inflight jobs.
 
 // engineBatch is one mixed 64..512 workload: small and large jobs side
 // by side on one pool.
@@ -638,10 +638,10 @@ func reportLatencies(b *testing.B, lat []time.Duration) {
 	b.ReportMetric(lat[(len(lat)*99)/100].Seconds()*1e3, "p99-ms")
 }
 
-// BenchmarkEngineThroughput is the resident-versus-spawn A/B of the
+// BenchmarkEngineThroughput is the engine-versus-one-shot A/B of the
 // engine's reason to exist: the same mixed workload pushed through one
-// long-lived pool (amortized workers and workspaces, a static share
-// per job) and through per-call rt.Run worker spawning, at 1..8
+// pool (one pool-wide workspace reservation, admission, a static share
+// per job) and through per-call rt.Run, at 1..8
 // inflight jobs. The engine side must at least match the baseline's
 // jobs/sec.
 func BenchmarkEngineThroughput(b *testing.B) {
@@ -739,7 +739,7 @@ func reportClassLatencies(b *testing.B, small, large []time.Duration) {
 // BenchmarkEngineMixedTraffic drives the two-lane admission with the
 // mix it was built for: a burst of tiny factors sandwiched between two
 // big ones (the express lane starts each tiny factor on its own
-// one-worker executor, and the second big factor starts only once the
+// one-worker share, and the second big factor starts only once the
 // express lane is empty). The metric to watch is the small-class p99;
 // README's "Traffic shaping" section records it.
 func BenchmarkEngineMixedTraffic(b *testing.B) {
@@ -882,7 +882,7 @@ func BenchmarkSolveBlocked(b *testing.B) {
 }
 
 // BenchmarkEngineSolveThroughput pushes batches of concurrent multi-RHS
-// solve jobs through the resident pool — the solve-heavy service
+// solve jobs through the engine's pool — the solve-heavy service
 // workload the solve DAG exists for — and reports jobs/s with
 // submit-to-done latency percentiles.
 func BenchmarkEngineSolveThroughput(b *testing.B) {

@@ -1,5 +1,5 @@
-// Command hsdserve exposes the resident factorization engine over
-// HTTP/JSON: one long-lived worker pool serving concurrent Factor and
+// Command hsdserve exposes the factorization engine over
+// HTTP/JSON: one worker pool serving concurrent Factor and
 // Solve requests on internal/engine (static per-job worker
 // reservations, the paper's hybrid static/dynamic scheduling inside
 // each job). Every job runs the paper's recommended schedule — the BCL
@@ -53,7 +53,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	pool := flag.Int("pool", 0, "resident worker pool size (0 = NumCPU)")
+	pool := flag.Int("pool", 0, "engine worker pool size (0 = NumCPU)")
 	maxInflight := flag.Int("maxinflight", 0, "admission bound (0 = 4*pool)")
 	keep := flag.Int("keep", 64, "factorizations kept resident for /v1/solve (>= 1)")
 	maxBody := flag.Int64("maxbody", serve.DefaultMaxBody, "request body cap in bytes")

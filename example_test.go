@@ -216,8 +216,8 @@ func ExampleFactorCholesky() {
 	// solve residual < 1e-12: true
 }
 
-// The resident engine runs many jobs on one long-lived worker pool,
-// each job on a static share of it. Every job kind is a Work value
+// The engine runs many jobs on one worker pool, each job on a static
+// share of it. Every job kind is a Work value
 // submitted the same way, and Result holds the kind's result. A job's
 // factors are the ones a one-shot run at its granted share computes.
 func ExampleNewEngine() {

@@ -191,10 +191,11 @@ func Factor(a *mat.Dense, opt Options) (*Factorization, error) {
 // Prepared is a job of any kind — CALU, Cholesky, blocked solve — whose
 // layout is allocated and task graph built, but of which nothing has
 // executed yet; R is the kind's result type. It decouples graph
-// construction from graph execution so a caller that owns its workers —
-// the resident engine — can drive the graph through an rt.Executor
-// instead of the spawn-per-call rt.Run that Run wraps. A Prepared is
-// single-use: its task closures mutate the layout in place.
+// construction from graph execution so a caller that already holds a
+// kernel workspace reservation — the engine, for its whole pool — can
+// run the graph through rt.Execute instead of rt.Run, which Run wraps
+// and which reserves per call. A Prepared is single-use: its task
+// closures mutate the layout in place.
 type Prepared[R any] struct {
 	// Opt is the fully defaulted option set the job was built with.
 	Opt    Options

@@ -95,7 +95,7 @@ func checkRHS(b *mat.Dense, n int) error {
 // PrepareSolve builds the blocked triangular-solve graph for A X = B
 // using the factorization (X = U^{-1} L^{-1} P B), without executing
 // it: the multi-RHS counterpart of PrepareFactor, consumed either by
-// SolveMany (one-shot rt.Run) or by the resident engine's solve jobs.
+// SolveMany (one-shot rt.Run) or by the engine's solve jobs.
 // B is not modified. A degraded factorization (zero diagonal in U) is
 // rejected up front with a *SingularSolveError carrying the factored
 // prefix.

@@ -317,9 +317,10 @@ func (g *Graph) ComputeStats() Stats {
 	return s
 }
 
-// CriticalPathFlops returns the longest flop-weighted path through the
-// graph, the quantity T_criticalPath in the paper's section 6 model.
-func (g *Graph) CriticalPathFlops() float64 {
+// CriticalPath returns the longest path through the graph with each
+// task weighted by cost; weighted by a task's compute time it is the
+// quantity T_criticalPath in the paper's section 6 model.
+func (g *Graph) CriticalPath(cost func(*Task) float64) float64 {
 	n := len(g.Tasks)
 	longest := make([]float64, n)
 	indeg := make([]int32, n)
@@ -330,7 +331,7 @@ func (g *Graph) CriticalPathFlops() float64 {
 	for _, t := range g.Tasks {
 		if t.NumDeps == 0 {
 			queue = append(queue, t.ID)
-			longest[t.ID] = t.Flops
+			longest[t.ID] = cost(t)
 		}
 	}
 	best := 0.0
@@ -341,7 +342,7 @@ func (g *Graph) CriticalPathFlops() float64 {
 			best = longest[id]
 		}
 		for _, o := range g.Tasks[id].Outs {
-			if cand := longest[id] + g.Tasks[o].Flops; cand > longest[o] {
+			if cand := longest[id] + cost(g.Tasks[o]); cand > longest[o] {
 				longest[o] = cand
 			}
 			indeg[o]--

@@ -88,9 +88,12 @@ func TestTwoLevelNeverGroups(t *testing.T) {
 	}
 }
 
+// taskFlops weighs a critical path by flops.
+func taskFlops(t *Task) float64 { return t.Flops }
+
 func TestCALUCriticalPathPositive(t *testing.T) {
 	cg := buildTestCALU(t, layout.BCL, 64, 64, 8, 4, 8, 1)
-	cp := cg.CriticalPathFlops()
+	cp := cg.CriticalPath(taskFlops)
 	total := cg.ComputeStats().TotalFlops
 	if cp <= 0 || cp >= total {
 		t.Fatalf("critical path %g outside (0, total=%g)", cp, total)
@@ -157,8 +160,8 @@ func TestIncPivShorterCriticalPathThanGEPP(t *testing.T) {
 	src := mat.Random(128, 128, rng)
 	cm := layout.New(layout.CM, src, 16, layout.NewGrid(4))
 	tl := layout.New(layout.TwoLevel, src, 16, layout.NewGrid(4))
-	gepp := BuildGEPP(cm).CriticalPathFlops()
-	incpiv := BuildIncPiv(tl).CriticalPathFlops()
+	gepp := BuildGEPP(cm).CriticalPath(taskFlops)
+	incpiv := BuildIncPiv(tl).CriticalPath(taskFlops)
 	if incpiv >= gepp {
 		t.Fatalf("incpiv critical path %g not shorter than GEPP %g", incpiv, gepp)
 	}

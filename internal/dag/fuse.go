@@ -17,9 +17,9 @@ type FusePart struct {
 	Label string
 }
 
-// Fuse merges several independent job DAGs into one forest that a
-// single executor can drive. The engine runs every job on its own
-// executor; Fuse stays for the benchmark's dag probe, which times it.
+// Fuse merges several independent job DAGs into one forest that one
+// run can execute. The engine runs every job as a run of its own; Fuse
+// stays for the benchmark's dag probe, which times it.
 //
 // Tasks are cloned with re-based IDs and edges, so the member graphs
 // themselves are never armed or mutated; no edges are added between

@@ -11,7 +11,7 @@ package engine
 // by job *class*, not arrival order:
 //
 //   - small jobs enter an express lane and each runs on its own
-//     executor with a one-worker default share, so a burst of them
+//     goroutine with a one-worker default share, so a burst of them
 //     runs side by side instead of each reserving a wide share;
 //   - big jobs enter a second lane whose head starts only when the
 //     express lane is empty, so a queued wide factorization never

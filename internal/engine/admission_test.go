@@ -36,7 +36,7 @@ func gate(t *testing.T, e *Engine) (*Job, func()) {
 	return j, func() { rel.Do(func() { close(release) }) }
 }
 
-// waitGated polls until the engine reports a live executor — with the
+// waitGated polls until the engine reports a started job — with the
 // gate blocking its first task, Active stays up until release.
 func waitGated(t *testing.T, e *Engine) {
 	t.Helper()

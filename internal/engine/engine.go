@@ -1,19 +1,20 @@
-// Package engine is the resident factorization service: one long-lived
-// pool of worker goroutines executing many Factor/Solve jobs
-// concurrently, instead of every call spawning and tearing down its own
-// workers (the one-shot rt.Run mode).
+// Package engine is the factorization service: one pool of Workers
+// runs many Factor/Solve jobs concurrently under admission control and
+// one pool-wide kernel workspace reservation, instead of every call
+// reserving its own (the one-shot rt.Run mode).
 //
-// The pool is partitioned statically across jobs. Each admitted job
-// receives a reservation — a share of the pool whose workers attach to
-// the job's rt.Executor and drive it to completion — and the paper's
-// hybrid static/dynamic split runs inside the job, where the policy's
-// shared queue and help tier absorb load imbalance among the job's own
-// workers.
+// The pool is partitioned statically across jobs. Each started job is
+// granted a share of the pool's workers and runs on that many
+// goroutines of its own (rt.Execute), and the paper's hybrid
+// static/dynamic split runs inside the job, where the policy's shared
+// queue and help tier absorb load imbalance among the job's own
+// workers. A job's goroutines end with it; the pool is a count of
+// workers, not a set of goroutines.
 //
 // Admission routes each job to one of two first-in first-out lanes
 // (see admission.go): jobs are classified small or large by a flop cost
-// model, small jobs take an express lane and run on their own executor
-// with a one-worker default share, and the big lane's head starts only
+// model, small jobs take an express lane and each run on one goroutine
+// by default (a one-worker share), and the big lane's head starts only
 // when the express lane is empty, so one huge factorization cannot
 // head-of-line-block a stream of tiny solves. The submission context is
 // a job's only stop signal: a job still queued when its context is
@@ -56,7 +57,8 @@ var (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the resident pool size (default runtime.NumCPU()).
+	// Workers is the pool size: at most this many goroutines run jobs'
+	// tasks at once (default runtime.NumCPU()).
 	Workers int
 	// MaxInflight bounds admitted jobs (queued + running); further
 	// submissions block (Submit) or fail (TrySubmit). Default
@@ -79,18 +81,18 @@ func (o *Options) fill() {
 
 // Stats is a point-in-time snapshot of the engine.
 type Stats struct {
-	// Workers is the resident pool size.
+	// Workers is the pool size.
 	Workers int
 	// Pending counts queued jobs across both lanes (SmallQueued +
-	// BigQueued); Active counts live executors, one per running job;
-	// ReservedInUse is the sum of active grants.
+	// BigQueued); Active counts started, unfinished jobs; ReservedInUse
+	// is the sum of their grants.
 	Pending, Active, ReservedInUse int
 	// SmallQueued and BigQueued are the live lane depths.
 	SmallQueued, BigQueued int
 	// JobsDone/JobsFailed count completed jobs.
 	JobsDone, JobsFailed int64
 	// Lends and FusedJobs are always 0: no worker runs another job's
-	// tasks, and every job runs on its own executor. The fields stay
+	// tasks, and every job runs on goroutines of its own. The fields stay
 	// for the benchmark module, which reads them. Shed counts jobs
 	// whose context's deadline passed before they started, refused at
 	// submission or withdrawn from a lane; Cancelled counts queued jobs
@@ -101,26 +103,24 @@ type Stats struct {
 	Closed       bool
 }
 
-// Engine is the resident factorization service. Create with New, feed
-// with Submit/TrySubmit, and Close when done.
+// Engine is the factorization service. Create with New, feed with
+// Submit/TrySubmit, and Close when done.
 type Engine struct {
 	opt Options
 	ws  *kernel.Reservation
 
 	mu   sync.Mutex
-	work *sync.Cond // workers wait here for assignments
 	capa *sync.Cond // submitters wait here for admission capacity
 	// lanes are served in order and indexed by Class: lanes[ClassSmall]
 	// is the express lane, lanes[ClassLarge] the big lane.
 	lanes [2]lane
-	run   []*Job // started, executor live
 	// inflight = queued + started-but-unfinished jobs; bounded by
 	// MaxInflight.
 	inflight      int
 	reservedInUse int
 	closed        bool
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // started jobs
 
 	jobsDone   atomic.Int64
 	jobsFailed atomic.Int64
@@ -128,27 +128,22 @@ type Engine struct {
 	cancelled  atomic.Int64
 }
 
-// New starts a resident engine: the worker goroutines and the pool-wide
-// kernel workspace reservation live until Close. The error is always
-// nil.
+// New starts an engine: its pool-wide kernel workspace reservation
+// lives until Close. The error is always nil.
 func New(opt Options) (*Engine, error) {
 	opt.fill()
 	e := &Engine{opt: opt}
-	e.work = sync.NewCond(&e.mu)
 	e.capa = sync.NewCond(&e.mu)
-	// One refcounted pool-wide reservation: at most Workers goroutines
-	// ever call kernels at once, however many jobs are in flight, and
-	// per-job executors reserve nothing of their own.
+	// One refcounted pool-wide reservation: grants never add up to more
+	// than Workers, so at most Workers goroutines ever call kernels at
+	// once, however many jobs are in flight, and no job reserves
+	// anything of its own.
 	e.ws = kernel.Reserve(opt.Workers)
-	e.wg.Add(opt.Workers)
-	for w := 0; w < opt.Workers; w++ {
-		go e.worker()
-	}
 	return e, nil
 }
 
-// Close rejects queued jobs, waits for running jobs and the workers to
-// finish, and releases the pool's kernel workspaces. Safe to call once.
+// Close rejects queued jobs, waits for started jobs to finish, and
+// releases the pool's kernel workspaces. Safe to call more than once.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -164,7 +159,6 @@ func (e *Engine) Close() {
 		dropped = append(dropped, live...)
 	}
 	e.inflight -= len(dropped)
-	e.work.Broadcast()
 	e.capa.Broadcast()
 	e.mu.Unlock()
 	for _, j := range dropped {
@@ -187,12 +181,13 @@ func (e *Engine) Stats() Stats {
 		Pending:       e.lanes[0].depth + e.lanes[1].depth,
 		SmallQueued:   e.lanes[0].depth,
 		BigQueued:     e.lanes[1].depth,
-		Active:        len(e.run),
 		ReservedInUse: e.reservedInUse,
 		Small:         e.lanes[0].stats(),
 		Large:         e.lanes[1].stats(),
 		Closed:        e.closed,
 	}
+	// Every admitted job that is not in a lane has started.
+	s.Active = e.inflight - s.Pending
 	e.mu.Unlock()
 	s.JobsDone = e.jobsDone.Load()
 	s.JobsFailed = e.jobsFailed.Load()
@@ -309,7 +304,7 @@ func SolveWork(f Solvable, b *mat.Dense) Work {
 
 // Job is the handle of one submitted Work. Wait (or Done) observes
 // completion; Result is valid afterwards. Every kind of job executes as
-// a task graph on its own executor at the job's granted share.
+// a task graph on goroutines of its own, as many as its granted share.
 type Job struct {
 	work   Work
 	reqOpt core.Options
@@ -321,16 +316,10 @@ type Job struct {
 	stopCancel func() bool
 
 	// Execution state.
-	ex *rt.Executor
 	// finish assembles the job's result from the runtime result; set by
 	// prepare together with the graph.
 	finish  func(rt.Result) any
 	granted int
-	// nextSeat hands seats [1,granted) to claiming workers (seat 0
-	// belongs to the starter); guarded by Engine.mu.
-	nextSeat int
-	// finishing elects the single finalizer: the first driver back.
-	finishing atomic.Bool
 
 	queued, started time.Time
 	queueWait, span time.Duration
@@ -475,7 +464,7 @@ func (e *Engine) admit(ctx context.Context, w Work, opt core.Options, wait bool)
 		// the queued state (cancelQueued re-checks it under the lock).
 		j.stopCancel = context.AfterFunc(ctx, func() { e.cancelQueued(ctx, j) })
 	}
-	e.work.Signal()
+	e.startLocked()
 	e.mu.Unlock()
 	return j, nil
 }
@@ -518,57 +507,16 @@ func (e *Engine) cancelQueued(ctx context.Context, j *Job) {
 }
 
 // ---------------------------------------------------------------------
-// The resident worker loop.
+// Running jobs.
 
-// worker is one resident pool goroutine. Assignments, in preference
-// order: claim an open seat of a running job (finish what was started),
-// or start lane work (an express-lane head, else a big-lane head).
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	for {
-		e.mu.Lock()
-		var j *Job
-		var seat int
-		start := false
-		for {
-			if j, seat = e.claimSeatLocked(); j != nil {
-				break
-			}
-			if j = e.startableLocked(); j != nil {
-				start = true
-				break
-			}
-			// Exit on inflight, not queue/run emptiness: a job between
-			// startableLocked and its publication to e.run (its starter
-			// is building the graph outside the lock) is in neither
-			// list, but its open reserved seats still need this worker
-			// — only completeJob's inflight decrement says it is safe
-			// to go.
-			if e.closed && e.inflight == 0 {
-				e.mu.Unlock()
-				return
-			}
-			e.work.Wait()
-		}
-		e.mu.Unlock()
-		if start {
-			e.startJob(j)
-		} else {
-			e.driveJob(j, seat)
-		}
+// startLocked starts lane heads while workers are free: each popped job
+// runs on goroutines of its own. Called whenever a job is queued or a
+// grant is released.
+func (e *Engine) startLocked() {
+	for j := e.startableLocked(); j != nil; j = e.startableLocked() {
+		e.wg.Add(1)
+		go e.runJob(j)
 	}
-}
-
-// claimSeatLocked finds a running job with an unclaimed seat.
-func (e *Engine) claimSeatLocked() (*Job, int) {
-	for _, j := range e.run {
-		if j.nextSeat < j.granted {
-			s := j.nextSeat
-			j.nextSeat++
-			return j, s
-		}
-	}
-	return nil, 0
 }
 
 // startableLocked pops the head of the first non-empty lane, express
@@ -595,11 +543,10 @@ func (e *Engine) startableLocked() *Job {
 	return nil
 }
 
-// prepare builds the job's task graph, policy and result finisher (the
-// expensive part, run outside the engine lock). A panicking prepare —
-// a malformed matrix shape, a nil factorization behind the Solvable
-// interface — is converted to a job error so a bad submission can
-// never take down a pool worker.
+// prepare builds the job's task graph, policy and result finisher. A
+// panicking prepare — a malformed matrix shape, a nil factorization
+// behind the Solvable interface — is converted to a job error so a bad
+// submission can never take down the process.
 func (j *Job) prepare(opt core.Options) (g *dag.Graph, pol sched.Policy, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -610,82 +557,38 @@ func (j *Job) prepare(opt core.Options) (g *dag.Graph, pol sched.Policy, err err
 	return g, pol, err
 }
 
-// startJob runs a popped job: it builds the job's task graph and
-// executor (outside the engine lock), publishes its open seats, and the
-// starter becomes driver 0. Factor, Cholesky and solve jobs of both
-// classes all take this path — a solve is a blocked triangular-solve
-// graph, not an inline call, so it executes at the granted share like
-// any factorization.
-func (e *Engine) startJob(j *Job) {
+// runJob runs a started job: it builds the job's task graph at the
+// granted share, executes it on the calling goroutine and granted-1
+// more under the pool's workspace reservation, and completes the job.
+// Factor, Cholesky and solve jobs of both classes all take this path —
+// a solve is a blocked triangular-solve graph, not an inline call, so it
+// executes at the granted share like any factorization.
+func (e *Engine) runJob(j *Job) {
+	defer e.wg.Done()
 	j.started = time.Now()
 	j.queueWait = j.started.Sub(j.queued)
 	opt := j.reqOpt
 	opt.Workers = j.granted
 	g, pol, err := j.prepare(opt)
-	if err != nil {
-		j.err = err
-		e.completeJob(j, false)
-		return
+	if err == nil {
+		var res rt.Result
+		res, err = rt.Execute(g, pol, rt.Options{Workers: j.granted, Trace: opt.Trace, Noise: opt.Noise})
+		if err == nil {
+			j.result = j.finish(res)
+		}
 	}
-	e.launch(j, g, pol, opt)
+	j.err = err
+	e.completeJob(j)
 }
 
-// launch builds the executor for a prepared job, publishes its open
-// seats and drives seat 0.
-func (e *Engine) launch(j *Job, g *dag.Graph, pol sched.Policy, opt core.Options) {
-	ex, err := rt.NewExecutor(g, pol, rt.Options{
-		Workers: j.granted,
-		Trace:   opt.Trace,
-		Noise:   opt.Noise,
-	})
-	if err != nil {
-		j.err = err
-		e.completeJob(j, false)
-		return
-	}
-	j.ex = ex
-	j.nextSeat = 1 // seat 0 is ours
-	e.mu.Lock()
-	e.run = append(e.run, j)
-	// Open seats are up for grabs; queued jobs may also now start on
-	// other workers.
-	e.work.Broadcast()
-	e.mu.Unlock()
-	e.driveJob(j, 0)
-}
-
-// driveJob attaches as worker `seat` until the run completes;
-// the first driver back finalizes the job.
-func (e *Engine) driveJob(j *Job, seat int) {
-	j.ex.Drive(seat)
-	if !j.finishing.CompareAndSwap(false, true) {
-		return
-	}
-	res, err := j.ex.Wait()
-	if err != nil {
-		j.err = err
-	} else {
-		j.result = j.finish(res)
-	}
-	e.completeJob(j, true)
-}
-
-// completeJob releases the job's reservation and admission slot,
-// retires it from the running set, records per-class stats and wakes
-// submitters waiting on admission capacity.
-func (e *Engine) completeJob(j *Job, running bool) {
+// completeJob releases the job's grant and admission slot, records
+// per-class stats, starts what the freed workers can take and wakes a
+// submitter waiting on admission capacity.
+func (e *Engine) completeJob(j *Job) {
 	e.mu.Lock()
 	j.state = jsDone
 	e.reservedInUse -= j.granted
 	e.inflight--
-	if running {
-		for i, r := range e.run {
-			if r == j {
-				e.run = append(e.run[:i], e.run[i+1:]...)
-				break
-			}
-		}
-	}
 	if q := &e.lanes[j.class]; j.err != nil {
 		q.failed++
 	} else {
@@ -693,7 +596,7 @@ func (e *Engine) completeJob(j *Job, running bool) {
 		q.lat.add(float64(time.Since(j.queued).Microseconds()) / 1e3)
 	}
 	stop := j.stopCancel
-	e.work.Broadcast()
+	e.startLocked()
 	// Exactly one admission slot was freed: wake one blocked
 	// submitter, not all of them (Close is the broadcast case).
 	e.capa.Signal()
@@ -706,8 +609,6 @@ func (e *Engine) completeJob(j *Job, running bool) {
 	} else {
 		e.jobsDone.Add(1)
 	}
-	if !j.started.IsZero() {
-		j.span = time.Since(j.started)
-	}
+	j.span = time.Since(j.started)
 	close(j.done)
 }

@@ -5,14 +5,19 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/kernel"
 	"repro/internal/layout"
 	"repro/internal/mat"
+	"repro/internal/rt"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -54,9 +59,9 @@ func sameFactorization(t *testing.T, tag string, f, ref *core.Factorization) {
 // guarantee: N simultaneous Factor jobs across every scheduler and
 // mixed requested worker counts produce pivots/L/U bit-identical to
 // the same jobs run serially through the one-shot path at the granted
-// share (the graph's dataflow fixes the arithmetic; a shared resident
-// pool only reorders it). Run under -race to certify the engine's
-// attach/detach paths.
+// share (the graph's dataflow fixes the arithmetic; a shared pool only
+// reorders it). Run under -race to certify the engine's job start and
+// completion paths.
 func TestEngineConcurrentJobsBitIdentical(t *testing.T) {
 	e, err := New(Options{Workers: 4, MaxInflight: 16})
 	if err != nil {
@@ -411,13 +416,10 @@ func TestEngineCloseReleasesWorkspaces(t *testing.T) {
 	}
 }
 
-// TestEngineCloseDuringStartGap races Close against the window where a
-// multi-seat job has been popped from the queue but not yet published
-// to the running set (its starter is building the graph outside the
-// engine lock). Workers must not treat the pool as drained during that
-// gap: the job's open reserved seats still need them, and exiting
-// early deadlocks the job and Close (regression test — exit is keyed
-// off inflight, which does count in-gap jobs).
+// TestEngineCloseDuringStartGap races Close against a two-worker job
+// that has just started and is still building its graph outside the
+// engine lock. Close drops only queued jobs: the started one must run
+// to completion and Close must wait for it, so neither may hang.
 func TestEngineCloseDuringStartGap(t *testing.T) {
 	iters := 50
 	if testing.Short() {
@@ -439,7 +441,7 @@ func TestEngineCloseDuringStartGap(t *testing.T) {
 		select {
 		case <-j.Done():
 		case <-time.After(30 * time.Second):
-			t.Fatal("job stranded: a worker exited while its reserved seat was pending")
+			t.Fatal("job stranded: a started job never completed across Close")
 		}
 		if err := j.Wait(); err != nil && !errors.Is(err, ErrClosed) {
 			t.Fatal(err)
@@ -449,6 +451,66 @@ func TestEngineCloseDuringStartGap(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("Close hung")
 		}
+	}
+}
+
+// TestEnginePoolBoundsConcurrentTasks pins the pool bound on grant
+// accounting alone: twelve jobs asking for two workers each on a
+// three-worker pool never have more than three task bodies running at
+// once (and a granted pair does run side by side), the grants and the
+// started count return to zero, and after Close no goroutine of the
+// engine's is left.
+func TestEnginePoolBoundsConcurrentTasks(t *testing.T) {
+	const workers, jobs, tasks = 3, 12, 6
+	var running, peak atomic.Int32
+	body := func() {
+		n := running.Add(1)
+		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+		}
+		time.Sleep(200 * time.Microsecond)
+		running.Add(-1)
+	}
+	// Independent tasks, so every worker of a grant can be busy at once.
+	work := Work{
+		flops: 1e9,
+		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
+			g := &dag.Graph{Name: "independent", Workers: opt.Workers}
+			for i := range int32(tasks) {
+				g.Tasks = append(g.Tasks, &dag.Task{ID: i, Kind: dag.S, Run: body})
+			}
+			return g, sched.NewDynamic(), func(rt.Result) any { return nil }, nil
+		},
+	}
+
+	before := runtime.NumGoroutine()
+	e, err := New(Options{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := make([]*Job, jobs)
+	for i := range submitted {
+		if submitted[i], err = e.Submit(bg, work, core.Options{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range submitted {
+		if err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := peak.Load(); p > workers || p < 2 {
+		t.Errorf("peak %d task bodies running at once, want 2..%d", p, workers)
+	}
+	if st := e.Stats(); st.ReservedInUse != 0 || st.Active != 0 {
+		t.Errorf("after every job: ReservedInUse %d, Active %d, want 0", st.ReservedInUse, st.Active)
+	}
+	e.Close()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -571,7 +633,7 @@ func TestEngineSolveMultiRHS(t *testing.T) {
 // deterministic on any machine (including a contended 1-CPU CI
 // container): once the ready pool is deep, the first worker blocks
 // until a second worker has also executed a task, which can only
-// happen if the job truly runs on several of its granted seats.
+// happen if the job truly runs on several of its granted workers.
 func TestEngineSolveUsesMultipleWorkers(t *testing.T) {
 	e, err := New(Options{Workers: 4})
 	if err != nil {
@@ -610,7 +672,7 @@ func TestEngineSolveUsesMultipleWorkers(t *testing.T) {
 		}
 		// Successors are resolved after this hook returns, so only
 		// block once earlier completions have already published a deep
-		// ready pool for the other seats to drain.
+		// ready pool for the other workers to drain.
 		if c >= 3 {
 			select {
 			case <-release:

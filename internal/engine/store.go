@@ -55,12 +55,15 @@ func (k Kept) Residual(a *mat.Dense) float64 {
 }
 
 // SizeBytes estimates the resident cost of the factors (the dominant
-// allocations; pivot vectors and metadata are noise at this scale).
+// allocations; pivot vectors and metadata are noise at this scale). A
+// Cholesky entry is charged for L and for the n x n Lᵀ its first solve
+// materializes and keeps for the factor's lifetime, so a solved entry
+// costs what was charged when it was stored.
 func (k Kept) SizeBytes() int64 {
 	if k.LU != nil {
 		return int64(len(k.LU.L.Data)+len(k.LU.U.Data)) * 8
 	}
-	return int64(len(k.Chol.L.Data)) * 8
+	return 2 * int64(len(k.Chol.L.Data)) * 8
 }
 
 // StoreOptions bounds a Store.

@@ -143,3 +143,21 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		t.Fatalf("keep bound violated: %d resident", s.Len())
 	}
 }
+
+// TestStoreChargesSolvedCholeskyTranspose: the first solve of a
+// Cholesky factor materializes Lᵀ and keeps it as long as the factor,
+// so a resident, solved entry holds two n x n matrices and SizeBytes
+// charges both.
+func TestStoreChargesSolvedCholeskyTranspose(t *testing.T) {
+	const n = 48
+	f, err := core.FactorCholesky(core.RandomSPD(n, 5), core.Options{Block: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.SolveMany(mat.New(n, 1), core.Options{Block: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := KeptOf(f).SizeBytes(), int64(2*8*n*n); got != want {
+		t.Fatalf("SizeBytes = %d for a solved n=%d Cholesky factor, want %d (L and Lᵀ)", got, n, want)
+	}
+}

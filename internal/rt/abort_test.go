@@ -12,9 +12,9 @@ import (
 // TestAbortReleasesSharedPanels pins the release-on-abort contract:
 // when a task panics mid-run, shared packed-B panels whose later
 // consumers never execute must still return their bytes to the cache
-// budget. The executor's Wait calls
-// Graph.ReleasePanels after the workers drain, so a panicking job may
-// strand a panel's refcount above zero but never its buffer.
+// budget. The run calls Graph.ReleasePanels once every worker has
+// returned, so a panicking job may strand a panel's refcount above zero
+// but never its buffer.
 //
 // The graph is a three-task chain: t0 packs the shared panel via its
 // first Gemm consumer, t1 panics, and t2 — the panel's second and last

@@ -4,21 +4,20 @@
 // queues, each with its own lock, and one shared heap), dependency
 // resolution is atomic on the graph itself (dag.ResolveSuccessors),
 // progress tracking is two atomic counters, idle workers spin briefly
-// and then park on an eventcount instead of a broadcast condvar, and
-// trace spans are buffered per worker and merged once at the end. The
-// discrete-event simulator in internal/sim drives the same policy
-// objects from its single-threaded event loop, so the scheduling
+// and then park on a per-worker semaphore instead of a broadcast
+// condvar, and trace spans are buffered per worker and merged once at
+// the end. The discrete-event simulator in internal/sim drives the same
+// policy objects from its single-threaded event loop, so the scheduling
 // decisions under study stay deterministic there while rt runs them at
 // full hardware concurrency; rt is the correctness-bearing mode
-// (numerics verified end to end) and the mode the examples and the
-// tuning CLI run in.
+// (numerics verified end to end) and the mode the library, the engine
+// and the examples run in.
 //
-// An execution is an Executor: a drivable object that workers attach
-// to (Drive, one goroutine per worker id) and detach from, rather
-// than a function that owns its goroutines. Run is the one-shot
-// convenience that spawns a goroutine per worker and waits — the
-// spawn-per-call mode the resident engine (internal/engine) amortizes
-// away.
+// A run owns its goroutines: the caller drives worker 0, one goroutine
+// per further worker drives the rest, and all of them are joined before
+// the result is read. Run reserves one kernel workspace per worker
+// around the run; Execute is the same run for a caller that already
+// holds a reservation, such as the engine's pool-wide one.
 package rt
 
 import (
@@ -61,11 +60,9 @@ type Result struct {
 // park/unpark futex round trip; parking keeps long waits off the CPU.
 const spinCount = 64
 
-// Executor is the shared state of one execution: a run workers attach
-// to and detach from. Worker ids are [0,Workers); each must be driven
-// by exactly one goroutine, which stays until the run completes. The
-// Executor is safe for concurrent Drive calls on distinct ids.
-type Executor struct {
+// executor is the shared state of one run. Worker ids are [0,Workers);
+// each is driven by exactly one goroutine for the whole run.
+type executor struct {
 	g     *dag.Graph
 	pol   sched.Policy
 	n     int64
@@ -83,15 +80,6 @@ type Executor struct {
 	completed   atomic.Int64
 	failure     atomic.Pointer[error]
 
-	// attached counts workers currently inside Drive; Wait
-	// drains it to zero before touching policy counters or spans.
-	// Guarded by attachMu (attach/detach are per-worker-per-run, not
-	// per-task, so the lock is off the hot path); attachCond signals
-	// the drain.
-	attachMu   sync.Mutex
-	attachCond *sync.Cond
-	attached   int
-
 	wk waker
 
 	// Per-worker span buffers: workers never touch the shared Trace
@@ -100,35 +88,20 @@ type Executor struct {
 	spans [][]trace.Span
 
 	doneOnce sync.Once
-	doneCh   chan struct{}
 	makespan time.Duration
-
-	waitOnce sync.Once
-	result   Result
-	waitErr  error
 }
 
-// NewExecutor prepares an execution of g under the given policy, which
-// it resets and then owns until Wait returns (one policy object serves
-// one run at a time). It reserves no kernel workspace: Run does, and
-// the resident engine holds one pool-wide reservation for all its runs. The graph's dependency counters are armed and
-// the roots are seeded; the run starts making progress as soon as the
-// first worker attaches. A structurally stuck graph (a bug in the DAG
-// builder) is reported here.
-func NewExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*Executor, error) {
+// newExecutor prepares a run of g under the given policy, which it
+// resets and then owns until the run's result is read (one policy
+// object serves one run at a time). The graph's dependency counters are
+// armed and the roots are seeded. A structurally stuck graph (a bug in
+// the DAG builder) is reported here.
+func newExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*executor, error) {
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("rt: need at least one worker, got %d", opt.Workers)
 	}
-	e := &Executor{
-		g:      g,
-		pol:    pol,
-		n:      int64(len(g.Tasks)),
-		opt:    opt,
-		doneCh: make(chan struct{}),
-	}
-	e.attachCond = sync.NewCond(&e.attachMu)
+	e := &executor{g: g, pol: pol, n: int64(len(g.Tasks)), opt: opt}
 	if e.n == 0 {
-		close(e.doneCh)
 		return e, nil
 	}
 	e.pol.Reset(g, opt.Workers)
@@ -149,164 +122,99 @@ func NewExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*Executor, error)
 	return e, nil
 }
 
-func (e *Executor) done() bool {
+func (e *executor) done() bool {
 	return e.failure.Load() != nil || e.completed.Load() == e.n
-}
-
-// Done reports whether the run has completed (successfully or not).
-func (e *Executor) Done() bool {
-	select {
-	case <-e.doneCh:
-		return true
-	default:
-		return false
-	}
 }
 
 // finish records the end of the run exactly once and releases every
 // parked worker.
-func (e *Executor) finish() {
-	e.doneOnce.Do(func() {
-		e.makespan = time.Since(e.start)
-		close(e.doneCh)
-	})
+func (e *executor) finish() {
+	e.doneOnce.Do(func() { e.makespan = time.Since(e.start) })
 	e.wk.wakeAll()
 }
 
 // fail records the first error and ends the run.
-func (e *Executor) fail(err error) {
+func (e *executor) fail(err error) {
 	e.failure.CompareAndSwap(nil, &err)
 	e.finish()
 }
 
-// Drive attaches the calling goroutine as worker w and runs the
-// dispatch loop until the run completes. Exactly one goroutine may
-// drive each worker id.
-func (e *Executor) Drive(w int) {
-	if e.n == 0 || !e.attach() {
-		return
-	}
-	local := e.loop(w, e.takeSpans(w))
-	e.putSpans(w, local)
-	e.detach()
-}
-
-// attach registers the caller in `attached`, or reports false if the
-// run is already over. The done check happens under attachMu, the same
-// lock Wait's drain holds: a late attacher either sees done here (and
-// backs out without touching the span buffers Wait is about to read)
-// or is counted before the drain reads zero and holds it open until
-// detach — span buffers are never touched concurrently with Wait.
-func (e *Executor) attach() bool {
-	e.attachMu.Lock()
-	defer e.attachMu.Unlock()
-	if e.Done() {
-		return false
-	}
-	e.attached++
-	return true
-}
-
-func (e *Executor) detach() {
-	e.attachMu.Lock()
-	e.attached--
-	if e.attached == 0 {
-		e.attachCond.Broadcast()
-	}
-	e.attachMu.Unlock()
-}
-
-func (e *Executor) takeSpans(w int) []trace.Span {
-	if e.spans == nil {
-		return nil
-	}
-	return e.spans[w]
-}
-
-func (e *Executor) putSpans(w int, s []trace.Span) {
+// drive runs worker w's dispatch loop until the run is over and keeps
+// the worker's trace spans.
+func (e *executor) drive(w int) {
+	local := e.loop(w)
 	if e.spans != nil {
-		e.spans[w] = s
+		e.spans[w] = local
 	}
 }
 
-// Wait blocks until the run completes, drains all attached workers,
-// and returns the merged result. The one-shot Run calls it after
-// spawning its drivers; the engine calls it from the worker that
-// observes completion first.
-func (e *Executor) Wait() (Result, error) {
-	<-e.doneCh
-	// Counters and spans must not be read while a worker is still
-	// inside Next/Ready; block until the attached count drains (parked
-	// workers were woken by finish, workers mid-task finish that task
-	// first).
-	e.attachMu.Lock()
-	for e.attached != 0 {
-		e.attachCond.Wait()
+// result is the run's outcome, read once every worker has returned.
+func (e *executor) result() (Result, error) {
+	// Workers have returned, so any shared panel handle still packed
+	// belongs to a task that never ran (aborted run) — reclaim its
+	// cache budget. A no-op on the success path.
+	e.g.ReleasePanels()
+	if e.n == 0 {
+		return Result{}, nil
 	}
-	e.attachMu.Unlock()
-	e.waitOnce.Do(func() {
-		// Workers have drained, so any shared panel handle still packed
-		// belongs to a task that never ran (aborted run) — reclaim its
-		// cache budget. A no-op on the success path.
-		e.g.ReleasePanels()
-		if e.n == 0 {
-			return
-		}
-		if e.opt.Trace != nil {
-			for w, s := range e.spans {
-				if len(s) == 0 {
-					continue
-				}
-				// The caller may have sized the trace for fewer workers
-				// than the run has; grow it so every worker's spans land
-				// on their own timeline.
-				e.opt.Trace.EnsureWorkers(w + 1)
-				e.opt.Trace.Merge(w, s)
+	if e.opt.Trace != nil {
+		for w, s := range e.spans {
+			if len(s) == 0 {
+				continue
 			}
+			// The caller may have sized the trace for fewer workers
+			// than the run has; grow it so every worker's spans land
+			// on their own timeline.
+			e.opt.Trace.EnsureWorkers(w + 1)
+			e.opt.Trace.Merge(w, s)
 		}
-		if errp := e.failure.Load(); errp != nil {
-			e.waitErr = *errp
-			return
-		}
-		e.result = Result{Makespan: e.makespan, Counters: e.pol.Counters()}
-	})
-	return e.result, e.waitErr
+	}
+	if errp := e.failure.Load(); errp != nil {
+		return Result{}, *errp
+	}
+	return Result{Makespan: e.makespan, Counters: e.pol.Counters()}, nil
 }
 
 // Run executes g to completion under the given policy and returns the
-// wall-clock makespan: the one-shot mode that spawns a goroutine per
-// worker and tears everything down afterwards. A structurally stuck
-// graph is reported as an error, as is a panicking task. Around the run
-// it reserves one packed-GEMM workspace per worker, so no task pays the
-// pack-buffer allocation mid-factorization (reservations are refcounted
-// across overlapping runs).
+// wall-clock makespan. A structurally stuck graph is reported as an
+// error, as is a panicking task. Around the run it reserves one
+// packed-GEMM workspace per worker, so no task pays the pack-buffer
+// allocation mid-factorization (reservations are refcounted across
+// overlapping runs).
 func Run(g *dag.Graph, pol sched.Policy, opt Options) (Result, error) {
 	ws := kernel.Reserve(opt.Workers)
 	defer ws.Release()
-	return drive(g, pol, opt)
+	return Execute(g, pol, opt)
 }
 
-// drive is Run without the workspace reservation.
-func drive(g *dag.Graph, pol sched.Policy, opt Options) (Result, error) {
-	e, err := NewExecutor(g, pol, opt)
+// Execute is Run without the workspace reservation, for a caller that
+// already holds one. The calling goroutine drives worker 0 and
+// opt.Workers-1 goroutines drive the rest; all of them have returned
+// before the result is read.
+func Execute(g *dag.Graph, pol sched.Policy, opt Options) (Result, error) {
+	e, err := newExecutor(g, pol, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			e.Drive(worker)
-		}(w)
+	if e.n > 0 {
+		var wg sync.WaitGroup
+		wg.Add(opt.Workers - 1)
+		for w := 1; w < opt.Workers; w++ {
+			go func() {
+				defer wg.Done()
+				e.drive(w)
+			}()
+		}
+		e.drive(0)
+		wg.Wait()
 	}
-	wg.Wait()
-	return e.Wait()
+	return e.result()
 }
 
 // loop is worker w's dispatch loop; it returns when the run is over,
 // with the worker's locally buffered trace spans.
-func (e *Executor) loop(w int, local []trace.Span) []trace.Span {
+func (e *executor) loop(w int) []trace.Span {
+	var local []trace.Span
 	scratch := make([]*dag.Task, 0, 8)
 	for {
 		t := e.next(w)
@@ -381,7 +289,7 @@ func (e *Executor) loop(w int, local []trace.Span) []trace.Span {
 
 // next returns worker w's next task, spinning briefly and then parking
 // while the queues are empty. It returns nil when the run is over.
-func (e *Executor) next(w int) *dag.Task {
+func (e *executor) next(w int) *dag.Task {
 	spins := 0
 	for {
 		if e.done() {

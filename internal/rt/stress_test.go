@@ -247,9 +247,9 @@ func TestHelpStressNoisyOwner(t *testing.T) {
 				for it := 0; it < iters; it++ {
 					g, ran := pinnedChains(workers, chains, depth)
 					onSlot := make([]atomic.Int32, workers)
-					// drive: these graphs call no kernel, so a workspace
+					// Execute: these graphs call no kernel, so a workspace
 					// reservation per iteration would only churn buffers.
-					res, err := drive(g, sched.NewHybrid(), Options{
+					res, err := Execute(g, sched.NewHybrid(), Options{
 						Workers: workers, Noise: noisyOwner(delay, onSlot),
 					})
 					if err != nil {
@@ -338,7 +338,7 @@ func TestHelpWakePinnedReachesSleeper(t *testing.T) {
 		g.Tasks = append(g.Tasks, &dag.Task{ID: i, Kind: dag.S, Static: true, NumDeps: 1, Prio: int64(i)})
 	}
 	spy := helpSpy{Policy: sched.NewHybrid(), helped: make(chan *dag.Task, 4)}
-	e, err := NewExecutor(g, spy, Options{Workers: 2})
+	e, err := newExecutor(g, spy, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestHelpWakePinnedReachesSleeper(t *testing.T) {
 		t.Fatalf("counters %+v want one help", c)
 	}
 	e.fail(errors.New("test over"))
-	if _, err := e.Wait(); err == nil {
+	if _, err := e.result(); err == nil {
 		t.Fatal("abandoned run reported success")
 	}
 }

@@ -70,6 +70,16 @@ type Machine struct {
 // Cores returns the total core count.
 func (m Machine) Cores() int { return m.Sockets * m.CoresPerSocket }
 
+// computeSeconds is t's compute time on one core under the kernel
+// efficiency model, before any migration, queue or noise cost.
+func (m Machine) computeSeconds(t *dag.Task, kind layout.Kind) float64 {
+	effScale := m.EffScale
+	if effScale <= 0 {
+		effScale = 1
+	}
+	return t.Flops / (m.CoreGflops * 1e9 * Efficiency(t, kind) * effScale)
+}
+
 // Socket returns the socket of a core.
 func (m Machine) Socket(core int) int { return core / m.CoresPerSocket }
 

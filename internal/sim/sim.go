@@ -93,10 +93,6 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 	}
 	pol := cfg.Policy
 	pol.Reset(g, p)
-	effScale := cfg.Machine.EffScale
-	if effScale <= 0 {
-		effScale = 1
-	}
 
 	n := len(g.Tasks)
 	// The dependency state lives on the graph (dag.ResetDeps); the
@@ -172,7 +168,7 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 					nsPerByte *= cfg.Machine.CMExtraFactor
 				}
 				migration := t.Bytes * nsPerByte * 1e-9
-				compute := t.Flops / (cfg.Machine.CoreGflops * 1e9 * Efficiency(t, cfg.Layout) * effScale)
+				compute := cfg.Machine.computeSeconds(t, cfg.Layout)
 				if home != w && cfg.Layout == layout.TwoLevel && t.Kind == dag.S {
 					// A migrated tile update loses the cache residency the
 					// two-level layout exists to provide.
@@ -243,44 +239,7 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 // denominator of Theorem 1 when the core count is large relative to
 // T1/T_criticalPath.
 func CriticalPathSeconds(g *dag.Graph, m Machine, kind layout.Kind) float64 {
-	effScale := m.EffScale
-	if effScale <= 0 {
-		effScale = 1
-	}
-	cost := func(t *dag.Task) float64 {
-		return t.Flops / (m.CoreGflops * 1e9 * Efficiency(t, kind) * effScale)
-	}
-	n := len(g.Tasks)
-	longest := make([]float64, n)
-	indeg := make([]int32, n)
-	for _, t := range g.Tasks {
-		indeg[t.ID] = t.NumDeps
-	}
-	queue := make([]int32, 0, n)
-	for _, t := range g.Tasks {
-		if t.NumDeps == 0 {
-			queue = append(queue, t.ID)
-			longest[t.ID] = cost(t)
-		}
-	}
-	best := 0.0
-	for len(queue) > 0 {
-		id := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if longest[id] > best {
-			best = longest[id]
-		}
-		for _, o := range g.Tasks[id].Outs {
-			if cand := longest[id] + cost(g.Tasks[o]); cand > longest[o] {
-				longest[o] = cand
-			}
-			indeg[o]--
-			if indeg[o] == 0 {
-				queue = append(queue, o)
-			}
-		}
-	}
-	return best
+	return g.CriticalPath(func(t *dag.Task) float64 { return m.computeSeconds(t, kind) })
 }
 
 // FactorSim builds the CALU graph of an (m x n) matrix with block size b

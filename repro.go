@@ -7,15 +7,15 @@
 // major, block cyclic, two-level blocks), scheduled by fully static,
 // fully dynamic or hybrid static/dynamic (the paper's contribution)
 // policies; the MKL-style and PLASMA-style baselines the paper compares
-// against; tiled Cholesky under the same schedulers; a resident engine
-// that runs many jobs on one worker pool; and the experiment harness
+// against; tiled Cholesky under the same schedulers; an engine that
+// runs many jobs on one worker pool; and the experiment harness
 // that regenerates every figure and table of the evaluation section.
 //
 // The examples are the tour, and go test checks their output:
 // Example (factor, check, solve), ExampleFactor (the three layouts),
 // Example_linsolve (CALU against the two baselines),
 // ExampleFactorization_SolveMany (blocked multi-RHS solves),
-// ExampleFactorCholesky, ExampleNewEngine (the resident pool),
+// ExampleFactorCholesky, ExampleNewEngine (jobs sharing one pool),
 // ExampleExperimentIDs and ExampleRunExperiment.
 //
 // See DESIGN.md for the system inventory; README.md and CHANGES.md
@@ -137,10 +137,10 @@ func CholeskyResidual(a *Matrix, f *CholeskyFactorization) float64 {
 // Cholesky workloads.
 func RandomSPD(n int, seed int64) *Matrix { return core.RandomSPD(n, seed) }
 
-// Engine is the resident factorization service: one long-lived worker
-// pool executing many Factor/Solve jobs concurrently, each on a static
-// reservation of the pool's workers. Create with NewEngine, feed with
-// Submit/TrySubmit, Close when done.
+// Engine is the factorization service: one pool of workers executing
+// many Factor/Solve jobs concurrently, each on a static share of the
+// pool's workers and on goroutines of its own. Create with NewEngine,
+// feed with Submit/TrySubmit, Close when done.
 type Engine = engine.Engine
 
 // EngineWork is one submittable engine job of any kind, built by
@@ -173,6 +173,5 @@ type Solvable = engine.Solvable
 // ErrEngineClosed is Submit's error once the engine is closed.
 var ErrEngineClosed = engine.ErrClosed
 
-// NewEngine starts a resident engine; its workers and kernel
-// workspaces live until Close.
+// NewEngine starts an engine; its kernel workspaces live until Close.
 func NewEngine(opt EngineOptions) (*Engine, error) { return engine.New(opt) }
