@@ -640,8 +640,8 @@ func reportLatencies(b *testing.B, lat []time.Duration) {
 
 // BenchmarkEngineThroughput is the engine-versus-one-shot A/B of the
 // engine's reason to exist: the same mixed workload pushed through one
-// pool (one pool-wide workspace reservation, admission, a static share
-// per job) and through per-call rt.Run, at 1..8
+// pool (admission, a static share per job) and through per-call
+// rt.Run, at 1..8
 // inflight jobs. The engine side must at least match the baseline's
 // jobs/sec.
 func BenchmarkEngineThroughput(b *testing.B) {

@@ -160,6 +160,25 @@ func TestClusterBlockGridBounded(t *testing.T) {
 	}
 }
 
+// TestClusterDeadlineBeyondDurationRelayed: a deadlineMs longer than
+// the longest time.Duration is the shard's 400 naming the bound,
+// relayed by the router as is — not a 503 that sends it round every
+// owner of the key.
+func TestClusterDeadlineBeyondDurationRelayed(t *testing.T) {
+	c, err := harness.Start(harness.Options{Shards: 2, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	code, out := postJSON(t, c.URL()+"/v1/factor", `{"n":8,"seed":1,"workers":1,"deadlineMs":1e13}`)
+	if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), "9223372036854") {
+		t.Errorf("factor with deadlineMs 1e13 via router: %d %v, want 400 naming the bound", code, out)
+	}
+	if f := c.Router.Stats().Failovers; f != 0 {
+		t.Errorf("router failed over %d times on a shard's 400", f)
+	}
+}
+
 // TestClusterOwnerSetDown: with replicas=1 the key lives on exactly one
 // shard; killing it turns solves into the typed ownerSetDown 503, while
 // an id the router never placed stays a plain 404, a key drained away

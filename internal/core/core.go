@@ -191,10 +191,9 @@ func Factor(a *mat.Dense, opt Options) (*Factorization, error) {
 // Prepared is a job of any kind — CALU, Cholesky, blocked solve — whose
 // layout is allocated and task graph built, but of which nothing has
 // executed yet; R is the kind's result type. It decouples graph
-// construction from graph execution so a caller that already holds a
-// kernel workspace reservation — the engine, for its whole pool — can
-// run the graph through rt.Execute instead of rt.Run, which Run wraps
-// and which reserves per call. A Prepared is single-use: its task
+// construction from graph execution so a caller — the engine, the
+// benchmark — can run the graph through rt.Run itself, at the share it
+// granted and with its own options. A Prepared is single-use: its task
 // closures mutate the layout in place.
 type Prepared[R any] struct {
 	// Opt is the fully defaulted option set the job was built with.

@@ -1,11 +1,9 @@
 // Package engine is the factorization service: one pool of Workers
-// runs many Factor/Solve jobs concurrently under admission control and
-// one pool-wide kernel workspace reservation, instead of every call
-// reserving its own (the one-shot rt.Run mode).
+// runs many Factor/Solve jobs concurrently under admission control.
 //
 // The pool is partitioned statically across jobs. Each started job is
 // granted a share of the pool's workers and runs on that many
-// goroutines of its own (rt.Execute), and the paper's hybrid
+// goroutines of its own (rt.Run), and the paper's hybrid
 // static/dynamic split runs inside the job, where the policy's shared
 // queue and help tier absorb load imbalance among the job's own
 // workers. A job's goroutines end with it; the pool is a count of
@@ -41,7 +39,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/rt"
 	"repro/internal/sched"
@@ -83,13 +80,11 @@ func (o *Options) fill() {
 type Stats struct {
 	// Workers is the pool size.
 	Workers int
-	// Pending counts queued jobs across both lanes (SmallQueued +
-	// BigQueued); Active counts started, unfinished jobs; ReservedInUse
-	// is the sum of their grants.
+	// Pending counts queued jobs across both lanes (Small.Queued +
+	// Large.Queued); Active counts started, unfinished jobs;
+	// ReservedInUse is the sum of their grants.
 	Pending, Active, ReservedInUse int
-	// SmallQueued and BigQueued are the live lane depths.
-	SmallQueued, BigQueued int
-	// JobsDone/JobsFailed count completed jobs.
+	// JobsDone/JobsFailed count completed jobs of both classes.
 	JobsDone, JobsFailed int64
 	// Lends and FusedJobs are always 0: no worker runs another job's
 	// tasks, and every job runs on goroutines of its own. The fields stay
@@ -107,7 +102,6 @@ type Stats struct {
 // Submit/TrySubmit, and Close when done.
 type Engine struct {
 	opt Options
-	ws  *kernel.Reservation
 
 	mu   sync.Mutex
 	capa *sync.Cond // submitters wait here for admission capacity
@@ -122,28 +116,20 @@ type Engine struct {
 
 	wg sync.WaitGroup // started jobs
 
-	jobsDone   atomic.Int64
-	jobsFailed atomic.Int64
-	shedCount  atomic.Int64
-	cancelled  atomic.Int64
+	shedCount atomic.Int64
+	cancelled atomic.Int64
 }
 
-// New starts an engine: its pool-wide kernel workspace reservation
-// lives until Close. The error is always nil.
+// New starts an engine. The error is always nil.
 func New(opt Options) (*Engine, error) {
 	opt.fill()
 	e := &Engine{opt: opt}
 	e.capa = sync.NewCond(&e.mu)
-	// One refcounted pool-wide reservation: grants never add up to more
-	// than Workers, so at most Workers goroutines ever call kernels at
-	// once, however many jobs are in flight, and no job reserves
-	// anything of its own.
-	e.ws = kernel.Reserve(opt.Workers)
 	return e, nil
 }
 
-// Close rejects queued jobs, waits for started jobs to finish, and
-// releases the pool's kernel workspaces. Safe to call more than once.
+// Close rejects queued jobs and waits for started jobs to finish. Safe
+// to call more than once.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -163,14 +149,12 @@ func (e *Engine) Close() {
 	e.mu.Unlock()
 	for _, j := range dropped {
 		j.err = ErrClosed
-		e.jobsFailed.Add(1)
 		if j.stopCancel != nil {
 			j.stopCancel()
 		}
 		close(j.done)
 	}
 	e.wg.Wait()
-	e.ws.Release()
 }
 
 // Stats returns a snapshot of the engine's state.
@@ -179,8 +163,6 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		Workers:       e.opt.Workers,
 		Pending:       e.lanes[0].depth + e.lanes[1].depth,
-		SmallQueued:   e.lanes[0].depth,
-		BigQueued:     e.lanes[1].depth,
 		ReservedInUse: e.reservedInUse,
 		Small:         e.lanes[0].stats(),
 		Large:         e.lanes[1].stats(),
@@ -189,8 +171,8 @@ func (e *Engine) Stats() Stats {
 	// Every admitted job that is not in a lane has started.
 	s.Active = e.inflight - s.Pending
 	e.mu.Unlock()
-	s.JobsDone = e.jobsDone.Load()
-	s.JobsFailed = e.jobsFailed.Load()
+	s.JobsDone = s.Small.Done + s.Large.Done
+	s.JobsFailed = s.Small.Failed + s.Large.Failed
 	s.Shed = e.shedCount.Load()
 	s.Cancelled = e.cancelled.Load()
 	return s
@@ -502,7 +484,6 @@ func (e *Engine) cancelQueued(ctx context.Context, j *Job) {
 	} else {
 		e.cancelled.Add(1)
 	}
-	e.jobsFailed.Add(1)
 	close(j.done)
 }
 
@@ -559,7 +540,7 @@ func (j *Job) prepare(opt core.Options) (g *dag.Graph, pol sched.Policy, err err
 
 // runJob runs a started job: it builds the job's task graph at the
 // granted share, executes it on the calling goroutine and granted-1
-// more under the pool's workspace reservation, and completes the job.
+// more, and completes the job.
 // Factor, Cholesky and solve jobs of both classes all take this path —
 // a solve is a blocked triangular-solve graph, not an inline call, so it
 // executes at the granted share like any factorization.
@@ -572,7 +553,7 @@ func (e *Engine) runJob(j *Job) {
 	g, pol, err := j.prepare(opt)
 	if err == nil {
 		var res rt.Result
-		res, err = rt.Execute(g, pol, rt.Options{Workers: j.granted, Trace: opt.Trace, Noise: opt.Noise})
+		res, err = rt.Run(g, pol, rt.Options{Workers: j.granted, Trace: opt.Trace, Noise: opt.Noise})
 		if err == nil {
 			j.result = j.finish(res)
 		}
@@ -603,11 +584,6 @@ func (e *Engine) completeJob(j *Job) {
 	e.mu.Unlock()
 	if stop != nil {
 		stop()
-	}
-	if j.err != nil {
-		e.jobsFailed.Add(1)
-	} else {
-		e.jobsDone.Add(1)
 	}
 	j.span = time.Since(j.started)
 	close(j.done)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/kernel"
 	"repro/internal/layout"
 	"repro/internal/mat"
 	"repro/internal/rt"
@@ -393,26 +392,6 @@ func TestEngineCloseSemantics(t *testing.T) {
 	<-closed
 	if _, err := e.SubmitFactor(a, core.Options{Block: 8}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submission after Close got %v, want ErrClosed", err)
-	}
-}
-
-// TestEngineCloseReleasesWorkspaces: New takes one pool-wide
-// kernel.Reserve, which grows the shared panel-cache budget, and Close
-// gives it back. An engine that forgot its Release would leave every
-// later run a budget sized for workers that no longer exist.
-func TestEngineCloseReleasesWorkspaces(t *testing.T) {
-	base := kernel.ReadPanelCacheStats().BudgetBytes
-	e, err := New(Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if open := kernel.ReadPanelCacheStats().BudgetBytes; open <= base {
-		e.Close()
-		t.Fatalf("BudgetBytes %d with the engine open, want above %d: New reserved no workspaces", open, base)
-	}
-	e.Close()
-	if after := kernel.ReadPanelCacheStats().BudgetBytes; after != base {
-		t.Fatalf("BudgetBytes %d after Close, want %d: the engine's workspace reservation leaked", after, base)
 	}
 }
 

@@ -292,7 +292,6 @@ func TestTrsmPropagatesNonFinite(t *testing.T) {
 // distinct outputs: the pooled pack workspaces must never alias.
 func TestGemmPackedConcurrent(t *testing.T) {
 	const workers = 8
-	defer Reserve(workers).Release()
 	var wg sync.WaitGroup
 	errs := make([]float64, workers)
 	for w := 0; w < workers; w++ {

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -19,20 +20,18 @@ import (
 // both operand sides; GemmShared takes one optional handle per side.
 //
 // Budget: cached panels of both sides are accounted against one byte
-// budget that scales with the pool-wide kernel.Reserve sum (pcSetSlots,
-// called by Reserve/Release), so a resident engine with more workers
-// may cache more panels. When the budget is exhausted a panel falls
-// back to the private packing path, which is bit-identical (same packed
-// bytes, same loop order, same micro-kernel), so hit and miss paths
-// cannot diverge numerically.
+// budget sized from the processor count, as many as can pack at once.
+// When the budget is exhausted a panel falls back to the private
+// packing path, which is bit-identical (same packed bytes, same loop
+// order, same micro-kernel), so hit and miss paths cannot diverge
+// numerically.
 //
 // Buffers: a freed panel buffer goes onto a free list keyed by its
 // length and the next panel of that length takes it back — a
 // factorization packs hundreds of panels of a handful of sizes, and a
 // fresh make per panel would allocate (and zero) the whole packed
 // volume on every run. Live and parked bytes together never exceed the
-// budget: parked buffers are dropped to make room for a live panel and
-// when the budget shrinks.
+// budget: parked buffers are dropped to make room for a live panel.
 //
 // Lifecycle: the builder knows the exact consumer count, so the
 // refcount is exact and the normal path frees the buffer on the last
@@ -42,12 +41,11 @@ import (
 // leaks.
 
 const (
-	// panelCacheBase is the byte budget available with no reservations
-	// (one-shot runs before Reserve, tests).
+	// panelCacheBase is the budget every machine gets.
 	panelCacheBase = 8 << 20
-	// panelCachePerSlot is the additional budget per reserved workspace
-	// slot — roughly four 256x256 packed panels per worker.
-	panelCachePerSlot = 1 << 20
+	// panelCachePerCPU is the additional budget per processor —
+	// roughly four 256x256 packed panels each.
+	panelCachePerCPU = 1 << 20
 )
 
 // panelSide says which GEMM operand a SharedPanel holds.
@@ -67,22 +65,14 @@ const (
 )
 
 var (
-	pcMu     sync.Mutex
-	pcBudget int64 = panelCacheBase
+	pcMu sync.Mutex
+	// pcBudget is fixed at start-up; only tests pin another value.
+	pcBudget = panelCacheBase + int64(runtime.NumCPU())*panelCachePerCPU
 	pcUsed   int64 // bytes of live panels
 	pcParked int64 // bytes on pcFree
 	pcFree   = map[int][][]float64{}
 	pcCount  [2][4]int64 // [panelSide][event]
 )
-
-// pcSetSlots recomputes the byte budget from the pool-wide workspace
-// reservation sum; Reserve and Release call it outside wsMu.
-func pcSetSlots(slots int) {
-	pcMu.Lock()
-	pcBudget = panelCacheBase + int64(slots)*panelCachePerSlot
-	pcTrimLocked()
-	pcMu.Unlock()
-}
 
 // pcEvent counts one cache event.
 func pcEvent(side panelSide, ev int) {

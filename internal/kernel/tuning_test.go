@@ -192,13 +192,12 @@ func TestParseCacheSize(t *testing.T) {
 // TestProfileFixedAcrossProcesses re-executes the test binary twice
 // with HOME and XDG_CACHE_HOME pointed at an empty directory: both
 // children report the same profile as this process, and after a packed
-// Gemm and a Reserve the directory is still empty — the kernel package
-// reads no environment and writes no file.
+// Gemm the directory is still empty — the kernel package reads no
+// environment and writes no file.
 func TestProfileFixedAcrossProcesses(t *testing.T) {
 	if os.Getenv("HSD_PROFILE_HELPER") == "1" {
 		rng := rand.New(rand.NewSource(3))
 		Gemm(randView(rng, 130, 120), randView(rng, 130, 70), randView(rng, 70, 120))
-		Reserve(2).Release()
 		p, src := ActiveProfile()
 		fmt.Printf("profile: %+v | %s\n", p, src)
 		os.Exit(0)

@@ -5,93 +5,75 @@ import (
 	"testing"
 )
 
-// wsState snapshots the free-list length and the current bound.
-func wsState() (free, bound int) {
+// TestFreeListBoundedByCPUs: sets returned beyond wsCap — a pool wider
+// than the machine — go to the garbage collector, exactly wsCap stay on
+// the free list, and the next checkout reuses one of them. The bound is
+// pinned at 2 on an empty list, so the test allocates four sets on any
+// machine.
+func TestFreeListBoundedByCPUs(t *testing.T) {
 	wsMu.Lock()
-	defer wsMu.Unlock()
-	return len(wsFree), wsCapLocked()
-}
-
-// The free-list bound must be the SUM of live reservations: a narrow
-// run starting while a wide run is in flight must not shrink the bound
-// out from under the wide run (the retarget race the old global-cap
-// Reserve had), and releases must decay the bound so a wide run's
-// ~1.3 MiB-per-worker buffer sets are not pinned forever.
-func TestReserveRefcountsOverlappingRuns(t *testing.T) {
-	wide := Reserve(6)
-	if free, bound := wsState(); free < 6 || bound != 6 {
-		t.Fatalf("after Reserve(6): free=%d bound=%d, want >=6/6", free, bound)
+	oldCap, oldFree := wsCap, wsFree
+	wsCap, wsFree = 2, nil
+	wsMu.Unlock()
+	t.Cleanup(func() {
+		wsMu.Lock()
+		wsCap, wsFree = oldCap, oldFree
+		wsMu.Unlock()
+	})
+	out := make([]*workspace, wsCap+2)
+	for i := range out {
+		out[i] = getWorkspace()
 	}
-
-	// Overlapping narrow run: bound grows to the sum, never shrinks,
-	// and the buffer population is topped up to the sum so both runs
-	// find their full share.
-	narrow := Reserve(1)
-	if free, bound := wsState(); bound != 7 || free < 7 {
-		t.Fatalf("overlapping Reserve(1): free=%d bound=%d, want >=7/7 (sum of live reservations)", free, bound)
+	for _, w := range out {
+		putWorkspace(w)
 	}
-
-	narrow.Release()
-	if _, bound := wsState(); bound != 6 {
-		t.Fatalf("after narrow release: bound=%d, want 6 (wide run still live)", bound)
+	wsMu.Lock()
+	free, top := len(wsFree), wsFree[len(wsFree)-1]
+	wsMu.Unlock()
+	if free != wsCap {
+		t.Fatalf("free list holds %d sets after %d returns, want wsCap = %d", free, len(out), wsCap)
 	}
-
-	wide.Release()
-	wide.Release() // idempotent
-	if free, bound := wsState(); bound != wsDefaultCap || free > bound {
-		t.Fatalf("after all releases: free=%d bound=%d, want bound=%d and free<=bound",
-			free, bound, wsDefaultCap)
+	if w := getWorkspace(); w != top {
+		t.Error("checkout allocated a new set with the free list full")
+	} else {
+		putWorkspace(w)
 	}
 }
 
-// A second reservation taken while the first run's buffers are checked
-// out must still find its full share on the free list.
-func TestReserveTopsUpPastCheckedOut(t *testing.T) {
-	first := Reserve(2)
-	a, b := getWorkspace(), getWorkspace() // first run's workers hold theirs
-	second := Reserve(2)
-	if free, _ := wsState(); free < 2 {
-		t.Fatalf("second Reserve(2) with 2 checked out: free=%d, want >=2", free)
-	}
-	putWorkspace(a)
-	putWorkspace(b)
-	first.Release()
-	second.Release()
-}
-
-// Buffers returned above the bound are dropped, not retained.
-func TestReleaseTrimsFreeList(t *testing.T) {
-	r := Reserve(4)
-	a, b := getWorkspace(), getWorkspace()
-	r.Release()
-	putWorkspace(a)
-	putWorkspace(b)
-	if free, bound := wsState(); free > bound {
-		t.Fatalf("free list %d exceeds bound %d after release", free, bound)
-	}
-}
-
-// Concurrent Reserve/Release cycles with checkouts in between must keep
-// the accounting consistent (run under -race).
-func TestReserveConcurrent(t *testing.T) {
-	var wg sync.WaitGroup
+// TestWorkspaceConcurrentCheckouts: concurrent checkouts never hand one
+// set to two callers and never leave the free list above its bound (run
+// under -race).
+func TestWorkspaceConcurrentCheckouts(t *testing.T) {
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		held = map[*workspace]bool{}
+	)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func(n int) {
+		go func() {
 			defer wg.Done()
 			for k := 0; k < 50; k++ {
-				r := Reserve(1 + n%4)
 				w := getWorkspace()
+				mu.Lock()
+				if held[w] {
+					t.Error("one workspace checked out twice")
+				}
+				held[w] = true
+				mu.Unlock()
+				w.ap[0]++ // a shared set would race here
+				mu.Lock()
+				delete(held, w)
+				mu.Unlock()
 				putWorkspace(w)
-				r.Release()
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	wsMu.Lock()
-	reserved := wsReserved
+	free := len(wsFree)
 	wsMu.Unlock()
-	if reserved != 0 {
-		t.Fatalf("leaked %d reservations", reserved)
+	if free > wsCap {
+		t.Fatalf("free list holds %d sets, bound %d", free, wsCap)
 	}
 }

@@ -56,7 +56,4 @@ func TestAbortReleasesSharedPanels(t *testing.T) {
 	if after.UsedBytes != base.UsedBytes {
 		t.Fatalf("UsedBytes = %d after aborted run, want baseline %d: panel buffer leaked", after.UsedBytes, base.UsedBytes)
 	}
-	if after.BudgetBytes != base.BudgetBytes {
-		t.Fatalf("BudgetBytes = %d after aborted run, want baseline %d: workspace reservation leaked", after.BudgetBytes, base.BudgetBytes)
-	}
 }

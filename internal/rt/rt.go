@@ -15,9 +15,8 @@
 //
 // A run owns its goroutines: the caller drives worker 0, one goroutine
 // per further worker drives the rest, and all of them are joined before
-// the result is read. Run reserves one kernel workspace per worker
-// around the run; Execute is the same run for a caller that already
-// holds a reservation, such as the engine's pool-wide one.
+// the result is read. The kernels keep their own pack buffers; a run
+// manages no kernel memory.
 package rt
 
 import (
@@ -28,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/dag"
-	"repro/internal/kernel"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -177,37 +175,27 @@ func (e *executor) result() (Result, error) {
 
 // Run executes g to completion under the given policy and returns the
 // wall-clock makespan. A structurally stuck graph is reported as an
-// error, as is a panicking task. Around the run it reserves one
-// packed-GEMM workspace per worker, so no task pays the pack-buffer
-// allocation mid-factorization (reservations are refcounted across
-// overlapping runs).
+// error, as is a panicking task. The calling goroutine drives worker 0
+// and opt.Workers-1 goroutines drive the rest; all of them have
+// returned before the result is read.
 func Run(g *dag.Graph, pol sched.Policy, opt Options) (Result, error) {
-	ws := kernel.Reserve(opt.Workers)
-	defer ws.Release()
-	return Execute(g, pol, opt)
-}
-
-// Execute is Run without the workspace reservation, for a caller that
-// already holds one. The calling goroutine drives worker 0 and
-// opt.Workers-1 goroutines drive the rest; all of them have returned
-// before the result is read.
-func Execute(g *dag.Graph, pol sched.Policy, opt Options) (Result, error) {
 	e, err := newExecutor(g, pol, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	if e.n > 0 {
-		var wg sync.WaitGroup
-		wg.Add(opt.Workers - 1)
-		for w := 1; w < opt.Workers; w++ {
-			go func() {
-				defer wg.Done()
-				e.drive(w)
-			}()
-		}
-		e.drive(0)
-		wg.Wait()
+	if e.n == 0 {
+		return e.result()
 	}
+	var wg sync.WaitGroup
+	wg.Add(opt.Workers - 1)
+	for w := 1; w < opt.Workers; w++ {
+		go func() {
+			defer wg.Done()
+			e.drive(w)
+		}()
+	}
+	e.drive(0)
+	wg.Wait()
 	return e.result()
 }
 

@@ -3,6 +3,7 @@ package rt
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -205,8 +206,8 @@ func TestRunRecoversTaskPanic(t *testing.T) {
 }
 
 // TestRunTasksUseKernelWorkspaces executes a graph whose tasks run real
-// packed GEMMs concurrently — the path rt pre-reserves kernel
-// workspaces for — and verifies every task computed the right update.
+// packed GEMMs concurrently, each on a pack-buffer set of its own, and
+// verifies every task computed the right update.
 func TestRunTasksUseKernelWorkspaces(t *testing.T) {
 	const nTasks, sz = 8, 96
 	mk := func(seed int64) []float64 {
@@ -241,5 +242,43 @@ func TestRunTasksUseKernelWorkspaces(t *testing.T) {
 				t.Fatalf("task %d element %d off by %g", i, e, d)
 			}
 		}
+	}
+}
+
+// TestRunWiderThanMachineAllocatesNoPackBuffers: a run with more
+// workers than the machine has processors takes its pack buffers from
+// the kernel's free list like any other. A chain of packed GEMMs holds
+// one buffer set at a time, so once a warm-up run has filled the list
+// a run allocates only its own bookkeeping — not a megabyte-scale set.
+func TestRunWiderThanMachineAllocatesNoPackBuffers(t *testing.T) {
+	const nTasks, sz, runs = 8, 96, 20
+	v := func() kernel.View {
+		return kernel.View{Rows: sz, Cols: sz, Stride: sz, Data: make([]float64, sz*sz)}
+	}
+	a, b, c := v(), v(), v()
+	g := &dag.Graph{Name: "gemm-chain", Workers: 1}
+	for i := 0; i < nTasks; i++ {
+		task := &dag.Task{ID: int32(i), Kind: dag.S, Run: func() { kernel.Gemm(c, a, b) }}
+		if i > 0 {
+			g.Tasks[i-1].Outs = []int32{task.ID}
+			task.NumDeps = 1
+		}
+		g.Tasks = append(g.Tasks, task)
+	}
+	pol := sched.NewDynamic()
+	opt := Options{Workers: runtime.NumCPU() + 2}
+	if _, err := Run(g, pol, opt); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Run(g, pol, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 256<<10 {
+		t.Fatalf("%d bytes allocated per run at Workers=%d, want under 256 KiB: pack buffers re-allocated", per, opt.Workers)
 	}
 }

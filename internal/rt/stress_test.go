@@ -247,9 +247,7 @@ func TestHelpStressNoisyOwner(t *testing.T) {
 				for it := 0; it < iters; it++ {
 					g, ran := pinnedChains(workers, chains, depth)
 					onSlot := make([]atomic.Int32, workers)
-					// Execute: these graphs call no kernel, so a workspace
-					// reservation per iteration would only churn buffers.
-					res, err := Execute(g, sched.NewHybrid(), Options{
+					res, err := Run(g, sched.NewHybrid(), Options{
 						Workers: workers, Noise: noisyOwner(delay, onSlot),
 					})
 					if err != nil {

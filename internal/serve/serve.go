@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sync/atomic"
@@ -122,7 +123,7 @@ type jobRequest struct {
 	// DeadlineMs bounds the request's context, counted from when the
 	// shard has read the request: a job still queued when it passes is
 	// withdrawn and the reply is 503. A job that has started runs to
-	// completion. 0 means no deadline.
+	// completion. 0 means no deadline; above maxDeadlineMs is a 400.
 	DeadlineMs float64 `json:"deadlineMs"`
 
 	Scheduler    json.RawMessage `json:"scheduler"`
@@ -146,9 +147,16 @@ func (r *jobRequest) options() (core.Options, error) {
 	if r.DeadlineMs < 0 {
 		return core.Options{}, fmt.Errorf("deadlineMs must be >= 0, got %g", r.DeadlineMs)
 	}
+	if r.DeadlineMs > float64(maxDeadlineMs) {
+		return core.Options{}, fmt.Errorf("deadlineMs must be at most %d, the longest time.Duration, got %g", maxDeadlineMs, r.DeadlineMs)
+	}
 	return core.Options{Layout: layout.BCL, Block: r.Block, Workers: r.Workers,
 		Scheduler: core.ScheduleHybrid, DynamicRatio: 0.1}, nil
 }
+
+// maxDeadlineMs is the longest deadlineMs a time.Duration holds; a
+// longer one would overflow to a context that has already expired.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 
 type factorRequest struct {
 	// ID, when set, stores the factorization under an explicit id —

@@ -498,6 +498,37 @@ func TestServeDeadlineShed503(t *testing.T) {
 	}
 }
 
+// TestServeDeadlineBeyondDurationRefused: a deadlineMs longer than the
+// longest time.Duration would overflow to an already expired context
+// and be shed as a 503 the caller can never get past by retrying. It is
+// a 400 that names the bound, on a factor and a solve alike, before any
+// job runs; a deadline of exactly the bound still runs.
+func TestServeDeadlineBeyondDurationRefused(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"n":8,"seed":1,"workers":1,"deadlineMs":9223372036854}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("deadlineMs at the bound: %d %v, want 200", resp.StatusCode, out)
+	}
+	id := out["id"].(string)
+	jobs := func() int64 { st := s.eng.Stats(); return st.JobsDone + st.JobsFailed }
+	before := jobs()
+	for _, c := range []struct{ path, body string }{
+		{"/v1/factor", `{"n":8,"seed":1,"workers":1,"deadlineMs":1e13}`},
+		{"/v1/solve", fmt.Sprintf(`{"id":%q,"b":[1,1,1,1,1,1,1,1],"deadlineMs":1e13}`, id)},
+	} {
+		resp, out := postJSON(t, ts.URL+c.path, c.body)
+		if msg, _ := out["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "9223372036854") {
+			t.Errorf("%s with deadlineMs 1e13: %d %v, want 400 naming the bound", c.path, resp.StatusCode, out)
+		}
+	}
+	if got := jobs(); got != before {
+		t.Errorf("engine ran jobs for refused deadlines: %d -> %d", before, got)
+	}
+	if st := s.eng.Stats(); st.Shed != 0 {
+		t.Errorf("Shed %d, want 0: an overlong deadline is not load", st.Shed)
+	}
+}
+
 // TestServeSaturation429: admission at MaxInflight is 429 (back off),
 // distinct from the 503 shed.
 func TestServeSaturation429(t *testing.T) {
