@@ -3,12 +3,17 @@
 // (a hash ring with 64 virtual nodes per shard), factors each key on
 // its owner, replicates the serialized factorization to -replicas
 // shards for solve read-scaling, and routes solves to any replica with
-// failover. Shard lifecycle is handled live: health probes evict
-// unreachable shards from the ring (solves fail over to surviving
+// failover. Shard lifecycle is handled live: health probes mark
+// unreachable shards unhealthy (solves fail over to surviving
 // replicas), /v1/admin/join rebalances the ring and migrates reassigned
 // keys to a new shard, and /v1/admin/drain retires a shard after
 // handing its kept factorizations to the owners under the shrunken
 // ring.
+//
+// The router keeps no state per key: a key lives on its -replicas ring
+// owners, and ids (the kind prefix plus 96 random bits, redrawn until
+// the owners can take the factor) never repeat, so restarting hsdrouter
+// with the same -shards keeps every key solvable.
 //
 //	hsdrouter -addr :8090 \
 //	    -shards s1=http://10.0.0.1:8080,s2=http://10.0.0.2:8080,s3=http://10.0.0.3:8080 \
@@ -19,8 +24,9 @@
 // the router assigns ids, so factor requests must not carry one.
 // /v1/stats aggregates per-shard request counts, failovers,
 // replication lag and the ring generation alongside each live shard's
-// own stats. A solve whose every holding shard is gone returns a typed
-// 503 with "ownerSetDown": true.
+// own stats. A solve whose every owning shard is gone returns a typed
+// 503 with "ownerSetDown": true; so does an unknown id while one of its
+// owners is down, since that owner may hold it.
 //
 //	curl -s localhost:8090/v1/admin/join -H 'Content-Type: application/json' \
 //	    -d '{"name":"s4","url":"http://10.0.0.4:8080"}'

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -113,27 +112,25 @@ func solveRetryable(status int) bool {
 	return factorRetryable(status) || status == http.StatusNotFound
 }
 
-// handleFactor places a factor job: the router assigns the key (prefix
-// plus sequence number), hashes it to an owner set, factors on the first
-// placeable owner's path endpoint — the client's bytes, the key riding
-// along as ?id= — then copies the serialized factorization to the rest
-// of the set. A body that carries its own id is the shard's 400. The
-// factor is forwarded under the client's ctx; the copies are not.
+// handleFactor mints a key, factors on its first placeable owner's path
+// endpoint (the client's bytes under the client's ctx, the key as ?id=;
+// a body with its own id is the shard's 400), then copies the result to
+// the other routable owners, read again to see a ring swapped meanwhile
+// (a later swap lists the key in the rebalance's second pass).
 func (rt *Router) handleFactor(ctx context.Context, w http.ResponseWriter, body []byte, prefix, path string) {
-	key := fmt.Sprintf("%s-%d", prefix, rt.seq.Add(1))
-	owners := rt.ownerSet(key)
+	key, cs := rt.mint(prefix)
 	rt.factors.Add(1)
 
-	start := time.Now()
-	s, resp := rt.try(ctx, owners, rt.placeable, factorRetryable, path+"?id="+url.QueryEscape(key), body)
+	s, resp := rt.try(ctx, cs, rt.placeable, factorRetryable, path+"?id="+url.QueryEscape(key), body)
 	if resp == nil {
 		ownerSetDown(w, "no live owner for key "+key)
 		return
 	}
 	if resp.StatusCode == http.StatusOK {
-		holders := rt.migrateKey(key, []string{s.name}, owners)
+		start := time.Now()
+		want, _ := rt.owners(key, nil, rt.routable)
+		rt.migrateKey(key, []string{s.name}, want)
 		rt.observeRepLag(time.Since(start))
-		rt.setHolders(key, holders)
 	}
 	relay(w, resp)
 }
@@ -146,11 +143,12 @@ type solveKey struct {
 
 func (*solveKey) BulkMember() (string, *[]float64) { return "b", nil }
 
-// handleSolve routes a solve to the path endpoint of any shard holding
-// the key, rotating the starting replica for read scaling and failing
-// over past dead or evicted holders, under the client's ctx. Unknown
-// keys are 404; keys whose every holder is gone get the typed
-// ownerSetDown 503.
+// handleSolve routes a solve to the path endpoint of the key's routable
+// owners, rotating the starting one for read scaling and failing over
+// past dead or non-holding shards, under the client's ctx. When no owner
+// answers, or every answer is a 404 while one of the owners is
+// unroutable (it may hold the key), the reply is the typed ownerSetDown
+// 503; otherwise the shard's answer.
 func (rt *Router) handleSolve(ctx context.Context, w http.ResponseWriter, body []byte, path string) {
 	var req solveKey
 	if err := DecodeJSON(body, &req); err != nil {
@@ -161,20 +159,20 @@ func (rt *Router) handleSolve(ctx context.Context, w http.ResponseWriter, body [
 		HTTPError(w, http.StatusBadRequest, "missing factorization id")
 		return
 	}
-	holders, placed := rt.holders(req.ID)
-	if !placed {
-		HTTPError(w, http.StatusNotFound, "unknown factorization id %s", req.ID)
-		return
-	}
+	up, down := rt.owners(req.ID, nil, rt.routable)
 	rt.solves.Add(1)
 
-	if n := len(holders); n > 1 {
+	if n := len(up); n > 1 {
 		first := int(rt.rotor.Add(1)) % n
-		holders = append(holders[first:n:n], holders[:first]...)
+		up = append(up[first:n:n], up[:first]...)
 	}
-	_, resp := rt.try(ctx, holders, rt.routable, solveRetryable, path, body)
+	_, resp := rt.try(ctx, up, rt.routable, solveRetryable, path, body)
+	if resp != nil && down && resp.StatusCode == http.StatusNotFound {
+		resp.Body.Close()
+		resp = nil
+	}
 	if resp == nil {
-		ownerSetDown(w, "every shard holding "+req.ID+" is unreachable")
+		ownerSetDown(w, "no reachable shard holds "+req.ID)
 		return
 	}
 	relay(w, resp)

@@ -24,7 +24,7 @@ func (rt *Router) noteResult(s *shardState, err error) {
 }
 
 // noteTransportError counts a failure; once FailAfter consecutive
-// failures accumulate, settle evicts the shard from the ring.
+// failures accumulate, settle marks the shard unhealthy.
 func (rt *Router) noteTransportError(s *shardState) {
 	s.errs.Add(1)
 	if s.consecFails.Add(1) >= int64(rt.opt.FailAfter) {
@@ -33,32 +33,24 @@ func (rt *Router) noteTransportError(s *shardState) {
 }
 
 // noteAlive resets the failure streak. Only a streak that had reached
-// FailAfter can have evicted the shard, so a healthy shard's success
-// ends here, lock-free; an evicted one rejoins the ring (its kept state
-// may be stale or gone — solve failover covers the 404s until new
-// placements repopulate it).
+// FailAfter can have marked the shard unhealthy, so a healthy shard's
+// success ends here, lock-free; an evicted one is routable again (its
+// kept state may be stale or gone — solve failover covers the 404s).
 func (rt *Router) noteAlive(s *shardState) {
 	if s.consecFails.Swap(0) >= int64(rt.opt.FailAfter) {
 		rt.settle(s)
 	}
 }
 
-// settle makes s's health flag and ring membership agree with its
-// failure streak, re-read under mu so that racing successes and failures
-// settle to the last streak either wrote. It takes only mu, never
-// adminMu: transport errors surface inside Join/Drain migrations too,
-// which already hold adminMu. A retired shard never rejoins.
+// settle makes s's health flag agree with its failure streak, re-read
+// under mu so that racing successes and failures settle to the last
+// streak either wrote. The ring is not touched: it holds every
+// non-retired member, and routable screens the flag. settle takes only
+// mu, never adminMu: transport errors surface inside Join/Drain
+// migrations too, which already hold adminMu.
 func (rt *Router) settle(s *shardState) {
 	rt.mu.Lock()
-	up := s.consecFails.Load() < int64(rt.opt.FailAfter)
-	switch {
-	case !up && s.healthy:
-		s.healthy = false
-		rt.ring.Remove(s.name)
-	case up && !s.healthy && !s.retired:
-		s.healthy = true
-		rt.ring.Add(s.name)
-	}
+	s.healthy = s.consecFails.Load() < int64(rt.opt.FailAfter)
 	rt.mu.Unlock()
 }
 
@@ -151,54 +143,28 @@ func (rt *Router) importTo(s *shardState, key string, wire []byte) error {
 	return nil
 }
 
-// migrateKey makes every shard in want hold key, exporting once from
-// the first routable current holder that still has it — at factor time
-// the shard that just factored, in a rebalance any replica: they hold
-// the same bytes. It returns the shards confirmed to hold the key
-// afterwards, in want's (ring) order.
-func (rt *Router) migrateKey(key string, current, want []string) []string {
+// migrateKey makes every routable shard in want hold key, exporting
+// once from the first routable current holder that still has it — at
+// factor time the shard that just factored, in a rebalance any holder:
+// they hold the same bytes.
+func (rt *Router) migrateKey(key string, current, want []string) {
 	var wire []byte
-	fetch := func() bool {
-		if wire != nil {
-			return true
-		}
-		for _, name := range current {
-			s := rt.shard(name)
-			if s == nil || !rt.routable(s) {
-				continue
-			}
-			b, err := rt.exportFrom(s, key)
-			if err == nil {
-				wire = b
-				return true
-			}
-		}
-		return false
-	}
-	out := make([]string, 0, len(want))
 	for _, name := range want {
-		if slices.Contains(current, name) {
-			out = append(out, name)
-			continue
-		}
 		t := rt.shard(name)
-		if t == nil || !rt.routable(t) || !fetch() {
-			rt.repFail.Add(1)
+		if slices.Contains(current, name) || !rt.routable(t) {
 			continue
 		}
-		if err := rt.importTo(t, key, wire); err != nil {
+		for _, h := range current { // on failure, try the next holder
+			if s := rt.shard(h); wire == nil && rt.routable(s) {
+				wire, _ = rt.exportFrom(s, key)
+			}
+		}
+		if wire == nil || rt.importTo(t, key, wire) != nil {
 			rt.repFail.Add(1)
 			continue
 		}
 		rt.repOK.Add(1)
-		out = append(out, name)
 	}
-	if len(out) == 0 {
-		// Migration failed outright; keep the old holders rather than
-		// forgetting where the key lives.
-		return current
-	}
-	return out
 }
 
 // Join adds a shard to the cluster: it is probed, inserted into the
@@ -225,16 +191,7 @@ func (rt *Router) Join(si ShardInfo) error {
 		return fmt.Errorf("cluster: shard %q at %s is not ready", si.Name, si.URL)
 	}
 
-	// Migrate against the prospective ring, then swap it in: keys the
-	// new shard will own are resident before any request can route on
-	// the new topology.
-	rt.mu.RLock()
-	next := rt.ring.Clone()
-	rt.mu.RUnlock()
-	next.Add(si.Name)
-	rt.rebalanceLocked(next)
-
-	rt.installRing(next)
+	rt.rebalanceLocked(func(next *Ring) { next.Add(si.Name) })
 	return nil
 }
 
@@ -255,12 +212,8 @@ func (rt *Router) Drain(name string) error {
 		return fmt.Errorf("cluster: shard %q already drained", name)
 	}
 	s.draining = true
-	next := rt.ring.Clone()
 	rt.mu.Unlock()
-	next.Remove(name)
-	rt.rebalanceLocked(next)
-
-	rt.installRing(next)
+	rt.rebalanceLocked(func(next *Ring) { next.Remove(name) })
 
 	// Shard-side drain: it finishes inflight work and refuses new jobs.
 	// A solve racing this gets the shard's 503 and fails over to a
@@ -271,12 +224,8 @@ func (rt *Router) Drain(name string) error {
 		resp.Body.Close()
 	}
 
-	// Retire it and drop it from every placement record.
 	rt.mu.Lock()
 	s.retired = true
-	for key, hs := range rt.placements {
-		rt.placements[key] = slices.DeleteFunc(hs, func(h string) bool { return h == name })
-	}
 	rt.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("cluster: shard %q state migrated but drain call failed: %w", name, err)
@@ -284,43 +233,25 @@ func (rt *Router) Drain(name string) error {
 	return nil
 }
 
-// installRing publishes a prospective ring built by a migration
-// (adminMu held). The clone the migration worked against predates the
-// swap, so any membership event that raced it — a probe or transport
-// eviction, a rejoin — only landed on the ring being replaced: swapping
-// the stale clone in verbatim would resurrect an evicted shard's ring
-// points (or drop a rejoined shard's) until the next event fixed it up.
-// So the flags are re-read and applied to the prospective ring in the
-// same mu section that swaps it in. settle writes a flag and edits the
-// ring in one mu section too, so every event is either visible to this
-// re-read or lands on the installed ring — never neither.
-func (rt *Router) installRing(next *Ring) {
-	rt.mu.Lock()
-	for _, s := range rt.shards {
-		switch {
-		case !s.healthy || s.retired:
-			next.Remove(s.name)
-		case !s.draining:
-			next.Add(s.name)
+// rebalanceLocked (adminMu held) applies edit to a copy of the ring,
+// copies every key the routable shards list to its routable owners
+// under that next ring, swaps it in, and copies once more: the first
+// pass makes the keys resident before any request routes on next, the
+// second catches keys factored under the old ring meanwhile.
+func (rt *Router) rebalanceLocked(edit func(next *Ring)) {
+	rt.mu.RLock()
+	next := rt.ring.Clone()
+	rt.mu.RUnlock()
+	edit(next)
+	copyAll := func() {
+		for key, current := range rt.resident() {
+			want, _ := rt.owners(key, next, rt.routable)
+			rt.migrateKey(key, current, want)
 		}
 	}
+	copyAll()
+	rt.mu.Lock()
 	rt.ring = next
 	rt.mu.Unlock()
-}
-
-// rebalanceLocked (adminMu held) rewrites every placement to the owner
-// set under the prospective ring, migrating factorizations to owners
-// that lack them.
-func (rt *Router) rebalanceLocked(next *Ring) {
-	rt.mu.RLock()
-	snap := make(map[string][]string, len(rt.placements))
-	for k, hs := range rt.placements {
-		snap[k] = append([]string(nil), hs...)
-	}
-	rt.mu.RUnlock()
-	for key, current := range snap {
-		want := next.Owners(key, rt.opt.Replicas)
-		after := rt.migrateKey(key, current, want)
-		rt.setHolders(key, after)
-	}
+	copyAll()
 }

@@ -28,7 +28,7 @@ type RouterOptions struct {
 	// transport errors on the data path.
 	ProbeInterval time.Duration
 	// FailAfter is how many consecutive probe or transport failures
-	// evict a shard from the ring. Default 3, clamped to >= 1.
+	// mark a shard unhealthy. Default 3, clamped to >= 1.
 	FailAfter int
 	// MaxBody bounds client request bodies. Default 256 MiB.
 	MaxBody int64
@@ -65,20 +65,15 @@ type Router struct {
 	// fire inside a migration, which holds adminMu.
 	adminMu sync.Mutex
 
-	// mu guards the shard map, every shard's flags, the ring, the
-	// placement table and the lag EWMA. No code takes another lock while
-	// holding it.
-	mu     sync.RWMutex
-	shards map[string]*shardState
-	ring   *Ring
-	// placements records which shards hold each key — written at factor
-	// time and rewritten by migrations. It is what lets a solve for a
-	// lost key answer "owner set down" (503) instead of "never heard of
-	// it" (404), and what drains and joins enumerate.
-	placements map[string][]string
-	repLagMs   float64 // EWMA of factor-reply-to-replicas-imported latency
+	// mu guards the shard map, every shard's flags, the ring and the lag
+	// EWMA. No code takes another lock while holding it. The ring holds
+	// every non-retired member and only Join and Drain replace it; health
+	// lives in the flags alone, so no eviction can race the swap.
+	mu       sync.RWMutex
+	shards   map[string]*shardState
+	ring     *Ring
+	repLagMs float64 // EWMA of factor-reply-to-replicas-imported latency
 
-	seq       atomic.Int64
 	factors   atomic.Int64
 	solves    atomic.Int64
 	failovers atomic.Int64
@@ -107,13 +102,12 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 		opt.MaxBody = 256 << 20
 	}
 	rt := &Router{
-		opt:        opt,
-		client:     &http.Client{},
-		shards:     map[string]*shardState{},
-		ring:       NewRing(),
-		placements: map[string][]string{},
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		opt:    opt,
+		client: &http.Client{},
+		shards: map[string]*shardState{},
+		ring:   NewRing(),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	for _, si := range opt.Shards {
 		if si.Name == "" || si.URL == "" {

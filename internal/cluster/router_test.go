@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -180,10 +181,11 @@ func TestClusterDeadlineBeyondDurationRelayed(t *testing.T) {
 }
 
 // TestClusterOwnerSetDown: with replicas=1 the key lives on exactly one
-// shard; killing it turns solves into the typed ownerSetDown 503, while
-// an id the router never placed stays a plain 404, a key drained away
-// with its last holder is the 503 again, and client-supplied factor ids
-// and oversized generated matrices are rejected.
+// shard; killing it turns solves into the typed ownerSetDown 503, as it
+// does for an id nobody factored whose owner is the dead shard, while
+// one whose owner is alive stays a plain 404, a key drained away with
+// its last holder is the 503 again, and client-supplied factor ids and
+// oversized generated matrices are rejected.
 func TestClusterOwnerSetDown(t *testing.T) {
 	c, err := harness.Start(harness.Options{Shards: 2, Replicas: 1})
 	if err != nil {
@@ -224,13 +226,27 @@ func TestClusterOwnerSetDown(t *testing.T) {
 		t.Fatalf("503 not typed: %v", out)
 	}
 
-	code, _ = solveVia(t, c.URL(), "f-404", n)
+	// An id nobody factored whose owner is alive is that owner's 404.
+	// Whose owner is down it is the 503 too: the dead shard may hold it.
+	ref := cluster.NewRing()
+	ref.Add("s1")
+	ref.Add("s2")
+	unknown := map[bool]string{}
+	for i := 0; len(unknown) < 2; i++ {
+		id := fmt.Sprintf("f-404-%d", i)
+		unknown[ref.Owners(id, 1)[0] == holders[0]] = id
+	}
+	code, _ = solveVia(t, c.URL(), unknown[false], n)
 	if code != http.StatusNotFound {
-		t.Fatalf("unknown id: %d, want 404", code)
+		t.Fatalf("unknown id with a live owner: %d, want 404", code)
+	}
+	code, out = solveVia(t, c.URL(), unknown[true], n)
+	if code != http.StatusServiceUnavailable || out["ownerSetDown"] != true {
+		t.Fatalf("unknown id with a dead owner: %d %v, want the typed 503", code, out)
 	}
 
-	// A key whose last holder was drained away is still a placed key:
-	// the same typed 503, not the 404 of an id nobody ever factored.
+	// A key whose last holder was drained away has no candidate left:
+	// the same typed 503.
 	lone, err := harness.Start(harness.Options{Shards: 1, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -430,8 +446,7 @@ func TestClusterStatsAggregation(t *testing.T) {
 	if st["ringGen"].(float64) != 3 { // three initial Adds
 		t.Fatalf("ringGen %v, want 3", st["ringGen"])
 	}
-	if st["replicas"].(float64) != 2 || st["keys"].(float64) != 2 ||
-		st["factors"].(float64) != 2 || st["solves"].(float64) != 2 {
+	if st["replicas"].(float64) != 2 || st["factors"].(float64) != 2 || st["solves"].(float64) != 2 {
 		t.Fatalf("router counters off: %v", st)
 	}
 	if st["replications"].(float64) < 2 { // each factor fanned out once
@@ -441,7 +456,7 @@ func TestClusterStatsAggregation(t *testing.T) {
 	if len(shards) != 3 {
 		t.Fatalf("stats cover %d shards, want 3", len(shards))
 	}
-	var reqs float64
+	var reqs, kept float64
 	for name, v := range shards {
 		blk := v.(map[string]any)
 		if blk["healthy"] != true || blk["retired"] != false {
@@ -455,9 +470,13 @@ func TestClusterStatsAggregation(t *testing.T) {
 		if _, ok := inner["engine"]; !ok {
 			t.Fatalf("shard %s live stats missing engine block: %v", name, inner)
 		}
+		kept += inner["store"].(map[string]any)["count"].(float64)
 	}
 	if reqs < 4 {
 		t.Fatalf("total proxied shard requests %v, want >= 4", reqs)
+	}
+	if kept != 4 { // two keys, two replicas each
+		t.Fatalf("shards keep %v factorizations, want 4", kept)
 	}
 	// Readiness: healthy cluster is ready; the router itself is healthy.
 	for _, path := range []string{"/healthz", "/readyz"} {
@@ -472,47 +491,73 @@ func TestClusterStatsAggregation(t *testing.T) {
 	}
 }
 
-// TestClusterFactorFailoverToReplica: if the primary owner dies before
-// a factor request, the router places the job on the next shard in the
-// owner set rather than failing the request.
+// TestClusterFactorFailoverToReplica: a factor whose primary owner
+// drops the connection fails over to the next owner rather than failing
+// the request, and the primary is back-filled, so the key gets R
+// holders. Once probes retire a dead shard, new keys avoid it: each one
+// is owned by live shards only and still gets R holders.
 func TestClusterFactorFailoverToReplica(t *testing.T) {
-	c, err := harness.Start(harness.Options{Shards: 3, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Discover where the next key would land without consuming its id:
-	// factor once, kill the primary of the NEXT key by prediction. The
-	// ring is deterministic, so "f-2"'s owners are knowable in advance.
 	ref := cluster.NewRing()
-	for _, name := range c.Names() {
+	servers := map[string]*httptest.Server{}
+	var infos []cluster.ShardInfo
+	for _, name := range []string{"a", "b", "c"} {
+		_, ts := newShardServer(t, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if name == "a" && r.URL.Path == "/v1/factor" {
+					conn, _, _ := w.(http.Hijacker).Hijack()
+					conn.Close()
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
 		ref.Add(name)
+		servers[name] = ts
+		infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
 	}
-	owners := ref.Owners("f-1", 2)
-	c.Kill(owners[0])
-	c.Router.ProbeNow()
-	c.Router.ProbeNow()
+	rt, front := newFront(t, infos, 2)
 
+	// Keys are random, so factor until one's primary is a.
 	const n = 16
-	id := factorVia(t, c.URL(), n, 5) // must succeed on the replica
-	if id != "f-1" {
-		t.Fatalf("first key %q, want f-1", id)
+	id, owners := "", []string(nil)
+	for i := 0; i < 200 && (owners == nil || owners[0] != "a"); i++ {
+		id = factorVia(t, front, n, 5) // must succeed on a replica
+		owners = ref.Owners(id, 2)
 	}
-	hs := c.Router.Holders(id)
-	if len(hs) == 0 || hs[0] != owners[1] {
-		t.Fatalf("holders %v, want primary fallback %s", hs, owners[1])
+	if owners[0] != "a" {
+		t.Fatal("no key of 200 hashed to a first")
 	}
-	if code, out := solveVia(t, c.URL(), id, n); code != http.StatusOK {
+	if st := rt.Stats(); st.Failovers != 1 {
+		t.Fatalf("failovers %d, want 1 (only the last factor's primary dropped it)", st.Failovers)
+	}
+	if hs := rt.Holders(id); fmt.Sprint(hs) != fmt.Sprint(owners) {
+		t.Fatalf("holders %v, want both owners %v", hs, owners)
+	}
+	if code, out := solveVia(t, front, id, n); code != http.StatusOK {
 		t.Fatalf("solve after factor failover: %d %v", code, out)
+	}
+
+	servers["a"].Close()
+	for range 3 { // RouterOptions' default FailAfter
+		rt.ProbeNow()
+	}
+	for i := range 10 {
+		id := factorVia(t, front, n, i+1)
+		owners := ref.Owners(id, 2)
+		if hs := rt.Holders(id); slices.Contains(owners, "a") || fmt.Sprint(hs) != fmt.Sprint(owners) {
+			t.Fatalf("key %s with a dead: owners %v, holders %v; want two live owners holding it", id, owners, hs)
+		}
+		if code, out := solveVia(t, front, id, n); code != http.StatusOK {
+			t.Fatalf("solve %s with a dead: %d %v", id, code, out)
+		}
 	}
 }
 
-// TestClusterJoinDoesNotResurrectEvictedShard pins the installRing
-// reconciliation against the probe/ring-swap race: Join clones the
-// ring, migrates against the clone, and only then installs it. A shard
-// evicted for transport failures during that migration window was
-// edited out of the *old* ring; the swap must not bring it back.
+// TestClusterJoinDoesNotResurrectEvictedShard: Join clones the ring,
+// migrates against the clone, and only then installs it. A shard
+// evicted for transport failures during that migration window must
+// stay unhealthy after the swap — health lives in the shard flags, not
+// in the ring — and the cluster must keep factoring and solving.
 func TestClusterJoinDoesNotResurrectEvictedShard(t *testing.T) {
 	newShard := func(name string) (*serve.Server, *engine.Engine) {
 		eng, err := engine.New(engine.Options{Workers: 1, MaxInflight: 16})
@@ -576,15 +621,16 @@ func TestClusterJoinDoesNotResurrectEvictedShard(t *testing.T) {
 		t.Fatal("no import reached the joining shard; the eviction window was never exercised")
 	}
 
-	members := map[string]bool{}
-	for _, m := range rt.Stats().RingMembers {
-		members[m] = true
+	st := rt.Stats()
+	if st.Shards["b"].Healthy {
+		t.Fatal("shard b was evicted mid-join but is healthy after the ring swap")
 	}
-	if members["b"] {
-		t.Fatalf("shard b was evicted mid-join but the ring swap resurrected it: members %v", rt.Stats().RingMembers)
+	if fmt.Sprint(st.RingMembers) != "[a b c]" {
+		t.Fatalf("ring members %v, want every non-retired member [a b c]", st.RingMembers)
 	}
-	if !members["a"] || !members["c"] {
-		t.Fatalf("live shards missing from the installed ring: members %v", rt.Stats().RingMembers)
+	id := factorVia(t, front.URL, n, keys+1)
+	if code, out := solveVia(t, front.URL, id, n); code != http.StatusOK {
+		t.Fatalf("solve after the join: %d %v", code, out)
 	}
 }
 
@@ -660,19 +706,18 @@ func TestClusterFactorForwardsClientBytes(t *testing.T) {
 // TestClusterFactorFailoverBackfillsPrimary: when the primary owner
 // sheds a factor (429) the job runs on the next owner, and the primary —
 // still alive — is back-filled by the same key copy a migration uses:
-// the placement record comes out in ring order, primary first.
+// the holders come out in ring order, primary first.
 func TestClusterFactorFailoverBackfillsPrimary(t *testing.T) {
 	ref := cluster.NewRing()
 	ref.Add("a")
 	ref.Add("b")
-	owners := ref.Owners("f-1", 2)
 
 	stores := map[string]*serve.Server{}
 	var infos []cluster.ShardInfo
 	for _, name := range []string{"a", "b"} {
 		srv, ts := newShardServer(t, func(h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if name == owners[0] && r.URL.Path == "/v1/factor" {
+				if name == "a" && r.URL.Path == "/v1/factor" {
 					cluster.HTTPError(w, http.StatusTooManyRequests, "saturated")
 					return
 				}
@@ -682,25 +727,25 @@ func TestClusterFactorFailoverBackfillsPrimary(t *testing.T) {
 		stores[name] = srv
 		infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
 	}
-	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: infos, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
+	rt, front := newFront(t, infos, 2)
 
-	id := factorVia(t, front.URL, 8, 1)
-	if got := rt.Holders(id); id != "f-1" || fmt.Sprint(got) != fmt.Sprint(owners) {
-		t.Fatalf("key %s holders %v, want f-1 on %v", id, got, owners)
+	// Keys are random, so factor until one's primary is the shedding a.
+	id, owners, tries := "", []string(nil), int64(0)
+	for ; tries < 200 && (owners == nil || owners[0] != "a"); tries++ {
+		id = factorVia(t, front, 8, 1)
+		owners = ref.Owners(id, 2)
+	}
+	if got := rt.Holders(id); owners[0] != "a" || fmt.Sprint(got) != fmt.Sprint(owners) {
+		t.Fatalf("key %s holders %v, want primary a first in %v", id, got, owners)
 	}
 	for _, name := range owners {
 		if _, ok := stores[name].Store().Get(id); !ok {
 			t.Fatalf("owner %s does not hold %s after the failover", name, id)
 		}
 	}
-	if st := rt.Stats(); st.Failovers != 1 || st.Replications != 1 {
-		t.Fatalf("failovers %d replications %d, want 1 and 1", st.Failovers, st.Replications)
+	// Only the last factor failed over; every factor copied once.
+	if st := rt.Stats(); st.Failovers != 1 || st.Replications != tries {
+		t.Fatalf("failovers %d replications %d, want 1 and %d", st.Failovers, st.Replications, tries)
 	}
 }
 
@@ -847,5 +892,178 @@ func TestClusterClientGoneCancelsShardJob(t *testing.T) {
 	}
 	if code, out := solveVia(t, c.URL(), id, n); code != http.StatusOK {
 		t.Fatalf("solve after the cancellations: %d %v", code, out)
+	}
+}
+
+// newFront starts a router with replicas R over infos behind an HTTP
+// listener, both closed at the end of the test.
+func newFront(t *testing.T, infos []cluster.ShardInfo, replicas int) (*cluster.Router, string) {
+	t.Helper()
+	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: infos, Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { front.Close(); rt.Close() })
+	return rt, front.URL
+}
+
+// TestClusterRouterRestartKeepsKeys: the router keeps no state per key,
+// so a second router over the same shards — a restarted hsdrouter —
+// solves every key the first one placed bit-identically, and the keys
+// it mints never reuse an old id.
+func TestClusterRouterRestartKeepsKeys(t *testing.T) {
+	var infos []cluster.ShardInfo
+	for _, name := range []string{"a", "b", "c"} {
+		_, ts := newShardServer(t, func(h http.Handler) http.Handler { return h })
+		infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
+	}
+	const n, keys = 8, 6
+	_, first := newFront(t, infos, 2)
+	xs := map[string]string{}
+	for i := 0; i < keys; i++ {
+		id := factorVia(t, first, n, i+1)
+		code, out := solveVia(t, first, id, n)
+		if code != http.StatusOK {
+			t.Fatalf("solve %s: %d %v", id, code, out)
+		}
+		xs[id] = fmt.Sprint(out["x"])
+	}
+
+	_, second := newFront(t, infos, 2)
+	for id, x := range xs {
+		code, out := solveVia(t, second, id, n)
+		if code != http.StatusOK || fmt.Sprint(out["x"]) != x {
+			t.Fatalf("solve %s after the restart: %d %v, want 200 with x %s", id, code, out, x)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		if id := factorVia(t, second, n, 100+i); xs[id] != "" {
+			t.Fatalf("the restarted router reused id %s", id)
+		}
+	}
+}
+
+// TestClusterReplicationLagExcludesFactor: the replication-lag clock
+// starts when the owner's 200 arrives, so a slow factor is not counted
+// as replication.
+func TestClusterReplicationLagExcludesFactor(t *testing.T) {
+	const delay = 200 * time.Millisecond
+	var infos []cluster.ShardInfo
+	for _, name := range []string{"a", "b"} {
+		_, ts := newShardServer(t, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/factor" {
+					time.Sleep(delay)
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+		infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
+	}
+	rt, front := newFront(t, infos, 2)
+	factorVia(t, front, 8, 1)
+	if st := rt.Stats(); st.Replications != 1 || st.ReplicationLagMs <= 0 || st.ReplicationLagMs >= float64(delay/time.Millisecond) {
+		t.Fatalf("replications %d, lag %.1f ms; want 1 copy timed under the %v factor", st.Replications, st.ReplicationLagMs, delay)
+	}
+}
+
+// TestClusterRejoinedOwnerKeepsKeys: keys factored while a shard is
+// probed out live only on live owners, so once it is probed back in and
+// owns nothing it did not get, every key still solves.
+func TestClusterRejoinedOwnerKeepsKeys(t *testing.T) {
+	var down atomic.Bool
+	var infos []cluster.ShardInfo
+	for _, name := range []string{"a", "b"} {
+		_, ts := newShardServer(t, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if name == "a" && down.Load() {
+					cluster.HTTPError(w, http.StatusServiceUnavailable, "down")
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+		infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
+	}
+	rt, front := newFront(t, infos, 1)
+
+	down.Store(true)
+	for range 3 { // RouterOptions' default FailAfter
+		rt.ProbeNow()
+	}
+	const n, keys = 8, 16
+	ids := make([]string, keys)
+	for i := range ids {
+		ids[i] = factorVia(t, front, n, i+1)
+	}
+	down.Store(false)
+	rt.ProbeNow()
+	if !rt.Stats().Shards["a"].Healthy {
+		t.Fatal("shard a is not healthy after a successful probe")
+	}
+	for _, id := range ids {
+		if code, out := solveVia(t, front, id, n); code != http.StatusOK {
+			t.Fatalf("solve %s after a rejoined: %d %v", id, code, out)
+		}
+	}
+}
+
+// TestClusterFactorDuringJoinIsMigrated: a key factored while a Join's
+// first copy pass runs — after the pass listed its holder — is placed
+// under the old ring; the pass after the ring swap still copies it to
+// its new owner, so it solves once the Join returns (R = 1, so the new
+// owner is its only one).
+func TestClusterFactorDuringJoinIsMigrated(t *testing.T) {
+	listing, release := make(chan struct{}), make(chan struct{})
+	var blocked atomic.Bool
+	var infos []cluster.ShardInfo
+	for _, name := range []string{"a", "b"} {
+		_, ts := newShardServer(t, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				// The first listing of b — the last shard the pass lists —
+				// waits until the test has factored onto a.
+				if name == "b" && r.URL.Path == "/v1/admin/export" && r.URL.RawQuery == "" && blocked.CompareAndSwap(false, true) {
+					close(listing)
+					<-release
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+		infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
+	}
+	rt, front := newFront(t, infos, 1)
+	_, joiner := newShardServer(t, func(h http.Handler) http.Handler { return h })
+
+	joined := make(chan error, 1)
+	go func() { joined <- rt.Join(cluster.ShardInfo{Name: "c", URL: joiner.URL}) }()
+	select {
+	case <-listing:
+	case err := <-joined:
+		t.Fatalf("join returned before listing b: %v", err)
+	}
+
+	old, next := cluster.NewRing(), cluster.NewRing()
+	for _, name := range []string{"a", "b", "c"} {
+		if name != "c" {
+			old.Add(name)
+		}
+		next.Add(name)
+	}
+	// Factor until a key lands on a (listed already) and moves to c.
+	const n = 8
+	id := ""
+	for i := 0; i < 200 && (id == "" || old.Owners(id, 1)[0] != "a" || next.Owners(id, 1)[0] != "c"); i++ {
+		id = factorVia(t, front, n, 1)
+	}
+	close(release)
+	if err := <-joined; err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if old.Owners(id, 1)[0] != "a" || next.Owners(id, 1)[0] != "c" {
+		t.Fatal("no key of 200 moved from a to c")
+	}
+	if code, out := solveVia(t, front, id, n); code != http.StatusOK {
+		t.Fatalf("solve %s of a key factored mid-join: %d %v", id, code, out)
 	}
 }

@@ -20,7 +20,6 @@ type routerStats struct {
 	RingGen             uint64                      `json:"ringGen"`
 	RingMembers         []string                    `json:"ringMembers"`
 	Replicas            int                         `json:"replicas"`
-	Keys                int                         `json:"keys"`
 	Factors             int64                       `json:"factors"`
 	Solves              int64                       `json:"solves"`
 	Failovers           int64                       `json:"failovers"`
@@ -36,7 +35,6 @@ func (rt *Router) Stats() routerStats {
 	rt.mu.RLock()
 	gen := rt.ring.Gen()
 	members := rt.ring.Nodes()
-	keys := len(rt.placements)
 	lag := rt.repLagMs
 	rt.mu.RUnlock()
 
@@ -44,7 +42,6 @@ func (rt *Router) Stats() routerStats {
 		RingGen:             gen,
 		RingMembers:         members,
 		Replicas:            rt.opt.Replicas,
-		Keys:                keys,
 		Factors:             rt.factors.Load(),
 		Solves:              rt.solves.Load(),
 		Failovers:           rt.failovers.Load(),

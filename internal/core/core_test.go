@@ -26,6 +26,31 @@ func TestReferenceLU(t *testing.T) {
 	}
 }
 
+// TestResidualFailsClosedOnNaN: one NaN in A, L or U makes the
+// residual NaN — which no "r > tol" gate lets through as small — and
+// mat.Equal false, instead of the comparisons skipping the entry.
+func TestResidualFailsClosedOnNaN(t *testing.T) {
+	a := mat.Random(24, 24, rand.New(rand.NewSource(3)))
+	f, err := ReferenceLU(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name string
+		d    *mat.Dense
+	}{{"A", a}, {"L", f.L}, {"U", f.U}} {
+		orig := m.d.Clone()
+		m.d.Set(5, 3, math.NaN())
+		if r := Residual(a, f); !math.IsNaN(r) {
+			t.Errorf("NaN in %s: residual %g, want NaN", m.name, r)
+		}
+		if mat.Equal(m.d, orig, 1) {
+			t.Errorf("NaN in %s: mat.Equal reports it equal to the original", m.name)
+		}
+		m.d.Set(5, 3, orig.At(5, 3))
+	}
+}
+
 // TestFactorDesignSpace exercises every cell of the paper's Table 1:
 // {BCL, 2l-BL} x {static, dynamic, hybrid} plus CM x dynamic, and
 // validates PA = LU numerically for each.

@@ -193,7 +193,8 @@ func PermuteRows(src *Dense, perm []int) *Dense {
 	return out
 }
 
-// MaxAbsDiff returns max_ij |a_ij - b_ij|.
+// MaxAbsDiff returns max_ij |a_ij - b_ij|, NaN if any difference is
+// NaN, so a tolerance check on it fails closed.
 func MaxAbsDiff(a, b *Dense) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("mat: MaxAbsDiff dimension mismatch")
@@ -202,7 +203,7 @@ func MaxAbsDiff(a, b *Dense) float64 {
 	for j := 0; j < a.Cols; j++ {
 		for i := 0; i < a.Rows; i++ {
 			d := math.Abs(a.At(i, j) - b.At(i, j))
-			if d > m {
+			if d > m || math.IsNaN(d) {
 				m = d
 			}
 		}
@@ -227,13 +228,13 @@ func (a *Dense) NormInf() float64 {
 	return m
 }
 
-// NormMax returns max_ij |a_ij|.
+// NormMax returns max_ij |a_ij|, NaN if any entry is NaN.
 func (a *Dense) NormMax() float64 {
 	m := 0.0
 	for j := 0; j < a.Cols; j++ {
 		for i := 0; i < a.Rows; i++ {
 			v := math.Abs(a.At(i, j))
-			if v > m {
+			if v > m || math.IsNaN(v) {
 				m = v
 			}
 		}
