@@ -460,24 +460,19 @@ func BenchmarkKernelRank1SubShort(b *testing.B) {
 	benchSolve(b, 32.0*32*64, RandomMatrix(32, 64, 5), func(x kernel.View) { kernel.TrsmUpperLeftNaive(viewOf(tri), x) })
 }
 
-// BenchmarkKernelUpdateTask times one S task of the b=64, k=3 trailing
-// update (C 192x64 -= A 192x64 * B 64x64) on the path a task takes when
-// both operands were already packed by an earlier task of its row run
-// and of its block column: no packing, only the macro-kernel.
+// BenchmarkKernelUpdateTask times one merged static S task: C 1984x960
+// -= A 1984x64 * B 64x960 through kernel.Gemm, a worker's step-0 update
+// past the look-ahead column of a 2048x2048 factor on two workers
+// (b = 64, 31 block rows by 15 block columns; lu_large's 10 % dynamic
+// section leaves 14 or 13). Each A slab is packed once per mc block.
 func BenchmarkKernelUpdateTask(b *testing.B) {
-	a, bb, c := RandomMatrix(192, 64, 1), RandomMatrix(64, 64, 2), RandomMatrix(192, 64, 3)
-	// One use beyond the loop keeps both panels alive to the end; the
-	// first call packs them.
-	pa := kernel.NewSharedAPanel(b.N + 2)
-	pb := kernel.NewSharedBPanel(b.N + 2)
-	defer pa.ForceFree()
-	defer pb.ForceFree()
-	kernel.GemmShared(viewOf(c), viewOf(a), viewOf(bb), pa, pb)
+	const m, n, k = 1984, 960, 64
+	a, bb, c := RandomMatrix(m, k, 1), RandomMatrix(k, n, 2), RandomMatrix(m, n, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernel.GemmShared(viewOf(c), viewOf(a), viewOf(bb), pa, pb)
+		kernel.Gemm(viewOf(c), viewOf(a), viewOf(bb))
 	}
-	gf := 2 * 192.0 * 64 * 64 * float64(b.N) / b.Elapsed().Seconds() / 1e9
+	gf := 2 * float64(m) * n * k * float64(b.N) / b.Elapsed().Seconds() / 1e9
 	b.ReportMetric(gf, "GFLOPS")
 	recordBenchGFLOPS(b, gf)
 }

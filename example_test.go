@@ -65,7 +65,7 @@ func Example() {
 	}
 	fmt.Println("reference GEPP residual < 1e-12:", repro.Residual(a, ref) < 1e-12)
 	// Output:
-	// tasks: 148 total, 125 static, 23 dynamic
+	// tasks: 131 total, 108 static, 23 dynamic
 	// leading pivots: [117 196 125 120]
 	// residual < 1e-12: true
 	// solve residual < 1e-12: true
@@ -102,7 +102,7 @@ func ExampleFactor() {
 	}
 	// Output:
 	// CM     114 tasks,   98 static, residual < 1e-12: true
-	// BCL    148 tasks,  125 static, residual < 1e-12: true
+	// BCL    131 tasks,  108 static, residual < 1e-12: true
 	// 2l-BL  226 tasks,  189 static, residual < 1e-12: true
 }
 

@@ -52,10 +52,19 @@ type CALUGraph struct {
 	cands [][]piv.Candidate
 }
 
-// BuildCALU constructs the CALU task dependency graph of l's shape and
-// binds it to l, ready for the runtime.
+// BuildCALU constructs the CALU task graph the runtime executes for l's
+// shape and binds it to l. It is NewCALU's graph except, under BCL, in
+// the static section's trailing update: each step's S work on the
+// static block columns past the look-ahead column is one task per
+// owner, one kernel.GemmTiles call over the rectangle those blocks form
+// in the owner's submatrix, where the BLAS packs each L slab once
+// instead of once per block column. The look-ahead column and the
+// dynamic section keep one S task per row run and block column, and CM
+// and 2l-BL, whose owned blocks form no one rectangle, keep NewCALU's
+// graph. Every block's arithmetic is the one its own task would run, so
+// the two graphs factor to the same bits.
 func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
-	cg := NewCALU(layout.ShapeOf(l), opt)
+	cg := newCALU(layout.ShapeOf(l), opt, true)
 	cg.Layout = l
 	return cg
 }
@@ -63,8 +72,9 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 // NewCALU constructs the CALU task dependency graph of a matrix of shape
 // s. The graph realizes Algorithm 1 (hybrid static/dynamic CALU) as
 // data: the scheduling policy decides the execution order within the
-// dependency and static-ownership constraints. The simulator runs it as
-// built; the runtime needs Layout set to storage of shape s first.
+// dependency and static-ownership constraints. It is the paper's
+// per-block graph, which the simulator charges; the runtime executes
+// BuildCALU's.
 //
 // Step k's tournament tree has max(grid rows, ceil(panel rows /
 // leafRows)) leaves over contiguous runs of block rows: one per grid
@@ -73,6 +83,11 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 // exceed leafRows. A leaf belongs to the owner of its first block, and
 // the binary combine tree pairs leaves in order.
 func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
+	return newCALU(s, opt, false)
+}
+
+// newCALU builds NewCALU's graph, or BuildCALU's when merge is set.
+func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 	m, _, bsz := s.Dims()
 	mb, nb := s.Blocks()
 	grid := s.Grid()
@@ -304,49 +319,62 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 		// and belong to the same owner are fused vertically into one
 		// taller gemm where the layout is contiguous (the paper's k=3
 		// grouping, section 3 — fusing along columns keeps every column's
-		// progress independent, so the critical path is unaffected).
+		// progress independent, so the critical path is unaffected). In
+		// BuildCALU's graph under BCL the static columns past the
+		// look-ahead one are merged further, into one task per owner
+		// (farUpdate).
 		updCur := make(map[[2]int]*Task)
 		rowRuns := groupRows(s, k, mb, group)
-		// The S tasks of one step form a (row run) x (block column) grid
-		// in which every task of a column multiplies by the same U block
-		// and every task of a row run by the same L blocks, so each
-		// operand is packed once — by whichever task gets there first —
-		// behind a refcounted handle with the exact consumer count: one
-		// packed copy of each row run's L blocks for its nb-k-1 S tasks,
-		// one of each U_KJ for its len(rowRuns) S tasks. A handle is nil
-		// (that operand packed privately) with a single consumer.
-		aPanels := make([]*kernel.SharedPanel, len(rowRuns))
-		for r := range rowRuns {
-			aPanels[r] = b.panel(kernel.NewSharedAPanel(nb - k - 1))
-		}
+		far := map[int]*farUpdate{}
 		for j := k + 1; j < nb; j++ {
 			_, cj := s.BlockDims(k, j)
-			pb := b.panel(kernel.NewSharedBPanel(len(rowRuns)))
-			for r, rows := range rowRuns {
-				i0, w := rows[0], len(rows)
+			merged := merge && s.Kind() == layout.BCL && j > k+1 && isStatic(j)
+			// Every task of a column multiplies by the same U block,
+			// packed once — by whichever task gets there first — behind
+			// a refcounted handle with one use per row run (nil, that is
+			// packed privately, with a single consumer).
+			var pb *kernel.SharedPanel
+			if !merged {
+				pb = b.panel(kernel.NewSharedBPanel(len(rowRuns)))
+			}
+			for _, rows := range rowRuns {
+				i0 := rows[0]
 				totalRows := 0
 				for _, i := range rows {
 					ri, _ := s.BlockDims(i, j)
 					totalRows += ri
 				}
+				flops := 2 * float64(totalRows) * float64(pivCount) * float64(cj)
+				bytes := 8 * (float64(totalRows)*float64(pivCount) + float64(pivCount)*float64(cj) + float64(totalRows)*float64(cj))
+				owner := s.Owner(i0, j)
+				if merged {
+					f := far[owner]
+					if f == nil {
+						f = &farUpdate{task: b.add(&Task{
+							Kind: S, K: k, I: i0, J: j, Owner: owner, Static: true,
+							Prio: priority(j, k, S),
+						})}
+						f.task.Run = func() { cg.updateFar(k, pivCount, f.runs, f.cols) }
+						far[owner] = f
+					}
+					f.add(b, rows, j, lTasks, uTasks)
+					f.task.Flops += flops
+					f.task.Bytes += bytes
+					for _, i := range rows {
+						updCur[[2]int{i, j}] = f.task
+					}
+					continue
+				}
 				t := b.add(&Task{
 					Kind: S, K: k, I: i0, J: j,
 					Group:  rows,
-					Owner:  s.Owner(i0, j),
+					Owner:  owner,
 					Static: isStatic(j),
-					Flops:  2 * float64(totalRows) * float64(pivCount) * float64(cj),
-					Bytes:  8 * (float64(totalRows)*float64(pivCount) + float64(pivCount)*float64(cj) + float64(totalRows)*float64(cj)),
+					Flops:  flops,
+					Bytes:  bytes,
 					Prio:   priority(j, k, S),
 				})
-				pa := aPanels[r]
-				t.Run = func() {
-					l := cg.Layout
-					lv := l.GroupedRows(i0, k, w)
-					a := kernel.View{Rows: lv.Rows, Cols: pivCount, Stride: lv.Stride, Data: lv.Data}
-					ublk := l.Block(k, j)
-					bt := kernel.View{Rows: pivCount, Cols: ublk.Cols, Stride: ublk.Stride, Data: ublk.Data}
-					kernel.GemmShared(l.GroupedRows(i0, j, w), a, bt, pa, pb)
-				}
+				t.Run = func() { cg.update(k, pivCount, rows, j, pb) }
 				b.edge(uTasks[j], t)
 				for _, i := range rows {
 					b.edge(lTasks[i], t)
@@ -357,6 +385,72 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 		updPrev = updCur
 	}
 	return cg
+}
+
+// farUpdate is one merged S task of BuildCALU's graph: one owner's
+// trailing update of step k on the static block columns past the
+// look-ahead column. Its blocks form a grid, the owner's row runs by
+// its block columns, because a fine S task's owner is fixed by its
+// run's first block row and its column alone.
+type farUpdate struct {
+	task *Task
+	runs [][]int // the row runs, top to bottom
+	cols []int   // the block columns, left to right
+}
+
+// add records the fine S task (rows, j) as part of the merged one: the
+// rows on its first column, the column on its first run, each with the
+// dependency the fine task would have had.
+func (f *farUpdate) add(b *builder, rows []int, j int, lTasks, uTasks map[int]*Task) {
+	if len(f.cols) == 0 || f.cols[len(f.cols)-1] != j {
+		f.cols = append(f.cols, j)
+		b.edge(uTasks[j], f.task)
+	}
+	if j == f.cols[0] {
+		f.runs = append(f.runs, rows)
+		f.task.Group = append(f.task.Group, rows...)
+		for _, i := range rows {
+			b.edge(lTasks[i], f.task)
+		}
+	}
+}
+
+// updateFar runs a farUpdate: C(runs, cols) -= L(runs, k) * U(k, cols)
+// over the first kk columns of L and rows of U. The owner's blocks are
+// one rectangle of its BCL submatrix, updated by one GemmTiles call
+// whose tiles are the fine tasks' blocks, so each block gets the bits
+// its fine task computes.
+func (cg *CALUGraph) updateFar(k, kk int, runs [][]int, cols []int) {
+	l := cg.Layout.(*layout.BlockCyclic)
+	rowEnds, colEnds := make([]int, len(runs)), make([]int, len(cols))
+	m, n, blocks := 0, 0, 0
+	for r, rows := range runs {
+		for _, i := range rows {
+			ri, _ := l.BlockDims(i, k)
+			m += ri
+		}
+		rowEnds[r] = m
+		blocks += len(rows)
+	}
+	for c, j := range cols {
+		_, cj := l.BlockDims(k, j)
+		n += cj
+		colEnds[c] = n
+	}
+	i0, j0 := runs[0][0], cols[0]
+	a := l.GroupedRows(i0, k, blocks).Sub(0, m, 0, kk)
+	u := l.Rect(k, j0, 1, len(cols)).Sub(0, kk, 0, n)
+	kernel.GemmTiles(l.Rect(i0, j0, blocks, len(cols)), a, u, rowEnds, colEnds)
+}
+
+// update runs the S task of step k on the row run rows and block column
+// j: C(rows, j) -= L(rows, k) * U(k, j) over the first kk columns of L
+// and rows of U, with U streamed from pb.
+func (cg *CALUGraph) update(k, kk int, rows []int, j int, pb *kernel.SharedPanel) {
+	l := cg.Layout
+	i0, w := rows[0], len(rows)
+	lv, u := l.GroupedRows(i0, k, w), l.Block(k, j)
+	kernel.GemmShared(l.GroupedRows(i0, j, w), lv.Sub(0, lv.Rows, 0, kk), u.Sub(0, kk, 0, u.Cols), pb)
 }
 
 // leafScratch is the working set of one tournament leaf: the chunk's

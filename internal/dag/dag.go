@@ -11,7 +11,11 @@
 // Run closure to do the arithmetic on the storage the graph's Layout
 // field names when the task runs (BuildCALU and its siblings build from
 // a layout's Shape and set that field). Both consume the same graph, so
-// the scheduling behaviour under study is identical in the two modes.
+// the scheduling behaviour under study is identical in the two modes,
+// with one exception: BuildCALU merges each step's static trailing
+// update past the look-ahead column into one S task per owner, which
+// the runtime executes and the simulator, charging NewCALU's paper
+// graph, does not.
 package dag
 
 import (
@@ -41,7 +45,9 @@ const (
 	// U_KJ = L_KK^{-1} A_KJ (the paper's "right swap" + task U).
 	U
 	// S updates trailing blocks: A_IJ -= L_IK * U_KJ, possibly grouped
-	// over several owned block columns (the k=3 grouping of section 3).
+	// over several owned block rows (the k=3 grouping of section 3) and,
+	// in BuildCALU's graph, over an owner's static block columns past
+	// the look-ahead column.
 	S
 	// DSolve is a diagonal triangular-solve task of the blocked
 	// triangular-solve graph (solve.go): X_K <- T_KK^{-1} X_K.
@@ -100,8 +106,8 @@ type Task struct {
 	// (P tasks); J is the leading block column (U/S).
 	K, I, J int
 	// Group lists every block row a grouped S task covers (the paper's
-	// k-way fusion of update blocks that share the same columns); nil
-	// means the task covers only block row I.
+	// k-way fusion of update blocks that share the same columns, or a
+	// merged task's rows); nil means the task covers only block row I.
 	Group []int
 	// Owner is the worker that owns the task's output block under the
 	// 2D block-cyclic distribution; it is the task's data home for the

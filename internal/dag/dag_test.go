@@ -29,20 +29,52 @@ func TestCALUGraphValidAllLayouts(t *testing.T) {
 
 func TestCALUGraphTaskKinds(t *testing.T) {
 	cg := buildTestCALU(t, layout.BCL, 64, 64, 8, 4, 8, 1)
-	s := cg.ComputeStats()
+	paper := NewCALU(layout.ShapeOf(cg.Layout), CALUOptions{NstaticCols: 8, Group: 1}).ComputeStats()
+	run := cg.ComputeStats()
 	// 8x8 blocks: S tasks = sum_{k=0}^{7} (8-k-1)^2 = 49+36+...+0 = 140.
-	if s.ByKind[S] != 140 {
-		t.Errorf("S tasks = %d want 140", s.ByKind[S])
+	if paper.ByKind[S] != 140 {
+		t.Errorf("paper graph: S tasks = %d want 140", paper.ByKind[S])
 	}
-	// U tasks = sum (8-k-1) = 28, same for L.
-	if s.ByKind[U] != 28 || s.ByKind[L] != 28 {
-		t.Errorf("U=%d L=%d want 28 each", s.ByKind[U], s.ByKind[L])
+	for _, s := range []Stats{paper, run} {
+		// U tasks = sum (8-k-1) = 28, same for L.
+		if s.ByKind[U] != 28 || s.ByKind[L] != 28 {
+			t.Errorf("U=%d L=%d want 28 each", s.ByKind[U], s.ByKind[L])
+		}
+		if s.ByKind[Final] != 8 {
+			t.Errorf("F tasks = %d want 8", s.ByKind[Final])
+		}
+		if s.ByKind[PLeaf] == 0 {
+			t.Error("no P leaves")
+		}
 	}
-	if s.ByKind[Final] != 8 {
-		t.Errorf("F tasks = %d want 8", s.ByKind[Final])
+	// The runtime graph keeps step k's 8-k-1 look-ahead S tasks and
+	// merges the rest of the step's update into at most one task per
+	// worker: 28 + 4*5 + 2 (step 5 has one far column, owned by two
+	// workers) = 50.
+	lookahead, far := make([]int, 8), make([]int, 8)
+	for _, task := range cg.Tasks {
+		if task.Kind != S {
+			continue
+		}
+		if task.J == task.K+1 {
+			lookahead[task.K]++
+		} else {
+			far[task.K]++
+		}
 	}
-	if s.ByKind[PLeaf] == 0 {
-		t.Error("no P leaves")
+	for k := 0; k < 8; k++ {
+		if lookahead[k] != 8-k-1 {
+			t.Errorf("step %d: %d look-ahead S tasks, want %d", k, lookahead[k], 8-k-1)
+		}
+		if far[k] > 4 || (far[k] > 0) != (k+2 < 8) {
+			t.Errorf("step %d: %d merged S tasks, want 1..4 while a far column is left, else 0", k, far[k])
+		}
+	}
+	if run.ByKind[S] != 50 {
+		t.Errorf("runtime graph: S tasks = %d want 50", run.ByKind[S])
+	}
+	if d := run.TotalFlops - paper.TotalFlops; d > 1e-9*paper.TotalFlops || d < -1e-9*paper.TotalFlops {
+		t.Errorf("merging changed total flops by %g", d)
 	}
 }
 

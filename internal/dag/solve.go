@@ -128,7 +128,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 				Prio:   priority(i, k, RUpd),
 			})
 			upd.Run = func() {
-				kernel.GemmShared(xblk(ic), tri(lower, ic, kk), xblk(kk), nil, ph)
+				kernel.GemmShared(xblk(ic), tri(lower, ic, kk), xblk(kk), ph)
 			}
 			b.edge(diag, upd)
 			b.edge(prevW[i], upd)
@@ -170,7 +170,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 				Prio:   priority(nb+(nb-1-i), pos, RUpd),
 			})
 			upd.Run = func() {
-				kernel.GemmShared(xblk(ic), tri(upper, ic, kk), xblk(kk), nil, ph)
+				kernel.GemmShared(xblk(ic), tri(upper, ic, kk), xblk(kk), ph)
 			}
 			b.edge(diag, upd)
 			b.edge(prevW[i], upd)

@@ -11,7 +11,42 @@ import "fmt"
 // register-tiled small path (smallgemm.go). All paths are
 // exact-arithmetic equivalents up to floating-point reassociation;
 // GemmNaive is retained as the correctness oracle.
-func Gemm(c, a, b View) { GemmShared(c, a, b, nil, nil) }
+func Gemm(c, a, b View) { GemmShared(c, a, b, nil) }
+
+// GemmTiles computes C -= A * B with the bits of one Gemm call per tile
+// of the grid that rowEnds and colEnds cut C into (ascending tile ends,
+// the last one C's extent), so one task can run the update of many
+// blocks with the arithmetic each block's own task would. Element by
+// element, the packed path's result does not depend on where a tile
+// sits in the product, so when every tile would take it the grid is
+// one packed product, which packs each A slab once per mc block instead
+// of once per tile column. Otherwise each tile is dispatched as Gemm
+// would: a tile under the packed crossover must run the small path.
+func GemmTiles(c, a, b View, rowEnds, colEnds []int) {
+	k := a.Cols
+	if packedWorthwhile(smallestTile(rowEnds), smallestTile(colEnds), k) {
+		Gemm(c, a, b)
+		return
+	}
+	r0 := 0
+	for _, r1 := range rowEnds {
+		c0 := 0
+		for _, c1 := range colEnds {
+			GemmShared(c.Sub(r0, r1, c0, c1), a.Sub(r0, r1, 0, k), b.Sub(0, k, c0, c1), nil)
+			c0 = c1
+		}
+		r0 = r1
+	}
+}
+
+// smallestTile returns the least extent of a list of tile ends.
+func smallestTile(ends []int) int {
+	v := ends[0]
+	for i := 1; i < len(ends); i++ {
+		v = min(v, ends[i]-ends[i-1])
+	}
+	return v
+}
 
 // GemmNT computes C -= A * Bᵀ with A m x k, B n x k, C m x n — the
 // symmetric-update kernel of tiled Cholesky (SYRK/GEMM applied to the
@@ -31,17 +66,17 @@ func GemmNT(c, a, b View) {
 		gemmSmall(c, a, b, true)
 		return
 	}
-	gemmPacked(c, a, b, true, nil, nil)
+	gemmPacked(c, a, b, true, nil)
 }
 
 // gemmPacked is the three-level blocked driver: jc/pc/ic loops carve
 // C -= A*B (or A*Bᵀ when bTrans) into mc x nc tiles updated through
 // packed kc-deep slivers, and the macro-kernel walks register tiles
-// over the packed buffers. An operand with a packed shared panel (pa,
-// pb — panelcache.go) is streamed from it; a nil panel means the
-// operand is packed into the private workspace here. The loop nest and
-// the packed bytes are the same either way.
-func gemmPacked(c, a, b View, bTrans bool, pa, pb *SharedPanel) {
+// over the packed buffers. B is streamed from pb when it holds a packed
+// shared panel (panelcache.go); a nil panel means B is packed into the
+// private workspace here. The loop nest and the packed bytes are the
+// same either way.
+func gemmPacked(c, a, b View, bTrans bool, pb *SharedPanel) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	ws := getWorkspace()
 	defer putWorkspace(ws)
@@ -57,13 +92,8 @@ func gemmPacked(c, a, b View, bTrans bool, pa, pb *SharedPanel) {
 			}
 			for ic := 0; ic < m; ic += mc {
 				mcLen := min(mc, m-ic)
-				ap := ws.ap
-				if pa != nil {
-					ap = pa.seg(ic, pc)
-				} else {
-					packA(ap, a, ic, pc, mcLen, kcLen, mr)
-				}
-				macroKernel(c, ws, ap, bp, ic, jc, mcLen, ncLen, kcLen)
+				packA(ws.ap, a, ic, pc, mcLen, kcLen, mr)
+				macroKernel(c, ws, bp, ic, jc, mcLen, ncLen, kcLen)
 			}
 		}
 	}
@@ -74,15 +104,15 @@ func gemmPacked(c, a, b View, bTrans bool, pa, pb *SharedPanel) {
 // fused write-back; edge tiles are staged through the workspace's dense
 // scratch tile (ldc = mr) so the kernel never branches on shape —
 // padded packed lanes produce results that are simply not copied back.
-// The packed buffers are passed explicitly so the shared-panel path
-// (panelcache.go) can stream either operand from a cached buffer.
-func macroKernel(c View, ws *workspace, ap, bp []float64, ic, jc, mcLen, ncLen, kcLen int) {
+// The packed B is passed explicitly so the shared-panel path
+// (panelcache.go) can stream it from a cached buffer.
+func macroKernel(c View, ws *workspace, bp []float64, ic, jc, mcLen, ncLen, kcLen int) {
 	for jr := 0; jr < ncLen; jr += nr {
 		nrLen := min(nr, ncLen-jr)
 		bpPanel := bp[(jr/nr)*kcLen*nr:]
 		for ir := 0; ir < mcLen; ir += mr {
 			mrLen := min(mr, mcLen-ir)
-			apPanel := ap[(ir/mr)*kcLen*mr:]
+			apPanel := ws.ap[(ir/mr)*kcLen*mr:]
 			off := (jc+jr)*c.Stride + ic + ir
 			if mrLen == mr && nrLen == nr {
 				microKernel(kcLen, apPanel, bpPanel, c.Data[off:], c.Stride)

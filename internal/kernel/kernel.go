@@ -241,19 +241,6 @@ func Copy(dst, src View) {
 	}
 }
 
-// NormMax returns max |v_ij| over the view.
-func NormMax(v View) float64 {
-	m := 0.0
-	for j := 0; j < v.Cols; j++ {
-		for i := 0; i < v.Rows; i++ {
-			if x := math.Abs(v.Data[j*v.Stride+i]); x > m {
-				m = x
-			}
-		}
-	}
-	return m
-}
-
 // Potf2 computes the unblocked Cholesky factorization A = L*L^T of the
 // symmetric positive definite n x n view (lower triangle referenced),
 // storing L in the lower triangle. Returns an error if a non-positive

@@ -222,16 +222,13 @@ func TestGetrfNoPivZeroDiag(t *testing.T) {
 	}
 }
 
-func TestCopyAndNormMax(t *testing.T) {
+func TestCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := mat.Random(7, 7, rng)
 	b := mat.New(7, 7)
 	Copy(view(b), view(a))
 	if mat.MaxAbsDiff(a, b) != 0 {
 		t.Fatal("copy mismatch")
-	}
-	if NormMax(view(a)) != a.NormMax() {
-		t.Fatal("NormMax mismatch")
 	}
 }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -41,7 +42,20 @@ func maxAbsDiffBacking(a, b View) float64 {
 	return m
 }
 
-func gemmTol(c View) float64 { return 1e-12 * math.Max(1, NormMax(c)) }
+// relTol is eps relative to the largest magnitude in v, at least eps.
+func relTol(eps float64, v View) float64 {
+	m := 1.0
+	for j := 0; j < v.Cols; j++ {
+		for _, x := range v.Data[j*v.Stride : j*v.Stride+v.Rows] {
+			if a := math.Abs(x); a > m {
+				m = a
+			}
+		}
+	}
+	return eps * m
+}
+
+func gemmTol(c View) float64 { return relTol(1e-12, c) }
 
 // TestGemmPackedMatchesNaiveProperty drives the packed path directly
 // (bypassing the size dispatcher) against the naive oracle over random
@@ -56,7 +70,7 @@ func TestGemmPackedMatchesNaiveProperty(t *testing.T) {
 		b := randView(rng, k, n)
 		c1 := randView(rng, m, n)
 		c2 := cloneView(c1)
-		gemmPacked(c1, a, b, false, nil, nil)
+		gemmPacked(c1, a, b, false, nil)
 		gemmNaive(c2, a, b)
 		return maxAbsDiffBacking(c1, c2) <= gemmTol(c2)
 	}
@@ -76,7 +90,7 @@ func TestGemmNTPackedMatchesNaiveProperty(t *testing.T) {
 		b := randView(rng, n, k)
 		c1 := randView(rng, m, n)
 		c2 := cloneView(c1)
-		gemmPacked(c1, a, b, true, nil, nil)
+		gemmPacked(c1, a, b, true, nil)
 		gemmNTNaive(c2, a, b)
 		return maxAbsDiffBacking(c1, c2) <= gemmTol(c2)
 	}
@@ -99,7 +113,7 @@ func TestGemmPackedEdgeSizes(t *testing.T) {
 				b := randView(rng, k, n)
 				c1 := randView(rng, m, n)
 				c2 := cloneView(c1)
-				gemmPacked(c1, a, b, false, nil, nil)
+				gemmPacked(c1, a, b, false, nil)
 				gemmNaive(c2, a, b)
 				if maxAbsDiffBacking(c1, c2) > gemmTol(c2) {
 					t.Fatalf("packed gemm wrong at m=%d n=%d k=%d", m, n, k)
@@ -114,7 +128,7 @@ func TestGemmPackedEdgeSizes(t *testing.T) {
 		b := randView(rng, k, n)
 		c1 := randView(rng, m, n)
 		c2 := cloneView(c1)
-		gemmPacked(c1, a, b, false, nil, nil)
+		gemmPacked(c1, a, b, false, nil)
 		gemmNaive(c2, a, b)
 		if maxAbsDiffBacking(c1, c2) > gemmTol(c2) {
 			t.Fatalf("packed gemm wrong at m=%d n=%d k=%d", m, n, k)
@@ -154,7 +168,7 @@ func TestTrsmBlockedMatchesNaive(t *testing.T) {
 			b2 := cloneView(b1)
 			TrsmLowerLeftUnit(l, b1)
 			trsmLowerLeftUnitNaive(l, b2)
-			if d := maxAbsDiffBacking(b1, b2); d > 1e-9*math.Max(1, NormMax(b2)) {
+			if d := maxAbsDiffBacking(b1, b2); d > relTol(1e-9, b2) {
 				t.Fatalf("blocked trsmL mismatch n=%d m=%d: %g", n, m, d)
 			}
 			// Upper-right: U n x n (diagonal away from zero), B m x n.
@@ -166,7 +180,7 @@ func TestTrsmBlockedMatchesNaive(t *testing.T) {
 			c2 := cloneView(c1)
 			TrsmUpperRight(u, c1)
 			trsmUpperRightNaive(u, c2)
-			if d := maxAbsDiffBacking(c1, c2); d > 1e-9*math.Max(1, NormMax(c2)) {
+			if d := maxAbsDiffBacking(c1, c2); d > relTol(1e-9, c2) {
 				t.Fatalf("blocked trsmU mismatch n=%d m=%d: %g", n, m, d)
 			}
 			// Lower-left non-unit (forward solve sweep, Cholesky L).
@@ -178,7 +192,7 @@ func TestTrsmBlockedMatchesNaive(t *testing.T) {
 			e2 := cloneView(e1)
 			TrsmLowerLeft(ln, e1)
 			trsmLowerLeftNaive(ln, e2)
-			if d := maxAbsDiffBacking(e1, e2); d > 1e-9*math.Max(1, NormMax(e2)) {
+			if d := maxAbsDiffBacking(e1, e2); d > relTol(1e-9, e2) {
 				t.Fatalf("blocked trsmLL mismatch n=%d m=%d: %g", n, m, d)
 			}
 			// Upper-left (backward solve sweep).
@@ -190,7 +204,7 @@ func TestTrsmBlockedMatchesNaive(t *testing.T) {
 			f2 := cloneView(f1)
 			TrsmUpperLeft(un, f1)
 			trsmUpperLeftNaive(un, f2)
-			if d := maxAbsDiffBacking(f1, f2); d > 1e-9*math.Max(1, NormMax(f2)) {
+			if d := maxAbsDiffBacking(f1, f2); d > relTol(1e-9, f2) {
 				t.Fatalf("blocked trsmUL mismatch n=%d m=%d: %g", n, m, d)
 			}
 			// Right-lower-transposed (Cholesky panel).
@@ -202,7 +216,7 @@ func TestTrsmBlockedMatchesNaive(t *testing.T) {
 			d2 := cloneView(d1)
 			TrsmRightLowerTrans(lo, d1)
 			trsmRightLowerTransNaive(lo, d2)
-			if d := maxAbsDiffBacking(d1, d2); d > 1e-9*math.Max(1, NormMax(d2)) {
+			if d := maxAbsDiffBacking(d1, d2); d > relTol(1e-9, d2) {
 				t.Fatalf("blocked trsmRLT mismatch n=%d m=%d: %g", n, m, d)
 			}
 		}
@@ -236,7 +250,7 @@ func TestRecursiveLUPivotsInvariant(t *testing.T) {
 				t.Fatalf("%dx%d: pivot %d differs: tuned %d naive %d", m, n, k, pivTuned[k], pivNaive[k])
 			}
 		}
-		if d := maxAbsDiffBacking(tuned, naive); d > 1e-11*math.Max(1, NormMax(naive)) {
+		if d := maxAbsDiffBacking(tuned, naive); d > relTol(1e-11, naive) {
 			t.Fatalf("%dx%d: factors diverge: %g", m, n, d)
 		}
 	}
@@ -257,7 +271,7 @@ func TestGemmPropagatesNonFinite(t *testing.T) {
 			b.Set(3, j, 0) // Inf * 0 must surface as NaN in every column
 		}
 		if packed {
-			gemmPacked(c, a, b, false, nil, nil)
+			gemmPacked(c, a, b, false, nil)
 		} else {
 			gemmNaive(c, a, b)
 		}
@@ -305,7 +319,7 @@ func TestGemmPackedConcurrent(t *testing.T) {
 				b := randView(rng, k, n)
 				c1 := randView(rng, m, n)
 				c2 := cloneView(c1)
-				gemmPacked(c1, a, b, false, nil, nil)
+				gemmPacked(c1, a, b, false, nil)
 				gemmNaive(c2, a, b)
 				if d := maxAbsDiffBacking(c1, c2); d > errs[w] {
 					errs[w] = d
@@ -318,5 +332,59 @@ func TestGemmPackedConcurrent(t *testing.T) {
 		if d > 1e-11 {
 			t.Fatalf("worker %d saw mismatch %g under concurrency", w, d)
 		}
+	}
+}
+
+// TestGemmTilesMatchesPerTileGemm: one GemmTiles call over a grid of
+// tiles gives the bits of one Gemm per tile — under every registered
+// kernel with blocking small enough that the shapes cross kc, mc and
+// nc, with ragged last tiles, tiles under the packed crossover beside
+// packed ones, and grids where no tile packs. The backing comparison
+// also proves no element outside C is written.
+func TestGemmTilesMatchesPerTileGemm(t *testing.T) {
+	cases := []struct {
+		rows, cols []int // tile extents
+		k          int
+	}{
+		{[]int{48, 48, 48}, []int{32, 32, 32, 32}, 32}, // every tile packs
+		{[]int{96, 96, 7}, []int{32, 32, 5}, 32},       // ragged last tiles under the crossover
+		{[]int{72, 72, 24}, []int{24, 24}, 24},         // only the last row tile is small
+		{[]int{40, 40}, []int{40, 40, 3}, 30},          // only the last column tile is small
+		{[]int{24, 24}, []int{24, 24}, 24},             // no tile packs
+		{[]int{50}, []int{61}, 70},                     // one tile, deeper than kc
+		{[]int{33, 33, 33}, []int{29, 29, 1}, 3},       // k below the crossover
+	}
+	ends := func(ext []int) []int {
+		out, sum := make([]int, len(ext)), 0
+		for i, e := range ext {
+			sum += e
+			out[i] = sum
+		}
+		return out
+	}
+	for _, p := range kernelProfiles() {
+		p := p
+		t.Run(p.Kernel, func(t *testing.T) {
+			withProfile(t, p, func() {
+				rng := rand.New(rand.NewSource(53))
+				for _, tc := range cases {
+					rowEnds, colEnds := ends(tc.rows), ends(tc.cols)
+					m, n := rowEnds[len(rowEnds)-1], colEnds[len(colEnds)-1]
+					a, b, c := randView(rng, m, tc.k), randView(rng, tc.k, n), randView(rng, m, n)
+					want := cloneView(c)
+					r0 := 0
+					for _, r1 := range rowEnds {
+						c0 := 0
+						for _, c1 := range colEnds {
+							Gemm(want.Sub(r0, r1, c0, c1), a.Sub(r0, r1, 0, tc.k), b.Sub(0, tc.k, c0, c1))
+							c0 = c1
+						}
+						r0 = r1
+					}
+					GemmTiles(c, a, b, rowEnds, colEnds)
+					sameBits(t, fmt.Sprintf("tiles %v x %v, k=%d", tc.rows, tc.cols, tc.k), c, want)
+				}
+			})
+		})
 	}
 }

@@ -8,23 +8,25 @@ import (
 )
 
 // The shared packed-panel cache. The trailing-update tasks of one
-// factorization step form a grid: every task of a block column
-// multiplies by the same U block (and every right-hand-side update of a
-// solve sweep by the same X block row), every task of a row run by the
-// same L blocks. Under the plain Gemm path each task re-packs both
-// operands into its private workspace. A SharedPanel lets the DAG
-// builder hand all consumers of one operand a single refcounted packed
-// buffer: the first task to run packs it (pack-once-then-stream, the
-// discipline the HiGHS hybrid factorization demonstrates), later tasks
-// stream it directly, and the last use frees it. The same type serves
-// both operand sides; GemmShared takes one optional handle per side.
+// block column of a factorization step that still run one block column
+// at a time — every column under CM and 2l-BL, the look-ahead column
+// and the dynamic section under BCL — all multiply by the same U block,
+// as every right-hand-side update of a solve sweep multiplies by the
+// same X block row. Under the plain Gemm path each task re-packs
+// that operand into its private workspace. A SharedPanel lets the DAG
+// builder hand all consumers of one B operand a single refcounted
+// packed buffer: the first task to run packs it (pack-once-then-stream,
+// the discipline the HiGHS hybrid factorization demonstrates), later
+// tasks stream it directly, and the last use frees it. There is no L
+// side: under BCL the static section's update past the look-ahead
+// column is one task per (step, owner), whose single Gemm packs each L
+// slab once, and the other tasks pack their L slab privately.
 //
-// Budget: cached panels of both sides are accounted against one byte
-// budget sized from the processor count, as many as can pack at once.
-// When the budget is exhausted a panel falls back to the private
-// packing path, which is bit-identical (same packed bytes, same loop
-// order, same micro-kernel), so hit and miss paths cannot diverge
-// numerically.
+// Budget: cached panels are accounted against one byte budget sized
+// from the processor count, as many as can pack at once. When the
+// budget is exhausted a panel falls back to the private packing path,
+// which is bit-identical (same packed bytes, same loop order, same
+// micro-kernel), so hit and miss paths cannot diverge numerically.
 //
 // Buffers: a freed panel buffer goes onto a free list keyed by its
 // length and the next panel of that length takes it back — a
@@ -48,15 +50,7 @@ const (
 	panelCachePerCPU = 1 << 20
 )
 
-// panelSide says which GEMM operand a SharedPanel holds.
-type panelSide uint8
-
-const (
-	sideB panelSide = iota // kc x nc blocks as nr-column panels (packB)
-	sideA                  // mc x kc blocks as mr-row panels (packA)
-)
-
-// Cache events, counted per side.
+// Cache events.
 const (
 	evPack   = iota // first-consumer packings
 	evHit           // later consumers streaming a cached panel
@@ -71,13 +65,13 @@ var (
 	pcUsed   int64 // bytes of live panels
 	pcParked int64 // bytes on pcFree
 	pcFree   = map[int][][]float64{}
-	pcCount  [2][4]int64 // [panelSide][event]
+	pcCount  [4]int64 // by event
 )
 
 // pcEvent counts one cache event.
-func pcEvent(side panelSide, ev int) {
+func pcEvent(ev int) {
 	pcMu.Lock()
-	pcCount[side][ev]++
+	pcCount[ev]++
 	pcMu.Unlock()
 }
 
@@ -102,21 +96,10 @@ func pcTrimLocked() {
 // parked one of that length if there is one, else a new one — or nil
 // when the budget denies it. Either way the caller must overwrite all
 // of it: parked buffers hold stale panels.
-//
-// A panels stop at three quarters of the budget. Under the column-major
-// task order a step's A panels stay live until its last block column is
-// updated — for the static section, most of the factorization — while a
-// B panel is done as soon as its own column is; without the reserve the
-// long-lived side would fill the budget and starve the side that turns
-// over, whose panels each spare a whole column of tasks the packing.
-func pcTake(side panelSide, n int) []float64 {
+func pcTake(n int) []float64 {
 	bytes := int64(n) * 8
 	pcMu.Lock()
-	limit := pcBudget
-	if side == sideA {
-		limit = pcBudget / 4 * 3
-	}
-	if pcUsed+bytes > limit {
+	if pcUsed+bytes > pcBudget {
 		pcMu.Unlock()
 		return nil
 	}
@@ -148,65 +131,47 @@ func pcGive(buf []float64) {
 }
 
 // PanelCacheStats is a snapshot of the cache counters, for tests,
-// benchmarks and debugging. Packs/Hits/Misses/Denied count B panels
-// only, as they did before A panels existed, so hit shares computed
-// from them stay comparable; the A-panel events are the A* fields.
-// UsedBytes is the live bytes of both sides.
+// benchmarks and debugging. UsedBytes is the bytes of live panels.
 type PanelCacheStats struct {
-	Packs, Hits, Misses, Denied     int64
-	APacks, AHits, AMisses, ADenied int64
-	UsedBytes, BudgetBytes          int64
+	Packs, Hits, Misses, Denied int64
+	UsedBytes, BudgetBytes      int64
 }
 
 // ReadPanelCacheStats returns the current counters.
 func ReadPanelCacheStats() PanelCacheStats {
 	pcMu.Lock()
 	defer pcMu.Unlock()
-	b, a := pcCount[sideB], pcCount[sideA]
 	return PanelCacheStats{
-		Packs: b[evPack], Hits: b[evHit], Misses: b[evMiss], Denied: b[evDenied],
-		APacks: a[evPack], AHits: a[evHit], AMisses: a[evMiss], ADenied: a[evDenied],
+		Packs: pcCount[evPack], Hits: pcCount[evHit], Misses: pcCount[evMiss], Denied: pcCount[evDenied],
 		UsedBytes: pcUsed, BudgetBytes: pcBudget,
 	}
 }
 
-// SharedPanel is one refcounted packed GEMM operand shared by the
-// update tasks of a factorization or solve step. Built by the DAG
-// builder with the exact consumer count; each consumer passes it to
+// SharedPanel is one refcounted packed right-hand GEMM operand shared
+// by the update tasks of a factorization or solve step. Built by the
+// DAG builder with the exact consumer count; each consumer passes it to
 // GemmShared exactly once, which decrements the count, and the last
 // call frees the buffer. A nil *SharedPanel is valid and means "pack
 // this operand privately".
 type SharedPanel struct {
-	side     panelSide
 	initUses int64
 	uses     atomic.Int64
 
 	mu     sync.Mutex // guards the fields below
 	denied bool       // budget denial is sticky until Reset
 	buf    []float64  // non-nil while packed
-	ext, k int        // operand extent (rows of A, columns of B) and depth
-}
-
-// NewSharedAPanel creates a handle for a left operand (the L blocks of
-// one row run) expected to be consumed by `uses` GemmShared calls.
-func NewSharedAPanel(uses int) *SharedPanel {
-	return newSharedPanel(sideA, uses)
+	n, k   int        // operand columns and depth
 }
 
 // NewSharedBPanel creates a handle for a right operand (one U block, or
 // one solved X block row) expected to be consumed by `uses` GemmShared
-// calls.
+// calls. With fewer than two consumers there is nothing to share and
+// nil is returned (a nil handle packs privately).
 func NewSharedBPanel(uses int) *SharedPanel {
-	return newSharedPanel(sideB, uses)
-}
-
-// With fewer than two consumers there is nothing to share and nil is
-// returned (a nil handle packs privately).
-func newSharedPanel(side panelSide, uses int) *SharedPanel {
 	if uses < 2 {
 		return nil
 	}
-	p := &SharedPanel{side: side, initUses: int64(uses)}
+	p := &SharedPanel{initUses: int64(uses)}
 	p.uses.Store(p.initUses)
 	return p
 }
@@ -249,18 +214,17 @@ func (p *SharedPanel) release() {
 }
 
 // GemmShared computes C -= A * B like Gemm — which is GemmShared with
-// no handles — streaming each operand whose handle holds (or can take)
-// a cached packed copy and packing the other privately. Every path
+// no handle — streaming B from pb when the handle holds (or can take) a
+// cached packed copy and packing it privately otherwise. Every path
 // dispatches exactly as Gemm does and the packed bytes are the same
-// either way, so the result is bit-identical whatever was cached. Each
+// either way, so the result is bit-identical whatever was cached. A
 // non-nil handle loses one use.
-func GemmShared(c, a, b View, pa, pb *SharedPanel) {
+func GemmShared(c, a, b View, pb *SharedPanel) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	if a.Rows != m || b.Rows != k || b.Cols != n {
 		panic(fmt.Sprintf("kernel: gemm shape mismatch C %dx%d, A %dx%d, B %dx%d",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	defer pa.release()
 	defer pb.release()
 	if useNaiveKernels {
 		gemmNaive(c, a, b)
@@ -270,30 +234,17 @@ func GemmShared(c, a, b View, pa, pb *SharedPanel) {
 		gemmSmall(c, a, b, false)
 		return
 	}
-	if !pa.ensurePacked(a) {
-		pa = nil
-	}
 	if !pb.ensurePacked(b) {
 		pb = nil
 	}
-	gemmPacked(c, a, b, false, pa, pb)
+	gemmPacked(c, a, b, false, pb)
 }
 
-// geom returns the cache block and register tile along the operand's
-// extent: mc/mr for A, nc/nr for B.
-func (p *SharedPanel) geom() (blk, tile int) {
-	if p.side == sideA {
-		return mc, mr
-	}
-	return nc, nr
-}
-
-// seg returns the packed block of extent offset e0 (a multiple of the
-// side's cache block) and depth offset pc. Blocks are stored extent-
-// major, each padded to whole register tiles.
-func (p *SharedPanel) seg(e0, pc int) []float64 {
-	blk, tile := p.geom()
-	return p.buf[e0/blk*roundUp(blk, tile)*p.k+roundUp(min(blk, p.ext-e0), tile)*pc:]
+// seg returns the packed block of column offset jc (a multiple of nc)
+// and depth offset pc. Blocks are stored column-block-major, each
+// padded to whole nr-column panels.
+func (p *SharedPanel) seg(jc, pc int) []float64 {
+	return p.buf[jc/nc*roundUp(nc, nr)*p.k+roundUp(min(nc, p.n-jc), nr)*pc:]
 }
 
 // ensurePacked returns true with the shared buffer ready (packing v
@@ -308,35 +259,26 @@ func (p *SharedPanel) ensurePacked(v View) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.buf != nil {
-		pcEvent(p.side, evHit)
+		pcEvent(evHit)
 		return true
 	}
 	if p.denied {
-		pcEvent(p.side, evMiss)
+		pcEvent(evMiss)
 		return false
 	}
-	ext, k := v.Cols, v.Rows
-	if p.side == sideA {
-		ext, k = v.Rows, v.Cols
-	}
-	blk, tile := p.geom()
-	buf := pcTake(p.side, (ext/blk*roundUp(blk, tile)+roundUp(ext%blk, tile))*k)
+	n, k := v.Cols, v.Rows
+	buf := pcTake((n/nc*roundUp(nc, nr) + roundUp(n%nc, nr)) * k)
 	if buf == nil {
 		p.denied = true
-		pcEvent(p.side, evDenied)
-		pcEvent(p.side, evMiss)
+		pcEvent(evDenied)
+		pcEvent(evMiss)
 		return false
 	}
-	pcEvent(p.side, evPack)
-	p.buf, p.ext, p.k = buf, ext, k
-	for e0 := 0; e0 < ext; e0 += blk {
-		eLen := min(blk, ext-e0)
+	pcEvent(evPack)
+	p.buf, p.n, p.k = buf, n, k
+	for jc := 0; jc < n; jc += nc {
 		for pc := 0; pc < k; pc += kc {
-			if p.side == sideA {
-				packA(p.seg(e0, pc), v, e0, pc, eLen, min(kc, k-pc), mr)
-			} else {
-				packB(p.seg(e0, pc), v, pc, e0, min(kc, k-pc), eLen, false, nr)
-			}
+			packB(p.seg(jc, pc), v, pc, jc, min(kc, k-pc), min(nc, n-jc), false, nr)
 		}
 	}
 	return true

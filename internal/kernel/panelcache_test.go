@@ -68,7 +68,7 @@ func TestSharedBPanelHitBitIdentical(t *testing.T) {
 			t.Fatal("NewSharedBPanel returned nil for uses >= 2")
 		}
 		for i := range sc.cs {
-			GemmShared(sc.cs[i], sc.as[i], sc.b, nil, p)
+			GemmShared(sc.cs[i], sc.as[i], sc.b, p)
 		}
 		for i := range sc.cs {
 			if d := maxAbsDiffBacking(sc.cs[i], want[i]); d != 0 {
@@ -99,7 +99,7 @@ func TestSharedBPanelDeniedFallsBack(t *testing.T) {
 	before := pcState()
 	p := NewSharedBPanel(3)
 	for i := range sc.cs {
-		GemmShared(sc.cs[i], sc.as[i], sc.b, nil, p)
+		GemmShared(sc.cs[i], sc.as[i], sc.b, p)
 	}
 	for i := range sc.cs {
 		if d := maxAbsDiffBacking(sc.cs[i], want[i]); d != 0 {
@@ -132,7 +132,7 @@ func TestSharedBPanelConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			GemmShared(sc.cs[i], sc.as[i], sc.b, nil, p)
+			GemmShared(sc.cs[i], sc.as[i], sc.b, p)
 		}(i)
 	}
 	wg.Wait()
@@ -154,11 +154,11 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 	before := pcState()
 	p := NewSharedBPanel(2)
 
-	GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, nil, p)
+	GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, p)
 	if s := pcState(); s.UsedBytes <= before.UsedBytes {
 		t.Fatal("first consumer did not charge the budget")
 	}
-	GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, nil, p)
+	GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, p)
 	if s := pcState(); s.UsedBytes != before.UsedBytes {
 		t.Fatalf("last consumer did not free: used %d -> %d", before.UsedBytes, s.UsedBytes)
 	}
@@ -171,8 +171,8 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 	p.Reset()
 	want := sc.want()
 	got := []View{cloneView(sc.cs[0]), cloneView(sc.cs[1])}
-	GemmShared(got[0], sc.as[0], sc.b, nil, p)
-	GemmShared(got[1], sc.as[1], sc.b, nil, p)
+	GemmShared(got[0], sc.as[0], sc.b, p)
+	GemmShared(got[1], sc.as[1], sc.b, p)
 	for i := range got {
 		if d := maxAbsDiffBacking(got[i], want[i]); d != 0 {
 			t.Fatalf("post-Reset consumer %d diverges: max |diff| = %g", i, d)
@@ -185,7 +185,7 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 	// Abort path: one consumer runs, the second never does; ForceFree
 	// must reclaim.
 	p.Reset()
-	GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, nil, p)
+	GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, p)
 	if s := pcState(); s.UsedBytes <= before.UsedBytes {
 		t.Fatal("aborted run did not hold a buffer before ForceFree")
 	}
@@ -207,7 +207,7 @@ func TestSharedBPanelNilDegrades(t *testing.T) {
 	c1 := randView(rng, 48, 48)
 	c2 := cloneView(c1)
 	var p *SharedPanel
-	GemmShared(c1, a, b, nil, p)
+	GemmShared(c1, a, b, p)
 	Gemm(c2, a, b)
 	if d := maxAbsDiffBacking(c1, c2); d != 0 {
 		t.Fatalf("nil panel path diverges from Gemm: %g", d)
@@ -223,8 +223,8 @@ func TestSharedBPanelSmallShapesBypass(t *testing.T) {
 	sc := newSharedGemmCase(rng, 8, 8, 8, 2)
 	want := sc.want()
 	p := NewSharedBPanel(2)
-	GemmShared(sc.cs[0], sc.as[0], sc.b, nil, p)
-	GemmShared(sc.cs[1], sc.as[1], sc.b, nil, p)
+	GemmShared(sc.cs[0], sc.as[0], sc.b, p)
+	GemmShared(sc.cs[1], sc.as[1], sc.b, p)
 	for i := range sc.cs {
 		if d := maxAbsDiffBacking(sc.cs[i], want[i]); d != 0 {
 			t.Fatalf("small-shape consumer %d diverges: %g", i, d)
@@ -236,10 +236,11 @@ func TestSharedBPanelSmallShapesBypass(t *testing.T) {
 	}
 }
 
-// updateGrid is one factorization step's trailing update in miniature:
-// rows x cols tasks, task (r, j) computing C[r][j] -= A[r] * B[j], so
-// every A is shared along a row and every B along a column — the shape
-// BuildCALU creates.
+// updateGrid is one factorization step's column-by-column trailing
+// update in miniature: rows x cols tasks, task (r, j) computing
+// C[r][j] -= A[r] * B[j], so every B is shared along a column — the
+// shape BuildCALU creates for the look-ahead column and the dynamic
+// section.
 type updateGrid struct {
 	as, bs []View
 	cs     [][]View
@@ -269,13 +270,10 @@ func (g updateGrid) clone() updateGrid {
 	return out
 }
 
-// run executes every task of the grid through GemmShared with one A
-// handle per row and one B handle per column, `workers` tasks at a
-// time, and returns the handles.
-func (g updateGrid) run(workers int) (pa, pb []*SharedPanel) {
-	for range g.as {
-		pa = append(pa, NewSharedAPanel(len(g.bs)))
-	}
+// run executes every task of the grid through GemmShared with one B
+// handle per column, `workers` tasks at a time, and returns the
+// handles.
+func (g updateGrid) run(workers int) (pb []*SharedPanel) {
 	for range g.bs {
 		pb = append(pb, NewSharedBPanel(len(g.as)))
 	}
@@ -286,7 +284,7 @@ func (g updateGrid) run(workers int) (pa, pb []*SharedPanel) {
 		go func() {
 			defer wg.Done()
 			for t := range tasks {
-				GemmShared(g.cs[t[0]][t[1]], g.as[t[0]], g.bs[t[1]], pa[t[0]], pb[t[1]])
+				GemmShared(g.cs[t[0]][t[1]], g.as[t[0]], g.bs[t[1]], pb[t[1]])
 			}
 		}()
 	}
@@ -297,7 +295,7 @@ func (g updateGrid) run(workers int) (pa, pb []*SharedPanel) {
 	}
 	close(tasks)
 	wg.Wait()
-	return pa, pb
+	return pb
 }
 
 func (g updateGrid) same(t *testing.T, what string, want updateGrid) {
@@ -310,7 +308,7 @@ func (g updateGrid) same(t *testing.T, what string, want updateGrid) {
 }
 
 // TestSharedPanelsHitDeniedOffBitIdentical: the same update grid run
-// with both operands cached, with a budget that denies every panel and
+// with B cached, with a budget that denies every panel and
 // with a zero budget must produce the bits of plain Gemm calls
 // — under every registered kernel, the portable one included, with
 // four tasks in flight. On the clean run every handle's count reaches
@@ -334,15 +332,9 @@ func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
 
 				before := pcState()
 				hit := src.clone()
-				pa, pb := hit.run(4)
+				pb := hit.run(4)
 				hit.same(t, "cached", want)
 				after := pcState()
-				if got := after.APacks - before.APacks; got != rows {
-					t.Errorf("A packs = %d, want one per row (%d)", got, rows)
-				}
-				if got := after.AHits - before.AHits; got != rows*(cols-1) {
-					t.Errorf("A hits = %d, want %d", got, rows*(cols-1))
-				}
 				if got := after.Packs - before.Packs; got != cols {
 					t.Errorf("B packs = %d, want one per column (%d)", got, cols)
 				}
@@ -352,7 +344,7 @@ func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
 				if after.UsedBytes != before.UsedBytes {
 					t.Errorf("clean run left %d bytes live before any ForceFree", after.UsedBytes-before.UsedBytes)
 				}
-				for i, h := range append(pa, pb...) {
+				for i, h := range pb {
 					if n := h.uses.Load(); n != 0 {
 						t.Errorf("handle %d ends with %d uses, want exactly 0", i, n)
 					}
@@ -364,11 +356,11 @@ func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
 				denied.run(4)
 				denied.same(t, "denied", want)
 				after = pcState()
-				if got := after.ADenied - before.ADenied; got != rows {
-					t.Errorf("A denials = %d, want one per row (%d)", got, rows)
+				if got := after.Denied - before.Denied; got != cols {
+					t.Errorf("B denials = %d, want one per column (%d)", got, cols)
 				}
-				if got := after.AMisses - before.AMisses; got != rows*cols {
-					t.Errorf("A misses = %d, want one per task (%d)", got, rows*cols)
+				if got := after.Misses - before.Misses; got != rows*cols {
+					t.Errorf("B misses = %d, want one per task (%d)", got, rows*cols)
 				}
 
 				// A zero budget admits nothing, not even a parked buffer.
@@ -384,41 +376,6 @@ func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSharedAPanelReserveKeepsBHits: A panels live as long as their
-// step, B panels as long as their column, so A stops at three quarters
-// of the budget and a B panel still finds room behind a wall of them.
-func TestSharedAPanelReserveKeepsBHits(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a, b, c := randView(rng, 96, 64), randView(rng, 64, 96), randView(rng, 96, 96)
-	aBytes := int64((96+mr-1)/mr*mr*64) * 8
-	setPanelBudget(t, 4*aBytes)
-	before := pcState()
-	var held []*SharedPanel
-	defer func() {
-		for _, p := range held {
-			p.ForceFree()
-		}
-	}()
-	for i := 0; i < 4; i++ {
-		p := NewSharedAPanel(2)
-		held = append(held, p)
-		GemmShared(cloneView(c), a, b, p, nil)
-	}
-	after := pcState()
-	if got := after.APacks - before.APacks; got != 3 {
-		t.Fatalf("A panels admitted = %d of 4, want 3 (three quarters of the budget)", got)
-	}
-	if got := after.ADenied - before.ADenied; got != 1 {
-		t.Fatalf("A denials = %d, want 1", got)
-	}
-	pb := NewSharedBPanel(2)
-	held = append(held, pb)
-	GemmShared(cloneView(c), a, b, nil, pb)
-	if got := pcState().Packs - before.Packs; got != 1 {
-		t.Fatalf("B panel behind the A panels: packs = %d, want 1 (reserve not honoured)", got)
-	}
-}
-
 // TestPanelBuffersRecycled: a freed panel buffer is handed to the next
 // panel of its length instead of being reallocated, parked bytes count
 // against the budget together with live ones, and a shrinking budget
@@ -428,9 +385,9 @@ func TestPanelBuffersRecycled(t *testing.T) {
 	sc := newSharedGemmCase(rng, 64, 64, 64, 2)
 	pack := func() *float64 {
 		p := NewSharedBPanel(2)
-		GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, nil, p)
+		GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, p)
 		first := &p.buf[0]
-		GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, nil, p) // last use parks it
+		GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, p) // last use parks it
 		return first
 	}
 	if b1, b2 := pack(), pack(); b1 != b2 {

@@ -50,3 +50,18 @@ func (l *BlockCyclic) GroupedRows(i, j, width int) kernel.View {
 	v.Rows = (width-1)*l.b + last
 	return v
 }
+
+// Rect returns one view of the owned blocks (i+a*PR, j+c*PC) for
+// a < rows, c < cols: GroupedRows stacks them within one block column,
+// and the owner's block columns sit side by side in its submatrix, so
+// any run of them is one strided rectangle.
+func (l *BlockCyclic) Rect(i, j, rows, cols int) kernel.View {
+	_, nb := l.Blocks()
+	if cols < 1 || j+(cols-1)*l.grid.PC >= nb {
+		panic(fmt.Sprintf("layout: invalid block column count %d at block (%d,%d)", cols, i, j))
+	}
+	v := l.GroupedRows(i, j, rows)
+	_, last := l.BlockDims(i, j+(cols-1)*l.grid.PC)
+	v.Cols = (cols-1)*l.b + last
+	return v
+}

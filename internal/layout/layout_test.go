@@ -296,3 +296,31 @@ func TestBCLGroupedRowsRagged(t *testing.T) {
 		t.Fatal("ragged grouped rows content wrong")
 	}
 }
+
+// TestBCLRect: a rectangle of owned blocks on a 2x2 grid, ragged in
+// both directions, is one view whose element (r, c) is the global
+// element of the owned block it falls in.
+func TestBCLRect(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	src := mat.Random(22, 19, rng) // 6x5 blocks of b=4, last ones 2 rows / 3 cols
+	l := New(BCL, src, 4, NewGrid(4)).(*BlockCyclic)
+	// Worker 1 (PR=2, PC=2) owns block rows 1, 3, 5 and columns 0, 2, 4.
+	v := l.Rect(3, 2, 2, 2)
+	if v.Rows != 4+2 || v.Cols != 4+3 {
+		t.Fatalf("rect %dx%d want 6x7", v.Rows, v.Cols)
+	}
+	for r := 0; r < v.Rows; r++ {
+		for c := 0; c < v.Cols; c++ {
+			gi, gj := (3+2*(r/4))*4+r%4, (2+2*(c/4))*4+c%4
+			if got, want := v.At(r, c), src.At(gi, gj); got != want {
+				t.Fatalf("rect (%d,%d) = %g, want element (%d,%d) = %g", r, c, got, gi, gj, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a rectangle past the last owned block column")
+		}
+	}()
+	l.Rect(3, 2, 2, 3)
+}

@@ -37,9 +37,9 @@ func TestAbortReleasesSharedPanels(t *testing.T) {
 		t.Fatal("NewSharedBPanel returned nil for uses=2")
 	}
 	g := &dag.Graph{Name: "abort-panel", Workers: 1, Panels: []*kernel.SharedPanel{p}}
-	t0 := &dag.Task{ID: 0, Kind: dag.S, Run: func() { kernel.GemmShared(c, a, b, nil, p) }}
+	t0 := &dag.Task{ID: 0, Kind: dag.S, Run: func() { kernel.GemmShared(c, a, b, p) }}
 	t1 := &dag.Task{ID: 1, Kind: dag.S, NumDeps: 1, Run: func() { panic("injected numerical failure") }}
-	t2 := &dag.Task{ID: 2, Kind: dag.S, NumDeps: 1, Run: func() { kernel.GemmShared(c, a, b, nil, p) }}
+	t2 := &dag.Task{ID: 2, Kind: dag.S, NumDeps: 1, Run: func() { kernel.GemmShared(c, a, b, p) }}
 	t0.Outs = []int32{t1.ID}
 	t1.Outs = []int32{t2.ID}
 	g.Tasks = []*dag.Task{t0, t1, t2}
