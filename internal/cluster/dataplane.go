@@ -151,7 +151,7 @@ func (*solveKey) BulkMember() (string, *[]float64) { return "b", nil }
 // 503; otherwise the shard's answer.
 func (rt *Router) handleSolve(ctx context.Context, w http.ResponseWriter, body []byte, path string) {
 	var req solveKey
-	if err := DecodeJSON(body, &req); err != nil {
+	if err := decodeJSON(body, &req); err != nil {
 		HTTPError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}

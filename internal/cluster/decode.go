@@ -8,7 +8,7 @@ import (
 
 // Bulk is implemented by a request type whose bulk is one member: a
 // JSON array of numbers, megabytes long in a matrix request.
-// DecodeJSON parses that member in one pass instead of through
+// decodeJSON parses that member in one pass instead of through
 // encoding/json's reflection.
 type Bulk interface {
 	// BulkMember names the member's key and the slice its numbers go
@@ -17,7 +17,7 @@ type Bulk interface {
 	BulkMember() (name string, dst *[]float64)
 }
 
-// DecodeJSON decodes data into v with the result and the error
+// decodeJSON decodes data into v with the result and the error
 // json.Unmarshal gives. When *T is a Bulk and its member appears once
 // at the top level of data, under its exact, unescaped key, as an array
 // of plain JSON numbers, that array is parsed in one pass into a slice
@@ -35,7 +35,7 @@ type Bulk interface {
 // element that is not a plain number, a number ParseFloat refuses, any
 // error in the rest — is decoded by json.Unmarshal on the whole of
 // data.
-func DecodeJSON[T any](data []byte, v *T) error {
+func decodeJSON[T any](data []byte, v *T) error {
 	// The rest decodes into a copy: a rest that fails midway must leave
 	// v as the fallback's json.Unmarshal expects to find it.
 	tmp := *v

@@ -175,19 +175,30 @@ func TestDecodeJSONFractionZerosAndLongExponent(t *testing.T) {
 }
 
 // BenchmarkDecodeJSONFactor times DecodeJSON on a factor request's
-// body: the json.Marshal form of an n = 512 mat.Random matrix.
+// body, the json.Marshal form of an n = 512 mat.Random matrix, against
+// json.Unmarshal on the same body.
 func BenchmarkDecodeJSONFactor(b *testing.B) {
 	const n = 512
 	body, err := json.Marshal(bulkRequest{N: n, Data: mat.Random(n, n, rand.New(rand.NewSource(1))).Data})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	for b.Loop() {
-		var req bulkRequest
-		if err := cluster.DecodeJSON(body, &req); err != nil || len(req.Data) != n*n {
-			b.Fatalf("decoded %d numbers, %v", len(req.Data), err)
-		}
+	for _, dec := range []struct {
+		name   string
+		decode func([]byte, *bulkRequest) error
+	}{
+		{"one-pass", cluster.DecodeJSON[bulkRequest]},
+		{"encoding-json", func(d []byte, v *bulkRequest) error { return json.Unmarshal(d, v) }},
+	} {
+		b.Run(dec.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				var req bulkRequest
+				if err := dec.decode(body, &req); err != nil || len(req.Data) != n*n {
+					b.Fatalf("decoded %d numbers, %v", len(req.Data), err)
+				}
+			}
+		})
 	}
 }

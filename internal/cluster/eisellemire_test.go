@@ -78,7 +78,7 @@ func TestParseNumbersAllocatesOnlyTheSlice(t *testing.T) {
 }
 
 // onePassOnly is a request whose only member is its bulk, and which
-// json.Unmarshal refuses unless that member is null: DecodeJSON decodes
+// json.Unmarshal refuses unless that member is null: decodeJSON decodes
 // it without error only on its one-pass path.
 type onePassOnly struct {
 	Data nullOnly `json:"data"`
@@ -99,7 +99,7 @@ func (*nullOnly) UnmarshalJSON(b []byte) error {
 // TestDecodeNumbersMatchParseFloat: random finite float64s, each written
 // five ways — shortest 'g', shortest 'f', 'e' with 16 and with 17
 // significant digits, and 20 to 25 significant digits — decode through
-// DecodeJSON's one-pass path to strconv.ParseFloat's bits. One bit
+// decodeJSON's one-pass path to strconv.ParseFloat's bits. One bit
 // pattern in eight is uniform over every finite float64, so most of
 // those take the fallback; the rest have magnitudes within powTen's
 // reach, which Eisel–Lemire converts.
@@ -149,7 +149,7 @@ func TestDecodeNumbersMatchParseFloat(t *testing.T) {
 		}
 		body.WriteString(`]}`)
 		var got onePassOnly
-		if err := DecodeJSON([]byte(body.String()), &got); err != nil {
+		if err := decodeJSON([]byte(body.String()), &got); err != nil {
 			t.Fatal(err)
 		}
 		if len(got.nums) != len(want) {
@@ -157,7 +157,7 @@ func TestDecodeNumbersMatchParseFloat(t *testing.T) {
 		}
 		for i, w := range want {
 			if math.Float64bits(got.nums[i]) != math.Float64bits(w) {
-				t.Fatalf("number %d: DecodeJSON gives %#x, strconv.ParseFloat %#x (%v)",
+				t.Fatalf("number %d: decodeJSON gives %#x, strconv.ParseFloat %#x (%v)",
 					i, math.Float64bits(got.nums[i]), math.Float64bits(w), w)
 			}
 		}

@@ -15,7 +15,7 @@ import (
 // the method, Content-Type and size checks happen in one place, before
 // any body byte is read, and answer alike on both. A body is read once,
 // into one buffer of its declared size; a JSON body is then decoded by
-// DecodeJSON, which parses a request's bulk number array in one pass. A
+// decodeJSON, which parses a request's bulk number array in one pass. A
 // guarded handler receives the decoded request or the capped bytes as a
 // parameter: a function that reads r.Body itself does not fit a route
 // table.
@@ -39,11 +39,11 @@ func Get(h http.HandlerFunc) http.HandlerFunc {
 // maxBody, and nothing but whitespace after the value — a second
 // document or stray bytes are a malformed request, not something to
 // ignore. The body is read whole (PostBytes), then decoded by
-// DecodeJSON.
+// decodeJSON.
 func PostJSON[T any](maxBody int64, h func(http.ResponseWriter, *http.Request, *T)) http.HandlerFunc {
 	return PostBytes(mediaJSON, maxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
 		var v T
-		if err := DecodeJSON(body, &v); err != nil {
+		if err := decodeJSON(body, &v); err != nil {
 			bodyError(w, err)
 			return
 		}

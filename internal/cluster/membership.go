@@ -12,7 +12,7 @@ import (
 )
 
 // Membership: shard health (transport errors, probes, eviction, rejoin),
-// Join and Drain, and the key copy they share with factor replication.
+// Join and drain, and the key copy they share with factor replication.
 
 // noteResult feeds one shard round trip into its health.
 func (rt *Router) noteResult(s *shardState, err error) {
@@ -46,7 +46,7 @@ func (rt *Router) noteAlive(s *shardState) {
 // under mu so that racing successes and failures settle to the last
 // streak either wrote. The ring is not touched: it holds every
 // non-retired member, and routable screens the flag. settle takes only
-// mu, never adminMu: transport errors surface inside Join/Drain
+// mu, never adminMu: transport errors surface inside Join/drain
 // migrations too, which already hold adminMu.
 func (rt *Router) settle(s *shardState) {
 	rt.mu.Lock()
@@ -64,15 +64,15 @@ func (rt *Router) probeLoop() {
 		case <-rt.stop:
 			return
 		case <-t.C:
-			rt.ProbeNow()
+			rt.probeNow()
 		}
 	}
 }
 
-// ProbeNow runs one synchronous health-probe pass over every
-// non-retired shard. The in-process harness and tests call it directly
-// instead of waiting out a probe interval.
-func (rt *Router) ProbeNow() {
+// probeNow runs one synchronous health-probe pass over every
+// non-retired shard. The tests call it directly instead of waiting out
+// a probe interval.
+func (rt *Router) probeNow() {
 	for _, s := range rt.shardList() {
 		rt.mu.RLock()
 		retired := s.retired
@@ -191,15 +191,15 @@ func (rt *Router) Join(si ShardInfo) error {
 		return fmt.Errorf("cluster: shard %q at %s is not ready", si.Name, si.URL)
 	}
 
-	rt.rebalanceLocked(func(next *Ring) { next.Add(si.Name) })
+	rt.rebalanceLocked(func(next *hashRing) { next.add(si.Name) })
 	return nil
 }
 
-// Drain retires a shard with zero failed requests: stop placing new
+// drain retires a shard with zero failed requests: stop placing new
 // factorizations on it, migrate its kept state to the owners under the
 // shrunken ring, swap the ring, tell the shard itself to drain, and
 // only then stop routing solves to it.
-func (rt *Router) Drain(name string) error {
+func (rt *Router) drain(name string) error {
 	rt.adminMu.Lock()
 	defer rt.adminMu.Unlock()
 	s := rt.shard(name)
@@ -213,7 +213,7 @@ func (rt *Router) Drain(name string) error {
 	}
 	s.draining = true
 	rt.mu.Unlock()
-	rt.rebalanceLocked(func(next *Ring) { next.Remove(name) })
+	rt.rebalanceLocked(func(next *hashRing) { next.remove(name) })
 
 	// Shard-side drain: it finishes inflight work and refuses new jobs.
 	// A solve racing this gets the shard's 503 and fails over to a
@@ -238,9 +238,9 @@ func (rt *Router) Drain(name string) error {
 // under that next ring, swaps it in, and copies once more: the first
 // pass makes the keys resident before any request routes on next, the
 // second catches keys factored under the old ring meanwhile.
-func (rt *Router) rebalanceLocked(edit func(next *Ring)) {
+func (rt *Router) rebalanceLocked(edit func(next *hashRing)) {
 	rt.mu.RLock()
-	next := rt.ring.Clone()
+	next := rt.ring.clone()
 	rt.mu.RUnlock()
 	edit(next)
 	copyAll := func() {

@@ -50,12 +50,12 @@ func (rt *Router) placeable(s *shardState) bool {
 // owners returns key's owners — the first R members of ring (the live
 // ring when nil) from the key's hash, primary first — that pass keep,
 // and whether any owner did not.
-func (rt *Router) owners(key string, ring *Ring, keep func(*shardState) bool) (kept []string, short bool) {
+func (rt *Router) owners(key string, ring *hashRing, keep func(*shardState) bool) (kept []string, short bool) {
 	rt.mu.RLock()
 	if ring == nil {
 		ring = rt.ring
 	}
-	names := ring.Owners(key, rt.opt.Replicas)
+	names := ring.owners(key, rt.opt.Replicas)
 	rt.mu.RUnlock()
 	for _, name := range names {
 		if keep(rt.shard(name)) {
@@ -73,7 +73,7 @@ func (rt *Router) owners(key string, ring *Ring, keep func(*shardState) bool) (k
 // (1-1/members)^(32·members), never happens), and returns them.
 func (rt *Router) mint(prefix string) (key string, cs []string) {
 	rt.mu.RLock()
-	draws := 32 * rt.ring.Len()
+	draws := 32 * len(rt.ring.nodes)
 	rt.mu.RUnlock()
 	for range draws {
 		var id [12]byte

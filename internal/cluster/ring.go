@@ -32,25 +32,25 @@ type ringPoint struct {
 	node string
 }
 
-// Ring is a consistent-hash ring with vnodes virtual nodes per member.
-// Membership is deterministic in the node names: two rings built with
-// the same members agree on every key's owner set, which is what lets
-// tests — and operators — recompute placements offline. Not safe for
-// concurrent use; the Router guards it.
-type Ring struct {
-	gen    uint64
+// hashRing is a consistent-hash ring with vnodes virtual nodes per
+// member. Membership is deterministic in the node names: two rings
+// built with the same members agree on every key's owner set, which is
+// what lets tests — and operators — recompute placements offline. Not
+// safe for concurrent use; the Router guards it.
+type hashRing struct {
+	gen    uint64 // bumped by every add or remove that changes membership
 	nodes  map[string]bool
 	points []ringPoint // sorted by hash
 }
 
-// NewRing returns an empty ring.
-func NewRing() *Ring {
-	return &Ring{nodes: map[string]bool{}}
+// newRing returns an empty ring.
+func newRing() *hashRing {
+	return &hashRing{nodes: map[string]bool{}}
 }
 
-// Clone returns an independent copy (same generation).
-func (r *Ring) Clone() *Ring {
-	c := &Ring{gen: r.gen, nodes: make(map[string]bool, len(r.nodes))}
+// clone returns an independent copy (same generation).
+func (r *hashRing) clone() *hashRing {
+	c := &hashRing{gen: r.gen, nodes: make(map[string]bool, len(r.nodes))}
 	for n := range r.nodes {
 		c.nodes[n] = true
 	}
@@ -74,9 +74,9 @@ func hashKey(s string) uint64 {
 	return x
 }
 
-// Add inserts a node's virtual points, reporting whether membership
+// add inserts a node's virtual points, reporting whether membership
 // changed. Every membership change bumps the generation.
-func (r *Ring) Add(node string) bool {
+func (r *hashRing) add(node string) bool {
 	if r.nodes[node] {
 		return false
 	}
@@ -94,9 +94,9 @@ func (r *Ring) Add(node string) bool {
 	return true
 }
 
-// Remove deletes a node's virtual points, reporting whether it was a
+// remove deletes a node's virtual points, reporting whether it was a
 // member.
-func (r *Ring) Remove(node string) bool {
+func (r *hashRing) remove(node string) bool {
 	if !r.nodes[node] {
 		return false
 	}
@@ -112,16 +112,8 @@ func (r *Ring) Remove(node string) bool {
 	return true
 }
 
-// Gen returns the membership generation: it increments on every Add or
-// Remove that changed the ring, so routers and stats can tell apart
-// placements computed under different topologies.
-func (r *Ring) Gen() uint64 { return r.gen }
-
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.nodes) }
-
-// Nodes returns the members in sorted order.
-func (r *Ring) Nodes() []string {
+// members returns the members in sorted order.
+func (r *hashRing) members() []string {
 	ns := make([]string, 0, len(r.nodes))
 	for n := range r.nodes {
 		ns = append(ns, n)
@@ -130,11 +122,11 @@ func (r *Ring) Nodes() []string {
 	return ns
 }
 
-// Owners returns the key's owner set: up to n distinct nodes starting
+// owners returns the key's owner set: up to n distinct nodes starting
 // at the key's successor point and walking the circle. The first entry
 // is the primary owner (where factor jobs land); the rest are the
 // replicas the factorization fans out to.
-func (r *Ring) Owners(key string, n int) []string {
+func (r *hashRing) owners(key string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}

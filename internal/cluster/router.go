@@ -24,7 +24,7 @@ type RouterOptions struct {
 	// primary owner plus R-1 replicas. Default 2, clamped to >= 1.
 	Replicas int
 	// ProbeInterval drives the background health probe; 0 disables it —
-	// probes then run only through ProbeNow (harness/tests) and
+	// probes then run only through probeNow (the tests) and
 	// transport errors on the data path.
 	ProbeInterval time.Duration
 	// FailAfter is how many consecutive probe or transport failures
@@ -53,7 +53,7 @@ type shardState struct {
 // Router is the cluster front door: it consistent-hashes factorization
 // keys onto shards, factors on the key's owner, fans the serialized
 // factorization out to replicas, and routes solves to any holder with
-// failover. It also runs the shard lifecycle: Join, Drain, and
+// failover. It also runs the shard lifecycle: Join, drain, and
 // probe-driven eviction. Serve it with its Handler.
 type Router struct {
 	opt    RouterOptions
@@ -67,11 +67,11 @@ type Router struct {
 
 	// mu guards the shard map, every shard's flags, the ring and the lag
 	// EWMA. No code takes another lock while holding it. The ring holds
-	// every non-retired member and only Join and Drain replace it; health
+	// every non-retired member and only Join and drain replace it; health
 	// lives in the flags alone, so no eviction can race the swap.
 	mu       sync.RWMutex
 	shards   map[string]*shardState
-	ring     *Ring
+	ring     *hashRing
 	repLagMs float64 // EWMA of factor-reply-to-replicas-imported latency
 
 	factors   atomic.Int64
@@ -105,7 +105,7 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 		opt:    opt,
 		client: &http.Client{},
 		shards: map[string]*shardState{},
-		ring:   NewRing(),
+		ring:   newRing(),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -117,7 +117,7 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 			return nil, fmt.Errorf("cluster: duplicate shard name %q", si.Name)
 		}
 		rt.shards[si.Name] = &shardState{name: si.Name, url: si.URL, healthy: true}
-		rt.ring.Add(si.Name)
+		rt.ring.add(si.Name)
 	}
 	if opt.ProbeInterval > 0 {
 		go rt.probeLoop()
@@ -150,7 +150,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, _ *http.Request, req *drain
 		HTTPError(w, http.StatusBadRequest, "missing shard name")
 		return
 	}
-	if err := rt.Drain(req.Name); err != nil {
+	if err := rt.drain(req.Name); err != nil {
 		HTTPError(w, http.StatusConflict, "%v", err)
 		return
 	}

@@ -228,13 +228,11 @@ func TestClusterOwnerSetDown(t *testing.T) {
 
 	// An id nobody factored whose owner is alive is that owner's 404.
 	// Whose owner is down it is the 503 too: the dead shard may hold it.
-	ref := cluster.NewRing()
-	ref.Add("s1")
-	ref.Add("s2")
+	ref := []string{"s1", "s2"}
 	unknown := map[bool]string{}
 	for i := 0; len(unknown) < 2; i++ {
 		id := fmt.Sprintf("f-404-%d", i)
-		unknown[ref.Owners(id, 1)[0] == holders[0]] = id
+		unknown[cluster.Owners(ref, id, 1)[0] == holders[0]] = id
 	}
 	code, _ = solveVia(t, c.URL(), unknown[false], n)
 	if code != http.StatusNotFound {
@@ -388,13 +386,10 @@ func TestClusterJoinMigratesReassignedKeys(t *testing.T) {
 
 	// Offline recomputation: the ring is deterministic in membership,
 	// so an independent build must agree with the router's placements.
-	ref := cluster.NewRing()
-	ref.Add("s1")
-	ref.Add("s2")
-	ref.Add(sh.Name)
+	ref := []string{"s1", "s2", sh.Name}
 	migrated := 0
 	for _, id := range ids {
-		want := ref.Owners(id, 2)
+		want := cluster.Owners(ref, id, 2)
 		got := c.Router.Holders(id)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("key %s holders %v, want ring owners %v", id, got, want)
@@ -497,7 +492,7 @@ func TestClusterStatsAggregation(t *testing.T) {
 // holders. Once probes retire a dead shard, new keys avoid it: each one
 // is owned by live shards only and still gets R holders.
 func TestClusterFactorFailoverToReplica(t *testing.T) {
-	ref := cluster.NewRing()
+	var ref []string
 	servers := map[string]*httptest.Server{}
 	var infos []cluster.ShardInfo
 	for _, name := range []string{"a", "b", "c"} {
@@ -511,7 +506,7 @@ func TestClusterFactorFailoverToReplica(t *testing.T) {
 				h.ServeHTTP(w, r)
 			})
 		})
-		ref.Add(name)
+		ref = append(ref, name)
 		servers[name] = ts
 		infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
 	}
@@ -522,7 +517,7 @@ func TestClusterFactorFailoverToReplica(t *testing.T) {
 	id, owners := "", []string(nil)
 	for i := 0; i < 200 && (owners == nil || owners[0] != "a"); i++ {
 		id = factorVia(t, front, n, 5) // must succeed on a replica
-		owners = ref.Owners(id, 2)
+		owners = cluster.Owners(ref, id, 2)
 	}
 	if owners[0] != "a" {
 		t.Fatal("no key of 200 hashed to a first")
@@ -543,7 +538,7 @@ func TestClusterFactorFailoverToReplica(t *testing.T) {
 	}
 	for i := range 10 {
 		id := factorVia(t, front, n, i+1)
-		owners := ref.Owners(id, 2)
+		owners := cluster.Owners(ref, id, 2)
 		if hs := rt.Holders(id); slices.Contains(owners, "a") || fmt.Sprint(hs) != fmt.Sprint(owners) {
 			t.Fatalf("key %s with a dead: owners %v, holders %v; want two live owners holding it", id, owners, hs)
 		}
@@ -678,12 +673,9 @@ func TestClusterFactorForwardsClientBytes(t *testing.T) {
 	}
 	id, refID := post(c.URL()), post(lone.URL)
 
-	ref := cluster.NewRing()
-	for _, name := range c.Names() {
-		ref.Add(name)
-	}
+	ref := c.Names()
 	holders := c.Router.Holders(id)
-	if want := ref.Owners(id, 2); fmt.Sprint(holders) != fmt.Sprint(want) {
+	if want := cluster.Owners(ref, id, 2); fmt.Sprint(holders) != fmt.Sprint(want) {
 		t.Fatalf("holders %v, want the ring's owners %v, primary first", holders, want)
 	}
 	want, _ := loneSrv.Store().Get(refID)
@@ -708,9 +700,7 @@ func TestClusterFactorForwardsClientBytes(t *testing.T) {
 // still alive — is back-filled by the same key copy a migration uses:
 // the holders come out in ring order, primary first.
 func TestClusterFactorFailoverBackfillsPrimary(t *testing.T) {
-	ref := cluster.NewRing()
-	ref.Add("a")
-	ref.Add("b")
+	ref := []string{"a", "b"}
 
 	stores := map[string]*serve.Server{}
 	var infos []cluster.ShardInfo
@@ -733,7 +723,7 @@ func TestClusterFactorFailoverBackfillsPrimary(t *testing.T) {
 	id, owners, tries := "", []string(nil), int64(0)
 	for ; tries < 200 && (owners == nil || owners[0] != "a"); tries++ {
 		id = factorVia(t, front, 8, 1)
-		owners = ref.Owners(id, 2)
+		owners = cluster.Owners(ref, id, 2)
 	}
 	if got := rt.Holders(id); owners[0] != "a" || fmt.Sprint(got) != fmt.Sprint(owners) {
 		t.Fatalf("key %s holders %v, want primary a first in %v", id, got, owners)
@@ -1043,24 +1033,18 @@ func TestClusterFactorDuringJoinIsMigrated(t *testing.T) {
 		t.Fatalf("join returned before listing b: %v", err)
 	}
 
-	old, next := cluster.NewRing(), cluster.NewRing()
-	for _, name := range []string{"a", "b", "c"} {
-		if name != "c" {
-			old.Add(name)
-		}
-		next.Add(name)
-	}
+	old, next := []string{"a", "b"}, []string{"a", "b", "c"}
 	// Factor until a key lands on a (listed already) and moves to c.
 	const n = 8
 	id := ""
-	for i := 0; i < 200 && (id == "" || old.Owners(id, 1)[0] != "a" || next.Owners(id, 1)[0] != "c"); i++ {
+	for i := 0; i < 200 && (id == "" || cluster.Owners(old, id, 1)[0] != "a" || cluster.Owners(next, id, 1)[0] != "c"); i++ {
 		id = factorVia(t, front, n, 1)
 	}
 	close(release)
 	if err := <-joined; err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	if old.Owners(id, 1)[0] != "a" || next.Owners(id, 1)[0] != "c" {
+	if cluster.Owners(old, id, 1)[0] != "a" || cluster.Owners(next, id, 1)[0] != "c" {
 		t.Fatal("no key of 200 moved from a to c")
 	}
 	if code, out := solveVia(t, front, id, n); code != http.StatusOK {

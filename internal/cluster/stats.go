@@ -33,8 +33,8 @@ type routerStats struct {
 // block live (each fetch bounded by probeTimeout).
 func (rt *Router) Stats() routerStats {
 	rt.mu.RLock()
-	gen := rt.ring.Gen()
-	members := rt.ring.Nodes()
+	gen := rt.ring.gen
+	members := rt.ring.members()
 	lag := rt.repLagMs
 	rt.mu.RUnlock()
 

@@ -191,10 +191,10 @@ func Factor(a *mat.Dense, opt Options) (*Factorization, error) {
 // Prepared is a job of any kind — CALU, Cholesky, blocked solve — whose
 // layout is allocated and task graph built, but of which nothing has
 // executed yet; R is the kind's result type. It decouples graph
-// construction from graph execution so a caller — the engine, the
-// benchmark — can run the graph through rt.Run itself, at the share it
-// granted and with its own options. A Prepared is single-use: its task
-// closures mutate the layout in place.
+// construction from graph execution: the engine builds a job at the
+// share it granted and runs it through Run, the only rt.Run call in the
+// library. A Prepared is single-use: its task closures mutate the
+// layout in place.
 type Prepared[R any] struct {
 	// Opt is the fully defaulted option set the job was built with.
 	Opt    Options
@@ -429,15 +429,4 @@ func ReferenceLU(a *mat.Dense) (*Factorization, error) {
 	lf, uf := luFactors(m, n)
 	splitBlock(lf, uf, v, 0, 0, 1)
 	return &Factorization{Perm: perm, L: lf, U: uf}, nil
-}
-
-// GrowthFactor returns ||U||_max / ||A||_max, the pivot-growth metric
-// used to compare the stability of tournament pivoting against partial
-// pivoting (section 2 claims they are comparable in practice).
-func GrowthFactor(a *mat.Dense, f *Factorization) float64 {
-	am := a.NormMax()
-	if am == 0 {
-		return 0
-	}
-	return f.U.NormMax() / am
 }

@@ -23,14 +23,14 @@ type CholeskyGraph struct {
 }
 
 // BuildCholesky constructs the tiled Cholesky graph of l's shape
-// (NewCholesky) and binds it to l, ready for the runtime.
+// (newCholesky) and binds it to l, ready for the runtime.
 func BuildCholesky(l layout.Layout, opt CALUOptions) *CholeskyGraph {
-	cg := NewCholesky(layout.ShapeOf(l), opt)
+	cg := newCholesky(layout.ShapeOf(l), opt)
 	cg.Layout = l
 	return cg
 }
 
-// NewCholesky constructs the tiled Cholesky graph over the lower
+// newCholesky constructs the tiled Cholesky graph over the lower
 // triangle of a square matrix of shape s:
 //
 //	POTRF(k):   A_kk = L_kk L_kk^T
@@ -39,7 +39,7 @@ func BuildCholesky(l layout.Layout, opt CALUOptions) *CholeskyGraph {
 //
 // Kind mapping for scheduling/cost purposes: POTRF -> Final,
 // TRSM -> L, UPD -> S. The Run closures read cg.Layout when they run.
-func NewCholesky(s layout.Shape, opt CALUOptions) *CholeskyGraph {
+func newCholesky(s layout.Shape, opt CALUOptions) *CholeskyGraph {
 	m, n, _ := s.Dims()
 	if m != n {
 		panic(fmt.Sprintf("dag: cholesky needs a square matrix, got %dx%d", m, n))

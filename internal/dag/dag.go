@@ -3,7 +3,7 @@
 // Cholesky, the MKL-style GEPP baseline and the PLASMA-style
 // incremental-pivoting baseline.
 //
-// Each algorithm has one builder (NewCALU, NewCholesky, NewGEPP,
+// Each algorithm has one builder (NewCALU, newCholesky, NewGEPP,
 // NewIncPiv), which reads only a layout.Shape. Its graph is executed
 // either by the discrete-event simulator (internal/sim), which never
 // calls Run and charges each task's Flops/Bytes to a machine model, or

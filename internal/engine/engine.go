@@ -3,7 +3,7 @@
 //
 // The pool is partitioned statically across jobs. Each started job is
 // granted a share of the pool's workers and runs on that many
-// goroutines of its own (rt.Run), and the paper's hybrid
+// goroutines of its own (core.Prepared.Run), and the paper's hybrid
 // static/dynamic split runs inside the job, where the policy's shared
 // queue and help tier absorb load imbalance among the job's own
 // workers. A job's goroutines end with it; the pool is a count of
@@ -38,10 +38,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dag"
 	"repro/internal/mat"
-	"repro/internal/rt"
-	"repro/internal/sched"
 )
 
 var (
@@ -190,8 +187,9 @@ type Solvable interface {
 
 // Work is one submittable job of any kind: what admission needs to know
 // about it before it runs (a flop estimate and a default share) and how
-// to build its task graph once a share has been granted. FactorWork, CholeskyWork and SolveWork build the three kinds;
-// a further kind is one more constructor, not an engine change.
+// to run it once a share has been granted. FactorWork, CholeskyWork and
+// SolveWork build the three kinds; a further kind is one more
+// constructor, not an engine change.
 type Work struct {
 	// flops is the admission cost model: the leading-order flop count
 	// that classifies the job small or large. It deliberately ignores
@@ -204,20 +202,24 @@ type Work struct {
 	// reserving the whole pool. An explicitly requested share is
 	// honoured for every kind.
 	wide bool
-	// prepare builds the task graph, policy and result finisher at the
-	// granted share (core.Options.Workers).
-	prepare func(core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error)
+	// run builds the job's task graph at the granted share
+	// (core.Options.Workers) and executes it through core.Prepared.Run.
+	run func(core.Options) (any, error)
 	// err is the constructor's input check, reported by Submit before
 	// the job takes an admission slot.
 	err error
 }
 
-// prepared adapts a core.Prepare* result to Work.prepare.
-func prepared[R any](p *core.Prepared[R], err error) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
+// run executes a core.Prepare* result at the share it was built for.
+func run[R any](p *core.Prepared[R], err error) (any, error) {
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return p.Graph(), p.Policy(), func(res rt.Result) any { return p.Finish(res) }, nil
+	res, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // empty reports a matrix input no kind can work on.
@@ -236,8 +238,8 @@ func FactorWork(a *mat.Dense) Work {
 		// LU of m x n: r^2 * (max(m,n) - r/3); 2/3 n^3 when square.
 		flops: r * r * (math.Max(m, n) - r/3),
 		wide:  true,
-		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
-			return prepared(core.PrepareFactor(a, opt))
+		run: func(opt core.Options) (any, error) {
+			return run(core.PrepareFactor(a, opt))
 		},
 	}
 }
@@ -255,8 +257,8 @@ func CholeskyWork(a *mat.Dense) Work {
 	return Work{
 		flops: n * n * n / 3,
 		wide:  true,
-		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
-			return prepared(core.PrepareCholesky(a, opt))
+		run: func(opt core.Options) (any, error) {
+			return run(core.PrepareCholesky(a, opt))
 		},
 	}
 }
@@ -278,8 +280,8 @@ func SolveWork(f Solvable, b *mat.Dense) Work {
 	return Work{
 		// Forward + backward sweep, n^2*nrhs each.
 		flops: 2 * n * n * nrhs,
-		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
-			return prepared(f.PrepareSolve(b, opt))
+		run: func(opt core.Options) (any, error) {
+			return run(f.PrepareSolve(b, opt))
 		},
 	}
 }
@@ -298,9 +300,6 @@ type Job struct {
 	stopCancel func() bool
 
 	// Execution state.
-	// finish assembles the job's result from the runtime result; set by
-	// prepare together with the graph.
-	finish  func(rt.Result) any
 	granted int
 
 	queued, started time.Time
@@ -524,41 +523,28 @@ func (e *Engine) startableLocked() *Job {
 	return nil
 }
 
-// prepare builds the job's task graph, policy and result finisher. A
-// panicking prepare — a malformed matrix shape, a nil factorization
-// behind the Solvable interface — is converted to a job error so a bad
-// submission can never take down the process.
-func (j *Job) prepare(opt core.Options) (g *dag.Graph, pol sched.Policy, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: prepare %v", r)
-		}
-	}()
-	g, pol, j.finish, err = j.work.prepare(opt)
-	return g, pol, err
-}
-
-// runJob runs a started job: it builds the job's task graph at the
-// granted share, executes it on the calling goroutine and granted-1
-// more, and completes the job.
-// Factor, Cholesky and solve jobs of both classes all take this path —
-// a solve is a blocked triangular-solve graph, not an inline call, so it
-// executes at the granted share like any factorization.
+// runJob runs a started job at its granted share on the calling
+// goroutine and granted-1 more, and completes the job. Factor, Cholesky
+// and solve jobs of both classes all take this path — a solve is a
+// blocked triangular-solve graph, not an inline call, so it executes at
+// the granted share like any factorization. A panicking build — a
+// malformed matrix shape, a nil factorization behind the Solvable
+// interface — is converted to a job error so a bad submission can never
+// take down the process.
 func (e *Engine) runJob(j *Job) {
 	defer e.wg.Done()
 	j.started = time.Now()
 	j.queueWait = j.started.Sub(j.queued)
 	opt := j.reqOpt
 	opt.Workers = j.granted
-	g, pol, err := j.prepare(opt)
-	if err == nil {
-		var res rt.Result
-		res, err = rt.Run(g, pol, rt.Options{Workers: j.granted, Trace: opt.Trace, Noise: opt.Noise})
-		if err == nil {
-			j.result = j.finish(res)
-		}
-	}
-	j.err = err
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				j.result, j.err = nil, fmt.Errorf("engine: prepare %v", r)
+			}
+		}()
+		j.result, j.err = j.work.run(opt)
+	}()
 	e.completeJob(j)
 }
 

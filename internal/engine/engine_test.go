@@ -452,12 +452,13 @@ func TestEnginePoolBoundsConcurrentTasks(t *testing.T) {
 	// Independent tasks, so every worker of a grant can be busy at once.
 	work := Work{
 		flops: 1e9,
-		prepare: func(opt core.Options) (*dag.Graph, sched.Policy, func(rt.Result) any, error) {
+		run: func(opt core.Options) (any, error) {
 			g := &dag.Graph{Name: "independent", Workers: opt.Workers}
 			for i := range int32(tasks) {
 				g.Tasks = append(g.Tasks, &dag.Task{ID: i, Kind: dag.S, Run: body})
 			}
-			return g, sched.NewDynamic(), func(rt.Result) any { return nil }, nil
+			_, err := rt.Run(g, sched.NewDynamic(), rt.Options{Workers: opt.Workers})
+			return nil, err
 		},
 	}
 

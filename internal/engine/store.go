@@ -54,12 +54,12 @@ func (k Kept) Residual(a *mat.Dense) float64 {
 	return core.CholeskyResidual(a, k.Chol)
 }
 
-// SizeBytes estimates the resident cost of the factors (the dominant
+// sizeBytes estimates the resident cost of the factors (the dominant
 // allocations; pivot vectors and metadata are noise at this scale). A
 // Cholesky entry is charged for L and for the n x n Lᵀ its first solve
 // materializes and keeps for the factor's lifetime, so a solved entry
 // costs what was charged when it was stored.
-func (k Kept) SizeBytes() int64 {
+func (k Kept) sizeBytes() int64 {
 	if k.LU != nil {
 		return int64(len(k.LU.L.Data)+len(k.LU.U.Data)) * 8
 	}
@@ -134,7 +134,7 @@ func (s *Store) removeLocked(id string) {
 // exceeds the byte budget.
 func (s *Store) insertLocked(id string, k Kept) {
 	s.removeLocked(id) // overwrite: the new entry takes the MRU position
-	e := &storeEntry{k: k, bytes: k.SizeBytes()}
+	e := &storeEntry{k: k, bytes: k.sizeBytes()}
 	s.entries[id] = e
 	s.bytes += e.bytes
 	s.order = append(s.order, id)

@@ -146,7 +146,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 
 // TestStoreChargesSolvedCholeskyTranspose: the first solve of a
 // Cholesky factor materializes Lᵀ and keeps it as long as the factor,
-// so a resident, solved entry holds two n x n matrices and SizeBytes
+// so a resident, solved entry holds two n x n matrices and sizeBytes
 // charges both.
 func TestStoreChargesSolvedCholeskyTranspose(t *testing.T) {
 	const n = 48
@@ -157,7 +157,7 @@ func TestStoreChargesSolvedCholeskyTranspose(t *testing.T) {
 	if _, err := f.SolveMany(mat.New(n, 1), core.Options{Block: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := KeptOf(f).SizeBytes(), int64(2*8*n*n); got != want {
-		t.Fatalf("SizeBytes = %d for a solved n=%d Cholesky factor, want %d (L and Lᵀ)", got, n, want)
+	if got, want := KeptOf(f).sizeBytes(), int64(2*8*n*n); got != want {
+		t.Fatalf("sizeBytes = %d for a solved n=%d Cholesky factor, want %d (L and Lᵀ)", got, n, want)
 	}
 }

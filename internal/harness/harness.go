@@ -31,7 +31,7 @@ type Options struct {
 	// single-CPU CI runner).
 	Workers int
 	// ProbeInterval enables background probing; 0 (default) leaves
-	// probing to explicit Router.ProbeNow calls, keeping tests
+	// probing to the tests' explicit probe passes, keeping them
 	// deterministic.
 	ProbeInterval time.Duration
 }
@@ -101,7 +101,7 @@ func Start(opt Options) (*Cluster, error) {
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
 		Shards:        infos,
 		Replicas:      opt.Replicas,
-		FailAfter:     2, // two ProbeNow calls retire a killed shard
+		FailAfter:     2, // two probe passes retire a killed shard
 		ProbeInterval: opt.ProbeInterval,
 	})
 	if err != nil {

@@ -92,7 +92,7 @@ func TestTrsmUpperRight(t *testing.T) {
 }
 
 func TestTrsmUpperRightSingularPanics(t *testing.T) {
-	u := mat.Eye(3)
+	u := identity(3)
 	u.Set(1, 1, 0)
 	b := mat.New(2, 3)
 	defer func() {
@@ -196,7 +196,7 @@ func TestGetrfNoPiv(t *testing.T) {
 	if err := GetrfNoPiv(view(work)); err != nil {
 		t.Fatal(err)
 	}
-	l := mat.Eye(16)
+	l := identity(16)
 	u := mat.New(16, 16)
 	for j := 0; j < 16; j++ {
 		for i := 0; i < 16; i++ {
@@ -329,7 +329,7 @@ func TestPotf2ReconstructsSPD(t *testing.T) {
 }
 
 func TestPotf2RejectsIndefinite(t *testing.T) {
-	a := mat.Eye(4)
+	a := identity(4)
 	a.Set(2, 2, -1)
 	if err := Potf2(view(a)); err == nil {
 		t.Fatal("indefinite matrix accepted")
@@ -385,4 +385,13 @@ func TestGemmNT(t *testing.T) {
 	if mat.MaxAbsDiff(c, want) > 1e-11 {
 		t.Fatalf("gemmNT mismatch %g", mat.MaxAbsDiff(c, want))
 	}
+}
+
+// identity returns the n x n identity.
+func identity(n int) *mat.Dense {
+	a := mat.New(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 1)
+	}
+	return a
 }

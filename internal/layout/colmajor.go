@@ -20,8 +20,8 @@ func (l *ColMajor) Block(i, j int) kernel.View {
 	return denseView(l.a, i*l.b, j*l.b, r, c)
 }
 
-// SwapRows exchanges global rows r1, r2 within block column jb.
-func (l *ColMajor) SwapRows(jb, r1, r2 int) {
+// swapRows exchanges global rows r1, r2 within block column jb.
+func (l *ColMajor) swapRows(jb, r1, r2 int) {
 	_, c := l.BlockDims(0, jb)
 	l.a.SwapRows(r1, r2, jb*l.b, jb*l.b+c)
 }

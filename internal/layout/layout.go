@@ -189,9 +189,9 @@ type Layout interface {
 	RowGroupWidth(i, j, maxGroup int) int
 	// Block returns a strided view of block (i,j); edge blocks are smaller.
 	Block(i, j int) kernel.View
-	// SwapRows exchanges global rows r1 and r2 within block column jb only.
+	// swapRows exchanges global rows r1 and r2 within block column jb only.
 	// CALU applies panel pivoting lazily, one block column at a time.
-	SwapRows(jb, r1, r2 int)
+	swapRows(jb, r1, r2 int)
 	// GroupedRows returns one view stacking `width` owned block rows
 	// starting at (i,j), RowGroupStep apart. Only valid for
 	// width <= RowGroupWidth(i,j,width).
@@ -224,7 +224,7 @@ func New(kind Kind, src *mat.Dense, b int, g Grid) Layout {
 	})
 }
 
-// swapViaBlocks implements SwapRows generically on top of Block.
+// swapViaBlocks implements swapRows generically on top of Block.
 func swapViaBlocks(l Layout, jb, r1, r2 int) {
 	if r1 == r2 {
 		return

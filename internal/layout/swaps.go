@@ -15,7 +15,7 @@ type swapRef struct {
 
 // ApplySwaps applies the row interchanges swaps (pairs of global row
 // indices, in order) to block column jb of l — the same result as
-// calling l.SwapRows(jb, s[0], s[1]) for each of them. Each swap's two
+// calling l.swapRows(jb, s[0], s[1]) for each of them. Each swap's two
 // block references are resolved once, and the block column is then
 // walked one column at a time with all swaps applied to it before
 // moving on: a column's touched rows stay in cache across the list

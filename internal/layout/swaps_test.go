@@ -33,7 +33,7 @@ func randomSwaps(rng *rand.Rand, m, n int) [][2]int {
 
 // TestApplySwapsMatchesSwapRows: on every layout, grid and a shape
 // whose last block row and column are ragged, ApplySwaps must leave the
-// block column exactly as the SwapRows sequence does and touch no
+// block column exactly as the swapRows sequence does and touch no
 // other — for lists longer than one resolve chunk, short ones and the
 // empty one.
 func TestApplySwapsMatchesSwapRows(t *testing.T) {
@@ -51,7 +51,7 @@ func TestApplySwapsMatchesSwapRows(t *testing.T) {
 					want := New(kind, src, b, NewGrid(w))
 					ApplySwaps(got, jb, swaps)
 					for _, s := range swaps {
-						want.SwapRows(jb, s[0], s[1])
+						want.swapRows(jb, s[0], s[1])
 					}
 					sameBits(t, fmt.Sprintf("%s W=%d %dx%d b=%d jb=%d swaps=%d", kind, w, m, n, b, jb, len(swaps)), got.ToDense(), want.ToDense())
 				}
@@ -82,7 +82,7 @@ func TestApplyLeftSwapsMatchesSwapRows(t *testing.T) {
 				for k, swaps := range steps {
 					for j := 0; j < k; j++ {
 						for _, s := range swaps {
-							want.SwapRows(j, s[0], s[1])
+							want.swapRows(j, s[0], s[1])
 						}
 					}
 				}

@@ -128,25 +128,6 @@ func (a *Dense) CopyFrom(src *Dense) {
 	}
 }
 
-// Zero sets every element to 0.
-func (a *Dense) Zero() {
-	for j := 0; a.Rows > 0 && j < a.Cols; j++ {
-		col := a.Data[j*a.Stride : j*a.Stride+a.Rows]
-		for i := range col {
-			col[i] = 0
-		}
-	}
-}
-
-// Eye returns the n x n identity.
-func Eye(n int) *Dense {
-	a := New(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
-	}
-	return a
-}
-
 // Random fills an r x c matrix with uniform values in [-1,1) drawn from
 // rng. Callers pass a seeded rand.Rand so experiments are reproducible.
 func Random(r, c int, rng *rand.Rand) *Dense {
@@ -240,18 +221,6 @@ func (a *Dense) NormMax() float64 {
 		}
 	}
 	return m
-}
-
-// NormFro returns the Frobenius norm.
-func (a *Dense) NormFro() float64 {
-	s := 0.0
-	for j := 0; j < a.Cols; j++ {
-		for i := 0; i < a.Rows; i++ {
-			v := a.At(i, j)
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
 }
 
 // MulNaive returns a*b using the textbook triple loop. It is the oracle

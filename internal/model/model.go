@@ -31,11 +31,11 @@ type Params struct {
 	TOverhead float64
 }
 
-// Tp returns the parallel-time denominator: T1/p plus the extension
+// tp returns the parallel-time denominator: T1/p plus the extension
 // terms (the paper starts from Tp = T1/p and then argues the
 // denominator should really be T1/p + TcriticalPath + Tmigration +
 // Toverhead).
-func (p Params) Tp() float64 {
+func (p Params) tp() float64 {
 	if p.P <= 0 {
 		return math.Inf(1)
 	}
@@ -50,44 +50,12 @@ func (p Params) Tp() float64 {
 // scheduled statically while the worst-case time under unbalanced noise
 // stays no worse than the fully balanced ideal time.
 func (p Params) MaxStaticFraction() float64 {
-	tp := p.Tp()
+	tp := p.tp()
 	if tp <= 0 || math.IsInf(tp, 1) {
 		return 0
 	}
 	fs := 1 - (p.DeltaMax-p.DeltaAvg)/tp
 	return clamp01(fs)
-}
-
-// MinDynamicRatio is the paper's tuning knob derived from Theorem 1:
-// dratio >= 1 - fs_max.
-func (p Params) MinDynamicRatio() float64 {
-	return clamp01(1 - p.MaxStaticFraction())
-}
-
-// IdealTime returns t_ideal = (T1 + sum(delta_i))/p, assuming the
-// excess work can be perfectly balanced; SumDelta = p * DeltaAvg.
-func (p Params) IdealTime() float64 {
-	if p.P <= 0 {
-		return math.Inf(1)
-	}
-	return (p.T1 + float64(p.P)*p.DeltaAvg) / float64(p.P)
-}
-
-// ActualTime returns t_actual(fs) = fs*T1/p + deltaMax, the worst-case
-// completion time when a fraction fs of the work is static and the
-// noise lands entirely on one core (the proof's construction with
-// phi = 1).
-func (p Params) ActualTime(fs float64) float64 {
-	if p.P <= 0 {
-		return math.Inf(1)
-	}
-	return fs*p.T1/float64(p.P) + p.DeltaMax
-}
-
-// Feasible reports whether the given static fraction satisfies the
-// theorem's inequality t_actual(fs) <= t_ideal.
-func (p Params) Feasible(fs float64) bool {
-	return p.ActualTime(fs) <= p.IdealTime()+1e-15
 }
 
 // Validate sanity-checks the parameters.

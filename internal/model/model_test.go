@@ -7,6 +7,42 @@ import (
 	"testing/quick"
 )
 
+// Theorem 1's other formulas. The package computes only the bound
+// (MaxStaticFraction); these state the theorem itself, so the tests can
+// check the bound against it.
+
+// MinDynamicRatio is the paper's tuning knob derived from Theorem 1:
+// dratio >= 1 - fs_max.
+func (p Params) MinDynamicRatio() float64 {
+	return clamp01(1 - p.MaxStaticFraction())
+}
+
+// IdealTime returns t_ideal = (T1 + sum(delta_i))/p, assuming the
+// excess work can be perfectly balanced; SumDelta = p * DeltaAvg.
+func (p Params) IdealTime() float64 {
+	if p.P <= 0 {
+		return math.Inf(1)
+	}
+	return (p.T1 + float64(p.P)*p.DeltaAvg) / float64(p.P)
+}
+
+// ActualTime returns t_actual(fs) = fs*T1/p + deltaMax, the worst-case
+// completion time when a fraction fs of the work is static and the
+// noise lands entirely on one core (the proof's construction with
+// phi = 1).
+func (p Params) ActualTime(fs float64) float64 {
+	if p.P <= 0 {
+		return math.Inf(1)
+	}
+	return fs*p.T1/float64(p.P) + p.DeltaMax
+}
+
+// Feasible reports whether the given static fraction satisfies the
+// theorem's inequality t_actual(fs) <= t_ideal.
+func (p Params) Feasible(fs float64) bool {
+	return p.ActualTime(fs) <= p.IdealTime()+1e-15
+}
+
 func TestTheorem1Boundary(t *testing.T) {
 	// At fs = fs_max the actual time must equal the ideal time (the
 	// theorem's equality point), for delta spread chosen to keep fs in

@@ -146,32 +146,6 @@ func grow(s *[]int, n int) []int {
 	return (*s)[:n]
 }
 
-// Tournament reduces a slice of candidates with a binary tree (the
-// communication-minimizing shape the paper uses) and returns the global
-// row indices of the winning pivot rows, best first.
-func Tournament(cands []Candidate, bsize int) ([]int, error) {
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("piv: empty tournament")
-	}
-	round := cands
-	for len(round) > 1 {
-		next := make([]Candidate, 0, (len(round)+1)/2)
-		for i := 0; i < len(round); i += 2 {
-			if i+1 == len(round) {
-				next = append(next, round[i])
-				continue
-			}
-			c, err := Combine(round[i], round[i+1], bsize)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, c)
-		}
-		round = next
-	}
-	return round[0].IDs, nil
-}
-
 // Swaps converts the winning pivot rows into the sequence of global row
 // interchanges that moves pivIDs[t] to row base+t, in order. The
 // sequence is applied lazily, block column by block column, by the F

@@ -116,7 +116,7 @@ func TestTournamentMatchesDirectGEPPPivotQuality(t *testing.T) {
 		}
 		cands = append(cands, cand)
 	}
-	winners, err := Tournament(cands, b)
+	winners, err := tournament(cands, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTournamentSingleCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Tournament([]Candidate{c}, 3)
+	w, err := tournament([]Candidate{c}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTournamentSingleCandidate(t *testing.T) {
 }
 
 func TestTournamentEmpty(t *testing.T) {
-	if _, err := Tournament(nil, 3); err == nil {
+	if _, err := tournament(nil, 3); err == nil {
 		t.Fatal("expected error for empty tournament")
 	}
 }
@@ -200,7 +200,7 @@ func TestTournamentPivotBlockInvertibleProperty(t *testing.T) {
 			}
 			cands = append(cands, c)
 		}
-		winners, err := Tournament(cands, b)
+		winners, err := tournament(cands, b)
 		if err != nil || len(winners) != b {
 			return false
 		}
@@ -297,7 +297,7 @@ func TestTournamentSurvivesSingularChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands = append(cands, sing)
-	winners, err := Tournament(cands, b)
+	winners, err := tournament(cands, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,4 +498,30 @@ func TestSelectInPlaceAllocatesOnlyTheCandidate(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
 		t.Fatalf("one selection allocated %d bytes, limit %d (1/8 of the chunk)", got, limit)
 	}
+}
+
+// tournament reduces a slice of candidates with a binary tree (the
+// communication-minimizing shape the paper uses) and returns the global
+// row indices of the winning pivot rows, best first.
+func tournament(cands []Candidate, bsize int) ([]int, error) {
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("piv: empty tournament")
+	}
+	round := cands
+	for len(round) > 1 {
+		next := make([]Candidate, 0, (len(round)+1)/2)
+		for i := 0; i < len(round); i += 2 {
+			if i+1 == len(round) {
+				next = append(next, round[i])
+				continue
+			}
+			c, err := Combine(round[i], round[i+1], bsize)
+			if err != nil {
+				return nil, err
+			}
+			next = append(next, c)
+		}
+		round = next
+	}
+	return round[0].IDs, nil
 }

@@ -110,9 +110,6 @@ func New(eng *engine.Engine, opt Options) *Server {
 // Store exposes the keep-store (tests and admin tooling).
 func (s *Server) Store() *engine.Store { return s.store }
 
-// Draining reports whether the shard has been told to drain.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // jobRequest is what a factor and a solve request share: the job's
 // worker share, block size and deadline. The schedule is not a request
 // field; the four fields that used to choose it are caught only so that

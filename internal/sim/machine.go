@@ -77,11 +77,11 @@ func (m Machine) computeSeconds(t *dag.Task, kind layout.Kind) float64 {
 	if effScale <= 0 {
 		effScale = 1
 	}
-	return t.Flops / (m.CoreGflops * 1e9 * Efficiency(t, kind) * effScale)
+	return t.Flops / (m.CoreGflops * 1e9 * efficiency(t, kind) * effScale)
 }
 
-// Socket returns the socket of a core.
-func (m Machine) Socket(core int) int { return core / m.CoresPerSocket }
+// socket returns the socket of a core.
+func (m Machine) socket(core int) int { return core / m.CoresPerSocket }
 
 // Validate sanity-checks the machine description.
 func (m Machine) Validate() error {
@@ -168,8 +168,8 @@ const (
 	tsluEffCM       = 0.30
 )
 
-// Efficiency returns the modeled fraction of peak for one task.
-func Efficiency(t *dag.Task, kind layout.Kind) float64 {
+// efficiency returns the modeled fraction of peak for one task.
+func efficiency(t *dag.Task, kind layout.Kind) float64 {
 	switch t.Kind {
 	case dag.S:
 		switch kind {

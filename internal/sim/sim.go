@@ -159,7 +159,7 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 				switch {
 				case home == w:
 					nsPerByte = 0
-				case cfg.Machine.Socket(home) == cfg.Machine.Socket(w):
+				case cfg.Machine.socket(home) == cfg.Machine.socket(w):
 					nsPerByte = cfg.Machine.SameSocketNsPerByte
 				default:
 					nsPerByte = cfg.Machine.RemoteNsPerByte

@@ -34,7 +34,7 @@ func TestMachineTopology(t *testing.T) {
 	if m.Cores() != 48 {
 		t.Fatalf("cores %d", m.Cores())
 	}
-	if m.Socket(0) != 0 || m.Socket(5) != 0 || m.Socket(6) != 1 || m.Socket(47) != 7 {
+	if m.socket(0) != 0 || m.socket(5) != 0 || m.socket(6) != 1 || m.socket(47) != 7 {
 		t.Fatal("socket mapping wrong")
 	}
 	if IntelXeon16().Cores() != 16 {
@@ -257,17 +257,17 @@ func TestTraceRecordsVirtualTimeline(t *testing.T) {
 func TestEfficiencyModel(t *testing.T) {
 	grouped := &dag.Task{Kind: dag.S, Group: []int{1, 3, 5}}
 	single := &dag.Task{Kind: dag.S}
-	if Efficiency(grouped, layout.BCL) <= Efficiency(single, layout.BCL) {
+	if efficiency(grouped, layout.BCL) <= efficiency(single, layout.BCL) {
 		t.Fatal("grouping must raise BCL gemm efficiency")
 	}
-	if Efficiency(single, layout.TwoLevel) <= Efficiency(single, layout.BCL) {
+	if efficiency(single, layout.TwoLevel) <= efficiency(single, layout.BCL) {
 		t.Fatal("ungrouped tile gemm must beat ungrouped BCL gemm")
 	}
-	if Efficiency(single, layout.CM) >= Efficiency(single, layout.TwoLevel) {
+	if efficiency(single, layout.CM) >= efficiency(single, layout.TwoLevel) {
 		t.Fatal("CM gemm must be the slowest")
 	}
 	panel := &dag.Task{Kind: dag.Final}
-	if Efficiency(panel, layout.BCL) >= Efficiency(single, layout.TwoLevel) {
+	if efficiency(panel, layout.BCL) >= efficiency(single, layout.TwoLevel) {
 		t.Fatal("panel kernels must be slower than gemm")
 	}
 }

@@ -95,8 +95,8 @@ func (tr *Trace) IdleFraction() float64 {
 	return 1 - busy/(ms*float64(tr.Workers))
 }
 
-// LastBusy returns the time at which worker w finished its final task.
-func (tr *Trace) LastBusy(w int) float64 {
+// lastBusy returns the time at which worker w finished its final task.
+func (tr *Trace) lastBusy(w int) float64 {
 	end := 0.0
 	for _, s := range tr.Spans[w] {
 		if s.End > end {
@@ -118,7 +118,7 @@ func (tr *Trace) PermanentIdlePoint(frac float64) float64 {
 	}
 	lasts := make([]float64, tr.Workers)
 	for w := range lasts {
-		lasts[w] = tr.LastBusy(w)
+		lasts[w] = tr.lastBusy(w)
 	}
 	sort.Float64s(lasts)
 	idx := int(frac*float64(tr.Workers)+0.5) - 1
@@ -137,7 +137,7 @@ func (tr *Trace) PermanentIdlePoint(frac float64) float64 {
 // sit idle while the last chains complete.
 func (tr *Trace) LowOccupancyPoint(maxBusy float64) float64 {
 	const samples = 400
-	curve := tr.BusyCurve(samples)
+	curve := tr.busyCurve(samples)
 	onset := samples
 	for i := samples - 1; i >= 0; i-- {
 		if curve[i] > maxBusy {
@@ -148,10 +148,10 @@ func (tr *Trace) LowOccupancyPoint(maxBusy float64) float64 {
 	return float64(onset) / float64(samples)
 }
 
-// BusyCurve samples the fraction of busy workers at n evenly spaced
+// busyCurve samples the fraction of busy workers at n evenly spaced
 // instants (bucket midpoints), normalized to [0,1]. It is the "pockets
 // of idle time" visualization reduced to a curve.
-func (tr *Trace) BusyCurve(n int) []float64 {
+func (tr *Trace) busyCurve(n int) []float64 {
 	ms := tr.Makespan()
 	out := make([]float64, n)
 	if ms == 0 {

@@ -60,7 +60,7 @@ func TestPermanentIdlePoint(t *testing.T) {
 
 func TestBusyCurve(t *testing.T) {
 	tr := mkTrace()
-	c := tr.BusyCurve(4)
+	c := tr.busyCurve(4)
 	if len(c) != 4 {
 		t.Fatal("bad curve length")
 	}
@@ -99,8 +99,8 @@ func TestKindLabels(t *testing.T) {
 
 func TestLastBusy(t *testing.T) {
 	tr := mkTrace()
-	if tr.LastBusy(0) != 2 || tr.LastBusy(1) != 1 {
-		t.Fatal("LastBusy wrong")
+	if tr.lastBusy(0) != 2 || tr.lastBusy(1) != 1 {
+		t.Fatal("lastBusy wrong")
 	}
 }
 
