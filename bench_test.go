@@ -1,8 +1,8 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation section (run `go test -bench=. -benchmem`), plus kernel
 // and end-to-end factorization benchmarks. The figure benchmarks run
-// the same generators as `cmd/hsdbench` at a reduced scale so the whole
-// suite completes in minutes; `hsdbench -exp <id>` reproduces them at
+// the same generators as `cmd/hsdfigures` at a reduced scale so the whole
+// suite completes in minutes; `hsdfigures -exp <id>` reproduces them at
 // paper scale. Each figure benchmark reports the headline metric of its
 // figure as a custom unit next to ns/op.
 package repro

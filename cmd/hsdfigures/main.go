@@ -1,10 +1,10 @@
-// Command hsdbench regenerates the paper's tables and figures.
+// Command hsdfigures regenerates the paper's tables and figures.
 //
 // Usage:
 //
-//	hsdbench -list
-//	hsdbench -exp fig7
-//	hsdbench -exp all -scale 0.5 -seed 7
+//	hsdfigures -list
+//	hsdfigures -exp fig7
+//	hsdfigures -exp all -scale 0.5 -seed 7
 //
 // Every experiment id but help maps to one table or figure of the paper;
 // help is the simulated ablation of the runtime's help tier. -list prints
@@ -48,7 +48,7 @@ func main() {
 	for _, id := range ids {
 		tbl, err := experiments.Run(id, *scale, *seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hsdbench: %v\n", err)
+			fmt.Fprintf(os.Stderr, "hsdfigures: %v\n", err)
 			os.Exit(1)
 		}
 		tbl.ID = id

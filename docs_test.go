@@ -24,7 +24,7 @@ var (
 	// exampleName matches an Example function name.
 	exampleName = regexp.MustCompile(`\bExample(?:_[a-z]\w*|[A-Z]\w*)?\b`)
 	exampleFunc = regexp.MustCompile(`(?m)^func (Example\w*)\(\)`)
-	// docExp matches an hsdbench experiment id, as in -exp fig7, also
+	// docExp matches an hsdfigures experiment id, as in -exp fig7, also
 	// with the id on the next line.
 	docExp = regexp.MustCompile(`-exp\s+(\w+)`)
 	// docCurl matches a curl that posts a JSON body to a job route,
@@ -35,7 +35,7 @@ var (
 
 // TestDocsReferencesExist checks that every cmd/, examples/ and
 // internal/ path and every Example name README.md and DESIGN.md mention
-// exists, and that every -exp id they and cmd/hsdbench's doc comment
+// exists, and that every -exp id they and cmd/hsdfigures's doc comment
 // give is all or a registered experiment, so a deleted tool, example or
 // experiment cannot stay in the docs.
 func TestDocsReferencesExist(t *testing.T) {
@@ -74,7 +74,7 @@ func TestDocsReferencesExist(t *testing.T) {
 	for _, id := range ExperimentIDs() {
 		ids[id] = true
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md", "cmd/hsdbench/main.go"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "cmd/hsdfigures/main.go"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -24,10 +24,10 @@ type randomOrder struct {
 }
 
 func (p *randomOrder) Name() string             { return "random" }
-func (p *randomOrder) Reset(*dag.Graph, int)    { p.ready, p.key = p.ready[:0], p.key[:0] }
+func (p *randomOrder) Reset(int)                { p.ready, p.key = p.ready[:0], p.key[:0] }
 func (p *randomOrder) Help(int) *dag.Task       { return nil }
 func (p *randomOrder) Counters() sched.Counters { return sched.Counters{} }
-func (p *randomOrder) Ready(_ int, t *dag.Task) int {
+func (p *randomOrder) Ready(t *dag.Task) int {
 	p.ready = append(p.ready, t)
 	p.key = append(p.key, p.rng.Float64())
 	return sched.AnyWorker

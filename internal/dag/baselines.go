@@ -94,15 +94,8 @@ func NewGEPP(s layout.Shape) *GEPPGraph {
 				l := gg.Layout
 				layout.ApplySwaps(l, j, gg.StepSwaps[k])
 				full := l.Block(0, 0)
-				lv := kernel.View{Rows: pivCount, Cols: pivCount, Stride: full.Stride, Data: full.Data[base*full.Stride+base:]}
-				blk := l.Block(k, j)
-				top := kernel.View{Rows: pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data}
-				kernel.TrsmLowerLeftUnit(lv, top)
-				if blk.Rows > pivCount {
-					low := kernel.View{Rows: blk.Rows - pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data[pivCount:]}
-					llow := kernel.View{Rows: blk.Rows - pivCount, Cols: pivCount, Stride: full.Stride, Data: full.Data[base*full.Stride+base+pivCount:]}
-					kernel.Gemm(low, llow, top)
-				}
+				diag := kernel.View{Stride: full.Stride, Data: full.Data[base*full.Stride+base:]}
+				solveU(diag, l.Block(k, j), pivCount)
 			}
 			b.edge(panel, t)
 			uTasks[j] = t
@@ -231,14 +224,7 @@ func NewIncPiv(s layout.Shape) *IncPivGraph {
 				tile := ig.Layout.Block(k, j)
 				pv := ig.diagPiv[k]
 				kernel.Laswp(tile, pv, 0, len(pv))
-				lv := kernel.View{Rows: pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data}
-				top := kernel.View{Rows: pivCount, Cols: tile.Cols, Stride: tile.Stride, Data: tile.Data}
-				kernel.TrsmLowerLeftUnit(lv, top)
-				if tile.Rows > pivCount {
-					low := kernel.View{Rows: tile.Rows - pivCount, Cols: tile.Cols, Stride: tile.Stride, Data: tile.Data[pivCount:]}
-					llow := kernel.View{Rows: tile.Rows - pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data[pivCount:]}
-					kernel.Gemm(low, llow, top)
-				}
+				solveU(diag, tile, pivCount)
 			}
 			b.edge(getrf, t)
 			b.edge(prev[[2]int{k, j}], t)

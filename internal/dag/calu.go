@@ -293,18 +293,7 @@ func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 			t.Run = func() {
 				l := cg.Layout
 				layout.ApplySwaps(l, j, cg.StepSwaps[k])
-				diag := l.Block(k, k)
-				lkk := kernel.View{Rows: pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data}
-				blk := l.Block(k, j)
-				top := kernel.View{Rows: pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data}
-				kernel.TrsmLowerLeftUnit(lkk, top)
-				if blk.Rows > pivCount {
-					// Ragged diagonal block row: its extra rows hold L
-					// entries and must be updated like a trailing block.
-					low := kernel.View{Rows: blk.Rows - pivCount, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data[pivCount:]}
-					llow := kernel.View{Rows: blk.Rows - pivCount, Cols: pivCount, Stride: diag.Stride, Data: diag.Data[pivCount:]}
-					kernel.Gemm(low, llow, top)
-				}
+				solveU(l.Block(k, k), l.Block(k, j), pivCount)
 			}
 			b.edge(fin, t)
 			if updPrev != nil {
@@ -385,6 +374,22 @@ func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 		updPrev = updCur
 	}
 	return cg
+}
+
+// solveU is task U's body on a block blk of the pivot block row, its
+// row swaps already applied: the unit-lower solve of blk's first piv
+// rows against L11, then, in a ragged diagonal block row whose extra
+// rows hold L entries, their update by L21 like a trailing block. diag
+// starts at the diagonal block's top-left element, with L11 in its
+// first piv rows and L21 below.
+func solveU(diag, blk kernel.View, piv int) {
+	top := kernel.View{Rows: piv, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data}
+	kernel.TrsmLowerLeftUnit(kernel.View{Rows: piv, Cols: piv, Stride: diag.Stride, Data: diag.Data}, top)
+	if blk.Rows > piv {
+		low := kernel.View{Rows: blk.Rows - piv, Cols: blk.Cols, Stride: blk.Stride, Data: blk.Data[piv:]}
+		llow := kernel.View{Rows: blk.Rows - piv, Cols: piv, Stride: diag.Stride, Data: diag.Data[piv:]}
+		kernel.Gemm(low, llow, top)
+	}
 }
 
 // farUpdate is one merged S task of BuildCALU's graph: one owner's

@@ -22,7 +22,7 @@ import (
 // updates merged per (step, owner) under BCL. Its CM and 2l-BL rows
 // carry the paper graph's hashes: those layouts merge nothing.
 var goldenShapes = []struct {
-	algo    string // CALU, BuildCALU, Cholesky, GEPP or IncPiv
+	algo    string // CALU, BuildCALU, Cholesky, GEPP, IncPiv or a solveGolden key
 	kind    layout.Kind
 	shape   string // a goldenDims key
 	workers int
@@ -106,6 +106,30 @@ var goldenShapes = []struct {
 	{"IncPiv", layout.TwoLevel, "square", 4, 0x54aec6b07406de0c},
 	{"IncPiv", layout.TwoLevel, "ragged", 2, 0x9096ef5ab99f7479},
 	{"IncPiv", layout.TwoLevel, "wide", 6, 0x6b7e558693bdf9bd},
+	{"Solve", layout.CM, "square", 1, 0x52b4a6cdccffe326},
+	{"Solve", layout.CM, "square", 2, 0xb785f3d3ace41649},
+	{"Solve", layout.CM, "square", 4, 0x6a5d250f544e4e47},
+	{"Solve", layout.CM, "ragged", 2, 0x1889ad73607774da},
+	{"SolveNonUnit", layout.CM, "square", 2, 0xb785f3d3ace41649},
+	{"SolveNonUnit", layout.CM, "ragged", 4, 0xec9ef6d3f8616ea0},
+	{"SolveDynamic", layout.CM, "square", 1, 0x1a5e611333f447aa},
+	{"SolveDynamic", layout.CM, "square", 4, 0x4c1f078b3b50dd5b},
+	{"SolveDynamic", layout.CM, "ragged", 2, 0x647902b1e833fdc6},
+	{"SolveStatic", layout.CM, "square", 2, 0x47e153099683dee5},
+	{"SolveStatic", layout.CM, "square", 4, 0x94fcae32a30433bb},
+	{"SolveStatic", layout.CM, "ragged", 1, 0x0dffdd3a0fa33945},
+}
+
+// solveGolden maps a Solve row's algo to its BuildSolve options for nb
+// block rows: LU's unit lower triangle or Cholesky's non-unit one, with
+// a per-sweep static prefix of nb/2, none or all of the block rows. A
+// Solve row's X is rows x cols of its goldenDims shape, its triangles
+// rows x rows, and its kind is unused.
+var solveGolden = map[string]func(nb int) SolveOptions{
+	"Solve":        func(nb int) SolveOptions { return SolveOptions{NstaticCols: nb / 2, UnitLower: true} },
+	"SolveNonUnit": func(nb int) SolveOptions { return SolveOptions{NstaticCols: nb / 2} },
+	"SolveDynamic": func(nb int) SolveOptions { return SolveOptions{UnitLower: true} },
+	"SolveStatic":  func(nb int) SolveOptions { return SolveOptions{NstaticCols: nb, UnitLower: true} },
 }
 
 // goldenDims are the matrix shapes of goldenShapes, all with b = 8.
@@ -167,7 +191,8 @@ func graphHash(g *Graph) uint64 {
 // panel height. The CALU rows with shared L panels were re-recorded
 // when the panel cache lost its A side: the handle count fell, while
 // every task field hashed as before. The BuildCALU rows were recorded
-// when the runtime's graph started to merge the static update.
+// when the runtime's graph started to merge the static update, the Solve
+// rows before the forward and backward sweeps became one loop.
 func TestGraphShapeGolden(t *testing.T) {
 	for _, c := range goldenShapes {
 		name := fmt.Sprintf("%s/%s/%s/W%d", c.algo, c.kind, c.shape, c.workers)
@@ -188,7 +213,15 @@ func TestGraphShapeGolden(t *testing.T) {
 		case "IncPiv":
 			g = BuildIncPiv(l).Graph
 		default:
-			t.Fatalf("%s: unknown algorithm", name)
+			solve, ok := solveGolden[c.algo]
+			if !ok {
+				t.Fatalf("%s: unknown algorithm", name)
+			}
+			n := d[0]
+			opt := solve((n + 7) / 8)
+			opt.Block, opt.Workers = 8, c.workers
+			tri := mat.Random(n, n, rand.New(rand.NewSource(2)))
+			g = BuildSolve(tri, tri, mat.Random(n, d[1], rand.New(rand.NewSource(3))), opt).Graph
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)

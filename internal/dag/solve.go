@@ -38,9 +38,9 @@ type SolveGraph struct {
 	X *mat.Dense
 }
 
-// BuildSolve constructs the blocked triangular-solve graph: a forward
-// sweep X <- lower^{-1} X over the block rows of X, then the mirrored
-// backward sweep X <- upper^{-1} X.
+// BuildSolve constructs the blocked triangular-solve graph: one sweep
+// over the block rows of X, run twice — forward, X <- lower^{-1} X top
+// to bottom, then backward, X <- upper^{-1} X bottom to top.
 //
 //	DSolve(k): X_k <- T_kk^{-1} X_k          (diagonal TRSM)
 //	RUpd(i,k): X_i <- X_i - T_ik * X_k       (packed GEMM)
@@ -90,92 +90,57 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 	// reader edges off the diagonal tasks are the complete hazard set.
 	prevW := make([]*Task, nb)
 
+	// sweep adds the tasks of X <- T^{-1} X over triangle t: row(p) is
+	// the block row at sweep position p, base offsets the leading
+	// priority key, and solve is the diagonal blocks' triangular solve.
 	// Every RUpd of one sweep step multiplies by the same solved block
 	// X_k (final for the sweep once DSolve(k) ran), so the step's update
 	// tasks share one packed copy of it.
-	//
-	// Forward sweep: X <- lower^{-1} X, block rows top to bottom.
-	for k := 0; k < nb; k++ {
-		kk := k
-		bk := span(k)
-		diag := b.add(&Task{
-			Kind: DSolve, K: k, I: k,
-			Owner:  k % workers,
-			Static: k < opt.NstaticCols,
-			Flops:  float64(bk) * float64(bk) * float64(nrhs),
-			Bytes:  8 * (float64(bk)*float64(bk)/2 + float64(bk)*float64(nrhs)),
-			Prio:   priority(k, k, DSolve),
-		})
-		diag.Run = func() {
-			if opt.UnitLower {
-				kernel.TrsmLowerLeftUnit(tri(lower, kk, kk), xblk(kk))
-			} else {
-				kernel.TrsmLowerLeft(tri(lower, kk, kk), xblk(kk))
-			}
-		}
-		b.edge(prevW[k], diag)
-		prevW[k] = diag
-		ph := b.panel(kernel.NewSharedBPanel(nb - k - 1))
-		for i := k + 1; i < nb; i++ {
-			ic := i
-			ri := span(i)
-			upd := b.add(&Task{
-				Kind: RUpd, K: k, I: i, J: k,
-				Owner:  i % workers,
-				Static: i < opt.NstaticCols,
-				Flops:  2 * float64(ri) * float64(bk) * float64(nrhs),
-				Bytes:  8 * (float64(ri)*float64(bk) + (float64(ri)+float64(bk))*float64(nrhs)),
-				Prio:   priority(i, k, RUpd),
+	sweep := func(t *mat.Dense, base int, row func(p int) int, solve func(tkk, xk kernel.View)) {
+		for p := 0; p < nb; p++ {
+			k := row(p)
+			bk := span(k)
+			diag := b.add(&Task{
+				Kind: DSolve, K: k, I: k,
+				Owner:  k % workers,
+				Static: p < opt.NstaticCols,
+				Flops:  float64(bk) * float64(bk) * float64(nrhs),
+				Bytes:  8 * (float64(bk)*float64(bk)/2 + float64(bk)*float64(nrhs)),
+				Prio:   priority(base+p, p, DSolve),
 			})
-			upd.Run = func() {
-				kernel.GemmShared(xblk(ic), tri(lower, ic, kk), xblk(kk), ph)
+			diag.Run = func() { solve(tri(t, k, k), xblk(k)) }
+			b.edge(prevW[k], diag)
+			prevW[k] = diag
+			ph := b.panel(kernel.NewSharedBPanel(nb - p - 1))
+			for q := p + 1; q < nb; q++ {
+				i := row(q)
+				ri := span(i)
+				upd := b.add(&Task{
+					Kind: RUpd, K: k, I: i, J: k,
+					Owner:  i % workers,
+					Static: q < opt.NstaticCols,
+					Flops:  2 * float64(ri) * float64(bk) * float64(nrhs),
+					Bytes:  8 * (float64(ri)*float64(bk) + (float64(ri)+float64(bk))*float64(nrhs)),
+					Prio:   priority(base+q, p, RUpd),
+				})
+				upd.Run = func() { kernel.GemmShared(xblk(i), tri(t, i, k), xblk(k), ph) }
+				b.edge(diag, upd)
+				b.edge(prevW[i], upd)
+				prevW[i] = upd
 			}
-			b.edge(diag, upd)
-			b.edge(prevW[i], upd)
-			prevW[i] = upd
 		}
 	}
 
-	// Backward sweep: X <- upper^{-1} X, block rows bottom to top. The
-	// priority column continues past the forward sweep (nb + distance
-	// from the bottom), so backward work sorts after forward work and
-	// the backward diagonal chain keeps its look-ahead.
-	for k := nb - 1; k >= 0; k-- {
-		kk := k
-		bk := span(k)
-		pos := nb - 1 - k // sweep position of this step
-		diag := b.add(&Task{
-			Kind: DSolve, K: k, I: k,
-			Owner:  k % workers,
-			Static: pos < opt.NstaticCols,
-			Flops:  float64(bk) * float64(bk) * float64(nrhs),
-			Bytes:  8 * (float64(bk)*float64(bk)/2 + float64(bk)*float64(nrhs)),
-			Prio:   priority(nb+pos, pos, DSolve),
-		})
-		diag.Run = func() {
-			kernel.TrsmUpperLeft(tri(upper, kk, kk), xblk(kk))
-		}
-		b.edge(prevW[k], diag)
-		prevW[k] = diag
-		ph := b.panel(kernel.NewSharedBPanel(k))
-		for i := k - 1; i >= 0; i-- {
-			ic := i
-			ri := span(i)
-			upd := b.add(&Task{
-				Kind: RUpd, K: k, I: i, J: k,
-				Owner:  i % workers,
-				Static: nb-1-i < opt.NstaticCols,
-				Flops:  2 * float64(ri) * float64(bk) * float64(nrhs),
-				Bytes:  8 * (float64(ri)*float64(bk) + (float64(ri)+float64(bk))*float64(nrhs)),
-				Prio:   priority(nb+(nb-1-i), pos, RUpd),
-			})
-			upd.Run = func() {
-				kernel.GemmShared(xblk(ic), tri(upper, ic, kk), xblk(kk), ph)
-			}
-			b.edge(diag, upd)
-			b.edge(prevW[i], upd)
-			prevW[i] = upd
-		}
+	// Forward sweep: X <- lower^{-1} X, block rows top to bottom. The
+	// backward sweep X <- upper^{-1} X runs bottom to top, its priority
+	// column continuing past the forward sweep's, so backward work sorts
+	// after forward work and the backward diagonal chain keeps its
+	// look-ahead.
+	lowerSolve := kernel.TrsmLowerLeft
+	if opt.UnitLower {
+		lowerSolve = kernel.TrsmLowerLeftUnit
 	}
+	sweep(lower, 0, func(p int) int { return p }, lowerSolve)
+	sweep(upper, nb, func(p int) int { return nb - 1 - p }, kernel.TrsmUpperLeft)
 	return sg
 }

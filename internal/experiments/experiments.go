@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (section 5) plus the section 6 theorem validation
 // and the section 7 exascale projection. Each experiment returns a
-// Table whose rows mirror the series the paper plots; cmd/hsdbench
+// Table whose rows mirror the series the paper plots; cmd/hsdfigures
 // prints them, and TestExperimentsGolden pins every rendering.
 //
 // Hardware experiments run on the discrete-event machine models of
@@ -83,7 +83,7 @@ type experiment struct {
 }
 
 // order is the one order of the experiments, which IDs returns (and so
-// hsdbench -list and -exp all follow): the paper's figures, Table 1,
+// hsdfigures -list and -exp all follow): the paper's figures, Table 1,
 // Theorem 1 and the section 7 projection, then the help-tier ablation.
 var order = []string{"fig1", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
 	"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",

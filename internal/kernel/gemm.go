@@ -50,33 +50,52 @@ func smallestTile(ends []int) int {
 
 // GemmNT computes C -= A * Bᵀ with A m x k, B n x k, C m x n — the
 // symmetric-update kernel of tiled Cholesky (SYRK/GEMM applied to the
-// lower triangle blockwise). It shares the packed path with Gemm; only
-// the B packing reads transposed.
-func GemmNT(c, a, b View) {
+// lower triangle blockwise). It shares Gemm's dispatch and packed path;
+// only the B packing reads transposed.
+func GemmNT(c, a, b View) { gemm(c, a, b, true, nil) }
+
+// gemm is the one dispatcher of GemmShared and GemmNT: C -= A * B, or
+// A * Bᵀ when bTrans, after a shape check, through the naive oracle
+// when the tests force it, the small path below the packed crossover,
+// and the packed path otherwise, B streamed from pb when the handle
+// holds (or can take) a cached packed copy. A non-nil handle loses one
+// use whichever path runs.
+func gemm(c, a, b View, bTrans bool, pb *SharedPanel) {
 	m, n, k := c.Rows, c.Cols, a.Cols
-	if a.Rows != m || b.Rows != n || b.Cols != k {
-		panic(fmt.Sprintf("kernel: gemmNT shape mismatch C %dx%d, A %dx%d, B %dx%d",
-			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	bk, bn := b.Rows, b.Cols
+	if bTrans {
+		bk, bn = bn, bk
 	}
-	if useNaiveKernels {
+	if a.Rows != m || bk != k || bn != n {
+		panic(fmt.Sprintf("kernel: gemm shape mismatch C %dx%d, A %dx%d, B %dx%d (transposed %v)",
+			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols, bTrans))
+	}
+	defer pb.release()
+	switch {
+	case useNaiveKernels && bTrans:
 		gemmNTNaive(c, a, b)
-		return
+	case useNaiveKernels:
+		gemmNaive(c, a, b)
+	case !packedWorthwhile(m, n, k):
+		gemmSmall(c, a, b, bTrans)
+	default:
+		if !pb.ensurePacked(b) {
+			pb = nil
+		}
+		gemmPacked(c, a, b, bTrans, pb, mr, nr, microKernel)
 	}
-	if !packedWorthwhile(m, n, k) {
-		gemmSmall(c, a, b, true)
-		return
-	}
-	gemmPacked(c, a, b, true, nil)
 }
 
 // gemmPacked is the three-level blocked driver: jc/pc/ic loops carve
 // C -= A*B (or A*Bᵀ when bTrans) into mc x nc tiles updated through
-// packed kc-deep slivers, and the macro-kernel walks register tiles
-// over the packed buffers. B is streamed from pb when it holds a packed
-// shared panel (panelcache.go); a nil panel means B is packed into the
-// private workspace here. The loop nest and the packed bytes are the
-// same either way.
-func gemmPacked(c, a, b View, bTrans bool, pb *SharedPanel) {
+// packed kc-deep slivers, and the macro-kernel walks tmr x tnr register
+// tiles over the packed buffers with kern — the GEMM's micro-kernel at
+// mr x nr, or the GETRF panel kernel at pmr x pnr (panelUpdate). B is
+// streamed from pb when it holds a packed shared panel (panelcache.go,
+// GEMM tile only); a nil panel means B is packed into the private
+// workspace here. The loop nest and the packed bytes are the same
+// either way.
+func gemmPacked(c, a, b View, bTrans bool, pb *SharedPanel, tmr, tnr int, kern tileKernel) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	ws := getWorkspace()
 	defer putWorkspace(ws)
@@ -88,42 +107,42 @@ func gemmPacked(c, a, b View, bTrans bool, pb *SharedPanel) {
 			if pb != nil {
 				bp = pb.seg(jc, pc)
 			} else {
-				packB(bp, b, pc, jc, kcLen, ncLen, bTrans, nr)
+				packB(bp, b, pc, jc, kcLen, ncLen, bTrans, tnr)
 			}
 			for ic := 0; ic < m; ic += mc {
 				mcLen := min(mc, m-ic)
-				packA(ws.ap, a, ic, pc, mcLen, kcLen, mr)
-				macroKernel(c, ws, bp, ic, jc, mcLen, ncLen, kcLen)
+				packA(ws.ap, a, ic, pc, mcLen, kcLen, tmr)
+				macroKernel(c, ws, bp, ic, jc, mcLen, ncLen, kcLen, tmr, tnr, kern)
 			}
 		}
 	}
 }
 
-// macroKernel sweeps mr x nr register tiles over one packed (A, B)
-// block pair. Full tiles are updated in place by the micro-kernel's
+// macroKernel sweeps tmr x tnr register tiles over one packed (A, B)
+// block pair with kern. Full tiles are updated in place by the kernel's
 // fused write-back; edge tiles are staged through the workspace's dense
-// scratch tile (ldc = mr) so the kernel never branches on shape —
+// scratch tile (ldc = tmr) so the kernel never branches on shape —
 // padded packed lanes produce results that are simply not copied back.
 // The packed B is passed explicitly so the shared-panel path
 // (panelcache.go) can stream it from a cached buffer.
-func macroKernel(c View, ws *workspace, bp []float64, ic, jc, mcLen, ncLen, kcLen int) {
-	for jr := 0; jr < ncLen; jr += nr {
-		nrLen := min(nr, ncLen-jr)
-		bpPanel := bp[(jr/nr)*kcLen*nr:]
-		for ir := 0; ir < mcLen; ir += mr {
-			mrLen := min(mr, mcLen-ir)
-			apPanel := ws.ap[(ir/mr)*kcLen*mr:]
+func macroKernel(c View, ws *workspace, bp []float64, ic, jc, mcLen, ncLen, kcLen, tmr, tnr int, kern tileKernel) {
+	for jr := 0; jr < ncLen; jr += tnr {
+		nrLen := min(tnr, ncLen-jr)
+		bpPanel := bp[(jr/tnr)*kcLen*tnr:]
+		for ir := 0; ir < mcLen; ir += tmr {
+			mrLen := min(tmr, mcLen-ir)
+			apPanel := ws.ap[(ir/tmr)*kcLen*tmr:]
 			off := (jc+jr)*c.Stride + ic + ir
-			if mrLen == mr && nrLen == nr {
-				microKernel(kcLen, apPanel, bpPanel, c.Data[off:], c.Stride)
+			if mrLen == tmr && nrLen == tnr {
+				kern(kcLen, apPanel, bpPanel, c.Data[off:], c.Stride)
 				continue
 			}
 			for j := 0; j < nrLen; j++ {
-				copy(ws.tile[j*mr:j*mr+mrLen], c.Data[off+j*c.Stride:])
+				copy(ws.tile[j*tmr:j*tmr+mrLen], c.Data[off+j*c.Stride:])
 			}
-			microKernel(kcLen, apPanel, bpPanel, ws.tile[:], mr)
+			kern(kcLen, apPanel, bpPanel, ws.tile[:], tmr)
 			for j := 0; j < nrLen; j++ {
-				copy(c.Data[off+j*c.Stride:], ws.tile[j*mr:j*mr+mrLen])
+				copy(c.Data[off+j*c.Stride:], ws.tile[j*tmr:j*tmr+mrLen])
 			}
 		}
 	}

@@ -8,18 +8,18 @@ import (
 
 // This file is the blocked panel-factorization layer: a register-tiled
 // GETRF that replaces scalar Getf2 on the panel critical path. The
-// factorization is decomposed into mr-column micro-panels:
+// factorization is decomposed into pmr-column micro-panels:
 //
-//   - getf2Micro factors one m x w micro-panel (w <= mr) with a
+//   - getf2Micro factors one m x w micro-panel (w <= pmr) with a
 //     two-pass vectorizable idamax over the pivot column and unrolled
 //     rank-1 sweeps over the remaining micro columns;
 //   - the w pivot swaps are replayed on the columns left and right of
 //     the micro-panel (LAPACK's dlaswp step);
 //   - the U rows of the trailing columns are solved by the naive
-//     forward substitution (w x w unit triangle, w <= mr);
-//   - the rank-w trailing update C -= L21 * U12 runs through the packed
-//     register-tiled sweep in panelkernel*.go, reusing the GEMM packing
-//     formats and workspace pool.
+//     forward substitution (w x w unit triangle, w <= pmr);
+//   - the rank-w trailing update C -= L21 * U12 runs on the packed
+//     GEMM driver with the panel kernel of panelkernel*.go and its own
+//     register tile.
 //
 // Every path performs, per matrix element, exactly the multiply/
 // subtract sequence of scalar Getf2 in the same k order: the panel
@@ -241,53 +241,10 @@ func rank1SubGeneric(c, l []float64, u float64) {
 // panelUpdate computes C -= A*B where A is m x w, B w x n, C m x n and
 // w <= pmr, applying the w rank-1 steps to each element sequentially in
 // ascending k order (never as an accumulated dot product), which keeps
-// the blocked factorization bit-identical to Getf2. A and B are packed
-// into the GEMM workspace formats so the register-tiled panel kernel
-// streams pmr x pnr tiles of C with unit stride. The panel tile is
-// fixed per platform (see tuning.go) and independent of the GEMM tile,
-// so the bit-identity contract never depends on the profile.
-func panelUpdate(c, a, b View) {
-	m, n, w := c.Rows, c.Cols, a.Cols
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	for jc := 0; jc < n; jc += nc {
-		ncLen := min(nc, n-jc)
-		packB(ws.bp, b, 0, jc, w, ncLen, false, pnr)
-		for ic := 0; ic < m; ic += mc {
-			mcLen := min(mc, m-ic)
-			packA(ws.ap, a, ic, 0, mcLen, w, pmr)
-			panelMacro(c, ws, ic, jc, mcLen, ncLen, w)
-		}
-	}
-}
-
-// panelMacro sweeps pmr x pnr register tiles of C over one packed
-// (A, B) block pair. Interior tiles go straight to the panel kernel;
-// edge tiles are staged through the workspace's dense scratch tile
-// (ldc = pmr) so the kernel never branches on shape — padded packed
-// lanes contribute exact zero updates and are masked at write-back.
-func panelMacro(c View, ws *workspace, ic, jc, mcLen, ncLen, w int) {
-	scratch := &ws.tile
-	for jr := 0; jr < ncLen; jr += pnr {
-		nrLen := min(pnr, ncLen-jr)
-		bp := ws.bp[(jr/pnr)*w*pnr:]
-		for ir := 0; ir < mcLen; ir += pmr {
-			mrLen := min(pmr, mcLen-ir)
-			ap := ws.ap[(ir/pmr)*w*pmr:]
-			if mrLen == pmr && nrLen == pnr {
-				off := (jc+jr)*c.Stride + ic + ir
-				panelKernel(w, ap, bp, c.Data[off:], c.Stride)
-				continue
-			}
-			for j := 0; j < nrLen; j++ {
-				off := (jc+jr+j)*c.Stride + ic + ir
-				copy(scratch[j*pmr:j*pmr+mrLen], c.Data[off:off+mrLen])
-			}
-			panelKernel(w, ap, bp, scratch[:], pmr)
-			for j := 0; j < nrLen; j++ {
-				off := (jc+jr+j)*c.Stride + ic + ir
-				copy(c.Data[off:off+mrLen], scratch[j*pmr:j*pmr+mrLen])
-			}
-		}
-	}
-}
+// the blocked factorization bit-identical to Getf2. It is the packed
+// GEMM driver run with the panel kernel's pmr x pnr tile: A and B are
+// packed into the GEMM formats, and since w <= pmr < kc the depth loop
+// runs once. The panel tile is fixed per platform (see tuning.go) and
+// independent of the GEMM tile, so the bit-identity contract never
+// depends on the profile.
+func panelUpdate(c, a, b View) { gemmPacked(c, a, b, false, nil, pmr, pnr, panelKernel) }

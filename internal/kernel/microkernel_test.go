@@ -103,7 +103,7 @@ func TestFusedWriteBackMatchesReference(t *testing.T) {
 					b := randView(rng, s[2], s[1])
 					c := randView(rng, s[0], s[1])
 					want := cloneView(c)
-					gemmPacked(c, a, b, false, nil)
+					gemmPacked(c, a, b, false, nil, mr, nr, microKernel)
 					refPackedGemm(want, a, b, fused, p.KC)
 					sameBits(t, fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), c, want)
 				}

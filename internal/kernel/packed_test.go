@@ -70,7 +70,7 @@ func TestGemmPackedMatchesNaiveProperty(t *testing.T) {
 		b := randView(rng, k, n)
 		c1 := randView(rng, m, n)
 		c2 := cloneView(c1)
-		gemmPacked(c1, a, b, false, nil)
+		gemmPacked(c1, a, b, false, nil, mr, nr, microKernel)
 		gemmNaive(c2, a, b)
 		return maxAbsDiffBacking(c1, c2) <= gemmTol(c2)
 	}
@@ -90,7 +90,7 @@ func TestGemmNTPackedMatchesNaiveProperty(t *testing.T) {
 		b := randView(rng, n, k)
 		c1 := randView(rng, m, n)
 		c2 := cloneView(c1)
-		gemmPacked(c1, a, b, true, nil)
+		gemmPacked(c1, a, b, true, nil, mr, nr, microKernel)
 		gemmNTNaive(c2, a, b)
 		return maxAbsDiffBacking(c1, c2) <= gemmTol(c2)
 	}
@@ -113,7 +113,7 @@ func TestGemmPackedEdgeSizes(t *testing.T) {
 				b := randView(rng, k, n)
 				c1 := randView(rng, m, n)
 				c2 := cloneView(c1)
-				gemmPacked(c1, a, b, false, nil)
+				gemmPacked(c1, a, b, false, nil, mr, nr, microKernel)
 				gemmNaive(c2, a, b)
 				if maxAbsDiffBacking(c1, c2) > gemmTol(c2) {
 					t.Fatalf("packed gemm wrong at m=%d n=%d k=%d", m, n, k)
@@ -128,7 +128,7 @@ func TestGemmPackedEdgeSizes(t *testing.T) {
 		b := randView(rng, k, n)
 		c1 := randView(rng, m, n)
 		c2 := cloneView(c1)
-		gemmPacked(c1, a, b, false, nil)
+		gemmPacked(c1, a, b, false, nil, mr, nr, microKernel)
 		gemmNaive(c2, a, b)
 		if maxAbsDiffBacking(c1, c2) > gemmTol(c2) {
 			t.Fatalf("packed gemm wrong at m=%d n=%d k=%d", m, n, k)
@@ -271,7 +271,7 @@ func TestGemmPropagatesNonFinite(t *testing.T) {
 			b.Set(3, j, 0) // Inf * 0 must surface as NaN in every column
 		}
 		if packed {
-			gemmPacked(c, a, b, false, nil)
+			gemmPacked(c, a, b, false, nil, mr, nr, microKernel)
 		} else {
 			gemmNaive(c, a, b)
 		}
@@ -319,7 +319,7 @@ func TestGemmPackedConcurrent(t *testing.T) {
 				b := randView(rng, k, n)
 				c1 := randView(rng, m, n)
 				c2 := cloneView(c1)
-				gemmPacked(c1, a, b, false, nil)
+				gemmPacked(c1, a, b, false, nil, mr, nr, microKernel)
 				gemmNaive(c2, a, b)
 				if d := maxAbsDiffBacking(c1, c2); d > errs[w] {
 					errs[w] = d

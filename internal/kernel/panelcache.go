@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -219,26 +218,7 @@ func (p *SharedPanel) release() {
 // dispatches exactly as Gemm does and the packed bytes are the same
 // either way, so the result is bit-identical whatever was cached. A
 // non-nil handle loses one use.
-func GemmShared(c, a, b View, pb *SharedPanel) {
-	m, n, k := c.Rows, c.Cols, a.Cols
-	if a.Rows != m || b.Rows != k || b.Cols != n {
-		panic(fmt.Sprintf("kernel: gemm shape mismatch C %dx%d, A %dx%d, B %dx%d",
-			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	defer pb.release()
-	if useNaiveKernels {
-		gemmNaive(c, a, b)
-		return
-	}
-	if !packedWorthwhile(m, n, k) {
-		gemmSmall(c, a, b, false)
-		return
-	}
-	if !pb.ensurePacked(b) {
-		pb = nil
-	}
-	gemmPacked(c, a, b, false, pb)
-}
+func GemmShared(c, a, b View, pb *SharedPanel) { gemm(c, a, b, false, pb) }
 
 // seg returns the packed block of column offset jc (a multiple of nc)
 // and depth offset pc. Blocks are stored column-block-major, each

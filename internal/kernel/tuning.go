@@ -42,7 +42,13 @@ var kc, mc, nc, mr, nr int
 // kk packed k-steps and the write-back is one subtraction per element,
 // fused into the kernel. It always writes a full tile; the macro-kernel
 // stages edge tiles through a dense scratch tile.
-var microKernel func(kk int, ap, bp, c []float64, ldc int)
+var microKernel tileKernel
+
+// tileKernel updates one full register tile of C from kk packed steps
+// of an A row panel and a B column panel: the signature the packed
+// driver (gemmPacked) runs both the micro-kernel and the GETRF panel
+// kernel through.
+type tileKernel func(kk int, ap, bp, c []float64, ldc int)
 
 // pmr x pnr is the register tile of the blocked GETRF panel path. It is
 // deliberately independent of the GEMM tile: the panel kernel's

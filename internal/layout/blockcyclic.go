@@ -32,9 +32,6 @@ func (l *BlockCyclic) Block(i, j int) kernel.View {
 	return kernel.View{Rows: r, Cols: c, Stride: s.Stride, Data: s.Data[lj*l.b*s.Stride+li*l.b:]}
 }
 
-// swapRows exchanges global rows r1, r2 within block column jb.
-func (l *BlockCyclic) swapRows(jb, r1, r2 int) { swapViaBlocks(l, jb, r1, r2) }
-
 // ToDense materializes the matrix as column major.
 func (l *BlockCyclic) ToDense() *mat.Dense { return toDenseViaBlocks(l) }
 

@@ -20,12 +20,6 @@ func (l *ColMajor) Block(i, j int) kernel.View {
 	return denseView(l.a, i*l.b, j*l.b, r, c)
 }
 
-// swapRows exchanges global rows r1, r2 within block column jb.
-func (l *ColMajor) swapRows(jb, r1, r2 int) {
-	_, c := l.BlockDims(0, jb)
-	l.a.SwapRows(r1, r2, jb*l.b, jb*l.b+c)
-}
-
 // ToDense returns a copy of the matrix contents.
 func (l *ColMajor) ToDense() *mat.Dense { return l.a.Clone() }
 

@@ -189,9 +189,6 @@ type Layout interface {
 	RowGroupWidth(i, j, maxGroup int) int
 	// Block returns a strided view of block (i,j); edge blocks are smaller.
 	Block(i, j int) kernel.View
-	// swapRows exchanges global rows r1 and r2 within block column jb only.
-	// CALU applies panel pivoting lazily, one block column at a time.
-	swapRows(jb, r1, r2 int)
 	// GroupedRows returns one view stacking `width` owned block rows
 	// starting at (i,j), RowGroupStep apart. Only valid for
 	// width <= RowGroupWidth(i,j,width).
@@ -222,21 +219,4 @@ func New(kind Kind, src *mat.Dense, b int, g Grid) Layout {
 	return build(NewShape(kind, src.Rows, src.Cols, b, g), func(i, j int, run kernel.View) {
 		kernel.Copy(run, denseView(src, i*b, j*b, run.Rows, run.Cols))
 	})
-}
-
-// swapViaBlocks implements swapRows generically on top of Block.
-func swapViaBlocks(l Layout, jb, r1, r2 int) {
-	if r1 == r2 {
-		return
-	}
-	_, _, b := l.Dims()
-	i1, o1 := blockIndex(r1, b)
-	i2, o2 := blockIndex(r2, b)
-	v1 := l.Block(i1, jb)
-	v2 := l.Block(i2, jb)
-	for j := 0; j < v1.Cols; j++ {
-		p1 := j*v1.Stride + o1
-		p2 := j*v2.Stride + o2
-		v1.Data[p1], v2.Data[p2] = v2.Data[p2], v1.Data[p1]
-	}
 }

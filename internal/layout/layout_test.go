@@ -120,7 +120,7 @@ func TestSwapRowsWithinBlockColumn(t *testing.T) {
 	for _, kind := range allKinds {
 		l := New(kind, src, 4, NewGrid(4))
 		// Swap rows 1 and 9 (different block rows) in block column 1 only.
-		l.swapRows(1, 1, 9)
+		ApplySwaps(l, 1, [][2]int{{1, 9}})
 		got := l.ToDense()
 		for j := 0; j < 12; j++ {
 			wantTop, wantBot := src.At(1, j), src.At(9, j)
@@ -139,7 +139,7 @@ func TestSwapSameRowNoop(t *testing.T) {
 	src := mat.Random(8, 8, rng)
 	for _, kind := range allKinds {
 		l := New(kind, src, 4, NewGrid(2))
-		l.swapRows(0, 3, 3)
+		ApplySwaps(l, 0, [][2]int{{3, 3}})
 		if mat.MaxAbsDiff(src, l.ToDense()) != 0 {
 			t.Errorf("%v: same-row swap changed data", kind)
 		}
@@ -203,7 +203,7 @@ func TestBlockWriteReadProperty(t *testing.T) {
 	}
 }
 
-// Property: swapRows on a block column is an involution.
+// Property: a one-swap ApplySwaps on a block column is an involution.
 func TestSwapInvolutionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -217,8 +217,8 @@ func TestSwapInvolutionProperty(t *testing.T) {
 		jb := int(rng.Int31n(int32(nb)))
 		r1 := int(rng.Int31n(int32(m)))
 		r2 := int(rng.Int31n(int32(m)))
-		l.swapRows(jb, r1, r2)
-		l.swapRows(jb, r1, r2)
+		ApplySwaps(l, jb, [][2]int{{r1, r2}})
+		ApplySwaps(l, jb, [][2]int{{r1, r2}})
 		return mat.MaxAbsDiff(src, l.ToDense()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -14,9 +14,10 @@ type swapRef struct {
 }
 
 // ApplySwaps applies the row interchanges swaps (pairs of global row
-// indices, in order) to block column jb of l — the same result as
-// calling l.swapRows(jb, s[0], s[1]) for each of them. Each swap's two
-// block references are resolved once, and the block column is then
+// indices, in order) to block column jb of l and no other — CALU
+// applies panel pivoting lazily, one block column at a time — with the
+// result of exchanging the two rows of each swap in turn. Each swap's
+// two block references are resolved once, and the block column is then
 // walked one column at a time with all swaps applied to it before
 // moving on: a column's touched rows stay in cache across the list
 // (CALU's swaps all have one row inside the same diagonal block),

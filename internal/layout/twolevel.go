@@ -32,9 +32,6 @@ func (l *TwoLevelBlock) Block(i, j int) kernel.View {
 	return kernel.View{Rows: r, Cols: c, Stride: r, Data: l.data[start : start+r*c]}
 }
 
-// swapRows exchanges global rows r1, r2 within block column jb.
-func (l *TwoLevelBlock) swapRows(jb, r1, r2 int) { swapViaBlocks(l, jb, r1, r2) }
-
 // ToDense materializes the matrix as column major.
 func (l *TwoLevelBlock) ToDense() *mat.Dense { return toDenseViaBlocks(l) }
 

@@ -149,17 +149,6 @@ func RandomDiagDominant(n int, rng *rand.Rand) *Dense {
 	return a
 }
 
-// SwapRows exchanges rows r1 and r2 over columns [j0,j1).
-func (a *Dense) SwapRows(r1, r2, j0, j1 int) {
-	if r1 == r2 {
-		return
-	}
-	for j := j0; j < j1; j++ {
-		off := j * a.Stride
-		a.Data[off+r1], a.Data[off+r2] = a.Data[off+r2], a.Data[off+r1]
-	}
-}
-
 // PermuteRows returns a new matrix whose row i is src row perm[i].
 func PermuteRows(src *Dense, perm []int) *Dense {
 	if len(perm) != src.Rows {

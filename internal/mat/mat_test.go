@@ -115,22 +115,6 @@ func TestEyeAndPermute(t *testing.T) {
 	}
 }
 
-func TestSwapRowsPartialColumns(t *testing.T) {
-	a := New(3, 3)
-	for j := 0; j < 3; j++ {
-		for i := 0; i < 3; i++ {
-			a.Set(i, j, float64(10*i+j))
-		}
-	}
-	a.SwapRows(0, 2, 1, 3) // only columns 1 and 2
-	if a.At(0, 0) != 0 || a.At(2, 0) != 20 {
-		t.Fatal("column 0 must be untouched")
-	}
-	if a.At(0, 1) != 21 || a.At(2, 1) != 1 {
-		t.Fatal("column 1 not swapped")
-	}
-}
-
 func TestMulNaiveIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := Random(5, 5, rng)

@@ -102,7 +102,7 @@ func newExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*executor, error)
 	if e.n == 0 {
 		return e, nil
 	}
-	e.pol.Reset(g, opt.Workers)
+	e.pol.Reset(opt.Workers)
 
 	roots := g.ResetDeps()
 	if len(roots) == 0 {
@@ -111,7 +111,7 @@ func newExecutor(g *dag.Graph, pol sched.Policy, opt Options) (*executor, error)
 	e.wk.init(opt.Workers)
 	e.outstanding.Store(int64(len(roots)))
 	for _, t := range roots {
-		e.pol.Ready(sched.SeedWorker, t)
+		e.pol.Ready(t)
 	}
 	if opt.Trace != nil {
 		e.spans = make([][]trace.Span, opt.Workers)
@@ -249,7 +249,7 @@ func (e *executor) loop(w int) []trace.Span {
 		if len(scratch) > 0 {
 			e.outstanding.Add(int64(len(scratch)))
 			for _, s := range scratch {
-				if owner := e.pol.Ready(w, s); owner != sched.AnyWorker {
+				if owner := e.pol.Ready(s); owner != sched.AnyWorker {
 					e.wk.wakePinned(owner, w)
 				} else {
 					e.wk.wakeAny(w)

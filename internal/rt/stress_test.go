@@ -353,12 +353,12 @@ func TestHelpWakePinnedReachesSleeper(t *testing.T) {
 
 	ready := e.g.ResolveSuccessors(root, nil)
 	e.outstanding.Add(int64(len(ready)))
-	owner := e.pol.Ready(0, ready[1])
+	owner := e.pol.Ready(ready[1])
 	if e.wk.wakeOwner(owner, 0) || len(e.wk.sem[1]) != 0 || !e.wk.parked[1].Load() {
 		t.Fatal("waking the busy owner alone reached the parked worker")
 	}
 
-	e.wk.wakePinned(e.pol.Ready(0, ready[0]), 0)
+	e.wk.wakePinned(e.pol.Ready(ready[0]), 0)
 	if tk := <-got; tk != ready[0] {
 		t.Fatalf("woken worker came back with %v, want task %d", tk, ready[0].ID)
 	}

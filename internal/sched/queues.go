@@ -102,7 +102,7 @@ func NewHybrid() *QueuePolicy { return &QueuePolicy{name: "hybrid", pin: pinMark
 func (p *QueuePolicy) Name() string { return p.name }
 
 // Reset implements Policy.
-func (p *QueuePolicy) Reset(g *dag.Graph, workers int) {
+func (p *QueuePolicy) Reset(workers int) {
 	p.slots = make([]ownerSlot, workers)
 	p.shared = p.shared[:0]
 }
@@ -110,7 +110,7 @@ func (p *QueuePolicy) Reset(g *dag.Graph, workers int) {
 // Ready implements Policy. Only the owner can pop a pinned task, so
 // the owner is whom the runtime must wake; shared tasks may be popped
 // by anyone.
-func (p *QueuePolicy) Ready(worker int, t *dag.Task) int {
+func (p *QueuePolicy) Ready(t *dag.Task) int {
 	if p.pin == pinAll || (p.pin == pinMarked && t.Static) {
 		w := t.Owner % len(p.slots)
 		p.slots[w].push(t)

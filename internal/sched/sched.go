@@ -45,11 +45,6 @@ func (c *Counters) add(o Counters) {
 	c.Mismatches += o.Mismatches
 }
 
-// SeedWorker is the worker argument for Policy.Ready calls made before
-// the workers start (initial root seeding), when no worker identity
-// exists yet.
-const SeedWorker = -1
-
 // AnyWorker is the wake hint Policy.Ready returns for a task every
 // worker can pop (the shared queue): waking any one parked worker
 // suffices. A task pinned to one worker's queue returns that worker's
@@ -65,15 +60,13 @@ const AnyWorker = -1
 type Policy interface {
 	// Name identifies the policy in reports ("static", "dynamic", ...).
 	Name() string
-	// Reset prepares the policy for a fresh execution of g on `workers`
+	// Reset prepares the policy for a fresh execution on `workers`
 	// workers, discarding all queued state.
-	Reset(g *dag.Graph, workers int)
-	// Ready enqueues a task whose dependencies are all satisfied.
-	// worker is the enqueuing worker, or SeedWorker when called before
-	// the workers start. The return value tells the runtime whom to
-	// wake: a worker index when the task is pinned to that worker's
-	// queue, else AnyWorker.
-	Ready(worker int, t *dag.Task) int
+	Reset(workers int)
+	// Ready enqueues a task whose dependencies are all satisfied. The
+	// return value tells the runtime whom to wake: a worker index when
+	// the task is pinned to that worker's queue, else AnyWorker.
+	Ready(t *dag.Task) int
 	// Next pops the best ready task for the given worker, or nil if the
 	// policy has nothing this worker may run right now.
 	Next(worker int) *dag.Task

@@ -19,12 +19,12 @@ func allPolicies() []Policy {
 
 func TestStaticPinsToOwner(t *testing.T) {
 	p := NewStatic()
-	p.Reset(&dag.Graph{}, 2)
+	p.Reset(2)
 	// Static pins whatever the Static mark says.
-	if w := p.Ready(SeedWorker, mkTask(1, 0, false, 10)); w != 0 {
+	if w := p.Ready(mkTask(1, 0, false, 10)); w != 0 {
 		t.Fatalf("wake hint %d want owner 0", w)
 	}
-	if w := p.Ready(SeedWorker, mkTask(2, 1, true, 5)); w != 1 {
+	if w := p.Ready(mkTask(2, 1, true, 5)); w != 1 {
 		t.Fatalf("wake hint %d want owner 1", w)
 	}
 	if got := p.Next(0); got == nil || got.ID != 1 {
@@ -43,11 +43,11 @@ func TestStaticPinsToOwner(t *testing.T) {
 
 func TestPriorityThenIDOrder(t *testing.T) {
 	for _, p := range []Policy{NewStatic(), NewDynamic()} {
-		p.Reset(&dag.Graph{}, 1)
-		p.Ready(SeedWorker, mkTask(1, 0, true, 30))
-		p.Ready(SeedWorker, mkTask(4, 0, true, 10))
-		p.Ready(SeedWorker, mkTask(3, 0, true, 20))
-		p.Ready(SeedWorker, mkTask(2, 0, true, 10)) // ties on Prio break by ID
+		p.Reset(1)
+		p.Ready(mkTask(1, 0, true, 30))
+		p.Ready(mkTask(4, 0, true, 10))
+		p.Ready(mkTask(3, 0, true, 20))
+		p.Ready(mkTask(2, 0, true, 10)) // ties on Prio break by ID
 		for _, want := range []int32{2, 4, 3, 1} {
 			if got := p.Next(0); got.ID != want {
 				t.Fatalf("%s: got %d want %d", p.Name(), got.ID, want)
@@ -58,12 +58,12 @@ func TestPriorityThenIDOrder(t *testing.T) {
 
 func TestDynamicAnyWorkerLowestPrioFirst(t *testing.T) {
 	p := NewDynamic()
-	p.Reset(&dag.Graph{}, 4)
+	p.Reset(4)
 	// Dynamic shares whatever the Static mark says.
-	if w := p.Ready(SeedWorker, mkTask(1, 3, true, 50)); w != AnyWorker {
+	if w := p.Ready(mkTask(1, 3, true, 50)); w != AnyWorker {
 		t.Fatalf("wake hint %d want AnyWorker", w)
 	}
-	p.Ready(SeedWorker, mkTask(2, 2, false, 5))
+	p.Ready(mkTask(2, 2, false, 5))
 	if got := p.Next(0); got.ID != 2 {
 		t.Fatalf("got %d want 2 (DFS order)", got.ID)
 	}
@@ -79,9 +79,9 @@ func TestDynamicAnyWorkerLowestPrioFirst(t *testing.T) {
 
 func TestHybridPrefersOwnStaticQueue(t *testing.T) {
 	p := NewHybrid()
-	p.Reset(&dag.Graph{}, 2)
-	p.Ready(SeedWorker, mkTask(1, 0, true, 100)) // static: wins despite the worse priority
-	p.Ready(SeedWorker, mkTask(2, 0, false, 1))  // dynamic, better priority
+	p.Reset(2)
+	p.Ready(mkTask(1, 0, true, 100)) // static: wins despite the worse priority
+	p.Ready(mkTask(2, 0, false, 1))  // dynamic, better priority
 	if got := p.Next(0); got == nil || got.ID != 1 {
 		t.Fatalf("hybrid must drain own static queue first, got %v", got)
 	}
@@ -94,9 +94,9 @@ func TestHybridIdleWorkerTakesDynamic(t *testing.T) {
 	// Algorithm 1 lines 8-10: a worker with no ready static tasks picks
 	// up dynamic work instead of idling.
 	p := NewHybrid()
-	p.Reset(&dag.Graph{}, 2)
-	p.Ready(SeedWorker, mkTask(1, 1, true, 10))  // static task for worker 1
-	p.Ready(SeedWorker, mkTask(2, 1, false, 20)) // dynamic task
+	p.Reset(2)
+	p.Ready(mkTask(1, 1, true, 10))  // static task for worker 1
+	p.Ready(mkTask(2, 1, false, 20)) // dynamic task
 	if got := p.Next(0); got == nil || got.ID != 2 {
 		t.Fatalf("worker 0 should pull dynamic task, got %v", got)
 	}
@@ -111,11 +111,11 @@ func TestHybridIdleWorkerTakesDynamic(t *testing.T) {
 // steal and a migration.
 func TestHybridHelpTakesMostCritical(t *testing.T) {
 	p := NewHybrid()
-	p.Reset(&dag.Graph{}, 3)
-	p.Ready(SeedWorker, mkTask(1, 1, true, 20))
-	p.Ready(SeedWorker, mkTask(2, 2, true, 30))
-	p.Ready(SeedWorker, mkTask(3, 2, true, 10))
-	p.Ready(SeedWorker, mkTask(4, 0, true, 5))
+	p.Reset(3)
+	p.Ready(mkTask(1, 1, true, 20))
+	p.Ready(mkTask(2, 2, true, 30))
+	p.Ready(mkTask(3, 2, true, 10))
+	p.Ready(mkTask(4, 0, true, 5))
 	if got := p.Next(0); got == nil || got.ID != 4 {
 		t.Fatalf("own queue first, got %v", got)
 	}
@@ -130,7 +130,7 @@ func TestHybridHelpTakesMostCritical(t *testing.T) {
 	if got := p.Help(0); got != nil {
 		t.Fatalf("Help on drained queues returned %v", got)
 	}
-	p.Ready(SeedWorker, mkTask(5, 0, true, 1))
+	p.Ready(mkTask(5, 0, true, 1))
 	if got := p.Help(0); got != nil {
 		t.Fatalf("Help popped the worker's own queue: %v", got)
 	}
@@ -143,8 +143,8 @@ func TestHybridHelpTakesMostCritical(t *testing.T) {
 // baseline and dynamic pins nothing — neither has a tier below Next.
 func TestHelpOnlyUnderHybrid(t *testing.T) {
 	for _, p := range []Policy{NewStatic(), NewDynamic()} {
-		p.Reset(&dag.Graph{}, 2)
-		p.Ready(SeedWorker, mkTask(1, 1, true, 1))
+		p.Reset(2)
+		p.Ready(mkTask(1, 1, true, 1))
 		if got := p.Help(0); got != nil {
 			t.Fatalf("%s: Help returned %v", p.Name(), got)
 		}
@@ -159,9 +159,9 @@ func TestHelpOnlyUnderHybrid(t *testing.T) {
 // checks every task comes out exactly once.
 func TestAllPoliciesDrainEverything(t *testing.T) {
 	for _, p := range allPolicies() {
-		p.Reset(&dag.Graph{}, 3)
+		p.Reset(3)
 		for i := int32(0); i < 30; i++ {
-			p.Ready(SeedWorker, mkTask(i, int(i)%3, i%2 == 0, int64(i)))
+			p.Ready(mkTask(i, int(i)%3, i%2 == 0, int64(i)))
 		}
 		seen := make(map[int32]int)
 		for w, misses := 0, 0; misses < 3; w = (w + 1) % 3 {
@@ -192,7 +192,7 @@ func drainConcurrently(t *testing.T, p Policy, workers, tasks int, seedAll, help
 		all[i] = &dag.Task{ID: int32(i), Owner: i % workers, Static: i%2 == 0, Prio: int64(i)}
 		g.Tasks = append(g.Tasks, all[i])
 	}
-	p.Reset(g, workers)
+	p.Reset(workers)
 	popped := make([]int32, tasks)
 	var total atomic.Int64
 
@@ -201,7 +201,7 @@ func drainConcurrently(t *testing.T, p Policy, workers, tasks int, seedAll, help
 		half = tasks
 	}
 	for _, tk := range all[:half] {
-		p.Ready(SeedWorker, tk)
+		p.Ready(tk)
 	}
 
 	var wg sync.WaitGroup
@@ -216,7 +216,7 @@ func drainConcurrently(t *testing.T, p Policy, workers, tasks int, seedAll, help
 			next := lo
 			for total.Load() < int64(tasks) {
 				if next < hi {
-					p.Ready(w, all[next])
+					p.Ready(all[next])
 					next++
 				}
 				tk := p.Next(w)
@@ -279,9 +279,9 @@ func TestCountersMatchWork(t *testing.T) {
 	}
 	// One worker drains alone: the other owners' queues can only leave
 	// through Help.
-	h.Reset(&dag.Graph{}, 4)
+	h.Reset(4)
 	for i := int32(0); i < 40; i++ {
-		h.Ready(SeedWorker, mkTask(i, int(i)%4, true, int64(i)))
+		h.Ready(mkTask(i, int(i)%4, true, int64(i)))
 	}
 	for h.Next(3) != nil {
 	}

@@ -92,7 +92,7 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 		cfg.Machine.Noise.Reset(cfg.Seed)
 	}
 	pol := cfg.Policy
-	pol.Reset(g, p)
+	pol.Reset(p)
 
 	n := len(g.Tasks)
 	// The dependency state lives on the graph (dag.ResetDeps); the
@@ -101,7 +101,7 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 	// which keeps every policy decision deterministic and byte-for-byte
 	// identical across runs.
 	for _, t := range g.ResetDeps() {
-		pol.Ready(sched.SeedWorker, t)
+		pol.Ready(t)
 	}
 	var readyScratch []*dag.Task
 
@@ -215,7 +215,7 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 		idle[e.worker] = true
 		readyScratch = g.ResolveSuccessors(e.task, readyScratch[:0])
 		for _, t := range readyScratch {
-			pol.Ready(e.worker, t)
+			pol.Ready(t)
 		}
 		dispatch()
 	}
