@@ -11,14 +11,15 @@ import (
 
 // The factorization wire format: what a shard exports when the router
 // replicates, migrates or drains kept state. A factorization travels
-// as a small header, the pivot permutation, and the packed factor
-// blocks — each factor serialized through the layout package's block
-// iteration (layout.Encode), so values round-trip bit-identically and
-// a replica's solve reproduces the owner's solve exactly.
+// as a small header, the pivot permutation, and each factor in the
+// layout package's block encoding (HSDL), written straight from the
+// owner's dense factor and decoded straight into the replica's, so
+// values round-trip bit-identically and a replica's solve reproduces
+// the owner's solve exactly.
 //
 //	magic "HSDW" | version u8 | kind u8 (1=LU, 2=Cholesky)
 //	| permLen u32 | perm u32... (LU only; Cholesky has no pivoting)
-//	| layout.Encode(L) | layout.Encode(U)   (U for LU only)
+//	| HSDL(L) | HSDL(U)   (U for LU only)
 //
 // Run metadata (Makespan, Counters, Stats) describes the original
 // execution, not the factors; it does not travel.
@@ -30,18 +31,12 @@ const (
 	wireKindCh  = 2
 	wireHdrLen  = 4 + 1 + 1
 
-	// wireBlock is the tile size factors are packed with on the wire.
-	// Any positive value round-trips; 128 keeps tile count low without
-	// creating huge contiguous runs.
+	// wireBlock is the tile size factors are encoded with: two-level
+	// tiles on a single-worker grid, since wire bytes carry no
+	// ownership. Any positive value decodes; 128 is what every shard
+	// has sent.
 	wireBlock = 128
 )
-
-// wireLayout wraps a dense factor for encoding: two-level tiles (each
-// tile contiguous — the natural pack format) on a single-worker grid,
-// since wire bytes carry no ownership.
-func wireLayout(d *mat.Dense) layout.Layout {
-	return layout.New(layout.TwoLevel, d, wireBlock, layout.NewGrid(1))
-}
 
 // EncodeFactorization serializes a kept factorization: exactly one of
 // lu, chol must be non-nil.
@@ -49,24 +44,31 @@ func EncodeFactorization(lu *core.Factorization, chol *core.CholeskyFactorizatio
 	if (lu != nil) == (chol != nil) {
 		return nil, fmt.Errorf("cluster: need exactly one of LU or Cholesky to encode")
 	}
-	hdr := func(kind byte, size int) []byte {
-		return append(append(make([]byte, 0, wireHdrLen+size), wireMagic...), wireVersion, kind)
-	}
+	kind, size, factors := byte(wireKindLU), wireHdrLen, []*mat.Dense{}
 	if chol != nil {
-		l := wireLayout(chol.L)
-		return append(hdr(wireKindCh, layout.EncodedLen(l)), layout.Encode(l)...), nil
+		kind, factors = wireKindCh, append(factors, chol.L)
+	} else {
+		size += 4 + 4*len(lu.Perm)
+		factors = append(factors, lu.L, lu.U)
 	}
-	ll, ul := wireLayout(lu.L), wireLayout(lu.U)
-	out := hdr(wireKindLU, 4+4*len(lu.Perm)+layout.EncodedLen(ll)+layout.EncodedLen(ul))
-	le := binary.LittleEndian
-	out = le.AppendUint32(out, uint32(len(lu.Perm)))
-	for _, p := range lu.Perm {
-		if p < 0 || int64(p) > int64(^uint32(0)) {
-			return nil, fmt.Errorf("cluster: permutation entry %d out of wire range", p)
+	for _, d := range factors {
+		size += layout.EncodedLen(d.Rows, d.Cols)
+	}
+	out := append(append(make([]byte, 0, size), wireMagic...), wireVersion, kind)
+	if lu != nil {
+		le := binary.LittleEndian
+		out = le.AppendUint32(out, uint32(len(lu.Perm)))
+		for _, p := range lu.Perm {
+			if p < 0 || int64(p) > int64(^uint32(0)) {
+				return nil, fmt.Errorf("cluster: permutation entry %d out of wire range", p)
+			}
+			out = le.AppendUint32(out, uint32(p))
 		}
-		out = le.AppendUint32(out, uint32(p))
 	}
-	return append(append(out, layout.Encode(ll)...), layout.Encode(ul)...), nil
+	for _, d := range factors {
+		out = layout.AppendDense(out, layout.TwoLevel, d, wireBlock, layout.NewGrid(1))
+	}
+	return out, nil
 }
 
 // DecodeFactorization inverts EncodeFactorization. The returned
@@ -86,14 +88,13 @@ func DecodeFactorization(data []byte) (*core.Factorization, *core.CholeskyFactor
 	rest := data[wireHdrLen:]
 	switch kind {
 	case wireKindCh:
-		l, n, err := layout.Decode(rest)
+		d, _, n, err := layout.DecodeDense(rest)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: cholesky factor: %w", err)
 		}
 		if len(rest) != n {
 			return nil, nil, fmt.Errorf("cluster: %d trailing bytes after cholesky factor", len(rest)-n)
 		}
-		d := l.ToDense()
 		if d.Rows != d.Cols {
 			return nil, nil, fmt.Errorf("cluster: cholesky factor is %dx%d, want square", d.Rows, d.Cols)
 		}
@@ -108,24 +109,28 @@ func DecodeFactorization(data []byte) (*core.Factorization, *core.CholeskyFactor
 		if plen > len(rest)/4 {
 			return nil, nil, fmt.Errorf("cluster: truncated permutation (%d entries)", plen)
 		}
-		perm := make([]int, plen)
+		// A solve indexes rows through it: refuse any row out of range or twice.
+		perm, seen := make([]int, plen), make([]bool, plen)
 		for i := range perm {
-			perm[i] = int(le.Uint32(rest[4*i:]))
+			p := le.Uint32(rest[4*i:])
+			if uint64(p) >= uint64(plen) || seen[p] {
+				return nil, nil, fmt.Errorf("cluster: permutation entry %d (row %d) is out of range or repeated", i, p)
+			}
+			perm[i], seen[p] = int(p), true
 		}
 		rest = rest[4*plen:]
-		ll, n, err := layout.Decode(rest)
+		ld, _, n, err := layout.DecodeDense(rest)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: L factor: %w", err)
 		}
 		rest = rest[n:]
-		lu, n, err := layout.Decode(rest)
+		ud, _, n, err := layout.DecodeDense(rest)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: U factor: %w", err)
 		}
 		if len(rest) != n {
 			return nil, nil, fmt.Errorf("cluster: %d trailing bytes after U factor", len(rest)-n)
 		}
-		ld, ud := ll.ToDense(), lu.ToDense()
 		if ld.Rows != plen {
 			return nil, nil, fmt.Errorf("cluster: permutation length %d does not match L rows %d", plen, ld.Rows)
 		}

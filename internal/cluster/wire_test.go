@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -182,6 +183,17 @@ func malformedWire(t testing.TB) map[string][]byte {
 			return b
 		}(),
 	}
+	// Permutation entries a solve would index out of range or twice:
+	// good's permutation is {1, 0, 2}, starting after its length.
+	perm := wireHdrLen + 4
+	for name, entry := range map[string]uint32{
+		"perm entry out of range": 1 << 20,
+		"perm repeats a row":      1,
+	} {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b[perm+4:], entry)
+		cases[name] = b
+	}
 	// Factor headers whose m*n byte count overflows (see
 	// layout.TestSerializeRejectsGarbage): the L factor starts right
 	// after the three permutation entries.
@@ -225,9 +237,9 @@ func TestWireRejectsInvalidInput(t *testing.T) {
 }
 
 // FuzzDecodeFactorization: for any bytes, DecodeFactorization returns an
-// error or a factorization that encodes and decodes again to the same
-// kind, permutation and factor shapes, and the same values bit for bit.
-// It never panics.
+// error or a factorization whose permutation is one of 0…m−1 and that
+// encodes and decodes again to the same kind, permutation and factor
+// shapes, and the same values bit for bit. It never panics.
 func FuzzDecodeFactorization(f *testing.F) {
 	for _, data := range malformedWire(f) {
 		f.Add(data)
@@ -262,10 +274,56 @@ func FuzzDecodeFactorization(f *testing.F) {
 			bitEqual(t, "chol L", ch.L, ch2.L)
 			return
 		}
+		if len(lu.Perm) != lu.L.Rows {
+			t.Fatalf("accepted a %d-entry perm for %d rows", len(lu.Perm), lu.L.Rows)
+		}
+		seen := make([]bool, lu.L.Rows)
+		for _, p := range lu.Perm {
+			if p < 0 || p >= len(seen) || seen[p] {
+				t.Fatalf("accepted perm %v is not a permutation of 0…%d", lu.Perm, len(seen)-1)
+			}
+			seen[p] = true
+		}
 		if !slices.Equal(lu.Perm, lu2.Perm) {
 			t.Fatalf("perm %v re-decoded as %v", lu.Perm, lu2.Perm)
 		}
 		bitEqual(t, "L", lu.L, lu2.L)
 		bitEqual(t, "U", lu.U, lu2.U)
 	})
+}
+
+// TestWireCodecAllocatesOnlyItsOutput pins the codec's copies on an
+// n = 512 LU: encoding allocates its wire bytes and decoding the dense
+// L, U and permutation, each plus a small slack. A factor staged in
+// tiles, or in a buffer of its own, on either end is 2 MB over.
+func TestWireCodecAllocatesOnlyItsOutput(t *testing.T) {
+	const n, calls, slack = 512, 3, 64 << 10
+	lu := &core.Factorization{
+		Perm: rand.New(rand.NewSource(1)).Perm(n),
+		L:    randDense(n, n, 1),
+		U:    randDense(n, n, 2),
+	}
+	wire, err := EncodeFactorization(lu, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCall := func(f func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	encode := func() error { _, err := EncodeFactorization(lu, nil); return err }
+	if per, limit := perCall(encode), uint64(len(wire)+slack); per > limit {
+		t.Errorf("encoding allocates %d bytes, over %d: the %d-byte wire buffer and slack", per, limit, len(wire))
+	}
+	decode := func() error { _, _, err := DecodeFactorization(wire); return err }
+	if per, limit := perCall(decode), uint64(2*n*n*8+n*8+slack); per > limit {
+		t.Errorf("decoding allocates %d bytes, over %d: L, U, the permutation and slack", per, limit)
+	}
 }

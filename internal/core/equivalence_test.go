@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,27 +203,104 @@ func TestDefaultSchedulerIsHybrid(t *testing.T) {
 	}
 }
 
-// delayWorker0 is an Options.Noise that holds worker 0 up for d after
-// every task it runs: sustained imbalance, the paper's delta_i.
-func delayWorker0(d time.Duration) func(int) time.Duration {
-	return func(worker int) time.Duration {
-		if worker == 0 {
-			return d
+// heldOwner wraps a hybrid policy so that the help tier's work is
+// certain, not likely: worker 0 is held at its first dispatch, while
+// its queue still holds a root it owns, until another worker's Help
+// has returned one of its tasks (a worker that started first may have
+// helped itself already, and then there is nothing to hold). Its Noise
+// hook delays worker 0 by d after every task, the paper's delta_i.
+// The hold is at the dispatch and not in the Noise hook because a
+// task's successors are released only after its Noise returns: held
+// there, worker 0 would block everything downstream of its task, and a
+// single LU graph need not leave it another ready task to help. A
+// queued root needs nothing from the held worker, so only a broken help
+// tier leaves the hold to its timeout, which fails the test. The hold
+// parks worker 0, so it needs no spare processor.
+type heldOwner struct {
+	sched.Policy
+	t       *testing.T
+	d       time.Duration
+	workers int
+	queued  atomic.Int64 // pushes to worker 0's queue minus helps from it
+	helped  chan struct{}
+	once    sync.Once
+	first   bool // worker 0 has dispatched; only worker 0 reads or writes it
+}
+
+func holdOwner(t *testing.T, pol sched.Policy, d time.Duration) *heldOwner {
+	return &heldOwner{Policy: pol, t: t, d: d, helped: make(chan struct{})}
+}
+
+func (h *heldOwner) Reset(workers int) {
+	h.Policy.Reset(workers)
+	h.workers = workers
+}
+
+func (h *heldOwner) Ready(tk *dag.Task) int {
+	w := h.Policy.Ready(tk)
+	if w == 0 {
+		h.queued.Add(1)
+	}
+	return w
+}
+
+// Next holds worker 0 at its first call; until then only Help pops its
+// queue.
+func (h *heldOwner) Next(w int) *dag.Task {
+	if w == 0 && !h.first {
+		h.first = true
+		if h.queued.Load() > 0 {
+			select {
+			case <-h.helped:
+			case <-time.After(30 * time.Second):
+				h.t.Error("worker 0 was held with its roots queued, and no other worker helped itself to one")
+			}
 		}
-		return 0
+	}
+	return h.Policy.Next(w)
+}
+
+// Help: under the hybrid rule a task whose owner maps to worker 0's
+// slot came out of worker 0's queue.
+func (h *heldOwner) Help(w int) *dag.Task {
+	tk := h.Policy.Help(w)
+	if tk != nil && tk.Owner%h.workers == 0 {
+		h.queued.Add(-1)
+		h.once.Do(func() { close(h.helped) })
+	}
+	return tk
+}
+
+// Noise is the rt.Options.Noise hook.
+func (h *heldOwner) Noise(w int) time.Duration {
+	if w == 0 {
+		return h.d
+	}
+	return 0
+}
+
+// check fails the test unless a task of worker 0 was helped and the
+// run counted it.
+func (h *heldOwner) check(tag string, c sched.Counters) {
+	h.t.Helper()
+	select {
+	case <-h.helped:
+	default:
+		h.t.Errorf("%s: no task of worker 0 was helped", tag)
+	}
+	if c.Steals == 0 {
+		h.t.Errorf("%s: the run counted no help: %+v", tag, c)
 	}
 }
 
 // TestNoisyHybridHelpBitIdentical is the numerics contract of the help
-// tier: with worker 0 delayed after every task (the paper's delta_i,
-// sustained), the other workers drain their queues and take over its
-// pinned backlog, and since the graph's dataflow fixes the arithmetic
-// the pivots and factors stay bit-identical to the quiet static run on
-// the same graph. Helps need a second processor to happen at all, so
-// the Steals assertion is skipped on one.
+// tier: with worker 0 held until another worker has helped itself to
+// its queue and delayed after every task (the paper's delta_i,
+// sustained), the other workers take over its pinned backlog, and
+// since the graph's dataflow fixes the arithmetic the pivots and
+// factors stay bit-identical to the quiet static run on the same graph.
 func TestNoisyHybridHelpBitIdentical(t *testing.T) {
 	a := mat.Random(96, 96, rand.New(rand.NewSource(71)))
-	noise := delayWorker0(100 * time.Microsecond)
 	for _, lay := range []layout.Kind{layout.BCL, layout.CM, layout.TwoLevel} {
 		for _, workers := range []int{2, 4} {
 			st, err := Factor(a, Options{Layout: lay, Block: 8, Workers: workers, Scheduler: ScheduleStatic})
@@ -231,23 +309,17 @@ func TestNoisyHybridHelpBitIdentical(t *testing.T) {
 			}
 			for _, dratio := range []float64{0, 0.1} {
 				tag := fmt.Sprintf("%v/%dw/dratio=%g", lay, workers, dratio)
-				// Whether a sleeper reaches the backlog in time is up to
-				// the OS scheduler; every attempt must be bit-identical,
-				// and one of a few must have been helped.
-				var c sched.Counters
-				for attempt := 0; attempt < 5 && c.Steals == 0; attempt++ {
-					f, err := Factor(a, Options{
-						Layout: lay, Block: 8, Workers: workers, DynamicRatio: dratio, Noise: noise,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					sameFactorization(t, tag, f, st)
-					c = f.Counters
+				job, err := PrepareFactor(a, Options{Layout: lay, Block: 8, Workers: workers, DynamicRatio: dratio})
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
-				if c.Steals == 0 && runtime.GOMAXPROCS(0) > 1 {
-					t.Errorf("%s: no task of the delayed worker was helped: %+v", tag, c)
+				h := holdOwner(t, job.Policy(), 100*time.Microsecond)
+				res, err := rt.Run(job.Graph(), h, rt.Options{Workers: workers, Noise: h.Noise})
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
+				sameFactorization(t, tag, job.Finish(res), st)
+				h.check(tag, res.Counters)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -50,9 +49,10 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 
 	// One round drains the fused forest serially (the policy is moot
 	// there); then every policy runs it on four workers; the last round
-	// is hybrid with worker 0 delayed after every task, so the members'
-	// pinned tasks — all owned by workers 0 and 1 — are also run through
-	// the help tier by the two workers that own nothing.
+	// is hybrid with worker 0 held (heldOwner) until another worker has
+	// helped itself to its queue, then delayed after every task, so the
+	// members' pinned tasks are also run through the help tier by
+	// workers that do not own them.
 	type round struct {
 		s             Scheduler
 		serial, noisy bool
@@ -93,18 +93,20 @@ func TestFusedCompositeBitIdentical(t *testing.T) {
 		if err := fused.Validate(); err != nil {
 			t.Fatalf("%s: fused graph invalid: %v", tag, err)
 		}
-		ropt := rt.Options{Workers: 4}
+		pol, ropt := opt.Policy(), rt.Options{Workers: 4}
+		var held *heldOwner
 		if r.noisy {
-			ropt.Noise = delayWorker0(200 * time.Microsecond)
+			held = holdOwner(t, pol, 200*time.Microsecond)
+			pol, ropt.Noise = held, held.Noise
 		}
 		var res rt.Result
 		if r.serial {
 			res = runSerial(t, fused)
-		} else if res, err = rt.Run(fused, opt.Policy(), ropt); err != nil {
+		} else if res, err = rt.Run(fused, pol, ropt); err != nil {
 			t.Fatalf("%s: fused run: %v", tag, err)
 		}
-		if r.noisy && res.Counters.Steals == 0 && runtime.GOMAXPROCS(0) > 1 {
-			t.Errorf("%s: no pinned task was helped: %+v", tag, res.Counters)
+		if held != nil {
+			held.check(tag, res.Counters)
 		}
 		sameFactorization(t, tag+"/factor-48", fj1.Finish(res), refSmall)
 		sameFactorization(t, tag+"/factor-64x40", fj2.Finish(res), refWide)

@@ -10,7 +10,7 @@ import (
 )
 
 // Every matrix copy in or out of a layout — pack, ToDense, core's
-// factor extraction, Encode, Decode — is one walk over the layout's
+// factor extraction, Encode — is one walk over the layout's
 // storage runs (WalkRuns) moving whole column pieces (kernel.Copy),
 // never single elements.
 

@@ -191,9 +191,9 @@ func TestBulkPackAndToDenseMatchOracle(t *testing.T) {
 	})
 }
 
-// TestBulkEncodeDecodeMatchOracle: Encode is byte-identical to the old
-// appending serializer and Decode rebuilds the same physical placement
-// bit for bit.
+// TestBulkEncodeDecodeMatchOracle: Encode, and AppendDense on the
+// source matrix, are byte-identical to the old appending serializer,
+// and DecodeDense gives back the source and the shape bit for bit.
 func TestBulkEncodeDecodeMatchOracle(t *testing.T) {
 	forEachBulkCase(t, func(t *testing.T, kind Kind, src *mat.Dense, b int, g Grid) {
 		l := New(kind, src, b, g)
@@ -202,17 +202,21 @@ func TestBulkEncodeDecodeMatchOracle(t *testing.T) {
 		if !bytes.Equal(enc, want) {
 			t.Fatal("Encode differs from the element-wise encoder")
 		}
-		got, used, err := Decode(append(enc, 0xAA, 0xBB))
+		prefix := []byte("pre")
+		if dense := AppendDense(prefix, kind, src, b, g); !bytes.Equal(dense[:3], prefix) || !bytes.Equal(dense[3:], want) {
+			t.Fatal("AppendDense differs from the element-wise encoder")
+		}
+		got, s, used, err := DecodeDense(append(enc, 0xAA, 0xBB))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if used != len(want) {
-			t.Fatalf("Decode consumed %d of %d bytes", used, len(want))
+			t.Fatalf("DecodeDense consumed %d of %d bytes", used, len(want))
 		}
-		if got.Kind() != kind || got.Grid() != g {
-			t.Fatalf("decoded %v on %+v", got.Kind(), got.Grid())
+		if s != ShapeOf(l) {
+			t.Fatalf("decoded shape %+v, want %+v", s, ShapeOf(l))
 		}
-		oraclePack(t, got, src)
+		sameBits(t, "DecodeDense vs source", got, src)
 	})
 }
 
@@ -223,7 +227,7 @@ type walkVisit struct {
 }
 
 // TestWalksVisitStorageRuns pins the grain of the copy walks, which the
-// oracles cannot see: build (the walk under New and Decode) and
+// oracles cannot see: build (the walk under New) and
 // WalkColumns visit one view per block column under CM and on a one-row
 // BCL grid and one per block otherwise, and their views, cut back into
 // blocks, are exactly the layout's blocks, each once.

@@ -11,37 +11,32 @@ import (
 )
 
 // roundTrip encodes l, decodes it, and fails unless every property —
-// kind, dims, grid, block shapes and every value, bit for bit — comes
-// back identical.
-func roundTrip(t *testing.T, l Layout) Layout {
+// kind, dims, grid and every value, bit for bit — comes back identical.
+// It returns the decoded matrix.
+func roundTrip(t *testing.T, l Layout) *mat.Dense {
 	t.Helper()
 	enc := Encode(l)
-	if len(enc) != EncodedLen(l) {
-		t.Fatalf("Encode produced %d bytes, EncodedLen says %d", len(enc), EncodedLen(l))
+	m0, n0, _ := l.Dims()
+	if len(enc) != EncodedLen(m0, n0) {
+		t.Fatalf("Encode produced %d bytes, EncodedLen says %d", len(enc), EncodedLen(m0, n0))
 	}
-	got, n, err := Decode(enc)
+	got, s, n, err := DecodeDense(enc)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeDense: %v", err)
 	}
 	if n != len(enc) {
-		t.Fatalf("Decode consumed %d of %d bytes", n, len(enc))
+		t.Fatalf("DecodeDense consumed %d of %d bytes", n, len(enc))
 	}
-	if got.Kind() != l.Kind() {
-		t.Fatalf("kind %v round-tripped to %v", l.Kind(), got.Kind())
-	}
-	m0, n0, b0 := l.Dims()
-	m1, n1, b1 := got.Dims()
-	if m0 != m1 || n0 != n1 || b0 != b1 {
-		t.Fatalf("dims (%d,%d,%d) round-tripped to (%d,%d,%d)", m0, n0, b0, m1, n1, b1)
-	}
-	if got.Grid() != l.Grid() {
-		t.Fatalf("grid %+v round-tripped to %+v", l.Grid(), got.Grid())
+	if s != ShapeOf(l) {
+		t.Fatalf("shape %+v round-tripped to %+v", ShapeOf(l), s)
 	}
 	want := l.ToDense()
-	have := got.ToDense()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%dx%d round-tripped to %dx%d", want.Rows, want.Cols, got.Rows, got.Cols)
+	}
 	for j := 0; j < want.Cols; j++ {
 		for i := 0; i < want.Rows; i++ {
-			w, h := want.At(i, j), have.At(i, j)
+			w, h := want.At(i, j), got.At(i, j)
 			if math.Float64bits(w) != math.Float64bits(h) {
 				t.Fatalf("value (%d,%d): %v round-tripped to %v", i, j, w, h)
 			}
@@ -69,10 +64,9 @@ func TestSerializeRoundTrip(t *testing.T) {
 		for _, s := range shapes {
 			src := mat.Random(s.m, s.n, rng)
 			l := New(kind, src, s.b, NewGrid(s.p))
-			got := roundTrip(t, l)
-			// The restored layout must also agree with the source matrix,
-			// not just with itself.
-			d := got.ToDense()
+			// The decoded matrix must also agree with the source matrix,
+			// not just with the layout.
+			d := roundTrip(t, l)
 			for j := 0; j < s.n; j++ {
 				for i := 0; i < s.m; i++ {
 					if d.At(i, j) != src.At(i, j) {
@@ -97,11 +91,11 @@ func TestSerializeSpecialValues(t *testing.T) {
 	src.Set(0, 2, math.Inf(-1))
 	src.Set(1, 2, 1.0/3.0)
 	l := New(BCL, src, 2, NewGrid(2))
-	got, _, err := Decode(Encode(l))
+	have, _, _, err := DecodeDense(Encode(l))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, have := l.ToDense(), got.ToDense()
+	want := l.ToDense()
 	for i := range want.Data {
 		if math.Float64bits(want.Data[i]) != math.Float64bits(have.Data[i]) {
 			t.Fatalf("entry %d: %x round-tripped to %x", i,
@@ -110,7 +104,7 @@ func TestSerializeSpecialValues(t *testing.T) {
 	}
 }
 
-// TestSerializeConcatenated: Decode consumes exactly one encoded
+// TestSerializeConcatenated: DecodeDense consumes exactly one encoded
 // layout and reports the cut, so two layouts stack back to back — the
 // factorization wire format's L-then-U framing.
 func TestSerializeConcatenated(t *testing.T) {
@@ -118,22 +112,22 @@ func TestSerializeConcatenated(t *testing.T) {
 	a := New(TwoLevel, mat.Random(9, 5, rng), 4, NewGrid(2))
 	b := New(BCL, mat.Random(3, 7, rng), 2, NewGrid(3))
 	buf := append(Encode(a), Encode(b)...)
-	gotA, n, err := Decode(buf)
+	_, sa, n, err := DecodeDense(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotB, m, err := Decode(buf[n:])
+	gotB, sb, m, err := DecodeDense(buf[n:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n+m != len(buf) {
 		t.Fatalf("consumed %d+%d of %d bytes", n, m, len(buf))
 	}
-	if gotA.Kind() != TwoLevel || gotB.Kind() != BCL {
-		t.Fatalf("kinds %v/%v, want 2l-BL/BCL", gotA.Kind(), gotB.Kind())
+	if sa.Kind() != TwoLevel || sb.Kind() != BCL {
+		t.Fatalf("kinds %v/%v, want 2l-BL/BCL", sa.Kind(), sb.Kind())
 	}
-	if d := gotB.ToDense(); d.Rows != 3 || d.Cols != 7 {
-		t.Fatalf("second layout decoded as %dx%d", d.Rows, d.Cols)
+	if gotB.Rows != 3 || gotB.Cols != 7 {
+		t.Fatalf("second layout decoded as %dx%d", gotB.Rows, gotB.Cols)
 	}
 }
 
@@ -192,15 +186,15 @@ func garbageEncodings(good []byte) map[string][]byte {
 func TestSerializeRejectsGarbage(t *testing.T) {
 	good := Encode(New(BCL, mat.Random(8, 8, rand.New(rand.NewSource(1))), 4, NewGrid(2)))
 	for name, data := range garbageEncodings(good) {
-		if _, _, err := Decode(data); err == nil {
-			t.Errorf("%s: Decode accepted corrupt input", name)
+		if _, _, _, err := DecodeDense(data); err == nil {
+			t.Errorf("%s: DecodeDense accepted corrupt input", name)
 		}
 	}
 }
 
-// FuzzLayoutDecode: for any bytes, Decode returns an error or a layout
-// that re-encodes to the bytes it consumed and decodes again to the
-// same kind, dims, grid and values, bit for bit. It never panics.
+// FuzzLayoutDecode: for any bytes, DecodeDense returns an error or a
+// matrix and shape that AppendDense, and Encode on the layout of that
+// shape, turn back into exactly the bytes it consumed. It never panics.
 func FuzzLayoutDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	good := Encode(New(BCL, mat.Random(8, 8, rng), 4, NewGrid(2)))
@@ -212,17 +206,19 @@ func FuzzLayoutDecode(f *testing.F) {
 	}
 	f.Add(append(Encode(New(TwoLevel, mat.Random(3, 4, rng), 8, NewGrid(1))), good...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, n, err := Decode(data)
+		d, s, n, err := DecodeDense(data)
 		if err != nil {
 			return
 		}
 		if n > len(data) {
-			t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
+			t.Fatalf("DecodeDense consumed %d of %d bytes", n, len(data))
 		}
-		enc := Encode(l)
-		if !bytes.Equal(enc, data[:n]) {
+		_, _, b := s.Dims()
+		if enc := AppendDense(nil, s.Kind(), d, b, s.Grid()); !bytes.Equal(enc, data[:n]) {
 			t.Fatalf("re-encoding gives %d bytes that differ from the %d consumed", len(enc), n)
 		}
-		roundTrip(t, l)
+		if enc := Encode(New(s.Kind(), d, b, s.Grid())); !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("Encode of the decoded layout differs from the %d bytes consumed", n)
+		}
 	})
 }
