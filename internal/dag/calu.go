@@ -248,7 +248,7 @@ func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 			// The panic becomes a Factor error, matching ReferenceLU's
 			// graceful error return.
 			diag := l.Block(k, k)
-			if err := kernel.GetrfNoPiv(kernel.View{Rows: diag.Rows, Cols: bw, Stride: diag.Stride, Data: diag.Data}); err != nil {
+			if err := kernel.Getrf(kernel.View{Rows: diag.Rows, Cols: bw, Stride: diag.Stride, Data: diag.Data}, nil); err != nil {
 				panic(fmt.Sprintf("dag: pivot block factorization step %d: %v", k, err))
 			}
 		}

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -55,12 +54,13 @@ func (e *SingularError) Error() string {
 // Getf2 — bit-identical pivots and values — using the blocked
 // micro-panel algorithm above, so a tall panel runs at a large fraction
 // of packed-GEMM speed instead of scalar speed. piv follows the Getf2
-// convention. On an exactly singular pivot column it returns a
-// *SingularError carrying the established prefix length.
+// convention, nil included (no pivoting). On an exactly singular pivot
+// column it returns a *SingularError carrying the established prefix
+// length.
 func Getrf(a View, piv []int) error {
 	m, n := a.Rows, a.Cols
 	steps := min(m, n)
-	if len(piv) < steps {
+	if piv != nil && len(piv) < steps {
 		panic("kernel: getrf piv too short")
 	}
 	if useNaiveKernels || !panelBlockedWorthwhile(m, n) {
@@ -69,18 +69,18 @@ func Getrf(a View, piv []int) error {
 	for j0 := 0; j0 < steps; j0 += pmr {
 		w := min(pmr, steps-j0)
 		micro := a.Sub(j0, m, j0, j0+w)
-		if err := getf2Micro(micro, piv[j0:j0+w]); err != nil {
-			var se *SingularError
-			if !errors.As(err, &se) {
-				return err
-			}
+		var mpiv []int
+		if piv != nil {
+			mpiv = piv[j0 : j0+w]
+		}
+		if done := getf2Micro(micro, mpiv); done < w {
 			// Globalize the established prefix: offset its pivot rows and
 			// report the failing column's global index. The matrix is left
 			// partially factored (unspecified beyond the prefix).
-			for k := j0; k < j0+se.K; k++ {
+			for k := j0; k < j0+done && piv != nil; k++ {
 				piv[k] += j0
 			}
-			return &SingularError{K: j0 + se.K}
+			return &SingularError{K: j0 + done}
 		}
 		// Replay the micro-panel's swaps on the columns to its left
 		// (finished L) and right (not yet updated). Swapping the right
@@ -95,7 +95,7 @@ func Getrf(a View, piv []int) error {
 		if j0+w < n {
 			right = a.Sub(0, m, j0+w, n)
 		}
-		for k := j0; k < j0+w; k++ {
+		for k := j0; k < j0+w && piv != nil; k++ {
 			piv[k] += j0
 			if p := piv[k]; p != k {
 				swapRows(left, k, p)
@@ -121,19 +121,21 @@ func Getrf(a View, piv []int) error {
 // getf2Micro factors the m x w micro-panel (w = a.Cols <= pmr <= m) in
 // place, unblocked right-looking like Getf2 but with an unrolled
 // two-pass pivot search and 4-way unrolled scale/update loops. piv
-// receives w local pivot rows. On a zero pivot column it returns a
-// *SingularError with the local prefix length.
-func getf2Micro(a View, piv []int) error {
+// receives w local pivot rows, or is nil for no pivoting. It returns
+// the number of columns it factored: w, or the first zero pivot column.
+func getf2Micro(a View, piv []int) int {
 	m, w := a.Rows, a.Cols
 	for k := 0; k < w; k++ {
 		col := a.Data[k*a.Stride:]
-		p, vmax := idamaxRange(col, k, m)
-		piv[k] = p
-		if vmax == 0 {
-			return &SingularError{K: k}
+		if piv != nil {
+			p, _ := idamaxRange(col, k, m)
+			piv[k] = p
+			if p != k {
+				swapRows(a, k, p)
+			}
 		}
-		if p != k {
-			swapRows(a, k, p)
+		if col[k] == 0 {
+			return k
 		}
 		inv := 1 / col[k]
 		scaleVec(col[k+1:m], inv)
@@ -142,7 +144,7 @@ func getf2Micro(a View, piv []int) error {
 			rank1Sub(cj[k+1:m], col[k+1:m], cj[k])
 		}
 	}
-	return nil
+	return w
 }
 
 // idamaxRange returns the index of the first occurrence of the maximum

@@ -85,22 +85,46 @@ func TestGetrfBitIdenticalProperty(t *testing.T) {
 	}
 }
 
-// TestGetrfNoPivBitIdentical pins the blocked no-pivot LU to its scalar
-// oracle, on the registered panel layer and on the portable one.
+// TestGetrfNoPivBitIdentical pins the blocked no-pivot LU (a nil piv)
+// to the scalar Getf2 loop without pivoting, on the registered panel
+// layer and on the portable one.
 func TestGetrfNoPivBitIdentical(t *testing.T) {
 	check := func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		for _, n := range []int{8, 16, 32, 33, 100} {
 			a := mat.RandomDiagDominant(n, rng)
 			w1, w2 := a.Clone(), a.Clone()
-			if err := getrfNoPivUnblocked(view(w1), 0); err != nil {
+			if err := Getf2(view(w1), nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := GetrfNoPiv(view(w2)); err != nil {
+			if err := Getrf(view(w2), nil); err != nil {
 				t.Fatal(err)
 			}
 			if d := mat.MaxAbsDiff(w1, w2); d != 0 {
 				t.Fatalf("n=%d no-pivot values differ by %g", n, d)
+			}
+		}
+	}
+	t.Run("registered", check)
+	t.Run("portable-panel", func(t *testing.T) { withPortablePanel(func() { check(t) }) })
+}
+
+// TestGetrfNoPivZeroDiag pins the no-pivot error to the pivoting one: a
+// zero diagonal is a *SingularError whose K is its column, from the
+// scalar loop and from the blocked one. K = 9 lies past the first
+// micro-panel of both panel layers (pmr 8 and 4), so the blocked path
+// must globalize it.
+func TestGetrfNoPivZeroDiag(t *testing.T) {
+	check := func(t *testing.T) {
+		a := mat.RandomDiagDominant(40, rand.New(rand.NewSource(44)))
+		for j := 0; j < 40; j++ {
+			a.Set(9, j, 0)
+			a.Set(j, 9, 0)
+		}
+		for name, lu := range map[string]func(View, []int) error{"Getf2": Getf2, "Getrf": Getrf} {
+			var se *SingularError
+			if err := lu(view(a.Clone()), nil); !errors.As(err, &se) || se.K != 9 {
+				t.Fatalf("%s: got %v, want *SingularError{K: 9}", name, err)
 			}
 		}
 	}

@@ -53,29 +53,35 @@ func (v View) Sub(i0, i1, j0, j1 int) View {
 // singular it returns a *SingularError whose K field is the number of
 // fully factored leading columns — piv[0:K] remains valid, so callers
 // like the tournament-pivoting fallback can keep the established
-// prefix instead of aborting. Getf2 is the scalar oracle of the panel
-// layer; the blocked Getrf produces bit-identical pivots and values.
+// prefix instead of aborting. A nil piv means no pivoting (CALU's pivot
+// block, whose rows the tournament has already placed): a zero
+// diagonal entry is then the singular column. Getf2 is the scalar
+// oracle of the panel layer; the blocked Getrf produces bit-identical
+// pivots and values.
 func Getf2(a View, piv []int) error {
 	m, n := a.Rows, a.Cols
 	steps := min(m, n)
-	if len(piv) < steps {
+	if piv != nil && len(piv) < steps {
 		panic("kernel: getf2 piv too short")
 	}
 	for k := 0; k < steps; k++ {
-		// Find pivot: largest |a(i,k)| for i >= k.
 		col := a.Data[k*a.Stride:]
-		p, vmax := k, math.Abs(col[k])
-		for i := k + 1; i < m; i++ {
-			if v := math.Abs(col[i]); v > vmax {
-				p, vmax = i, v
+		p := k
+		if piv != nil {
+			// Find pivot: largest |a(i,k)| for i >= k.
+			vmax := math.Abs(col[k])
+			for i := k + 1; i < m; i++ {
+				if v := math.Abs(col[i]); v > vmax {
+					p, vmax = i, v
+				}
 			}
-		}
-		piv[k] = p
-		if vmax == 0 {
-			return &SingularError{K: k}
+			piv[k] = p
 		}
 		if p != k {
 			swapRows(a, k, p)
+		}
+		if col[k] == 0 {
+			return &SingularError{K: k}
 		}
 		// Scale L column and update the trailing submatrix (rank-1).
 		akk := col[k]
@@ -177,58 +183,6 @@ func Laswp(v View, piv []int, k0, k1 int) {
 			swapRows(v, k, piv[k])
 		}
 	}
-}
-
-// GetrfNoPiv factors the view without pivoting (used on the b x b
-// pivot block after tournament pivoting has moved the chosen rows into
-// place). Returns an error on a zero diagonal. Blocks wide enough to
-// amortize packing ride the same micro-panel + register-tiled sweep as
-// Getrf, bit-identical to the unblocked scalar loop.
-func GetrfNoPiv(a View) error {
-	m, n := a.Rows, a.Cols
-	steps := min(m, n)
-	if useNaiveKernels || !panelBlockedWorthwhile(m, steps) {
-		return getrfNoPivUnblocked(a, 0)
-	}
-	for j0 := 0; j0 < steps; j0 += pmr {
-		w := min(pmr, steps-j0)
-		if err := getrfNoPivUnblocked(a.Sub(j0, m, j0, j0+w), j0); err != nil {
-			return err
-		}
-		if j0+w < n {
-			trsmLowerLeftUnitNaive(a.Sub(j0, j0+w, j0, j0+w), a.Sub(j0, j0+w, j0+w, n))
-			if j0+w < m {
-				panelUpdate(a.Sub(j0+w, m, j0+w, n), a.Sub(j0+w, m, j0, j0+w), a.Sub(j0, j0+w, j0+w, n))
-			}
-		}
-	}
-	return nil
-}
-
-// getrfNoPivUnblocked is the scalar right-looking no-pivot LU, the
-// oracle of the blocked path and its micro-panel operator. col0 offsets
-// the error's reported column for micro-panel calls.
-func getrfNoPivUnblocked(a View, col0 int) error {
-	n := min(a.Rows, a.Cols)
-	for k := 0; k < n; k++ {
-		akk := a.Data[k*a.Stride+k]
-		if akk == 0 {
-			return fmt.Errorf("kernel: no-pivot LU zero diagonal at %d", col0+k)
-		}
-		inv := 1 / akk
-		col := a.Data[k*a.Stride:]
-		for i := k + 1; i < a.Rows; i++ {
-			col[i] *= inv
-		}
-		for j := k + 1; j < a.Cols; j++ {
-			akj := a.Data[j*a.Stride+k]
-			cj := a.Data[j*a.Stride:]
-			for i := k + 1; i < a.Rows; i++ {
-				cj[i] -= float64(col[i] * akj)
-			}
-		}
-	}
-	return nil
 }
 
 // Copy copies src into dst element-wise; shapes must match.
