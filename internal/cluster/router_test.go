@@ -678,13 +678,15 @@ func TestClusterFactorForwardsClientBytes(t *testing.T) {
 	if want := cluster.Owners(ref, id, 2); fmt.Sprint(holders) != fmt.Sprint(want) {
 		t.Fatalf("holders %v, want the ring's owners %v, primary first", holders, want)
 	}
-	want, _ := loneSrv.Store().Get(refID)
+	direct, _ := loneSrv.Store().Get(refID)
+	want := direct.(*core.Factorization)
 	for _, h := range holders {
-		got, ok := c.Shard(h).Server.Store().Get(id)
+		f, ok := c.Shard(h).Server.Store().Get(id)
 		if !ok {
 			t.Fatalf("holder %s does not hold %s", h, id)
 		}
-		if fmt.Sprint(got.LU.Perm, got.LU.L.Data, got.LU.U.Data) != fmt.Sprint(want.LU.Perm, want.LU.L.Data, want.LU.U.Data) {
+		got := f.(*core.Factorization)
+		if fmt.Sprint(got.Perm, got.L.Data, got.U.Data) != fmt.Sprint(want.Perm, want.L.Data, want.U.Data) {
 			t.Fatalf("factorization stored on %s differs from the direct one", h)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/layout"
 	"repro/internal/mat"
-	"repro/internal/rt"
 )
 
 // The two library comparison points of the paper's section 5.3, run
@@ -26,10 +25,7 @@ func FactorGEPP(a *mat.Dense, opt Options) (*Factorization, error) {
 	opt.fill()
 	l := layout.New(layout.CM, a, opt.Block, layout.NewGrid(opt.Workers))
 	gg := dag.BuildGEPP(l)
-	if err := gg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid GEPP graph: %w", err)
-	}
-	return luJob(opt, gg.Graph, l, gg.StepSwaps).Run()
+	return run(luJob(opt, gg.Graph, l, gg.StepSwaps))
 }
 
 // SolveIncPiv solves A x = b with tiled LU with incremental pivoting:
@@ -55,14 +51,9 @@ func SolveIncPiv(a *mat.Dense, b []float64, opt Options) (*Solution, error) {
 	aug.Slice(0, n, 0, n).CopyFrom(a)
 	copy(aug.Col(n), b)
 	l := layout.New(layout.TwoLevel, aug, opt.Block, layout.NewGrid(opt.Workers))
-	ig := dag.BuildIncPiv(l)
-	if err := ig.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid incpiv graph: %w", err)
-	}
-	job := &SolveJob{Opt: opt, graph: ig.Graph, finish: func(res rt.Result) *Solution {
-		return &Solution{X: l.ToDense(), Makespan: res.Makespan, Counters: res.Counters, Stats: ig.ComputeStats()}
-	}}
-	sol, err := job.Run()
+	sol, err := run(newJob(opt, dag.BuildIncPiv(l).Graph, func(rec RunRecord) *Solution {
+		return &Solution{X: l.ToDense(), RunRecord: rec}
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/layout"
 	"repro/internal/mat"
-	"repro/internal/rt"
 )
 
 // CholeskyFactorization is the result of FactorCholesky: A = L*L^T.
@@ -16,8 +15,7 @@ import (
 // backward sweep caches a materialized Lᵀ on first use.
 type CholeskyFactorization struct {
 	L *mat.Dense // n x n lower triangular
-	// Makespan, Counters and Stats mirror Factorization.
-	Factorization
+	RunRecord
 
 	// ltOnce/ltCache materialize Lᵀ once for the blocked backward
 	// sweep; recomputing the O(n²) transpose per solve would rival the
@@ -25,6 +23,14 @@ type CholeskyFactorization struct {
 	ltOnce  sync.Once
 	ltCache *mat.Dense
 }
+
+// N is the order of A.
+func (f *CholeskyFactorization) N() int { return f.L.Rows }
+
+// SizeBytes charges L and the n x n Lᵀ its first solve materializes and
+// keeps for the factor's lifetime, so a solved factorization costs what
+// it was charged before its first solve.
+func (f *CholeskyFactorization) SizeBytes() int64 { return 2 * int64(len(f.L.Data)) * 8 }
 
 // lt returns the materialized transpose of L (upper triangular),
 // built once. Safe for concurrent solve preparations.
@@ -48,11 +54,7 @@ func (f *CholeskyFactorization) lt() *mat.Dense {
 // static/dynamic scheduling machinery as CALU — the section 9
 // future-work item realized. Only the lower triangle of a is read.
 func FactorCholesky(a *mat.Dense, opt Options) (*CholeskyFactorization, error) {
-	job, err := PrepareCholesky(a, opt)
-	if err != nil {
-		return nil, err
-	}
-	return job.Run()
+	return run(PrepareCholesky(a, opt))
 }
 
 // PrepareCholesky builds the tiled Cholesky graph for factoring a
@@ -66,21 +68,14 @@ func PrepareCholesky(a *mat.Dense, opt Options) (*CholeskyJob, error) {
 	l := layout.New(opt.Layout, a, opt.Block, grid)
 	_, nb := l.Blocks()
 	cg := dag.BuildCholesky(l, dag.CALUOptions{NstaticCols: opt.NstaticCols(nb)})
-	if err := cg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid Cholesky graph: %w", err)
-	}
-	return &CholeskyJob{Opt: opt, graph: cg.Graph, finish: func(res rt.Result) *CholeskyFactorization {
+	return newJob(opt, cg.Graph, func(rec RunRecord) *CholeskyFactorization {
 		n, _, b := cg.Layout.Dims()
 		lf := mat.New(n, n)
 		layout.WalkColumns(cg.Layout, func(bi, bj int, run kernel.View) {
 			splitBlock(lf, nil, run, bi*b, bj*b, 0)
 		})
-		out := &CholeskyFactorization{L: lf}
-		out.Makespan = res.Makespan
-		out.Counters = res.Counters
-		out.Stats = cg.ComputeStats()
-		return out
-	}}, nil
+		return &CholeskyFactorization{L: lf, RunRecord: rec}
+	})
 }
 
 // CholeskyResidual returns ||A - L*L^T||_max / (||A||_max * n), reading

@@ -154,6 +154,28 @@ func (o Options) Policy() sched.Policy {
 	}
 }
 
+// RunRecord is what every job's result carries besides its factors or
+// solution. Prepared.Finish fills it, and nothing else does.
+type RunRecord struct {
+	// Makespan is the wall-clock time the graph ran.
+	Makespan time.Duration
+	// Counters carries the scheduler instrumentation.
+	Counters sched.Counters
+	// Stats summarizes the executed task graph.
+	Stats dag.Stats
+}
+
+// Factored is a completed factorization of either kind, LU or
+// Cholesky: what the engine keeps resident and schedules solves for.
+type Factored interface {
+	// N is the order of the factored system (its row count).
+	N() int
+	// SizeBytes estimates the resident cost of the factors.
+	SizeBytes() int64
+	// PrepareSolve builds the blocked solve graph for A X = B.
+	PrepareSolve(b *mat.Dense, opt Options) (*SolveJob, error)
+}
+
 // Factorization is the result of Factor: PA = LU with P encoded as a
 // row permutation vector (Perm[i] is the original index of the row that
 // ended up at position i).
@@ -161,13 +183,15 @@ type Factorization struct {
 	Perm []int
 	L    *mat.Dense // m x r unit lower triangular, r = min(m,n)
 	U    *mat.Dense // r x n upper triangular
-	// Makespan is the wall-clock factorization time.
-	Makespan time.Duration
-	// Counters carries the scheduler instrumentation.
-	Counters sched.Counters
-	// Stats summarizes the executed task graph.
-	Stats dag.Stats
+	RunRecord
 }
+
+// N is the row count of PA = LU.
+func (f *Factorization) N() int { return f.L.Rows }
+
+// SizeBytes is the bytes of L and U; the pivot vector is noise at this
+// scale.
+func (f *Factorization) SizeBytes() int64 { return int64(len(f.L.Data)+len(f.U.Data)) * 8 }
 
 // Factor computes the CALU factorization of a (which is not modified)
 // and returns PA = LU.
@@ -181,11 +205,7 @@ type Factorization struct {
 // exactly zero column — returns an error rather than panicking (the
 // runtime converts numerical-failure panics in tasks into errors).
 func Factor(a *mat.Dense, opt Options) (*Factorization, error) {
-	job, err := PrepareFactor(a, opt)
-	if err != nil {
-		return nil, err
-	}
-	return job.Run()
+	return run(PrepareFactor(a, opt))
 }
 
 // Prepared is a job of any kind — CALU, Cholesky, blocked solve — whose
@@ -199,7 +219,17 @@ type Prepared[R any] struct {
 	// Opt is the fully defaulted option set the job was built with.
 	Opt    Options
 	graph  *dag.Graph
-	finish func(rt.Result) R
+	finish func(RunRecord) R
+}
+
+// newJob validates g and wraps it as a job of opt whose finish step
+// assembles the kind's result around the run record Finish passes it.
+// Every job kind is built here.
+func newJob[R any](opt Options, g *dag.Graph, finish func(RunRecord) R) (*Prepared[R], error) {
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid graph %s: %w", g.Name, err)
+	}
+	return &Prepared[R]{Opt: opt, graph: g, finish: finish}, nil
 }
 
 // The three job kinds, built by PrepareFactor, PrepareCholesky and the
@@ -217,8 +247,11 @@ func (p *Prepared[R]) Graph() *dag.Graph { return p.graph }
 func (p *Prepared[R]) Policy() sched.Policy { return p.Opt.Policy() }
 
 // Finish assembles the result after the graph has executed to
-// completion with the given runtime result.
-func (p *Prepared[R]) Finish(res rt.Result) R { return p.finish(res) }
+// completion with the given runtime result, which it records with the
+// graph's statistics.
+func (p *Prepared[R]) Finish(res rt.Result) R {
+	return p.finish(RunRecord{Makespan: res.Makespan, Counters: res.Counters, Stats: p.graph.ComputeStats()})
+}
 
 // Run executes the graph one-shot on Opt.Workers freshly spawned
 // workers and assembles the result: the one place the package meets the
@@ -231,7 +264,17 @@ func (p *Prepared[R]) Run() (R, error) {
 		var zero R
 		return zero, err
 	}
-	return p.finish(res), nil
+	return p.Finish(res), nil
+}
+
+// run executes a job one-shot, or passes on the error that building it
+// returned.
+func run[R any](p *Prepared[R], err error) (R, error) {
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return p.Run()
 }
 
 // PrepareFactor builds the CALU graph for factoring a (which is not
@@ -247,10 +290,7 @@ func PrepareFactor(a *mat.Dense, opt Options) (*FactorJob, error) {
 		NstaticCols: opt.NstaticCols(nb),
 		Group:       opt.GroupSize(),
 	})
-	if err := cg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid CALU graph: %w", err)
-	}
-	return luJob(opt, cg.Graph, cg.Layout, cg.StepSwaps), nil
+	return luJob(opt, cg.Graph, cg.Layout, cg.StepSwaps)
 }
 
 // luJob wraps a built LU graph over l as a job whose finish step
@@ -258,8 +298,8 @@ func PrepareFactor(a *mat.Dense, opt Options) (*FactorJob, error) {
 // (filled in by the panel tasks), applies the deferred left swaps
 // (Algorithm 1, line 43: L <- Pi_N ... Pi_1 L) and only then reads the
 // factors out. CALU and the GEPP baseline share it.
-func luJob(opt Options, g *dag.Graph, l layout.Layout, swaps [][][2]int) *FactorJob {
-	return &FactorJob{Opt: opt, graph: g, finish: func(res rt.Result) *Factorization {
+func luJob(opt Options, g *dag.Graph, l layout.Layout, swaps [][][2]int) (*FactorJob, error) {
+	return newJob(opt, g, func(rec RunRecord) *Factorization {
 		m, _, _ := l.Dims()
 		perm := make([]int, m)
 		for i := range perm {
@@ -270,15 +310,8 @@ func luJob(opt Options, g *dag.Graph, l layout.Layout, swaps [][][2]int) *Factor
 		}
 		layout.ApplyLeftSwaps(l, swaps)
 		lf, uf := ExtractLU(l)
-		return &Factorization{
-			Perm:     perm,
-			L:        lf,
-			U:        uf,
-			Makespan: res.Makespan,
-			Counters: res.Counters,
-			Stats:    g.ComputeStats(),
-		}
-	}}
+		return &Factorization{Perm: perm, L: lf, U: uf, RunRecord: rec}
+	})
 }
 
 // ExtractLU reads the packed factors out of a factored layout: L is the

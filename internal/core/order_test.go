@@ -120,7 +120,10 @@ func TestRandomReadyOrdersMatchParallelRun(t *testing.T) {
 		{"GEPP", func() (*dag.Graph, func(rt.Result) []float64) {
 			l := layout.New(layout.CM, a, opt.Block, layout.NewGrid(opt.Workers))
 			gg := dag.BuildGEPP(l)
-			job := luJob(opt, gg.Graph, l, gg.StepSwaps)
+			job, err := luJob(opt, gg.Graph, l, gg.StepSwaps)
+			if err != nil {
+				t.Fatal(err)
+			}
 			return job.Graph(), func(res rt.Result) []float64 { return luValues(job.Finish(res)) }
 		}},
 		{"IncPiv", func() (*dag.Graph, func(rt.Result) []float64) {

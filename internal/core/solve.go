@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dag"
 	"repro/internal/mat"
-	"repro/internal/rt"
-	"repro/internal/sched"
 )
 
 // SingularSolveError reports a solve against a degraded factorization:
@@ -48,12 +45,7 @@ func diagPrefix(t *mat.Dense) int {
 type Solution struct {
 	// X is the n x nrhs solution block (column j solves column j of B).
 	X *mat.Dense
-	// Makespan is the wall-clock solve time.
-	Makespan time.Duration
-	// Counters carries the scheduler instrumentation.
-	Counters sched.Counters
-	// Stats summarizes the executed task graph.
-	Stats dag.Stats
+	RunRecord
 }
 
 // prepareSolve builds a solve job over explicit lower/upper triangles:
@@ -68,17 +60,9 @@ func prepareSolve(lower, upper, x0 *mat.Dense, unitLower bool, opt Options) (*So
 		NstaticCols: opt.NstaticCols(nb),
 		UnitLower:   unitLower,
 	})
-	if err := sg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid solve graph: %w", err)
-	}
-	return &SolveJob{Opt: opt, graph: sg.Graph, finish: func(res rt.Result) *Solution {
-		return &Solution{
-			X:        sg.X,
-			Makespan: res.Makespan,
-			Counters: res.Counters,
-			Stats:    sg.ComputeStats(),
-		}
-	}}, nil
+	return newJob(opt, sg.Graph, func(rec RunRecord) *Solution {
+		return &Solution{X: sg.X, RunRecord: rec}
+	})
 }
 
 // checkRHS validates an n-row right-hand-side block.
@@ -158,10 +142,7 @@ func (f *CholeskyFactorization) SolveMany(b *mat.Dense, opt Options) (*mat.Dense
 
 // runSolve executes a prepared solve job one-shot and returns X.
 func runSolve(j *SolveJob, err error) (*mat.Dense, error) {
-	if err != nil {
-		return nil, err
-	}
-	sol, err := j.Run()
+	sol, err := run(j, err)
 	if err != nil {
 		return nil, err
 	}

@@ -178,13 +178,6 @@ func (e *Engine) Stats() Stats {
 // ---------------------------------------------------------------------
 // Jobs.
 
-// Solvable is a completed factorization the engine can schedule a
-// blocked triangular-solve graph for: *core.Factorization and
-// *core.CholeskyFactorization both qualify.
-type Solvable interface {
-	PrepareSolve(b *mat.Dense, opt core.Options) (*core.SolveJob, error)
-}
-
 // Work is one submittable job of any kind: what admission needs to know
 // about it before it runs (a flop estimate and a default share) and how
 // to run it once a share has been granted. FactorWork, CholeskyWork and
@@ -269,7 +262,7 @@ func CholeskyWork(a *mat.Dense) Work {
 // (opt.Workers requests the share; opt.Scheduler/Block/DynamicRatio
 // shape the graph), so big solves parallelize exactly like
 // factorizations. The Result is a *core.Solution.
-func SolveWork(f Solvable, b *mat.Dense) Work {
+func SolveWork(f core.Factored, b *mat.Dense) Work {
 	if f == nil {
 		return Work{err: errors.New("engine: solve needs a completed factorization")}
 	}
@@ -394,7 +387,7 @@ func (e *Engine) SubmitFactor(a *mat.Dense, opt core.Options) (*Job, error) {
 }
 
 // SubmitSolveMany is Submit of SolveWork(f, b) without a context.
-func (e *Engine) SubmitSolveMany(f Solvable, b *mat.Dense, opt core.Options) (*Job, error) {
+func (e *Engine) SubmitSolveMany(f core.Factored, b *mat.Dense, opt core.Options) (*Job, error) {
 	return e.Submit(context.Background(), SolveWork(f, b), opt)
 }
 
@@ -528,9 +521,9 @@ func (e *Engine) startableLocked() *Job {
 // and solve jobs of both classes all take this path — a solve is a
 // blocked triangular-solve graph, not an inline call, so it executes at
 // the granted share like any factorization. A panicking build — a
-// malformed matrix shape, a nil factorization behind the Solvable
-// interface — is converted to a job error so a bad submission can never
-// take down the process.
+// malformed matrix shape, a nil factorization behind core.Factored —
+// is converted to a job error so a bad submission can never take down
+// the process.
 func (e *Engine) runJob(j *Job) {
 	defer e.wg.Done()
 	j.started = time.Now()

@@ -6,65 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/mat"
 )
-
-// Kept is one resident factorization in a Store: exactly one of LU or
-// Chol is set. It is the unit the serving tier keeps for /v1/solve and
-// the unit the cluster tier exports, ships and imports between shards.
-type Kept struct {
-	LU   *core.Factorization
-	Chol *core.CholeskyFactorization
-}
-
-// KeptOf wraps a factorization job's Result; any other result (a
-// solution, nil) yields the invalid zero Kept.
-func KeptOf(result any) Kept {
-	lu, _ := result.(*core.Factorization)
-	chol, _ := result.(*core.CholeskyFactorization)
-	return Kept{LU: lu, Chol: chol}
-}
-
-// Valid reports whether exactly one factorization is set.
-func (k Kept) Valid() bool { return (k.LU != nil) != (k.Chol != nil) }
-
-// N returns the order of the stored system.
-func (k Kept) N() int {
-	if k.LU != nil {
-		return k.LU.L.Rows
-	}
-	return k.Chol.L.Rows
-}
-
-// Solvable returns the factorization behind the engine's Solvable
-// interface.
-func (k Kept) Solvable() Solvable {
-	if k.LU != nil {
-		return k.LU
-	}
-	return k.Chol
-}
-
-// Residual returns the normalized backward error of the factorization
-// against the matrix a it was computed from (an O(n^3) check).
-func (k Kept) Residual(a *mat.Dense) float64 {
-	if k.LU != nil {
-		return core.Residual(a, k.LU)
-	}
-	return core.CholeskyResidual(a, k.Chol)
-}
-
-// sizeBytes estimates the resident cost of the factors (the dominant
-// allocations; pivot vectors and metadata are noise at this scale). A
-// Cholesky entry is charged for L and for the n x n Lᵀ its first solve
-// materializes and keeps for the factor's lifetime, so a solved entry
-// costs what was charged when it was stored.
-func (k Kept) sizeBytes() int64 {
-	if k.LU != nil {
-		return int64(len(k.LU.L.Data)+len(k.LU.U.Data)) * 8
-	}
-	return 2 * int64(len(k.Chol.L.Data)) * 8
-}
 
 // StoreOptions bounds a Store.
 type StoreOptions struct {
@@ -87,15 +29,15 @@ type StoreStats struct {
 
 // storeEntry is one resident factorization plus eviction bookkeeping.
 type storeEntry struct {
-	k     Kept
+	f     core.Factored
 	bytes int64
 }
 
-// Store is the engine-level keep-store for completed factorizations:
-// an LRU keyed by id, bounded by entry count and estimated bytes. The
-// serving tier keeps one per shard; replication imports entries under
-// their cluster-wide id with PutAs and exports them with Get/IDs. Safe
-// for concurrent use.
+// Store is the engine-level keep-store for completed factorizations,
+// LU and Cholesky alike, each charged its SizeBytes: an LRU keyed by id,
+// bounded by entry count and estimated bytes. The serving tier keeps
+// one per shard; replication imports entries under their cluster-wide
+// id with PutAs and exports them with Get/IDs. Safe for concurrent use.
 type Store struct {
 	opt StoreOptions
 
@@ -128,13 +70,13 @@ func (s *Store) removeLocked(id string) {
 	s.order = slices.Delete(s.order, i, i+1)
 }
 
-// insertLocked stores k under id at the most-recently-used position
+// insertLocked stores f under id at the most-recently-used position
 // and evicts past either bound — but never the entry just stored:
 // every store must leave a live id, even when one factorization alone
 // exceeds the byte budget.
-func (s *Store) insertLocked(id string, k Kept) {
+func (s *Store) insertLocked(id string, f core.Factored) {
 	s.removeLocked(id) // overwrite: the new entry takes the MRU position
-	e := &storeEntry{k: k, bytes: k.sizeBytes()}
+	e := &storeEntry{f: f, bytes: f.SizeBytes()}
 	s.entries[id] = e
 	s.bytes += e.bytes
 	s.order = append(s.order, id)
@@ -145,47 +87,47 @@ func (s *Store) insertLocked(id string, k Kept) {
 	}
 }
 
-// Put stores k under a fresh generated id "<prefix>-<seq>" and returns
+// Put stores f under a fresh generated id "<prefix>-<seq>" and returns
 // the id.
-func (s *Store) Put(prefix string, k Kept) string {
-	if !k.Valid() {
-		panic("engine: Store.Put needs exactly one of LU or Chol")
+func (s *Store) Put(prefix string, f core.Factored) string {
+	if f == nil {
+		panic("engine: Store.Put needs a factorization")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.next++
 	id := fmt.Sprintf("%s-%d", prefix, s.next)
-	s.insertLocked(id, k)
+	s.insertLocked(id, f)
 	return id
 }
 
-// PutAs stores k under an explicit id — the import half of cluster
+// PutAs stores f under an explicit id — the import half of cluster
 // replication, where the id is the cluster-wide factorization key and
 // must survive the hop. An existing entry under id is replaced.
-func (s *Store) PutAs(id string, k Kept) {
-	if !k.Valid() {
-		panic("engine: Store.PutAs needs exactly one of LU or Chol")
+func (s *Store) PutAs(id string, f core.Factored) {
+	if f == nil {
+		panic("engine: Store.PutAs needs a factorization")
 	}
 	if id == "" {
 		panic("engine: Store.PutAs needs a non-empty id")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.insertLocked(id, k)
+	s.insertLocked(id, f)
 	s.imports++
 }
 
 // Get returns the entry under id, refreshing its recency.
-func (s *Store) Get(id string) (Kept, bool) {
+func (s *Store) Get(id string) (core.Factored, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[id]
 	if !ok {
-		return Kept{}, false
+		return nil, false
 	}
 	i := slices.Index(s.order, id) // bump to most-recently-used
 	s.order = append(slices.Delete(s.order, i, i+1), id)
-	return e.k, true
+	return e.f, true
 }
 
 // IDs returns the resident ids in sorted order — the export listing a

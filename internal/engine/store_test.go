@@ -8,9 +8,9 @@ import (
 	"repro/internal/mat"
 )
 
-// keptLU builds a minimal LU Kept of order n (2*n*n*8 bytes).
-func keptLU(n int) Kept {
-	return Kept{LU: &core.Factorization{L: mat.New(n, n), U: mat.New(n, n)}}
+// keptLU builds a minimal LU factorization of order n (2*n*n*8 bytes).
+func keptLU(n int) *core.Factorization {
+	return &core.Factorization{L: mat.New(n, n), U: mat.New(n, n)}
 }
 
 func TestStoreLRUEvictsLeastRecentlyUsed(t *testing.T) {
@@ -82,7 +82,7 @@ func TestStoreGeneratedIDsAndListing(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		want = append(want, s.Put("f", keptLU(2)))
 	}
-	c := s.Put("c", Kept{Chol: &core.CholeskyFactorization{L: mat.New(2, 2)}})
+	c := s.Put("c", &core.CholeskyFactorization{L: mat.New(2, 2)})
 	want = append(want, c)
 	if want[0] != "f-1" || c != "c-4" {
 		t.Fatalf("generated ids %v (one shared counter expected)", want)
@@ -96,19 +96,18 @@ func TestStoreGeneratedIDsAndListing(t *testing.T) {
 			t.Fatalf("IDs not sorted: %v", ids)
 		}
 	}
-	k, ok := s.Get(c)
-	if !ok || k.Chol == nil || k.LU != nil || k.N() != 2 {
-		t.Fatalf("cholesky entry round-trip: %+v ok=%v", k, ok)
+	f, ok := s.Get(c)
+	if _, chol := f.(*core.CholeskyFactorization); !ok || !chol || f.N() != 2 {
+		t.Fatalf("cholesky entry round-trip: %+v ok=%v", f, ok)
 	}
 }
 
-func TestStoreInvalidKeptPanics(t *testing.T) {
+func TestStorePutNilPanics(t *testing.T) {
 	s := NewStore(StoreOptions{Keep: 1})
 	for name, fn := range map[string]func(){
-		"both nil":  func() { s.Put("f", Kept{}) },
-		"both set":  func() { s.Put("f", Kept{LU: keptLU(2).LU, Chol: &core.CholeskyFactorization{L: mat.New(2, 2)}}) },
+		"put nil":   func() { s.Put("f", nil) },
 		"empty id":  func() { s.PutAs("", keptLU(2)) },
-		"putas nil": func() { s.PutAs("x", Kept{}) },
+		"putas nil": func() { s.PutAs("x", nil) },
 	} {
 		func() {
 			defer func() {
@@ -146,7 +145,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 
 // TestStoreChargesSolvedCholeskyTranspose: the first solve of a
 // Cholesky factor materializes Lᵀ and keeps it as long as the factor,
-// so a resident, solved entry holds two n x n matrices and sizeBytes
+// so a resident, solved entry holds two n x n matrices and the store
 // charges both.
 func TestStoreChargesSolvedCholeskyTranspose(t *testing.T) {
 	const n = 48
@@ -157,7 +156,9 @@ func TestStoreChargesSolvedCholeskyTranspose(t *testing.T) {
 	if _, err := f.SolveMany(mat.New(n, 1), core.Options{Block: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := KeptOf(f).sizeBytes(), int64(2*8*n*n); got != want {
-		t.Fatalf("sizeBytes = %d for a solved n=%d Cholesky factor, want %d (L and Lᵀ)", got, n, want)
+	s := NewStore(StoreOptions{Keep: 1})
+	s.Put("c", f)
+	if got, want := s.Stats().Bytes, int64(2*8*n*n); got != want {
+		t.Fatalf("store charges %d bytes for a solved n=%d Cholesky factor, want %d (L and Lᵀ)", got, n, want)
 	}
 }

@@ -55,11 +55,10 @@ func smallestTile(ends []int) int {
 func GemmNT(c, a, b View) { gemm(c, a, b, true, nil) }
 
 // gemm is the one dispatcher of GemmShared and GemmNT: C -= A * B, or
-// A * Bᵀ when bTrans, after a shape check, through the naive oracle
-// when the tests force it, the small path below the packed crossover,
-// and the packed path otherwise, B streamed from pb when the handle
-// holds (or can take) a cached packed copy. A non-nil handle loses one
-// use whichever path runs.
+// A * Bᵀ when bTrans, after a shape check, through the small path below
+// the packed crossover and the packed path otherwise, B streamed from
+// pb when the handle holds (or can take) a cached packed copy. A
+// non-nil handle loses one use whichever path runs.
 func gemm(c, a, b View, bTrans bool, pb *SharedPanel) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	bk, bn := b.Rows, b.Cols
@@ -72,10 +71,6 @@ func gemm(c, a, b View, bTrans bool, pb *SharedPanel) {
 	}
 	defer pb.release()
 	switch {
-	case useNaiveKernels && bTrans:
-		gemmNTNaive(c, a, b)
-	case useNaiveKernels:
-		gemmNaive(c, a, b)
 	case !packedWorthwhile(m, n, k):
 		gemmSmall(c, a, b, bTrans)
 	default:

@@ -63,7 +63,7 @@ func Getrf(a View, piv []int) error {
 	if piv != nil && len(piv) < steps {
 		panic("kernel: getrf piv too short")
 	}
-	if useNaiveKernels || !panelBlockedWorthwhile(m, n) {
+	if !panelBlockedWorthwhile(m, n) {
 		return Getf2(a, piv)
 	}
 	for j0 := 0; j0 < steps; j0 += pmr {

@@ -223,10 +223,11 @@ func TestTrsmBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestRecursiveLUPivotsInvariant verifies that routing RecursiveLU's
-// solve/update through the packed kernels leaves the pivot sequence
-// identical to the all-naive reference — the property the CALU
-// benchmarks rely on ("same pivots, residual bounds").
+// TestRecursiveLUPivotsInvariant verifies that RecursiveLU, whose
+// solves and updates run on the packed kernels, picks the same pivot
+// sequence as the scalar oracle Getf2 and factors within rounding of it
+// — the property the CALU benchmarks rely on ("same pivots, residual
+// bounds").
 func TestRecursiveLUPivotsInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for _, dims := range [][2]int{{64, 64}, {200, 96}, {333, 120}, {512, 64}} {
@@ -239,10 +240,7 @@ func TestRecursiveLUPivotsInvariant(t *testing.T) {
 		if err := RecursiveLU(tuned, pivTuned); err != nil {
 			t.Fatal(err)
 		}
-		useNaiveKernels = true
-		err := RecursiveLU(naive, pivNaive)
-		useNaiveKernels = false
-		if err != nil {
+		if err := Getf2(naive, pivNaive); err != nil {
 			t.Fatal(err)
 		}
 		for k := range pivTuned {

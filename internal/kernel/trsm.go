@@ -30,16 +30,13 @@ func TrsmLowerLeftUnit(l, b View) {
 	if l.Rows != n || l.Cols != n {
 		panic(fmt.Sprintf("kernel: trsmL shape mismatch L %dx%d, B %dx%d", l.Rows, l.Cols, n, m))
 	}
-	if useNaiveKernels {
-		trsmLowerLeftUnitNaive(l, b)
-		return
-	}
 	for k0 := 0; k0 < n; k0 += trsmBlock {
 		k1 := min(k0+trsmBlock, n)
-		trsmLowerLeftUnitDiag(l.Sub(k0, k1, k0, k1), b.Sub(k0, k1, 0, m))
+		x1 := b.Sub(k0, k1, 0, m)
+		trsmLowerLeftUnitDiag(l.Sub(k0, k1, k0, k1), x1)
 		if k1 < n {
 			// B2 -= L21 * X1.
-			Gemm(b.Sub(k1, n, 0, m), l.Sub(k1, n, k0, k1), b.Sub(k0, k1, 0, m))
+			Gemm(b.Sub(k1, n, 0, m), l.Sub(k1, n, k0, k1), x1)
 		}
 	}
 }
@@ -167,7 +164,7 @@ func TrsmLowerLeft(l, b View) {
 	if l.Rows != n || l.Cols != n {
 		panic(fmt.Sprintf("kernel: trsmLL shape mismatch L %dx%d, B %dx%d", l.Rows, l.Cols, n, m))
 	}
-	if useNaiveKernels || n <= trsmBlock {
+	if n <= trsmBlock {
 		trsmLowerLeftNaive(l, b)
 		return
 	}
@@ -215,7 +212,7 @@ func TrsmUpperLeft(u, b View) {
 	if u.Rows != n || u.Cols != n {
 		panic(fmt.Sprintf("kernel: trsmUL shape mismatch U %dx%d, B %dx%d", u.Rows, u.Cols, n, m))
 	}
-	if useNaiveKernels || n <= trsmBlock {
+	if n <= trsmBlock {
 		trsmUpperLeftNaive(u, b)
 		return
 	}
@@ -262,7 +259,7 @@ func TrsmUpperRight(u, b View) {
 	if u.Rows != n || u.Cols != n {
 		panic(fmt.Sprintf("kernel: trsmU shape mismatch U %dx%d, B %dx%d", u.Rows, u.Cols, m, n))
 	}
-	if useNaiveKernels || n <= trsmBlock {
+	if n <= trsmBlock {
 		trsmUpperRightNaive(u, b)
 		return
 	}
@@ -332,7 +329,7 @@ func TrsmRightLowerTrans(l, b View) {
 	if l.Rows != n || l.Cols != n {
 		panic(fmt.Sprintf("kernel: trsmRLT shape mismatch L %dx%d, B %dx%d", l.Rows, l.Cols, m, n))
 	}
-	if useNaiveKernels || n <= trsmBlock {
+	if n <= trsmBlock {
 		trsmRightLowerTransNaive(l, b)
 		return
 	}

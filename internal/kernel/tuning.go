@@ -98,11 +98,6 @@ func panelBlockedWorthwhile(m, n int) bool {
 	return m >= 2*pmr && n > pmr && m*n >= panelMinArea
 }
 
-// useNaiveKernels pins every dispatcher to the naive reference kernels.
-// It exists for tests (pivot-invariance and differential runs); it is
-// not a tuning knob.
-var useNaiveKernels = false
-
 // ---------------------------------------------------------------------
 // The kernel profile.
 

@@ -227,7 +227,7 @@ func (e *executor) loop(w int) []trace.Span {
 		if e.opt.Trace != nil {
 			t1 = time.Since(e.start).Seconds()
 			local = append(local, trace.Span{
-				TaskID: t.ID, Label: trace.KindLabel(t.Kind.String()), Start: t0, End: t1,
+				TaskID: t.ID, Label: t.Kind.String()[0], Start: t0, End: t1,
 			})
 		}
 		if e.opt.Noise != nil {

@@ -177,13 +177,29 @@ type factorRequest struct {
 // BulkMember names data as the request's bulk (cluster.Bulk).
 func (r *factorRequest) BulkMember() (string, *[]float64) { return "data", &r.Data }
 
+// jobReply is what a factor and a solve reply share: how the engine
+// ran the job.
+type jobReply struct {
+	Class       string  `json:"class"`
+	Granted     int     `json:"granted"`
+	QueueWaitMs float64 `json:"queueWaitMs"`
+	SpanMs      float64 `json:"spanMs"`
+}
+
+// replyOf reports how the engine ran a completed job.
+func replyOf(job *engine.Job) jobReply {
+	return jobReply{
+		Class:       job.Class().String(),
+		Granted:     job.Granted(),
+		QueueWaitMs: job.QueueWait().Seconds() * 1e3,
+		SpanMs:      job.Span().Seconds() * 1e3,
+	}
+}
+
 type factorReply struct {
-	ID          string   `json:"id"`
-	Class       string   `json:"class"`
-	Granted     int      `json:"granted"`
-	QueueWaitMs float64  `json:"queueWaitMs"`
-	SpanMs      float64  `json:"spanMs"`
-	Residual    *float64 `json:"residual,omitempty"`
+	ID string `json:"id"`
+	jobReply
+	Residual *float64 `json:"residual,omitempty"`
 }
 
 type solveRequest struct {
@@ -202,12 +218,9 @@ func (r *solveRequest) BulkMember() (string, *[]float64) { return "b", &r.B }
 type solveReply struct {
 	ID string `json:"id"`
 	// X is the solution, column-major n x nrhs.
-	X           []float64 `json:"x"`
-	NRHS        int       `json:"nrhs"`
-	Class       string    `json:"class"`
-	Granted     int       `json:"granted"`
-	QueueWaitMs float64   `json:"queueWaitMs"`
-	SpanMs      float64   `json:"spanMs"`
+	X    []float64 `json:"x"`
+	NRHS int       `json:"nrhs"`
+	jobReply
 }
 
 // deadline is the request's context, bounded by its deadlineMs when
@@ -228,17 +241,21 @@ type factorKind struct {
 	random func(n int, seed int64) *mat.Dense
 	// work wraps the input matrix as the engine job.
 	work func(*mat.Dense) engine.Work
+	// residual is the backward error of the job's result against its
+	// input matrix (an O(n^3) check).
+	residual func(*mat.Dense, core.Factored) float64
 }
 
 var (
 	luKind = factorKind{"f", func(n int, seed int64) *mat.Dense {
 		return mat.Random(n, n, rand.New(rand.NewSource(seed)))
-	}, engine.FactorWork}
-	cholKind = factorKind{"c", core.RandomSPD, engine.CholeskyWork}
+	}, engine.FactorWork, func(a *mat.Dense, f core.Factored) float64 {
+		return core.Residual(a, f.(*core.Factorization))
+	}}
+	cholKind = factorKind{"c", core.RandomSPD, engine.CholeskyWork, func(a *mat.Dense, f core.Factored) float64 {
+		return core.CholeskyResidual(a, f.(*core.CholeskyFactorization))
+	}}
 )
-
-// isCholesky is the stored-factorization screen of /v1/cholesky/solve.
-func isCholesky(k engine.Kept) bool { return k.Chol != nil }
 
 // matrix materializes the request's input matrix, generated by random
 // when the request carries no data. Its shape is checked against the
@@ -321,7 +338,9 @@ func jobError(w http.ResponseWriter, err error, what string) {
 }
 
 // handleFactor serves one factorization endpoint: build the matrix, run
-// the kind's work on the engine, keep the result. The router names the
+// the kind's work on the engine, keep the result. A requested residual
+// is computed before the result is kept: a factorization whose residual
+// is not finite is a 422 and is not stored. The router names the
 // key it assigned as ?id= and forwards the client's body untouched, so
 // a body that carries an id as well is refused here; a direct request
 // may name its id in the body.
@@ -360,30 +379,29 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, req *facto
 		jobError(w, err, "factorization")
 		return
 	}
-	k := engine.KeptOf(job.Result())
-	id := req.ID
-	if id != "" {
-		s.store.PutAs(id, k)
-	} else {
-		id = s.store.Put(kind.prefix, k)
-	}
-	rep := factorReply{
-		ID:          id,
-		Class:       job.Class().String(),
-		Granted:     job.Granted(),
-		QueueWaitMs: job.QueueWait().Seconds() * 1e3,
-		SpanMs:      job.Span().Seconds() * 1e3,
-	}
+	f := job.Result().(core.Factored)
+	rep := factorReply{jobReply: replyOf(job)}
 	if req.Residual {
-		res := k.Residual(a)
+		res := kind.residual(a, f)
+		if math.IsNaN(res) || math.IsInf(res, 0) {
+			cluster.HTTPError(w, http.StatusUnprocessableEntity, "residual is %v: the factors are not finite and were not stored", res)
+			return
+		}
 		rep.Residual = &res
+	}
+	rep.ID = req.ID
+	if rep.ID != "" {
+		s.store.PutAs(rep.ID, f)
+	} else {
+		rep.ID = s.store.Put(kind.prefix, f)
 	}
 	cluster.WriteJSON(w, http.StatusOK, rep)
 }
 
-// handleSolve serves one solve endpoint over the stored factorizations
-// it accepts; want names them in the 400 for any other.
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveRequest, want string, accepts func(engine.Kept) bool) {
+// handleSolve serves one solve endpoint: /v1/solve over whatever the
+// store holds, /v1/cholesky/solve (cholOnly) over a Cholesky
+// factorization only.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveRequest, cholOnly bool) {
 	if s.draining.Load() {
 		drainError(w)
 		return
@@ -393,16 +411,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveR
 		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k, ok := s.store.Get(req.ID)
+	f, ok := s.store.Get(req.ID)
 	if !ok {
 		cluster.HTTPError(w, http.StatusNotFound, "no factorization %q (evicted or never existed)", req.ID)
 		return
 	}
-	if !accepts(k) {
-		cluster.HTTPError(w, http.StatusBadRequest, "%q is not a %s factorization", req.ID, want)
+	if _, chol := f.(*core.CholeskyFactorization); cholOnly && !chol {
+		cluster.HTTPError(w, http.StatusBadRequest, "%q is not a cholesky factorization", req.ID)
 		return
 	}
-	n := k.N()
+	n := f.N()
 	if err := checkBlockGrid(n, n, req.Block); err != nil {
 		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -422,7 +440,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveR
 	defer cancel()
 	// B is column-major n x nrhs already, and the solve does not write it.
 	bm := mat.FromColMajor(n, nrhs, n, req.B)
-	job, err := s.eng.TrySubmit(ctx, engine.SolveWork(k.Solvable(), bm), opt)
+	job, err := s.eng.TrySubmit(ctx, engine.SolveWork(f, bm), opt)
 	if err != nil {
 		submitError(w, err)
 		return
@@ -434,13 +452,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveR
 	// The solution block is tightly strided (mat.New), so its backing
 	// array IS the column-major flat reply — no copy on the hot path.
 	x := job.SolutionMatrix()
-	cluster.WriteJSON(w, http.StatusOK, solveReply{
-		ID: req.ID, X: x.Data, NRHS: nrhs,
-		Class:       job.Class().String(),
-		Granted:     job.Granted(),
-		QueueWaitMs: job.QueueWait().Seconds() * 1e3,
-		SpanMs:      job.Span().Seconds() * 1e3,
-	})
+	cluster.WriteJSON(w, http.StatusOK, solveReply{ID: req.ID, X: x.Data, NRHS: nrhs, jobReply: replyOf(job)})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -488,12 +500,14 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteJSON(w, http.StatusOK, map[string]any{"ids": s.store.IDs()})
 		return
 	}
-	k, ok := s.store.Get(id)
+	f, ok := s.store.Get(id)
 	if !ok {
 		cluster.HTTPError(w, http.StatusNotFound, "no factorization %q (evicted or never existed)", id)
 		return
 	}
-	wire, err := cluster.EncodeFactorization(k.LU, k.Chol)
+	lu, _ := f.(*core.Factorization)
+	chol, _ := f.(*core.CholeskyFactorization)
+	wire, err := cluster.EncodeFactorization(lu, chol)
 	if err != nil {
 		cluster.HTTPError(w, http.StatusInternalServerError, "encode %q: %v", id, err)
 		return
@@ -521,7 +535,11 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, body []byt
 		cluster.HTTPError(w, http.StatusBadRequest, "bad factorization payload: %v", err)
 		return
 	}
-	s.store.PutAs(id, engine.Kept{LU: lu, Chol: chol})
+	var f core.Factored = lu // exactly one of lu and chol is set
+	if chol != nil {
+		f = chol
+	}
+	s.store.PutAs(id, f)
 	cluster.WriteJSON(w, http.StatusOK, map[string]string{"imported": id})
 }
 
@@ -542,17 +560,16 @@ func (s *Server) Handler() *http.ServeMux {
 			s.handleFactor(w, r, req, kind)
 		})
 	}
-	solve := func(want string, accepts func(engine.Kept) bool) http.HandlerFunc {
+	solve := func(cholOnly bool) http.HandlerFunc {
 		return cluster.PostJSON(s.maxBody, func(w http.ResponseWriter, r *http.Request, req *solveRequest) {
-			s.handleSolve(w, r, req, want, accepts)
+			s.handleSolve(w, r, req, cholOnly)
 		})
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/factor", factor(luKind))
 	mux.HandleFunc("/v1/cholesky", factor(cholKind))
-	// /v1/solve serves whatever the store holds: a stored Kept is Valid.
-	mux.HandleFunc("/v1/solve", solve("stored", engine.Kept.Valid))
-	mux.HandleFunc("/v1/cholesky/solve", solve("cholesky", isCholesky))
+	mux.HandleFunc("/v1/solve", solve(false))
+	mux.HandleFunc("/v1/cholesky/solve", solve(true))
 	mux.HandleFunc("/v1/stats", cluster.Get(s.handleStats))
 	mux.HandleFunc("/v1/admin/export", cluster.Get(s.handleExport))
 	mux.HandleFunc("/v1/admin/import", cluster.PostBytes("application/octet-stream", s.maxBody, s.handleImport))

@@ -262,12 +262,12 @@ func TestServeDegradedSolveReportsPrefix(t *testing.T) {
 	id := out["id"].(string)
 	// Degrade the stored factorization the way a prefix-padded singular
 	// fallback would: zero the factored tail of U.
-	k, ok := s.Store().Get(id)
+	f, ok := s.Store().Get(id)
 	if !ok {
 		t.Fatalf("stored factorization %q missing", id)
 	}
 	for j := 20; j < 32; j++ {
-		k.LU.U.Set(j, j, 0)
+		f.(*core.Factorization).U.Set(j, j, 0)
 	}
 	b := strings.Repeat("1,", 31) + "1"
 	resp, out = postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(`{"id":%q,"b":[%s]}`, id, b))
@@ -284,8 +284,8 @@ func TestServeDegradedSolveReportsPrefix(t *testing.T) {
 
 // TestServeUnencodableReply500: a reply JSON cannot encode is a 500
 // naming the encoding error, not a 200 with an empty body. Entries near
-// the float64 limit overflow the factors, so the requested residual is
-// not finite.
+// the float64 limit overflow the factors, which a factor without a
+// residual check stores, so a solve against them is not finite.
 func TestServeUnencodableReply500(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	rng := rand.New(rand.NewSource(1))
@@ -293,13 +293,36 @@ func TestServeUnencodableReply500(t *testing.T) {
 	for i := range data {
 		data[i] = strconv.FormatFloat((2*rng.Float64()-1)*1e308, 'g', -1, 64)
 	}
-	body := fmt.Sprintf(`{"rows":64,"cols":64,"data":[%s],"residual":true}`, strings.Join(data, ","))
+	body := fmt.Sprintf(`{"rows":64,"cols":64,"data":[%s]}`, strings.Join(data, ","))
 	resp, out := postJSON(t, ts.URL+"/v1/factor", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("factor: %d %v", resp.StatusCode, out)
+	}
+	b := strings.Repeat("1,", 63) + "1"
+	resp, out = postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(`{"id":%q,"b":[%s]}`, out["id"], b))
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("factor with a non-finite residual: %d %v, want 500", resp.StatusCode, out)
+		t.Fatalf("solve with a non-finite solution: %d %v, want 500", resp.StatusCode, out)
 	}
 	if msg, _ := out["error"].(string); !strings.HasPrefix(msg, "encode reply: json: unsupported value") {
 		t.Fatalf("error %q, want the encoding error", msg)
+	}
+}
+
+// TestServeNonFiniteResidualNotStored: a factor whose requested
+// residual is not finite is a 422 naming it, and the factorization is
+// not stored — its id would never reach the client.
+func TestServeNonFiniteResidualNotStored(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	before := s.Store().Len()
+	resp, out := postJSON(t, ts.URL+"/v1/factor", `{"rows":2,"cols":2,"data":[1e308,1e308,1e308,-1e308],"residual":true}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("factor with a non-finite residual: %d %v, want 422", resp.StatusCode, out)
+	}
+	if msg, _ := out["error"].(string); !strings.HasPrefix(msg, "residual is ") {
+		t.Fatalf("error %q, want it to name the residual", msg)
+	}
+	if got := s.Store().Len(); got != before {
+		t.Fatalf("store holds %d factorizations after the 422, want %d", got, before)
 	}
 }
 

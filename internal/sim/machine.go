@@ -174,10 +174,9 @@ func efficiency(t *dag.Task, kind layout.Kind) float64 {
 	case dag.S:
 		switch kind {
 		case layout.BCL:
-			width := 1
-			if len(t.Group) > 1 {
-				width = len(t.Group)
-			}
+			// The bonus grows with the group's rows up to the paper's
+			// k = 3; a wider group runs no faster.
+			width := min(max(len(t.Group), 1), 3)
 			return gemmEffBCL + gemmEffBCLBonus*float64(width-1)/2
 		case layout.TwoLevel:
 			return gemmEffTwoLevel

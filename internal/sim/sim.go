@@ -190,7 +190,7 @@ func Run(g *dag.Graph, cfg Config) (Result, error) {
 				res.PerWorkerNoise[w] += nz
 				res.PerWorkerBusy[w] += compute + migration
 				if cfg.Trace != nil {
-					cfg.Trace.Add(w, t.ID, trace.KindLabel(t.Kind.String()), start, end)
+					cfg.Trace.Add(w, t.ID, t.Kind.String()[0], start, end)
 				}
 				idle[w] = false
 				heap.Push(&events, event{at: end, worker: w, task: t})

@@ -272,6 +272,16 @@ func TestEfficiencyModel(t *testing.T) {
 	}
 }
 
+// TestEfficiencyCapsGroupAtK3: the BCL grouping bonus stops at the
+// paper's k = 3, so a task grouping 10 block rows is charged the 0.96
+// of peak a 3-row group is, not 1.52.
+func TestEfficiencyCapsGroupAtK3(t *testing.T) {
+	wide := &dag.Task{Kind: dag.S, Group: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}
+	if got := efficiency(wide, layout.BCL); math.Abs(got-0.96) > 1e-12 {
+		t.Fatalf("10-row BCL S task charged %g of peak, want 0.96", got)
+	}
+}
+
 func TestFewerWorkersSlower(t *testing.T) {
 	cfg24 := quietConfig(layout.BCL, sched.NewHybrid(), 24)
 	cfg48 := quietConfig(layout.BCL, sched.NewHybrid(), 48)

@@ -16,7 +16,7 @@ import (
 // seconds in simulation.
 type Span struct {
 	TaskID int32
-	Label  byte // 'P','F','L','U','S' (or 'N' for injected noise)
+	Label  byte // first letter of the task kind (dag.Kind.String), or 'N' for injected noise
 	Start  float64
 	End    float64
 }
@@ -202,25 +202,4 @@ func (tr *Trace) Gantt(width int) string {
 	}
 	fmt.Fprintf(&b, "      makespan %.4fs, idle %.1f%%\n", ms, 100*tr.IdleFraction())
 	return b.String()
-}
-
-// KindLabel maps a task kind name to its Gantt letter.
-func KindLabel(kind string) byte {
-	switch kind {
-	case "P-leaf", "P-comb":
-		return 'P'
-	case "F":
-		return 'F'
-	case "L":
-		return 'L'
-	case "U":
-		return 'U'
-	case "S":
-		return 'S'
-	case "D":
-		return 'D'
-	case "R":
-		return 'R'
-	}
-	return '?'
 }

@@ -88,15 +88,6 @@ func TestGantt(t *testing.T) {
 	}
 }
 
-func TestKindLabels(t *testing.T) {
-	cases := map[string]byte{"P-leaf": 'P', "P-comb": 'P', "F": 'F', "L": 'L', "U": 'U', "S": 'S', "???": '?'}
-	for k, want := range cases {
-		if got := KindLabel(k); got != want {
-			t.Errorf("KindLabel(%q) = %c want %c", k, got, want)
-		}
-	}
-}
-
 func TestLastBusy(t *testing.T) {
 	tr := mkTrace()
 	if tr.lastBusy(0) != 2 || tr.lastBusy(1) != 1 {

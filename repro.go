@@ -168,7 +168,7 @@ type EngineOptions = engine.Options
 // Solvable is a completed factorization the engine can schedule a
 // blocked solve graph for: *Factorization and *CholeskyFactorization
 // both qualify.
-type Solvable = engine.Solvable
+type Solvable = core.Factored
 
 // ErrEngineClosed is Submit's error once the engine is closed.
 var ErrEngineClosed = engine.ErrClosed
