@@ -26,6 +26,7 @@ var exportAllowlist = map[string]string{
 	"engine.Engine.Submit":          "non-test code reaches it only through bench's SubmitFactor and SubmitSolveMany",
 	"harness.Cluster.Kill":          "test support: the in-process cluster's shard crash, which the cluster tests inject",
 	"harness.Cluster.Spawn":         "test support: the in-process cluster's shard join, which the cluster tests drive",
+	"kernel.SharedPanel.Held":       "test support: the core tests check that a clean run gives every shared buffer back",
 }
 
 // exportExempt are method names that satisfy standard-library
@@ -47,29 +48,12 @@ func deadExports(root string) ([]string, error) {
 	var exports []export
 	used := map[string]bool{}                // dir + "." + Name of every pkg.Name selector
 	selected := map[string]map[string]bool{} // .Name -> dirs selecting it
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(rel)
+	files, err := parseNonTest(root)
+	if err != nil {
+		return nil, err
+	}
+	for _, pf := range files {
+		f, dir := pf.f, pf.dir
 		imports := map[string]string{} // local name -> package dir
 		for _, im := range f.Imports {
 			p, _ := strconv.Unquote(im.Path.Value)
@@ -97,8 +81,8 @@ func deadExports(root string) ([]string, error) {
 			selected[sel.Sel.Name][dir] = true
 			return true
 		})
-		if dir != "internal" && !strings.HasPrefix(dir, "internal/") {
-			return nil
+		if !isInternal(dir) {
+			continue
 		}
 		add := func(name, method string) {
 			report := f.Name.Name + "." + name
@@ -133,10 +117,6 @@ func deadExports(root string) ([]string, error) {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	var dead []string
 	for _, e := range exports {
@@ -153,6 +133,123 @@ func deadExports(root string) ([]string, error) {
 	}
 	slices.Sort(dead)
 	return dead, nil
+}
+
+// goFile is one parsed non-test file and its directory relative to the
+// audited root.
+type goFile struct {
+	dir string
+	f   *ast.File
+}
+
+// parseNonTest parses every non-test .go file under root, skipping
+// testdata and dot directories below it.
+func parseNonTest(root string) ([]goFile, error) {
+	var files []goFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		files = append(files, goFile{filepath.ToSlash(rel), f})
+		return nil
+	})
+	return files, err
+}
+
+func isInternal(dir string) bool { return dir == "internal" || strings.HasPrefix(dir, "internal/") }
+
+// deadHelpers lists, as pkg.name or pkg.Type.name, every unexported
+// package-level function and method declared in a non-test file under
+// root/internal that no non-test file of its package refers to outside
+// its own body. A function counts as referred to by any identifier of
+// its name that is not a selector's field or method, a method by any
+// .name selector, so a dead helper can be missed but a live one is
+// never reported.
+func deadHelpers(root string) ([]string, error) {
+	type helper struct{ key, report string }
+	var helpers []helper
+	refs := map[string]bool{} // dir + " " + name, or dir + " ." + name for a selector
+	files, err := parseNonTest(root)
+	if err != nil {
+		return nil, err
+	}
+	for _, pf := range files {
+		if !isInternal(pf.dir) {
+			continue
+		}
+		for _, decl := range pf.f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				inspectRefs(decl, pf.dir, "", refs)
+				continue
+			}
+			self := ""
+			if name := fd.Name.Name; !fd.Name.IsExported() && name != "init" && name != "_" {
+				h := helper{pf.dir + " " + name, pf.f.Name.Name + "." + name}
+				if fd.Recv != nil {
+					h = helper{pf.dir + " ." + name, pf.f.Name.Name + "." + receiverType(fd.Recv.List[0].Type) + "." + name}
+				}
+				helpers = append(helpers, h)
+				self = h.key
+			}
+			if fd.Recv != nil {
+				inspectRefs(fd.Recv, pf.dir, self, refs)
+			}
+			inspectRefs(fd.Type, pf.dir, self, refs)
+			if fd.Body != nil {
+				inspectRefs(fd.Body, pf.dir, self, refs)
+			}
+		}
+	}
+	var dead []string
+	for _, h := range helpers {
+		if !refs[h.key] {
+			dead = append(dead, h.report)
+		}
+	}
+	slices.Sort(dead)
+	return slices.Compact(dead), nil
+}
+
+// inspectRefs records in refs every identifier and selector under n, as
+// dir + " " + name and dir + " ." + name, except the key self.
+func inspectRefs(n ast.Node, dir, self string, refs map[string]bool) {
+	var visit func(ast.Node) bool
+	record := func(key string) {
+		if key != self {
+			refs[key] = true
+		}
+	}
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			record(dir + " ." + n.Sel.Name)
+			ast.Inspect(n.X, visit)
+			return false
+		case *ast.Ident:
+			record(dir + " " + n.Name)
+		}
+		return true
+	}
+	ast.Inspect(n, visit)
 }
 
 // receiverType returns the type name of a method receiver such as
@@ -187,6 +284,22 @@ func TestExportsHaveCallers(t *testing.T) {
 			t.Errorf("fixture: reported %q, want exactly a.Unused", dead)
 		}
 	})
+	t.Run("helpers fixture", func(t *testing.T) {
+		dead, err := deadHelpers(filepath.Join("testdata", "exports"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"c.counter.stale", "c.dead", "c.recursive"}; !slices.Equal(dead, want) {
+			t.Errorf("helpers fixture: reported %q, want exactly %q", dead, want)
+		}
+	})
+	helpers, err := deadHelpers(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range helpers {
+		t.Errorf("%s is unexported and has no non-test caller in its package: move it into a test file", name)
+	}
 	dead, err := deadExports(".")
 	if err != nil {
 		t.Fatal(err)

@@ -12,31 +12,15 @@ import (
 	"repro/internal/rt"
 )
 
-// drainByHand executes g on the calling goroutine in plain worklist
-// order, with none of the runtime's teardown: in particular nothing
-// calls ReleasePanels, so whatever the panels still hold afterwards is
-// what their own reference counts left behind.
-func drainByHand(g *dag.Graph) {
-	ready := g.ResetDeps()
-	for len(ready) > 0 {
-		t := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		if t.Run != nil {
-			t.Run()
-		}
-		ready = g.ResolveSuccessors(t, ready)
-	}
-}
-
 // TestSharedPanelsExactRefcount: BuildCALU registers one B handle per
 // (step, block column) it updates column by column — every column on
 // CM and 2l-BL, the look-ahead column and the dynamic section on BCL —
-// with one consumer per row run. If a count were too high its buffer
-// would outlive the run; too low, and the operand would be freed under
-// its remaining consumers and packed again. A clean run must therefore
-// end with no live bytes before any ReleasePanels and with at most one
-// packing per handle — on every layout, with grouped and ungrouped row
-// runs and ragged edges.
+// with one consumer per row run. If a count were too low, the operand
+// would be given back under its remaining consumers and packed again;
+// too high, and its buffer would outlive the run. A clean run must
+// therefore pack at most once per handle and end with every buffer
+// given back — on every layout, with grouped and ungrouped row runs and
+// ragged edges.
 func TestSharedPanelsExactRefcount(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	a := mat.Random(333, 300, rng)
@@ -53,35 +37,49 @@ func TestSharedPanelsExactRefcount(t *testing.T) {
 			}
 			g := job.Graph()
 			before := kernel.ReadPanelCacheStats()
-			drainByHand(g)
+			res, err := rt.Run(g, job.Policy(), rt.Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
 			after := kernel.ReadPanelCacheStats()
 			tag := kind.String() + "/" + string(rune('0'+workers)) + "w"
-			if after.UsedBytes != before.UsedBytes {
-				t.Errorf("%s: %d panel bytes still live after a clean run, before ReleasePanels", tag, after.UsedBytes-before.UsedBytes)
-			}
+			// A handle whose consumers all fall below the packed crossover
+			// (ragged edges) packs nothing.
 			packs := after.Packs - before.Packs
 			if packs > int64(len(g.Panels)) || (len(g.Panels) > 0 && packs == 0) {
 				t.Errorf("%s: %d packings for %d handles, want at least one and at most one each", tag, packs, len(g.Panels))
+			}
+			for i, p := range g.Panels {
+				if p.Held() {
+					t.Errorf("%s: handle %d still holds its buffer after a clean run", tag, i)
+				}
 			}
 			// CM fuses a whole column into one row run: its B operands have
 			// a single consumer each and no handle.
 			if kind != layout.CM && after.Hits == before.Hits {
 				t.Errorf("%s: no consumer streamed a cached panel", tag)
 			}
-			sameFactorization(t, tag, job.Finish(rt.Result{}), ref)
+			sameFactorization(t, tag, job.Finish(res), ref)
 		}
 	}
 }
 
 // TestAbortedRunFreesPanels: a task that panics mid-factorization
-// leaves panels packed whose remaining consumers never run. The
-// runtime's teardown must hand every byte back.
+// leaves panels packed whose remaining consumers never run. Their
+// buffers are left to the garbage collector, and nothing the aborted
+// run packed or gave back may reach a later factorization: one run
+// after it must be bit-identical to one run before it.
 func TestAbortedRunFreesPanels(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	a := mat.Random(320, 320, rng)
 	// BCL: CM stacks a whole column into one row run, so its columns
 	// have one consumer each and no shared panel.
-	job, err := PrepareFactor(a, Options{Layout: layout.BCL, Block: 32, Workers: 4, DynamicRatio: 0.25})
+	opt := Options{Layout: layout.BCL, Block: 32, Workers: 4, DynamicRatio: 0.25}
+	ref, err := Factor(a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := PrepareFactor(a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +103,12 @@ func TestAbortedRunFreesPanels(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "injected task failure") {
 		t.Fatalf("Run error = %v, want the injected panic", err)
 	}
-	after := kernel.ReadPanelCacheStats()
-	if after.Packs == before.Packs {
+	if after := kernel.ReadPanelCacheStats(); after.Packs == before.Packs {
 		t.Fatal("no panel was packed before the failure: the test does not reach the path")
 	}
-	if after.UsedBytes != 0 {
-		t.Fatalf("UsedBytes = %d after an aborted run, want 0", after.UsedBytes)
+	f, err := Factor(a, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameFactorization(t, "after an aborted run", f, ref)
 }

@@ -153,22 +153,10 @@ type Graph struct {
 	// Name describes the algorithm for traces and error messages.
 	Name string
 	// Panels lists the shared packed-B panel handles the graph's Run
-	// closures consume (kernel.SharedPanel). Each handle frees its
-	// buffer when its last consumer finishes; ReleasePanels reclaims the
-	// ones stranded by an aborted execution, and ResetDeps re-arms them
-	// alongside the dependency counters.
+	// closures consume (kernel.SharedPanel). Each handle gives its
+	// buffer back when its last consumer finishes, and ResetDeps re-arms
+	// them alongside the dependency counters.
 	Panels []*kernel.SharedPanel
-}
-
-// ReleasePanels force-frees every shared panel buffer still held by the
-// graph. Runtimes call it after workers have drained — on the success
-// path all handles are already freed by their last consumer and this is
-// a no-op; after an abort it reclaims the cache budget of panels whose
-// consumers never ran.
-func (g *Graph) ReleasePanels() {
-	for _, p := range g.Panels {
-		p.ForceFree()
-	}
 }
 
 // ResetDeps arms the graph for one execution: every task's remaining-
@@ -229,10 +217,10 @@ func (b *builder) add(t *Task) *Task {
 	return t
 }
 
-// panel registers a shared packed-operand handle with the graph so the
-// runtime can re-arm it and reclaim it after an aborted run, and
-// returns it. Nil handles (fewer than two consumers) are skipped; the
-// closures pass them on and kernel.GemmShared packs privately.
+// panel registers a shared packed-operand handle with the graph so
+// ResetDeps can re-arm it, and returns it. Nil handles (fewer than two
+// consumers) are skipped; the closures pass them on and
+// kernel.GemmShared packs privately.
 func (b *builder) panel(p *kernel.SharedPanel) *kernel.SharedPanel {
 	if p != nil {
 		b.g.Panels = append(b.g.Panels, p)
@@ -271,29 +259,41 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dag: task %d in-degree %d != NumDeps %d", id, indeg[id], t.NumDeps)
 		}
 	}
-	// Kahn's algorithm: if we cannot consume every task, there is a cycle.
-	queue := make([]int32, 0, n)
+	// If the walk cannot consume every task, there is a cycle.
+	if seen := g.walk(nil); seen != n {
+		return fmt.Errorf("dag: cycle detected, only %d of %d tasks schedulable", seen, n)
+	}
+	return nil
+}
+
+// walk visits the tasks in a topological order — Kahn's algorithm on
+// the NumDeps counts, a task visited before its successors — calling
+// visit, if not nil, on each, and returns how many it visited: fewer
+// than len(g.Tasks) means a cycle. Every edge target must exist.
+func (g *Graph) walk(visit func(*Task)) int {
+	indeg := make([]int32, len(g.Tasks))
+	queue := make([]int32, 0, len(g.Tasks))
 	for id, t := range g.Tasks {
+		indeg[id] = t.NumDeps
 		if t.NumDeps == 0 {
 			queue = append(queue, int32(id))
 		}
 	}
 	seen := 0
 	for len(queue) > 0 {
-		id := queue[len(queue)-1]
+		t := g.Tasks[queue[len(queue)-1]]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, o := range g.Tasks[id].Outs {
-			indeg[o]--
-			if indeg[o] == 0 {
+		if visit != nil {
+			visit(t)
+		}
+		for _, o := range t.Outs {
+			if indeg[o]--; indeg[o] == 0 {
 				queue = append(queue, o)
 			}
 		}
 	}
-	if seen != n {
-		return fmt.Errorf("dag: cycle detected, only %d of %d tasks schedulable", seen, n)
-	}
-	return nil
+	return seen
 }
 
 // Stats summarizes a graph for tests and reports.
@@ -327,35 +327,16 @@ func (g *Graph) ComputeStats() Stats {
 // task weighted by cost; weighted by a task's compute time it is the
 // quantity T_criticalPath in the paper's section 6 model.
 func (g *Graph) CriticalPath(cost func(*Task) float64) float64 {
-	n := len(g.Tasks)
-	longest := make([]float64, n)
-	indeg := make([]int32, n)
-	for _, t := range g.Tasks {
-		indeg[t.ID] = t.NumDeps
-	}
-	queue := make([]int32, 0, n)
-	for _, t := range g.Tasks {
-		if t.NumDeps == 0 {
-			queue = append(queue, t.ID)
-			longest[t.ID] = cost(t)
-		}
-	}
+	// longest[id] is the heaviest path into task id until the walk
+	// visits it and adds the task's own cost.
+	longest := make([]float64, len(g.Tasks))
 	best := 0.0
-	for len(queue) > 0 {
-		id := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if longest[id] > best {
-			best = longest[id]
+	g.walk(func(t *Task) {
+		longest[t.ID] += cost(t)
+		best = max(best, longest[t.ID])
+		for _, o := range t.Outs {
+			longest[o] = max(longest[o], longest[t.ID])
 		}
-		for _, o := range g.Tasks[id].Outs {
-			if cand := longest[id] + cost(g.Tasks[o]); cand > longest[o] {
-				longest[o] = cand
-			}
-			indeg[o]--
-			if indeg[o] == 0 {
-				queue = append(queue, o)
-			}
-		}
-	}
+	})
 	return best
 }

@@ -223,6 +223,29 @@ func TestValidateDetectsCycle(t *testing.T) {
 	}
 }
 
+// TestCriticalPathDiamond: on the diamond t0 → {t1, t2} → t3 the
+// critical path runs through the heavier branch, whichever branch the
+// walk visits last.
+func TestCriticalPathDiamond(t *testing.T) {
+	for _, w := range [][2]float64{{2, 5}, {5, 2}} {
+		b := newBuilder("diamond", 1)
+		var ts []*Task
+		for _, flops := range []float64{1, w[0], w[1], 1} {
+			ts = append(ts, b.add(&Task{Kind: S, Flops: flops}))
+		}
+		b.edge(ts[0], ts[1])
+		b.edge(ts[0], ts[2])
+		b.edge(ts[1], ts[3])
+		b.edge(ts[2], ts[3])
+		if err := b.g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if cp := b.g.CriticalPath(taskFlops); cp != 7 {
+			t.Fatalf("branches %v: critical path %g, want 7", w, cp)
+		}
+	}
+}
+
 func TestSplitBlocks(t *testing.T) {
 	chunks := splitBlocks(2, 10, 3)
 	if len(chunks) != 3 {

@@ -57,8 +57,8 @@ func GemmNT(c, a, b View) { gemm(c, a, b, true, nil) }
 // gemm is the one dispatcher of GemmShared and GemmNT: C -= A * B, or
 // A * Bᵀ when bTrans, after a shape check, through the small path below
 // the packed crossover and the packed path otherwise, B streamed from
-// pb when the handle holds (or can take) a cached packed copy. A
-// non-nil handle loses one use whichever path runs.
+// pb's shared packed copy when there is a handle. A non-nil handle
+// loses one use whichever path runs.
 func gemm(c, a, b View, bTrans bool, pb *SharedPanel) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	bk, bn := b.Rows, b.Cols
@@ -70,15 +70,11 @@ func gemm(c, a, b View, bTrans bool, pb *SharedPanel) {
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols, bTrans))
 	}
 	defer pb.release()
-	switch {
-	case !packedWorthwhile(m, n, k):
+	if !packedWorthwhile(m, n, k) {
 		gemmSmall(c, a, b, bTrans)
-	default:
-		if !pb.ensurePacked(b) {
-			pb = nil
-		}
-		gemmPacked(c, a, b, bTrans, pb, mr, nr, microKernel)
+		return
 	}
+	gemmPacked(c, a, b, bTrans, pb.packed(b), mr, nr, microKernel)
 }
 
 // gemmPacked is the three-level blocked driver: jc/pc/ic loops carve
@@ -173,18 +169,6 @@ func gemmNaive(c, a, b View) {
 				al := a.Data[l*a.Stride : l*a.Stride+m]
 				axpy(cj, al, -b.Data[j*b.Stride+l])
 			}
-		}
-	}
-}
-
-// gemmNTNaive is the reference loop nest of GemmNT.
-func gemmNTNaive(c, a, b View) {
-	m, n, k := c.Rows, c.Cols, a.Cols
-	for j := 0; j < n; j++ {
-		cj := c.Data[j*c.Stride : j*c.Stride+m]
-		for l := 0; l < k; l++ {
-			al := a.Data[l*a.Stride : l*a.Stride+m]
-			axpy(cj, al, -b.Data[l*b.Stride+j])
 		}
 	}
 }

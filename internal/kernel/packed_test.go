@@ -30,6 +30,18 @@ func cloneView(v View) View {
 	return View{Rows: v.Rows, Cols: v.Cols, Stride: v.Stride, Data: d}
 }
 
+// gemmNTNaive is the reference loop nest of GemmNT.
+func gemmNTNaive(c, a, b View) {
+	m, n, k := c.Rows, c.Cols, a.Cols
+	for j := 0; j < n; j++ {
+		cj := c.Data[j*c.Stride : j*c.Stride+m]
+		for l := 0; l < k; l++ {
+			al := a.Data[l*a.Stride : l*a.Stride+m]
+			axpy(cj, al, -b.Data[l*b.Stride+j])
+		}
+	}
+}
+
 // maxAbsDiffBacking compares the FULL backing slices, so padding
 // outside the view must match too (catches stray writes).
 func maxAbsDiffBacking(a, b View) float64 {

@@ -16,113 +16,61 @@ import (
 // builder hand all consumers of one B operand a single refcounted
 // packed buffer: the first task to run packs it (pack-once-then-stream,
 // the discipline the HiGHS hybrid factorization demonstrates), later
-// tasks stream it directly, and the last use frees it. There is no L
-// side: under BCL the static section's update past the look-ahead
+// tasks stream it directly, and the last use gives it back. There is no
+// L side: under BCL the static section's update past the look-ahead
 // column is one task per (step, owner), whose single Gemm packs each L
 // slab once, and the other tasks pack their L slab privately.
 //
-// Budget: cached panels are accounted against one byte budget sized
-// from the processor count, as many as can pack at once. When the
-// budget is exhausted a panel falls back to the private packing path,
-// which is bit-identical (same packed bytes, same loop order, same
-// micro-kernel), so hit and miss paths cannot diverge numerically.
-//
-// Buffers: a freed panel buffer goes onto a free list keyed by its
-// length and the next panel of that length takes it back — a
-// factorization packs hundreds of panels of a handful of sizes, and a
-// fresh make per panel would allocate (and zero) the whole packed
-// volume on every run. Live and parked bytes together never exceed the
-// budget: parked buffers are dropped to make room for a live panel.
-//
 // Lifecycle: the builder knows the exact consumer count, so the
-// refcount is exact and the normal path frees the buffer on the last
-// GemmShared. Aborted runs (a task panicked, the executor stopped
-// scheduling) leave the count above zero; the executor calls
-// Graph.ReleasePanels → ForceFree after the workers drain, so no budget
-// leaks.
+// refcount is exact and the last GemmShared gives the buffer back. A
+// run that aborts leaves the count above zero and its buffer to the
+// garbage collector, unless the graph runs again: Reset gives it back.
+//
+// Buffers: a buffer given back goes onto a free list keyed by its
+// length and the next panel of that length takes it — a factorization
+// packs hundreds of panels of a handful of sizes, and a fresh make per
+// panel would allocate (and zero) the whole packed volume on every run.
+// Parked bytes are capped; a buffer given back over the cap goes to the
+// garbage collector.
 
-const (
-	// panelCacheBase is the budget every machine gets.
-	panelCacheBase = 8 << 20
-	// panelCachePerCPU is the additional budget per processor —
-	// roughly four 256x256 packed panels each.
-	panelCachePerCPU = 1 << 20
-)
-
-// Cache events.
-const (
-	evPack   = iota // first-consumer packings
-	evHit           // later consumers streaming a cached panel
-	evMiss          // private-path fallbacks (denied or disabled)
-	evDenied        // budget denials
-)
+// pcCap bounds the bytes parked on the free list: a base every machine
+// gets plus 1 MiB per processor, roughly four 256x256 packed panels
+// each. Fixed at start-up; only tests pin another value.
+var pcCap = int64(8<<20 + runtime.NumCPU()<<20)
 
 var (
-	pcMu sync.Mutex
-	// pcBudget is fixed at start-up; only tests pin another value.
-	pcBudget = panelCacheBase + int64(runtime.NumCPU())*panelCachePerCPU
-	pcUsed   int64 // bytes of live panels
+	pcMu     sync.Mutex
 	pcParked int64 // bytes on pcFree
 	pcFree   = map[int][][]float64{}
-	pcCount  [4]int64 // by event
+
+	pcPacks atomic.Int64 // first-consumer packings
+	pcHits  atomic.Int64 // later consumers streaming a cached panel
 )
 
-// pcEvent counts one cache event.
-func pcEvent(ev int) {
-	pcMu.Lock()
-	pcCount[ev]++
-	pcMu.Unlock()
-}
-
-// pcTrimLocked drops parked buffers until live + parked bytes fit the
-// budget (or nothing is parked); pcMu must be held.
-func pcTrimLocked() {
-	for n, list := range pcFree {
-		for len(list) > 0 && pcUsed+pcParked > pcBudget {
-			list[len(list)-1] = nil
-			list = list[:len(list)-1]
-			pcParked -= int64(n) * 8
-		}
-		if len(list) == 0 {
-			delete(pcFree, n)
-		} else {
-			pcFree[n] = list
-		}
-	}
-}
-
-// pcTake charges an n-double buffer to the budget and returns it — a
-// parked one of that length if there is one, else a new one — or nil
-// when the budget denies it. Either way the caller must overwrite all
-// of it: parked buffers hold stale panels.
+// pcTake returns an n-double buffer — a parked one of that length if
+// there is one, else a new one. The caller must overwrite all of it:
+// parked buffers hold stale panels.
 func pcTake(n int) []float64 {
-	bytes := int64(n) * 8
 	pcMu.Lock()
-	if pcUsed+bytes > pcBudget {
+	list := pcFree[n]
+	if len(list) == 0 {
 		pcMu.Unlock()
-		return nil
+		return make([]float64, n)
 	}
-	pcUsed += bytes
-	if list := pcFree[n]; len(list) > 0 {
-		buf := list[len(list)-1]
-		list[len(list)-1] = nil
-		pcFree[n] = list[:len(list)-1]
-		pcParked -= bytes
-		pcMu.Unlock()
-		return buf
-	}
-	pcTrimLocked()
+	buf := list[len(list)-1]
+	list[len(list)-1] = nil
+	pcFree[n] = list[:len(list)-1]
+	pcParked -= int64(n) * 8
 	pcMu.Unlock()
-	return make([]float64, n)
+	return buf
 }
 
-// pcGive returns a live buffer: its bytes leave the live count and the
-// buffer is parked for the next panel of its length.
+// pcGive parks a buffer for the next panel of its length, or leaves it
+// to the garbage collector when parking it would pass the cap.
 func pcGive(buf []float64) {
 	bytes := int64(len(buf)) * 8
 	pcMu.Lock()
-	pcUsed -= bytes
-	if pcUsed+pcParked+bytes <= pcBudget {
+	if pcParked+bytes <= pcCap {
 		pcFree[len(buf)] = append(pcFree[len(buf)], buf)
 		pcParked += bytes
 	}
@@ -130,36 +78,31 @@ func pcGive(buf []float64) {
 }
 
 // PanelCacheStats is a snapshot of the cache counters, for tests,
-// benchmarks and debugging. UsedBytes is the bytes of live panels.
+// benchmarks and debugging. Misses is always 0, since every consumer
+// of a handle streams its shared buffer; it stays because the benchmark
+// module reads it.
 type PanelCacheStats struct {
-	Packs, Hits, Misses, Denied int64
-	UsedBytes, BudgetBytes      int64
+	Packs, Hits, Misses int64
 }
 
 // ReadPanelCacheStats returns the current counters.
 func ReadPanelCacheStats() PanelCacheStats {
-	pcMu.Lock()
-	defer pcMu.Unlock()
-	return PanelCacheStats{
-		Packs: pcCount[evPack], Hits: pcCount[evHit], Misses: pcCount[evMiss], Denied: pcCount[evDenied],
-		UsedBytes: pcUsed, BudgetBytes: pcBudget,
-	}
+	return PanelCacheStats{Packs: pcPacks.Load(), Hits: pcHits.Load()}
 }
 
 // SharedPanel is one refcounted packed right-hand GEMM operand shared
 // by the update tasks of a factorization or solve step. Built by the
 // DAG builder with the exact consumer count; each consumer passes it to
 // GemmShared exactly once, which decrements the count, and the last
-// call frees the buffer. A nil *SharedPanel is valid and means "pack
-// this operand privately".
+// call gives the buffer back. A nil *SharedPanel is valid and means
+// "pack this operand privately".
 type SharedPanel struct {
 	initUses int64
 	uses     atomic.Int64
 
-	mu     sync.Mutex // guards the fields below
-	denied bool       // budget denial is sticky until Reset
-	buf    []float64  // non-nil while packed
-	n, k   int        // operand columns and depth
+	mu   sync.Mutex // guards the fields below
+	buf  []float64  // non-nil while packed
+	n, k int        // operand columns and depth
 }
 
 // NewSharedBPanel creates a handle for a right operand (one U block, or
@@ -175,28 +118,19 @@ func NewSharedBPanel(uses int) *SharedPanel {
 	return p
 }
 
-// Reset re-arms the panel for another execution of its graph: any
-// cached buffer is returned to the budget, denial is forgotten and the
-// refcount is restored. Must not run concurrently with consumers.
+// Reset re-arms the panel for another execution of its graph: a buffer
+// an aborted run left packed is given back and the refcount is
+// restored. Must not run concurrently with consumers.
 func (p *SharedPanel) Reset() {
 	if p == nil {
 		return
 	}
-	p.ForceFree()
-	p.mu.Lock()
-	p.denied = false
-	p.mu.Unlock()
+	p.giveBack()
 	p.uses.Store(p.initUses)
 }
 
-// ForceFree drops any cached buffer regardless of the remaining use
-// count — executor teardown for aborted runs, where some consumers
-// never executed. Idempotent; the normal last-use free makes it a
-// no-op on clean runs.
-func (p *SharedPanel) ForceFree() {
-	if p == nil {
-		return
-	}
+// giveBack returns the packed buffer, if any, to the free list.
+func (p *SharedPanel) giveBack() {
 	p.mu.Lock()
 	if p.buf != nil {
 		pcGive(p.buf)
@@ -205,19 +139,19 @@ func (p *SharedPanel) ForceFree() {
 	p.mu.Unlock()
 }
 
-// release consumes one use; the last one frees the cached buffer.
+// release consumes one use; the last one gives the buffer back.
 func (p *SharedPanel) release() {
 	if p != nil && p.uses.Add(-1) == 0 {
-		p.ForceFree()
+		p.giveBack()
 	}
 }
 
 // GemmShared computes C -= A * B like Gemm — which is GemmShared with
-// no handle — streaming B from pb when the handle holds (or can take) a
-// cached packed copy and packing it privately otherwise. Every path
-// dispatches exactly as Gemm does and the packed bytes are the same
-// either way, so the result is bit-identical whatever was cached. A
-// non-nil handle loses one use.
+// no handle — streaming B from the handle's shared packed copy, which
+// the first consumer packs. Every path dispatches exactly as Gemm does
+// and the packed bytes are the same either way, so the result is
+// bit-identical with or without a handle. A non-nil handle loses one
+// use.
 func GemmShared(c, a, b View, pb *SharedPanel) { gemm(c, a, b, false, pb) }
 
 // seg returns the packed block of column offset jc (a multiple of nc)
@@ -227,39 +161,35 @@ func (p *SharedPanel) seg(jc, pc int) []float64 {
 	return p.buf[jc/nc*roundUp(nc, nr)*p.k+roundUp(min(nc, p.n-jc), nr)*pc:]
 }
 
-// ensurePacked returns true with the shared buffer ready (packing v
-// into it on the first call), or false when there is no handle or the
-// byte budget denies the panel — the caller then packs privately.
-// Concurrent consumers serialize here: the first packs while the rest
-// wait, then all stream the same bytes.
-func (p *SharedPanel) ensurePacked(v View) bool {
+// packed returns the handle with v packed into its shared buffer,
+// packing on the first call; a nil handle stays nil. Concurrent
+// consumers serialize here: the first packs while the rest wait, then
+// all stream the same bytes.
+func (p *SharedPanel) packed(v View) *SharedPanel {
 	if p == nil {
-		return false
+		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.buf != nil {
-		pcEvent(evHit)
-		return true
+		pcHits.Add(1)
+		return p
 	}
-	if p.denied {
-		pcEvent(evMiss)
-		return false
-	}
+	pcPacks.Add(1)
 	n, k := v.Cols, v.Rows
-	buf := pcTake((n/nc*roundUp(nc, nr) + roundUp(n%nc, nr)) * k)
-	if buf == nil {
-		p.denied = true
-		pcEvent(evDenied)
-		pcEvent(evMiss)
-		return false
-	}
-	pcEvent(evPack)
-	p.buf, p.n, p.k = buf, n, k
+	p.buf, p.n, p.k = pcTake((n/nc*roundUp(nc, nr)+roundUp(n%nc, nr))*k), n, k
 	for jc := 0; jc < n; jc += nc {
 		for pc := 0; pc < k; pc += kc {
 			packB(p.seg(jc, pc), v, pc, jc, min(kc, k-pc), min(nc, n-jc), false, nr)
 		}
 	}
-	return true
+	return p
+}
+
+// Held reports whether the handle holds a packed buffer; after a clean
+// run of its graph none does.
+func (p *SharedPanel) Held() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.buf != nil
 }

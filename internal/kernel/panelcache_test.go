@@ -11,18 +11,31 @@ import (
 // (the counters are process-global and accumulate across tests).
 func pcState() PanelCacheStats { return ReadPanelCacheStats() }
 
-// setPanelBudget pins the byte budget for one test and restores it.
-func setPanelBudget(t *testing.T, budget int64) {
+// isolateFreeList gives one test an empty free list with the given
+// parking cap and restores the package's list and cap afterwards.
+func isolateFreeList(t *testing.T, limit int64) {
 	t.Helper()
 	pcMu.Lock()
-	old := pcBudget
-	pcBudget = budget
+	free, parked, old := pcFree, pcParked, pcCap
+	pcFree, pcParked, pcCap = map[int][][]float64{}, 0, limit
 	pcMu.Unlock()
 	t.Cleanup(func() {
 		pcMu.Lock()
-		pcBudget = old
+		pcFree, pcParked, pcCap = free, parked, old
 		pcMu.Unlock()
 	})
+}
+
+// parked reports whether buf is on the free list.
+func parked(buf []float64) bool {
+	pcMu.Lock()
+	defer pcMu.Unlock()
+	for _, b := range pcFree[len(buf)] {
+		if &b[0] == &buf[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // sharedGemmCase is one consumer set: `uses` distinct (C, A) pairs all
@@ -82,39 +95,9 @@ func TestSharedBPanelHitBitIdentical(t *testing.T) {
 		if after.Hits != before.Hits+int64(uses-1) {
 			t.Errorf("shape %v: hits %d -> %d, want %d streaming consumers", shape, before.Hits, after.Hits, uses-1)
 		}
-		if after.UsedBytes != before.UsedBytes {
-			t.Errorf("shape %v: used bytes leaked: %d -> %d", shape, before.UsedBytes, after.UsedBytes)
+		if p.buf != nil {
+			t.Errorf("shape %v: the last consumer did not give the buffer back", shape)
 		}
-	}
-}
-
-// TestSharedBPanelDeniedFallsBack: under a budget too small for the
-// panel, every consumer takes the private path and the results are
-// still exact; the denial is counted once and is sticky until Reset.
-func TestSharedBPanelDeniedFallsBack(t *testing.T) {
-	setPanelBudget(t, 64) // bytes; any real panel exceeds this
-	rng := rand.New(rand.NewSource(22))
-	sc := newSharedGemmCase(rng, 96, 96, 96, 3)
-	want := sc.want()
-	before := pcState()
-	p := NewSharedBPanel(3)
-	for i := range sc.cs {
-		GemmShared(sc.cs[i], sc.as[i], sc.b, p)
-	}
-	for i := range sc.cs {
-		if d := maxAbsDiffBacking(sc.cs[i], want[i]); d != 0 {
-			t.Fatalf("consumer %d: denied path diverges, max |diff| = %g", i, d)
-		}
-	}
-	after := pcState()
-	if got := after.Denied - before.Denied; got != 1 {
-		t.Errorf("denials = %d, want 1 (sticky after the first)", got)
-	}
-	if got := after.Misses - before.Misses; got != 3 {
-		t.Errorf("misses = %d, want one per consumer (3)", got)
-	}
-	if after.UsedBytes != before.UsedBytes {
-		t.Errorf("denied panel changed used bytes: %d -> %d", before.UsedBytes, after.UsedBytes)
 	}
 }
 
@@ -141,30 +124,28 @@ func TestSharedBPanelConcurrent(t *testing.T) {
 			t.Fatalf("concurrent consumer %d diverges: max |diff| = %g", i, d)
 		}
 	}
-	if s := pcState(); s.UsedBytes < 0 {
-		t.Fatalf("negative used bytes %d after concurrent run", s.UsedBytes)
+	if n := p.uses.Load(); n != 0 || p.buf != nil {
+		t.Fatalf("after a concurrent run the handle has %d uses left and holds a buffer: %v", n, p.buf != nil)
 	}
 }
 
-// TestSharedBPanelLifecycle covers the refcount free, ForceFree
-// idempotence and Reset re-arming.
+// TestSharedBPanelLifecycle: the first consumer takes a buffer, the
+// last gives it back to the free list, and Reset re-arms the refcount —
+// giving back the buffer a run that stopped between them left packed.
 func TestSharedBPanelLifecycle(t *testing.T) {
+	isolateFreeList(t, pcCap)
 	rng := rand.New(rand.NewSource(24))
 	sc := newSharedGemmCase(rng, 64, 64, 64, 2)
-	before := pcState()
 	p := NewSharedBPanel(2)
 
 	GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, p)
-	if s := pcState(); s.UsedBytes <= before.UsedBytes {
-		t.Fatal("first consumer did not charge the budget")
+	buf := p.buf
+	if buf == nil {
+		t.Fatal("first consumer did not take a buffer")
 	}
 	GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, p)
-	if s := pcState(); s.UsedBytes != before.UsedBytes {
-		t.Fatalf("last consumer did not free: used %d -> %d", before.UsedBytes, s.UsedBytes)
-	}
-	p.ForceFree() // idempotent after the refcount free
-	if s := pcState(); s.UsedBytes != before.UsedBytes {
-		t.Fatal("ForceFree after normal free changed accounting")
+	if p.buf != nil || !parked(buf) {
+		t.Fatal("last consumer did not give the buffer back")
 	}
 
 	// Reset re-arms for a full re-execution (the rt path for re-runs).
@@ -178,20 +159,24 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 			t.Fatalf("post-Reset consumer %d diverges: max |diff| = %g", i, d)
 		}
 	}
-	if s := pcState(); s.UsedBytes != before.UsedBytes {
-		t.Fatalf("re-execution leaked bytes: %d -> %d", before.UsedBytes, s.UsedBytes)
+	if n := p.uses.Load(); n != 0 || p.buf != nil {
+		t.Fatalf("re-execution left %d uses and a held buffer: %v", n, p.buf != nil)
 	}
 
-	// Abort path: one consumer runs, the second never does; ForceFree
-	// must reclaim.
+	// Stopped run: one consumer runs, the second never does; Reset gives
+	// the held buffer back and restores the count.
 	p.Reset()
 	GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, p)
-	if s := pcState(); s.UsedBytes <= before.UsedBytes {
-		t.Fatal("aborted run did not hold a buffer before ForceFree")
+	buf = p.buf
+	if buf == nil {
+		t.Fatal("stopped run did not hold a buffer before Reset")
 	}
-	p.ForceFree()
-	if s := pcState(); s.UsedBytes != before.UsedBytes {
-		t.Fatalf("ForceFree leaked: %d -> %d", before.UsedBytes, s.UsedBytes)
+	p.Reset()
+	if p.buf != nil || !parked(buf) {
+		t.Fatal("Reset did not give the held buffer back")
+	}
+	if n := p.uses.Load(); n != 2 {
+		t.Fatalf("Reset left %d uses, want 2", n)
 	}
 }
 
@@ -270,12 +255,15 @@ func (g updateGrid) clone() updateGrid {
 	return out
 }
 
-// run executes every task of the grid through GemmShared with one B
-// handle per column, `workers` tasks at a time, and returns the
-// handles.
-func (g updateGrid) run(workers int) (pb []*SharedPanel) {
-	for range g.bs {
-		pb = append(pb, NewSharedBPanel(len(g.as)))
+// run executes every task of the grid through GemmShared, `workers`
+// tasks at a time, with one B handle per column when shared and nil
+// handles otherwise, and returns the handles.
+func (g updateGrid) run(workers int, shared bool) (pb []*SharedPanel) {
+	pb = make([]*SharedPanel, len(g.bs))
+	for j := range pb {
+		if shared {
+			pb[j] = NewSharedBPanel(len(g.as))
+		}
 	}
 	var wg sync.WaitGroup
 	tasks := make(chan [2]int)
@@ -307,13 +295,12 @@ func (g updateGrid) same(t *testing.T, what string, want updateGrid) {
 	}
 }
 
-// TestSharedPanelsHitDeniedOffBitIdentical: the same update grid run
-// with B cached, with a budget that denies every panel and
-// with a zero budget must produce the bits of plain Gemm calls
-// — under every registered kernel, the portable one included, with
-// four tasks in flight. On the clean run every handle's count reaches
-// exactly zero: the last consumer, not a ForceFree, returns the bytes.
-func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
+// TestSharedPanelsHitOffBitIdentical: the same update grid run with B
+// shared and with nil handles must produce the bits of plain Gemm calls
+// — under every registered kernel, the portable one included, with four
+// tasks in flight. On the shared run every handle's count reaches
+// exactly zero and the last consumer gives its buffer back.
+func TestSharedPanelsHitOffBitIdentical(t *testing.T) {
 	const rows, cols = 3, 5
 	for _, p := range kernelProfiles() {
 		p := p
@@ -332,7 +319,7 @@ func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
 
 				before := pcState()
 				hit := src.clone()
-				pb := hit.run(4)
+				pb := hit.run(4, true)
 				hit.same(t, "cached", want)
 				after := pcState()
 				if got := after.Packs - before.Packs; got != cols {
@@ -341,70 +328,58 @@ func TestSharedPanelsHitDeniedOffBitIdentical(t *testing.T) {
 				if got := after.Hits - before.Hits; got != cols*(rows-1) {
 					t.Errorf("B hits = %d, want %d", got, cols*(rows-1))
 				}
-				if after.UsedBytes != before.UsedBytes {
-					t.Errorf("clean run left %d bytes live before any ForceFree", after.UsedBytes-before.UsedBytes)
-				}
 				for i, h := range pb {
-					if n := h.uses.Load(); n != 0 {
-						t.Errorf("handle %d ends with %d uses, want exactly 0", i, n)
+					if n := h.uses.Load(); n != 0 || h.buf != nil {
+						t.Errorf("handle %d ends with %d uses and a held buffer: %v, want 0 and none", i, n, h.buf != nil)
 					}
 				}
 
-				setPanelBudget(t, 64)
 				before = pcState()
-				denied := src.clone()
-				denied.run(4)
-				denied.same(t, "denied", want)
-				after = pcState()
-				if got := after.Denied - before.Denied; got != cols {
-					t.Errorf("B denials = %d, want one per column (%d)", got, cols)
-				}
-				if got := after.Misses - before.Misses; got != rows*cols {
-					t.Errorf("B misses = %d, want one per task (%d)", got, rows*cols)
-				}
-
-				// A zero budget admits nothing, not even a parked buffer.
-				setPanelBudget(t, 0)
 				off := src.clone()
-				off.run(4)
+				off.run(4, false)
 				off.same(t, "off", want)
-				if s := pcState(); s.UsedBytes != before.UsedBytes {
-					t.Errorf("disabled cache holds %d bytes", s.UsedBytes-before.UsedBytes)
+				if after := pcState(); after != before {
+					t.Errorf("nil handles moved the cache counters: %+v -> %+v", before, after)
 				}
 			})
 		})
 	}
 }
 
-// TestPanelBuffersRecycled: a freed panel buffer is handed to the next
-// panel of its length instead of being reallocated, parked bytes count
-// against the budget together with live ones, and a shrinking budget
-// drops them.
+// TestPanelBuffersRecycled: a buffer given back is handed to the next
+// panel of its length instead of being reallocated, and parked bytes
+// never pass the cap — a buffer given back over it is dropped.
 func TestPanelBuffersRecycled(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	sc := newSharedGemmCase(rng, 64, 64, 64, 2)
-	pack := func() *float64 {
-		p := NewSharedBPanel(2)
+	first := func(p *SharedPanel) []float64 {
 		GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, p)
-		first := &p.buf[0]
-		GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, p) // last use parks it
-		return first
+		return p.buf
 	}
-	if b1, b2 := pack(), pack(); b1 != b2 {
+	last := func(p *SharedPanel) { GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, p) }
+
+	isolateFreeList(t, pcCap)
+	p := NewSharedBPanel(2)
+	b1 := first(p)
+	last(p)
+	q := NewSharedBPanel(2)
+	if b2 := first(q); &b1[0] != &b2[0] {
 		t.Error("second panel of the same length did not reuse the parked buffer")
 	}
+	last(q)
+
+	// Room for one buffer: of two given back, the second is dropped.
+	size := int64(len(b1)) * 8
+	isolateFreeList(t, size)
+	p, q = NewSharedBPanel(2), NewSharedBPanel(2)
+	bp, bq := first(p), first(q)
+	last(p)
+	last(q)
 	pcMu.Lock()
-	used, parked, budget := pcUsed, pcParked, pcBudget
+	n, limit := pcParked, pcCap
 	pcMu.Unlock()
-	if parked == 0 || used+parked > budget {
-		t.Errorf("used %d + parked %d vs budget %d: parked buffers must exist and fit", used, parked, budget)
-	}
-	setPanelBudget(t, 0)
-	pcMu.Lock()
-	pcTrimLocked()
-	parked, lists := pcParked, len(pcFree)
-	pcMu.Unlock()
-	if parked != 0 || lists != 0 {
-		t.Errorf("zero budget keeps %d parked bytes in %d lists", parked, lists)
+	if n != size || n > limit || !parked(bp) || parked(bq) {
+		t.Errorf("parked %d bytes against a cap of %d (first buffer parked %v, second %v), want exactly the first",
+			n, limit, parked(bp), parked(bq))
 	}
 }

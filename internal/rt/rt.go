@@ -148,13 +148,6 @@ func (e *executor) drive(w int) {
 
 // result is the run's outcome, read once every worker has returned.
 func (e *executor) result() (Result, error) {
-	// Workers have returned, so any shared panel handle still packed
-	// belongs to a task that never ran (aborted run) — reclaim its
-	// cache budget. A no-op on the success path.
-	e.g.ReleasePanels()
-	if e.n == 0 {
-		return Result{}, nil
-	}
 	if e.opt.Trace != nil {
 		for w, s := range e.spans {
 			if len(s) == 0 {
@@ -184,7 +177,7 @@ func Run(g *dag.Graph, pol sched.Policy, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	if e.n == 0 {
-		return e.result()
+		return Result{}, nil
 	}
 	var wg sync.WaitGroup
 	wg.Add(opt.Workers - 1)
