@@ -1,32 +1,17 @@
 // Command hsdrouter is the cluster front door over a set of hsdserve
-// engine shards: it consistent-hashes factorization keys onto shards
-// (a hash ring with 64 virtual nodes per shard), factors each key on
-// its owner, replicates the serialized factorization to -replicas
-// shards for solve read-scaling, and routes solves to any replica with
-// failover. Shard lifecycle is handled live: health probes mark
-// unreachable shards unhealthy (solves fail over to surviving
-// replicas), /v1/admin/join rebalances the ring and migrates reassigned
-// keys to a new shard, and /v1/admin/drain retires a shard after
-// handing its kept factorizations to the owners under the shrunken
-// ring.
-//
-// The router keeps no state per key: a key lives on its -replicas ring
-// owners, and ids (the kind prefix plus 96 random bits, redrawn until
-// the owners can take the factor) never repeat, so restarting hsdrouter
-// with the same -shards keeps every key solvable.
+// engine shards: it consistent-hashes factorization keys onto shards,
+// factors each key on its owner, streams the factorization to the
+// other -replicas owners for solve read-scaling, and routes solves to
+// any replica with failover. Health probes mark unreachable shards
+// unhealthy; /v1/admin/join and /v1/admin/drain rebalance the ring and
+// migrate the keys it reassigns. Clients speak a single hsdserve's
+// /v1/factor, /v1/cholesky, /v1/solve, /v1/cholesky/solve and /v1/stats
+// surface, except that the router assigns ids; README's "Cluster mode"
+// has the rest.
 //
 //	hsdrouter -addr :8090 \
 //	    -shards s1=http://10.0.0.1:8080,s2=http://10.0.0.2:8080,s3=http://10.0.0.3:8080 \
 //	    -replicas 2 -probe 2s
-//
-// Clients speak the same /v1/factor, /v1/cholesky, /v1/solve,
-// /v1/cholesky/solve and /v1/stats surface as a single hsdserve —
-// the router assigns ids, so factor requests must not carry one.
-// /v1/stats aggregates per-shard request counts, failovers,
-// replication lag and the ring generation alongside each live shard's
-// own stats. A solve whose every owning shard is gone returns a typed
-// 503 with "ownerSetDown": true; so does an unknown id while one of its
-// owners is down, since that owner may hold it.
 //
 //	curl -s localhost:8090/v1/admin/join -H 'Content-Type: application/json' \
 //	    -d '{"name":"s4","url":"http://10.0.0.4:8080"}'

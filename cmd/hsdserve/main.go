@@ -1,15 +1,9 @@
-// Command hsdserve exposes the factorization engine over
-// HTTP/JSON: one worker pool serving concurrent Factor and
-// Solve requests on internal/engine (static per-job worker
-// reservations, the paper's hybrid static/dynamic scheduling inside
-// each job). Every job runs the paper's recommended schedule — the BCL
-// layout, the hybrid scheduler with 10% of the block columns dynamic —
-// at the request's block and workers; a request that names scheduler,
-// layout, dynamicRatio or class is a 400. Admission is two first-in
-// first-out lanes, chosen by the job's flop count: small jobs ride an
-// express lane, served first, with a one-worker default share; big jobs
-// start when it is empty. A request's deadlineMs bounds its context: a
-// job still queued when it passes is withdrawn with a 503.
+// Command hsdserve exposes the factorization engine over HTTP/JSON:
+// one worker pool serving concurrent factor and solve requests on
+// internal/engine, every job under the paper's recommended schedule
+// (BCL, the hybrid scheduler with 10% of the block columns dynamic) at
+// the request's block and workers, admitted by two lanes chosen by its
+// flop count (README, "Traffic shaping").
 //
 //	hsdserve -addr :8080 -pool 8 -maxinflight 32
 //

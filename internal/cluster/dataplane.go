@@ -12,16 +12,18 @@ import (
 // Data plane: factor and solve requests reach the shards as the bytes
 // the client sent; the router reads a solve's id and never a matrix.
 
-// post sends body to a shard path under ctx; transport failures count
-// against the shard's health, unless ctx ended: a client that gave up
-// says nothing about the shard.
-func (rt *Router) post(ctx context.Context, s *shardState, path, ct string, body []byte) (*http.Response, error) {
+// post sends the n bytes of body (n < 0: unknown) to a shard path under
+// ctx; transport failures count against the shard's health, unless ctx
+// ended: a client that gave up, or a source that failed, says nothing
+// about the shard.
+func (rt *Router) post(ctx context.Context, s *shardState, path, ct string, body io.Reader, n int64) (*http.Response, error) {
 	s.requests.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url+path, body)
 	if err != nil {
 		rt.noteResult(s, err)
 		return nil, err
 	}
+	req.ContentLength = n
 	req.Header.Set("Content-Type", ct)
 	resp, err := rt.client.Do(req)
 	if err == nil || ctx.Err() == nil {
@@ -50,23 +52,21 @@ func ownerSetDown(w http.ResponseWriter, msg string) {
 // relay copies a shard response through to the client.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
+	for _, h := range []string{"Content-Type", "Retry-After"} {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 }
 
-// try posts body to path on the eligible candidates in order until one
-// answers with a status that is not retryable, and returns that shard
-// and its response. When every answer was retryable it returns the last
-// one — the client sees why the last candidate refused — and when no
-// candidate was eligible or reachable, a nil response. Every attempt
-// after the first counts as a failover. The attempts carry the client's
-// ctx; once it ends, try stops. The caller closes the body.
+// try posts body to path on the eligible candidates in order, under the
+// client's ctx, until one answers a status that is not retryable, and
+// returns that shard and its response — else the last answer, so the
+// client sees why the last candidate refused, or nil when none was
+// reachable. Every attempt after the first is a failover. The caller
+// closes the body.
 func (rt *Router) try(ctx context.Context, candidates []string, eligible func(*shardState) bool, retryable func(status int) bool, path string, body []byte) (*shardState, *http.Response) {
 	var (
 		from *shardState
@@ -85,7 +85,7 @@ func (rt *Router) try(ctx context.Context, candidates []string, eligible func(*s
 			rt.failovers.Add(1)
 		}
 		tried++
-		resp, err := rt.post(ctx, s, path, mediaJSON, body)
+		resp, err := rt.post(ctx, s, path, mediaJSON, bytes.NewReader(body), int64(len(body)))
 		if err != nil {
 			continue
 		}

@@ -10,15 +10,13 @@ import (
 	"net/http"
 )
 
-// The request guards. Get, PostJSON and PostBytes wrap every route of
+// The request guards. Get, PostJSON and PostStream wrap every route of
 // both HTTP tiers — the shard's (internal/serve) and the router's — so
 // the method, Content-Type and size checks happen in one place, before
-// any body byte is read, and answer alike on both. A body is read once,
-// into one buffer of its declared size; a JSON body is then decoded by
-// decodeJSON, which parses a request's bulk number array in one pass. A
-// guarded handler receives the decoded request or the capped bytes as a
-// parameter: a function that reads r.Body itself does not fit a route
-// table.
+// any body byte is read, and answer alike on both. A guarded handler
+// gets the decoded request, the body's bytes or the capped body reader
+// as a parameter; a function that reads r.Body itself does not fit a
+// route table.
 
 const (
 	mediaJSON  = "application/json"
@@ -36,12 +34,10 @@ func Get(h http.HandlerFunc) http.HandlerFunc {
 
 // PostJSON guards a route whose body is one JSON value of type T: POST
 // only, a JSON Content-Type when one is sent, the body capped at
-// maxBody, and nothing but whitespace after the value — a second
-// document or stray bytes are a malformed request, not something to
-// ignore. The body is read whole (PostBytes), then decoded by
-// decodeJSON.
+// maxBody, read whole and decoded by decodeJSON, and nothing but
+// whitespace after the value: a second document is a malformed request.
 func PostJSON[T any](maxBody int64, h func(http.ResponseWriter, *http.Request, *T)) http.HandlerFunc {
-	return PostBytes(mediaJSON, maxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
+	return postBytes(maxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
 		var v T
 		if err := decodeJSON(body, &v); err != nil {
 			bodyError(w, err)
@@ -51,12 +47,29 @@ func PostJSON[T any](maxBody int64, h func(http.ResponseWriter, *http.Request, *
 	})
 }
 
-// PostBytes guards a route that takes its body whole: POST only, the
-// given media type, at most maxBody bytes. A declared Content-Length
-// over maxBody is refused before any byte is read; one within it sizes
-// the buffer the body is read into. The router's data plane uses it to
-// forward a JSON request as the bytes that arrived.
-func PostBytes(mediaType string, maxBody int64, h func(http.ResponseWriter, *http.Request, []byte)) http.HandlerFunc {
+// postBytes guards a JSON route that takes its body whole: PostStream's
+// checks, then the body read into one buffer sized by its declared
+// length. The router's data plane uses it to forward a request as the
+// bytes that arrived.
+func postBytes(maxBody int64, h func(http.ResponseWriter, *http.Request, []byte)) http.HandlerFunc {
+	return PostStream(mediaJSON, maxBody, func(w http.ResponseWriter, r *http.Request, body io.Reader, _ int64) error {
+		buf := bytes.NewBuffer(make([]byte, 0, max(r.ContentLength, 0)+bytes.MinRead))
+		_, err := buf.ReadFrom(body)
+		if err == nil {
+			h(w, r, buf.Bytes())
+		}
+		return err
+	})
+}
+
+// PostStream guards a route that reads its body as it arrives: POST
+// only, the given media type, at most maxBody bytes (a declared length
+// over it refused unread). The handler gets the capped body and the
+// most bytes it can carry, the declared length or maxBody, to refuse a
+// claimed size before allocating it. An error it returns with no reply
+// written is a body error once the rest of the body is dropped, so a
+// body over the cap is 413 however far the handler read.
+func PostStream(mediaType string, maxBody int64, h func(http.ResponseWriter, *http.Request, io.Reader, int64) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !admit(w, r, http.MethodPost, mediaType) {
 			return
@@ -65,26 +78,18 @@ func PostBytes(mediaType string, maxBody int64, h func(http.ResponseWriter, *htt
 			bodyError(w, &http.MaxBytesError{Limit: maxBody})
 			return
 		}
-		body, err := readSized(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength, maxBody)
-		if err != nil {
-			bodyError(w, err)
-			return
+		limit := maxBody
+		if r.ContentLength >= 0 {
+			limit = r.ContentLength
 		}
-		h(w, r, body)
+		body := http.MaxBytesReader(w, r.Body, maxBody)
+		if err := h(w, r, body, limit); err != nil {
+			if _, rest := io.Copy(io.Discard, body); rest != nil {
+				err = rest
+			}
+			bodyError(w, err)
+		}
 	}
-}
-
-// readSized reads r to its end. A declared length n with 0 < n <= max
-// sizes the one buffer the bytes go to; any other (unknown, or not to
-// be trusted with an allocation) leaves the buffer to grow as io.ReadAll
-// grows it.
-func readSized(r io.Reader, n, max int64) ([]byte, error) {
-	if n <= 0 || n > max {
-		return io.ReadAll(r)
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
 }
 
 // admit checks what must hold before any body byte is read: the method
@@ -109,10 +114,8 @@ func admit(w http.ResponseWriter, r *http.Request, method, mediaType string) boo
 	return true
 }
 
-// bodyError maps a request-body read or decode error to its reply: an
-// oversized body is 413 carrying the limit, anything else the caller's
-// 400. Every guarded route reports body errors through it, so both
-// tiers give each body error the same status.
+// bodyError is every guarded route's reply to a body read or decode
+// error: 413 carrying the limit for an oversized body, else 400.
 func bodyError(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -146,5 +147,21 @@ func TestGuardTable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWriteJSONUnencodable500: a reply JSON cannot encode is a 500
+// naming the encoding error, not a 200 with an empty body: WriteJSON
+// sends its status with the first body byte, and the encoder fails
+// before writing any.
+func TestWriteJSONUnencodable500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	cluster.WriteJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	var out map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("reply %q is not one JSON object: %v", rec.Body, err)
+	}
+	if rec.Code != http.StatusInternalServerError || !strings.HasPrefix(out["error"], "encode reply: json: unsupported value") {
+		t.Fatalf("unencodable reply: %d %v, want 500 naming the encoding error", rec.Code, out)
 	}
 }

@@ -1,13 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"slices"
+	"strings"
 	"time"
 )
 
@@ -114,52 +114,69 @@ func (rt *Router) boundedGet(target string) (int, []byte, error) {
 	return resp.StatusCode, body, err
 }
 
-// exportFrom fetches the serialized factorization for key from a shard,
-// into one buffer of the declared length when that is within MaxBody.
-func (rt *Router) exportFrom(s *shardState, key string) ([]byte, error) {
-	resp, err := rt.get(s, "/v1/admin/export?id="+url.QueryEscape(key))
+// copyKey streams key's frame from holder s into target t, the
+// export's body as the import's, under its declared length. A cut
+// export counts against s and a failed import against t; holderFailed
+// says which, so the caller can try another holder.
+func (rt *Router) copyKey(key string, s, t *shardState) (ok, holderFailed bool) {
+	q := "?id=" + url.QueryEscape(key)
+	resp, err := rt.get(s, "/v1/admin/export"+q)
 	if err != nil {
-		return nil, err
+		return false, true
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("export %s from %s: status %d: %s", key, s.name, resp.StatusCode, bytes.TrimSpace(b))
+		return false, true
 	}
-	return readSized(resp.Body, resp.ContentLength, rt.opt.MaxBody)
+	ctx, cut := context.WithCancel(context.Background())
+	defer cut()
+	ir, err := rt.post(ctx, t, "/v1/admin/import"+q, mediaBytes, &sourceBody{resp.Body, cut}, resp.ContentLength)
+	if err == nil {
+		defer ir.Body.Close()
+		io.Copy(io.Discard, ir.Body)
+	}
+	if ctx.Err() != nil {
+		rt.noteTransportError(s)
+		return false, true
+	}
+	return err == nil && (ir.StatusCode == http.StatusOK || ir.StatusCode == http.StatusNoContent), false
 }
 
-// importTo ships serialized factorization bytes to a shard under key.
-func (rt *Router) importTo(s *shardState, key string, wire []byte) error {
-	resp, err := rt.post(context.Background(), s, "/v1/admin/import?id="+url.QueryEscape(key), mediaBytes, wire)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("import %s to %s: status %d", key, s.name, resp.StatusCode)
-	}
-	return nil
+// sourceBody is an export body on its way into an import request; a
+// failed read of it cuts the import's context.
+type sourceBody struct {
+	r   io.Reader
+	cut context.CancelFunc
 }
 
-// migrateKey makes every routable shard in want hold key, exporting
-// once from the first routable current holder that still has it — at
+func (b *sourceBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err != nil && err != io.EOF {
+		b.cut()
+	}
+	return n, err
+}
+
+// migrateKey makes every routable shard in want hold key, streaming it
+// from the first routable current holder whose export reads whole — at
 // factor time the shard that just factored, in a rebalance any holder:
-// they hold the same bytes.
+// they hold the same bytes. A failed import is not retried.
 func (rt *Router) migrateKey(key string, current, want []string) {
-	var wire []byte
 	for _, name := range want {
 		t := rt.shard(name)
 		if slices.Contains(current, name) || !rt.routable(t) {
 			continue
 		}
-		for _, h := range current { // on failure, try the next holder
-			if s := rt.shard(h); wire == nil && rt.routable(s) {
-				wire, _ = rt.exportFrom(s, key)
+		ok := false
+		for _, h := range current {
+			if s := rt.shard(h); rt.routable(s) {
+				var holderFailed bool
+				if ok, holderFailed = rt.copyKey(key, s, t); !holderFailed {
+					break
+				}
 			}
 		}
-		if wire == nil || rt.importTo(t, key, wire) != nil {
+		if !ok {
 			rt.repFail.Add(1)
 			continue
 		}
@@ -218,7 +235,7 @@ func (rt *Router) drain(name string) error {
 	// Shard-side drain: it finishes inflight work and refuses new jobs.
 	// A solve racing this gets the shard's 503 and fails over to a
 	// freshly migrated replica, so clients never see the retirement.
-	resp, err := rt.post(context.Background(), s, "/v1/admin/drain", mediaJSON, []byte("{}"))
+	resp, err := rt.post(context.Background(), s, "/v1/admin/drain", mediaJSON, strings.NewReader("{}"), 2)
 	if err == nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()

@@ -1,18 +1,15 @@
 // Package cluster is the sharded serving tier: a consistent-hash ring
-// that maps factorization keys onto engine shards, a wire format that
-// ships completed factorizations between shards (pivots plus packed
-// L/U blocks through the layout package's block iteration), and the
-// router front door that places factor jobs on a key's owner, fans the
-// serialized factorization out to replicas for solve read-scaling, and
-// handles shard lifecycle — join (ring rebalance plus migration of
-// reassigned keys), drain (stop placing, migrate kept state, then
-// retire) and failure (probe-driven eviction with solve failover to
-// surviving replicas).
+// that maps factorization keys onto engine shards, the wire format
+// factorizations stream between shards in, and the router front door
+// that places factor jobs on a key's owner, streams each to its
+// replicas for solve read-scaling, and runs the shard lifecycle: join,
+// drain and probe-driven eviction with solve failover.
 //
 // The split mirrors the paper's static-partition-plus-dynamic-remainder
 // idea one level up: the ring is the static partition of the key space
 // (cheap, deterministic, no coordination per request), while failover,
-// replica rotation and re-placement absorb the dynamic remainder — shards that die, drain or join.
+// replica rotation and re-placement absorb the shards that die, drain
+// or join.
 package cluster
 
 import (

@@ -157,7 +157,9 @@ func (rt *Router) handleDrain(w http.ResponseWriter, _ *http.Request, req *drain
 	WriteJSON(w, http.StatusOK, map[string]string{"drained": req.Name})
 }
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// Healthz answers /healthz on both tiers: 200 while the process serves
+// requests at all.
+func Healthz(w http.ResponseWriter, _ *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, "ok\n")
 }
@@ -179,19 +181,19 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// A kind is its key prefix plus the shard path its requests go to.
 	for _, k := range []struct{ prefix, path string }{{"f", "/v1/factor"}, {"c", "/v1/cholesky"}} {
-		mux.HandleFunc(k.path, PostBytes(mediaJSON, rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
+		mux.HandleFunc(k.path, postBytes(rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
 			rt.handleFactor(r.Context(), w, body, k.prefix, k.path)
 		}))
 	}
 	for _, path := range []string{"/v1/solve", "/v1/cholesky/solve"} {
-		mux.HandleFunc(path, PostBytes(mediaJSON, rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
+		mux.HandleFunc(path, postBytes(rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
 			rt.handleSolve(r.Context(), w, body, path)
 		}))
 	}
 	mux.HandleFunc("/v1/stats", Get(rt.handleStats))
 	mux.HandleFunc("/v1/admin/join", PostJSON(rt.opt.MaxBody, rt.handleJoin))
 	mux.HandleFunc("/v1/admin/drain", PostJSON(rt.opt.MaxBody, rt.handleDrain))
-	mux.HandleFunc("/healthz", Get(rt.handleHealthz))
+	mux.HandleFunc("/healthz", Get(Healthz))
 	mux.HandleFunc("/readyz", Get(rt.handleReadyz))
 	return mux
 }

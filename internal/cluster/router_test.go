@@ -1053,3 +1053,103 @@ func TestClusterFactorDuringJoinIsMigrated(t *testing.T) {
 		t.Fatalf("solve %s of a key factored mid-join: %d %v", id, code, out)
 	}
 }
+
+// TestClusterCutExportStream: replication streams a holder's export
+// straight into the target's import, so a holder whose export declares
+// its whole length and then closes mid-body must fail that copy as the
+// holder's fault. At factor time the reply is still relayed as 200, the
+// target does not hold the key, replicationFailures rises by one and
+// only the holder gets a transport error. In a rebalance the copy is
+// retried from the next holder and completes.
+func TestClusterCutExportStream(t *testing.T) {
+	// shards starts named shards whose export of a key, while their cut
+	// flag is set, sends the real frame's header and half its bytes.
+	shards := func(names ...string) (map[string]*serve.Server, map[string]*atomic.Bool, []cluster.ShardInfo) {
+		srvs, cuts := map[string]*serve.Server{}, map[string]*atomic.Bool{}
+		var infos []cluster.ShardInfo
+		for _, name := range names {
+			cut := new(atomic.Bool)
+			srv, ts := newShardServer(t, func(h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if !cut.Load() || r.URL.Path != "/v1/admin/export" || r.URL.Query().Get("id") == "" {
+						h.ServeHTTP(w, r)
+						return
+					}
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, r)
+					conn, _, err := w.(http.Hijacker).Hijack()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer conn.Close()
+					fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nContent-Length: %d\r\n\r\n", rec.Body.Len())
+					conn.Write(rec.Body.Bytes()[:rec.Body.Len()/2])
+				})
+			})
+			srvs[name], cuts[name] = srv, cut
+			infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
+		}
+		return srvs, cuts, infos
+	}
+
+	t.Run("factor", func(t *testing.T) {
+		srvs, cuts, infos := shards("a", "b")
+		cuts["a"].Store(true)
+		cuts["b"].Store(true)
+		rt, front := newFront(t, infos, 2)
+		id := factorVia(t, front, 16, 1) // fails the test unless relayed as 200
+		owners := cluster.Owners([]string{"a", "b"}, id, 2)
+		holder, target := owners[0], owners[1]
+		if _, ok := srvs[target].Store().Get(id); ok {
+			t.Fatalf("target %s holds %s from a cut export", target, id)
+		}
+		if _, ok := srvs[holder].Store().Get(id); !ok {
+			t.Fatalf("holder %s lost %s", holder, id)
+		}
+		st := rt.Stats()
+		if st.ReplicationFailures != 1 || st.Replications != 0 {
+			t.Fatalf("replications %d, failures %d; want 0 and 1", st.Replications, st.ReplicationFailures)
+		}
+		if h, g := st.Shards[holder].TransportErrors, st.Shards[target].TransportErrors; h != 1 || g != 0 {
+			t.Fatalf("transport errors: holder %d, target %d; want 1 and 0", h, g)
+		}
+	})
+
+	t.Run("rebalance", func(t *testing.T) {
+		srvs, cuts, infos := shards("a", "b", "c")
+		rt, front := newFront(t, infos[:2], 2)
+		// Factor until some key's owners after the join include c; every
+		// key is held by both a and b.
+		var ids []string
+		for len(ids) == 0 || !slices.Contains(cluster.Owners([]string{"a", "b", "c"}, ids[len(ids)-1], 2), "c") {
+			if len(ids) == 50 {
+				t.Fatal("no key of 50 moves to c")
+			}
+			ids = append(ids, factorVia(t, front, 8, len(ids)+1))
+		}
+		cuts["a"].Store(true) // a lists first, so every copy tries a, then b
+		if err := rt.Join(infos[2]); err != nil {
+			t.Fatal(err)
+		}
+		moved := 0
+		for _, id := range ids {
+			_, ok := srvs["c"].Store().Get(id)
+			if want := slices.Contains(cluster.Owners([]string{"a", "b", "c"}, id, 2), "c"); ok != want {
+				t.Fatalf("c holds %s: %v, want %v", id, ok, want)
+			}
+			if ok {
+				moved++
+			}
+		}
+		st := rt.Stats()
+		if st.ReplicationFailures != 0 || st.Replications != int64(len(ids)+moved) {
+			t.Fatalf("replications %d, failures %d; want %d and 0", st.Replications, st.ReplicationFailures, len(ids)+moved)
+		}
+		for name, want := range map[string]int64{"a": int64(moved), "b": 0, "c": 0} {
+			if got := st.Shards[name].TransportErrors; got != want {
+				t.Fatalf("shard %s: %d transport errors, want %d (one per copy from its cut export)", name, got, want)
+			}
+		}
+	})
+}

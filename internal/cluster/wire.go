@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/layout"
@@ -12,17 +14,16 @@ import (
 // The factorization wire format: what a shard exports when the router
 // replicates, migrates or drains kept state. A factorization travels
 // as a small header, the pivot permutation, and each factor in the
-// layout package's block encoding (HSDL), written straight from the
-// owner's dense factor and decoded straight into the replica's, so
-// values round-trip bit-identically and a replica's solve reproduces
-// the owner's solve exactly.
+// layout package's block encoding (HSDL), streamed from the owner's
+// dense factor into the replica's one block row at a time, so no hop
+// holds a whole frame and values round-trip bit-identically: a
+// replica's solve reproduces the owner's exactly.
 //
 //	magic "HSDW" | version u8 | kind u8 (1=LU, 2=Cholesky)
 //	| permLen u32 | perm u32... (LU only; Cholesky has no pivoting)
 //	| HSDL(L) | HSDL(U)   (U for LU only)
 //
-// Run metadata (Makespan, Counters, Stats) describes the original
-// execution, not the factors; it does not travel.
+// Run metadata (Makespan, Counters, Stats) does not travel.
 
 const (
 	wireMagic   = "HSDW"
@@ -31,115 +32,152 @@ const (
 	wireKindCh  = 2
 	wireHdrLen  = 4 + 1 + 1
 
-	// wireBlock is the tile size factors are encoded with: two-level
-	// tiles on a single-worker grid, since wire bytes carry no
-	// ownership. Any positive value decodes; 128 is what every shard
-	// has sent.
+	// wireBlock is the tile size factors are encoded with, as two-level
+	// tiles on a single-worker grid: wire bytes carry no ownership.
 	wireBlock = 128
 )
 
-// EncodeFactorization serializes a kept factorization: exactly one of
-// lu, chol must be non-nil.
-func EncodeFactorization(lu *core.Factorization, chol *core.CholeskyFactorization) ([]byte, error) {
+// Frame is a factorization checked for the wire: a shard can declare
+// its byte length Len, then stream it into a reply by Encode.
+type Frame struct {
+	Len     int64
+	head    []byte // magic, version, kind and, for LU, the permutation
+	factors []*mat.Dense
+}
+
+// NewFrame checks exactly one of lu, chol for the wire — every pivot
+// must fit a u32 — and returns its frame.
+func NewFrame(lu *core.Factorization, chol *core.CholeskyFactorization) (*Frame, error) {
 	if (lu != nil) == (chol != nil) {
 		return nil, fmt.Errorf("cluster: need exactly one of LU or Cholesky to encode")
 	}
-	kind, size, factors := byte(wireKindLU), wireHdrLen, []*mat.Dense{}
+	fr := &Frame{head: append([]byte(wireMagic), wireVersion, wireKindCh)}
 	if chol != nil {
-		kind, factors = wireKindCh, append(factors, chol.L)
+		fr.factors = []*mat.Dense{chol.L}
 	} else {
-		size += 4 + 4*len(lu.Perm)
-		factors = append(factors, lu.L, lu.U)
-	}
-	for _, d := range factors {
-		size += layout.EncodedLen(d.Rows, d.Cols)
-	}
-	out := append(append(make([]byte, 0, size), wireMagic...), wireVersion, kind)
-	if lu != nil {
 		le := binary.LittleEndian
-		out = le.AppendUint32(out, uint32(len(lu.Perm)))
+		fr.head[5], fr.factors = wireKindLU, []*mat.Dense{lu.L, lu.U}
+		fr.head = le.AppendUint32(fr.head, uint32(len(lu.Perm)))
 		for _, p := range lu.Perm {
 			if p < 0 || int64(p) > int64(^uint32(0)) {
 				return nil, fmt.Errorf("cluster: permutation entry %d out of wire range", p)
 			}
-			out = le.AppendUint32(out, uint32(p))
+			fr.head = le.AppendUint32(fr.head, uint32(p))
 		}
 	}
-	for _, d := range factors {
-		out = layout.AppendDense(out, layout.TwoLevel, d, wireBlock, layout.NewGrid(1))
+	fr.Len = int64(len(fr.head))
+	for _, d := range fr.factors {
+		fr.Len += int64(layout.EncodedLen(d.Rows, d.Cols))
 	}
-	return out, nil
+	return fr, nil
 }
 
-// DecodeFactorization inverts EncodeFactorization. The returned
-// factorization carries the factors and permutation only — run
-// metadata is zero.
+// Encode writes the frame's Len bytes to w.
+func (fr *Frame) Encode(w io.Writer) error {
+	_, err := w.Write(fr.head)
+	for _, d := range fr.factors {
+		if err == nil {
+			err = layout.WriteDense(w, layout.TwoLevel, d, wireBlock, layout.NewGrid(1))
+		}
+	}
+	return err
+}
+
+// EncodeFactorization is NewFrame's frame as one byte string, for the
+// benchmark's cluster.wire_encode_s probe; the shards stream frames.
+func EncodeFactorization(lu *core.Factorization, chol *core.CholeskyFactorization) ([]byte, error) {
+	fr, err := NewFrame(lu, chol)
+	if err != nil {
+		return nil, err
+	}
+	out := bytes.NewBuffer(make([]byte, 0, fr.Len))
+	err = fr.Encode(out)
+	return out.Bytes(), err
+}
+
+// DecodeFactorization is ReadFactorization over one byte string, for
+// the benchmark's cluster.wire_decode_s probe.
 func DecodeFactorization(data []byte) (*core.Factorization, *core.CholeskyFactorization, error) {
-	if len(data) < wireHdrLen {
-		return nil, nil, fmt.Errorf("cluster: wire data too short (%d bytes)", len(data))
+	f, err := ReadFactorization(bytes.NewReader(data), int64(len(data)))
+	lu, _ := f.(*core.Factorization)
+	chol, _ := f.(*core.CholeskyFactorization)
+	return lu, chol, err
+}
+
+// ReadFactorization reads one frame, which r must end with, straight
+// into the factors of the LU or Cholesky factorization it returns.
+// limit is the most bytes r can carry: a permutation or factor that
+// does not fit in what is left of it is refused before allocating it.
+func ReadFactorization(r io.Reader, limit int64) (core.Factored, error) {
+	hdr := make([]byte, wireHdrLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, fmt.Errorf("cluster: reading wire header: %w", err)
 	}
-	if string(data[:4]) != wireMagic {
-		return nil, nil, fmt.Errorf("cluster: bad wire magic %q", data[:4])
+	if string(hdr[:4]) != wireMagic || hdr[4] != wireVersion {
+		return nil, fmt.Errorf("cluster: bad wire magic or version %q", hdr[:5])
 	}
-	if data[4] != wireVersion {
-		return nil, nil, fmt.Errorf("cluster: unsupported wire version %d", data[4])
-	}
-	kind := data[5]
-	rest := data[wireHdrLen:]
-	switch kind {
-	case wireKindCh:
-		d, _, n, err := layout.DecodeDense(rest)
+	limit -= wireHdrLen
+	factor := func(name string) (*mat.Dense, error) {
+		d, s, err := layout.ReadDense(r, limit)
 		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: cholesky factor: %w", err)
+			return nil, fmt.Errorf("cluster: %s factor: %w", name, err)
 		}
-		if len(rest) != n {
-			return nil, nil, fmt.Errorf("cluster: %d trailing bytes after cholesky factor", len(rest)-n)
+		m, n, _ := s.Dims()
+		limit -= int64(layout.EncodedLen(m, n))
+		return d, nil
+	}
+	var f core.Factored
+	switch kind := hdr[5]; kind {
+	case wireKindCh:
+		l, err := factor("cholesky")
+		if err == nil && l.Rows != l.Cols {
+			err = fmt.Errorf("cluster: cholesky factor is %dx%d, want square", l.Rows, l.Cols)
 		}
-		if d.Rows != d.Cols {
-			return nil, nil, fmt.Errorf("cluster: cholesky factor is %dx%d, want square", d.Rows, d.Cols)
+		if err != nil {
+			return nil, err
 		}
-		return nil, &core.CholeskyFactorization{L: d}, nil
+		f = &core.CholeskyFactorization{L: l}
 	case wireKindLU:
-		le := binary.LittleEndian
-		if len(rest) < 4 {
-			return nil, nil, fmt.Errorf("cluster: truncated permutation length")
+		if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+			return nil, fmt.Errorf("cluster: truncated permutation length: %w", err)
 		}
-		plen := int(le.Uint32(rest))
-		rest = rest[4:]
-		if plen > len(rest)/4 {
-			return nil, nil, fmt.Errorf("cluster: truncated permutation (%d entries)", plen)
+		plen := int64(binary.LittleEndian.Uint32(hdr))
+		if limit -= 4 + 4*plen; limit < 0 {
+			return nil, fmt.Errorf("cluster: truncated permutation (%d entries)", plen)
+		}
+		raw := make([]byte, 4*plen)
+		if _, err := io.ReadFull(r, raw); err != nil {
+			return nil, fmt.Errorf("cluster: truncated permutation (%d entries): %w", plen, err)
 		}
 		// A solve indexes rows through it: refuse any row out of range or twice.
 		perm, seen := make([]int, plen), make([]bool, plen)
 		for i := range perm {
-			p := le.Uint32(rest[4*i:])
-			if uint64(p) >= uint64(plen) || seen[p] {
-				return nil, nil, fmt.Errorf("cluster: permutation entry %d (row %d) is out of range or repeated", i, p)
+			p := binary.LittleEndian.Uint32(raw[4*i:])
+			if int64(p) >= plen || seen[p] {
+				return nil, fmt.Errorf("cluster: permutation entry %d (row %d) is out of range or repeated", i, p)
 			}
 			perm[i], seen[p] = int(p), true
 		}
-		rest = rest[4*plen:]
-		ld, _, n, err := layout.DecodeDense(rest)
+		l, err := factor("L")
+		if err == nil && int64(l.Rows) != plen {
+			err = fmt.Errorf("cluster: permutation length %d does not match L rows %d", plen, l.Rows)
+		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: L factor: %w", err)
+			return nil, err
 		}
-		rest = rest[n:]
-		ud, _, n, err := layout.DecodeDense(rest)
+		u, err := factor("U")
+		if err == nil && l.Cols != u.Rows {
+			err = fmt.Errorf("cluster: factor shapes %dx%d / %dx%d do not chain", l.Rows, l.Cols, u.Rows, u.Cols)
+		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: U factor: %w", err)
+			return nil, err
 		}
-		if len(rest) != n {
-			return nil, nil, fmt.Errorf("cluster: %d trailing bytes after U factor", len(rest)-n)
-		}
-		if ld.Rows != plen {
-			return nil, nil, fmt.Errorf("cluster: permutation length %d does not match L rows %d", plen, ld.Rows)
-		}
-		if ld.Cols != ud.Rows {
-			return nil, nil, fmt.Errorf("cluster: factor shapes %dx%d / %dx%d do not chain",
-				ld.Rows, ld.Cols, ud.Rows, ud.Cols)
-		}
-		return &core.Factorization{Perm: perm, L: ld, U: ud}, nil, nil
+		f = &core.Factorization{Perm: perm, L: l, U: u}
 	default:
-		return nil, nil, fmt.Errorf("cluster: unknown wire kind %d", kind)
+		return nil, fmt.Errorf("cluster: unknown wire kind %d", kind)
 	}
+	if n, _ := io.ReadFull(r, hdr[:1]); n > 0 {
+		return nil, fmt.Errorf("cluster: trailing bytes after the frame")
+	}
+	return f, nil
 }

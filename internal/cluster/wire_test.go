@@ -3,11 +3,14 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 	"repro/internal/mat"
@@ -182,6 +185,8 @@ func malformedWire(t testing.TB) map[string][]byte {
 			b[wireHdrLen] = 200 // claims 200 perm entries
 			return b
 		}(),
+		// Cut inside the first tile of L: past its header and two values.
+		"cut mid-tile": good[:wireHdrLen+4+4*3+26+8*2+5],
 	}
 	// Permutation entries a solve would index out of range or twice:
 	// good's permutation is {1, 0, 2}, starting after its length.
@@ -207,6 +212,12 @@ func malformedWire(t testing.TB) map[string][]byte {
 		binary.LittleEndian.PutUint32(b[lDims+4:], mn[1])
 		cases[name] = b
 	}
+	// U's header claims 4 rows of 3 where the body holds 3: the frame
+	// ends 24 bytes before the payload it declares.
+	uDims := len(good) - 8*9 - 26 + 6
+	claims := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(claims[uDims:], 4)
+	cases["U claims more than the body"] = claims
 	// Perm length / L rows mismatch (well-formed pieces, inconsistent).
 	cases["perm/L mismatch"], err = EncodeFactorization(&core.Factorization{
 		Perm: []int{0, 1},
@@ -236,10 +247,22 @@ func TestWireRejectsInvalidInput(t *testing.T) {
 	}
 }
 
+// readWire decodes data through r(data) as a stream that can carry
+// limit bytes, splitting the result as DecodeFactorization does.
+func readWire(data []byte, limit int64, r func(io.Reader) io.Reader) (*core.Factorization, *core.CholeskyFactorization, error) {
+	f, err := ReadFactorization(r(bytes.NewReader(data)), limit)
+	lu, _ := f.(*core.Factorization)
+	ch, _ := f.(*core.CholeskyFactorization)
+	return lu, ch, err
+}
+
 // FuzzDecodeFactorization: for any bytes, DecodeFactorization returns an
 // error or a factorization whose permutation is one of 0…m−1 and that
 // encodes and decodes again to the same kind, permutation and factor
-// shapes, and the same values bit for bit. It never panics.
+// shapes, and the same values bit for bit. It never panics. Reading the
+// bytes one per read gets the same outcome, the same error or the same
+// factorization, as reading them whole — with the length declared (the
+// limit is the input) and undeclared (a limit past it).
 func FuzzDecodeFactorization(f *testing.F) {
 	for _, data := range malformedWire(f) {
 		f.Add(data)
@@ -254,8 +277,31 @@ func FuzzDecodeFactorization(f *testing.F) {
 	}
 	f.Add(lu)
 	f.Add(ch)
+	plain := func(r io.Reader) io.Reader { return r }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lu, ch, err := DecodeFactorization(data)
+		for _, limit := range []int64{int64(len(data)), 2*int64(len(data)) + 64} {
+			lu0, ch0, err0 := readWire(data, limit, plain)
+			lu1, ch1, err1 := readWire(data, limit, iotest.OneByteReader)
+			if fmt.Sprint(err0) != fmt.Sprint(err1) {
+				t.Fatalf("limit %d: whole reads give %v, one-byte reads %v", limit, err0, err1)
+			}
+			if limit == int64(len(data)) && fmt.Sprint(err0) != fmt.Sprint(err) {
+				t.Fatalf("ReadFactorization gives %v, DecodeFactorization %v", err0, err)
+			}
+			if err0 != nil {
+				continue
+			}
+			if ch0 != nil {
+				bitEqual(t, "one-byte chol L", ch0.L, ch1.L)
+				continue
+			}
+			if !slices.Equal(lu0.Perm, lu1.Perm) {
+				t.Fatalf("limit %d: one-byte reads give perm %v, whole reads %v", limit, lu1.Perm, lu0.Perm)
+			}
+			bitEqual(t, "one-byte L", lu0.L, lu1.L)
+			bitEqual(t, "one-byte U", lu0.U, lu1.U)
+		}
 		if err != nil {
 			return
 		}
@@ -293,9 +339,11 @@ func FuzzDecodeFactorization(f *testing.F) {
 }
 
 // TestWireCodecAllocatesOnlyItsOutput pins the codec's copies on an
-// n = 512 LU: encoding allocates its wire bytes and decoding the dense
-// L, U and permutation, each plus a small slack. A factor staged in
-// tiles, or in a buffer of its own, on either end is 2 MB over.
+// n = 512 LU: streaming a frame out allocates its head and the encoder's
+// buffer, streaming one in the dense L, U and permutation, and the byte
+// string wrappers the wire bytes on top, each plus a small slack. A
+// factor staged in tiles, or a frame held whole by the stream forms, is
+// 2 MB over.
 func TestWireCodecAllocatesOnlyItsOutput(t *testing.T) {
 	const n, calls, slack = 512, 3, 64 << 10
 	lu := &core.Factorization{
@@ -318,12 +366,28 @@ func TestWireCodecAllocatesOnlyItsOutput(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / calls
 	}
+	stream := func() error {
+		fr, err := NewFrame(lu, nil)
+		if err != nil {
+			return err
+		}
+		return fr.Encode(io.Discard)
+	}
+	if per := perCall(stream); per > slack {
+		t.Errorf("streaming a frame out allocates %d bytes, over the %d-byte slack", per, slack)
+	}
 	encode := func() error { _, err := EncodeFactorization(lu, nil); return err }
 	if per, limit := perCall(encode), uint64(len(wire)+slack); per > limit {
 		t.Errorf("encoding allocates %d bytes, over %d: the %d-byte wire buffer and slack", per, limit, len(wire))
 	}
+	read := func() error {
+		_, err := ReadFactorization(iotest.HalfReader(bytes.NewReader(wire)), int64(len(wire)))
+		return err
+	}
 	decode := func() error { _, _, err := DecodeFactorization(wire); return err }
-	if per, limit := perCall(decode), uint64(2*n*n*8+n*8+slack); per > limit {
-		t.Errorf("decoding allocates %d bytes, over %d: L, U, the permutation and slack", per, limit)
+	for name, f := range map[string]func() error{"streaming a frame in": read, "decoding": decode} {
+		if per, limit := perCall(f), uint64(2*n*n*8+n*8+slack); per > limit {
+			t.Errorf("%s allocates %d bytes, over %d: L, U, the permutation and slack", name, per, limit)
+		}
 	}
 }

@@ -314,6 +314,13 @@ func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 		// (farUpdate).
 		updCur := make(map[[2]int]*Task)
 		rowRuns := groupRows(s, k, mb, group)
+		heights := make([]int, len(rowRuns)) // each run's rows: its tasks' C and A height
+		for r, rows := range rowRuns {
+			for _, i := range rows {
+				ri, _ := s.BlockDims(i, 0)
+				heights[r] += ri
+			}
+		}
 		far := map[int]*farUpdate{}
 		for j := k + 1; j < nb; j++ {
 			_, cj := s.BlockDims(k, j)
@@ -321,18 +328,13 @@ func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 			// Every task of a column multiplies by the same U block,
 			// packed once — by whichever task gets there first — behind
 			// a refcounted handle with one use per row run (nil, that is
-			// packed privately, with a single consumer).
+			// packed privately, unless two tasks take the packed path).
 			var pb *kernel.SharedPanel
 			if !merged {
-				pb = b.panel(kernel.NewSharedBPanel(len(rowRuns)))
+				pb = b.panel(kernel.NewSharedBPanel(pivCount, cj, heights))
 			}
-			for _, rows := range rowRuns {
-				i0 := rows[0]
-				totalRows := 0
-				for _, i := range rows {
-					ri, _ := s.BlockDims(i, j)
-					totalRows += ri
-				}
+			for r, rows := range rowRuns {
+				i0, totalRows := rows[0], heights[r]
 				flops := 2 * float64(totalRows) * float64(pivCount) * float64(cj)
 				bytes := 8 * (float64(totalRows)*float64(pivCount) + float64(pivCount)*float64(cj) + float64(totalRows)*float64(cj))
 				owner := s.Owner(i0, j)

@@ -219,7 +219,7 @@ func (b *builder) add(t *Task) *Task {
 
 // panel registers a shared packed-operand handle with the graph so
 // ResetDeps can re-arm it, and returns it. Nil handles (fewer than two
-// consumers) are skipped; the closures pass them on and
+// consumers on the packed path) are skipped; the closures pass them on and
 // kernel.GemmShared packs privately.
 func (b *builder) panel(p *kernel.SharedPanel) *kernel.SharedPanel {
 	if p != nil {

@@ -28,70 +28,70 @@ var goldenShapes = []struct {
 	workers int
 	hash    uint64
 }{
-	{"CALU", layout.CM, "square", 1, 0x8791cd416c0ac51b},
-	{"CALU", layout.CM, "square", 2, 0x6faff4020c0e8345},
-	{"CALU", layout.CM, "square", 4, 0x54f6073da2b85804},
-	{"CALU", layout.CM, "square", 6, 0xe220a6c23b19265c},
-	{"CALU", layout.CM, "tall", 1, 0xb91e70b1615c780b},
-	{"CALU", layout.CM, "tall", 2, 0x2406e033f6d595cd},
-	{"CALU", layout.CM, "tall", 4, 0xc3bc6b52741c4b8e},
-	{"CALU", layout.CM, "tall", 6, 0xa6028bf81bebc6e6},
-	{"CALU", layout.CM, "wide", 1, 0x110394c8f039649c},
-	{"CALU", layout.CM, "wide", 2, 0xe30426370923ce3f},
-	{"CALU", layout.CM, "wide", 4, 0xe327cdee4692d2fe},
-	{"CALU", layout.CM, "wide", 6, 0xb81743d53049770a},
-	{"CALU", layout.CM, "ragged", 1, 0x9394cdb7ab8a788c},
-	{"CALU", layout.CM, "ragged", 2, 0x383f180faf575c63},
-	{"CALU", layout.CM, "ragged", 4, 0xff23719b0b3a869d},
-	{"CALU", layout.CM, "ragged", 6, 0xa51e8478a4d95b4f},
-	{"CALU", layout.BCL, "square", 1, 0x8791cd416c0ac51b},
-	{"CALU", layout.BCL, "square", 2, 0x6faff4020c0e8345},
-	{"CALU", layout.BCL, "square", 4, 0x5d80e45a0eed8ff9},
-	{"CALU", layout.BCL, "square", 6, 0xbfb3339e93ee08c9},
-	{"CALU", layout.BCL, "tall", 1, 0xb91e70b1615c780b},
-	{"CALU", layout.BCL, "tall", 2, 0x2406e033f6d595cd},
-	{"CALU", layout.BCL, "tall", 4, 0x855411b080d0fdb3},
-	{"CALU", layout.BCL, "tall", 6, 0x858fb13e40706a81},
-	{"CALU", layout.BCL, "wide", 1, 0x110394c8f039649c},
-	{"CALU", layout.BCL, "wide", 2, 0xe30426370923ce3f},
-	{"CALU", layout.BCL, "wide", 4, 0x530e4cf9441fb415},
-	{"CALU", layout.BCL, "wide", 6, 0x04e14fd0c33ffc5b},
-	{"CALU", layout.BCL, "ragged", 1, 0x9394cdb7ab8a788c},
-	{"CALU", layout.BCL, "ragged", 2, 0x383f180faf575c63},
-	{"CALU", layout.BCL, "ragged", 4, 0xdc19f66bd32872d4},
-	{"CALU", layout.BCL, "ragged", 6, 0xf986aef2b9be17de},
-	{"CALU", layout.TwoLevel, "square", 1, 0xbd3b6a38808f9225},
-	{"CALU", layout.TwoLevel, "square", 2, 0xd95d928bc8539823},
-	{"CALU", layout.TwoLevel, "square", 4, 0x7dec535938710dba},
-	{"CALU", layout.TwoLevel, "square", 6, 0x8e4e61dca4a0564a},
-	{"CALU", layout.TwoLevel, "tall", 1, 0xa263f8283363738a},
-	{"CALU", layout.TwoLevel, "tall", 2, 0x8f83b5eece6e5d18},
-	{"CALU", layout.TwoLevel, "tall", 4, 0x564aba5960edac92},
-	{"CALU", layout.TwoLevel, "tall", 6, 0x6d17dcd91cafe638},
-	{"CALU", layout.TwoLevel, "wide", 1, 0x85b4d46b8735995b},
-	{"CALU", layout.TwoLevel, "wide", 2, 0x7834d2f3fd354c40},
-	{"CALU", layout.TwoLevel, "wide", 4, 0x1ce616aebd300666},
-	{"CALU", layout.TwoLevel, "wide", 6, 0x65ba1c01863d01bc},
-	{"CALU", layout.TwoLevel, "ragged", 1, 0xb5d359d6621cd5ae},
-	{"CALU", layout.TwoLevel, "ragged", 2, 0x5ea0bbad8dd84d81},
-	{"CALU", layout.TwoLevel, "ragged", 4, 0x6d7d5ef13ccccd65},
-	{"CALU", layout.TwoLevel, "ragged", 6, 0xaca80fc43c71dbbd},
-	{"CALU", layout.CM, "skinny", 1, 0xed273486f53c17ad},
-	{"CALU", layout.BCL, "skinny", 1, 0xed273486f53c17ad},
-	{"CALU", layout.BCL, "skinny", 2, 0x7dda04a087c4cfd7},
-	{"CALU", layout.BCL, "skinny", 4, 0xf19ea2e7ad555054},
-	{"BuildCALU", layout.CM, "square", 2, 0x6faff4020c0e8345},
-	{"BuildCALU", layout.CM, "square", 4, 0x54f6073da2b85804},
-	{"BuildCALU", layout.CM, "ragged", 2, 0x383f180faf575c63},
-	{"BuildCALU", layout.CM, "ragged", 4, 0xff23719b0b3a869d},
-	{"BuildCALU", layout.BCL, "square", 2, 0xcfa28673d01e346f},
-	{"BuildCALU", layout.BCL, "square", 4, 0x548162d5e5425e39},
-	{"BuildCALU", layout.BCL, "ragged", 2, 0xf26a266d8b212d5e},
-	{"BuildCALU", layout.BCL, "ragged", 4, 0x5a8aacabcec37c8a},
-	{"BuildCALU", layout.TwoLevel, "square", 2, 0xd95d928bc8539823},
-	{"BuildCALU", layout.TwoLevel, "square", 4, 0x7dec535938710dba},
-	{"BuildCALU", layout.TwoLevel, "ragged", 2, 0x5ea0bbad8dd84d81},
-	{"BuildCALU", layout.TwoLevel, "ragged", 4, 0x6d7d5ef13ccccd65},
+	{"CALU", layout.CM, "square", 1, 0x23c96895d56bac0f},
+	{"CALU", layout.CM, "square", 2, 0xe734e3f71ef74639},
+	{"CALU", layout.CM, "square", 4, 0xc998c8a3a53ea3c0},
+	{"CALU", layout.CM, "square", 6, 0x5072d18867aa4a48},
+	{"CALU", layout.CM, "tall", 1, 0x78c1864cbd59c26c},
+	{"CALU", layout.CM, "tall", 2, 0x50e8535c13c04dda},
+	{"CALU", layout.CM, "tall", 4, 0x7bea40e6f041550d},
+	{"CALU", layout.CM, "tall", 6, 0x35a8077f6a64f42d},
+	{"CALU", layout.CM, "wide", 1, 0xdf2c5e865b7b1015},
+	{"CALU", layout.CM, "wide", 2, 0xb5c4764203e1004e},
+	{"CALU", layout.CM, "wide", 4, 0x999de2d1eb2cc49f},
+	{"CALU", layout.CM, "wide", 6, 0x6ac6b42b3825069b},
+	{"CALU", layout.CM, "ragged", 1, 0x7a2c6def4600c498},
+	{"CALU", layout.CM, "ragged", 2, 0xe6f701586bb86c1f},
+	{"CALU", layout.CM, "ragged", 4, 0xcdc14a3bc3910169},
+	{"CALU", layout.CM, "ragged", 6, 0xbbbab2508ff89c7b},
+	{"CALU", layout.BCL, "square", 1, 0x23c96895d56bac0f},
+	{"CALU", layout.BCL, "square", 2, 0xe734e3f71ef74639},
+	{"CALU", layout.BCL, "square", 4, 0x369596833afa5d70},
+	{"CALU", layout.BCL, "square", 6, 0x6c07383e090de100},
+	{"CALU", layout.BCL, "tall", 1, 0x78c1864cbd59c26c},
+	{"CALU", layout.BCL, "tall", 2, 0x50e8535c13c04dda},
+	{"CALU", layout.BCL, "tall", 4, 0x8fd903eb10270bb0},
+	{"CALU", layout.BCL, "tall", 6, 0xd247f2bf3092055a},
+	{"CALU", layout.BCL, "wide", 1, 0xdf2c5e865b7b1015},
+	{"CALU", layout.BCL, "wide", 2, 0xb5c4764203e1004e},
+	{"CALU", layout.BCL, "wide", 4, 0xd29789e1402cd8af},
+	{"CALU", layout.BCL, "wide", 6, 0x8c914749df730639},
+	{"CALU", layout.BCL, "ragged", 1, 0x7a2c6def4600c498},
+	{"CALU", layout.BCL, "ragged", 2, 0xe6f701586bb86c1f},
+	{"CALU", layout.BCL, "ragged", 4, 0x2a8b77fcc1ea9cc8},
+	{"CALU", layout.BCL, "ragged", 6, 0xf97453b753fcc10a},
+	{"CALU", layout.TwoLevel, "square", 1, 0xee86de9ec40e6aec},
+	{"CALU", layout.TwoLevel, "square", 2, 0x190f8f4c60ac855a},
+	{"CALU", layout.TwoLevel, "square", 4, 0xd5b054a3c53253eb},
+	{"CALU", layout.TwoLevel, "square", 6, 0x59ca6d3397f770db},
+	{"CALU", layout.TwoLevel, "tall", 1, 0xb812da79859f9439},
+	{"CALU", layout.TwoLevel, "tall", 2, 0x86c26c1515e2cd1b},
+	{"CALU", layout.TwoLevel, "tall", 4, 0xfc27231f18d2c675},
+	{"CALU", layout.TwoLevel, "tall", 6, 0xd154ba7d49f5619f},
+	{"CALU", layout.TwoLevel, "wide", 1, 0xa0f5b55d9b54fec5},
+	{"CALU", layout.TwoLevel, "wide", 2, 0x06fac7ecd038c646},
+	{"CALU", layout.TwoLevel, "wide", 4, 0xc1ec458fb5844900},
+	{"CALU", layout.TwoLevel, "wide", 6, 0xf86f0867d0f2eb8a},
+	{"CALU", layout.TwoLevel, "ragged", 1, 0x1512136c68963f42},
+	{"CALU", layout.TwoLevel, "ragged", 2, 0x854a34eb791bf0c5},
+	{"CALU", layout.TwoLevel, "ragged", 4, 0x9e1c4c4b47e136f1},
+	{"CALU", layout.TwoLevel, "ragged", 6, 0xb345d35434cec801},
+	{"CALU", layout.CM, "skinny", 1, 0xca471badc14c31c8},
+	{"CALU", layout.BCL, "skinny", 1, 0xca471badc14c31c8},
+	{"CALU", layout.BCL, "skinny", 2, 0x3d6b8967ee7eb122},
+	{"CALU", layout.BCL, "skinny", 4, 0xe0ece42f622addb5},
+	{"BuildCALU", layout.CM, "square", 2, 0xe734e3f71ef74639},
+	{"BuildCALU", layout.CM, "square", 4, 0xc998c8a3a53ea3c0},
+	{"BuildCALU", layout.CM, "ragged", 2, 0xe6f701586bb86c1f},
+	{"BuildCALU", layout.CM, "ragged", 4, 0xcdc14a3bc3910169},
+	{"BuildCALU", layout.BCL, "square", 2, 0x17f93e0f3c72b20d},
+	{"BuildCALU", layout.BCL, "square", 4, 0x899050d60388cb8a},
+	{"BuildCALU", layout.BCL, "ragged", 2, 0x92a2e4160ba1e0ab},
+	{"BuildCALU", layout.BCL, "ragged", 4, 0x8f1c84fb902618eb},
+	{"BuildCALU", layout.TwoLevel, "square", 2, 0x190f8f4c60ac855a},
+	{"BuildCALU", layout.TwoLevel, "square", 4, 0xd5b054a3c53253eb},
+	{"BuildCALU", layout.TwoLevel, "ragged", 2, 0x854a34eb791bf0c5},
+	{"BuildCALU", layout.TwoLevel, "ragged", 4, 0x9e1c4c4b47e136f1},
 	{"Cholesky", layout.CM, "square", 1, 0x07e5c638dffa85ba},
 	{"Cholesky", layout.CM, "square", 4, 0xe1623b383019b906},
 	{"Cholesky", layout.BCL, "square", 2, 0xdc4acda225bb19d1},
@@ -106,18 +106,18 @@ var goldenShapes = []struct {
 	{"IncPiv", layout.TwoLevel, "square", 4, 0x54aec6b07406de0c},
 	{"IncPiv", layout.TwoLevel, "ragged", 2, 0x9096ef5ab99f7479},
 	{"IncPiv", layout.TwoLevel, "wide", 6, 0x6b7e558693bdf9bd},
-	{"Solve", layout.CM, "square", 1, 0x52b4a6cdccffe326},
-	{"Solve", layout.CM, "square", 2, 0xb785f3d3ace41649},
-	{"Solve", layout.CM, "square", 4, 0x6a5d250f544e4e47},
-	{"Solve", layout.CM, "ragged", 2, 0x1889ad73607774da},
-	{"SolveNonUnit", layout.CM, "square", 2, 0xb785f3d3ace41649},
-	{"SolveNonUnit", layout.CM, "ragged", 4, 0xec9ef6d3f8616ea0},
-	{"SolveDynamic", layout.CM, "square", 1, 0x1a5e611333f447aa},
-	{"SolveDynamic", layout.CM, "square", 4, 0x4c1f078b3b50dd5b},
-	{"SolveDynamic", layout.CM, "ragged", 2, 0x647902b1e833fdc6},
-	{"SolveStatic", layout.CM, "square", 2, 0x47e153099683dee5},
-	{"SolveStatic", layout.CM, "square", 4, 0x94fcae32a30433bb},
-	{"SolveStatic", layout.CM, "ragged", 1, 0x0dffdd3a0fa33945},
+	{"Solve", layout.CM, "square", 1, 0xfd9a87d8ffced6ea},
+	{"Solve", layout.CM, "square", 2, 0x8f977b53677527cd},
+	{"Solve", layout.CM, "square", 4, 0x249346665af6bed3},
+	{"Solve", layout.CM, "ragged", 2, 0x01f5ebb038d3c6f8},
+	{"SolveNonUnit", layout.CM, "square", 2, 0x8f977b53677527cd},
+	{"SolveNonUnit", layout.CM, "ragged", 4, 0x3710dd96d215062a},
+	{"SolveDynamic", layout.CM, "square", 1, 0xa5528fb859444cce},
+	{"SolveDynamic", layout.CM, "square", 4, 0x0c1d18e928712d67},
+	{"SolveDynamic", layout.CM, "ragged", 2, 0x3a23217c7fa9878c},
+	{"SolveStatic", layout.CM, "square", 2, 0xa4b4520d7fec16f9},
+	{"SolveStatic", layout.CM, "square", 4, 0x7411f7ca165a6c97},
+	{"SolveStatic", layout.CM, "ragged", 1, 0x23e93781330f0d6f},
 }
 
 // solveGolden maps a Solve row's algo to its BuildSolve options for nb

@@ -96,7 +96,11 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 	// Every RUpd of one sweep step multiplies by the same solved block
 	// X_k (final for the sweep once DSolve(k) ran), so the step's update
 	// tasks share one packed copy of it.
+	heights := make([]int, nb) // of the block rows, in the sweep's order
 	sweep := func(t *mat.Dense, base int, row func(p int) int, solve func(tkk, xk kernel.View)) {
+		for q := range heights {
+			heights[q] = span(row(q))
+		}
 		for p := 0; p < nb; p++ {
 			k := row(p)
 			bk := span(k)
@@ -111,7 +115,7 @@ func BuildSolve(lower, upper, x *mat.Dense, opt SolveOptions) *SolveGraph {
 			diag.Run = func() { solve(tri(t, k, k), xblk(k)) }
 			b.edge(prevW[k], diag)
 			prevW[k] = diag
-			ph := b.panel(kernel.NewSharedBPanel(nb - p - 1))
+			ph := b.panel(kernel.NewSharedBPanel(bk, nrhs, heights[p+1:]))
 			for q := p + 1; q < nb; q++ {
 				i := row(q)
 				ri := span(i)

@@ -19,12 +19,12 @@ type StoreOptions struct {
 
 // StoreStats is a point-in-time snapshot of a Store.
 type StoreStats struct {
-	Count       int
-	Bytes       int64
-	BudgetBytes int64
-	Keep        int
-	Evictions   int64 // entries dropped by the keep or byte bound
-	Imports     int64 // entries stored under an explicit id (PutAs)
+	Count       int   `json:"count"`
+	Bytes       int64 `json:"bytes"`
+	BudgetBytes int64 `json:"budgetBytes"`
+	Keep        int   `json:"keep"`
+	Evictions   int64 `json:"evictions"` // entries dropped by the keep or byte bound
+	Imports     int64 `json:"imports"`   // entries stored under an explicit id (PutAs)
 }
 
 // storeEntry is one resident factorization plus eviction bookkeeping.

@@ -7,31 +7,22 @@ import (
 )
 
 // The shared packed-panel cache. The trailing-update tasks of one
-// block column of a factorization step that still run one block column
-// at a time — every column under CM and 2l-BL, the look-ahead column
-// and the dynamic section under BCL — all multiply by the same U block,
-// as every right-hand-side update of a solve sweep multiplies by the
-// same X block row. Under the plain Gemm path each task re-packs
-// that operand into its private workspace. A SharedPanel lets the DAG
-// builder hand all consumers of one B operand a single refcounted
-// packed buffer: the first task to run packs it (pack-once-then-stream,
-// the discipline the HiGHS hybrid factorization demonstrates), later
-// tasks stream it directly, and the last use gives it back. There is no
-// L side: under BCL the static section's update past the look-ahead
-// column is one task per (step, owner), whose single Gemm packs each L
-// slab once, and the other tasks pack their L slab privately.
+// block column of a factorization step that run one block column at a
+// time — every column under CM and 2l-BL, the look-ahead column and the
+// dynamic section under BCL — all multiply by the same U block, as the
+// updates of a solve sweep step multiply by the same X block row. A
+// SharedPanel hands the consumers of one B operand a single refcounted
+// packed buffer: the first to take the packed path packs it
+// (pack-once-then-stream, as the HiGHS hybrid factorization does), the
+// others stream it, and the last use gives it back. There is no L side:
+// under BCL the static update past the look-ahead column is one task
+// per (step, owner), whose single Gemm packs each L slab once.
 //
-// Lifecycle: the builder knows the exact consumer count, so the
-// refcount is exact and the last GemmShared gives the buffer back. A
-// run that aborts leaves the count above zero and its buffer to the
+// A run that aborts leaves its count above zero and its buffer to the
 // garbage collector, unless the graph runs again: Reset gives it back.
-//
-// Buffers: a buffer given back goes onto a free list keyed by its
-// length and the next panel of that length takes it — a factorization
-// packs hundreds of panels of a handful of sizes, and a fresh make per
-// panel would allocate (and zero) the whole packed volume on every run.
-// Parked bytes are capped; a buffer given back over the cap goes to the
-// garbage collector.
+// A buffer given back goes onto a free list keyed by its length — a
+// factorization packs hundreds of panels of a handful of sizes — with
+// the parked bytes capped.
 
 // pcCap bounds the bytes parked on the free list: a base every machine
 // gets plus 1 MiB per processor, roughly four 256x256 packed panels
@@ -105,15 +96,21 @@ type SharedPanel struct {
 	n, k int        // operand columns and depth
 }
 
-// NewSharedBPanel creates a handle for a right operand (one U block, or
-// one solved X block row) expected to be consumed by `uses` GemmShared
-// calls. With fewer than two consumers there is nothing to share and
-// nil is returned (a nil handle packs privately).
-func NewSharedBPanel(uses int) *SharedPanel {
-	if uses < 2 {
+// NewSharedBPanel creates a handle for a k x n right operand (one U
+// block, or one solved X block row) consumed by one GemmShared call
+// per entry of ms, updating ms[i] rows. Unless two of them take the
+// packed path there is nothing to share, and it returns nil.
+func NewSharedBPanel(k, n int, ms []int) *SharedPanel {
+	packing := 0
+	for _, m := range ms {
+		if packedWorthwhile(m, n, k) {
+			packing++
+		}
+	}
+	if packing < 2 {
 		return nil
 	}
-	p := &SharedPanel{initUses: int64(uses)}
+	p := &SharedPanel{initUses: int64(len(ms))}
 	p.uses.Store(p.initUses)
 	return p
 }

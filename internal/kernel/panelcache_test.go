@@ -54,6 +54,15 @@ func newSharedGemmCase(rng *rand.Rand, m, n, k, uses int) sharedGemmCase {
 	return sc
 }
 
+// panel is the handle a DAG builder gives the consumer set.
+func (sc sharedGemmCase) panel() *SharedPanel {
+	ms := make([]int, len(sc.as))
+	for i, a := range sc.as {
+		ms[i] = a.Rows
+	}
+	return NewSharedBPanel(sc.b.Rows, sc.b.Cols, ms)
+}
+
 // want runs the plain Gemm path over clones and returns the expected
 // results.
 func (sc sharedGemmCase) want() []View {
@@ -76,9 +85,9 @@ func TestSharedBPanelHitBitIdentical(t *testing.T) {
 		sc := newSharedGemmCase(rng, m, n, k, uses)
 		want := sc.want()
 		before := pcState()
-		p := NewSharedBPanel(uses)
+		p := sc.panel()
 		if p == nil {
-			t.Fatal("NewSharedBPanel returned nil for uses >= 2")
+			t.Fatal("NewSharedBPanel returned nil for two or more packing consumers")
 		}
 		for i := range sc.cs {
 			GemmShared(sc.cs[i], sc.as[i], sc.b, p)
@@ -109,7 +118,7 @@ func TestSharedBPanelConcurrent(t *testing.T) {
 	const uses = 8
 	sc := newSharedGemmCase(rng, 120, 96, 80, uses)
 	want := sc.want()
-	p := NewSharedBPanel(uses)
+	p := sc.panel()
 	var wg sync.WaitGroup
 	for i := 0; i < uses; i++ {
 		wg.Add(1)
@@ -136,7 +145,7 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 	isolateFreeList(t, pcCap)
 	rng := rand.New(rand.NewSource(24))
 	sc := newSharedGemmCase(rng, 64, 64, 64, 2)
-	p := NewSharedBPanel(2)
+	p := sc.panel()
 
 	GemmShared(cloneView(sc.cs[0]), sc.as[0], sc.b, p)
 	buf := p.buf
@@ -180,11 +189,13 @@ func TestSharedBPanelLifecycle(t *testing.T) {
 	}
 }
 
-// TestSharedBPanelNilDegrades: fewer than two consumers yields nil, and
-// the nil receiver is the plain Gemm path.
+// TestSharedBPanelNilDegrades: fewer than two consumers on the packed
+// path yields nil, and the nil receiver is the plain Gemm path.
 func TestSharedBPanelNilDegrades(t *testing.T) {
-	if p := NewSharedBPanel(1); p != nil {
-		t.Fatal("one consumer should not allocate a shared panel")
+	for _, ms := range [][]int{{48}, {8, 8}, {48, 8, 2}} {
+		if p := NewSharedBPanel(48, 48, ms); p != nil {
+			t.Fatalf("consumers of %v rows by 48x48 got a shared panel; at most one packs", ms)
+		}
 	}
 	rng := rand.New(rand.NewSource(25))
 	a := randView(rng, 48, 48)
@@ -200,14 +211,20 @@ func TestSharedBPanelNilDegrades(t *testing.T) {
 }
 
 // TestSharedBPanelSmallShapesBypass: shapes under the packed crossover
-// must dispatch exactly like Gemm (small path), still bit-identical,
-// without touching the cache.
+// get no handle and dispatch exactly like Gemm (small path), still
+// bit-identical, without touching the cache. A consumer under the
+// crossover beside two that pack holds a use of their handle but
+// streams nothing: the handle packs once, serves one hit, and the
+// last use, whichever consumer holds it, gives the buffer back.
 func TestSharedBPanelSmallShapesBypass(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	before := pcState()
 	sc := newSharedGemmCase(rng, 8, 8, 8, 2)
 	want := sc.want()
-	p := NewSharedBPanel(2)
+	p := sc.panel()
+	if p != nil {
+		t.Fatal("two sub-crossover consumers got a shared panel")
+	}
 	GemmShared(sc.cs[0], sc.as[0], sc.b, p)
 	GemmShared(sc.cs[1], sc.as[1], sc.b, p)
 	for i := range sc.cs {
@@ -218,6 +235,27 @@ func TestSharedBPanelSmallShapesBypass(t *testing.T) {
 	after := pcState()
 	if after.Packs != before.Packs || after.Hits != before.Hits {
 		t.Error("sub-crossover shapes must not engage the panel cache")
+	}
+
+	mixed := newSharedGemmCase(rng, 64, 64, 64, 2)
+	small, smallC := randView(rng, 2, 64), randView(rng, 2, 64)
+	mixed.as, mixed.cs = append(mixed.as, small), append(mixed.cs, smallC)
+	want = mixed.want()
+	if p = mixed.panel(); p == nil || p.uses.Load() != 3 {
+		t.Fatal("two packing consumers and a small one: want a handle with three uses")
+	}
+	before = pcState()
+	for _, i := range []int{0, 1, 2} {
+		GemmShared(mixed.cs[i], mixed.as[i], mixed.b, p)
+		if held := p.buf != nil; held != (i < 2) {
+			t.Fatalf("after consumer %d the handle holds a buffer: %v", i, held)
+		}
+	}
+	for i := range mixed.cs {
+		sameBits(t, fmt.Sprintf("mixed consumer %d", i), mixed.cs[i], want[i])
+	}
+	if after := pcState(); after.Packs-before.Packs != 1 || after.Hits-before.Hits != 1 {
+		t.Errorf("mixed consumers: %d packs and %d hits, want 1 and 1", after.Packs-before.Packs, after.Hits-before.Hits)
 	}
 }
 
@@ -262,7 +300,7 @@ func (g updateGrid) run(workers int, shared bool) (pb []*SharedPanel) {
 	pb = make([]*SharedPanel, len(g.bs))
 	for j := range pb {
 		if shared {
-			pb[j] = NewSharedBPanel(len(g.as))
+			pb[j] = sharedGemmCase{b: g.bs[j], as: g.as}.panel()
 		}
 	}
 	var wg sync.WaitGroup
@@ -359,10 +397,10 @@ func TestPanelBuffersRecycled(t *testing.T) {
 	last := func(p *SharedPanel) { GemmShared(cloneView(sc.cs[1]), sc.as[1], sc.b, p) }
 
 	isolateFreeList(t, pcCap)
-	p := NewSharedBPanel(2)
+	p := sc.panel()
 	b1 := first(p)
 	last(p)
-	q := NewSharedBPanel(2)
+	q := sc.panel()
 	if b2 := first(q); &b1[0] != &b2[0] {
 		t.Error("second panel of the same length did not reuse the parked buffer")
 	}
@@ -371,7 +409,7 @@ func TestPanelBuffersRecycled(t *testing.T) {
 	// Room for one buffer: of two given back, the second is dropped.
 	size := int64(len(b1)) * 8
 	isolateFreeList(t, size)
-	p, q = NewSharedBPanel(2), NewSharedBPanel(2)
+	p, q = sc.panel(), sc.panel()
 	bp, bq := first(p), first(q)
 	last(p)
 	last(q)

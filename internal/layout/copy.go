@@ -9,10 +9,9 @@ import (
 	"repro/internal/mat"
 )
 
-// Every matrix copy in or out of a layout — pack, ToDense, core's
-// factor extraction, Encode — is one walk over the layout's
-// storage runs (WalkRuns) moving whole column pieces (kernel.Copy),
-// never single elements.
+// Every matrix copy in or out of a layout — pack, ToDense, core's factor
+// extraction — is one walk over the layout's storage runs (WalkRuns)
+// moving whole column pieces (kernel.Copy), never single elements.
 
 // parallelCutoff is the matrix size in elements above which a walk
 // forks. A constant, not an option: up to n = 512 (the engine's small
@@ -20,9 +19,8 @@ import (
 const parallelCutoff = 512 * 512
 
 // fork runs part(0..parts-1) and returns when all are done: serially up
-// to parallelCutoff elements, else fork-join on at most GOMAXPROCS
-// goroutines, lane k taking parts k, k+lanes, … — a grid wider than the
-// machine (or a decoded header claiming one) multiplies no goroutines.
+// to parallelCutoff elements, else on at most GOMAXPROCS goroutines,
+// lane k taking parts k, k+lanes, …, so a wide grid multiplies none.
 func fork(parts, elems int, part func(p int)) {
 	lanes := min(parts, runtime.GOMAXPROCS(0))
 	if lanes <= 1 || elems <= parallelCutoff {

@@ -191,9 +191,10 @@ func TestBulkPackAndToDenseMatchOracle(t *testing.T) {
 	})
 }
 
-// TestBulkEncodeDecodeMatchOracle: Encode, and AppendDense on the
+// TestBulkEncodeDecodeMatchOracle: Encode, and WriteDense on the
 // source matrix, are byte-identical to the old appending serializer,
-// and DecodeDense gives back the source and the shape bit for bit.
+// and ReadDense gives back the source and the shape bit for bit,
+// reading exactly the encoding's bytes.
 func TestBulkEncodeDecodeMatchOracle(t *testing.T) {
 	forEachBulkCase(t, func(t *testing.T, kind Kind, src *mat.Dense, b int, g Grid) {
 		l := New(kind, src, b, g)
@@ -202,22 +203,31 @@ func TestBulkEncodeDecodeMatchOracle(t *testing.T) {
 		if !bytes.Equal(enc, want) {
 			t.Fatal("Encode differs from the element-wise encoder")
 		}
-		prefix := []byte("pre")
-		if dense := AppendDense(prefix, kind, src, b, g); !bytes.Equal(dense[:3], prefix) || !bytes.Equal(dense[3:], want) {
-			t.Fatal("AppendDense differs from the element-wise encoder")
+		var dense bytes.Buffer
+		if err := WriteDense(&dense, kind, src, b, g); err != nil || !bytes.Equal(dense.Bytes(), want) {
+			t.Fatalf("WriteDense differs from the element-wise encoder (err %v)", err)
 		}
-		got, s, used, err := DecodeDense(append(enc, 0xAA, 0xBB))
+		r := bytes.NewReader(append(enc, 0xAA, 0xBB))
+		got, s, err := ReadDense(r, r.Size())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if used != len(want) {
-			t.Fatalf("DecodeDense consumed %d of %d bytes", used, len(want))
+		if r.Len() != 2 {
+			t.Fatalf("ReadDense left %d bytes, want the 2 after the encoding", r.Len())
 		}
 		if s != ShapeOf(l) {
 			t.Fatalf("decoded shape %+v, want %+v", s, ShapeOf(l))
 		}
-		sameBits(t, "DecodeDense vs source", got, src)
+		sameBits(t, "ReadDense vs source", got, src)
 	})
+}
+
+// eachBlock calls f on every block of run, a storage run whose first
+// block row is i.
+func eachBlock(run kernel.View, i, b int, f func(i int, blk kernel.View)) {
+	for r := 0; r < run.Rows; r += b {
+		f(i+r/b, run.Sub(r, min(r+b, run.Rows), 0, run.Cols))
+	}
 }
 
 // walkVisit is one view a copy walk handed its visitor.

@@ -1,23 +1,23 @@
 package layout
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
-	"slices"
 
-	"repro/internal/kernel"
 	"repro/internal/mat"
 )
 
 // Serialization: a layout travels as a fixed header followed by its
 // blocks block row by block row, each column by column as raw float64
-// bits. The payload depends on m, n and b alone (kind and grid say how
-// the sender kept the blocks), so Encode writes it from a layout's
-// storage while AppendDense and DecodeDense go straight between the
-// bytes and a dense matrix — the cluster wire's path, with no tile copy.
-// Floats round-trip bit-identically via math.Float64bits, which lets a
-// replicated solve reproduce the owner's solve exactly.
+// bits, which round-trip bit-identically. The payload depends on m, n
+// and b alone (kind and grid say how the sender kept the blocks): block
+// row i is every column's rows of that block row, in column order, so
+// it moves between a stream and a dense matrix through a buffer of a
+// few kilobytes — the cluster wire's path, with no tile copy and no
+// encoding held whole on either end.
 //
 // Header (little-endian):
 //
@@ -35,149 +35,132 @@ const (
 	// its layout allocate submatrices for millions of phantom workers,
 	// or make a walk step through millions of phantom columns.
 	maxSerializedGrid = 1 << 16
+
+	streamBuf = 8 << 10 // bytes of payload moved per stream read or write
 )
 
 // EncodedLen returns the exact byte length of an encoded m x n layout.
 func EncodedLen(m, n int) int { return serializeHdrLen + 8*m*n }
 
-// blockOffset is the byte offset of block (i,j) in an encoded layout of
-// shape s: past the full block rows above it and the blocks to its left.
-func blockOffset(s Shape, i, j int) int {
-	r, _ := s.BlockDims(i, j)
-	return serializeHdrLen + 8*(i*s.b*s.n+r*j*s.b)
-}
-
-// putHeader writes the header of shape s at the start of out.
-func putHeader(out []byte, s Shape) {
-	copy(out, serializeMagic)
-	out[4] = serializeVersion
-	out[5] = byte(s.kind)
-	le := binary.LittleEndian
-	le.PutUint32(out[6:], uint32(s.m))
-	le.PutUint32(out[10:], uint32(s.n))
-	le.PutUint32(out[14:], uint32(s.b))
-	le.PutUint32(out[18:], uint32(s.grid.PR))
-	le.PutUint32(out[22:], uint32(s.grid.PC))
-}
-
 // Encode serializes l — kind, dims, grid and every block's values —
-// into a self-delimiting byte string. DecodeDense inverts it exactly.
+// into a self-delimiting byte string. ReadDense inverts it exactly.
 func Encode(l Layout) []byte {
 	s := ShapeOf(l)
-	out := make([]byte, EncodedLen(s.m, s.n))
-	putHeader(out, s)
-	WalkColumns(l, func(i, j int, run kernel.View) { putRun(out, s, i, j, run) })
-	return out
-}
-
-// AppendDense appends to dst the bytes of Encode(New(kind, d, b, g)),
-// read straight from d, growing dst at most once.
-func AppendDense(dst []byte, kind Kind, d *mat.Dense, b int, g Grid) []byte {
-	s := NewShape(kind, d.Rows, d.Cols, b, g)
-	size := EncodedLen(s.m, s.n)
-	dst = slices.Grow(dst, size)
-	out := dst[len(dst) : len(dst)+size]
-	putHeader(out, s)
-	eachBlockColumn(s, d, func(j int, col kernel.View) { putRun(out, s, 0, j, col) })
-	return dst[:len(dst)+size]
-}
-
-// eachBlockColumn calls f on every block column of d, the m x n matrix
-// of shape s, forking above the parallel cutoff.
-func eachBlockColumn(s Shape, d *mat.Dense, f func(j int, col kernel.View)) {
-	mb, nb := s.Blocks()
-	if mb == 0 {
-		return // no element to move, and d has no column to view
-	}
-	fork(nb, s.m*s.n, func(j int) {
-		f(j, denseView(d, 0, j*s.b, s.m, min(s.b, s.n-j*s.b)))
+	out := bytes.NewBuffer(make([]byte, 0, EncodedLen(s.m, s.n)))
+	writeRows(out, s, func(i, c int) []float64 {
+		v := l.Block(i, c/s.b)
+		return v.Data[c%s.b*v.Stride:][:v.Rows]
 	})
+	return out.Bytes()
 }
 
-// eachBlock calls f on every block of run, a storage run whose first
-// block row is i: the wire keeps block order whatever the walk's grain.
-func eachBlock(run kernel.View, i, b int, f func(i int, blk kernel.View)) {
-	for r := 0; r < run.Rows; r += b {
-		f(i+r/b, run.Sub(r, min(r+b, run.Rows), 0, run.Cols))
-	}
+// WriteDense writes Encode(New(kind, d, b, g)) to w straight from d.
+func WriteDense(w io.Writer, kind Kind, d *mat.Dense, b int, g Grid) error {
+	return writeRows(w, NewShape(kind, d.Rows, d.Cols, b, g), denseRows(d, b))
 }
 
-// putRun writes run, whose first block is (i,j), at its offsets in out.
-func putRun(out []byte, s Shape, i, j int, run kernel.View) {
+// denseRows returns column c's rows of block row i of d, cut at b.
+func denseRows(d *mat.Dense, b int) func(i, c int) []float64 {
+	return func(i, c int) []float64 { return d.Data[c*d.Stride+i*b:][:min(b, d.Rows-i*b)] }
+}
+
+// writeRows writes the header of s, then its payload: piece(i, c), the
+// rows of block row i in column c, for each block row and column.
+func writeRows(w io.Writer, s Shape, piece func(i, c int) []float64) error {
 	le := binary.LittleEndian
-	eachBlock(run, i, s.b, func(i int, v kernel.View) {
-		p := out[blockOffset(s, i, j):]
-		for jj := 0; jj < v.Cols; jj++ {
-			for _, x := range v.Data[jj*v.Stride : jj*v.Stride+v.Rows] {
-				le.PutUint64(p, math.Float64bits(x))
-				p = p[8:]
+	buf := append(append(make([]byte, 0, streamBuf), serializeMagic...), serializeVersion, byte(s.kind))
+	for _, v := range []int{s.m, s.n, s.b, s.grid.PR, s.grid.PC} {
+		buf = le.AppendUint32(buf, uint32(v))
+	}
+	mb, _ := s.Blocks()
+	for i := 0; i < mb; i++ {
+		for c := 0; c < s.n; c++ {
+			for col := piece(i, c); len(col) > 0; {
+				if cap(buf)-len(buf) < 8 {
+					if _, err := w.Write(buf); err != nil {
+						return err
+					}
+					buf = buf[:0]
+				}
+				k := min(len(col), (cap(buf)-len(buf))/8)
+				out := buf[len(buf) : len(buf)+8*k]
+				for j, x := range col[:k] {
+					le.PutUint64(out[8*j:], math.Float64bits(x))
+				}
+				buf, col = buf[:len(buf)+8*k], col[k:]
 			}
 		}
-	})
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
-// DecodeDense decodes one encoded layout straight into a dense matrix.
-// It returns the shape the header names, from which AppendDense gives
-// back the same bytes, and how many bytes it consumed, so encoded
-// layouts can be concatenated (the factorization wire format stacks
-// two).
-func DecodeDense(data []byte) (*mat.Dense, Shape, int, error) {
-	if len(data) < serializeHdrLen {
-		return nil, Shape{}, 0, fmt.Errorf("layout: encoded data too short (%d bytes)", len(data))
+// ReadDense reads one encoded layout, exactly its bytes, from r straight
+// into a dense matrix, and returns it with the shape the header names,
+// from which WriteDense gives back the same bytes. limit is the most
+// bytes r can still carry: a header whose payload does not fit in it is
+// refused before anything is allocated.
+func ReadDense(r io.Reader, limit int64) (*mat.Dense, Shape, error) {
+	var hdr [serializeHdrLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, Shape{}, fmt.Errorf("layout: reading header: %w", err)
 	}
-	if string(data[:4]) != serializeMagic {
-		return nil, Shape{}, 0, fmt.Errorf("layout: bad magic %q", data[:4])
+	if string(hdr[:4]) != serializeMagic || hdr[4] != serializeVersion {
+		return nil, Shape{}, fmt.Errorf("layout: bad magic or version %q", hdr[:5])
 	}
-	if data[4] != serializeVersion {
-		return nil, Shape{}, 0, fmt.Errorf("layout: unsupported format version %d", data[4])
-	}
-	kind := Kind(data[5])
+	kind := Kind(hdr[5])
 	switch kind {
 	case CM, BCL, TwoLevel:
 	default:
-		return nil, Shape{}, 0, fmt.Errorf("layout: unknown layout kind %d", data[5])
+		return nil, Shape{}, fmt.Errorf("layout: unknown layout kind %d", hdr[5])
 	}
 	le := binary.LittleEndian
-	um, un := uint64(le.Uint32(data[6:])), uint64(le.Uint32(data[10:]))
-	b := int(le.Uint32(data[14:]))
-	pr := int(le.Uint32(data[18:]))
-	pc := int(le.Uint32(data[22:]))
+	um, un := uint64(le.Uint32(hdr[6:])), uint64(le.Uint32(hdr[10:]))
+	b := int(le.Uint32(hdr[14:]))
+	pr := int(le.Uint32(hdr[18:]))
+	pc := int(le.Uint32(hdr[22:]))
 	if b < 1 {
-		return nil, Shape{}, 0, fmt.Errorf("layout: non-positive block size %d", b)
+		return nil, Shape{}, fmt.Errorf("layout: non-positive block size %d", b)
 	}
 	// Divide rather than multiply: PR*PC of two u32 fields can wrap
 	// negative and pass a bound.
 	if pr < 1 || pc < 1 || pr > maxSerializedGrid/pc {
-		return nil, Shape{}, 0, fmt.Errorf("layout: implausible %dx%d worker grid", pr, pc)
+		return nil, Shape{}, fmt.Errorf("layout: implausible %dx%d worker grid", pr, pc)
 	}
 	// The dims are wire input: bound m*n by division against the bytes
-	// actually present before anything multiplies or allocates.
-	if have := uint64(len(data)-serializeHdrLen) / 8; um != 0 && un > have/um {
-		return nil, Shape{}, 0, fmt.Errorf("layout: truncated payload: have %d bytes, too few for %dx%d", len(data), um, un)
+	// the stream can still carry before anything multiplies or allocates.
+	if have := uint64(max(limit-serializeHdrLen, 0)) / 8; um != 0 && un > have/um {
+		return nil, Shape{}, fmt.Errorf("layout: truncated payload: %d bytes left, too few for %dx%d", limit, um, un)
 	}
 	// An empty layout has no payload to bound it, yet decoding and
 	// encoding it, and any loop over its columns (rows), still take a
 	// step for each.
 	if (um == 0 || un == 0) && um+un > maxSerializedGrid {
-		return nil, Shape{}, 0, fmt.Errorf("layout: implausible empty %dx%d layout", um, un)
+		return nil, Shape{}, fmt.Errorf("layout: implausible empty %dx%d layout", um, un)
 	}
 	s := NewShape(kind, int(um), int(un), b, Grid{PR: pr, PC: pc})
 	d := mat.New(s.m, s.n)
-	eachBlockColumn(s, d, func(j int, col kernel.View) { getRun(col, s, 0, j, data) })
-	return d, s, EncodedLen(s.m, s.n), nil
-}
-
-// getRun is putRun's inverse: it fills run from its offsets in data.
-func getRun(run kernel.View, s Shape, i, j int, data []byte) {
-	le := binary.LittleEndian
-	eachBlock(run, i, s.b, func(i int, v kernel.View) {
-		src := data[blockOffset(s, i, j):]
-		for jj := 0; jj < v.Cols; jj++ {
-			col := v.Data[jj*v.Stride : jj*v.Stride+v.Rows]
-			for k := range col {
-				col[k] = math.Float64frombits(le.Uint64(src))
-				src = src[8:]
+	buf, left := make([]byte, streamBuf), []byte(nil)
+	rest := 8 * s.m * s.n // payload bytes not yet read
+	mb, _ := s.Blocks()
+	piece := denseRows(d, b)
+	for i := 0; i < mb; i++ {
+		for c := 0; c < s.n; c++ {
+			for col := piece(i, c); len(col) > 0; {
+				if len(left) == 0 {
+					left = buf[:min(rest, streamBuf)]
+					if _, err := io.ReadFull(r, left); err != nil {
+						return nil, Shape{}, fmt.Errorf("layout: reading payload: %w", err)
+					}
+					rest -= len(left)
+				}
+				k := min(len(col), len(left)/8)
+				for j := range col[:k] {
+					col[j] = math.Float64frombits(le.Uint64(left[8*j:]))
+				}
+				col, left = col[k:], left[8*k:]
 			}
 		}
-	})
+	}
+	return d, s, nil
 }

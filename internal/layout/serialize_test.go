@@ -3,12 +3,29 @@ package layout
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/mat"
 )
+
+// decode reads one encoded layout from data, as a stream that can carry
+// limit bytes, through r(data), and reports how many bytes it consumed.
+func decode(data []byte, limit int64, r func(io.Reader) io.Reader) (*mat.Dense, Shape, int, error) {
+	br := bytes.NewReader(data)
+	d, s, err := ReadDense(r(br), limit)
+	return d, s, len(data) - br.Len(), err
+}
+
+// whole is decode's plain reader, carrying exactly data.
+func whole(data []byte) (*mat.Dense, Shape, int, error) {
+	return decode(data, int64(len(data)), func(r io.Reader) io.Reader { return r })
+}
 
 // roundTrip encodes l, decodes it, and fails unless every property —
 // kind, dims, grid and every value, bit for bit — comes back identical.
@@ -20,12 +37,12 @@ func roundTrip(t *testing.T, l Layout) *mat.Dense {
 	if len(enc) != EncodedLen(m0, n0) {
 		t.Fatalf("Encode produced %d bytes, EncodedLen says %d", len(enc), EncodedLen(m0, n0))
 	}
-	got, s, n, err := DecodeDense(enc)
+	got, s, n, err := whole(enc)
 	if err != nil {
-		t.Fatalf("DecodeDense: %v", err)
+		t.Fatalf("ReadDense: %v", err)
 	}
 	if n != len(enc) {
-		t.Fatalf("DecodeDense consumed %d of %d bytes", n, len(enc))
+		t.Fatalf("ReadDense consumed %d of %d bytes", n, len(enc))
 	}
 	if s != ShapeOf(l) {
 		t.Fatalf("shape %+v round-tripped to %+v", ShapeOf(l), s)
@@ -91,7 +108,7 @@ func TestSerializeSpecialValues(t *testing.T) {
 	src.Set(0, 2, math.Inf(-1))
 	src.Set(1, 2, 1.0/3.0)
 	l := New(BCL, src, 2, NewGrid(2))
-	have, _, _, err := DecodeDense(Encode(l))
+	have, _, _, err := whole(Encode(l))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,24 +121,27 @@ func TestSerializeSpecialValues(t *testing.T) {
 	}
 }
 
-// TestSerializeConcatenated: DecodeDense consumes exactly one encoded
-// layout and reports the cut, so two layouts stack back to back — the
+// TestSerializeConcatenated: ReadDense consumes exactly one encoded
+// layout from a stream, so two layouts stack back to back — the
 // factorization wire format's L-then-U framing.
 func TestSerializeConcatenated(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := New(TwoLevel, mat.Random(9, 5, rng), 4, NewGrid(2))
 	b := New(BCL, mat.Random(3, 7, rng), 2, NewGrid(3))
-	buf := append(Encode(a), Encode(b)...)
-	_, sa, n, err := DecodeDense(buf)
+	r := bytes.NewReader(append(Encode(a), Encode(b)...))
+	_, sa, err := ReadDense(r, r.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotB, sb, m, err := DecodeDense(buf[n:])
+	if used := int(r.Size()) - r.Len(); used != len(Encode(a)) {
+		t.Fatalf("first layout consumed %d of its %d bytes", used, len(Encode(a)))
+	}
+	gotB, sb, err := ReadDense(r, int64(r.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n+m != len(buf) {
-		t.Fatalf("consumed %d+%d of %d bytes", n, m, len(buf))
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes left after both layouts", r.Len())
 	}
 	if sa.Kind() != TwoLevel || sb.Kind() != BCL {
 		t.Fatalf("kinds %v/%v, want 2l-BL/BCL", sa.Kind(), sb.Kind())
@@ -178,23 +198,37 @@ func garbageEncodings(good []byte) map[string][]byte {
 	wideBlock := dims(0, 0xFFFFFFFF)
 	binary.LittleEndian.PutUint32(wideBlock[14:], 0xFFFFFF00)
 	cases["empty but wide, one block"] = wideBlock
+	// A payload cut inside the first block, and a header claiming 16
+	// rows over a body that holds 8: with the length undeclared (a limit
+	// past the body) the stream itself runs out.
+	cases["cut mid-tile"] = good[:serializeHdrLen+8*5+3]
+	cases["claims more than the body"] = dims(16, 8)
 	return cases
 }
 
 // TestSerializeRejectsGarbage: corrupt headers and truncated payloads
-// are errors, never panics or silently wrong layouts.
+// are errors, never panics or silently wrong layouts, whether the
+// stream's length is declared (the limit is the body) or not (the limit
+// is far past it).
 func TestSerializeRejectsGarbage(t *testing.T) {
 	good := Encode(New(BCL, mat.Random(8, 8, rand.New(rand.NewSource(1))), 4, NewGrid(2)))
+	plain := func(r io.Reader) io.Reader { return r }
 	for name, data := range garbageEncodings(good) {
-		if _, _, _, err := DecodeDense(data); err == nil {
-			t.Errorf("%s: DecodeDense accepted corrupt input", name)
+		for _, limit := range []int64{int64(len(data)), 1 << 20} {
+			if _, _, _, err := decode(data, limit, plain); err == nil {
+				t.Errorf("%s, limit %d: ReadDense accepted corrupt input", name, limit)
+			}
 		}
 	}
 }
 
-// FuzzLayoutDecode: for any bytes, DecodeDense returns an error or a
-// matrix and shape that AppendDense, and Encode on the layout of that
-// shape, turn back into exactly the bytes it consumed. It never panics.
+// FuzzLayoutDecode: for any bytes, ReadDense returns an error or a
+// matrix and shape that WriteDense, and Encode on the layout of that
+// shape, turn back into exactly the bytes it consumed. It never panics,
+// and a stream that hands it one byte per read gets the same outcome as
+// one that hands it everything: the same error, or the same bits. Each
+// input is read with its length declared (the limit is the input) and
+// with a limit past it, as for a body of undeclared length.
 func FuzzLayoutDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	good := Encode(New(BCL, mat.Random(8, 8, rng), 4, NewGrid(2)))
@@ -205,20 +239,28 @@ func FuzzLayoutDecode(f *testing.F) {
 		f.Add(Encode(New(kind, mat.Random(5, 3, rng), 2, NewGrid(3))))
 	}
 	f.Add(append(Encode(New(TwoLevel, mat.Random(3, 4, rng), 8, NewGrid(1))), good...))
+	plain := func(r io.Reader) io.Reader { return r }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, s, n, err := DecodeDense(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("DecodeDense consumed %d of %d bytes", n, len(data))
-		}
-		_, _, b := s.Dims()
-		if enc := AppendDense(nil, s.Kind(), d, b, s.Grid()); !bytes.Equal(enc, data[:n]) {
-			t.Fatalf("re-encoding gives %d bytes that differ from the %d consumed", len(enc), n)
-		}
-		if enc := Encode(New(s.Kind(), d, b, s.Grid())); !bytes.Equal(enc, data[:n]) {
-			t.Fatalf("Encode of the decoded layout differs from the %d bytes consumed", n)
+		for _, limit := range []int64{int64(len(data)), 2*int64(len(data)) + 64} {
+			d, s, n, err := decode(data, limit, plain)
+			d1, s1, n1, err1 := decode(data, limit, iotest.OneByteReader)
+			if fmt.Sprint(err) != fmt.Sprint(err1) || n != n1 || s != s1 {
+				t.Fatalf("limit %d: whole reads give (%v, %d bytes, %+v), one-byte reads (%v, %d bytes, %+v)", limit, err, n, s, err1, n1, s1)
+			}
+			if err != nil {
+				continue
+			}
+			if !slices.EqualFunc(d.Data, d1.Data, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Fatalf("limit %d: one-byte reads decode other bits", limit)
+			}
+			_, _, b := s.Dims()
+			var enc bytes.Buffer
+			if err := WriteDense(&enc, s.Kind(), d, b, s.Grid()); err != nil || !bytes.Equal(enc.Bytes(), data[:n]) {
+				t.Fatalf("re-encoding gives %d bytes that differ from the %d consumed (err %v)", enc.Len(), n, err)
+			}
+			if enc := Encode(New(s.Kind(), d, b, s.Grid())); !bytes.Equal(enc, data[:n]) {
+				t.Fatalf("Encode of the decoded layout differs from the %d bytes consumed", n)
+			}
 		}
 	})
 }

@@ -1,28 +1,12 @@
-// Package serve is the engine shard server: the HTTP/JSON surface that
-// cmd/hsdserve listens on and that the cluster router places work on.
-// One Server wraps one resident engine plus an LRU keep-store of
-// completed factorizations, and exposes:
-//
-//   - the data plane — /v1/factor, /v1/cholesky, /v1/solve,
-//     /v1/cholesky/solve, /v1/stats — with the two-lane admission of
-//     internal/engine (429 saturation, 503 for a deadline that passes
-//     before the job starts, 422 degraded solves with the solvable
-//     prefix);
-//   - the cluster admin plane — /v1/admin/export and /v1/admin/import
-//     move serialized factorizations between shards for replication and
-//     drain migration, /v1/admin/drain flips the shard into draining
-//     (new jobs 503, inflight finishes, readiness false);
-//   - health — /healthz (process up) and /readyz (engine open and not
-//     draining), which probes and load balancers key off.
-//
-// Every route is built from the request guards the router shares
-// (cluster.Get, PostJSON, PostBytes): wrong method 405, wrong
-// Content-Type 415, oversized body 413, trailing data after the JSON
-// value 400 — all before a handler runs. A body is read once at its
-// declared size, and the matrix of a factor request (data) or the
-// right-hand side of a solve (b) is parsed in one pass (cluster.Bulk).
-// Handlers receive the decoded request (or the capped bytes) as a
-// parameter and never read r.Body.
+// Package serve is the engine shard server that cmd/hsdserve listens
+// on and the cluster router places work on: one resident engine plus an
+// LRU keep-store of completed factorizations, behind the data plane
+// (/v1/factor, /v1/cholesky, /v1/solve, /v1/cholesky/solve, /v1/stats),
+// the admin plane (/v1/admin/export and /v1/admin/import move
+// factorizations between shards, /v1/admin/drain) and /healthz and
+// /readyz. Every route is built from the request guards the router
+// shares (cluster.Get, PostJSON, PostStream), so handlers receive the
+// decoded request, or an import's capped reader, and never read r.Body.
 package serve
 
 import (
@@ -450,31 +434,25 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveR
 		return
 	}
 	// The solution block is tightly strided (mat.New), so its backing
-	// array IS the column-major flat reply — no copy on the hot path.
+	// array IS the column-major flat reply — no copy on the hot path. A
+	// value JSON cannot carry is the factors' fault, not the shard's: a
+	// 422, which no other replica is asked to repeat.
 	x := job.SolutionMatrix()
+	for i, v := range x.Data {
+		if math.IsNaN(v - v) { // v is NaN or ±Inf
+			cluster.HTTPError(w, http.StatusUnprocessableEntity, "solve of %q is not finite: solution entry %d is %v", req.ID, i, v)
+			return
+		}
+	}
 	cluster.WriteJSON(w, http.StatusOK, solveReply{ID: req.ID, X: x.Data, NRHS: nrhs, jobReply: replyOf(job)})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := s.store.Stats()
 	cluster.WriteJSON(w, http.StatusOK, map[string]any{
 		"engine":   s.eng.Stats(),
 		"draining": s.draining.Load(),
-		"store": map[string]any{
-			"count":       st.Count,
-			"bytes":       st.Bytes,
-			"budgetBytes": st.BudgetBytes,
-			"keep":        st.Keep,
-			"evictions":   st.Evictions,
-			"imports":     st.Imports,
-		},
+		"store":    s.store.Stats(),
 	})
-}
-
-// handleHealthz answers as long as the process serves requests at all.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, "ok\n")
 }
 
 // handleReadyz reports readiness for new work: the engine is open and
@@ -505,42 +483,40 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		cluster.HTTPError(w, http.StatusNotFound, "no factorization %q (evicted or never existed)", id)
 		return
 	}
+	// Every check comes before the first byte: a refused export is still
+	// a JSON 500, and a frame that passed them streams into the reply.
 	lu, _ := f.(*core.Factorization)
 	chol, _ := f.(*core.CholeskyFactorization)
-	wire, err := cluster.EncodeFactorization(lu, chol)
+	fr, err := cluster.NewFrame(lu, chol)
 	if err != nil {
 		cluster.HTTPError(w, http.StatusInternalServerError, "encode %q: %v", id, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(wire)))
-	w.Write(wire)
+	w.Header().Set("Content-Length", fmt.Sprint(fr.Len))
+	fr.Encode(w)
 }
 
 // handleImport serves /v1/admin/import?id=...: the body is the wire
-// encoding of a factorization, stored under the given id. This is how
-// replicas and migration targets receive kept state.
-func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, body []byte) {
+// encoding of a factorization, decoded as it arrives and stored under
+// the given id — how replicas and migration targets receive it.
+func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, body io.Reader, limit int64) error {
 	if s.draining.Load() {
 		drainError(w)
-		return
+		return nil
 	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
 		cluster.HTTPError(w, http.StatusBadRequest, "missing id query parameter")
-		return
+		return nil
 	}
-	lu, chol, err := cluster.DecodeFactorization(body)
+	f, err := cluster.ReadFactorization(body, limit)
 	if err != nil {
-		cluster.HTTPError(w, http.StatusBadRequest, "bad factorization payload: %v", err)
-		return
-	}
-	var f core.Factored = lu // exactly one of lu and chol is set
-	if chol != nil {
-		f = chol
+		return fmt.Errorf("bad factorization payload: %w", err)
 	}
 	s.store.PutAs(id, f)
 	cluster.WriteJSON(w, http.StatusOK, map[string]string{"imported": id})
+	return nil
 }
 
 // handleDrain serves /v1/admin/drain: the shard stops accepting new
@@ -572,9 +548,9 @@ func (s *Server) Handler() *http.ServeMux {
 	mux.HandleFunc("/v1/cholesky/solve", solve(true))
 	mux.HandleFunc("/v1/stats", cluster.Get(s.handleStats))
 	mux.HandleFunc("/v1/admin/export", cluster.Get(s.handleExport))
-	mux.HandleFunc("/v1/admin/import", cluster.PostBytes("application/octet-stream", s.maxBody, s.handleImport))
+	mux.HandleFunc("/v1/admin/import", cluster.PostStream("application/octet-stream", s.maxBody, s.handleImport))
 	mux.HandleFunc("/v1/admin/drain", cluster.PostJSON(s.maxBody, s.handleDrain))
-	mux.HandleFunc("/healthz", cluster.Get(s.handleHealthz))
+	mux.HandleFunc("/healthz", cluster.Get(cluster.Healthz))
 	mux.HandleFunc("/readyz", cluster.Get(s.handleReadyz))
 	return mux
 }

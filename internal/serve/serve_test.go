@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -282,29 +283,49 @@ func TestServeDegradedSolveReportsPrefix(t *testing.T) {
 	}
 }
 
-// TestServeUnencodableReply500: a reply JSON cannot encode is a 500
-// naming the encoding error, not a 200 with an empty body. Entries near
-// the float64 limit overflow the factors, which a factor without a
-// residual check stores, so a solve against them is not finite.
-func TestServeUnencodableReply500(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+// TestServeNonFiniteSolve422: a solve whose solution JSON cannot carry
+// is a 422 naming it, at the shard and through the router, which relays
+// it without asking the other replica: 422 is not a status to fail over
+// on. Entries near the float64 limit overflow the factors, which a
+// factor without a residual check stores, so a solve against them is
+// not finite.
+func TestServeNonFiniteSolve422(t *testing.T) {
+	var infos []cluster.ShardInfo
+	for _, name := range []string{"a", "b"} {
+		_, ts := newTestServer(t, Options{})
+		infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
+	}
+	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: infos, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer rt.Close()
+	defer front.Close()
+
 	rng := rand.New(rand.NewSource(1))
 	data := make([]string, 64*64)
 	for i := range data {
 		data[i] = strconv.FormatFloat((2*rng.Float64()-1)*1e308, 'g', -1, 64)
 	}
 	body := fmt.Sprintf(`{"rows":64,"cols":64,"data":[%s]}`, strings.Join(data, ","))
-	resp, out := postJSON(t, ts.URL+"/v1/factor", body)
+	resp, out := postJSON(t, front.URL+"/v1/factor", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("factor: %d %v", resp.StatusCode, out)
 	}
+	id := out["id"].(string)
 	b := strings.Repeat("1,", 63) + "1"
-	resp, out = postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(`{"id":%q,"b":[%s]}`, out["id"], b))
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("solve with a non-finite solution: %d %v, want 500", resp.StatusCode, out)
+	for _, base := range []string{infos[0].URL, infos[1].URL, front.URL} {
+		resp, out = postJSON(t, base+"/v1/solve", fmt.Sprintf(`{"id":%q,"b":[%s]}`, id, b))
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("solve at %s with a non-finite solution: %d %v, want 422", base, resp.StatusCode, out)
+		}
+		if msg, _ := out["error"].(string); !strings.HasPrefix(msg, fmt.Sprintf("solve of %q is not finite", id)) {
+			t.Fatalf("error %q, want it to name the non-finite solution", msg)
+		}
 	}
-	if msg, _ := out["error"].(string); !strings.HasPrefix(msg, "encode reply: json: unsupported value") {
-		t.Fatalf("error %q, want the encoding error", msg)
+	if st := rt.Stats(); st.Failovers != 0 || st.Replications != 1 || st.ReplicationFailures != 0 {
+		t.Fatalf("router failovers %d, replications %d (%d failed); want 0 and 1 (0)", st.Failovers, st.Replications, st.ReplicationFailures)
 	}
 }
 
@@ -1116,6 +1137,67 @@ func TestServeExportImportRoundTrip(t *testing.T) {
 	br.Body.Close()
 	if br.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage import: %d, want 400", br.StatusCode)
+	}
+}
+
+// readCounter counts the reads of a request body.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestServeImportBounded: the import route decodes its body as it
+// arrives, so what a body claims must be refused before it is
+// allocated. A 64-byte frame whose L header claims 2^15 x 2^15 (8 GiB)
+// is a 400 that allocates under 1 MB; a declared length over the cap is
+// a 413 before any body byte is read; and a body of undeclared length
+// over the cap is a 413 however much of it the decoder read.
+func TestServeImportBounded(t *testing.T) {
+	s, _ := newTestServer(t, Options{MaxBody: 1 << 20})
+	h := s.Handler()
+	post := func(body io.Reader, length int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/admin/import?id=x", body)
+		req.Header.Set("Content-Type", "application/octet-stream")
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	le := binary.LittleEndian
+	frame := le.AppendUint32([]byte("HSDW\x01\x01"), 2)
+	frame = le.AppendUint32(le.AppendUint32(frame, 1), 0)
+	frame = append(frame, "HSDL\x01\x02"...)
+	for _, v := range []uint32{1 << 15, 1 << 15, 128, 1, 1} {
+		frame = le.AppendUint32(frame, v)
+	}
+	frame = append(frame, make([]byte, 64-len(frame))...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := post(bytes.NewReader(frame), int64(len(frame)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("64-byte frame claiming an 8 GiB L: %d %s, want 400", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("refusing it allocated %d bytes, want under 1 MB", alloc)
+	}
+
+	body := &readCounter{r: bytes.NewReader(make([]byte, 64))}
+	if rec := post(body, 1<<20+1); rec.Code != http.StatusRequestEntityTooLarge || body.reads != 0 {
+		t.Fatalf("declared length over the cap: %d after %d reads, want 413 before any", rec.Code, body.reads)
+	}
+	over := append(append([]byte(nil), frame[:26]...), make([]byte, 2<<20)...)
+	if rec := post(bytes.NewReader(over), -1); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("undeclared length over the cap: %d %s, want 413", rec.Code, rec.Body)
+	}
+	if s.Store().Len() != 0 {
+		t.Fatalf("store holds %d factorizations after refused imports", s.Store().Len())
 	}
 }
 
