@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -10,18 +9,24 @@ import (
 )
 
 // Data plane: factor and solve requests reach the shards as the bytes
-// the client sent; the router reads a solve's id and never a matrix.
+// the client sent, forwarded through readers over the buffer postBody
+// read them into; the router reads a solve's id and never a matrix.
 
 // post sends the n bytes of body (n < 0: unknown) to a shard path under
 // ctx; transport failures count against the shard's health, unless ctx
 // ended: a client that gave up, or a source that failed, says nothing
-// about the shard.
+// about the shard. A body reader rewinds as a new reader, for the
+// transport's retry on a stale connection.
 func (rt *Router) post(ctx context.Context, s *shardState, path, ct string, body io.Reader, n int64) (*http.Response, error) {
 	s.requests.Add(1)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url+path, body)
 	if err != nil {
 		rt.noteResult(s, err)
 		return nil, err
+	}
+	if br, ok := body.(*bodyReader); ok {
+		src := br.src
+		req.GetBody = func() (io.ReadCloser, error) { return src.reader(), nil }
 	}
 	req.ContentLength = n
 	req.Header.Set("Content-Type", ct)
@@ -58,16 +63,15 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	copyBuf(w, resp.Body)
 }
 
-// try posts body to path on the eligible candidates in order, under the
-// client's ctx, until one answers a status that is not retryable, and
-// returns that shard and its response — else the last answer, so the
-// client sees why the last candidate refused, or nil when none was
-// reachable. Every attempt after the first is a failover. The caller
-// closes the body.
-func (rt *Router) try(ctx context.Context, candidates []string, eligible func(*shardState) bool, retryable func(status int) bool, path string, body []byte) (*shardState, *http.Response) {
+// try posts b's bytes to path on the eligible candidates in order,
+// under the client's ctx, until one answers a status that is not
+// retryable, and returns that shard and response, else the last answer
+// (nil when none was reachable). Every attempt after the first is a
+// failover. The caller closes the body.
+func (rt *Router) try(ctx context.Context, candidates []string, eligible func(*shardState) bool, retryable func(status int) bool, path string, b *body) (*shardState, *http.Response) {
 	var (
 		from *shardState
 		last *http.Response
@@ -85,7 +89,7 @@ func (rt *Router) try(ctx context.Context, candidates []string, eligible func(*s
 			rt.failovers.Add(1)
 		}
 		tried++
-		resp, err := rt.post(ctx, s, path, mediaJSON, bytes.NewReader(body), int64(len(body)))
+		resp, err := rt.post(ctx, s, path, mediaJSON, b.reader(), int64(len(b.b)))
 		if err != nil {
 			continue
 		}
@@ -100,10 +104,8 @@ func (rt *Router) try(ctx context.Context, candidates []string, eligible func(*s
 	return from, last
 }
 
-// An owner that shed the job or is saturated (>= 500, 429) passes a
-// factor to the next owner in the set — the key still hashes to it. A
-// solve also moves on from a 404: the holder lost the entry (LRU), and
-// another replica can still answer.
+// A factor moves on from an owner that shed it or is saturated (>= 500,
+// 429); a solve also from a 404 (the holder evicted it, a replica may not).
 func factorRetryable(status int) bool {
 	return status >= 500 || status == http.StatusTooManyRequests
 }
@@ -112,16 +114,15 @@ func solveRetryable(status int) bool {
 	return factorRetryable(status) || status == http.StatusNotFound
 }
 
-// handleFactor mints a key, factors on its first placeable owner's path
-// endpoint (the client's bytes under the client's ctx, the key as ?id=;
-// a body with its own id is the shard's 400), then copies the result to
-// the other routable owners, read again to see a ring swapped meanwhile
-// (a later swap lists the key in the rebalance's second pass).
-func (rt *Router) handleFactor(ctx context.Context, w http.ResponseWriter, body []byte, prefix, path string) {
+// handleFactor mints a key, factors on its first placeable owner (the
+// client's bytes under the client's ctx, the key as ?id=), then copies
+// the result to the other routable owners, re-read in case the ring was
+// swapped meanwhile (a later swap's second pass lists the key).
+func (rt *Router) handleFactor(ctx context.Context, w http.ResponseWriter, b *body, prefix, path string) {
 	key, cs := rt.mint(prefix)
 	rt.factors.Add(1)
 
-	s, resp := rt.try(ctx, cs, rt.placeable, factorRetryable, path+"?id="+url.QueryEscape(key), body)
+	s, resp := rt.try(ctx, cs, rt.placeable, factorRetryable, path+"?id="+url.QueryEscape(key), b)
 	if resp == nil {
 		ownerSetDown(w, "no live owner for key "+key)
 		return
@@ -143,15 +144,13 @@ type solveKey struct {
 
 func (*solveKey) BulkMember() (string, *[]float64) { return "b", nil }
 
-// handleSolve routes a solve to the path endpoint of the key's routable
-// owners, rotating the starting one for read scaling and failing over
-// past dead or non-holding shards, under the client's ctx. When no owner
-// answers, or every answer is a 404 while one of the owners is
-// unroutable (it may hold the key), the reply is the typed ownerSetDown
-// 503; otherwise the shard's answer.
-func (rt *Router) handleSolve(ctx context.Context, w http.ResponseWriter, body []byte, path string) {
+// handleSolve routes a solve to the key's routable owners from a
+// rotating start, failing over past dead or non-holding shards, under
+// the client's ctx. No answer, or only 404s while an owner is down (it
+// may hold the key), is the typed ownerSetDown 503.
+func (rt *Router) handleSolve(ctx context.Context, w http.ResponseWriter, b *body, path string) {
 	var req solveKey
-	if err := decodeJSON(body, &req); err != nil {
+	if err := decodeJSON(b.b, &req); err != nil {
 		HTTPError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
@@ -166,7 +165,7 @@ func (rt *Router) handleSolve(ctx context.Context, w http.ResponseWriter, body [
 		first := int(rt.rotor.Add(1)) % n
 		up = append(up[first:n:n], up[:first]...)
 	}
-	_, resp := rt.try(ctx, up, rt.routable, solveRetryable, path, body)
+	_, resp := rt.try(ctx, up, rt.routable, solveRetryable, path, b)
 	if resp != nil && down && resp.StatusCode == http.StatusNotFound {
 		resp.Body.Close()
 		resp = nil

@@ -6,10 +6,8 @@ import (
 	"strconv"
 )
 
-// Bulk is implemented by a request type whose bulk is one member: a
-// JSON array of numbers, megabytes long in a matrix request.
-// decodeJSON parses that member in one pass instead of through
-// encoding/json's reflection.
+// Bulk is implemented by a request type whose bulk is one member, a
+// JSON array of numbers that decodeJSON parses in one pass.
 type Bulk interface {
 	// BulkMember names the member's key and the slice its numbers go
 	// to. A nil slice pointer means the type has no field for the
@@ -20,21 +18,10 @@ type Bulk interface {
 // decodeJSON decodes data into v with the result and the error
 // json.Unmarshal gives. When *T is a Bulk and its member appears once
 // at the top level of data, under its exact, unescaped key, as an array
-// of plain JSON numbers, that array is parsed in one pass into a slice
-// sized by its commas, and json.Unmarshal sees only the rest of the
-// object, with the member's value replaced by null. Each number is
-// converted in the same loop that scans it (scanNumber): the loop
-// gathers up to 19 significant digits and a power of ten, and the
-// Eisel–Lemire algorithm, ported from Go's strconv, rounds them to the
-// nearest float64. Eisel–Lemire is exact or declines; a number it
-// declines (one too close to a halfway point, a subnormal or
-// overflowing result, a power of ten outside its table) or one with
-// more digits goes to strconv.ParseFloat, the call encoding/json makes,
-// so the values are bit-identical. Anything else — the member missing,
-// repeated or spelled in another case, an escaped top-level key, an
-// element that is not a plain number, a number ParseFloat refuses, any
-// error in the rest — is decoded by json.Unmarshal on the whole of
-// data.
+// of plain JSON numbers, that array is parsed in one pass (scanNumber)
+// into a slice sized by its commas, bit-identical to encoding/json, and
+// json.Unmarshal sees only the rest, with the member's value replaced
+// by null. Anything else is decoded by json.Unmarshal on all of data.
 func decodeJSON[T any](data []byte, v *T) error {
 	// The rest decodes into a copy: a rest that fails midway must leave
 	// v as the fallback's json.Unmarshal expects to find it.
@@ -53,12 +40,11 @@ func decodeJSON[T any](data []byte, v *T) error {
 }
 
 // splitBulk finds the member called name in the object data holds and
-// parses its array of numbers (converting them only when keep is set).
-// rest is data with that array replaced by null. ok is false unless the
-// scan sees one object whose keys are all unescaped and exactly one of
-// which equals name under case folding, spelled exactly as name, with
-// an array of numbers as its value. The scan only delimits the other
-// members; json.Unmarshal of rest checks them.
+// parses its array of numbers (converting them only when keep is set);
+// rest is data with that array replaced by null. ok needs one object,
+// all keys unescaped, exactly one equal to name under case folding and
+// spelled exactly so, with an array of numbers as its value. The other
+// members are only delimited; json.Unmarshal of rest checks them.
 func splitBulk(data []byte, name string, keep bool) (rest []byte, nums []float64, ok bool) {
 	i := skipSpace(data, 0)
 	if i == len(data) || data[i] != '{' {
@@ -149,12 +135,9 @@ func parseNumbers(data []byte, i int, keep bool) (end int, nums []float64, ok bo
 // scanNumber scans the JSON number that starts at data[i],
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns the index
 // just past it, or -1 when none does. With convert set it also returns
-// the number's value, converted in the same pass: the scan gathers the
-// decimal mantissa and its power of ten, and eiselLemire64 rounds them
-// to the nearest float64. A number with more than 19 significant
-// digits or more than four exponent digits, or one eiselLemire64
-// declines, is converted by strconv.ParseFloat instead, and end is -1
-// if that fails.
+// its value: eiselLemire64 rounds the gathered mantissa and power of
+// ten, and strconv.ParseFloat (the call encoding/json makes) takes the
+// numbers it declines or that have over 19 digits or 4 exponent digits.
 func scanNumber(data []byte, i int, convert bool) (f float64, end int) {
 	start := i
 	neg := i < len(data) && data[i] == '-'
@@ -245,9 +228,8 @@ func skipSpace(data []byte, i int) int {
 }
 
 // skipValue returns the index just past the JSON value that starts at
-// data[i], or -1 when data ends inside it. It only delimits: a string
-// ends at its closing quote, a compound value at its matching bracket,
-// anything else at the next comma, closing bracket or space.
+// data[i], or -1 when data ends inside it. It only delimits strings,
+// brackets and scalars.
 func skipValue(data []byte, i int) int {
 	depth := 0
 	for ; i < len(data); i++ {

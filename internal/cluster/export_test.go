@@ -1,5 +1,7 @@
 package cluster
 
+import "io"
+
 // What the external tests reach that no other package calls.
 
 // DecodeJSON is decodeJSON, the request guards' decoder.
@@ -20,4 +22,24 @@ func Owners(members []string, key string, n int) []string {
 		r.add(m)
 	}
 	return r.owners(key, n)
+}
+
+// TakeBuf and PutBuf take a buffer from the request guards' free list
+// and park one on it.
+func TakeBuf(n int) []byte { return takeBuf(n) }
+func PutBuf(b []byte)      { putBuf(b) }
+
+// ResetBufs empties the free list, so the next buffer parked fits.
+func ResetBufs() {
+	parked.Lock()
+	parked.bytes, parked.free = 0, [len(parked.free)][][]byte{}
+	parked.Unlock()
+}
+
+// ForwardedBody reads data as the guards read a body and returns a
+// reader over it, as the router forwards it, and the handler's release.
+func ForwardedBody(data []byte) (io.ReadCloser, func()) {
+	b := &body{b: append(takeBuf(len(data))[:0], data...)}
+	b.refs.Add(1)
+	return b.reader(), b.release
 }

@@ -32,10 +32,8 @@ func (rt *Router) noteTransportError(s *shardState) {
 	}
 }
 
-// noteAlive resets the failure streak. Only a streak that had reached
-// FailAfter can have marked the shard unhealthy, so a healthy shard's
-// success ends here, lock-free; an evicted one is routable again (its
-// kept state may be stale or gone — solve failover covers the 404s).
+// noteAlive resets the failure streak, lock-free unless the streak had
+// evicted the shard, which is then routable again.
 func (rt *Router) noteAlive(s *shardState) {
 	if s.consecFails.Swap(0) >= int64(rt.opt.FailAfter) {
 		rt.settle(s)
@@ -43,11 +41,8 @@ func (rt *Router) noteAlive(s *shardState) {
 }
 
 // settle makes s's health flag agree with its failure streak, re-read
-// under mu so that racing successes and failures settle to the last
-// streak either wrote. The ring is not touched: it holds every
-// non-retired member, and routable screens the flag. settle takes only
-// mu, never adminMu: transport errors surface inside Join/drain
-// migrations too, which already hold adminMu.
+// under mu so racing results settle to the last streak written. It
+// takes only mu: transport errors surface inside migrations too.
 func (rt *Router) settle(s *shardState) {
 	rt.mu.Lock()
 	s.healthy = s.consecFails.Load() < int64(rt.opt.FailAfter)
@@ -70,8 +65,7 @@ func (rt *Router) probeLoop() {
 }
 
 // probeNow runs one synchronous health-probe pass over every
-// non-retired shard. The tests call it directly instead of waiting out
-// a probe interval.
+// non-retired shard.
 func (rt *Router) probeNow() {
 	for _, s := range rt.shardList() {
 		rt.mu.RLock()
@@ -88,16 +82,13 @@ func (rt *Router) probeNow() {
 	}
 }
 
-// probeTimeout bounds every request the router makes on its own behalf
-// rather than a client's: health probes, the readiness check of a
-// joining shard and the per-shard fetch of /v1/stats. A shard that
-// accepts the connection and never answers costs each of them this
-// long, not forever.
+// probeTimeout bounds every request the router makes on its own
+// behalf (probes, a joining shard's readiness, /v1/stats fetches), so a
+// shard that never answers costs this long, not forever.
 const probeTimeout = 2 * time.Second
 
 // boundedGet GETs target under probeTimeout and returns the status with
-// up to 1 MiB of the body. It touches no shard state; callers decide what
-// a failure means.
+// up to 1 MiB of the body, touching no shard state.
 func (rt *Router) boundedGet(target string) (int, []byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
@@ -114,10 +105,9 @@ func (rt *Router) boundedGet(target string) (int, []byte, error) {
 	return resp.StatusCode, body, err
 }
 
-// copyKey streams key's frame from holder s into target t, the
-// export's body as the import's, under its declared length. A cut
-// export counts against s and a failed import against t; holderFailed
-// says which, so the caller can try another holder.
+// copyKey streams key's frame from holder s into target t, the export's
+// body as the import's. A cut export counts against s (holderFailed, so
+// the caller tries another holder) and a failed import against t.
 func (rt *Router) copyKey(key string, s, t *shardState) (ok, holderFailed bool) {
 	q := "?id=" + url.QueryEscape(key)
 	resp, err := rt.get(s, "/v1/admin/export"+q)
@@ -133,7 +123,7 @@ func (rt *Router) copyKey(key string, s, t *shardState) (ok, holderFailed bool) 
 	ir, err := rt.post(ctx, t, "/v1/admin/import"+q, mediaBytes, &sourceBody{resp.Body, cut}, resp.ContentLength)
 	if err == nil {
 		defer ir.Body.Close()
-		io.Copy(io.Discard, ir.Body)
+		copyBuf(io.Discard, ir.Body)
 	}
 	if ctx.Err() != nil {
 		rt.noteTransportError(s)
@@ -158,9 +148,8 @@ func (b *sourceBody) Read(p []byte) (int, error) {
 }
 
 // migrateKey makes every routable shard in want hold key, streaming it
-// from the first routable current holder whose export reads whole — at
-// factor time the shard that just factored, in a rebalance any holder:
-// they hold the same bytes. A failed import is not retried.
+// from the first routable current holder whose export reads whole (they
+// hold the same bytes). A failed import is not retried.
 func (rt *Router) migrateKey(key string, current, want []string) {
 	for _, name := range want {
 		t := rt.shard(name)
@@ -212,10 +201,9 @@ func (rt *Router) Join(si ShardInfo) error {
 	return nil
 }
 
-// drain retires a shard with zero failed requests: stop placing new
-// factorizations on it, migrate its kept state to the owners under the
-// shrunken ring, swap the ring, tell the shard itself to drain, and
-// only then stop routing solves to it.
+// drain retires a shard with zero failed requests: stop placing on it,
+// migrate its keys under the shrunken ring, swap the ring, tell the
+// shard to drain, and only then stop routing solves to it.
 func (rt *Router) drain(name string) error {
 	rt.adminMu.Lock()
 	defer rt.adminMu.Unlock()
@@ -237,7 +225,7 @@ func (rt *Router) drain(name string) error {
 	// freshly migrated replica, so clients never see the retirement.
 	resp, err := rt.post(context.Background(), s, "/v1/admin/drain", mediaJSON, strings.NewReader("{}"), 2)
 	if err == nil {
-		io.Copy(io.Discard, resp.Body)
+		copyBuf(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 
@@ -250,11 +238,9 @@ func (rt *Router) drain(name string) error {
 	return nil
 }
 
-// rebalanceLocked (adminMu held) applies edit to a copy of the ring,
-// copies every key the routable shards list to its routable owners
-// under that next ring, swaps it in, and copies once more: the first
-// pass makes the keys resident before any request routes on next, the
-// second catches keys factored under the old ring meanwhile.
+// rebalanceLocked (adminMu held) copies every listed key to its
+// routable owners under an edited copy of the ring, swaps that in, and
+// copies again to catch keys factored under the old ring meanwhile.
 func (rt *Router) rebalanceLocked(edit func(next *hashRing)) {
 	rt.mu.RLock()
 	next := rt.ring.clone()

@@ -12,9 +12,8 @@ import (
 )
 
 // Placement: a key's owners (its first R ring members), the shards
-// that hold it (their own store listings), and which shards may be sent
-// work. The router keeps no record per key: it mints keys whose owners
-// can take them, so a key only ever lives on its owners.
+// that hold it (their store listings) and which shards may take work.
+// The router keeps no record per key: it mints keys its owners can take.
 
 func (rt *Router) shard(name string) *shardState {
 	rt.mu.RLock()
@@ -109,8 +108,7 @@ func (rt *Router) listing(s *shardState) ([]string, error) {
 }
 
 // resident maps every key a routable shard lists to the shards that
-// list it. A shard whose listing fails adds no keys: nothing could be
-// exported from it either.
+// list it; a shard whose listing fails could export nothing either.
 func (rt *Router) resident() map[string][]string {
 	keys := map[string][]string{}
 	for _, s := range rt.shardList() {
@@ -125,9 +123,8 @@ func (rt *Router) resident() map[string][]string {
 	return keys
 }
 
-// Holders reports which shards hold a key's factorization: its routable
-// owners whose listing contains it, in ring order — the primary owner
-// first, then replicas. Empty means no reachable owner holds the key.
+// Holders reports the routable owners whose listing contains key, in
+// ring order, primary first; empty when no reachable owner holds it.
 func (rt *Router) Holders(key string) []string {
 	up, _ := rt.owners(key, nil, rt.routable)
 	var hs []string

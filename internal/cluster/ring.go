@@ -1,15 +1,9 @@
 // Package cluster is the sharded serving tier: a consistent-hash ring
-// that maps factorization keys onto engine shards, the wire format
-// factorizations stream between shards in, and the router front door
-// that places factor jobs on a key's owner, streams each to its
-// replicas for solve read-scaling, and runs the shard lifecycle: join,
-// drain and probe-driven eviction with solve failover.
-//
-// The split mirrors the paper's static-partition-plus-dynamic-remainder
-// idea one level up: the ring is the static partition of the key space
-// (cheap, deterministic, no coordination per request), while failover,
-// replica rotation and re-placement absorb the shards that die, drain
-// or join.
+// mapping factorization keys onto engine shards (the paper's static
+// partition, one level up), the wire format factorizations stream
+// between shards in, and the router that places factors on a key's
+// owners, fails solves over and runs join, drain and eviction (the
+// dynamic remainder).
 package cluster
 
 import (
@@ -18,9 +12,8 @@ import (
 	"sort"
 )
 
-// vnodes is the virtual-node count per shard: enough that a three-shard
-// ring splits the key space within a few percent of evenly while keeping
-// rebuilds trivially cheap.
+// vnodes is the virtual-node count per shard: a three-shard ring splits
+// the key space within a few percent of evenly.
 const vnodes = 64
 
 // ringPoint is one virtual node on the hash circle.
@@ -30,10 +23,8 @@ type ringPoint struct {
 }
 
 // hashRing is a consistent-hash ring with vnodes virtual nodes per
-// member. Membership is deterministic in the node names: two rings
-// built with the same members agree on every key's owner set, which is
-// what lets tests — and operators — recompute placements offline. Not
-// safe for concurrent use; the Router guards it.
+// member. Two rings with the same members agree on every key's owners,
+// so placements can be recomputed offline. The Router guards it.
 type hashRing struct {
 	gen    uint64 // bumped by every add or remove that changes membership
 	nodes  map[string]bool
@@ -55,10 +46,9 @@ func (r *hashRing) clone() *hashRing {
 	return c
 }
 
-// hashKey positions a key (or virtual node label) on the circle.
-// FNV-1a alone avalanches poorly on short strings — "s1#0".."s1#63"
-// come out nearly sequential, clustering a shard's virtual nodes into
-// one arc — so the output goes through a splitmix64-style finalizer.
+// hashKey positions a key (or virtual node label) on the circle: FNV-1a,
+// which alone clusters "s1#0".."s1#63" into one arc, then a splitmix64
+// finalizer.
 func hashKey(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
@@ -119,10 +109,8 @@ func (r *hashRing) members() []string {
 	return ns
 }
 
-// owners returns the key's owner set: up to n distinct nodes starting
-// at the key's successor point and walking the circle. The first entry
-// is the primary owner (where factor jobs land); the rest are the
-// replicas the factorization fans out to.
+// owners returns the key's owner set: up to n distinct nodes walking
+// the circle from the key's successor point, the primary owner first.
 func (r *hashRing) owners(key string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil

@@ -23,9 +23,8 @@ type RouterOptions struct {
 	// Replicas is the owner-set size R: the factorization lives on the
 	// primary owner plus R-1 replicas. Default 2, clamped to >= 1.
 	Replicas int
-	// ProbeInterval drives the background health probe; 0 disables it —
-	// probes then run only through probeNow (the tests) and
-	// transport errors on the data path.
+	// ProbeInterval drives the background health probe; 0 disables it
+	// (probeNow and data-path transport errors still count).
 	ProbeInterval time.Duration
 	// FailAfter is how many consecutive probe or transport failures
 	// mark a shard unhealthy. Default 3, clamped to >= 1.
@@ -34,9 +33,8 @@ type RouterOptions struct {
 	MaxBody int64
 }
 
-// shardState is the router's view of one shard. The counters are
-// atomic so the data path never takes a lock just to count; the flags
-// are guarded by Router.mu.
+// shardState is the router's view of one shard: atomic counters, so
+// the data path never locks to count, and flags guarded by Router.mu.
 type shardState struct {
 	name string
 	url  string
@@ -50,25 +48,19 @@ type shardState struct {
 	retired  bool // drained out; never routed again
 }
 
-// Router is the cluster front door: it consistent-hashes factorization
-// keys onto shards, factors on the key's owner, fans the serialized
-// factorization out to replicas, and routes solves to any holder with
-// failover. It also runs the shard lifecycle: Join, drain, and
-// probe-driven eviction. Serve it with its Handler.
+// Router is the cluster front door (see the package doc). Serve it
+// with its Handler.
 type Router struct {
 	opt    RouterOptions
 	client *http.Client
 
-	// adminMu serializes migrating membership changes (join, drain) so
-	// their rebalances never interleave. It is only ever taken with mu
-	// not held, and probe or transport eviction never takes it: those
-	// fire inside a migration, which holds adminMu.
+	// adminMu serializes Join and drain. It is never taken with mu held,
+	// and eviction never takes it: that fires inside a migration.
 	adminMu sync.Mutex
 
-	// mu guards the shard map, every shard's flags, the ring and the lag
-	// EWMA. No code takes another lock while holding it. The ring holds
-	// every non-retired member and only Join and drain replace it; health
-	// lives in the flags alone, so no eviction can race the swap.
+	// mu guards the shard map, the shards' flags, the ring (every
+	// non-retired member; only Join and drain replace it) and the lag
+	// EWMA. No code takes another lock while holding it.
 	mu       sync.RWMutex
 	shards   map[string]*shardState
 	ring     *hashRing
@@ -181,13 +173,15 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// A kind is its key prefix plus the shard path its requests go to.
 	for _, k := range []struct{ prefix, path string }{{"f", "/v1/factor"}, {"c", "/v1/cholesky"}} {
-		mux.HandleFunc(k.path, postBytes(rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
-			rt.handleFactor(r.Context(), w, body, k.prefix, k.path)
+		mux.HandleFunc(k.path, postBody(rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, b *body) {
+			defer b.release()
+			rt.handleFactor(r.Context(), w, b, k.prefix, k.path)
 		}))
 	}
 	for _, path := range []string{"/v1/solve", "/v1/cholesky/solve"} {
-		mux.HandleFunc(path, postBytes(rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, body []byte) {
-			rt.handleSolve(r.Context(), w, body, path)
+		mux.HandleFunc(path, postBody(rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, b *body) {
+			defer b.release()
+			rt.handleSolve(r.Context(), w, b, path)
 		}))
 	}
 	mux.HandleFunc("/v1/stats", Get(rt.handleStats))

@@ -1,13 +1,18 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1152,4 +1157,200 @@ func TestClusterCutExportStream(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestClusterEarlyReplyFailoverSendsClientBytes: the router forwards a
+// body through readers over one parked buffer. Each solve's first owner
+// answers 503 after reading 1 KiB, so the transport may still be
+// writing or closing the body when the router fails over, and the next
+// owner must get the client's bytes exactly.
+// Concurrent clients send distinct bodies that recycle the buffers
+// meanwhile: a reader left over a parked buffer shows here as wrong
+// bytes, and under -race as a race.
+func TestClusterEarlyReplyFailoverSendsClientBytes(t *testing.T) {
+	const clients, each, nums = 4, 3, 30_000 // ~570 KB bodies
+	var (
+		mu             sync.Mutex
+		sent           = map[string][]byte{}
+		seen           = map[string]bool{}
+		early, checked atomic.Int64
+	)
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		head := make([]byte, 1<<10)
+		if _, err := io.ReadFull(r.Body, head); err != nil {
+			t.Errorf("reading the first KiB: %v", err)
+			return
+		}
+		id := string(head[7:][:bytes.IndexByte(head[7:], '"')]) // after {"id":"
+		mu.Lock()
+		first, want := !seen[id], sent[id]
+		seen[id] = true
+		mu.Unlock()
+		if first {
+			early.Add(1)
+			cluster.HTTPError(w, http.StatusServiceUnavailable, "busy")
+			return
+		}
+		rest, err := io.ReadAll(r.Body)
+		if got := append(head, rest...); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("next owner of %s got %d bytes (err %v), not the client's %d", id, len(got), err, len(want))
+		}
+		checked.Add(1)
+		cluster.WriteJSON(w, http.StatusOK, map[string]string{"id": id})
+	})
+	var infos []cluster.ShardInfo
+	for _, name := range []string{"a", "b"} {
+		ts := httptest.NewServer(stub)
+		t.Cleanup(ts.Close)
+		infos = append(infos, cluster.ShardInfo{Name: name, URL: ts.URL})
+	}
+	// A shard that closes the connection on a body it did not read may
+	// fail the transport's write; that must not evict it.
+	rt, err := cluster.NewRouter(cluster.RouterOptions{Shards: infos, Replicas: 2, FailAfter: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { front.Close(); rt.Close() })
+
+	rng := rand.New(rand.NewSource(1))
+	numbers := make([]string, nums)
+	for k := range numbers {
+		numbers[k] = strconv.FormatFloat(rng.NormFloat64(), 'g', -1, 64)
+	}
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				// Each body is the numbers rotated its own way.
+				id, r := fmt.Sprintf("c%d-%d", c, i), (c*each+i)*997+1
+				body := fmt.Appendf(nil, `{"id":%q,"b":[%s,%s]}`, id, strings.Join(numbers[r:], ","), strings.Join(numbers[:r], ","))
+				mu.Lock()
+				sent[id] = body
+				mu.Unlock()
+				resp, err := http.Post(front.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				out, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || !strings.Contains(string(out), id) {
+					t.Errorf("solve %s: %d %s", id, resp.StatusCode, out)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if e, c := early.Load(), checked.Load(); e != clients*each || c != clients*each {
+		t.Fatalf("%d first owners replied 503 and %d next owners checked the bytes, want %d each", e, c, clients*each)
+	}
+}
+
+// aliasRequest has every kind of field decodeJSON fills: the one-pass
+// bulk, a string, a number and RawMessages.
+type aliasRequest struct {
+	ID     string          `json:"id"`
+	Rows   int             `json:"rows"`
+	Data   []float64       `json:"data"`
+	Layout json.RawMessage `json:"layout"`
+	Class  json.RawMessage `json:"class"`
+}
+
+func (r *aliasRequest) BulkMember() (string, *[]float64) { return "data", &r.Data }
+
+// TestPostJSONDecodedOutlivesBuffer: PostJSON parks its body buffer
+// before the handler runs, so nothing it decoded may alias it. The
+// handler takes that buffer back (the free list's last parked of its
+// size) and overwrites it; every decoded field must still equal
+// json.Unmarshal's, on the one-pass path and on the fallback an escaped
+// key forces.
+func TestPostJSONDecodedOutlivesBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	data := []byte("[")
+	for k := range 20_000 { // ~380 KB bodies
+		if k > 0 {
+			data = append(data, ',')
+		}
+		data = strconv.AppendFloat(data, rng.NormFloat64(), 'g', -1, 64)
+	}
+	data = append(data, ']')
+	for _, key := range []string{"data", `d\u0061ta`} {
+		body := fmt.Appendf(nil, `{"id":"k-1","rows":7,"%s":%s,"layout":{"kind":["bcl",2]},"class":"small"}`, key, data)
+		var want aliasRequest
+		if err := json.Unmarshal(body, &want); err != nil || len(want.Data) != 20_000 {
+			t.Fatalf("json.Unmarshal: %v, %d numbers", err, len(want.Data))
+		}
+		cluster.ResetBufs()
+		ran := false
+		h := cluster.PostJSON(1<<30, func(_ http.ResponseWriter, _ *http.Request, v *aliasRequest) {
+			ran = true
+			buf := cluster.TakeBuf(len(body))
+			defer cluster.PutBuf(buf)
+			if !bytes.Equal(buf, body) {
+				t.Fatalf("key %s: the last parked %d-byte buffer is not the body's", key, len(body))
+			}
+			for i := range buf {
+				buf[i] = 'x'
+			}
+			if !reflect.DeepEqual(*v, want) {
+				t.Fatalf("key %s: decoded fields changed with the buffer: %q %d %s %s", key, v.ID, v.Rows, v.Layout, v.Class)
+			}
+		})
+		w := httptest.NewRecorder()
+		if h(w, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))); !ran {
+			t.Fatalf("key %s: guard answered %d: %s", key, w.Code, w.Body)
+		}
+	}
+}
+
+// TestForwardedBodyHeldUntilClosed: a reader the router forwards a body
+// through keeps its buffer off the free list after the handler lets go,
+// until the transport closes it; then the buffer is parked.
+func TestForwardedBodyHeldUntilClosed(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789"), 30_000)
+	cluster.ResetBufs()
+	rd, release := cluster.ForwardedBody(body)
+	release()
+	other := cluster.TakeBuf(len(body)) // not the body's: a reader holds that
+	for i := range other {
+		other[i] = 'x'
+	}
+	if got, err := io.ReadAll(rd); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("a reader read %d bytes (err %v) after the handler let go, not the body's %d", len(got), err, len(body))
+	}
+	rd.Close()
+	rd.Close()
+	if again := cluster.TakeBuf(len(body)); !bytes.Equal(again, body) {
+		t.Fatal("the body's buffer was not parked when its last reader closed")
+	}
+	if _, err := rd.Read(make([]byte, 1)); err != http.ErrBodyReadAfterClose {
+		t.Fatalf("read after close: %v, want %v", err, http.ErrBodyReadAfterClose)
+	}
+}
+
+// TestParkedBufferHasOneTaker: goroutines taking and parking buffers of
+// three classes at once never hold the same buffer.
+func TestParkedBufferHasOneTaker(t *testing.T) {
+	cluster.ResetBufs()
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 300 {
+				buf := cluster.TakeBuf(64 << 10 << (i % 3))
+				buf[0], buf[len(buf)-1] = byte(g), byte(g)
+				runtime.Gosched()
+				if buf[0] != byte(g) || buf[len(buf)-1] != byte(g) {
+					t.Errorf("goroutine %d: a %d-byte buffer it holds was written by another", g, len(buf))
+					return
+				}
+				cluster.PutBuf(buf)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -11,13 +11,11 @@ import (
 	"repro/internal/mat"
 )
 
-// The factorization wire format: what a shard exports when the router
-// replicates, migrates or drains kept state. A factorization travels
-// as a small header, the pivot permutation, and each factor in the
-// layout package's block encoding (HSDL), streamed from the owner's
-// dense factor into the replica's one block row at a time, so no hop
-// holds a whole frame and values round-trip bit-identically: a
-// replica's solve reproduces the owner's exactly.
+// The factorization wire format a shard exports when the router
+// replicates, migrates or drains kept state: a header, the pivots and
+// each factor as HSDL (layout), streamed one block row at a time
+// through a parked buffer, so no hop holds a whole frame and a
+// replica's solve reproduces the owner's bit for bit.
 //
 //	magic "HSDW" | version u8 | kind u8 (1=LU, 2=Cholesky)
 //	| permLen u32 | perm u32... (LU only; Cholesky has no pivoting)
@@ -72,12 +70,14 @@ func NewFrame(lu *core.Factorization, chol *core.CholeskyFactorization) (*Frame,
 	return fr, nil
 }
 
-// Encode writes the frame's Len bytes to w.
+// Encode writes the frame's Len bytes to w, minBuf at a time.
 func (fr *Frame) Encode(w io.Writer) error {
+	buf := takeBuf(minBuf)
+	defer putBuf(buf)
 	_, err := w.Write(fr.head)
 	for _, d := range fr.factors {
 		if err == nil {
-			err = layout.WriteDense(w, layout.TwoLevel, d, wireBlock, layout.NewGrid(1))
+			err = layout.WriteDense(w, buf, layout.TwoLevel, d, wireBlock, layout.NewGrid(1))
 		}
 	}
 	return err
@@ -105,9 +105,8 @@ func DecodeFactorization(data []byte) (*core.Factorization, *core.CholeskyFactor
 }
 
 // ReadFactorization reads one frame, which r must end with, straight
-// into the factors of the LU or Cholesky factorization it returns.
-// limit is the most bytes r can carry: a permutation or factor that
-// does not fit in what is left of it is refused before allocating it.
+// into the factors it returns. limit is the most bytes r can carry: a
+// permutation or factor that cannot fit is refused before allocation.
 func ReadFactorization(r io.Reader, limit int64) (core.Factored, error) {
 	hdr := make([]byte, wireHdrLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -117,8 +116,10 @@ func ReadFactorization(r io.Reader, limit int64) (core.Factored, error) {
 		return nil, fmt.Errorf("cluster: bad wire magic or version %q", hdr[:5])
 	}
 	limit -= wireHdrLen
+	buf := takeBuf(minBuf)
+	defer putBuf(buf)
 	factor := func(name string) (*mat.Dense, error) {
-		d, s, err := layout.ReadDense(r, limit)
+		d, s, err := layout.ReadDense(r, limit, buf)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s factor: %w", name, err)
 		}

@@ -204,11 +204,11 @@ func TestBulkEncodeDecodeMatchOracle(t *testing.T) {
 			t.Fatal("Encode differs from the element-wise encoder")
 		}
 		var dense bytes.Buffer
-		if err := WriteDense(&dense, kind, src, b, g); err != nil || !bytes.Equal(dense.Bytes(), want) {
+		if err := WriteDense(&dense, nil, kind, src, b, g); err != nil || !bytes.Equal(dense.Bytes(), want) {
 			t.Fatalf("WriteDense differs from the element-wise encoder (err %v)", err)
 		}
 		r := bytes.NewReader(append(enc, 0xAA, 0xBB))
-		got, s, err := ReadDense(r, r.Size())
+		got, s, err := ReadDense(r, r.Size(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

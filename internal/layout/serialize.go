@@ -10,14 +10,11 @@ import (
 	"repro/internal/mat"
 )
 
-// Serialization: a layout travels as a fixed header followed by its
-// blocks block row by block row, each column by column as raw float64
-// bits, which round-trip bit-identically. The payload depends on m, n
-// and b alone (kind and grid say how the sender kept the blocks): block
-// row i is every column's rows of that block row, in column order, so
-// it moves between a stream and a dense matrix through a buffer of a
-// few kilobytes — the cluster wire's path, with no tile copy and no
-// encoding held whole on either end.
+// Serialization: a layout travels as a fixed header, then block row by
+// block row, each column's rows of it in column order as raw float64
+// bits (kind and grid say only how the sender kept the blocks), so it
+// moves between a stream and a dense matrix through one small buffer,
+// with no tile copy and nothing held whole on either end.
 //
 // Header (little-endian):
 //
@@ -31,12 +28,11 @@ const (
 	serializeHdrLen  = 4 + 1 + 1 + 5*4
 
 	// maxSerializedGrid bounds PR*PC on decode, and the dims of an
-	// empty layout: a crafted header must not make a caller that builds
-	// its layout allocate submatrices for millions of phantom workers,
-	// or make a walk step through millions of phantom columns.
+	// empty layout, so a crafted header cannot buy millions of phantom
+	// workers' submatrices or a walk over millions of phantom columns.
 	maxSerializedGrid = 1 << 16
 
-	streamBuf = 8 << 10 // bytes of payload moved per stream read or write
+	streamBuf = 8 << 10 // the stream chunk a nil buffer stands for
 )
 
 // EncodedLen returns the exact byte length of an encoded m x n layout.
@@ -47,16 +43,17 @@ func EncodedLen(m, n int) int { return serializeHdrLen + 8*m*n }
 func Encode(l Layout) []byte {
 	s := ShapeOf(l)
 	out := bytes.NewBuffer(make([]byte, 0, EncodedLen(s.m, s.n)))
-	writeRows(out, s, func(i, c int) []float64 {
+	writeRows(out, nil, s, func(i, c int) []float64 {
 		v := l.Block(i, c/s.b)
 		return v.Data[c%s.b*v.Stride:][:v.Rows]
 	})
 	return out.Bytes()
 }
 
-// WriteDense writes Encode(New(kind, d, b, g)) to w straight from d.
-func WriteDense(w io.Writer, kind Kind, d *mat.Dense, b int, g Grid) error {
-	return writeRows(w, NewShape(kind, d.Rows, d.Cols, b, g), denseRows(d, b))
+// WriteDense writes Encode(New(kind, d, b, g)) to w straight from d,
+// len(buf) bytes at a time (streamBuf for a shorter buf).
+func WriteDense(w io.Writer, buf []byte, kind Kind, d *mat.Dense, b int, g Grid) error {
+	return writeRows(w, buf, NewShape(kind, d.Rows, d.Cols, b, g), denseRows(d, b))
 }
 
 // denseRows returns column c's rows of block row i of d, cut at b.
@@ -66,9 +63,9 @@ func denseRows(d *mat.Dense, b int) func(i, c int) []float64 {
 
 // writeRows writes the header of s, then its payload: piece(i, c), the
 // rows of block row i in column c, for each block row and column.
-func writeRows(w io.Writer, s Shape, piece func(i, c int) []float64) error {
+func writeRows(w io.Writer, buf []byte, s Shape, piece func(i, c int) []float64) error {
 	le := binary.LittleEndian
-	buf := append(append(make([]byte, 0, streamBuf), serializeMagic...), serializeVersion, byte(s.kind))
+	buf = append(append(chunk(buf)[:0], serializeMagic...), serializeVersion, byte(s.kind))
 	for _, v := range []int{s.m, s.n, s.b, s.grid.PR, s.grid.PC} {
 		buf = le.AppendUint32(buf, uint32(v))
 	}
@@ -96,11 +93,10 @@ func writeRows(w io.Writer, s Shape, piece func(i, c int) []float64) error {
 }
 
 // ReadDense reads one encoded layout, exactly its bytes, from r straight
-// into a dense matrix, and returns it with the shape the header names,
-// from which WriteDense gives back the same bytes. limit is the most
-// bytes r can still carry: a header whose payload does not fit in it is
-// refused before anything is allocated.
-func ReadDense(r io.Reader, limit int64) (*mat.Dense, Shape, error) {
+// into a dense matrix, len(buf) bytes at a time (as WriteDense), and
+// returns it with its header's shape. limit is the most bytes r can
+// still carry: a payload that cannot fit is refused before allocation.
+func ReadDense(r io.Reader, limit int64, buf []byte) (*mat.Dense, Shape, error) {
 	var hdr [serializeHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, Shape{}, fmt.Errorf("layout: reading header: %w", err)
@@ -140,7 +136,7 @@ func ReadDense(r io.Reader, limit int64) (*mat.Dense, Shape, error) {
 	}
 	s := NewShape(kind, int(um), int(un), b, Grid{PR: pr, PC: pc})
 	d := mat.New(s.m, s.n)
-	buf, left := make([]byte, streamBuf), []byte(nil)
+	buf, left := chunk(buf), []byte(nil)
 	rest := 8 * s.m * s.n // payload bytes not yet read
 	mb, _ := s.Blocks()
 	piece := denseRows(d, b)
@@ -148,7 +144,7 @@ func ReadDense(r io.Reader, limit int64) (*mat.Dense, Shape, error) {
 		for c := 0; c < s.n; c++ {
 			for col := piece(i, c); len(col) > 0; {
 				if len(left) == 0 {
-					left = buf[:min(rest, streamBuf)]
+					left = buf[:min(rest, len(buf))]
 					if _, err := io.ReadFull(r, left); err != nil {
 						return nil, Shape{}, fmt.Errorf("layout: reading payload: %w", err)
 					}
@@ -163,4 +159,12 @@ func ReadDense(r io.Reader, limit int64) (*mat.Dense, Shape, error) {
 		}
 	}
 	return d, s, nil
+}
+
+// chunk is buf cut to whole numbers, or a new streamBuf-byte buffer.
+func chunk(buf []byte) []byte {
+	if n := len(buf) &^ 7; n >= streamBuf {
+		return buf[:n:n]
+	}
+	return make([]byte, streamBuf)
 }

@@ -18,7 +18,7 @@ import (
 // limit bytes, through r(data), and reports how many bytes it consumed.
 func decode(data []byte, limit int64, r func(io.Reader) io.Reader) (*mat.Dense, Shape, int, error) {
 	br := bytes.NewReader(data)
-	d, s, err := ReadDense(r(br), limit)
+	d, s, err := ReadDense(r(br), limit, nil)
 	return d, s, len(data) - br.Len(), err
 }
 
@@ -129,14 +129,14 @@ func TestSerializeConcatenated(t *testing.T) {
 	a := New(TwoLevel, mat.Random(9, 5, rng), 4, NewGrid(2))
 	b := New(BCL, mat.Random(3, 7, rng), 2, NewGrid(3))
 	r := bytes.NewReader(append(Encode(a), Encode(b)...))
-	_, sa, err := ReadDense(r, r.Size())
+	_, sa, err := ReadDense(r, r.Size(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if used := int(r.Size()) - r.Len(); used != len(Encode(a)) {
 		t.Fatalf("first layout consumed %d of its %d bytes", used, len(Encode(a)))
 	}
-	gotB, sb, err := ReadDense(r, int64(r.Len()))
+	gotB, sb, err := ReadDense(r, int64(r.Len()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func FuzzLayoutDecode(f *testing.F) {
 			}
 			_, _, b := s.Dims()
 			var enc bytes.Buffer
-			if err := WriteDense(&enc, s.Kind(), d, b, s.Grid()); err != nil || !bytes.Equal(enc.Bytes(), data[:n]) {
+			if err := WriteDense(&enc, nil, s.Kind(), d, b, s.Grid()); err != nil || !bytes.Equal(enc.Bytes(), data[:n]) {
 				t.Fatalf("re-encoding gives %d bytes that differ from the %d consumed (err %v)", enc.Len(), n, err)
 			}
 			if enc := Encode(New(s.Kind(), d, b, s.Grid())); !bytes.Equal(enc, data[:n]) {

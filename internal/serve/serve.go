@@ -2,11 +2,8 @@
 // on and the cluster router places work on: one resident engine plus an
 // LRU keep-store of completed factorizations, behind the data plane
 // (/v1/factor, /v1/cholesky, /v1/solve, /v1/cholesky/solve, /v1/stats),
-// the admin plane (/v1/admin/export and /v1/admin/import move
-// factorizations between shards, /v1/admin/drain) and /healthz and
-// /readyz. Every route is built from the request guards the router
-// shares (cluster.Get, PostJSON, PostStream), so handlers receive the
-// decoded request, or an import's capped reader, and never read r.Body.
+// the admin plane (/v1/admin/export, import and drain), /healthz and
+// /readyz, every route built from the router's request guards.
 package serve
 
 import (
@@ -29,18 +26,15 @@ import (
 )
 
 // DefaultMaxBody caps request bodies (a 2048x2048 JSON matrix is
-// ~90 MB; we stop well before a streaming client can grow memory
-// without bound).
+// ~90 MB), well before a client can grow memory without bound.
 const DefaultMaxBody = 256 << 20
 
-// MaxBlocks bounds the block grid of one job: a factor request's matrix,
-// or the stored factorization a solve runs over, cut at the request's
-// block size. It is not an option. A CALU graph's edges grow with the
-// cube of its blocks per side (n = 256 at block 1 builds 11.2 M edges
-// and allocates 694 MB) and a solve graph's tasks with their square, so
-// without a bound a 20-byte body naming block 1 buys gigabytes. 1<<15
-// admits every generated matrix the default body cap allows at the
-// default block: n = 5 792 at b = 32 is a 181 x 181 grid.
+// MaxBlocks bounds the block grid of one job, a factor's matrix or a
+// solve's factorization at the request's block size; it is not an
+// option. A CALU graph's edges grow with the cube of its blocks per
+// side (n = 256 at block 1: 11.2 M edges, 694 MB), so a 20-byte body
+// could buy gigabytes. 1<<15 admits every generated matrix the default
+// body cap allows at the default block (n = 5 792, b = 32: 181 x 181).
 const MaxBlocks = 1 << 15
 
 // checkBlockGrid refuses a rows x cols job (both >= 1) at block b
@@ -95,9 +89,8 @@ func New(eng *engine.Engine, opt Options) *Server {
 func (s *Server) Store() *engine.Store { return s.store }
 
 // jobRequest is what a factor and a solve request share: the job's
-// worker share, block size and deadline. The schedule is not a request
-// field; the four fields that used to choose it are caught only so that
-// a request naming one is refused (options).
+// worker share, block size and deadline. The four retired schedule
+// fields are caught only so a request naming one is refused.
 type jobRequest struct {
 	Block   int `json:"block"`
 	Workers int `json:"workers"`
@@ -241,9 +234,9 @@ var (
 	}}
 )
 
-// matrix materializes the request's input matrix, generated by random
-// when the request carries no data. Its shape is checked against the
-// body cap and MaxBlocks before anything is allocated.
+// matrix materializes the request's input matrix (random when it
+// carries no data), its shape checked against the body cap and
+// MaxBlocks before anything is allocated.
 func (s *Server) matrix(req *factorRequest, random func(n int, seed int64) *mat.Dense) (*mat.Dense, error) {
 	if len(req.Data) > 0 {
 		// rows and cols are request input: compare by division, their
@@ -281,11 +274,9 @@ func drainError(w http.ResponseWriter) {
 }
 
 // submitError maps an engine submission error to an HTTP reply: a
-// deadline that passed before the job started is 503 (the request was
-// refused for its deadline, not for load — retrying with a looser
-// deadline can succeed), saturation is 429 so load balancers back off,
-// anything else is the caller's fault. Part of the package's
-// error-to-status table.
+// deadline that passed before the job started is 503 (a looser one can
+// succeed), saturation 429 so load balancers back off, anything else
+// 400. Part of the package's error-to-status table.
 func submitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -322,12 +313,10 @@ func jobError(w http.ResponseWriter, err error, what string) {
 }
 
 // handleFactor serves one factorization endpoint: build the matrix, run
-// the kind's work on the engine, keep the result. A requested residual
-// is computed before the result is kept: a factorization whose residual
-// is not finite is a 422 and is not stored. The router names the
-// key it assigned as ?id= and forwards the client's body untouched, so
-// a body that carries an id as well is refused here; a direct request
-// may name its id in the body.
+// the kind's work on the engine, keep the result, unless a requested
+// residual is not finite (422). The router names its key as ?id= and
+// forwards the client's body untouched, so a body with an id as well is
+// refused; a direct request may name its id in the body.
 func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, req *factorRequest, kind factorKind) {
 	if s.draining.Load() {
 		drainError(w)
