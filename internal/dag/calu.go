@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -52,29 +53,19 @@ type CALUGraph struct {
 	cands [][]piv.Candidate
 }
 
-// BuildCALU constructs the CALU task graph the runtime executes for l's
-// shape and binds it to l. It is NewCALU's graph except, under BCL, in
-// the static section's trailing update: each step's S work on the
-// static block columns past the look-ahead column is one task per
-// owner, one kernel.GemmTiles call over the rectangle those blocks form
-// in the owner's submatrix, where the BLAS packs each L slab once
-// instead of once per block column. The look-ahead column and the
-// dynamic section keep one S task per row run and block column, and CM
-// and 2l-BL, whose owned blocks form no one rectangle, keep NewCALU's
-// graph. Every block's arithmetic is the one its own task would run, so
-// the two graphs factor to the same bits.
+// BuildCALU constructs the CALU task graph of l's shape (NewCALU) and
+// binds it to l, ready for the runtime.
 func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
-	cg := newCALU(layout.ShapeOf(l), opt, true)
+	cg := NewCALU(layout.ShapeOf(l), opt)
 	cg.Layout = l
 	return cg
 }
 
 // NewCALU constructs the CALU task dependency graph of a matrix of shape
-// s. The graph realizes Algorithm 1 (hybrid static/dynamic CALU) as
-// data: the scheduling policy decides the execution order within the
-// dependency and static-ownership constraints. It is the paper's
-// per-block graph, which the simulator charges; the runtime executes
-// BuildCALU's.
+// s, the one graph the simulator charges and the runtime executes. The
+// graph realizes Algorithm 1 (hybrid static/dynamic CALU) as data: the
+// scheduling policy decides the execution order within the dependency
+// and static-ownership constraints.
 //
 // Step k's tournament tree has max(grid rows, ceil(panel rows /
 // leafRows)) leaves over contiguous runs of block rows: one per grid
@@ -82,12 +73,17 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 // blocks run the P tasks, unless the panel is so tall that a leaf would
 // exceed leafRows. A leaf belongs to the owner of its first block, and
 // the binary combine tree pairs leaves in order.
+//
+// Under BCL, step k's S work on the static block columns past the
+// look-ahead column is merged into one task per owner and chunk
+// (farUpdate). Column j's chunk is its distance class from the panel,
+// bits.Len(j-k-2), capped at 3*bits.Len(W/8) for W workers: up to 7
+// workers keep one chunk per owner, while a 6x8 grid gets chunks that
+// widen with distance, so the column the next steps need first is not
+// held back by the owner's whole far update. The look-ahead column, the
+// dynamic section, and CM and 2l-BL, whose owned blocks form no one
+// rectangle, keep one S task per row run and block column.
 func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
-	return newCALU(s, opt, false)
-}
-
-// newCALU builds NewCALU's graph, or BuildCALU's when merge is set.
-func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 	m, _, bsz := s.Dims()
 	mb, nb := s.Blocks()
 	grid := s.Grid()
@@ -102,6 +98,7 @@ func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 	}
 
 	isStatic := func(col int) bool { return col < opt.NstaticCols }
+	farChunks := 3 * bits.Len(uint(grid.Workers()/8)) // the far update's chunk cap
 
 	// updPrev maps (blockRow, blockCol) -> the step-(K-1) S task that
 	// last wrote the block; nil map at step 0.
@@ -308,10 +305,9 @@ func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 		// and belong to the same owner are fused vertically into one
 		// taller gemm where the layout is contiguous (the paper's k=3
 		// grouping, section 3 — fusing along columns keeps every column's
-		// progress independent, so the critical path is unaffected). In
-		// BuildCALU's graph under BCL the static columns past the
-		// look-ahead one are merged further, into one task per owner
-		// (farUpdate).
+		// progress independent, so the critical path is unaffected). Under
+		// BCL the static columns past the look-ahead one are merged
+		// further, into one task per owner and chunk (farUpdate).
 		updCur := make(map[[2]int]*Task)
 		rowRuns := groupRows(s, k, mb, group)
 		heights := make([]int, len(rowRuns)) // each run's rows: its tasks' C and A height
@@ -321,10 +317,10 @@ func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 				heights[r] += ri
 			}
 		}
-		far := map[int]*farUpdate{}
+		far := make([]*farUpdate, grid.Workers()*(farChunks+1)) // by chunk, then owner
 		for j := k + 1; j < nb; j++ {
 			_, cj := s.BlockDims(k, j)
-			merged := merge && s.Kind() == layout.BCL && j > k+1 && isStatic(j)
+			merged := s.Kind() == layout.BCL && j > k+1 && isStatic(j)
 			// Every task of a column multiplies by the same U block,
 			// packed once — by whichever task gets there first — behind
 			// a refcounted handle with one use per row run (nil, that is
@@ -339,14 +335,15 @@ func newCALU(s layout.Shape, opt CALUOptions, merge bool) *CALUGraph {
 				bytes := 8 * (float64(totalRows)*float64(pivCount) + float64(pivCount)*float64(cj) + float64(totalRows)*float64(cj))
 				owner := s.Owner(i0, j)
 				if merged {
-					f := far[owner]
+					key := min(bits.Len(uint(j-k-2)), farChunks)*grid.Workers() + owner
+					f := far[key]
 					if f == nil {
 						f = &farUpdate{task: b.add(&Task{
 							Kind: S, K: k, I: i0, J: j, Owner: owner, Static: true,
 							Prio: priority(j, k, S),
 						})}
 						f.task.Run = func() { cg.updateFar(k, pivCount, f.runs, f.cols) }
-						far[owner] = f
+						far[key] = f
 					}
 					f.add(b, rows, j, lTasks, uTasks)
 					f.task.Flops += flops
@@ -394,11 +391,11 @@ func solveU(diag, blk kernel.View, piv int) {
 	}
 }
 
-// farUpdate is one merged S task of BuildCALU's graph: one owner's
-// trailing update of step k on the static block columns past the
-// look-ahead column. Its blocks form a grid, the owner's row runs by
-// its block columns, because a fine S task's owner is fixed by its
-// run's first block row and its column alone.
+// farUpdate is one merged S task of a BCL graph: one owner's trailing
+// update of step k on the static block columns of one chunk past the
+// look-ahead column (see NewCALU). Its blocks form a grid, the owner's
+// row runs by its block columns, because a fine S task's owner is fixed
+// by its run's first block row and its column alone.
 type farUpdate struct {
 	task *Task
 	runs [][]int // the row runs, top to bottom

@@ -11,11 +11,7 @@
 // Run closure to do the arithmetic on the storage the graph's Layout
 // field names when the task runs (BuildCALU and its siblings build from
 // a layout's Shape and set that field). Both consume the same graph, so
-// the scheduling behaviour under study is identical in the two modes,
-// with one exception: BuildCALU merges each step's static trailing
-// update past the look-ahead column into one S task per owner, which
-// the runtime executes and the simulator, charging NewCALU's paper
-// graph, does not.
+// the scheduling behaviour under study is identical in the two modes.
 package dag
 
 import (
@@ -46,8 +42,8 @@ const (
 	U
 	// S updates trailing blocks: A_IJ -= L_IK * U_KJ, possibly grouped
 	// over several owned block rows (the k=3 grouping of section 3) and,
-	// in BuildCALU's graph, over an owner's static block columns past
-	// the look-ahead column.
+	// under BCL, over an owner's static block columns of one chunk past
+	// the look-ahead column (NewCALU).
 	S
 	// DSolve is a diagonal triangular-solve task of the blocked
 	// triangular-solve graph (solve.go): X_K <- T_KK^{-1} X_K.

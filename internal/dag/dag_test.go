@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -27,54 +28,84 @@ func TestCALUGraphValidAllLayouts(t *testing.T) {
 	}
 }
 
+// TestCALUGraphTaskKinds: under BCL the one CALU graph keeps the
+// paper's L, U and F tasks and the per-block graph's flops (NstaticCols
+// 0 merges nothing), and every trailing block of a step is updated by
+// exactly one S task. A merged task's blocks share one owner and one
+// chunk, and an owner's far static work of a step is one task per chunk
+// its blocks fall in, so at most the cap plus one.
 func TestCALUGraphTaskKinds(t *testing.T) {
-	cg := buildTestCALU(t, layout.BCL, 64, 64, 8, 4, 8, 1)
-	paper := NewCALU(layout.ShapeOf(cg.Layout), CALUOptions{NstaticCols: 8, Group: 1}).ComputeStats()
-	run := cg.ComputeStats()
-	// 8x8 blocks: S tasks = sum_{k=0}^{7} (8-k-1)^2 = 49+36+...+0 = 140.
-	if paper.ByKind[S] != 140 {
-		t.Errorf("paper graph: S tasks = %d want 140", paper.ByKind[S])
-	}
-	for _, s := range []Stats{paper, run} {
-		// U tasks = sum (8-k-1) = 28, same for L.
-		if s.ByKind[U] != 28 || s.ByKind[L] != 28 {
-			t.Errorf("U=%d L=%d want 28 each", s.ByKind[U], s.ByKind[L])
+	const nb = 16
+	for _, w := range []int{2, 8, 16} {
+		cg := buildTestCALU(t, layout.BCL, 8*nb, 8*nb, 8, w, nb-2, 1)
+		s := layout.ShapeOf(cg.Layout)
+		perBlock := NewCALU(s, CALUOptions{Group: 1}).ComputeStats()
+		run := cg.ComputeStats()
+		// U tasks = sum_{k<nb} (nb-k-1) = 120, same for L.
+		if run.ByKind[U] != 120 || run.ByKind[L] != 120 || run.ByKind[Final] != nb || run.ByKind[PLeaf] == 0 {
+			t.Errorf("W=%d: U=%d L=%d F=%d P-leaves=%d, want 120, 120, %d and some", w,
+				run.ByKind[U], run.ByKind[L], run.ByKind[Final], run.ByKind[PLeaf], nb)
 		}
-		if s.ByKind[Final] != 8 {
-			t.Errorf("F tasks = %d want 8", s.ByKind[Final])
+		if d := run.TotalFlops - perBlock.TotalFlops; d > 1e-9*perBlock.TotalFlops || d < -1e-9*perBlock.TotalFlops {
+			t.Errorf("W=%d: merging changed total flops by %g", w, d)
 		}
-		if s.ByKind[PLeaf] == 0 {
-			t.Error("no P leaves")
+		chunkCap := 3 * bits.Len(uint(w/8))
+		chunkOf := func(k, j int) int { return min(bits.Len(uint(j-k-2)), chunkCap) }
+		// An S task's block columns are those of the U tasks it waits for.
+		cols := map[int32][]int{}
+		for _, u := range cg.Tasks {
+			for _, o := range u.Outs {
+				if u.Kind == U && cg.Tasks[o].Kind == S {
+					cols[o] = append(cols[o], u.J)
+				}
+			}
 		}
-	}
-	// The runtime graph keeps step k's 8-k-1 look-ahead S tasks and
-	// merges the rest of the step's update into at most one task per
-	// worker: 28 + 4*5 + 2 (step 5 has one far column, owned by two
-	// workers) = 50.
-	lookahead, far := make([]int, 8), make([]int, 8)
-	for _, task := range cg.Tasks {
-		if task.Kind != S {
-			continue
+		updates := map[[3]int]int{}  // (k, i, j) -> S tasks updating the block
+		farTasks := map[[2]int]int{} // (k, owner) -> far static S tasks
+		for _, task := range cg.Tasks {
+			if task.Kind != S {
+				continue
+			}
+			k := task.K
+			for _, j := range cols[task.ID] {
+				if len(cols[task.ID]) > 1 && chunkOf(k, j) != chunkOf(k, task.J) {
+					t.Errorf("W=%d step %d: S task %d spans chunks (columns %d, %d)", w, k, task.ID, task.J, j)
+				}
+				for _, i := range task.Group {
+					updates[[3]int{k, i, j}]++
+					if s.Owner(i, j) != task.Owner {
+						t.Errorf("W=%d step %d: S task %d updates block (%d,%d) of another owner", w, k, task.ID, i, j)
+					}
+				}
+			}
+			if task.J > k+1 && task.Static {
+				farTasks[[2]int{k, task.Owner}]++
+			}
 		}
-		if task.J == task.K+1 {
-			lookahead[task.K]++
-		} else {
-			far[task.K]++
+		farChunks := map[[2]int]map[int]bool{} // (k, owner) -> chunks of its far static blocks
+		for k := 0; k < nb; k++ {
+			for i := k + 1; i < nb; i++ {
+				for j := k + 1; j < nb; j++ {
+					if n := updates[[3]int{k, i, j}]; n != 1 {
+						t.Errorf("W=%d step %d: block (%d,%d) updated by %d S tasks, want 1", w, k, i, j, n)
+					}
+					if key := [2]int{k, s.Owner(i, j)}; j > k+1 && j < nb-2 {
+						if farChunks[key] == nil {
+							farChunks[key] = map[int]bool{}
+						}
+						farChunks[key][chunkOf(k, j)] = true
+					}
+				}
+			}
 		}
-	}
-	for k := 0; k < 8; k++ {
-		if lookahead[k] != 8-k-1 {
-			t.Errorf("step %d: %d look-ahead S tasks, want %d", k, lookahead[k], 8-k-1)
+		for key, cs := range farChunks {
+			if farTasks[key] != len(cs) || len(cs) > chunkCap+1 {
+				t.Errorf("W=%d step %d owner %d: %d far S tasks, want one per chunk of %v (cap %d)", w, key[0], key[1], farTasks[key], cs, chunkCap)
+			}
 		}
-		if far[k] > 4 || (far[k] > 0) != (k+2 < 8) {
-			t.Errorf("step %d: %d merged S tasks, want 1..4 while a far column is left, else 0", k, far[k])
+		if len(farTasks) != len(farChunks) {
+			t.Errorf("W=%d: far S tasks on %d (step, owner) pairs, want %d", w, len(farTasks), len(farChunks))
 		}
-	}
-	if run.ByKind[S] != 50 {
-		t.Errorf("runtime graph: S tasks = %d want 50", run.ByKind[S])
-	}
-	if d := run.TotalFlops - paper.TotalFlops; d > 1e-9*paper.TotalFlops || d < -1e-9*paper.TotalFlops {
-		t.Errorf("merging changed total flops by %g", d)
 	}
 }
 

@@ -16,13 +16,11 @@ import (
 // task's structure and cost fields (see graphHash). The simulator charges
 // exactly these fields and the runtime schedules by them, so a builder
 // change that moves no hash moves no task, edge, priority or simulated
-// number. CALU and Cholesky use Nstatic = nb/2, CALU k = 3. "CALU" is
-// NewCALU's paper graph, the one the simulator charges; "BuildCALU" is
-// the graph the runtime executes, with the static section's far-column
-// updates merged per (step, owner) under BCL. Its CM and 2l-BL rows
-// carry the paper graph's hashes: those layouts merge nothing.
+// number. CALU and Cholesky use Nstatic = nb/2, CALU k = 3. A CALU row
+// hashes NewCALU's graph, and BuildCALU over the row's layout must hash
+// the same: the simulator and the runtime share the graph.
 var goldenShapes = []struct {
-	algo    string // CALU, BuildCALU, Cholesky, GEPP, IncPiv or a solveGolden key
+	algo    string // CALU, Cholesky, GEPP, IncPiv or a solveGolden key
 	kind    layout.Kind
 	shape   string // a goldenDims key
 	workers int
@@ -44,22 +42,24 @@ var goldenShapes = []struct {
 	{"CALU", layout.CM, "ragged", 2, 0xe6f701586bb86c1f},
 	{"CALU", layout.CM, "ragged", 4, 0xcdc14a3bc3910169},
 	{"CALU", layout.CM, "ragged", 6, 0xbbbab2508ff89c7b},
-	{"CALU", layout.BCL, "square", 1, 0x23c96895d56bac0f},
-	{"CALU", layout.BCL, "square", 2, 0xe734e3f71ef74639},
-	{"CALU", layout.BCL, "square", 4, 0x369596833afa5d70},
-	{"CALU", layout.BCL, "square", 6, 0x6c07383e090de100},
-	{"CALU", layout.BCL, "tall", 1, 0x78c1864cbd59c26c},
-	{"CALU", layout.BCL, "tall", 2, 0x50e8535c13c04dda},
-	{"CALU", layout.BCL, "tall", 4, 0x8fd903eb10270bb0},
-	{"CALU", layout.BCL, "tall", 6, 0xd247f2bf3092055a},
-	{"CALU", layout.BCL, "wide", 1, 0xdf2c5e865b7b1015},
-	{"CALU", layout.BCL, "wide", 2, 0xb5c4764203e1004e},
-	{"CALU", layout.BCL, "wide", 4, 0xd29789e1402cd8af},
-	{"CALU", layout.BCL, "wide", 6, 0x8c914749df730639},
-	{"CALU", layout.BCL, "ragged", 1, 0x7a2c6def4600c498},
-	{"CALU", layout.BCL, "ragged", 2, 0xe6f701586bb86c1f},
-	{"CALU", layout.BCL, "ragged", 4, 0x2a8b77fcc1ea9cc8},
-	{"CALU", layout.BCL, "ragged", 6, 0xf97453b753fcc10a},
+	{"CALU", layout.BCL, "square", 1, 0xae6862dee401288b},
+	{"CALU", layout.BCL, "square", 2, 0x17f93e0f3c72b20d},
+	{"CALU", layout.BCL, "square", 4, 0x899050d60388cb8a},
+	{"CALU", layout.BCL, "square", 6, 0x71558932e08d08da},
+	{"CALU", layout.BCL, "square", 8, 0x13f2ffb9006d173e},
+	{"CALU", layout.BCL, "tall", 1, 0xb883f8057da98d40},
+	{"CALU", layout.BCL, "tall", 2, 0xee0e2c21bd3eb516},
+	{"CALU", layout.BCL, "tall", 4, 0x4fb53b7e4f9de2a3},
+	{"CALU", layout.BCL, "tall", 6, 0x05974077736feb1d},
+	{"CALU", layout.BCL, "wide", 1, 0x3d2fecac0c0b8403},
+	{"CALU", layout.BCL, "wide", 2, 0x71fda152ea6ce862},
+	{"CALU", layout.BCL, "wide", 4, 0xb14dfbc80063f028},
+	{"CALU", layout.BCL, "wide", 6, 0x4220d3e41c92de6f},
+	{"CALU", layout.BCL, "wide", 16, 0x8723e27ce60c8990},
+	{"CALU", layout.BCL, "ragged", 1, 0x2cda40420e2cd0a6},
+	{"CALU", layout.BCL, "ragged", 2, 0x92a2e4160ba1e0ab},
+	{"CALU", layout.BCL, "ragged", 4, 0x8f1c84fb902618eb},
+	{"CALU", layout.BCL, "ragged", 6, 0x1c75dbd11536a0c5},
 	{"CALU", layout.TwoLevel, "square", 1, 0xee86de9ec40e6aec},
 	{"CALU", layout.TwoLevel, "square", 2, 0x190f8f4c60ac855a},
 	{"CALU", layout.TwoLevel, "square", 4, 0xd5b054a3c53253eb},
@@ -80,18 +80,6 @@ var goldenShapes = []struct {
 	{"CALU", layout.BCL, "skinny", 1, 0xca471badc14c31c8},
 	{"CALU", layout.BCL, "skinny", 2, 0x3d6b8967ee7eb122},
 	{"CALU", layout.BCL, "skinny", 4, 0xe0ece42f622addb5},
-	{"BuildCALU", layout.CM, "square", 2, 0xe734e3f71ef74639},
-	{"BuildCALU", layout.CM, "square", 4, 0xc998c8a3a53ea3c0},
-	{"BuildCALU", layout.CM, "ragged", 2, 0xe6f701586bb86c1f},
-	{"BuildCALU", layout.CM, "ragged", 4, 0xcdc14a3bc3910169},
-	{"BuildCALU", layout.BCL, "square", 2, 0x17f93e0f3c72b20d},
-	{"BuildCALU", layout.BCL, "square", 4, 0x899050d60388cb8a},
-	{"BuildCALU", layout.BCL, "ragged", 2, 0x92a2e4160ba1e0ab},
-	{"BuildCALU", layout.BCL, "ragged", 4, 0x8f1c84fb902618eb},
-	{"BuildCALU", layout.TwoLevel, "square", 2, 0x190f8f4c60ac855a},
-	{"BuildCALU", layout.TwoLevel, "square", 4, 0xd5b054a3c53253eb},
-	{"BuildCALU", layout.TwoLevel, "ragged", 2, 0x854a34eb791bf0c5},
-	{"BuildCALU", layout.TwoLevel, "ragged", 4, 0x9e1c4c4b47e136f1},
 	{"Cholesky", layout.CM, "square", 1, 0x07e5c638dffa85ba},
 	{"Cholesky", layout.CM, "square", 4, 0xe1623b383019b906},
 	{"Cholesky", layout.BCL, "square", 2, 0xdc4acda225bb19d1},
@@ -190,9 +178,11 @@ func graphHash(g *Graph) uint64 {
 // rows were recorded when the default leaf count started to follow the
 // panel height. The CALU rows with shared L panels were re-recorded
 // when the panel cache lost its A side: the handle count fell, while
-// every task field hashed as before. The BuildCALU rows were recorded
-// when the runtime's graph started to merge the static update, the Solve
-// rows before the forward and backward sweeps became one loop.
+// every task field hashed as before. The BCL CALU rows were recorded
+// when the one CALU graph started to merge the static far update per
+// owner and chunk (every W <= 2 row equals the merged graph the runtime
+// ran before), the Solve rows before the forward and backward sweeps
+// became one loop.
 func TestGraphShapeGolden(t *testing.T) {
 	for _, c := range goldenShapes {
 		name := fmt.Sprintf("%s/%s/%s/W%d", c.algo, c.kind, c.shape, c.workers)
@@ -203,9 +193,11 @@ func TestGraphShapeGolden(t *testing.T) {
 		var g *Graph
 		switch c.algo {
 		case "CALU":
-			g = NewCALU(layout.ShapeOf(l), CALUOptions{NstaticCols: nb / 2, Group: 3}).Graph
-		case "BuildCALU":
-			g = BuildCALU(l, CALUOptions{NstaticCols: nb / 2, Group: 3}).Graph
+			opt := CALUOptions{NstaticCols: nb / 2, Group: 3}
+			g = NewCALU(layout.ShapeOf(l), opt).Graph
+			if got := graphHash(BuildCALU(l, opt).Graph); got != graphHash(g) {
+				t.Errorf("%s: BuildCALU hash %#016x differs from NewCALU's", name, got)
+			}
 		case "Cholesky":
 			g = BuildCholesky(l, CALUOptions{NstaticCols: nb / 2}).Graph
 		case "GEPP":

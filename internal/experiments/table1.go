@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/dag"
 	"repro/internal/layout"
 	"repro/internal/mat"
 )
@@ -56,13 +55,6 @@ func runTable1(scale float64, seed int64) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", c.label, err)
 		}
-		// The task columns count the paper's per-block graph, whose
-		// split Algorithm 1 defines. The runtime ran it with each step's
-		// static far-column updates merged per owner (dag.BuildCALU),
-		// which moves no result bit.
-		s := layout.NewShape(c.kind, n, n, b, layout.NewGrid(opt.Workers))
-		_, nb := s.Blocks()
-		st := dag.NewCALU(s, dag.CALUOptions{NstaticCols: opt.NstaticCols(nb), Group: opt.GroupSize()}).ComputeStats()
 		r := core.Residual(a, f)
 		ok := "yes"
 		if r > 1e-9 {
@@ -70,9 +62,9 @@ func runTable1(scale float64, seed int64) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			c.label,
-			fmt.Sprintf("%d", st.Total),
-			fmt.Sprintf("%d", st.StaticTask),
-			fmt.Sprintf("%d", st.DynTask),
+			fmt.Sprintf("%d", f.Stats.Total),
+			fmt.Sprintf("%d", f.Stats.StaticTask),
+			fmt.Sprintf("%d", f.Stats.DynTask),
 			fmt.Sprintf("%.2e", r),
 			ok,
 		})

@@ -181,6 +181,25 @@ func TestHybridBeatsBothOnNUMA(t *testing.T) {
 	}
 }
 
+// TestFarUpdateKeepsCriticalPath: merging the static far update per
+// owner and chunk lengthens the paper's critical path at 48 workers by
+// at most 20 % over the per-block graph (NstaticCols 0 merges nothing).
+// One merged task per owner and step chains each owner's static work
+// across the steps and read 2.6x.
+func TestFarUpdateKeepsCriticalPath(t *testing.T) {
+	n, b, w := 6000, 100, 48
+	nb := n / b
+	s := layout.NewShape(layout.BCL, n, n, b, layout.NewGrid(w))
+	cp := func(nstatic int) float64 {
+		g := dag.NewCALU(s, dag.CALUOptions{NstaticCols: nstatic, Group: 3}).Graph
+		return CriticalPathSeconds(g, AMDOpteron48(), layout.BCL)
+	}
+	merged, perBlock := cp(nb-nb/10), cp(0)
+	if merged > 1.2*perBlock {
+		t.Fatalf("critical path %.4f s, more than 1.2x the per-block graph's %.4f s", merged, perBlock)
+	}
+}
+
 // On the low-latency Intel machine, dynamic is nearly free and static
 // trails (paper Figure 6).
 func TestIntelStaticTrailsDynamic(t *testing.T) {
