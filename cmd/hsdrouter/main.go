@@ -5,8 +5,7 @@
 // any replica with failover. Health probes mark unreachable shards
 // unhealthy; /v1/admin/join and /v1/admin/drain rebalance the ring and
 // migrate the keys it reassigns. Clients speak a single hsdserve's
-// /v1/factor, /v1/cholesky, /v1/solve, /v1/cholesky/solve and /v1/stats
-// surface, except that the router assigns ids; README's "Cluster mode"
+// /v1/factor, /v1/cholesky, /v1/solve and /v1/stats surface, except that the router assigns ids; README's "Cluster mode"
 // has the rest.
 //
 //	hsdrouter -addr :8090 \

@@ -22,12 +22,12 @@
 //	curl -s localhost:8080/v1/solve -H 'Content-Type: application/json' \
 //	    -d '{"id":"f-2","b":[10,12]}'
 //
-// Cholesky jobs ride the same pool via /v1/cholesky and
-// /v1/cholesky/solve; /v1/stats reports engine, class and store
-// snapshots. The full endpoint semantics — traffic classes, deadlines,
-// 405/413/415/422/429/503 behaviour, the cluster admin plane
-// (/v1/admin/export, /v1/admin/import, /v1/admin/drain) and the
-// /healthz and /readyz probes — live in internal/serve; this binary
+// Cholesky jobs ride the same pool via /v1/cholesky, and /v1/solve
+// solves a Cholesky id as it does an LU one; /v1/stats reports engine,
+// class and store snapshots. The full endpoint semantics — traffic
+// classes, deadlines, 405/413/415/422/429/503 behaviour, the cluster
+// admin plane (/v1/admin/export, /v1/admin/import, /v1/admin/drain) and
+// the /healthz and /readyz probes — live in internal/serve; this binary
 // only parses flags, owns the engine and handles signals: SIGINT or
 // SIGTERM starts a graceful shutdown that stops accepting connections,
 // waits up to -shutdown for inflight requests, then closes the engine.

@@ -41,7 +41,7 @@ var (
 	// docCurl matches a curl that posts a JSON body to a job route,
 	// with the -d on the same line or the next: the route's path and
 	// the body.
-	docCurl = regexp.MustCompile(`curl -s \S*?(/v1/(?:factor|cholesky/solve|cholesky|solve))\s[^\n]*?(?:\\\n[^\n]*?)?-d '(\{[^']*\})'`)
+	docCurl = regexp.MustCompile(`curl -s \S*?(/v1/(?:factor|cholesky|solve))\s[^\n]*?(?:\\\n[^\n]*?)?-d '(\{[^']*\})'`)
 )
 
 // TestDocsReferencesExist checks that every cmd/, examples/ and

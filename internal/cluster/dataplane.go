@@ -148,7 +148,7 @@ func (*solveKey) BulkMember() (string, *[]float64) { return "b", nil }
 // rotating start, failing over past dead or non-holding shards, under
 // the client's ctx. No answer, or only 404s while an owner is down (it
 // may hold the key), is the typed ownerSetDown 503.
-func (rt *Router) handleSolve(ctx context.Context, w http.ResponseWriter, b *body, path string) {
+func (rt *Router) handleSolve(ctx context.Context, w http.ResponseWriter, b *body) {
 	var req solveKey
 	if err := decodeJSON(b.b, &req); err != nil {
 		HTTPError(w, http.StatusBadRequest, "invalid JSON: %v", err)
@@ -165,7 +165,7 @@ func (rt *Router) handleSolve(ctx context.Context, w http.ResponseWriter, b *bod
 		first := int(rt.rotor.Add(1)) % n
 		up = append(up[first:n:n], up[:first]...)
 	}
-	_, resp := rt.try(ctx, up, rt.routable, solveRetryable, path, b)
+	_, resp := rt.try(ctx, up, rt.routable, solveRetryable, "/v1/solve", b)
 	if resp != nil && down && resp.StatusCode == http.StatusNotFound {
 		resp.Body.Close()
 		resp = nil

@@ -51,14 +51,14 @@ func TestGuardTable(t *testing.T) {
 	}{
 		{"shard", shard.Handler(), []route{
 			{"/v1/factor", "POST", jsonType}, {"/v1/cholesky", "POST", jsonType},
-			{"/v1/solve", "POST", jsonType}, {"/v1/cholesky/solve", "POST", jsonType},
+			{"/v1/solve", "POST", jsonType},
 			{"/v1/admin/import", "POST", bytesType}, {"/v1/admin/drain", "POST", jsonType},
 			{"/v1/stats", "GET", ""}, {"/v1/admin/export", "GET", ""},
 			{"/healthz", "GET", ""}, {"/readyz", "GET", ""},
 		}},
 		{"router", rt.Handler(), []route{
 			{"/v1/factor", "POST", jsonType}, {"/v1/cholesky", "POST", jsonType},
-			{"/v1/solve", "POST", jsonType}, {"/v1/cholesky/solve", "POST", jsonType},
+			{"/v1/solve", "POST", jsonType},
 			{"/v1/admin/join", "POST", jsonType}, {"/v1/admin/drain", "POST", jsonType},
 			{"/v1/stats", "GET", ""}, {"/healthz", "GET", ""}, {"/readyz", "GET", ""},
 		}},

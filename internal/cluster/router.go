@@ -178,12 +178,10 @@ func (rt *Router) Handler() http.Handler {
 			rt.handleFactor(r.Context(), w, b, k.prefix, k.path)
 		}))
 	}
-	for _, path := range []string{"/v1/solve", "/v1/cholesky/solve"} {
-		mux.HandleFunc(path, postBody(rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, b *body) {
-			defer b.release()
-			rt.handleSolve(r.Context(), w, b, path)
-		}))
-	}
+	mux.HandleFunc("/v1/solve", postBody(rt.opt.MaxBody, func(w http.ResponseWriter, r *http.Request, b *body) {
+		defer b.release()
+		rt.handleSolve(r.Context(), w, b)
+	}))
 	mux.HandleFunc("/v1/stats", Get(rt.handleStats))
 	mux.HandleFunc("/v1/admin/join", PostJSON(rt.opt.MaxBody, rt.handleJoin))
 	mux.HandleFunc("/v1/admin/drain", PostJSON(rt.opt.MaxBody, rt.handleDrain))

@@ -2,7 +2,6 @@ package dag
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 
@@ -32,6 +31,12 @@ type CALUOptions struct {
 // does not factor each whole panel as one serial GEPP while the other
 // workers idle.
 const leafRows = 4096
+
+// mergeFarBelow is the grid width from which BCL's static far update
+// keeps per-block S tasks: one task per owner is faster on 2 workers but
+// costs the 48-core AMD model its hybrid lead (fig7 at n = 5000, -scale
+// 1: static(10% dyn) 216.2 merged, 244.8 per block; DESIGN.md).
+const mergeFarBelow = 8
 
 // CALUGraph couples the task graph with the pivoting state the tasks
 // fill in as they execute. Run closures mutate Layout in place, so a
@@ -74,15 +79,10 @@ func BuildCALU(l layout.Layout, opt CALUOptions) *CALUGraph {
 // exceed leafRows. A leaf belongs to the owner of its first block, and
 // the binary combine tree pairs leaves in order.
 //
-// Under BCL, step k's S work on the static block columns past the
-// look-ahead column is merged into one task per owner and chunk
-// (farUpdate). Column j's chunk is its distance class from the panel,
-// bits.Len(j-k-2), capped at 3*bits.Len(W/8) for W workers: up to 7
-// workers keep one chunk per owner, while a 6x8 grid gets chunks that
-// widen with distance, so the column the next steps need first is not
-// held back by the owner's whole far update. The look-ahead column, the
-// dynamic section, and CM and 2l-BL, whose owned blocks form no one
-// rectangle, keep one S task per row run and block column.
+// Under BCL on a grid of fewer than mergeFarBelow workers, step k's S
+// work on the static columns past the look-ahead column is one task per
+// owner (farUpdate); every other S task covers one row run and block
+// column (under CM and 2l-BL an owner's blocks form no one rectangle).
 func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 	m, _, bsz := s.Dims()
 	mb, nb := s.Blocks()
@@ -98,7 +98,7 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 	}
 
 	isStatic := func(col int) bool { return col < opt.NstaticCols }
-	farChunks := 3 * bits.Len(uint(grid.Workers()/8)) // the far update's chunk cap
+	mergeFar := s.Kind() == layout.BCL && grid.Workers() < mergeFarBelow
 
 	// updPrev maps (blockRow, blockCol) -> the step-(K-1) S task that
 	// last wrote the block; nil map at step 0.
@@ -306,8 +306,8 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 		// taller gemm where the layout is contiguous (the paper's k=3
 		// grouping, section 3 — fusing along columns keeps every column's
 		// progress independent, so the critical path is unaffected). Under
-		// BCL the static columns past the look-ahead one are merged
-		// further, into one task per owner and chunk (farUpdate).
+		// BCL on a narrow grid the static columns past the look-ahead one
+		// are merged further, into one task per owner (farUpdate).
 		updCur := make(map[[2]int]*Task)
 		rowRuns := groupRows(s, k, mb, group)
 		heights := make([]int, len(rowRuns)) // each run's rows: its tasks' C and A height
@@ -317,10 +317,10 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 				heights[r] += ri
 			}
 		}
-		far := make([]*farUpdate, grid.Workers()*(farChunks+1)) // by chunk, then owner
+		far := make([]*farUpdate, grid.Workers()) // by owner
 		for j := k + 1; j < nb; j++ {
 			_, cj := s.BlockDims(k, j)
-			merged := s.Kind() == layout.BCL && j > k+1 && isStatic(j)
+			merged := mergeFar && j > k+1 && isStatic(j)
 			// Every task of a column multiplies by the same U block,
 			// packed once — by whichever task gets there first — behind
 			// a refcounted handle with one use per row run (nil, that is
@@ -335,15 +335,14 @@ func NewCALU(s layout.Shape, opt CALUOptions) *CALUGraph {
 				bytes := 8 * (float64(totalRows)*float64(pivCount) + float64(pivCount)*float64(cj) + float64(totalRows)*float64(cj))
 				owner := s.Owner(i0, j)
 				if merged {
-					key := min(bits.Len(uint(j-k-2)), farChunks)*grid.Workers() + owner
-					f := far[key]
+					f := far[owner]
 					if f == nil {
 						f = &farUpdate{task: b.add(&Task{
 							Kind: S, K: k, I: i0, J: j, Owner: owner, Static: true,
 							Prio: priority(j, k, S),
 						})}
 						f.task.Run = func() { cg.updateFar(k, pivCount, f.runs, f.cols) }
-						far[key] = f
+						far[owner] = f
 					}
 					f.add(b, rows, j, lTasks, uTasks)
 					f.task.Flops += flops
@@ -392,10 +391,10 @@ func solveU(diag, blk kernel.View, piv int) {
 }
 
 // farUpdate is one merged S task of a BCL graph: one owner's trailing
-// update of step k on the static block columns of one chunk past the
-// look-ahead column (see NewCALU). Its blocks form a grid, the owner's
-// row runs by its block columns, because a fine S task's owner is fixed
-// by its run's first block row and its column alone.
+// update of step k on the static block columns past the look-ahead
+// column (see NewCALU). Its blocks form a grid, the owner's row runs by
+// its block columns, because a fine S task's owner is fixed by its run's
+// first block row and its column alone.
 type farUpdate struct {
 	task *Task
 	runs [][]int // the row runs, top to bottom

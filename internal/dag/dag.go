@@ -42,8 +42,8 @@ const (
 	U
 	// S updates trailing blocks: A_IJ -= L_IK * U_KJ, possibly grouped
 	// over several owned block rows (the k=3 grouping of section 3) and,
-	// under BCL, over an owner's static block columns of one chunk past
-	// the look-ahead column (NewCALU).
+	// under BCL on a narrow grid, over an owner's static block columns
+	// past the look-ahead column (NewCALU).
 	S
 	// DSolve is a diagonal triangular-solve task of the blocked
 	// triangular-solve graph (solve.go): X_K <- T_KK^{-1} X_K.

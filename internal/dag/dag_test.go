@@ -1,7 +1,6 @@
 package dag
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,12 +30,13 @@ func TestCALUGraphValidAllLayouts(t *testing.T) {
 // TestCALUGraphTaskKinds: under BCL the one CALU graph keeps the
 // paper's L, U and F tasks and the per-block graph's flops (NstaticCols
 // 0 merges nothing), and every trailing block of a step is updated by
-// exactly one S task. A merged task's blocks share one owner and one
-// chunk, and an owner's far static work of a step is one task per chunk
-// its blocks fall in, so at most the cap plus one.
+// exactly one S task of the block's owner. On 2 workers an owner's far
+// static work of a step is one task; on 8 and 16 no S task spans two
+// block columns.
 func TestCALUGraphTaskKinds(t *testing.T) {
 	const nb = 16
 	for _, w := range []int{2, 8, 16} {
+		merged := w == 2
 		cg := buildTestCALU(t, layout.BCL, 8*nb, 8*nb, 8, w, nb-2, 1)
 		s := layout.ShapeOf(cg.Layout)
 		perBlock := NewCALU(s, CALUOptions{Group: 1}).ComputeStats()
@@ -49,8 +49,6 @@ func TestCALUGraphTaskKinds(t *testing.T) {
 		if d := run.TotalFlops - perBlock.TotalFlops; d > 1e-9*perBlock.TotalFlops || d < -1e-9*perBlock.TotalFlops {
 			t.Errorf("W=%d: merging changed total flops by %g", w, d)
 		}
-		chunkCap := 3 * bits.Len(uint(w/8))
-		chunkOf := func(k, j int) int { return min(bits.Len(uint(j-k-2)), chunkCap) }
 		// An S task's block columns are those of the U tasks it waits for.
 		cols := map[int32][]int{}
 		for _, u := range cg.Tasks {
@@ -67,10 +65,10 @@ func TestCALUGraphTaskKinds(t *testing.T) {
 				continue
 			}
 			k := task.K
+			if !merged && len(cols[task.ID]) > 1 {
+				t.Errorf("W=%d step %d: S task %d spans block columns %v", w, k, task.ID, cols[task.ID])
+			}
 			for _, j := range cols[task.ID] {
-				if len(cols[task.ID]) > 1 && chunkOf(k, j) != chunkOf(k, task.J) {
-					t.Errorf("W=%d step %d: S task %d spans chunks (columns %d, %d)", w, k, task.ID, task.J, j)
-				}
 				for _, i := range task.Group {
 					updates[[3]int{k, i, j}]++
 					if s.Owner(i, j) != task.Owner {
@@ -82,29 +80,29 @@ func TestCALUGraphTaskKinds(t *testing.T) {
 				farTasks[[2]int{k, task.Owner}]++
 			}
 		}
-		farChunks := map[[2]int]map[int]bool{} // (k, owner) -> chunks of its far static blocks
+		farOwners := map[[2]int]bool{} // (k, owner) with far static blocks
 		for k := 0; k < nb; k++ {
 			for i := k + 1; i < nb; i++ {
 				for j := k + 1; j < nb; j++ {
 					if n := updates[[3]int{k, i, j}]; n != 1 {
 						t.Errorf("W=%d step %d: block (%d,%d) updated by %d S tasks, want 1", w, k, i, j, n)
 					}
-					if key := [2]int{k, s.Owner(i, j)}; j > k+1 && j < nb-2 {
-						if farChunks[key] == nil {
-							farChunks[key] = map[int]bool{}
-						}
-						farChunks[key][chunkOf(k, j)] = true
+					if j > k+1 && j < nb-2 {
+						farOwners[[2]int{k, s.Owner(i, j)}] = true
 					}
 				}
 			}
 		}
-		for key, cs := range farChunks {
-			if farTasks[key] != len(cs) || len(cs) > chunkCap+1 {
-				t.Errorf("W=%d step %d owner %d: %d far S tasks, want one per chunk of %v (cap %d)", w, key[0], key[1], farTasks[key], cs, chunkCap)
+		if !merged {
+			continue
+		}
+		for key := range farOwners {
+			if farTasks[key] != 1 {
+				t.Errorf("W=%d step %d owner %d: %d far S tasks, want 1", w, key[0], key[1], farTasks[key])
 			}
 		}
-		if len(farTasks) != len(farChunks) {
-			t.Errorf("W=%d: far S tasks on %d (step, owner) pairs, want %d", w, len(farTasks), len(farChunks))
+		if len(farTasks) != len(farOwners) {
+			t.Errorf("W=%d: far S tasks on %d (step, owner) pairs, want %d", w, len(farTasks), len(farOwners))
 		}
 	}
 }

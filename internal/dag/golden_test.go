@@ -46,7 +46,7 @@ var goldenShapes = []struct {
 	{"CALU", layout.BCL, "square", 2, 0x17f93e0f3c72b20d},
 	{"CALU", layout.BCL, "square", 4, 0x899050d60388cb8a},
 	{"CALU", layout.BCL, "square", 6, 0x71558932e08d08da},
-	{"CALU", layout.BCL, "square", 8, 0x13f2ffb9006d173e},
+	{"CALU", layout.BCL, "square", 8, 0xd3c508396be083d0},
 	{"CALU", layout.BCL, "tall", 1, 0xb883f8057da98d40},
 	{"CALU", layout.BCL, "tall", 2, 0xee0e2c21bd3eb516},
 	{"CALU", layout.BCL, "tall", 4, 0x4fb53b7e4f9de2a3},
@@ -180,9 +180,10 @@ func graphHash(g *Graph) uint64 {
 // when the panel cache lost its A side: the handle count fell, while
 // every task field hashed as before. The BCL CALU rows were recorded
 // when the one CALU graph started to merge the static far update per
-// owner and chunk (every W <= 2 row equals the merged graph the runtime
-// ran before), the Solve rows before the forward and backward sweeps
-// became one loop.
+// owner (every W <= 2 row equals the merged graph the runtime ran
+// before), the W8 row when grids of mergeFarBelow workers went back to
+// per-block S tasks; the Solve rows before the forward and backward
+// sweeps became one loop.
 func TestGraphShapeGolden(t *testing.T) {
 	for _, c := range goldenShapes {
 		name := fmt.Sprintf("%s/%s/%s/W%d", c.algo, c.kind, c.shape, c.workers)

@@ -41,15 +41,16 @@ func runTheorem1(scale float64, seed int64) (*Table, error) {
 	).Graph, sim.AMDOpteron48(), layout.BCL)
 	intensities := []struct {
 		label string
-		gen   noise.Generator
+		gen   *noise.Poisson
 	}{
-		{"quiet", noise.None{}},
+		{"quiet", nil},
 		{"40/s x 120us", noise.NewPoisson(40, 120e-6, seed)},
 		{"100/s x 300us", noise.NewPoisson(100, 300e-6, seed)},
 		{"200/s x 800us", noise.NewPoisson(200, 800e-6, seed)},
 	}
 	for _, in := range intensities {
-		m := sim.AMDOpteron48().WithNoise(in.gen)
+		m := sim.AMDOpteron48()
+		m.Noise = in.gen
 		// (a) static run: measure per-core excess work.
 		st, err := simCALU(m, workers, n, b, core.Options{Layout: layout.BCL, Scheduler: core.ScheduleStatic}, seed)
 		if err != nil {

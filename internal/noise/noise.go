@@ -1,8 +1,8 @@
-// Package noise provides deterministic generators of transient "excess
+// Package noise provides a deterministic generator of transient "excess
 // work" — the paper's delta_i (section 6): OS daemons, interrupts and
 // other system events that steal cycles from a core at unpredictable
-// times. The generators are seeded so simulated experiments are exactly
-// reproducible.
+// times. The generator is seeded so simulated experiments are exactly
+// reproducible; a simulated machine without one is quiet.
 package noise
 
 import (
@@ -10,30 +10,12 @@ import (
 	"math/rand"
 )
 
-// Generator yields the extra delay a core suffers while executing a
-// task of duration dur starting at time start (virtual seconds). A
-// Generator is owned by a single simulation; Reset re-seeds it.
-type Generator interface {
-	// Delay returns the excess seconds appended to the task execution.
-	Delay(core int, start, dur float64) float64
-	// Reset re-seeds all per-core streams.
-	Reset(seed int64)
-}
-
-// None is the silent generator.
-type None struct{}
-
-// Delay implements Generator; it always returns zero.
-func (None) Delay(core int, start, dur float64) float64 { return 0 }
-
-// Reset implements Generator.
-func (None) Reset(seed int64) {}
-
 // Poisson models noise bursts arriving as a Poisson process on each
 // core (rate bursts/second) with exponentially distributed burst
 // lengths (mean seconds) — the standard model for asynchronous OS
 // interference, and the one the paper's delta analysis assumes when it
 // speaks of transient load imbalance occurring with some probability.
+// A Poisson is owned by a single simulation; Reset re-seeds it.
 type Poisson struct {
 	Rate float64 // bursts per second per core
 	Mean float64 // mean burst length, seconds
@@ -48,7 +30,7 @@ func NewPoisson(rate, mean float64, seed int64) *Poisson {
 	return p
 }
 
-// Reset implements Generator.
+// Reset re-seeds all per-core streams.
 func (p *Poisson) Reset(seed int64) {
 	p.seed = seed
 	p.rngs = nil
@@ -61,8 +43,10 @@ func (p *Poisson) rng(core int) *rand.Rand {
 	return p.rngs[core]
 }
 
-// Delay implements Generator: the number of bursts in dur is Poisson
-// with mean Rate*dur; each burst adds Exp(Mean) seconds.
+// Delay returns the excess seconds a core suffers while executing a
+// task of duration dur starting at time start (virtual seconds): the
+// number of bursts in dur is Poisson with mean Rate*dur; each burst adds
+// Exp(Mean) seconds.
 func (p *Poisson) Delay(core int, start, dur float64) float64 {
 	if p.Rate <= 0 || p.Mean <= 0 || dur <= 0 {
 		return 0

@@ -2,13 +2,6 @@ package noise
 
 import "testing"
 
-func TestNoneIsSilent(t *testing.T) {
-	var g None
-	if g.Delay(0, 0, 1) != 0 {
-		t.Fatal("None must be silent")
-	}
-}
-
 func TestPoissonDeterministic(t *testing.T) {
 	a := NewPoisson(100, 1e-3, 7)
 	b := NewPoisson(100, 1e-3, 7)

@@ -1,7 +1,7 @@
 // Package serve is the engine shard server that cmd/hsdserve listens
 // on and the cluster router places work on: one resident engine plus an
 // LRU keep-store of completed factorizations, behind the data plane
-// (/v1/factor, /v1/cholesky, /v1/solve, /v1/cholesky/solve, /v1/stats),
+// (/v1/factor, /v1/cholesky, /v1/solve, /v1/stats),
 // the admin plane (/v1/admin/export, import and drain), /healthz and
 // /readyz, every route built from the router's request guards.
 package serve
@@ -371,10 +371,9 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request, req *facto
 	cluster.WriteJSON(w, http.StatusOK, rep)
 }
 
-// handleSolve serves one solve endpoint: /v1/solve over whatever the
-// store holds, /v1/cholesky/solve (cholOnly) over a Cholesky
-// factorization only.
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveRequest, cholOnly bool) {
+// handleSolve serves /v1/solve over whatever factorization the store
+// holds under the id, LU or Cholesky.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveRequest) {
 	if s.draining.Load() {
 		drainError(w)
 		return
@@ -387,10 +386,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *solveR
 	f, ok := s.store.Get(req.ID)
 	if !ok {
 		cluster.HTTPError(w, http.StatusNotFound, "no factorization %q (evicted or never existed)", req.ID)
-		return
-	}
-	if _, chol := f.(*core.CholeskyFactorization); cholOnly && !chol {
-		cluster.HTTPError(w, http.StatusBadRequest, "%q is not a cholesky factorization", req.ID)
 		return
 	}
 	n := f.N()
@@ -525,16 +520,10 @@ func (s *Server) Handler() *http.ServeMux {
 			s.handleFactor(w, r, req, kind)
 		})
 	}
-	solve := func(cholOnly bool) http.HandlerFunc {
-		return cluster.PostJSON(s.maxBody, func(w http.ResponseWriter, r *http.Request, req *solveRequest) {
-			s.handleSolve(w, r, req, cholOnly)
-		})
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/factor", factor(luKind))
 	mux.HandleFunc("/v1/cholesky", factor(cholKind))
-	mux.HandleFunc("/v1/solve", solve(false))
-	mux.HandleFunc("/v1/cholesky/solve", solve(true))
+	mux.HandleFunc("/v1/solve", cluster.PostJSON(s.maxBody, s.handleSolve))
 	mux.HandleFunc("/v1/stats", cluster.Get(s.handleStats))
 	mux.HandleFunc("/v1/admin/export", cluster.Get(s.handleExport))
 	mux.HandleFunc("/v1/admin/import", cluster.PostStream("application/octet-stream", s.maxBody, s.handleImport))

@@ -104,9 +104,8 @@ func TestServeFactorSolveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeCholeskyEndpoints round-trips /v1/cholesky and
-// /v1/cholesky/solve, and checks the cholesky solve endpoint rejects
-// LU ids.
+// TestServeCholeskyEndpoints round-trips /v1/cholesky and a /v1/solve
+// of the stored Cholesky factor.
 func TestServeCholeskyEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	resp, out := postJSON(t, ts.URL+"/v1/cholesky", `{"n":48,"seed":3,"workers":1,"residual":true}`)
@@ -124,25 +123,13 @@ func TestServeCholeskyEndpoints(t *testing.T) {
 	for i := range b {
 		b[i] = "1"
 	}
-	resp, out = postJSON(t, ts.URL+"/v1/cholesky/solve",
+	resp, out = postJSON(t, ts.URL+"/v1/solve",
 		fmt.Sprintf(`{"id":%q,"b":[%s]}`, id, strings.Join(b, ",")))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cholesky solve: %d %v", resp.StatusCode, out)
 	}
 	if len(out["x"].([]any)) != 48 {
 		t.Fatalf("cholesky solution length %d", len(out["x"].([]any)))
-	}
-
-	// An LU id is not accepted by the cholesky solve endpoint.
-	resp, out = postJSON(t, ts.URL+"/v1/factor", `{"n":16,"seed":1,"workers":1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("factor: %d %v", resp.StatusCode, out)
-	}
-	luID := out["id"].(string)
-	resp, _ = postJSON(t, ts.URL+"/v1/cholesky/solve",
-		fmt.Sprintf(`{"id":%q,"b":[%s]}`, luID, strings.Repeat("1,", 15)+"1"))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("cholesky solve of LU id: %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -151,7 +138,7 @@ func TestServeCholeskyEndpoints(t *testing.T) {
 func TestServeMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for _, path := range []string{
-		"/v1/factor", "/v1/solve", "/v1/cholesky", "/v1/cholesky/solve",
+		"/v1/factor", "/v1/solve", "/v1/cholesky",
 		"/v1/admin/import", "/v1/admin/drain",
 	} {
 		resp, err := http.Get(ts.URL + path)
@@ -183,10 +170,9 @@ func TestServeMethodNotAllowed(t *testing.T) {
 func TestServeTrailingGarbageRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	bodies := map[string]string{
-		"/v1/factor":         `{"n":8,"seed":1} {"n":9}`,
-		"/v1/cholesky":       `{"n":8,"seed":1} garbage`,
-		"/v1/solve":          `{"id":"f-1","b":[1]} []`,
-		"/v1/cholesky/solve": `{"id":"c-1","b":[1]} 42`,
+		"/v1/factor":   `{"n":8,"seed":1} {"n":9}`,
+		"/v1/cholesky": `{"n":8,"seed":1} garbage`,
+		"/v1/solve":    `{"id":"f-1","b":[1]} []`,
 	}
 	for path, body := range bodies {
 		resp, out := postJSON(t, ts.URL+path, body)
@@ -395,10 +381,9 @@ func TestServeRetiredFieldsRejected(t *testing.T) {
 	jobsBefore, storeBefore, idsBefore := jobs(), s.Store().Stats(), s.Store().IDs()
 	const b = `"b":[1,2,3,4,5,6,7,8]`
 	for path, body := range map[string]string{
-		"/v1/factor":         `{"n":8,"seed":2,%s}`,
-		"/v1/cholesky":       `{"n":8,"seed":2,%s}`,
-		"/v1/solve":          `{"id":"` + ids["/v1/factor"] + `",` + b + `,%s}`,
-		"/v1/cholesky/solve": `{"id":"` + ids["/v1/cholesky"] + `",` + b + `,%s}`,
+		"/v1/factor":   `{"n":8,"seed":2,%s}`,
+		"/v1/cholesky": `{"n":8,"seed":2,%s}`,
+		"/v1/solve":    `{"id":"` + ids["/v1/factor"] + `",` + b + `,%s}`,
 	} {
 		for field, value := range map[string]string{
 			"scheduler": `"hybrid"`, "layout": `"bcl"`, "dynamicRatio": `0.1`, "class": `"auto"`,

@@ -15,9 +15,7 @@ import (
 // reproduce every makespan, accounting bucket and counter bit for bit.
 // The CM constants (the layout of fig14's dynamic-CM row and the GEPP
 // baseline) were recorded at the commit before the graph builders read a
-// layout.Shape instead of a layout.Layout, the amd48/bcl static and
-// hybrid ones when the CALU graph started to merge the static far update
-// per owner and chunk.
+// layout.Shape instead of a layout.Layout.
 func TestSimGolden(t *testing.T) {
 	type config struct {
 		name     string
@@ -31,12 +29,12 @@ func TestSimGolden(t *testing.T) {
 	}
 	configs := []config{
 		{"amd48/bcl", AMDOpteron48(), 24, layout.BCL, 2000, 100, 3, 5, map[string]Result{
-			"static": {Makespan: 0.07744084205746027, BusyTime: 0.9237659261755854, OverheadTime: 6.360000000000113e-05, NoiseTime: 0.00510285969883955, IdleTime: 0.9296478235046215,
-				Counters: sched.Counters{DequeueStatic: 1272}},
+			"static": {Makespan: 0.07323656060594101, BusyTime: 0.9444360191348339, OverheadTime: 8.220000000000158e-05, NoiseTime: 0.00552828583977641, IdleTime: 0.8076309495679739,
+				Counters: sched.Counters{DequeueStatic: 1644}},
 			"dynamic": {Makespan: 0.07408252101596834, BusyTime: 1.007142228588024, OverheadTime: 0.2164713351574411, NoiseTime: 0.006323202903585378, IdleTime: 0.5480437377341895,
 				Counters: sched.Counters{DequeueDynamic: 1644, Mismatches: 1580}},
-			"hybrid": {Makespan: 0.08155558635020489, BusyTime: 0.9309861356849505, OverheadTime: 0.02090325000000061, NoiseTime: 0.0037520687649336103, IdleTime: 1.001692617955033,
-				Counters: sched.Counters{DequeueStatic: 1105, DequeueDynamic: 227, Mismatches: 203}},
+			"hybrid": {Makespan: 0.07996903188264023, BusyTime: 0.9490050645472528, OverheadTime: 0.021450750000000563, NoiseTime: 0.00523713009302239, IdleTime: 0.94356382054309,
+				Counters: sched.Counters{DequeueStatic: 1417, DequeueDynamic: 227, Mismatches: 207}},
 		}},
 		{"intel16/2l", IntelXeon16(), 16, layout.TwoLevel, 1600, 80, 1, 3, map[string]Result{
 			"static": {Makespan: 0.0635507767794143, BusyTime: 0.7531025455637931, OverheadTime: 0.0001499000000000032, NoiseTime: 0.003967925945797856, IdleTime: 0.2595920569610379,

@@ -64,7 +64,7 @@ type Machine struct {
 	// fully dynamic scheduling hurts most at small n on the NUMA box.
 	PanelMigrationFactor float64
 	// Noise models transient OS interference (delta_i); nil means quiet.
-	Noise noise.Generator
+	Noise *noise.Poisson
 }
 
 // Cores returns the total core count.
@@ -141,13 +141,7 @@ func AMDOpteron48() Machine {
 // Quiet returns a copy of the machine with noise disabled, used by
 // experiments that isolate scheduling effects from noise effects.
 func (m Machine) Quiet() Machine {
-	m.Noise = noise.None{}
-	return m
-}
-
-// WithNoise returns a copy using the given generator.
-func (m Machine) WithNoise(g noise.Generator) Machine {
-	m.Noise = g
+	m.Noise = nil
 	return m
 }
 
